@@ -1,6 +1,7 @@
 //! Evaluation of scalar expressions against variable environments.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use tmql_model::{setops, ModelError, Record, Result, Value};
 
@@ -9,10 +10,17 @@ use crate::scalar::{AggFn, ArithOp, CmpOp, Quantifier, ScalarExpr, SetBinOp, Set
 /// A variable environment: an ordered stack of bindings. Later bindings
 /// shadow earlier ones (inner scopes push on top). Rows flowing through the
 /// algebra are [`Record`]s of bindings, so an env is usually built from one
-/// or two rows plus quantifier bindings.
+/// or two rows plus quantifier bindings. A row is bound as one frame that
+/// shares the row's body: binding it copies no value and no label.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    bindings: Vec<(String, Value)>,
+    frames: Vec<Frame>,
+}
+
+#[derive(Debug, Clone)]
+enum Frame {
+    Var(Arc<str>, Value),
+    Row(Record),
 }
 
 impl Env {
@@ -24,57 +32,88 @@ impl Env {
     /// Environment holding the bindings of one row.
     pub fn from_row(row: &Record) -> Env {
         Env {
-            bindings: row
-                .iter()
-                .map(|(l, v)| (l.to_string(), v.clone()))
-                .collect(),
+            frames: vec![Frame::Row(row.clone())],
         }
     }
 
     /// Push a binding (shadows any previous binding of the same name).
-    pub fn push(&mut self, name: impl Into<String>, value: Value) {
-        self.bindings.push((name.into(), value));
+    pub fn push(&mut self, name: impl Into<Arc<str>>, value: Value) {
+        self.frames.push(Frame::Var(name.into(), value));
     }
 
-    /// Pop the most recent binding.
+    /// Pop the most recent frame: one [`Env::push`]ed binding, or all the
+    /// bindings of one [`Env::push_row`]ed row.
     pub fn pop(&mut self) {
-        self.bindings.pop();
+        self.frames.pop();
     }
 
-    /// Push all bindings of a row (used by `Apply` to expose outer
-    /// variables to the inner plan).
+    /// Push all bindings of a row as one frame (used by `Apply` to expose
+    /// outer variables to the inner plan).
     pub fn push_row(&mut self, row: &Record) {
-        for (l, v) in row.iter() {
-            self.push(l, v.clone());
-        }
-    }
-
-    /// Pop `n` bindings.
-    pub fn pop_n(&mut self, n: usize) {
-        for _ in 0..n {
-            self.pop();
-        }
+        self.frames.push(Frame::Row(row.clone()));
     }
 
     /// Look up a variable, innermost binding first.
     pub fn get(&self, name: &str) -> Result<&Value> {
-        self.bindings
+        self.frames
             .iter()
             .rev()
-            .find(|(l, _)| l == name)
-            .map(|(_, v)| v)
+            .find_map(|frame| match frame {
+                Frame::Var(l, v) => (&**l == name).then_some(v),
+                Frame::Row(row) => row.find(name),
+            })
             .ok_or_else(|| ModelError::SchemaError(format!("unbound variable `{name}`")))
     }
 
-    /// Number of bindings currently on the stack.
+    /// Number of frames currently on the stack.
     pub fn len(&self) -> usize {
-        self.bindings.len()
+        self.frames.len()
     }
 
     /// True iff no bindings.
     pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
+        self.frames.is_empty()
     }
+}
+
+/// The value of a literal or a `Var`/`Field` chain, borrowed from the
+/// expression or the environment; `None` for any other expression.
+fn borrowed<'e>(expr: &'e ScalarExpr, env: &'e Env) -> Option<Result<&'e Value>> {
+    static NULL: Value = Value::Null;
+    match expr {
+        ScalarExpr::Lit(v) => Some(Ok(v)),
+        ScalarExpr::Var(name) => Some(env.get(name)),
+        ScalarExpr::Field(e, label) => Some(borrowed(e, env)?.and_then(|v| match v {
+            // NULL propagates through field access (relational baseline:
+            // NULL-extended outerjoin tuples have no fields).
+            Value::Null => Ok(&NULL),
+            v => v.as_tuple()?.get(label),
+        })),
+        _ => None,
+    }
+}
+
+/// Evaluate one operand and hand it to `f` — by reference, without a
+/// copy, when it is a literal or a `Var`/`Field` chain.
+fn with_value<T>(e: &ScalarExpr, env: &mut Env, f: impl FnOnce(&Value) -> Result<T>) -> Result<T> {
+    if let Some(v) = borrowed(e, env) {
+        return f(v?);
+    }
+    f(&eval(e, env)?)
+}
+
+/// [`with_value`] for two operands, evaluated left to right.
+fn with_values<T>(
+    a: &ScalarExpr,
+    b: &ScalarExpr,
+    env: &mut Env,
+    f: impl FnOnce(&Value, &Value) -> Result<T>,
+) -> Result<T> {
+    if let (Some(va), Some(vb)) = (borrowed(a, env), borrowed(b, env)) {
+        return f(va?, vb?);
+    }
+    let (va, vb) = (eval(a, env)?, eval(b, env)?);
+    f(&va, &vb)
 }
 
 /// Evaluate an expression to a value.
@@ -83,30 +122,29 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
         ScalarExpr::Lit(v) => Ok(v.clone()),
         ScalarExpr::Var(name) => env.get(name).cloned(),
         ScalarExpr::Field(e, label) => {
-            let v = eval(e, env)?;
-            // NULL propagates through field access (relational baseline:
-            // NULL-extended outerjoin tuples have no fields).
-            if v.is_null() {
-                return Ok(Value::Null);
+            // A chain is walked by reference; only the leaf is cloned.
+            if let Some(v) = borrowed(expr, env) {
+                return v.cloned();
             }
-            v.as_tuple()?.get(label).cloned()
+            match eval(e, env)? {
+                Value::Null => Ok(Value::Null),
+                v => v.as_tuple()?.get(label).cloned(),
+            }
         }
         ScalarExpr::Cmp(op, a, b) => {
-            let (va, vb) = (eval(a, env)?, eval(b, env)?);
-            Ok(Value::Bool(eval_cmp(*op, &va, &vb)))
+            with_values(a, b, env, |va, vb| Ok(Value::Bool(eval_cmp(*op, va, vb))))
         }
-        ScalarExpr::Arith(op, a, b) => {
-            let (va, vb) = (eval(a, env)?, eval(b, env)?);
+        ScalarExpr::Arith(op, a, b) => with_values(a, b, env, |va, vb| {
             if va.is_null() || vb.is_null() {
                 return Ok(Value::Null);
             }
             match op {
-                ArithOp::Add => va.add(&vb),
-                ArithOp::Sub => va.sub(&vb),
-                ArithOp::Mul => va.mul(&vb),
-                ArithOp::Div => va.div(&vb),
+                ArithOp::Add => va.add(vb),
+                ArithOp::Sub => va.sub(vb),
+                ArithOp::Mul => va.mul(vb),
+                ArithOp::Div => va.div(vb),
             }
-        }
+        }),
         ScalarExpr::And(a, b) => {
             // Short-circuit; two-valued logic (NULL comparisons are false).
             if !eval(a, env)?.as_bool()? {
@@ -121,28 +159,21 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
             Ok(Value::Bool(eval(b, env)?.as_bool()?))
         }
         ScalarExpr::Not(e) => Ok(Value::Bool(!eval(e, env)?.as_bool()?)),
-        ScalarExpr::SetBin(op, a, b) => {
-            let (va, vb) = (eval(a, env)?, eval(b, env)?);
-            match op {
-                SetBinOp::Union => setops::union(&va, &vb),
-                SetBinOp::Intersect => setops::intersect(&va, &vb),
-                SetBinOp::Difference => setops::difference(&va, &vb),
-            }
-        }
-        ScalarExpr::SetCmp(op, a, b) => {
-            let (va, vb) = (eval(a, env)?, eval(b, env)?);
-            Ok(Value::Bool(eval_set_cmp(*op, &va, &vb)?))
-        }
-        ScalarExpr::Agg(f, e) => {
-            let v = eval(e, env)?;
-            eval_agg(*f, &v)
-        }
+        ScalarExpr::SetBin(op, a, b) => with_values(a, b, env, |va, vb| match op {
+            SetBinOp::Union => setops::union(va, vb),
+            SetBinOp::Intersect => setops::intersect(va, vb),
+            SetBinOp::Difference => setops::difference(va, vb),
+        }),
+        ScalarExpr::SetCmp(op, a, b) => with_values(a, b, env, |va, vb| {
+            Ok(Value::Bool(eval_set_cmp(*op, va, vb)?))
+        }),
+        ScalarExpr::Agg(f, e) => with_value(e, env, |v| eval_agg(*f, v)),
         ScalarExpr::Tuple(fields) => {
-            let mut rec = Record::empty();
+            let mut out = Vec::with_capacity(fields.len());
             for (l, e) in fields {
-                rec.push(l.clone(), eval(e, env)?)?;
+                out.push((l.as_str(), eval(e, env)?));
             }
-            Ok(Value::Tuple(rec))
+            Ok(Value::Tuple(Record::new(out)?))
         }
         ScalarExpr::SetLit(items) => {
             let mut out = BTreeSet::new();
@@ -152,38 +183,22 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
             Ok(Value::Set(out))
         }
         ScalarExpr::Quant { q, var, over, pred } => {
-            let set = eval(over, env)?;
-            let set = set.as_set()?.clone();
-            match q {
-                Quantifier::Exists => {
-                    for item in set {
-                        env.push(var.clone(), item);
-                        let hit = eval(pred, env)?.as_bool();
-                        env.pop();
-                        if hit? {
-                            return Ok(Value::Bool(true));
-                        }
-                    }
-                    Ok(Value::Bool(false))
-                }
-                Quantifier::Forall => {
-                    for item in set {
-                        env.push(var.clone(), item);
-                        let hit = eval(pred, env)?.as_bool();
-                        env.pop();
-                        if !hit? {
-                            return Ok(Value::Bool(false));
-                        }
-                    }
-                    Ok(Value::Bool(true))
+            let set = eval(over, env)?.into_set()?;
+            // ∃ stops at the first hit, ∀ at the first miss.
+            let stop_on = matches!(q, Quantifier::Exists);
+            let var: Arc<str> = Arc::from(var.as_str());
+            for item in set {
+                env.push(var.clone(), item);
+                let hit = eval(pred, env).and_then(|v| v.as_bool());
+                env.pop();
+                if hit? == stop_on {
+                    return Ok(Value::Bool(stop_on));
                 }
             }
+            Ok(Value::Bool(!stop_on))
         }
-        ScalarExpr::Unnest(e) => {
-            let v = eval(e, env)?;
-            setops::unnest(&v)
-        }
-        ScalarExpr::IsNull(e) => Ok(Value::Bool(eval(e, env)?.is_null())),
+        ScalarExpr::Unnest(e) => with_value(e, env, setops::unnest),
+        ScalarExpr::IsNull(e) => with_value(e, env, |v| Ok(Value::Bool(v.is_null()))),
     }
 }
 
@@ -331,6 +346,40 @@ mod tests {
         assert!(!eval_predicate(&ex, &mut env).unwrap());
         let fa = ScalarExpr::quant(Quantifier::Forall, "v", empty, ScalarExpr::lit(false));
         assert!(eval_predicate(&fa, &mut env).unwrap());
+    }
+
+    #[test]
+    fn quantifier_over_a_non_set_is_the_same_kind_mismatch() {
+        let mut env = env_xy();
+        let depth = env.len();
+        // `x.a` is an int; what `as_set` reports for it is the contract.
+        let expected = Value::Int(2).as_set().unwrap_err();
+        for q in [Quantifier::Exists, Quantifier::Forall] {
+            let e = ScalarExpr::quant(q, "v", ScalarExpr::path("x", &["a"]), ScalarExpr::lit(true));
+            assert_eq!(eval(&e, &mut env).unwrap_err(), expected);
+            assert_eq!(env.len(), depth);
+        }
+        assert!(matches!(
+            expected,
+            ModelError::KindMismatch { expected: "set", ref found } if found == "2"
+        ));
+    }
+
+    #[test]
+    fn a_row_is_bound_as_one_frame_sharing_its_body() {
+        let row = Record::new([("x", Value::Int(1)), ("y", Value::Int(2))]).unwrap();
+        let mut env = Env::from_row(&row);
+        env.push("x", Value::Int(7));
+        env.push_row(&Record::new([("y", Value::Int(8))]).unwrap());
+        assert_eq!(env.len(), 3);
+        // Innermost binding wins, whichever kind of frame holds it.
+        assert_eq!(env.get("x").unwrap(), &Value::Int(7));
+        assert_eq!(env.get("y").unwrap(), &Value::Int(8));
+        env.pop();
+        assert_eq!(env.get("y").unwrap(), &Value::Int(2));
+        env.pop();
+        let x = env.get("x").unwrap();
+        assert!(std::ptr::eq(x, row.get("x").unwrap()), "bound, not copied");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! # tmql-bench — shared benchmark plumbing
 //!
 //! Each Criterion bench target under `benches/` regenerates one experiment
-//! from `EXPERIMENTS.md` (B1–B6 plus the Table 1 micro-benchmark). This
+//! ladder of the table "Experiment ladders and the paper" in
+//! `tmqlbench/README.md` (target → paper section → recorded file). This
 //! library holds the shared helpers: standard Criterion configuration, a
 //! one-shot work-metrics reporter so every benchmark also logs the
 //! executor's machine-independent counters, and the **quick-smoke mode**
@@ -45,8 +46,9 @@ pub fn criterion() -> Criterion {
 }
 
 /// Run once and log the executor work counters (rows scanned, comparisons,
-/// hash traffic, subquery invocations) — the "shape" data EXPERIMENTS.md
-/// quotes alongside wall time.
+/// hash traffic, subquery invocations) — the "shape" data the
+/// `BENCH_*.json` files listed in `tmqlbench/README.md` quote alongside
+/// wall time.
 pub fn report_work(tag: &str, db: &Database, src: &str, opts: QueryOptions) {
     match db.query_with(src, opts) {
         Ok(r) => eprintln!(

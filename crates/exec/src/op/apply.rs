@@ -27,6 +27,7 @@
 //! (uncached) execution.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
 use tmql_model::{Record, Result, Value};
@@ -49,7 +50,7 @@ struct CacheEntry {
 pub struct ApplyOp<'p> {
     child: BoxedOperator<'p>,
     subquery: &'p PhysPlan,
-    label: &'p str,
+    label: Arc<str>,
     /// `None` = memoization off (one execution per outer row);
     /// `Some([])` = invariant subquery (single cached execution);
     /// `Some(exprs)` = cache keyed on the evaluated expressions.
@@ -81,7 +82,7 @@ impl<'p> ApplyOp<'p> {
         ApplyOp {
             child,
             subquery,
-            label,
+            label: Arc::from(label),
             bindings,
             env,
             inner: None,
@@ -211,7 +212,7 @@ impl Operator for ApplyOp<'_> {
                     }
                 }
             };
-            out.push(row.extend_field(self.label, Value::Set(set))?);
+            out.push(row.extend_field(self.label.clone(), Value::Set(set))?);
         }
         Ok(Some(Batch::new(out)))
     }
@@ -380,7 +381,7 @@ impl Operator for MaterializeOp<'_> {
 /// scan, which reproduces plain filter semantics.
 pub struct HashProbeOp<'p> {
     table: &'p str,
-    var: &'p str,
+    var: Arc<str>,
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
@@ -408,7 +409,7 @@ impl<'p> HashProbeOp<'p> {
     ) -> HashProbeOp<'p> {
         HashProbeOp {
             table,
-            var,
+            var: Arc::from(var),
             attr,
             key,
             pred,
@@ -474,7 +475,7 @@ impl Operator for HashProbeOp<'_> {
             let candidates = t.fetch_rows(chunk)?;
             let mut rows = Vec::with_capacity(candidates.len());
             for row in candidates {
-                let r = Record::new([(self.var.to_string(), Value::Tuple(row))])?;
+                let r = crate::op::bind_row(&self.var, Value::Tuple(row));
                 ctx.metrics.comparisons += 1;
                 if crate::op::with_row(&mut self.env, &r, |e| eval_predicate(self.pred, e))? {
                     rows.push(r);

@@ -1,14 +1,16 @@
 //! Grouping operators: ν / ν* (nest), μ (unnest), and relational GROUP BY.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use tmql_algebra::{eval, AggFn, Env, Plan, ScalarExpr, SetOpKind};
-use tmql_model::{ModelError, Record, Result, Value};
+use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
 
-use super::with_row;
+use super::{bind_row, with_row};
 
 /// The nest operator ν (and ν*): group rows by the values of `keys`,
 /// collapsing each group to `keys ++ (label = {value(row) | row ∈ group})`.
@@ -29,20 +31,22 @@ pub fn nest(
     // Group index keyed by the key values; insertion order preserved.
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut groups: BTreeMap<Vec<Value>, (Record, BTreeSet<Value>)> = BTreeMap::new();
+    let key_labels: Vec<&str> = keys.iter().map(String::as_str).collect();
     for row in rows {
-        let mut keyvals = Vec::with_capacity(keys.len());
-        let mut key_rec = Record::empty();
-        for k in keys {
-            let v = row.get(k)?.clone();
-            keyvals.push(v.clone());
-            key_rec.push(k.clone(), v)?;
-        }
+        let keyvals: Vec<Value> = key_labels
+            .iter()
+            .map(|k| row.get(k).cloned())
+            .collect::<Result<_>>()?;
         let payload = with_row(env, row, |e| eval(value, e))?;
         m.comparisons += 1;
-        let entry = groups.entry(keyvals.clone()).or_insert_with(|| {
-            order.push(keyvals);
-            (key_rec, BTreeSet::new())
-        });
+        let entry = match groups.entry(keyvals) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                order.push(e.key().clone());
+                // The key record shares the row's label `Arc`s.
+                e.insert((row.project(&key_labels)?, BTreeSet::new()))
+            }
+        };
         if star && payload.is_null() {
             // ν*: "mapping nested sets consisting of a NULL-tuple to the
             // empty set".
@@ -70,15 +74,15 @@ pub fn unnest(
     env: &mut Env,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
+    let elem_var: Arc<str> = Arc::from(elem_var);
     for row in rows {
-        let set = with_row(env, row, |e| eval(expr, e))?;
-        let set = set.as_set()?.clone();
+        let set = with_row(env, row, |e| eval(expr, e))?.into_set()?;
         let mut base = row.clone();
         for d in drop_vars {
             base = base.without(d)?;
         }
         for item in set {
-            out.push(base.extend_field(elem_var, item)?);
+            out.push(base.extend_field(elem_var.clone(), item)?);
         }
     }
     Ok(out)
@@ -120,16 +124,17 @@ pub fn group_agg(
         }
     }
     let mut out = Vec::with_capacity(order.len());
+    let var: Arc<str> = Arc::from(var);
     for key in order {
         let arglists = groups.remove(&key).expect("group recorded");
-        let mut tup = Record::empty();
+        let mut fields = Vec::with_capacity(keys.len() + aggs.len());
         for ((label, _), v) in keys.iter().zip(key) {
-            tup.push(label.clone(), v)?;
+            fields.push((label.as_str(), v));
         }
         for ((label, f, _), args) in aggs.iter().zip(arglists) {
-            tup.push(label.clone(), fold_agg(*f, &args)?)?;
+            fields.push((label.as_str(), fold_agg(*f, &args)?));
         }
-        out.push(Record::new([(var.to_string(), Value::Tuple(tup))])?);
+        out.push(bind_row(&var, Value::Tuple(Record::new(fields)?)));
     }
     Ok(out)
 }
@@ -176,14 +181,8 @@ pub fn set_op(
         SetOpKind::Intersect => lvals.intersection(&rvals).cloned().collect(),
         SetOpKind::Except => lvals.difference(&rvals).cloned().collect(),
     };
-    let mut out = Vec::with_capacity(vals.len());
-    for v in vals {
-        out.push(
-            Record::new([(var.to_string(), v)])
-                .map_err(|e| ModelError::SchemaError(e.to_string()))?,
-        );
-    }
-    Ok(out)
+    let var: Arc<str> = Arc::from(var);
+    Ok(vals.into_iter().map(|v| bind_row(&var, v)).collect())
 }
 
 #[cfg(test)]

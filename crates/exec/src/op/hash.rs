@@ -101,8 +101,8 @@ pub fn probe(
             let hit = match hit {
                 Ok(h) => h,
                 Err(e) => {
-                    env.pop_n(r.len());
-                    env.pop_n(l.len());
+                    env.pop();
+                    env.pop();
                     return Err(e);
                 }
             };
@@ -111,7 +111,7 @@ pub fn probe(
                 match kind {
                     JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
                     JoinKind::Semi | JoinKind::Anti => {
-                        env.pop_n(r.len());
+                        env.pop();
                         break;
                     }
                     JoinKind::Nest { func, .. } => {
@@ -119,9 +119,9 @@ pub fn probe(
                     }
                 }
             }
-            env.pop_n(r.len());
+            env.pop();
         }
-        env.pop_n(l.len());
+        env.pop();
         match kind {
             JoinKind::Inner => {}
             JoinKind::Semi => {
@@ -140,7 +140,7 @@ pub fn probe(
                 }
             }
             JoinKind::Nest { label, .. } => {
-                out.push(l.extend_field(label, Value::Set(nested))?);
+                out.push(l.extend_field(label.as_str(), Value::Set(nested))?);
             }
         }
     }

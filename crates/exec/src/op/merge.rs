@@ -110,8 +110,8 @@ pub fn join(
                 let hit = match hit {
                     Ok(h) => h,
                     Err(e) => {
-                        env.pop_n(r.len());
-                        env.pop_n(l.len());
+                        env.pop();
+                        env.pop();
                         return Err(e);
                     }
                 };
@@ -120,7 +120,7 @@ pub fn join(
                     match kind {
                         JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
                         JoinKind::Semi | JoinKind::Anti => {
-                            env.pop_n(r.len());
+                            env.pop();
                             break;
                         }
                         JoinKind::Nest { func, .. } => {
@@ -128,9 +128,9 @@ pub fn join(
                         }
                     }
                 }
-                env.pop_n(r.len());
+                env.pop();
             }
-            env.pop_n(l.len());
+            env.pop();
             match kind {
                 JoinKind::Inner => {}
                 JoinKind::Semi => {
@@ -149,7 +149,7 @@ pub fn join(
                     }
                 }
                 JoinKind::Nest { label, .. } => {
-                    out.push(l.extend_field(label, Value::Set(nested))?);
+                    out.push(l.extend_field(label.as_str(), Value::Set(nested))?);
                 }
             }
         }
@@ -166,7 +166,9 @@ fn emit_dangling(l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<(
         JoinKind::Inner | JoinKind::Semi => {}
         JoinKind::Anti => out.push(l.clone()),
         JoinKind::LeftOuter { right_vars } => out.push(null_extend(l, right_vars)?),
-        JoinKind::Nest { label, .. } => out.push(l.extend_field(label, Value::empty_set())?),
+        JoinKind::Nest { label, .. } => {
+            out.push(l.extend_field(label.as_str(), Value::empty_set())?)
+        }
     }
     Ok(())
 }

@@ -17,19 +17,22 @@ pub mod nl;
 pub mod operator;
 pub mod spill;
 
+use std::sync::Arc;
+
 use tmql_algebra::Env;
 use tmql_model::{Record, Result, Value};
 
-/// Deduplicate rows preserving first-occurrence order (TM set semantics).
-pub fn dedup(rows: Vec<Record>) -> Vec<Record> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        if seen.insert(r.clone()) {
-            out.push(r);
-        }
-    }
-    out
+/// The one-binding row `(var = value)` that scans and rebinding operators
+/// emit. Operators intern `var` once when they are built, so binding a
+/// row allocates the row body and nothing else.
+pub fn bind_row(var: &Arc<str>, value: Value) -> Record {
+    Record::single(var.clone(), value)
+}
+
+/// [`bind_row`] over a chunk of stored rows, each bound as a tuple.
+pub fn bind_tuples(var: &Arc<str>, rows: Vec<Record>) -> Vec<Record> {
+    let bind = |row| bind_row(var, Value::Tuple(row));
+    rows.into_iter().map(bind).collect()
 }
 
 /// Evaluate a list of key expressions for a row pushed on `env`.
@@ -54,31 +57,20 @@ pub fn with_row<T>(
 ) -> Result<T> {
     env.push_row(row);
     let r = f(env);
-    env.pop_n(row.len());
+    env.pop();
     r
 }
 
 /// NULL-extend a row with the given variables (outerjoin dangling side).
 pub fn null_extend(row: &Record, vars: &[String]) -> Result<Record> {
-    let mut out = row.clone();
-    for v in vars {
-        out.push(v.clone(), Value::Null)?;
-    }
-    Ok(out)
+    let nulls = vars.iter().map(|v| (Arc::from(v.as_str()), Value::Null));
+    Record::new(row.fields().iter().cloned().chain(nulls))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tmql_algebra::ScalarExpr as E;
-
-    #[test]
-    fn dedup_keeps_first_occurrence_order() {
-        let a = Record::new([("x".to_string(), Value::Int(1))]).unwrap();
-        let b = Record::new([("x".to_string(), Value::Int(2))]).unwrap();
-        let out = dedup(vec![b.clone(), a.clone(), b.clone()]);
-        assert_eq!(out, vec![b, a]);
-    }
 
     #[test]
     fn eval_keys_rejects_null() {

@@ -72,8 +72,8 @@ pub fn join_chunk(
             let hit = match hit {
                 Ok(h) => h,
                 Err(e) => {
-                    env.pop_n(r.len());
-                    env.pop_n(l.len());
+                    env.pop();
+                    env.pop();
                     return Err(e);
                 }
             };
@@ -89,7 +89,7 @@ pub fn join_chunk(
                         if first && matches!(kind, JoinKind::Semi) {
                             out.push(l.clone());
                         }
-                        env.pop_n(r.len());
+                        env.pop();
                         break;
                     }
                     JoinKind::Nest { func, .. } => {
@@ -97,9 +97,9 @@ pub fn join_chunk(
                     }
                 }
             }
-            env.pop_n(r.len());
+            env.pop();
         }
-        env.pop_n(l.len());
+        env.pop();
     }
     Ok(())
 }
@@ -127,7 +127,10 @@ pub fn finish_block(
                 }
             }
             JoinKind::Nest { label, .. } => {
-                out.push(l.extend_field(label, Value::Set(std::mem::take(&mut state.nested[i])))?);
+                out.push(l.extend_field(
+                    label.as_str(),
+                    Value::Set(std::mem::take(&mut state.nested[i])),
+                )?);
             }
         }
     }

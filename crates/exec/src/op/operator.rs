@@ -27,6 +27,7 @@
 
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
 use tmql_model::{Record, Result, Value};
@@ -336,7 +337,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
     match plan {
         PhysPlan::ScanTable { table, var } => Box::new(ScanTableOp {
             table,
-            var,
+            var: Arc::from(var.as_str()),
             pos: 0,
             carry: VecDeque::new(),
             exhausted: false,
@@ -352,7 +353,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             pred,
         } => Box::new(IndexScanOp {
             table,
-            var,
+            var: Arc::from(var.as_str()),
             attr,
             eq: eq.as_ref(),
             lo: lo.as_ref(),
@@ -374,7 +375,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
         } => Box::new(IndexNLJoinOp {
             left: build(left, env),
             right_table,
-            right_var,
+            right_var: Arc::from(right_var.as_str()),
             attr,
             key,
             pred,
@@ -386,7 +387,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
         }),
         PhysPlan::ScanExpr { expr, var } => Box::new(ScanExprOp {
             expr,
-            var,
+            var: Arc::from(var.as_str()),
             env: env.clone(),
             items: None,
             overflow: None,
@@ -402,7 +403,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
         PhysPlan::Map { input, expr, var } => Box::new(MapOp {
             child: build(input, env),
             expr,
-            var,
+            var: Arc::from(var.as_str()),
             env: env.clone(),
             dedup: SpillDedup::new(),
             sealed: false,
@@ -411,7 +412,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
         PhysPlan::Extend { input, expr, var } => Box::new(ExtendOp {
             child: build(input, env),
             expr,
-            var,
+            var: Arc::from(var.as_str()),
             env: env.clone(),
             stats: OpStats::default(),
         }),
@@ -620,7 +621,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
 /// growing as `threads × batch_size`.
 struct ScanTableOp<'p> {
     table: &'p str,
-    var: &'p str,
+    var: Arc<str>,
     pos: usize,
     carry: VecDeque<Record>,
     exhausted: bool,
@@ -645,15 +646,12 @@ impl Operator for ScanTableOp<'_> {
         let threads = ctx.threads();
         if threads <= 1 {
             let t = ctx.catalog.table(self.table)?;
-            // Owned batches: in-memory tables clone the slice; disk-backed
-            // tables stream the needed pages through the buffer pool.
-            let chunk = t.batch(self.pos, n)?;
-            if chunk.is_empty() {
+            // Owned batches: in-memory tables hand out handles to their
+            // shared rows; disk-backed tables stream the needed pages
+            // through the buffer pool.
+            let rows = op::bind_tuples(&self.var, t.batch(self.pos, n)?);
+            if rows.is_empty() {
                 return Ok(None);
-            }
-            let mut rows = Vec::with_capacity(chunk.len());
-            for row in chunk {
-                rows.push(Record::new([(self.var.to_string(), Value::Tuple(row))])?);
             }
             self.pos += rows.len();
             ctx.metrics.rows_scanned += rows.len() as u64;
@@ -669,16 +667,11 @@ impl Operator for ScanTableOp<'_> {
             // One wave: `threads` consecutive morsels totalling about one
             // batch, gathered in order.
             let t = ctx.catalog.table(self.table)?;
-            let var = self.var;
+            let var = &self.var;
             let m = n.div_ceil(threads).max(1);
             let starts: Vec<usize> = (0..threads).map(|i| self.pos + i * m).collect();
             let results = exchange::scatter(threads, starts, |start| -> Result<Vec<Record>> {
-                let chunk = t.batch(start, m)?;
-                let mut rows = Vec::with_capacity(chunk.len());
-                for row in chunk {
-                    rows.push(Record::new([(var.to_string(), Value::Tuple(row))])?);
-                }
-                Ok(rows)
+                Ok(op::bind_tuples(var, t.batch(start, m)?))
             });
             for res in results {
                 let rows = res?;
@@ -726,7 +719,7 @@ impl Operator for ScanTableOp<'_> {
 /// against every candidate before it is emitted.
 struct IndexScanOp<'p> {
     table: &'p str,
-    var: &'p str,
+    var: Arc<str>,
     attr: &'p str,
     eq: Option<&'p ScalarExpr>,
     lo: Option<&'p ScalarExpr>,
@@ -794,7 +787,7 @@ impl Operator for IndexScanOp<'_> {
             let candidates = t.fetch_rows(chunk)?;
             let mut rows = Vec::with_capacity(candidates.len());
             for row in candidates {
-                let r = Record::new([(self.var.to_string(), Value::Tuple(row))])?;
+                let r = op::bind_row(&self.var, Value::Tuple(row));
                 ctx.metrics.comparisons += 1;
                 if op::with_row(&mut self.env, &r, |e| eval_predicate(self.pred, e))? {
                     rows.push(r);
@@ -836,7 +829,7 @@ impl Operator for IndexScanOp<'_> {
 /// buffer drains.
 struct ScanExprOp<'p> {
     expr: &'p ScalarExpr,
-    var: &'p str,
+    var: Arc<str>,
     env: Env,
     items: Option<VecDeque<Value>>,
     overflow: Option<SpillFile>,
@@ -876,7 +869,7 @@ impl Operator for ScanExprOp<'_> {
                     .expect("over_budget implies a budget");
                 let mut w = ctx.spill_runs(1)?.pop().expect("one run requested");
                 for item in items.drain(keep..) {
-                    w.write(&Record::new([(self.var.to_string(), item)])?)?;
+                    w.write(&op::bind_row(&self.var, item))?;
                 }
                 let spilled = w.rows();
                 ctx.metrics.rows_spilled += spilled;
@@ -893,7 +886,7 @@ impl Operator for ScanExprOp<'_> {
                 let mut rows = Vec::with_capacity(k);
                 for _ in 0..k {
                     let item = items.pop_front().expect("k <= len");
-                    rows.push(Record::new([(self.var.to_string(), item)])?);
+                    rows.push(op::bind_row(&self.var, item));
                 }
                 ctx.resident_release(k);
                 ctx.metrics.rows_scanned += rows.len() as u64;
@@ -1007,7 +1000,7 @@ impl Operator for FilterOp<'_> {
 struct MapOp<'p> {
     child: BoxedOperator<'p>,
     expr: &'p ScalarExpr,
-    var: &'p str,
+    var: Arc<str>,
     env: Env,
     dedup: SpillDedup,
     sealed: bool,
@@ -1046,7 +1039,7 @@ impl Operator for MapOp<'_> {
                     let mut out = Vec::new();
                     for row in b.rows {
                         let v = op::with_row(&mut self.env, &row, |e| eval(self.expr, e))?;
-                        let rec = Record::new([(self.var.to_string(), v)])?;
+                        let rec = op::bind_row(&self.var, v);
                         if let Some(rec) = self.dedup.offer(rec, ctx, &mut self.stats)? {
                             out.push(rec);
                         }
@@ -1086,7 +1079,7 @@ impl Operator for MapOp<'_> {
 struct ExtendOp<'p> {
     child: BoxedOperator<'p>,
     expr: &'p ScalarExpr,
-    var: &'p str,
+    var: Arc<str>,
     env: Env,
     stats: OpStats,
 }
@@ -1107,7 +1100,7 @@ impl Operator for ExtendOp<'_> {
         let mut out = Vec::with_capacity(b.len());
         for row in b.rows {
             let v = op::with_row(&mut self.env, &row, |e| eval(self.expr, e))?;
-            out.push(row.extend_field(self.var, v)?);
+            out.push(row.extend_field(self.var.clone(), v)?);
         }
         Ok(Some(Batch::new(out)))
     }
@@ -1477,7 +1470,7 @@ impl Operator for NlJoinOp<'_> {
 struct IndexNLJoinOp<'p> {
     left: BoxedOperator<'p>,
     right_table: &'p str,
-    right_var: &'p str,
+    right_var: Arc<str>,
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
@@ -1516,14 +1509,7 @@ impl IndexNLJoinOp<'_> {
         // (a hot key) never materializes more than a batch at a time.
         let n = ctx.batch_size();
         for chunk in positions.chunks(n.max(1)) {
-            let fetched = t.fetch_rows(chunk)?;
-            let mut inner = Vec::with_capacity(fetched.len());
-            for row in fetched {
-                inner.push(Record::new([(
-                    self.right_var.to_string(),
-                    Value::Tuple(row),
-                )])?);
-            }
+            let inner = op::bind_tuples(&self.right_var, t.fetch_rows(chunk)?);
             nl::join_chunk(
                 outer,
                 &inner,

@@ -27,11 +27,11 @@
 //!   (seen, candidate) partitioned dedup when it does not.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
 use tmql_algebra::Env;
-use tmql_model::{Record, Result};
+use tmql_model::{Record, RecordSet, Result};
 use tmql_storage::spill::{RunReader, RunWriter, SpillFile};
 
 use crate::exec::ExecContext;
@@ -265,7 +265,7 @@ pub fn repartition(
 /// Hybrid streaming/spilling dedup state.
 ///
 /// While the distinct-set fits the budget, [`SpillDedup::offer`] behaves
-/// like a streaming `BTreeSet::insert`: the first occurrence of a row is
+/// like a streaming set insert: the first occurrence of a row is
 /// returned for immediate emission. On overflow the operator degrades to a
 /// breaker: the seen-set is spilled into per-partition "seen" runs (these
 /// rows were **already emitted** and must be suppressed later), every
@@ -276,7 +276,7 @@ pub fn repartition(
 /// other spill consumer.
 #[derive(Default)]
 pub struct SpillDedup {
-    seen: BTreeSet<Record>,
+    seen: RecordSet,
     writers: Option<DedupWriters>,
     drain: Option<DedupDrain>,
     /// Deferred rows produced by a parallel drain wave, handed out in
@@ -296,7 +296,7 @@ struct DedupDrain {
 }
 
 struct CurPart {
-    seen: BTreeSet<Record>,
+    seen: RecordSet,
     reader: RunReader,
     /// Keeps the candidate run alive while its reader streams.
     _file: SpillFile,
@@ -334,12 +334,13 @@ impl SpillDedup {
             ops.rows_spilled += 1;
             return Ok(None);
         }
-        if self.seen.contains(&rec) {
+        if !self.seen.insert(rec.clone()) {
             return Ok(None);
         }
-        if ctx.over_budget(self.seen.len() + 1) {
+        if ctx.over_budget(self.seen.len()) {
             // Overflow: spill the emitted set, defer this and all further
             // candidates.
+            self.seen.remove(&rec);
             let seen_parts = ctx.spill_runs(SPILL_FANOUT)?;
             let cand_parts = ctx.spill_runs(SPILL_FANOUT)?;
             let mut w = DedupWriters {
@@ -362,7 +363,6 @@ impl SpillDedup {
             return Ok(None);
         }
         ctx.resident_acquire(1);
-        self.seen.insert(rec.clone());
         Ok(Some(rec))
     }
 
@@ -408,9 +408,8 @@ impl SpillDedup {
                 }
                 let mut out = Vec::new();
                 for r in batch {
-                    if !cur.seen.contains(&r) {
+                    if cur.seen.insert(r.clone()) {
                         ctx.resident_acquire(1);
-                        cur.seen.insert(r.clone());
                         out.push(r);
                     }
                 }
@@ -441,7 +440,7 @@ impl SpillDedup {
                     if cand_f.is_empty() {
                         continue;
                     }
-                    let seen: BTreeSet<Record> = seen_f.reader()?.read_all()?.into_iter().collect();
+                    let seen: RecordSet = seen_f.reader()?.read_all()?.into_iter().collect();
                     ctx.resident_acquire(seen.len());
                     let reader = cand_f.reader()?;
                     drain.cur = Some(CurPart {
@@ -522,8 +521,7 @@ impl SpillDedup {
                 ctx.threads(),
                 wave,
                 |(seen_f, cand_f)| -> Result<Vec<Record>> {
-                    let mut seen: BTreeSet<Record> =
-                        seen_f.reader()?.read_all()?.into_iter().collect();
+                    let mut seen: RecordSet = seen_f.reader()?.read_all()?.into_iter().collect();
                     let mut out = Vec::new();
                     let mut reader = cand_f.reader()?;
                     loop {
@@ -532,8 +530,7 @@ impl SpillDedup {
                             break;
                         }
                         for r in batch {
-                            if !seen.contains(&r) {
-                                seen.insert(r.clone());
+                            if seen.insert(r.clone()) {
                                 out.push(r);
                             }
                         }

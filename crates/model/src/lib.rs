@@ -31,7 +31,7 @@ pub mod types;
 pub mod value;
 
 pub use error::ModelError;
-pub use record::Record;
+pub use record::{Record, RecordSet};
 pub use schema::{AttrDef, ClassDef, Schema, SortDef};
 pub use types::Ty;
 pub use value::Value;

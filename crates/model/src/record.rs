@@ -6,32 +6,62 @@
 //! records with the same label→value mapping are equal regardless of field
 //! order, matching TM's structural tuple semantics.
 //!
+//! The fields live in one shared immutable body (`Arc<[(Arc<str>, Value)]>`):
+//! cloning a record — scanning it out of a table, binding it in an
+//! environment, keeping it in a dedup set — is a reference-count bump that
+//! copies no value and allocates no label. Every mutator builds a new body
+//! and leaves other handles to the old one untouched.
+//!
 //! Records support the paper's tuple concatenation `x ++ (a = z)`
 //! (Section 6) via [`Record::concat`] and [`Record::extend_field`], which
 //! reject duplicate top-level labels.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::value::Value;
 use crate::Result;
 
+/// One `(label, value)` pair of a record body.
+pub type Field = (Arc<str>, Value);
+
+/// A membership-only set of rows (dedup state, a table's seen-set). It
+/// holds handles to the rows' shared bodies, not copies, and hashes under
+/// a fixed key: whatever iterates it — a dedup set spilling itself — sees
+/// the same order in every run and at every thread count.
+pub type RecordSet = HashSet<Record, BuildHasherDefault<DefaultHasher>>;
+
 /// A labelled tuple value `(a = 1, b = {2, 3})`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Record {
-    fields: Vec<(String, Value)>,
+    fields: Arc<[Field]>,
 }
 
 impl Record {
     /// Build a record from `(label, value)` pairs, rejecting duplicates.
-    pub fn new(fields: impl IntoIterator<Item = (String, Value)>) -> Result<Record> {
-        let mut rec = Record { fields: Vec::new() };
-        for (l, v) in fields {
-            rec.push(l, v)?;
+    pub fn new<L: Into<Arc<str>>>(fields: impl IntoIterator<Item = (L, Value)>) -> Result<Record> {
+        let fields: Vec<Field> = fields.into_iter().map(|(l, v)| (l.into(), v)).collect();
+        for (i, (label, _)) in fields.iter().enumerate() {
+            if fields[..i].iter().any(|(l, _)| l == label) {
+                return Err(ModelError::DuplicateField(label.to_string()));
+            }
         }
-        Ok(rec)
+        Ok(Record {
+            fields: fields.into(),
+        })
+    }
+
+    /// The one-field record `(label = value)` — the shape of every scan
+    /// binding; a single allocation, and one field cannot collide.
+    pub fn single(label: Arc<str>, value: Value) -> Record {
+        Record {
+            fields: Arc::new([(label, value)]),
+        }
     }
 
     /// The empty record `()`.
@@ -49,41 +79,50 @@ impl Record {
         self.fields.is_empty()
     }
 
+    /// The `(label, value)` pairs in declaration order.
+    pub fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
     /// Append one field, rejecting a duplicate label.
-    pub fn push(&mut self, label: impl Into<String>, value: Value) -> Result<()> {
-        let label = label.into();
-        if self.has(&label) {
-            return Err(ModelError::DuplicateField(label));
-        }
-        self.fields.push((label, value));
+    pub fn push(&mut self, label: impl Into<Arc<str>>, value: Value) -> Result<()> {
+        *self = self.extend_field(label, value)?;
         Ok(())
     }
 
     /// True iff a field with this label exists.
     pub fn has(&self, label: &str) -> bool {
-        self.fields.iter().any(|(l, _)| l == label)
+        self.find(label).is_some()
+    }
+
+    /// Look up a field value by label; `None` when absent.
+    pub fn find(&self, label: &str) -> Option<&Value> {
+        self.fields
+            .iter()
+            .find(|(l, _)| &**l == label)
+            .map(|(_, v)| v)
     }
 
     /// Look up a field value by label.
     pub fn get(&self, label: &str) -> Result<&Value> {
-        self.fields
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, v)| v)
-            .ok_or_else(|| ModelError::NoSuchField {
-                field: label.to_string(),
-                available: self.labels().map(str::to_string).collect(),
-            })
+        self.find(label).ok_or_else(|| self.no_such_field(label))
+    }
+
+    fn no_such_field(&self, label: &str) -> ModelError {
+        ModelError::NoSuchField {
+            field: label.to_string(),
+            available: self.labels().map(str::to_string).collect(),
+        }
     }
 
     /// Iterate `(label, value)` pairs in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.fields.iter().map(|(l, v)| (l.as_str(), v))
+        self.fields.iter().map(|(l, v)| (&**l, v))
     }
 
     /// Iterate the labels in declaration order.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.fields.iter().map(|(l, _)| l.as_str())
+        self.fields.iter().map(|(l, _)| &**l)
     }
 
     /// Iterate the values in declaration order.
@@ -94,60 +133,94 @@ impl Record {
     /// Tuple concatenation `x ++ y` (Section 6). Fails if the operands share
     /// a top-level label.
     pub fn concat(&self, other: &Record) -> Result<Record> {
-        let mut out = self.clone();
-        for (l, v) in other.iter() {
-            out.push(l, v.clone())?;
-        }
-        Ok(out)
+        Record::new(self.fields.iter().chain(other.fields.iter()).cloned())
     }
 
     /// The paper's `x ++ (a = z)`: extend with a single unary tuple.
     /// Fails if `a` already occurs on the top level of `x`.
-    pub fn extend_field(&self, label: &str, value: Value) -> Result<Record> {
-        let mut out = self.clone();
-        out.push(label, value)?;
-        Ok(out)
+    pub fn extend_field(&self, label: impl Into<Arc<str>>, value: Value) -> Result<Record> {
+        Record::new(self.fields.iter().cloned().chain([(label.into(), value)]))
     }
 
     /// Projection onto a list of labels (in the order given).
     pub fn project(&self, labels: &[&str]) -> Result<Record> {
-        let mut out = Record::empty();
-        for l in labels {
-            out.push(*l, self.get(l)?.clone())?;
+        let mut out = Vec::with_capacity(labels.len());
+        for label in labels {
+            let field = self.fields.iter().find(|(l, _)| &**l == *label);
+            out.push(field.ok_or_else(|| self.no_such_field(label))?.clone());
         }
-        Ok(out)
+        Record::new(out)
     }
 
     /// Remove a field, returning the remainder. Fails if absent.
     pub fn without(&self, label: &str) -> Result<Record> {
         if !self.has(label) {
-            return Err(ModelError::NoSuchField {
-                field: label.to_string(),
-                available: self.labels().map(str::to_string).collect(),
-            });
+            return Err(self.no_such_field(label));
         }
         Ok(Record {
             fields: self
                 .fields
                 .iter()
-                .filter(|(l, _)| l != label)
+                .filter(|(l, _)| &**l != label)
                 .cloned()
                 .collect(),
         })
     }
+}
 
-    /// Fields sorted by label — the canonical form used for equality,
-    /// ordering, and hashing.
-    fn canonical(&self) -> Vec<(&str, &Value)> {
-        let mut v: Vec<(&str, &Value)> = self.iter().collect();
-        v.sort_by(|a, b| a.0.cmp(b.0));
-        v
+impl Default for Record {
+    fn default() -> Record {
+        Record {
+            fields: Arc::new([]),
+        }
     }
+}
+
+/// Records up to this wide order their labels in a stack buffer.
+const INLINE_ORDER: usize = 16;
+
+/// The indices of `fields` sorted by label — the canonical form used for
+/// ordering and hashing — written into `stack` (or `heap` for records
+/// wider than [`INLINE_ORDER`]); no allocation for the narrow common case.
+fn canonical_order<'a>(
+    fields: &[Field],
+    stack: &'a mut [usize; INLINE_ORDER],
+    heap: &'a mut Vec<usize>,
+) -> &'a [usize] {
+    let order = match stack.get_mut(..fields.len()) {
+        Some(order) => order,
+        None => {
+            heap.resize(fields.len(), 0);
+            &mut heap[..]
+        }
+    };
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i;
+    }
+    order.sort_unstable_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
+    order
 }
 
 impl PartialEq for Record {
     fn eq(&self, other: &Self) -> bool {
-        self.canonical() == other.canonical()
+        if Arc::ptr_eq(&self.fields, &other.fields) {
+            return true;
+        }
+        // Labels are distinct within a record, so equal widths plus every
+        // field of `self` matched in `other` is equality of the mappings.
+        // Rows of one schema line up positionally; permuted ones search.
+        self.len() == other.len()
+            && self
+                .fields
+                .iter()
+                .zip(other.fields.iter())
+                .all(|((l, v), (ol, ov))| {
+                    if l == ol {
+                        v == ov
+                    } else {
+                        other.find(l) == Some(v)
+                    }
+                })
     }
 }
 
@@ -161,13 +234,27 @@ impl PartialOrd for Record {
 
 impl Ord for Record {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.canonical().cmp(&other.canonical())
+        if Arc::ptr_eq(&self.fields, &other.fields) {
+            return Ordering::Equal;
+        }
+        let (mut sa, mut sb) = ([0; INLINE_ORDER], [0; INLINE_ORDER]);
+        let (mut ha, mut hb) = (Vec::new(), Vec::new());
+        let a = canonical_order(&self.fields, &mut sa, &mut ha);
+        let b = canonical_order(&other.fields, &mut sb, &mut hb);
+        let (a, b) = (
+            a.iter().map(|&i| &self.fields[i]),
+            b.iter().map(|&i| &other.fields[i]),
+        );
+        a.cmp(b)
     }
 }
 
 impl Hash for Record {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for (l, v) in self.canonical() {
+        let mut stack = [0; INLINE_ORDER];
+        let mut heap = Vec::new();
+        for &i in canonical_order(&self.fields, &mut stack, &mut heap) {
+            let (l, v) = &self.fields[i];
             l.hash(state);
             v.hash(state);
         }
@@ -187,10 +274,10 @@ impl fmt::Display for Record {
     }
 }
 
-impl FromIterator<(String, Value)> for Record {
+impl<L: Into<Arc<str>>> FromIterator<(L, Value)> for Record {
     /// Collects pairs, silently overwriting nothing: panics on duplicates.
     /// Intended for internal construction where labels are known distinct.
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
+    fn from_iter<T: IntoIterator<Item = (L, Value)>>(iter: T) -> Self {
         Record::new(iter).expect("duplicate label collecting Record")
     }
 }

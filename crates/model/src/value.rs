@@ -69,9 +69,7 @@ impl Value {
     /// # Panics
     /// Panics on duplicate labels; use [`Record::new`] for a fallible build.
     pub fn tuple(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
-        let rec = Record::new(fields.into_iter().map(|(l, v)| (l.to_string(), v)))
-            .expect("duplicate label in Value::tuple");
-        Value::Tuple(rec)
+        Value::Tuple(Record::new(fields).expect("duplicate label in Value::tuple"))
     }
 
     /// One-word description of the value's kind, for error messages.
@@ -132,6 +130,15 @@ impl Value {
         match self {
             Value::Set(s) => Ok(s),
             other => Err(mismatch("set", other)),
+        }
+    }
+
+    /// Take the set out of an owned value, or fail with the same kind
+    /// mismatch as [`Value::as_set`].
+    pub fn into_set(self) -> Result<BTreeSet<Value>> {
+        match self {
+            Value::Set(s) => Ok(s),
+            other => Err(mismatch("set", &other)),
         }
     }
 

@@ -1,0 +1,271 @@
+//! The shared-body `Record` against a reference: equality, ordering and
+//! hashing must stay **label-permutation-insensitive** and agree with the
+//! obvious sort-by-label implementation kept here, and no mutator may
+//! write through a body that another handle shares.
+
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use proptest::prelude::*;
+use tmql_model::{Record, Value};
+
+// ---------------------------------------------------------------------------
+// Reference implementation: allocate, sort by label, compare pairwise
+// ---------------------------------------------------------------------------
+
+fn canonical(r: &Record) -> Vec<(&str, &Value)> {
+    let mut fields: Vec<(&str, &Value)> = r.iter().collect();
+    fields.sort_by(|a, b| a.0.cmp(b.0));
+    fields
+}
+
+fn ref_cmp_record(a: &Record, b: &Record) -> Ordering {
+    let (ca, cb) = (canonical(a), canonical(b));
+    for ((la, va), (lb, vb)) in ca.iter().zip(&cb) {
+        let c = la.cmp(lb).then_with(|| ref_cmp(va, vb));
+        if c != Ordering::Equal {
+            return c;
+        }
+    }
+    ca.len().cmp(&cb.len())
+}
+
+fn ref_cmp_seq<'a>(
+    a: impl Iterator<Item = &'a Value>,
+    b: impl Iterator<Item = &'a Value>,
+) -> Ordering {
+    let (a, b): (Vec<_>, Vec<_>) = (a.collect(), b.collect());
+    for (x, y) in a.iter().zip(&b) {
+        let c = ref_cmp(x, y);
+        if c != Ordering::Equal {
+            return c;
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// `Value::cmp` with every tuple comparison routed through the reference.
+fn ref_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Tuple(x), Value::Tuple(y)) => ref_cmp_record(x, y),
+        (Value::Set(x), Value::Set(y)) => ref_cmp_seq(x.iter(), y.iter()),
+        (Value::List(x), Value::List(y)) => ref_cmp_seq(x.iter(), y.iter()),
+        (Value::Variant(lx, x), Value::Variant(ly, y)) => lx.cmp(ly).then_with(|| ref_cmp(x, y)),
+        _ => a.cmp(b),
+    }
+}
+
+fn ref_hash(r: &Record) -> u64 {
+    let mut h = DefaultHasher::new();
+    for (l, v) in canonical(r) {
+        l.hash(&mut h);
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+fn hash_of(r: &Record) -> u64 {
+    let mut h = DefaultHasher::new();
+    r.hash(&mut h);
+    h.finish()
+}
+
+// ---------------------------------------------------------------------------
+// Generators
+// ---------------------------------------------------------------------------
+
+fn record_of(pairs: Vec<(String, Value)>) -> Record {
+    let mut rec = Record::empty();
+    for (l, v) in pairs {
+        // Skip duplicate labels rather than fail the case.
+        let _ = rec.push(l, v);
+    }
+    rec
+}
+
+/// Values with nested tuples, sets of tuples and NaN among the leaves.
+fn arb_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Float(f64::NAN)),
+        any::<bool>().prop_map(Value::Bool),
+        (-4i64..4).prop_map(Value::Int),
+        (-2.0f64..2.0).prop_map(Value::Float),
+        "[a-b]{0,2}".prop_map(Value::str),
+    ];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::set),
+            prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
+            prop::collection::vec(("[a-d]", inner), 0..4)
+                .prop_map(|pairs| Value::Tuple(record_of(pairs))),
+        ]
+    })
+}
+
+/// Records from narrow to wider than the stack-ordered width (16), over a
+/// small label alphabet so that two draws often share a label set.
+fn arb_record() -> impl Strategy<Value = Record> {
+    prop_oneof![
+        prop::collection::vec(("[a-d]", arb_value()), 0..5).prop_map(record_of),
+        prop::collection::vec(("[a-h]{1,2}", arb_value()), 20..30).prop_map(record_of),
+    ]
+}
+
+/// The same label→value mapping in another declaration order, at every
+/// nesting level: a shuffle driven by `seed` on top, a reversal below.
+fn permuted(r: &Record, seed: u64) -> Record {
+    fn deep(v: &Value) -> Value {
+        match v {
+            Value::Tuple(r) => Value::Tuple(
+                r.fields()
+                    .iter()
+                    .rev()
+                    .map(|(l, v)| (l.clone(), deep(v)))
+                    .collect(),
+            ),
+            Value::Set(s) => Value::set(s.iter().map(deep)),
+            Value::List(l) => Value::List(l.iter().map(deep).collect()),
+            Value::Variant(l, v) => Value::Variant(l.clone(), Box::new(deep(v))),
+            other => other.clone(),
+        }
+    }
+    let mut fields: Vec<_> = r
+        .fields()
+        .iter()
+        .map(|(l, v)| (l.clone(), deep(v)))
+        .collect();
+    let mut state = seed | 1;
+    for i in (1..fields.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        fields.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    fields.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn eq_ord_hash_agree_with_the_reference(a in arb_record(), b in arb_record()) {
+        let expected = ref_cmp_record(&a, &b);
+        prop_assert_eq!(a.cmp(&b), expected);
+        prop_assert_eq!(b.cmp(&a), expected.reverse());
+        prop_assert_eq!(a == b, expected == Ordering::Equal);
+        prop_assert_eq!(hash_of(&a), ref_hash(&a));
+        prop_assert_eq!(hash_of(&b), ref_hash(&b));
+    }
+
+    #[test]
+    fn a_permutation_is_the_same_record(a in arb_record(), b in arb_record(), seed in any::<u64>()) {
+        let p = permuted(&a, seed);
+        prop_assert_eq!(&p, &a);
+        prop_assert_eq!(&a, &p);
+        prop_assert_eq!(p.cmp(&a), Ordering::Equal);
+        prop_assert_eq!(hash_of(&p), hash_of(&a));
+        // ...and stands where `a` stands against any third record.
+        prop_assert_eq!(p.cmp(&b), a.cmp(&b));
+        prop_assert_eq!(p == b, a == b);
+    }
+
+    #[test]
+    fn one_changed_value_is_seen_in_any_order(a in arb_record(), seed in any::<u64>(), v in arb_value()) {
+        if a.is_empty() {
+            return Ok(());
+        }
+        let victim = seed as usize % a.len();
+        let changed: Record = a
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(i, (l, old))| (l.clone(), if i == victim { v.clone() } else { old.clone() }))
+            .collect();
+        let p = permuted(&changed, seed);
+        let expected = ref_cmp(&a.fields()[victim].1, &v);
+        prop_assert_eq!(a == p, expected == Ordering::Equal);
+        prop_assert_eq!(a.cmp(&p), ref_cmp_record(&a, &p));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write aliasing
+// ---------------------------------------------------------------------------
+
+fn sample() -> Record {
+    Record::new([
+        ("a", Value::Int(1)),
+        ("b", Value::set([Value::Int(2), Value::Int(3)])),
+        ("c", Value::tuple([("d", Value::str("x"))])),
+    ])
+    .unwrap()
+}
+
+fn shares_body(a: &Record, b: &Record) -> bool {
+    std::ptr::eq(a.fields().as_ptr(), b.fields().as_ptr())
+}
+
+#[test]
+fn a_clone_shares_the_body_and_copies_nothing() {
+    let a = sample();
+    let b = a.clone();
+    assert!(shares_body(&a, &b));
+    assert_eq!(a, b);
+}
+
+#[test]
+fn push_on_a_clone_leaves_the_original_untouched() {
+    let a = sample();
+    let mut b = a.clone();
+    b.push("z", Value::Int(9)).unwrap();
+    assert_eq!(a, sample());
+    assert!(!a.has("z"));
+    assert_eq!(b.len(), a.len() + 1);
+    assert_eq!(b.get("z").unwrap(), &Value::Int(9));
+    assert!(!shares_body(&a, &b));
+    // A rejected push changes nothing either.
+    let mut c = a.clone();
+    assert!(c.push("a", Value::Int(0)).is_err());
+    assert!(shares_body(&a, &c));
+}
+
+#[test]
+fn concat_extend_project_without_never_mutate_their_operands() {
+    let a = sample();
+    let other = Record::new([("y", Value::Bool(true))]).unwrap();
+    let (a_alias, other_alias) = (a.clone(), other.clone());
+
+    let joined = a.concat(&other).unwrap();
+    assert_eq!(joined.len(), 4);
+    let extended = a.extend_field("s", Value::empty_set()).unwrap();
+    assert_eq!(extended.get("s").unwrap(), &Value::empty_set());
+    let projected = a.project(&["c", "a"]).unwrap();
+    assert_eq!(projected.labels().collect::<Vec<_>>(), ["c", "a"]);
+    let dropped = a.without("b").unwrap();
+    assert!(!dropped.has("b"));
+
+    for r in [&a, &a_alias] {
+        assert_eq!(*r, sample());
+        assert_eq!(r.labels().collect::<Vec<_>>(), ["a", "b", "c"]);
+    }
+    assert!(shares_body(&a, &a_alias));
+    assert_eq!(other, Record::new([("y", Value::Bool(true))]).unwrap());
+    assert!(shares_body(&other, &other_alias));
+}
+
+#[test]
+fn derived_records_share_label_allocations_with_their_source() {
+    let a = sample();
+    let extended = a.extend_field("s", Value::Null).unwrap();
+    let projected = a.project(&["c"]).unwrap();
+    assert!(std::sync::Arc::ptr_eq(
+        &a.fields()[0].0,
+        &extended.fields()[0].0
+    ));
+    assert!(std::sync::Arc::ptr_eq(
+        &a.fields()[2].0,
+        &projected.fields()[0].0
+    ));
+}

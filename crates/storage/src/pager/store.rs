@@ -62,7 +62,7 @@ use super::image::{decode_catalog, encode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use super::pool::{BufferPool, PoolStats};
 use crate::failpoint::{self, IoOp, WriteCheck};
-use crate::spill::{decode_record, encode_record};
+use crate::spill::{encode_record, RecordDecoder};
 use crate::wal::{CommitRecord, RecoveryReport, Wal, WalActivity};
 
 /// Default buffer-pool capacity in pages (2 MiB at the 8 KiB page size).
@@ -669,6 +669,18 @@ impl PagedStore {
     /// Fully concurrent: parallel scan morsels call this from worker
     /// threads against disjoint row ranges.
     pub fn read_rows(&self, extent: &TableExtent, start: usize, n: usize) -> Result<Vec<Record>> {
+        self.read_rows_with(&mut RecordDecoder::default(), extent, start, n)
+    }
+
+    /// [`PagedStore::read_rows`] through the caller's decoder, so the
+    /// scattered one-row reads of an index probe share their labels too.
+    pub(crate) fn read_rows_with(
+        &self,
+        decoder: &mut RecordDecoder,
+        extent: &TableExtent,
+        start: usize,
+        n: usize,
+    ) -> Result<Vec<Record>> {
         let mut out = Vec::with_capacity(n.min(extent.rows as usize));
         let mut skip = start;
         for &(pid, rows_in_page) in &extent.pages {
@@ -705,8 +717,8 @@ impl PagedStore {
             };
             for slot in copied {
                 let rec = match slot {
-                    Slot::Inline(bytes) => decode_record(&bytes)?,
-                    Slot::Chain(first, total) => decode_record(&self.read_chain(first, total)?)?,
+                    Slot::Inline(bytes) => decoder.decode(&bytes)?,
+                    Slot::Chain(first, total) => decoder.decode(&self.read_chain(first, total)?)?,
                 };
                 out.push(rec);
             }

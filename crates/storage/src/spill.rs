@@ -122,10 +122,63 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
     out
 }
 
+/// Decoder for a stream of records (one spill run, one page batch) that
+/// hands every row the label `Arc`s of the rows before it: rows of one
+/// schema repeat their labels, so after the first row decoding a label
+/// is a byte comparison and a reference-count bump, not an allocation.
+#[derive(Debug, Default)]
+pub struct RecordDecoder {
+    labels: Vec<Arc<str>>,
+    /// Where the last hit was: labels recur in a cycle, so the search
+    /// starts just past it and usually ends at once.
+    next: usize,
+}
+
+/// Labels remembered per decoder; more distinct ones than this (not a
+/// schema, but bytes can claim anything) are allocated per occurrence.
+const MAX_LABELS: usize = 64;
+
+impl RecordDecoder {
+    /// Decode one record from an encoded payload (the inverse of
+    /// [`encode_record`]). Fails on truncated or malformed bytes.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<Record> {
+        let mut c = Cursor {
+            buf: payload,
+            pos: 0,
+            names: self,
+        };
+        let rec = c.record()?;
+        if c.pos != payload.len() {
+            return Err(ModelError::Io(format!(
+                "spill decode: {} trailing bytes after record",
+                payload.len() - c.pos
+            )));
+        }
+        Ok(rec)
+    }
+
+    fn intern(&mut self, label: &str) -> Arc<str> {
+        let n = self.labels.len();
+        for i in (self.next..n).chain(0..self.next) {
+            if &*self.labels[i] == label {
+                self.next = (i + 1) % n;
+                return self.labels[i].clone();
+            }
+        }
+        let label: Arc<str> = Arc::from(label);
+        if n < MAX_LABELS {
+            self.labels.push(label.clone());
+            self.next = 0;
+        }
+        label
+    }
+}
+
 /// Cursor over an encoded payload.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    names: &'a mut RecordDecoder,
 }
 
 impl<'a> Cursor<'a> {
@@ -190,7 +243,7 @@ impl<'a> Cursor<'a> {
                 Value::List(items)
             }
             tag::VARIANT => {
-                let label = Arc::from(self.str()?);
+                let label = self.label()?;
                 Value::Variant(label, Box::new(self.value()?))
             }
             other => {
@@ -201,13 +254,17 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    fn label(&mut self) -> Result<Arc<str>> {
+        let label = self.str()?;
+        Ok(self.names.intern(label))
+    }
+
     fn record(&mut self) -> Result<Record> {
         let n = self.u32()? as usize;
         let mut fields = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            let label = self.str()?.to_string();
-            let v = self.value()?;
-            fields.push((label, v));
+            let label = self.label()?;
+            fields.push((label, self.value()?));
         }
         Record::new(fields)
     }
@@ -221,26 +278,16 @@ pub fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
     let mut c = Cursor {
         buf: payload,
         pos: 0,
+        names: &mut RecordDecoder::default(),
     };
     let v = c.value()?;
     Ok((v, c.pos))
 }
 
-/// Decode one record from an encoded payload (the inverse of
-/// [`encode_record`]). Fails on truncated or malformed bytes.
+/// Decode one standalone record ([`RecordDecoder::decode`] with nothing
+/// to share labels with).
 pub fn decode_record(payload: &[u8]) -> Result<Record> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let rec = c.record()?;
-    if c.pos != payload.len() {
-        return Err(ModelError::Io(format!(
-            "spill decode: {} trailing bytes after record",
-            payload.len() - c.pos
-        )));
-    }
-    Ok(rec)
+    RecordDecoder::default().decode(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +410,7 @@ impl SpillFile {
         Ok(RunReader {
             input: BufReader::new(file),
             remaining: self.rows,
+            decoder: RecordDecoder::default(),
         })
     }
 }
@@ -378,6 +426,7 @@ impl Drop for SpillFile {
 pub struct RunReader {
     input: BufReader<File>,
     remaining: u64,
+    decoder: RecordDecoder,
 }
 
 impl RunReader {
@@ -397,7 +446,7 @@ impl RunReader {
             let len = u32::from_le_bytes(len_buf) as usize;
             payload.resize(len, 0);
             self.input.read_exact(&mut payload).map_err(io_err)?;
-            out.push(decode_record(&payload)?);
+            out.push(self.decoder.decode(&payload)?);
             self.remaining -= 1;
         }
         Ok(out)
@@ -494,6 +543,60 @@ mod tests {
         // A second reader re-reads from the start.
         let again = file.reader().unwrap().read_all().unwrap();
         assert_eq!(again, rows);
+    }
+
+    #[test]
+    fn rows_of_one_run_share_their_label_allocations() {
+        let row = |i: i64| {
+            let inner = Value::tuple([("k", Value::Int(i)), ("v", Value::str("s"))]);
+            Record::new([("a", Value::Int(i)), ("b", Value::set([inner]))]).unwrap()
+        };
+        let dir = SpillDir::create().unwrap();
+        let mut w = dir.create_run().unwrap();
+        for i in 0..3 {
+            w.write(&row(i)).unwrap();
+        }
+        // Batches of one: the labels outlive a `read_batch` call.
+        let mut reader = w.finish().unwrap().reader().unwrap();
+        let rows: Vec<Record> = (0..3)
+            .map(|_| reader.read_batch(1).unwrap().remove(0))
+            .collect();
+        let nested = |r: &Record| match r.get("b").unwrap().as_set().unwrap().first() {
+            Some(Value::Tuple(t)) => t.clone(),
+            other => panic!("expected a tuple, got {other:?}"),
+        };
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(*r, row(i as i64));
+            for (f, (label, _)) in r.fields().iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(label, &rows[0].fields()[f].0),
+                    "row {i} `{label}`"
+                );
+            }
+            for (f, (label, _)) in nested(r).fields().iter().enumerate() {
+                assert!(Arc::ptr_eq(label, &nested(&rows[0]).fields()[f].0));
+            }
+        }
+        // A standalone decode has nothing to share with.
+        let alone = decode_record(&encode_record(&rows[0])).unwrap();
+        assert!(!Arc::ptr_eq(&alone.fields()[0].0, &rows[0].fields()[0].0));
+    }
+
+    #[test]
+    fn decoder_remembers_a_bounded_number_of_labels() {
+        let mut decoder = RecordDecoder::default();
+        let wide =
+            |n: usize| -> Record { (0..n).map(|i| (format!("f{i}"), Value::Int(0))).collect() };
+        let bytes = encode_record(&wide(MAX_LABELS + 8));
+        let (first, second) = (
+            decoder.decode(&bytes).unwrap(),
+            decoder.decode(&bytes).unwrap(),
+        );
+        assert_eq!(first, second);
+        assert_eq!(decoder.labels.len(), MAX_LABELS);
+        let shared = |i: usize| Arc::ptr_eq(&first.fields()[i].0, &second.fields()[i].0);
+        assert!(shared(0) && shared(MAX_LABELS - 1));
+        assert!(!shared(MAX_LABELS), "past the cap labels are per-row");
     }
 
     #[test]

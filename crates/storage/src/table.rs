@@ -4,7 +4,9 @@
 //! Two backings share the type:
 //!
 //! * **In-memory** (the default): rows live in a vector, duplicates are
-//!   absorbed on [`Table::insert`], and scans borrow nothing from disk.
+//!   absorbed on [`Table::insert`] through a hash set over the same shared
+//!   row bodies (one copy of the data), and a scan hands out
+//!   reference-counted handles to them.
 //! * **Disk-backed**: rows live in slotted pages of a
 //!   [`crate::pager::PagedStore`] and stream through its buffer pool;
 //!   the table holds only the store handle and its
@@ -16,16 +18,16 @@
 //! The scan API is backing-agnostic: [`Table::batch`] /
 //! [`Table::batches`] return owned row batches (a disk fault can fail,
 //! so both are fallible), which is what the streaming executor's scan
-//! cursor consumes. [`Table::rows`] keeps the zero-copy borrowed
-//! iterator for in-memory tables only.
+//! cursor consumes. [`Table::rows`] keeps the borrowed iterator for
+//! in-memory tables only.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use tmql_model::{ModelError, Record, Result, Ty, Value};
+use tmql_model::{ModelError, Record, RecordSet, Result, Ty, Value};
 
 use crate::pager::{PagedStore, TableExtent};
+use crate::spill::RecordDecoder;
 
 /// A table: an ordered schema plus a duplicate-free multiset of records.
 ///
@@ -43,7 +45,7 @@ pub struct Table {
 enum Backing {
     Mem {
         rows: Vec<Record>,
-        seen: BTreeSet<Record>,
+        seen: RecordSet,
     },
     Disk {
         store: Arc<PagedStore>,
@@ -59,7 +61,7 @@ impl Table {
             columns,
             backing: Backing::Mem {
                 rows: Vec::new(),
-                seen: BTreeSet::new(),
+                seen: RecordSet::default(),
             },
         }
     }
@@ -152,12 +154,11 @@ impl Table {
         self.validate(&row)?;
         match &mut self.backing {
             Backing::Mem { rows, seen } => {
-                if seen.contains(&row) {
-                    return Ok(false);
+                let new = seen.insert(row.clone());
+                if new {
+                    rows.push(row);
                 }
-                seen.insert(row.clone());
-                rows.push(row);
-                Ok(true)
+                Ok(new)
             }
             Backing::Disk { .. } => Err(ModelError::SchemaError(format!(
                 "table `{}` is disk-backed and immutable; build a new table and re-register",
@@ -218,7 +219,7 @@ impl Table {
     }
 
     /// All rows, materialized (disk tables stream through the buffer
-    /// pool; in-memory tables clone).
+    /// pool; in-memory tables hand out handles to their shared rows).
     pub fn rows_vec(&self) -> Result<Vec<Record>> {
         match &self.backing {
             Backing::Mem { rows, .. } => Ok(rows.clone()),
@@ -257,13 +258,22 @@ impl Table {
     /// operators; disk-backed tables fault the needed pages through the
     /// buffer pool.
     pub fn batch(&self, start: usize, n: usize) -> Result<Vec<Record>> {
+        self.batch_with(&mut RecordDecoder::default(), start, n)
+    }
+
+    fn batch_with(
+        &self,
+        decoder: &mut RecordDecoder,
+        start: usize,
+        n: usize,
+    ) -> Result<Vec<Record>> {
         match &self.backing {
             Backing::Mem { rows, .. } => {
                 let lo = start.min(rows.len());
                 let hi = start.saturating_add(n).min(rows.len());
                 Ok(rows[lo..hi].to_vec())
             }
-            Backing::Disk { store, extent } => store.read_rows(extent, start, n),
+            Backing::Disk { store, extent } => store.read_rows_with(decoder, extent, start, n),
         }
     }
 
@@ -273,6 +283,7 @@ impl Table {
     pub fn fetch_rows(&self, positions: &[usize]) -> Result<Vec<Record>> {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
         let mut out = Vec::with_capacity(positions.len());
+        let mut decoder = RecordDecoder::default();
         let mut i = 0;
         while i < positions.len() {
             let start = positions[i];
@@ -280,7 +291,7 @@ impl Table {
             while i + len < positions.len() && positions[i + len] == start + len {
                 len += 1;
             }
-            let batch = self.batch(start, len)?;
+            let batch = self.batch_with(&mut decoder, start, len)?;
             if batch.len() != len {
                 return Err(ModelError::Io(format!(
                     "table `{}`: index positions past the end ({} rows)",
@@ -327,7 +338,7 @@ impl Table {
     /// equality for set-semantics queries; used pervasively by differential
     /// tests between unnesting strategies and between backings).
     pub fn same_contents(&self, other: &Table) -> Result<bool> {
-        fn row_set(t: &Table) -> Result<BTreeSet<Record>> {
+        fn row_set(t: &Table) -> Result<RecordSet> {
             if let Backing::Mem { seen, .. } = &t.backing {
                 return Ok(seen.clone());
             }
@@ -414,6 +425,25 @@ mod tests {
         assert!(t.insert(r.clone()).unwrap());
         assert!(!t.insert(r).unwrap());
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn memory_table_holds_one_copy_and_scans_hand_out_handles() {
+        let mut t = Table::new("T", vec![("a".into(), Ty::Int), ("b".into(), Ty::Int)]);
+        let row = Record::new([("a", Value::Int(1)), ("b", Value::Int(2))]).unwrap();
+        assert!(t.insert(row.clone()).unwrap());
+        // The same mapping in another field order is the same row.
+        let permuted = Record::new([("b", Value::Int(2)), ("a", Value::Int(1))]).unwrap();
+        assert!(!t.insert(permuted.clone()).unwrap());
+        assert!(t.contains(&permuted).unwrap());
+        let body = |r: &Record| r.fields().as_ptr();
+        let Backing::Mem { rows, seen } = &t.backing else {
+            panic!("in-memory table");
+        };
+        assert_eq!(body(seen.get(&row).unwrap()), body(&rows[0]));
+        for scanned in [t.batch(0, 8).unwrap(), t.rows_vec().unwrap()] {
+            assert_eq!(body(&scanned[0]), body(&row));
+        }
     }
 
     #[test]
