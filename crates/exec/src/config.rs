@@ -6,8 +6,9 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// Default worker count for parallel execution: the `TMQL_THREADS`
 /// environment variable when set (parsed, clamped to ≥ 1; `0` and `auto`
 /// mean "use the hardware"), else [`std::thread::available_parallelism`].
-/// `1` disables parallelism entirely — execution takes exactly the
-/// pre-parallel code paths.
+/// There is one code path at every value: at `1` each wave holds a single
+/// work item and [`crate::op::exchange::scatter`] runs it in place on the
+/// calling thread, spawning nothing.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("TMQL_THREADS") {
         let v = v.trim();
@@ -59,11 +60,13 @@ pub struct ExecConfig {
     /// repartitioning stops at [`crate::op::spill::MAX_REPARTITION_DEPTH`]).
     pub memory_budget_rows: Option<usize>,
     /// Worker threads for morsel-driven parallel execution (clamped to
-    /// ≥ 1). At `1` (always the case on single-core hosts) execution is
-    /// exactly the serial pre-parallel behavior; above `1`, table scans
-    /// fan morsels out to a scoped worker wave and the grace spill
-    /// partitions of hash joins and pipeline breakers run
-    /// partition-per-worker. Defaults to [`default_threads`].
+    /// ≥ 1): how many scan morsels, or spilled partitions of a hash join,
+    /// breaker or dedup, one wave hands to scoped workers. Operators run
+    /// the same code at every value — at `1` (always the case on
+    /// single-core hosts) a wave is one item, processed in place — and
+    /// results and work counters do not depend on it. The speed-up from
+    /// values above `1` is unmeasured (`BENCH_parallel.json` was recorded
+    /// on one core). Defaults to [`default_threads`].
     pub threads: usize,
     /// Memoize correlated `Apply` inner results by the outer row's
     /// correlation-binding values (default `true`). Duplicate bindings

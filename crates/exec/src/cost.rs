@@ -163,7 +163,7 @@ pub struct Estimator<'a> {
     /// (scans; the per-partition work of spilled joins and breakers)
     /// divide their work across this many workers and pay
     /// [`EXCHANGE_COST_PER_ROW`] per row crossing the exchange. `1.0`
-    /// models the serial executor exactly. Resident state is **not**
+    /// models one-thread execution exactly. Resident state is **not**
     /// divided — concurrent partitions are summed, which is what the
     /// executor's budget-capped waves actually hold.
     threads: f64,

@@ -82,7 +82,7 @@ impl<'a> ExecContext<'a> {
         self.batch_size
     }
 
-    /// Worker threads for parallel waves (≥ 1; `1` = serial execution).
+    /// Worker threads per wave (≥ 1; at `1` a wave runs in place).
     pub fn threads(&self) -> usize {
         self.threads
     }

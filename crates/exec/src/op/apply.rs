@@ -34,7 +34,7 @@ use tmql_model::{Record, Result, Value};
 use tmql_storage::HashIndex;
 
 use crate::exec::ExecContext;
-use crate::op::operator::{build, drain, Batch, BoxedOperator, OpStats, Operator};
+use crate::op::operator::{build, drain, op_base, Batch, BoxedOperator, OpBase, Operator};
 use crate::physical::PhysPlan;
 
 /// A memoized inner result: the completed subquery value set and its LRU
@@ -48,6 +48,7 @@ struct CacheEntry {
 /// rows stream through batch-at-a-time; the subquery tree is built lazily
 /// on the first row and re-opened (never rebuilt) for every execution.
 pub struct ApplyOp<'p> {
+    base: OpBase<'p>,
     child: BoxedOperator<'p>,
     subquery: &'p PhysPlan,
     label: Arc<str>,
@@ -55,7 +56,6 @@ pub struct ApplyOp<'p> {
     /// `Some([])` = invariant subquery (single cached execution);
     /// `Some(exprs)` = cache keyed on the evaluated expressions.
     bindings: Option<&'p [ScalarExpr]>,
-    env: Env,
     /// The long-lived inner operator tree (reused across rows via
     /// rebind/open; kept across `close` so nested re-opens stay cheap).
     inner: Option<BoxedOperator<'p>>,
@@ -67,31 +67,29 @@ pub struct ApplyOp<'p> {
     /// while the operator is open).
     cache_rows: usize,
     gauge_held: bool,
-    stats: OpStats,
 }
 
 impl<'p> ApplyOp<'p> {
     /// Wrap the outer child; the inner tree is built on first demand.
-    pub fn new(
+    pub(super) fn new(
+        base: OpBase<'p>,
         child: BoxedOperator<'p>,
         subquery: &'p PhysPlan,
         label: &'p str,
         bindings: Option<&'p [ScalarExpr]>,
-        env: Env,
     ) -> ApplyOp<'p> {
         ApplyOp {
+            base,
             child,
             subquery,
             label: Arc::from(label),
             bindings,
-            env,
             inner: None,
             cache: HashMap::new(),
             lru: BTreeMap::new(),
             next_stamp: 0,
             cache_rows: 0,
             gauge_held: false,
-            stats: OpStats::default(),
         }
     }
 
@@ -157,13 +155,12 @@ impl<'p> ApplyOp<'p> {
 }
 
 impl Operator for ApplyOp<'_> {
-    fn label(&self) -> String {
-        match self.bindings {
-            None => "Apply".into(),
-            Some([]) => "Apply[once]".into(),
-            Some(_) => "Apply[memo]".into(),
-        }
-    }
+    // The inner tree is instantiated per binding and does not appear in
+    // the executed profile (mirrors the cost model's exec-order walk,
+    // which skips the Apply subquery). Cache entries stay valid across
+    // rebinds: keys cover *all* free variables of the subquery, including
+    // ones bound by enclosing Apply operators.
+    op_base!(child);
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         // The cache survives close/open cycles (a nested Apply re-opens
@@ -182,7 +179,7 @@ impl Operator for ApplyOp<'_> {
         };
         let mut out = Vec::with_capacity(b.len());
         for row in b.rows {
-            let mut sub_env = self.env.clone();
+            let mut sub_env = self.base.env.clone();
             sub_env.push_row(&row);
             ctx.metrics.subquery_invocations += 1;
             let set = match self.bindings {
@@ -227,29 +224,6 @@ impl Operator for ApplyOp<'_> {
         }
         self.child.close_timed(ctx);
     }
-
-    fn rebind(&mut self, env: &Env) {
-        // Cache entries stay valid across rebinds: keys cover *all* free
-        // variables of the subquery, including ones bound by enclosing
-        // Apply operators.
-        self.env = env.clone();
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        // The inner tree is instantiated per binding and does not appear
-        // in the executed profile (mirrors the cost model's exec-order
-        // walk, which skips the Apply subquery).
-        vec![self.child.as_ref()]
-    }
 }
 
 /// Replay buffer around a correlation-independent subtree of an Apply
@@ -258,6 +232,7 @@ impl Operator for ApplyOp<'_> {
 /// pass-through (the child re-executes per open — exactly the un-hoisted
 /// behavior, so hoisting never costs memory it doesn't have).
 pub struct MaterializeOp<'p> {
+    base: OpBase<'p>,
     child: BoxedOperator<'p>,
     /// Completed replay buffer (kept across close/open).
     buffer: Option<Vec<Record>>,
@@ -269,28 +244,27 @@ pub struct MaterializeOp<'p> {
     overflowed: bool,
     /// Rows currently counted in the resident gauge.
     acquired: usize,
-    stats: OpStats,
 }
 
 impl<'p> MaterializeOp<'p> {
     /// Wrap a hoisted child subtree.
-    pub fn new(child: BoxedOperator<'p>) -> MaterializeOp<'p> {
+    pub(super) fn new(base: OpBase<'p>, child: BoxedOperator<'p>) -> MaterializeOp<'p> {
         MaterializeOp {
+            base,
             child,
             buffer: None,
             filling: Vec::new(),
             cursor: 0,
             overflowed: false,
             acquired: 0,
-            stats: OpStats::default(),
         }
     }
 }
 
 impl Operator for MaterializeOp<'_> {
-    fn label(&self) -> String {
-        "Materialize".into()
-    }
+    // The subtree is correlation-independent by construction, so the
+    // buffer stays valid across rebinds.
+    op_base!(child);
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         ctx.resident_release(self.acquired);
@@ -350,24 +324,6 @@ impl Operator for MaterializeOp<'_> {
         self.filling.clear();
         self.child.close_timed(ctx);
     }
-
-    fn rebind(&mut self, env: &Env) {
-        // The subtree is correlation-independent by construction, so the
-        // buffer stays valid; the child still recurses for uniformity.
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
-    }
 }
 
 /// Transient-hash-index scan for Apply inner plans shaped
@@ -380,12 +336,12 @@ impl Operator for MaterializeOp<'_> {
 /// the key evaluation fails, the operator degrades to a full position
 /// scan, which reproduces plain filter semantics.
 pub struct HashProbeOp<'p> {
+    base: OpBase<'p>,
     table: &'p str,
     var: Arc<str>,
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
-    env: Env,
     /// Built on first demand, kept across open/close.
     index: Option<HashIndex>,
     /// Rows the index covers (its resident-gauge footprint).
@@ -394,40 +350,36 @@ pub struct HashProbeOp<'p> {
     positions: Option<Vec<usize>>,
     cursor: usize,
     gauge_held: bool,
-    stats: OpStats,
 }
 
 impl<'p> HashProbeOp<'p> {
     /// New probe operator; the index is built on first `next_batch`.
-    pub fn new(
+    pub(super) fn new(
+        base: OpBase<'p>,
         table: &'p str,
         var: &'p str,
         attr: &'p str,
         key: &'p ScalarExpr,
         pred: &'p ScalarExpr,
-        env: Env,
     ) -> HashProbeOp<'p> {
         HashProbeOp {
+            base,
             table,
             var: Arc::from(var),
             attr,
             key,
             pred,
-            env,
             index: None,
             indexed_rows: 0,
             positions: None,
             cursor: 0,
             gauge_held: false,
-            stats: OpStats::default(),
         }
     }
 }
 
 impl Operator for HashProbeOp<'_> {
-    fn label(&self) -> String {
-        format!("HashProbe({}.{})", self.table, self.attr)
-    }
+    op_base!();
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.positions = None;
@@ -451,7 +403,7 @@ impl Operator for HashProbeOp<'_> {
         }
         if self.positions.is_none() {
             let idx = self.index.as_ref().expect("built above");
-            let positions = match eval(self.key, &mut self.env) {
+            let positions = match eval(self.key, &mut self.base.env) {
                 Ok(key) => idx.probe_eq(&key),
                 // Key evaluation failed: fall back to checking every row
                 // (plain scan+filter semantics).
@@ -477,7 +429,7 @@ impl Operator for HashProbeOp<'_> {
             for row in candidates {
                 let r = crate::op::bind_row(&self.var, Value::Tuple(row));
                 ctx.metrics.comparisons += 1;
-                if crate::op::with_row(&mut self.env, &r, |e| eval_predicate(self.pred, e))? {
+                if crate::op::with_row(&mut self.base.env, &r, |e| eval_predicate(self.pred, e))? {
                     rows.push(r);
                 }
             }
@@ -494,21 +446,5 @@ impl Operator for HashProbeOp<'_> {
             ctx.resident_release(self.indexed_rows);
             self.gauge_held = false;
         }
-    }
-
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![]
     }
 }

@@ -11,16 +11,17 @@
 //! `AddAssign` — so profile trees and work counters stay truthful under
 //! parallelism.
 //!
-//! Because results are gathered in item order and waves are issued in the
-//! same order as the serial loops they replace, parallel execution emits
-//! rows in **exactly the serial order**. Determinism does not depend on
-//! this (query results are a multiset — see the ordering contract in
-//! `docs/architecture.md`), but it keeps differential testing trivial.
+//! Because results are gathered in item order and waves are formed in
+//! queue order, execution emits rows in **the same order at every thread
+//! count**. Determinism does not depend on this (query results are a
+//! multiset — see the ordering contract in `docs/architecture.md`), but
+//! it keeps differential testing trivial.
 //!
 //! [`scatter`] uses [`std::thread::scope`], so a wave is fully contained
 //! inside one `next_batch` call: no worker outlives the operator's borrow
 //! of the plan, and `threads = 1` (or a single item) short-circuits to a
-//! plain in-place loop with zero thread overhead.
+//! plain in-place loop with zero thread overhead — which is how the one
+//! `next_batch` body of every operator serves every thread count.
 
 use std::sync::Mutex;
 

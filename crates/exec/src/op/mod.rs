@@ -5,17 +5,22 @@
 //! paper's observation that the nest join is "a simple modification of any
 //! common join implementation method" (Section 6). Grouping operators are
 //! in [`group`]. These are the materialized *kernels*; the Volcano-style
-//! streaming operator tree that drives them batch-at-a-time is in
-//! [`operator`].
+//! streaming operator tree that drives them batch-at-a-time is defined in
+//! [`operator`], with its operators one family per file beside it and the
+//! one spill-partition driver they share in [`spill`].
 
 pub mod apply;
+mod breaker;
 pub mod exchange;
 pub mod group;
 pub mod hash;
+mod join;
 pub mod merge;
 pub mod nl;
 pub mod operator;
+mod scan;
 pub mod spill;
+mod stream;
 
 use std::sync::Arc;
 

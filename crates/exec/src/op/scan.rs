@@ -1,0 +1,295 @@
+//! Streaming leaves: table scan, index scan, set-expression scan.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use tmql_algebra::{eval, eval_predicate, ScalarExpr};
+use tmql_model::{Record, Result, Value};
+use tmql_storage::spill::{RunReader, SpillFile};
+
+use crate::exec::ExecContext;
+use crate::op::operator::{op_base, pop_carry, Batch, OpBase, Operator};
+use crate::op::{self, exchange};
+
+/// Morsel-driven scan over a stored table; reads row ranges through
+/// [`tmql_storage::Table::batch`], never cloning the whole extension.
+///
+/// Each refill issues one wave of [`ExecContext::threads`] consecutive row
+/// ranges (morsels) through [`exchange::scatter`] — disk-backed tables
+/// fault their pages in concurrently through the latch-based buffer pool —
+/// and gathers the results in range order into a carry queue, so emitted
+/// batches keep the table's order at every thread count. Morsels are
+/// `⌈batch_size / threads⌉` rows each, so a wave holds roughly **one**
+/// batch in flight regardless of the worker count (one morsel of
+/// `batch_size` rows, read in place, at one thread):
+/// `peak_resident_rows` stays bounded by `O(batch_size)` instead of
+/// growing as `threads × batch_size`.
+pub(super) struct ScanTableOp<'p> {
+    base: OpBase<'p>,
+    table: &'p str,
+    var: Arc<str>,
+    pos: usize,
+    carry: VecDeque<Record>,
+    exhausted: bool,
+}
+
+impl<'p> ScanTableOp<'p> {
+    pub(super) fn new(base: OpBase<'p>, table: &'p str, var: &str) -> Self {
+        ScanTableOp {
+            base,
+            table,
+            var: Arc::from(var),
+            pos: 0,
+            carry: VecDeque::new(),
+            exhausted: false,
+        }
+    }
+}
+
+impl Operator for ScanTableOp<'_> {
+    op_base!();
+
+    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.close(ctx);
+        self.pos = 0;
+        self.exhausted = false;
+        Ok(())
+    }
+
+    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+        let n = ctx.batch_size();
+        let threads = ctx.threads();
+        loop {
+            if let Some(b) = pop_carry(&mut self.carry, n, ctx) {
+                return Ok(Some(b));
+            }
+            if self.exhausted {
+                return Ok(None);
+            }
+            // One wave: `threads` consecutive morsels totalling about one
+            // batch, gathered in order. Owned rows: in-memory tables hand
+            // out handles to their shared rows; disk-backed tables stream
+            // the needed pages through the buffer pool.
+            let t = ctx.catalog.table(self.table)?;
+            let var = &self.var;
+            let m = n.div_ceil(threads).max(1);
+            let starts: Vec<usize> = (0..threads).map(|i| self.pos + i * m).collect();
+            let results = exchange::scatter(threads, starts, |start| -> Result<Vec<Record>> {
+                Ok(op::bind_tuples(var, t.batch(start, m)?))
+            });
+            for res in results {
+                let rows = res?;
+                self.exhausted = rows.len() < m;
+                self.pos += rows.len();
+                ctx.metrics.rows_scanned += rows.len() as u64;
+                ctx.resident_acquire(rows.len());
+                self.carry.extend(rows);
+                if self.exhausted {
+                    break;
+                }
+            }
+        }
+    }
+
+    fn close(&mut self, ctx: &mut ExecContext<'_>) {
+        ctx.resident_release(self.carry.len());
+        self.carry.clear();
+    }
+}
+
+/// Index-backed selection: probe the secondary index on `table.attr` for
+/// the candidate row positions once at first pull, then stream them in
+/// ascending position order through [`tmql_storage::Table::fetch_rows`]
+/// (consecutive candidates coalesce into single page-friendly batch
+/// reads). The probe result is a **superset** of the qualifying rows —
+/// int/float key promotion and NaN totality are handled by widening, not
+/// by trusting the index — so the full original predicate is re-evaluated
+/// against every candidate before it is emitted.
+pub(super) struct IndexScanOp<'p> {
+    base: OpBase<'p>,
+    table: &'p str,
+    var: Arc<str>,
+    attr: &'p str,
+    eq: Option<&'p ScalarExpr>,
+    lo: Option<&'p ScalarExpr>,
+    hi: Option<&'p ScalarExpr>,
+    pred: &'p ScalarExpr,
+    /// Candidate positions (ascending), computed at first `next_batch`.
+    positions: Option<Vec<usize>>,
+    cursor: usize,
+}
+
+impl<'p> IndexScanOp<'p> {
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn new(
+        base: OpBase<'p>,
+        table: &'p str,
+        var: &str,
+        attr: &'p str,
+        eq: Option<&'p ScalarExpr>,
+        lo: Option<&'p ScalarExpr>,
+        hi: Option<&'p ScalarExpr>,
+        pred: &'p ScalarExpr,
+    ) -> Self {
+        IndexScanOp {
+            base,
+            table,
+            var: Arc::from(var),
+            attr,
+            eq,
+            lo,
+            hi,
+            pred,
+            positions: None,
+            cursor: 0,
+        }
+    }
+
+    fn probe(&mut self, ctx: &mut ExecContext<'_>) -> Result<Vec<usize>> {
+        let idx = ctx.catalog.index_on(self.table, self.attr).ok_or_else(|| {
+            tmql_model::ModelError::SchemaError(format!(
+                "plan expects an index on {}.{} but none exists",
+                self.table, self.attr
+            ))
+        })?;
+        let env = &mut self.base.env;
+        let positions = match self.eq {
+            Some(eq) => idx.probe_eq(&eval(eq, env)?),
+            None => {
+                let lo = self.lo.map(|e| eval(e, env)).transpose()?;
+                let hi = self.hi.map(|e| eval(e, env)).transpose()?;
+                idx.probe_range(lo.as_ref(), hi.as_ref())
+            }
+        };
+        ctx.metrics.index_probes += 1;
+        ctx.metrics.index_hits += positions.len() as u64;
+        Ok(positions)
+    }
+}
+
+impl Operator for IndexScanOp<'_> {
+    op_base!();
+
+    fn open(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.positions = None;
+        self.cursor = 0;
+        Ok(())
+    }
+
+    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+        if self.positions.is_none() {
+            self.positions = Some(self.probe(ctx)?);
+        }
+        let positions = self.positions.as_deref().unwrap_or_default();
+        let n = ctx.batch_size();
+        let t = ctx.catalog.table(self.table)?;
+        let mut rows = Vec::with_capacity(n.min(positions.len().saturating_sub(self.cursor)));
+        while rows.is_empty() && self.cursor < positions.len() {
+            let end = (self.cursor + n).min(positions.len());
+            for row in t.fetch_rows(&positions[self.cursor..end])? {
+                let r = op::bind_row(&self.var, Value::Tuple(row));
+                ctx.metrics.comparisons += 1;
+                if op::with_row(&mut self.base.env, &r, |e| eval_predicate(self.pred, e))? {
+                    rows.push(r);
+                }
+            }
+            self.cursor = end;
+        }
+        Ok((!rows.is_empty()).then(|| Batch::new(rows)))
+    }
+
+    fn close(&mut self, _ctx: &mut ExecContext<'_>) {
+        self.positions = None;
+        self.cursor = 0;
+    }
+}
+
+/// Iterate a set expression (correlated or constant): the set value is one
+/// evaluation, buffered and re-emitted in batches. The buffered set is
+/// resident state (it counts toward
+/// [`Metrics::peak_resident_rows`](crate::Metrics::peak_resident_rows));
+/// under a memory budget only the first budget-many elements stay in
+/// memory and the overflow spills to a run that streams back after the
+/// buffer drains.
+pub(super) struct ScanExprOp<'p> {
+    base: OpBase<'p>,
+    expr: &'p ScalarExpr,
+    var: Arc<str>,
+    items: Option<VecDeque<Value>>,
+    /// The spilled tail and its reader (the file outlives the reader).
+    overflow: Option<(RunReader, SpillFile)>,
+}
+
+impl<'p> ScanExprOp<'p> {
+    pub(super) fn new(base: OpBase<'p>, expr: &'p ScalarExpr, var: &str) -> Self {
+        ScanExprOp {
+            base,
+            expr,
+            var: Arc::from(var),
+            items: None,
+            overflow: None,
+        }
+    }
+
+    /// Evaluate the set; keep a budget's worth resident and send the tail
+    /// to disk as ready-to-emit rows.
+    fn load(&mut self, ctx: &mut ExecContext<'_>) -> Result<VecDeque<Value>> {
+        let set = eval(self.expr, &mut self.base.env)?;
+        let mut items: VecDeque<Value> = set.as_set()?.iter().cloned().collect();
+        if let Some(keep) = ctx.memory_budget_rows().filter(|b| items.len() > *b) {
+            let mut ws = ctx.spill_runs(1)?;
+            if let Some(mut w) = ws.pop() {
+                for item in items.drain(keep..) {
+                    w.write(&op::bind_row(&self.var, item))?;
+                }
+                let spilled = w.rows();
+                ctx.metrics.rows_spilled += spilled;
+                ctx.metrics.spill_partitions += 1;
+                self.base.stats.rows_spilled += spilled;
+                let file = w.finish()?;
+                self.overflow = Some((file.reader()?, file));
+            }
+        }
+        ctx.resident_acquire(items.len());
+        Ok(items)
+    }
+}
+
+impl Operator for ScanExprOp<'_> {
+    op_base!();
+
+    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.close(ctx);
+        Ok(())
+    }
+
+    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+        let n = ctx.batch_size();
+        let mut items = match self.items.take() {
+            Some(items) => items,
+            None => self.load(ctx)?,
+        };
+        let k = n.min(items.len());
+        let mut rows: Vec<Record> = items
+            .drain(..k)
+            .map(|item| op::bind_row(&self.var, item))
+            .collect();
+        self.items = Some(items);
+        ctx.resident_release(k);
+        if rows.is_empty() {
+            // Memory drained: stream the spilled tail, if any.
+            if let Some((reader, _)) = self.overflow.as_mut() {
+                rows = reader.read_batch(n)?;
+            }
+        }
+        ctx.metrics.rows_scanned += rows.len() as u64;
+        Ok((!rows.is_empty()).then(|| Batch::new(rows)))
+    }
+
+    fn close(&mut self, ctx: &mut ExecContext<'_>) {
+        if let Some(items) = self.items.take() {
+            ctx.resident_release(items.len());
+        }
+        self.overflow = None;
+    }
+}

@@ -8,35 +8,46 @@
 //! partition is then processed independently — a partition holds every row
 //! that could possibly interact (equal keys, equal group keys, equal
 //! values), so per-partition results concatenate to the global result.
-//! A partition that still exceeds the budget is **recursively
-//! repartitioned** with a fresh hash seed, up to
-//! [`MAX_REPARTITION_DEPTH`]; past that (pathological skew: one key
-//! carrying more rows than the whole budget) the partition is processed in
-//! memory anyway — correctness first, the gauge records the overshoot.
 //!
-//! Three entry points cover the breaker shapes:
+//! Getting rows onto disk has three entry points: [`drain_or_spill`]
+//! accumulates a child's stream in memory and switches to partitioned
+//! spill the moment the budget is crossed (hash-join builds, grouping
+//! inputs, set-op / sort-merge operands); [`spill_stream`] and
+//! [`spill_rows`] partition unconditionally (the probe side of a grace
+//! hash join; an already-materialized operand whose sibling spilled).
 //!
-//! * [`drain_or_spill`] — accumulate a child's stream in memory, switching
-//!   to partitioned spill the moment the budget is crossed (hash-join
-//!   builds, grouping inputs, set-op / sort-merge operands);
-//! * [`spill_stream`] / [`spill_rows`] — partition unconditionally (the
-//!   probe side of a grace hash join; an already-materialized operand
-//!   whose sibling spilled);
-//! * [`SpillDedup`] — the hybrid dedup used by Map / Project: streams
-//!   distinct rows while the seen-set fits, and degrades to a two-file
-//!   (seen, candidate) partitioned dedup when it does not.
+//! Getting them back has **one**: [`Partitions`], the partition driver
+//! shared by the grace hash join, the breakers over one or two inputs and
+//! [`SpillDedup`]. It queues `N` aligned runs per partition and
+//! [`Partitions::next_wave`] alone decides each partition's fate — a
+//! partition still over budget is **recursively repartitioned** with a
+//! fresh hash seed, up to [`MAX_REPARTITION_DEPTH`] (past that —
+//! pathological skew, one key carrying more rows than the whole budget —
+//! it is processed in memory anyway: correctness first, the gauge records
+//! the overshoot); a partition the operator cannot produce output from is
+//! dropped unread; the rest form a wave of at most
+//! [`ExecContext::threads`] partitions whose summed weight fits the
+//! budget (always at least one). [`run_wave`] hands each partition of the
+//! wave to the operator's kernel through
+//! [`exchange::scatter`] — in place at one
+//! thread — and materialises the outputs, so a spilled partition's result
+//! is resident once, whole, at every thread count. The operator supplies
+//! only what differs: per input a [`Side`] (partition key, NULL-key
+//! routing), a *weight* (the rows its kernel holds resident), a *skip*
+//! rule and the kernel.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-use tmql_algebra::Env;
+use tmql_algebra::{Env, Plan, ScalarExpr};
 use tmql_model::{Record, RecordSet, Result};
-use tmql_storage::spill::{RunReader, RunWriter, SpillFile};
+use tmql_storage::spill::{RunWriter, SpillFile};
 
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
-use crate::op::operator::{BoxedOperator, OpStats};
+use crate::op::operator::{pop_carry, Batch, BoxedOperator, OpStats};
+use crate::op::{self, exchange};
 
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
@@ -49,9 +60,19 @@ pub const MAX_REPARTITION_DEPTH: usize = 4;
 
 /// Partition-key function of one operator: the hash of the row's
 /// partitioning key under the given seed, or `None` when the key is NULL
-/// (the caller decides whether NULL-key rows are dropped — hash-join build
-/// sides — or routed to partition 0 so they stay together).
+/// (the [`Side`] says what happens to such rows).
 pub type PartFn<'p> = Box<dyn Fn(&Record, &mut Env, u64) -> Result<Option<u64>> + 'p>;
+
+/// How one input of a partitioned operator is split: its key function,
+/// and whether NULL-key rows are dropped (hash-join build sides — NULL
+/// never matches) or routed to partition 0 so they stay together.
+#[derive(Clone, Copy)]
+pub struct Side<'a, 'p> {
+    /// The input's partition-key function.
+    pub part: &'a PartFn<'p>,
+    /// Drop NULL-key rows instead of sending them to partition 0.
+    pub drop_nullkey: bool,
+}
 
 /// A hasher mixing in a recursion-level seed, so repartitioning a skewed
 /// partition redistributes rows instead of reproducing the same split.
@@ -69,26 +90,63 @@ pub fn hash_record(rec: &Record, seed: u64) -> u64 {
     h.finish()
 }
 
+/// Partition-key function over equi-join keys: the seeded hash of the
+/// evaluated key values, `None` for NULL keys.
+pub fn keys_part<'p>(keys: &'p [ScalarExpr]) -> PartFn<'p> {
+    Box::new(move |r, env, seed| {
+        Ok(
+            op::with_row(env, r, |e| op::eval_keys(keys, e))?.map(|vals| {
+                let mut h = seed_hasher(seed);
+                vals.hash(&mut h);
+                h.finish()
+            }),
+        )
+    })
+}
+
+/// Partition-key function over a row's output value (set operations
+/// compare whole output values, so equal values must co-partition).
+pub fn value_part() -> PartFn<'static> {
+    Box::new(|r, _env, seed| {
+        let mut h = seed_hasher(seed);
+        Plan::row_output_value(r).hash(&mut h);
+        Ok(Some(h.finish()))
+    })
+}
+
+/// Summed rows of a partition's runs: the weight of an operator whose
+/// kernel holds every input resident.
+pub fn total_rows<const N: usize>(files: &[SpillFile; N]) -> u64 {
+    files.iter().map(SpillFile::rows).sum()
+}
+
 /// Route one record into the partition its hash selects, counting the
-/// spill traffic. NULL-key rows are dropped or sent to partition 0 per
-/// `drop_nullkey`.
-#[allow(clippy::too_many_arguments)]
+/// spill traffic.
 fn route(
     writers: &mut [RunWriter],
-    part: &PartFn<'_>,
+    side: Side<'_, '_>,
     env: &mut Env,
     rec: &Record,
     seed: u64,
-    drop_nullkey: bool,
     m: &mut Metrics,
     ops: &mut OpStats,
 ) -> Result<()> {
-    let idx = match part(rec, env, seed)? {
+    let idx = match (side.part)(rec, env, seed)? {
         Some(h) => (h % writers.len() as u64) as usize,
-        None if drop_nullkey => return Ok(()),
+        None if side.drop_nullkey => return Ok(()),
         None => 0,
     };
-    writers[idx].write(rec)?;
+    write_spilled(&mut writers[idx], rec, m, ops)
+}
+
+/// Append one record to a run, counting the spill traffic.
+fn write_spilled(
+    w: &mut RunWriter,
+    rec: &Record,
+    m: &mut Metrics,
+    ops: &mut OpStats,
+) -> Result<()> {
+    w.write(rec)?;
     m.rows_spilled += 1;
     ops.rows_spilled += 1;
     Ok(())
@@ -109,6 +167,28 @@ fn finish_runs(writers: Vec<RunWriter>, ctx: &mut ExecContext<'_>) -> Result<Vec
     Ok(out)
 }
 
+/// Split the batches `next` yields (an empty one ends the stream) into
+/// [`SPILL_FANOUT`] fresh runs.
+fn partition(
+    mut next: impl FnMut(&mut ExecContext<'_>) -> Result<Vec<Record>>,
+    ctx: &mut ExecContext<'_>,
+    env: &mut Env,
+    side: Side<'_, '_>,
+    seed: u64,
+    ops: &mut OpStats,
+) -> Result<Vec<SpillFile>> {
+    let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
+    loop {
+        let rows = next(ctx)?;
+        if rows.is_empty() {
+            return finish_runs(ws, ctx);
+        }
+        for r in &rows {
+            route(&mut ws, side, env, r, seed, &mut ctx.metrics, ops)?;
+        }
+    }
+}
+
 /// Outcome of [`drain_or_spill`].
 pub enum Drained {
     /// The input fit in the budget. The rows are **already counted** in
@@ -122,48 +202,45 @@ pub enum Drained {
 /// Drain `child` to completion, buffering in memory while the budget
 /// allows and switching to [`SPILL_FANOUT`]-way partitioned spill (seed 0)
 /// the moment it does not. Without a budget this is a plain materializing
-/// drain.
+/// drain. On an error nothing stays counted in the resident gauge.
 pub fn drain_or_spill(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
-    drop_nullkey: bool,
+    side: Side<'_, '_>,
     ops: &mut OpStats,
 ) -> Result<Drained> {
+    // `buf` is exactly what this call holds in the gauge at any moment.
     let mut buf: Vec<Record> = Vec::new();
     let mut writers: Option<Vec<RunWriter>> = None;
-    while let Some(b) = child.pull(ctx)? {
-        match writers.as_mut() {
-            None => {
-                ctx.resident_acquire(b.len());
-                buf.extend(b.rows);
-                if ctx.over_budget(buf.len()) {
-                    let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
-                    let n = buf.len();
-                    for r in buf.drain(..) {
-                        route(
-                            &mut ws,
-                            part,
-                            env,
-                            &r,
-                            0,
-                            drop_nullkey,
-                            &mut ctx.metrics,
-                            ops,
-                        )?;
+    let filled = (|| -> Result<()> {
+        while let Some(b) = child.pull(ctx)? {
+            match writers.as_mut() {
+                None => {
+                    ctx.resident_acquire(b.len());
+                    buf.extend(b.rows);
+                    if ctx.over_budget(buf.len()) {
+                        let ws = writers.insert(ctx.spill_runs(SPILL_FANOUT)?);
+                        for r in &buf {
+                            route(ws, side, env, r, 0, &mut ctx.metrics, ops)?;
+                        }
+                        ctx.resident_release(buf.len());
+                        buf.clear();
                     }
-                    ctx.resident_release(n);
-                    writers = Some(ws);
                 }
-            }
-            Some(ws) => {
-                for r in b.rows {
-                    route(ws, part, env, &r, 0, drop_nullkey, &mut ctx.metrics, ops)?;
+                Some(ws) => {
+                    for r in &b.rows {
+                        route(ws, side, env, r, 0, &mut ctx.metrics, ops)?;
+                    }
                 }
             }
         }
+        Ok(())
+    })();
+    if filled.is_err() {
+        ctx.resident_release(buf.len());
     }
+    filled?;
     match writers {
         None => Ok(Drained::Mem(buf)),
         Some(ws) => Ok(Drained::Spilled(finish_runs(ws, ctx)?)),
@@ -176,26 +253,18 @@ pub fn spill_stream(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
-    drop_nullkey: bool,
+    side: Side<'_, '_>,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
-    let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
-    while let Some(b) = child.pull(ctx)? {
-        for r in b.rows {
-            route(
-                &mut ws,
-                part,
-                env,
-                &r,
-                0,
-                drop_nullkey,
-                &mut ctx.metrics,
-                ops,
-            )?;
-        }
-    }
-    finish_runs(ws, ctx)
+    // Operators never emit an empty batch, so an empty one is the end.
+    partition(
+        |ctx| Ok(child.pull(ctx)?.map_or_else(Vec::new, |b| b.rows)),
+        ctx,
+        env,
+        side,
+        0,
+        ops,
+    )
 }
 
 /// Partition an already-materialized row vector (seed 0). The caller is
@@ -204,107 +273,185 @@ pub fn spill_rows(
     rows: Vec<Record>,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
-    drop_nullkey: bool,
+    side: Side<'_, '_>,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
-    let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
-    for r in &rows {
-        route(
-            &mut ws,
-            part,
-            env,
-            r,
-            0,
-            drop_nullkey,
-            &mut ctx.metrics,
-            ops,
-        )?;
-    }
-    finish_runs(ws, ctx)
+    let mut rows = Some(rows);
+    partition(
+        |_| Ok(rows.take().unwrap_or_default()),
+        ctx,
+        env,
+        side,
+        0,
+        ops,
+    )
 }
 
 /// Re-split one oversized partition with a fresh seed (skew recovery).
 /// Reads the run back batch-at-a-time, so memory stays at one batch.
-pub fn repartition(
+fn repartition(
     file: SpillFile,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
+    side: Side<'_, '_>,
     seed: u64,
-    drop_nullkey: bool,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
-    let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
     let mut reader = file.reader()?;
-    loop {
-        let batch = reader.read_batch(ctx.batch_size())?;
-        if batch.is_empty() {
-            break;
-        }
-        for r in &batch {
-            route(
-                &mut ws,
-                part,
-                env,
-                r,
-                seed,
-                drop_nullkey,
-                &mut ctx.metrics,
-                ops,
-            )?;
+    let n = ctx.batch_size();
+    partition(|_| reader.read_batch(n), ctx, env, side, seed, ops)
+}
+
+// ---------------------------------------------------------------------------
+// The partition driver
+// ---------------------------------------------------------------------------
+
+/// Pair up the `i`-th runs of every side. Ends at the shortest side (all
+/// sides hold [`SPILL_FANOUT`] runs, empty ones included).
+fn zip_sides<const N: usize>(sides: Vec<Vec<SpillFile>>) -> impl Iterator<Item = [SpillFile; N]> {
+    let mut sides: Vec<_> = sides.into_iter().map(Vec::into_iter).collect();
+    std::iter::from_fn(move || {
+        let row: Vec<SpillFile> = sides.iter_mut().filter_map(Iterator::next).collect();
+        row.try_into().ok()
+    })
+}
+
+/// The spilled state of one operator: a queue of partitions, each `N`
+/// aligned runs (one per input) plus the repartitioning depth it was
+/// written at, processed front to back.
+pub struct Partitions<const N: usize> {
+    queue: VecDeque<([SpillFile; N], usize)>,
+}
+
+/// The partitions [`Partitions::next_wave`] selected for one
+/// [`run_wave`], and their summed weight.
+pub struct Wave<const N: usize> {
+    parts: Vec<[SpillFile; N]>,
+    weight: u64,
+}
+
+impl<const N: usize> Partitions<N> {
+    /// Queue the first-pass (seed 0) runs of every input, `i`-th with
+    /// `i`-th.
+    pub fn new(sides: [Vec<SpillFile>; N]) -> Partitions<N> {
+        Partitions {
+            queue: zip_sides(sides.into()).map(|files| (files, 1)).collect(),
         }
     }
-    finish_runs(ws, ctx)
+
+    /// Select the next partitions to process, or `None` when the queue is
+    /// exhausted. Front to back, each partition is
+    ///
+    /// 1. **re-split** when its `weight` exceeds the budget, it is above
+    ///    one row and below [`MAX_REPARTITION_DEPTH`]: every side is
+    ///    repartitioned under seed = depth (so equal keys stay paired)
+    ///    and the children take its place in the queue;
+    /// 2. else **dropped** unread when `skip` says the kernel has nothing
+    ///    to produce from it;
+    /// 3. else **taken** into the wave — unless the wave already holds a
+    ///    partition and this one would push the summed weight over the
+    ///    budget, or the wave already has [`ExecContext::threads`]
+    ///    partitions.
+    pub fn next_wave(
+        &mut self,
+        ctx: &mut ExecContext<'_>,
+        env: &mut Env,
+        sides: [Side<'_, '_>; N],
+        weight: impl Fn(&[SpillFile; N]) -> u64,
+        skip: impl Fn(&[SpillFile; N]) -> bool,
+        ops: &mut OpStats,
+    ) -> Result<Option<Wave<N>>> {
+        let mut wave = Wave {
+            parts: Vec::new(),
+            weight: 0,
+        };
+        while wave.parts.len() < ctx.threads() {
+            let Some((files, depth)) = self.queue.pop_front() else {
+                break;
+            };
+            let w = weight(&files);
+            if ctx.over_budget(w as usize) && depth < MAX_REPARTITION_DEPTH && w > 1 {
+                let mut subs = Vec::with_capacity(N);
+                for (file, side) in files.into_iter().zip(sides) {
+                    subs.push(repartition(file, ctx, env, side, depth as u64, ops)?);
+                }
+                let children: Vec<_> = zip_sides(subs).collect();
+                for files in children.into_iter().rev() {
+                    self.queue.push_front((files, depth + 1));
+                }
+            } else if skip(&files) {
+                // Dropping the runs deletes them unread.
+            } else if !wave.parts.is_empty() && ctx.over_budget((wave.weight + w) as usize) {
+                self.queue.push_front((files, depth));
+                break;
+            } else {
+                wave.weight += w;
+                wave.parts.push(files);
+            }
+        }
+        Ok((!wave.parts.is_empty()).then_some(wave))
+    }
+}
+
+/// Run `kernel` over every partition of `wave` — concurrently on up to
+/// [`ExecContext::threads`] workers, each with its own clone of `env` and
+/// fresh [`Metrics`] that are merged back — and return the outputs
+/// concatenated in partition order. The wave's weight is held in the
+/// resident gauge while the kernels run; the returned rows are **already
+/// counted** in it (the caller releases them as it emits them). On an
+/// error nothing stays counted.
+pub fn run_wave<const N: usize>(
+    ctx: &mut ExecContext<'_>,
+    env: &Env,
+    wave: Wave<N>,
+    kernel: impl Fn([SpillFile; N], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Sync,
+) -> Result<Vec<Record>> {
+    ctx.resident_acquire(wave.weight as usize);
+    let results = exchange::scatter(ctx.threads(), wave.parts, |files| {
+        let mut m = Metrics::new();
+        kernel(files, &mut env.clone(), &mut m).map(|rows| (rows, m))
+    });
+    ctx.resident_release(wave.weight as usize);
+    let mut out = Vec::new();
+    for res in results {
+        let (rows, m) = res?;
+        ctx.metrics += m;
+        out.extend(rows);
+    }
+    ctx.resident_acquire(out.len());
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
 // Spillable dedup (Map / Project seen-sets)
 // ---------------------------------------------------------------------------
 
-/// Hybrid streaming/spilling dedup state.
+/// Hybrid streaming/spilling dedup: the whole `next_batch` of an operator
+/// that maps each input row to an output row and emits the distinct ones.
 ///
-/// While the distinct-set fits the budget, [`SpillDedup::offer`] behaves
-/// like a streaming set insert: the first occurrence of a row is
-/// returned for immediate emission. On overflow the operator degrades to a
+/// While the distinct-set fits the budget the first occurrence of a row
+/// is emitted immediately. On overflow the operator degrades to a
 /// breaker: the seen-set is spilled into per-partition "seen" runs (these
 /// rows were **already emitted** and must be suppressed later), every
-/// further candidate goes to a paired "candidate" run, and after
-/// [`SpillDedup::seal`] the partitions drain one at a time — load the
-/// partition's seen-set, stream its candidates through it, emit the new
-/// distinct rows. Oversized partitions repartition recursively like every
-/// other spill consumer.
+/// further candidate goes to a paired "candidate" run, and once the input
+/// is exhausted the (seen, candidates) pairs drain through
+/// [`Partitions`] — load the partition's seen-set, stream its candidates
+/// through it, emit the new distinct rows.
 #[derive(Default)]
 pub struct SpillDedup {
     seen: RecordSet,
-    writers: Option<DedupWriters>,
-    drain: Option<DedupDrain>,
-    /// Deferred rows produced by a parallel drain wave, handed out in
-    /// batch-sized slices (serial drains never use this buffer).
+    /// The (seen, candidate) partition writers, once overflowed.
+    writers: Option<[Vec<RunWriter>; 2]>,
+    /// The input is exhausted (and `writers`, if any, became `drain`).
+    sealed: bool,
+    drain: Option<Partitions<2>>,
+    /// Deferred rows a drain wave produced, handed out in batches.
     ready: VecDeque<Record>,
 }
 
-struct DedupWriters {
-    seen_parts: Vec<RunWriter>,
-    cand_parts: Vec<RunWriter>,
-}
-
-struct DedupDrain {
-    /// (seen, candidates, depth) triples still to process.
-    parts: VecDeque<(SpillFile, SpillFile, usize)>,
-    cur: Option<CurPart>,
-}
-
-struct CurPart {
-    seen: RecordSet,
-    reader: RunReader,
-    /// Keeps the candidate run alive while its reader streams.
-    _file: SpillFile,
-}
-
-/// Whole-record partitioning: dedup's key is the row itself.
-fn dedup_part() -> PartFn<'static> {
-    Box::new(|r, _env, seed| Ok(Some(hash_record(r, seed))))
+/// The run of a [`SPILL_FANOUT`]-way split that `rec` belongs to.
+fn dedup_slot(rec: &Record, seed: u64) -> usize {
+    (hash_record(rec, seed) % SPILL_FANOUT as u64) as usize
 }
 
 impl SpillDedup {
@@ -313,252 +460,303 @@ impl SpillDedup {
         SpillDedup::default()
     }
 
-    /// True iff dedup overflowed and rows are deferred to the drain phase.
-    pub fn spilled(&self) -> bool {
-        self.writers.is_some() || self.drain.is_some()
+    /// Produce the operator's next batch: pull from `child`, map each row
+    /// through `project`, and emit the rows not seen before; after the
+    /// input ends, the rows deferred to spill partitions.
+    pub fn next_batch(
+        &mut self,
+        child: &mut BoxedOperator<'_>,
+        ctx: &mut ExecContext<'_>,
+        ops: &mut OpStats,
+        mut project: impl FnMut(Record) -> Result<Record>,
+    ) -> Result<Option<Batch>> {
+        while !self.sealed {
+            let Some(b) = child.pull(ctx)? else {
+                self.seal(ctx)?;
+                break;
+            };
+            let mut out = Vec::new();
+            for row in b.rows {
+                if let Some(rec) = self.offer(project(row)?, ctx, ops)? {
+                    out.push(rec);
+                }
+            }
+            if !out.is_empty() {
+                return Ok(Some(Batch::new(out)));
+            }
+        }
+        self.next_deferred(ctx, ops)
     }
 
     /// Offer a candidate row. Returns `Some(row)` when the row is new and
     /// can be emitted immediately (streaming mode); `None` when it is a
     /// duplicate or was deferred to a spill partition.
-    pub fn offer(
+    fn offer(
         &mut self,
         rec: Record,
         ctx: &mut ExecContext<'_>,
         ops: &mut OpStats,
     ) -> Result<Option<Record>> {
-        if let Some(w) = self.writers.as_mut() {
-            let idx = (hash_record(&rec, 0) % w.cand_parts.len() as u64) as usize;
-            w.cand_parts[idx].write(&rec)?;
-            ctx.metrics.rows_spilled += 1;
-            ops.rows_spilled += 1;
-            return Ok(None);
-        }
-        if !self.seen.insert(rec.clone()) {
-            return Ok(None);
-        }
-        if ctx.over_budget(self.seen.len()) {
+        if self.writers.is_none() {
+            if !self.seen.insert(rec.clone()) {
+                return Ok(None);
+            }
+            if !ctx.over_budget(self.seen.len()) {
+                ctx.resident_acquire(1);
+                return Ok(Some(rec));
+            }
             // Overflow: spill the emitted set, defer this and all further
             // candidates.
             self.seen.remove(&rec);
-            let seen_parts = ctx.spill_runs(SPILL_FANOUT)?;
+            let mut seen_parts = ctx.spill_runs(SPILL_FANOUT)?;
             let cand_parts = ctx.spill_runs(SPILL_FANOUT)?;
-            let mut w = DedupWriters {
-                seen_parts,
-                cand_parts,
-            };
             let n = self.seen.len();
             for r in std::mem::take(&mut self.seen) {
-                let idx = (hash_record(&r, 0) % w.seen_parts.len() as u64) as usize;
-                w.seen_parts[idx].write(&r)?;
-                ctx.metrics.rows_spilled += 1;
-                ops.rows_spilled += 1;
+                write_spilled(
+                    &mut seen_parts[dedup_slot(&r, 0)],
+                    &r,
+                    &mut ctx.metrics,
+                    ops,
+                )?;
             }
             ctx.resident_release(n);
-            let idx = (hash_record(&rec, 0) % w.cand_parts.len() as u64) as usize;
-            w.cand_parts[idx].write(&rec)?;
-            ctx.metrics.rows_spilled += 1;
-            ops.rows_spilled += 1;
-            self.writers = Some(w);
-            return Ok(None);
+            self.writers = Some([seen_parts, cand_parts]);
         }
-        ctx.resident_acquire(1);
-        Ok(Some(rec))
+        if let Some([_, cand_parts]) = self.writers.as_mut() {
+            write_spilled(
+                &mut cand_parts[dedup_slot(&rec, 0)],
+                &rec,
+                &mut ctx.metrics,
+                ops,
+            )?;
+        }
+        Ok(None)
     }
 
-    /// Input exhausted: seal the spill writers (if any) and prepare the
-    /// drain phase.
-    pub fn seal(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        if let Some(w) = self.writers.take() {
-            let seen_files = finish_runs(w.seen_parts, ctx)?;
-            let cand_files = finish_runs(w.cand_parts, ctx)?;
-            let parts = seen_files
-                .into_iter()
-                .zip(cand_files)
-                .map(|(s, c)| (s, c, 1))
-                .collect();
-            self.drain = Some(DedupDrain { parts, cur: None });
+    /// Input exhausted: seal the spill writers (if any) into the
+    /// partitions of the drain phase.
+    fn seal(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.sealed = true;
+        if let Some([seen_parts, cand_parts]) = self.writers.take() {
+            let seen_files = finish_runs(seen_parts, ctx)?;
+            let cand_files = finish_runs(cand_parts, ctx)?;
+            self.drain = Some(Partitions::new([seen_files, cand_files]));
         }
         Ok(())
     }
 
-    /// Pull up to `n` deferred distinct rows from the drain phase. An
-    /// empty vector means the drain is complete (and is the immediate
-    /// answer in streaming mode, where nothing was deferred).
-    pub fn next_deferred(
+    /// The next batch of deferred distinct rows; `None` when the drain is
+    /// complete (the immediate answer when nothing was deferred). A
+    /// partition weighs its seen-set plus its candidates — together the
+    /// most its kernel's set can hold — and one without candidates has
+    /// nothing left to emit.
+    fn next_deferred(
         &mut self,
-        n: usize,
         ctx: &mut ExecContext<'_>,
         ops: &mut OpStats,
-    ) -> Result<Vec<Record>> {
-        let part = dedup_part();
-        if ctx.threads() > 1 {
-            return self.next_deferred_parallel(n, ctx, ops, &part);
-        }
+    ) -> Result<Option<Batch>> {
+        // Whole-record partitioning: dedup's key is the row itself.
+        let part: PartFn<'static> = Box::new(|r, _env, seed| Ok(Some(hash_record(r, seed))));
+        let side = Side {
+            part: &part,
+            drop_nullkey: false,
+        };
+        let n = ctx.batch_size();
+        let mut env = Env::new();
         loop {
+            if let Some(b) = pop_carry(&mut self.ready, n, ctx) {
+                return Ok(Some(b));
+            }
             let Some(drain) = self.drain.as_mut() else {
-                return Ok(Vec::new());
+                return Ok(None);
             };
-            if let Some(cur) = drain.cur.as_mut() {
-                let batch = cur.reader.read_batch(n)?;
-                if batch.is_empty() {
-                    ctx.resident_release(cur.seen.len());
-                    drain.cur = None;
-                    continue;
-                }
-                let mut out = Vec::new();
-                for r in batch {
-                    if cur.seen.insert(r.clone()) {
-                        ctx.resident_acquire(1);
-                        out.push(r);
-                    }
-                }
-                if out.is_empty() {
-                    continue;
-                }
-                return Ok(out);
-            }
-            match drain.parts.pop_front() {
-                None => {
-                    self.drain = None;
-                    return Ok(Vec::new());
-                }
-                Some((seen_f, cand_f, depth)) => {
-                    let total = seen_f.rows() + cand_f.rows();
-                    if ctx.over_budget(total as usize) && depth < MAX_REPARTITION_DEPTH && total > 1
-                    {
-                        let mut env = Env::new();
-                        let seed = depth as u64;
-                        let new_seen = repartition(seen_f, ctx, &mut env, &part, seed, false, ops)?;
-                        let new_cand = repartition(cand_f, ctx, &mut env, &part, seed, false, ops)?;
-                        let drain = self.drain.as_mut().expect("still draining");
-                        for (s, c) in new_seen.into_iter().zip(new_cand).rev() {
-                            drain.parts.push_front((s, c, depth + 1));
-                        }
-                        continue;
-                    }
-                    if cand_f.is_empty() {
-                        continue;
-                    }
-                    let seen: RecordSet = seen_f.reader()?.read_all()?.into_iter().collect();
-                    ctx.resident_acquire(seen.len());
-                    let reader = cand_f.reader()?;
-                    drain.cur = Some(CurPart {
-                        seen,
-                        reader,
-                        _file: cand_f,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Drain-phase wave for parallel execution: up to `threads` (seen,
-    /// candidates) partition pairs dedup concurrently on scoped workers,
-    /// gathered in partition order into the `ready` buffer and handed out
-    /// in batch-sized slices — so emission order and batch sizes match the
-    /// serial drain exactly. Waves are budget-capped on the summed pair
-    /// sizes (concurrent seen-sets are summed resident state), ≥ 1 pair
-    /// per wave.
-    fn next_deferred_parallel(
-        &mut self,
-        n: usize,
-        ctx: &mut ExecContext<'_>,
-        ops: &mut OpStats,
-        part: &PartFn<'_>,
-    ) -> Result<Vec<Record>> {
-        loop {
-            if !self.ready.is_empty() {
-                let k = n.min(self.ready.len());
-                let out: Vec<Record> = self.ready.drain(..k).collect();
-                ctx.resident_release(out.len());
-                return Ok(out);
-            }
-            if self.drain.is_none() {
-                return Ok(Vec::new());
-            }
-            let mut wave: Vec<(SpillFile, SpillFile)> = Vec::new();
-            let mut wave_rows: u64 = 0;
-            while wave.len() < ctx.threads() {
-                let next = self
-                    .drain
-                    .as_mut()
-                    .expect("still draining")
-                    .parts
-                    .pop_front();
-                let Some((seen_f, cand_f, depth)) = next else {
-                    break;
-                };
-                let total = seen_f.rows() + cand_f.rows();
-                if ctx.over_budget(total as usize) && depth < MAX_REPARTITION_DEPTH && total > 1 {
-                    let mut env = Env::new();
-                    let seed = depth as u64;
-                    let new_seen = repartition(seen_f, ctx, &mut env, part, seed, false, ops)?;
-                    let new_cand = repartition(cand_f, ctx, &mut env, part, seed, false, ops)?;
-                    let drain = self.drain.as_mut().expect("still draining");
-                    for (s, c) in new_seen.into_iter().zip(new_cand).rev() {
-                        drain.parts.push_front((s, c, depth + 1));
-                    }
-                    continue;
-                }
-                if cand_f.is_empty() {
-                    continue;
-                }
-                if !wave.is_empty() && ctx.over_budget((wave_rows + total) as usize) {
-                    let drain = self.drain.as_mut().expect("still draining");
-                    drain.parts.push_front((seen_f, cand_f, depth));
-                    break;
-                }
-                wave_rows += total;
-                wave.push((seen_f, cand_f));
-            }
-            if wave.is_empty() {
+            let no_candidates = |[_, cand]: &[SpillFile; 2]| cand.is_empty();
+            let wave = drain.next_wave(ctx, &mut env, [side; 2], total_rows, no_candidates, ops)?;
+            let Some(wave) = wave else {
                 self.drain = None;
-                return Ok(Vec::new());
-            }
-            ctx.resident_acquire(wave_rows as usize);
-            let results = crate::op::exchange::scatter(
-                ctx.threads(),
-                wave,
-                |(seen_f, cand_f)| -> Result<Vec<Record>> {
+                return Ok(None);
+            };
+            self.ready
+                .extend(run_wave(ctx, &env, wave, |[seen_f, cand_f], _, _| {
                     let mut seen: RecordSet = seen_f.reader()?.read_all()?.into_iter().collect();
-                    let mut out = Vec::new();
-                    let mut reader = cand_f.reader()?;
-                    loop {
-                        let batch = reader.read_batch(n)?;
-                        if batch.is_empty() {
-                            break;
-                        }
-                        for r in batch {
-                            if seen.insert(r.clone()) {
-                                out.push(r);
-                            }
-                        }
-                    }
+                    let mut out = cand_f.reader()?.read_all()?;
+                    out.retain(|r| seen.insert(r.clone()));
                     Ok(out)
-                },
-            );
-            ctx.resident_release(wave_rows as usize);
-            for res in results {
-                let rows = res?;
-                ctx.resident_acquire(rows.len());
-                self.ready.extend(rows);
-            }
+                })?);
         }
     }
 
     /// Release all resident accounting and drop every spill artifact
     /// (open/close path of the owning operator).
     pub fn reset(&mut self, ctx: &mut ExecContext<'_>) {
-        ctx.resident_release(self.seen.len());
+        ctx.resident_release(self.seen.len() + self.ready.len());
         self.seen.clear();
-        self.writers = None;
-        ctx.resident_release(self.ready.len());
         self.ready.clear();
-        if let Some(drain) = self.drain.take() {
-            if let Some(cur) = drain.cur {
-                ctx.resident_release(cur.seen.len());
-            }
+        self.writers = None;
+        self.drain = None;
+        self.sealed = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ExecConfig;
+    use tmql_model::Value;
+    use tmql_storage::Catalog;
+
+    /// Partition key = the `k` field; NULL has no key.
+    fn by_k() -> PartFn<'static> {
+        Box::new(|r, _env, seed| {
+            let k = r.get("k")?;
+            let mut h = seed_hasher(seed);
+            k.hash(&mut h);
+            Ok((!k.is_null()).then(|| h.finish()))
+        })
+    }
+
+    /// The run of a split under `seed` that key `k` lands in.
+    fn slot(k: &Value, seed: u64) -> usize {
+        let row = Record::single("k".into(), k.clone());
+        let h = by_k()(&row, &mut Env::new(), seed).unwrap().unwrap();
+        (h % SPILL_FANOUT as u64) as usize
+    }
+
+    /// A hand-built run of one-field rows; a negative key stands for NULL.
+    fn run_of(ctx: &mut ExecContext<'_>, keys: impl IntoIterator<Item = i64>) -> SpillFile {
+        let mut w = ctx.spill_runs(1).unwrap().pop().unwrap();
+        for k in keys {
+            let v = if k < 0 { Value::Null } else { Value::Int(k) };
+            w.write(&Record::single("k".into(), v)).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    fn keys_of(file: &SpillFile) -> Vec<Value> {
+        let rows = file.reader().unwrap().read_all().unwrap();
+        rows.iter().map(|r| r.get("k").unwrap().clone()).collect()
+    }
+
+    /// One wave as the test sees it: its weight and, per partition, the
+    /// keys in each side's run.
+    type Seen<const N: usize> = (u64, Vec<[Vec<Value>; N]>);
+
+    /// Drain the driver under weight = summed rows, skip = every run empty.
+    fn waves<const N: usize>(
+        mut parts: Partitions<N>,
+        ctx: &mut ExecContext<'_>,
+        drop_nullkey: [bool; N],
+        ops: &mut OpStats,
+    ) -> Vec<Seen<N>> {
+        let part = by_k();
+        let sides = drop_nullkey.map(|drop_nullkey| Side {
+            part: &part,
+            drop_nullkey,
+        });
+        let all_empty = |f: &[SpillFile; N]| f.iter().all(SpillFile::is_empty);
+        let mut out = Vec::new();
+        while let Some(w) = parts
+            .next_wave(ctx, &mut Env::new(), sides, total_rows, all_empty, ops)
+            .unwrap()
+        {
+            let keys = |p: &[SpillFile; N]| std::array::from_fn(|i| keys_of(&p[i]));
+            out.push((w.weight, w.parts.iter().map(keys).collect()));
+        }
+        out
+    }
+
+    fn ctx_with(cat: &Catalog, budget: usize, threads: usize) -> ExecContext<'_> {
+        let config = ExecConfig::default().memory_budget(budget);
+        ExecContext::with_config(cat, &config.threads(threads))
+    }
+
+    #[test]
+    fn waves_are_never_empty_skip_without_io_and_fit_the_budget() {
+        let cat = Catalog::new();
+        let mut ctx = ctx_with(&cat, 10, 4);
+        let sizes = [0, 4, 0, 4, 4, 0, 4, 9, 3, 0];
+        let runs = sizes.map(|n| run_of(&mut ctx, 0..n)).into();
+        let mut ops = OpStats::default();
+        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        // 4+4 fit and a third 4 would not; 4+4 again; 9 alone; 3 alone.
+        // Every non-empty partition is handed out once, in queue order; no
+        // wave is empty although empty partitions sit between them.
+        let shape: Vec<Vec<usize>> = got
+            .iter()
+            .map(|(_, parts)| parts.iter().map(|[run]| run.len()).collect())
+            .collect();
+        assert_eq!(shape, vec![vec![4, 4], vec![4, 4], vec![9], vec![3]]);
+        for ((weight, _), rows) in got.iter().zip(&shape) {
+            assert_eq!(*weight, rows.iter().sum::<usize>() as u64);
+            assert!(rows.len() == 1 || *weight <= 10, "over budget: {rows:?}");
+        }
+        assert_eq!(ops.rows_spilled, 0, "nothing was re-split");
+        assert_eq!(ctx.metrics.spill_partitions, 0, "no run was written");
+    }
+
+    #[test]
+    fn oversize_partition_is_resplit_with_seed_depth_in_queue_order() {
+        let cat = Catalog::new();
+        let mut ctx = ctx_with(&cat, 8, 1);
+        let runs = vec![run_of(&mut ctx, 0..20), run_of(&mut ctx, 100..102)];
+        let mut ops = OpStats::default();
+        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        assert_eq!(ops.rows_spilled, 20, "only the 20-row partition re-split");
+        // One thread: one partition per wave. The 20 rows come back as the
+        // non-empty runs of a split under seed 1 (the parent's depth), in
+        // run order and ahead of the sibling that was queued behind them.
+        let Some(((_, sibling), children)) = got.split_last() else {
+            panic!("no waves");
+        };
+        assert_eq!(sibling[0][0], vec![Value::Int(100), Value::Int(101)]);
+        let children: Vec<&Vec<Value>> = children.iter().map(|(_, p)| &p[0][0]).collect();
+        assert_eq!(children.iter().map(|c| c.len()).sum::<usize>(), 20);
+        let slots: Vec<usize> = children.iter().map(|c| slot(&c[0], 1)).collect();
+        assert!(slots.windows(2).all(|p| p[0] < p[1]), "{slots:?}");
+        for (c, s) in children.iter().zip(&slots) {
+            assert!(c.iter().all(|k| slot(k, 1) == *s), "{c:?} not in run {s}");
+        }
+    }
+
+    #[test]
+    fn recursion_stops_at_max_depth_and_at_one_row() {
+        let cat = Catalog::new();
+        // One key carries every row: no seed can split it.
+        let mut ctx = ctx_with(&cat, 4, 1);
+        let runs = vec![run_of(&mut ctx, [7; 20])];
+        let mut ops = OpStats::default();
+        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].1[0][0].len(), 20, "processed whole, over budget");
+        let passes = (MAX_REPARTITION_DEPTH - 1) as u64;
+        assert_eq!(ops.rows_spilled, 20 * passes, "depths 1..MAX re-split");
+        // A single row is over a zero budget, and still not re-split.
+        let mut ctx = ctx_with(&cat, 0, 1);
+        let runs = vec![run_of(&mut ctx, [1])];
+        let mut ops = OpStats::default();
+        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        assert_eq!((got.len(), ops.rows_spilled), (1, 0));
+    }
+
+    #[test]
+    fn null_keys_drop_or_land_in_partition_zero_per_side() {
+        let cat = Catalog::new();
+        let mut ctx = ctx_with(&cat, 8, 1);
+        // Sixteen keyed rows and three NULL-key rows on both sides: the
+        // pair is over budget, so both sides are re-split.
+        let keys = || (0..16).chain([-1, -1, -1]);
+        let (l, r) = (run_of(&mut ctx, keys()), run_of(&mut ctx, keys()));
+        let mut ops = OpStats::default();
+        let parts = Partitions::new([vec![l], vec![r]]);
+        let got = waves(parts, &mut ctx, [true, false], &mut ops);
+        let pairs: Vec<&[Vec<Value>; 2]> = got.iter().flat_map(|(_, p)| p).collect();
+        let nulls = |run: &Vec<Value>| run.iter().filter(|k| k.is_null()).count();
+        let total = |side: usize| pairs.iter().map(|p| p[side].len()).sum::<usize>();
+        assert_eq!((total(0), total(1)), (16, 19), "dropped left, kept right");
+        assert!(pairs.iter().all(|p| nulls(&p[0]) == 0));
+        assert_eq!(nulls(&pairs[0][1]), 3, "NULL keys stay in partition 0");
+        for [l, r] in &pairs {
+            assert!(l.iter().all(|k| r.contains(k)), "sides stay paired");
         }
     }
 }

@@ -4,8 +4,8 @@
 //! defeats partitioning degrades gracefully instead of failing.
 
 use proptest::prelude::*;
-use tmql_algebra::{AggFn, CmpOp, Plan, ScalarExpr as E, SetOpKind};
-use tmql_exec::{run, ExecConfig, JoinAlgo};
+use tmql_algebra::{AggFn, CmpOp, Env, Plan, ScalarExpr as E, SetOpKind};
+use tmql_exec::{run, ExecConfig, ExecContext, JoinAlgo, Metrics};
 use tmql_model::Record;
 use tmql_storage::{table::int_table, Catalog};
 
@@ -332,6 +332,114 @@ fn scan_expr_buffered_set_spills_under_budget() {
         "peak {} exceeds budget + one batch",
         m_tight.peak_resident_rows
     );
+}
+
+/// Plans whose breaker *kernel* fails on its first row: a path into a
+/// field the rows do not have.
+fn failing_kernels() -> Vec<(&'static str, Plan)> {
+    vec![
+        (
+            "nest",
+            Plan::Nest {
+                input: Box::new(Plan::scan("X", "x")),
+                keys: vec!["x".into()],
+                value: E::path("x", &["missing"]),
+                label: "bs".into(),
+                star: false,
+            },
+        ),
+        (
+            "group-agg",
+            Plan::GroupAgg {
+                input: Box::new(Plan::scan("Y", "y")),
+                keys: vec![("b".into(), E::path("y", &["b"]))],
+                aggs: vec![("n".into(), AggFn::Sum, E::path("y", &["missing"]))],
+                var: "g".into(),
+            },
+        ),
+        (
+            "hash-build",
+            Plan::scan("X", "x").semi_join(
+                Plan::scan("Y", "y"),
+                E::eq(E::path("x", &["b"]), E::path("y", &["missing"])),
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn failing_kernel_leaves_the_resident_gauge_at_zero() {
+    let cat = sized_catalog(300, 8);
+    for (name, plan) in failing_kernels() {
+        for budget in [None, Some(24)] {
+            for threads in [1, 4] {
+                let mut config = ExecConfig::with_join_algo(JoinAlgo::Hash)
+                    .batch_size(32)
+                    .threads(threads);
+                config.memory_budget_rows = budget;
+                let phys = tmql_exec::lower(&plan, &cat, &config).unwrap();
+                let mut ctx = ExecContext::with_config(&cat, &config);
+                let res = tmql_exec::execute(&phys, &mut ctx, &Env::new());
+                let case = format!("{name} budget={budget:?} threads={threads}");
+                assert!(res.is_err(), "{case}: the missing field must fail");
+                assert_eq!(ctx.resident_rows(), 0, "{case}: leaked resident rows");
+            }
+        }
+    }
+}
+
+/// Sorted rows, the work counters, and each operator's `rows_spilled` in
+/// profile (pre-)order.
+fn profiled(plan: &Plan, cat: &Catalog, config: &ExecConfig) -> (Vec<Record>, Metrics, Vec<u64>) {
+    let phys = tmql_exec::lower(plan, cat, config).unwrap();
+    let mut ctx = ExecContext::with_config(cat, config);
+    let (rows, ops) = tmql_exec::execute_collect(&phys, &mut ctx, &Env::new(), None).unwrap();
+    let spilled = ops.iter().map(|o| o.rows_spilled).collect();
+    (multiset(rows), ctx.metrics, spilled)
+}
+
+#[test]
+fn exact_counters_do_not_depend_on_the_thread_count() {
+    let one_key = {
+        let x: Vec<(i64, i64)> = (0..256).map(|i| (i, 7)).collect();
+        let y: Vec<(i64, i64)> = (0..256).map(|i| (7, i)).collect();
+        catalog(&x, &y)
+    };
+    let mut cases: Vec<(String, Plan, &Catalog)> = Vec::new();
+    let cat = sized_catalog(512, 16);
+    for (name, plan) in breaker_corpus() {
+        cases.push((name.into(), plan, &cat));
+    }
+    // Skew no seed can split, and a π whose seen-set overflows.
+    let corpus = breaker_corpus();
+    cases.push(("one-key nestjoin".into(), corpus[4].1.clone(), &one_key));
+    let project = Plan::Project {
+        input: Box::new(corpus[0].1.clone()),
+        vars: vec!["y".into()],
+    };
+    cases.push(("project-dedup".into(), project, &cat));
+    for (name, plan, cat) in &cases {
+        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            for budget in [None, Some(48)] {
+                let run_at = |threads: usize| {
+                    let mut config = ExecConfig::with_join_algo(algo).batch_size(64);
+                    config.memory_budget_rows = budget;
+                    profiled(plan, cat, &config.threads(threads))
+                };
+                let (rows, m, spilled) = run_at(1);
+                for threads in [2, 8] {
+                    let case = format!("{name}/{algo:?} budget={budget:?} threads={threads}");
+                    let (rows_t, m_t, spilled_t) = run_at(threads);
+                    assert_eq!(rows, rows_t, "{case}: rows");
+                    assert_eq!(m.rows_spilled, m_t.rows_spilled, "{case}: rows_spilled");
+                    assert_eq!(m.spill_partitions, m_t.spill_partitions, "{case}: parts");
+                    assert_eq!(m.rows_scanned, m_t.rows_scanned, "{case}: rows_scanned");
+                    assert_eq!(m.total_work(), m_t.total_work(), "{case}: total_work");
+                    assert_eq!(spilled, spilled_t, "{case}: per-operator rows_spilled");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -150,9 +150,12 @@ pub struct QueryOptions {
     /// ```
     pub memory_budget_rows: Option<usize>,
     /// Worker threads for morsel-driven parallel execution (clamped to
-    /// ≥ 1). `1` runs exactly the serial executor; above `1`, table scans
-    /// fan out morsels and spilled joins/breakers process their grace
-    /// partitions partition-per-worker. Defaults to the `TMQL_THREADS`
+    /// ≥ 1): how many table-scan morsels or spilled partitions one wave
+    /// hands to scoped workers. The executor runs the same code at every
+    /// value (at `1` a wave is one item, processed on the calling
+    /// thread), and results and work counters do not depend on it; the
+    /// speed-up from more threads is unmeasured (`BENCH_parallel.json`
+    /// was recorded on one core). Defaults to the `TMQL_THREADS`
     /// environment variable when set, else the machine's available
     /// parallelism — see [`tmql_exec::default_threads`].
     ///
@@ -249,7 +252,7 @@ impl QueryOptions {
     }
 
     /// Set the worker-thread count for parallel execution (clamped to
-    /// ≥ 1; `1` is exactly the serial executor).
+    /// ≥ 1; at `1` every wave runs in place on the calling thread).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
