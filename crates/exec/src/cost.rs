@@ -1,16 +1,39 @@
-//! The cardinality and cost model over table statistics.
+//! The cardinality and cost model over table statistics, as one walk.
 //!
 //! This module turns `tmql-storage` statistics (cardinalities, distinct
 //! counts, equi-width histograms, set-valued fan-outs) into per-plan
 //! estimates the decision layers consume:
 //!
 //! * the **logical optimizer** (`tmql-core`) ranks rewritten candidate
-//!   plans per query block under `UnnestStrategy::CostBased`;
-//! * the **physical planner** ([`crate::planner`]) picks join algorithms
-//!   and the hash-join build side;
+//!   plans per query block under `UnnestStrategy::CostBased`
+//!   ([`Estimator::cost`]);
+//! * the **physical planner** ([`crate::planner`]) drives the same walk
+//!   while it lowers, so every choice it makes — scan vs index probe, join
+//!   algorithm and build side, index nested-loop vs scan-based join — is
+//!   the choice the model priced;
 //! * the **facade** annotates `EXPLAIN` output with estimated rows and the
-//!   executed profile with estimated-vs-actual rows, making q-error
-//!   visible.
+//!   executed profile with estimated-vs-actual rows
+//!   ([`Estimator::exec_order_rows_phys`], [`explain_with_estimates`]),
+//!   making q-error visible.
+//!
+//! # Shape
+//!
+//! There is **one formula per operator** (`Estimator::estimate` over a
+//! `Node`; `Walk::scan` for stored tables): it takes the estimates of the
+//! operator's children and a `Scope` and returns the operator's own
+//! [`CostEstimate`]. Three thin recursions feed the formulas, each
+//! visiting every node once: `Walk::plan` over a logical [`Plan`],
+//! `Walk::phys` over a lowered [`PhysPlan`], and the planner's lowering
+//! recursion, which asks the same walk for each subtree's estimate while
+//! it builds the physical tree.
+//!
+//! The **scope** is how a formula resolves `var.col` to column
+//! statistics. A walk appends every `ScanTable` it passes to one list in
+//! depth-first order, so the scans below any node are a contiguous span
+//! of that list; a name is looked up in the span below the node first
+//! (first binding wins), then in the inputs of the enclosing `Apply`
+//! operators, innermost first — a correlated subquery sees the scans of
+//! the plan it is applied to.
 //!
 //! The model is deliberately classical (System-R lineage): per-operator
 //! output cardinalities from selectivities, abstract `work` units that
@@ -21,16 +44,18 @@
 //! buffers, grouping state, dedup sets) hold rows, pipelined operators do
 //! not.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use tmql_algebra::{CmpOp, Plan, ScalarExpr};
+use tmql_algebra::{CmpOp, Plan, ScalarExpr, SetOpKind};
 use tmql_model::Value;
 use tmql_storage::stats::{ColumnStats, TableStats};
 use tmql_storage::Catalog;
 
+use crate::config::JoinAlgo;
 use crate::physical::{JoinKind, PhysPlan};
-use crate::planner::extract_equi_keys;
+use crate::planner::{
+    apply_bindings, eq_probe_candidate, extract_equi_keys, index_selection, EquiSplit, IndexSel,
+};
 
 /// Default selectivity of an opaque predicate.
 pub const DEFAULT_SELECTIVITY: f64 = 0.25;
@@ -144,9 +169,247 @@ pub mod join_cost {
     }
 }
 
-/// Correlation scope for estimates under an `Apply`: iteration variables of
-/// enclosing plans mapped to the table they scan.
-type Scope = BTreeMap<String, String>;
+/// One `ScanTable` a walk has passed: its iteration variable and its
+/// table's statistics (scans of tables without statistics bind nothing).
+type Binding<'s, 'a> = (&'s str, &'a TableStats);
+
+/// A half-open span `[start, end)` of a walk's binding list.
+type Span = (usize, usize);
+
+/// Where a formula resolves `var.col`: the scans `below` the node being
+/// estimated — a span of the walk's depth-first binding list — and then
+/// the inputs of the enclosing `Apply` operators, innermost (last) first.
+/// Within a span the first binding of a name wins.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope<'s, 'a> {
+    scans: &'s [Binding<'s, 'a>],
+    below: Span,
+    outer: &'s [Span],
+}
+
+impl<'s, 'a> Scope<'s, 'a> {
+    /// Table statistics for the iteration variable `var`.
+    fn table_of(&self, var: &str) -> Option<&'a TableStats> {
+        std::iter::once(&self.below)
+            .chain(self.outer.iter().rev())
+            .find_map(|&(lo, hi)| self.scans[lo..hi].iter().find(|(v, _)| *v == var))
+            .map(|&(_, stats)| stats)
+    }
+
+    /// Column statistics for `var.col`.
+    fn col_of(&self, var: &str, col: &str) -> Option<&'a ColumnStats> {
+        self.table_of(var).and_then(|t| t.column(col))
+    }
+
+    /// Distinct values of `e` when it is a column with statistics.
+    fn ndv(&self, e: &ScalarExpr) -> Option<f64> {
+        let (var, col) = as_column(e)?;
+        Some(self.col_of(var, col)?.distinct.max(1) as f64)
+    }
+
+    /// Distinct values of a projected or binding expression: a column's
+    /// NDV, or its table's cardinality for a whole-row variable.
+    fn distinct_values(&self, e: &ScalarExpr) -> Option<f64> {
+        match e {
+            ScalarExpr::Var(v) => self.table_of(v).map(|t| t.cardinality.max(1) as f64),
+            _ => self.ndv(e),
+        }
+    }
+
+    /// Fan-out of a set-valued expression: the per-column average
+    /// set-cardinality when the expression is a stored column,
+    /// [`DEFAULT_SET_FANOUT`] otherwise.
+    fn fanout(&self, expr: &ScalarExpr) -> f64 {
+        if let Some((var, col)) = as_column(expr) {
+            if let Some(f) = self.table_of(var).and_then(|t| t.avg_set_card(col)) {
+                return f.max(0.0);
+            }
+        }
+        if let ScalarExpr::SetLit(items) = expr {
+            return items.len() as f64;
+        }
+        DEFAULT_SET_FANOUT
+    }
+
+    /// Selectivity of a predicate. Conjuncts multiply, clamped to
+    /// `[MIN_SELECTIVITY, 1]`.
+    fn selectivity(&self, pred: &ScalarExpr) -> f64 {
+        self.conjunct_selectivity(pred).clamp(MIN_SELECTIVITY, 1.0)
+    }
+
+    fn conjunct_selectivity(&self, e: &ScalarExpr) -> f64 {
+        match e {
+            ScalarExpr::Lit(Value::Bool(true)) => 1.0,
+            ScalarExpr::Lit(Value::Bool(false)) => MIN_SELECTIVITY,
+            ScalarExpr::And(a, b) => self.conjunct_selectivity(a) * self.conjunct_selectivity(b),
+            ScalarExpr::Or(a, b) => {
+                let sa = self.conjunct_selectivity(a);
+                let sb = self.conjunct_selectivity(b);
+                (sa + sb - sa * sb).min(1.0)
+            }
+            ScalarExpr::Not(inner) => (1.0 - self.conjunct_selectivity(inner)).max(MIN_SELECTIVITY),
+            ScalarExpr::Cmp(op, a, b) => self.cmp_selectivity(*op, a, b),
+            ScalarExpr::IsNull(inner) => as_column(inner)
+                .and_then(|(var, col)| self.col_of(var, col))
+                .map_or(DEFAULT_SELECTIVITY, |c| {
+                    c.null_fraction.max(MIN_SELECTIVITY)
+                }),
+            // Whole-set comparisons between blocks and everything else:
+            // no per-element stats; assume the generic default.
+            _ => DEFAULT_SELECTIVITY,
+        }
+    }
+
+    fn cmp_selectivity(&self, op: CmpOp, a: &ScalarExpr, b: &ScalarExpr) -> f64 {
+        // Orient as column-op-something when possible.
+        let ((var, name), other, op) = match (as_column(a), as_column(b)) {
+            (Some(col), _) => (col, b, op),
+            (None, Some(col)) => (col, a, op.flip()),
+            (None, None) => {
+                return match op {
+                    CmpOp::Eq => DEFAULT_EQ_SELECTIVITY,
+                    CmpOp::Ne => 1.0 - DEFAULT_EQ_SELECTIVITY,
+                    _ => DEFAULT_SELECTIVITY,
+                }
+            }
+        };
+        let cstats = self.col_of(var, name);
+        // Histogram-based range selectivity for column-vs-literal; default
+        // for column-vs-column ranges. `fraction_lt` is strict (P[x < v])
+        // while `fraction_gt` is its complement (P[x ≥ v]), so the mass of
+        // one distinct value moves the strict/inclusive variants apart.
+        let range = |frac: fn(&ColumnStats, f64, f64) -> Option<f64>| {
+            as_number(other)
+                .zip(cstats)
+                .and_then(|(v, c)| frac(c, v, c.fraction_eq().unwrap_or(0.0)))
+                .map_or(DEFAULT_SELECTIVITY, |f| f.clamp(0.0, 1.0))
+        };
+        match op {
+            // Column = column → 1/max(NDV); column = literal/expr → 1/NDV
+            // of the column.
+            CmpOp::Eq | CmpOp::Ne => {
+                let ndv = cstats.map(|c| c.distinct.max(1) as f64);
+                let eq = eq_selectivity(ndv, self.ndv(other));
+                if op == CmpOp::Eq {
+                    eq
+                } else {
+                    (1.0 - eq).max(MIN_SELECTIVITY)
+                }
+            }
+            CmpOp::Lt => range(|c, v, _| c.fraction_lt(v)),
+            CmpOp::Le => range(|c, v, eq| c.fraction_lt(v).map(|f| f + eq)),
+            CmpOp::Ge => range(|c, v, _| c.fraction_gt(v)),
+            CmpOp::Gt => range(|c, v, eq| c.fraction_gt(v).map(|f| f - eq)),
+        }
+    }
+}
+
+/// Selectivity of `a = b` from the two sides' distinct counts: 1/max NDV.
+fn eq_selectivity(a: Option<f64>, b: Option<f64>) -> f64 {
+    match (a, b) {
+        (Some(x), Some(y)) => 1.0 / x.max(y),
+        (Some(x), None) | (None, Some(x)) => 1.0 / x,
+        (None, None) => DEFAULT_EQ_SELECTIVITY,
+    }
+}
+
+/// Decompose `e` as a single-level column reference `var.col`.
+fn as_column(e: &ScalarExpr) -> Option<(&str, &str)> {
+    if let ScalarExpr::Field(inner, col) = e {
+        if let ScalarExpr::Var(v) = &**inner {
+            return Some((v.as_str(), col.as_str()));
+        }
+    }
+    None
+}
+
+/// Numeric literal value of `e`, if any.
+fn as_number(e: &ScalarExpr) -> Option<f64> {
+    match e {
+        ScalarExpr::Lit(Value::Int(i)) => Some(*i as f64),
+        ScalarExpr::Lit(Value::Float(f)) => Some(*f),
+        _ => None,
+    }
+}
+
+/// What a join emits per left row and match — [`JoinKind`] without its
+/// payload, so the logical walk can name a kind without building one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum JoinOut {
+    Inner,
+    Semi,
+    Anti,
+    LeftOuter,
+    Nest,
+}
+
+impl From<&JoinKind> for JoinOut {
+    fn from(kind: &JoinKind) -> JoinOut {
+        match kind {
+            JoinKind::Inner => JoinOut::Inner,
+            JoinKind::Semi => JoinOut::Semi,
+            JoinKind::Anti => JoinOut::Anti,
+            JoinKind::LeftOuter { .. } => JoinOut::LeftOuter,
+            JoinKind::Nest { .. } => JoinOut::Nest,
+        }
+    }
+}
+
+/// How a join reaches and matches its inner operand — the physical choice
+/// [`Estimator::join_path`] makes and [`Estimator::path_cost`] prices.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum JoinPath<'p> {
+    /// Probe the index on `table.attr` once per left row with the `key`-th
+    /// left key of the predicate's split (`work`: modeled probe work); the
+    /// inner operand, a bare scan binding `var`, is never run.
+    IndexNl {
+        table: &'p str,
+        var: &'p str,
+        attr: String,
+        key: usize,
+        work: f64,
+    },
+    /// Materialize the inner operand, compare every pair.
+    NestedLoop,
+    /// Build a hash table on the right operand, probe with the left —
+    /// after exchanging them when `swap`.
+    Hash { swap: bool },
+    /// Sort both operands and merge. Only reachable by forcing the
+    /// algorithm (hash never prices above it), and priced as a hash join.
+    SortMerge,
+}
+
+/// A join's operands as a walk saw them: their estimates, and where their
+/// scans start (`from` the left operand's, `mid` the right one's).
+#[derive(Clone, Copy)]
+pub(crate) struct Sides {
+    pub from: usize,
+    pub l: CostEstimate,
+    pub mid: usize,
+    pub r: CostEstimate,
+}
+
+/// An operator as its formula sees it: what it computes, with its
+/// children already estimated ([`Estimator::estimate`]). Stored-table
+/// scans are not here — they extend the scope ([`Walk::scan`]).
+pub(crate) enum Node<'e> {
+    ScanExpr(&'e ScalarExpr),
+    /// Input, predicate, and the probe work of a chosen index path.
+    Select(CostEstimate, &'e ScalarExpr, Option<f64>),
+    Map(CostEstimate, &'e ScalarExpr),
+    Extend(CostEstimate),
+    Project(CostEstimate),
+    Nest(CostEstimate, &'e [String]),
+    GroupAgg(CostEstimate, &'e [(String, ScalarExpr)]),
+    Unnest(CostEstimate, &'e ScalarExpr),
+    SetOp(SetOpKind, CostEstimate, CostEstimate),
+    /// Input, subquery, and the distinct bindings the input presents.
+    Apply(CostEstimate, CostEstimate, f64),
+    /// Any member of the join family: the clamped selectivity of the
+    /// whole predicate and the `(work, resident)` of reaching and matching
+    /// the inner operand ([`Estimator::path_cost`]).
+    Join(JoinOut, &'e Sides, f64, (f64, f64)),
+}
 
 /// The statistics-backed estimator. Cheap to construct (borrows the
 /// catalog); all estimation is pure.
@@ -173,11 +436,7 @@ impl<'a> Estimator<'a> {
     /// An estimator over the catalog's statistics (no memory budget,
     /// serial execution).
     pub fn new(catalog: &'a Catalog) -> Estimator<'a> {
-        Estimator {
-            catalog,
-            budget: None,
-            threads: 1.0,
-        }
+        Estimator::with_budget(catalog, None)
     }
 
     /// An estimator that models spilling under the given breaker budget
@@ -196,6 +455,30 @@ impl<'a> Estimator<'a> {
         self.threads = n.max(1) as f64;
         self
     }
+
+    /// Estimated output cardinality of a logical plan.
+    pub fn rows(&self, plan: &Plan) -> f64 {
+        self.cost(plan).rows
+    }
+
+    /// Full cost estimate of a logical plan.
+    pub fn cost(&self, plan: &Plan) -> CostEstimate {
+        Walk::new(*self).plan(plan)
+    }
+
+    /// Row estimates of a physical plan (post join algorithm / build-side
+    /// choice / index-path selection) in **executed-operator order**:
+    /// pre-order, except that `Apply` descends only into its outer input —
+    /// the subquery operator tree is instantiated per outer row and does
+    /// not appear in the executed profile. One estimate per executed
+    /// operator (an `IndexScan` is one operator implementing
+    /// select-over-scan, an `IndexNLJoin` has no inner child), so the
+    /// vector zips 1:1 with the streaming executor's profile.
+    pub fn exec_order_rows_phys(&self, phys: &PhysPlan) -> Vec<f64> {
+        Walk::trace(*self, false, phys)
+    }
+
+    // -- shared arithmetic ---------------------------------------------------
 
     /// Work of a fragment the executor runs on a worker wave: divided
     /// across workers plus the exchange charge for the `rows` that cross
@@ -232,89 +515,15 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Estimated output cardinality of a logical plan.
-    pub fn rows(&self, plan: &Plan) -> f64 {
-        self.node(plan, &Scope::new()).rows
-    }
-
-    /// Full cost estimate of a logical plan.
-    pub fn cost(&self, plan: &Plan) -> CostEstimate {
-        self.node(plan, &Scope::new())
-    }
-
-    /// Per-node row estimates in **executed-operator order**: pre-order
-    /// over the plan, except that `Apply` descends only into its outer
-    /// input — the subquery operator tree is instantiated per outer row
-    /// and does not appear in the executed profile. Zips 1:1 with the
-    /// streaming executor's profile tree for the same (lowered) plan.
-    pub fn exec_order_rows(&self, plan: &Plan) -> Vec<f64> {
-        let mut out = Vec::with_capacity(plan.size());
-        self.collect_exec_order(plan, &Scope::new(), &mut out);
-        out
-    }
-
-    /// [`Estimator::exec_order_rows`] for a physical plan (post join
-    /// algorithm / build-side choice / index-path selection). Walks the
-    /// **physical** tree — one estimate per executed operator — because
-    /// index operators collapse logical shapes: an `IndexScan` is one
-    /// operator implementing select-over-scan, an `IndexNLJoin` has no
-    /// inner child at all. Each node's rows come from its
-    /// [`logical_view`], so estimates agree with the logical model.
-    pub fn exec_order_rows_phys(&self, phys: &PhysPlan) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect_exec_order_phys(phys, &mut out);
-        out
-    }
-
-    fn collect_exec_order_phys(&self, phys: &PhysPlan, out: &mut Vec<f64>) {
-        out.push(self.node(&logical_view(phys), &Scope::new()).rows);
-        match phys {
-            // The Apply subquery tree is instantiated per outer row and
-            // does not appear in the executed profile.
-            PhysPlan::Apply { input, .. } => self.collect_exec_order_phys(input, out),
-            other => {
-                for c in other.children() {
-                    self.collect_exec_order_phys(c, out);
-                }
-            }
+    /// A breaker over `input` (its rows feed the kernel) that holds
+    /// `state` rows resident — spillable — and emits `rows`.
+    fn breaker(&self, input: CostEstimate, state: f64, rows: f64) -> CostEstimate {
+        let (res, spill) = self.breaker_state(state);
+        CostEstimate {
+            rows,
+            work: input.work + self.breaker_work(input.rows, spill),
+            resident: input.resident + res,
         }
-    }
-
-    fn collect_exec_order(&self, plan: &Plan, outer: &Scope, out: &mut Vec<f64>) {
-        out.push(self.node(plan, outer).rows);
-        match plan {
-            Plan::Apply { input, .. } => self.collect_exec_order(input, outer, out),
-            other => {
-                for c in other.children() {
-                    self.collect_exec_order(c, outer, out);
-                }
-            }
-        }
-    }
-
-    // -- statistics resolution ---------------------------------------------
-
-    /// Table statistics for the iteration variable `var`, resolved against
-    /// the given subtree roots (a `ScanTable` binding `var`) or the outer
-    /// correlation scope.
-    fn table_of(&self, roots: &[&Plan], outer: &Scope, var: &str) -> Option<&'a TableStats> {
-        for root in roots {
-            if let Some(stats) = Self::find_scan_stats(self.catalog, root, var) {
-                return Some(stats);
-            }
-        }
-        outer.get(var).and_then(|t| self.catalog.stats(t))
-    }
-
-    fn find_scan_stats<'c>(catalog: &'c Catalog, plan: &Plan, var: &str) -> Option<&'c TableStats> {
-        if let Plan::ScanTable { table, var: v } = plan {
-            if v == var {
-                return catalog.stats(table);
-            }
-        }
-        plan.children()
-            .into_iter()
-            .find_map(|c| Self::find_scan_stats(catalog, c, var))
     }
 
     /// Cold-page I/O charge for scanning or probing `table` right now:
@@ -327,352 +536,124 @@ impl<'a> Estimator<'a> {
             .unwrap_or(0.0)
     }
 
-    /// Column statistics for `var.col`.
-    fn col_of(
-        &self,
-        roots: &[&Plan],
-        outer: &Scope,
-        var: &str,
-        col: &str,
-    ) -> Option<&'a ColumnStats> {
-        self.table_of(roots, outer, var).and_then(|t| t.column(col))
-    }
-
-    /// Decompose `e` as a single-level column reference `var.col`.
-    fn as_column(e: &ScalarExpr) -> Option<(&str, &str)> {
-        if let ScalarExpr::Field(inner, col) = e {
-            if let ScalarExpr::Var(v) = &**inner {
-                return Some((v.as_str(), col.as_str()));
-            }
-        }
-        None
-    }
-
-    /// Numeric literal value of `e`, if any.
-    fn as_number(e: &ScalarExpr) -> Option<f64> {
-        match e {
-            ScalarExpr::Lit(Value::Int(i)) => Some(*i as f64),
-            ScalarExpr::Lit(Value::Float(f)) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Fan-out of a set-valued expression: the per-column average
-    /// set-cardinality when the expression is a stored column,
-    /// [`DEFAULT_SET_FANOUT`] otherwise.
-    fn fanout(&self, expr: &ScalarExpr, roots: &[&Plan], outer: &Scope) -> f64 {
-        if let Some((var, col)) = Self::as_column(expr) {
-            if let Some(t) = self.table_of(roots, outer, var) {
-                if let Some(f) = t.avg_set_card(col) {
-                    return f.max(0.0);
-                }
-            }
-        }
-        if let ScalarExpr::SetLit(items) = expr {
-            return items.len() as f64;
-        }
-        DEFAULT_SET_FANOUT
-    }
-
-    // -- selectivities -----------------------------------------------------
-
-    /// Selectivity of a predicate, resolving columns against the subtree
-    /// roots and the outer correlation scope. Conjuncts multiply, clamped
-    /// to `[MIN_SELECTIVITY, 1]`.
-    fn selectivity(&self, pred: &ScalarExpr, roots: &[&Plan], outer: &Scope) -> f64 {
-        let s = self.conjunct_selectivity(pred, roots, outer);
-        s.clamp(MIN_SELECTIVITY, 1.0)
-    }
-
-    fn conjunct_selectivity(&self, e: &ScalarExpr, roots: &[&Plan], outer: &Scope) -> f64 {
-        match e {
-            ScalarExpr::Lit(Value::Bool(true)) => 1.0,
-            ScalarExpr::Lit(Value::Bool(false)) => MIN_SELECTIVITY,
-            ScalarExpr::And(a, b) => {
-                self.conjunct_selectivity(a, roots, outer)
-                    * self.conjunct_selectivity(b, roots, outer)
-            }
-            ScalarExpr::Or(a, b) => {
-                let sa = self.conjunct_selectivity(a, roots, outer);
-                let sb = self.conjunct_selectivity(b, roots, outer);
-                (sa + sb - sa * sb).min(1.0)
-            }
-            ScalarExpr::Not(inner) => {
-                (1.0 - self.conjunct_selectivity(inner, roots, outer)).max(MIN_SELECTIVITY)
-            }
-            ScalarExpr::Cmp(op, a, b) => self.cmp_selectivity(*op, a, b, roots, outer),
-            // Whole-set comparisons between blocks: no per-element stats;
-            // assume the generic default.
-            ScalarExpr::SetCmp(..) | ScalarExpr::Quant { .. } => DEFAULT_SELECTIVITY,
-            ScalarExpr::IsNull(inner) => {
-                if let Some((var, col)) = Self::as_column(inner) {
-                    if let Some(c) = self.col_of(roots, outer, var, col) {
-                        return c.null_fraction.max(MIN_SELECTIVITY);
-                    }
-                }
-                DEFAULT_SELECTIVITY
-            }
-            _ => DEFAULT_SELECTIVITY,
-        }
-    }
-
-    fn cmp_selectivity(
-        &self,
-        op: CmpOp,
-        a: &ScalarExpr,
-        b: &ScalarExpr,
-        roots: &[&Plan],
-        outer: &Scope,
-    ) -> f64 {
-        // Orient as column-op-something when possible.
-        let (col, other, op) = match (Self::as_column(a), Self::as_column(b)) {
-            (Some(_), _) => (a, b, op),
-            (None, Some(_)) => (b, a, op.flip()),
-            (None, None) => {
-                return match op {
-                    CmpOp::Eq => DEFAULT_EQ_SELECTIVITY,
-                    CmpOp::Ne => 1.0 - DEFAULT_EQ_SELECTIVITY,
-                    _ => DEFAULT_SELECTIVITY,
-                }
-            }
+    /// Selectivity of `pred` over a bare scan of `table` bound to `var`,
+    /// correlation variables unresolved. Access paths are priced with it,
+    /// so a probe's candidate count does not depend on where the
+    /// selection sits.
+    fn scan_selectivity(&self, table: &str, var: &str, pred: &ScalarExpr) -> f64 {
+        let binding = self.catalog.stats(table).map(|stats| (var, stats));
+        let scans = binding.as_slice();
+        let scope = Scope {
+            scans,
+            below: (0, scans.len()),
+            outer: &[],
         };
-        let (var, name) = Self::as_column(col).expect("oriented above");
-        let cstats = self.col_of(roots, outer, var, name);
+        scope.selectivity(pred)
+    }
+
+    // -- one formula per operator ------------------------------------------
+
+    /// Full scan of a stored table.
+    fn scan(&self, table: &str) -> CostEstimate {
+        let rows = self
+            .catalog
+            .stats(table)
+            .map(|s| s.cardinality as f64)
+            .unwrap_or(UNKNOWN_TABLE_ROWS);
+        // Disk-backed tables pay page I/O for whatever part of their
+        // extent is cold in the buffer pool right now; a warm working set
+        // scans at in-memory cost. Scans are morsel-parallel: page faults
+        // and row decoding divide across the wave; every row pays the
+        // exchange to reach the gather.
+        CostEstimate {
+            rows,
+            work: self.parallel_work(rows + self.cold_page_io(table), rows),
+            resident: 0.0,
+        }
+    }
+
+    /// The formula of every other operator, from its children's estimates.
+    pub(crate) fn estimate(&self, op: Node<'_>, scope: Scope<'_, 'a>) -> CostEstimate {
+        // Groups of ν / GROUP BY: bounded by `cap` when the keys resolve
+        // to statistics, else a generic collapse.
+        let grouped = |c: CostEstimate, cap: Option<f64>| {
+            let rows = cap.map_or((c.rows * GROUP_COLLAPSE).max(1.0), |cap| c.rows.min(cap));
+            self.breaker(c, c.rows, rows)
+        };
         match op {
-            CmpOp::Eq | CmpOp::Ne => {
-                // Column = column → 1/max(NDV); column = literal/expr →
-                // 1/NDV of the column.
-                let ndv_a = cstats.map(|c| c.distinct.max(1) as f64);
-                let ndv_b = Self::as_column(other)
-                    .and_then(|(v, c)| self.col_of(roots, outer, v, c))
-                    .map(|c| c.distinct.max(1) as f64);
-                let eq = match (ndv_a, ndv_b) {
-                    (Some(x), Some(y)) => 1.0 / x.max(y),
-                    (Some(x), None) | (None, Some(x)) => 1.0 / x,
-                    (None, None) => DEFAULT_EQ_SELECTIVITY,
-                };
-                if op == CmpOp::Eq {
-                    eq
-                } else {
-                    (1.0 - eq).max(MIN_SELECTIVITY)
-                }
-            }
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                // Histogram-based range selectivity for column-vs-literal;
-                // default for column-vs-column ranges. `fraction_lt` is
-                // strict (P[x < v]) while `fraction_gt` is its complement
-                // (P[x ≥ v]), so the mass of one distinct value moves the
-                // strict/inclusive variants apart.
-                let Some(v) = Self::as_number(other) else {
-                    return DEFAULT_SELECTIVITY;
-                };
-                let Some(c) = cstats else {
-                    return DEFAULT_SELECTIVITY;
-                };
-                let eq_mass = c.fraction_eq().unwrap_or(0.0);
-                let frac = match op {
-                    CmpOp::Lt => c.fraction_lt(v),
-                    CmpOp::Le => c.fraction_lt(v).map(|f| f + eq_mass),
-                    CmpOp::Ge => c.fraction_gt(v),
-                    CmpOp::Gt => c.fraction_gt(v).map(|f| f - eq_mass),
-                    _ => unreachable!("range ops only"),
-                };
-                frac.map(|f| f.clamp(0.0, 1.0))
-                    .unwrap_or(DEFAULT_SELECTIVITY)
-            }
-        }
-    }
-
-    /// Selectivity of one equi-key pair of a join (1/max NDV).
-    fn equi_pair_selectivity(
-        &self,
-        lk: &ScalarExpr,
-        rk: &ScalarExpr,
-        left: &Plan,
-        right: &Plan,
-        outer: &Scope,
-    ) -> f64 {
-        let ndv = |e: &ScalarExpr, root: &Plan| -> Option<f64> {
-            Self::as_column(e)
-                .and_then(|(v, c)| self.col_of(&[root], outer, v, c))
-                .map(|c| c.distinct.max(1) as f64)
-        };
-        match (ndv(lk, left), ndv(rk, right)) {
-            (Some(x), Some(y)) => 1.0 / x.max(y),
-            (Some(x), None) | (None, Some(x)) => 1.0 / x,
-            (None, None) => DEFAULT_EQ_SELECTIVITY,
-        }
-    }
-
-    // -- the estimator proper ----------------------------------------------
-
-    fn node(&self, plan: &Plan, outer: &Scope) -> CostEstimate {
-        match plan {
-            Plan::ScanTable { table, .. } => {
-                let rows = self
-                    .catalog
-                    .stats(table)
-                    .map(|s| s.cardinality as f64)
-                    .unwrap_or(UNKNOWN_TABLE_ROWS);
-                // Disk-backed tables pay page I/O for whatever part of
-                // their extent is cold in the buffer pool right now; a
-                // warm working set scans at in-memory cost.
-                let page_io = self.cold_page_io(table);
-                CostEstimate {
-                    rows,
-                    // Scans are morsel-parallel: page faults and row
-                    // decoding divide across the wave; every row pays the
-                    // exchange to reach the gather.
-                    work: self.parallel_work(rows + page_io, rows),
-                    resident: 0.0,
-                }
-            }
-            Plan::ScanExpr { expr, .. } => {
-                let rows = self.fanout(expr, &[], outer);
-                // The set value is evaluated once and buffered.
+            // The set value is evaluated once and buffered.
+            Node::ScanExpr(expr) => {
+                let rows = scope.fanout(expr);
                 CostEstimate {
                     rows,
                     work: rows,
                     resident: rows,
                 }
             }
-            Plan::Select { input, pred } => {
-                let c = self.node(input, outer);
-                let sel = self.selectivity(pred, &[input], outer);
-                let mut work = c.work + c.rows * expr_weight(pred);
-                // A selection directly over an indexed scan has a second
-                // access path: probe the index, re-check candidates. The
-                // model prices both and takes the cheaper — the same
-                // comparison the planner makes, so `CostBased` ranks
-                // index-eligible shapes by what will actually run.
-                if let Plan::ScanTable { table, var } = &**input {
-                    if let Some((_, probe_work, scan_work)) =
-                        self.select_access_paths(table, var, pred)
-                    {
-                        work = work.min(probe_work).min(scan_work);
-                    }
-                }
-                CostEstimate {
-                    rows: c.rows * sel,
-                    work,
-                    resident: c.resident,
-                }
-            }
-            Plan::Map {
-                input,
-                expr,
-                var: _,
-            } => {
-                let c = self.node(input, outer);
-                // Map dedups: cap by the NDV of the projected column or the
-                // cardinality of the projected table variable when known.
-                let cap = match expr {
-                    e if Self::as_column(e).is_some() => {
-                        let (v, col) = Self::as_column(e).expect("checked");
-                        self.col_of(&[input], outer, v, col)
-                            .map(|c| c.distinct.max(1) as f64)
-                    }
-                    ScalarExpr::Var(v) => self
-                        .table_of(&[input], outer, v)
-                        .map(|t| t.cardinality.max(1) as f64),
-                    _ => None,
-                };
+            // `probe_work` is the work of the index path when
+            // `index_scan_choice` picked it over scan-and-filter.
+            Node::Select(c, pred, probe_work) => CostEstimate {
+                rows: c.rows * scope.selectivity(pred),
+                work: probe_work.unwrap_or(c.work + c.rows * expr_weight(pred)),
+                resident: c.resident,
+            },
+            // Map dedups: the output is capped by the NDV of the projected
+            // column or the cardinality of the projected table variable
+            // when known, and the dedup set is resident breaker state.
+            Node::Map(c, expr) => {
+                let cap = scope.distinct_values(expr);
                 let rows = cap.map_or(c.rows, |cap| c.rows.min(cap));
-                // The dedup set is resident breaker state (spillable).
-                let (res, spill) = self.breaker_state(rows);
-                CostEstimate {
-                    rows,
-                    work: c.work + self.breaker_work(c.rows, spill),
-                    resident: c.resident + res,
-                }
+                self.breaker(c, rows, rows)
             }
-            Plan::Extend { input, .. } => {
-                let c = self.node(input, outer);
-                CostEstimate {
-                    rows: c.rows,
-                    work: c.work + c.rows,
-                    resident: c.resident,
-                }
+            Node::Extend(c) => CostEstimate {
+                work: c.work + c.rows,
+                ..c
+            },
+            // Projection dedups too.
+            Node::Project(c) => self.breaker(c, c.rows, c.rows),
+            // ν groups back to the cardinality of a key variable's table
+            // when resolvable (ν over an outerjoin: the preserved side).
+            Node::Nest(c, keys) => {
+                let tables = keys.iter().filter_map(|k| scope.table_of(k));
+                grouped(
+                    c,
+                    tables.map(|t| t.cardinality.max(1) as f64).reduce(f64::max),
+                )
             }
-            Plan::Project { input, .. } => {
-                let c = self.node(input, outer);
-                let (res, spill) = self.breaker_state(c.rows);
-                CostEstimate {
-                    rows: c.rows,
-                    work: c.work + self.breaker_work(c.rows, spill),
-                    resident: c.resident + res,
-                }
+            // GROUP BY: at most the largest key column's NDV.
+            Node::GroupAgg(c, keys) => {
+                let ndvs = keys.iter().filter_map(|(_, e)| scope.ndv(e));
+                grouped(c, ndvs.reduce(f64::max))
             }
-            Plan::Join { .. }
-            | Plan::SemiJoin { .. }
-            | Plan::AntiJoin { .. }
-            | Plan::LeftOuterJoin { .. }
-            | Plan::NestJoin { .. } => self.join_node(plan, outer),
-            Plan::Nest { input, keys, .. } => {
-                let c = self.node(input, outer);
-                // Groups: bounded by the cardinality of a key variable's
-                // table when resolvable (ν over an outerjoin groups back to
-                // the preserved side), else a generic collapse.
-                let cap = keys
-                    .iter()
-                    .filter_map(|k| self.table_of(&[input], outer, k))
-                    .map(|t| t.cardinality.max(1) as f64)
-                    .fold(None::<f64>, |acc, card| {
-                        Some(acc.map_or(card, |a| a.max(card)))
-                    });
-                let rows = cap
-                    .map(|cap| c.rows.min(cap))
-                    .unwrap_or((c.rows * GROUP_COLLAPSE).max(1.0));
-                let (res, spill) = self.breaker_state(c.rows);
-                CostEstimate {
-                    rows,
-                    work: c.work + self.breaker_work(c.rows, spill),
-                    resident: c.resident + res,
-                }
-            }
-            Plan::GroupAgg { input, keys, .. } => {
-                let c = self.node(input, outer);
-                let cap = keys
-                    .iter()
-                    .filter_map(|(_, e)| Self::as_column(e))
-                    .filter_map(|(v, col)| self.col_of(&[input], outer, v, col))
-                    .map(|cs| cs.distinct.max(1) as f64)
-                    .fold(None::<f64>, |acc, ndv| {
-                        Some(acc.map_or(ndv, |a| a.max(ndv)))
-                    });
-                let rows = cap
-                    .map(|cap| c.rows.min(cap))
-                    .unwrap_or((c.rows * GROUP_COLLAPSE).max(1.0));
-                let (res, spill) = self.breaker_state(c.rows);
-                CostEstimate {
-                    rows,
-                    work: c.work + self.breaker_work(c.rows, spill),
-                    resident: c.resident + res,
-                }
-            }
-            Plan::Unnest { input, expr, .. } => {
-                let c = self.node(input, outer);
-                let rows = c.rows * self.fanout(expr, &[input], outer);
+            Node::Unnest(c, expr) => {
+                let rows = c.rows * scope.fanout(expr);
                 CostEstimate {
                     rows,
                     work: c.work + c.rows + rows,
                     resident: c.resident,
                 }
             }
-            Plan::Apply {
-                input, subquery, ..
-            } => {
-                let c = self.node(input, outer);
-                let mut inner_scope = outer.clone();
-                bind_scans(input, &mut inner_scope);
-                let sub = self.node(subquery, &inner_scope);
-                // The executor memoizes inner results per distinct
-                // correlation binding (on by default), so the inner plan
-                // drains once per distinct binding; every outer row pays
-                // a binding-key evaluation and cache probe. The cached
-                // result sets are budget-capped resident state.
-                let bindings = crate::planner::apply_bindings(subquery);
-                let distinct = self.distinct_bindings(&bindings, input, &inner_scope, c.rows);
+            // Intersect is bounded by the smaller input and except by the
+            // left input; only union can grow.
+            Node::SetOp(kind, l, r) => {
+                let rows = match kind {
+                    SetOpKind::Union => l.rows + r.rows,
+                    SetOpKind::Intersect => l.rows.min(r.rows),
+                    SetOpKind::Except => l.rows,
+                };
+                let both = CostEstimate {
+                    rows: l.rows + r.rows,
+                    work: l.work + r.work,
+                    resident: l.resident + r.resident,
+                };
+                self.breaker(both, both.rows, rows)
+            }
+            // The executor memoizes inner results per distinct correlation
+            // binding (on by default), so the inner plan drains once per
+            // distinct binding; every outer row pays a binding-key
+            // evaluation and cache probe. The cached result sets are
+            // budget-capped resident state.
+            Node::Apply(c, sub, distinct) => {
                 let (cache_res, _) = self.breaker_state(distinct * sub.rows.max(0.0));
                 CostEstimate {
                     rows: c.rows,
@@ -682,71 +663,130 @@ impl<'a> Estimator<'a> {
                     resident: c.resident + sub.resident + cache_res,
                 }
             }
-            Plan::SetOp {
-                kind, left, right, ..
-            } => {
-                let l = self.node(left, outer);
-                let r = self.node(right, outer);
-                // Satellite fix: intersect is bounded by the smaller input
-                // and except by the left input; only union can grow.
+            Node::Join(kind, &Sides { l, r, .. }, sel, (path_work, path_resident)) => {
+                let matches = l.rows * r.rows * sel;
+                // Expected matches per left row → P(left row has ≥ 1 match).
+                let match_frac = (r.rows * sel).min(1.0);
                 let rows = match kind {
-                    tmql_algebra::SetOpKind::Union => l.rows + r.rows,
-                    tmql_algebra::SetOpKind::Intersect => l.rows.min(r.rows),
-                    tmql_algebra::SetOpKind::Except => l.rows,
+                    JoinOut::Inner => matches,
+                    JoinOut::Semi => l.rows * match_frac,
+                    JoinOut::Anti => l.rows * (1.0 - match_frac),
+                    JoinOut::LeftOuter => matches.max(l.rows),
+                    JoinOut::Nest => l.rows,
                 };
-                let (res, spill) = self.breaker_state(l.rows + r.rows);
+                // Per-match output/collection work (the nest join inserts
+                // each match into a per-row set; flat joins emit rows).
+                let emit = match kind {
+                    JoinOut::Semi | JoinOut::Anti => rows,
+                    _ => matches.max(rows),
+                };
                 CostEstimate {
                     rows,
-                    work: l.work + r.work + self.breaker_work(l.rows + r.rows, spill),
-                    resident: l.resident + r.resident + res,
+                    work: l.work + path_work + emit,
+                    resident: l.resident + r.resident + path_resident,
                 }
             }
         }
     }
 
-    /// Estimated number of distinct correlation bindings an `Apply` over
-    /// `input` presents to its subquery: the product of the per-binding
-    /// NDVs (column stats for `v.col`, table cardinality for a whole-row
-    /// `v`, the outer row count when unknown), capped at the outer row
-    /// count. Empty bindings — an invariant subquery — estimate as one.
-    fn distinct_bindings(
+    /// `(work, resident)` of one [`JoinPath`] between operands estimated
+    /// as `l` and `r`, the inner operand's own work included where the
+    /// path runs it.
+    fn path_cost(&self, path: &JoinPath<'_>, &Sides { l, r, .. }: &Sides) -> (f64, f64) {
+        let swap = match path {
+            // A bare indexed inner scan is probed per outer row — the
+            // inner subtree's scan work and the build-side state both
+            // disappear.
+            JoinPath::IndexNl { work, .. } => return (*work, 0.0),
+            // The inner side is materialized (the NL join does not spill,
+            // so no grace charge here — the resident penalty reports the
+            // pressure honestly).
+            JoinPath::NestedLoop => {
+                return (r.work + join_cost::nested_loop(l.rows, r.rows), r.rows)
+            }
+            JoinPath::Hash { swap } => *swap,
+            JoinPath::SortMerge => false,
+        };
+        let (probe, build) = if swap {
+            (r.rows, l.rows)
+        } else {
+            (l.rows, r.rows)
+        };
+        let (res, build_spill) = self.breaker_state(build);
+        // Grace hash writes and re-reads *both* sides once the build
+        // overflows — charge the probe side's round-trip too.
+        let spill = if build_spill > 0.0 {
+            build_spill + SPILL_IO_PER_ROW * probe
+        } else {
+            0.0
+        };
+        // Grace partitions join partition-per-worker; the in-memory
+        // build/probe pipeline is serial (the partitioning I/O is serial
+        // either way).
+        let hash_work = if spill > 0.0 {
+            self.parallel_work(join_cost::hash(probe, build), probe + build)
+        } else {
+            join_cost::hash(probe, build)
+        };
+        (r.work + (hash_work + spill), res)
+    }
+
+    /// Work of the index nested-loop path of a join whose inner operand is
+    /// a bare scan of `table` estimated as `r`: one probe per left row, a
+    /// fetch and re-check per match, and the matched fraction of whatever
+    /// page I/O a cold extent costs. The inner scan's own work is *not*
+    /// included — the path never runs it.
+    fn index_nl_work(&self, &Sides { l, r, .. }: &Sides, sel: f64, table: &str) -> f64 {
+        let matches = l.rows * r.rows * sel;
+        let frac = if r.rows > 0.0 {
+            (matches / r.rows).min(1.0)
+        } else {
+            0.0
+        };
+        join_cost::index_nl(l.rows, matches) + self.cold_page_io(table) * frac
+    }
+
+    // -- the physical choices ----------------------------------------------
+
+    /// Price the two access paths of `σ_pred(table)` when the predicate
+    /// has an index-eligible component: `(component, probe_work,
+    /// scan_work)`. `None` when no conjunct probes an existing index.
+    /// (For equality components with *no* persistent index,
+    /// [`Estimator::transient_hash_paths`] prices the build-it-yourself
+    /// alternative an `Apply` can amortize.)
+    pub fn select_access_paths(
         &self,
-        bindings: &[ScalarExpr],
-        input: &Plan,
-        scope: &Scope,
-        outer_rows: f64,
-    ) -> f64 {
-        let cap = outer_rows.max(1.0);
-        let mut distinct = 1.0f64;
-        for b in bindings {
-            let ndv = match b {
-                e if Self::as_column(e).is_some() => {
-                    let (v, col) = Self::as_column(e).expect("checked");
-                    self.col_of(&[input], scope, v, col)
-                        .map(|c| c.distinct.max(1) as f64)
-                }
-                ScalarExpr::Var(v) => self
-                    .table_of(&[input], scope, v)
-                    .map(|t| t.cardinality.max(1) as f64),
-                _ => None,
-            };
-            distinct *= ndv.unwrap_or(cap);
-            if distinct >= cap {
-                break;
-            }
-        }
-        distinct.clamp(1.0, cap)
+        table: &str,
+        var: &str,
+        pred: &ScalarExpr,
+    ) -> Option<(IndexSel, f64, f64)> {
+        let isel = index_selection(pred, table, var, self.catalog)?;
+        let scan = self.scan(table);
+        let scan_work = scan.work + scan.rows * expr_weight(pred);
+        // Candidates the probe returns: rows matching the covered
+        // conjuncts alone (the full predicate is re-checked afterwards).
+        let sel_idx = self.scan_selectivity(table, var, &isel.covered);
+        let candidates = scan.rows * sel_idx;
+        // Fetch + emit per candidate, the full predicate re-check, and
+        // the covered fraction of whatever page I/O a cold extent costs.
+        let probe_work = INDEX_PROBE_WORK
+            + candidates * (2.0 + expr_weight(pred))
+            + self.cold_page_io(table) * sel_idx;
+        Some((isel, probe_work, scan_work))
     }
 
-    /// Planner hook: the distinct-binding estimate for an `Apply` of
-    /// `subquery` over `input` — how many times the executor will
-    /// actually drain the inner plan with memoization on.
-    pub fn apply_distinct_bindings(&self, input: &Plan, subquery: &Plan) -> f64 {
-        let bindings = crate::planner::apply_bindings(subquery);
-        let mut scope = Scope::new();
-        bind_scans(input, &mut scope);
-        let outer_rows = self.node(input, &Scope::new()).rows;
-        self.distinct_bindings(&bindings, input, &scope, outer_rows)
+    /// **Scan vs probe**: the index component and probe work of
+    /// `σ_pred(table)` when probing prices below scan-and-filter. The
+    /// model's `select` and the planner's `IndexScan` both come from this
+    /// one comparison.
+    pub(crate) fn index_scan_choice(
+        &self,
+        table: &str,
+        var: &str,
+        pred: &ScalarExpr,
+    ) -> Option<(IndexSel, f64)> {
+        let (isel, probe_work, scan_work) = self.select_access_paths(table, var, pred)?;
+        (probe_work < scan_work).then_some((isel, probe_work))
     }
 
     /// Price `probes` repetitions of `σ_pred(table)` along two access
@@ -770,207 +810,87 @@ impl<'a> Estimator<'a> {
         probes: f64,
     ) -> (f64, f64) {
         let probes = probes.max(1.0);
-        let input = Plan::ScanTable {
-            table: table.to_string(),
-            var: var.to_string(),
-        };
-        let outer = Scope::new();
-        let scan = self.node(&input, &outer);
+        let scan = self.scan(table);
         let scan_work = probes * (scan.work + scan.rows * expr_weight(pred));
-        let sel = self.selectivity(covered, &[&input], &outer);
-        let candidates = scan.rows * sel;
+        let candidates = scan.rows * self.scan_selectivity(table, var, covered);
         let build = 1.5 * scan.rows + self.cold_page_io(table);
         let probe_work =
             build + probes * (INDEX_PROBE_WORK + candidates * (2.0 + expr_weight(pred)));
         (probe_work, scan_work)
     }
 
-    /// Price the two access paths of `σ_pred(table)` when the predicate
-    /// has an index-eligible component: `(component, probe_work,
-    /// scan_work)`. `None` when no conjunct probes an existing index.
-    /// Shared by the model's `Select` pricing and the planner's
-    /// scan-vs-probe choice, so the plan the planner emits is the plan
-    /// the model priced. (For equality components with *no* persistent
-    /// index, [`Estimator::transient_hash_paths`] prices the
-    /// build-it-yourself alternative an `Apply` can amortize.)
-    pub fn select_access_paths(
+    /// **Apply hoisting**: should `σ_pred(table)`, run once per distinct
+    /// binding (`probes` times), build a transient hash index? `(attr,
+    /// key)` of the probe when some conjunct is `var.attr = key`, no
+    /// persistent index covers the attribute already, and build plus
+    /// probes price below the repeated scans.
+    pub(crate) fn hash_probe_choice(
         &self,
         table: &str,
         var: &str,
         pred: &ScalarExpr,
-    ) -> Option<(crate::planner::IndexSel, f64, f64)> {
-        let isel = crate::planner::index_selection(pred, table, var, self.catalog)?;
-        let input = Plan::ScanTable {
-            table: table.to_string(),
-            var: var.to_string(),
-        };
-        let outer = Scope::new();
-        let scan = self.node(&input, &outer);
-        let scan_work = scan.work + scan.rows * expr_weight(pred);
-        // Candidates the probe returns: rows matching the covered
-        // conjuncts alone (the full predicate is re-checked afterwards).
-        let sel_idx = self.selectivity(&isel.covered, &[&input], &outer);
-        let candidates = scan.rows * sel_idx;
-        // Fetch + emit per candidate, the full predicate re-check, and
-        // the covered fraction of whatever page I/O a cold extent costs.
-        let probe_work = INDEX_PROBE_WORK
-            + candidates * (2.0 + expr_weight(pred))
-            + self.cold_page_io(table) * sel_idx;
-        Some((isel, probe_work, scan_work))
+        probes: f64,
+    ) -> Option<(String, ScalarExpr)> {
+        let (attr, key, covered) = eq_probe_candidate(pred, var)?;
+        if self.catalog.index_on(table, &attr).is_some() {
+            return None;
+        }
+        let (probe_work, scan_work) = self.transient_hash_paths(table, var, pred, &covered, probes);
+        (probe_work < scan_work).then_some((attr, key))
     }
 
-    /// Work of the index nested-loop path of a join: `Some` when `right`
-    /// is a bare scan of a table carrying an index on one of the
-    /// equi-key columns. The inner subtree's own work (scan + build) is
-    /// *not* included — the path never runs it.
-    fn index_join_work(
+    /// **Index nested-loop vs scan-based join, join algorithm, build
+    /// side** — the one place all three are decided, for the model
+    /// (`algo` = [`JoinAlgo::Auto`]) and for lowering (`algo` = the
+    /// configured one; a forced algorithm never takes the index path).
+    ///
+    /// The index path needs `inner`, the bare `(table, var)` scan the
+    /// right operand is, with an index on one of `right_keys`' columns,
+    /// and wins when its probe work prices below scanning the inner
+    /// operand plus the cheaper scan-based algorithm. Otherwise: nested
+    /// loop without equi keys; hash unless sort-merge prices lower; and a
+    /// hash *inner* join — symmetric, records compare label-insensitively
+    /// — builds on the smaller operand. Every other kind is
+    /// left-preserving, and for the nest join "only the right join operand
+    /// may be the build table" (Section 6), so their sides stay fixed.
+    pub(crate) fn join_path<'p>(
         &self,
-        left_rows: f64,
-        matches: f64,
-        right: &Plan,
+        algo: JoinAlgo,
+        kind: JoinOut,
+        sides: &Sides,
+        sel: f64,
+        inner: Option<(&'p str, &'p str)>,
         right_keys: &[ScalarExpr],
-    ) -> Option<f64> {
-        let Plan::ScanTable { table, .. } = right else {
-            return None;
-        };
-        right_keys.iter().find(|rk| {
-            Self::as_column(rk).is_some_and(|(_, c)| self.catalog.index_on(table, c).is_some())
-        })?;
-        let r_rows = self
-            .catalog
-            .stats(table)
-            .map(|s| s.cardinality as f64)
-            .unwrap_or(UNKNOWN_TABLE_ROWS);
-        let frac = if r_rows > 0.0 {
-            (matches / r_rows).min(1.0)
-        } else {
-            0.0
-        };
-        Some(join_cost::index_nl(left_rows, matches) + self.cold_page_io(table) * frac)
-    }
-
-    /// Planner hook: should this join probe an index instead of scanning
-    /// and building its inner operand? `Some(key_index)` — an index into
-    /// the split's key vectors — when `right` is a bare scan of an
-    /// indexed table and the modeled probe work beats the inner scan
-    /// plus the best scan-based algorithm.
-    pub fn index_join_beats(
-        &self,
-        left: &Plan,
-        right: &Plan,
-        split: &crate::planner::EquiSplit,
-    ) -> Option<usize> {
-        let Plan::ScanTable { table, .. } = right else {
-            return None;
-        };
-        let key_idx = split.right_keys.iter().position(|rk| {
-            Self::as_column(rk).is_some_and(|(_, c)| self.catalog.index_on(table, c).is_some())
-        })?;
-        let outer = Scope::new();
-        let l = self.node(left, &outer);
-        let r = self.node(right, &outer);
-        let mut sel = 1.0f64;
-        for (lk, rk) in split.left_keys.iter().zip(&split.right_keys) {
-            sel *= self.equi_pair_selectivity(lk, rk, left, right, &outer);
-        }
-        if let Some(res) = &split.residual {
-            sel *= self.selectivity(res, &[left, right], &outer);
-        }
-        let matches = l.rows * r.rows * sel.clamp(MIN_SELECTIVITY, 1.0);
-        let index_work = self.index_join_work(l.rows, matches, right, &split.right_keys)?;
-        let scan_algo = join_cost::hash(l.rows, r.rows).min(join_cost::sort_merge(l.rows, r.rows));
-        (index_work < r.work + scan_algo).then_some(key_idx)
-    }
-
-    fn join_node(&self, plan: &Plan, outer: &Scope) -> CostEstimate {
-        let (left, right, pred) = match plan {
-            Plan::Join { left, right, pred }
-            | Plan::SemiJoin { left, right, pred }
-            | Plan::AntiJoin { left, right, pred }
-            | Plan::LeftOuterJoin { left, right, pred }
-            | Plan::NestJoin {
-                left, right, pred, ..
-            } => (left, right, pred),
-            _ => unreachable!("join_node called on a non-join"),
-        };
-        let l = self.node(left, outer);
-        let r = self.node(right, outer);
-        let lv: BTreeSet<String> = left.output_vars().into_iter().collect();
-        let rv: BTreeSet<String> = right.output_vars().into_iter().collect();
-        let split = extract_equi_keys(pred, &lv, &rv);
-        let mut sel = 1.0f64;
-        for (lk, rk) in split.left_keys.iter().zip(&split.right_keys) {
-            sel *= self.equi_pair_selectivity(lk, rk, left, right, outer);
-        }
-        if let Some(residual) = &split.residual {
-            sel *= self.selectivity(residual, &[left, right], outer);
-        }
-        let sel = sel.clamp(MIN_SELECTIVITY, 1.0);
-        let matches = l.rows * r.rows * sel;
-        // Expected matches per left row → P(left row has ≥ 1 match).
-        let match_frac = (r.rows * sel).min(1.0);
-        let rows = match plan {
-            Plan::Join { .. } => matches,
-            Plan::SemiJoin { .. } => l.rows * match_frac,
-            Plan::AntiJoin { .. } => l.rows * (1.0 - match_frac),
-            Plan::LeftOuterJoin { .. } => matches.max(l.rows),
-            Plan::NestJoin { .. } => l.rows,
-            _ => unreachable!(),
-        };
-        // Per-match output/collection work (the nest join inserts each
-        // match into a per-row set; flat joins emit rows).
-        let emit = match plan {
-            Plan::SemiJoin { .. } | Plan::AntiJoin { .. } => rows,
-            _ => matches.max(rows),
-        };
-        let (algo_work, own_resident) = if split.left_keys.is_empty() {
-            // No equi keys: nested loop, right side materialized (the NL
-            // join does not spill, so no grace charge here — the resident
-            // penalty reports the pressure honestly).
-            (join_cost::nested_loop(l.rows, r.rows), r.rows)
-        } else {
-            // Hash join. Inner joins build on the smaller side (the
-            // planner swaps); every left-preserving kind builds on the
-            // right and probes with the left.
-            let (probe, build) = if matches!(plan, Plan::Join { .. }) {
-                (l.rows.max(r.rows), l.rows.min(r.rows))
-            } else {
-                (l.rows, r.rows)
-            };
-            let (res, build_spill) = self.breaker_state(build);
-            // Grace hash writes and re-reads *both* sides once the build
-            // overflows — charge the probe side's round-trip too.
-            let spill = if build_spill > 0.0 {
-                build_spill + SPILL_IO_PER_ROW * probe
-            } else {
-                0.0
-            };
-            // Grace partitions join partition-per-worker; the in-memory
-            // build/probe pipeline is serial (the partitioning I/O is
-            // serial either way).
-            let hash_work = if spill > 0.0 {
-                self.parallel_work(join_cost::hash(probe, build), probe + build)
-            } else {
-                join_cost::hash(probe, build)
-            };
-            (hash_work + spill, res)
-        };
-        // Index nested-loop alternative: a bare indexed inner scan is
-        // probed per outer row — the inner subtree's scan work and the
-        // build-side state both disappear. Priced against the scan-based
-        // path with the same resident weighting the planner's total uses.
-        let mut path_work = r.work + algo_work;
-        let mut path_resident = own_resident;
-        if let Some(iw) = self.index_join_work(l.rows, matches, right, &split.right_keys) {
-            if iw < path_work + RESIDENT_WEIGHT * path_resident {
-                path_work = iw;
-                path_resident = 0.0;
+    ) -> JoinPath<'p> {
+        let (l, r) = (sides.l, sides.r);
+        let hash = join_cost::hash(l.rows, r.rows);
+        let sort_merge = join_cost::sort_merge(l.rows, r.rows);
+        if let (JoinAlgo::Auto, Some((table, var))) = (algo, inner) {
+            let indexed = right_keys.iter().enumerate().find_map(|(key, rk)| {
+                let (_, attr) = as_column(rk)?;
+                self.catalog.index_on(table, attr).map(|_| (key, attr))
+            });
+            if let Some((key, attr)) = indexed {
+                let work = self.index_nl_work(sides, sel, table);
+                if work < r.work + hash.min(sort_merge) {
+                    return JoinPath::IndexNl {
+                        table,
+                        var,
+                        attr: attr.to_string(),
+                        key,
+                        work,
+                    };
+                }
             }
         }
-        CostEstimate {
-            rows,
-            work: l.work + path_work + emit,
-            resident: l.resident + r.resident + path_resident,
+        match algo {
+            _ if right_keys.is_empty() => JoinPath::NestedLoop,
+            JoinAlgo::NestedLoop => JoinPath::NestedLoop,
+            JoinAlgo::Auto if hash <= sort_merge => JoinPath::Hash {
+                swap: kind == JoinOut::Inner && l.rows < r.rows,
+            },
+            JoinAlgo::Hash => JoinPath::Hash { swap: false },
+            JoinAlgo::Auto | JoinAlgo::SortMerge => JoinPath::SortMerge,
         }
     }
 }
@@ -1001,232 +921,398 @@ fn expr_nodes(e: &ScalarExpr) -> usize {
     }
 }
 
-/// Record the `ScanTable` bindings of a subtree into a correlation scope
-/// (outer variables visible to an `Apply` subquery).
-fn bind_scans(plan: &Plan, scope: &mut Scope) {
-    if let Plan::ScanTable { table, var } = plan {
-        scope.insert(var.clone(), table.clone());
-    }
-    for c in plan.children() {
-        bind_scans(c, scope);
-    }
+/// One pass over a plan: the scans seen so far (the scope) and the
+/// recursions that feed each operator's formula its children's estimates.
+/// Every node is estimated exactly once per walk.
+pub(crate) struct Walk<'a, 'p> {
+    pub(crate) est: Estimator<'a>,
+    /// `ScanTable` bindings in depth-first order.
+    scans: Vec<Binding<'p, 'a>>,
+    /// Spans of `scans` bound by the inputs of the `Apply` operators
+    /// enclosing the node being estimated, outermost first.
+    outer: Vec<Span>,
+    /// [`Walk::phys`] records each executed operator's estimated rows
+    /// here, in pre-order.
+    trace: Option<Vec<f64>>,
+    /// Trace the operators of `Apply` subqueries too (`EXPLAIN` shows
+    /// them; the executed profile does not).
+    show_subqueries: bool,
 }
 
-/// Reconstruct the logical plan a physical plan implements (join algorithm
-/// and build-side choices erased). Used to estimate rows per *physical*
-/// operator — after lowering may have swapped an inner hash join's sides —
-/// in the exact tree shape the executor profiles.
-pub fn logical_view(phys: &PhysPlan) -> Plan {
-    match phys {
-        PhysPlan::ScanTable { table, var } => Plan::ScanTable {
-            table: table.clone(),
-            var: var.clone(),
-        },
-        PhysPlan::IndexScan {
-            table, var, pred, ..
-        } => Plan::Select {
-            input: Box::new(Plan::ScanTable {
-                table: table.clone(),
-                var: var.clone(),
-            }),
-            pred: pred.clone(),
-        },
-        PhysPlan::IndexNLJoin {
-            left,
-            right_table,
-            right_var,
-            pred,
-            kind,
-            ..
-        } => rebuild_join(
-            logical_view(left),
-            Plan::ScanTable {
-                table: right_table.clone(),
-                var: right_var.clone(),
+impl<'a, 'p> Walk<'a, 'p> {
+    pub(crate) fn new(est: Estimator<'a>) -> Self {
+        Walk {
+            est,
+            scans: Vec::new(),
+            outer: Vec::new(),
+            trace: None,
+            show_subqueries: false,
+        }
+    }
+
+    /// The position the next scan will take: take it before descending
+    /// into a node, and `scope(mark)` afterwards resolves in that node's
+    /// subtree.
+    pub(crate) fn mark(&self) -> usize {
+        self.scans.len()
+    }
+
+    /// The scope of a node whose subtree's scans start at `from`.
+    pub(crate) fn scope(&self, from: usize) -> Scope<'_, 'a> {
+        Scope {
+            scans: &self.scans,
+            below: (from, self.scans.len()),
+            outer: &self.outer,
+        }
+    }
+
+    /// Enter an `Apply` subquery whose input's scans start at `from`:
+    /// those scans become the innermost correlation scope until
+    /// [`Walk::leave_subquery`].
+    pub(crate) fn enter_subquery(&mut self, from: usize) {
+        self.outer.push((from, self.scans.len()));
+    }
+
+    pub(crate) fn leave_subquery(&mut self) {
+        self.outer.pop();
+    }
+
+    pub(crate) fn scan(&mut self, table: &str, var: &'p str) -> CostEstimate {
+        if let Some(stats) = self.est.catalog.stats(table) {
+            self.scans.push((var, stats));
+        }
+        self.est.scan(table)
+    }
+
+    /// A selection directly over a stored table: the scan-vs-probe choice
+    /// and the estimate of whichever path it picked.
+    pub(crate) fn select_scan(
+        &mut self,
+        table: &str,
+        var: &'p str,
+        pred: &ScalarExpr,
+    ) -> (CostEstimate, Option<IndexSel>) {
+        let from = self.mark();
+        let scan = self.scan(table, var);
+        let (isel, probe_work) = self.est.index_scan_choice(table, var, pred).unzip();
+        let op = Node::Select(scan, pred, probe_work);
+        (self.est.estimate(op, self.scope(from)), isel)
+    }
+
+    /// Estimated number of distinct correlation bindings an `Apply` whose
+    /// input's scans start at `from` presents to its subquery: the product
+    /// of the per-binding distinct counts (the outer row count when
+    /// unknown), capped at the outer row count. Empty bindings — an
+    /// invariant subquery — estimate as one. This is how many times the
+    /// executor drains the inner plan with memoization on.
+    pub(crate) fn distinct_bindings(
+        &self,
+        bindings: &[ScalarExpr],
+        from: usize,
+        outer_rows: f64,
+    ) -> f64 {
+        let scope = self.scope(from);
+        let cap = outer_rows.max(1.0);
+        let mut distinct = 1.0f64;
+        for b in bindings {
+            distinct *= scope.distinct_values(b).unwrap_or(cap);
+            if distinct >= cap {
+                break;
+            }
+        }
+        distinct.clamp(1.0, cap)
+    }
+
+    /// Clamped selectivity of a join predicate given as equi-key pairs
+    /// plus a residual: each pair resolves its sides against its own
+    /// operand, the residual against both.
+    fn join_selectivity(
+        &self,
+        (left_keys, right_keys): (&[ScalarExpr], &[ScalarExpr]),
+        residual: Option<&ScalarExpr>,
+        sides: &Sides,
+    ) -> f64 {
+        let both = self.scope(sides.from);
+        let left = Scope {
+            below: (sides.from, sides.mid),
+            ..both
+        };
+        let right = Scope {
+            below: (sides.mid, both.below.1),
+            ..both
+        };
+        let mut sel = 1.0f64;
+        for (lk, rk) in left_keys.iter().zip(right_keys) {
+            sel *= eq_selectivity(left.ndv(lk), right.ndv(rk));
+        }
+        if let Some(residual) = residual {
+            sel *= both.selectivity(residual);
+        }
+        sel.clamp(MIN_SELECTIVITY, 1.0)
+    }
+
+    /// [`Walk::join_selectivity`] of a full predicate, split between
+    /// operands producing `left_vars` and `right_vars`.
+    fn pred_selectivity(
+        &self,
+        pred: &ScalarExpr,
+        (left_vars, right_vars): (Vec<String>, Vec<String>),
+        sides: &Sides,
+    ) -> (f64, EquiSplit) {
+        let vars = |v: Vec<String>| v.into_iter().collect::<BTreeSet<String>>();
+        let split = extract_equi_keys(pred, &vars(left_vars), &vars(right_vars));
+        let keys = (&split.left_keys[..], &split.right_keys[..]);
+        (
+            self.join_selectivity(keys, split.residual.as_ref(), sides),
+            split,
+        )
+    }
+
+    /// A logical join of `left` and `right`, estimated as `sides`: split
+    /// the predicate, let [`Estimator::join_path`] pick the physical path
+    /// under `algo`, and price it.
+    pub(crate) fn join(
+        &self,
+        algo: JoinAlgo,
+        kind: JoinOut,
+        (left, right): (&Plan, &'p Plan),
+        pred: &ScalarExpr,
+        sides: Sides,
+    ) -> (CostEstimate, EquiSplit, JoinPath<'p>) {
+        let est = self.est;
+        let vars = (left.output_vars(), right.output_vars());
+        let (sel, split) = self.pred_selectivity(pred, vars, &sides);
+        let inner = match right {
+            Plan::ScanTable { table, var } => Some((table.as_str(), var.as_str())),
+            _ => None,
+        };
+        let path = est.join_path(algo, kind, &sides, sel, inner, &split.right_keys);
+        let op = Node::Join(kind, &sides, sel, est.path_cost(&path, &sides));
+        (est.estimate(op, self.scope(sides.from)), split, path)
+    }
+
+    /// Estimate a logical plan, as lowering under [`JoinAlgo::Auto`]
+    /// would run it.
+    pub(crate) fn plan(&mut self, plan: &'p Plan) -> CostEstimate {
+        let (est, from) = (self.est, self.mark());
+        let join = |w: &mut Self, kind, left: &'p Plan, right: &'p Plan, pred| {
+            let sides = Sides {
+                from,
+                l: w.plan(left),
+                mid: w.mark(),
+                r: w.plan(right),
+            };
+            w.join(JoinAlgo::Auto, kind, (left, right), pred, sides).0
+        };
+        let op = match plan {
+            Plan::ScanTable { table, var } => return self.scan(table, var),
+            Plan::Select { input, pred } => match &**input {
+                Plan::ScanTable { table, var } => return self.select_scan(table, var, pred).0,
+                input => Node::Select(self.plan(input), pred, None),
             },
-            pred.clone(),
-            kind,
-        ),
-        PhysPlan::ScanExpr { expr, var } => Plan::ScanExpr {
-            expr: expr.clone(),
-            var: var.clone(),
-        },
-        PhysPlan::Filter { input, pred } => Plan::Select {
-            input: Box::new(logical_view(input)),
-            pred: pred.clone(),
-        },
-        PhysPlan::Map { input, expr, var } => Plan::Map {
-            input: Box::new(logical_view(input)),
-            expr: expr.clone(),
-            var: var.clone(),
-        },
-        PhysPlan::Extend { input, expr, var } => Plan::Extend {
-            input: Box::new(logical_view(input)),
-            expr: expr.clone(),
-            var: var.clone(),
-        },
-        PhysPlan::Project { input, vars } => Plan::Project {
-            input: Box::new(logical_view(input)),
-            vars: vars.clone(),
-        },
-        PhysPlan::NlJoin {
-            left,
-            right,
-            pred,
-            kind,
-        } => rebuild_join(logical_view(left), logical_view(right), pred.clone(), kind),
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        }
-        | PhysPlan::MergeJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        } => {
-            let mut conjs: Vec<ScalarExpr> = left_keys
-                .iter()
-                .zip(right_keys)
-                .map(|(lk, rk)| ScalarExpr::eq(lk.clone(), rk.clone()))
-                .collect();
-            conjs.extend(residual.iter().cloned());
-            rebuild_join(
-                logical_view(left),
-                logical_view(right),
-                ScalarExpr::conj(conjs),
-                kind,
-            )
-        }
-        PhysPlan::Nest {
-            input,
-            keys,
-            value,
-            label,
-            star,
-        } => Plan::Nest {
-            input: Box::new(logical_view(input)),
-            keys: keys.clone(),
-            value: value.clone(),
-            label: label.clone(),
-            star: *star,
-        },
-        PhysPlan::Unnest {
-            input,
-            expr,
-            elem_var,
-            drop_vars,
-        } => Plan::Unnest {
-            input: Box::new(logical_view(input)),
-            expr: expr.clone(),
-            elem_var: elem_var.clone(),
-            drop_vars: drop_vars.clone(),
-        },
-        PhysPlan::GroupAgg {
-            input,
-            keys,
-            aggs,
-            var,
-        } => Plan::GroupAgg {
-            input: Box::new(logical_view(input)),
-            keys: keys.clone(),
-            aggs: aggs.clone(),
-            var: var.clone(),
-        },
-        PhysPlan::Apply {
-            input,
-            subquery,
-            label,
-            bindings: _,
-        } => Plan::Apply {
-            input: Box::new(logical_view(input)),
-            subquery: Box::new(logical_view(subquery)),
-            label: label.clone(),
-        },
-        // Materialize is a pure replay buffer: logically transparent.
-        PhysPlan::Materialize { input } => logical_view(input),
-        // A transient hash probe implements select-over-scan exactly.
-        PhysPlan::HashProbe {
-            table, var, pred, ..
-        } => Plan::Select {
-            input: Box::new(Plan::ScanTable {
-                table: table.clone(),
-                var: var.clone(),
-            }),
-            pred: pred.clone(),
-        },
-        PhysPlan::SetOp {
-            kind,
-            left,
-            right,
-            var,
-        } => Plan::SetOp {
-            kind: *kind,
-            left: Box::new(logical_view(left)),
-            right: Box::new(logical_view(right)),
-            var: var.clone(),
-        },
+            Plan::Join { left, right, pred } => {
+                return join(self, JoinOut::Inner, left, right, pred)
+            }
+            Plan::SemiJoin { left, right, pred } => {
+                return join(self, JoinOut::Semi, left, right, pred)
+            }
+            Plan::AntiJoin { left, right, pred } => {
+                return join(self, JoinOut::Anti, left, right, pred)
+            }
+            Plan::LeftOuterJoin { left, right, pred } => {
+                return join(self, JoinOut::LeftOuter, left, right, pred)
+            }
+            Plan::NestJoin {
+                left, right, pred, ..
+            } => return join(self, JoinOut::Nest, left, right, pred),
+            Plan::ScanExpr { expr, .. } => Node::ScanExpr(expr),
+            Plan::Map { input, expr, .. } => Node::Map(self.plan(input), expr),
+            Plan::Extend { input, .. } => Node::Extend(self.plan(input)),
+            Plan::Project { input, .. } => Node::Project(self.plan(input)),
+            Plan::Nest { input, keys, .. } => Node::Nest(self.plan(input), keys),
+            Plan::GroupAgg { input, keys, .. } => Node::GroupAgg(self.plan(input), keys),
+            Plan::Unnest { input, expr, .. } => Node::Unnest(self.plan(input), expr),
+            Plan::SetOp {
+                kind, left, right, ..
+            } => Node::SetOp(*kind, self.plan(left), self.plan(right)),
+            Plan::Apply {
+                input, subquery, ..
+            } => {
+                let c = self.plan(input);
+                let distinct = self.distinct_bindings(&apply_bindings(subquery), from, c.rows);
+                self.enter_subquery(from);
+                let sub = self.plan(subquery);
+                self.leave_subquery();
+                Node::Apply(c, sub, distinct)
+            }
+        };
+        est.estimate(op, self.scope(from))
     }
-}
 
-fn rebuild_join(left: Plan, right: Plan, pred: ScalarExpr, kind: &JoinKind) -> Plan {
-    let l = Box::new(left);
-    let r = Box::new(right);
-    match kind {
-        JoinKind::Inner => Plan::Join {
-            left: l,
-            right: r,
-            pred,
-        },
-        JoinKind::Semi => Plan::SemiJoin {
-            left: l,
-            right: r,
-            pred,
-        },
-        JoinKind::Anti => Plan::AntiJoin {
-            left: l,
-            right: r,
-            pred,
-        },
-        JoinKind::LeftOuter { .. } => Plan::LeftOuterJoin {
-            left: l,
-            right: r,
-            pred,
-        },
-        JoinKind::Nest { func, label } => Plan::NestJoin {
-            left: l,
-            right: r,
-            pred,
-            func: func.clone(),
-            label: label.clone(),
-        },
+    /// [`Walk::estimate_phys`], traced: the operator's estimated rows go
+    /// to its pre-order position in the trace.
+    fn phys(&mut self, phys: &'p PhysPlan) -> CostEstimate {
+        let slot = self.trace.as_mut().map(|rows| {
+            rows.push(0.0);
+            rows.len() - 1
+        });
+        let out = self.estimate_phys(phys);
+        if let (Some(rows), Some(slot)) = (self.trace.as_mut(), slot) {
+            rows[slot] = out.rows;
+        }
+        out
+    }
+
+    /// Estimate a physical plan as built — each operator by the formula
+    /// of what it implements: `IndexScan` / `HashProbe` = a scan then the
+    /// selection, `IndexNLJoin` = its left operand joined with a scan of
+    /// the probed table, hash / merge join = its key pairs plus residual,
+    /// `Materialize` = its child.
+    fn estimate_phys(&mut self, phys: &'p PhysPlan) -> CostEstimate {
+        use PhysPlan as P;
+        let (est, from) = (self.est, self.mark());
+        let sides;
+        let op = match phys {
+            P::ScanTable { table, var } => return self.scan(table, var),
+            P::IndexScan {
+                table, var, pred, ..
+            }
+            | P::HashProbe {
+                table, var, pred, ..
+            } => return self.select_scan(table, var, pred).0,
+            P::Materialize { input } => return self.phys(input),
+            P::ScanExpr { expr, .. } => Node::ScanExpr(expr),
+            P::Filter { input, pred } => Node::Select(self.phys(input), pred, None),
+            P::Map { input, expr, .. } => Node::Map(self.phys(input), expr),
+            P::Extend { input, .. } => Node::Extend(self.phys(input)),
+            P::Project { input, .. } => Node::Project(self.phys(input)),
+            P::Nest { input, keys, .. } => Node::Nest(self.phys(input), keys),
+            P::GroupAgg { input, keys, .. } => Node::GroupAgg(self.phys(input), keys),
+            P::Unnest { input, expr, .. } => Node::Unnest(self.phys(input), expr),
+            P::SetOp {
+                kind, left, right, ..
+            } => Node::SetOp(*kind, self.phys(left), self.phys(right)),
+            P::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                kind,
+            }
+            | P::MergeJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                kind,
+            } => {
+                sides = self.phys_sides(from, left, right);
+                let sel = self.join_selectivity((left_keys, right_keys), residual.as_ref(), &sides);
+                let path = est.path_cost(&JoinPath::Hash { swap: false }, &sides);
+                Node::Join(kind.into(), &sides, sel, path)
+            }
+            P::NlJoin {
+                left,
+                right,
+                pred,
+                kind,
+            } => {
+                sides = self.phys_sides(from, left, right);
+                let vars = (left.output_vars(), right.output_vars());
+                let (sel, _) = self.pred_selectivity(pred, vars, &sides);
+                let path = est.path_cost(&JoinPath::NestedLoop, &sides);
+                Node::Join(kind.into(), &sides, sel, path)
+            }
+            P::IndexNLJoin {
+                left,
+                right_table,
+                right_var,
+                pred,
+                kind,
+                ..
+            } => {
+                sides = Sides {
+                    from,
+                    l: self.phys(left),
+                    mid: self.mark(),
+                    r: self.scan(right_table, right_var),
+                };
+                let vars = (left.output_vars(), vec![right_var.clone()]);
+                let (sel, _) = self.pred_selectivity(pred, vars, &sides);
+                let work = est.index_nl_work(&sides, sel, right_table);
+                Node::Join(kind.into(), &sides, sel, (work, 0.0))
+            }
+            P::Apply {
+                input,
+                subquery,
+                bindings,
+                ..
+            } => {
+                let c = self.phys(input);
+                // Without memo keys the inner plan runs once per outer row.
+                let distinct = bindings
+                    .as_ref()
+                    .map_or(c.rows, |b| self.distinct_bindings(b, from, c.rows));
+                // The subquery's operators are not executed operators:
+                // the Apply instantiates them per binding.
+                let trace = self.trace.take();
+                self.enter_subquery(from);
+                let sub = self.phys(subquery);
+                self.leave_subquery();
+                self.trace = trace;
+                // `EXPLAIN` lists them as estimated on their own — outside
+                // the correlation scope the Apply's estimate resolved them
+                // in.
+                if let (true, Some(rows)) = (self.show_subqueries, self.trace.as_mut()) {
+                    rows.extend(Walk::trace(est, true, subquery));
+                }
+                Node::Apply(c, sub, distinct)
+            }
+        };
+        est.estimate(op, self.scope(from))
+    }
+
+    fn phys_sides(&mut self, from: usize, left: &'p PhysPlan, right: &'p PhysPlan) -> Sides {
+        Sides {
+            from,
+            l: self.phys(left),
+            mid: self.mark(),
+            r: self.phys(right),
+        }
+    }
+
+    /// Walk `phys` and return every executed operator's estimated rows in
+    /// pre-order — with `show_subqueries`, every operator's.
+    fn trace(est: Estimator<'a>, show_subqueries: bool, phys: &'p PhysPlan) -> Vec<f64> {
+        let mut walk = Walk {
+            trace: Some(Vec::new()),
+            show_subqueries,
+            ..Walk::new(est)
+        };
+        walk.phys(phys);
+        walk.trace.unwrap_or_default()
     }
 }
 
 /// Render a physical plan with per-operator estimated rows — the
 /// `EXPLAIN` view of the cost model's predictions before execution.
 pub fn explain_with_estimates(phys: &PhysPlan, catalog: &Catalog) -> String {
-    fn go(p: &PhysPlan, est: &Estimator<'_>, depth: usize, out: &mut String) {
-        let rows = est.rows(&logical_view(p));
+    fn go(p: &PhysPlan, depth: usize, rows: &mut impl Iterator<Item = f64>, out: &mut String) {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&format!(
             "{} [est_rows={}]\n",
             p.op_label(),
-            format_rows(rows)
+            format_rows(rows.next().unwrap_or(f64::NAN))
         ));
         for c in p.children() {
-            go(c, est, depth + 1, out);
+            go(c, depth + 1, rows, out);
         }
     }
-    let est = Estimator::new(catalog);
+    let rows = Walk::trace(Estimator::new(catalog), true, phys);
     let mut s = String::new();
-    go(phys, &est, 0, &mut s);
+    go(phys, 0, &mut rows.into_iter(), &mut s);
     s
 }
 
@@ -1573,28 +1659,86 @@ mod tests {
         let cat = catalog();
         let sub = Plan::scan("BIG", "y").map(E::path("y", &["a"]), "s");
         let apply = Plan::scan("BIG", "x").apply(sub, "z");
-        let est = Estimator::new(&cat);
+        let phys = crate::planner::lower(&apply, &cat, &crate::ExecConfig::auto()).unwrap();
         // Apply + its outer scan only — the subquery tree is per-row.
-        assert_eq!(est.exec_order_rows(&apply).len(), 2);
-        // Full pre-order would be 4 nodes.
-        assert_eq!(apply.size(), 4);
+        assert_eq!(Estimator::new(&cat).exec_order_rows_phys(&phys).len(), 2);
+        // EXPLAIN lists all four operators, the subquery's included.
+        let s = explain_with_estimates(&phys, &cat);
+        assert_eq!(s.matches("est_rows=").count(), 4, "{s}");
+        assert!(s.contains("    Scan(BIG) [est_rows=100]"), "{s}");
     }
 
     #[test]
-    fn logical_view_round_trips_lowering() {
+    fn lowered_plan_estimates_agree_with_the_logical_ones() {
         let cat = catalog();
-        let plan = Plan::scan("BIG", "x")
+        let plan = Plan::scan("SMALL", "y")
             .join(
-                Plan::scan("SMALL", "y"),
+                Plan::scan("BIG", "x"),
                 E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
             )
             .select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(10i64)));
         let phys = crate::planner::lower(&plan, &cat, &crate::ExecConfig::auto()).unwrap();
-        let view = logical_view(&phys);
-        // Same shape: one select, one join, two scans.
-        assert_eq!(view.size(), plan.size());
-        assert!(view.any_node(&mut |n| matches!(n, Plan::Join { .. })));
+        // Same shape — one select, one join, two scans — with the inner
+        // join's sides swapped to build on SMALL; the swap moves no
+        // estimate.
+        let est = Estimator::new(&cat);
+        let rows = est.exec_order_rows_phys(&phys);
+        assert_eq!(rows.len(), plan.size());
+        assert_eq!(rows[0], est.rows(&plan));
+        let Plan::Select { input: join, .. } = &plan else {
+            unreachable!()
+        };
+        assert_eq!(rows[1], est.rows(join));
+        assert_eq!(&rows[2..], [100.0, 1.0], "BIG probes, SMALL builds: {phys}");
         let s = explain_with_estimates(&phys, &cat);
         assert!(s.contains("est_rows="), "{s}");
+    }
+
+    #[test]
+    fn a_shadowed_variable_resolves_to_its_first_binding_in_dfs_order() {
+        let cat = catalog();
+        let stats = |t: &str| cat.stats(t).unwrap();
+        // Scans in depth-first order: x→BIG, y→SMALL, x→SMALL; an
+        // enclosing Apply input bound y→BIG and z→BIG.
+        let scans = [
+            ("y", stats("BIG")),
+            ("z", stats("BIG")),
+            ("x", stats("BIG")),
+            ("y", stats("SMALL")),
+            ("x", stats("SMALL")),
+        ];
+        let outer = [(0, 2)];
+        let scope = Scope {
+            scans: &scans,
+            below: (2, 5),
+            outer: &outer,
+        };
+        let card = |s: Scope<'_, '_>, v: &str| s.table_of(v).map(|t| t.cardinality);
+        assert_eq!(card(scope, "x"), Some(100), "first binding below wins");
+        assert_eq!(card(scope, "y"), Some(1), "below shadows the Apply input");
+        assert_eq!(
+            card(scope, "z"),
+            Some(100),
+            "else the Apply input resolves it"
+        );
+        assert_eq!(card(scope, "w"), None);
+        let right = Scope {
+            below: (4, 5),
+            ..scope
+        };
+        assert_eq!(card(right, "x"), Some(1), "one operand's span");
+        // The same through a whole plan: the join's left operand binds x
+        // first, so x.b takes BIG's 10 distinct values (a tenth of the
+        // rows), not SMALL's 1 (all of them).
+        let shadowed = Plan::scan("BIG", "x")
+            .join(Plan::scan("SMALL", "x"), E::lit(true))
+            .select(E::eq(E::path("x", &["b"]), E::lit(1i64)));
+        let Plan::Select { input: join, .. } = &shadowed else {
+            unreachable!()
+        };
+        assert_eq!(
+            estimate_rows(&shadowed, &cat),
+            estimate_rows(join, &cat) / 10.0
+        );
     }
 }

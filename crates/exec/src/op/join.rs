@@ -74,27 +74,36 @@ impl<'p> NlJoinOp<'p> {
     fn materialize_inner(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         let mut rows: Vec<Record> = Vec::new();
         let mut writer = None;
-        while let Some(b) = self.right.pull(ctx)? {
-            match writer.as_mut() {
-                None => {
-                    ctx.resident_acquire(b.len());
-                    rows.extend(b.rows);
-                    if ctx.over_budget(rows.len()) {
-                        let mut w = ctx.spill_runs(1)?.pop().expect("one run requested");
-                        for r in &rows {
+        let mut drain = || -> Result<()> {
+            while let Some(b) = self.right.pull(ctx)? {
+                match writer.as_mut() {
+                    None => {
+                        ctx.resident_acquire(b.len());
+                        rows.extend(b.rows);
+                        if ctx.over_budget(rows.len()) {
+                            let mut w = ctx.spill_runs(1)?.pop().expect("one run requested");
+                            for r in &rows {
+                                w.write(r)?;
+                            }
+                            ctx.resident_release(rows.len());
+                            rows.clear();
+                            writer = Some(w);
+                        }
+                    }
+                    Some(w) => {
+                        for r in &b.rows {
                             w.write(r)?;
                         }
-                        ctx.resident_release(rows.len());
-                        rows.clear();
-                        writer = Some(w);
-                    }
-                }
-                Some(w) => {
-                    for r in &b.rows {
-                        w.write(r)?;
                     }
                 }
             }
+            Ok(())
+        };
+        // The buffer is local until the drain completes: when the child
+        // or a spill write fails, whatever it still holds leaves the gauge.
+        if let Err(e) = drain() {
+            ctx.resident_release(rows.len());
+            return Err(e);
         }
         self.inner = Some(match writer {
             None => NlInner::Mem(rows),

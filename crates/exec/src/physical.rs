@@ -38,6 +38,16 @@ pub enum JoinKind {
 }
 
 impl JoinKind {
+    /// The output variables of a join of this kind, from its operands'.
+    fn output_vars(&self, mut left: Vec<String>, right: Vec<String>) -> Vec<String> {
+        match self {
+            JoinKind::Inner | JoinKind::LeftOuter { .. } => left.extend(right),
+            JoinKind::Semi | JoinKind::Anti => {}
+            JoinKind::Nest { label, .. } => left.push(label.clone()),
+        }
+        left
+    }
+
     /// Short name for explain output.
     pub fn name(&self) -> &'static str {
         match self {
@@ -348,6 +358,55 @@ impl PhysPlan {
                 input, subquery, ..
             } => vec![input, subquery],
         }
+    }
+
+    /// The variables bound in this plan's output rows, in order — the
+    /// physical mirror of [`tmql_algebra::Plan::output_vars`].
+    pub fn output_vars(&self) -> Vec<String> {
+        use std::slice::from_ref;
+        use PhysPlan as P;
+        // Each operator: the variables it passes on, then those it adds.
+        let (mut vars, added): (Vec<String>, &[String]) = match self {
+            P::ScanTable { var, .. }
+            | P::IndexScan { var, .. }
+            | P::ScanExpr { var, .. }
+            | P::HashProbe { var, .. }
+            | P::Map { var, .. }
+            | P::GroupAgg { var, .. }
+            | P::SetOp { var, .. } => (vec![], from_ref(var)),
+            P::Filter { input, .. } | P::Materialize { input } => (input.output_vars(), &[]),
+            P::Extend { input, var, .. } => (input.output_vars(), from_ref(var)),
+            P::Project { vars, .. } => (vec![], vars),
+            P::Nest { keys, label, .. } => (keys.clone(), from_ref(label)),
+            P::Apply { input, label, .. } => (input.output_vars(), from_ref(label)),
+            P::Unnest {
+                input,
+                elem_var,
+                drop_vars,
+                ..
+            } => {
+                let mut vars = input.output_vars();
+                vars.retain(|v| !drop_vars.contains(v));
+                (vars, from_ref(elem_var))
+            }
+            P::IndexNLJoin {
+                left,
+                right_var,
+                kind,
+                ..
+            } => return kind.output_vars(left.output_vars(), vec![right_var.clone()]),
+            P::NlJoin {
+                left, right, kind, ..
+            }
+            | P::HashJoin {
+                left, right, kind, ..
+            }
+            | P::MergeJoin {
+                left, right, kind, ..
+            } => return kind.output_vars(left.output_vars(), right.output_vars()),
+        };
+        vars.extend_from_slice(added);
+        vars
     }
 
     /// Indented explain rendering.

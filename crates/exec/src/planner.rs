@@ -2,15 +2,29 @@
 //!
 //! The planner's one interesting job is the paper's motivation in
 //! Section 2: once a nested query has been rewritten into a join query,
-//! "the optimizer can choose the most suitable join execution method". For
-//! every member of the join family it:
+//! "the optimizer can choose the most suitable join execution method".
+//! [`lower`] is one recursion over the logical plan. It drives the cost
+//! model's walk ([`crate::cost`]) as it goes, so each subtree comes back
+//! as its [`PhysPlan`] *and* its estimate, and every physical choice is
+//! made by the function the model itself prices with:
 //!
-//! 1. splits the predicate into conjuncts,
-//! 2. extracts equi-key pairs `left-expr = right-expr` whose sides each
-//!    reference only one operand's variables,
-//! 3. picks nested-loop / hash / sort-merge per the [`ExecConfig`] (or the
-//!    cost model under [`JoinAlgo::Auto`]), keeping non-equi conjuncts as a
-//!    residual predicate.
+//! * **scan vs probe** — a selection directly over a stored table becomes
+//!   an `IndexScan` when `Estimator::index_scan_choice` prices the probe
+//!   below scan-and-filter;
+//! * **join path** — for every member of the join family the predicate is
+//!   split into equi-key pairs `left-expr = right-expr` (each side over one
+//!   operand's variables) plus a residual, and `Estimator::join_path`
+//!   picks index nested-loop / nested-loop / hash (with its build side) /
+//!   sort-merge per the [`ExecConfig`] and the operands' estimates;
+//! * **Apply hoisting** — inside a correlated subquery, an eq-selection on
+//!   the binding becomes a transient `HashProbe`
+//!   (`Estimator::hash_probe_choice`), and any other operand that
+//!   references no correlation variable is wrapped in `Materialize`,
+//!   decided on the way down from the logical subtree's free variables.
+//!
+//! Lowering decides at no memory budget and one thread, whatever the
+//! budget and thread count `CostBased` ranked the logical candidates
+//! with.
 //!
 //! The produced [`PhysPlan`] is a description only: the streaming
 //! [`crate::op::operator::build`] instantiates it as an operator tree that
@@ -23,8 +37,8 @@ use tmql_algebra::{Plan, ScalarExpr};
 use tmql_model::Result;
 use tmql_storage::Catalog;
 
-use crate::config::{ExecConfig, JoinAlgo};
-use crate::cost;
+use crate::config::ExecConfig;
+use crate::cost::{CostEstimate, Estimator, JoinOut, JoinPath, Node, Sides, Walk};
 use crate::physical::{JoinKind, PhysPlan};
 
 /// Split a predicate into its top-level conjuncts.
@@ -66,24 +80,21 @@ pub fn extract_equi_keys(
     let mut residuals = Vec::new();
     for conj in split_conjuncts(pred) {
         if let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = &conj {
-            let fa = a.free_vars();
-            let fb = b.free_vars();
-            if !fa.is_empty()
-                && !fb.is_empty()
-                && fa.is_subset(left_vars)
-                && fb.is_subset(right_vars)
-            {
-                split.left_keys.push((**a).clone());
-                split.right_keys.push((**b).clone());
-                continue;
-            }
-            if fa.is_subset(right_vars)
-                && fb.is_subset(left_vars)
-                && !fa.is_empty()
-                && !fb.is_empty()
-            {
-                split.left_keys.push((**b).clone());
-                split.right_keys.push((**a).clone());
+            let (fa, fb) = (a.free_vars(), b.free_vars());
+            let sides = |l: &BTreeSet<String>, r: &BTreeSet<String>| {
+                !l.is_empty() && !r.is_empty() && l.is_subset(left_vars) && r.is_subset(right_vars)
+            };
+            // Either orientation: `left-expr = right-expr` or the reverse.
+            let pair = if sides(&fa, &fb) {
+                Some((a, b))
+            } else if sides(&fb, &fa) {
+                Some((b, a))
+            } else {
+                None
+            };
+            if let Some((lk, rk)) = pair {
+                split.left_keys.push((**lk).clone());
+                split.right_keys.push((**rk).clone());
                 continue;
             }
         }
@@ -117,35 +128,31 @@ pub struct IndexSel {
 }
 
 /// Decompose `conj` as `var.attr ⟨cmp⟩ key` (either orientation) where
-/// `attr` is indexed on `table` and `key` does not reference `var`.
+/// `key` does not reference `var`.
+fn attr_cmp(conj: &ScalarExpr, var: &str) -> Option<(String, tmql_algebra::CmpOp, ScalarExpr)> {
+    let ScalarExpr::Cmp(op, a, b) = conj else {
+        return None;
+    };
+    let oriented = |col: &ScalarExpr, key: &ScalarExpr, op: tmql_algebra::CmpOp| match col {
+        ScalarExpr::Field(inner, attr)
+            if matches!(&**inner, ScalarExpr::Var(v) if v == var)
+                && !key.free_vars().contains(var) =>
+        {
+            Some((attr.clone(), op, key.clone()))
+        }
+        _ => None,
+    };
+    oriented(a, b, *op).or_else(|| oriented(b, a, op.flip()))
+}
+
+/// [`attr_cmp`] on an attribute that carries a secondary index on `table`.
 fn indexed_cmp(
     conj: &ScalarExpr,
     table: &str,
     var: &str,
     catalog: &Catalog,
 ) -> Option<(String, tmql_algebra::CmpOp, ScalarExpr)> {
-    let ScalarExpr::Cmp(op, a, b) = conj else {
-        return None;
-    };
-    let col_of = |e: &ScalarExpr| -> Option<String> {
-        if let ScalarExpr::Field(inner, col) = e {
-            if matches!(&**inner, ScalarExpr::Var(v) if v == var) {
-                return Some(col.clone());
-            }
-        }
-        None
-    };
-    if let Some(attr) = col_of(a) {
-        if !b.free_vars().contains(var) && catalog.index_on(table, &attr).is_some() {
-            return Some((attr, *op, (**b).clone()));
-        }
-    }
-    if let Some(attr) = col_of(b) {
-        if !a.free_vars().contains(var) && catalog.index_on(table, &attr).is_some() {
-            return Some((attr, op.flip(), (**a).clone()));
-        }
-    }
-    None
+    attr_cmp(conj, var).filter(|(attr, ..)| catalog.index_on(table, attr).is_some())
 }
 
 /// Extract the index-eligible component of `pred` for a scan of `table`
@@ -366,279 +373,379 @@ pub(crate) fn eq_probe_candidate(
     pred: &ScalarExpr,
     var: &str,
 ) -> Option<(String, ScalarExpr, ScalarExpr)> {
-    for conj in split_conjuncts(pred) {
-        let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = &conj else {
-            continue;
-        };
-        let col_of = |e: &ScalarExpr| -> Option<String> {
-            if let ScalarExpr::Field(inner, col) = e {
-                if matches!(&**inner, ScalarExpr::Var(v) if v == var) {
-                    return Some(col.clone());
-                }
-            }
-            None
-        };
-        if let Some(attr) = col_of(a) {
-            if !b.free_vars().contains(var) {
-                return Some((attr, (**b).clone(), conj.clone()));
-            }
-        }
-        if let Some(attr) = col_of(b) {
-            if !a.free_vars().contains(var) {
-                return Some((attr, (**a).clone(), conj.clone()));
-            }
-        }
-    }
-    None
+    split_conjuncts(pred)
+        .into_iter()
+        .find_map(|conj| match attr_cmp(&conj, var) {
+            Some((attr, tmql_algebra::CmpOp::Eq, key)) => Some((attr, key, conj)),
+            _ => None,
+        })
 }
 
 /// Lower a logical plan to a physical plan.
 pub fn lower(plan: &Plan, catalog: &Catalog, config: &ExecConfig) -> Result<PhysPlan> {
-    Ok(match plan {
-        Plan::ScanTable { table, var } => PhysPlan::ScanTable {
-            table: table.clone(),
-            var: var.clone(),
-        },
-        Plan::ScanExpr { expr, var } => PhysPlan::ScanExpr {
-            expr: expr.clone(),
-            var: var.clone(),
-        },
-        Plan::Select { input, pred } => {
-            // Scan-vs-probe: a selection directly over an indexed scan
-            // becomes an IndexScan when the cost model prices the probe
-            // path cheaper (the same pricing `CostBased` ranks with).
-            if let Plan::ScanTable { table, var } = &**input {
-                let est = cost::Estimator::new(catalog);
-                if let Some((isel, probe_work, scan_work)) =
-                    est.select_access_paths(table, var, pred)
-                {
-                    if probe_work < scan_work {
-                        return Ok(PhysPlan::IndexScan {
-                            table: table.clone(),
-                            var: var.clone(),
+    let walk = Walk::new(Estimator::new(catalog));
+    Ok(Lowering { walk, config }.lower(plan, Hoist::NONE).0)
+}
+
+/// What lowering inside an `Apply` subquery may hoist out of the
+/// per-binding path (everything `None` outside one, for an invariant
+/// subquery — the Apply cache's empty binding key already collapses it to
+/// one execution — and with `apply_cache` off).
+#[derive(Clone, Copy)]
+struct Hoist<'h> {
+    /// The subquery's correlation variables: a subtree that references
+    /// none of them executes once behind a [`PhysPlan::Materialize`].
+    corr: Option<&'h BTreeSet<String>>,
+    /// `(attr, key)` of the transient hash index that replaces the
+    /// eq-selection at the bottom of the subquery's `Map` / `Extend` /
+    /// `Project` spine; set only while lowering that spine.
+    probe: Option<&'h (String, ScalarExpr)>,
+}
+
+impl Hoist<'_> {
+    const NONE: Hoist<'static> = Hoist {
+        corr: None,
+        probe: None,
+    };
+}
+
+/// The lowering recursion: builds each subtree's [`PhysPlan`] and, from
+/// the same [`Walk`] the cost model runs, its estimate — which is what
+/// the physical choices above that subtree read.
+struct Lowering<'a, 'p, 'c> {
+    walk: Walk<'a, 'p>,
+    config: &'c ExecConfig,
+}
+
+impl<'p> Lowering<'_, 'p, '_> {
+    /// Lower an operand. Inside an `Apply` subquery a maximal
+    /// correlation-independent operand that does real work over stored
+    /// tables is wrapped in [`PhysPlan::Materialize`] — executed once,
+    /// replayed on every re-open; there is nothing to gain deeper inside
+    /// it, and a dependent operand keeps hoisting among its own operands.
+    /// (Not on the spine above a chosen hash probe: the probe is that
+    /// subquery's hoist.)
+    fn child(&mut self, plan: &'p Plan, hoist: Hoist<'_>) -> (Box<PhysPlan>, CostEstimate) {
+        let independent = |corr: &BTreeSet<String>| plan.free_vars().is_disjoint(corr);
+        if hoist.probe.is_none() && hoist.corr.is_some_and(independent) {
+            let (phys, est) = self.lower(plan, Hoist::NONE);
+            let phys = if worth_materializing(&phys) {
+                PhysPlan::Materialize {
+                    input: Box::new(phys),
+                }
+            } else {
+                phys
+            };
+            return (Box::new(phys), est);
+        }
+        let (phys, est) = self.lower(plan, hoist);
+        (Box::new(phys), est)
+    }
+
+    fn lower(&mut self, plan: &'p Plan, hoist: Hoist<'_>) -> (PhysPlan, CostEstimate) {
+        let from = self.walk.mark();
+        // Operands below anything but Map / Extend / Project are off the
+        // subquery's spine.
+        let below = Hoist {
+            probe: None,
+            ..hoist
+        };
+        let (phys, op) = match plan {
+            Plan::ScanTable { table, var } => {
+                let (est, (table, var)) =
+                    (self.walk.scan(table, var), (table.clone(), var.clone()));
+                return (PhysPlan::ScanTable { table, var }, est);
+            }
+            Plan::Select { input, pred } => match &**input {
+                // Scan vs probe: a selection directly over a stored table
+                // probes the Apply's transient hash index, or a persistent
+                // index when the model prices that below scan-and-filter.
+                Plan::ScanTable { table, var } => {
+                    let (est, isel) = self.walk.select_scan(table, var, pred);
+                    let (table, var, pred) = (table.clone(), var.clone(), pred.clone());
+                    let phys = match (hoist.probe, isel) {
+                        (Some((attr, key)), _) => PhysPlan::HashProbe {
+                            table,
+                            var,
+                            attr: attr.clone(),
+                            key: key.clone(),
+                            pred,
+                        },
+                        (None, Some(isel)) => PhysPlan::IndexScan {
+                            table,
+                            var,
                             attr: isel.attr,
                             eq: isel.eq,
                             lo: isel.lo,
                             hi: isel.hi,
-                            pred: pred.clone(),
-                        });
-                    }
+                            pred,
+                        },
+                        (None, None) => PhysPlan::Filter {
+                            input: Box::new(PhysPlan::ScanTable { table, var }),
+                            pred,
+                        },
+                    };
+                    return (phys, est);
                 }
+                input => {
+                    let (input, c) = self.child(input, below);
+                    let phys = PhysPlan::Filter {
+                        input,
+                        pred: pred.clone(),
+                    };
+                    (phys, Node::Select(c, pred, None))
+                }
+            },
+            Plan::Join { left, right, pred } => {
+                return self.join(JoinKind::Inner, left, right, pred, below, from)
             }
-            PhysPlan::Filter {
-                input: Box::new(lower(input, catalog, config)?),
-                pred: pred.clone(),
+            Plan::SemiJoin { left, right, pred } => {
+                return self.join(JoinKind::Semi, left, right, pred, below, from)
             }
-        }
-        Plan::Map { input, expr, var } => PhysPlan::Map {
-            input: Box::new(lower(input, catalog, config)?),
-            expr: expr.clone(),
-            var: var.clone(),
-        },
-        Plan::Extend { input, expr, var } => PhysPlan::Extend {
-            input: Box::new(lower(input, catalog, config)?),
-            expr: expr.clone(),
-            var: var.clone(),
-        },
-        Plan::Project { input, vars } => PhysPlan::Project {
-            input: Box::new(lower(input, catalog, config)?),
-            vars: vars.clone(),
-        },
-        Plan::Join { left, right, pred } => {
-            lower_join(left, right, pred, JoinKind::Inner, catalog, config)?
-        }
-        Plan::SemiJoin { left, right, pred } => {
-            lower_join(left, right, pred, JoinKind::Semi, catalog, config)?
-        }
-        Plan::AntiJoin { left, right, pred } => {
-            lower_join(left, right, pred, JoinKind::Anti, catalog, config)?
-        }
-        Plan::LeftOuterJoin { left, right, pred } => {
-            let kind = JoinKind::LeftOuter {
-                right_vars: right.output_vars(),
-            };
-            lower_join(left, right, pred, kind, catalog, config)?
-        }
-        Plan::NestJoin {
-            left,
-            right,
-            pred,
-            func,
-            label,
-        } => {
-            let kind = JoinKind::Nest {
-                func: func.clone(),
-                label: label.clone(),
-            };
-            lower_join(left, right, pred, kind, catalog, config)?
-        }
-        Plan::Nest {
-            input,
-            keys,
-            value,
-            label,
-            star,
-        } => PhysPlan::Nest {
-            input: Box::new(lower(input, catalog, config)?),
-            keys: keys.clone(),
-            value: value.clone(),
-            label: label.clone(),
-            star: *star,
-        },
-        Plan::Unnest {
-            input,
-            expr,
-            elem_var,
-            drop_vars,
-        } => PhysPlan::Unnest {
-            input: Box::new(lower(input, catalog, config)?),
-            expr: expr.clone(),
-            elem_var: elem_var.clone(),
-            drop_vars: drop_vars.clone(),
-        },
-        Plan::GroupAgg {
-            input,
-            keys,
-            aggs,
-            var,
-        } => PhysPlan::GroupAgg {
-            input: Box::new(lower(input, catalog, config)?),
-            keys: keys.clone(),
-            aggs: aggs.clone(),
-            var: var.clone(),
-        },
-        Plan::Apply {
-            input,
-            subquery,
-            label,
-        } => {
-            // Batched Apply (gated on `apply_cache` so `false` is the
-            // faithful legacy per-row baseline): memoize inner results by
-            // the correlation bindings, and hoist correlation-independent
-            // work out of the per-binding path — either as a transient
-            // hash probe (the whole inner plan is an eq-selection on the
-            // binding) or as materialized subtrees.
-            if !config.apply_cache {
-                return Ok(PhysPlan::Apply {
-                    input: Box::new(lower(input, catalog, config)?),
-                    subquery: Box::new(lower(subquery, catalog, config)?),
+            Plan::AntiJoin { left, right, pred } => {
+                return self.join(JoinKind::Anti, left, right, pred, below, from)
+            }
+            Plan::LeftOuterJoin { left, right, pred } => {
+                let kind = JoinKind::LeftOuter {
+                    right_vars: right.output_vars(),
+                };
+                return self.join(kind, left, right, pred, below, from);
+            }
+            Plan::NestJoin {
+                left,
+                right,
+                pred,
+                func,
+                label,
+            } => {
+                let kind = JoinKind::Nest {
+                    func: func.clone(),
                     label: label.clone(),
-                    bindings: None,
-                });
+                };
+                return self.join(kind, left, right, pred, below, from);
             }
-            let bindings = apply_bindings(subquery);
-            PhysPlan::Apply {
-                input: Box::new(lower(input, catalog, config)?),
-                subquery: Box::new(lower_apply_inner(input, subquery, catalog, config)?),
-                label: label.clone(),
-                bindings: Some(bindings),
+            Plan::ScanExpr { expr, var } => {
+                let phys = PhysPlan::ScanExpr {
+                    expr: expr.clone(),
+                    var: var.clone(),
+                };
+                (phys, Node::ScanExpr(expr))
             }
-        }
-        Plan::SetOp {
-            kind,
-            left,
-            right,
-            var,
-        } => PhysPlan::SetOp {
-            kind: *kind,
-            left: Box::new(lower(left, catalog, config)?),
-            right: Box::new(lower(right, catalog, config)?),
-            var: var.clone(),
-        },
-    })
-}
-
-/// Lower an `Apply` subquery with invariant hoisting. Two rewrites, both
-/// priced by the [`cost::Estimator`] against the per-distinct-binding
-/// repetition count:
-///
-/// 1. an inner plan shaped `σ[var.attr = key ∧ …](table)` whose key is
-///    correlation-dependent and whose attribute has no persistent index
-///    becomes a [`PhysPlan::HashProbe`] — one transient hash build
-///    amortized across all bindings, one probe per binding;
-/// 2. otherwise, maximal correlation-independent subtrees that do real
-///    work over stored tables are wrapped in [`PhysPlan::Materialize`] —
-///    executed once, replayed on every re-open.
-///
-/// A subquery that is invariant as a whole is left alone: the Apply
-/// cache's empty binding key already collapses it to one execution.
-fn lower_apply_inner(
-    outer_input: &Plan,
-    subquery: &Plan,
-    catalog: &Catalog,
-    config: &ExecConfig,
-) -> Result<PhysPlan> {
-    let corr = subquery.free_vars();
-    if let Some(probed) = hoist_eq_probe(outer_input, subquery, subquery, catalog) {
-        return Ok(probed);
+            Plan::Map { input, expr, var } => {
+                let (input, c) = self.child(input, hoist);
+                let phys = PhysPlan::Map {
+                    input,
+                    expr: expr.clone(),
+                    var: var.clone(),
+                };
+                (phys, Node::Map(c, expr))
+            }
+            Plan::Extend { input, expr, var } => {
+                let (input, c) = self.child(input, hoist);
+                let phys = PhysPlan::Extend {
+                    input,
+                    expr: expr.clone(),
+                    var: var.clone(),
+                };
+                (phys, Node::Extend(c))
+            }
+            Plan::Project { input, vars } => {
+                let (input, c) = self.child(input, hoist);
+                let vars = vars.clone();
+                (PhysPlan::Project { input, vars }, Node::Project(c))
+            }
+            Plan::Nest {
+                input,
+                keys,
+                value,
+                label,
+                star,
+            } => {
+                let (input, c) = self.child(input, below);
+                let phys = PhysPlan::Nest {
+                    input,
+                    keys: keys.clone(),
+                    value: value.clone(),
+                    label: label.clone(),
+                    star: *star,
+                };
+                (phys, Node::Nest(c, keys))
+            }
+            Plan::Unnest {
+                input,
+                expr,
+                elem_var,
+                drop_vars,
+            } => {
+                let (input, c) = self.child(input, below);
+                let phys = PhysPlan::Unnest {
+                    input,
+                    expr: expr.clone(),
+                    elem_var: elem_var.clone(),
+                    drop_vars: drop_vars.clone(),
+                };
+                (phys, Node::Unnest(c, expr))
+            }
+            Plan::GroupAgg {
+                input,
+                keys,
+                aggs,
+                var,
+            } => {
+                let (input, c) = self.child(input, below);
+                let phys = PhysPlan::GroupAgg {
+                    input,
+                    keys: keys.clone(),
+                    aggs: aggs.clone(),
+                    var: var.clone(),
+                };
+                (phys, Node::GroupAgg(c, keys))
+            }
+            Plan::SetOp {
+                kind,
+                left,
+                right,
+                var,
+            } => {
+                let (left, l) = self.child(left, below);
+                let (right, r) = self.child(right, below);
+                let phys = PhysPlan::SetOp {
+                    kind: *kind,
+                    left,
+                    right,
+                    var: var.clone(),
+                };
+                (phys, Node::SetOp(*kind, l, r))
+            }
+            Plan::Apply {
+                input,
+                subquery,
+                label,
+            } => {
+                let (input, c) = self.child(input, below);
+                let bindings = apply_bindings(subquery);
+                let distinct = self.walk.distinct_bindings(&bindings, from, c.rows);
+                // Batched Apply (gated on `apply_cache` so `false` is the
+                // faithful legacy per-row baseline): memoize inner results
+                // by the correlation bindings, and hoist
+                // correlation-independent work out of the per-binding path
+                // — a transient hash probe when the whole inner plan is an
+                // eq-selection (one build amortized over the distinct
+                // bindings, one probe each), else materialized subtrees.
+                let cached = self.config.apply_cache;
+                let corr = subquery.free_vars();
+                let est = self.walk.est;
+                let probe = spine_selection(subquery)
+                    .filter(|_| cached)
+                    .and_then(|(t, v, pred)| est.hash_probe_choice(t, v, pred, distinct));
+                let hoist = Hoist {
+                    corr: Some(&corr).filter(|c| cached && !c.is_empty()),
+                    probe: probe.as_ref(),
+                };
+                self.walk.enter_subquery(from);
+                let (sub, sub_est) = self.lower(subquery, hoist);
+                self.walk.leave_subquery();
+                let phys = PhysPlan::Apply {
+                    input,
+                    subquery: Box::new(sub),
+                    label: label.clone(),
+                    bindings: cached.then_some(bindings),
+                };
+                (phys, Node::Apply(c, sub_est, distinct))
+            }
+        };
+        (phys, self.walk.est.estimate(op, self.walk.scope(from)))
     }
-    let phys = lower(subquery, catalog, config)?;
-    if corr.is_empty() {
-        return Ok(phys);
-    }
-    Ok(hoist_materialize(phys, &corr))
-}
 
-/// Try to rewrite the eq-selection at the bottom of an Apply subquery into
-/// a transient [`PhysPlan::HashProbe`], peeling row-shaping wrappers
-/// (`Map` / `Extend` / `Project`) on the way down — they consume the
-/// probe's rows exactly as they would the selection's. Returns `None`
-/// when the shape doesn't match, a persistent index already covers the
-/// attribute, or the cost model prices the repeated scans cheaper than
-/// the one-time hash build.
-fn hoist_eq_probe(
-    outer_input: &Plan,
-    subquery: &Plan,
-    node: &Plan,
-    catalog: &Catalog,
-) -> Option<PhysPlan> {
-    match node {
-        Plan::Select { input, pred } => {
-            let Plan::ScanTable { table, var } = &**input else {
-                return None;
-            };
-            let (attr, key, covered) = eq_probe_candidate(pred, var)?;
-            if catalog.index_on(table, &attr).is_some() {
-                return None;
-            }
-            let est = cost::Estimator::new(catalog);
-            let probes = est.apply_distinct_bindings(outer_input, subquery);
-            let (probe_work, scan_work) =
-                est.transient_hash_paths(table, var, pred, &covered, probes);
-            (probe_work < scan_work).then(|| PhysPlan::HashProbe {
-                table: table.clone(),
-                var: var.clone(),
+    /// Lower a join: the walk splits the predicate, picks the path under
+    /// the configured algorithm and prices it; this builds what it picked.
+    fn join(
+        &mut self,
+        kind: JoinKind,
+        left: &'p Plan,
+        right: &'p Plan,
+        pred: &ScalarExpr,
+        hoist: Hoist<'_>,
+        from: usize,
+    ) -> (PhysPlan, CostEstimate) {
+        let (mut l, l_est) = self.child(left, hoist);
+        let mid = self.walk.mark();
+        let (mut r, r_est) = self.child(right, hoist);
+        let sides = Sides {
+            from,
+            l: l_est,
+            mid,
+            r: r_est,
+        };
+        let (algo, out) = (self.config.join_algo, JoinOut::from(&kind));
+        let (est, mut split, path) = self.walk.join(algo, out, (left, right), pred, sides);
+        let pred = pred.clone();
+        let phys = match path {
+            JoinPath::IndexNl {
+                table,
+                var,
                 attr,
                 key,
-                pred: pred.clone(),
-            })
-        }
-        Plan::Map { input, expr, var } => hoist_eq_probe(outer_input, subquery, input, catalog)
-            .map(|p| PhysPlan::Map {
-                input: Box::new(p),
-                expr: expr.clone(),
-                var: var.clone(),
-            }),
-        Plan::Extend { input, expr, var } => hoist_eq_probe(outer_input, subquery, input, catalog)
-            .map(|p| PhysPlan::Extend {
-                input: Box::new(p),
-                expr: expr.clone(),
-                var: var.clone(),
-            }),
-        Plan::Project { input, vars } => {
-            hoist_eq_probe(outer_input, subquery, input, catalog).map(|p| PhysPlan::Project {
-                input: Box::new(p),
-                vars: vars.clone(),
-            })
-        }
-        _ => None,
+                ..
+            } => PhysPlan::IndexNLJoin {
+                left: l,
+                right_table: table.to_string(),
+                right_var: var.to_string(),
+                attr,
+                key: split.left_keys.swap_remove(key),
+                pred,
+                kind,
+            },
+            JoinPath::NestedLoop => PhysPlan::NlJoin {
+                left: l,
+                right: r,
+                pred,
+                kind,
+            },
+            JoinPath::Hash { swap } => {
+                if swap {
+                    std::mem::swap(&mut l, &mut r);
+                    std::mem::swap(&mut split.left_keys, &mut split.right_keys);
+                }
+                PhysPlan::HashJoin {
+                    left: l,
+                    right: r,
+                    left_keys: split.left_keys,
+                    right_keys: split.right_keys,
+                    residual: split.residual,
+                    kind,
+                }
+            }
+            JoinPath::SortMerge => PhysPlan::MergeJoin {
+                left: l,
+                right: r,
+                left_keys: split.left_keys,
+                right_keys: split.right_keys,
+                residual: split.residual,
+                kind,
+            },
+        };
+        (phys, est)
     }
 }
 
-/// Is this physical subtree independent of the given correlation
-/// variables? (Its logical view references none of them.)
-fn independent(phys: &PhysPlan, corr: &BTreeSet<String>) -> bool {
-    cost::logical_view(phys).free_vars().is_disjoint(corr)
+/// The selection directly over a stored table at the bottom of a
+/// subquery's row-shaping spine (`Map` / `Extend` / `Project` consume a
+/// probe's rows exactly as they would the selection's): `(table, var,
+/// pred)`.
+fn spine_selection(mut plan: &Plan) -> Option<(&str, &str, &ScalarExpr)> {
+    while let Plan::Map { input, .. } | Plan::Extend { input, .. } | Plan::Project { input, .. } =
+        plan
+    {
+        plan = input;
+    }
+    match plan {
+        Plan::Select { input, pred } => match &**input {
+            Plan::ScanTable { table, var } => Some((table, var, pred)),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// Does materializing this subtree save real work per re-execution? True
@@ -657,274 +764,10 @@ fn worth_materializing(phys: &PhysPlan) -> bool {
     !phys.children().is_empty() && touches_table(phys)
 }
 
-/// Wrap maximal correlation-independent subtrees of an Apply inner plan
-/// in [`PhysPlan::Materialize`]. Top-down: once a subtree is independent
-/// there is nothing to gain deeper inside it, and a dependent node keeps
-/// its shape while its children are considered.
-fn hoist_materialize(phys: PhysPlan, corr: &BTreeSet<String>) -> PhysPlan {
-    fn wrap(child: Box<PhysPlan>, corr: &BTreeSet<String>) -> Box<PhysPlan> {
-        if independent(&child, corr) {
-            if worth_materializing(&child) {
-                Box::new(PhysPlan::Materialize { input: child })
-            } else {
-                child
-            }
-        } else {
-            Box::new(hoist_materialize(*child, corr))
-        }
-    }
-    use PhysPlan as P;
-    match phys {
-        P::Filter { input, pred } => P::Filter {
-            input: wrap(input, corr),
-            pred,
-        },
-        P::Map { input, expr, var } => P::Map {
-            input: wrap(input, corr),
-            expr,
-            var,
-        },
-        P::Extend { input, expr, var } => P::Extend {
-            input: wrap(input, corr),
-            expr,
-            var,
-        },
-        P::Project { input, vars } => P::Project {
-            input: wrap(input, corr),
-            vars,
-        },
-        P::NlJoin {
-            left,
-            right,
-            pred,
-            kind,
-        } => P::NlJoin {
-            left: wrap(left, corr),
-            right: wrap(right, corr),
-            pred,
-            kind,
-        },
-        P::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        } => P::HashJoin {
-            left: wrap(left, corr),
-            right: wrap(right, corr),
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        },
-        P::MergeJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        } => P::MergeJoin {
-            left: wrap(left, corr),
-            right: wrap(right, corr),
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        },
-        P::IndexNLJoin {
-            left,
-            right_table,
-            right_var,
-            attr,
-            key,
-            pred,
-            kind,
-        } => P::IndexNLJoin {
-            left: wrap(left, corr),
-            right_table,
-            right_var,
-            attr,
-            key,
-            pred,
-            kind,
-        },
-        P::Nest {
-            input,
-            keys,
-            value,
-            label,
-            star,
-        } => P::Nest {
-            input: wrap(input, corr),
-            keys,
-            value,
-            label,
-            star,
-        },
-        P::Unnest {
-            input,
-            expr,
-            elem_var,
-            drop_vars,
-        } => P::Unnest {
-            input: wrap(input, corr),
-            expr,
-            elem_var,
-            drop_vars,
-        },
-        P::GroupAgg {
-            input,
-            keys,
-            aggs,
-            var,
-        } => P::GroupAgg {
-            input: wrap(input, corr),
-            keys,
-            aggs,
-            var,
-        },
-        P::SetOp {
-            kind,
-            left,
-            right,
-            var,
-        } => P::SetOp {
-            kind,
-            left: wrap(left, corr),
-            right: wrap(right, corr),
-            var,
-        },
-        // A nested Apply's own subquery was already hoisted against its
-        // own correlation set when it was lowered; only its input is
-        // considered here.
-        P::Apply {
-            input,
-            subquery,
-            label,
-            bindings,
-        } => P::Apply {
-            input: wrap(input, corr),
-            subquery,
-            label,
-            bindings,
-        },
-        leaf @ (P::ScanTable { .. }
-        | P::ScanExpr { .. }
-        | P::IndexScan { .. }
-        | P::HashProbe { .. }
-        | P::Materialize { .. }) => leaf,
-    }
-}
-
-fn lower_join(
-    left: &Plan,
-    right: &Plan,
-    pred: &ScalarExpr,
-    kind: JoinKind,
-    catalog: &Catalog,
-    config: &ExecConfig,
-) -> Result<PhysPlan> {
-    let l = Box::new(lower(left, catalog, config)?);
-    let r = Box::new(lower(right, catalog, config)?);
-    let lv: BTreeSet<String> = left.output_vars().into_iter().collect();
-    let rv: BTreeSet<String> = right.output_vars().into_iter().collect();
-    let mut split = extract_equi_keys(pred, &lv, &rv);
-
-    let estimator = cost::Estimator::new(catalog);
-
-    // Index nested-loop candidate (Auto only — forced algorithms are
-    // respected): the inner operand is a bare scan of a table with a
-    // secondary index on one of its equi-key columns, and the cost model
-    // prices per-outer-row probes below scanning + building the inner.
-    if config.join_algo == JoinAlgo::Auto {
-        if let Some(i) = estimator.index_join_beats(left, right, &split) {
-            let Plan::ScanTable {
-                table: rt,
-                var: rvar,
-            } = right
-            else {
-                unreachable!("index_join_beats only fires on a bare inner scan");
-            };
-            let ScalarExpr::Field(_, attr) = &split.right_keys[i] else {
-                unreachable!("index_join_beats picks a column key");
-            };
-            return Ok(PhysPlan::IndexNLJoin {
-                left: l,
-                right_table: rt.clone(),
-                right_var: rvar.clone(),
-                attr: attr.clone(),
-                key: split.left_keys[i].clone(),
-                pred: pred.clone(),
-                kind,
-            });
-        }
-    }
-
-    let (lc, rc) = (estimator.rows(left), estimator.rows(right));
-
-    let algo = if split.left_keys.is_empty() {
-        // No equi keys: only nested-loop is applicable.
-        JoinAlgo::NestedLoop
-    } else {
-        match config.join_algo {
-            JoinAlgo::Auto => {
-                if cost::join_cost::hash(lc, rc) <= cost::join_cost::sort_merge(lc, rc) {
-                    JoinAlgo::Hash
-                } else {
-                    JoinAlgo::SortMerge
-                }
-            }
-            forced => forced,
-        }
-    };
-
-    // Build-side choice: a hash *inner* join is symmetric (records compare
-    // label-insensitively), so under cost-based selection build on the
-    // smaller operand. Every other kind is left-preserving — and for the
-    // nest join "only the right join operand may be the build table"
-    // (Section 6) — so their sides stay fixed.
-    let (mut l, mut r) = (l, r);
-    if matches!(kind, JoinKind::Inner)
-        && matches!(algo, JoinAlgo::Hash | JoinAlgo::Auto)
-        && config.join_algo == JoinAlgo::Auto
-        && lc < rc
-    {
-        std::mem::swap(&mut l, &mut r);
-        std::mem::swap(&mut split.left_keys, &mut split.right_keys);
-    }
-
-    Ok(match algo {
-        JoinAlgo::NestedLoop => PhysPlan::NlJoin {
-            left: l,
-            right: r,
-            pred: pred.clone(),
-            kind,
-        },
-        JoinAlgo::Hash | JoinAlgo::Auto => PhysPlan::HashJoin {
-            left: l,
-            right: r,
-            left_keys: split.left_keys,
-            right_keys: split.right_keys,
-            residual: split.residual,
-            kind,
-        },
-        JoinAlgo::SortMerge => PhysPlan::MergeJoin {
-            left: l,
-            right: r,
-            left_keys: split.left_keys,
-            right_keys: split.right_keys,
-            residual: split.residual,
-            kind,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::JoinAlgo;
     use tmql_algebra::{CmpOp, ScalarExpr as E};
     use tmql_storage::table::int_table;
 
@@ -1326,5 +1169,90 @@ mod tests {
         );
         let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
         assert!(matches!(phys, PhysPlan::HashJoin { .. }), "{phys}");
+    }
+
+    /// The seam the shared `join_path` closes: the model prices the index
+    /// nested-loop path exactly when lowering emits an `IndexNLJoin`. With
+    /// |R| = 1000 unique indexed keys the index path wins below |L| = 500,
+    /// for every join kind.
+    #[test]
+    fn index_nl_is_priced_iff_it_is_emitted() {
+        let table = |name: &str, n: i64| {
+            let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i]).collect();
+            let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+            int_table(name, &["k"], &refs)
+        };
+        let pred = || E::eq(E::path("l", &["k"]), E::path("r", &["k"]));
+        let (l, r) = (
+            || Box::new(Plan::scan("L", "l")),
+            || Box::new(Plan::scan("R", "r")),
+        );
+        for n in [400, 480, 500, 520, 549, 551, 600] {
+            let catalog = || {
+                let mut cat = Catalog::new();
+                cat.register(table("L", n)).unwrap();
+                cat.register(table("R", 1000)).unwrap();
+                cat
+            };
+            let (plain, mut indexed) = (catalog(), catalog());
+            indexed.create_index("R", "k").unwrap();
+            let plans = [
+                Plan::scan("L", "l").join(Plan::scan("R", "r"), pred()),
+                Plan::scan("L", "l").semi_join(Plan::scan("R", "r"), pred()),
+                Plan::scan("L", "l").anti_join(Plan::scan("R", "r"), pred()),
+                Plan::LeftOuterJoin {
+                    left: l(),
+                    right: r(),
+                    pred: pred(),
+                },
+                Plan::scan("L", "l").nest_join(Plan::scan("R", "r"), pred(), E::var("r"), "rs"),
+            ];
+            for plan in plans {
+                let phys = lower(&plan, &indexed, &ExecConfig::auto()).unwrap();
+                let emitted = matches!(phys, PhysPlan::IndexNLJoin { .. });
+                // Same statistics with and without the index: the costs
+                // differ exactly when the index path is the one priced.
+                let priced =
+                    Estimator::new(&indexed).cost(&plan) != Estimator::new(&plain).cost(&plan);
+                assert_eq!(priced, emitted, "|L| = {n}: {phys}");
+                assert_eq!(emitted, n < 500, "|L| = {n}: {phys}");
+            }
+        }
+    }
+
+    #[test]
+    fn lowered_plans_bind_the_logical_output_variables() {
+        let cat = indexed_catalog();
+        let on_b = || E::eq(E::path("t", &["b"]), E::path("x", &["b"]));
+        let (tiny, big) = (|| Plan::scan("TINY", "t"), || Plan::scan("BIG", "x"));
+        let plans = [
+            tiny().join(big(), on_b()),
+            tiny().semi_join(big(), on_b()),
+            tiny().nest_join(big(), on_b(), E::path("x", &["a"]), "xs"),
+            big().join(
+                tiny(),
+                E::cmp(CmpOp::Lt, E::path("x", &["b"]), E::path("t", &["b"])),
+            ),
+            big()
+                .apply(tiny().select(on_b()).map(E::path("t", &["c"]), "q"), "z")
+                .extend(E::path("x", &["a"]), "e")
+                .project(&["z", "e"]),
+        ];
+        for plan in plans {
+            for algo in [JoinAlgo::Auto, JoinAlgo::Hash, JoinAlgo::NestedLoop] {
+                let phys = lower(&plan, &cat, &ExecConfig::with_join_algo(algo)).unwrap();
+                // A swapped inner hash join binds the same variables in
+                // the other order.
+                let sorted = |mut v: Vec<String>| {
+                    v.sort();
+                    v
+                };
+                assert_eq!(
+                    sorted(phys.output_vars()),
+                    sorted(plan.output_vars()),
+                    "{phys}"
+                );
+            }
+        }
     }
 }

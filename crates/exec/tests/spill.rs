@@ -4,7 +4,7 @@
 //! defeats partitioning degrades gracefully instead of failing.
 
 use proptest::prelude::*;
-use tmql_algebra::{AggFn, CmpOp, Env, Plan, ScalarExpr as E, SetOpKind};
+use tmql_algebra::{AggFn, ArithOp, CmpOp, Env, Plan, ScalarExpr as E, SetOpKind};
 use tmql_exec::{run, ExecConfig, ExecContext, JoinAlgo, Metrics};
 use tmql_model::Record;
 use tmql_storage::{table::int_table, Catalog};
@@ -385,6 +385,43 @@ fn failing_kernel_leaves_the_resident_gauge_at_zero() {
                 assert_eq!(ctx.resident_rows(), 0, "{case}: leaked resident rows");
             }
         }
+    }
+    // A nested-loop join whose inner operand fails mid-drain: one row per
+    // batch, and the 41st (y.c = 40) divides by zero — after the join has
+    // buffered 40 rows (budget None) or moved them to a run (budget 24).
+    let divides = E::Arith(
+        ArithOp::Div,
+        Box::new(E::lit(100i64)),
+        Box::new(E::Arith(
+            ArithOp::Sub,
+            Box::new(E::path("y", &["c"])),
+            Box::new(E::lit(40i64)),
+        )),
+    );
+    let inner = Plan::scan("Y", "y").select(E::cmp(CmpOp::Gt, divides, E::lit(-1000i64)));
+    let plan = Plan::scan("X", "x").join(
+        inner,
+        E::cmp(CmpOp::Lt, E::path("x", &["a"]), E::path("y", &["c"])),
+    );
+    for budget in [None, Some(24)] {
+        let mut config = ExecConfig::with_join_algo(JoinAlgo::NestedLoop).batch_size(1);
+        config.memory_budget_rows = budget;
+        let phys = tmql_exec::lower(&plan, &cat, &config).unwrap();
+        let mut ctx = ExecContext::with_config(&cat, &config);
+        let res = tmql_exec::execute(&phys, &mut ctx, &Env::new());
+        assert!(
+            res.is_err(),
+            "nl-inner budget={budget:?}: the division must fail"
+        );
+        assert!(
+            ctx.metrics.rows_scanned >= 41,
+            "the inner yielded batches first"
+        );
+        assert_eq!(
+            ctx.resident_rows(),
+            0,
+            "nl-inner budget={budget:?}: leaked resident rows"
+        );
     }
 }
 
