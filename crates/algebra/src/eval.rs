@@ -1,6 +1,5 @@
 //! Evaluation of scalar expressions against variable environments.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use tmql_model::{setops, ModelError, Record, Result, Value};
@@ -95,7 +94,11 @@ fn borrowed<'e>(expr: &'e ScalarExpr, env: &'e Env) -> Option<Result<&'e Value>>
 
 /// Evaluate one operand and hand it to `f` — by reference, without a
 /// copy, when it is a literal or a `Var`/`Field` chain.
-fn with_value<T>(e: &ScalarExpr, env: &mut Env, f: impl FnOnce(&Value) -> Result<T>) -> Result<T> {
+pub fn with_value<T>(
+    e: &ScalarExpr,
+    env: &mut Env,
+    f: impl FnOnce(&Value) -> Result<T>,
+) -> Result<T> {
     if let Some(v) = borrowed(e, env) {
         return f(v?);
     }
@@ -103,7 +106,7 @@ fn with_value<T>(e: &ScalarExpr, env: &mut Env, f: impl FnOnce(&Value) -> Result
 }
 
 /// [`with_value`] for two operands, evaluated left to right.
-fn with_values<T>(
+pub fn with_values<T>(
     a: &ScalarExpr,
     b: &ScalarExpr,
     env: &mut Env,
@@ -122,7 +125,8 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
         ScalarExpr::Lit(v) => Ok(v.clone()),
         ScalarExpr::Var(name) => env.get(name).cloned(),
         ScalarExpr::Field(e, label) => {
-            // A chain is walked by reference; only the leaf is cloned.
+            // A chain is walked by reference; only the leaf is cloned (a
+            // tuple or set leaf by bumping its count).
             if let Some(v) = borrowed(expr, env) {
                 return v.cloned();
             }
@@ -171,24 +175,23 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
         ScalarExpr::Tuple(fields) => {
             let mut out = Vec::with_capacity(fields.len());
             for (l, e) in fields {
-                out.push((l.as_str(), eval(e, env)?));
+                out.push((l.clone(), eval(e, env)?));
             }
             Ok(Value::Tuple(Record::new(out)?))
         }
         ScalarExpr::SetLit(items) => {
-            let mut out = BTreeSet::new();
+            let mut out = Vec::with_capacity(items.len());
             for e in items {
-                out.insert(eval(e, env)?);
+                out.push(eval(e, env)?);
             }
-            Ok(Value::Set(out))
+            Ok(Value::set(out))
         }
         ScalarExpr::Quant { q, var, over, pred } => {
             let set = eval(over, env)?.into_set()?;
             // ∃ stops at the first hit, ∀ at the first miss.
             let stop_on = matches!(q, Quantifier::Exists);
-            let var: Arc<str> = Arc::from(var.as_str());
-            for item in set {
-                env.push(var.clone(), item);
+            for item in &set {
+                env.push(var.clone(), item.clone());
                 let hit = eval(pred, env).and_then(|v| v.as_bool());
                 env.pop();
                 if hit? == stop_on {

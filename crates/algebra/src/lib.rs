@@ -38,7 +38,7 @@ pub mod rewrite;
 pub mod scalar;
 pub mod typing;
 
-pub use eval::{eval, eval_predicate, Env};
+pub use eval::{eval, eval_predicate, with_value, with_values, Env};
 pub use plan::{AggFn, Plan, SetOpKind};
 pub use scalar::{ArithOp, CmpOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
 

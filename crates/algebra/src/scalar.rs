@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use tmql_model::Value;
 
@@ -161,7 +162,7 @@ pub enum ScalarExpr {
     /// Aggregate application `H(s)`.
     Agg(AggFn, Box<ScalarExpr>),
     /// Tuple construction `(a = e1, b = e2)`.
-    Tuple(Vec<(String, ScalarExpr)>),
+    Tuple(Vec<(Arc<str>, ScalarExpr)>),
     /// Set construction `{e1, e2, …}` (duplicates collapse).
     SetLit(Vec<ScalarExpr>),
     /// Bounded quantifier `Q v ∈ s (p)`; binds `v` inside `p`.
@@ -169,7 +170,7 @@ pub enum ScalarExpr {
         /// ∃ or ∀.
         q: Quantifier,
         /// Bound variable.
-        var: String,
+        var: Arc<str>,
         /// Set expression ranged over.
         over: Box<ScalarExpr>,
         /// Body predicate.
@@ -245,7 +246,7 @@ impl ScalarExpr {
     /// Quantifier builder.
     pub fn quant(
         q: Quantifier,
-        var: impl Into<String>,
+        var: impl Into<Arc<str>>,
         over: ScalarExpr,
         pred: ScalarExpr,
     ) -> ScalarExpr {
@@ -311,10 +312,10 @@ impl ScalarExpr {
                 var, over, pred, ..
             } => {
                 over.collect_free(bound, out);
-                let fresh = bound.insert(var.clone());
+                let fresh = bound.insert(var.to_string());
                 pred.collect_free(bound, out);
                 if fresh {
-                    bound.remove(var);
+                    bound.remove(&**var);
                 }
             }
         }
@@ -387,7 +388,7 @@ impl ScalarExpr {
                 pred,
             } => {
                 let over2 = over.substitute(var, replacement);
-                let pred2 = if bv == var {
+                let pred2 = if &**bv == var {
                     (**pred).clone()
                 } else {
                     pred.substitute(var, replacement)

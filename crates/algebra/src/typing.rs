@@ -74,7 +74,7 @@ pub fn infer_scalar(expr: &ScalarExpr, vars: &TyEnv) -> Ty {
         },
         ScalarExpr::Tuple(fs) => Ty::Tuple(
             fs.iter()
-                .map(|(l, e)| (l.clone(), infer_scalar(e, vars)))
+                .map(|(l, e)| (l.to_string(), infer_scalar(e, vars)))
                 .collect(),
         ),
         ScalarExpr::SetLit(es) => {

@@ -155,12 +155,12 @@ fn classify_pos(pred: &ScalarExpr, z: &str) -> Classification {
                 ScalarExpr::set_cmp(SetCmpOp::In, ScalarExpr::var(FRESH_VAR), (**over).clone());
             match (q, &**body) {
                 (Quantifier::Forall, ScalarExpr::SetCmp(SetCmpOp::NotIn, w, zz))
-                    if **w == ScalarExpr::Var(var.clone()) && **zz == ScalarExpr::Var(z.into()) =>
+                    if **w == ScalarExpr::var(&**var) && **zz == ScalarExpr::Var(z.into()) =>
                 {
                     Classification::NegatedExistential { pred: member }
                 }
                 (Quantifier::Exists, ScalarExpr::SetCmp(SetCmpOp::In, w, zz))
-                    if **w == ScalarExpr::Var(var.clone()) && **zz == ScalarExpr::Var(z.into()) =>
+                    if **w == ScalarExpr::var(&**var) && **zz == ScalarExpr::Var(z.into()) =>
                 {
                     Classification::Existential { pred: member }
                 }

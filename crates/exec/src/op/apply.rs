@@ -26,11 +26,12 @@
 //! total order, and a failed key evaluation falls back to plain
 //! (uncached) execution.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
-use tmql_model::{Record, Result, Value};
+use tmql_model::hash::ValueMap;
+use tmql_model::{Record, Result, SetValue, Value};
 use tmql_storage::HashIndex;
 
 use crate::exec::ExecContext;
@@ -40,7 +41,7 @@ use crate::physical::PhysPlan;
 /// A memoized inner result: the completed subquery value set and its LRU
 /// stamp (monotonic use counter; smallest = least recently used).
 struct CacheEntry {
-    set: BTreeSet<Value>,
+    set: SetValue,
     stamp: u64,
 }
 
@@ -59,7 +60,7 @@ pub struct ApplyOp<'p> {
     /// The long-lived inner operator tree (reused across rows via
     /// rebind/open; kept across `close` so nested re-opens stay cheap).
     inner: Option<BoxedOperator<'p>>,
-    cache: HashMap<Vec<Value>, CacheEntry>,
+    cache: ValueMap<Vec<Value>, CacheEntry>,
     /// stamp → key index for O(log n) LRU eviction.
     lru: BTreeMap<u64, Vec<Value>>,
     next_stamp: u64,
@@ -85,7 +86,7 @@ impl<'p> ApplyOp<'p> {
             label: Arc::from(label),
             bindings,
             inner: None,
-            cache: HashMap::new(),
+            cache: ValueMap::default(),
             lru: BTreeMap::new(),
             next_stamp: 0,
             cache_rows: 0,
@@ -95,7 +96,7 @@ impl<'p> ApplyOp<'p> {
 
     /// Execute the inner plan under `sub_env` (building the tree on first
     /// use, rebinding it afterwards) and collapse the result to a set.
-    fn run_inner(&mut self, sub_env: &Env, ctx: &mut ExecContext<'_>) -> Result<BTreeSet<Value>> {
+    fn run_inner(&mut self, sub_env: &Env, ctx: &mut ExecContext<'_>) -> Result<SetValue> {
         ctx.metrics.apply_invocations += 1;
         let inner = match self.inner.as_mut() {
             Some(op) => {
@@ -126,7 +127,7 @@ impl<'p> ApplyOp<'p> {
     /// Insert a completed result under `key`, evicting LRU entries while
     /// the cache would exceed the memory budget. A single result larger
     /// than the whole budget is not cached at all.
-    fn insert(&mut self, key: Vec<Value>, set: BTreeSet<Value>, ctx: &mut ExecContext<'_>) {
+    fn insert(&mut self, key: Vec<Value>, set: SetValue, ctx: &mut ExecContext<'_>) {
         let add = set.len();
         if ctx.memory_budget_rows().is_some_and(|b| add > b) {
             return;

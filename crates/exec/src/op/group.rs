@@ -30,7 +30,7 @@ pub fn nest(
 ) -> Result<Vec<Record>> {
     // Group index keyed by the key values; insertion order preserved.
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: BTreeMap<Vec<Value>, (Record, BTreeSet<Value>)> = BTreeMap::new();
+    let mut groups: BTreeMap<Vec<Value>, (Record, Vec<Value>)> = BTreeMap::new();
     let key_labels: Vec<&str> = keys.iter().map(String::as_str).collect();
     for row in rows {
         let keyvals: Vec<Value> = key_labels
@@ -44,7 +44,7 @@ pub fn nest(
             Entry::Vacant(e) => {
                 order.push(e.key().clone());
                 // The key record shares the row's label `Arc`s.
-                e.insert((row.project(&key_labels)?, BTreeSet::new()))
+                e.insert((row.project(&key_labels)?, Vec::new()))
             }
         };
         if star && payload.is_null() {
@@ -52,12 +52,13 @@ pub fn nest(
             // empty set".
             continue;
         }
-        entry.1.insert(payload);
+        entry.1.push(payload);
     }
     let mut out = Vec::with_capacity(order.len());
+    let label: Arc<str> = Arc::from(label);
     for key in order {
-        let (rec, set) = groups.remove(&key).expect("group recorded");
-        out.push(rec.extend_field(label, Value::Set(set))?);
+        let (rec, items) = groups.remove(&key).expect("group recorded");
+        out.push(rec.extend_field(label.clone(), Value::set(items))?);
     }
     Ok(out)
 }
@@ -81,8 +82,8 @@ pub fn unnest(
         for d in drop_vars {
             base = base.without(d)?;
         }
-        for item in set {
-            out.push(base.extend_field(elem_var.clone(), item)?);
+        for item in &set {
+            out.push(base.extend_field(elem_var.clone(), item.clone())?);
         }
     }
     Ok(out)

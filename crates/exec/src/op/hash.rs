@@ -12,25 +12,30 @@
 //! is independent), so the streaming executor builds once and probes
 //! batch-at-a-time. [`join`] composes the two for one-shot callers.
 
-use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
-use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
-use tmql_model::{Record, Result, Value};
+use tmql_algebra::{eval, eval_predicate, with_value, with_values, Env, ScalarExpr};
+use tmql_model::hash::{ChainIndex, ValueHasher};
+use tmql_model::{Record, Result, SetValue, Value};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::{eval_keys, null_extend, with_row};
+use super::null_extend;
 
-/// A built hash table over the right (build) operand: the owned build rows
-/// plus an index from key values to row positions.
+/// A built hash table over the right (build) operand: the owned build
+/// rows, the hash of each row's key values, and one [`ChainIndex`] over
+/// their positions. No key is stored: a candidate's key is compared by
+/// reference out of its row, and only when its hash already matches.
 #[derive(Debug)]
-pub struct HashTable {
+pub struct HashTable<'k> {
     rows: Vec<Record>,
-    index: HashMap<Vec<Value>, Vec<usize>>,
+    hashes: Vec<u64>,
+    index: ChainIndex,
+    keys: &'k [ScalarExpr],
 }
 
-impl HashTable {
+impl HashTable<'_> {
     /// Number of resident build-side rows (for peak-memory accounting).
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -42,35 +47,56 @@ impl HashTable {
     }
 }
 
+/// Hash the key values of the row(s) pushed on `env`, by reference.
+/// Returns `None` if any key is NULL (NULL never equi-joins).
+fn hash_keys(keys: &[ScalarExpr], env: &mut Env) -> Result<Option<u64>> {
+    let mut h = ValueHasher::default();
+    for k in keys {
+        let null = with_value(k, env, |v| {
+            v.hash(&mut h);
+            Ok(v.is_null())
+        })?;
+        if null {
+            return Ok(None);
+        }
+    }
+    Ok(Some(h.finish()))
+}
+
 /// Build phase: index `right` by its key values. Rows with a NULL key are
 /// dropped — NULL never equi-joins, consistent with SQL semantics in the
 /// relational baselines.
-pub fn build(
+pub fn build<'k>(
     right: Vec<Record>,
-    right_keys: &[ScalarExpr],
+    right_keys: &'k [ScalarExpr],
     env: &mut Env,
     m: &mut Metrics,
-) -> Result<HashTable> {
-    let mut table = HashTable {
-        rows: Vec::with_capacity(right.len()),
-        index: HashMap::new(),
-    };
+) -> Result<HashTable<'k>> {
+    let mut rows = Vec::with_capacity(right.len());
+    let mut hashes = Vec::with_capacity(right.len());
     for r in right {
-        let key = with_row(env, &r, |e| eval_keys(right_keys, e))?;
-        if let Some(key) = key {
-            table.index.entry(key).or_default().push(table.rows.len());
-            table.rows.push(r);
+        env.push_row(&r);
+        let hash = hash_keys(right_keys, env);
+        env.pop();
+        if let Some(hash) = hash? {
+            hashes.push(hash);
+            rows.push(r);
             m.hash_build_rows += 1;
         }
     }
-    Ok(table)
+    Ok(HashTable {
+        index: ChainIndex::build(&hashes),
+        rows,
+        hashes,
+        keys: right_keys,
+    })
 }
 
 /// Probe phase: join a batch of left rows against a built table. Left rows
 /// are independent of each other, so this streams.
 pub fn probe(
     left: &[Record],
-    table: &HashTable,
+    table: &HashTable<'_>,
     left_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
     kind: &JoinKind,
@@ -78,48 +104,56 @@ pub fn probe(
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
+    // The nest-join accumulator, reused across probe rows.
+    let mut nested: Vec<Value> = Vec::new();
     for l in left {
         env.push_row(l);
         m.hash_probes += 1;
-        let key = eval_keys(left_keys, env)?;
-        let candidates: &[usize] = match &key {
-            Some(k) => table.index.get(k).map(Vec::as_slice).unwrap_or(&[]),
-            None => &[],
-        };
         let mut matched = false;
-        let mut nested: BTreeSet<Value> = BTreeSet::new();
-        for &ri in candidates {
+        let hash = hash_keys(left_keys, env)?;
+        // Build rows of this hash's bucket, in build order; `None` (a NULL
+        // key) probes nothing.
+        for ri in hash.into_iter().flat_map(|h| table.index.chain(h)) {
+            if Some(table.hashes[ri]) != hash {
+                continue;
+            }
             let r = &table.rows[ri];
             env.push_row(r);
-            let hit = match residual {
-                Some(p) => {
-                    m.comparisons += 1;
-                    eval_predicate(p, env)
+            // Equal hashes: now the keys themselves, both sides by
+            // reference out of their rows, then the residual.
+            let hit = (|| {
+                for (lk, rk) in left_keys.iter().zip(table.keys) {
+                    if !with_values(lk, rk, env, |a, b| Ok(a == b))? {
+                        return Ok(false);
+                    }
                 }
-                None => Ok(true),
-            };
-            let hit = match hit {
-                Ok(h) => h,
+                if let Some(p) = residual {
+                    m.comparisons += 1;
+                    if !eval_predicate(p, env)? {
+                        return Ok(false);
+                    }
+                }
+                if let JoinKind::Nest { func, .. } = kind {
+                    nested.push(eval(func, env)?);
+                }
+                Ok(true)
+            })();
+            env.pop();
+            match hit {
+                Ok(false) => {}
+                Ok(true) => {
+                    matched = true;
+                    match kind {
+                        JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
+                        JoinKind::Semi | JoinKind::Anti => break,
+                        JoinKind::Nest { .. } => {}
+                    }
+                }
                 Err(e) => {
-                    env.pop();
                     env.pop();
                     return Err(e);
                 }
-            };
-            if hit {
-                matched = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
-                    JoinKind::Semi | JoinKind::Anti => {
-                        env.pop();
-                        break;
-                    }
-                    JoinKind::Nest { func, .. } => {
-                        nested.insert(eval(func, env)?);
-                    }
-                }
             }
-            env.pop();
         }
         env.pop();
         match kind {
@@ -140,7 +174,8 @@ pub fn probe(
                 }
             }
             JoinKind::Nest { label, .. } => {
-                out.push(l.extend_field(label.as_str(), Value::Set(nested))?);
+                let set = SetValue::drain_from(&mut nested);
+                out.push(l.extend_field(label.clone(), Value::Set(set))?);
             }
         }
     }
@@ -167,6 +202,7 @@ pub fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
     fn rows(name: &str, vals: &[(i64, i64)], f1: &str, f2: &str) -> Vec<Record> {
@@ -222,6 +258,64 @@ mod tests {
             let hs: BTreeSet<Record> = h.into_iter().collect();
             let ns: BTreeSet<Record> = n.into_iter().collect();
             assert_eq!(hs, ns, "kind {:?}", kind.name());
+        }
+    }
+
+    #[test]
+    fn agrees_with_nested_loop_on_a_generated_case_with_duplicate_keys() {
+        // 1200 × 1000 rows over 97 keys (long chains, several keys per
+        // bucket), some keys NULL on either side, and a residual that
+        // prunes about half the key matches. Compared as sorted bags: the
+        // nested loop emits its dangling rows after the matched ones.
+        let key = |i: i64| match i % 13 {
+            0 => Value::Null,
+            _ => Value::Int(i * 7919 % 97),
+        };
+        let side = |name: &str, n: i64, f1: &str, f2: &str| -> Vec<Record> {
+            let tup = |i| Record::new([(f1, Value::Int(i)), (f2, key(i))]).unwrap();
+            let bind = |i| Record::new([(name, Value::Tuple(tup(i)))]).unwrap();
+            (0..n).map(bind).collect()
+        };
+        let (x, y) = (side("x", 1200, "e", "d"), side("y", 1000, "a", "b"));
+        let (lk, rk) = (vec![E::path("x", &["d"])], vec![E::path("y", &["b"])]);
+        let sum = E::Arith(
+            tmql_algebra::ArithOp::Add,
+            Box::new(E::path("x", &["e"])),
+            Box::new(E::path("y", &["a"])),
+        );
+        let residual = E::cmp(tmql_algebra::CmpOp::Lt, sum, E::lit(1100i64));
+        let pred = E::and(E::eq(lk[0].clone(), rk[0].clone()), residual.clone());
+        let kinds = [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter {
+                right_vars: vec!["y".into()],
+            },
+            JoinKind::Nest {
+                func: E::path("y", &["a"]),
+                label: "s".into(),
+            },
+        ];
+        for kind in kinds {
+            let (mut hm, mut nm) = (Metrics::new(), Metrics::new());
+            let h = join(
+                &x,
+                &y,
+                &lk,
+                &rk,
+                Some(&residual),
+                &kind,
+                &mut Env::new(),
+                &mut hm,
+            );
+            let n = super::super::nl::join(&x, &y, &pred, &kind, &mut Env::new(), &mut nm);
+            let (mut h, mut n) = (h.unwrap(), n.unwrap());
+            h.sort();
+            n.sort();
+            assert!(h.len() > 100 && h == n, "kind {:?}", kind.name());
+            assert_eq!(hm.hash_build_rows, 1000 - 77, "NULL build keys are dropped");
+            assert_eq!(hm.hash_probes, 1200);
         }
     }
 

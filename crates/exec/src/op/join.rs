@@ -322,11 +322,11 @@ impl Operator for IndexNLJoinOp<'_> {
 }
 
 /// What became of the build (right) side of a hash join.
-enum Build {
+enum Build<'p> {
     /// Not consumed yet.
     Pending,
     /// It fit: one resident table, the probe side streams past it.
-    Table(hash::HashTable),
+    Table(hash::HashTable<'p>),
     /// It overflowed: (build, probe) partition pairs on disk.
     Grace(Partitions<2>),
 }
@@ -348,7 +348,7 @@ pub(super) struct HashJoinOp<'p> {
     kind: &'p JoinKind,
     build_part: PartFn<'p>,
     probe_part: PartFn<'p>,
-    build: Build,
+    build: Build<'p>,
     carry: VecDeque<Record>,
     done: bool,
 }

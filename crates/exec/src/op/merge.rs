@@ -7,10 +7,8 @@
 //! NULL keys are excluded (they cannot equi-match) except that for the
 //! outer/anti/nest kinds the left row must still surface as dangling.
 
-use std::collections::BTreeSet;
-
 use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
-use tmql_model::{Record, Result, Value};
+use tmql_model::{Record, Result, SetValue, Value};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
@@ -55,6 +53,8 @@ pub fn join(
     let ls = sort_side(left, left_keys, env, m)?;
     let rs = sort_side(right, right_keys, env, m)?;
     let mut out = Vec::new();
+    // The nest-join accumulator, reused across left rows.
+    let mut nested: Vec<Value> = Vec::new();
 
     // `None` keys sort first; skip them on the right, treat as dangling on
     // the left.
@@ -96,7 +96,6 @@ pub fn join(
             let l = lrow.row;
             env.push_row(l);
             let mut matched = false;
-            let mut nested: BTreeSet<Value> = BTreeSet::new();
             for rrow in &rs[ri..rj] {
                 let r = rrow.row;
                 env.push_row(r);
@@ -124,7 +123,7 @@ pub fn join(
                             break;
                         }
                         JoinKind::Nest { func, .. } => {
-                            nested.insert(eval(func, env)?);
+                            nested.push(eval(func, env)?);
                         }
                     }
                 }
@@ -149,7 +148,8 @@ pub fn join(
                     }
                 }
                 JoinKind::Nest { label, .. } => {
-                    out.push(l.extend_field(label.as_str(), Value::Set(nested))?);
+                    let set = SetValue::drain_from(&mut nested);
+                    out.push(l.extend_field(label.clone(), Value::Set(set))?);
                 }
             }
         }
@@ -167,7 +167,7 @@ fn emit_dangling(l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<(
         JoinKind::Anti => out.push(l.clone()),
         JoinKind::LeftOuter { right_vars } => out.push(null_extend(l, right_vars)?),
         JoinKind::Nest { label, .. } => {
-            out.push(l.extend_field(label.as_str(), Value::empty_set())?)
+            out.push(l.extend_field(label.clone(), Value::empty_set())?)
         }
     }
     Ok(())
@@ -176,6 +176,7 @@ fn emit_dangling(l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
     fn rows(name: &str, vals: &[(i64, i64)], f1: &str, f2: &str) -> Vec<Record> {

@@ -67,8 +67,8 @@ pub fn with_row<T>(
 }
 
 /// NULL-extend a row with the given variables (outerjoin dangling side).
-pub fn null_extend(row: &Record, vars: &[String]) -> Result<Record> {
-    let nulls = vars.iter().map(|v| (Arc::from(v.as_str()), Value::Null));
+pub fn null_extend(row: &Record, vars: &[Arc<str>]) -> Result<Record> {
+    let nulls = vars.iter().map(|v| (v.clone(), Value::Null));
     Record::new(row.fields().iter().cloned().chain(nulls))
 }
 
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn null_extend_binds_nulls() {
         let row = Record::new([("x".to_string(), Value::Int(1))]).unwrap();
-        let out = null_extend(&row, &["y".to_string(), "z".to_string()]).unwrap();
+        let out = null_extend(&row, &["y".into(), "z".into()]).unwrap();
         assert!(out.get("y").unwrap().is_null());
         assert!(out.get("z").unwrap().is_null());
     }

@@ -8,10 +8,8 @@
 //! of holding it resident. [`join`] is the one-chunk convenience wrapper
 //! for fully materialized operands.
 
-use std::collections::BTreeSet;
-
 use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
-use tmql_model::{Record, Result, Value};
+use tmql_model::{Record, Result, SetValue, Value};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
@@ -20,13 +18,14 @@ use super::null_extend;
 
 /// Per-left-row state of a block nested-loop join, carried across inner
 /// chunks: which left rows have matched so far, and (for the nest join)
-/// the accumulator set each left row is building — "for each left operand
+/// the accumulator (sorted and deduplicated once, at the end) of the set
+/// each left row is building — "for each left operand
 /// tuple a set is created to hold the (possibly modified) right operand
 /// tuples that match" (Section 6).
 #[derive(Debug)]
 pub struct BlockState {
     matched: Vec<bool>,
-    nested: Vec<BTreeSet<Value>>,
+    nested: Vec<Vec<Value>>,
 }
 
 impl BlockState {
@@ -35,7 +34,7 @@ impl BlockState {
         BlockState {
             matched: vec![false; left_len],
             nested: if matches!(kind, JoinKind::Nest { .. }) {
-                vec![BTreeSet::new(); left_len]
+                vec![Vec::new(); left_len]
             } else {
                 Vec::new()
             },
@@ -93,7 +92,7 @@ pub fn join_chunk(
                         break;
                     }
                     JoinKind::Nest { func, .. } => {
-                        state.nested[i].insert(eval(func, env)?);
+                        state.nested[i].push(eval(func, env)?);
                     }
                 }
             }
@@ -127,10 +126,8 @@ pub fn finish_block(
                 }
             }
             JoinKind::Nest { label, .. } => {
-                out.push(l.extend_field(
-                    label.as_str(),
-                    Value::Set(std::mem::take(&mut state.nested[i])),
-                )?);
+                let set = SetValue::drain_from(&mut state.nested[i]);
+                out.push(l.extend_field(label.clone(), Value::Set(set))?);
             }
         }
     }
@@ -156,6 +153,7 @@ pub fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
     fn rows(name: &str, vals: &[(i64, i64)], f1: &str, f2: &str) -> Vec<Record> {

@@ -505,13 +505,14 @@ impl SpillDedup {
                 ctx.resident_acquire(1);
                 return Ok(Some(rec));
             }
-            // Overflow: spill the emitted set, defer this and all further
-            // candidates.
-            self.seen.remove(&rec);
+            // Overflow: spill the emitted set — `seen` but for its last
+            // row, this one — and defer this and all further candidates.
+            let mut emitted = std::mem::take(&mut self.seen).into_rows();
+            emitted.pop();
             let mut seen_parts = ctx.spill_runs(SPILL_FANOUT)?;
             let cand_parts = ctx.spill_runs(SPILL_FANOUT)?;
-            let n = self.seen.len();
-            for r in std::mem::take(&mut self.seen) {
+            let n = emitted.len();
+            for r in emitted {
                 write_spilled(
                     &mut seen_parts[dedup_slot(&r, 0)],
                     &r,

@@ -6,6 +6,7 @@
 //! profile so `EXPLAIN` output lines up before and after execution.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tmql_algebra::{AggFn, ScalarExpr, SetOpKind};
 
@@ -24,16 +25,17 @@ pub enum JoinKind {
     /// Left outerjoin ⟕: dangling left rows NULL-extended on the right
     /// variables (listed here so the executor knows what to bind).
     LeftOuter {
-        /// Variables of the right operand to NULL-bind for dangling rows.
-        right_vars: Vec<String>,
+        /// Variables of the right operand to NULL-bind for dangling rows
+        /// (interned here, once per plan: a dangling row allocates no label).
+        right_vars: Vec<Arc<str>>,
     },
     /// Nest join Δ: left row extended with the set of `func` images of
     /// matching right rows under `label`.
     Nest {
         /// Join function G(x, y).
         func: ScalarExpr,
-        /// Output label for the nested set.
-        label: String,
+        /// Output label for the nested set (interned once per plan).
+        label: Arc<str>,
     },
 }
 
@@ -43,7 +45,7 @@ impl JoinKind {
         match self {
             JoinKind::Inner | JoinKind::LeftOuter { .. } => left.extend(right),
             JoinKind::Semi | JoinKind::Anti => {}
-            JoinKind::Nest { label, .. } => left.push(label.clone()),
+            JoinKind::Nest { label, .. } => left.push(label.to_string()),
         }
         left
     }

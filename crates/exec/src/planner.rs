@@ -32,6 +32,7 @@
 //! times (as the benchmarks do) never re-clones the plan.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use tmql_algebra::{Plan, ScalarExpr};
 use tmql_model::Result;
@@ -358,7 +359,7 @@ fn expr_bindings(
         } => {
             expr_bindings(over, corr, visible, out);
             let mut vis = visible.clone();
-            vis.insert(var.clone());
+            vis.insert(var.to_string());
             expr_bindings(pred, corr, &vis, out);
         }
     }
@@ -507,7 +508,7 @@ impl<'p> Lowering<'_, 'p, '_> {
             }
             Plan::LeftOuterJoin { left, right, pred } => {
                 let kind = JoinKind::LeftOuter {
-                    right_vars: right.output_vars(),
+                    right_vars: right.output_vars().into_iter().map(Arc::from).collect(),
                 };
                 return self.join(kind, left, right, pred, below, from);
             }
@@ -520,7 +521,7 @@ impl<'p> Lowering<'_, 'p, '_> {
             } => {
                 let kind = JoinKind::Nest {
                     func: func.clone(),
-                    label: label.clone(),
+                    label: label.as_str().into(),
                 };
                 return self.join(kind, left, right, pred, below, from);
             }
@@ -957,7 +958,7 @@ mod tests {
         else {
             panic!("expected hash nest join");
         };
-        assert_eq!(label, "zs");
+        assert_eq!(&*label, "zs");
     }
 
     /// BIG(100 rows, b with 10 distinct values) + TINY(2 rows): large

@@ -11,8 +11,9 @@
 //!   ([`Value`], [`Record`]);
 //! * the corresponding type language ([`Ty`]) with structural typing;
 //! * **set semantics**: sets never contain duplicates ("Sets do not contain
-//!   duplicates", Section 3.1) — enforced by representing sets as ordered
-//!   [`std::collections::BTreeSet`]s over the total order on [`Value`];
+//!   duplicates", Section 3.1) — enforced by representing a set as one
+//!   sorted, duplicate-free slice ([`SetValue`]) over the total order on
+//!   [`Value`];
 //! * class and sort definitions with explicitly named extensions
 //!   ([`schema::ClassDef`], [`schema::SortDef`]), mirroring the paper's
 //!   `CLASS Employee WITH EXTENSION EMP` declarations.
@@ -24,15 +25,19 @@
 //! (Ganski–Wong outerjoin unnesting) can be expressed and measured.
 
 pub mod error;
+pub mod hash;
 pub mod record;
 pub mod schema;
+pub mod set;
 pub mod setops;
 pub mod types;
 pub mod value;
 
 pub use error::ModelError;
-pub use record::{Record, RecordSet};
+pub use hash::RecordSet;
+pub use record::Record;
 pub use schema::{AttrDef, ClassDef, Schema, SortDef};
+pub use set::SetValue;
 pub use types::Ty;
 pub use value::Value;
 

@@ -10,49 +10,90 @@
 //! cloning a record — scanning it out of a table, binding it in an
 //! environment, keeping it in a dedup set — is a reference-count bump that
 //! copies no value and allocates no label. Every mutator builds a new body
-//! and leaves other handles to the old one untouched.
+//! (`concat` and `extend_field` in one exact-size allocation) and leaves
+//! other handles to the old one untouched.
+//!
+//! Beside the body a handle carries one word of memo: whether the labels
+//! are already in canonical (ascending) order — then comparing two rows is
+//! a positional walk with no sort — and, once somebody asked, the
+//! [structural hash](Record::structural_hash). Clones carry the word, so a
+//! stored row is hashed once in its life.
 //!
 //! Records support the paper's tuple concatenation `x ++ (a = z)`
 //! (Section 6) via [`Record::concat`] and [`Record::extend_field`], which
 //! reject duplicate top-level labels.
 
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::error::ModelError;
+use crate::hash::ValueHasher;
 use crate::value::Value;
 use crate::Result;
 
 /// One `(label, value)` pair of a record body.
 pub type Field = (Arc<str>, Value);
 
-/// A membership-only set of rows (dedup state, a table's seen-set). It
-/// holds handles to the rows' shared bodies, not copies, and hashes under
-/// a fixed key: whatever iterates it — a dedup set spilling itself — sees
-/// the same order in every run and at every thread count.
-pub type RecordSet = HashSet<Record, BuildHasherDefault<DefaultHasher>>;
+/// Memo bit: the labels are strictly ascending. Fixed at construction.
+const CANONICAL: u64 = 1;
+/// Memo bit: the bits above hold the structural hash.
+const HASHED: u64 = 2;
 
 /// A labelled tuple value `(a = 1, b = {2, 3})`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Record {
     fields: Arc<[Field]>,
+    /// [`CANONICAL`] | [`HASHED`] | `hash << 2`. The one writer after
+    /// construction stores a pure function of `fields`, so `Eq`, `Ord`
+    /// and `Hash` cannot observe it change; `Relaxed` because the word
+    /// publishes no other data.
+    memo: AtomicU64,
+}
+
+impl Clone for Record {
+    fn clone(&self) -> Record {
+        Record {
+            fields: self.fields.clone(),
+            memo: AtomicU64::new(self.memo.load(Relaxed)),
+        }
+    }
 }
 
 impl Record {
     /// Build a record from `(label, value)` pairs, rejecting duplicates.
     pub fn new<L: Into<Arc<str>>>(fields: impl IntoIterator<Item = (L, Value)>) -> Result<Record> {
         let fields: Vec<Field> = fields.into_iter().map(|(l, v)| (l.into(), v)).collect();
-        for (i, (label, _)) in fields.iter().enumerate() {
-            if fields[..i].iter().any(|(l, _)| l == label) {
-                return Err(ModelError::DuplicateField(label.to_string()));
+        Record::checked(fields.into())
+    }
+
+    /// Wrap a body, rejecting duplicate labels. One pass over adjacent
+    /// labels decides the common cases: all ascending is canonical and
+    /// distinct; an equal pair is a duplicate. Only a body of three or
+    /// more fields out of order pays the pairwise check (with two, the
+    /// adjacent pair was the only pair).
+    fn checked(fields: Arc<[Field]>) -> Result<Record> {
+        let duplicate = |l: &Arc<str>| Err(ModelError::DuplicateField(l.to_string()));
+        let mut canonical = true;
+        for w in fields.windows(2) {
+            match w[0].0.cmp(&w[1].0) {
+                Ordering::Less => {}
+                Ordering::Equal => return duplicate(&w[1].0),
+                Ordering::Greater => canonical = false,
+            }
+        }
+        if !canonical && fields.len() > 2 {
+            for (i, (label, _)) in fields.iter().enumerate() {
+                if fields[..i].iter().any(|(l, _)| l == label) {
+                    return duplicate(label);
+                }
             }
         }
         Ok(Record {
-            fields: fields.into(),
+            fields,
+            memo: AtomicU64::new(if canonical { CANONICAL } else { 0 }),
         })
     }
 
@@ -61,6 +102,38 @@ impl Record {
     pub fn single(label: Arc<str>, value: Value) -> Record {
         Record {
             fields: Arc::new([(label, value)]),
+            memo: AtomicU64::new(CANONICAL),
+        }
+    }
+
+    /// The label-permutation-insensitive hash of this record under
+    /// [`ValueHasher`], for in-memory hash tables: computed on first use,
+    /// remembered in the handle and carried by its clones; nested tuples
+    /// contribute their own remembered hash. Equal records hash equal.
+    pub fn structural_hash(&self) -> u64 {
+        let memo = self.memo.load(Relaxed);
+        if memo & HASHED != 0 {
+            return memo >> 2;
+        }
+        let mut h = ValueHasher::default();
+        self.for_each_canonical(|l, v| {
+            l.hash(&mut h);
+            v.feed(&mut h, true);
+        });
+        let hash = h.finish() >> 2;
+        self.memo.store(memo | HASHED | hash << 2, Relaxed);
+        hash
+    }
+
+    /// Visit the fields in label order.
+    fn for_each_canonical<'a>(&'a self, mut f: impl FnMut(&'a Arc<str>, &'a Value)) {
+        if self.memo.load(Relaxed) & CANONICAL != 0 {
+            return self.fields.iter().for_each(|(l, v)| f(l, v));
+        }
+        let mut stack = [0; INLINE_ORDER];
+        let mut heap = Vec::new();
+        for &i in canonical_order(&self.fields, &mut stack, &mut heap) {
+            f(&self.fields[i].0, &self.fields[i].1);
         }
     }
 
@@ -133,13 +206,20 @@ impl Record {
     /// Tuple concatenation `x ++ y` (Section 6). Fails if the operands share
     /// a top-level label.
     pub fn concat(&self, other: &Record) -> Result<Record> {
-        Record::new(self.fields.iter().chain(other.fields.iter()).cloned())
+        Record::checked(
+            self.fields
+                .iter()
+                .chain(other.fields.iter())
+                .cloned()
+                .collect(),
+        )
     }
 
     /// The paper's `x ++ (a = z)`: extend with a single unary tuple.
     /// Fails if `a` already occurs on the top level of `x`.
     pub fn extend_field(&self, label: impl Into<Arc<str>>, value: Value) -> Result<Record> {
-        Record::new(self.fields.iter().cloned().chain([(label.into(), value)]))
+        let extra = [(label.into(), value)];
+        Record::checked(self.fields.iter().cloned().chain(extra).collect())
     }
 
     /// Projection onto a list of labels (in the order given).
@@ -157,21 +237,16 @@ impl Record {
         if !self.has(label) {
             return Err(self.no_such_field(label));
         }
-        Ok(Record {
-            fields: self
-                .fields
-                .iter()
-                .filter(|(l, _)| &**l != label)
-                .cloned()
-                .collect(),
-        })
+        let rest = self.fields.iter().filter(|(l, _)| &**l != label);
+        Record::checked(rest.cloned().collect())
     }
 }
 
 impl Default for Record {
     fn default() -> Record {
         Record {
-            fields: Arc::new([]),
+            fields: Arc::default(),
+            memo: AtomicU64::new(CANONICAL),
         }
     }
 }
@@ -179,9 +254,10 @@ impl Default for Record {
 /// Records up to this wide order their labels in a stack buffer.
 const INLINE_ORDER: usize = 16;
 
-/// The indices of `fields` sorted by label — the canonical form used for
-/// ordering and hashing — written into `stack` (or `heap` for records
-/// wider than [`INLINE_ORDER`]); no allocation for the narrow common case.
+/// The indices of `fields` sorted by label — the canonical form of a
+/// record whose labels are not already ascending — written into `stack`
+/// (or `heap` for records wider than [`INLINE_ORDER`]); no allocation for
+/// the narrow common case.
 fn canonical_order<'a>(
     fields: &[Field],
     stack: &'a mut [usize; INLINE_ORDER],
@@ -205,6 +281,10 @@ impl PartialEq for Record {
     fn eq(&self, other: &Self) -> bool {
         if Arc::ptr_eq(&self.fields, &other.fields) {
             return true;
+        }
+        let (ma, mb) = (self.memo.load(Relaxed), other.memo.load(Relaxed));
+        if ma & mb & HASHED != 0 && ma >> 2 != mb >> 2 {
+            return false;
         }
         // Labels are distinct within a record, so equal widths plus every
         // field of `self` matched in `other` is equality of the mappings.
@@ -237,6 +317,21 @@ impl Ord for Record {
         if Arc::ptr_eq(&self.fields, &other.fields) {
             return Ordering::Equal;
         }
+        if self.memo.load(Relaxed) & other.memo.load(Relaxed) & CANONICAL != 0 {
+            // Both already in label order: the canonical comparison is the
+            // positional one. Rows of one schema share their label `Arc`s.
+            for ((la, va), (lb, vb)) in self.fields.iter().zip(other.fields.iter()) {
+                let by_label = match Arc::ptr_eq(la, lb) {
+                    true => Ordering::Equal,
+                    false => la.cmp(lb),
+                };
+                match by_label.then_with(|| va.cmp(vb)) {
+                    Ordering::Equal => {}
+                    unequal => return unequal,
+                }
+            }
+            return self.len().cmp(&other.len());
+        }
         let (mut sa, mut sb) = ([0; INLINE_ORDER], [0; INLINE_ORDER]);
         let (mut ha, mut hb) = (Vec::new(), Vec::new());
         let a = canonical_order(&self.fields, &mut sa, &mut ha);
@@ -250,14 +345,14 @@ impl Ord for Record {
 }
 
 impl Hash for Record {
+    /// Feeds any hasher the fields in label order — a byte stream that is
+    /// a function of the mapping alone and never of the memo, so a seeded
+    /// hasher partitions spilled rows the same way in every run.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut stack = [0; INLINE_ORDER];
-        let mut heap = Vec::new();
-        for &i in canonical_order(&self.fields, &mut stack, &mut heap) {
-            let (l, v) = &self.fields[i];
+        self.for_each_canonical(|l, v| {
             l.hash(state);
             v.hash(state);
-        }
+        });
     }
 }
 
@@ -311,6 +406,14 @@ mod tests {
             ("a".to_string(), Value::Int(2)),
         ]);
         assert!(matches!(r, Err(ModelError::DuplicateField(_))));
+        // Apart, out of order, and at the end of an ascending run.
+        for labels in [["c", "a", "c"], ["b", "c", "b"], ["a", "b", "b"]] {
+            let r = Record::new(labels.map(|l| (l, Value::Null)));
+            assert!(
+                matches!(r, Err(ModelError::DuplicateField(_))),
+                "{labels:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! `⊆ ⊂ ⊇ ⊃`, equality, intersection tests `∩ = ∅` / `∩ ≠ ∅`, and the
 //! UNNEST collapse `⋃{s | s ∈ S}` of Section 5.
 
-use std::collections::BTreeSet;
-
 use crate::error::ModelError;
 use crate::value::Value;
 use crate::Result;
@@ -29,44 +27,34 @@ pub fn subset(a: &Value, b: &Value) -> Result<bool> {
 
 /// `a ⊇ b`.
 pub fn superseteq(a: &Value, b: &Value) -> Result<bool> {
-    Ok(a.as_set()?.is_superset(b.as_set()?))
+    let (sa, sb) = (a.as_set()?, b.as_set()?);
+    Ok(sb.is_subset(sa))
 }
 
 /// `a ⊃ b` (proper superset).
 pub fn superset(a: &Value, b: &Value) -> Result<bool> {
     let (sa, sb) = (a.as_set()?, b.as_set()?);
-    Ok(sa.is_superset(sb) && sa.len() > sb.len())
+    Ok(sb.is_subset(sa) && sa.len() > sb.len())
 }
 
 /// `a ∩ b = ∅` (disjointness).
 pub fn disjoint(a: &Value, b: &Value) -> Result<bool> {
-    let (sa, sb) = (a.as_set()?, b.as_set()?);
-    // Iterate the smaller side.
-    let (small, large) = if sa.len() <= sb.len() {
-        (sa, sb)
-    } else {
-        (sb, sa)
-    };
-    Ok(!small.iter().any(|v| large.contains(v)))
+    Ok(a.as_set()?.is_disjoint(b.as_set()?))
 }
 
 /// `a ∪ b`.
 pub fn union(a: &Value, b: &Value) -> Result<Value> {
-    let mut out = a.as_set()?.clone();
-    out.extend(b.as_set()?.iter().cloned());
-    Ok(Value::Set(out))
+    Ok(Value::Set(a.as_set()?.union(b.as_set()?)))
 }
 
 /// `a ∩ b`.
 pub fn intersect(a: &Value, b: &Value) -> Result<Value> {
-    let (sa, sb) = (a.as_set()?, b.as_set()?);
-    Ok(Value::Set(sa.intersection(sb).cloned().collect()))
+    Ok(Value::Set(a.as_set()?.intersection(b.as_set()?)))
 }
 
 /// `a \ b`.
 pub fn difference(a: &Value, b: &Value) -> Result<Value> {
-    let (sa, sb) = (a.as_set()?, b.as_set()?);
-    Ok(Value::Set(sa.difference(sb).cloned().collect()))
+    Ok(Value::Set(a.as_set()?.difference(b.as_set()?)))
 }
 
 /// Cardinality `count(s)` — the aggregate at the heart of the COUNT bug.
@@ -76,10 +64,10 @@ pub fn count(s: &Value) -> Result<i64> {
 
 /// `UNNEST(S) = ⋃{s | s ∈ S}` (Section 5): collapse a set of sets.
 pub fn unnest(s: &Value) -> Result<Value> {
-    let mut out: BTreeSet<Value> = BTreeSet::new();
+    let mut out = Vec::new();
     for inner in s.as_set()? {
         match inner {
-            Value::Set(items) => out.extend(items.iter().cloned()),
+            Value::Set(items) => out.extend_from_slice(items),
             other => {
                 return Err(ModelError::KindMismatch {
                     expected: "set",
@@ -88,7 +76,7 @@ pub fn unnest(s: &Value) -> Result<Value> {
             }
         }
     }
-    Ok(Value::Set(out))
+    Ok(Value::set(out))
 }
 
 /// Numeric aggregates over a set, used by predicates of the form
@@ -109,12 +97,12 @@ pub mod aggregate {
     /// COUNT are undefined on ∅, which is precisely why COUNT is the
     /// bug-prone one — COUNT(∅) = 0 is a real value).
     pub fn min(s: &Value) -> Result<Option<Value>> {
-        Ok(s.as_set()?.iter().next().cloned())
+        Ok(s.as_set()?.first().cloned())
     }
 
     /// `MAX`; `None` on the empty set.
     pub fn max(s: &Value) -> Result<Option<Value>> {
-        Ok(s.as_set()?.iter().next_back().cloned())
+        Ok(s.as_set()?.last().cloned())
     }
 
     /// `AVG`; `None` on the empty set.

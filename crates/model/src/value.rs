@@ -1,21 +1,23 @@
 //! The universe of complex object values.
 //!
 //! [`Value`] is the dynamic representation of every TM value. It carries a
-//! *total order* (needed so sets of arbitrary values can be represented as
-//! `BTreeSet<Value>`, giving the paper's duplicate-free set semantics for
-//! free) and a hash implementation (needed by hash-based join operators).
+//! *total order* (needed so a set of arbitrary values can be kept as one
+//! sorted, duplicate-free slice — [`SetValue`] — giving the paper's set
+//! semantics for free), a structural equality consistent with it, and a
+//! hash implementation (needed by hash-based operators; see
+//! [`crate::hash`] for which hasher is used where).
 //!
 //! Floats are ordered with [`f64::total_cmp`]; `NaN` is therefore a legal,
 //! orderable set element, and `-0.0 < 0.0`.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::record::Record;
+use crate::set::SetValue;
 use crate::Result;
 
 /// A TM complex object value.
@@ -39,7 +41,7 @@ pub enum Value {
     /// Tuple value `(a = 1, b = "x")`.
     Tuple(Record),
     /// Duplicate-free set value `{1, 2, 3}`.
-    Set(BTreeSet<Value>),
+    Set(SetValue),
     /// Ordered list value `[1, 2, 2, 3]`.
     List(Vec<Value>),
     /// Variant value `label(v)` of a variant type.
@@ -61,7 +63,7 @@ impl Value {
     /// Convenience constructor for an empty set — a first-class citizen of
     /// the model (Section 6: "the empty set is part of the model").
     pub fn empty_set() -> Value {
-        Value::Set(BTreeSet::new())
+        Value::Set(SetValue::default())
     }
 
     /// Convenience constructor for tuples from `(label, value)` pairs.
@@ -126,16 +128,16 @@ impl Value {
     }
 
     /// Extract a set, or fail with a kind mismatch.
-    pub fn as_set(&self) -> Result<&BTreeSet<Value>> {
+    pub fn as_set(&self) -> Result<&SetValue> {
         match self {
             Value::Set(s) => Ok(s),
             other => Err(mismatch("set", other)),
         }
     }
 
-    /// Take the set out of an owned value, or fail with the same kind
-    /// mismatch as [`Value::as_set`].
-    pub fn into_set(self) -> Result<BTreeSet<Value>> {
+    /// Take the set out of an owned value (a handle to the shared slice),
+    /// or fail with the same kind mismatch as [`Value::as_set`].
+    pub fn into_set(self) -> Result<SetValue> {
         match self {
             Value::Set(s) => Ok(s),
             other => Err(mismatch("set", &other)),
@@ -261,8 +263,24 @@ fn rank(v: &Value) -> u8 {
 }
 
 impl PartialEq for Value {
+    /// Structural equality, `a == b ⇔ a.cmp(b) == Equal`, without the
+    /// ordering walk: tuples and sets reach their pointer-identity and
+    /// positional fast paths, floats compare by bit pattern (which is
+    /// when `total_cmp` calls them equal).
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) => a == b,
+            (Tuple(a), Tuple(b)) => a == b,
+            (Set(a), Set(b)) => a == b,
+            (List(a), List(b)) => a == b,
+            (Variant(la, va), Variant(lb, vb)) => la == lb && va == vb,
+            _ => false,
+        }
     }
 }
 
@@ -284,7 +302,7 @@ impl Ord for Value {
             (Float(a), Float(b)) => a.total_cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Tuple(a), Tuple(b)) => a.cmp(b),
-            (Set(a), Set(b)) => a.iter().cmp(b.iter()),
+            (Set(a), Set(b)) => a.cmp(b),
             (List(a), List(b)) => a.cmp(b),
             (Variant(la, va), Variant(lb, vb)) => la.cmp(lb).then_with(|| va.cmp(vb)),
             (a, b) => rank(a).cmp(&rank(b)),
@@ -292,8 +310,12 @@ impl Ord for Value {
     }
 }
 
-impl Hash for Value {
-    fn hash<H: Hasher>(&self, state: &mut H) {
+impl Value {
+    /// The one hash walk. With `memo` off it is `impl Hash`: the byte
+    /// stream is fixed, whatever the hasher. With `memo` on, a tuple
+    /// contributes its remembered [`Record::structural_hash`] instead of
+    /// its fields — the walk behind that hash itself.
+    pub(crate) fn feed<H: Hasher>(&self, state: &mut H, memo: bool) {
         rank(self).hash(state);
         match self {
             Value::Null => {}
@@ -301,19 +323,29 @@ impl Hash for Value {
             Value::Int(i) => i.hash(state),
             Value::Float(x) => x.to_bits().hash(state),
             Value::Str(s) => s.hash(state),
+            Value::Tuple(r) if memo => state.write_u64(r.structural_hash()),
             Value::Tuple(r) => r.hash(state),
-            Value::Set(s) => {
-                s.len().hash(state);
-                for v in s {
-                    v.hash(state);
-                }
-            }
-            Value::List(l) => l.hash(state),
+            Value::Set(items) => feed_all(items, state, memo),
+            Value::List(items) => feed_all(items, state, memo),
             Value::Variant(lbl, v) => {
                 lbl.hash(state);
-                v.hash(state);
+                v.feed(state, memo);
             }
         }
+    }
+}
+
+/// Length, then every element (what `[Value]::hash` feeds).
+fn feed_all<H: Hasher>(items: &[Value], state: &mut H, memo: bool) {
+    items.len().hash(state);
+    for v in items {
+        v.feed(state, memo);
+    }
+}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.feed(state, false);
     }
 }
 

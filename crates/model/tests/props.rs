@@ -33,7 +33,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 fn arb_int_set() -> impl Strategy<Value = Value> {
-    prop::collection::btree_set((-20i64..20).prop_map(Value::Int), 0..8).prop_map(Value::Set)
+    prop::collection::btree_set((-20i64..20).prop_map(Value::Int), 0..8).prop_map(Value::set)
 }
 
 proptest! {

@@ -1,14 +1,18 @@
-//! The shared-body `Record` against a reference: equality, ordering and
-//! hashing must stay **label-permutation-insensitive** and agree with the
-//! obvious sort-by-label implementation kept here, and no mutator may
-//! write through a body that another handle shares.
+//! The shared-body `Record` and the shared-slice set against references:
+//! equality, ordering and hashing must stay **label-permutation-
+//! insensitive**, mutually consistent, and agree with the obvious
+//! sort-by-label / `BTreeSet` implementations kept here — with or without
+//! a remembered hash — and no mutator may write through a body that
+//! another handle shares.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
-use tmql_model::{Record, Value};
+use tmql_model::hash::ValueHasher;
+use tmql_model::{setops, Record, Value};
 
 // ---------------------------------------------------------------------------
 // Reference implementation: allocate, sort by label, compare pairwise
@@ -65,10 +69,42 @@ fn ref_hash(r: &Record) -> u64 {
     h.finish()
 }
 
-fn hash_of(r: &Record) -> u64 {
+fn hash_of<T: Hash>(r: &T) -> u64 {
     let mut h = DefaultHasher::new();
     r.hash(&mut h);
     h.finish()
+}
+
+/// `Record::structural_hash` from scratch: label order by sorting, nested
+/// tuples by recursion, nothing remembered.
+fn ref_structural(r: &Record) -> u64 {
+    fn feed(v: &Value, h: &mut ValueHasher) {
+        let all = |rank: u8, items: &[Value], h: &mut ValueHasher| {
+            rank.hash(h);
+            items.len().hash(h);
+            items.iter().for_each(|v| feed(v, h));
+        };
+        match v {
+            Value::Tuple(r) => {
+                5u8.hash(h);
+                h.write_u64(ref_structural(r));
+            }
+            Value::Set(s) => all(6, s, h),
+            Value::List(l) => all(7, l, h),
+            Value::Variant(label, inner) => {
+                8u8.hash(h);
+                label.hash(h);
+                feed(inner, h);
+            }
+            scalar => scalar.hash(h),
+        }
+    }
+    let mut h = ValueHasher::default();
+    for (l, v) in canonical(r) {
+        l.hash(&mut h);
+        feed(v, &mut h);
+    }
+    h.finish() >> 2
 }
 
 // ---------------------------------------------------------------------------
@@ -89,6 +125,10 @@ fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         Just(Value::Null),
         Just(Value::Float(f64::NAN)),
+        // Another NaN payload, and both zeros: distinct under `total_cmp`.
+        Just(Value::Float(f64::from_bits(0x7ff8_0000_0000_0001))),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(0.0)),
         any::<bool>().prop_map(Value::Bool),
         (-4i64..4).prop_map(Value::Int),
         (-2.0f64..2.0).prop_map(Value::Float),
@@ -160,6 +200,71 @@ proptest! {
     }
 
     #[test]
+    fn value_eq_is_cmp_equal(a in arb_value(), b in arb_value(), seed in any::<u64>()) {
+        prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
+        prop_assert_eq!(a == b, ref_cmp(&a, &b) == Ordering::Equal);
+        // Reflexive through a deep copy in another label order (NaN and
+        // -0.0 included: floats are equal when their bits are).
+        let wrapped = Record::new([("v", a.clone())]).unwrap();
+        let copy = permuted(&wrapped, seed);
+        prop_assert_eq!(copy.get("v").unwrap(), &a);
+        prop_assert_eq!(copy.get("v").unwrap().cmp(&a), Ordering::Equal);
+    }
+
+    #[test]
+    fn the_remembered_hash_is_the_from_scratch_hash(a in arb_record(), b in arb_record(), seed in any::<u64>()) {
+        let expected = ref_structural(&a);
+        let p = permuted(&a, seed);
+        // `p` is hashed cold (nested tuples cold too); `a` twice, the
+        // second time from the memo; a clone carries it.
+        prop_assert_eq!(p.structural_hash(), expected);
+        prop_assert_eq!(a.structural_hash(), expected);
+        prop_assert_eq!(a.structural_hash(), expected);
+        prop_assert_eq!(a.clone().structural_hash(), expected);
+        // Remembering a hash changes no other answer: `b` stays cold,
+        // `a` and `p` are warm, every result is the reference's.
+        prop_assert_eq!(a.cmp(&b), ref_cmp_record(&a, &b));
+        prop_assert_eq!(a == b, ref_cmp_record(&a, &b) == Ordering::Equal);
+        prop_assert_eq!(b == p, ref_cmp_record(&a, &b) == Ordering::Equal);
+        prop_assert_eq!(&a, &p);
+        prop_assert_eq!(hash_of(&a), ref_hash(&a));
+        if a == b {
+            prop_assert_eq!(b.structural_hash(), expected);
+        }
+    }
+
+    #[test]
+    fn a_set_is_the_btree_set_of_its_elements(
+        xs in prop::collection::vec(arb_value(), 0..8),
+        ys in prop::collection::vec(arb_value(), 0..8),
+    ) {
+        // Unsorted input with duplicates, NaN, sets of sets and tuples.
+        let (rx, ry): (BTreeSet<Value>, BTreeSet<Value>) =
+            (xs.iter().cloned().collect(), ys.iter().cloned().collect());
+        let (x, y) = (Value::set(xs.iter().cloned()), Value::set(ys.iter().cloned()));
+        let as_ref = |v: &Value| v.as_set().unwrap().iter().cloned().collect::<Vec<_>>();
+        let of = |s: Vec<&Value>| s.into_iter().cloned().collect::<Vec<_>>();
+        prop_assert_eq!(as_ref(&x), of(rx.iter().collect()));
+        prop_assert_eq!(x.cmp(&y), rx.iter().cmp(ry.iter()));
+        prop_assert_eq!(x == y, rx == ry);
+        // The byte stream `impl Hash` feeds: rank, length, the elements.
+        let mut h = DefaultHasher::new();
+        (6u8, rx.len()).hash(&mut h);
+        rx.iter().for_each(|v| v.hash(&mut h));
+        prop_assert_eq!(hash_of(&x), h.finish());
+        // The algebra, against the B-tree's.
+        prop_assert_eq!(as_ref(&setops::union(&x, &y).unwrap()), of(rx.union(&ry).collect()));
+        prop_assert_eq!(as_ref(&setops::intersect(&x, &y).unwrap()), of(rx.intersection(&ry).collect()));
+        prop_assert_eq!(as_ref(&setops::difference(&x, &y).unwrap()), of(rx.difference(&ry).collect()));
+        prop_assert_eq!(setops::subseteq(&x, &y).unwrap(), rx.is_subset(&ry));
+        prop_assert_eq!(setops::superset(&x, &y).unwrap(), rx.is_superset(&ry) && rx.len() > ry.len());
+        prop_assert_eq!(setops::disjoint(&x, &y).unwrap(), rx.is_disjoint(&ry));
+        for v in xs.iter().chain(&ys) {
+            prop_assert_eq!(setops::member(v, &y).unwrap(), ry.contains(v));
+        }
+    }
+
+    #[test]
     fn a_permutation_is_the_same_record(a in arb_record(), b in arb_record(), seed in any::<u64>()) {
         let p = permuted(&a, seed);
         prop_assert_eq!(&p, &a);
@@ -188,6 +293,48 @@ proptest! {
         prop_assert_eq!(a == p, expected == Ordering::Equal);
         prop_assert_eq!(a.cmp(&p), ref_cmp_record(&a, &p));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Representation pins
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_value_is_four_words() {
+    // The memo word rides in the `Record` handle; it must not widen `Value`.
+    assert!(std::mem::size_of::<Value>() <= 32);
+    assert!(std::mem::size_of::<Record>() <= 24);
+}
+
+#[test]
+fn one_declaration_order_is_not_the_canonical_order() {
+    // Same labels, same (descending) declaration order on both sides: a
+    // positional walk would compare `b` first and answer `Less`; the
+    // canonical order compares `a` first. A `cmp` that skipped the
+    // canonical-order check fails here.
+    let x = Record::new([("b", Value::Int(1)), ("a", Value::Int(2))]).unwrap();
+    let y = Record::new([("b", Value::Int(2)), ("a", Value::Int(1))]).unwrap();
+    assert_eq!(x.cmp(&y), Ordering::Greater);
+    assert_eq!(y.cmp(&x), Ordering::Less);
+    // One side canonical, the other not: still the canonical answer.
+    let x_sorted = Record::new([("a", Value::Int(2)), ("b", Value::Int(1))]).unwrap();
+    assert_eq!(x_sorted.cmp(&y), Ordering::Greater);
+    assert_eq!(x_sorted.cmp(&x), Ordering::Equal);
+    assert_eq!(x_sorted.structural_hash(), x.structural_hash());
+    assert_eq!(hash_of(&x_sorted), hash_of(&x));
+}
+
+#[test]
+fn a_set_keeps_the_first_of_equal_elements() {
+    // Equal tuples in two label orders: the one offered first is the one
+    // displayed, as a `BTreeSet` insert would have kept it.
+    let ab = Value::tuple([("a", Value::Int(1)), ("b", Value::Int(2))]);
+    let ba = Value::tuple([("b", Value::Int(2)), ("a", Value::Int(1))]);
+    assert_eq!(
+        Value::set([ba.clone(), ab.clone()]).to_string(),
+        "{(b = 2, a = 1)}"
+    );
+    assert_eq!(Value::set([ab, ba]).to_string(), "{(a = 1, b = 2)}");
 }
 
 // ---------------------------------------------------------------------------

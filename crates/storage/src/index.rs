@@ -22,8 +22,9 @@
 //! same semantics a scan-side predicate gives an absent field (it can
 //! never compare equal), so index paths and scan paths agree.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use tmql_model::hash::ValueMap;
 use tmql_model::{ModelError, Result, Value};
 
 use crate::spill::{decode_value, encode_value};
@@ -81,13 +82,13 @@ fn index_rows(table: &Table, attr: &str, mut insert: impl FnMut(Value, usize)) -
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     attr: String,
-    map: HashMap<Value, Vec<usize>>,
+    map: ValueMap<Value, Vec<usize>>,
 }
 
 impl HashIndex {
     /// Build over `table.attr`, skipping rows that lack the attribute.
     pub fn build(table: &Table, attr: &str) -> Result<HashIndex> {
-        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
+        let mut map: ValueMap<Value, Vec<usize>> = ValueMap::default();
         index_rows(table, attr, |v, pos| map.entry(v).or_default().push(pos))?;
         Ok(HashIndex {
             attr: attr.to_string(),

@@ -21,7 +21,6 @@
 //! universe — nested tuples, sets, lists, and variants round-trip exactly,
 //! including `NaN` floats (bit-pattern preserved via `to_bits`).
 
-use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -226,22 +225,11 @@ impl<'a> Cursor<'a> {
             tag::FLOAT => Value::Float(f64::from_bits(self.u64()?)),
             tag::STR => Value::Str(Arc::from(self.str()?)),
             tag::TUPLE => Value::Tuple(self.record()?),
-            tag::SET => {
-                let n = self.u32()? as usize;
-                let mut items = BTreeSet::new();
-                for _ in 0..n {
-                    items.insert(self.value()?);
-                }
-                Value::Set(items)
-            }
-            tag::LIST => {
-                let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Value::List(items)
-            }
+            // An encoder writes a set in order; `Value::set` re-sorts (one
+            // pass over sorted input) so no payload can yield a set that
+            // is out of order or holds duplicates.
+            tag::SET => Value::set(self.values()?),
+            tag::LIST => Value::List(self.values()?),
             tag::VARIANT => {
                 let label = self.label()?;
                 Value::Variant(label, Box::new(self.value()?))
@@ -252,6 +240,16 @@ impl<'a> Cursor<'a> {
                 )))
             }
         })
+    }
+
+    /// A length-prefixed run of values.
+    fn values(&mut self) -> Result<Vec<Value>> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            items.push(self.value()?);
+        }
+        Ok(items)
     }
 
     fn label(&mut self) -> Result<Arc<str>> {
@@ -501,6 +499,45 @@ mod tests {
             let bytes = encode_record(&rec);
             let back = decode_record(&bytes).unwrap();
             assert_eq!(rec, back);
+        }
+    }
+
+    #[test]
+    fn a_hostile_set_payload_decodes_to_a_well_formed_set_or_an_error() {
+        // No encoder writes this: elements out of order and repeated, at
+        // two nesting levels. The decoder must hand back a real set —
+        // strictly ascending, so `contains` and the merges stay right.
+        let hostile_set = |items: &[Value]| {
+            let mut bytes = vec![tag::SET];
+            encode_len(&mut bytes, items.len());
+            items.iter().for_each(|v| encode_value(&mut bytes, v));
+            bytes
+        };
+        let ints = [3, 1, 3, 2, 1].map(Value::Int);
+        let mut bytes = vec![tag::SET];
+        encode_len(&mut bytes, 3);
+        for inner in [&ints[..], &ints[1..3], &ints[..]] {
+            bytes.extend(hostile_set(inner));
+        }
+        let (v, used) = decode_value(&bytes).unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!(v.to_string(), "{{1, 2, 3}, {1, 3}}");
+        for inner in v.as_set().unwrap() {
+            let s = inner.as_set().unwrap();
+            assert!(s.windows(2).all(|w| w[0] < w[1]));
+            assert!(s.contains(&Value::Int(3)) && !s.contains(&Value::Int(0)));
+        }
+        // A length that promises more than the payload holds, and every
+        // truncation of a good payload, are errors — never a panic.
+        let mut lying = vec![tag::SET];
+        encode_len(&mut lying, u32::MAX as usize);
+        lying.push(tag::NULL);
+        assert!(matches!(decode_value(&lying), Err(ModelError::Io(_))));
+        for cut in 0..bytes.len() {
+            assert!(matches!(
+                decode_value(&bytes[..cut]),
+                Err(ModelError::Io(_))
+            ));
         }
     }
 

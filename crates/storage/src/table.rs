@@ -3,10 +3,10 @@
 //! A [`Table`] is an ordered schema plus a duplicate-free set of records.
 //! Two backings share the type:
 //!
-//! * **In-memory** (the default): rows live in a vector, duplicates are
-//!   absorbed on [`Table::insert`] through a hash set over the same shared
-//!   row bodies (one copy of the data), and a scan hands out
-//!   reference-counted handles to them.
+//! * **In-memory** (the default): rows live in one [`RecordSet`] — a
+//!   vector in insertion order with a hash index over it, so duplicates
+//!   are absorbed on [`Table::insert`] and each row is held (and hashed)
+//!   once — and a scan hands out reference-counted handles to them.
 //! * **Disk-backed**: rows live in slotted pages of a
 //!   [`crate::pager::PagedStore`] and stream through its buffer pool;
 //!   the table holds only the store handle and its
@@ -44,8 +44,7 @@ pub struct Table {
 #[derive(Debug, Clone)]
 enum Backing {
     Mem {
-        rows: Vec<Record>,
-        seen: RecordSet,
+        rows: RecordSet,
     },
     Disk {
         store: Arc<PagedStore>,
@@ -60,8 +59,7 @@ impl Table {
             name: name.into(),
             columns,
             backing: Backing::Mem {
-                rows: Vec::new(),
-                seen: RecordSet::default(),
+                rows: RecordSet::default(),
             },
         }
     }
@@ -153,13 +151,7 @@ impl Table {
     pub fn insert(&mut self, row: Record) -> Result<bool> {
         self.validate(&row)?;
         match &mut self.backing {
-            Backing::Mem { rows, seen } => {
-                let new = seen.insert(row.clone());
-                if new {
-                    rows.push(row);
-                }
-                Ok(new)
-            }
+            Backing::Mem { rows } => Ok(rows.insert(row)),
             Backing::Disk { .. } => Err(ModelError::SchemaError(format!(
                 "table `{}` is disk-backed and immutable; build a new table and re-register",
                 self.name
@@ -193,7 +185,7 @@ impl Table {
     /// Borrow the in-memory row vector (`None` for disk-backed tables).
     pub fn mem_rows(&self) -> Option<&[Record]> {
         match &self.backing {
-            Backing::Mem { rows, .. } => Some(rows),
+            Backing::Mem { rows } => Some(rows.as_slice()),
             Backing::Disk { .. } => None,
         }
     }
@@ -222,7 +214,7 @@ impl Table {
     /// pool; in-memory tables hand out handles to their shared rows).
     pub fn rows_vec(&self) -> Result<Vec<Record>> {
         match &self.backing {
-            Backing::Mem { rows, .. } => Ok(rows.clone()),
+            Backing::Mem { rows } => Ok(rows.as_slice().to_vec()),
             Backing::Disk { store, extent } => store.read_rows(extent, 0, extent.rows as usize),
         }
     }
@@ -268,7 +260,8 @@ impl Table {
         n: usize,
     ) -> Result<Vec<Record>> {
         match &self.backing {
-            Backing::Mem { rows, .. } => {
+            Backing::Mem { rows } => {
+                let rows = rows.as_slice();
                 let lo = start.min(rows.len());
                 let hi = start.saturating_add(n).min(rows.len());
                 Ok(rows[lo..hi].to_vec())
@@ -309,7 +302,7 @@ impl Table {
     /// time in memory; a scan for disk-backed tables.
     pub fn contains(&self, row: &Record) -> Result<bool> {
         match &self.backing {
-            Backing::Mem { seen, .. } => Ok(seen.contains(row)),
+            Backing::Mem { rows } => Ok(rows.contains(row)),
             Backing::Disk { .. } => {
                 for batch in self.batches(1024) {
                     if batch?.iter().any(|r| r == row) {
@@ -324,7 +317,7 @@ impl Table {
     /// Consume the table into its row vector (materializing disk rows).
     pub fn into_rows(self) -> Result<Vec<Record>> {
         match self.backing {
-            Backing::Mem { rows, .. } => Ok(rows),
+            Backing::Mem { rows } => Ok(rows.into_rows()),
             Backing::Disk { .. } => self.rows_vec(),
         }
     }
@@ -339,8 +332,8 @@ impl Table {
     /// tests between unnesting strategies and between backings).
     pub fn same_contents(&self, other: &Table) -> Result<bool> {
         fn row_set(t: &Table) -> Result<RecordSet> {
-            if let Backing::Mem { seen, .. } = &t.backing {
-                return Ok(seen.clone());
+            if let Backing::Mem { rows } = &t.backing {
+                return Ok(rows.clone());
             }
             Ok(t.rows_vec()?.into_iter().collect())
         }
@@ -437,10 +430,7 @@ mod tests {
         assert!(!t.insert(permuted.clone()).unwrap());
         assert!(t.contains(&permuted).unwrap());
         let body = |r: &Record| r.fields().as_ptr();
-        let Backing::Mem { rows, seen } = &t.backing else {
-            panic!("in-memory table");
-        };
-        assert_eq!(body(seen.get(&row).unwrap()), body(&rows[0]));
+        assert_eq!(t.mem_rows().map(<[Record]>::len), Some(1));
         for scanned in [t.batch(0, 8).unwrap(), t.rows_vec().unwrap()] {
             assert_eq!(body(&scanned[0]), body(&row));
         }

@@ -379,7 +379,7 @@ impl<'a> Translator<'a> {
             Expr::TupleLit(fields, _) => {
                 let mut out = Vec::with_capacity(fields.len());
                 for (l, e) in fields {
-                    out.push((l.clone(), self.to_scalar(e, applies)?));
+                    out.push((l.as_str().into(), self.to_scalar(e, applies)?));
                 }
                 ScalarExpr::Tuple(out)
             }
