@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use tmql_model::{setops, ModelError, Record, Result, Value};
 
-use crate::scalar::{AggFn, ArithOp, CmpOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
+use crate::scalar::{AggFn, ArithOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
 
 /// A variable environment: an ordered stack of bindings. Later bindings
 /// shadow earlier ones (inner scopes push on top). Rows flowing through the
@@ -136,7 +136,7 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
             }
         }
         ScalarExpr::Cmp(op, a, b) => {
-            with_values(a, b, env, |va, vb| Ok(Value::Bool(eval_cmp(*op, va, vb))))
+            with_values(a, b, env, |va, vb| Ok(Value::Bool(op.test(va, vb))))
         }
         ScalarExpr::Arith(op, a, b) => with_values(a, b, env, |va, vb| {
             if va.is_null() || vb.is_null() {
@@ -210,18 +210,6 @@ pub fn eval_predicate(expr: &ScalarExpr, env: &mut Env) -> Result<bool> {
     eval(expr, env)?.as_bool()
 }
 
-fn eval_cmp(op: CmpOp, a: &Value, b: &Value) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => a.sql_eq(b),
-        CmpOp::Ne => !a.is_null() && !b.is_null() && !a.sql_eq(b),
-        CmpOp::Lt => matches!(a.sql_cmp(b), Some(Less)),
-        CmpOp::Le => matches!(a.sql_cmp(b), Some(Less | Equal)),
-        CmpOp::Gt => matches!(a.sql_cmp(b), Some(Greater)),
-        CmpOp::Ge => matches!(a.sql_cmp(b), Some(Greater | Equal)),
-    }
-}
-
 fn eval_set_cmp(op: SetCmpOp, a: &Value, b: &Value) -> Result<bool> {
     match op {
         SetCmpOp::In => setops::member(a, b),
@@ -256,6 +244,7 @@ pub fn eval_agg(f: AggFn, v: &Value) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar::CmpOp;
 
     fn env_xy() -> Env {
         let mut env = Env::new();

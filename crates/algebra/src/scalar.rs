@@ -4,50 +4,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
+pub use tmql_model::CmpOp;
 use tmql_model::Value;
-
-/// Comparison operators on atomic values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `≠`
-    Ne,
-    /// `<`
-    Lt,
-    /// `≤`
-    Le,
-    /// `>`
-    Gt,
-    /// `≥`
-    Ge,
-}
-
-impl CmpOp {
-    /// The operator with operand sides swapped (`a < b` ⟷ `b > a`).
-    pub fn flip(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
-
-    /// Logical negation (`<` ⟷ `≥`).
-    pub fn negate(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Gt => CmpOp::Le,
-            CmpOp::Ge => CmpOp::Lt,
-        }
-    }
-}
 
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -396,20 +354,6 @@ impl ScalarExpr {
                 ScalarExpr::quant(*q, bv.clone(), over2, pred2)
             }
         }
-    }
-}
-
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "≠",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "≤",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => "≥",
-        };
-        write!(f, "{s}")
     }
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Each Criterion bench target under `benches/` regenerates one experiment
 //! ladder of the table "Experiment ladders and the paper" in
-//! `tmqlbench/README.md` (target → paper section → recorded file). One
-//! target is not an experiment of the paper but a **layer micro-bench**
+//! `tmqlbench/README.md` (target → paper section → recorded file). Two
+//! targets are not experiments of the paper but **layer micro-benches**
 //! (ROADMAP item 1): `b15_values` prices a complex object as a key, on
 //! the generated `X`/`Y` rows of the `paper_nested` workload at n = 256
 //! and 2048 — a record's hash walked vs remembered, a handle clone, `cmp`
@@ -13,7 +13,16 @@
 //! build/clone/compare/`⊆`, `RecordSet` insert, the ordered
 //! `BTreeSet<Value>` collect of whole rows, and the hash join's build and
 //! its semi/anti/nest probe — the ns/row numbers the end-to-end
-//! `round_norm_ms` of that workload blends. This library holds the shared helpers: standard Criterion configuration, a
+//! `round_norm_ms` of that workload blends. `b16_scanfilter` is the second:
+//! what a stored row costs a selection, on a two-int table in memory, on
+//! disk behind a pool that holds it and behind an 8-page pool — the
+//! unfiltered `Table::batches` read (every row materialized) against
+//! `Table::batch_where` behind a pre-test that admits no row, a quarter of
+//! them, every row; `where/none` is the floor a rejected row pays (page
+//! walk, skip-scan, one comparison), `where/all` what the test adds to an
+//! admitted one.
+//!
+//! This library holds the shared helpers: standard Criterion configuration, a
 //! one-shot work-metrics reporter so every benchmark also logs the
 //! executor's machine-independent counters, and the **quick-smoke mode**
 //! (`TMQL_BENCH_QUICK=1`) CI uses to actually *execute* every bench target

@@ -471,9 +471,10 @@ impl<'a> Estimator<'a> {
     /// pre-order, except that `Apply` descends only into its outer input —
     /// the subquery operator tree is instantiated per outer row and does
     /// not appear in the executed profile. One estimate per executed
-    /// operator (an `IndexScan` is one operator implementing
-    /// select-over-scan, an `IndexNLJoin` has no inner child), so the
-    /// vector zips 1:1 with the streaming executor's profile.
+    /// operator (a filtering scan or an `IndexScan` is one operator
+    /// implementing select-over-scan, an `IndexNLJoin` has no inner
+    /// child), so the vector zips 1:1 with the streaming executor's
+    /// profile.
     pub fn exec_order_rows_phys(&self, phys: &PhysPlan) -> Vec<f64> {
         Walk::trace(*self, false, phys)
     }
@@ -1164,17 +1165,26 @@ impl<'a, 'p> Walk<'a, 'p> {
     }
 
     /// Estimate a physical plan as built — each operator by the formula
-    /// of what it implements: `IndexScan` / `HashProbe` = a scan then the
-    /// selection, `IndexNLJoin` = its left operand joined with a scan of
-    /// the probed table, hash / merge join = its key pairs plus residual,
-    /// `Materialize` = its child.
+    /// of what it implements: a filtering scan / `IndexScan` / `HashProbe`
+    /// = a scan then the selection, `IndexNLJoin` = its left operand
+    /// joined with a scan of the probed table, hash / merge join = its key
+    /// pairs plus residual, `Materialize` = its child.
     fn estimate_phys(&mut self, phys: &'p PhysPlan) -> CostEstimate {
         use PhysPlan as P;
         let (est, from) = (self.est, self.mark());
         let sides;
         let op = match phys {
-            P::ScanTable { table, var } => return self.scan(table, var),
-            P::IndexScan {
+            P::ScanTable {
+                table,
+                var,
+                pred: None,
+            } => return self.scan(table, var),
+            P::ScanTable {
+                table,
+                var,
+                pred: Some(pred),
+            }
+            | P::IndexScan {
                 table, var, pred, ..
             }
             | P::HashProbe {

@@ -219,6 +219,7 @@ mod tests {
                 input: Box::new(PhysPlan::ScanTable {
                     table: "X".into(),
                     var: "x".into(),
+                    pred: None,
                 }),
                 pred: E::cmp(tmql_algebra::CmpOp::Gt, E::path("x", &["a"]), E::lit(2i64)),
             }),
@@ -239,6 +240,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             expr: E::path("x", &["b"]),
             var: "v".into(),
@@ -257,6 +259,7 @@ mod tests {
                 input: Box::new(PhysPlan::ScanTable {
                     table: "Y".into(),
                     var: "y".into(),
+                    pred: None,
                 }),
                 pred: E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
             }),
@@ -267,6 +270,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             subquery: Box::new(sub),
             label: "z".into(),
@@ -295,6 +299,7 @@ mod tests {
                 input: Box::new(PhysPlan::ScanTable {
                     table: "Y".into(),
                     var: "y".into(),
+                    pred: None,
                 }),
                 pred: E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
             }),
@@ -305,6 +310,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             subquery: Box::new(sub.clone()),
             label: "z".into(),
@@ -337,6 +343,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "Y".into(),
                 var: "y".into(),
+                pred: None,
             }),
             pred: E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
         };
@@ -344,6 +351,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             subquery: Box::new(sub),
             label: "z".into(),
@@ -378,6 +386,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             pred: E::cmp(tmql_algebra::CmpOp::Gt, E::path("x", &["a"]), E::lit(0i64)),
         };
@@ -411,6 +420,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             pred: pred.clone(),
         };
@@ -492,10 +502,12 @@ mod tests {
                 left: Box::new(PhysPlan::ScanTable {
                     table: "X".into(),
                     var: "x".into(),
+                    pred: None,
                 }),
                 right: Box::new(PhysPlan::ScanTable {
                     table: "Y".into(),
                     var: "y".into(),
+                    pred: None,
                 }),
                 pred: pred.clone(),
                 kind: kind.clone(),
@@ -504,6 +516,7 @@ mod tests {
                 left: Box::new(PhysPlan::ScanTable {
                     table: "X".into(),
                     var: "x".into(),
+                    pred: None,
                 }),
                 right_table: "Y".into(),
                 right_var: "y".into(),

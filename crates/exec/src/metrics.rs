@@ -15,7 +15,9 @@ use std::ops::AddAssign;
 /// design:
 ///
 /// * `Filter` evaluates its predicate once per input row → one comparison
-///   **per row**;
+///   **per row**; a scan with the selection fused in counts the same, one
+///   per *visited* row, whether its pre-test or the full predicate
+///   decided the row;
 /// * the nested-loop join evaluates the join predicate once per (left,
 ///   right) candidate → one comparison **per pair**;
 /// * hash/merge joins count one comparison per *residual* evaluation (the
@@ -41,6 +43,9 @@ pub struct Metrics {
     pub rows_sorted: u64,
     /// Rows emitted by operators (every operator in the tree, scans
     /// included — the "total intermediate row count" of a streaming run).
+    /// A scan with a selection fused in counts every row it visits here
+    /// besides the rows it emits: the hand-over from scan to selection
+    /// still happens, in place, and the cost model still prices it.
     pub rows_emitted: u64,
     /// Correlated subquery executions (Apply invocations) — the count the
     /// paper's unnesting eliminates.

@@ -89,6 +89,9 @@ pub struct OpStats {
     /// repartitioning passes re-count their rows, mirroring
     /// [`crate::Metrics::rows_spilled`]).
     pub rows_spilled: u64,
+    /// Stored rows a filtering scan's pre-test rejected inside storage,
+    /// before they were decoded or bound (0 for every other operator).
+    pub rows_skipped: u64,
     /// Wall-clock nanoseconds spent inside this operator's `open`,
     /// `next_batch`, and `close` calls, *inclusive* of its children
     /// (a parent's span covers the pulls it issues downstream, exactly
@@ -207,6 +210,9 @@ pub struct OpProfile {
     pub batches_out: u64,
     /// Rows this operator spilled to disk (0 without a memory budget).
     pub rows_spilled: u64,
+    /// Rows rejected before materialization (see
+    /// [`OpStats::rows_skipped`]).
+    pub rows_skipped: u64,
     /// Inclusive wall-clock nanoseconds (see [`OpStats::wall_nanos`];
     /// 0 when timing collection was off).
     pub wall_nanos: u64,
@@ -248,6 +254,7 @@ pub fn collect_profile(root: &dyn Operator, est: Option<&[f64]>) -> Vec<OpProfil
             rows_out: s.rows_out,
             batches_out: s.batches_out,
             rows_spilled: s.rows_spilled,
+            rows_skipped: s.rows_skipped,
             wall_nanos: s.wall_nanos,
             est_rows,
         });
@@ -268,12 +275,14 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
     for e in entries {
         out.push_str(&"  ".repeat(e.depth));
         // `spilled=` appears only when the operator actually spilled, so
-        // in-memory profiles read exactly as before the spill tier existed.
-        let spilled = if e.rows_spilled > 0 {
-            format!(" spilled={}", e.rows_spilled)
-        } else {
-            String::new()
+        // in-memory profiles read exactly as before the spill tier existed;
+        // `skipped=` likewise, only on a scan whose pre-test rejected rows.
+        let nonzero = |name: &str, n: u64| match n {
+            0 => String::new(),
+            n => format!(" {name}={n}"),
         };
+        let spilled = nonzero("spilled", e.rows_spilled);
+        let skipped = nonzero("skipped", e.rows_skipped);
         // `time=` appears only when spans were collected, so profiles
         // taken with `collect_timing` off render exactly as before the
         // observability layer existed.
@@ -284,14 +293,14 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
         };
         match e.est_rows {
             Some(est) => out.push_str(&format!(
-                "{} [rows={} est={} batches={}{spilled}{time}]\n",
+                "{} [rows={} est={} batches={}{spilled}{skipped}{time}]\n",
                 e.label,
                 e.rows_out,
                 crate::cost::format_rows(est),
                 e.batches_out
             )),
             None => out.push_str(&format!(
-                "{} [rows={} batches={}{spilled}{time}]\n",
+                "{} [rows={} batches={}{spilled}{skipped}{time}]\n",
                 e.label, e.rows_out, e.batches_out
             )),
         }
@@ -389,7 +398,9 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
         stats: OpStats::default(),
     };
     match plan {
-        PhysPlan::ScanTable { table, var } => Box::new(ScanTableOp::new(base, table, var)),
+        PhysPlan::ScanTable { table, var, pred } => {
+            Box::new(ScanTableOp::new(base, table, var, pred.as_ref()))
+        }
         PhysPlan::IndexScan {
             table,
             var,
@@ -592,6 +603,7 @@ mod tests {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             pred: E::cmp(tmql_algebra::CmpOp::Gt, E::path("x", &["a"]), E::lit(3i64)),
         }
@@ -603,6 +615,7 @@ mod tests {
         let plan = PhysPlan::ScanTable {
             table: "X".into(),
             var: "x".into(),
+            pred: None,
         };
         // Serial: the exact shape is pinned — full batches then the rest.
         let mut ctx =
@@ -656,6 +669,7 @@ mod tests {
                 input: Box::new(PhysPlan::ScanTable {
                     table: "X".into(),
                     var: "x".into(),
+                    pred: None,
                 }),
                 expr: E::path("x", &["b"]),
                 var: "v".into(),

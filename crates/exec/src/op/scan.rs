@@ -3,16 +3,19 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, eval_predicate, ScalarExpr};
+use tmql_algebra::{eval, eval_predicate, CmpOp, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 use tmql_storage::spill::{RunReader, SpillFile};
+use tmql_storage::RowTest;
 
 use crate::exec::ExecContext;
 use crate::op::operator::{op_base, pop_carry, Batch, OpBase, Operator};
 use crate::op::{self, exchange};
+use crate::planner::scan_pretest;
 
-/// Morsel-driven scan over a stored table; reads row ranges through
-/// [`tmql_storage::Table::batch`], never cloning the whole extension.
+/// Morsel-driven scan over a stored table — with the selection directly
+/// over it fused in, when there is one; reads row ranges through
+/// [`tmql_storage::Table::batch_where`], never cloning the whole extension.
 ///
 /// Each refill issues one wave of [`ExecContext::threads`] consecutive row
 /// ranges (morsels) through [`exchange::scatter`] — disk-backed tables
@@ -24,21 +27,47 @@ use crate::op::{self, exchange};
 /// `batch_size` rows, read in place, at one thread):
 /// `peak_resident_rows` stays bounded by `O(batch_size)` instead of
 /// growing as `threads × batch_size`.
+///
+/// A selection is applied in two steps. `open` evaluates the keys of the
+/// predicate's leading `var.attr ⟨cmp⟩ key` conjuncts
+/// ([`scan_pretest`]) against the correlation environment — so a
+/// correlated key follows every `rebind`, as [`IndexScanOp::probe`]'s
+/// does — into a [`RowTest`] that storage runs on each stored row before
+/// materializing it. Its survivors are a candidate superset: each is
+/// bound and put through the whole predicate, exactly as a `Filter` over
+/// the scan evaluated it, so results and errors are what they were. The
+/// work counters are too: a visited row is one `rows_scanned`, one
+/// `comparisons` and — standing for the scan's hand-over to the selection,
+/// which now happens in place — one `rows_emitted`, whether or not the
+/// pre-test let it through.
 pub(super) struct ScanTableOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
     var: Arc<str>,
+    pred: Option<&'p ScalarExpr>,
+    /// The pre-testable conjuncts of `pred`, keys unevaluated.
+    sargable: Vec<(Arc<str>, CmpOp, ScalarExpr)>,
+    /// What `open` made of them (empty: storage rejects nothing).
+    test: RowTest,
     pos: usize,
     carry: VecDeque<Record>,
     exhausted: bool,
 }
 
 impl<'p> ScanTableOp<'p> {
-    pub(super) fn new(base: OpBase<'p>, table: &'p str, var: &str) -> Self {
+    pub(super) fn new(
+        base: OpBase<'p>,
+        table: &'p str,
+        var: &str,
+        pred: Option<&'p ScalarExpr>,
+    ) -> Self {
         ScanTableOp {
             base,
             table,
             var: Arc::from(var),
+            pred,
+            sargable: pred.map_or_else(Vec::new, |p| scan_pretest(p, var)),
+            test: RowTest::default(),
             pos: 0,
             carry: VecDeque::new(),
             exhausted: false,
@@ -53,6 +82,14 @@ impl Operator for ScanTableOp<'_> {
         self.close(ctx);
         self.pos = 0;
         self.exhausted = false;
+        // A key that fails to evaluate ends the pre-test before its
+        // conjunct: the rows that reach it raise the error themselves.
+        let env = &mut self.base.env;
+        let keys = self.sargable.iter().map_while(|(attr, op, key)| {
+            let key = eval(key, env).ok()?;
+            Some((attr.clone(), *op, key))
+        });
+        self.test = RowTest::new(keys.collect());
         Ok(())
     }
 
@@ -71,19 +108,32 @@ impl Operator for ScanTableOp<'_> {
             // out handles to their shared rows; disk-backed tables stream
             // the needed pages through the buffer pool.
             let t = ctx.catalog.table(self.table)?;
-            let var = &self.var;
+            let (var, test) = (&self.var, &self.test);
             let m = n.div_ceil(threads).max(1);
             let starts: Vec<usize> = (0..threads).map(|i| self.pos + i * m).collect();
-            let results = exchange::scatter(threads, starts, |start| -> Result<Vec<Record>> {
-                Ok(op::bind_tuples(var, t.batch(start, m)?))
+            let results = exchange::scatter(threads, starts, |start| {
+                let (rows, visited) = t.batch_where(start, m, test)?;
+                Ok((op::bind_tuples(var, rows), visited))
             });
             for res in results {
-                let rows = res?;
-                self.exhausted = rows.len() < m;
-                self.pos += rows.len();
-                ctx.metrics.rows_scanned += rows.len() as u64;
-                ctx.resident_acquire(rows.len());
-                self.carry.extend(rows);
+                let (rows, visited) = res?;
+                self.exhausted = visited < m;
+                self.pos += visited;
+                ctx.metrics.rows_scanned += visited as u64;
+                if let Some(pred) = self.pred {
+                    ctx.metrics.comparisons += visited as u64;
+                    ctx.metrics.rows_emitted += visited as u64;
+                    self.base.stats.rows_skipped += (visited - rows.len()) as u64;
+                    for row in rows {
+                        if op::with_row(&mut self.base.env, &row, |e| eval_predicate(pred, e))? {
+                            ctx.resident_acquire(1);
+                            self.carry.push_back(row);
+                        }
+                    }
+                } else {
+                    ctx.resident_acquire(rows.len());
+                    self.carry.extend(rows);
+                }
                 if self.exhausted {
                     break;
                 }

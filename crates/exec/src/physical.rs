@@ -65,12 +65,19 @@ impl JoinKind {
 /// A physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysPlan {
-    /// Full scan of a stored table.
+    /// Scan of a stored table, with the selection directly over it (if
+    /// any) fused in: the scan hands storage a **pre-test** built from the
+    /// leading `var.attr ⟨cmp⟩ key` conjuncts of `pred`, so a row those
+    /// reject is never materialized, and re-evaluates the whole `pred` on
+    /// every row that survives — a candidate superset, the same contract
+    /// `IndexScan` and `HashProbe` have.
     ScanTable {
         /// Table name.
         table: String,
         /// Binding variable.
         var: String,
+        /// Full selection predicate over `var` (`None`: every row).
+        pred: Option<ScalarExpr>,
     },
     /// Probe a secondary index on `table.attr` instead of scanning: an
     /// equality key and/or range bounds (constant expressions) select a
@@ -304,7 +311,10 @@ impl PhysPlan {
     /// Operator label (with algorithm) for explain output.
     pub fn op_label(&self) -> String {
         match self {
-            PhysPlan::ScanTable { table, .. } => format!("Scan({table})"),
+            PhysPlan::ScanTable {
+                table, pred: None, ..
+            } => format!("Scan({table})"),
+            PhysPlan::ScanTable { table, .. } => format!("Scan({table})[σ]"),
             PhysPlan::IndexScan { table, attr, .. } => format!("IndexScan({table}.{attr})"),
             PhysPlan::IndexNLJoin {
                 right_table,
@@ -444,10 +454,12 @@ mod tests {
             left: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             right: Box::new(PhysPlan::ScanTable {
                 table: "Y".into(),
                 var: "y".into(),
+                pred: None,
             }),
             left_keys: vec![E::path("x", &["b"])],
             right_keys: vec![E::path("y", &["b"])],
@@ -474,6 +486,14 @@ mod tests {
             pred: E::lit(true),
         };
         assert_eq!(scan.op_label(), "IndexScan(R.a)");
+        // A fused selection shows on the scan's own line.
+        let fused = PhysPlan::ScanTable {
+            table: "R".into(),
+            var: "r".into(),
+            pred: Some(E::lit(true)),
+        };
+        assert_eq!(fused.op_label(), "Scan(R)[σ]");
+        assert!(fused.children().is_empty());
         assert!(scan.children().is_empty());
         let join = PhysPlan::IndexNLJoin {
             left: Box::new(scan),
@@ -494,6 +514,7 @@ mod tests {
             Box::new(PhysPlan::ScanTable {
                 table: t.into(),
                 var: v.into(),
+                pred: None,
             })
         };
         let apply = |bindings: Option<Vec<ScalarExpr>>| PhysPlan::Apply {

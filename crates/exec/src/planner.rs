@@ -10,7 +10,10 @@
 //!
 //! * **scan vs probe** — a selection directly over a stored table becomes
 //!   an `IndexScan` when `Estimator::index_scan_choice` prices the probe
-//!   below scan-and-filter;
+//!   below scan-and-filter, and otherwise a scan with the selection fused
+//!   in (never a `Filter` over a `ScanTable`): its leading
+//!   `var.attr ⟨cmp⟩ key` conjuncts ([`scan_pretest`]) reject rows inside
+//!   storage, before they are materialized;
 //! * **join path** — for every member of the join family the predicate is
 //!   split into equi-key pairs `left-expr = right-expr` (each side over one
 //!   operand's variables) plus a residual, and `Estimator::join_path`
@@ -144,6 +147,22 @@ fn attr_cmp(conj: &ScalarExpr, var: &str) -> Option<(String, tmql_algebra::CmpOp
         _ => None,
     };
     oriented(a, b, *op).or_else(|| oriented(b, a, op.flip()))
+}
+
+/// The conjuncts a fused scan of `var` can pre-test in storage: the
+/// longest prefix of `pred`'s conjuncts that are each `var.attr ⟨cmp⟩ key`,
+/// as `(attr, cmp, key)`. A prefix, because a conjunct behind one that is
+/// not of this shape is reached only by rows on which that one evaluated
+/// to true without an error — which storage cannot know.
+pub fn scan_pretest(
+    pred: &ScalarExpr,
+    var: &str,
+) -> Vec<(Arc<str>, tmql_algebra::CmpOp, ScalarExpr)> {
+    split_conjuncts(pred)
+        .iter()
+        .map_while(|conj| attr_cmp(conj, var))
+        .map(|(attr, op, key)| (attr.into(), op, key))
+        .collect()
 }
 
 /// [`attr_cmp`] on an attribute that carries a secondary index on `table`.
@@ -455,12 +474,18 @@ impl<'p> Lowering<'_, 'p, '_> {
             Plan::ScanTable { table, var } => {
                 let (est, (table, var)) =
                     (self.walk.scan(table, var), (table.clone(), var.clone()));
-                return (PhysPlan::ScanTable { table, var }, est);
+                let phys = PhysPlan::ScanTable {
+                    table,
+                    var,
+                    pred: None,
+                };
+                return (phys, est);
             }
             Plan::Select { input, pred } => match &**input {
                 // Scan vs probe: a selection directly over a stored table
                 // probes the Apply's transient hash index, or a persistent
-                // index when the model prices that below scan-and-filter.
+                // index when the model prices that below scan-and-filter,
+                // which is otherwise one scan that filters as it reads.
                 Plan::ScanTable { table, var } => {
                     let (est, isel) = self.walk.select_scan(table, var, pred);
                     let (table, var, pred) = (table.clone(), var.clone(), pred.clone());
@@ -481,9 +506,10 @@ impl<'p> Lowering<'_, 'p, '_> {
                             hi: isel.hi,
                             pred,
                         },
-                        (None, None) => PhysPlan::Filter {
-                            input: Box::new(PhysPlan::ScanTable { table, var }),
-                            pred,
+                        (None, None) => PhysPlan::ScanTable {
+                            table,
+                            var,
+                            pred: Some(pred),
                         },
                     };
                     return (phys, est);
@@ -750,8 +776,10 @@ fn spine_selection(mut plan: &Plan) -> Option<(&str, &str, &ScalarExpr)> {
 }
 
 /// Does materializing this subtree save real work per re-execution? True
-/// for non-leaf subtrees that access a stored table (a bare scan replays
-/// as cheaply as it re-scans, so wrapping it only spends memory).
+/// for subtrees that access a stored table and do more than fetch its
+/// rows — any operator above one, or a scan with a selection fused in (a
+/// bare scan or probe replays as cheaply as it re-reads, so wrapping it
+/// only spends memory).
 fn worth_materializing(phys: &PhysPlan) -> bool {
     fn touches_table(p: &PhysPlan) -> bool {
         matches!(
@@ -762,7 +790,8 @@ fn worth_materializing(phys: &PhysPlan) -> bool {
                 | PhysPlan::HashProbe { .. }
         ) || p.children().into_iter().any(touches_table)
     }
-    !phys.children().is_empty() && touches_table(phys)
+    let selects = matches!(phys, PhysPlan::ScanTable { pred: Some(_), .. });
+    (selects || !phys.children().is_empty()) && touches_table(phys)
 }
 
 #[cfg(test)]
@@ -1014,10 +1043,17 @@ mod tests {
     #[test]
     fn selection_without_index_still_scans() {
         let cat = indexed_catalog();
-        // Column `a` has no index: the plan must stay a Filter over a scan.
-        let plan = Plan::scan("BIG", "x").select(E::eq(E::path("x", &["a"]), E::lit(3i64)));
+        // Column `a` has no index: the plan stays a scan, the selection
+        // fused into it.
+        let pred = E::eq(E::path("x", &["a"]), E::lit(3i64));
+        let plan = Plan::scan("BIG", "x").select(pred.clone());
         let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
-        assert!(matches!(phys, PhysPlan::Filter { .. }), "{phys}");
+        let fused = PhysPlan::ScanTable {
+            table: "BIG".into(),
+            var: "x".into(),
+            pred: Some(pred),
+        };
+        assert_eq!(phys, fused);
     }
 
     #[test]
@@ -1158,6 +1194,63 @@ mod tests {
             matches!(*input, PhysPlan::Materialize { .. }),
             "expected Materialize under the correlated filter, got {input}"
         );
+    }
+
+    #[test]
+    fn an_independent_filtered_scan_materializes_inside_apply() {
+        let cat = catalog();
+        // Subquery Y ⋈[y.b = w.b ∧ y.c < x.a] σ[w.c > 5](Y w): the join
+        // depends on x, so hoisting looks at its operands. The filtered
+        // scan is a leaf now, but it still does a selection's work per
+        // re-execution and must keep its Materialize; the bare scan of Y
+        // replays as cheaply as it re-reads and stays unwrapped.
+        let filtered =
+            Plan::scan("Y", "w").select(E::cmp(CmpOp::Gt, E::path("w", &["c"]), E::lit(5i64)));
+        let sub = Plan::scan("Y", "y").join(
+            filtered,
+            E::and(
+                E::eq(E::path("y", &["b"]), E::path("w", &["b"])),
+                E::cmp(CmpOp::Lt, E::path("y", &["c"]), E::path("x", &["a"])),
+            ),
+        );
+        let plan = Plan::scan("X", "x").apply(sub, "z");
+        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let PhysPlan::Apply { subquery, .. } = &phys else {
+            panic!("expected Apply, got {phys}");
+        };
+        let operands = subquery.children();
+        assert_eq!(operands.len(), 2, "{subquery}");
+        let wrapped = |p: &PhysPlan| match p {
+            PhysPlan::Materialize { input } => {
+                matches!(**input, PhysPlan::ScanTable { pred: Some(_), .. })
+            }
+            _ => false,
+        };
+        assert!(operands.iter().any(|p| wrapped(p)), "{subquery}");
+        let bare = |p: &PhysPlan| matches!(p, PhysPlan::ScanTable { pred: None, .. });
+        assert!(operands.iter().any(|p| bare(p)), "{subquery}");
+    }
+
+    #[test]
+    fn scan_pretest_is_the_leading_comparisons_only() {
+        let cmp = |l: &str, k: i64| E::cmp(CmpOp::Lt, E::path("x", &[l]), E::lit(k));
+        let opaque = E::eq(E::path("x", &["a"]), E::path("x", &["b"]));
+        let labels = |p: &ScalarExpr| -> Vec<String> {
+            let attrs = scan_pretest(p, "x").into_iter();
+            attrs.map(|(attr, ..)| attr.to_string()).collect()
+        };
+        assert_eq!(labels(&E::and(cmp("a", 1), cmp("b", 2))), ["a", "b"]);
+        // Nothing behind a conjunct storage cannot decide: the rows that
+        // reach it are the ones that one let through without an error.
+        assert_eq!(
+            labels(&E::conj([cmp("a", 1), opaque.clone(), cmp("b", 2)])),
+            ["a"]
+        );
+        assert!(labels(&E::and(opaque, cmp("b", 2))).is_empty());
+        // Either orientation; the key may be correlated but not `x`'s own.
+        let flipped = E::cmp(CmpOp::Lt, E::path("o", &["k"]), E::path("x", &["a"]));
+        let (attr, op, key) = scan_pretest(&flipped, "x").remove(0);
+        assert_eq!((&*attr, op, key), ("a", CmpOp::Gt, E::path("o", &["k"])));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use record::Record;
 pub use schema::{AttrDef, ClassDef, Schema, SortDef};
 pub use set::SetValue;
 pub use types::Ty;
-pub use value::Value;
+pub use value::{CmpOp, Value};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -220,6 +220,81 @@ impl Value {
     }
 }
 
+/// Comparison operators on atomic values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CmpOp {
+    /// `=`
+    Eq,
+    /// `≠`
+    Ne,
+    /// `<`
+    Lt,
+    /// `≤`
+    Le,
+    /// `>`
+    Gt,
+    /// `≥`
+    Ge,
+}
+
+impl CmpOp {
+    /// The operator with operand sides swapped (`a < b` ⟷ `b > a`).
+    pub fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
+
+    /// Logical negation (`<` ⟷ `≥`).
+    pub fn negate(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Ne,
+            CmpOp::Ne => CmpOp::Eq,
+            CmpOp::Lt => CmpOp::Ge,
+            CmpOp::Le => CmpOp::Gt,
+            CmpOp::Gt => CmpOp::Le,
+            CmpOp::Ge => CmpOp::Lt,
+        }
+    }
+
+    /// The predicate `a ⟨self⟩ b` — the one comparison `eval` and the
+    /// storage pre-test both call. `=`/`≠` go through [`Value::sql_eq`]
+    /// (numeric `==` across Int and Float: `-0.0 = 0` holds, a NaN equals
+    /// no integer) and the orderings through
+    /// [`Value::sql_cmp`] (`total_cmp`), so neither can be derived from
+    /// the other; a NULL operand makes every comparison false.
+    pub fn test(self, a: &Value, b: &Value) -> bool {
+        use Ordering::*;
+        match self {
+            CmpOp::Eq => a.sql_eq(b),
+            CmpOp::Ne => !a.is_null() && !b.is_null() && !a.sql_eq(b),
+            CmpOp::Lt => matches!(a.sql_cmp(b), Some(Less)),
+            CmpOp::Le => matches!(a.sql_cmp(b), Some(Less | Equal)),
+            CmpOp::Gt => matches!(a.sql_cmp(b), Some(Greater)),
+            CmpOp::Ge => matches!(a.sql_cmp(b), Some(Greater | Equal)),
+        }
+    }
+}
+
+impl fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "≠",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "≤",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => "≥",
+        };
+        write!(f, "{s}")
+    }
+}
+
 fn mismatch(expected: &'static str, found: &Value) -> ModelError {
     ModelError::KindMismatch {
         expected,
@@ -416,6 +491,35 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn equality_and_ordering_are_two_relations() {
+        let (zero, neg_zero, nan) = (Value::Int(0), Value::Float(-0.0), Value::Float(f64::NAN));
+        // Across Int and Float `=` is numeric `==`: -0.0 = 0 holds and a
+        // NaN equals no integer …
+        assert!(CmpOp::Eq.test(&neg_zero, &zero));
+        assert!(!CmpOp::Eq.test(&nan, &zero) && CmpOp::Ne.test(&nan, &zero));
+        // … while the orderings are `total_cmp`: -0.0 sorts below 0 and
+        // NaN above every number, so `≤ ∧ ≥` does not spell `=`, nor
+        // `¬<  ∧ ¬>` either.
+        assert!(CmpOp::Lt.test(&neg_zero, &zero) && !CmpOp::Ge.test(&neg_zero, &zero));
+        assert!(CmpOp::Gt.test(&nan, &Value::Int(i64::MAX)));
+        // Two floats are equal when their bits are.
+        assert!(CmpOp::Eq.test(&nan, &nan) && !CmpOp::Eq.test(&neg_zero, &Value::Float(0.0)));
+        // NULL makes all six false.
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            assert!(!op.test(&Value::Null, &zero) && !op.test(&zero, &Value::Null));
+            assert_eq!(op.flip().flip(), op);
+            assert_eq!(op.negate().negate(), op);
+        }
+    }
 
     #[test]
     fn sets_deduplicate() {

@@ -301,9 +301,7 @@ impl Catalog {
     /// total pages)`. `None` for transient catalogs and in-memory tables —
     /// the cost model charges page I/O only where pages exist.
     pub fn page_residency(&self, name: &str) -> Option<(usize, usize)> {
-        let table = self.tables.get(name)?;
-        let (store, extent) = table.disk_parts()?;
-        Some((store.resident_pages(extent), extent.page_count()))
+        self.tables.get(name)?.page_residency()
     }
 
     /// Snapshot of the persistent store's WAL activity (`None` for
@@ -789,6 +787,10 @@ mod tests {
         let cat = Catalog::open(&path, 16).unwrap();
         let t = cat.table("R").unwrap();
         assert_eq!(t.len(), 3);
+        // Cold after the reopen — asked twice, so the second answer is the
+        // remembered one — and the scan below must move it.
+        assert_eq!(cat.page_residency("R"), Some((0, 1)));
+        assert_eq!(cat.page_residency("R"), Some((0, 1)));
         assert_eq!(
             t.batch(1, 2).unwrap(),
             int_table("X", &["a", "b"], &[&[2, 20], &[3, 20]])
@@ -799,9 +801,7 @@ mod tests {
         let st = cat.stats("R").unwrap();
         assert_eq!(st.cardinality, 3);
         assert_eq!(st.columns["b"].distinct, 2, "statistics round-tripped");
-        let (resident, total) = cat.page_residency("R").unwrap();
-        assert!(total >= 1);
-        assert!(resident <= total);
+        assert_eq!(cat.page_residency("R"), Some((1, 1)), "warm after the scan");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -46,6 +46,7 @@ pub mod catalog;
 pub mod failpoint;
 pub mod index;
 pub mod pager;
+pub mod pretest;
 pub mod spill;
 pub mod stats;
 pub mod table;
@@ -56,6 +57,7 @@ pub use failpoint::{FailMode, IoFailpoint, IoOp};
 pub use index::{HashIndex, OrdIndex};
 pub use pager::IndexImage;
 pub use pager::{BufferPool, PagedStore, PoolStats, TableExtent, DEFAULT_POOL_PAGES};
+pub use pretest::RowTest;
 pub use spill::{RunReader, RunWriter, SpillDir, SpillFile};
 pub use stats::{ColumnStats, Histogram, StatsBuilder, TableStats};
 pub use table::Table;

@@ -175,7 +175,9 @@ pub fn slot(buf: &[u8], i: usize) -> Result<SlotRef<'_>> {
     let off = get_u16(buf, DATA_HDR + SLOT_BYTES * i) as usize;
     let lenflags = get_u16(buf, DATA_HDR + SLOT_BYTES * i + 2);
     let len = (lenflags & !OVERFLOW_FLAG) as usize;
-    if off + len > PAGE_SIZE || off < DATA_HDR {
+    // Payloads live past the slot directory: an offset inside it would
+    // alias directory entries as record bytes.
+    if off + len > PAGE_SIZE || off < DATA_HDR + SLOT_BYTES * slot_count(buf) {
         return Err(corrupt("slot payload out of bounds"));
     }
     let payload = &buf[off..off + len];
@@ -290,6 +292,9 @@ mod tests {
         push_inline(&mut buf, b"ok");
         // Scribble the slot offset out of bounds.
         put_u16(&mut buf, 6, 0xFFFF);
+        assert!(matches!(slot(&buf, 0), Err(ModelError::Io(_))));
+        // ... and into the slot directory itself.
+        put_u16(&mut buf, 6, DATA_HDR as u16);
         assert!(matches!(slot(&buf, 0), Err(ModelError::Io(_))));
     }
 }

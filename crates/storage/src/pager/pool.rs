@@ -99,6 +99,9 @@ struct Frame {
 struct MapState {
     map: HashMap<PageId, usize>,
     clock: usize,
+    /// Bumped by every insertion into and removal from `map`: what was
+    /// resident at one epoch is resident for as long as the epoch stands.
+    epoch: u64,
 }
 
 /// A fixed-capacity, concurrency-safe page cache with clock eviction.
@@ -218,10 +221,24 @@ impl BufferPool {
         self.lock_map().map.contains_key(&page)
     }
 
-    /// How many of `pages` are currently resident.
-    pub fn resident_among(&self, pages: impl Iterator<Item = PageId>) -> usize {
+    /// How many of `pages` are currently resident. `memo` remembers the
+    /// answer with the map epoch it was counted at, so asking again about
+    /// the same pages before anything faulted or was evicted — every
+    /// formula of one planning pass — is a comparison, not a walk.
+    pub fn resident_among(
+        &self,
+        pages: impl Iterator<Item = PageId>,
+        memo: &mut Option<(u64, usize)>,
+    ) -> usize {
         let m = self.lock_map();
-        pages.filter(|p| m.map.contains_key(p)).count()
+        match *memo {
+            Some((epoch, count)) if epoch == m.epoch => count,
+            _ => {
+                let count = pages.filter(|p| m.map.contains_key(p)).count();
+                *memo = Some((m.epoch, count));
+                count
+            }
+        }
     }
 
     /// Total outstanding pins across all frames (test/diagnostic hook:
@@ -283,6 +300,7 @@ impl BufferPool {
             None => false,
         };
         m.map.insert(page, idx);
+        m.epoch += 1;
         self.frames[idx].page.store(page, Ordering::SeqCst);
         self.frames[idx].referenced.store(true, Ordering::SeqCst);
         evicted
@@ -295,6 +313,7 @@ impl BufferPool {
         let mut m = self.lock_map();
         if m.map.get(&page) == Some(&idx) {
             m.map.remove(&page);
+            m.epoch += 1;
             self.frames[idx].page.store(NO_PAGE, Ordering::SeqCst);
         }
     }
@@ -453,6 +472,7 @@ impl BufferPool {
         let mut m = self.lock_map();
         for p in pages {
             if let Some(idx) = m.map.remove(&p) {
+                m.epoch += 1;
                 let f = &self.frames[idx];
                 f.page.store(NO_PAGE, Ordering::SeqCst);
                 f.dirty.store(false, Ordering::SeqCst);
@@ -500,7 +520,13 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!(pool.is_resident(1));
-        assert_eq!(pool.resident_among([1u32, 2, 3].into_iter()), 1);
+        let mut memo = None;
+        assert_eq!(pool.resident_among([1u32, 2, 3].into_iter(), &mut memo), 1);
+        // A standing epoch answers from the memo without looking at the
+        // pages; a fault moves the epoch and the count with it.
+        assert_eq!(pool.resident_among([].into_iter(), &mut memo), 1);
+        let _ = pool.read(2, &file).unwrap();
+        assert_eq!(pool.resident_among([1u32, 2, 3].into_iter(), &mut memo), 2);
         assert_eq!(pool.pinned_frames(), 0);
         let _ = std::fs::remove_file(&path);
     }

@@ -669,62 +669,89 @@ impl PagedStore {
     /// Fully concurrent: parallel scan morsels call this from worker
     /// threads against disjoint row ranges.
     pub fn read_rows(&self, extent: &TableExtent, start: usize, n: usize) -> Result<Vec<Record>> {
-        self.read_rows_with(&mut RecordDecoder::default(), extent, start, n)
+        let cap = n.min(extent.rows as usize);
+        Ok(self.read_runs(extent, [(start, n)], cap, |_| true)?.0)
     }
 
-    /// [`PagedStore::read_rows`] through the caller's decoder, so the
-    /// scattered one-row reads of an index probe share their labels too.
-    pub(crate) fn read_rows_with(
+    /// The one page-read path: visit every row in `runs` — ascending,
+    /// disjoint `(first row, length)` ranges — and decode those whose
+    /// encoded bytes `admit` lets through. Returns the decoded rows (in a
+    /// vector of capacity `cap`) and how many rows were visited (fewer
+    /// than asked when a run passes the end of the extent). One cursor
+    /// walks the extent's pages across all runs, so an index probe's
+    /// scattered positions cost one pass.
+    ///
+    /// An inline row is visited **in place**, as a slice of its latched
+    /// page: nothing is copied out, and a row `admit` turns down is never
+    /// allocated. An overflow-chained row is visited as its assembled
+    /// chain, read with the data page's latch released (a chain faults
+    /// other pages, and a thread holds one pin at a time).
+    pub(crate) fn read_runs(
         &self,
-        decoder: &mut RecordDecoder,
         extent: &TableExtent,
-        start: usize,
-        n: usize,
-    ) -> Result<Vec<Record>> {
-        let mut out = Vec::with_capacity(n.min(extent.rows as usize));
-        let mut skip = start;
-        for &(pid, rows_in_page) in &extent.pages {
-            let rows_in_page = rows_in_page as usize;
-            if skip >= rows_in_page {
-                skip -= rows_in_page;
-                continue;
+        runs: impl IntoIterator<Item = (usize, usize)>,
+        cap: usize,
+        mut admit: impl FnMut(&[u8]) -> bool,
+    ) -> Result<(Vec<Record>, usize)> {
+        let mut out = Vec::with_capacity(cap);
+        let mut decoder = RecordDecoder::default();
+        let mut visit = |bytes: &[u8]| -> Result<()> {
+            if admit(bytes) {
+                out.push(decoder.decode(bytes)?);
             }
-            if out.len() >= n {
-                break;
-            }
-            // Copy the needed slots out under the page latch, then resolve
-            // overflow chains (which fault other pages) with it released.
-            enum Slot {
-                Inline(Vec<u8>),
-                Chain(PageId, u32),
-            }
-            let copied = {
-                let g = self.pool.read(pid, &self.file)?;
-                if page::kind(&g) != page::KIND_DATA || page::slot_count(&g) != rows_in_page {
-                    return Err(ModelError::Io(format!(
-                        "corrupted page: data page {pid} does not match the catalog extent"
-                    )));
-                }
-                let take = (rows_in_page - skip).min(n - out.len());
-                (skip..skip + take)
-                    .map(|i| {
-                        Ok(match page::slot(&g, i)? {
-                            page::SlotRef::Inline(b) => Slot::Inline(b.to_vec()),
-                            page::SlotRef::Overflow { first, total } => Slot::Chain(first, total),
-                        })
-                    })
-                    .collect::<Result<Vec<Slot>>>()?
-            };
-            for slot in copied {
-                let rec = match slot {
-                    Slot::Inline(bytes) => decoder.decode(&bytes)?,
-                    Slot::Chain(first, total) => decoder.decode(&self.read_chain(first, total)?)?,
+            Ok(())
+        };
+        let mut pages = extent.pages.iter();
+        // The page under the cursor and the row offset of its first row.
+        let (mut page, mut base) = (pages.next(), 0usize);
+        let mut visited = 0;
+        for (start, len) in runs {
+            let (mut row, end) = (start, start.saturating_add(len));
+            while row < end {
+                let Some(&(pid, rows_in_page)) = page else {
+                    return Ok((out, visited));
                 };
-                out.push(rec);
+                let next = base + rows_in_page as usize;
+                if row >= next {
+                    (page, base) = (pages.next(), next);
+                    continue;
+                }
+                if row < base {
+                    return Err(ModelError::Io("row positions must ascend".into()));
+                }
+                let stop = end.min(next);
+                visited += stop - row;
+                while row < stop {
+                    let chain = {
+                        let g = self.pool.read(pid, &self.file)?;
+                        if page::kind(&g) != page::KIND_DATA
+                            || page::slot_count(&g) != rows_in_page as usize
+                        {
+                            return Err(ModelError::Io(format!(
+                                "corrupted page: data page {pid} does not match the catalog extent"
+                            )));
+                        }
+                        loop {
+                            if row == stop {
+                                break None;
+                            }
+                            match page::slot(&g, row - base)? {
+                                page::SlotRef::Inline(bytes) => visit(bytes)?,
+                                page::SlotRef::Overflow { first, total } => {
+                                    break Some((first, total))
+                                }
+                            }
+                            row += 1;
+                        }
+                    };
+                    if let Some((first, total)) = chain {
+                        visit(&self.read_chain(first, total)?)?;
+                        row += 1;
+                    }
+                }
             }
-            skip = 0;
         }
-        Ok(out)
+        Ok((out, visited))
     }
 
     /// Every page an extent owns: its data pages plus all overflow chains
@@ -990,8 +1017,10 @@ impl PagedStore {
 
     /// How many of the extent's data pages are currently resident — the
     /// cost model's input for pricing a cold vs. warm scan.
-    pub fn resident_pages(&self, extent: &TableExtent) -> usize {
-        self.pool.resident_among(extent.page_ids())
+    /// `memo` is the caller's per-extent memory of the last answer (see
+    /// [`BufferPool::resident_among`]).
+    pub fn resident_pages(&self, extent: &TableExtent, memo: &mut Option<(u64, usize)>) -> usize {
+        self.pool.resident_among(extent.page_ids(), memo)
     }
 
     /// Total outstanding page pins (test/diagnostic hook).
@@ -1063,6 +1092,35 @@ mod tests {
         assert_eq!(got, rows);
         // Random-access batch in the middle.
         assert_eq!(store.read_rows(&extent, 1500, 5).unwrap(), rows[1500..1505]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_cursor_visits_scattered_runs_in_one_pass() {
+        let path = scratch("runs");
+        let store = PagedStore::create(&path, 4).unwrap();
+        let mut rows = int_rows(2000);
+        // One chained row among the inline ones, inside a visited run.
+        let big = Value::Str(std::sync::Arc::from("x".repeat(2 * PAGE_SIZE)));
+        rows[501] =
+            Record::new([("a".to_string(), big), ("b".to_string(), Value::Int(0))]).unwrap();
+        let extent = store.write_table(&rows).unwrap();
+        let read = |runs: &[(usize, usize)]| {
+            store.read_runs(&extent, runs.iter().copied(), runs.len(), |_| true)
+        };
+        // Two runs in one page, one spanning pages and a chain, one that
+        // runs off the end of the extent, one wholly past it.
+        let (got, visited) = read(&[(3, 2), (7, 1), (499, 4), (1998, 5), (5000, 1)]).unwrap();
+        let want: Vec<Record> = [3, 4, 7, 499, 500, 501, 502, 1998, 1999]
+            .iter()
+            .map(|&i| rows[i].clone())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(visited, 9, "rows visited, not rows asked for");
+        assert_eq!(read(&[]).unwrap().1, 0);
+        // The cursor only moves forward.
+        assert!(matches!(read(&[(1500, 1), (3, 1)]), Err(ModelError::Io(_))));
+        assert_eq!(store.pinned_pages(), 0, "every latch was released");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1210,7 +1268,10 @@ mod tests {
             "freshly written pages are resident"
         );
         assert!(warm.hits > before.hits);
-        assert_eq!(store.resident_pages(&extent), extent.page_count());
+        assert_eq!(
+            store.resident_pages(&extent, &mut None),
+            extent.page_count()
+        );
         let _ = std::fs::remove_file(&path);
     }
 

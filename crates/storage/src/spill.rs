@@ -210,19 +210,74 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn str(&mut self) -> Result<&'a str> {
+    /// A `u32` length and that many bytes: a string or label, unchecked.
+    fn raw(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
+        self.take(n)
+    }
+
+    fn str(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.raw()?)
             .map_err(|e| ModelError::Io(format!("spill decode: invalid UTF-8: {e}")))
     }
 
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
+    /// Step over one encoded value without building it. `depth` bounds
+    /// the nesting a payload may claim, so no bytes can exhaust the stack.
+    fn skip_value(&mut self, depth: u32) -> Result<()> {
+        let Some(depth) = depth.checked_sub(1) else {
+            return Err(ModelError::Io("spill decode: nested too deep".into()));
+        };
+        match self.u8()? {
+            tag::NULL | tag::FALSE | tag::TRUE => {}
+            tag::INT | tag::FLOAT => {
+                self.take(8)?;
+            }
+            tag::STR => {
+                self.raw()?;
+            }
+            tag::TUPLE => {
+                for _ in 0..self.u32()? {
+                    self.raw()?;
+                    self.skip_value(depth)?;
+                }
+            }
+            tag::SET | tag::LIST => {
+                for _ in 0..self.u32()? {
+                    self.skip_value(depth)?;
+                }
+            }
+            tag::VARIANT => {
+                self.raw()?;
+                self.skip_value(depth)?;
+            }
+            other => {
+                return Err(ModelError::Io(format!(
+                    "spill decode: unknown value tag {other}"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// The value behind a fixed-size tag — built without allocating —
+    /// or `None` for every other tag.
+    fn scalar(&mut self, tag: u8) -> Result<Option<Value>> {
+        Ok(Some(match tag {
             tag::NULL => Value::Null,
             tag::FALSE => Value::Bool(false),
             tag::TRUE => Value::Bool(true),
             tag::INT => Value::Int(self.u64()? as i64),
             tag::FLOAT => Value::Float(f64::from_bits(self.u64()?)),
+            _ => return Ok(None),
+        }))
+    }
+
+    fn value(&mut self) -> Result<Value> {
+        let tag = self.u8()?;
+        if let Some(v) = self.scalar(tag)? {
+            return Ok(v);
+        }
+        Ok(match tag {
             tag::STR => Value::Str(Arc::from(self.str()?)),
             tag::TUPLE => Value::Tuple(self.record()?),
             // An encoder writes a set in order; `Value::set` re-sorts (one
@@ -280,6 +335,32 @@ pub fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
     };
     let v = c.value()?;
     Ok((v, c.pos))
+}
+
+/// Nesting [`scalar_field`] will step over before it gives up.
+const MAX_SKIP_DEPTH: u32 = 32;
+
+/// Skip-scan an encoded record for its top-level field `label` and decode
+/// it **on the stack** when it is NULL, a boolean, an integer or a float.
+/// `None` — the caller cannot decide on these bytes — when the label is
+/// absent, the field is a string or a container, or the payload is
+/// malformed or nested deeper than [`MAX_SKIP_DEPTH`] on the way there;
+/// whatever is wrong with it is then [`RecordDecoder::decode`]'s to report.
+pub(crate) fn scalar_field(payload: &[u8], label: &str) -> Option<Value> {
+    let mut c = Cursor {
+        buf: payload,
+        pos: 0,
+        names: &mut RecordDecoder::default(),
+    };
+    for _ in 0..c.u32().ok()? {
+        if c.raw().ok()? != label.as_bytes() {
+            c.skip_value(MAX_SKIP_DEPTH).ok()?;
+            continue;
+        }
+        let tag = c.u8().ok()?;
+        return c.scalar(tag).ok()?;
+    }
+    None
 }
 
 /// Decode one standalone record ([`RecordDecoder::decode`] with nothing

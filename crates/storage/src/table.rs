@@ -18,16 +18,17 @@
 //! The scan API is backing-agnostic: [`Table::batch`] /
 //! [`Table::batches`] return owned row batches (a disk fault can fail,
 //! so both are fallible), which is what the streaming executor's scan
-//! cursor consumes. [`Table::rows`] keeps the borrowed iterator for
+//! cursor consumes; [`Table::batch_where`] is the same read behind a
+//! [`RowTest`], which turns rows down before they are materialized. [`Table::rows`] keeps the borrowed iterator for
 //! in-memory tables only.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use tmql_model::{ModelError, Record, RecordSet, Result, Ty, Value};
 
 use crate::pager::{PagedStore, TableExtent};
-use crate::spill::RecordDecoder;
+use crate::pretest::RowTest;
 
 /// A table: an ordered schema plus a duplicate-free multiset of records.
 ///
@@ -49,6 +50,9 @@ enum Backing {
     Disk {
         store: Arc<PagedStore>,
         extent: Arc<TableExtent>,
+        /// The last [`Table::page_residency`] answer and the pool epoch
+        /// it holds for.
+        resident: Arc<Mutex<Option<(u64, usize)>>>,
     },
 }
 
@@ -89,7 +93,11 @@ impl Table {
         Table {
             name: name.into(),
             columns,
-            backing: Backing::Disk { store, extent },
+            backing: Backing::Disk {
+                store,
+                extent,
+                resident: Arc::default(),
+            },
         }
     }
 
@@ -135,11 +143,29 @@ impl Table {
         }
     }
 
+    /// Buffer-pool residency of a disk-backed table: `(resident pages,
+    /// total pages)`; `None` in memory. Walks the extent only when the
+    /// pool's mapping has changed since the last call — every formula of
+    /// one planning pass after the first reads the remembered count.
+    pub fn page_residency(&self) -> Option<(usize, usize)> {
+        let Backing::Disk {
+            store,
+            extent,
+            resident,
+        } = &self.backing
+        else {
+            return None;
+        };
+        // The memo is a plain pair, valid whatever a panicking holder did.
+        let mut memo = resident.lock().unwrap_or_else(|e| e.into_inner());
+        Some((store.resident_pages(extent, &mut memo), extent.page_count()))
+    }
+
     /// The store and extent of a disk-backed table.
     pub(crate) fn disk_parts(&self) -> Option<(&Arc<PagedStore>, &Arc<TableExtent>)> {
         match &self.backing {
             Backing::Mem { .. } => None,
-            Backing::Disk { store, extent } => Some((store, extent)),
+            Backing::Disk { store, extent, .. } => Some((store, extent)),
         }
     }
 
@@ -215,7 +241,7 @@ impl Table {
     pub fn rows_vec(&self) -> Result<Vec<Record>> {
         match &self.backing {
             Backing::Mem { rows } => Ok(rows.as_slice().to_vec()),
-            Backing::Disk { store, extent } => store.read_rows(extent, 0, extent.rows as usize),
+            Backing::Disk { store, extent, .. } => store.read_rows(extent, 0, extent.rows as usize),
         }
     }
 
@@ -250,50 +276,76 @@ impl Table {
     /// operators; disk-backed tables fault the needed pages through the
     /// buffer pool.
     pub fn batch(&self, start: usize, n: usize) -> Result<Vec<Record>> {
-        self.batch_with(&mut RecordDecoder::default(), start, n)
+        Ok(self.batch_where(start, n, &RowTest::default())?.0)
     }
 
-    fn batch_with(
+    /// [`Table::batch`] behind a pre-test: visit the up-to-`n` rows from
+    /// row offset `start` and return those `test` does not reject — a
+    /// **candidate superset** of the rows its selection keeps (see
+    /// [`crate::pretest`]) — with the number of rows visited, which is
+    /// what advances a scan cursor. A rejected row costs no allocation on
+    /// either backing: an in-memory row is tested by reference before its
+    /// handle is cloned, a disk row on the bytes of its latched page
+    /// before anything is decoded.
+    pub fn batch_where(
         &self,
-        decoder: &mut RecordDecoder,
         start: usize,
         n: usize,
-    ) -> Result<Vec<Record>> {
+        test: &RowTest,
+    ) -> Result<(Vec<Record>, usize)> {
         match &self.backing {
             Backing::Mem { rows } => {
                 let rows = rows.as_slice();
                 let lo = start.min(rows.len());
                 let hi = start.saturating_add(n).min(rows.len());
-                Ok(rows[lo..hi].to_vec())
+                let rows = &rows[lo..hi];
+                let out = if test.is_empty() {
+                    rows.to_vec()
+                } else {
+                    let kept = rows.iter().filter(|r| !test.rejects_row(r));
+                    kept.cloned().collect()
+                };
+                Ok((out, hi - lo))
             }
-            Backing::Disk { store, extent } => store.read_rows_with(decoder, extent, start, n),
+            Backing::Disk { store, extent, .. } => {
+                let cap = n.min(extent.rows as usize);
+                store.read_runs(extent, [(start, n)], cap, |bytes| {
+                    !test.rejects_bytes(bytes)
+                })
+            }
         }
     }
 
     /// Fetch the rows at the given ascending positions (an index probe's
-    /// result), grouping consecutive runs into single batch reads so a
-    /// disk-backed table faults each run's pages once.
+    /// result). A disk-backed table reads them in one pass over its
+    /// extent, consecutive positions as one run.
     pub fn fetch_rows(&self, positions: &[usize]) -> Result<Vec<Record>> {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        let mut out = Vec::with_capacity(positions.len());
-        let mut decoder = RecordDecoder::default();
-        let mut i = 0;
-        while i < positions.len() {
-            let start = positions[i];
-            let mut len = 1;
-            while i + len < positions.len() && positions[i + len] == start + len {
-                len += 1;
+        let out = match &self.backing {
+            Backing::Mem { rows } => {
+                let rows = rows.as_slice();
+                let found = positions.iter().filter_map(|&p| rows.get(p).cloned());
+                found.collect()
             }
-            let batch = self.batch_with(&mut decoder, start, len)?;
-            if batch.len() != len {
-                return Err(ModelError::Io(format!(
-                    "table `{}`: index positions past the end ({} rows)",
-                    self.name,
-                    self.len()
-                )));
+            Backing::Disk { store, extent, .. } => {
+                // Consecutive positions as one `(first, length)` run.
+                let mut rest = positions;
+                let runs = std::iter::from_fn(|| {
+                    let start = *rest.first()?;
+                    let consecutive = rest.iter().zip(start..).take_while(|(p, q)| *p == q);
+                    let len = consecutive.count();
+                    rest = &rest[len..];
+                    Some((start, len))
+                });
+                store.read_runs(extent, runs, positions.len(), |_| true)?.0
             }
-            out.extend(batch);
-            i += len;
+        };
+        if out.len() != positions.len() {
+            return Err(ModelError::Io(format!(
+                "table `{}`: index positions past the end ({} rows)",
+                self.name,
+                self.len()
+            )));
         }
         Ok(out)
     }

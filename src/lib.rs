@@ -1093,8 +1093,12 @@ mod tests {
             s.contains("== operators (executed, batch_size=2) =="),
             "{s}"
         );
-        assert!(s.contains("Scan(X) [rows=3"), "{s}");
-        assert!(s.contains("scanned=3"), "{s}");
+        // The selection runs inside the scan: one line, showing the row
+        // its pre-test rejected before it was bound.
+        assert!(s.contains("Scan(X)[σ] [rows=2"), "{s}");
+        assert!(s.contains("skipped=1"), "{s}");
+        assert!(!s.contains("Filter"), "{s}");
+        assert!(s.contains("scanned=3 cmp=3"), "{s}");
     }
 
     #[test]

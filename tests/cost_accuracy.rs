@@ -90,6 +90,7 @@ fn index_crossover_estimate_within_4x_of_measured() {
             input: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
+                pred: None,
             }),
             pred: pred.clone(),
         };
