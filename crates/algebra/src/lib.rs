@@ -18,7 +18,7 @@
 //!   [`plan::Plan::Apply`] that gives nested SFW expressions their
 //!   nested-loop semantics before unnesting;
 //! * [`mod@eval`] — scalar evaluation against variable environments;
-//! * [`typing`] — output-variable type derivation;
+//! * [`typing`] — [`typing::TableTypes`], where the front end gets stored row types;
 //! * [`rewrite`] — a small bottom-up plan-transformation framework used by
 //!   the unnesting strategies in `tmql-core`;
 //! * [`pretty`] — `EXPLAIN`-style plan rendering.

@@ -379,28 +379,6 @@ impl Plan {
         }
     }
 
-    /// Operator name for explain output.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Plan::ScanTable { .. } => "ScanTable",
-            Plan::ScanExpr { .. } => "ScanExpr",
-            Plan::Select { .. } => "Select",
-            Plan::Map { .. } => "Map",
-            Plan::Extend { .. } => "Extend",
-            Plan::Project { .. } => "Project",
-            Plan::Join { .. } => "Join",
-            Plan::SemiJoin { .. } => "SemiJoin",
-            Plan::AntiJoin { .. } => "AntiJoin",
-            Plan::LeftOuterJoin { .. } => "LeftOuterJoin",
-            Plan::NestJoin { .. } => "NestJoin",
-            Plan::Nest { .. } => "Nest",
-            Plan::Unnest { .. } => "Unnest",
-            Plan::GroupAgg { .. } => "GroupAgg",
-            Plan::Apply { .. } => "Apply",
-            Plan::SetOp { .. } => "SetOp",
-        }
-    }
-
     /// Number of operators in the plan tree.
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()

@@ -225,6 +225,19 @@ impl ScalarExpr {
         }
     }
 
+    /// The top-level conjuncts, left to right (the inverse of
+    /// [`ScalarExpr::conj`] for a non-empty list).
+    pub fn conjuncts(&self) -> Vec<ScalarExpr> {
+        match self {
+            ScalarExpr::And(a, b) => {
+                let mut out = a.conjuncts();
+                out.extend(b.conjuncts());
+                out
+            }
+            other => vec![other.clone()],
+        }
+    }
+
     /// Free variables: variables referenced but not bound by an enclosing
     /// quantifier. This is the analysis that detects correlated subqueries
     /// ("subqueries in which free variables occur", Section 3.2).

@@ -72,8 +72,8 @@ impl Classification {
 /// the whole conjunction is returned as the z-part so it classifies as
 /// requiring grouping.
 pub fn split_on_z(pred: &ScalarExpr, z: &str) -> (Option<ScalarExpr>, Vec<ScalarExpr>) {
-    let conjuncts = conjuncts(pred);
-    let (with_z, without_z): (Vec<_>, Vec<_>) = conjuncts.into_iter().partition(|c| c.mentions(z));
+    let (with_z, without_z): (Vec<_>, Vec<_>) =
+        pred.conjuncts().into_iter().partition(|c| c.mentions(z));
     match with_z.len() {
         0 => (None, without_z),
         1 => (
@@ -81,17 +81,6 @@ pub fn split_on_z(pred: &ScalarExpr, z: &str) -> (Option<ScalarExpr>, Vec<Scalar
             without_z,
         ),
         _ => (Some(ScalarExpr::conj(with_z)), without_z),
-    }
-}
-
-fn conjuncts(pred: &ScalarExpr) -> Vec<ScalarExpr> {
-    match pred {
-        ScalarExpr::And(a, b) => {
-            let mut out = conjuncts(a);
-            out.extend(conjuncts(b));
-            out
-        }
-        other => vec![other.clone()],
     }
 }
 

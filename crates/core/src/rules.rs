@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use tmql_algebra::rewrite::{fixpoint, take_children, with_children};
+use tmql_algebra::rewrite::fixpoint;
 use tmql_algebra::{Plan, ScalarExpr};
 
 /// `π_X(X Δ Y) = X` (Section 6): projecting a nest join onto the left
@@ -323,12 +323,6 @@ pub fn cleanup(plan: Plan) -> Plan {
         }
         node
     })
-}
-
-/// Re-exported transform utility for strategy implementations.
-pub fn rebuild(plan: Plan, children: Vec<Plan>) -> Plan {
-    let _ = take_children(&plan);
-    with_children(plan, children)
 }
 
 #[cfg(test)]

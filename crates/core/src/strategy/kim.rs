@@ -113,7 +113,10 @@ pub(crate) fn correlation(input: &Plan, parts: &SubqueryParts) -> Option<Correla
     let mut outer_keys = Vec::new();
     let mut inner_keys = Vec::new();
     let mut inner_resid = Vec::new();
-    for c in conjuncts(&parts.q) {
+    for c in parts.q.conjuncts() {
+        if matches!(c, ScalarExpr::Lit(tmql_model::Value::Bool(true))) {
+            continue;
+        }
         let fv = c.free_vars();
         if fv.is_subset(&inner_vars) {
             inner_resid.push(c);
@@ -146,18 +149,6 @@ pub(crate) fn correlation(input: &Plan, parts: &SubqueryParts) -> Option<Correla
         inner_keys,
         inner_plan,
     })
-}
-
-fn conjuncts(e: &ScalarExpr) -> Vec<ScalarExpr> {
-    match e {
-        ScalarExpr::And(a, b) => {
-            let mut out = conjuncts(a);
-            out.extend(conjuncts(b));
-            out
-        }
-        ScalarExpr::Lit(tmql_model::Value::Bool(true)) => vec![],
-        other => vec![other.clone()],
-    }
 }
 
 /// Kim variant (1) of Section 2: `T = γ(R)`, then join.

@@ -20,7 +20,7 @@
 //! virtue; its cost relative to semi/antijoins is the subject of
 //! benchmark B3).
 
-use tmql_algebra::{Plan, ScalarExpr};
+use tmql_algebra::Plan;
 
 use super::{decompose_subquery, decorrelatable, rewrite_blocks};
 
@@ -50,18 +50,6 @@ pub fn rewrite_one(input: &Plan, subquery: &Plan, label: &str) -> Option<Plan> {
         func: parts.g,
         label: label.to_string(),
     })
-}
-
-/// Convenience: the nest join of the paper's Table 1 (identity join
-/// function) as a plan builder.
-pub fn nest_join_identity(
-    left: Plan,
-    right: Plan,
-    right_var: &str,
-    pred: ScalarExpr,
-    label: &str,
-) -> Plan {
-    left.nest_join(right, pred, ScalarExpr::var(right_var), label)
 }
 
 #[cfg(test)]

@@ -45,18 +45,6 @@ use crate::config::ExecConfig;
 use crate::cost::{CostEstimate, Estimator, JoinOut, JoinPath, Node, Sides, Walk};
 use crate::physical::{JoinKind, PhysPlan};
 
-/// Split a predicate into its top-level conjuncts.
-pub fn split_conjuncts(pred: &ScalarExpr) -> Vec<ScalarExpr> {
-    match pred {
-        ScalarExpr::And(a, b) => {
-            let mut out = split_conjuncts(a);
-            out.extend(split_conjuncts(b));
-            out
-        }
-        other => vec![other.clone()],
-    }
-}
-
 /// Extracted equi-join structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EquiSplit {
@@ -82,7 +70,7 @@ pub fn extract_equi_keys(
         residual: None,
     };
     let mut residuals = Vec::new();
-    for conj in split_conjuncts(pred) {
+    for conj in pred.conjuncts() {
         if let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = &conj {
             let (fa, fb) = (a.free_vars(), b.free_vars());
             let sides = |l: &BTreeSet<String>, r: &BTreeSet<String>| {
@@ -158,7 +146,7 @@ pub fn scan_pretest(
     pred: &ScalarExpr,
     var: &str,
 ) -> Vec<(Arc<str>, tmql_algebra::CmpOp, ScalarExpr)> {
-    split_conjuncts(pred)
+    pred.conjuncts()
         .iter()
         .map_while(|conj| attr_cmp(conj, var))
         .map(|(attr, op, key)| (attr.into(), op, key))
@@ -186,7 +174,7 @@ pub fn index_selection(
     catalog: &Catalog,
 ) -> Option<IndexSel> {
     use tmql_algebra::CmpOp;
-    let conjuncts = split_conjuncts(pred);
+    let conjuncts = pred.conjuncts();
     for conj in &conjuncts {
         if let Some((attr, CmpOp::Eq, key)) = indexed_cmp(conj, table, var, catalog) {
             return Some(IndexSel {
@@ -393,7 +381,7 @@ pub(crate) fn eq_probe_candidate(
     pred: &ScalarExpr,
     var: &str,
 ) -> Option<(String, ScalarExpr, ScalarExpr)> {
-    split_conjuncts(pred)
+    pred.conjuncts()
         .into_iter()
         .find_map(|conj| match attr_cmp(&conj, var) {
             Some((attr, tmql_algebra::CmpOp::Eq, key)) => Some((attr, key, conj)),
@@ -817,7 +805,7 @@ mod tests {
     #[test]
     fn split_conjuncts_flattens() {
         let p = E::and(E::and(E::lit(true), E::lit(false)), E::lit(true));
-        assert_eq!(split_conjuncts(&p).len(), 3);
+        assert_eq!(p.conjuncts().len(), 3);
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub mod typecheck;
 
 pub use ast::{Expr, FromItem};
 pub use lexer::lex;
-pub use parser::{parse_query, ParseError};
+pub use parser::{parse_query, ParseError, MAX_QUERY_NESTING};
 pub use typecheck::{check_query, TypeError};

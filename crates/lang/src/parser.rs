@@ -51,10 +51,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of parentheses, constructors, subqueries and `NOT`s a
+/// statement may have. The parser recurses once per level, and so do the
+/// type checker, the translator, the optimizer and lowering over the tree
+/// it builds; this bound keeps all of them far inside a 2 MB thread stack.
+/// It is well above any statement in the paper or the workloads (the
+/// deepest nests five levels) and below the storage decoders' limit on
+/// stored values, so a value a statement constructs can always be spilled
+/// and read back.
+pub const MAX_QUERY_NESTING: u32 = 64;
+
 /// Parse a complete query (a single expression, usually an SFW block).
 pub fn parse_query(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
@@ -63,6 +77,8 @@ pub fn parse_query(src: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursive entry points currently open (see [`Parser::nested`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -124,12 +140,34 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        // SELECT at the start of an expression is a bare SFW block.
-        if matches!(self.peek(), Tok::Kw(K::Select)) {
-            return self.sfw();
+    /// Run `parse` one nesting level down, or refuse with a located error
+    /// past [`MAX_QUERY_NESTING`]. Every cycle of the grammar passes
+    /// through a caller of this: [`Parser::expr`] or the `NOT` chain.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        if self.depth == MAX_QUERY_NESTING {
+            return Err(ParseError::new(
+                format!("nesting deeper than {MAX_QUERY_NESTING}"),
+                self.span(),
+            ));
         }
-        self.or_expr()
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(|p| {
+            // SELECT at the start of an expression is a bare SFW block.
+            if matches!(p.peek(), Tok::Kw(K::Select)) {
+                p.sfw()
+            } else {
+                p.or_expr()
+            }
+        })
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
@@ -155,7 +193,7 @@ impl Parser {
         // negation.
         if matches!(self.peek(), Tok::Kw(K::Not)) && !matches!(self.peek2(), Tok::Kw(K::In)) {
             self.bump();
-            let inner = self.not_expr()?;
+            let inner = self.nested(Parser::not_expr)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.comparison()
@@ -357,12 +395,6 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                // Subquery?
-                if matches!(self.peek(), Tok::Kw(K::Select)) {
-                    let sub = self.sfw()?;
-                    self.expect(Tok::RParen)?;
-                    return Ok(sub);
-                }
                 // Tuple literal? Needs `ident =` followed (after the first
                 // field's expression) by a comma — single-field tuples are
                 // parsed as grouping, which TM disambiguates by type; we
@@ -652,5 +684,48 @@ mod tests {
             panic!()
         };
         assert!(matches!(*where_clause.unwrap(), Expr::And(..)));
+    }
+
+    /// `n` levels of each nesting construct around one leaf.
+    fn nested_statements(n: usize) -> [String; 4] {
+        let select_in = |inner: String| format!("SELECT x FROM X x WHERE x.a IN ({inner})");
+        [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}TRUE", "NOT ".repeat(n)),
+            format!("{}1{}", "{".repeat(n), "}".repeat(n)),
+            (1..n).fold("SELECT y.a FROM Y y".to_string(), |q, _| select_in(q)),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_located_error_not_a_stack_overflow() {
+        // On a spawned thread: the default 2 MB stack, not the main
+        // thread's 8 MB. Each of these aborted the process before the
+        // limit existed.
+        std::thread::spawn(|| {
+            for n in [MAX_QUERY_NESTING as usize + 1, 2_000, 20_000] {
+                for src in nested_statements(n) {
+                    let err = parse_query(&src).expect_err("too deep to parse");
+                    assert!(err.message.contains("nesting deeper than"), "{err}");
+                    assert!(err.span.start < src.len(), "located: {err}");
+                }
+            }
+        })
+        .join()
+        .expect("no panic");
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // One level is the statement itself; a subquery spends two (its
+        // parentheses and the clause it sits in).
+        let n = MAX_QUERY_NESTING as usize - 1;
+        let [parens, nots, braces, _] = nested_statements(n);
+        let [.., selects] = nested_statements(n / 2);
+        for src in [parens, nots, braces, selects] {
+            parse(&src);
+        }
+        // Sequences are not nesting: a long chain stays one level deep.
+        parse(&vec!["x.a = 1"; 500].join(" AND "));
     }
 }

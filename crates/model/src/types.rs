@@ -43,11 +43,6 @@ impl Ty {
         Ty::Set(Box::new(Ty::Tuple(fields)))
     }
 
-    /// True iff the type is a set type.
-    pub fn is_set(&self) -> bool {
-        matches!(self, Ty::Set(_))
-    }
-
     /// Element type of a set or list type, if any.
     pub fn element(&self) -> Option<&Ty> {
         match self {

@@ -110,15 +110,6 @@ impl Value {
         }
     }
 
-    /// Extract a float; integers widen losslessly enough for comparisons.
-    pub fn as_float(&self) -> Result<f64> {
-        match self {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(mismatch("float", other)),
-        }
-    }
-
     /// Extract a string slice, or fail with a kind mismatch.
     pub fn as_str(&self) -> Result<&str> {
         match self {
@@ -149,14 +140,6 @@ impl Value {
         match self {
             Value::Tuple(r) => Ok(r),
             other => Err(mismatch("tuple", other)),
-        }
-    }
-
-    /// Extract a list, or fail with a kind mismatch.
-    pub fn as_list(&self) -> Result<&[Value]> {
-        match self {
-            Value::List(l) => Ok(l),
-            other => Err(mismatch("list", other)),
         }
     }
 

@@ -25,9 +25,10 @@
 use std::collections::BTreeMap;
 
 use tmql_model::hash::ValueMap;
-use tmql_model::{ModelError, Result, Value};
+use tmql_model::{Result, Value};
 
-use crate::spill::{decode_value, encode_value};
+use crate::bytes::{put_len, put_len_prefixed, put_u64, Reader};
+use crate::spill::{encode_value, read_value};
 use crate::table::Table;
 
 /// Batch granularity for index builds (disk tables stream through the
@@ -290,82 +291,35 @@ impl OrdIndex {
 // Persisted encoding (stored as a page chain; committed with the catalog)
 // ---------------------------------------------------------------------------
 
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Serialize an [`OrdIndex`]'s entries (keys reuse the spill value codec,
 /// so NaN floats and complex keys round-trip bit-exactly).
 pub fn encode_index(idx: &OrdIndex) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    w_u32(&mut out, idx.map.len() as u32);
+    put_len(&mut out, idx.map.len());
     for (k, ps) in idx.iter() {
-        let mut key = Vec::new();
-        encode_value(&mut key, k);
-        w_u32(&mut out, key.len() as u32);
-        out.extend_from_slice(&key);
-        w_u32(&mut out, ps.len() as u32);
+        put_len_prefixed(&mut out, |out| encode_value(out, k));
+        put_len(&mut out, ps.len());
         for &p in ps {
-            w_u64(&mut out, p as u64);
+            put_u64(&mut out, p as u64);
         }
     }
     out
 }
 
-struct IndexCursor<'a> {
-    blob: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> IndexCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.blob.len())
-            .ok_or_else(|| ModelError::Io("index decode: truncated blob".into()))?;
-        let s = &self.blob[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-}
+/// Fewest bytes one encoded entry takes: a key's length prefix and tag,
+/// then a position count.
+const MIN_ENTRY_BYTES: usize = 4 + 1 + 4;
 
 /// Decode a persisted index blob (the inverse of [`encode_index`]).
-/// Malformed bytes are [`ModelError::Io`], never a panic.
+/// Malformed bytes are [`tmql_model::ModelError::Io`], never a panic.
 pub fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
-    let err = |what: &str| ModelError::Io(format!("index decode ({attr}): {what}"));
-    let mut c = IndexCursor { blob, pos: 0 };
-    let n_entries = c.u32()? as usize;
-    let mut entries = Vec::with_capacity(n_entries.min(4096));
-    for _ in 0..n_entries {
-        let key_len = c.u32()? as usize;
-        let key_bytes = c.take(key_len)?;
-        let (key, used) = decode_value(key_bytes)?;
-        if used != key_len {
-            return Err(err("trailing key bytes"));
-        }
-        let n_pos = c.u32()? as usize;
-        let mut ps = Vec::with_capacity(n_pos.min(1 << 20));
-        for _ in 0..n_pos {
-            ps.push(c.u64()? as usize);
-        }
-        entries.push((key, ps));
-    }
-    if c.pos != blob.len() {
-        return Err(err("trailing bytes"));
-    }
+    let mut r = Reader::new("index", blob);
+    let entries = r.counted(MIN_ENTRY_BYTES, |r| {
+        let key = read_value(r)?;
+        let positions = r.counted(8, |r| Ok(r.u64()? as usize))?;
+        Ok((key, positions))
+    })?;
+    r.finish()?;
     Ok(OrdIndex::from_entries(attr, entries))
 }
 

@@ -42,8 +42,10 @@
 //!   partitioned) mode — and of the pager's page payloads, which reuse
 //!   the same Record/Value codec.
 
+mod bytes;
 pub mod catalog;
 pub mod failpoint;
+mod format_tests;
 pub mod index;
 pub mod pager;
 pub mod pretest;

@@ -6,17 +6,21 @@
 //! ([`crate::spill::encode_value`] / [`crate::spill::decode_value`]), so
 //! the full complex-object universe — NaN floats included — round-trips
 //! bit-exactly. Everything else (types, histograms, fractions) has a
-//! straightforward tagged little-endian encoding; malformed bytes decode
-//! to [`ModelError::Io`], never a panic.
+//! straightforward tagged little-endian encoding, written and read
+//! through the crate's one `bytes::Reader`; malformed bytes decode to
+//! [`tmql_model::ModelError::Io`], never a panic.
 
 use std::collections::BTreeMap;
 
 use tmql_model::schema::{AttrDef, ClassDef, Schema, SortDef};
-use tmql_model::{ModelError, Result, Ty, Value};
+use tmql_model::{Result, Ty, Value};
 
 use super::page::PageId;
 use super::store::TableExtent;
-use crate::spill::{decode_value, encode_value};
+use crate::bytes::{
+    put_f64, put_len, put_len_prefixed, put_str, put_u16, put_u32, put_u64, put_u8, Reader,
+};
+use crate::spill::{encode_value, read_value};
 use crate::stats::{ColumnStats, Histogram, TableStats};
 
 /// One persisted table: its identity, schema, extent, and statistics.
@@ -65,31 +69,6 @@ pub struct CatalogImage {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn w_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn w_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 mod ty_tag {
     pub const BOOL: u8 = 0;
     pub const INT: u8 = 1;
@@ -103,94 +82,89 @@ mod ty_tag {
     pub const ANY: u8 = 9;
 }
 
-fn w_ty(out: &mut Vec<u8>, ty: &Ty) {
+fn put_ty(out: &mut Vec<u8>, ty: &Ty) {
     match ty {
-        Ty::Bool => w_u8(out, ty_tag::BOOL),
-        Ty::Int => w_u8(out, ty_tag::INT),
-        Ty::Float => w_u8(out, ty_tag::FLOAT),
-        Ty::Str => w_u8(out, ty_tag::STR),
+        Ty::Bool => put_u8(out, ty_tag::BOOL),
+        Ty::Int => put_u8(out, ty_tag::INT),
+        Ty::Float => put_u8(out, ty_tag::FLOAT),
+        Ty::Str => put_u8(out, ty_tag::STR),
         Ty::Tuple(fields) => {
-            w_u8(out, ty_tag::TUPLE);
-            w_u32(out, fields.len() as u32);
-            for (l, t) in fields {
-                w_str(out, l);
-                w_ty(out, t);
-            }
+            put_u8(out, ty_tag::TUPLE);
+            put_labelled_tys(out, fields);
         }
         Ty::Set(t) => {
-            w_u8(out, ty_tag::SET);
-            w_ty(out, t);
+            put_u8(out, ty_tag::SET);
+            put_ty(out, t);
         }
         Ty::List(t) => {
-            w_u8(out, ty_tag::LIST);
-            w_ty(out, t);
+            put_u8(out, ty_tag::LIST);
+            put_ty(out, t);
         }
         Ty::Variant(alts) => {
-            w_u8(out, ty_tag::VARIANT);
-            w_u32(out, alts.len() as u32);
-            for (l, t) in alts {
-                w_str(out, l);
-                w_ty(out, t);
-            }
+            put_u8(out, ty_tag::VARIANT);
+            put_labelled_tys(out, alts);
         }
         Ty::Class(n) => {
-            w_u8(out, ty_tag::CLASS);
-            w_str(out, n);
+            put_u8(out, ty_tag::CLASS);
+            put_str(out, n);
         }
-        Ty::Any => w_u8(out, ty_tag::ANY),
+        Ty::Any => put_u8(out, ty_tag::ANY),
     }
 }
 
-fn w_value(out: &mut Vec<u8>, v: &Value) {
-    let mut bytes = Vec::new();
-    encode_value(&mut bytes, v);
-    w_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
+/// Tuple fields, variant alternatives, table columns: a count, then
+/// `(label, type)` pairs.
+fn put_labelled_tys(out: &mut Vec<u8>, items: &[(String, Ty)]) {
+    put_len(out, items.len());
+    for (l, t) in items {
+        put_str(out, l);
+        put_ty(out, t);
+    }
 }
 
-fn w_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
+fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
     match v {
-        None => w_u8(out, 0),
+        None => put_u8(out, 0),
         Some(v) => {
-            w_u8(out, 1);
-            w_value(out, v);
+            put_u8(out, 1);
+            put_len_prefixed(out, |out| encode_value(out, v));
         }
     }
 }
 
-fn w_histogram(out: &mut Vec<u8>, h: &Option<Histogram>) {
+fn put_histogram(out: &mut Vec<u8>, h: &Option<Histogram>) {
     match h {
-        None => w_u8(out, 0),
+        None => put_u8(out, 0),
         Some(h) => {
-            w_u8(out, 1);
-            w_f64(out, h.lo);
-            w_f64(out, h.hi);
-            w_u32(out, h.counts.len() as u32);
+            put_u8(out, 1);
+            put_f64(out, h.lo);
+            put_f64(out, h.hi);
+            put_len(out, h.counts.len());
             for &c in &h.counts {
-                w_u64(out, c);
+                put_u64(out, c);
             }
-            w_u64(out, h.total);
+            put_u64(out, h.total);
         }
     }
 }
 
-fn w_column_stats(out: &mut Vec<u8>, c: &ColumnStats) {
-    w_u64(out, c.distinct as u64);
-    w_opt_value(out, &c.min);
-    w_opt_value(out, &c.max);
-    w_f64(out, c.null_fraction);
-    w_f64(out, c.set_valued_fraction);
-    w_f64(out, c.empty_set_fraction);
-    w_f64(out, c.avg_set_card);
-    w_histogram(out, &c.histogram);
+fn put_column_stats(out: &mut Vec<u8>, c: &ColumnStats) {
+    put_u64(out, c.distinct as u64);
+    put_opt_value(out, &c.min);
+    put_opt_value(out, &c.max);
+    put_f64(out, c.null_fraction);
+    put_f64(out, c.set_valued_fraction);
+    put_f64(out, c.empty_set_fraction);
+    put_f64(out, c.avg_set_card);
+    put_histogram(out, &c.histogram);
 }
 
-fn w_table_stats(out: &mut Vec<u8>, s: &TableStats) {
-    w_u64(out, s.cardinality as u64);
-    w_u32(out, s.columns.len() as u32);
+fn put_table_stats(out: &mut Vec<u8>, s: &TableStats) {
+    put_u64(out, s.cardinality as u64);
+    put_len(out, s.columns.len());
     for (name, c) in &s.columns {
-        w_str(out, name);
-        w_column_stats(out, c);
+        put_str(out, name);
+        put_column_stats(out, c);
     }
 }
 
@@ -198,46 +172,42 @@ fn w_table_stats(out: &mut Vec<u8>, s: &TableStats) {
 pub fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
     // Schema: classes then sorts.
-    w_u32(&mut out, img.schema.classes().len() as u32);
+    put_len(&mut out, img.schema.classes().len());
     for c in img.schema.classes() {
-        w_str(&mut out, &c.name);
-        w_str(&mut out, &c.extension);
-        w_u32(&mut out, c.attributes.len() as u32);
+        put_str(&mut out, &c.name);
+        put_str(&mut out, &c.extension);
+        put_len(&mut out, c.attributes.len());
         for a in &c.attributes {
-            w_str(&mut out, &a.name);
-            w_ty(&mut out, &a.ty);
+            put_str(&mut out, &a.name);
+            put_ty(&mut out, &a.ty);
         }
     }
-    w_u32(&mut out, img.schema.sorts().len() as u32);
+    put_len(&mut out, img.schema.sorts().len());
     for s in img.schema.sorts() {
-        w_str(&mut out, &s.name);
-        w_ty(&mut out, &s.ty);
+        put_str(&mut out, &s.name);
+        put_ty(&mut out, &s.ty);
     }
     // Tables.
-    w_u32(&mut out, img.tables.len() as u32);
+    put_len(&mut out, img.tables.len());
     for t in &img.tables {
-        w_str(&mut out, &t.name);
-        w_u32(&mut out, t.columns.len() as u32);
-        for (l, ty) in &t.columns {
-            w_str(&mut out, l);
-            w_ty(&mut out, ty);
-        }
-        w_u64(&mut out, t.extent.rows);
-        w_u32(&mut out, t.extent.pages.len() as u32);
+        put_str(&mut out, &t.name);
+        put_labelled_tys(&mut out, &t.columns);
+        put_u64(&mut out, t.extent.rows);
+        put_len(&mut out, t.extent.pages.len());
         for &(pid, rows) in &t.extent.pages {
-            w_u32(&mut out, pid);
-            w_u16(&mut out, rows);
+            put_u32(&mut out, pid);
+            put_u16(&mut out, rows);
         }
-        w_table_stats(&mut out, &t.stats);
+        put_table_stats(&mut out, &t.stats);
     }
     // Indexes (trailing section; absent in pre-index files).
-    w_u32(&mut out, img.indexes.len() as u32);
+    put_len(&mut out, img.indexes.len());
     for ix in &img.indexes {
-        w_str(&mut out, &ix.table);
-        w_str(&mut out, &ix.attr);
-        w_u8(&mut out, ix.kind);
-        w_u32(&mut out, ix.first);
-        w_u64(&mut out, ix.len);
+        put_str(&mut out, &ix.table);
+        put_str(&mut out, &ix.attr);
+        put_u8(&mut out, ix.kind);
+        put_u32(&mut out, ix.first);
+        put_u64(&mut out, ix.len);
     }
     out
 }
@@ -246,241 +216,155 @@ pub fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+// Fewest bytes one element of each counted run can take — what
+// `Reader::count` holds a claimed count against.
+/// A label's length prefix, then a type tag.
+const MIN_LABELLED_TY_BYTES: usize = 4 + 1;
+/// A class: two names, then an attribute count.
+const MIN_CLASS_BYTES: usize = 3 * 4;
+/// A column's statistics: a name, the distinct count, two option tags,
+/// four fractions, a histogram tag.
+const MIN_COLUMN_STATS_BYTES: usize = 4 + 8 + 2 + 4 * 8 + 1;
+/// A table: a name, a column count, the row and page counts, then the
+/// statistics' cardinality and column count.
+const MIN_TABLE_BYTES: usize = 4 + 4 + 8 + 4 + 8 + 4;
+/// An extent page: page id + rows in it.
+const EXTENT_PAGE_BYTES: usize = 4 + 2;
+/// An index: two names, kind, chain head and length.
+const MIN_INDEX_BYTES: usize = 4 + 4 + 1 + 4 + 8;
+
+fn string(r: &mut Reader<'_>) -> Result<String> {
+    r.str().map(str::to_string)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.buf.len())
-            .ok_or_else(|| {
-                ModelError::Io(format!("catalog decode: truncated blob (want {n} bytes)"))
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_string)
-            .map_err(|e| ModelError::Io(format!("catalog decode: invalid UTF-8: {e}")))
-    }
-
-    fn ty(&mut self) -> Result<Ty> {
-        Ok(match self.u8()? {
-            ty_tag::BOOL => Ty::Bool,
-            ty_tag::INT => Ty::Int,
-            ty_tag::FLOAT => Ty::Float,
-            ty_tag::STR => Ty::Str,
-            ty_tag::TUPLE => {
-                let n = self.u32()? as usize;
-                let mut fields = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let l = self.str()?;
-                    fields.push((l, self.ty()?));
-                }
-                Ty::Tuple(fields)
-            }
-            ty_tag::SET => Ty::Set(Box::new(self.ty()?)),
-            ty_tag::LIST => Ty::List(Box::new(self.ty()?)),
-            ty_tag::VARIANT => {
-                let n = self.u32()? as usize;
-                let mut alts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let l = self.str()?;
-                    alts.push((l, self.ty()?));
-                }
-                Ty::Variant(alts)
-            }
-            ty_tag::CLASS => Ty::Class(self.str()?),
-            ty_tag::ANY => Ty::Any,
-            other => {
-                return Err(ModelError::Io(format!(
-                    "catalog decode: unknown type tag {other}"
-                )))
-            }
-        })
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        let (v, used) = decode_value(bytes)?;
-        if used != n {
-            return Err(ModelError::Io(
-                "catalog decode: trailing value bytes".into(),
-            ));
+fn ty(r: &mut Reader<'_>) -> Result<Ty> {
+    Ok(match r.u8()? {
+        ty_tag::BOOL => Ty::Bool,
+        ty_tag::INT => Ty::Int,
+        ty_tag::FLOAT => Ty::Float,
+        ty_tag::STR => Ty::Str,
+        ty_tag::CLASS => Ty::Class(string(r)?),
+        ty_tag::ANY => Ty::Any,
+        compound => {
+            r.descend()?;
+            let t = match compound {
+                ty_tag::TUPLE => Ty::Tuple(labelled_tys(r)?),
+                ty_tag::SET => Ty::Set(Box::new(ty(r)?)),
+                ty_tag::LIST => Ty::List(Box::new(ty(r)?)),
+                ty_tag::VARIANT => Ty::Variant(labelled_tys(r)?),
+                other => return Err(r.err(format_args!("unknown type tag {other}"))),
+            };
+            r.ascend();
+            t
         }
-        Ok(v)
-    }
+    })
+}
 
-    fn opt_value(&mut self) -> Result<Option<Value>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.value()?)),
-            other => Err(ModelError::Io(format!(
-                "catalog decode: bad option tag {other}"
-            ))),
+fn labelled_tys(r: &mut Reader<'_>) -> Result<Vec<(String, Ty)>> {
+    r.counted(MIN_LABELLED_TY_BYTES, |r| Ok((string(r)?, ty(r)?)))
+}
+
+fn opt_value(r: &mut Reader<'_>) -> Result<Option<Value>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(read_value(r)?)),
+        other => Err(r.err(format_args!("bad option tag {other}"))),
+    }
+}
+
+fn histogram(r: &mut Reader<'_>) -> Result<Option<Histogram>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => {
+            let lo = r.f64()?;
+            let hi = r.f64()?;
+            let counts = r.counted(8, Reader::u64)?;
+            let total = r.u64()?;
+            Ok(Some(Histogram {
+                lo,
+                hi,
+                counts,
+                total,
+            }))
         }
+        other => Err(r.err(format_args!("bad histogram tag {other}"))),
     }
+}
 
-    fn histogram(&mut self) -> Result<Option<Histogram>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let lo = self.f64()?;
-                let hi = self.f64()?;
-                let n = self.u32()? as usize;
-                let mut counts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    counts.push(self.u64()?);
-                }
-                let total = self.u64()?;
-                Ok(Some(Histogram {
-                    lo,
-                    hi,
-                    counts,
-                    total,
-                }))
-            }
-            other => Err(ModelError::Io(format!(
-                "catalog decode: bad histogram tag {other}"
-            ))),
-        }
-    }
+fn column_stats(r: &mut Reader<'_>) -> Result<ColumnStats> {
+    Ok(ColumnStats {
+        distinct: r.u64()? as usize,
+        min: opt_value(r)?,
+        max: opt_value(r)?,
+        null_fraction: r.f64()?,
+        set_valued_fraction: r.f64()?,
+        empty_set_fraction: r.f64()?,
+        avg_set_card: r.f64()?,
+        histogram: histogram(r)?,
+    })
+}
 
-    fn column_stats(&mut self) -> Result<ColumnStats> {
-        Ok(ColumnStats {
-            distinct: self.u64()? as usize,
-            min: self.opt_value()?,
-            max: self.opt_value()?,
-            null_fraction: self.f64()?,
-            set_valued_fraction: self.f64()?,
-            empty_set_fraction: self.f64()?,
-            avg_set_card: self.f64()?,
-            histogram: self.histogram()?,
-        })
+fn table_stats(r: &mut Reader<'_>) -> Result<TableStats> {
+    let cardinality = r.u64()? as usize;
+    let mut columns = BTreeMap::new();
+    for _ in 0..r.count(MIN_COLUMN_STATS_BYTES)? {
+        let name = string(r)?;
+        columns.insert(name, column_stats(r)?);
     }
-
-    fn table_stats(&mut self) -> Result<TableStats> {
-        let cardinality = self.u64()? as usize;
-        let n = self.u32()? as usize;
-        let mut columns = BTreeMap::new();
-        for _ in 0..n {
-            let name = self.str()?;
-            columns.insert(name, self.column_stats()?);
-        }
-        Ok(TableStats {
-            cardinality,
-            columns,
-        })
-    }
+    Ok(TableStats {
+        cardinality,
+        columns,
+    })
 }
 
 /// Decode a catalog blob (the inverse of [`encode_catalog`]).
 pub fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
-    let mut c = Cursor { buf: blob, pos: 0 };
+    let mut r = Reader::new("catalog", blob);
     let mut schema = Schema::new();
-    for _ in 0..c.u32()? {
-        let name = c.str()?;
-        let extension = c.str()?;
-        let n_attrs = c.u32()? as usize;
-        let mut attributes = Vec::with_capacity(n_attrs.min(4096));
-        for _ in 0..n_attrs {
-            let a = c.str()?;
-            attributes.push(AttrDef::new(a, c.ty()?));
-        }
-        schema.add_class(ClassDef::new(name, extension, attributes))?;
+    for _ in 0..r.count(MIN_CLASS_BYTES)? {
+        let name = string(&mut r)?;
+        let extension = string(&mut r)?;
+        let attributes = r.counted(MIN_LABELLED_TY_BYTES, |r| {
+            Ok(AttrDef::new(string(r)?, ty(r)?))
+        })?;
+        schema
+            .add_class(ClassDef::new(name, extension, attributes))
+            .map_err(|e| r.err(e))?;
     }
-    for _ in 0..c.u32()? {
-        let name = c.str()?;
-        let ty = c.ty()?;
-        schema.add_sort(SortDef { name, ty })?;
+    for _ in 0..r.count(MIN_LABELLED_TY_BYTES)? {
+        let name = string(&mut r)?;
+        let ty = ty(&mut r)?;
+        schema
+            .add_sort(SortDef { name, ty })
+            .map_err(|e| r.err(e))?;
     }
-    let n_tables = c.u32()? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(4096));
-    for _ in 0..n_tables {
-        let name = c.str()?;
-        let n_cols = c.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols.min(4096));
-        for _ in 0..n_cols {
-            let l = c.str()?;
-            columns.push((l, c.ty()?));
-        }
-        let rows = c.u64()?;
-        let n_pages = c.u32()? as usize;
-        let mut pages = Vec::with_capacity(n_pages.min(1 << 20));
-        for _ in 0..n_pages {
-            let pid = c.u32()?;
-            pages.push((pid, c.u16()?));
-        }
-        let stats = c.table_stats()?;
-        tables.push(TableImage {
+    let tables = r.counted(MIN_TABLE_BYTES, |r| {
+        let name = string(r)?;
+        let columns = labelled_tys(r)?;
+        let rows = r.u64()?;
+        let pages = r.counted(EXTENT_PAGE_BYTES, |r| Ok((r.u32()?, r.u16()?)))?;
+        Ok(TableImage {
             name,
             columns,
             extent: TableExtent { pages, rows },
-            stats,
-        });
-    }
+            stats: table_stats(r)?,
+        })
+    })?;
     // Index section: files written before indexes existed end exactly at
     // the tables, so only read it when bytes remain.
     let mut indexes = Vec::new();
-    if c.pos < blob.len() {
-        let n = c.u32()? as usize;
-        indexes.reserve(n.min(4096));
-        for _ in 0..n {
-            let table = c.str()?;
-            let attr = c.str()?;
-            let kind = c.u8()?;
-            let first = c.u32()?;
-            let len = c.u64()?;
-            indexes.push(IndexImage {
-                table,
-                attr,
-                kind,
-                first,
-                len,
-            });
-        }
+    if r.remaining() > 0 {
+        indexes = r.counted(MIN_INDEX_BYTES, |r| {
+            Ok(IndexImage {
+                table: string(r)?,
+                attr: string(r)?,
+                kind: r.u8()?,
+                first: r.u32()?,
+                len: r.u64()?,
+            })
+        })?;
     }
-    if c.pos != blob.len() {
-        return Err(ModelError::Io(format!(
-            "catalog decode: {} trailing bytes",
-            blob.len() - c.pos
-        )));
-    }
+    r.finish()?;
     Ok(CatalogImage {
         schema,
         tables,

@@ -61,6 +61,7 @@ use tmql_model::{ModelError, Record, Result};
 use super::image::{decode_catalog, encode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use super::pool::{BufferPool, PoolStats};
+use crate::bytes::{put_len, put_u16, put_u32, put_u64, Reader};
 use crate::failpoint::{self, IoOp, WriteCheck};
 use crate::spill::{encode_record, RecordDecoder};
 use crate::wal::{CommitRecord, RecoveryReport, Wal, WalActivity};
@@ -184,72 +185,64 @@ impl PagedFile {
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
-struct Meta {
+pub(crate) struct Meta {
     /// Next never-allocated page id (page 0 is the header).
-    next_page: PageId,
+    pub(crate) next_page: PageId,
     /// First page of the current catalog chain ([`NO_PAGE`] when empty).
-    catalog_first: PageId,
+    pub(crate) catalog_first: PageId,
     /// Byte length of the current catalog blob.
-    catalog_len: u64,
+    pub(crate) catalog_len: u64,
 }
 
 impl Meta {
     /// Encode the header page: fixed fields, then the free list
-    /// (count + ids). Files written before the free list existed decode
-    /// with `free_count == 0`, so the format version is unchanged.
-    fn encode(&self, free: &[PageId]) -> Vec<u8> {
+    /// (count + ids), zero-padded to a page. Files written before the
+    /// free list existed decode with a count of 0, so the format version
+    /// is unchanged.
+    pub(crate) fn encode(&self, free: &[PageId]) -> Vec<u8> {
         debug_assert!(free.len() <= FREE_LIST_CAP);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[..4].copy_from_slice(&MAGIC);
-        buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        buf[6..10].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-        buf[10..14].copy_from_slice(&self.next_page.to_le_bytes());
-        buf[14..18].copy_from_slice(&self.catalog_first.to_le_bytes());
-        buf[18..26].copy_from_slice(&self.catalog_len.to_le_bytes());
-        buf[26..30].copy_from_slice(&(free.len() as u32).to_le_bytes());
-        for (i, pid) in free.iter().enumerate() {
-            let at = 30 + 4 * i;
-            buf[at..at + 4].copy_from_slice(&pid.to_le_bytes());
+        let mut buf = Vec::with_capacity(PAGE_SIZE);
+        buf.extend_from_slice(&MAGIC);
+        put_u16(&mut buf, VERSION);
+        put_u32(&mut buf, PAGE_SIZE as u32);
+        put_u32(&mut buf, self.next_page);
+        put_u32(&mut buf, self.catalog_first);
+        put_u64(&mut buf, self.catalog_len);
+        put_len(&mut buf, free.len());
+        for &pid in free {
+            put_u32(&mut buf, pid);
         }
+        buf.resize(PAGE_SIZE, 0);
         buf
     }
 
-    fn decode(buf: &[u8]) -> Result<(Meta, Vec<PageId>)> {
-        if buf[..4] != MAGIC {
+    pub(crate) fn decode(buf: &[u8]) -> Result<(Meta, Vec<PageId>)> {
+        let mut r = Reader::new("header", buf);
+        if r.take(MAGIC.len())? != MAGIC {
             return Err(ModelError::Io(
                 "not a tmql database file (bad magic)".into(),
             ));
         }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        let version = r.u16()?;
         if version != VERSION {
             return Err(ModelError::Io(format!(
                 "unsupported database format version {version} (this build reads {VERSION})"
             )));
         }
-        let page_size = u32::from_le_bytes(buf[6..10].try_into().expect("4 bytes"));
+        let page_size = r.u32()?;
         if page_size as usize != PAGE_SIZE {
             return Err(ModelError::Io(format!(
                 "database page size {page_size} does not match this build's {PAGE_SIZE}"
             )));
         }
         let meta = Meta {
-            next_page: u32::from_le_bytes(buf[10..14].try_into().expect("4 bytes")),
-            catalog_first: u32::from_le_bytes(buf[14..18].try_into().expect("4 bytes")),
-            catalog_len: u64::from_le_bytes(buf[18..26].try_into().expect("8 bytes")),
+            next_page: r.u32()?,
+            catalog_first: r.u32()?,
+            catalog_len: r.u64()?,
         };
-        let free_count = u32::from_le_bytes(buf[26..30].try_into().expect("4 bytes")) as usize;
-        if free_count > FREE_LIST_CAP {
-            return Err(ModelError::Io(format!(
-                "corrupted header: free list claims {free_count} pages"
-            )));
-        }
-        let free = (0..free_count)
-            .map(|i| {
-                let at = 30 + 4 * i;
-                u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
-            })
-            .collect();
-        Ok((meta, free))
+        // At most `FREE_LIST_CAP` ids fit the rest of the page, and a
+        // header that claims more is refused.
+        Ok((meta, r.counted(4, Reader::u32)?))
     }
 }
 
@@ -581,20 +574,20 @@ impl PagedStore {
         } else {
             // Oversized record: spill its bytes into an overflow chain,
             // then reference the chain from the data page.
-            let chunks: Vec<&[u8]> = bytes.chunks(OVF_CAPACITY).collect();
-            let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
-            let mut ovf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            for (i, chunk) in chunks.iter().enumerate() {
-                let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-                page::init_overflow(&mut ovf, next, chunk);
-                self.pool.install(ids[i], &ovf, &self.file)?;
-            }
+            let total = u32::try_from(bytes.len()).map_err(|_| {
+                ModelError::Io(format!(
+                    "row too large: one record encodes to {} bytes (max {})",
+                    bytes.len(),
+                    u32::MAX
+                ))
+            })?;
+            let first = self.write_chain(&bytes)?;
             if !page::fits_overflow_ref(&build.cur.as_ref().expect("open page").1) {
                 self.seal_data_page(build)?;
                 self.start_data_page(build);
             }
             let (_, buf) = build.cur.as_mut().expect("open page");
-            page::push_overflow_ref(buf, ids[0], bytes.len() as u32);
+            page::push_overflow_ref(buf, first, total);
         }
         build.rows_in_cur += 1;
         build.rows += 1;
@@ -618,51 +611,73 @@ impl PagedStore {
 
     // -- reading ------------------------------------------------------------
 
-    /// Assemble the full bytes of an overflow chain starting at `first`.
-    fn read_chain(&self, first: PageId, total: u32) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(total as usize);
+    /// Write `bytes` as a chain of overflow pages and return its head
+    /// ([`NO_PAGE`] for no bytes). The pages are allocated first, in chain
+    /// order, then installed through the pool.
+    fn write_chain(&self, bytes: &[u8]) -> Result<PageId> {
+        let chunks = bytes.chunks(OVF_CAPACITY);
+        let ids: Vec<PageId> = chunks.clone().map(|_| self.alloc()).collect();
+        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        for (i, chunk) in chunks.enumerate() {
+            let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
+            page::init_overflow(&mut buf, next, chunk);
+            self.pool.install(ids[i], &buf, &self.file)?;
+        }
+        Ok(ids.first().copied().unwrap_or(NO_PAGE))
+    }
+
+    /// The one walk over an overflow chain: show `visit` each page's id
+    /// and chunk, from `first` to the terminator. `total` is the byte
+    /// length its owner (a slot, an index image, the header) claims for
+    /// it, and the walk trusts nothing else: a claim the allocated pages
+    /// could not hold, a chain with more pages than `total` bytes need
+    /// (which covers every cycle, zero-length chunks included) and a
+    /// chain whose chunks do not add up to `total` are all errors.
+    fn walk_chain(
+        &self,
+        first: PageId,
+        total: u64,
+        mut visit: impl FnMut(PageId, &[u8]),
+    ) -> Result<()> {
+        let corrupt =
+            |what: String| ModelError::Io(format!("corrupted page: overflow chain {what}"));
+        let allocated = self.state().meta.next_page as u64 * OVF_CAPACITY as u64;
+        if total > allocated {
+            return Err(corrupt(format!(
+                "claims {total} bytes, the file's pages hold {allocated}"
+            )));
+        }
+        let mut pages_left = total / OVF_CAPACITY as u64 + 2;
+        let mut seen = 0u64;
         let mut pid = first;
-        // A well-formed chain of `total` bytes spans at most this many
-        // pages; anything longer (including zero-length-chunk cycles,
-        // which never grow `out`) is corruption, not progress.
-        let mut pages_left = total as usize / OVF_CAPACITY + 2;
         while pid != NO_PAGE {
-            if out.len() > total as usize || pages_left == 0 {
-                return Err(ModelError::Io(
-                    "corrupted page: overflow chain too long".into(),
-                ));
+            if seen > total || pages_left == 0 {
+                return Err(corrupt("too long".into()));
             }
             pages_left -= 1;
             let g = self.pool.read(pid, &self.file)?;
-            out.extend_from_slice(page::ovf_data(&g)?);
+            let chunk = page::ovf_data(&g)?;
+            seen += chunk.len() as u64;
+            visit(pid, chunk);
             pid = page::ovf_next(&g)?;
         }
-        if out.len() != total as usize {
-            return Err(ModelError::Io(format!(
-                "corrupted page: overflow chain holds {} bytes, expected {total}",
-                out.len()
-            )));
+        if seen != total {
+            return Err(corrupt(format!("holds {seen} bytes, expected {total}")));
         }
+        Ok(())
+    }
+
+    /// Assemble the full bytes of an overflow chain starting at `first`.
+    /// The buffer grows with the bytes found, never with the bytes claimed.
+    fn read_chain(&self, first: PageId, total: u64) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.walk_chain(first, total, |_, chunk| out.extend_from_slice(chunk))?;
         Ok(out)
     }
 
-    /// The page ids of an overflow chain (same walk as [`read_chain`],
-    /// without assembling the bytes) — the freeing side's enumeration.
-    fn chain_pages(&self, first: PageId, total: u32, out: &mut Vec<PageId>) -> Result<()> {
-        let mut pid = first;
-        let mut pages_left = total as usize / OVF_CAPACITY + 2;
-        while pid != NO_PAGE {
-            if pages_left == 0 {
-                return Err(ModelError::Io(
-                    "corrupted page: overflow chain too long".into(),
-                ));
-            }
-            pages_left -= 1;
-            out.push(pid);
-            let g = self.pool.read(pid, &self.file)?;
-            pid = page::ovf_next(&g)?;
-        }
-        Ok(())
+    /// The page ids of an overflow chain — the freeing side's enumeration.
+    fn chain_pages(&self, first: PageId, total: u64, out: &mut Vec<PageId>) -> Result<()> {
+        self.walk_chain(first, total, |pid, _| out.push(pid))
     }
 
     /// Read up to `n` decoded rows starting at row offset `start`.
@@ -745,7 +760,7 @@ impl PagedStore {
                         }
                     };
                     if let Some((first, total)) = chain {
-                        visit(&self.read_chain(first, total)?)?;
+                        visit(&self.read_chain(first, total.into())?)?;
                         row += 1;
                     }
                 }
@@ -769,7 +784,7 @@ impl PagedStore {
                 }
             }
             for (first, total) in chains {
-                self.chain_pages(first, total, &mut out)?;
+                self.chain_pages(first, total.into(), &mut out)?;
             }
         }
         Ok(out)
@@ -786,35 +801,19 @@ impl PagedStore {
     /// crash-safe.
     pub fn write_blob(&self, blob: &[u8]) -> Result<(PageId, u64)> {
         let _w = self.write_lock();
-        if blob.is_empty() {
-            return Ok((NO_PAGE, 0));
-        }
-        let chunks: Vec<&[u8]> = blob.chunks(OVF_CAPACITY).collect();
-        let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        for (i, chunk) in chunks.iter().enumerate() {
-            let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-            page::init_overflow(&mut buf, next, chunk);
-            self.pool.install(ids[i], &buf, &self.file)?;
-        }
-        Ok((ids[0], blob.len() as u64))
+        Ok((self.write_chain(blob)?, blob.len() as u64))
     }
 
     /// Read back a blob written by [`PagedStore::write_blob`].
     pub fn read_blob(&self, first: PageId, len: u64) -> Result<Vec<u8>> {
-        if first == NO_PAGE {
-            return Ok(Vec::new());
-        }
-        self.read_chain(first, len as u32)
+        self.read_chain(first, len)
     }
 
     /// The page ids of a blob chain — what freeing it hands back to the
     /// free list at a commit.
     pub fn blob_pages(&self, first: PageId, len: u64) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
-        if first != NO_PAGE {
-            self.chain_pages(first, len as u32, &mut out)?;
-        }
+        self.chain_pages(first, len, &mut out)?;
         Ok(out)
     }
 
@@ -833,24 +832,11 @@ impl PagedStore {
             let st = self.state();
             (st.meta.catalog_first, st.meta.catalog_len)
         };
-        if old_first != NO_PAGE {
-            self.chain_pages(old_first, old_len as u32, &mut freed)?;
-        }
+        self.chain_pages(old_first, old_len, &mut freed)?;
         // Write the new chain. Allocation draws on the *current* free
         // list (pages free in the checkpointed state) — never on `freed`
         // or the pending list, which recovery may still need intact.
-        let mut first = NO_PAGE;
-        if !blob.is_empty() {
-            let chunks: Vec<&[u8]> = blob.chunks(OVF_CAPACITY).collect();
-            let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
-            let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            for (i, chunk) in chunks.iter().enumerate() {
-                let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-                page::init_overflow(&mut buf, next, chunk);
-                self.pool.install(ids[i], &buf, &self.file)?;
-            }
-            first = ids[0];
-        }
+        let first = self.write_chain(blob)?;
         freed.sort_unstable();
         freed.dedup();
         // Log every page this transaction wrote — minus pages it also
@@ -910,7 +896,7 @@ impl PagedStore {
         if first == NO_PAGE {
             return Ok(None);
         }
-        self.read_chain(first, len as u32).map(Some)
+        self.read_chain(first, len).map(Some)
     }
 
     /// Persist the catalog image (the commit point of register/replace).
@@ -975,11 +961,6 @@ impl PagedStore {
     /// auto-checkpoints — close still does).
     pub fn set_checkpoint_bytes(&self, bytes: u64) {
         self.checkpoint_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Current WAL size in bytes (diagnostic/test hook).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal().bytes()
     }
 
     /// Snapshot of WAL activity since this store was opened, with the

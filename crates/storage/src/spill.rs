@@ -29,6 +29,8 @@ use std::sync::Arc;
 
 use tmql_model::{ModelError, Record, Result, Value};
 
+use crate::bytes::{put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, Reader};
+
 /// Map an I/O failure into the model error type (rendered, since
 /// `io::Error` is neither `Clone` nor `PartialEq`).
 fn io_err(e: std::io::Error) -> ModelError {
@@ -52,63 +54,54 @@ mod tag {
     pub const VARIANT: u8 = 9;
 }
 
-fn encode_len(out: &mut Vec<u8>, n: usize) {
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-}
-
-fn encode_str(out: &mut Vec<u8>, s: &str) {
-    encode_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Append the encoding of one value to `out`.
 pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => out.push(tag::NULL),
-        Value::Bool(false) => out.push(tag::FALSE),
-        Value::Bool(true) => out.push(tag::TRUE),
+        Value::Null => put_u8(out, tag::NULL),
+        Value::Bool(false) => put_u8(out, tag::FALSE),
+        Value::Bool(true) => put_u8(out, tag::TRUE),
         Value::Int(i) => {
-            out.push(tag::INT);
-            out.extend_from_slice(&i.to_le_bytes());
+            put_u8(out, tag::INT);
+            put_u64(out, *i as u64);
         }
         Value::Float(x) => {
-            out.push(tag::FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            put_u8(out, tag::FLOAT);
+            put_f64(out, *x);
         }
         Value::Str(s) => {
-            out.push(tag::STR);
-            encode_str(out, s);
+            put_u8(out, tag::STR);
+            put_str(out, s);
         }
         Value::Tuple(rec) => {
-            out.push(tag::TUPLE);
+            put_u8(out, tag::TUPLE);
             encode_fields(out, rec);
         }
         Value::Set(items) => {
-            out.push(tag::SET);
-            encode_len(out, items.len());
+            put_u8(out, tag::SET);
+            put_len(out, items.len());
             for item in items {
                 encode_value(out, item);
             }
         }
         Value::List(items) => {
-            out.push(tag::LIST);
-            encode_len(out, items.len());
+            put_u8(out, tag::LIST);
+            put_len(out, items.len());
             for item in items {
                 encode_value(out, item);
             }
         }
         Value::Variant(label, inner) => {
-            out.push(tag::VARIANT);
-            encode_str(out, label);
+            put_u8(out, tag::VARIANT);
+            put_str(out, label);
             encode_value(out, inner);
         }
     }
 }
 
 fn encode_fields(out: &mut Vec<u8>, rec: &Record) {
-    encode_len(out, rec.len());
+    put_len(out, rec.len());
     for (label, v) in rec.iter() {
-        encode_str(out, label);
+        put_str(out, label);
         encode_value(out, v);
     }
 }
@@ -139,20 +132,14 @@ const MAX_LABELS: usize = 64;
 
 impl RecordDecoder {
     /// Decode one record from an encoded payload (the inverse of
-    /// [`encode_record`]). Fails on truncated or malformed bytes.
+    /// [`encode_record`]). Fails on truncated or malformed bytes, and on
+    /// a payload whose containers nest deeper than 128 levels (the budget
+    /// every decoder of this crate spends, so that no bytes can exhaust
+    /// the stack).
     pub fn decode(&mut self, payload: &[u8]) -> Result<Record> {
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
-            names: self,
-        };
+        let mut c = Cursor::new(payload, self);
         let rec = c.record()?;
-        if c.pos != payload.len() {
-            return Err(ModelError::Io(format!(
-                "spill decode: {} trailing bytes after record",
-                payload.len() - c.pos
-            )));
-        }
+        c.r.finish()?;
         Ok(rec)
     }
 
@@ -173,112 +160,89 @@ impl RecordDecoder {
     }
 }
 
-/// Cursor over an encoded payload.
+/// What the [`Reader`]'s errors call this codec.
+const FORMAT: &str = "record";
+
+/// Fewest bytes one encoded value takes (its tag), and one encoded field
+/// (an empty label's length prefix, then a value).
+const MIN_VALUE_BYTES: usize = 1;
+const MIN_FIELD_BYTES: usize = 4 + MIN_VALUE_BYTES;
+
+/// Step over one encoded value without building it.
+fn skip_value(r: &mut Reader<'_>) -> Result<()> {
+    match r.u8()? {
+        tag::NULL | tag::FALSE | tag::TRUE => {}
+        tag::INT | tag::FLOAT => {
+            r.take(8)?;
+        }
+        tag::STR => {
+            r.bytes()?;
+        }
+        tag::TUPLE => {
+            r.descend()?;
+            for _ in 0..r.u32()? {
+                r.bytes()?;
+                skip_value(r)?;
+            }
+            r.ascend();
+        }
+        tag::SET | tag::LIST => {
+            r.descend()?;
+            for _ in 0..r.u32()? {
+                skip_value(r)?;
+            }
+            r.ascend();
+        }
+        tag::VARIANT => {
+            r.descend()?;
+            r.bytes()?;
+            skip_value(r)?;
+            r.ascend();
+        }
+        other => return Err(r.err(format_args!("unknown value tag {other}"))),
+    }
+    Ok(())
+}
+
+/// The value behind a fixed-size tag — built without allocating — or
+/// `None` for every other tag.
+#[inline]
+fn scalar(r: &mut Reader<'_>, tag: u8) -> Result<Option<Value>> {
+    Ok(Some(match tag {
+        tag::NULL => Value::Null,
+        tag::FALSE => Value::Bool(false),
+        tag::TRUE => Value::Bool(true),
+        tag::INT => Value::Int(r.u64()? as i64),
+        tag::FLOAT => Value::Float(r.f64()?),
+        _ => return Ok(None),
+    }))
+}
+
+/// The value-level decoder: a [`Reader`] over one payload plus the label
+/// interner of the stream it belongs to.
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
     names: &'a mut RecordDecoder,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.buf.len())
-            .ok_or_else(|| {
-                ModelError::Io(format!("spill decode: truncated payload (want {n} bytes)"))
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A `u32` length and that many bytes: a string or label, unchecked.
-    fn raw(&mut self) -> Result<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    fn str(&mut self) -> Result<&'a str> {
-        std::str::from_utf8(self.raw()?)
-            .map_err(|e| ModelError::Io(format!("spill decode: invalid UTF-8: {e}")))
-    }
-
-    /// Step over one encoded value without building it. `depth` bounds
-    /// the nesting a payload may claim, so no bytes can exhaust the stack.
-    fn skip_value(&mut self, depth: u32) -> Result<()> {
-        let Some(depth) = depth.checked_sub(1) else {
-            return Err(ModelError::Io("spill decode: nested too deep".into()));
-        };
-        match self.u8()? {
-            tag::NULL | tag::FALSE | tag::TRUE => {}
-            tag::INT | tag::FLOAT => {
-                self.take(8)?;
-            }
-            tag::STR => {
-                self.raw()?;
-            }
-            tag::TUPLE => {
-                for _ in 0..self.u32()? {
-                    self.raw()?;
-                    self.skip_value(depth)?;
-                }
-            }
-            tag::SET | tag::LIST => {
-                for _ in 0..self.u32()? {
-                    self.skip_value(depth)?;
-                }
-            }
-            tag::VARIANT => {
-                self.raw()?;
-                self.skip_value(depth)?;
-            }
-            other => {
-                return Err(ModelError::Io(format!(
-                    "spill decode: unknown value tag {other}"
-                )))
-            }
+    fn new(payload: &'a [u8], names: &'a mut RecordDecoder) -> Cursor<'a> {
+        Cursor {
+            r: Reader::new(FORMAT, payload),
+            names,
         }
-        Ok(())
-    }
-
-    /// The value behind a fixed-size tag — built without allocating —
-    /// or `None` for every other tag.
-    fn scalar(&mut self, tag: u8) -> Result<Option<Value>> {
-        Ok(Some(match tag {
-            tag::NULL => Value::Null,
-            tag::FALSE => Value::Bool(false),
-            tag::TRUE => Value::Bool(true),
-            tag::INT => Value::Int(self.u64()? as i64),
-            tag::FLOAT => Value::Float(f64::from_bits(self.u64()?)),
-            _ => return Ok(None),
-        }))
     }
 
     fn value(&mut self) -> Result<Value> {
-        let tag = self.u8()?;
-        if let Some(v) = self.scalar(tag)? {
+        let tag = self.r.u8()?;
+        if let Some(v) = scalar(&mut self.r, tag)? {
             return Ok(v);
         }
-        Ok(match tag {
-            tag::STR => Value::Str(Arc::from(self.str()?)),
+        if tag == tag::STR {
+            return Ok(Value::Str(Arc::from(self.r.str()?)));
+        }
+        self.r.descend()?;
+        let v = match tag {
             tag::TUPLE => Value::Tuple(self.record()?),
             // An encoder writes a set in order; `Value::set` re-sorts (one
             // pass over sorted input) so no payload can yield a set that
@@ -289,18 +253,16 @@ impl<'a> Cursor<'a> {
                 let label = self.label()?;
                 Value::Variant(label, Box::new(self.value()?))
             }
-            other => {
-                return Err(ModelError::Io(format!(
-                    "spill decode: unknown value tag {other}"
-                )))
-            }
-        })
+            other => return Err(self.r.err(format_args!("unknown value tag {other}"))),
+        };
+        self.r.ascend();
+        Ok(v)
     }
 
-    /// A length-prefixed run of values.
+    /// A count-prefixed run of values.
     fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.u32()? as usize;
-        let mut items = Vec::with_capacity(n.min(4096));
+        let n = self.r.count(MIN_VALUE_BYTES)?;
+        let mut items = Vec::with_capacity(n);
         for _ in 0..n {
             items.push(self.value()?);
         }
@@ -308,57 +270,58 @@ impl<'a> Cursor<'a> {
     }
 
     fn label(&mut self) -> Result<Arc<str>> {
-        let label = self.str()?;
+        let label = self.r.str()?;
         Ok(self.names.intern(label))
     }
 
     fn record(&mut self) -> Result<Record> {
-        let n = self.u32()? as usize;
-        let mut fields = Vec::with_capacity(n.min(4096));
+        let n = self.r.count(MIN_FIELD_BYTES)?;
+        let mut fields = Vec::with_capacity(n);
         for _ in 0..n {
             let label = self.label()?;
             fields.push((label, self.value()?));
         }
-        Record::new(fields)
+        // A repeated label is malformed bytes, like any other.
+        Record::new(fields).map_err(|e| self.r.err(e))
     }
 }
 
 /// Decode one value from the front of a payload (the inverse of
 /// [`encode_value`]), returning the value and the number of bytes
-/// consumed. The pager's catalog image uses this for statistics min/max
-/// values embedded in a larger blob.
+/// consumed.
 pub fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-        names: &mut RecordDecoder::default(),
-    };
+    let mut names = RecordDecoder::default();
+    let mut c = Cursor::new(payload, &mut names);
     let v = c.value()?;
-    Ok((v, c.pos))
+    Ok((v, payload.len() - c.r.remaining()))
 }
 
-/// Nesting [`scalar_field`] will step over before it gives up.
-const MAX_SKIP_DEPTH: u32 = 32;
+/// Read one length-prefixed value — how the catalog image stores
+/// statistics min/max and the index blob its keys. The value must fill
+/// its length exactly.
+pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value> {
+    let bytes = r.bytes()?;
+    match decode_value(bytes)? {
+        (v, used) if used == bytes.len() => Ok(v),
+        _ => Err(r.err("trailing bytes after an embedded value")),
+    }
+}
 
 /// Skip-scan an encoded record for its top-level field `label` and decode
 /// it **on the stack** when it is NULL, a boolean, an integer or a float.
 /// `None` — the caller cannot decide on these bytes — when the label is
 /// absent, the field is a string or a container, or the payload is
-/// malformed or nested deeper than [`MAX_SKIP_DEPTH`] on the way there;
-/// whatever is wrong with it is then [`RecordDecoder::decode`]'s to report.
+/// malformed or nested too deep on the way there; whatever is wrong with
+/// it is then [`RecordDecoder::decode`]'s to report.
 pub(crate) fn scalar_field(payload: &[u8], label: &str) -> Option<Value> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-        names: &mut RecordDecoder::default(),
-    };
-    for _ in 0..c.u32().ok()? {
-        if c.raw().ok()? != label.as_bytes() {
-            c.skip_value(MAX_SKIP_DEPTH).ok()?;
+    let mut r = Reader::new(FORMAT, payload);
+    for _ in 0..r.u32().ok()? {
+        if r.bytes().ok()? != label.as_bytes() {
+            skip_value(&mut r).ok()?;
             continue;
         }
-        let tag = c.u8().ok()?;
-        return c.scalar(tag).ok()?;
+        let tag = r.u8().ok()?;
+        return scalar(&mut r, tag).ok()?;
     }
     None
 }
@@ -374,6 +337,9 @@ pub fn decode_record(payload: &[u8]) -> Result<Record> {
 // ---------------------------------------------------------------------------
 
 static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes of framing before each record of a run: its `u32` length.
+const FRAME_LEN_BYTES: usize = 4;
 
 /// A per-query scratch directory under the OS temp dir. Created lazily by
 /// the executor the first time anything spills; removed (with everything
@@ -433,19 +399,19 @@ pub struct RunWriter {
 impl RunWriter {
     /// Append one record (length-prefixed frame).
     pub fn write(&mut self, rec: &Record) -> Result<()> {
-        let payload = encode_record(rec);
+        let mut frame = Vec::with_capacity(64);
+        put_len_prefixed(&mut frame, |out| encode_fields(out, rec));
         // One frame is capped at u32::MAX bytes. This also guards every
-        // inner `as u32` in the codec: an overflowing string or container
+        // inner length the codec wrote: an overflowing string or container
         // length implies an overflowing payload.
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            ModelError::Io(format!(
-                "spill frame too large: one record encodes to {} bytes (max {})",
-                payload.len(),
+        let payload_len = frame.len() - FRAME_LEN_BYTES;
+        if u32::try_from(payload_len).is_err() {
+            return Err(ModelError::Io(format!(
+                "spill frame too large: one record encodes to {payload_len} bytes (max {})",
                 u32::MAX
-            ))
-        })?;
-        self.out.write_all(&len.to_le_bytes()).map_err(io_err)?;
-        self.out.write_all(&payload).map_err(io_err)?;
+            )));
+        }
+        self.out.write_all(&frame).map_err(io_err)?;
         self.rows += 1;
         Ok(())
     }
@@ -520,9 +486,9 @@ impl RunReader {
         let mut out = Vec::with_capacity(k);
         let mut payload = Vec::new();
         for _ in 0..k {
-            let mut len_buf = [0u8; 4];
+            let mut len_buf = [0u8; FRAME_LEN_BYTES];
             self.input.read_exact(&mut len_buf).map_err(io_err)?;
-            let len = u32::from_le_bytes(len_buf) as usize;
+            let len = Reader::new("spill run", &len_buf).u32()? as usize;
             payload.resize(len, 0);
             self.input.read_exact(&mut payload).map_err(io_err)?;
             out.push(self.decoder.decode(&payload)?);
@@ -590,13 +556,13 @@ mod tests {
         // strictly ascending, so `contains` and the merges stay right.
         let hostile_set = |items: &[Value]| {
             let mut bytes = vec![tag::SET];
-            encode_len(&mut bytes, items.len());
+            put_len(&mut bytes, items.len());
             items.iter().for_each(|v| encode_value(&mut bytes, v));
             bytes
         };
         let ints = [3, 1, 3, 2, 1].map(Value::Int);
         let mut bytes = vec![tag::SET];
-        encode_len(&mut bytes, 3);
+        put_len(&mut bytes, 3);
         for inner in [&ints[..], &ints[1..3], &ints[..]] {
             bytes.extend(hostile_set(inner));
         }
@@ -611,7 +577,7 @@ mod tests {
         // A length that promises more than the payload holds, and every
         // truncation of a good payload, are errors — never a panic.
         let mut lying = vec![tag::SET];
-        encode_len(&mut lying, u32::MAX as usize);
+        put_len(&mut lying, u32::MAX as usize);
         lying.push(tag::NULL);
         assert!(matches!(decode_value(&lying), Err(ModelError::Io(_))));
         for cut in 0..bytes.len() {

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tmql_model::{ModelError, Result};
 
+use crate::bytes::{put_len, put_u32, put_u64, put_u8, Reader};
 use crate::failpoint::{self, IoOp, WriteCheck};
 use crate::pager::page::{PageId, PAGE_SIZE};
 
@@ -37,6 +38,8 @@ const KIND_PAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 /// Bytes of framing before each payload: u32 length + u64 checksum.
 const FRAME_BYTES: usize = 12;
+/// Payload bytes of a page-image record: kind tag, page id, image.
+const PAGE_RECORD_BYTES: usize = 1 + 4 + PAGE_SIZE;
 
 /// FNV-1a 64-bit, the checksum guarding each record's payload.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -72,50 +75,29 @@ pub struct CommitRecord {
 }
 
 impl CommitRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(21 + 4 * (self.free.len() + self.freed.len()));
-        out.push(KIND_COMMIT);
-        out.extend_from_slice(&self.next_page.to_le_bytes());
-        out.extend_from_slice(&self.catalog_first.to_le_bytes());
-        out.extend_from_slice(&self.catalog_len.to_le_bytes());
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(25 + 4 * (self.free.len() + self.freed.len()));
+        put_u8(&mut out, KIND_COMMIT);
+        put_u32(&mut out, self.next_page);
+        put_u32(&mut out, self.catalog_first);
+        put_u64(&mut out, self.catalog_len);
         for list in [&self.free, &self.freed] {
-            out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for pid in list {
-                out.extend_from_slice(&pid.to_le_bytes());
+            put_len(&mut out, list.len());
+            for &pid in list {
+                put_u32(&mut out, pid);
             }
         }
         out
     }
 
-    fn decode(payload: &[u8]) -> Result<CommitRecord> {
-        let mut pos = 1; // caller consumed the kind tag
-        let u32_at = |pos: &mut usize| -> Result<u32> {
-            let end = *pos + 4;
-            let b = payload
-                .get(*pos..end)
-                .ok_or_else(|| io_err("wal: truncated commit record"))?;
-            *pos = end;
-            Ok(u32::from_le_bytes(b.try_into().unwrap()))
-        };
-        let next_page = u32_at(&mut pos)?;
-        let catalog_first = u32_at(&mut pos)?;
-        let len_bytes = payload
-            .get(pos..pos + 8)
-            .ok_or_else(|| io_err("wal: truncated commit record"))?;
-        let catalog_len = u64::from_le_bytes(len_bytes.try_into().unwrap());
-        pos += 8;
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            let n = u32_at(&mut pos)? as usize;
-            list.reserve(n);
-            for _ in 0..n {
-                list.push(u32_at(&mut pos)?);
-            }
-        }
-        if pos != payload.len() {
-            return Err(io_err("wal: trailing bytes in commit record"));
-        }
-        let [free, freed] = lists;
+    /// Decode what follows a commit record's kind tag.
+    pub(crate) fn decode(mut r: Reader<'_>) -> Result<CommitRecord> {
+        let next_page = r.u32()?;
+        let catalog_first = r.u32()?;
+        let catalog_len = r.u64()?;
+        let free = r.counted(4, Reader::u32)?;
+        let freed = r.counted(4, Reader::u32)?;
+        r.finish()?;
         Ok(CommitRecord {
             next_page,
             catalog_first,
@@ -275,8 +257,8 @@ impl Wal {
 
     fn append(&mut self, payload: &[u8]) -> Result<()> {
         let mut rec = Vec::with_capacity(FRAME_BYTES + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        put_len(&mut rec, payload.len());
+        put_u64(&mut rec, fnv1a(payload));
         rec.extend_from_slice(payload);
         let allowed =
             match failpoint::check_write(&self.path, IoOp::WalWrite(rec.len()), rec.len())? {
@@ -301,9 +283,9 @@ impl Wal {
     /// Append a page-image redo record.
     pub fn append_page(&mut self, pid: PageId, image: &[u8]) -> Result<()> {
         debug_assert_eq!(image.len(), PAGE_SIZE);
-        let mut payload = Vec::with_capacity(5 + PAGE_SIZE);
-        payload.push(KIND_PAGE);
-        payload.extend_from_slice(&pid.to_le_bytes());
+        let mut payload = Vec::with_capacity(PAGE_RECORD_BYTES);
+        put_u8(&mut payload, KIND_PAGE);
+        put_u32(&mut payload, pid);
         payload.extend_from_slice(image);
         self.append(&payload)
     }
@@ -359,45 +341,60 @@ impl Wal {
         }
         let mut scan = WalScan::default();
         let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
-        let mut pos = 0usize;
-        let mut committed_end = 0usize;
-        while pos + FRAME_BYTES <= data.len() {
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            let end = pos + FRAME_BYTES + len;
-            if len == 0 || end > data.len() {
-                break; // torn tail
-            }
-            let sum = u64::from_le_bytes(data[pos + 4..pos + 12].try_into().unwrap());
-            let payload = &data[pos + FRAME_BYTES..end];
-            if fnv1a(payload) != sum {
-                break; // corrupt record
-            }
-            match payload[0] {
-                KIND_PAGE if payload.len() == 5 + PAGE_SIZE => {
-                    let pid = PageId::from_le_bytes(payload[1..5].try_into().unwrap());
-                    pending.push((pid, payload[5..].to_vec()));
-                }
-                KIND_COMMIT => {
-                    let commit = match CommitRecord::decode(payload) {
-                        Ok(c) => c,
-                        Err(_) => break,
-                    };
+        let mut r = Reader::new("wal", &data);
+        // Bytes after the last commit, and whether the loop stopped at a
+        // record it could not get past.
+        let mut uncommitted = data.len();
+        let mut stuck = false;
+        while r.remaining() > 0 {
+            match Wal::next_record(&mut r) {
+                Ok(WalRecord::Page(pid, image)) => pending.push((pid, image.to_vec())),
+                Ok(WalRecord::Commit(commit)) => {
                     scan.txns.push(WalTxn {
                         pages: std::mem::take(&mut pending),
                         commit,
                     });
-                    committed_end = end;
+                    uncommitted = r.remaining();
                 }
-                _ => break, // unknown kind or malformed page record
+                // A torn tail, a corrupt record or an unknown kind:
+                // nothing after it can be trusted.
+                Err(_) => {
+                    stuck = true;
+                    break;
+                }
             }
-            pos = end;
         }
         // Well-formed-but-uncommitted records, plus one for a torn or
         // corrupt tail the parse loop could not get past.
-        scan.discarded_records = pending.len() + usize::from(pos < data.len());
-        scan.discarded_bytes = (data.len() - committed_end) as u64;
+        scan.discarded_records = pending.len() + usize::from(stuck);
+        scan.discarded_bytes = uncommitted as u64;
         Ok(scan)
     }
+
+    /// Read one framed record: length, checksum, payload.
+    fn next_record<'a>(r: &mut Reader<'a>) -> Result<WalRecord<'a>> {
+        let len = r.u32()? as usize;
+        let sum = r.u64()?;
+        let payload = r.take(len)?;
+        if fnv1a(payload) != sum {
+            return Err(r.err("checksum mismatch"));
+        }
+        let mut p = Reader::new("wal", payload);
+        match p.u8()? {
+            KIND_PAGE if len == PAGE_RECORD_BYTES => {
+                Ok(WalRecord::Page(p.u32()?, p.take(PAGE_SIZE)?))
+            }
+            KIND_COMMIT => CommitRecord::decode(p).map(WalRecord::Commit),
+            _ => Err(r.err("unknown record kind or malformed page record")),
+        }
+    }
+}
+
+/// One well-formed log record.
+enum WalRecord<'a> {
+    /// A page id and its full image.
+    Page(PageId, &'a [u8]),
+    Commit(CommitRecord),
 }
 
 #[cfg(test)]

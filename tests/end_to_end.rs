@@ -134,3 +134,48 @@ proptest! {
         prop_assert!(is_semi);
     }
 }
+
+#[test]
+fn statements_nested_to_the_parser_limit_run_on_a_default_thread_stack() {
+    // `tmql_lang::MAX_QUERY_NESTING` exists so that everything that
+    // recurses over a parsed statement — type check, translation, the
+    // unnesting optimizer, costing, lowering, execution — fits a worker
+    // thread's 2 MB stack (a spawned thread, not the main thread's 8 MB),
+    // in an unoptimized build too. Each statement is a few levels short
+    // of the limit; one level past it is a parse error.
+    std::thread::spawn(|| {
+        let db = Database::from_catalog(gen_xy(&GenConfig {
+            outer: 8,
+            inner: 8,
+            ..GenConfig::default()
+        }));
+        let n = tmql_lang::MAX_QUERY_NESTING as usize - 4;
+        let subqueries = (1..n / 2).fold("SELECT y.a FROM Y y".to_string(), |q, _| {
+            format!("SELECT x.b FROM X x WHERE x.b IN ({q})")
+        });
+        let (open, close) = ("(".repeat(n), ")".repeat(n));
+        let (open_set, close_set) = ("{".repeat(n), "}".repeat(n));
+        for (query, rows) in [
+            (subqueries, None),
+            (
+                format!("SELECT x.n FROM X x WHERE {open}x.n = 1{close}"),
+                Some(1),
+            ),
+            (
+                format!("SELECT x.n FROM X x WHERE {}x.n = 1", "NOT ".repeat(n)),
+                Some(1),
+            ),
+            (format!("SELECT {open_set}x.n{close_set} FROM X x"), Some(8)),
+        ] {
+            let result = db.query(&query).expect("a statement within the limit runs");
+            if let Some(rows) = rows {
+                assert_eq!(result.len(), rows, "{query}");
+            }
+        }
+        let too_deep = format!("SELECT x.n FROM X x WHERE {open}((((x.n = 1)))){close}");
+        let err = db.query(&too_deep).expect_err("past the limit");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    })
+    .join()
+    .expect("no panic and no stack overflow");
+}
