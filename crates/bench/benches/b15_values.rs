@@ -27,7 +27,7 @@ use std::hash::{Hash, Hasher};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql_algebra::{Env, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
-use tmql_exec::op::hash;
+use tmql_exec::op::{hash, Shape};
 use tmql_exec::{JoinKind, Metrics};
 use tmql_model::hash::ValueHasher;
 use tmql_model::{setops, Record, RecordSet, Value};
@@ -110,8 +110,10 @@ fn bench_values(c: &mut Criterion) {
         });
 
         let (lk, rk) = ([E::path("x", &["b"])], [E::path("y", &["b"])]);
-        let build =
-            |m: &mut Metrics| hash::build(y_bound.clone(), &rk, &mut Env::new(), m).expect("build");
+        let bound = Shape::BOUND;
+        let build = |m: &mut Metrics| {
+            hash::build(y_bound.clone(), &bound, &rk, &Env::new(), m).expect("build")
+        };
         g.bench_with_input(id("hash_join/build"), &n, |b, _| {
             b.iter(|| build(&mut Metrics::new()).len())
         });
@@ -126,9 +128,9 @@ fn bench_values(c: &mut Criterion) {
             ("nest", nest),
         ] {
             g.bench_with_input(id(&format!("hash_join/{name}")), &n, |b, _| {
-                let (mut env, mut m) = (Env::new(), Metrics::new());
+                let (env, mut m) = (Env::new(), Metrics::new());
                 b.iter(|| {
-                    hash::probe(&x_bound, &table, &lk, None, &kind, &mut env, &mut m)
+                    hash::probe((&x_bound, &bound), &table, &lk, None, &kind, &env, &mut m)
                         .expect("probe")
                         .len()
                 })

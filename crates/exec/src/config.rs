@@ -6,10 +6,16 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// Default worker count for parallel execution: the `TMQL_THREADS`
 /// environment variable when set (parsed, clamped to ≥ 1; `0` and `auto`
 /// mean "use the hardware"), else [`std::thread::available_parallelism`].
+/// The variable is read on every call, so a test or a CI leg that changes
+/// it is honoured; the hardware count is asked for **once per process**
+/// and remembered — the standard library re-reads `/proc` and the cgroup
+/// files each time (≈ 23 µs), and every default `QueryOptions` /
+/// `ExecConfig`, so every `Database::query`, comes through here.
 /// There is one code path at every value: at `1` each wave holds a single
 /// work item and [`crate::op::exchange::scatter`] runs it in place on the
 /// calling thread, spawning nothing.
 pub fn default_threads() -> usize {
+    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if let Ok(v) = std::env::var("TMQL_THREADS") {
         let v = v.trim();
         if !v.is_empty() && !v.eq_ignore_ascii_case("auto") {
@@ -20,9 +26,11 @@ pub fn default_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Join algorithm selection.

@@ -136,7 +136,7 @@ impl<'a> ExecContext<'a> {
 pub fn execute(
     plan: &crate::PhysPlan,
     ctx: &mut ExecContext<'_>,
-    env: &Env,
+    env: &Env<'_>,
 ) -> Result<Vec<Record>> {
     execute_profiled(plan, ctx, env).map(|(rows, _)| rows)
 }
@@ -146,7 +146,7 @@ pub fn execute(
 pub fn execute_profiled(
     plan: &crate::PhysPlan,
     ctx: &mut ExecContext<'_>,
-    env: &Env,
+    env: &Env<'_>,
 ) -> Result<(Vec<Record>, String)> {
     let (rows, profile) = execute_collect(plan, ctx, env, None)?;
     Ok((rows, operator::render_profile(&profile)))
@@ -160,7 +160,7 @@ pub fn execute_profiled(
 pub fn execute_collect(
     plan: &crate::PhysPlan,
     ctx: &mut ExecContext<'_>,
-    env: &Env,
+    env: &Env<'_>,
     est: Option<&[f64]>,
 ) -> Result<(Vec<Record>, Vec<operator::OpProfile>)> {
     let mut root = operator::build(plan, env);
@@ -169,7 +169,10 @@ pub fn execute_collect(
         .and_then(|()| operator::drain(&mut root, ctx));
     root.close_timed(ctx);
     ctx.sync_pool_metrics();
-    let rows = result?;
+    // The executor's exit: callers see records of bindings, whatever
+    // shape the root operator's rows had.
+    let shape = root.shape();
+    let rows = result?.into_iter().map(|r| shape.wrap(r)).collect();
     let profile = operator::collect_profile(root.as_ref(), est);
     Ok((rows, profile))
 }
@@ -188,7 +191,7 @@ pub fn execute_logical(
 /// Evaluate a whole scalar expression tree as a constant (no tables); used
 /// for constant subqueries.
 pub fn eval_const(expr: &ScalarExpr) -> Result<Value> {
-    eval(expr, &mut Env::new())
+    eval(expr, &Env::new())
 }
 
 #[cfg(test)]

@@ -29,12 +29,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
+use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
 use tmql_model::hash::ValueMap;
 use tmql_model::{Record, Result, SetValue, Value};
 use tmql_storage::HashIndex;
 
 use crate::exec::ExecContext;
+use crate::op;
 use crate::op::operator::{build, drain, op_base, Batch, BoxedOperator, OpBase, Operator};
 use crate::physical::PhysPlan;
 
@@ -43,6 +44,62 @@ use crate::physical::PhysPlan;
 struct CacheEntry {
     set: SetValue,
     stamp: u64,
+}
+
+/// The binding memo of one [`ApplyOp`]: completed inner results by
+/// evaluated binding key, evicted least recently used first.
+#[derive(Default)]
+struct Memo {
+    entries: ValueMap<Vec<Value>, CacheEntry>,
+    /// stamp → key index for O(log n) LRU eviction.
+    lru: BTreeMap<u64, Vec<Value>>,
+    next_stamp: u64,
+    /// Total rows held by cached sets (mirrored in the resident gauge
+    /// while the operator is open).
+    rows: usize,
+}
+
+impl Memo {
+    /// The cached result under `key`, moved to the most-recently-used
+    /// position.
+    fn hit(&mut self, key: &[Value]) -> Option<SetValue> {
+        let e = self.entries.get_mut(key)?;
+        self.lru.remove(&e.stamp);
+        e.stamp = self.next_stamp;
+        self.lru.insert(self.next_stamp, key.to_vec());
+        self.next_stamp += 1;
+        Some(e.set.clone())
+    }
+
+    /// Insert a completed result under `key`, evicting LRU entries while
+    /// the cache would exceed the memory budget. A single result larger
+    /// than the whole budget is not cached at all.
+    fn insert(&mut self, key: Vec<Value>, set: SetValue, ctx: &mut ExecContext<'_>) {
+        let add = set.len();
+        if ctx.memory_budget_rows().is_some_and(|b| add > b) {
+            return;
+        }
+        while ctx.over_budget(self.rows + add) {
+            let Some((_, old_key)) = self.lru.pop_first() else {
+                break;
+            };
+            if let Some(old) = self.entries.remove(&old_key) {
+                self.rows -= old.set.len();
+                ctx.resident_release(old.set.len());
+            }
+        }
+        ctx.resident_acquire(add);
+        self.rows += add;
+        self.lru.insert(self.next_stamp, key.clone());
+        self.entries.insert(
+            key,
+            CacheEntry {
+                set,
+                stamp: self.next_stamp,
+            },
+        );
+        self.next_stamp += 1;
+    }
 }
 
 /// Correlated Apply with inner-plan reuse and binding memoization. Outer
@@ -60,13 +117,7 @@ pub struct ApplyOp<'p> {
     /// The long-lived inner operator tree (reused across rows via
     /// rebind/open; kept across `close` so nested re-opens stay cheap).
     inner: Option<BoxedOperator<'p>>,
-    cache: ValueMap<Vec<Value>, CacheEntry>,
-    /// stamp → key index for O(log n) LRU eviction.
-    lru: BTreeMap<u64, Vec<Value>>,
-    next_stamp: u64,
-    /// Total rows held by cached sets (mirrored in the resident gauge
-    /// while the operator is open).
-    cache_rows: usize,
+    memo: Memo,
     gauge_held: bool,
 }
 
@@ -86,72 +137,30 @@ impl<'p> ApplyOp<'p> {
             label: Arc::from(label),
             bindings,
             inner: None,
-            cache: ValueMap::default(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
-            cache_rows: 0,
+            memo: Memo::default(),
             gauge_held: false,
         }
     }
 
     /// Execute the inner plan under `sub_env` (building the tree on first
     /// use, rebinding it afterwards) and collapse the result to a set.
-    fn run_inner(&mut self, sub_env: &Env, ctx: &mut ExecContext<'_>) -> Result<SetValue> {
+    fn run_inner(
+        inner: &mut Option<BoxedOperator<'p>>,
+        subquery: &'p PhysPlan,
+        sub_env: &Env<'_>,
+        ctx: &mut ExecContext<'_>,
+    ) -> Result<SetValue> {
         ctx.metrics.apply_invocations += 1;
-        let inner = match self.inner.as_mut() {
-            Some(op) => {
-                op.rebind(sub_env);
-                op
-            }
-            None => {
-                self.inner = Some(build(self.subquery, sub_env));
-                self.inner.as_mut().expect("just built")
-            }
-        };
+        match inner.as_mut() {
+            Some(op) => op.rebind(sub_env),
+            None => *inner = Some(build(subquery, sub_env)),
+        }
+        let inner = inner.as_mut().expect("built or rebound above");
         inner.open_timed(ctx)?;
         let res = drain(inner, ctx);
         inner.close_timed(ctx);
-        Ok(res?.iter().map(Plan::row_output_value).collect())
-    }
-
-    /// Move `key` to the most-recently-used position.
-    fn touch(&mut self, key: &[Value]) {
-        if let Some(e) = self.cache.get_mut(key) {
-            self.lru.remove(&e.stamp);
-            e.stamp = self.next_stamp;
-            self.lru.insert(self.next_stamp, key.to_vec());
-            self.next_stamp += 1;
-        }
-    }
-
-    /// Insert a completed result under `key`, evicting LRU entries while
-    /// the cache would exceed the memory budget. A single result larger
-    /// than the whole budget is not cached at all.
-    fn insert(&mut self, key: Vec<Value>, set: SetValue, ctx: &mut ExecContext<'_>) {
-        let add = set.len();
-        if ctx.memory_budget_rows().is_some_and(|b| add > b) {
-            return;
-        }
-        while ctx.over_budget(self.cache_rows + add) {
-            let Some((_, old_key)) = self.lru.pop_first() else {
-                break;
-            };
-            if let Some(old) = self.cache.remove(&old_key) {
-                self.cache_rows -= old.set.len();
-                ctx.resident_release(old.set.len());
-            }
-        }
-        ctx.resident_acquire(add);
-        self.cache_rows += add;
-        self.lru.insert(self.next_stamp, key.clone());
-        self.cache.insert(
-            key,
-            CacheEntry {
-                set,
-                stamp: self.next_stamp,
-            },
-        );
-        self.next_stamp += 1;
+        let shape = inner.shape();
+        Ok(res?.iter().map(|r| op::output_value(shape, r)).collect())
     }
 }
 
@@ -168,7 +177,7 @@ impl Operator for ApplyOp<'_> {
         // this operator once per enclosing binding); only its footprint
         // leaves and re-enters the resident gauge.
         if !self.gauge_held {
-            ctx.resident_acquire(self.cache_rows);
+            ctx.resident_acquire(self.memo.rows);
             self.gauge_held = true;
         }
         self.child.open_timed(ctx)
@@ -179,45 +188,45 @@ impl Operator for ApplyOp<'_> {
             return Ok(None);
         };
         let mut out = Vec::with_capacity(b.len());
+        let shape = self.child.shape().clone();
+        let (inner, subquery) = (&mut self.inner, self.subquery);
         for row in b.rows {
-            let mut sub_env = self.base.env.clone();
-            sub_env.push_row(&row);
+            // The outer row's scope; the inner tree detaches it on rebind.
+            let sub_env = op::bind(&self.base.env, &shape, &row);
+            let mut run =
+                |ctx: &mut ExecContext<'_>| Self::run_inner(inner, subquery, &sub_env, ctx);
             ctx.metrics.subquery_invocations += 1;
             let set = match self.bindings {
-                None => self.run_inner(&sub_env, ctx)?,
+                None => run(ctx)?,
                 Some(exprs) => {
                     // A key evaluation failure must not fail the query
                     // (the expression might never be reached under the
                     // inner plan's own evaluation order) — run uncached.
-                    let key: std::result::Result<Vec<Value>, _> = exprs
-                        .iter()
-                        .map(|e| eval(e, &mut sub_env.clone()))
-                        .collect();
+                    let key: std::result::Result<Vec<Value>, _> =
+                        exprs.iter().map(|e| eval(e, &sub_env)).collect();
                     match key {
-                        Err(_) => self.run_inner(&sub_env, ctx)?,
+                        Err(_) => run(ctx)?,
                         Ok(key) => {
-                            if let Some(e) = self.cache.get(&key) {
+                            if let Some(set) = self.memo.hit(&key) {
                                 ctx.metrics.apply_cache_hits += 1;
-                                let set = e.set.clone();
-                                self.touch(&key);
                                 set
                             } else {
-                                let set = self.run_inner(&sub_env, ctx)?;
-                                self.insert(key, set.clone(), ctx);
+                                let set = run(ctx)?;
+                                self.memo.insert(key, set.clone(), ctx);
                                 set
                             }
                         }
                     }
                 }
             };
-            out.push(row.extend_field(self.label.clone(), Value::Set(set))?);
+            out.push(op::extend(&shape, &row, &self.label, Value::Set(set))?);
         }
         Ok(Some(Batch::new(out)))
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         if self.gauge_held {
-            ctx.resident_release(self.cache_rows);
+            ctx.resident_release(self.memo.rows);
             self.gauge_held = false;
         }
         if let Some(inner) = self.inner.as_mut() {
@@ -251,7 +260,7 @@ impl<'p> MaterializeOp<'p> {
     /// Wrap a hoisted child subtree.
     pub(super) fn new(base: OpBase<'p>, child: BoxedOperator<'p>) -> MaterializeOp<'p> {
         MaterializeOp {
-            base,
+            base: base.over(&child),
             child,
             buffer: None,
             filling: Vec::new(),
@@ -339,7 +348,6 @@ impl Operator for MaterializeOp<'_> {
 pub struct HashProbeOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
-    var: Arc<str>,
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
@@ -358,7 +366,6 @@ impl<'p> HashProbeOp<'p> {
     pub(super) fn new(
         base: OpBase<'p>,
         table: &'p str,
-        var: &'p str,
         attr: &'p str,
         key: &'p ScalarExpr,
         pred: &'p ScalarExpr,
@@ -366,7 +373,6 @@ impl<'p> HashProbeOp<'p> {
         HashProbeOp {
             base,
             table,
-            var: Arc::from(var),
             attr,
             key,
             pred,
@@ -404,7 +410,7 @@ impl Operator for HashProbeOp<'_> {
         }
         if self.positions.is_none() {
             let idx = self.index.as_ref().expect("built above");
-            let positions = match eval(self.key, &mut self.base.env) {
+            let positions = match eval(self.key, &self.base.env) {
                 Ok(key) => idx.probe_eq(&key),
                 // Key evaluation failed: fall back to checking every row
                 // (plain scan+filter semantics).
@@ -427,11 +433,11 @@ impl Operator for HashProbeOp<'_> {
             self.cursor = end;
             let candidates = t.fetch_rows(chunk)?;
             let mut rows = Vec::with_capacity(candidates.len());
+            let OpBase { env, shape, .. } = &self.base;
             for row in candidates {
-                let r = crate::op::bind_row(&self.var, Value::Tuple(row));
                 ctx.metrics.comparisons += 1;
-                if crate::op::with_row(&mut self.base.env, &r, |e| eval_predicate(self.pred, e))? {
-                    rows.push(r);
+                if eval_predicate(self.pred, &op::bind(env, shape, &row))? {
+                    rows.push(row);
                 }
             }
             if !rows.is_empty() {

@@ -11,12 +11,14 @@ use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, Operator};
 use crate::op::spill::{self, total_rows, Drained, PartFn, Partitions, Side};
+use crate::op::{Rows, Shape};
 
-/// Materialized kernel of a breaker over `N` inputs. `Fn + Send + Sync` so
+/// Materialized kernel of a breaker over `N` inputs, each a slice of rows
+/// and the shape its operator emits them in. `Fn + Send + Sync` so
 /// a wave can run it concurrently over several spill partitions — all
 /// mutable state (env, metrics) comes in through the arguments.
 pub(super) type Kernel<'p, const N: usize> =
-    Box<dyn Fn([&[Record]; N], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Send + Sync + 'p>;
+    Box<dyn Fn([Rows<'_>; N], &Env<'_>, &mut Metrics) -> Result<Vec<Record>> + Send + Sync + 'p>;
 
 /// A pipeline breaker: drains its `N` inputs, runs a materialized kernel
 /// over them, then re-emits the result in batches.
@@ -48,8 +50,8 @@ pub(super) struct Breaker<'p, const N: usize> {
 impl<'p, const N: usize> Breaker<'p, N> {
     pub(super) fn new(
         base: OpBase<'p>,
-        inputs: [BoxedOperator<'p>; N],
         parts: [PartFn<'p>; N],
+        inputs: [BoxedOperator<'p>; N],
         kernel: Kernel<'p, N>,
     ) -> Self {
         Breaker {
@@ -75,6 +77,7 @@ impl<'p, const N: usize> Breaker<'p, N> {
     /// all inputs to the partitioned form.
     fn consume(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         let OpBase { env, stats, .. } = &mut self.base;
+        let env = &*env;
         let sides = Self::sides(&self.parts);
         let mut drained = Vec::with_capacity(N);
         for (input, side) in self.inputs.iter_mut().zip(sides) {
@@ -95,7 +98,8 @@ impl<'p, const N: usize> Breaker<'p, N> {
         // when their sum overflows.
         let fits = !ctx.over_budget(self.held);
         if let (Ok(mem), true) = (<[&[Record]; N]>::try_from(mem), fits) {
-            let out = (self.kernel)(mem, env, &mut ctx.metrics)?;
+            let rows = std::array::from_fn(|i| (mem[i], self.inputs[i].shape()));
+            let out = (self.kernel)(rows, env, &mut ctx.metrics)?;
             ctx.resident_acquire(out.len());
             self.out = out.into();
         } else {
@@ -148,6 +152,7 @@ impl<const N: usize> Operator for Breaker<'_, N> {
             // A partition weighs all its rows (the kernel holds every
             // input); one with no rows at all has nothing to produce.
             let OpBase { env, stats, .. } = &mut self.base;
+            let env = &*env;
             let sides = Self::sides(&self.parts);
             let all_empty = |files: &[SpillFile; N]| files.iter().all(SpillFile::is_empty);
             let Some(wave) = grace.next_wave(ctx, env, sides, total_rows, all_empty, stats)? else {
@@ -155,13 +160,18 @@ impl<const N: usize> Operator for Breaker<'_, N> {
                 return Ok(None);
             };
             let kernel = &self.kernel;
+            let shapes: [&Shape; N] = std::array::from_fn(|i| self.inputs[i].shape());
             self.out
                 .extend(spill::run_wave(ctx, env, wave, |files, env, m| {
                     let mut inputs = Vec::with_capacity(N);
                     for f in &files {
                         inputs.push(f.reader()?.read_all()?);
                     }
-                    kernel(std::array::from_fn(|i| inputs[i].as_slice()), env, m)
+                    kernel(
+                        std::array::from_fn(|i| (inputs[i].as_slice(), shapes[i])),
+                        env,
+                        m,
+                    )
                 })?);
         }
     }

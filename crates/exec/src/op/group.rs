@@ -5,12 +5,13 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, AggFn, Env, Plan, ScalarExpr, SetOpKind};
+use tmql_algebra::{eval, AggFn, Env, ScalarExpr, SetOpKind};
+use tmql_model::record::Field;
 use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
 
-use super::{bind_row, with_row};
+use super::{bind, bind_row, fields, no_such_var, output_value, project, Rows};
 
 /// The nest operator ν (and ν*): group rows by the values of `keys`,
 /// collapsing each group to `keys ++ (label = {value(row) | row ∈ group})`.
@@ -20,31 +21,28 @@ use super::{bind_row, with_row};
 /// an all-NULL group yields ∅. This is exactly the step the nest join makes
 /// unnecessary.
 pub fn nest(
-    rows: &[Record],
+    (rows, shape): Rows<'_>,
     keys: &[String],
     value: &ScalarExpr,
     label: &str,
     star: bool,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     // Group index keyed by the key values; insertion order preserved.
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut groups: BTreeMap<Vec<Value>, (Record, Vec<Value>)> = BTreeMap::new();
-    let key_labels: Vec<&str> = keys.iter().map(String::as_str).collect();
+    let keys: Vec<Arc<str>> = keys.iter().map(|k| Arc::from(k.as_str())).collect();
     for row in rows {
-        let keyvals: Vec<Value> = key_labels
-            .iter()
-            .map(|k| row.get(k).cloned())
-            .collect::<Result<_>>()?;
-        let payload = with_row(env, row, |e| eval(value, e))?;
+        let key_rec = project(shape, row, &keys)?;
+        let keyvals: Vec<Value> = key_rec.values().cloned().collect();
+        let payload = eval(value, &bind(env, shape, row))?;
         m.comparisons += 1;
         let entry = match groups.entry(keyvals) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 order.push(e.key().clone());
-                // The key record shares the row's label `Arc`s.
-                e.insert((row.project(&key_labels)?, Vec::new()))
+                e.insert((key_rec, Vec::new()))
             }
         };
         if star && payload.is_null() {
@@ -68,22 +66,33 @@ pub fn nest(
 /// empty vanish — μ is lossy on empty sets, which is why ν and μ are not
 /// mutual inverses in general.
 pub fn unnest(
-    rows: &[Record],
+    (rows, shape): Rows<'_>,
     expr: &ScalarExpr,
     elem_var: &str,
     drop_vars: &[String],
-    env: &mut Env,
+    env: &Env<'_>,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
     let elem_var: Arc<str> = Arc::from(elem_var);
+    // The variables a row keeps, gathered once per row.
+    let mut kept: Vec<Field> = Vec::new();
     for row in rows {
-        let set = with_row(env, row, |e| eval(expr, e))?.into_set()?;
-        let mut base = row.clone();
-        for d in drop_vars {
-            base = base.without(d)?;
+        let set = eval(expr, &bind(env, shape, row))?.into_set()?;
+        let mut dropped = 0;
+        kept.clear();
+        kept.extend(fields(shape, row).filter(|(l, _)| {
+            let drop = drop_vars.iter().any(|d| **d == **l);
+            dropped += usize::from(drop);
+            !drop
+        }));
+        if dropped != drop_vars.len() {
+            let bound = |d: &&String| fields(shape, row).any(|(l, _)| ***d == *l);
+            let missing = drop_vars.iter().find(|d| !bound(d));
+            return Err(no_such_var(shape, row, missing.map_or("", |d| d)));
         }
         for item in &set {
-            out.push(base.extend_field(elem_var.clone(), item.clone())?);
+            let elem = [(elem_var.clone(), item.clone())];
+            out.push(Record::new(kept.iter().cloned().chain(elem))?);
         }
     }
     Ok(out)
@@ -93,28 +102,26 @@ pub fn unnest(
 /// each group) — the machinery Kim's algorithm and the Ganski–Wong fix are
 /// built from (Section 2).
 pub fn group_agg(
-    rows: &[Record],
+    (rows, shape): Rows<'_>,
     keys: &[(String, ScalarExpr)],
     aggs: &[(String, AggFn, ScalarExpr)],
     var: &str,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut groups: BTreeMap<Vec<Value>, Vec<Vec<Value>>> = BTreeMap::new();
     // groups: key values → per-agg argument value lists.
     for row in rows {
-        let (keyvals, argvals) = with_row(env, row, |e| {
-            let mut kv = Vec::with_capacity(keys.len());
-            for (_, ke) in keys {
-                kv.push(eval(ke, e)?);
-            }
-            let mut av = Vec::with_capacity(aggs.len());
-            for (_, _, ae) in aggs {
-                av.push(eval(ae, e)?);
-            }
-            Ok((kv, av))
-        })?;
+        let e = bind(env, shape, row);
+        let mut keyvals = Vec::with_capacity(keys.len());
+        for (_, ke) in keys {
+            keyvals.push(eval(ke, &e)?);
+        }
+        let mut argvals = Vec::with_capacity(aggs.len());
+        for (_, _, ae) in aggs {
+            argvals.push(eval(ae, &e)?);
+        }
         m.comparisons += 1;
         let entry = groups.entry(keyvals.clone()).or_insert_with(|| {
             order.push(keyvals);
@@ -169,13 +176,13 @@ fn fold_agg(f: AggFn, args: &[Value]) -> Result<Value> {
 /// Set operation on the output values of two row sets, rebinding to `var`.
 pub fn set_op(
     kind: SetOpKind,
-    left: &[Record],
-    right: &[Record],
+    (left, ls): Rows<'_>,
+    (right, rs): Rows<'_>,
     var: &str,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
-    let lvals: BTreeSet<Value> = left.iter().map(Plan::row_output_value).collect();
-    let rvals: BTreeSet<Value> = right.iter().map(Plan::row_output_value).collect();
+    let lvals: BTreeSet<Value> = left.iter().map(|r| output_value(ls, r)).collect();
+    let rvals: BTreeSet<Value> = right.iter().map(|r| output_value(rs, r)).collect();
     m.comparisons += (left.len() + right.len()) as u64;
     let vals: Vec<Value> = match kind {
         SetOpKind::Union => lvals.union(&rvals).cloned().collect(),
@@ -189,6 +196,7 @@ pub fn set_op(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::bound;
     use tmql_algebra::ScalarExpr as E;
 
     fn row(pairs: &[(&str, Value)]) -> Record {
@@ -203,12 +211,12 @@ mod tests {
             row(&[("b", Value::Int(2)), ("a", Value::Int(12))]),
         ];
         let out = nest(
-            &rows,
+            bound(&rows),
             &["b".to_string()],
             &E::var("a"),
             "as",
             false,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -225,12 +233,12 @@ mod tests {
             row(&[("x", Value::Int(2)), ("y", Value::Int(7))]),
         ];
         let star = nest(
-            &rows,
+            bound(&rows),
             &["x".to_string()],
             &E::var("y"),
             "ys",
             true,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -238,12 +246,12 @@ mod tests {
         assert_eq!(star[1].get("ys").unwrap().as_set().unwrap().len(), 1);
         // Plain ν keeps the NULL — the relational wart ν* exists to fix.
         let plain = nest(
-            &rows,
+            bound(&rows),
             &["x".to_string()],
             &E::var("y"),
             "ys",
             false,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -260,11 +268,11 @@ mod tests {
             row(&[("x", Value::Int(2)), ("s", Value::empty_set())]),
         ];
         let out = unnest(
-            &rows,
+            bound(&rows),
             &E::var("s"),
             "v",
             &["s".to_string()],
-            &mut Env::new(),
+            &Env::new(),
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -279,21 +287,21 @@ mod tests {
             row(&[("b", Value::Int(1)), ("a", Value::Int(11))]),
         ];
         let nested = nest(
-            &rows,
+            bound(&rows),
             &["b".to_string()],
             &E::var("a"),
             "as",
             false,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
         let back = unnest(
-            &nested,
+            bound(&nested),
             &E::var("as"),
             "a",
             &["as".to_string()],
-            &mut Env::new(),
+            &Env::new(),
         )
         .unwrap();
         let orig: BTreeSet<Record> = rows.into_iter().collect();
@@ -319,11 +327,11 @@ mod tests {
             )]),
         ];
         let out = group_agg(
-            &s_rows,
+            bound(&s_rows),
             &[("c".to_string(), E::path("y", &["c"]))],
             &[("cnt".to_string(), AggFn::Count, E::var("y"))],
             "t",
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -348,11 +356,11 @@ mod tests {
         let l = vec![row(&[("v", Value::Int(1))]), row(&[("v", Value::Int(2))])];
         let r = vec![row(&[("v", Value::Int(2))]), row(&[("v", Value::Int(3))])];
         let mut m = Metrics::new();
-        let u = set_op(SetOpKind::Union, &l, &r, "v", &mut m).unwrap();
+        let u = set_op(SetOpKind::Union, bound(&l), bound(&r), "v", &mut m).unwrap();
         assert_eq!(u.len(), 3);
-        let i = set_op(SetOpKind::Intersect, &l, &r, "v", &mut m).unwrap();
+        let i = set_op(SetOpKind::Intersect, bound(&l), bound(&r), "v", &mut m).unwrap();
         assert_eq!(i.len(), 1);
-        let d = set_op(SetOpKind::Except, &l, &r, "v", &mut m).unwrap();
+        let d = set_op(SetOpKind::Except, bound(&l), bound(&r), "v", &mut m).unwrap();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].get("v").unwrap(), &Value::Int(1));
     }

@@ -21,7 +21,7 @@ use tmql_model::{Record, Result, SetValue, Value};
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::null_extend;
+use super::{bind, concat, extend, null_extend, Rows, Shape};
 
 /// A built hash table over the right (build) operand: the owned build
 /// rows, the hash of each row's key values, and one [`ChainIndex`] over
@@ -30,6 +30,7 @@ use super::null_extend;
 #[derive(Debug)]
 pub struct HashTable<'k> {
     rows: Vec<Record>,
+    shape: Shape,
     hashes: Vec<u64>,
     index: ChainIndex,
     keys: &'k [ScalarExpr],
@@ -47,9 +48,9 @@ impl HashTable<'_> {
     }
 }
 
-/// Hash the key values of the row(s) pushed on `env`, by reference.
+/// Hash the key values of the row(s) bound in `env`, by reference.
 /// Returns `None` if any key is NULL (NULL never equi-joins).
-fn hash_keys(keys: &[ScalarExpr], env: &mut Env) -> Result<Option<u64>> {
+fn hash_keys(keys: &[ScalarExpr], env: &Env<'_>) -> Result<Option<u64>> {
     let mut h = ValueHasher::default();
     for k in keys {
         let null = with_value(k, env, |v| {
@@ -63,22 +64,20 @@ fn hash_keys(keys: &[ScalarExpr], env: &mut Env) -> Result<Option<u64>> {
     Ok(Some(h.finish()))
 }
 
-/// Build phase: index `right` by its key values. Rows with a NULL key are
-/// dropped — NULL never equi-joins, consistent with SQL semantics in the
-/// relational baselines.
+/// Build phase: index `right` (rows of shape `shape`) by its key values.
+/// Rows with a NULL key are dropped — NULL never equi-joins, consistent
+/// with SQL semantics in the relational baselines.
 pub fn build<'k>(
     right: Vec<Record>,
+    shape: &Shape,
     right_keys: &'k [ScalarExpr],
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<HashTable<'k>> {
     let mut rows = Vec::with_capacity(right.len());
     let mut hashes = Vec::with_capacity(right.len());
     for r in right {
-        env.push_row(&r);
-        let hash = hash_keys(right_keys, env);
-        env.pop();
-        if let Some(hash) = hash? {
+        if let Some(hash) = hash_keys(right_keys, &bind(env, shape, &r))? {
             hashes.push(hash);
             rows.push(r);
             m.hash_build_rows += 1;
@@ -87,6 +86,7 @@ pub fn build<'k>(
     Ok(HashTable {
         index: ChainIndex::build(&hashes),
         rows,
+        shape: shape.clone(),
         hashes,
         keys: right_keys,
     })
@@ -95,22 +95,23 @@ pub fn build<'k>(
 /// Probe phase: join a batch of left rows against a built table. Left rows
 /// are independent of each other, so this streams.
 pub fn probe(
-    left: &[Record],
+    (left, ls): Rows<'_>,
     table: &HashTable<'_>,
     left_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
     kind: &JoinKind,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
+    let rs = &table.shape;
     // The nest-join accumulator, reused across probe rows.
     let mut nested: Vec<Value> = Vec::new();
     for l in left {
-        env.push_row(l);
+        let probe_env = bind(env, ls, l);
         m.hash_probes += 1;
         let mut matched = false;
-        let hash = hash_keys(left_keys, env)?;
+        let hash = hash_keys(left_keys, &probe_env)?;
         // Build rows of this hash's bucket, in build order; `None` (a NULL
         // key) probes nothing.
         for ri in hash.into_iter().flat_map(|h| table.index.chain(h)) {
@@ -118,44 +119,27 @@ pub fn probe(
                 continue;
             }
             let r = &table.rows[ri];
-            env.push_row(r);
+            let pair_env = bind(&probe_env, rs, r);
             // Equal hashes: now the keys themselves, both sides by
             // reference out of their rows, then the residual.
-            let hit = (|| {
-                for (lk, rk) in left_keys.iter().zip(table.keys) {
-                    if !with_values(lk, rk, env, |a, b| Ok(a == b))? {
-                        return Ok(false);
-                    }
-                }
-                if let Some(p) = residual {
-                    m.comparisons += 1;
-                    if !eval_predicate(p, env)? {
-                        return Ok(false);
-                    }
-                }
-                if let JoinKind::Nest { func, .. } = kind {
-                    nested.push(eval(func, env)?);
-                }
-                Ok(true)
-            })();
-            env.pop();
-            match hit {
-                Ok(false) => {}
-                Ok(true) => {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
-                        JoinKind::Semi | JoinKind::Anti => break,
-                        JoinKind::Nest { .. } => {}
-                    }
-                }
-                Err(e) => {
-                    env.pop();
-                    return Err(e);
-                }
+            let mut hit = true;
+            for (lk, rk) in left_keys.iter().zip(table.keys) {
+                hit = hit && with_values(lk, rk, &pair_env, |a, b| Ok(a == b))?;
+            }
+            if let (true, Some(p)) = (hit, residual) {
+                m.comparisons += 1;
+                hit = eval_predicate(p, &pair_env)?;
+            }
+            if !hit {
+                continue;
+            }
+            matched = true;
+            match kind {
+                JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(concat(ls, l, rs, r)?),
+                JoinKind::Semi | JoinKind::Anti => break,
+                JoinKind::Nest { func, .. } => nested.push(eval(func, &pair_env)?),
             }
         }
-        env.pop();
         match kind {
             JoinKind::Inner => {}
             JoinKind::Semi => {
@@ -170,12 +154,12 @@ pub fn probe(
             }
             JoinKind::LeftOuter { right_vars } => {
                 if !matched {
-                    out.push(null_extend(l, right_vars)?);
+                    out.push(null_extend(ls, l, right_vars)?);
                 }
             }
             JoinKind::Nest { label, .. } => {
                 let set = SetValue::drain_from(&mut nested);
-                out.push(l.extend_field(label.clone(), Value::Set(set))?);
+                out.push(extend(ls, l, label, Value::Set(set))?);
             }
         }
     }
@@ -186,22 +170,23 @@ pub fn probe(
 /// optional residual predicate ([`build`] then [`probe`]).
 #[allow(clippy::too_many_arguments)]
 pub fn join(
-    left: &[Record],
-    right: &[Record],
+    left: Rows<'_>,
+    (right, rs): Rows<'_>,
     left_keys: &[ScalarExpr],
     right_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
     kind: &JoinKind,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
-    let table = build(right.to_vec(), right_keys, env, m)?;
+    let table = build(right.to_vec(), rs, right_keys, env, m)?;
     probe(left, &table, left_keys, residual, kind, env, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::bound;
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
@@ -242,19 +227,25 @@ mod tests {
         ];
         for kind in kinds {
             let h = join(
-                &x,
-                &y,
+                bound(&x),
+                bound(&y),
                 &lk,
                 &rk,
                 None,
                 &kind,
-                &mut Env::new(),
+                &Env::new(),
                 &mut Metrics::new(),
             )
             .unwrap();
-            let n =
-                super::super::nl::join(&x, &y, &pred, &kind, &mut Env::new(), &mut Metrics::new())
-                    .unwrap();
+            let n = super::super::nl::join(
+                bound(&x),
+                bound(&y),
+                &pred,
+                &kind,
+                &Env::new(),
+                &mut Metrics::new(),
+            )
+            .unwrap();
             let hs: BTreeSet<Record> = h.into_iter().collect();
             let ns: BTreeSet<Record> = n.into_iter().collect();
             assert_eq!(hs, ns, "kind {:?}", kind.name());
@@ -300,16 +291,17 @@ mod tests {
         for kind in kinds {
             let (mut hm, mut nm) = (Metrics::new(), Metrics::new());
             let h = join(
-                &x,
-                &y,
+                bound(&x),
+                bound(&y),
                 &lk,
                 &rk,
                 Some(&residual),
                 &kind,
-                &mut Env::new(),
+                &Env::new(),
                 &mut hm,
             );
-            let n = super::super::nl::join(&x, &y, &pred, &kind, &mut Env::new(), &mut nm);
+            let n =
+                super::super::nl::join(bound(&x), bound(&y), &pred, &kind, &Env::new(), &mut nm);
             let (mut h, mut n) = (h.unwrap(), n.unwrap());
             h.sort();
             n.sort();
@@ -324,15 +316,24 @@ mod tests {
         // Streaming contract: probing in arbitrary batch splits equals the
         // one-shot probe over the concatenation.
         let (x, y, lk, rk) = fixture();
-        let mut env = Env::new();
+        let env = Env::new();
         let mut m = Metrics::new();
-        let table = build(y.clone(), &rk, &mut env, &mut m).unwrap();
-        let whole = probe(&x, &table, &lk, None, &JoinKind::Inner, &mut env, &mut m).unwrap();
+        let table = build(y.clone(), &Shape::BOUND, &rk, &env, &mut m).unwrap();
+        let whole = probe(bound(&x), &table, &lk, None, &JoinKind::Inner, &env, &mut m).unwrap();
         for split in 1..x.len() {
             let mut pieces = Vec::new();
             for chunk in x.chunks(split) {
                 pieces.extend(
-                    probe(chunk, &table, &lk, None, &JoinKind::Inner, &mut env, &mut m).unwrap(),
+                    probe(
+                        bound(chunk),
+                        &table,
+                        &lk,
+                        None,
+                        &JoinKind::Inner,
+                        &env,
+                        &mut m,
+                    )
+                    .unwrap(),
                 );
             }
             assert_eq!(pieces, whole, "split {split}");
@@ -347,13 +348,13 @@ mod tests {
             label: "s".into(),
         };
         let out = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &lk,
             &rk,
             None,
             &kind,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -371,13 +372,13 @@ mod tests {
         // Residual: y.a ≥ 2 — for d=1 probes only y=(2,1) survives.
         let residual = E::cmp(tmql_algebra::CmpOp::Ge, E::path("y", &["a"]), E::lit(2i64));
         let out = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &lk,
             &rk,
             Some(&residual),
             &JoinKind::Inner,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -397,13 +398,13 @@ mod tests {
         let y = rows("y", &[(1, 1)], "a", "b");
         let (lk, rk) = (vec![E::path("x", &["d"])], vec![E::path("y", &["b"])]);
         let out = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &lk,
             &rk,
             None,
             &JoinKind::Inner,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -415,13 +416,13 @@ mod tests {
         let (x, y, lk, rk) = fixture();
         let mut m = Metrics::new();
         let _ = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &lk,
             &rk,
             None,
             &JoinKind::Inner,
-            &mut Env::new(),
+            &Env::new(),
             &mut m,
         )
         .unwrap();

@@ -3,7 +3,6 @@
 //! breaker (`breaker.rs`) over [`crate::op::merge`].
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use tmql_algebra::{eval, ScalarExpr};
 use tmql_model::{Record, Result};
@@ -12,7 +11,7 @@ use tmql_storage::spill::SpillFile;
 use crate::exec::ExecContext;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, Operator};
 use crate::op::spill::{self, keys_part, Drained, PartFn, Partitions, Side};
-use crate::op::{self, hash, nl};
+use crate::op::{self, hash, nl, Shape};
 use crate::physical::JoinKind;
 
 /// The materialized inner side of a nested-loop join: resident, or — past
@@ -49,7 +48,7 @@ impl<'p> NlJoinOp<'p> {
         kind: &'p JoinKind,
     ) -> Self {
         NlJoinOp {
-            base,
+            base: base.over(&left),
             left,
             right,
             pred,
@@ -141,13 +140,15 @@ impl Operator for NlJoinOp<'_> {
             match self.left.pull(ctx)? {
                 None => self.done = true,
                 Some(b) => {
+                    let left = (b.rows.as_slice(), self.left.shape());
+                    let (rs, env) = (self.right.shape(), &self.base.env);
                     let out = match self.inner.as_ref().expect("materialized above") {
                         NlInner::Mem(right) => nl::join(
-                            &b.rows,
-                            right,
+                            left,
+                            (right, rs),
                             self.pred,
                             self.kind,
-                            &mut self.base.env,
+                            env,
                             &mut ctx.metrics,
                         )?,
                         NlInner::Spilled(file) => {
@@ -163,11 +164,11 @@ impl Operator for NlJoinOp<'_> {
                                 }
                                 ctx.resident_acquire(chunk.len());
                                 let res = nl::join_chunk(
-                                    &b.rows,
-                                    &chunk,
+                                    left,
+                                    (&chunk, rs),
                                     self.pred,
                                     self.kind,
-                                    &mut self.base.env,
+                                    env,
                                     &mut ctx.metrics,
                                     &mut state,
                                     &mut out,
@@ -175,7 +176,7 @@ impl Operator for NlJoinOp<'_> {
                                 ctx.resident_release(chunk.len());
                                 res?;
                             }
-                            nl::finish_block(&b.rows, self.kind, &mut state, &mut out)?;
+                            nl::finish_block(left, self.kind, &mut state, &mut out)?;
                             out
                         }
                     };
@@ -206,7 +207,8 @@ pub(super) struct IndexNLJoinOp<'p> {
     base: OpBase<'p>,
     left: BoxedOperator<'p>,
     right_table: &'p str,
-    right_var: Arc<str>,
+    /// The fetched inner rows: bare tuples bound to the plan's `right_var`.
+    right: Shape,
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
@@ -228,10 +230,10 @@ impl<'p> IndexNLJoinOp<'p> {
         kind: &'p JoinKind,
     ) -> Self {
         IndexNLJoinOp {
-            base,
+            base: base.over(&left),
             left,
             right_table,
-            right_var: Arc::from(right_var),
+            right: Shape::bare(right_var),
             attr,
             key,
             pred,
@@ -257,24 +259,25 @@ impl<'p> IndexNLJoinOp<'p> {
                     self.right_table, self.attr
                 ))
             })?;
-        let key = op::with_row(&mut self.base.env, l, |e| eval(self.key, e))?;
+        let (ls, env) = (self.left.shape(), &self.base.env);
+        let key = eval(self.key, &op::bind(env, ls, l))?;
         let positions = idx.probe_eq(&key);
         ctx.metrics.index_probes += 1;
         ctx.metrics.index_hits += positions.len() as u64;
         let t = ctx.catalog.table(self.right_table)?;
         let mut state = nl::BlockState::new(1, self.kind);
-        let outer = std::slice::from_ref(l);
+        let outer = (std::slice::from_ref(l), ls);
         // Candidates stream in position-ascending chunks so one wide probe
         // (a hot key) never materializes more than a batch at a time.
         let n = ctx.batch_size();
         for chunk in positions.chunks(n.max(1)) {
-            let inner = op::bind_tuples(&self.right_var, t.fetch_rows(chunk)?);
+            let inner = t.fetch_rows(chunk)?;
             nl::join_chunk(
                 outer,
-                &inner,
+                (&inner, &self.right),
                 self.pred,
                 self.kind,
-                &mut self.base.env,
+                env,
                 &mut ctx.metrics,
                 &mut state,
                 out,
@@ -364,15 +367,15 @@ impl<'p> HashJoinOp<'p> {
         kind: &'p JoinKind,
     ) -> Self {
         HashJoinOp {
-            base,
+            base: base.over(&left),
+            build_part: keys_part(right_keys, right.shape()),
+            probe_part: keys_part(left_keys, left.shape()),
             left,
             right,
             left_keys,
             right_keys,
             residual,
             kind,
-            build_part: keys_part(right_keys),
-            probe_part: keys_part(left_keys),
             build: Build::Pending,
             carry: VecDeque::new(),
             done: false,
@@ -413,6 +416,8 @@ impl Operator for HashJoinOp<'_> {
             drop_nullkey: false,
         };
         let OpBase { env, stats, .. } = &mut self.base;
+        let env = &*env;
+        let (ls, rs) = (self.left.shape().clone(), self.right.shape().clone());
         if let Build::Pending = self.build {
             self.build = match spill::drain_or_spill(&mut self.right, ctx, env, build_side, stats)?
             {
@@ -422,7 +427,7 @@ impl Operator for HashJoinOp<'_> {
                     // NULL-key rows, or everything when it fails — leaves
                     // resident state.
                     let n_in = rows.len();
-                    let table = hash::build(rows, right_keys, env, &mut ctx.metrics);
+                    let table = hash::build(rows, &rs, right_keys, env, &mut ctx.metrics);
                     ctx.resident_release(n_in - table.as_ref().map_or(0, hash::HashTable::len));
                     Build::Table(table?)
                 }
@@ -445,7 +450,8 @@ impl Operator for HashJoinOp<'_> {
                     None => None,
                     Some(b) => {
                         let m = &mut ctx.metrics;
-                        let out = hash::probe(&b.rows, table, left_keys, residual, kind, env, m)?;
+                        let left = (b.rows.as_slice(), &ls);
+                        let out = hash::probe(left, table, left_keys, residual, kind, env, m)?;
                         ctx.resident_acquire(out.len());
                         Some(out)
                     }
@@ -465,7 +471,7 @@ impl Operator for HashJoinOp<'_> {
                     .map(|wave| {
                         spill::run_wave(ctx, env, wave, |[build_f, probe_f], env, m| {
                             let build_rows = build_f.reader()?.read_all()?;
-                            let table = hash::build(build_rows, right_keys, env, m)?;
+                            let table = hash::build(build_rows, &rs, right_keys, env, m)?;
                             let mut out = Vec::new();
                             let mut reader = probe_f.reader()?;
                             loop {
@@ -473,8 +479,9 @@ impl Operator for HashJoinOp<'_> {
                                 if batch.is_empty() {
                                     return Ok(out);
                                 }
+                                let left = (batch.as_slice(), &ls);
                                 out.extend(hash::probe(
-                                    &batch, &table, left_keys, residual, kind, env, m,
+                                    left, &table, left_keys, residual, kind, env, m,
                                 )?);
                             }
                         })

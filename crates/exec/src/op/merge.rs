@@ -13,7 +13,7 @@ use tmql_model::{Record, Result, SetValue, Value};
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::{eval_keys, null_extend, with_row};
+use super::{bind, concat, eval_keys, extend, null_extend, Rows, Shape};
 
 /// One operand row tagged with its evaluated key (`None` = NULL key).
 struct Keyed<'a> {
@@ -22,14 +22,14 @@ struct Keyed<'a> {
 }
 
 fn sort_side<'a>(
-    rows: &'a [Record],
+    (rows, shape): Rows<'a>,
     keys: &[ScalarExpr],
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Keyed<'a>>> {
     let mut keyed = Vec::with_capacity(rows.len());
     for row in rows {
-        let key = with_row(env, row, |e| eval_keys(keys, e))?;
+        let key = eval_keys(keys, &bind(env, shape, row))?;
         keyed.push(Keyed { key, row });
         m.rows_sorted += 1;
     }
@@ -41,15 +41,16 @@ fn sort_side<'a>(
 /// residual predicate.
 #[allow(clippy::too_many_arguments)]
 pub fn join(
-    left: &[Record],
-    right: &[Record],
+    left: Rows<'_>,
+    right: Rows<'_>,
     left_keys: &[ScalarExpr],
     right_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
     kind: &JoinKind,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
+    let (lshape, rshape) = (left.1, right.1);
     let ls = sort_side(left, left_keys, env, m)?;
     let rs = sort_side(right, right_keys, env, m)?;
     let mut out = Vec::new();
@@ -67,7 +68,7 @@ pub fn join(
     while li < ls.len() {
         let lkey = &ls[li].key;
         if lkey.is_none() {
-            emit_dangling(ls[li].row, kind, &mut out)?;
+            emit_dangling(lshape, ls[li].row, kind, &mut out)?;
             li += 1;
             continue;
         }
@@ -82,7 +83,7 @@ pub fn join(
             rj += 1;
         }
         if ri == rj {
-            emit_dangling(ls[li].row, kind, &mut out)?;
+            emit_dangling(lshape, ls[li].row, kind, &mut out)?;
             li += 1;
             continue;
         }
@@ -94,42 +95,26 @@ pub fn join(
         }
         for lrow in &ls[li..lj] {
             let l = lrow.row;
-            env.push_row(l);
+            let left_env = bind(env, lshape, l);
             let mut matched = false;
             for rrow in &rs[ri..rj] {
                 let r = rrow.row;
-                env.push_row(r);
-                let hit = match residual {
-                    Some(p) => {
-                        m.comparisons += 1;
-                        eval_predicate(p, env)
-                    }
-                    None => Ok(true),
-                };
-                let hit = match hit {
-                    Ok(h) => h,
-                    Err(e) => {
-                        env.pop();
-                        env.pop();
-                        return Err(e);
-                    }
-                };
-                if hit {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
-                        JoinKind::Semi | JoinKind::Anti => {
-                            env.pop();
-                            break;
-                        }
-                        JoinKind::Nest { func, .. } => {
-                            nested.push(eval(func, env)?);
-                        }
+                let pair_env = bind(&left_env, rshape, r);
+                if let Some(p) = residual {
+                    m.comparisons += 1;
+                    if !eval_predicate(p, &pair_env)? {
+                        continue;
                     }
                 }
-                env.pop();
+                matched = true;
+                match kind {
+                    JoinKind::Inner | JoinKind::LeftOuter { .. } => {
+                        out.push(concat(lshape, l, rshape, r)?)
+                    }
+                    JoinKind::Semi | JoinKind::Anti => break,
+                    JoinKind::Nest { func, .. } => nested.push(eval(func, &pair_env)?),
+                }
             }
-            env.pop();
             match kind {
                 JoinKind::Inner => {}
                 JoinKind::Semi => {
@@ -144,12 +129,12 @@ pub fn join(
                 }
                 JoinKind::LeftOuter { right_vars } => {
                     if !matched {
-                        out.push(null_extend(l, right_vars)?);
+                        out.push(null_extend(lshape, l, right_vars)?);
                     }
                 }
                 JoinKind::Nest { label, .. } => {
                     let set = SetValue::drain_from(&mut nested);
-                    out.push(l.extend_field(label.clone(), Value::Set(set))?);
+                    out.push(extend(lshape, l, label, Value::Set(set))?);
                 }
             }
         }
@@ -161,14 +146,12 @@ pub fn join(
 
 /// A left row with no possible match: emitted for anti/outer/nest kinds,
 /// dropped for inner/semi.
-fn emit_dangling(l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<()> {
+fn emit_dangling(ls: &Shape, l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<()> {
     match kind {
         JoinKind::Inner | JoinKind::Semi => {}
         JoinKind::Anti => out.push(l.clone()),
-        JoinKind::LeftOuter { right_vars } => out.push(null_extend(l, right_vars)?),
-        JoinKind::Nest { label, .. } => {
-            out.push(l.extend_field(label.clone(), Value::empty_set())?)
-        }
+        JoinKind::LeftOuter { right_vars } => out.push(null_extend(ls, l, right_vars)?),
+        JoinKind::Nest { label, .. } => out.push(extend(ls, l, label, Value::empty_set())?),
     }
     Ok(())
 }
@@ -176,6 +159,7 @@ fn emit_dangling(l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::bound;
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
@@ -215,19 +199,25 @@ mod tests {
         ];
         for kind in kinds {
             let mj = join(
-                &x,
-                &y,
+                bound(&x),
+                bound(&y),
                 &lk,
                 &rk,
                 None,
                 &kind,
-                &mut Env::new(),
+                &Env::new(),
                 &mut Metrics::new(),
             )
             .unwrap();
-            let nl =
-                super::super::nl::join(&x, &y, &pred, &kind, &mut Env::new(), &mut Metrics::new())
-                    .unwrap();
+            let nl = super::super::nl::join(
+                bound(&x),
+                bound(&y),
+                &pred,
+                &kind,
+                &Env::new(),
+                &mut Metrics::new(),
+            )
+            .unwrap();
             let ms: BTreeSet<Record> = mj.into_iter().collect();
             let ns: BTreeSet<Record> = nl.into_iter().collect();
             assert_eq!(ms, ns, "kind {:?}", kind.name());
@@ -243,13 +233,13 @@ mod tests {
             label: "s".into(),
         };
         let out = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &[E::path("x", &["d"])],
             &[E::path("y", &["b"])],
             None,
             &kind,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -274,13 +264,13 @@ mod tests {
             label: "s".into(),
         };
         let out = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &[E::path("x", &["d"])],
             &[E::path("y", &["b"])],
             None,
             &kind,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -306,13 +296,13 @@ mod tests {
         let y = rows("y", &[(1, 1)], "a", "b");
         let mut m = Metrics::new();
         let _ = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &[E::path("x", &["d"])],
             &[E::path("y", &["b"])],
             None,
             &JoinKind::Inner,
-            &mut Env::new(),
+            &Env::new(),
             &mut m,
         )
         .unwrap();

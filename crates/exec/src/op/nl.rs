@@ -14,7 +14,7 @@ use tmql_model::{Record, Result, SetValue, Value};
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::null_extend;
+use super::{bind, concat, extend, null_extend, Rows};
 
 /// Per-left-row state of a block nested-loop join, carried across inner
 /// chunks: which left rows have matched so far, and (for the nest join)
@@ -49,11 +49,11 @@ impl BlockState {
 /// outer rows, nest-join sets).
 #[allow(clippy::too_many_arguments)] // mirrors the other join kernels' shape
 pub fn join_chunk(
-    left: &[Record],
-    chunk: &[Record],
+    (left, ls): Rows<'_>,
+    (chunk, rs): Rows<'_>,
     pred: &ScalarExpr,
     kind: &JoinKind,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
     state: &mut BlockState,
     out: &mut Vec<Record>,
@@ -63,42 +63,27 @@ pub fn join_chunk(
             // Existence already decided in an earlier chunk (or row).
             continue;
         }
-        env.push_row(l);
+        let left_env = bind(env, ls, l);
         for r in chunk {
-            env.push_row(r);
+            let pair_env = bind(&left_env, rs, r);
             m.comparisons += 1;
-            let hit = eval_predicate(pred, env);
-            let hit = match hit {
-                Ok(h) => h,
-                Err(e) => {
-                    env.pop();
-                    env.pop();
-                    return Err(e);
-                }
-            };
-            if hit {
-                let first = !state.matched[i];
-                state.matched[i] = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter { .. } => {
-                        out.push(l.concat(r)?);
-                    }
-                    JoinKind::Semi | JoinKind::Anti => {
-                        // Existence decided; no need to scan further.
-                        if first && matches!(kind, JoinKind::Semi) {
-                            out.push(l.clone());
-                        }
-                        env.pop();
-                        break;
-                    }
-                    JoinKind::Nest { func, .. } => {
-                        state.nested[i].push(eval(func, env)?);
-                    }
-                }
+            if !eval_predicate(pred, &pair_env)? {
+                continue;
             }
-            env.pop();
+            let first = !state.matched[i];
+            state.matched[i] = true;
+            match kind {
+                JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(concat(ls, l, rs, r)?),
+                JoinKind::Semi | JoinKind::Anti => {
+                    // Existence decided; no need to scan further.
+                    if first && matches!(kind, JoinKind::Semi) {
+                        out.push(l.clone());
+                    }
+                    break;
+                }
+                JoinKind::Nest { func, .. } => state.nested[i].push(eval(func, &pair_env)?),
+            }
         }
-        env.pop();
     }
     Ok(())
 }
@@ -107,7 +92,7 @@ pub fn join_chunk(
 /// anti-join survivors, NULL-extended dangling outer rows, and nest-join
 /// rows (dangling tuples get label = ∅, never NULL).
 pub fn finish_block(
-    left: &[Record],
+    (left, ls): Rows<'_>,
     kind: &JoinKind,
     state: &mut BlockState,
     out: &mut Vec<Record>,
@@ -122,12 +107,12 @@ pub fn finish_block(
             }
             JoinKind::LeftOuter { right_vars } => {
                 if !state.matched[i] {
-                    out.push(null_extend(l, right_vars)?);
+                    out.push(null_extend(ls, l, right_vars)?);
                 }
             }
             JoinKind::Nest { label, .. } => {
                 let set = SetValue::drain_from(&mut state.nested[i]);
-                out.push(l.extend_field(label.clone(), Value::Set(set))?);
+                out.push(extend(ls, l, label, Value::Set(set))?);
             }
         }
     }
@@ -136,15 +121,15 @@ pub fn finish_block(
 
 /// Nested-loop join of fully materialized operands (one chunk + finish).
 pub fn join(
-    left: &[Record],
-    right: &[Record],
+    left: Rows<'_>,
+    right: Rows<'_>,
     pred: &ScalarExpr,
     kind: &JoinKind,
-    env: &mut Env,
+    env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
-    let mut state = BlockState::new(left.len(), kind);
+    let mut state = BlockState::new(left.0.len(), kind);
     join_chunk(left, right, pred, kind, env, m, &mut state, &mut out)?;
     finish_block(left, kind, &mut state, &mut out)?;
     Ok(out)
@@ -153,6 +138,7 @@ pub fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::bound;
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
@@ -182,7 +168,15 @@ mod tests {
     fn inner_join_counts() {
         let (x, y, pred) = table1();
         let mut m = Metrics::new();
-        let out = join(&x, &y, &pred, &JoinKind::Inner, &mut Env::new(), &mut m).unwrap();
+        let out = join(
+            bound(&x),
+            bound(&y),
+            &pred,
+            &JoinKind::Inner,
+            &Env::new(),
+            &mut m,
+        )
+        .unwrap();
         // d=1 matches b=1 twice for two x rows (4 pairs) + d=3/b=3 (1 pair).
         assert_eq!(out.len(), 5);
         assert_eq!(m.comparisons, 9);
@@ -196,7 +190,7 @@ mod tests {
             func: E::var("y"),
             label: "s".into(),
         };
-        let out = join(&x, &y, &pred, &kind, &mut Env::new(), &mut m).unwrap();
+        let out = join(bound(&x), bound(&y), &pred, &kind, &Env::new(), &mut m).unwrap();
         assert_eq!(out.len(), 3, "every left tuple survives");
         // x=(2,1): matches y=(1,1),(2,1) — wait, x=(2,1).d=1 matches b=1.
         let row0 = &out[0];
@@ -214,7 +208,15 @@ mod tests {
             func: E::var("y"),
             label: "s".into(),
         };
-        let out = join(&x, &y, &pred, &kind, &mut Env::new(), &mut Metrics::new()).unwrap();
+        let out = join(
+            bound(&x),
+            bound(&y),
+            &pred,
+            &kind,
+            &Env::new(),
+            &mut Metrics::new(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("s").unwrap(), &Value::empty_set());
     }
@@ -223,20 +225,20 @@ mod tests {
     fn semi_and_anti_partition_left() {
         let (x, y, pred) = table1();
         let semi = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &pred,
             &JoinKind::Semi,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
         let anti = join(
-            &x,
-            &y,
+            bound(&x),
+            bound(&y),
             &pred,
             &JoinKind::Anti,
-            &mut Env::new(),
+            &Env::new(),
             &mut Metrics::new(),
         )
         .unwrap();
@@ -248,7 +250,15 @@ mod tests {
     fn semi_short_circuits() {
         let (x, y, pred) = table1();
         let mut m = Metrics::new();
-        let _ = join(&x, &y, &pred, &JoinKind::Semi, &mut Env::new(), &mut m).unwrap();
+        let _ = join(
+            bound(&x),
+            bound(&y),
+            &pred,
+            &JoinKind::Semi,
+            &Env::new(),
+            &mut m,
+        )
+        .unwrap();
         // x1 stops at first y (1 cmp), x2 stops at first y (1), x3 scans to
         // third (3): fewer than the 9 full comparisons.
         assert!(
@@ -266,7 +276,15 @@ mod tests {
         let kind = JoinKind::LeftOuter {
             right_vars: vec!["y".into()],
         };
-        let out = join(&x, &y, &pred, &kind, &mut Env::new(), &mut Metrics::new()).unwrap();
+        let out = join(
+            bound(&x),
+            bound(&y),
+            &pred,
+            &kind,
+            &Env::new(),
+            &mut Metrics::new(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         let dangling = out.iter().find(|r| r.get("y").unwrap().is_null());
         assert!(dangling.is_some(), "dangling x must be NULL-extended");
@@ -292,24 +310,32 @@ mod tests {
             },
         ];
         for kind in &kinds {
-            let whole = join(&x, &y, &pred, kind, &mut Env::new(), &mut Metrics::new()).unwrap();
+            let whole = join(
+                bound(&x),
+                bound(&y),
+                &pred,
+                kind,
+                &Env::new(),
+                &mut Metrics::new(),
+            )
+            .unwrap();
             for chunk_size in [1usize, 2, 3, 5] {
                 let mut state = BlockState::new(x.len(), kind);
                 let mut out = Vec::new();
                 for chunk in y.chunks(chunk_size) {
                     join_chunk(
-                        &x,
-                        chunk,
+                        bound(&x),
+                        bound(chunk),
                         &pred,
                         kind,
-                        &mut Env::new(),
+                        &Env::new(),
                         &mut Metrics::new(),
                         &mut state,
                         &mut out,
                     )
                     .unwrap();
                 }
-                finish_block(&x, kind, &mut state, &mut out).unwrap();
+                finish_block(bound(&x), kind, &mut state, &mut out).unwrap();
                 let a: BTreeSet<&Record> = whole.iter().collect();
                 let b: BTreeSet<&Record> = out.iter().collect();
                 assert_eq!(a, b, "kind {kind:?} chunk {chunk_size}");

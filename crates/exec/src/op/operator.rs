@@ -29,8 +29,14 @@
 //! one partition driver in [`crate::op::spill`] decides what happens to
 //! each spilled partition for all of them.
 //!
+//! Rows arrive in the [`Shape`] their producer reports
+//! ([`Operator::shape`], decided by [`PhysPlan::row_var`]): a scan's rows
+//! are the stored tuples themselves, and every consumer reads them through
+//! [`op::bind`] and [`op::fields`] only.
+//!
 //! The operator tree borrows the [`PhysPlan`] it was built from (no
-//! expression cloning) and owns only its correlation [`Env`].
+//! expression cloning) and owns only its correlation [`Env`]; a row is
+//! bound over it in a scope that borrows the row and ends with the block.
 //! [`Apply`](PhysPlan::Apply) builds its subquery tree **once** and
 //! re-opens it per outer row through [`Operator::rebind`] — the true
 //! nested loop the paper's unnesting removes, without per-row planning or
@@ -49,7 +55,7 @@ use crate::op::join::{HashJoinOp, IndexNLJoinOp, NlJoinOp};
 use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
 use crate::op::spill::{self, keys_part, value_part};
 use crate::op::stream::{ExtendOp, FilterOp, MapOp, ProjectOp, UnnestOp};
-use crate::op::{self, group, merge};
+use crate::op::{self, group, merge, Shape};
 use crate::physical::PhysPlan;
 
 /// A unit of streamed data: up to `batch_size` rows.
@@ -113,6 +119,9 @@ pub trait Operator {
     /// Display label: the plan node's [`PhysPlan::op_label`].
     fn label(&self) -> String;
 
+    /// The layout of the rows this operator emits.
+    fn shape(&self) -> &Shape;
+
     /// Reset to the start of the stream and open children.
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()>;
 
@@ -120,7 +129,7 @@ pub trait Operator {
     /// children. `Apply` uses this to re-point one long-lived subquery
     /// tree at the next outer row's bindings before re-`open`ing it;
     /// stream state is untouched (that is `open`'s job).
-    fn rebind(&mut self, env: &Env);
+    fn rebind(&mut self, env: &Env<'_>);
 
     /// Produce the next batch, or `None` when exhausted.
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>>;
@@ -315,14 +324,28 @@ pub fn render_tree(root: &dyn Operator) -> String {
 }
 
 /// What an operator knows per plan node rather than per row: the node it
-/// was built from (whose [`PhysPlan::op_label`] is its label), its
-/// correlation environment and its output counters. Every operator holds
-/// one as `base` and gets `label`, `stats`, `stats_mut`, `children` and
-/// the default `rebind` from [`op_base!`](op_base).
+/// was built from (whose [`PhysPlan::op_label`] is its label), the shape
+/// of the rows it emits, its correlation environment and its output
+/// counters. Every operator holds one as `base` and gets `label`, `shape`,
+/// `stats`, `stats_mut`, `children` and the default `rebind` from
+/// [`op_base!`](op_base).
 pub(crate) struct OpBase<'p> {
     pub(super) plan: &'p PhysPlan,
-    pub(super) env: Env,
+    pub(super) shape: Shape,
+    pub(super) env: Env<'static>,
     pub(super) stats: OpStats,
+}
+
+impl OpBase<'_> {
+    /// For an operator that may hand its first input's rows on unchanged:
+    /// when the plan says this node does ([`PhysPlan::row_var`]), its rows
+    /// have whatever shape that input's really have.
+    pub(super) fn over(mut self, first: &BoxedOperator<'_>) -> Self {
+        if self.shape != Shape::BOUND {
+            self.shape = first.shape().clone();
+        }
+        self
+    }
 }
 
 /// The part of `impl Operator` that is the same for every operator with a
@@ -333,6 +356,10 @@ macro_rules! op_base {
     (@own) => {
         fn label(&self) -> String {
             self.base.plan.op_label()
+        }
+
+        fn shape(&self) -> &$crate::op::Shape {
+            &self.base.shape
         }
 
         fn stats(&self) -> $crate::op::operator::OpStats {
@@ -350,8 +377,8 @@ macro_rules! op_base {
             self.$children.iter().map(|c| c.as_ref()).collect()
         }
 
-        fn rebind(&mut self, env: &tmql_algebra::Env) {
-            self.base.env = env.clone();
+        fn rebind(&mut self, env: &tmql_algebra::Env<'_>) {
+            self.base.env = env.detach();
             for c in &mut self.$children {
                 c.rebind(env);
             }
@@ -364,8 +391,8 @@ macro_rules! op_base {
             vec![$(self.$child.as_ref()),*]
         }
 
-        fn rebind(&mut self, env: &tmql_algebra::Env) {
-            self.base.env = env.clone();
+        fn rebind(&mut self, env: &tmql_algebra::Env<'_>) {
+            self.base.env = env.detach();
             $(self.$child.rebind(env);)*
         }
     };
@@ -391,34 +418,46 @@ pub(crate) fn pop_carry(
 /// Build the operator tree for a physical plan. `env` carries correlation
 /// bindings (outer rows of enclosing `Apply` operators); each operator
 /// keeps its own copy so subtrees can be re-instantiated per outer row.
-pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
+pub fn build<'p>(plan: &'p PhysPlan, env: &Env<'_>) -> BoxedOperator<'p> {
+    build_with(plan, env, &|leaf| leaf)
+}
+
+/// [`build`] with every leaf operator passed through `leaf` (the hook the
+/// row-shape differential test uses to re-wrap scan rows the old way).
+#[doc(hidden)]
+pub fn build_with<'p>(
+    plan: &'p PhysPlan,
+    env: &Env<'_>,
+    leaf: &dyn Fn(BoxedOperator<'p>) -> BoxedOperator<'p>,
+) -> BoxedOperator<'p> {
+    let sub = |p: &'p PhysPlan| build_with(p, env, leaf);
     let base = OpBase {
         plan,
-        env: env.clone(),
+        shape: Shape::of(plan),
+        env: env.detach(),
         stats: OpStats::default(),
     };
     match plan {
         PhysPlan::ScanTable { table, var, pred } => {
-            Box::new(ScanTableOp::new(base, table, var, pred.as_ref()))
+            leaf(Box::new(ScanTableOp::new(base, table, var, pred.as_ref())))
         }
         PhysPlan::IndexScan {
             table,
-            var,
             attr,
             eq,
             lo,
             hi,
             pred,
-        } => Box::new(IndexScanOp::new(
+            ..
+        } => leaf(Box::new(IndexScanOp::new(
             base,
             table,
-            var,
             attr,
             eq.as_ref(),
             lo.as_ref(),
             hi.as_ref(),
             pred,
-        )),
+        ))),
         PhysPlan::IndexNLJoin {
             left,
             right_table,
@@ -429,7 +468,7 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             kind,
         } => Box::new(IndexNLJoinOp::new(
             base,
-            build(left, env),
+            sub(left),
             right_table,
             right_var,
             attr,
@@ -437,41 +476,25 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             pred,
             kind,
         )),
-        PhysPlan::ScanExpr { expr, var } => Box::new(ScanExprOp::new(base, expr, var)),
-        PhysPlan::Filter { input, pred } => Box::new(FilterOp::new(base, build(input, env), pred)),
-        PhysPlan::Map { input, expr, var } => {
-            Box::new(MapOp::new(base, build(input, env), expr, var))
-        }
+        PhysPlan::ScanExpr { expr, var } => leaf(Box::new(ScanExprOp::new(base, expr, var))),
+        PhysPlan::Filter { input, pred } => Box::new(FilterOp::new(base, sub(input), pred)),
+        PhysPlan::Map { input, expr, var } => Box::new(MapOp::new(base, sub(input), expr, var)),
         PhysPlan::Extend { input, expr, var } => {
-            Box::new(ExtendOp::new(base, build(input, env), expr, var))
+            Box::new(ExtendOp::new(base, sub(input), expr, var))
         }
-        PhysPlan::Project { input, vars } => {
-            Box::new(ProjectOp::new(base, build(input, env), vars))
-        }
+        PhysPlan::Project { input, vars } => Box::new(ProjectOp::new(base, sub(input), vars)),
         PhysPlan::Unnest {
             input,
             expr,
             elem_var,
             drop_vars,
-        } => Box::new(UnnestOp::new(
-            base,
-            build(input, env),
-            expr,
-            elem_var,
-            drop_vars,
-        )),
+        } => Box::new(UnnestOp::new(base, sub(input), expr, elem_var, drop_vars)),
         PhysPlan::NlJoin {
             left,
             right,
             pred,
             kind,
-        } => Box::new(NlJoinOp::new(
-            base,
-            build(left, env),
-            build(right, env),
-            pred,
-            kind,
-        )),
+        } => Box::new(NlJoinOp::new(base, sub(left), sub(right), pred, kind)),
         PhysPlan::HashJoin {
             left,
             right,
@@ -481,8 +504,8 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             kind,
         } => Box::new(HashJoinOp::new(
             base,
-            build(left, env),
-            build(right, env),
+            sub(left),
+            sub(right),
             left_keys,
             right_keys,
             residual.as_ref(),
@@ -495,66 +518,84 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             right_keys,
             residual,
             kind,
-        } => Box::new(Breaker::new(
-            base,
-            [build(left, env), build(right, env)],
-            [keys_part(left_keys), keys_part(right_keys)],
-            Box::new(move |[l, r], env, m| {
-                merge::join(l, r, left_keys, right_keys, residual.as_ref(), kind, env, m)
-            }),
-        )),
+        } => {
+            let (left, right) = (sub(left), sub(right));
+            Box::new(Breaker::new(
+                base.over(&left),
+                [
+                    keys_part(left_keys, left.shape()),
+                    keys_part(right_keys, right.shape()),
+                ],
+                [left, right],
+                Box::new(move |[l, r], env, m| {
+                    merge::join(l, r, left_keys, right_keys, residual.as_ref(), kind, env, m)
+                }),
+            ))
+        }
         PhysPlan::Nest {
             input,
             keys,
             value,
             label,
             star,
-        } => Box::new(Breaker::new(
-            base,
-            [build(input, env)],
-            // Groups co-partition by the hash of the grouping fields.
-            [Box::new(move |r, _env, seed| {
-                let mut h = spill::seed_hasher(seed);
-                for k in keys {
-                    r.get(k)?.hash(&mut h);
-                }
-                Ok(Some(h.finish()))
-            })],
-            Box::new(move |[rows], env, m| group::nest(rows, keys, value, label, *star, env, m)),
-        )),
+        } => {
+            let input = sub(input);
+            let shape = input.shape().clone();
+            Box::new(Breaker::new(
+                base,
+                // Groups co-partition by the hash of the grouping fields.
+                [Box::new(move |r, env, seed| {
+                    let mut h = spill::seed_hasher(seed);
+                    let env = op::bind(env, &shape, r);
+                    for k in keys {
+                        env.get(k)?.hash(&mut h);
+                    }
+                    Ok(Some(h.finish()))
+                })],
+                [input],
+                Box::new(move |[rows], env, m| {
+                    group::nest(rows, keys, value, label, *star, env, m)
+                }),
+            ))
+        }
         PhysPlan::GroupAgg {
             input,
             keys,
             aggs,
             var,
-        } => Box::new(Breaker::new(
-            base,
-            [build(input, env)],
-            [Box::new(move |r, env, seed| {
-                let mut h = spill::seed_hasher(seed);
-                op::with_row(env, r, |e| {
+        } => {
+            let input = sub(input);
+            let shape = input.shape().clone();
+            Box::new(Breaker::new(
+                base,
+                [Box::new(move |r, env, seed| {
+                    let mut h = spill::seed_hasher(seed);
+                    let env = op::bind(env, &shape, r);
                     for (_, ke) in keys {
-                        eval(ke, e)?.hash(&mut h);
+                        eval(ke, &env)?.hash(&mut h);
                     }
-                    Ok(())
-                })?;
-                Ok(Some(h.finish()))
-            })],
-            Box::new(move |[rows], env, m| group::group_agg(rows, keys, aggs, var, env, m)),
-        )),
+                    Ok(Some(h.finish()))
+                })],
+                [input],
+                Box::new(move |[rows], env, m| group::group_agg(rows, keys, aggs, var, env, m)),
+            ))
+        }
         PhysPlan::SetOp {
             kind,
             left,
             right,
             var,
-        } => Box::new(Breaker::new(
-            base,
-            [build(left, env), build(right, env)],
-            // Equal output values co-partition, so per-partition
-            // union/intersect/except concatenate to the global result.
-            [value_part(), value_part()],
-            Box::new(move |[l, r], _env, m| group::set_op(*kind, l, r, var, m)),
-        )),
+        } => {
+            let (left, right) = (sub(left), sub(right));
+            Box::new(Breaker::new(
+                base,
+                // Equal output values co-partition, so per-partition
+                // union/intersect/except concatenate to the global result.
+                [value_part(left.shape()), value_part(right.shape())],
+                [left, right],
+                Box::new(move |[l, r], _env, m| group::set_op(*kind, l, r, var, m)),
+            ))
+        }
         PhysPlan::Apply {
             input,
             subquery,
@@ -562,19 +603,19 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             bindings,
         } => Box::new(ApplyOp::new(
             base,
-            build(input, env),
+            sub(input),
             subquery,
             label,
             bindings.as_deref(),
         )),
-        PhysPlan::Materialize { input } => Box::new(MaterializeOp::new(base, build(input, env))),
+        PhysPlan::Materialize { input } => Box::new(MaterializeOp::new(base, sub(input))),
         PhysPlan::HashProbe {
             table,
-            var,
             attr,
             key,
             pred,
-        } => Box::new(HashProbeOp::new(base, table, var, attr, key, pred)),
+            ..
+        } => leaf(Box::new(HashProbeOp::new(base, table, attr, key, pred))),
     }
 }
 

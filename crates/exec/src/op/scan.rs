@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tmql_algebra::{eval, eval_predicate, CmpOp, ScalarExpr};
-use tmql_model::{Record, Result, Value};
+use tmql_model::{ModelError, Record, Result, Value};
 use tmql_storage::spill::{RunReader, SpillFile};
 use tmql_storage::RowTest;
 
@@ -36,6 +36,8 @@ use crate::planner::scan_pretest;
 /// materializing it. Its survivors are a candidate superset: each is
 /// bound and put through the whole predicate, exactly as a `Filter` over
 /// the scan evaluated it, so results and errors are what they were. The
+/// rows it emits are the handles storage returned — the plan, not an
+/// envelope per row, says which variable they are bound to. The
 /// work counters are too: a visited row is one `rows_scanned`, one
 /// `comparisons` and — standing for the scan's hand-over to the selection,
 /// which now happens in place — one `rows_emitted`, whether or not the
@@ -43,7 +45,6 @@ use crate::planner::scan_pretest;
 pub(super) struct ScanTableOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
-    var: Arc<str>,
     pred: Option<&'p ScalarExpr>,
     /// The pre-testable conjuncts of `pred`, keys unevaluated.
     sargable: Vec<(Arc<str>, CmpOp, ScalarExpr)>,
@@ -64,7 +65,6 @@ impl<'p> ScanTableOp<'p> {
         ScanTableOp {
             base,
             table,
-            var: Arc::from(var),
             pred,
             sargable: pred.map_or_else(Vec::new, |p| scan_pretest(p, var)),
             test: RowTest::default(),
@@ -84,7 +84,7 @@ impl Operator for ScanTableOp<'_> {
         self.exhausted = false;
         // A key that fails to evaluate ends the pre-test before its
         // conjunct: the rows that reach it raise the error themselves.
-        let env = &mut self.base.env;
+        let env = &self.base.env;
         let keys = self.sargable.iter().map_while(|(attr, op, key)| {
             let key = eval(key, env).ok()?;
             Some((attr.clone(), *op, key))
@@ -108,13 +108,10 @@ impl Operator for ScanTableOp<'_> {
             // out handles to their shared rows; disk-backed tables stream
             // the needed pages through the buffer pool.
             let t = ctx.catalog.table(self.table)?;
-            let (var, test) = (&self.var, &self.test);
+            let test = &self.test;
             let m = n.div_ceil(threads).max(1);
             let starts: Vec<usize> = (0..threads).map(|i| self.pos + i * m).collect();
-            let results = exchange::scatter(threads, starts, |start| {
-                let (rows, visited) = t.batch_where(start, m, test)?;
-                Ok((op::bind_tuples(var, rows), visited))
-            });
+            let results = exchange::scatter(threads, starts, |start| t.batch_where(start, m, test));
             for res in results {
                 let (rows, visited) = res?;
                 self.exhausted = visited < m;
@@ -124,8 +121,9 @@ impl Operator for ScanTableOp<'_> {
                     ctx.metrics.comparisons += visited as u64;
                     ctx.metrics.rows_emitted += visited as u64;
                     self.base.stats.rows_skipped += (visited - rows.len()) as u64;
+                    let OpBase { env, shape, .. } = &self.base;
                     for row in rows {
-                        if op::with_row(&mut self.base.env, &row, |e| eval_predicate(pred, e))? {
+                        if eval_predicate(pred, &op::bind(env, shape, &row))? {
                             ctx.resident_acquire(1);
                             self.carry.push_back(row);
                         }
@@ -158,7 +156,6 @@ impl Operator for ScanTableOp<'_> {
 pub(super) struct IndexScanOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
-    var: Arc<str>,
     attr: &'p str,
     eq: Option<&'p ScalarExpr>,
     lo: Option<&'p ScalarExpr>,
@@ -170,11 +167,9 @@ pub(super) struct IndexScanOp<'p> {
 }
 
 impl<'p> IndexScanOp<'p> {
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         base: OpBase<'p>,
         table: &'p str,
-        var: &str,
         attr: &'p str,
         eq: Option<&'p ScalarExpr>,
         lo: Option<&'p ScalarExpr>,
@@ -184,7 +179,6 @@ impl<'p> IndexScanOp<'p> {
         IndexScanOp {
             base,
             table,
-            var: Arc::from(var),
             attr,
             eq,
             lo,
@@ -197,12 +191,12 @@ impl<'p> IndexScanOp<'p> {
 
     fn probe(&mut self, ctx: &mut ExecContext<'_>) -> Result<Vec<usize>> {
         let idx = ctx.catalog.index_on(self.table, self.attr).ok_or_else(|| {
-            tmql_model::ModelError::SchemaError(format!(
+            ModelError::SchemaError(format!(
                 "plan expects an index on {}.{} but none exists",
                 self.table, self.attr
             ))
         })?;
-        let env = &mut self.base.env;
+        let env = &self.base.env;
         let positions = match self.eq {
             Some(eq) => idx.probe_eq(&eval(eq, env)?),
             None => {
@@ -236,11 +230,11 @@ impl Operator for IndexScanOp<'_> {
         let mut rows = Vec::with_capacity(n.min(positions.len().saturating_sub(self.cursor)));
         while rows.is_empty() && self.cursor < positions.len() {
             let end = (self.cursor + n).min(positions.len());
+            let OpBase { env, shape, .. } = &self.base;
             for row in t.fetch_rows(&positions[self.cursor..end])? {
-                let r = op::bind_row(&self.var, Value::Tuple(row));
                 ctx.metrics.comparisons += 1;
-                if op::with_row(&mut self.base.env, &r, |e| eval_predicate(self.pred, e))? {
-                    rows.push(r);
+                if eval_predicate(self.pred, &op::bind(env, shape, &row))? {
+                    rows.push(row);
                 }
             }
             self.cursor = end;
@@ -284,7 +278,7 @@ impl<'p> ScanExprOp<'p> {
     /// Evaluate the set; keep a budget's worth resident and send the tail
     /// to disk as ready-to-emit rows.
     fn load(&mut self, ctx: &mut ExecContext<'_>) -> Result<VecDeque<Value>> {
-        let set = eval(self.expr, &mut self.base.env)?;
+        let set = eval(self.expr, &self.base.env)?;
         let mut items: VecDeque<Value> = set.as_set()?.iter().cloned().collect();
         if let Some(keep) = ctx.memory_budget_rows().filter(|b| items.len() > *b) {
             let mut ws = ctx.spill_runs(1)?;

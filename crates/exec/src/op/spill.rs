@@ -40,14 +40,14 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-use tmql_algebra::{Env, Plan, ScalarExpr};
+use tmql_algebra::{Env, ScalarExpr};
 use tmql_model::{Record, RecordSet, Result};
 use tmql_storage::spill::{RunWriter, SpillFile};
 
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{pop_carry, Batch, BoxedOperator, OpStats};
-use crate::op::{self, exchange};
+use crate::op::{self, exchange, Shape};
 
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
@@ -61,7 +61,7 @@ pub const MAX_REPARTITION_DEPTH: usize = 4;
 /// Partition-key function of one operator: the hash of the row's
 /// partitioning key under the given seed, or `None` when the key is NULL
 /// (the [`Side`] says what happens to such rows).
-pub type PartFn<'p> = Box<dyn Fn(&Record, &mut Env, u64) -> Result<Option<u64>> + 'p>;
+pub type PartFn<'p> = Box<dyn Fn(&Record, &Env<'_>, u64) -> Result<Option<u64>> + 'p>;
 
 /// How one input of a partitioned operator is split: its key function,
 /// and whether NULL-key rows are dropped (hash-join build sides — NULL
@@ -90,26 +90,26 @@ pub fn hash_record(rec: &Record, seed: u64) -> u64 {
     h.finish()
 }
 
-/// Partition-key function over equi-join keys: the seeded hash of the
-/// evaluated key values, `None` for NULL keys.
-pub fn keys_part<'p>(keys: &'p [ScalarExpr]) -> PartFn<'p> {
+/// Partition-key function over equi-join keys of rows of `shape`: the
+/// seeded hash of the evaluated key values, `None` for NULL keys.
+pub fn keys_part<'p>(keys: &'p [ScalarExpr], shape: &Shape) -> PartFn<'p> {
+    let shape = shape.clone();
     Box::new(move |r, env, seed| {
-        Ok(
-            op::with_row(env, r, |e| op::eval_keys(keys, e))?.map(|vals| {
-                let mut h = seed_hasher(seed);
-                vals.hash(&mut h);
-                h.finish()
-            }),
-        )
+        Ok(op::eval_keys(keys, &op::bind(env, &shape, r))?.map(|vals| {
+            let mut h = seed_hasher(seed);
+            vals.hash(&mut h);
+            h.finish()
+        }))
     })
 }
 
 /// Partition-key function over a row's output value (set operations
 /// compare whole output values, so equal values must co-partition).
-pub fn value_part() -> PartFn<'static> {
-    Box::new(|r, _env, seed| {
+pub fn value_part(shape: &Shape) -> PartFn<'static> {
+    let shape = shape.clone();
+    Box::new(move |r, _env, seed| {
         let mut h = seed_hasher(seed);
-        Plan::row_output_value(r).hash(&mut h);
+        op::output_value(&shape, r).hash(&mut h);
         Ok(Some(h.finish()))
     })
 }
@@ -125,7 +125,7 @@ pub fn total_rows<const N: usize>(files: &[SpillFile; N]) -> u64 {
 fn route(
     writers: &mut [RunWriter],
     side: Side<'_, '_>,
-    env: &mut Env,
+    env: &Env<'_>,
     rec: &Record,
     seed: u64,
     m: &mut Metrics,
@@ -172,7 +172,7 @@ fn finish_runs(writers: Vec<RunWriter>, ctx: &mut ExecContext<'_>) -> Result<Vec
 fn partition(
     mut next: impl FnMut(&mut ExecContext<'_>) -> Result<Vec<Record>>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
+    env: &Env<'_>,
     side: Side<'_, '_>,
     seed: u64,
     ops: &mut OpStats,
@@ -206,7 +206,7 @@ pub enum Drained {
 pub fn drain_or_spill(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
+    env: &Env<'_>,
     side: Side<'_, '_>,
     ops: &mut OpStats,
 ) -> Result<Drained> {
@@ -252,7 +252,7 @@ pub fn drain_or_spill(
 pub fn spill_stream(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
+    env: &Env<'_>,
     side: Side<'_, '_>,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
@@ -272,7 +272,7 @@ pub fn spill_stream(
 pub fn spill_rows(
     rows: Vec<Record>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
+    env: &Env<'_>,
     side: Side<'_, '_>,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
@@ -292,7 +292,7 @@ pub fn spill_rows(
 fn repartition(
     file: SpillFile,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
+    env: &Env<'_>,
     side: Side<'_, '_>,
     seed: u64,
     ops: &mut OpStats,
@@ -355,7 +355,7 @@ impl<const N: usize> Partitions<N> {
     pub fn next_wave(
         &mut self,
         ctx: &mut ExecContext<'_>,
-        env: &mut Env,
+        env: &Env<'_>,
         sides: [Side<'_, '_>; N],
         weight: impl Fn(&[SpillFile; N]) -> u64,
         skip: impl Fn(&[SpillFile; N]) -> bool,
@@ -394,7 +394,7 @@ impl<const N: usize> Partitions<N> {
 }
 
 /// Run `kernel` over every partition of `wave` — concurrently on up to
-/// [`ExecContext::threads`] workers, each with its own clone of `env` and
+/// [`ExecContext::threads`] workers, each over the shared `env` with
 /// fresh [`Metrics`] that are merged back — and return the outputs
 /// concatenated in partition order. The wave's weight is held in the
 /// resident gauge while the kernels run; the returned rows are **already
@@ -402,14 +402,14 @@ impl<const N: usize> Partitions<N> {
 /// error nothing stays counted.
 pub fn run_wave<const N: usize>(
     ctx: &mut ExecContext<'_>,
-    env: &Env,
+    env: &Env<'_>,
     wave: Wave<N>,
-    kernel: impl Fn([SpillFile; N], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Sync,
+    kernel: impl Fn([SpillFile; N], &Env<'_>, &mut Metrics) -> Result<Vec<Record>> + Sync,
 ) -> Result<Vec<Record>> {
     ctx.resident_acquire(wave.weight as usize);
     let results = exchange::scatter(ctx.threads(), wave.parts, |files| {
         let mut m = Metrics::new();
-        kernel(files, &mut env.clone(), &mut m).map(|rows| (rows, m))
+        kernel(files, env, &mut m).map(|rows| (rows, m))
     });
     ctx.resident_release(wave.weight as usize);
     let mut out = Vec::new();
@@ -563,7 +563,7 @@ impl SpillDedup {
             drop_nullkey: false,
         };
         let n = ctx.batch_size();
-        let mut env = Env::new();
+        let env = Env::new();
         loop {
             if let Some(b) = pop_carry(&mut self.ready, n, ctx) {
                 return Ok(Some(b));
@@ -572,7 +572,7 @@ impl SpillDedup {
                 return Ok(None);
             };
             let no_candidates = |[_, cand]: &[SpillFile; 2]| cand.is_empty();
-            let wave = drain.next_wave(ctx, &mut env, [side; 2], total_rows, no_candidates, ops)?;
+            let wave = drain.next_wave(ctx, &env, [side; 2], total_rows, no_candidates, ops)?;
             let Some(wave) = wave else {
                 self.drain = None;
                 return Ok(None);
@@ -619,7 +619,7 @@ mod tests {
     /// The run of a split under `seed` that key `k` lands in.
     fn slot(k: &Value, seed: u64) -> usize {
         let row = Record::single("k".into(), k.clone());
-        let h = by_k()(&row, &mut Env::new(), seed).unwrap().unwrap();
+        let h = by_k()(&row, &Env::new(), seed).unwrap().unwrap();
         (h % SPILL_FANOUT as u64) as usize
     }
 
@@ -657,7 +657,7 @@ mod tests {
         let all_empty = |f: &[SpillFile; N]| f.iter().all(SpillFile::is_empty);
         let mut out = Vec::new();
         while let Some(w) = parts
-            .next_wave(ctx, &mut Env::new(), sides, total_rows, all_empty, ops)
+            .next_wave(ctx, &Env::new(), sides, total_rows, all_empty, ops)
             .unwrap()
         {
             let keys = |p: &[SpillFile; N]| std::array::from_fn(|i| keys_of(&p[i]));

@@ -22,6 +22,7 @@ pub(super) struct FilterOp<'p> {
 
 impl<'p> FilterOp<'p> {
     pub(super) fn new(base: OpBase<'p>, child: BoxedOperator<'p>, pred: &'p ScalarExpr) -> Self {
+        let base = base.over(&child);
         FilterOp { base, child, pred }
     }
 }
@@ -41,7 +42,8 @@ impl Operator for FilterOp<'_> {
             let mut out = Vec::new();
             for row in b.rows {
                 ctx.metrics.comparisons += 1;
-                if op::with_row(&mut self.base.env, &row, |e| eval_predicate(self.pred, e))? {
+                let env = op::bind(&self.base.env, self.child.shape(), &row);
+                if eval_predicate(self.pred, &env)? {
                     out.push(row);
                 }
             }
@@ -95,8 +97,9 @@ impl Operator for MapOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let OpBase { env, stats, .. } = &mut self.base;
+        let shape = self.child.shape().clone();
         self.dedup.next_batch(&mut self.child, ctx, stats, |row| {
-            let v = op::with_row(env, &row, |e| eval(self.expr, e))?;
+            let v = eval(self.expr, &op::bind(env, &shape, &row))?;
             Ok(op::bind_row(&self.var, v))
         })
     }
@@ -143,9 +146,10 @@ impl Operator for ExtendOp<'_> {
             return Ok(None);
         };
         let mut out = Vec::with_capacity(b.len());
+        let shape = self.child.shape();
         for row in b.rows {
-            let v = op::with_row(&mut self.base.env, &row, |e| eval(self.expr, e))?;
-            out.push(row.extend_field(self.var.clone(), v)?);
+            let v = eval(self.expr, &op::bind(&self.base.env, shape, &row))?;
+            out.push(op::extend(shape, &row, &self.var, v)?);
         }
         Ok(Some(Batch::new(out)))
     }
@@ -160,7 +164,7 @@ impl Operator for ExtendOp<'_> {
 pub(super) struct ProjectOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
-    vars: Vec<&'p str>,
+    vars: Vec<Arc<str>>,
     dedup: SpillDedup,
 }
 
@@ -169,7 +173,7 @@ impl<'p> ProjectOp<'p> {
         ProjectOp {
             base,
             child,
-            vars: vars.iter().map(String::as_str).collect(),
+            vars: vars.iter().map(|v| Arc::from(v.as_str())).collect(),
             dedup: SpillDedup::new(),
         }
     }
@@ -185,8 +189,10 @@ impl Operator for ProjectOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let stats = &mut self.base.stats;
-        self.dedup
-            .next_batch(&mut self.child, ctx, stats, |row| row.project(&self.vars))
+        let shape = self.child.shape().clone();
+        self.dedup.next_batch(&mut self.child, ctx, stats, |row| {
+            op::project(&shape, &row, &self.vars)
+        })
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
@@ -247,11 +253,11 @@ impl Operator for UnnestOp<'_> {
                 None => self.done = true,
                 Some(b) => {
                     let expanded = group::unnest(
-                        &b.rows,
+                        (&b.rows, self.child.shape()),
                         self.expr,
                         self.elem_var,
                         self.drop_vars,
-                        &mut self.base.env,
+                        &self.base.env,
                     )?;
                     ctx.resident_acquire(expanded.len());
                     self.carry.extend(expanded);

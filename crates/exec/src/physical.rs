@@ -421,6 +421,31 @@ impl PhysPlan {
         vars
     }
 
+    /// What a row of this plan's output is: `Some(var)` when it is a stored
+    /// tuple itself, bound to `var` by the plan alone — a table or index
+    /// access path, and whatever passes such rows on unchanged (σ, the
+    /// semi/anti kind of every join, a replay buffer) — and `None` when it
+    /// is a record of bindings, one field per [output
+    /// variable](PhysPlan::output_vars).
+    pub fn row_var(&self) -> Option<&str> {
+        use PhysPlan as P;
+        match self {
+            P::ScanTable { var, .. } | P::IndexScan { var, .. } | P::HashProbe { var, .. } => {
+                Some(var)
+            }
+            P::Filter { input, .. } | P::Materialize { input } => input.row_var(),
+            P::NlJoin { left, kind, .. }
+            | P::HashJoin { left, kind, .. }
+            | P::MergeJoin { left, kind, .. }
+            | P::IndexNLJoin { left, kind, .. }
+                if matches!(kind, JoinKind::Semi | JoinKind::Anti) =>
+            {
+                left.row_var()
+            }
+            _ => None,
+        }
+    }
+
     /// Indented explain rendering.
     pub fn explain(&self) -> String {
         fn go(p: &PhysPlan, depth: usize, out: &mut String) {

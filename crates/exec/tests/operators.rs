@@ -5,9 +5,11 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tmql_algebra::{AggFn, CmpOp, Env, Plan, ScalarExpr as E};
-use tmql_exec::{run, run_values, ExecConfig, JoinAlgo};
-use tmql_model::{Record, Value};
-use tmql_storage::{table::int_table, Catalog};
+use tmql_exec::op::operator::{build, build_with, drain, Batch, BoxedOperator, OpStats};
+use tmql_exec::op::Shape;
+use tmql_exec::{run, run_values, ExecConfig, ExecContext, JoinAlgo, JoinKind, Operator, PhysPlan};
+use tmql_model::{Record, Ty, Value};
+use tmql_storage::{table::int_table, Catalog, Table};
 
 fn catalog(x: &[(i64, i64)], y: &[(i64, i64)]) -> Catalog {
     let mut cat = Catalog::new();
@@ -115,8 +117,9 @@ fn nest_unnest_group_roundtrip_via_plans() {
 
 #[test]
 fn env_depth_is_preserved_across_failures() {
-    // An erroring plan must not poison the shared Env (regression guard
-    // for the push/pop discipline in the join operators).
+    // An erroring plan must not poison the shared Env: rows are bound in
+    // scopes of their own, so a failed statement leaves what it was given
+    // and the same environment answers the next one.
     let cat = catalog(&[(1, 1)], &[(1, 10)]);
     let bad = Plan::scan("X", "x").join(
         Plan::scan("Y", "y"),
@@ -132,9 +135,13 @@ fn env_depth_is_preserved_across_failures() {
     );
     let phys = tmql_exec::lower(&bad, &cat, &ExecConfig::auto()).unwrap();
     let mut ctx = tmql_exec::ExecContext::new(&cat);
-    let env = Env::new();
+    let mut env = Env::new();
+    env.push("k", Value::Int(7));
     assert!(tmql_exec::execute(&phys, &mut ctx, &env).is_err());
-    assert!(env.is_empty());
+    assert_eq!(env.get("k").unwrap(), Value::Int(7));
+    assert!(env.get("x").is_err() && env.get("y").is_err());
+    let good = tmql_exec::lower(&Plan::scan("X", "x"), &cat, &ExecConfig::auto()).unwrap();
+    assert_eq!(tmql_exec::execute(&good, &mut ctx, &env).unwrap().len(), 1);
 }
 
 proptest! {
@@ -300,4 +307,486 @@ fn apply_env_visibility() {
         .collect();
     assert_eq!(vals, expect);
     let _ = Record::empty();
+}
+
+// ---------------------------------------------------------------------------
+// Row shape is invisible
+// ---------------------------------------------------------------------------
+
+/// The old row path as an operator: wraps every row of a bare leaf in its
+/// one-field envelope `(var = row)` and reports records of bindings. It
+/// meters nothing and shows nowhere — label, counters and children are the
+/// leaf's — so a tree built over it differs from the plain one in the
+/// shape of its leaf rows alone.
+struct Envelope<'p> {
+    leaf: BoxedOperator<'p>,
+}
+
+impl Operator for Envelope<'_> {
+    fn label(&self) -> String {
+        self.leaf.label()
+    }
+    fn shape(&self) -> &Shape {
+        &Shape::BOUND
+    }
+    fn open(&mut self, ctx: &mut ExecContext<'_>) -> tmql_model::Result<()> {
+        self.leaf.open(ctx)
+    }
+    fn rebind(&mut self, env: &Env<'_>) {
+        self.leaf.rebind(env)
+    }
+    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> tmql_model::Result<Option<Batch>> {
+        self.leaf.next_batch(ctx)
+    }
+    fn pull(&mut self, ctx: &mut ExecContext<'_>) -> tmql_model::Result<Option<Batch>> {
+        let shape = self.leaf.shape().clone();
+        let wrap = |b: Batch| Batch::new(b.rows.into_iter().map(|r| shape.wrap(r)).collect());
+        Ok(self.leaf.pull(ctx)?.map(wrap))
+    }
+    fn close(&mut self, ctx: &mut ExecContext<'_>) {
+        self.leaf.close(ctx)
+    }
+    fn stats(&self) -> OpStats {
+        self.leaf.stats()
+    }
+    fn stats_mut(&mut self) -> &mut OpStats {
+        self.leaf.stats_mut()
+    }
+    fn children(&self) -> Vec<&dyn Operator> {
+        self.leaf.children()
+    }
+}
+
+/// X(a, b) with every other stored row's labels permuted, Y(b, c), and
+/// S(k, items) with a set-valued attribute; `X.b` ∈ 0..9 and `Y.b` ∈ 0..7,
+/// so some X rows dangle. Indexes on `X.b` and `Y.b`.
+fn shape_catalog() -> Catalog {
+    let any = |labels: &[&str]| labels.iter().map(|l| (l.to_string(), Ty::Any)).collect();
+    let int = Value::Int;
+    let x = (0..40).map(|i| {
+        let (a, b) = (("a", int(i)), ("b", int(i % 9)));
+        Record::new(if i % 2 == 0 { [a, b] } else { [b, a] }).unwrap()
+    });
+    let y = (0..30).map(|i| Record::new([("b", int(i % 7)), ("c", int(i))]).unwrap());
+    let s = (0..12).map(|i| {
+        let items = Value::set((0..i % 4).map(|j| int(i * 10 + j)));
+        Record::new([("k", int(i)), ("items", items)]).unwrap()
+    });
+    let mut cat = Catalog::new();
+    for t in [
+        Table::from_rows("X", any(&["a", "b"]), x),
+        Table::from_rows("Y", any(&["b", "c"]), y),
+        Table::from_rows("S", any(&["k", "items"]), s),
+    ] {
+        cat.register(t.unwrap()).unwrap();
+    }
+    cat.create_index("X", "b").unwrap();
+    cat.create_index("Y", "b").unwrap();
+    cat
+}
+
+fn scan(table: &str, var: &str) -> Box<PhysPlan> {
+    Box::new(PhysPlan::ScanTable {
+        table: table.into(),
+        var: var.into(),
+        pred: None,
+    })
+}
+
+/// Every physical operator, the joins in every family and kind, over bare
+/// leaves, pass-through chains and records of bindings.
+fn shape_corpus() -> Vec<(String, PhysPlan)> {
+    use PhysPlan as P;
+    let xb = || E::path("x", &["b"]);
+    let yb = || E::path("y", &["b"]);
+    let equi = || E::eq(xb(), yb());
+    let small = |var: &str| E::cmp(CmpOp::Lt, E::path(var, &["b"]), E::lit(6i64));
+    let residual = || E::cmp(CmpOp::Lt, E::path("x", &["a"]), E::path("y", &["c"]));
+    let kinds = || {
+        [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter {
+                right_vars: vec!["y".into()],
+            },
+            JoinKind::Nest {
+                func: E::Tuple(vec![
+                    ("y".into(), E::var("y")),
+                    ("a".into(), E::path("x", &["a"])),
+                ]),
+                label: "ys".into(),
+            },
+        ]
+    };
+    // Left operands: a bare scan, a bare row passed on by σ and by a
+    // semijoin, an index access path, and a record of two bindings.
+    let lefts = || -> Vec<(&str, Box<PhysPlan>)> {
+        vec![
+            ("scan", scan("X", "x")),
+            (
+                "filter",
+                Box::new(P::Filter {
+                    input: scan("X", "x"),
+                    pred: small("x"),
+                }),
+            ),
+            (
+                "semi",
+                Box::new(P::HashJoin {
+                    left: scan("X", "x"),
+                    right: scan("Y", "w"),
+                    left_keys: vec![xb()],
+                    right_keys: vec![E::path("w", &["b"])],
+                    residual: None,
+                    kind: JoinKind::Anti,
+                }),
+            ),
+            (
+                "index",
+                Box::new(P::IndexScan {
+                    table: "X".into(),
+                    var: "x".into(),
+                    attr: "b".into(),
+                    eq: None,
+                    lo: Some(E::lit(2i64)),
+                    hi: None,
+                    pred: E::cmp(CmpOp::Ge, xb(), E::lit(2i64)),
+                }),
+            ),
+            (
+                "pair",
+                Box::new(P::NlJoin {
+                    left: scan("X", "x"),
+                    right: scan("S", "s"),
+                    pred: E::eq(E::path("x", &["a"]), E::path("s", &["k"])),
+                    kind: JoinKind::Inner,
+                }),
+            ),
+        ]
+    };
+    let mut out: Vec<(String, PhysPlan)> = Vec::new();
+    for kind in kinds() {
+        for (lname, left) in lefts() {
+            let right = || scan("Y", "y");
+            let name = |family: &str| format!("{family}[{}]({lname}, Y)", kind.name());
+            let (lk, rk) = (vec![xb()], vec![yb()]);
+            out.push((
+                name("nl"),
+                P::NlJoin {
+                    left: left.clone(),
+                    right: right(),
+                    pred: E::and(equi(), residual()),
+                    kind: kind.clone(),
+                },
+            ));
+            out.push((
+                name("hash"),
+                P::HashJoin {
+                    left: left.clone(),
+                    right: right(),
+                    left_keys: lk.clone(),
+                    right_keys: rk.clone(),
+                    residual: Some(residual()),
+                    kind: kind.clone(),
+                },
+            ));
+            out.push((
+                name("merge"),
+                P::MergeJoin {
+                    left: left.clone(),
+                    right: right(),
+                    left_keys: lk,
+                    right_keys: rk,
+                    residual: None,
+                    kind: kind.clone(),
+                },
+            ));
+            out.push((
+                name("index-nl"),
+                P::IndexNLJoin {
+                    left,
+                    right_table: "Y".into(),
+                    right_var: "y".into(),
+                    attr: "b".into(),
+                    key: xb(),
+                    pred: equi(),
+                    kind: kind.clone(),
+                },
+            ));
+        }
+        // A right operand that is a record of bindings (a set-expression
+        // scan), against a bare left.
+        out.push((
+            format!("nl[{}](scan, ScanExpr)", kind.name()),
+            P::NlJoin {
+                left: scan("X", "x"),
+                right: Box::new(P::ScanExpr {
+                    expr: E::SetLit(
+                        (0..5)
+                            .map(|i| E::Tuple(vec![("b".into(), E::lit(i))]))
+                            .collect(),
+                    ),
+                    var: "y".into(),
+                }),
+                pred: equi(),
+                kind,
+            },
+        ));
+    }
+    let unary: Vec<(&str, PhysPlan)> = vec![
+        ("scan", *scan("X", "x")),
+        (
+            "scan[σ]",
+            P::ScanTable {
+                table: "X".into(),
+                var: "x".into(),
+                pred: Some(small("x")),
+            },
+        ),
+        (
+            "filter",
+            P::Filter {
+                input: scan("X", "x"),
+                pred: small("x"),
+            },
+        ),
+        (
+            "map",
+            P::Map {
+                input: scan("X", "x"),
+                expr: xb(),
+                var: "v".into(),
+            },
+        ),
+        (
+            "map-whole",
+            P::Map {
+                input: scan("X", "x"),
+                expr: E::var("x"),
+                var: "v".into(),
+            },
+        ),
+        (
+            "extend",
+            P::Extend {
+                input: scan("X", "x"),
+                expr: xb(),
+                var: "n".into(),
+            },
+        ),
+        (
+            "project-bare-var",
+            P::Project {
+                input: scan("X", "x"),
+                vars: vec!["x".into()],
+            },
+        ),
+        (
+            "project-nothing",
+            P::Project {
+                input: scan("X", "x"),
+                vars: vec![],
+            },
+        ),
+        (
+            "unnest-drops-bare-var",
+            P::Unnest {
+                input: scan("S", "s"),
+                expr: E::path("s", &["items"]),
+                elem_var: "v".into(),
+                drop_vars: vec!["s".into()],
+            },
+        ),
+        (
+            "unnest-keeps-bare-var",
+            P::Unnest {
+                input: scan("S", "s"),
+                expr: E::path("s", &["items"]),
+                elem_var: "v".into(),
+                drop_vars: vec![],
+            },
+        ),
+        (
+            "nest-by-bare-var",
+            P::Nest {
+                input: scan("X", "x"),
+                keys: vec!["x".into()],
+                value: xb(),
+                label: "bs".into(),
+                star: false,
+            },
+        ),
+        (
+            "nest-all",
+            P::Nest {
+                input: scan("X", "x"),
+                keys: vec![],
+                value: xb(),
+                label: "bs".into(),
+                star: true,
+            },
+        ),
+        (
+            "group-agg",
+            P::GroupAgg {
+                input: scan("Y", "y"),
+                keys: vec![("b".into(), yb())],
+                aggs: vec![("n".into(), AggFn::Count, E::var("y"))],
+                var: "g".into(),
+            },
+        ),
+        (
+            "setop-two-vars",
+            P::SetOp {
+                kind: tmql_algebra::SetOpKind::Union,
+                left: scan("X", "x"),
+                right: scan("Y", "y"),
+                var: "v".into(),
+            },
+        ),
+        (
+            "setop-except",
+            P::SetOp {
+                kind: tmql_algebra::SetOpKind::Except,
+                left: scan("X", "x"),
+                right: Box::new(P::Filter {
+                    input: scan("X", "z"),
+                    pred: small("z"),
+                }),
+                var: "v".into(),
+            },
+        ),
+        (
+            "apply-filter",
+            P::Apply {
+                input: scan("X", "x"),
+                subquery: Box::new(P::Filter {
+                    input: Box::new(P::Materialize {
+                        input: scan("Y", "y"),
+                    }),
+                    pred: equi(),
+                }),
+                label: "z".into(),
+                bindings: None,
+            },
+        ),
+        (
+            "apply-memo-hash-probe",
+            P::Apply {
+                input: scan("X", "x"),
+                subquery: Box::new(P::HashProbe {
+                    table: "Y".into(),
+                    var: "y".into(),
+                    attr: "b".into(),
+                    key: xb(),
+                    pred: equi(),
+                }),
+                label: "z".into(),
+                bindings: Some(vec![xb()]),
+            },
+        ),
+        (
+            "apply-shadowing-scan-var",
+            P::Apply {
+                input: scan("X", "x"),
+                subquery: Box::new(P::Map {
+                    input: scan("Y", "x"),
+                    expr: E::path("x", &["c"]),
+                    var: "v".into(),
+                }),
+                label: "z".into(),
+                bindings: Some(vec![]),
+            },
+        ),
+    ];
+    out.extend(unary.into_iter().map(|(n, p)| (n.to_string(), p)));
+    out
+}
+
+/// Result rows (as records of bindings, sorted) and the exact counters.
+type ShapeRun = (Vec<Record>, [(&'static str, u64); 8]);
+
+fn run_shaped(plan: &PhysPlan, cat: &Catalog, config: &ExecConfig, enveloped: bool) -> ShapeRun {
+    let mut ctx = ExecContext::with_config(cat, config);
+    let env = Env::new();
+    let mut root = match enveloped {
+        false => build(plan, &env),
+        true => build_with(plan, &env, &|leaf| match *leaf.shape() == Shape::BOUND {
+            true => leaf,
+            false => Box::new(Envelope { leaf }),
+        }),
+    };
+    root.open_timed(&mut ctx).unwrap();
+    let rows = drain(&mut root, &mut ctx).unwrap();
+    root.close_timed(&mut ctx);
+    assert_eq!(ctx.resident_rows(), 0, "close released everything");
+    let mut rows: Vec<Record> = rows.into_iter().map(|r| root.shape().wrap(r)).collect();
+    rows.sort();
+    let m = &ctx.metrics;
+    let counters = [
+        ("rows_scanned", m.rows_scanned),
+        ("comparisons", m.comparisons),
+        ("rows_emitted", m.rows_emitted),
+        ("hash_build_rows", m.hash_build_rows),
+        ("hash_probes", m.hash_probes),
+        ("rows_spilled", m.rows_spilled),
+        ("spill_partitions", m.spill_partitions),
+        ("peak_resident_rows", m.peak_resident_rows),
+    ];
+    (rows, counters)
+}
+
+#[test]
+fn row_shape_is_invisible_to_results_and_counters() {
+    let cat = shape_catalog();
+    let free = ExecConfig::default().batch_size(16);
+    let mut spilled = 0;
+    for (name, plan) in shape_corpus() {
+        for (config, budget) in [(free, "free"), (free.memory_budget(6), "budget")] {
+            let bare = run_shaped(&plan, &cat, &config, false);
+            let bound = run_shaped(&plan, &cat, &config, true);
+            assert_eq!(bare.0, bound.0, "{name}/{budget}: rows");
+            assert_eq!(bare.1, bound.1, "{name}/{budget}: counters");
+            // And what `execute` hands its callers is the same again.
+            let mut ctx = ExecContext::with_config(&cat, &config);
+            let mut rows = tmql_exec::execute(&plan, &mut ctx, &Env::new()).unwrap();
+            rows.sort();
+            assert_eq!(rows, bare.0, "{name}/{budget}: execute");
+            spilled += bare.1[5].1;
+        }
+    }
+    assert!(spilled > 0, "the budgeted half of the corpus spills");
+}
+
+#[test]
+fn a_dangling_outer_row_binds_its_bare_right_side_to_null() {
+    let cat = shape_catalog();
+    let plan = PhysPlan::HashJoin {
+        left: scan("X", "x"),
+        right: scan("Y", "y"),
+        left_keys: vec![E::path("x", &["b"])],
+        right_keys: vec![E::path("y", &["b"])],
+        residual: None,
+        kind: JoinKind::LeftOuter {
+            right_vars: vec!["y".into()],
+        },
+    };
+    let (rows, _) = run_shaped(&plan, &cat, &ExecConfig::default(), false);
+    let dangling: Vec<&Record> = rows
+        .iter()
+        .filter(|r| r.get("y").unwrap().is_null())
+        .collect();
+    // b ∈ {7, 8} has no partner: i = 7, 8, 16, 17, 25, 26, 34, 35.
+    assert_eq!(dangling.len(), 8);
+    for r in dangling {
+        let labels: Vec<&str> = r.labels().collect();
+        assert_eq!(labels, ["x", "y"], "{r}");
+        assert!(r.get("x").unwrap().as_tuple().is_ok());
+    }
+    let matched = rows
+        .iter()
+        .find(|r| !r.get("y").unwrap().is_null())
+        .unwrap();
+    assert!(matched.get("y").unwrap().as_tuple().unwrap().has("c"));
 }

@@ -160,7 +160,7 @@ fn arb_pred() -> impl Strategy<Value = E> {
 }
 
 /// The correlation environment every case runs under: `o = (k = …)`.
-fn outer_env(k: &Value) -> Env {
+fn outer_env(k: &Value) -> Env<'static> {
     let mut env = Env::new();
     env.push("o", Value::tuple([("k", k.clone())]));
     env
@@ -168,7 +168,7 @@ fn outer_env(k: &Value) -> Env {
 
 /// What `ScanTableOp::open` builds: keys evaluated left to right, the
 /// first failure ending the test.
-fn row_test(pred: &E, env: &mut Env) -> RowTest {
+fn row_test(pred: &E, env: &Env<'_>) -> RowTest {
     let keys = scan_pretest(pred, "x")
         .into_iter()
         .map_while(|(attr, op, key)| Some((attr, op, eval(&key, env).ok()?)));
@@ -176,12 +176,8 @@ fn row_test(pred: &E, env: &mut Env) -> RowTest {
 }
 
 /// `eval_predicate(pred)` on `row` bound to `x`, as the executor binds it.
-fn eval_on(pred: &E, row: &Record, env: &mut Env) -> Result<bool, ModelError> {
-    let bound = Record::single(Arc::from("x"), Value::Tuple(row.clone()));
-    env.push_row(&bound);
-    let out = eval_predicate(pred, env);
-    env.pop();
-    out
+fn eval_on(pred: &E, row: &Record, env: &Env<'_>) -> Result<bool, ModelError> {
+    eval_predicate(pred, &env.bind_tuple("x", row))
 }
 
 static REJECTED: AtomicU64 = AtomicU64::new(0);
@@ -194,9 +190,9 @@ proptest! {
         pred in arb_pred(),
         k in arb_scalar(),
     ) {
-        let mut env = outer_env(&k);
-        let test = row_test(&pred, &mut env);
-        let truth = eval_on(&pred, &row, &mut env);
+        let env = outer_env(&k);
+        let test = row_test(&pred, &env);
+        let truth = eval_on(&pred, &row, &env);
         let bytes = encode_record(&row);
         for rejected in [test.rejects_row(&row), test.rejects_bytes(&bytes)] {
             if rejected {
@@ -229,7 +225,7 @@ proptest! {
         at in any::<usize>(),
         pred in arb_pred(),
     ) {
-        let test = row_test(&pred, &mut outer_env(&Value::Int(1)));
+        let test = row_test(&pred, &outer_env(&Value::Int(1)));
         let mut bytes = encode_record(&row);
         let _ = test.rejects_bytes(&noise);
         let _ = decode_record(&noise);
@@ -280,7 +276,7 @@ fn scan(pred: Option<E>) -> PhysPlan {
 
 type Outcome = Result<(Vec<Record>, Metrics), ModelError>;
 
-fn run(plan: &PhysPlan, cat: &Catalog, config: &ExecConfig, env: &Env) -> Outcome {
+fn run(plan: &PhysPlan, cat: &Catalog, config: &ExecConfig, env: &Env<'_>) -> Outcome {
     let mut ctx = ExecContext::with_config(cat, config);
     let (rows, _) = execute_collect(plan, &mut ctx, env, None)?;
     Ok((rows, ctx.metrics))

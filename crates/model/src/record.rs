@@ -64,9 +64,31 @@ impl Clone for Record {
 
 impl Record {
     /// Build a record from `(label, value)` pairs, rejecting duplicates.
+    /// The body is one exact-size allocation when the iterator knows its
+    /// length (slices, arrays, options, and chains and maps of them).
     pub fn new<L: Into<Arc<str>>>(fields: impl IntoIterator<Item = (L, Value)>) -> Result<Record> {
-        let fields: Vec<Field> = fields.into_iter().map(|(l, v)| (l.into(), v)).collect();
-        Record::checked(fields.into())
+        Record::checked(fields.into_iter().map(|(l, v)| (l.into(), v)).collect())
+    }
+
+    /// [`Record::new`] over fields that may each fail to evaluate: the
+    /// first error wins. The fields still go straight into the body, so
+    /// the iterator is driven to its end even after an error.
+    pub fn try_new<L: Into<Arc<str>>>(
+        fields: impl IntoIterator<Item = Result<(L, Value)>>,
+    ) -> Result<Record> {
+        let mut failed = None;
+        let fields = fields.into_iter().map(|f| match f {
+            Ok((l, v)) => (l.into(), v),
+            Err(e) => {
+                failed.get_or_insert(e);
+                (Arc::default(), Value::Null)
+            }
+        });
+        let body = fields.collect();
+        match failed {
+            None => Record::checked(body),
+            Some(e) => Err(e),
+        }
     }
 
     /// Wrap a body, rejecting duplicate labels. One pass over adjacent
