@@ -29,8 +29,8 @@ pub struct ExecContext<'a> {
     threads: usize,
     resident_rows: u64,
     memory_budget_rows: Option<usize>,
-    /// Scratch directory for spill runs, created on first spill and
-    /// removed (with all runs) when the context drops.
+    /// Scratch file for spill runs, created on first spill; it has no
+    /// name, and goes with the last handle onto it.
     spill_dir: Option<SpillDir>,
     /// Buffer-pool counters at context creation (persistent catalogs
     /// only); [`ExecContext::sync_pool_metrics`] diffs against this to
@@ -97,13 +97,13 @@ impl<'a> ExecContext<'a> {
         self.memory_budget_rows.is_some_and(|b| n > b)
     }
 
-    /// Open `k` fresh spill runs in this query's scratch directory
-    /// (creating the directory on first use).
+    /// Open `k` fresh spill runs in this query's scratch file (creating
+    /// it on first use).
     pub(crate) fn spill_runs(&mut self, k: usize) -> Result<Vec<RunWriter>> {
-        if self.spill_dir.is_none() {
-            self.spill_dir = Some(SpillDir::create()?);
-        }
-        let dir = self.spill_dir.as_ref().expect("created above");
+        let dir = match &mut self.spill_dir {
+            Some(dir) => dir,
+            none => none.insert(SpillDir::create()?),
+        };
         (0..k).map(|_| dir.create_run()).collect()
     }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use tmql_algebra::{eval, eval_predicate, CmpOp, ScalarExpr};
 use tmql_model::{ModelError, Record, Result, Value};
-use tmql_storage::spill::{RunReader, SpillFile};
+use tmql_storage::spill::RunReader;
 use tmql_storage::RowTest;
 
 use crate::exec::ExecContext;
@@ -260,8 +260,8 @@ pub(super) struct ScanExprOp<'p> {
     expr: &'p ScalarExpr,
     var: Arc<str>,
     items: Option<VecDeque<Value>>,
-    /// The spilled tail and its reader (the file outlives the reader).
-    overflow: Option<(RunReader, SpillFile)>,
+    /// The spilled tail, being read back.
+    overflow: Option<RunReader>,
 }
 
 impl<'p> ScanExprOp<'p> {
@@ -290,8 +290,7 @@ impl<'p> ScanExprOp<'p> {
                 ctx.metrics.rows_spilled += spilled;
                 ctx.metrics.spill_partitions += 1;
                 self.base.stats.rows_spilled += spilled;
-                let file = w.finish()?;
-                self.overflow = Some((file.reader()?, file));
+                self.overflow = Some(w.finish()?.reader()?);
             }
         }
         ctx.resident_acquire(items.len());
@@ -322,7 +321,7 @@ impl Operator for ScanExprOp<'_> {
         ctx.resident_release(k);
         if rows.is_empty() {
             // Memory drained: stream the spilled tail, if any.
-            if let Some((reader, _)) = self.overflow.as_mut() {
+            if let Some(reader) = self.overflow.as_mut() {
                 rows = reader.read_batch(n)?;
             }
         }

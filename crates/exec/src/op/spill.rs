@@ -509,9 +509,10 @@ impl SpillDedup {
             // row, this one — and defer this and all further candidates.
             let mut emitted = std::mem::take(&mut self.seen).into_rows();
             emitted.pop();
+            // Out of `seen`, so out of the gauge, even if a write fails.
+            ctx.resident_release(emitted.len());
             let mut seen_parts = ctx.spill_runs(SPILL_FANOUT)?;
             let cand_parts = ctx.spill_runs(SPILL_FANOUT)?;
-            let n = emitted.len();
             for r in emitted {
                 write_spilled(
                     &mut seen_parts[dedup_slot(&r, 0)],
@@ -520,7 +521,6 @@ impl SpillDedup {
                     ops,
                 )?;
             }
-            ctx.resident_release(n);
             self.writers = Some([seen_parts, cand_parts]);
         }
         if let Some([_, cand_parts]) = self.writers.as_mut() {

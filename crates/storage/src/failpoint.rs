@@ -1,5 +1,5 @@
 //! Fault injection for the pager's I/O path — the crash half of the WAL
-//! story's proof obligation.
+//! story's proof obligation — and for the spill tier's scratch file.
 //!
 //! A database is only as durable as its behaviour at the worst possible
 //! kill point, so the crash-recovery tests need a way to *be* the crash:
@@ -50,6 +50,11 @@ pub enum IoOp {
     WalSync,
     /// A truncation of the write-ahead log (checkpoint completion).
     WalReset,
+    /// The creation of a query's scratch file, on its first spill.
+    SpillCreate,
+    /// A positional write of one extent to a query's scratch file (byte
+    /// length).
+    SpillWrite(usize),
 }
 
 #[derive(Debug)]
@@ -76,7 +81,8 @@ static ARMED: AtomicUsize = AtomicUsize::new(0);
 /// Failpoints match by path prefix, so arming on a database path also
 /// covers its `.wal` sidecar. The operation counter covers writes,
 /// syncs, and WAL truncations — the boundaries where a crash changes
-/// what recovery can see — and is shared across all matched files, so a
+/// what recovery can see — plus the creation and every write of a
+/// query's scratch file, and is shared across all matched files, so a
 /// trigger index identifies one global point in the workload's I/O
 /// sequence.
 #[derive(Debug)]
@@ -191,7 +197,8 @@ pub(crate) fn check_write(path: &Path, op: IoOp, len: usize) -> Result<WriteChec
     Ok(WriteCheck::Full)
 }
 
-/// Consult the failpoint before a sync or truncate boundary.
+/// Consult the failpoint before a boundary that moves no bytes: a sync,
+/// a truncation, the creation of a scratch file.
 pub(crate) fn check_sync(path: &Path, op: IoOp) -> Result<()> {
     let Some(e) = matching(path) else {
         return Ok(());

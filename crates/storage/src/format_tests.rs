@@ -24,13 +24,15 @@ use proptest::prelude::*;
 use tmql_model::schema::{AttrDef, ClassDef, Schema, SortDef};
 use tmql_model::{ModelError, Record, Result, Ty, Value};
 
-use crate::bytes::{put_len, put_str, Reader, MAX_NESTING};
+use crate::bytes::{put_len, put_len_prefixed, put_str, Reader, MAX_NESTING};
 use crate::index::{decode_index, encode_index, OrdIndex};
 use crate::pager::image::{decode_catalog, encode_catalog, CatalogImage, IndexImage, TableImage};
 use crate::pager::page::{NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use crate::pager::store::{Meta, PagedStore, TableExtent};
 use crate::pretest::RowTest;
-use crate::spill::{decode_record, decode_value, encode_record, encode_value, RecordDecoder};
+use crate::spill::{
+    decode_record, decode_value, encode_record, encode_value, frame, RecordDecoder, SpillDir,
+};
 use crate::stats::{ColumnStats, Histogram, TableStats};
 use crate::wal::{CommitRecord, Wal, WalScan};
 
@@ -456,7 +458,60 @@ const HEADER: Decoder = ("header", |b| {
     Meta::decode(b).map(|(meta, free)| meta.encode(&free))
 });
 const LOG: Decoder = ("wal scan", |b| Ok(committed_log(b)));
-const DECODERS: [Decoder; 7] = [RECORD, VALUE, CATALOG, INDEX, COMMIT, HEADER, LOG];
+// One extent of a spill run that remembers `RUN_ROWS` rows and the labels
+// `RUN_LABELS`; canonically every frame is a full one, which reads back
+// the same whatever the run's labels.
+const RUN: Decoder = ("spill run", |b| {
+    Ok(read_run(b)?.iter().flat_map(full_frame).collect())
+});
+const DECODERS: [Decoder; 8] = [RECORD, VALUE, CATALOG, INDEX, COMMIT, HEADER, LOG, RUN];
+
+const RUN_LABELS: [&str; 2] = ["k", "s"];
+const RUN_ROWS: u64 = 3;
+
+/// Read `extent` back as the one extent of such a run.
+fn read_run(extent: &[u8]) -> Result<Vec<Record>> {
+    let run = SpillDir::create()?.run_of_bytes(extent, &RUN_LABELS, RUN_ROWS);
+    run.reader()?.read_all()
+}
+
+/// `row` framed with its labels, as a run writes a row unlike its first.
+fn full_frame(row: &Record) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_len_prefixed(&mut out, |out| {
+        out.push(frame::FULL);
+        out.extend(encode_record(row));
+    });
+    out
+}
+
+/// The extent a run of [`RUN_ROWS`] rows writes: the first row and one
+/// like it as values only, then the same labels the other way round in a
+/// full frame. Returns the bytes and where each frame starts.
+fn golden_run() -> (Vec<u8>, [usize; 3]) {
+    let s = |items: &[i64]| Value::set(items.iter().map(|&i| Value::Int(i)));
+    let row = |k: i64, s: Value| Record::new([("k", Value::Int(k)), ("s", s)]).unwrap();
+    let permuted = Record::new([("s", Value::Null), ("k", Value::str("z"))]).unwrap();
+    let rows = [row(1, s(&[2, 3])), row(-1, s(&[])), permuted];
+    let dir = SpillDir::create().unwrap();
+    let mut w = dir.create_run().unwrap();
+    rows.iter().for_each(|r| w.write(r).unwrap());
+    let run = w.finish().unwrap();
+    assert_eq!(run.reader().unwrap().read_all().unwrap(), rows);
+    let bytes = run.raw();
+    let mut frames = Reader::new("spill run", &bytes);
+    let starts = [(); 3].map(|()| {
+        let start = bytes.len() - frames.remaining();
+        frames.bytes().unwrap();
+        start
+    });
+    let kind = |i: usize| bytes[starts[i] + 4];
+    assert_eq!(
+        [kind(0), kind(1), kind(2)],
+        [frame::SHAPED, frame::SHAPED, frame::FULL]
+    );
+    (bytes, starts)
+}
 
 /// The contract on one input: `Ok` of something whose encoding decodes to
 /// itself, or `Err(ModelError::Io)`; within the allocation budget.
@@ -530,6 +585,60 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     let log = golden_wal();
     let commit_frame = log.len() - GOLDEN_WAL_COMMIT_FRAME.len() / 2;
     check_corruptions(LOG, &log, (0..24).chain(commit_frame..log.len()));
+    // Every byte of both kinds of frame: the lengths, the kinds, the
+    // values a shaped frame holds and the record a full one does.
+    let (run, _) = golden_run();
+    check_corruptions(RUN, &run, everywhere(&run));
+}
+
+#[test]
+fn a_damaged_run_is_an_io_error_whichever_way_its_frames_and_its_handle_disagree() {
+    let (run, [_, second, third]) = golden_run();
+    let read = |bytes: &[u8]| {
+        let (result, peak) = peak_alloc(|| read_run(bytes));
+        assert!(peak <= alloc_budget(bytes.len()), "{peak} bytes allocated");
+        result
+    };
+    let expect = |bytes: &[u8], what: &str| match read(bytes) {
+        Err(ModelError::Io(msg)) => assert!(msg.contains(what), "{msg}: expected {what}"),
+        other => panic!("expected an error about {what}, got {other:?}"),
+    };
+    assert_eq!(read(&run).unwrap().len(), 3);
+    // A length that claims the rest of the address space: refused against
+    // the extent, before anything is allocated for it.
+    let mut lying = run.clone();
+    lying[second..second + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    expect(&lying, "truncated");
+    // The tail cut off: inside a frame, and between two.
+    expect(&run[..run.len() - 1], "truncated");
+    expect(&run[..third], "ends 1 rows early");
+    // A frame more than the handle counts, and stray bytes.
+    expect(
+        &[&run[..], &run[third..]].concat(),
+        "bytes left after the last row",
+    );
+    expect(
+        &[&run[..], &[0][..]].concat(),
+        "bytes left after the last row",
+    );
+    // A shaped frame holds one value per label of the run: one fewer is
+    // not a short row, one more is not dropped or padded.
+    let shaped = |values: &[Value]| {
+        let mut frame = Vec::new();
+        put_len_prefixed(&mut frame, |out| {
+            out.push(frame::SHAPED);
+            values.iter().for_each(|v| encode_value(out, v));
+        });
+        [&run[..second], &frame, &run[third..]].concat()
+    };
+    let sevens = [7, 7, 7].map(Value::Int);
+    assert_eq!(read(&shaped(&sevens[..2])).unwrap().len(), 3);
+    expect(&shaped(&sevens[..1]), "truncated");
+    expect(&shaped(&sevens), "trailing bytes");
+    // A kind no writer writes.
+    let mut unknown = run.clone();
+    unknown[second + 4] = 2;
+    expect(&unknown, "unknown frame kind 2");
 }
 
 /// The counted runs at the front of each format: `(decoder, valid bytes,
@@ -610,7 +719,7 @@ fn arb_scalar() -> BoxedStrategy<Value> {
 
 /// Scalars under up to three levels of sets (empty ones included), lists,
 /// tuples and variants.
-fn arb_value() -> BoxedStrategy<Value> {
+pub(crate) fn arb_value() -> BoxedStrategy<Value> {
     arb_scalar()
         .prop_recursive(3, 24, 4, |inner| {
             prop_oneof![

@@ -34,13 +34,13 @@
 //!   checkpoints. [`Catalog::begin`]/[`Catalog::commit`]/
 //!   [`Catalog::rollback`] make register/replace/create_index atomic
 //!   multi-statement units on top of it;
-//! * [`failpoint`] — the crash-injection seam over the pager's I/O,
-//!   driving the differential crash-recovery test harness;
-//! * [`spill`] — on-disk record runs ([`SpillDir`], [`RunWriter`],
-//!   [`SpillFile`], [`RunReader`]) with a length-prefixed binary codec, the
-//!   substrate of the executor's larger-than-memory (grace-hash /
-//!   partitioned) mode — and of the pager's page payloads, which reuse
-//!   the same Record/Value codec.
+//! * [`failpoint`] — the fault-injection seam over the pager's and the
+//!   spill tier's I/O, driving the differential crash-recovery harness;
+//! * [`spill`] — record runs in a query's one unnamed scratch file
+//!   ([`SpillDir`], [`RunWriter`], [`SpillFile`], [`RunReader`]) with a
+//!   length-prefixed binary codec, the substrate of the executor's
+//!   larger-than-memory (grace-hash / partitioned) mode — and of the
+//!   pager's page payloads, which reuse the same Record/Value codec.
 
 mod bytes;
 pub mod catalog;

@@ -1,41 +1,75 @@
-//! Spill files: on-disk runs of records for larger-than-memory execution.
+//! The spill tier: runs of records in a query's scratch file, for
+//! larger-than-memory execution — and the record/value codec they share
+//! with the pager's pages.
 //!
 //! The streaming executor's pipeline breakers (hash-join build sides,
 //! grouping state, sort buffers, dedup sets) are the only places resident
 //! memory grows with the data. When a breaker's state would exceed the
 //! configured `memory_budget_rows`, it spills rows here: a [`RunWriter`]
-//! serializes records **length-prefixed** into a file under a per-query
-//! [`SpillDir`] in the OS temp directory, and a [`RunReader`] streams them
-//! back in batches. Files delete themselves when the owning [`SpillFile`]
-//! drops, and the whole directory is removed when the [`SpillDir`] drops —
-//! a crash leaves at most one stale `tmql-spill-*` directory per process,
-//! inside the OS temp dir where it is reclaimed by the platform.
+//! encodes them as **frames**, a sealed [`SpillFile`] remembers where the
+//! frames went, and a [`RunReader`] streams them back in batches.
 //!
-//! # On-disk format
+//! # The scratch file
 //!
-//! A run is a sequence of frames, each `u32` little-endian payload length
-//! followed by the payload: one encoded [`Record`]. Values are encoded with
-//! a one-byte kind tag followed by the payload (integers and float bits
-//! little-endian, strings and labels as `u32` length + UTF-8, containers as
-//! `u32` element count + elements). The codec covers the full [`Value`]
-//! universe — nested tuples, sets, lists, and variants round-trip exactly,
-//! including `NaN` floats (bit-pattern preserved via `to_bits`).
+//! A query has **one** scratch file ([`SpillDir`]), created in the OS temp
+//! directory the first time anything spills and **unlinked at once**: the
+//! kernel reclaims it when the last handle closes — after a clean drop, an
+//! error, a panic or a `kill -9` alike, nothing is left behind.
+//!
+//! The file is handed out in 8 KiB **blocks**. A writer gathers whole
+//! frames in a buffer of its own and, when the next frame would overflow a
+//! block, writes what it has as one **extent** at a block it reserves
+//! then; a frame longer than a block goes out alone, over consecutive
+//! fresh blocks. A run is its list of extents — an empty run has none and
+//! touches no file — and dropping it (and every reader of it) puts its
+//! blocks on a free list that later runs of the query draw from, so
+//! recursive repartitioning reuses the space of the partitions it
+//! consumed. Every read and write is positional: writers and readers on
+//! any number of threads share the file without a cursor, and the one
+//! lock covers the block bookkeeping, taken once per extent. The one write
+//! and the one read call consult [`crate::failpoint`] under the name the
+//! file was created with.
+//!
+//! # What is on disk, and what is not
+//!
+//! An extent is a sequence of frames, each a `u32` little-endian payload
+//! length and the payload: a kind byte, then
+//!
+//! * `0`, **shaped** — the row has the labels of the run's first row, in
+//!   that order: only its values follow;
+//! * `1`, **full** — any other row (a permuted stored row, the other
+//!   operand of a set operation): a whole encoded [`Record`] follows.
+//!
+//! The labels of the first row stay in the run's handle, in memory, with
+//! the extent list and the row count. A shaped row read back therefore
+//! carries the **same** `Arc<str>` labels as the row that was written —
+//! comparisons keep their pointer fast path across a spill — and a frame
+//! with one value too few or too many for those labels is an error.
+//! Frames are parsed out of the extent where it was read, through the
+//! same checked `bytes::Reader` as everything else: a damaged length is a
+//! bounds error, not an allocation.
+//!
+//! # The codec
+//!
+//! Values are encoded with a one-byte kind tag followed by the payload
+//! (integers and float bits little-endian, strings and labels as `u32`
+//! length + UTF-8, containers as `u32` element count + elements). The
+//! codec covers the full [`Value`] universe — nested tuples, sets, lists,
+//! and variants round-trip exactly, including `NaN` floats (bit-pattern
+//! preserved via `to_bits`). A record's fields are decoded straight into
+//! its body, a set's elements through an accumulator the
+//! [`RecordDecoder`] reuses.
 
-use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tmql_model::{ModelError, Record, Result, Value};
+use tmql_model::{ModelError, Record, Result, SetValue, Value};
 
 use crate::bytes::{put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, Reader};
-
-/// Map an I/O failure into the model error type (rendered, since
-/// `io::Error` is neither `Clone` nor `PartialEq`).
-fn io_err(e: std::io::Error) -> ModelError {
-    ModelError::Io(e.to_string())
-}
+use crate::failpoint::{self, IoOp, WriteCheck};
 
 // ---------------------------------------------------------------------------
 // Value / Record codec
@@ -124,6 +158,10 @@ pub struct RecordDecoder {
     /// Where the last hit was: labels recur in a cycle, so the search
     /// starts just past it and usually ends at once.
     next: usize,
+    /// Emptied element accumulators, one per depth of set nesting met so
+    /// far: a set takes one while its elements decode and hands it back,
+    /// so a stream of rows allocates each set's body and nothing else.
+    accumulators: Vec<Vec<Value>>,
 }
 
 /// Labels remembered per decoder; more distinct ones than this (not a
@@ -137,8 +175,22 @@ impl RecordDecoder {
     /// every decoder of this crate spends, so that no bytes can exhaust
     /// the stack).
     pub fn decode(&mut self, payload: &[u8]) -> Result<Record> {
-        let mut c = Cursor::new(payload, self);
+        let mut c = Cursor::new(FORMAT, payload, self);
         let rec = c.record()?;
+        c.r.finish()?;
+        Ok(rec)
+    }
+
+    /// Decode the payload of one frame of a run whose first row had
+    /// `labels`: a [`frame::SHAPED`] one holds exactly their values, a
+    /// [`frame::FULL`] one a record as [`RecordDecoder::decode`] reads it.
+    fn decode_frame(&mut self, payload: &[u8], labels: &[Arc<str>]) -> Result<Record> {
+        let mut c = Cursor::new(RUN_FORMAT, payload, self);
+        let rec = match c.r.u8()? {
+            frame::SHAPED => c.fields(labels.iter().map(Some))?,
+            frame::FULL => c.record()?,
+            other => return Err(c.r.err(format_args!("unknown frame kind {other}"))),
+        };
         c.r.finish()?;
         Ok(rec)
     }
@@ -226,9 +278,9 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(payload: &'a [u8], names: &'a mut RecordDecoder) -> Cursor<'a> {
+    fn new(format: &'static str, payload: &'a [u8], names: &'a mut RecordDecoder) -> Cursor<'a> {
         Cursor {
-            r: Reader::new(FORMAT, payload),
+            r: Reader::new(format, payload),
             names,
         }
     }
@@ -244,11 +296,13 @@ impl<'a> Cursor<'a> {
         self.r.descend()?;
         let v = match tag {
             tag::TUPLE => Value::Tuple(self.record()?),
-            // An encoder writes a set in order; `Value::set` re-sorts (one
-            // pass over sorted input) so no payload can yield a set that
-            // is out of order or holds duplicates.
-            tag::SET => Value::set(self.values()?),
-            tag::LIST => Value::List(self.values()?),
+            tag::SET => Value::Set(self.set()?),
+            tag::LIST => {
+                let n = self.r.count(MIN_VALUE_BYTES)?;
+                let mut items = Vec::with_capacity(n);
+                self.values(n, &mut items)?;
+                Value::List(items)
+            }
             tag::VARIANT => {
                 let label = self.label()?;
                 Value::Variant(label, Box::new(self.value()?))
@@ -259,14 +313,28 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    /// A count-prefixed run of values.
-    fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.r.count(MIN_VALUE_BYTES)?;
-        let mut items = Vec::with_capacity(n);
+    /// The next `n` values, appended to `items`.
+    fn values(&mut self, n: usize, items: &mut Vec<Value>) -> Result<()> {
+        items.reserve(n);
         for _ in 0..n {
             items.push(self.value()?);
         }
-        Ok(items)
+        Ok(())
+    }
+
+    /// A count-prefixed set. An encoder writes the elements in order;
+    /// [`SetValue::drain_from`] sorts again (one pass over sorted input)
+    /// so no payload can yield a set that is out of order or holds
+    /// duplicates.
+    fn set(&mut self) -> Result<SetValue> {
+        let n = self.r.count(MIN_VALUE_BYTES)?;
+        let mut items = self.names.accumulators.pop().unwrap_or_default();
+        let set = self
+            .values(n, &mut items)
+            .map(|()| SetValue::drain_from(&mut items));
+        items.clear();
+        self.names.accumulators.push(items);
+        set
     }
 
     fn label(&mut self) -> Result<Arc<str>> {
@@ -276,13 +344,36 @@ impl<'a> Cursor<'a> {
 
     fn record(&mut self) -> Result<Record> {
         let n = self.r.count(MIN_FIELD_BYTES)?;
-        let mut fields = Vec::with_capacity(n);
-        for _ in 0..n {
-            let label = self.label()?;
-            fields.push((label, self.value()?));
-        }
+        self.fields((0..n).map(|_| None))
+    }
+
+    /// The record of one field per item of `labels` — the label given, or
+    /// read from the bytes ahead of its value — built in place in the
+    /// record's body.
+    fn fields<'l>(
+        &mut self,
+        labels: impl ExactSizeIterator<Item = Option<&'l Arc<str>>>,
+    ) -> Result<Record> {
+        // `try_new` drives the iterator to its end; past the first error
+        // nothing more is read, and the placeholders are dropped unseen.
+        let mut intact = true;
+        let built = Record::try_new(labels.map(|given| {
+            if !intact {
+                return Err(ModelError::Io(String::new()));
+            }
+            let field = match given {
+                Some(label) => Ok(label.clone()),
+                None => self.label(),
+            }
+            .and_then(|label| Ok((label, self.value()?)));
+            intact = field.is_ok();
+            field
+        }));
         // A repeated label is malformed bytes, like any other.
-        Record::new(fields).map_err(|e| self.r.err(e))
+        built.map_err(|e| match e {
+            ModelError::DuplicateField(_) => self.r.err(e),
+            e => e,
+        })
     }
 }
 
@@ -291,7 +382,7 @@ impl<'a> Cursor<'a> {
 /// consumed.
 pub fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
     let mut names = RecordDecoder::default();
-    let mut c = Cursor::new(payload, &mut names);
+    let mut c = Cursor::new(FORMAT, payload, &mut names);
     let v = c.value()?;
     Ok((v, payload.len() - c.r.remaining()))
 }
@@ -333,57 +424,201 @@ pub fn decode_record(payload: &[u8]) -> Result<Record> {
 }
 
 // ---------------------------------------------------------------------------
-// Spill directory / runs
+// The scratch file
 // ---------------------------------------------------------------------------
 
-static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Bytes of framing before each record of a run: its `u32` length.
-const FRAME_LEN_BYTES: usize = 4;
+/// The unit the scratch file is handed out and taken back in, and about
+/// how many bytes of frames a writer gathers before it writes them.
+const BLOCK: usize = 8 * 1024;
 
-/// A per-query scratch directory under the OS temp dir. Created lazily by
-/// the executor the first time anything spills; removed (with everything
-/// in it) on drop.
+/// One write of a run: `len` bytes of whole frames at the start of
+/// `len.div_ceil(BLOCK)` consecutive blocks, the first at index `block`.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    block: u64,
+    len: usize,
+}
+
+impl Extent {
+    fn offset(&self) -> u64 {
+        self.block * BLOCK as u64
+    }
+
+    fn blocks(&self) -> u64 {
+        self.len.div_ceil(BLOCK) as u64
+    }
+}
+
+/// Which blocks of the scratch file are in nobody's run.
+#[derive(Debug, Default)]
+struct Blocks {
+    /// Blocks `0..end` have been handed out at least once.
+    end: u64,
+    /// Blocks of dropped runs, handed out again before the file grows.
+    free: Vec<u64>,
+}
+
+/// One query's scratch file, shared by its [`SpillDir`] and every run in
+/// it. All I/O is positional, so writers and readers on any thread share
+/// no cursor; the lock guards block bookkeeping, taken once per extent.
+#[derive(Debug)]
+struct Scratch {
+    file: File,
+    /// The name the file was created under and lost at once: what a
+    /// failpoint matches and an error message shows.
+    name: PathBuf,
+    blocks: Mutex<Blocks>,
+}
+
+/// An I/O failure on the scratch file created as `name` (rendered, since
+/// `io::Error` is neither `Clone` nor `PartialEq`).
+fn scratch_err(name: &Path, e: impl std::fmt::Display) -> ModelError {
+    ModelError::Io(format!("spill file {}: {e}", name.display()))
+}
+
+impl Scratch {
+    fn err(&self, e: impl std::fmt::Display) -> ModelError {
+        scratch_err(&self.name, e)
+    }
+
+    fn blocks(&self) -> MutexGuard<'_, Blocks> {
+        // Every update leaves the bookkeeping valid, so a panic elsewhere
+        // under the lock is no reason to stop handing out blocks.
+        self.blocks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Set aside room for `len` bytes: one block comes off the free list
+    /// when there is one, a longer stretch is always fresh.
+    fn reserve(&self, len: usize) -> Extent {
+        let n = len.div_ceil(BLOCK) as u64;
+        let mut blocks = self.blocks();
+        let recycled = if n == 1 { blocks.free.pop() } else { None };
+        let block = recycled.unwrap_or_else(|| {
+            let fresh = blocks.end;
+            blocks.end += n;
+            fresh
+        });
+        Extent { block, len }
+    }
+
+    fn release(&self, extents: &[Extent]) {
+        let mut blocks = self.blocks();
+        for e in extents {
+            blocks.free.extend(e.block..e.block + e.blocks());
+        }
+    }
+
+    /// The one write call of the spill tier.
+    fn write(&self, at: Extent, bytes: &[u8]) -> Result<()> {
+        let op = IoOp::SpillWrite(bytes.len());
+        let allowed = match failpoint::check_write(&self.name, op, bytes.len())? {
+            WriteCheck::Full => bytes.len(),
+            WriteCheck::Torn(n) => n,
+        };
+        self.file
+            .write_all_at(&bytes[..allowed], at.offset())
+            .map_err(|e| self.err(e))?;
+        if allowed < bytes.len() {
+            return Err(self.err("injected crash (torn spill write)"));
+        }
+        Ok(())
+    }
+
+    /// The one read call of the spill tier: `buf` becomes the extent.
+    fn read(&self, from: Extent, buf: &mut Vec<u8>) -> Result<()> {
+        failpoint::check_read(&self.name)?;
+        buf.resize(from.len, 0);
+        self.file
+            .read_exact_at(buf, from.offset())
+            .map_err(|e| self.err(e))
+    }
+}
+
+/// A query's scratch space: one file, created by the executor the first
+/// time anything spills. (The name is from when it was a directory of
+/// run files.)
 #[derive(Debug)]
 pub struct SpillDir {
-    path: PathBuf,
-    run_seq: AtomicU64,
+    scratch: Arc<Scratch>,
 }
 
 impl SpillDir {
-    /// Create a fresh, uniquely named spill directory.
+    /// Create the scratch file under the OS temp directory and unlink it
+    /// at once: it lives exactly as long as the handles onto it.
     pub fn create() -> Result<SpillDir> {
-        let unique = SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!("tmql-spill-{}-{unique}", std::process::id()));
-        fs::create_dir_all(&path).map_err(io_err)?;
+        let unique = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = std::env::temp_dir().join(format!("tmql-spill-{}-{unique}", std::process::id()));
+        failpoint::check_sync(&name, IoOp::SpillCreate)?;
+        let scratch = Scratch {
+            file: File::options()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(&name)
+                .map_err(|e| scratch_err(&name, e))?,
+            name,
+            blocks: Mutex::default(),
+        };
+        std::fs::remove_file(&scratch.name).map_err(|e| scratch.err(e))?;
         Ok(SpillDir {
-            path,
-            run_seq: AtomicU64::new(0),
+            scratch: Arc::new(scratch),
         })
     }
 
-    /// The directory path (for diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Open a new run for writing.
+    /// Open a new run for writing. Touches no file: an empty run never
+    /// does.
     pub fn create_run(&self) -> Result<RunWriter> {
-        let n = self.run_seq.fetch_add(1, Ordering::Relaxed);
-        let path = self.path.join(format!("run-{n}.spill"));
-        let file = File::create(&path).map_err(io_err)?;
         Ok(RunWriter {
-            out: BufWriter::new(file),
-            path,
-            rows: 0,
+            run: Run {
+                scratch: Arc::clone(&self.scratch),
+                extents: Vec::new(),
+                labels: Vec::new(),
+                rows: 0,
+            },
+            buf: Vec::new(),
         })
     }
 }
 
-impl Drop for SpillDir {
+// ---------------------------------------------------------------------------
+// Runs
+// ---------------------------------------------------------------------------
+
+/// What the [`Reader`]'s errors call the framing of a run.
+const RUN_FORMAT: &str = "spill run";
+
+/// A run whose extents and row count disagree.
+fn run_err(what: impl std::fmt::Display) -> ModelError {
+    ModelError::Io(format!("{RUN_FORMAT} decode: {what}"))
+}
+
+/// Bytes of framing before each frame's kind: its `u32` length.
+const FRAME_LEN_BYTES: usize = 4;
+
+/// The first byte of a frame.
+pub(crate) mod frame {
+    /// A row with the run's labels in the run's order: its values.
+    pub const SHAPED: u8 = 0;
+    /// Any other row: a whole encoded record.
+    pub const FULL: u8 = 1;
+}
+
+/// What a run is besides its bytes: where they are, and what they leave
+/// out. Dropping it gives the blocks back.
+#[derive(Debug)]
+struct Run {
+    scratch: Arc<Scratch>,
+    extents: Vec<Extent>,
+    /// The labels of the run's first row, in its order.
+    labels: Vec<Arc<str>>,
+    rows: u64,
+}
+
+impl Drop for Run {
     fn drop(&mut self) {
-        // Best-effort cleanup; leaking a temp dir is not worth a panic.
-        let _ = fs::remove_dir_all(&self.path);
+        self.scratch.release(&self.extents);
     }
 }
 
@@ -391,85 +626,120 @@ impl Drop for SpillDir {
 /// turn it into a readable [`SpillFile`].
 #[derive(Debug)]
 pub struct RunWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-    rows: u64,
+    run: Run,
+    /// Whole frames not yet written.
+    buf: Vec<u8>,
 }
 
 impl RunWriter {
-    /// Append one record (length-prefixed frame).
+    /// Append one record as one frame.
     pub fn write(&mut self, rec: &Record) -> Result<()> {
-        let mut frame = Vec::with_capacity(64);
-        put_len_prefixed(&mut frame, |out| encode_fields(out, rec));
+        if self.run.rows == 0 {
+            self.run.labels = rec.fields().iter().map(|(l, _)| l.clone()).collect();
+            self.buf.reserve(BLOCK);
+        }
+        let labels = &self.run.labels;
+        let shaped = rec.len() == labels.len()
+            && std::iter::zip(rec.fields(), labels).all(|((l, _), m)| Arc::ptr_eq(l, m) || l == m);
+        let start = self.buf.len();
+        put_len_prefixed(&mut self.buf, |out| {
+            if shaped {
+                put_u8(out, frame::SHAPED);
+                rec.values().for_each(|v| encode_value(out, v));
+            } else {
+                put_u8(out, frame::FULL);
+                encode_fields(out, rec);
+            }
+        });
         // One frame is capped at u32::MAX bytes. This also guards every
         // inner length the codec wrote: an overflowing string or container
         // length implies an overflowing payload.
-        let payload_len = frame.len() - FRAME_LEN_BYTES;
+        let payload_len = self.buf.len() - start - FRAME_LEN_BYTES;
         if u32::try_from(payload_len).is_err() {
+            self.buf.truncate(start);
             return Err(ModelError::Io(format!(
                 "spill frame too large: one record encodes to {payload_len} bytes (max {})",
                 u32::MAX
             )));
         }
-        self.out.write_all(&frame).map_err(io_err)?;
-        self.rows += 1;
+        self.run.rows += 1;
+        if self.buf.len() > BLOCK {
+            // The frames before this one fill their block as far as whole
+            // frames can; one too long for any block goes out by itself.
+            self.flush(start)?;
+            if self.buf.len() > BLOCK {
+                self.flush(self.buf.len())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Write the first `len` buffered bytes as one extent.
+    fn flush(&mut self, len: usize) -> Result<()> {
+        if len == 0 {
+            return Ok(());
+        }
+        let extent = self.run.scratch.reserve(len);
+        self.run.extents.push(extent);
+        self.run.scratch.write(extent, &self.buf[..len])?;
+        self.buf.drain(..len);
         Ok(())
     }
 
     /// Rows written so far.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.run.rows
     }
 
     /// Flush and seal the run.
     pub fn finish(mut self) -> Result<SpillFile> {
-        self.out.flush().map_err(io_err)?;
+        self.flush(self.buf.len())?;
         Ok(SpillFile {
-            path: self.path,
-            rows: self.rows,
+            run: Arc::new(self.run),
         })
     }
 }
 
-/// A sealed on-disk run. The file is deleted when this handle drops.
+/// A sealed run. Its blocks of the scratch file are free for other runs
+/// once this handle and every reader of it have dropped.
 #[derive(Debug)]
 pub struct SpillFile {
-    path: PathBuf,
-    rows: u64,
+    run: Arc<Run>,
 }
 
 impl SpillFile {
     /// Number of records in the run.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.run.rows
     }
 
     /// True iff the run holds no records.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.run.rows == 0
     }
 
     /// Open the run for a fresh sequential read.
     pub fn reader(&self) -> Result<RunReader> {
-        let file = File::open(&self.path).map_err(io_err)?;
         Ok(RunReader {
-            input: BufReader::new(file),
-            remaining: self.rows,
+            run: Arc::clone(&self.run),
+            next_extent: 0,
+            buf: Vec::new(),
+            pos: 0,
+            remaining: self.run.rows,
             decoder: RecordDecoder::default(),
         })
     }
 }
 
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Sequential batched reader over a sealed run.
+/// Sequential batched reader over a sealed run, which it keeps alive.
 #[derive(Debug)]
 pub struct RunReader {
-    input: BufReader<File>,
+    run: Arc<Run>,
+    /// The extent to load when `buf` is used up.
+    next_extent: usize,
+    /// The extent being read, and how much of it is consumed.
+    buf: Vec<u8>,
+    pos: usize,
     remaining: u64,
     decoder: RecordDecoder,
 }
@@ -484,15 +754,27 @@ impl RunReader {
     pub fn read_batch(&mut self, n: usize) -> Result<Vec<Record>> {
         let k = (n as u64).min(self.remaining) as usize;
         let mut out = Vec::with_capacity(k);
-        let mut payload = Vec::new();
-        for _ in 0..k {
-            let mut len_buf = [0u8; FRAME_LEN_BYTES];
-            self.input.read_exact(&mut len_buf).map_err(io_err)?;
-            let len = Reader::new("spill run", &len_buf).u32()? as usize;
-            payload.resize(len, 0);
-            self.input.read_exact(&mut payload).map_err(io_err)?;
-            out.push(self.decoder.decode(&payload)?);
-            self.remaining -= 1;
+        while out.len() < k {
+            if self.pos == self.buf.len() {
+                let Some(&extent) = self.run.extents.get(self.next_extent) else {
+                    let missing = k - out.len();
+                    return Err(run_err(format_args!("the run ends {missing} rows early")));
+                };
+                self.run.scratch.read(extent, &mut self.buf)?;
+                self.next_extent += 1;
+                self.pos = 0;
+            }
+            let mut frames = Reader::new(RUN_FORMAT, &self.buf[self.pos..]);
+            while out.len() < k && frames.remaining() > 0 {
+                let payload = frames.bytes()?;
+                out.push(self.decoder.decode_frame(payload, &self.run.labels)?);
+            }
+            self.pos = self.buf.len() - frames.remaining();
+        }
+        self.remaining -= k as u64;
+        let unread = self.buf.len() - self.pos;
+        if self.remaining == 0 && (unread > 0 || self.next_extent < self.run.extents.len()) {
+            return Err(run_err("bytes left after the last row"));
         }
         Ok(out)
     }
@@ -511,8 +793,38 @@ impl RunReader {
 }
 
 #[cfg(test)]
+impl SpillDir {
+    /// A sealed run of `rows` rows with `labels` whose one extent is
+    /// `bytes`, whatever they hold: how a damaged scratch file looks to a
+    /// reader.
+    pub(crate) fn run_of_bytes(&self, bytes: &[u8], labels: &[&str], rows: u64) -> SpillFile {
+        let mut w = self.create_run().unwrap();
+        w.buf.extend_from_slice(bytes);
+        w.run.labels = labels.iter().map(|l| Arc::from(*l)).collect();
+        w.run.rows = rows;
+        w.finish().unwrap()
+    }
+}
+
+#[cfg(test)]
+impl SpillFile {
+    /// The run's extents as they lie in the scratch file, end to end.
+    pub(crate) fn raw(&self) -> Vec<u8> {
+        let (mut out, mut buf) = (Vec::new(), Vec::new());
+        for &extent in &self.run.extents {
+            self.run.scratch.read(extent, &mut buf).unwrap();
+            out.extend_from_slice(&buf);
+        }
+        out
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format_tests::arb_value;
+    use proptest::prelude::*;
+    use std::sync::Barrier;
 
     fn sample_rows() -> Vec<Record> {
         let nested = Value::tuple([
@@ -683,19 +995,216 @@ mod tests {
         assert!(!shared(MAX_LABELS), "past the cap labels are per-row");
     }
 
-    #[test]
-    fn spill_files_and_dir_clean_up_after_themselves() {
-        let dir = SpillDir::create().unwrap();
-        let dir_path = dir.path().to_path_buf();
+    /// Bytes the scratch file has grown to.
+    fn scratch_len(dir: &SpillDir) -> u64 {
+        dir.scratch.file.metadata().unwrap().len()
+    }
+
+    fn write_run(dir: &SpillDir, rows: &[Record]) -> SpillFile {
         let mut w = dir.create_run().unwrap();
-        w.write(&Record::empty()).unwrap();
-        let file = w.finish().unwrap();
-        let file_path = dir_path.join("run-0.spill");
-        assert!(file_path.exists());
-        drop(file);
-        assert!(!file_path.exists(), "SpillFile removes its file on drop");
+        rows.iter().for_each(|r| w.write(r).unwrap());
+        w.finish().unwrap()
+    }
+
+    /// `(a = i, b = {i, i + 1}, c = "…")`, about 60 bytes a frame.
+    fn wide_row(i: i64) -> Record {
+        let b = Value::set([Value::Int(i), Value::Int(i + 1)]);
+        Record::new([("a", Value::Int(i)), ("b", b), ("c", Value::str("pad"))]).unwrap()
+    }
+
+    #[test]
+    fn scratch_file_has_no_name_and_an_empty_run_does_no_io() {
+        let dir = SpillDir::create().unwrap();
+        let name = dir.scratch.name.clone();
+        assert!(name.starts_with(std::env::temp_dir()));
+        assert!(!name.exists(), "unlinked at once: nothing to clean up");
+        let empty = dir.create_run().unwrap().finish().unwrap();
+        assert!(empty.run.extents.is_empty());
+        assert!(empty.reader().unwrap().read_all().unwrap().is_empty());
+        assert_eq!(scratch_len(&dir), 0, "never written");
+        // The file lives as long as a handle onto it, not as long as the
+        // `SpillDir`.
+        let file = write_run(&dir, &[Record::empty()]);
         drop(dir);
-        assert!(!dir_path.exists(), "SpillDir removes itself on drop");
+        assert_eq!(
+            file.reader().unwrap().read_all().unwrap(),
+            [Record::empty()]
+        );
+        assert!(!name.exists());
+    }
+
+    #[test]
+    fn rows_read_back_carry_the_labels_of_the_rows_written() {
+        let dir = SpillDir::create().unwrap();
+        // The writer's rows share one set of labels, as a table's do; the
+        // last row has equal labels in allocations of its own.
+        let first = wide_row(0);
+        let mut rows: Vec<Record> = (1..4)
+            .map(|i| {
+                let values = wide_row(i);
+                let fields = std::iter::zip(first.fields(), values.values());
+                Record::new(fields.map(|((l, _), v)| (l.clone(), v.clone()))).unwrap()
+            })
+            .collect();
+        rows.insert(0, first.clone());
+        rows.push(wide_row(9));
+        let back = write_run(&dir, &rows).reader().unwrap().read_all().unwrap();
+        assert_eq!(back, rows);
+        for (i, r) in back.iter().enumerate() {
+            for (f, (label, _)) in r.fields().iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(label, &first.fields()[f].0),
+                    "row {i} `{label}`"
+                );
+            }
+        }
+    }
+
+    /// Rows of three shapes over arbitrary values: `(a, b, s)`, the same
+    /// labels permuted, and one label more.
+    fn arb_mixed_rows() -> impl Strategy<Value = Vec<Record>> {
+        let row =
+            (0usize..3, arb_value(), arb_value(), arb_value()).prop_map(|(shape, a, b, s)| {
+                let extra = Value::set([a.clone(), Value::Float(f64::NAN), Value::Float(-0.0)]);
+                let fields = match shape {
+                    0 => vec![("a", a), ("b", b), ("s", s)],
+                    1 => vec![("s", s), ("a", a), ("b", b)],
+                    _ => vec![("a", a), ("b", b), ("s", s), ("t", extra)],
+                };
+                Record::new(fields).unwrap()
+            });
+        prop::collection::vec(row, 0..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn mixed_shape_runs_round_trip_row_for_row_at_every_batch_size(rows in arb_mixed_rows()) {
+            let dir = SpillDir::create().unwrap();
+            let file = write_run(&dir, &rows);
+            for batch in [1, 7, 4096] {
+                let mut reader = file.reader().unwrap();
+                let mut back = Vec::new();
+                loop {
+                    let rows = reader.read_batch(batch).unwrap();
+                    if rows.is_empty() {
+                        break;
+                    }
+                    prop_assert!(rows.len() <= batch);
+                    back.extend(rows);
+                }
+                prop_assert_eq!(&back, &rows);
+                // Equality is `total_cmp`'s; the bytes say NaN payloads,
+                // zero signs and each row's own label order survived too.
+                for (b, r) in back.iter().zip(&rows) {
+                    prop_assert_eq!(encode_record(b), encode_record(r));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_a_block_takes_blocks_of_its_own() {
+        let dir = SpillDir::create().unwrap();
+        let big = |c: char| {
+            let text: String = std::iter::repeat(c).take(3 * BLOCK + 17).collect();
+            Record::new([("a", Value::Int(1)), ("text", Value::str(&text))]).unwrap()
+        };
+        let small = Record::new([("a", Value::Int(2)), ("text", Value::str(""))]).unwrap();
+        let rows = vec![small.clone(), big('x'), small.clone(), big('y'), small];
+        let file = write_run(&dir, &rows);
+        let lens: Vec<usize> = file.run.extents.iter().map(|e| e.len).collect();
+        assert_eq!(lens.len(), 5, "a big frame shares no extent: {lens:?}");
+        assert_eq!(file.run.extents[1].blocks(), 4);
+        for batch in [1, 2, 4096] {
+            let mut reader = file.reader().unwrap();
+            let mut back = Vec::new();
+            while back.len() < rows.len() {
+                back.extend(reader.read_batch(batch).unwrap());
+            }
+            assert_eq!(back, rows);
+            assert!(reader.read_batch(batch).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn dropped_runs_give_their_blocks_to_later_runs() {
+        let dir = SpillDir::create().unwrap();
+        let rows: Vec<Record> = (0..2000).map(wide_row).collect();
+        let one_run = {
+            let file = write_run(&dir, &rows);
+            assert!(file.run.extents.len() > 8, "several blocks a run");
+            scratch_len(&dir)
+        };
+        for _ in 0..20 {
+            let file = write_run(&dir, &rows);
+            assert_eq!(file.reader().unwrap().read_all().unwrap(), rows);
+        }
+        assert!(
+            scratch_len(&dir) <= one_run + BLOCK as u64,
+            "21 runs in sequence grew the file from {one_run} to {}",
+            scratch_len(&dir)
+        );
+        // A writer dropped unsealed (an error path) gives back as well.
+        let mut w = dir.create_run().unwrap();
+        rows.iter().for_each(|r| w.write(r).unwrap());
+        drop(w);
+        drop(write_run(&dir, &rows));
+        assert!(scratch_len(&dir) <= one_run + BLOCK as u64);
+    }
+
+    #[test]
+    fn writers_and_readers_on_many_threads_share_one_scratch_file() {
+        let dir = SpillDir::create().unwrap();
+        let rows_of = |seed: i64| -> Vec<Record> { (0..600).map(|i| wide_row(seed + i)).collect() };
+        let shared: Vec<SpillFile> = (0..2)
+            .map(|s| write_run(&dir, &rows_of(s * 1000)))
+            .collect();
+        // All six start together: two write (and drop, so blocks change
+        // hands) while four read the two sealed runs.
+        let start = Barrier::new(6);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (dir, start) = (&dir, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..8 {
+                        let rows = rows_of(10_000 * (t + 1) + round);
+                        let file = write_run(dir, &rows);
+                        assert_eq!(file.reader().unwrap().read_all().unwrap(), rows);
+                    }
+                });
+            }
+            for t in 0..4 {
+                let (file, start) = (&shared[t % 2], &start);
+                let want = rows_of((t as i64 % 2) * 1000);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..8 {
+                        let mut reader = file.reader().unwrap();
+                        let mut back = Vec::new();
+                        while reader.remaining() > 0 {
+                            back.extend(reader.read_batch(64).unwrap());
+                        }
+                        assert_eq!(back, want);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_reader_keeps_its_run_after_the_handle_is_gone() {
+        let dir = SpillDir::create().unwrap();
+        let rows: Vec<Record> = (0..500).map(wide_row).collect();
+        let file = write_run(&dir, &rows);
+        let mut reader = file.reader().unwrap();
+        drop(file);
+        // Were the blocks free now, this run would take and overwrite them.
+        let other = write_run(&dir, &(500..1000).map(wide_row).collect::<Vec<_>>());
+        assert_eq!(reader.read_all().unwrap(), rows);
+        drop(other);
     }
 
     #[test]

@@ -1,0 +1,154 @@
+//! I/O faults on the spill tier's scratch file: whichever write (or the
+//! file's creation) is the one that fails, a spilling statement ends in a
+//! typed `Io` error — no panic, nothing left counted in the resident
+//! gauge, nothing left under the temp directory.
+//!
+//! The three statements are the benchmark's `spill_join` round: a grace
+//! hash semijoin, a spilled nest join and a spilled dedup over 2048-row
+//! `X` and `Y` under a 512-row budget. A counting failpoint first learns
+//! how many scratch operations each performs; then a kill is swept through
+//! every one of them, and a torn write through three.
+//!
+//! This file holds exactly one test: a failpoint on the `tmql-spill-`
+//! prefix matches every scratch file of the process, so a second test
+//! spilling beside it would be counted — and killed — too.
+
+use std::path::{Path, PathBuf};
+
+use tmql::{Database, QueryOptions, TmqlError};
+use tmql_algebra::Env;
+use tmql_exec::{ExecConfig, ExecContext};
+use tmql_model::{ModelError, Record};
+use tmql_storage::{IoFailpoint, IoOp};
+use tmql_workload::gen::{gen_xy, GenConfig};
+use tmql_workload::queries;
+
+const ROWS: usize = 2048;
+const BUDGET: usize = 512;
+const BATCH: usize = 1024;
+
+const STATEMENTS: [(&str, &str); 3] = [
+    ("grace semijoin", queries::MEMBERSHIP),
+    ("spilled nest join", queries::SUBSETEQ_BUG),
+    ("spilled dedup", "SELECT x.b FROM X x"),
+];
+
+/// What every scratch file of this process is named under.
+fn scratch_prefix() -> PathBuf {
+    std::env::temp_dir().join("tmql-spill-")
+}
+
+/// Scratch entries of this process still under the temp directory.
+fn leaked_scratch() -> Vec<PathBuf> {
+    let ours = format!("tmql-spill-{}-", std::process::id());
+    let is_ours = |p: &Path| {
+        let name = p.file_name().unwrap_or_default().to_string_lossy();
+        name.starts_with(&ours)
+    };
+    let entries = std::fs::read_dir(std::env::temp_dir()).expect("temp dir lists");
+    let paths = entries.map(|e| e.expect("temp dir entry").path());
+    paths.filter(|p| is_ours(p)).collect()
+}
+
+/// Run `src` through the executor's own entry point, where the resident
+/// gauge can be read afterwards: the rows (sorted) or the error, and
+/// whether the statement spilled.
+fn execute(
+    db: &Database,
+    src: &str,
+    budget: Option<usize>,
+) -> (Result<Vec<Record>, TmqlError>, bool) {
+    let mut opts = QueryOptions::default().threads(1).batch_size(BATCH);
+    let mut config = ExecConfig::auto().threads(1).batch_size(BATCH);
+    if let Some(b) = budget {
+        (opts, config) = (opts.memory_budget(b), config.memory_budget(b));
+    }
+    let (_, plan) = db.plan_with(src, opts).expect("plans");
+    let phys = tmql_exec::lower(&plan, db.catalog(), &config).expect("lowers");
+    let mut ctx = ExecContext::with_config(db.catalog(), &config);
+    let result = tmql_exec::execute(&phys, &mut ctx, &Env::new());
+    assert_eq!(ctx.resident_rows(), 0, "leaked resident rows: {src}");
+    let spilled = ctx.metrics.rows_spilled > 0;
+    drop(ctx);
+    let sorted = result.map(|mut rows| {
+        rows.sort();
+        rows
+    });
+    (sorted.map_err(TmqlError::from), spilled)
+}
+
+fn assert_io_error<T: std::fmt::Debug>(result: Result<T, TmqlError>, case: &str) {
+    match result {
+        Err(TmqlError::Model(ModelError::Io(msg))) => {
+            assert!(msg.contains("injected crash"), "{case}: {msg}")
+        }
+        other => panic!("{case}: expected an injected Io error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_fault_at_any_scratch_operation_is_a_typed_error_that_leaks_nothing() {
+    let db = Database::from_catalog(gen_xy(&GenConfig {
+        outer: ROWS,
+        inner: ROWS,
+        ..GenConfig::default()
+    }));
+    let prefix = scratch_prefix();
+    for (name, src) in STATEMENTS {
+        // Unarmed: the budgeted answer is the unbudgeted one.
+        let (free, spilled) = execute(&db, src, None);
+        assert!(!spilled, "{name}: no budget, no spilling");
+        let free = free.expect("runs without a budget");
+        let (tight, spilled) = execute(&db, src, Some(BUDGET));
+        assert!(spilled, "{name}: 2048 rows over a 512-row budget spill");
+        assert_eq!(tight.expect("runs under the budget"), free, "{name}");
+
+        // Counted: one scratch file for the whole statement, then writes.
+        let counter = IoFailpoint::count(&prefix);
+        let (counted, _) = execute(&db, src, Some(BUDGET));
+        assert_eq!(counted.expect("a counting failpoint fails nothing"), free);
+        let log = counter.log();
+        drop(counter);
+        let writes = log.iter().filter(|op| matches!(op, IoOp::SpillWrite(_)));
+        assert_eq!(log[0], IoOp::SpillCreate, "{name}: {log:?}");
+        assert_eq!(writes.count(), log.len() - 1, "{name}: one create: {log:?}");
+        assert!(
+            log.len() > 8,
+            "{name}: only {} scratch operations",
+            log.len()
+        );
+
+        // Killed at every operation, through the executor and the facade.
+        let opts = QueryOptions::default()
+            .threads(1)
+            .batch_size(BATCH)
+            .memory_budget(BUDGET);
+        for k in 0..log.len() as u64 {
+            let case = format!("{name}, killed at operation {k} of {}", log.len());
+            let fp = IoFailpoint::kill_at(&prefix, k);
+            assert_io_error(execute(&db, src, Some(BUDGET)).0, &case);
+            assert!(fp.triggered(), "{case}");
+            assert_io_error(db.query_with(src, opts), &case);
+            drop(fp);
+            assert_eq!(leaked_scratch(), Vec::<PathBuf>::new(), "{case}");
+        }
+        // Torn at the first write, a middle one and the last.
+        for k in [1, log.len() as u64 / 2, log.len() as u64 - 1] {
+            let case = format!("{name}, write {k} of {} torn", log.len());
+            let fp = IoFailpoint::torn_at(&prefix, k);
+            assert_io_error(execute(&db, src, Some(BUDGET)).0, &case);
+            assert!(fp.triggered(), "{case}");
+            drop(fp);
+            assert_eq!(leaked_scratch(), Vec::<PathBuf>::new(), "{case}");
+        }
+        // Disarmed, the statement runs again.
+        assert_eq!(execute(&db, src, Some(BUDGET)).0.expect("runs"), free);
+    }
+    // A whole round is three scratch files, one per spilling statement.
+    let counter = IoFailpoint::count(&prefix);
+    for (_, src) in STATEMENTS {
+        execute(&db, src, Some(BUDGET)).0.expect("runs");
+    }
+    let created = |op: &&IoOp| **op == IoOp::SpillCreate;
+    assert_eq!(counter.log().iter().filter(created).count(), 3);
+}
