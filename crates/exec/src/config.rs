@@ -3,29 +3,35 @@
 /// Default number of rows per [`crate::op::operator::Batch`].
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Default worker count for parallel execution: the `TMQL_THREADS`
-/// environment variable when set (parsed, clamped to ≥ 1; `0` and `auto`
-/// mean "use the hardware"), else [`std::thread::available_parallelism`].
+/// Default worker count for parallel execution: **1** unless the
+/// `TMQL_THREADS` environment variable says otherwise — a positive
+/// number is that many workers, `auto` (or `0`) is
+/// [`hardware_threads`]; unset, blank or unparsable is 1. Serial is the
+/// default because it is the configuration that has measured fastest:
+/// on the `b10_parallel` ladder two workers run 1.5–1.75× slower than
+/// one (ROADMAP item 3 decides whether the waves are fixed or removed).
 /// The variable is read on every call, so a test or a CI leg that changes
-/// it is honoured; the hardware count is asked for **once per process**
-/// and remembered — the standard library re-reads `/proc` and the cgroup
-/// files each time (≈ 23 µs), and every default `QueryOptions` /
-/// `ExecConfig`, so every `Database::query`, comes through here.
-/// There is one code path at every value: at `1` each wave holds a single
-/// work item and [`crate::op::exchange::scatter`] runs it in place on the
-/// calling thread, spawning nothing.
+/// it is honoured. There is one code path at every value: at `1` each
+/// wave holds a single work item and [`crate::op::exchange::scatter`]
+/// runs it in place on the calling thread, spawning nothing.
 pub fn default_threads() -> usize {
-    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    if let Ok(v) = std::env::var("TMQL_THREADS") {
-        let v = v.trim();
-        if !v.is_empty() && !v.eq_ignore_ascii_case("auto") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
+    let Ok(v) = std::env::var("TMQL_THREADS") else {
+        return 1;
+    };
+    match v.trim() {
+        "0" => hardware_threads(),
+        v if v.eq_ignore_ascii_case("auto") => hardware_threads(),
+        v => v.parse().ok().filter(|&n| n >= 1).unwrap_or(1),
     }
+}
+
+/// The machine's [`std::thread::available_parallelism`] (1 when it cannot
+/// be determined) — what `TMQL_THREADS=auto` and the shell's
+/// `\set threads auto` mean. Asked for **once per process** and
+/// remembered: the standard library re-reads `/proc` and the cgroup files
+/// each time (≈ 23 µs).
+pub fn hardware_threads() -> usize {
+    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *HARDWARE.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -70,11 +76,10 @@ pub struct ExecConfig {
     /// Worker threads for morsel-driven parallel execution (clamped to
     /// ≥ 1): how many scan morsels, or spilled partitions of a hash join,
     /// breaker or dedup, one wave hands to scoped workers. Operators run
-    /// the same code at every value — at `1` (always the case on
-    /// single-core hosts) a wave is one item, processed in place — and
-    /// results and work counters do not depend on it. The speed-up from
-    /// values above `1` is unmeasured (`BENCH_parallel.json` was recorded
-    /// on one core). Defaults to [`default_threads`].
+    /// the same code at every value — at `1` a wave is one item,
+    /// processed in place — and results and work counters do not depend
+    /// on it. Values above `1` have so far measured *slower* than `1`
+    /// (see [`default_threads`], which is why it says 1).
     pub threads: usize,
     /// Memoize correlated `Apply` inner results by the outer row's
     /// correlation-binding values (default `true`). Duplicate bindings

@@ -53,7 +53,7 @@ pub mod op;
 pub mod physical;
 pub mod planner;
 
-pub use config::{default_threads, ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
+pub use config::{default_threads, hardware_threads, ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
 pub use cost::{CostEstimate, Estimator};
 pub use exec::{execute, execute_collect, execute_logical, execute_profiled, ExecContext};
 pub use metrics::Metrics;

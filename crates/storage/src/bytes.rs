@@ -31,6 +31,15 @@ use tmql_model::{ModelError, Result};
 /// reading them back is an `Io` error instead of a stack overflow.
 pub(crate) const MAX_NESTING: u32 = 128;
 
+/// What the write path says to a value or type that nests past
+/// [`MAX_NESTING`]: the encoders cannot fail, so unchecked it would be
+/// written and fail on its first read.
+pub(crate) fn too_deep_to_store(what: &str) -> ModelError {
+    ModelError::SchemaError(format!(
+        "a {what} nests deeper than {MAX_NESTING} levels, which the store cannot read back"
+    ))
+}
+
 /// A checked cursor over bytes from outside the program (see the
 /// [module docs](self)).
 pub(crate) struct Reader<'a> {

@@ -31,7 +31,9 @@ use std::sync::Arc;
 use tmql_model::{ModelError, Record, Result, Schema, Ty};
 
 use crate::index::{decode_index, encode_index, OrdIndex};
-use crate::pager::{CatalogImage, IndexImage, PageId, PagedStore, PoolStats, TableImage};
+use crate::pager::image::{check_ty, encode_parts, IndexParts, TableParts};
+use crate::pager::{PageId, PagedStore, PoolStats};
+use crate::spill::check_nesting;
 use crate::stats::TableStats;
 use crate::table::Table;
 use crate::wal::{RecoveryReport, WalActivity};
@@ -39,10 +41,20 @@ use tmql_obs::MetricsRegistry;
 
 /// One maintained secondary index: the in-memory structure plus (when the
 /// catalog is persistent) the page chain holding its encoded entries.
+/// The structure is shared, so a transaction snapshot of an index of any
+/// size is a reference-count bump.
 #[derive(Debug, Clone)]
 struct IndexEntry {
-    ord: OrdIndex,
+    ord: Arc<OrdIndex>,
     chain: Option<(PageId, u64)>,
+}
+
+/// One registered table with the statistics computed when it was
+/// installed (shared, like an index's entries).
+#[derive(Debug, Clone)]
+struct Stored {
+    table: Table,
+    stats: Arc<TableStats>,
 }
 
 /// The begin-of-transaction snapshot [`Catalog::rollback`] restores,
@@ -51,8 +63,7 @@ struct IndexEntry {
 #[derive(Debug)]
 struct TxnState {
     schema: Schema,
-    tables: BTreeMap<String, Table>,
-    stats: BTreeMap<String, TableStats>,
+    tables: BTreeMap<String, Stored>,
     indexes: BTreeMap<(String, String), IndexEntry>,
     freed: Vec<PageId>,
 }
@@ -63,8 +74,7 @@ struct TxnState {
 #[derive(Debug, Default)]
 pub struct Catalog {
     schema: Schema,
-    tables: BTreeMap<String, Table>,
-    stats: BTreeMap<String, TableStats>,
+    tables: BTreeMap<String, Stored>,
     indexes: BTreeMap<(String, String), IndexEntry>,
     store: Option<Arc<PagedStore>>,
     txn: Option<TxnState>,
@@ -105,11 +115,10 @@ impl Catalog {
         }
         let (store, image) = PagedStore::open(path, pool_pages)?;
         let mut tables = BTreeMap::new();
-        let mut stats = BTreeMap::new();
         for t in image.tables {
             let table = Table::disk(t.name.clone(), t.columns, store.clone(), Arc::new(t.extent));
-            stats.insert(t.name.clone(), t.stats);
-            tables.insert(t.name, table);
+            let stats = Arc::new(t.stats);
+            tables.insert(t.name, Stored { table, stats });
         }
         // Indexes load eagerly: they are small relative to their tables,
         // and a corrupted chain must surface here as an I/O error rather
@@ -123,7 +132,7 @@ impl Catalog {
                 )));
             }
             let blob = store.read_blob(ix.first, ix.len)?;
-            let ord = decode_index(&ix.attr, &blob)?;
+            let ord = Arc::new(decode_index(&ix.attr, &blob)?);
             indexes.insert(
                 (ix.table, ix.attr),
                 IndexEntry {
@@ -135,7 +144,6 @@ impl Catalog {
         Ok(Catalog {
             schema: image.schema,
             tables,
-            stats,
             indexes,
             store: Some(store),
             txn: None,
@@ -161,7 +169,6 @@ impl Catalog {
         self.txn = Some(TxnState {
             schema: self.schema.clone(),
             tables: self.tables.clone(),
-            stats: self.stats.clone(),
             indexes: self.indexes.clone(),
             freed: Vec::new(),
         });
@@ -212,7 +219,6 @@ impl Catalog {
     fn restore(&mut self, txn: TxnState) {
         self.schema = txn.schema;
         self.tables = txn.tables;
-        self.stats = txn.stats;
         self.indexes = txn.indexes;
     }
 
@@ -301,7 +307,7 @@ impl Catalog {
     /// total pages)`. `None` for transient catalogs and in-memory tables —
     /// the cost model charges page I/O only where pages exist.
     pub fn page_residency(&self, name: &str) -> Option<(usize, usize)> {
-        self.tables.get(name)?.page_residency()
+        self.tables.get(name)?.table.page_residency()
     }
 
     /// Snapshot of the persistent store's WAL activity (`None` for
@@ -319,12 +325,17 @@ impl Catalog {
 
     /// Register this catalog's storage series into an engine-wide
     /// metrics registry: buffer-pool traffic (`tmql_pool_*`), WAL
-    /// activity (`tmql_wal_*`), and allocator free-list gauges. All
+    /// activity (`tmql_wal_*`), and allocator free-list gauges. These
     /// series are *polled* — sampled from the store's own atomics at
     /// render time — so nothing is double-counted and the hot paths gain
-    /// no new work. A transient (in-memory) catalog registers nothing.
+    /// no new work. The write path's latency histograms
+    /// (`tmql_commit_micros`, `tmql_wal_fsync_micros`,
+    /// `tmql_checkpoint_micros`) are the exception: the store records
+    /// into them, two clock reads per timed section. A transient
+    /// (in-memory) catalog registers nothing.
     pub fn register_metrics(&self, reg: &MetricsRegistry) {
         let Some(store) = &self.store else { return };
+        store.register_latencies(reg);
         let s = store.clone();
         reg.counter_fn(
             "tmql_pool_hits_total",
@@ -455,7 +466,7 @@ impl Catalog {
     fn install(&mut self, name: String, table: Table) -> Result<()> {
         // Enumerate everything the displaced state owns *before* mutating,
         // so a failure below leaves the catalog untouched.
-        let mut freed = self.displaced_pages(self.tables.get(&name))?;
+        let mut freed = self.displaced_pages(self.tables.get(&name).map(|t| &t.table))?;
         let index_keys: Vec<(String, String)> = self
             .indexes
             .keys()
@@ -469,20 +480,15 @@ impl Catalog {
                 freed.extend(store.blob_pages(first, len)?);
             }
         }
-        let (table, stats) = self.prepare(table)?;
+        let stored = self.prepare(table)?;
         // Rebuild the table's indexes over the incoming rows and write
         // their new chains (durable only at the commit below).
         let mut rebuilt = Vec::with_capacity(index_keys.len());
         for key in index_keys {
-            let ord = OrdIndex::build(&table, &key.1)?;
-            let chain = match self.store.as_ref() {
-                Some(store) => Some(store.write_blob(&encode_index(&ord))?),
-                None => None,
-            };
-            rebuilt.push((key, IndexEntry { ord, chain }));
+            let entry = self.build_index(&stored.table, &key.1)?;
+            rebuilt.push((key, entry));
         }
-        let prev_stats = self.stats.insert(name.clone(), stats);
-        let prev_table = self.tables.insert(name.clone(), table);
+        let prev_table = self.tables.insert(name.clone(), stored);
         let mut prev_entries = Vec::new();
         for (key, entry) in rebuilt {
             let prev = self.indexes.insert(key.clone(), entry);
@@ -497,10 +503,6 @@ impl Catalog {
                 Some(t) => self.tables.insert(name.clone(), t),
                 None => self.tables.remove(&name),
             };
-            match prev_stats {
-                Some(s) => self.stats.insert(name.clone(), s),
-                None => self.stats.remove(&name),
-            };
             for (key, prev) in prev_entries {
                 match prev {
                     Some(p) => self.indexes.insert(key, p),
@@ -510,6 +512,17 @@ impl Catalog {
             return Err(e);
         }
         Ok(())
+    }
+
+    /// Build the index on `table.attr` and, when persistent, write its
+    /// chain (durable only at the next commit).
+    fn build_index(&self, table: &Table, attr: &str) -> Result<IndexEntry> {
+        let ord = Arc::new(OrdIndex::build(table, attr)?);
+        let chain = match self.store.as_ref() {
+            Some(store) => Some(store.write_blob(&encode_index(&ord))?),
+            None => None,
+        };
+        Ok(IndexEntry { ord, chain })
     }
 
     /// Every page the displaced table owned (empty for transient catalogs
@@ -523,26 +536,33 @@ impl Catalog {
 
     /// Compute statistics for an incoming table and, when persistent,
     /// write its rows through the store, returning the (possibly now
-    /// disk-backed) table to catalog.
-    fn prepare(&mut self, table: Table) -> Result<(Table, TableStats)> {
+    /// disk-backed) table to catalog. A row or a column type nested
+    /// deeper than the store's decoders follow is refused here, before
+    /// any page is allocated: written, it would fail on its first read.
+    fn prepare(&mut self, table: Table) -> Result<Stored> {
         let Some(store) = self.store.clone() else {
-            let stats = TableStats::compute(&table);
-            return Ok((table, stats));
+            let stats = Arc::new(TableStats::compute(&table));
+            return Ok(Stored { table, stats });
         };
-        // One pass over the rows feeds both the statistics builder and
-        // the page writer. `rows_vec` materializes disk-backed sources
-        // (e.g. copying a database) — user registrations are in-memory.
-        let rows: Vec<Record> = match table.mem_rows() {
-            Some(r) => r.to_vec(),
-            None => table.rows_vec()?,
+        // `rows_vec` materializes disk-backed sources (e.g. copying a
+        // database) — user registrations are in-memory.
+        let materialized;
+        let rows: &[Record] = match table.mem_rows() {
+            Some(rows) => rows,
+            None => {
+                materialized = table.rows_vec()?;
+                &materialized
+            }
         };
-        let mut builder =
-            crate::stats::StatsBuilder::new(table.columns().iter().map(|(n, _)| n.as_str()));
-        rows.iter().for_each(|r| builder.observe(r));
-        let stats = builder.finish();
-        let extent = Arc::new(store.write_table(&rows)?);
-        let disk = Table::disk(table.name(), table.columns().to_vec(), store, extent);
-        Ok((disk, stats))
+        table
+            .columns()
+            .iter()
+            .try_for_each(|(_, ty)| check_ty(ty))?;
+        rows.iter().try_for_each(check_nesting)?;
+        let stats = Arc::new(TableStats::of_rows(table.columns(), rows));
+        let extent = Arc::new(store.write_table(rows)?);
+        let table = Table::disk(table.name(), table.columns().to_vec(), store, extent);
+        Ok(Stored { table, stats })
     }
 
     /// Commit the current schema and table descriptors to the store
@@ -558,48 +578,50 @@ impl Catalog {
         self.sync_freeing(Vec::new())
     }
 
-    /// Commit the catalog image, handing `freed` pages (a displaced
-    /// table's extent) back to the store's free list at the commit point.
+    /// Commit the catalog image — encoded from the live catalog's parts,
+    /// borrowed — handing `freed` pages (a displaced table's extent) back
+    /// to the store's free list at the commit point.
     fn sync_freeing(&self, freed: Vec<PageId>) -> Result<()> {
         let Some(store) = self.store.as_ref() else {
             return Ok(());
         };
-        let mut image = CatalogImage {
-            schema: self.schema.clone(),
-            tables: Vec::new(),
-            indexes: Vec::new(),
+        let class_tys = self.schema.classes().iter().flat_map(|c| &c.attributes);
+        let sort_tys = self.schema.sorts().iter().map(|s| &s.ty);
+        class_tys
+            .map(|a| &a.ty)
+            .chain(sort_tys)
+            .try_for_each(check_ty)?;
+        let not_on_disk = |what: String| {
+            ModelError::Io(format!(
+                "persistent catalog holds {what} that is not on disk"
+            ))
         };
+        let mut tables = Vec::with_capacity(self.tables.len());
+        for (name, t) in &self.tables {
+            let Some((_, extent)) = t.table.disk_parts() else {
+                return Err(not_on_disk(format!("a table `{name}`")));
+            };
+            tables.push(TableParts {
+                name,
+                columns: t.table.columns(),
+                extent,
+                stats: &t.stats,
+            });
+        }
+        let mut indexes = Vec::with_capacity(self.indexes.len());
         for ((table, attr), e) in &self.indexes {
-            let (first, len) = e
-                .chain
-                .expect("every index of a persistent catalog has a chain");
-            image.indexes.push(IndexImage {
-                table: table.clone(),
-                attr: attr.clone(),
+            let Some((first, len)) = e.chain else {
+                return Err(not_on_disk(format!("an index `{table}.{attr}`")));
+            };
+            indexes.push(IndexParts {
+                table,
+                attr,
                 kind: 0,
                 first,
                 len,
             });
         }
-        for (name, table) in &self.tables {
-            let (_, extent) = table
-                .disk_parts()
-                .expect("every table of a persistent catalog is disk-backed");
-            let stats = match self.stats.get(name) {
-                Some(s) => s.clone(),
-                // Every registered table has stats; this fallback only
-                // runs for hand-assembled catalogs, and must surface a
-                // scan failure rather than persist truncated statistics.
-                None => TableStats::try_compute(table)?,
-            };
-            image.tables.push(TableImage {
-                name: name.clone(),
-                columns: table.columns().to_vec(),
-                extent: (**extent).clone(),
-                stats,
-            });
-        }
-        store.save_catalog_freeing(&image, freed)
+        store.write_catalog(&encode_parts(&self.schema, &tables, &indexes), freed)
     }
 
     /// Create a secondary (ordered) index on `table.attr`. Rows lacking
@@ -617,12 +639,8 @@ impl Catalog {
         }
         self.table(table)?;
         self.statement(|cat| {
-            let ord = OrdIndex::build(cat.table(&key.0)?, &key.1)?;
-            let chain = match cat.store.as_ref() {
-                Some(store) => Some(store.write_blob(&encode_index(&ord))?),
-                None => None,
-            };
-            cat.indexes.insert(key.clone(), IndexEntry { ord, chain });
+            let entry = cat.build_index(cat.table(&key.0)?, &key.1)?;
+            cat.indexes.insert(key.clone(), entry);
             if cat.txn.is_some() {
                 return Ok(()); // commits with the enclosing transaction
             }
@@ -667,26 +685,27 @@ impl Catalog {
     pub fn index_on(&self, table: &str, attr: &str) -> Option<&OrdIndex> {
         self.indexes
             .get(&(table.to_string(), attr.to_string()))
-            .map(|e| &e.ord)
+            .map(|e| &*e.ord)
     }
 
     /// All indexes as `(table, attr, index)`, sorted by table then attr.
     pub fn indexes(&self) -> impl Iterator<Item = (&str, &str, &OrdIndex)> {
         self.indexes
             .iter()
-            .map(|((t, a), e)| (t.as_str(), a.as_str(), &e.ord))
+            .map(|((t, a), e)| (t.as_str(), a.as_str(), &*e.ord))
     }
 
     /// Look up a table by extension name.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| ModelError::SchemaError(format!("unknown table `{name}`")))
+        match self.tables.get(name) {
+            Some(t) => Ok(&t.table),
+            None => Err(ModelError::SchemaError(format!("unknown table `{name}`"))),
+        }
     }
 
     /// Look up precomputed statistics for a table.
     pub fn stats(&self, name: &str) -> Option<&TableStats> {
-        self.stats.get(name)
+        self.tables.get(name).map(|t| &*t.stats)
     }
 
     /// The row type of a stored table, falling back to the schema's class
@@ -981,6 +1000,97 @@ mod tests {
                 .unwrap(),
             &Value::Int(9)
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rollback_gives_back_the_very_indexes_and_statistics_it_found() {
+        // A snapshot shares what it snapshots: `begin` bumps reference
+        // counts whatever the index holds, and a rollback restores the
+        // same allocations, not copies of them.
+        let path = scratch("txn-shared");
+        let rows: Vec<Vec<i64>> = (0..300).map(|i| vec![i, i % 13]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut cat = Catalog::open(&path, 16).unwrap();
+        cat.register(int_table("R", &["a", "b"], &refs)).unwrap();
+        cat.create_index("R", "b").unwrap();
+        let index: *const OrdIndex = cat.index_on("R", "b").unwrap();
+        let stats: *const TableStats = cat.stats("R").unwrap();
+
+        cat.begin().unwrap();
+        cat.replace(int_table("R", &["a", "b"], &[&[1, 2]]))
+            .unwrap();
+        cat.create_index("R", "a").unwrap();
+        assert!(!std::ptr::eq(cat.index_on("R", "b").unwrap(), index));
+        assert_eq!(cat.stats("R").unwrap().cardinality, 1);
+        cat.rollback().unwrap();
+
+        assert!(std::ptr::eq(cat.index_on("R", "b").unwrap(), index));
+        assert!(std::ptr::eq(cat.stats("R").unwrap(), stats));
+        assert!(cat.index_on("R", "a").is_none());
+        assert_eq!(cat.stats("R").unwrap().cardinality, 300);
+        assert_eq!(cat.index_on("R", "b").unwrap().len(), 300);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `depth` containers of one kind around an integer.
+    fn nested(kind: usize, depth: usize) -> tmql_model::Value {
+        use tmql_model::Value;
+        (0..depth).fold(Value::Int(7), |v, _| match kind {
+            0 => Value::set([v]),
+            1 => Value::List(vec![v]),
+            2 => Value::tuple([("f", v)]),
+            _ => Value::Variant(Arc::from("alt"), Box::new(v)),
+        })
+    }
+
+    #[test]
+    fn a_row_the_store_could_not_read_back_is_refused_before_it_is_written() {
+        // 128 levels is what every decoder follows. One more could be
+        // encoded — the encoder cannot fail — and never read again.
+        let path = scratch("nesting");
+        let mut cat = Catalog::open(&path, 16).unwrap();
+        cat.register(int_table("keep", &["a"], &[&[1]])).unwrap();
+        let deep = |name: &str, kind, depth| {
+            let row = Record::new([("n", tmql_model::Value::Int(1)), ("v", nested(kind, depth))]);
+            let columns = vec![("n".into(), Ty::Int), ("v".into(), Ty::Any)];
+            Table::from_rows(name, columns, [row.unwrap()]).unwrap()
+        };
+        for kind in 0..4 {
+            let before = (cat.free_list_len(), cat.wal_activity());
+            let err = cat.register(deep("deep", kind, 129)).unwrap_err();
+            assert!(matches!(err, ModelError::SchemaError(_)), "{err}");
+            assert!(err.to_string().contains("128"), "{err}");
+            assert!(cat.table("deep").is_err());
+            assert_eq!((cat.free_list_len(), cat.wal_activity()), before);
+
+            let name = format!("ok{kind}");
+            let table = deep(&name, kind, 128);
+            let rows = table.rows_vec().unwrap();
+            cat.register(table).unwrap();
+            assert_eq!(cat.table(&name).unwrap().rows_vec().unwrap(), rows);
+        }
+        // A column type is held to the same limit.
+        let ty = |depth| (0..depth).fold(Ty::Int, |t, _| Ty::Set(Box::new(t)));
+        let typed = |depth| Table::new("typed", vec![("s".into(), ty(depth))]);
+        let err = cat.register(typed(129)).unwrap_err();
+        assert!(matches!(err, ModelError::SchemaError(_)), "{err}");
+        cat.register(typed(128)).unwrap();
+        // So is a type of the schema, which rides in every catalog image.
+        let sort = |depth| tmql_model::schema::SortDef {
+            name: format!("S{depth}"),
+            ty: ty(depth),
+        };
+        cat.schema_mut().add_sort(sort(128)).unwrap();
+        cat.sync().unwrap();
+        cat.schema_mut().add_sort(sort(129)).unwrap();
+        let err = cat.sync().unwrap_err();
+        assert!(matches!(err, ModelError::SchemaError(_)), "{err}");
+        drop(cat);
+        let cat = Catalog::open(&path, 16).unwrap();
+        assert_eq!(cat.table_names().count(), 6, "everything accepted reopens");
+        assert_eq!(cat.table("ok2").unwrap().rows_vec().unwrap().len(), 1);
+        assert_eq!(cat.schema().sorts().len(), 1, "the last good commit");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -269,12 +269,20 @@ fn golden_header() -> Vec<u8> {
     meta.encode(&[3, 4, 8])
 }
 
-/// The WAL file after one page record and one commit record.
+/// A commit record's payload, as the log frames it.
+fn commit_bytes(commit: &CommitRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    commit.encode_into(&mut out);
+    out
+}
+
+/// The WAL file after one batch of a page record and a commit record.
 fn golden_wal() -> Vec<u8> {
     let path = scratch_file("golden.wal");
     let mut wal = Wal::open(&path).unwrap();
-    wal.append_page(3, &golden_page_image()).unwrap();
-    wal.append_commit(&golden_commit()).unwrap();
+    let mut batch = wal.batch();
+    batch.page(3, &golden_page_image());
+    batch.commit(&golden_commit()).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     bytes
@@ -343,7 +351,7 @@ fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
     assert_eq!(hex(&encode_record(&golden_row())), GOLDEN_RECORD);
     assert_eq!(hex(&encode_catalog(&golden_catalog())), GOLDEN_CATALOG);
     assert_eq!(hex(&encode_index(&golden_index())), GOLDEN_INDEX);
-    assert_eq!(hex(&golden_commit().encode()), GOLDEN_COMMIT);
+    assert_eq!(hex(&commit_bytes(&golden_commit())), GOLDEN_COMMIT);
 
     let wal = golden_wal();
     let (page_head, rest) = wal.split_at(GOLDEN_WAL_PAGE_HEAD.len() / 2);
@@ -386,6 +394,45 @@ fn the_pinned_bytes_decode_to_their_inputs() {
     assert_eq!(scan.txns[0].pages, vec![(3, golden_page_image())]);
 }
 
+#[test]
+fn a_batch_torn_at_any_byte_is_no_transaction_and_takes_no_earlier_one_with_it() {
+    // A commit's records are one write. Wherever a crash cuts it, replay
+    // finds the transactions before it whole and nothing of this one: its
+    // records are checksummed one by one, and the commit record is last.
+    let path = scratch_file("torn-batch.wal");
+    let mut wal = Wal::open(&path).unwrap();
+    wal.batch().commit(&golden_commit()).unwrap();
+    let first = wal.bytes() as usize;
+    let mut batch = wal.batch();
+    batch.page(3, &golden_page_image());
+    batch.page(4, &golden_page_image());
+    batch
+        .commit(&CommitRecord {
+            next_page: 11,
+            ..golden_commit()
+        })
+        .unwrap();
+    let log = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let frame = GOLDEN_WAL_PAGE_HEAD.len() / 2 + PAGE_SIZE;
+    assert_eq!(log.len(), 2 * first + 2 * frame);
+    for cut in first..log.len() {
+        let scan = scan_bytes(&log[..cut]);
+        assert_eq!(scan.txns.len(), 1, "cut at {cut}");
+        assert_eq!(scan.txns[0].commit, golden_commit());
+        assert!(scan.txns[0].pages.is_empty());
+        assert_eq!(scan.discarded_bytes, (cut - first) as u64);
+        // The whole page records before the cut, and the record it fell in.
+        let whole = ((cut - first) / frame).min(2);
+        let torn = usize::from(cut - first > whole * frame);
+        assert_eq!(scan.discarded_records, whole + torn, "cut at {cut}");
+    }
+    let scan = scan_bytes(&log);
+    assert_eq!((scan.txns.len(), scan.discarded_bytes), (2, 0));
+    assert_eq!(scan.txns[1].pages.len(), 2);
+    assert_eq!(scan.txns[1].commit.next_page, 11);
+}
+
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
         .step_by(2)
@@ -422,10 +469,11 @@ fn committed_log(log: &[u8]) -> Vec<u8> {
     let path = scratch_file("relog");
     let mut wal = Wal::open(&path).unwrap();
     for txn in scan_bytes(log).txns {
+        let mut batch = wal.batch();
         for (pid, image) in &txn.pages {
-            wal.append_page(*pid, image).unwrap();
+            batch.page(*pid, image);
         }
-        wal.append_commit(&txn.commit).unwrap();
+        batch.commit(&txn.commit).unwrap();
     }
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
@@ -453,7 +501,7 @@ const VALUE: Decoder = ("value", |b| {
 });
 const CATALOG: Decoder = ("catalog", |b| decode_catalog(b).map(|c| encode_catalog(&c)));
 const INDEX: Decoder = ("index", |b| decode_index("k", b).map(|i| encode_index(&i)));
-const COMMIT: Decoder = ("commit", |b| decode_commit(b).map(|c| c.encode()));
+const COMMIT: Decoder = ("commit", |b| decode_commit(b).map(|c| commit_bytes(&c)));
 const HEADER: Decoder = ("header", |b| {
     Meta::decode(b).map(|(meta, free)| meta.encode(&free))
 });
@@ -571,7 +619,7 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     check_corruptions(CATALOG, &catalog, everywhere(&catalog));
     let index = encode_index(&golden_index());
     check_corruptions(INDEX, &index, everywhere(&index));
-    let commit = golden_commit().encode();
+    let commit = commit_bytes(&golden_commit());
     check_corruptions(COMMIT, &commit, everywhere(&commit));
     // The header's fields and free list; the zero padding after them is
     // never read.
@@ -644,7 +692,7 @@ fn a_damaged_run_is_an_io_error_whichever_way_its_frames_and_its_handle_disagree
 /// The counted runs at the front of each format: `(decoder, valid bytes,
 /// offset of the count, fewest bytes per counted element)`.
 fn leading_counts() -> [(Decoder, Vec<u8>, usize, usize); 6] {
-    let commit = golden_commit().encode();
+    let commit = commit_bytes(&golden_commit());
     [
         (RECORD, encode_record(&golden_row()), 0, 5),
         (CATALOG, encode_catalog(&golden_catalog()), 0, 12),

@@ -19,19 +19,19 @@
 //!   write-back), table extents, and the persisted catalog image;
 //! * [`stats::TableStats`] — cardinality, distinct counts, min/max,
 //!   equi-width histograms, null/empty-set fractions, and set-valued
-//!   fan-out per column, accumulated incrementally on registration
-//!   (switching to reservoir sampling past
-//!   [`stats::STATS_SAMPLE_THRESHOLD`] rows) and consumed by the
-//!   cost-based optimizer and physical planner;
+//!   fan-out per column, built on registration a column at a time
+//!   (from a reservoir sample past [`stats::STATS_SAMPLE_THRESHOLD`]
+//!   rows) and consumed by the cost-based optimizer and physical
+//!   planner;
 //! * [`index`] — hash and ordered indexes over one attribute.
 //!   [`Catalog::create_index`] builds an [`OrdIndex`], persists it
 //!   through the pager, and rebuilds it on register/replace
 //!   write-through; the executor's `IndexScan`/`IndexNLJoin` operators
 //!   probe it instead of scanning when the planner's crossover favors
 //!   probes;
-//! * [`wal`] — the write-ahead log: page-image + commit redo records
-//!   fsynced before any write-back, replayed on open, truncated at
-//!   checkpoints. [`Catalog::begin`]/[`Catalog::commit`]/
+//! * [`wal`] — the write-ahead log: page-image + commit redo records,
+//!   one batch and one write per commit, fsynced before any write-back,
+//!   replayed on open, truncated at checkpoints. [`Catalog::begin`]/[`Catalog::commit`]/
 //!   [`Catalog::rollback`] make register/replace/create_index atomic
 //!   multi-statement units on top of it;
 //! * [`failpoint`] — the fault-injection seam over the pager's and the

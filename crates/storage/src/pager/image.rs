@@ -18,7 +18,8 @@ use tmql_model::{Result, Ty, Value};
 use super::page::PageId;
 use super::store::TableExtent;
 use crate::bytes::{
-    put_f64, put_len, put_len_prefixed, put_str, put_u16, put_u32, put_u64, put_u8, Reader,
+    put_f64, put_len, put_len_prefixed, put_str, put_u16, put_u32, put_u64, put_u8,
+    too_deep_to_store, Reader, MAX_NESTING,
 };
 use crate::spill::{encode_value, read_value};
 use crate::stats::{ColumnStats, Histogram, TableStats};
@@ -80,6 +81,25 @@ mod ty_tag {
     pub const VARIANT: u8 = 7;
     pub const CLASS: u8 = 8;
     pub const ANY: u8 = 9;
+}
+
+/// Refuse a type that nests more compound levels than the decoder will
+/// follow ([`MAX_NESTING`]): written, it would leave a catalog that no
+/// open can read.
+pub(crate) fn check_ty(ty: &Ty) -> Result<()> {
+    fn fits(ty: &Ty, budget: u32) -> bool {
+        match ty {
+            Ty::Tuple(items) | Ty::Variant(items) => {
+                budget > 0 && items.iter().all(|(_, t)| fits(t, budget - 1))
+            }
+            Ty::Set(t) | Ty::List(t) => budget > 0 && fits(t, budget - 1),
+            _ => true,
+        }
+    }
+    match fits(ty, MAX_NESTING) {
+        true => Ok(()),
+        false => Err(too_deep_to_store("type")),
+    }
 }
 
 fn put_ty(out: &mut Vec<u8>, ty: &Ty) {
@@ -168,12 +188,56 @@ fn put_table_stats(out: &mut Vec<u8>, s: &TableStats) {
     }
 }
 
+/// What the encoder reads of one table, borrowed: a commit encodes the
+/// live catalog without first copying it into a [`CatalogImage`].
+pub(crate) struct TableParts<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) columns: &'a [(String, Ty)],
+    pub(crate) extent: &'a TableExtent,
+    pub(crate) stats: &'a TableStats,
+}
+
+/// What the encoder reads of one index (the fields of an [`IndexImage`]).
+pub(crate) struct IndexParts<'a> {
+    pub(crate) table: &'a str,
+    pub(crate) attr: &'a str,
+    pub(crate) kind: u8,
+    pub(crate) first: PageId,
+    pub(crate) len: u64,
+}
+
 /// Serialize a catalog image into one blob.
 pub fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
+    let tables = img.tables.iter().map(|t| TableParts {
+        name: &t.name,
+        columns: &t.columns,
+        extent: &t.extent,
+        stats: &t.stats,
+    });
+    let indexes = img.indexes.iter().map(|ix| IndexParts {
+        table: &ix.table,
+        attr: &ix.attr,
+        kind: ix.kind,
+        first: ix.first,
+        len: ix.len,
+    });
+    encode_parts(
+        &img.schema,
+        &tables.collect::<Vec<_>>(),
+        &indexes.collect::<Vec<_>>(),
+    )
+}
+
+/// [`encode_catalog`] over borrowed parts.
+pub(crate) fn encode_parts(
+    schema: &Schema,
+    tables: &[TableParts<'_>],
+    indexes: &[IndexParts<'_>],
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
     // Schema: classes then sorts.
-    put_len(&mut out, img.schema.classes().len());
-    for c in img.schema.classes() {
+    put_len(&mut out, schema.classes().len());
+    for c in schema.classes() {
         put_str(&mut out, &c.name);
         put_str(&mut out, &c.extension);
         put_len(&mut out, c.attributes.len());
@@ -182,29 +246,29 @@ pub fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
             put_ty(&mut out, &a.ty);
         }
     }
-    put_len(&mut out, img.schema.sorts().len());
-    for s in img.schema.sorts() {
+    put_len(&mut out, schema.sorts().len());
+    for s in schema.sorts() {
         put_str(&mut out, &s.name);
         put_ty(&mut out, &s.ty);
     }
     // Tables.
-    put_len(&mut out, img.tables.len());
-    for t in &img.tables {
-        put_str(&mut out, &t.name);
-        put_labelled_tys(&mut out, &t.columns);
+    put_len(&mut out, tables.len());
+    for t in tables {
+        put_str(&mut out, t.name);
+        put_labelled_tys(&mut out, t.columns);
         put_u64(&mut out, t.extent.rows);
         put_len(&mut out, t.extent.pages.len());
         for &(pid, rows) in &t.extent.pages {
             put_u32(&mut out, pid);
             put_u16(&mut out, rows);
         }
-        put_table_stats(&mut out, &t.stats);
+        put_table_stats(&mut out, t.stats);
     }
     // Indexes (trailing section; absent in pre-index files).
-    put_len(&mut out, img.indexes.len());
-    for ix in &img.indexes {
-        put_str(&mut out, &ix.table);
-        put_str(&mut out, &ix.attr);
+    put_len(&mut out, indexes.len());
+    for ix in indexes {
+        put_str(&mut out, ix.table);
+        put_str(&mut out, ix.attr);
         put_u8(&mut out, ix.kind);
         put_u32(&mut out, ix.first);
         put_u64(&mut out, ix.len);

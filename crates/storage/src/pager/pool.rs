@@ -39,6 +39,13 @@
 //!
 //! Guards release the data latch **before** dropping their pin, so a pin
 //! count of zero implies no outstanding latch holders.
+//!
+//! A frame's page buffer is allocated when the frame is first claimed, so
+//! a pool pays for the frames it has used, not for its capacity. Victim
+//! selection, still under the map lock, takes a frame [`BufferPool::discard`]
+//! emptied before one never used, and one never used before evicting:
+//! a workload that keeps replacing what it wrote cycles through the same
+//! few buffers instead of walking the clock hand across the whole pool.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -79,7 +86,9 @@ impl PoolStats {
 /// bookkeeping victim selection reads without latching.
 #[derive(Debug)]
 struct Frame {
-    /// The page bytes. Shared for readers, exclusive for fault-in/install.
+    /// The page bytes ([`PAGE_SIZE`] of them once the frame has been
+    /// claimed, none before). Shared for readers, exclusive for
+    /// fault-in/install.
     data: RwLock<Box<[u8]>>,
     /// Pin count: non-zero keeps the frame out of victim selection.
     pins: AtomicU32,
@@ -99,6 +108,13 @@ struct Frame {
 struct MapState {
     map: HashMap<PageId, usize>,
     clock: usize,
+    /// Frames `..used` have been claimed at least once (and own a
+    /// buffer); the clock sweeps only those.
+    used: usize,
+    /// Frames emptied by `discard` or a failed fault, newest last. An
+    /// entry whose frame holds a page again (the clock got there first)
+    /// is stale and dropped when met.
+    free: Vec<usize>,
     /// Bumped by every insertion into and removal from `map`: what was
     /// resident at one epoch is resident for as long as the epoch stands.
     epoch: u64,
@@ -178,7 +194,7 @@ impl BufferPool {
         BufferPool {
             frames: (0..capacity)
                 .map(|_| Frame {
-                    data: RwLock::new(vec![0u8; PAGE_SIZE].into_boxed_slice()),
+                    data: RwLock::default(),
                     pins: AtomicU32::new(0),
                     page: AtomicU32::new(NO_PAGE),
                     dirty: AtomicBool::new(false),
@@ -250,16 +266,51 @@ impl BufferPool {
             .sum()
     }
 
-    /// Under the map lock: sweep the clock for an evictable frame —
-    /// unpinned, second chance spent, exclusive latch available without
-    /// waiting. Claims the dirty bit (see module docs) and returns the
-    /// latch, the frame index, the displaced page (if any), and whether
-    /// its bytes still need writing back.
+    /// Total frames that own a page buffer (test/diagnostic hook).
+    pub fn allocated_frames(&self) -> usize {
+        self.lock_map().used
+    }
+
+    /// The frame's exclusive latch, if nobody pins or holds it.
+    fn try_claim(f: &Frame) -> Option<RwLockWriteGuard<'_, Box<[u8]>>> {
+        if f.pins.load(Ordering::SeqCst) != 0 {
+            return None;
+        }
+        match f.data.try_write() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Under the map lock: claim a frame for a new page — one a discard
+    /// emptied, else one never used (allocating its buffer), else the
+    /// clock's choice among the used ones: unpinned, second chance spent,
+    /// exclusive latch available without waiting. Claims the dirty bit
+    /// (see module docs) and returns the latch, the frame index, the
+    /// displaced page (if any), and whether its bytes still need writing
+    /// back.
     #[allow(clippy::type_complexity)]
     fn victim(
         &self,
         m: &mut MapState,
     ) -> Result<(usize, RwLockWriteGuard<'_, Box<[u8]>>, Option<PageId>, bool)> {
+        for at in (0..m.free.len()).rev() {
+            let i = m.free[at];
+            let f = &self.frames[i];
+            if f.page.load(Ordering::SeqCst) != NO_PAGE {
+                m.free.swap_remove(at);
+            } else if let Some(g) = BufferPool::try_claim(f) {
+                m.free.swap_remove(at);
+                return Ok((i, g, None, false));
+            }
+        }
+        if let Some(f) = self.frames.get(m.used) {
+            let mut g = f.data.write().unwrap_or_else(|e| e.into_inner());
+            *g = vec![0u8; PAGE_SIZE].into_boxed_slice();
+            m.used += 1;
+            return Ok((m.used - 1, g, None, false));
+        }
         for _ in 0..3 * self.frames.len() {
             let i = m.clock;
             m.clock = (m.clock + 1) % self.frames.len();
@@ -270,10 +321,8 @@ impl BufferPool {
             if f.referenced.swap(false, Ordering::SeqCst) {
                 continue;
             }
-            let g = match f.data.try_write() {
-                Ok(g) => g,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => continue,
+            let Some(g) = BufferPool::try_claim(f) else {
+                continue;
             };
             let old = match f.page.load(Ordering::SeqCst) {
                 NO_PAGE => None,
@@ -315,6 +364,7 @@ impl BufferPool {
             m.map.remove(&page);
             m.epoch += 1;
             self.frames[idx].page.store(NO_PAGE, Ordering::SeqCst);
+            m.free.push(idx);
         }
     }
 
@@ -451,7 +501,7 @@ impl BufferPool {
     /// shared).
     pub fn flush(&self, file: &PagedFile) -> Result<()> {
         let m = self.lock_map();
-        for f in &self.frames {
+        for f in &self.frames[..m.used] {
             let page = f.page.load(Ordering::SeqCst);
             if page == NO_PAGE || !f.dirty.swap(false, Ordering::SeqCst) {
                 continue;
@@ -477,6 +527,7 @@ impl BufferPool {
                 f.page.store(NO_PAGE, Ordering::SeqCst);
                 f.dirty.store(false, Ordering::SeqCst);
                 f.referenced.store(false, Ordering::SeqCst);
+                m.free.push(idx);
             }
         }
     }
@@ -608,6 +659,51 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         file.read_page(1, &mut buf).unwrap();
         assert_eq!(buf[0], 1, "file bytes untouched");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A table of `live` pages replaced `generations` times: the new
+    /// pages installed, then the ones they supersede discarded.
+    fn replace_loop(pool: &BufferPool, file: &PagedFile, generations: u32, live: u32) {
+        for g in 0..generations {
+            let first = g * live + 1;
+            for pid in first..first + live {
+                pool.install(pid, &[pid as u8; PAGE_SIZE], file).unwrap();
+            }
+            pool.discard(first.saturating_sub(live)..first);
+        }
+    }
+
+    #[test]
+    fn frames_are_allocated_as_claimed_and_discarded_ones_are_claimed_first() {
+        let path = scratch("lazy");
+        let file = file_with_pages(&path, 1);
+        let pool = BufferPool::new(4096);
+        assert_eq!(pool.allocated_frames(), 0, "capacity costs nothing");
+        // One reader keeps a discarded page pinned throughout.
+        pool.install(9_999_999, &[7; PAGE_SIZE], &file).unwrap();
+        let pinned = pool.read(9_999_999, &file).unwrap();
+        pool.discard([9_999_999].into_iter());
+        replace_loop(&pool, &file, 3_334, 3); // 10 002 installs
+        assert_eq!(pinned[0], 7, "a pinned frame is nobody's victim");
+        assert!(
+            pool.allocated_frames() <= 3 + 3 + 1,
+            "{} frames for three live pages, the three replacing them and a pin",
+            pool.allocated_frames()
+        );
+        assert_eq!(pool.stats().evictions, 0);
+        assert!(pool.is_resident(10_002) && !pool.is_resident(9_999));
+        drop(pinned);
+        // The smallest pool: a discarded frame, then eviction.
+        let pool = BufferPool::new(2);
+        replace_loop(&pool, &file, 100, 1);
+        assert_eq!(pool.allocated_frames(), 2);
+        assert_eq!(pool.read(100, &file).unwrap()[0], 100);
+        pool.install(200, &[200; PAGE_SIZE], &file).unwrap();
+        pool.install(201, &[201; PAGE_SIZE], &file).unwrap();
+        assert_eq!(pool.stats().evictions, 1, "only once nothing was free");
+        assert!(pool.is_resident(201));
+        assert_eq!(pool.pinned_frames(), 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -54,16 +54,18 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 use tmql_model::{ModelError, Record, Result};
+use tmql_obs::{Histogram, MetricsRegistry};
 
 use super::image::{decode_catalog, encode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use super::pool::{BufferPool, PoolStats};
 use crate::bytes::{put_len, put_u16, put_u32, put_u64, Reader};
 use crate::failpoint::{self, IoOp, WriteCheck};
-use crate::spill::{encode_record, RecordDecoder};
+use crate::spill::{encode_record_into, RecordDecoder};
 use crate::wal::{CommitRecord, RecoveryReport, Wal, WalActivity};
 
 /// Default buffer-pool capacity in pages (2 MiB at the 8 KiB page size).
@@ -319,7 +321,12 @@ impl TableExtent {
 #[derive(Debug, Default)]
 struct TableBuild {
     pages: Vec<(PageId, u16)>,
-    cur: Option<(PageId, Box<[u8]>)>,
+    /// The id of the page being filled, if one is open; its bytes are
+    /// `buf`, which every page of the build reuses, as every row does
+    /// `row` for its encoding.
+    cur: Option<PageId>,
+    buf: Vec<u8>,
+    row: Vec<u8>,
     rows_in_cur: u16,
     rows: u64,
 }
@@ -348,8 +355,24 @@ pub struct PagedStore {
     checkpoints: AtomicU64,
     /// What recovery found when this store was opened.
     recovery: RecoveryReport,
+    /// Where commit, fsync and checkpoint latencies are recorded, once a
+    /// registry asked for them.
+    latencies: OnceLock<Latencies>,
     path: PathBuf,
 }
+
+/// The write path's latency histograms, in microseconds.
+#[derive(Debug)]
+struct Latencies {
+    commit: Histogram,
+    wal_fsync: Histogram,
+    checkpoint: Histogram,
+}
+
+/// Upper bucket bounds of the write path's latency histograms (µs).
+const LATENCY_BOUNDS_MICROS: &[u64] = &[
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000,
+];
 
 impl PagedStore {
     /// Create a fresh database file (and an empty write-ahead log,
@@ -388,6 +411,7 @@ impl PagedStore {
                 discarded_records: 0,
                 discarded_bytes: 0,
             },
+            latencies: OnceLock::new(),
             path,
         }))
     }
@@ -450,6 +474,7 @@ impl PagedStore {
                 discarded_records: scan.discarded_records,
                 discarded_bytes: scan.discarded_bytes,
             },
+            latencies: OnceLock::new(),
             path: path.to_path_buf(),
         });
         if dirty {
@@ -541,17 +566,19 @@ impl PagedStore {
 
     // -- writing ------------------------------------------------------------
 
-    fn start_data_page(&self, build: &mut TableBuild) {
-        let pid = self.alloc();
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        page::init_data(&mut buf);
-        build.cur = Some((pid, buf));
-        build.rows_in_cur = 0;
+    /// Seal the page being filled (if any) and open a fresh one.
+    fn next_data_page(&self, build: &mut TableBuild) -> Result<()> {
+        self.seal_data_page(build)?;
+        build.buf.clear();
+        build.buf.resize(PAGE_SIZE, 0);
+        page::init_data(&mut build.buf);
+        build.cur = Some(self.alloc());
+        Ok(())
     }
 
     fn seal_data_page(&self, build: &mut TableBuild) -> Result<()> {
-        if let Some((pid, buf)) = build.cur.take() {
-            self.pool.install(pid, &buf, &self.file)?;
+        if let Some(pid) = build.cur.take() {
+            self.pool.install(pid, &build.buf, &self.file)?;
             build.pages.push((pid, build.rows_in_cur));
             build.rows_in_cur = 0;
         }
@@ -560,34 +587,27 @@ impl PagedStore {
 
     /// Append one encoded record to an in-progress table build.
     fn append_row(&self, build: &mut TableBuild, rec: &Record) -> Result<()> {
-        let bytes = encode_record(rec);
-        if build.cur.is_none() {
-            self.start_data_page(build);
-        }
-        if bytes.len() <= page::MAX_INLINE {
-            if !page::fits_inline(&build.cur.as_ref().expect("open page").1, bytes.len()) {
-                self.seal_data_page(build)?;
-                self.start_data_page(build);
+        encode_record_into(&mut build.row, rec);
+        let len = build.row.len();
+        if len <= page::MAX_INLINE {
+            if build.cur.is_none() || !page::fits_inline(&build.buf, len) {
+                self.next_data_page(build)?;
             }
-            let (_, buf) = build.cur.as_mut().expect("open page");
-            page::push_inline(buf, &bytes);
+            page::push_inline(&mut build.buf, &build.row);
         } else {
             // Oversized record: spill its bytes into an overflow chain,
             // then reference the chain from the data page.
-            let total = u32::try_from(bytes.len()).map_err(|_| {
+            let total = u32::try_from(len).map_err(|_| {
                 ModelError::Io(format!(
-                    "row too large: one record encodes to {} bytes (max {})",
-                    bytes.len(),
+                    "row too large: one record encodes to {len} bytes (max {})",
                     u32::MAX
                 ))
             })?;
-            let first = self.write_chain(&bytes)?;
-            if !page::fits_overflow_ref(&build.cur.as_ref().expect("open page").1) {
-                self.seal_data_page(build)?;
-                self.start_data_page(build);
+            let first = self.write_chain(&build.row)?;
+            if build.cur.is_none() || !page::fits_overflow_ref(&build.buf) {
+                self.next_data_page(build)?;
             }
-            let (_, buf) = build.cur.as_mut().expect("open page");
-            page::push_overflow_ref(buf, first, total);
+            page::push_overflow_ref(&mut build.buf, first, total);
         }
         build.rows_in_cur += 1;
         build.rows += 1;
@@ -825,8 +845,9 @@ impl PagedStore {
     /// state; the WAL fsync is the durability point. `freed` pages —
     /// plus the superseded catalog chain — are quarantined until the
     /// next checkpoint (see the module's durability rules).
-    fn write_catalog(&self, blob: &[u8], mut freed: Vec<PageId>) -> Result<()> {
+    pub(crate) fn write_catalog(&self, blob: &[u8], mut freed: Vec<PageId>) -> Result<()> {
         let _w = self.write_lock();
+        let started = Instant::now();
         // The chain being superseded is freed by this commit too.
         let (old_first, old_len) = {
             let st = self.state();
@@ -859,14 +880,16 @@ impl PagedStore {
         };
         {
             let mut wal = self.wal();
+            let mut batch = wal.batch();
             for &pid in &to_log {
-                let g = self.pool.read(pid, &self.file)?;
-                wal.append_page(pid, &g)?;
+                batch.page(pid, &self.pool.read(pid, &self.file)?);
             }
-            wal.append_commit(&commit)?;
+            batch.commit(&commit)?;
             // The durability point: after this fsync the transaction
             // survives any crash, before it none of it does.
+            let appended = Instant::now();
             wal.sync()?;
+            self.observe(|l| &l.wal_fsync, appended);
         }
         {
             let mut st = self.state();
@@ -880,6 +903,7 @@ impl PagedStore {
         // from here on; drop any resident copies so stale frames never
         // shadow later contents.
         self.pool.discard(freed.into_iter());
+        self.observe(|l| &l.commit, started);
         // The commit is durable in the log; a checkpoint failure must
         // not un-commit it, so it is swallowed here and the checkpoint
         // retried at the next commit or at close.
@@ -901,14 +925,7 @@ impl PagedStore {
 
     /// Persist the catalog image (the commit point of register/replace).
     pub fn save_catalog(&self, image: &CatalogImage) -> Result<()> {
-        self.save_catalog_freeing(image, Vec::new())
-    }
-
-    /// Persist the catalog image, returning `freed` pages (a replaced
-    /// table's extent and overflow chains) to the free list at the next
-    /// checkpoint after the commit.
-    pub fn save_catalog_freeing(&self, image: &CatalogImage, freed: Vec<PageId>) -> Result<()> {
-        self.write_catalog(&encode_catalog(image), freed)
+        self.write_catalog(&encode_catalog(image), Vec::new())
     }
 
     // -- checkpointing -------------------------------------------------------
@@ -927,6 +944,7 @@ impl PagedStore {
         if idle {
             return Ok(());
         }
+        let started = Instant::now();
         self.pool.flush(&self.file)?;
         self.file.sync()?;
         {
@@ -945,6 +963,7 @@ impl PagedStore {
         self.file.sync()?;
         self.wal().reset()?;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.observe(|l| &l.checkpoint, started);
         Ok(())
     }
 
@@ -985,6 +1004,35 @@ impl PagedStore {
     }
 
     // -- introspection ------------------------------------------------------
+
+    /// Record the write path's latencies into `reg` from now on:
+    /// `tmql_commit_micros` (a catalog commit: new catalog chain, WAL
+    /// batch, fsync), `tmql_wal_fsync_micros` (the fsync alone) and
+    /// `tmql_checkpoint_micros`. Only the first registry to ask is served.
+    pub fn register_latencies(&self, reg: &MetricsRegistry) {
+        self.latencies.get_or_init(|| {
+            let histogram = |name, help| reg.histogram(name, help, LATENCY_BOUNDS_MICROS);
+            Latencies {
+                commit: histogram(
+                    "tmql_commit_micros",
+                    "Catalog commit latency in microseconds (WAL batch and fsync included)",
+                ),
+                wal_fsync: histogram("tmql_wal_fsync_micros", "WAL fsync latency in microseconds"),
+                checkpoint: histogram(
+                    "tmql_checkpoint_micros",
+                    "Checkpoint latency in microseconds (flush, two file syncs, WAL truncation)",
+                ),
+            }
+        });
+    }
+
+    /// Record the time since `started` in one of the latency histograms,
+    /// if a registry asked for them.
+    fn observe(&self, which: impl Fn(&Latencies) -> &Histogram, started: Instant) {
+        if let Some(l) = self.latencies.get() {
+            which(l).observe(started.elapsed().as_micros() as u64);
+        }
+    }
 
     /// Cumulative buffer-pool counters.
     pub fn pool_stats(&self) -> PoolStats {

@@ -68,7 +68,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tmql_model::{ModelError, Record, Result, SetValue, Value};
 
-use crate::bytes::{put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, Reader};
+use crate::bytes::{
+    put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, too_deep_to_store, Reader,
+    MAX_NESTING,
+};
 use crate::failpoint::{self, IoOp, WriteCheck};
 
 // ---------------------------------------------------------------------------
@@ -146,6 +149,32 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     encode_fields(&mut out, rec);
     out
+}
+
+/// [`encode_record`] into a buffer the caller reuses from row to row.
+pub(crate) fn encode_record_into(out: &mut Vec<u8>, rec: &Record) {
+    out.clear();
+    encode_fields(out, rec);
+}
+
+/// Refuse a row whose values nest more container levels than the decoder
+/// will follow ([`MAX_NESTING`]). The language cannot build one, the Rust
+/// API can, and the encoder is infallible: unchecked, the row is written
+/// and fails on its first read.
+pub(crate) fn check_nesting(rec: &Record) -> Result<()> {
+    fn fits(v: &Value, budget: u32) -> bool {
+        match v {
+            Value::Tuple(rec) => budget > 0 && rec.iter().all(|(_, v)| fits(v, budget - 1)),
+            Value::Set(items) => budget > 0 && items.iter().all(|v| fits(v, budget - 1)),
+            Value::List(items) => budget > 0 && items.iter().all(|v| fits(v, budget - 1)),
+            Value::Variant(_, inner) => budget > 0 && fits(inner, budget - 1),
+            _ => true,
+        }
+    }
+    match rec.iter().all(|(_, v)| fits(v, MAX_NESTING)) {
+        true => Ok(()),
+        false => Err(too_deep_to_store("value")),
+    }
 }
 
 /// Decoder for a stream of records (one spill run, one page batch) that

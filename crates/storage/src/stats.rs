@@ -1,9 +1,12 @@
 //! Table statistics for the cost-based optimizer and physical planner.
 //!
-//! Statistics are accumulated **incrementally**: [`StatsBuilder`] observes
-//! one row at a time, so [`crate::Catalog::register`] /
-//! [`crate::Catalog::replace`] make a single pass over the table instead
-//! of one pass per column. The finished [`TableStats`] carry, per column:
+//! Statistics are built **a column at a time** over rows that are held
+//! anyway ([`TableStats::of_rows`]: the table being registered, or the
+//! sample of it): the column's values are collected, sorted and counted
+//! as runs, which costs a comparison sort instead of one ordered-set
+//! probe, insert and clone per value. [`StatsBuilder`] is the same pass
+//! behind a row-at-a-time front for rows that arrive as a stream. The
+//! finished [`TableStats`] carry, per column:
 //!
 //! * distinct count, min/max (classic System-R inputs),
 //! * an **equi-width histogram** over numeric values (comparison
@@ -15,11 +18,10 @@
 //!   (Section 3.2: subqueries over set-valued attributes).
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tmql_model::{Record, Result, Value};
+use tmql_model::{Record, Result, Ty, Value};
 
 use crate::table::Table;
 
@@ -29,10 +31,9 @@ use crate::table::Table;
 /// optimizer has to rank.
 pub const HISTOGRAM_BUCKETS: usize = 16;
 
-/// Above this many rows, [`StatsBuilder`] switches from an exact full
-/// pass to **reservoir sampling**: per-row work becomes an O(1) reservoir
-/// update instead of distinct-set maintenance and numeric collection, and
-/// the finished statistics are estimated from a uniform
+/// Above this many rows, statistics switch from an exact full pass to
+/// **reservoir sampling**: per-row work becomes an O(1) reservoir update,
+/// and the finished statistics are estimated from a uniform
 /// [`STATS_SAMPLE_SIZE`]-row sample (row count and min/max stay exact).
 pub const STATS_SAMPLE_THRESHOLD: usize = 8192;
 
@@ -150,54 +151,82 @@ impl ColumnStats {
     }
 }
 
-/// Incremental per-column accumulator (one [`StatsBuilder::observe`] call
-/// per row keeps registration single-pass).
-#[derive(Debug, Default)]
-struct ColumnAcc {
-    distinct: BTreeSet<Value>,
-    nulls: usize,
-    sets: usize,
-    empty_sets: usize,
-    set_elems: usize,
-    numerics: Vec<f64>,
+/// The value of the column declared `i`-th as `name` in `row`: read by
+/// position when the row's labels are the declared columns, looked up by
+/// name in any other row (`None` when the row lacks the field).
+#[inline]
+fn field<'a>(row: &'a Record, i: usize, name: &str) -> Option<&'a Value> {
+    match row.fields().get(i) {
+        Some((label, v)) if **label == *name => Some(v),
+        _ => row.find(name),
+    }
 }
 
-impl ColumnAcc {
-    fn observe(&mut self, v: &Value) {
+/// One column of `rows`, and how many of its distinct values occur
+/// exactly once and exactly twice (the Chao1 inputs). The counters and
+/// the histogram's numerics are taken as the values go by; then the
+/// values are sorted, which makes every distinct value one run: the
+/// distinct count is the number of runs, min and max are the two ends.
+/// The sort is stable and borrows, so among equal values the one that
+/// survives is the first met, and nothing is cloned but the two extremes.
+fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, usize) {
+    let mut values: Vec<&Value> = Vec::with_capacity(rows.len());
+    let mut numerics = Vec::new();
+    let (mut nulls, mut sets, mut empty_sets, mut set_elems) = (0usize, 0usize, 0usize, 0usize);
+    for v in rows.iter().filter_map(|row| field(row, i, name)) {
         match v {
-            Value::Null => self.nulls += 1,
+            Value::Null => nulls += 1,
             Value::Set(s) => {
-                self.sets += 1;
-                if s.is_empty() {
-                    self.empty_sets += 1;
-                }
-                self.set_elems += s.len();
+                sets += 1;
+                empty_sets += usize::from(s.is_empty());
+                set_elems += s.len();
             }
-            Value::Int(i) => self.numerics.push(*i as f64),
-            Value::Float(f) => self.numerics.push(*f),
+            Value::Int(i) => numerics.push(*i as f64),
+            Value::Float(f) => numerics.push(*f),
             _ => {}
         }
-        if !self.distinct.contains(v) {
-            self.distinct.insert(v.clone());
-        }
+        values.push(v);
     }
-
-    fn finish(self, rows: usize) -> ColumnStats {
-        let n = rows.max(1) as f64;
-        ColumnStats {
-            min: self.distinct.iter().next().cloned(),
-            max: self.distinct.iter().next_back().cloned(),
-            null_fraction: self.nulls as f64 / n,
-            set_valued_fraction: self.sets as f64 / n,
-            empty_set_fraction: self.empty_sets as f64 / n,
-            avg_set_card: if self.sets > 0 {
-                self.set_elems as f64 / self.sets as f64
-            } else {
-                0.0
-            },
-            histogram: Histogram::build(&self.numerics),
-            distinct: self.distinct.len(),
+    values.sort();
+    let (mut distinct, mut once, mut twice) = (0usize, 0usize, 0usize);
+    let (mut run_start, mut max) = (0usize, None);
+    for end in 1..=values.len() {
+        if end < values.len() && values[end] == values[run_start] {
+            continue;
         }
+        distinct += 1;
+        once += usize::from(end - run_start == 1);
+        twice += usize::from(end - run_start == 2);
+        max = Some(values[run_start]);
+        run_start = end;
+    }
+    let n = rows.len().max(1) as f64;
+    let stats = ColumnStats {
+        distinct,
+        min: values.first().map(|v| (*v).clone()),
+        max: max.cloned(),
+        null_fraction: nulls as f64 / n,
+        set_valued_fraction: sets as f64 / n,
+        empty_set_fraction: empty_sets as f64 / n,
+        avg_set_card: if sets > 0 {
+            set_elems as f64 / sets as f64
+        } else {
+            0.0
+        },
+        histogram: Histogram::build(&numerics),
+    };
+    (stats, once, twice)
+}
+
+/// The exact statistics of `rows`: one [`column_pass`] per column.
+fn exact_stats<S: AsRef<str>>(names: &[S], rows: &[Record]) -> TableStats {
+    let column = |(i, name): (usize, &S)| {
+        let name = name.as_ref();
+        (name.to_string(), column_pass(rows, i, name).0)
+    };
+    TableStats {
+        cardinality: rows.len(),
+        columns: names.iter().enumerate().map(column).collect(),
     }
 }
 
@@ -229,30 +258,100 @@ fn estimate_distinct(
     (est.round() as usize).clamp(d_sample, total)
 }
 
-/// Incremental statistics builder: feed rows one at a time, then
-/// [`StatsBuilder::finish`]. [`TableStats::compute`] is the whole-table
-/// convenience wrapper used by catalog registration.
-///
-/// Up to [`STATS_SAMPLE_THRESHOLD`] rows the pass is exact (identical to
-/// the pre-sampling behavior). Past the threshold the exact accumulators
-/// are dropped and the statistics are estimated from a uniform reservoir
-/// of [`STATS_SAMPLE_SIZE`] rows: fractions, fan-outs, and histograms
-/// come straight from the sample; distinct counts through
-/// a Chao1 estimator; the row count and per-column min/max stay
-/// exact (they are O(1) to maintain). [`StatsBuilder::exact`] disables
-/// sampling for callers that need the full pass regardless of size
-/// (differential tests pin the sampled estimates against it).
+/// The sampled pass: a uniform reservoir of [`STATS_SAMPLE_SIZE`] rows
+/// (Vitter's Algorithm R, deterministic seed) beside the exact row count
+/// and the exact running extremes of every column.
 #[derive(Debug)]
-pub struct StatsBuilder {
+struct Sampler {
     rows: usize,
-    names: Vec<String>,
-    /// Exact accumulators, dropped once `rows` passes `threshold`.
-    exact: Option<Vec<ColumnAcc>>,
-    /// Exact running (min, max) per column, kept in both modes.
-    extremes: Vec<(Option<Value>, Option<Value>)>,
     reservoir: Vec<Record>,
     rng: StdRng,
+    extremes: Vec<(Option<Value>, Option<Value>)>,
+}
+
+impl Sampler {
+    fn new(columns: usize) -> Sampler {
+        Sampler {
+            rows: 0,
+            reservoir: Vec::with_capacity(STATS_SAMPLE_SIZE),
+            // Deterministic: registering the same table twice yields the
+            // same statistics.
+            rng: StdRng::seed_from_u64(0x7153_7461_7473),
+            extremes: vec![(None, None); columns],
+        }
+    }
+
+    fn offer<S: AsRef<str>>(&mut self, names: &[S], row: &Record) {
+        self.rows += 1;
+        for (i, (min, max)) in self.extremes.iter_mut().enumerate() {
+            if let Some(v) = field(row, i, names[i].as_ref()) {
+                if min.as_ref().map_or(true, |m| v < m) {
+                    *min = Some(v.clone());
+                }
+                if max.as_ref().map_or(true, |m| v > m) {
+                    *max = Some(v.clone());
+                }
+            }
+        }
+        // Algorithm R: every row ends up in the reservoir with
+        // probability STATS_SAMPLE_SIZE / rows.
+        if self.reservoir.len() < STATS_SAMPLE_SIZE {
+            self.reservoir.push(row.clone());
+        } else {
+            let j = self.rng.gen_range(0..self.rows);
+            if j < STATS_SAMPLE_SIZE {
+                self.reservoir[j] = row.clone();
+            }
+        }
+    }
+
+    /// Fractions, fan-outs and histograms straight from the sample;
+    /// distinct counts through Chao1; row count and extremes exact.
+    fn finish<S: AsRef<str>>(self, names: &[S]) -> TableStats {
+        let sample_n = self.reservoir.len();
+        let column = |((i, name), (min, max)): ((usize, &S), _)| {
+            let name = name.as_ref();
+            let (mut cs, once, twice) = column_pass(&self.reservoir, i, name);
+            cs.distinct = estimate_distinct(cs.distinct, once, twice, sample_n, self.rows);
+            (cs.min, cs.max) = (min, max);
+            (name.to_string(), cs)
+        };
+        TableStats {
+            cardinality: self.rows,
+            columns: names
+                .iter()
+                .enumerate()
+                .zip(self.extremes)
+                .map(column)
+                .collect(),
+        }
+    }
+}
+
+/// Streaming statistics builder for rows whose number is not known in
+/// advance (a disk-backed table's batches): feed rows one at a time, then
+/// [`StatsBuilder::finish`]. Rows already in memory go through
+/// [`TableStats::of_rows`], which this agrees with at every size.
+///
+/// Up to [`STATS_SAMPLE_THRESHOLD`] rows the builder only keeps a handle
+/// to each row and the statistics are exact. The row after that abandons
+/// the exact pass for good: the rows kept so far are replayed into a
+/// uniform reservoir of [`STATS_SAMPLE_SIZE`] rows — the same draws, in
+/// the same order, as if sampling had run from the first row — and from
+/// there per-row work is an O(1) reservoir update. Fractions, fan-outs
+/// and histograms then come from the sample and distinct counts through a
+/// Chao1 estimator, while the row count and per-column min/max stay
+/// exact. [`StatsBuilder::exact`] disables sampling for callers that
+/// need the full pass regardless of size (differential tests pin the
+/// sampled estimates against it).
+#[derive(Debug)]
+pub struct StatsBuilder {
+    names: Vec<String>,
     threshold: usize,
+    /// Every row so far, while there are at most `threshold` of them.
+    kept: Vec<Record>,
+    /// The reservoir, once there are more.
+    sampler: Option<Sampler>,
 }
 
 impl StatsBuilder {
@@ -271,103 +370,35 @@ impl StatsBuilder {
         columns: impl IntoIterator<Item = &'a str>,
         threshold: usize,
     ) -> StatsBuilder {
-        let names: Vec<String> = columns.into_iter().map(str::to_string).collect();
         StatsBuilder {
-            rows: 0,
-            exact: Some(names.iter().map(|_| ColumnAcc::default()).collect()),
-            extremes: names.iter().map(|_| (None, None)).collect(),
-            names,
-            reservoir: Vec::new(),
-            // Deterministic: registering the same table twice yields the
-            // same statistics.
-            rng: StdRng::seed_from_u64(0x7153_7461_7473),
+            names: columns.into_iter().map(str::to_string).collect(),
             threshold,
+            kept: Vec::new(),
+            sampler: None,
         }
     }
 
     /// Observe one row (missing fields are simply not counted).
     pub fn observe(&mut self, row: &Record) {
-        self.rows += 1;
-        for (i, name) in self.names.iter().enumerate() {
-            if let Ok(v) = row.get(name) {
-                let (min, max) = &mut self.extremes[i];
-                if min.as_ref().map_or(true, |m| v < m) {
-                    *min = Some(v.clone());
+        match &mut self.sampler {
+            Some(sampler) => sampler.offer(&self.names, row),
+            None if self.kept.len() < self.threshold => self.kept.push(row.clone()),
+            None => {
+                let mut sampler = Sampler::new(self.names.len());
+                for kept in self.kept.drain(..) {
+                    sampler.offer(&self.names, &kept);
                 }
-                if max.as_ref().map_or(true, |m| v > m) {
-                    *max = Some(v.clone());
-                }
-            }
-        }
-        if self.rows <= self.threshold {
-            let accs = self
-                .exact
-                .as_mut()
-                .expect("exact accumulators live below threshold");
-            for (i, name) in self.names.iter().enumerate() {
-                if let Ok(v) = row.get(name) {
-                    accs[i].observe(v);
-                }
-            }
-        } else {
-            // Past the threshold the exact pass is abandoned for good.
-            self.exact = None;
-        }
-        if self.threshold == usize::MAX {
-            return; // exact-only builder: no reservoir bookkeeping
-        }
-        // Algorithm R: every row ends up in the reservoir with
-        // probability STATS_SAMPLE_SIZE / rows.
-        if self.reservoir.len() < STATS_SAMPLE_SIZE {
-            self.reservoir.push(row.clone());
-        } else {
-            let j = self.rng.gen_range(0..self.rows);
-            if j < STATS_SAMPLE_SIZE {
-                self.reservoir[j] = row.clone();
+                sampler.offer(&self.names, row);
+                self.sampler = Some(sampler);
             }
         }
     }
 
     /// Finish into per-table statistics.
     pub fn finish(self) -> TableStats {
-        let rows = self.rows;
-        if let Some(accs) = self.exact {
-            // Exact path: identical to the pre-sampling behavior.
-            return TableStats {
-                cardinality: rows,
-                columns: self
-                    .names
-                    .into_iter()
-                    .zip(accs)
-                    .map(|(n, acc)| (n, acc.finish(rows)))
-                    .collect(),
-            };
-        }
-        // Sampled path: rebuild accumulators over the reservoir, then
-        // correct what sampling biases (distinct counts, min/max).
-        let sample_n = self.reservoir.len();
-        let mut columns = BTreeMap::new();
-        for (i, name) in self.names.iter().enumerate() {
-            let mut acc = ColumnAcc::default();
-            let mut freq: BTreeMap<&Value, usize> = BTreeMap::new();
-            for row in &self.reservoir {
-                if let Ok(v) = row.get(name) {
-                    acc.observe(v);
-                    *freq.entry(v).or_default() += 1;
-                }
-            }
-            let f1 = freq.values().filter(|&&c| c == 1).count();
-            let f2 = freq.values().filter(|&&c| c == 2).count();
-            let mut cs = acc.finish(sample_n);
-            cs.distinct = estimate_distinct(freq.len(), f1, f2, sample_n, rows);
-            let (min, max) = self.extremes[i].clone();
-            cs.min = min;
-            cs.max = max;
-            columns.insert(name.clone(), cs);
-        }
-        TableStats {
-            cardinality: rows,
-            columns,
+        match self.sampler {
+            Some(sampler) => sampler.finish(&self.names),
+            None => exact_stats(&self.names, &self.kept),
         }
     }
 }
@@ -382,8 +413,26 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Compute statistics in a single incremental pass over the table
-    /// (sampling past [`STATS_SAMPLE_THRESHOLD`] rows). Infallible for
+    /// The statistics of a table whose `rows` are all in memory — the one
+    /// entry registration ([`crate::Catalog::register`] /
+    /// [`crate::Catalog::replace`]) and [`TableStats::compute`] share.
+    /// Knowing the row count up front decides the pass before the first
+    /// row: at or below [`STATS_SAMPLE_THRESHOLD`] it is exact, one sort
+    /// per column over borrowed values, with no reservoir and no running
+    /// extremes to maintain; above it only the reservoir is kept (see
+    /// [`StatsBuilder`], which yields the same statistics row by row).
+    pub fn of_rows(columns: &[(String, Ty)], rows: &[Record]) -> TableStats {
+        let names: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
+        if rows.len() <= STATS_SAMPLE_THRESHOLD {
+            return exact_stats(&names, rows);
+        }
+        let mut sampler = Sampler::new(names.len());
+        rows.iter().for_each(|row| sampler.offer(&names, row));
+        sampler.finish(&names)
+    }
+
+    /// Compute the table's statistics (sampling past
+    /// [`STATS_SAMPLE_THRESHOLD`] rows). Infallible for
     /// in-memory tables; for disk-backed tables a failed page read
     /// **stops the pass**, yielding statistics over the readable prefix
     /// only — use [`TableStats::try_compute`] where a scan failure must
@@ -403,14 +452,12 @@ impl TableStats {
     /// than truncating the pass (the persistent catalog uses this so a
     /// corrupted table can never contribute silently-wrong statistics).
     pub fn try_compute(table: &Table) -> Result<TableStats> {
+        if let Some(rows) = table.mem_rows() {
+            return Ok(TableStats::of_rows(table.columns(), rows));
+        }
         let mut b = StatsBuilder::new(table.columns().iter().map(|(n, _)| n.as_str()));
-        match table.mem_rows() {
-            Some(rows) => rows.iter().for_each(|r| b.observe(r)),
-            None => {
-                for batch in table.batches(1024) {
-                    batch?.iter().for_each(|r| b.observe(r));
-                }
-            }
+        for batch in table.batches(1024) {
+            batch?.iter().for_each(|r| b.observe(r));
         }
         Ok(b.finish())
     }
@@ -450,6 +497,7 @@ mod tests {
     use super::*;
     use crate::table::int_table;
     use crate::table::Table;
+    use proptest::prelude::*;
     use tmql_model::{Record, Ty};
 
     #[test]
@@ -624,6 +672,151 @@ mod tests {
         // Chao1 interior case stays between the sample count and the total.
         let est = estimate_distinct(1000, 500, 250, 2048, 100_000);
         assert!((1000..=100_000).contains(&est), "{est}");
+    }
+
+    /// The builder this module had before it sorted columns, kept as the
+    /// reference: per value, a probe of (and a clone into) the column's
+    /// ordered set, by-name field lookups, and — past `threshold` rows —
+    /// Algorithm R beside running extremes.
+    fn reference(names: &[&str], rows: &[Record], threshold: usize) -> TableStats {
+        use std::collections::BTreeSet;
+        fn column(rows: &[Record], name: &str) -> (ColumnStats, usize, usize) {
+            let mut distinct = BTreeSet::new();
+            let mut freq: BTreeMap<&Value, usize> = BTreeMap::new();
+            let (mut nulls, mut sets, mut empty_sets, mut set_elems) = (0, 0, 0, 0);
+            let mut numerics = Vec::new();
+            for v in rows.iter().filter_map(|r| r.get(name).ok()) {
+                match v {
+                    Value::Null => nulls += 1,
+                    Value::Set(s) => {
+                        sets += 1;
+                        empty_sets += usize::from(s.is_empty());
+                        set_elems += s.len();
+                    }
+                    Value::Int(i) => numerics.push(*i as f64),
+                    Value::Float(f) => numerics.push(*f),
+                    _ => {}
+                }
+                if !distinct.contains(v) {
+                    distinct.insert(v.clone());
+                }
+                *freq.entry(v).or_default() += 1;
+            }
+            let n = rows.len().max(1) as f64;
+            let stats = ColumnStats {
+                distinct: distinct.len(),
+                min: distinct.iter().next().cloned(),
+                max: distinct.iter().next_back().cloned(),
+                null_fraction: nulls as f64 / n,
+                set_valued_fraction: sets as f64 / n,
+                empty_set_fraction: empty_sets as f64 / n,
+                avg_set_card: match sets {
+                    0 => 0.0,
+                    _ => set_elems as f64 / sets as f64,
+                },
+                histogram: Histogram::build(&numerics),
+            };
+            let exactly = |n| freq.values().filter(|&&c| c == n).count();
+            (stats, exactly(1), exactly(2))
+        }
+        let mut columns = BTreeMap::new();
+        if rows.len() <= threshold {
+            for name in names {
+                columns.insert(name.to_string(), column(rows, name).0);
+            }
+        } else {
+            let mut rng = StdRng::seed_from_u64(0x7153_7461_7473);
+            let mut reservoir: Vec<Record> = Vec::new();
+            for (seen, row) in rows.iter().enumerate() {
+                if reservoir.len() < STATS_SAMPLE_SIZE {
+                    reservoir.push(row.clone());
+                } else {
+                    let j = rng.gen_range(0..seen + 1);
+                    if j < STATS_SAMPLE_SIZE {
+                        reservoir[j] = row.clone();
+                    }
+                }
+            }
+            for name in names {
+                let (mut cs, once, twice) = column(&reservoir, name);
+                cs.distinct =
+                    estimate_distinct(cs.distinct, once, twice, reservoir.len(), rows.len());
+                (cs.min, cs.max) = (None, None);
+                for v in rows.iter().filter_map(|r| r.get(name).ok()) {
+                    if cs.min.as_ref().map_or(true, |m| v < m) {
+                        cs.min = Some(v.clone());
+                    }
+                    if cs.max.as_ref().map_or(true, |m| v > m) {
+                        cs.max = Some(v.clone());
+                    }
+                }
+                columns.insert(name.to_string(), cs);
+            }
+        }
+        TableStats {
+            cardinality: rows.len(),
+            columns,
+        }
+    }
+
+    /// A row over the declared columns `a`, `b`, `c`: as declared, in
+    /// another order, lacking one or two of them, or with a stranger among
+    /// them that shifts the positions.
+    fn arb_row() -> impl Strategy<Value = Record> {
+        let value = crate::format_tests::arb_value;
+        (value(), value(), value(), 0usize..5).prop_map(|(a, b, c, shape)| {
+            let fields = match shape {
+                0 => vec![("a", a), ("b", b), ("c", c)],
+                1 => vec![("c", c), ("a", a), ("b", b)],
+                2 => vec![("a", a), ("c", c)],
+                3 => vec![("a", a), ("z", Value::Null), ("b", b), ("c", c)],
+                _ => vec![("b", b)],
+            };
+            Record::new(fields).unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn sorted_columns_give_the_statistics_the_ordered_sets_gave(
+            pool in prop::collection::vec(arb_row(), 1..24),
+        ) {
+            let names = ["a", "b", "c"];
+            let columns: Vec<(String, Ty)> =
+                names.iter().map(|n| (n.to_string(), Ty::Any)).collect();
+            // The bytes a catalog image spends on the statistics: equal
+            // bytes means the same NaNs and the same representative of
+            // tuples that are equal under another label order.
+            let bytes = |stats: &TableStats| {
+                crate::pager::image::encode_catalog(&crate::pager::CatalogImage {
+                    tables: vec![crate::pager::TableImage {
+                        name: "T".into(),
+                        columns: columns.clone(),
+                        extent: Default::default(),
+                        stats: stats.clone(),
+                    }],
+                    ..Default::default()
+                })
+            };
+            let t = STATS_SAMPLE_THRESHOLD;
+            for size in [0, 1, pool.len(), t - 1, t, t + 1, 2 * t + 77] {
+                let rows: Vec<Record> =
+                    (0..size).map(|i| pool[(i * 31 + i / 7) % pool.len()].clone()).collect();
+                let stream = |mut b: StatsBuilder| {
+                    rows.iter().for_each(|r| b.observe(r));
+                    b.finish()
+                };
+                let want = reference(&names, &rows, t);
+                for got in [TableStats::of_rows(&columns, &rows), stream(StatsBuilder::new(names))] {
+                    prop_assert_eq!(bytes(&got), bytes(&want), "size {}", size);
+                    prop_assert_eq!(got, want.clone(), "size {}", size);
+                }
+                let exact = stream(StatsBuilder::exact(names));
+                prop_assert_eq!(exact, reference(&names, &rows, usize::MAX), "size {}", size);
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! * **commit** — the transaction's resulting header state (watermark,
 //!   catalog chain head/length, free list) plus the pages it freed.
 //!
+//! A commit reaches the file as one **batch**: its page records and its
+//! commit record are framed, one after the other, into a buffer the log
+//! keeps ([`Wal::batch`]), checksummed where they lie, and written with
+//! one positional write. The bytes are those of record-at-a-time appends;
+//! a batch the crash tore is a torn tail like any other, because every
+//! record carries its own checksum and the commit record comes last.
+//!
 //! A transaction is durable exactly when its commit record is fsynced;
 //! page images without a following commit are an in-flight transaction
 //! a crash aborted, and recovery ignores them. Replay
@@ -75,19 +82,17 @@ pub struct CommitRecord {
 }
 
 impl CommitRecord {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25 + 4 * (self.free.len() + self.freed.len()));
-        put_u8(&mut out, KIND_COMMIT);
-        put_u32(&mut out, self.next_page);
-        put_u32(&mut out, self.catalog_first);
-        put_u64(&mut out, self.catalog_len);
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u8(out, KIND_COMMIT);
+        put_u32(out, self.next_page);
+        put_u32(out, self.catalog_first);
+        put_u64(out, self.catalog_len);
         for list in [&self.free, &self.freed] {
-            put_len(&mut out, list.len());
+            put_len(out, list.len());
             for &pid in list {
-                put_u32(&mut out, pid);
+                put_u32(out, pid);
             }
         }
-        out
     }
 
     /// Decode what follows a commit record's kind tag.
@@ -199,7 +204,71 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     end: u64,
+    /// The frames of the batch being built; kept for its capacity.
+    batch: Vec<u8>,
     counters: WalCounters,
+}
+
+/// One commit's records, framed into the log's buffer and not yet
+/// written: any number of [`Batch::page`]s, then [`Batch::commit`].
+/// Dropped without a commit, it leaves the file untouched.
+#[derive(Debug)]
+pub struct Batch<'a> {
+    wal: &'a mut Wal,
+    records: u64,
+}
+
+impl Batch<'_> {
+    /// Frame whatever `payload` appends as the batch's next record:
+    /// length and checksum are filled in over the bytes where they lie.
+    fn frame(&mut self, payload: impl FnOnce(&mut Vec<u8>)) {
+        let buf = &mut self.wal.batch;
+        let at = buf.len();
+        buf.extend_from_slice(&[0; FRAME_BYTES]);
+        payload(buf);
+        let (head, body) = buf[at..].split_at_mut(FRAME_BYTES);
+        head[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&fnv1a(body).to_le_bytes());
+        self.records += 1;
+    }
+
+    /// Add a page-image redo record.
+    pub fn page(&mut self, pid: PageId, image: &[u8]) {
+        debug_assert_eq!(image.len(), PAGE_SIZE);
+        self.frame(|out| {
+            put_u8(out, KIND_PAGE);
+            put_u32(out, pid);
+            out.extend_from_slice(image);
+        });
+    }
+
+    /// Add the commit record and write the batch at the end of the log,
+    /// in one write; the transaction becomes durable at the next
+    /// [`Wal::sync`].
+    pub fn commit(mut self, rec: &CommitRecord) -> Result<()> {
+        self.frame(|out| rec.encode_into(out));
+        let Batch { wal, records } = self;
+        let len = wal.batch.len();
+        let allowed = match failpoint::check_write(&wal.path, IoOp::WalWrite(len), len)? {
+            WriteCheck::Full => len,
+            WriteCheck::Torn(n) => n,
+        };
+        wal.file
+            .write_all_at(&wal.batch[..allowed], wal.end)
+            .map_err(|e| io_err(format!("wal append: {e}")))?;
+        if allowed < len {
+            return Err(io_err("injected crash (torn wal append)"));
+        }
+        wal.end += len as u64;
+        let c = &wal.counters;
+        c.records.fetch_add(records, Ordering::Relaxed);
+        c.appends_total.fetch_add(records, Ordering::Relaxed);
+        c.bytes_appended_total
+            .fetch_add(len as u64, Ordering::Relaxed);
+        c.commits.fetch_add(1, Ordering::Relaxed);
+        c.commits_total.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 impl Wal {
@@ -229,6 +298,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             end,
+            batch: Vec::new(),
             counters: WalCounters::default(),
         })
     }
@@ -255,48 +325,14 @@ impl Wal {
         }
     }
 
-    fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let mut rec = Vec::with_capacity(FRAME_BYTES + payload.len());
-        put_len(&mut rec, payload.len());
-        put_u64(&mut rec, fnv1a(payload));
-        rec.extend_from_slice(payload);
-        let allowed =
-            match failpoint::check_write(&self.path, IoOp::WalWrite(rec.len()), rec.len())? {
-                WriteCheck::Full => rec.len(),
-                WriteCheck::Torn(n) => n,
-            };
-        self.file
-            .write_all_at(&rec[..allowed], self.end)
-            .map_err(|e| io_err(format!("wal append: {e}")))?;
-        if allowed < rec.len() {
-            return Err(io_err("injected crash (torn wal append)"));
+    /// Start the batch of one commit (abandoning what an earlier batch
+    /// that never committed left in the buffer).
+    pub fn batch(&mut self) -> Batch<'_> {
+        self.batch.clear();
+        Batch {
+            wal: self,
+            records: 0,
         }
-        self.end += rec.len() as u64;
-        self.counters.records.fetch_add(1, Ordering::Relaxed);
-        self.counters.appends_total.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_appended_total
-            .fetch_add(rec.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Append a page-image redo record.
-    pub fn append_page(&mut self, pid: PageId, image: &[u8]) -> Result<()> {
-        debug_assert_eq!(image.len(), PAGE_SIZE);
-        let mut payload = Vec::with_capacity(PAGE_RECORD_BYTES);
-        put_u8(&mut payload, KIND_PAGE);
-        put_u32(&mut payload, pid);
-        payload.extend_from_slice(image);
-        self.append(&payload)
-    }
-
-    /// Append a commit record; the transaction becomes durable at the
-    /// next [`Wal::sync`].
-    pub fn append_commit(&mut self, rec: &CommitRecord) -> Result<()> {
-        self.append(&rec.encode())?;
-        self.counters.commits.fetch_add(1, Ordering::Relaxed);
-        self.counters.commits_total.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Fsync the log — the durability point for everything appended.
@@ -408,6 +444,15 @@ mod tests {
         p
     }
 
+    /// One batch: a page filled with each of `fills`, then `rec`.
+    fn log(wal: &mut Wal, fills: &[(PageId, u8)], rec: &CommitRecord) {
+        let mut batch = wal.batch();
+        for &(pid, fill) in fills {
+            batch.page(pid, &vec![fill; PAGE_SIZE]);
+        }
+        batch.commit(rec).unwrap();
+    }
+
     fn commit(next: PageId) -> CommitRecord {
         CommitRecord {
             next_page: next,
@@ -422,9 +467,7 @@ mod tests {
     fn committed_transactions_round_trip() {
         let path = tmp("roundtrip");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_page(2, &vec![0xAB; PAGE_SIZE]).unwrap();
-        wal.append_page(3, &vec![0xCD; PAGE_SIZE]).unwrap();
-        wal.append_commit(&commit(9)).unwrap();
+        log(&mut wal, &[(2, 0xAB), (3, 0xCD)], &commit(9));
         wal.sync().unwrap();
 
         let scan = Wal::scan(&path).unwrap();
@@ -443,9 +486,12 @@ mod tests {
     fn uncommitted_pages_are_discarded_and_counted() {
         let path = tmp("uncommitted");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(&commit(1)).unwrap();
-        wal.append_page(4, &vec![1; PAGE_SIZE]).unwrap();
-        wal.append_page(5, &vec![2; PAGE_SIZE]).unwrap();
+        log(&mut wal, &[], &commit(1));
+        // A batch torn between its last page record and its commit record.
+        log(&mut wal, &[(4, 1), (5, 2)], &commit(2));
+        let full = std::fs::read(&path).unwrap();
+        let commit_frame = FRAME_BYTES + 25 + 4 * 3;
+        std::fs::write(&path, &full[..full.len() - commit_frame]).unwrap();
         let scan = Wal::scan(&path).unwrap();
         assert_eq!(scan.txns.len(), 1);
         assert_eq!(scan.discarded_records, 2);
@@ -457,9 +503,9 @@ mod tests {
     fn torn_tail_stops_the_scan() {
         let path = tmp("torn");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(&commit(1)).unwrap();
+        log(&mut wal, &[], &commit(1));
         let committed = std::fs::read(&path).unwrap();
-        wal.append_commit(&commit(2)).unwrap();
+        log(&mut wal, &[], &commit(2));
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..committed.len() + 5]).unwrap();
 
@@ -475,10 +521,9 @@ mod tests {
     fn bit_flip_stops_replay_at_the_last_valid_commit() {
         let path = tmp("bitflip");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(&commit(1)).unwrap();
+        log(&mut wal, &[], &commit(1));
         let one = std::fs::read(&path).unwrap().len();
-        wal.append_page(4, &vec![7; PAGE_SIZE]).unwrap();
-        wal.append_commit(&commit(2)).unwrap();
+        log(&mut wal, &[(4, 7)], &commit(2));
 
         let mut data = std::fs::read(&path).unwrap();
         data[one + FRAME_BYTES + 100] ^= 0x40; // flip a bit inside txn 2's page image
@@ -495,8 +540,7 @@ mod tests {
     fn activity_counters_track_appends_and_reset() {
         let path = tmp("activity");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_page(2, &vec![0xAB; PAGE_SIZE]).unwrap();
-        wal.append_commit(&commit(9)).unwrap();
+        log(&mut wal, &[(2, 0xAB)], &commit(9));
         wal.sync().unwrap();
         let a = wal.activity();
         assert_eq!(a.records_since_checkpoint, 2);

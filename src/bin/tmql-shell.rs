@@ -266,7 +266,7 @@ impl Shell {
             },
             "threads" => match val {
                 "auto" => {
-                    self.opts = self.opts.threads(tmql::default_threads());
+                    self.opts = self.opts.threads(tmql::hardware_threads());
                     println!("threads: {} (auto)", self.opts.threads);
                 }
                 _ => match val.parse::<usize>() {

@@ -50,7 +50,8 @@ use std::time::Instant;
 pub use tmql_algebra::Plan;
 pub use tmql_core::{Classification, CostModel, UnnestStrategy};
 pub use tmql_exec::{
-    default_threads, CostEstimate, Estimator, ExecConfig, JoinAlgo, Metrics, OpProfile,
+    default_threads, hardware_threads, CostEstimate, Estimator, ExecConfig, JoinAlgo, Metrics,
+    OpProfile,
 };
 pub use tmql_model::{Record, Ty, Value};
 pub use tmql_obs::{MetricsRegistry, QueryLog};
@@ -153,11 +154,11 @@ pub struct QueryOptions {
     /// ≥ 1): how many table-scan morsels or spilled partitions one wave
     /// hands to scoped workers. The executor runs the same code at every
     /// value (at `1` a wave is one item, processed on the calling
-    /// thread), and results and work counters do not depend on it; the
-    /// speed-up from more threads is unmeasured (`BENCH_parallel.json`
-    /// was recorded on one core). Defaults to the `TMQL_THREADS`
-    /// environment variable when set, else the machine's available
-    /// parallelism — see [`tmql_exec::default_threads`].
+    /// thread), and results and work counters do not depend on it; more
+    /// threads have so far measured slower than one. Defaults to 1
+    /// unless the `TMQL_THREADS` environment variable is set (`auto`
+    /// there means the machine's available parallelism) — see
+    /// [`tmql_exec::default_threads`].
     ///
     /// ```
     /// use tmql::QueryOptions;

@@ -18,6 +18,11 @@
 //!   script, then re-runs it once per boundary with a kill right there;
 //! * a proptest over random scripts × random failpoints × kill/torn
 //!   mode.
+//!
+//! A third test is about failing without dying: an index build whose
+//! page writes hit a full disk (refused, or cut short) is an `Io` error
+//! that leaves the process serving the old index, and succeeds when
+//! retried.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -25,8 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use tmql::{Database, TmqlError, Value};
+use tmql_model::ModelError;
 use tmql_storage::table::int_table;
-use tmql_storage::{IoFailpoint, OrdIndex, Table};
+use tmql_storage::{IoFailpoint, IoOp, OrdIndex, Table};
 
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -319,6 +325,101 @@ fn kill_sweep_over_every_io_boundary_recovers_a_committed_prefix() {
         assert_committed_prefix(&path, &history, acked);
     }
     clean(&path);
+}
+
+/// Rows of the index-build fault test: `n` and `b` are both keys, so an
+/// index on `b` has one entry per row and its blob spans several pages.
+const WIDE_ROWS: i64 = 2000;
+
+fn wide_table(generation: i64) -> Table {
+    let rows: Vec<Vec<i64>> = (0..WIDE_ROWS)
+        .map(|i| vec![i, (i * 7 + generation) % WIDE_ROWS + generation * WIDE_ROWS])
+        .collect();
+    let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+    int_table("X", &["n", "b"], &refs)
+}
+
+/// `X` holds generation `generation`, and `X.b` is indexed iff `indexed`
+/// — by an index that answers like one built afresh over those rows.
+fn assert_wide_state(db: &Database, generation: i64, indexed: bool) {
+    let table = db.catalog().table("X").unwrap();
+    assert!(table.same_contents(&wide_table(generation)).unwrap());
+    let index = db.catalog().index_on("X", "b");
+    assert_eq!(index.is_some(), indexed, "index on X.b");
+    let Some(index) = index else { return };
+    let fresh = OrdIndex::build(table, "b").unwrap();
+    assert_eq!(index.len(), fresh.len());
+    for i in (0..WIDE_ROWS).step_by(97) {
+        let key = Value::Int(i + generation * WIDE_ROWS);
+        assert_eq!(index.probe_eq(&key).len(), 1, "{key:?}");
+        assert_eq!(index.probe_eq(&key), fresh.probe_eq(&key), "{key:?}");
+    }
+}
+
+/// A full disk in the middle of an index build — `create_index`'s own, and
+/// the rebuild `replace` does for an indexed table. The pool has no frames,
+/// so every page `write_blob` (and `write_table`) writes is one write to
+/// the file, and each of them is failed in turn, outright (ENOSPC) and
+/// half-way (a short write). The statement is an `Io` error, the catalog
+/// goes on serving the table and index it had, the allocator's lists are
+/// where they were, the same statement then succeeds, and a reopen sees
+/// its result.
+#[test]
+fn a_failed_index_build_write_keeps_the_old_index_and_the_retry_succeeds() {
+    for rebuild in [false, true] {
+        let path = scratch(if rebuild { "ix-rebuild" } else { "ix-create" });
+        let setup = || {
+            clean(&path);
+            let mut db = Database::open_with(&path, 0).unwrap();
+            db.register_table(wide_table(0)).unwrap();
+            if rebuild {
+                db.create_index("X", "b").unwrap();
+            }
+            db.wal_checkpoint().unwrap();
+            db
+        };
+        let run = |db: &mut Database| match rebuild {
+            false => db.create_index("X", "b"),
+            true => db.catalog_mut().replace(wide_table(1)).map_err(Into::into),
+        };
+        // The statement's page writes: everything before its WAL batch.
+        let page_writes = {
+            let mut db = setup();
+            let fp = IoFailpoint::count(&path);
+            run(&mut db).unwrap();
+            let log = fp.log();
+            let batch = log.iter().position(|op| matches!(op, IoOp::WalWrite(_)));
+            let writes = &log[..batch.expect("the statement committed")];
+            assert!(writes.iter().all(|op| matches!(op, IoOp::PageWrite(_))));
+            writes.len() as u64
+        };
+        assert!(
+            page_writes >= 6,
+            "the index chain alone is several pages ({page_writes})"
+        );
+        for k in 0..page_writes {
+            for arm in [IoFailpoint::kill_at, IoFailpoint::torn_at] {
+                let mut db = setup();
+                let lists = db.catalog().free_list_len();
+                let fp = arm(&path, k);
+                let err = run(&mut db).unwrap_err();
+                assert!(
+                    matches!(err, TmqlError::Model(ModelError::Io(_))),
+                    "write {k}: {err}"
+                );
+                assert!(fp.triggered());
+                drop(fp);
+                assert_wide_state(&db, 0, rebuild);
+                assert_eq!(db.catalog().free_list_len(), lists, "write {k}");
+                run(&mut db).unwrap();
+                assert_wide_state(&db, i64::from(rebuild), true);
+                drop(db);
+                let db = Database::open_with(&path, 8).unwrap();
+                assert_wide_state(&db, i64::from(rebuild), true);
+            }
+        }
+        clean(&path);
+    }
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {

@@ -137,6 +137,7 @@ fn metrics_text_covers_pool_wal_latency_and_txn_series() {
     db.commit().unwrap();
     db.begin().unwrap();
     db.rollback().unwrap();
+    db.wal_checkpoint().unwrap();
 
     let text = db.metrics_text();
     // Storage: buffer pool and WAL series, polled from the store.
@@ -148,6 +149,32 @@ fn metrics_text_covers_pool_wal_latency_and_txn_series() {
     assert!(text.contains("tmql_wal_appends_total"), "{text}");
     assert!(text.contains("tmql_wal_fsyncs_total"), "{text}");
     assert!(text.contains("tmql_wal_size_bytes"), "{text}");
+    // The write path's latency histograms: one observation per commit,
+    // per WAL fsync and per checkpoint the counters beside them count.
+    let series = |name: &str| -> u64 {
+        let line = text.lines().find(|l| l.starts_with(&format!("{name} ")));
+        let value = line.and_then(|l| l.rsplit(' ').next()?.parse().ok());
+        value.unwrap_or_else(|| panic!("no series `{name}` in {text}"))
+    };
+    for (histogram, counter) in [
+        ("tmql_commit_micros", "tmql_wal_commits_total"),
+        ("tmql_wal_fsync_micros", "tmql_wal_fsyncs_total"),
+        ("tmql_checkpoint_micros", "tmql_wal_checkpoints_total"),
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {histogram} histogram")),
+            "{text}"
+        );
+        assert!(series(counter) >= 1, "{counter}");
+        assert_eq!(series(&format!("{histogram}_count")), series(counter));
+        let inf = format!("{histogram}_bucket{{le=\"+Inf\"}}");
+        assert_eq!(series(&inf), series(counter));
+    }
+    assert_eq!(
+        series("tmql_wal_commits_total"),
+        3,
+        "X, Y and the transaction"
+    );
     // Executor: cumulative work counters.
     assert!(text.contains("tmql_exec_rows_scanned_total"), "{text}");
     // Facade: query counts, latency histogram, transactions.

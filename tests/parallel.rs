@@ -132,9 +132,15 @@ fn scan_waves_bound_resident_rows() {
 }
 
 /// `threads` beyond the partition count degrades gracefully (idle workers,
-/// same answer), and `threads(0)` clamps to serial.
+/// same answer), `threads(0)` clamps to serial, and serial is what the
+/// default options ask for unless `TMQL_THREADS` is set.
 #[test]
 fn extreme_thread_counts_are_safe() {
+    let default = QueryOptions::default().threads;
+    assert_eq!(default, tmql::default_threads());
+    if std::env::var_os("TMQL_THREADS").is_none() {
+        assert_eq!(default, 1, "the hardware count has to be asked for");
+    }
     let db = Database::from_catalog(gen_rs(&GenConfig::sized(64)));
     let serial = db
         .query_with(COUNT_BUG, QueryOptions::default().threads(1))

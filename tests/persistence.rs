@@ -427,9 +427,10 @@ fn crash_after_wal_sync_before_write_back_recovers_the_commit() {
     clean(&path);
 }
 
-/// Crash **mid-WAL-append** (torn tail): the commit never became
-/// durable, so recovery must discard the torn transaction — and say so —
-/// while keeping everything committed before it.
+/// Crash **mid-WAL-append** (torn tail): a commit's records reach the log
+/// as one batch in one write, and the crash tears that write. The commit
+/// never became durable, so recovery must discard the torn transaction —
+/// and say so — while keeping everything committed before it.
 #[test]
 fn crash_mid_wal_append_discards_the_torn_transaction() {
     let path = scratch("crash-torn");
@@ -442,12 +443,11 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
         db
     };
 
-    // Pass 1: count the second register's appends. The last WalWrite
-    // before the WalSync is the commit record itself.
+    // Pass 1: count. The second register's batch — its page records, then
+    // its commit record — is the one WAL write before the WalSync.
     clean(&path);
-    let last_append = {
-        let db = setup(&path);
-        let mut db = db;
+    let (batch, batch_len) = {
+        let mut db = setup(&path);
         let fp = IoFailpoint::count(&path);
         db.register_table(int_table("Y", &["m"], &refs)).unwrap();
         drop(db);
@@ -456,16 +456,24 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
             .iter()
             .position(|op| *op == IoOp::WalSync)
             .expect("the commit synced the WAL");
-        log[..sync]
+        let appends: Vec<(usize, usize)> = log[..sync]
             .iter()
-            .rposition(|op| matches!(op, IoOp::WalWrite(_)))
-            .expect("the commit appended records") as u64
+            .enumerate()
+            .filter_map(|(i, op)| match op {
+                IoOp::WalWrite(len) => Some((i, *len)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(appends.len(), 1, "one write per commit: {log:?}");
+        appends[0]
     };
+    assert!(batch_len > 2 * 8192, "Y's page, the catalog's, the commit");
 
-    // Pass 2: tear that append — half the commit record reaches disk.
+    // Pass 2: tear that write — the first half of the batch reaches disk:
+    // a whole page record and part of the next, no commit record.
     clean(&path);
     let mut db = setup(&path);
-    let fp = IoFailpoint::torn_at(&path, last_append);
+    let fp = IoFailpoint::torn_at(&path, batch as u64);
     let err = db
         .register_table(int_table("Y", &["m"], &refs))
         .unwrap_err();
@@ -473,15 +481,17 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
     drop(db); // close-time checkpoint also dies: the process is "gone"
     assert!(fp.triggered());
     drop(fp);
+    let torn = std::fs::metadata(wal_path(&path)).unwrap().len();
+    assert_eq!(torn, batch_len as u64 / 2, "half the batch was written");
 
     let db = Database::open_with(&path, 8).unwrap();
     let rep = db.recovery_report().expect("disk-backed");
     assert_eq!(rep.replayed_txns, 0, "no commit record, nothing to replay");
-    assert!(
-        rep.discarded_records >= 1,
-        "the torn tail is reported, not silently dropped: {rep:?}"
+    assert_eq!(
+        rep.discarded_records, 2,
+        "the whole page record and the torn one are reported, not silently dropped: {rep:?}"
     );
-    assert!(rep.discarded_bytes > 0, "{rep:?}");
+    assert_eq!(rep.discarded_bytes, torn, "{rep:?}");
     assert!(db.query("SELECT x.n FROM X x").is_ok(), "X survived");
     assert!(
         db.query("SELECT y.m FROM Y y").is_err(),

@@ -5,7 +5,14 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_shell(input: &str) -> String {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_tmql-shell"))
+    run_shell_in(input, |_| {})
+}
+
+/// [`run_shell`] in an environment `env` has edited.
+fn run_shell_in(input: &str, env: impl FnOnce(&mut Command)) -> String {
+    let mut shell = Command::new(env!("CARGO_BIN_EXE_tmql-shell"));
+    env(&mut shell);
+    let mut child = shell
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -163,6 +170,25 @@ fn set_and_show_threads() {
     assert!(out.contains("-- 3 rows"), "{out}");
     assert!(out.contains("usage: \\set threads"), "{out}");
     assert!(out.contains("(auto)"), "{out}");
+
+    // The default is serial; the hardware count has to be asked for, by
+    // `\set threads auto` or by `TMQL_THREADS=auto`.
+    let hardware = tmql::hardware_threads();
+    let out = run_shell_in("\\show\n\\set threads auto\n\\quit\n", |shell| {
+        shell.env_remove("TMQL_THREADS");
+    });
+    assert!(out.contains("threads        1\n"), "{out}");
+    assert!(
+        out.contains(&format!("threads: {hardware} (auto)")),
+        "{out}"
+    );
+    let out = run_shell_in("\\show\n\\quit\n", |shell| {
+        shell.env("TMQL_THREADS", "auto");
+    });
+    assert!(
+        out.contains(&format!("threads        {hardware}\n")),
+        "{out}"
+    );
 }
 
 #[test]
@@ -355,6 +381,10 @@ fn stats_command_in_memory_and_disk_backed() {
     assert!(out.contains("recovery: clean open"), "{out}");
     assert!(out.contains("tmql_pool_hits_total"), "{out}");
     assert!(out.contains("tmql_wal_appends_total"), "{out}");
+    for histogram in ["commit", "wal_fsync", "checkpoint"] {
+        let ty = format!("# TYPE tmql_{histogram}_micros histogram");
+        assert!(out.contains(&ty), "{out}");
+    }
     for f in [&path, &wal] {
         let _ = std::fs::remove_file(f);
     }
