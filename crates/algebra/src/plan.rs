@@ -379,6 +379,41 @@ impl Plan {
         }
     }
 
+    /// Mutable child plans, in [`Plan::children`] order.
+    pub fn children_mut(&mut self) -> Vec<&mut Plan> {
+        match self {
+            Plan::ScanTable { .. } | Plan::ScanExpr { .. } => vec![],
+            Plan::Select { input, .. }
+            | Plan::Map { input, .. }
+            | Plan::Extend { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Nest { input, .. }
+            | Plan::Unnest { input, .. }
+            | Plan::GroupAgg { input, .. } => vec![input],
+            Plan::Join { left, right, .. }
+            | Plan::SemiJoin { left, right, .. }
+            | Plan::AntiJoin { left, right, .. }
+            | Plan::LeftOuterJoin { left, right, .. }
+            | Plan::NestJoin { left, right, .. }
+            | Plan::SetOp { left, right, .. } => vec![left, right],
+            Plan::Apply {
+                input, subquery, ..
+            } => vec![input, subquery],
+        }
+    }
+
+    /// The same operator over `f(child)` for each child, left to right.
+    /// Children are moved out and back in; nothing is copied.
+    pub fn map_children(mut self, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
+        for child in self.children_mut() {
+            // An empty scan holds no heap memory; it stands in for the
+            // child while `f` owns it.
+            let taken = std::mem::replace(child, Plan::scan("", ""));
+            *child = f(taken);
+        }
+        self
+    }
+
     /// Number of operators in the plan tree.
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()

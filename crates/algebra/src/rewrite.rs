@@ -1,154 +1,40 @@
 //! A small plan-transformation framework.
 //!
-//! The unnesting strategies in `tmql-core` are expressed as bottom-up or
-//! top-down rewrites over [`Plan`] trees. The framework is deliberately
-//! plain — a rewrite is any `FnMut(Plan) -> Plan` — with fixpoint iteration
-//! layered on top.
+//! The unnesting strategies in `tmql-core` are expressed as bottom-up
+//! rewrites over [`Plan`] trees. The framework is deliberately plain — a
+//! rewrite is any `FnMut(Plan) -> Plan`, a rule any
+//! `FnMut(&Plan) -> Option<Plan>` — and owns the tree it rewrites: nodes
+//! are moved through [`Plan::map_children`], never copied.
 
 use crate::plan::Plan;
 
-/// Rebuild a node with new children (same operator, children replaced in
-/// left-to-right order). `children` must have the node's arity.
-pub fn with_children(plan: Plan, mut children: Vec<Plan>) -> Plan {
-    debug_assert_eq!(children.len(), plan.children().len(), "arity mismatch");
-    let mut next = || Box::new(children.remove(0));
-    match plan {
-        p @ (Plan::ScanTable { .. } | Plan::ScanExpr { .. }) => p,
-        Plan::Select { pred, .. } => Plan::Select {
-            input: next(),
-            pred,
-        },
-        Plan::Map { expr, var, .. } => Plan::Map {
-            input: next(),
-            expr,
-            var,
-        },
-        Plan::Extend { expr, var, .. } => Plan::Extend {
-            input: next(),
-            expr,
-            var,
-        },
-        Plan::Project { vars, .. } => Plan::Project {
-            input: next(),
-            vars,
-        },
-        Plan::Join { pred, .. } => Plan::Join {
-            left: next(),
-            right: next(),
-            pred,
-        },
-        Plan::SemiJoin { pred, .. } => Plan::SemiJoin {
-            left: next(),
-            right: next(),
-            pred,
-        },
-        Plan::AntiJoin { pred, .. } => Plan::AntiJoin {
-            left: next(),
-            right: next(),
-            pred,
-        },
-        Plan::LeftOuterJoin { pred, .. } => Plan::LeftOuterJoin {
-            left: next(),
-            right: next(),
-            pred,
-        },
-        Plan::NestJoin {
-            pred, func, label, ..
-        } => Plan::NestJoin {
-            left: next(),
-            right: next(),
-            pred,
-            func,
-            label,
-        },
-        Plan::Nest {
-            keys,
-            value,
-            label,
-            star,
-            ..
-        } => Plan::Nest {
-            input: next(),
-            keys,
-            value,
-            label,
-            star,
-        },
-        Plan::Unnest {
-            expr,
-            elem_var,
-            drop_vars,
-            ..
-        } => Plan::Unnest {
-            input: next(),
-            expr,
-            elem_var,
-            drop_vars,
-        },
-        Plan::GroupAgg {
-            keys, aggs, var, ..
-        } => Plan::GroupAgg {
-            input: next(),
-            keys,
-            aggs,
-            var,
-        },
-        Plan::Apply { label, .. } => Plan::Apply {
-            input: next(),
-            subquery: next(),
-            label,
-        },
-        Plan::SetOp { kind, var, .. } => Plan::SetOp {
-            kind,
-            left: next(),
-            right: next(),
-            var,
-        },
-    }
-}
-
-/// Take ownership of a node's children (left-to-right).
-pub fn take_children(plan: &Plan) -> Vec<Plan> {
-    plan.children().into_iter().cloned().collect()
-}
-
-/// Bottom-up transform: children first, then the rebuilt node is handed to
-/// `f`. `f` returns the (possibly) replaced node.
+/// Bottom-up transform: children first, then the node over its new
+/// children is handed to `f`. `f` returns the (possibly) replaced node.
 pub fn transform_up(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
-    let children: Vec<Plan> = take_children(&plan)
-        .into_iter()
-        .map(|c| transform_up(c, f))
-        .collect();
-    f(with_children(plan, children))
+    let plan = plan.map_children(&mut |child| transform_up(child, f));
+    f(plan)
 }
 
-/// Top-down transform: `f` first (repeatedly until it no longer changes the
-/// node), then recurse into the result's children.
-pub fn transform_down(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
-    let mut node = plan;
-    loop {
-        let before = node.clone();
-        node = f(node);
-        if node == before {
+/// Apply `rule` bottom-up, pass after pass, until a pass in which it fires
+/// on no node (`None` everywhere), with a safety bound of `max_rounds`
+/// passes.
+pub fn fixpoint(
+    mut plan: Plan,
+    max_rounds: usize,
+    rule: &mut impl FnMut(&Plan) -> Option<Plan>,
+) -> Plan {
+    for _ in 0..max_rounds {
+        let mut fired = false;
+        plan = transform_up(plan, &mut |node| match rule(&node) {
+            Some(replaced) => {
+                fired = true;
+                replaced
+            }
+            None => node,
+        });
+        if !fired {
             break;
         }
-    }
-    let children: Vec<Plan> = take_children(&node)
-        .into_iter()
-        .map(|c| transform_down(c, f))
-        .collect();
-    with_children(node, children)
-}
-
-/// Apply `f` bottom-up until a fixpoint is reached, with a safety bound of
-/// `max_rounds` full passes.
-pub fn fixpoint(mut plan: Plan, max_rounds: usize, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
-    for _ in 0..max_rounds {
-        let next = transform_up(plan.clone(), f);
-        if next == plan {
-            return plan;
-        }
-        plan = next;
     }
     plan
 }
@@ -157,17 +43,15 @@ pub fn fixpoint(mut plan: Plan, max_rounds: usize, f: &mut impl FnMut(Plan) -> P
 mod tests {
     use super::*;
     use crate::scalar::ScalarExpr as E;
-    use tmql_model::Value;
 
     fn truep() -> E {
         E::lit(true)
     }
 
     #[test]
-    fn with_children_round_trips() {
+    fn map_children_round_trips() {
         let p = Plan::scan("X", "x").join(Plan::scan("Y", "y"), truep());
-        let rebuilt = with_children(p.clone(), take_children(&p));
-        assert_eq!(p, rebuilt);
+        assert_eq!(p.clone().map_children(&mut |c| c), p);
     }
 
     #[test]
@@ -185,54 +69,64 @@ mod tests {
     }
 
     #[test]
-    fn transform_down_reaches_fixpoint_per_node() {
-        // A rule that peels nested Selects one at a time.
+    fn fixpoint_stops_after_the_first_pass_in_which_nothing_fired() {
+        // A rule that peels nested Selects one at a time, bottom-up: the
+        // first pass fuses both, the second finds nothing and is the last.
         let p = Plan::scan("X", "x").select(truep()).select(truep());
-        let out = transform_down(p, &mut |n| match n {
-            Plan::Select { input, pred } if matches!(*input, Plan::Select { .. }) => {
-                let Plan::Select {
-                    input: inner,
-                    pred: ip,
-                } = *input
-                else {
-                    unreachable!()
-                };
-                Plan::Select {
-                    input: inner,
-                    pred: E::and(ip, pred),
-                }
-            }
-            other => other,
+        let mut calls = 0;
+        let out = fixpoint(p, 8, &mut |n| {
+            calls += 1;
+            let Plan::Select { input, pred } = n else {
+                return None;
+            };
+            let Plan::Select {
+                input: inner,
+                pred: ip,
+            } = &**input
+            else {
+                return None;
+            };
+            Some(Plan::Select {
+                input: inner.clone(),
+                pred: E::and(ip.clone(), pred.clone()),
+            })
         });
-        // Both selects fused into one conjunction.
-        assert_eq!(
-            out.count_nodes(&mut |n| matches!(n, Plan::Select { .. })),
-            1
-        );
+        assert_eq!(out.size(), 2, "{out}");
+        assert_eq!(calls, 3 + 2, "one pass of three nodes, one of two");
+    }
+
+    #[test]
+    fn fixpoint_calls_a_rule_that_never_fires_once_per_node() {
+        let p = Plan::scan("X", "x")
+            .join(Plan::scan("Y", "y"), truep())
+            .select(truep());
+        let mut calls = 0;
+        let out = fixpoint(p.clone(), 8, &mut |_| {
+            calls += 1;
+            None
+        });
+        assert_eq!(out, p);
+        assert_eq!(calls, p.size());
     }
 
     #[test]
     fn fixpoint_terminates_on_nonconverging_rule() {
         // A rule that flips the literal forever: the round bound stops it.
         let p = Plan::scan("X", "x").select(E::lit(true));
-        let out = fixpoint(p, 4, &mut |n| match n {
-            Plan::Select { input, pred } => {
-                let flipped = if pred == E::lit(true) {
-                    E::lit(false)
-                } else {
-                    E::lit(true)
-                };
-                let _ = pred;
-                Plan::Select {
-                    input,
-                    pred: flipped,
-                }
-            }
-            other => other,
+        let mut fired = 0;
+        let out = fixpoint(p, 4, &mut |n| {
+            let Plan::Select { input, pred } = n else {
+                return None;
+            };
+            fired += 1;
+            Some(Plan::Select {
+                input: input.clone(),
+                pred: E::lit(*pred != E::lit(true)),
+            })
         });
-        // Terminated; value after an even number of rounds is `true`.
-        assert!(matches!(out, Plan::Select { .. }));
-        let _ = Value::Bool(true);
+        // Terminated at the bound; an even number of flips is `true` again.
+        assert_eq!(fired, 4);
+        assert_eq!(out, Plan::scan("X", "x").select(E::lit(true)));
     }
 
     fn collect_tables(p: &Plan) -> Vec<String> {

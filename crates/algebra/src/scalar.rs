@@ -297,75 +297,53 @@ impl ScalarExpr {
         self.free_vars().contains(var)
     }
 
+    /// The same node over `f(child)` for each direct subexpression, left to
+    /// right (a quantifier's `over`, then its body). Leaves are cloned.
+    pub fn map_children(&self, f: &mut impl FnMut(&ScalarExpr) -> ScalarExpr) -> ScalarExpr {
+        use ScalarExpr as E;
+        let mut b = |e: &ScalarExpr| Box::new(f(e));
+        match self {
+            E::Lit(_) | E::Var(_) => self.clone(),
+            E::Field(e, l) => E::Field(b(e), l.clone()),
+            E::Not(e) => E::Not(b(e)),
+            E::Agg(h, e) => E::Agg(*h, b(e)),
+            E::Unnest(e) => E::Unnest(b(e)),
+            E::IsNull(e) => E::IsNull(b(e)),
+            E::Cmp(op, x, y) => E::Cmp(*op, b(x), b(y)),
+            E::Arith(op, x, y) => E::Arith(*op, b(x), b(y)),
+            E::And(x, y) => E::And(b(x), b(y)),
+            E::Or(x, y) => E::Or(b(x), b(y)),
+            E::SetBin(op, x, y) => E::SetBin(*op, b(x), b(y)),
+            E::SetCmp(op, x, y) => E::SetCmp(*op, b(x), b(y)),
+            E::Tuple(fs) => E::Tuple(fs.iter().map(|(l, e)| (l.clone(), f(e))).collect()),
+            E::SetLit(es) => E::SetLit(es.iter().map(f).collect()),
+            E::Quant { q, var, over, pred } => E::Quant {
+                q: *q,
+                var: var.clone(),
+                over: b(over),
+                pred: b(pred),
+            },
+        }
+    }
+
     /// Substitute every free occurrence of variable `var` by `replacement`.
     /// Quantifier bindings shadow as expected.
     pub fn substitute(&self, var: &str, replacement: &ScalarExpr) -> ScalarExpr {
         match self {
-            ScalarExpr::Lit(_) => self.clone(),
-            ScalarExpr::Var(v) => {
-                if v == var {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            ScalarExpr::Field(e, l) => {
-                ScalarExpr::Field(Box::new(e.substitute(var, replacement)), l.clone())
-            }
-            ScalarExpr::Not(e) => ScalarExpr::not(e.substitute(var, replacement)),
-            ScalarExpr::Agg(f, e) => ScalarExpr::agg(*f, e.substitute(var, replacement)),
-            ScalarExpr::Unnest(e) => ScalarExpr::Unnest(Box::new(e.substitute(var, replacement))),
-            ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(e.substitute(var, replacement))),
-            ScalarExpr::Cmp(op, a, b) => ScalarExpr::cmp(
-                *op,
-                a.substitute(var, replacement),
-                b.substitute(var, replacement),
-            ),
-            ScalarExpr::Arith(op, a, b) => ScalarExpr::Arith(
-                *op,
-                Box::new(a.substitute(var, replacement)),
-                Box::new(b.substitute(var, replacement)),
-            ),
-            ScalarExpr::And(a, b) => ScalarExpr::and(
-                a.substitute(var, replacement),
-                b.substitute(var, replacement),
-            ),
-            ScalarExpr::Or(a, b) => ScalarExpr::or(
-                a.substitute(var, replacement),
-                b.substitute(var, replacement),
-            ),
-            ScalarExpr::SetBin(op, a, b) => ScalarExpr::SetBin(
-                *op,
-                Box::new(a.substitute(var, replacement)),
-                Box::new(b.substitute(var, replacement)),
-            ),
-            ScalarExpr::SetCmp(op, a, b) => ScalarExpr::set_cmp(
-                *op,
-                a.substitute(var, replacement),
-                b.substitute(var, replacement),
-            ),
-            ScalarExpr::Tuple(fs) => ScalarExpr::Tuple(
-                fs.iter()
-                    .map(|(l, e)| (l.clone(), e.substitute(var, replacement)))
-                    .collect(),
-            ),
-            ScalarExpr::SetLit(es) => {
-                ScalarExpr::SetLit(es.iter().map(|e| e.substitute(var, replacement)).collect())
-            }
+            ScalarExpr::Var(v) if v == var => replacement.clone(),
+            // The quantifier rebinds `var`: only its range is in scope.
             ScalarExpr::Quant {
                 q,
-                var: bv,
+                var: bound,
                 over,
                 pred,
-            } => {
-                let over2 = over.substitute(var, replacement);
-                let pred2 = if &**bv == var {
-                    (**pred).clone()
-                } else {
-                    pred.substitute(var, replacement)
-                };
-                ScalarExpr::quant(*q, bv.clone(), over2, pred2)
-            }
+            } if &**bound == var => ScalarExpr::Quant {
+                q: *q,
+                var: bound.clone(),
+                over: Box::new(over.substitute(var, replacement)),
+                pred: pred.clone(),
+            },
+            _ => self.map_children(&mut |e| e.substitute(var, replacement)),
         }
     }
 }

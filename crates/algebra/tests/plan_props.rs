@@ -1,11 +1,13 @@
-//! Property tests for the plan-rewriting framework: `with_children` /
-//! `take_children` must round-trip arbitrary plans, transforms must
-//! preserve node counts when the callback is the identity, and
-//! `output_vars` / `free_vars` must be stable under identity rewriting.
+//! Property tests for the plan-rewriting framework: `map_children` must
+//! round-trip arbitrary plans and visit children in `children()` order,
+//! transforms must be the identity when the callback is, a rule that never
+//! fires is asked once per node, `output_vars` / `free_vars` must be stable
+//! under identity rewriting, and `ScalarExpr::substitute` must agree with
+//! the per-variant definition it replaced (kept here as the reference).
 
 use proptest::prelude::*;
-use tmql_algebra::rewrite::{take_children, transform_down, transform_up, with_children};
-use tmql_algebra::{Plan, ScalarExpr as E};
+use tmql_algebra::rewrite::{fixpoint, transform_up};
+use tmql_algebra::{Plan, Quantifier, ScalarExpr as E, SetCmpOp};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-c]".prop_map(|s| format!("v{s}"))
@@ -18,6 +20,91 @@ fn arb_scalar() -> impl Strategy<Value = E> {
         (ident(), "[a-c]").prop_map(|(v, f)| E::path(v, &[f.as_str()])),
         (ident(), ident()).prop_map(|(a, b)| E::eq(E::var(a), E::var(b))),
     ]
+}
+
+/// Expressions over every `ScalarExpr` variant, with quantifiers that bind
+/// the same `va`…`vc` names the leaves mention, so substitution meets
+/// shadowing.
+fn arb_expr() -> impl Strategy<Value = E> {
+    arb_scalar().prop_recursive(3, 24, 3, |inner| {
+        let two = || (inner.clone(), inner.clone());
+        prop_oneof![
+            (inner.clone(), "[a-c]").prop_map(|(e, f)| e.field(f)),
+            inner.clone().prop_map(E::not),
+            inner
+                .clone()
+                .prop_map(|e| E::agg(tmql_algebra::AggFn::Count, e)),
+            inner.clone().prop_map(|e| E::Unnest(Box::new(e))),
+            inner.clone().prop_map(|e| E::IsNull(Box::new(e))),
+            two().prop_map(|(a, b)| E::cmp(tmql_algebra::CmpOp::Lt, a, b)),
+            two().prop_map(|(a, b)| E::Arith(tmql_algebra::ArithOp::Add, Box::new(a), Box::new(b))),
+            two().prop_map(|(a, b)| E::and(a, b)),
+            two().prop_map(|(a, b)| E::or(a, b)),
+            two().prop_map(|(a, b)| E::SetBin(
+                tmql_algebra::SetBinOp::Union,
+                Box::new(a),
+                Box::new(b)
+            )),
+            two().prop_map(|(a, b)| E::set_cmp(SetCmpOp::SubsetEq, a, b)),
+            two().prop_map(|(a, b)| E::Tuple(vec![("a".into(), a), ("b".into(), b)])),
+            prop::collection::vec(inner.clone(), 0..3).prop_map(E::SetLit),
+            (ident(), inner.clone(), inner.clone()).prop_map(|(v, over, body)| E::quant(
+                Quantifier::Exists,
+                v,
+                over,
+                body
+            )),
+            (ident(), inner.clone(), inner.clone()).prop_map(|(v, over, body)| E::quant(
+                Quantifier::Forall,
+                v,
+                over,
+                body
+            )),
+        ]
+    })
+}
+
+/// `ScalarExpr::substitute` as it was written before `map_children`: one
+/// arm per variant.
+fn substitute_reference(e: &E, var: &str, r: &E) -> E {
+    let s = |e: &E| substitute_reference(e, var, r);
+    let b = |e: &E| Box::new(substitute_reference(e, var, r));
+    match e {
+        E::Lit(_) => e.clone(),
+        E::Var(v) => {
+            if v == var {
+                r.clone()
+            } else {
+                e.clone()
+            }
+        }
+        E::Field(e, l) => E::Field(b(e), l.clone()),
+        E::Not(e) => E::Not(b(e)),
+        E::Agg(f, e) => E::Agg(*f, b(e)),
+        E::Unnest(e) => E::Unnest(b(e)),
+        E::IsNull(e) => E::IsNull(b(e)),
+        E::Cmp(op, x, y) => E::Cmp(*op, b(x), b(y)),
+        E::Arith(op, x, y) => E::Arith(*op, b(x), b(y)),
+        E::And(x, y) => E::And(b(x), b(y)),
+        E::Or(x, y) => E::Or(b(x), b(y)),
+        E::SetBin(op, x, y) => E::SetBin(*op, b(x), b(y)),
+        E::SetCmp(op, x, y) => E::SetCmp(*op, b(x), b(y)),
+        E::Tuple(fs) => E::Tuple(fs.iter().map(|(l, e)| (l.clone(), s(e))).collect()),
+        E::SetLit(es) => E::SetLit(es.iter().map(s).collect()),
+        E::Quant {
+            q,
+            var: bv,
+            over,
+            pred,
+        } => {
+            let pred2 = if &**bv == var {
+                (**pred).clone()
+            } else {
+                s(pred)
+            };
+            E::quant(*q, bv.clone(), s(over), pred2)
+        }
+    }
 }
 
 fn arb_plan() -> impl Strategy<Value = Plan> {
@@ -61,17 +148,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn with_children_round_trips(p in arb_plan()) {
-        let rebuilt = with_children(p.clone(), take_children(&p));
-        prop_assert_eq!(rebuilt, p);
+    fn map_children_round_trips(p in arb_plan()) {
+        let mut p = p;
+        let expected: Vec<Plan> = p.children().into_iter().cloned().collect();
+        prop_assert_eq!(p.children_mut().len(), expected.len());
+        let mut seen = Vec::new();
+        let rebuilt = p.clone().map_children(&mut |c| {
+            seen.push(c.clone());
+            c
+        });
+        prop_assert_eq!(&rebuilt, &p);
+        prop_assert_eq!(seen, expected, "children() order");
     }
 
     #[test]
     fn identity_transforms_are_identity(p in arb_plan()) {
         let up = transform_up(p.clone(), &mut |n| n);
         prop_assert_eq!(&up, &p);
-        let down = transform_down(p.clone(), &mut |n| n);
-        prop_assert_eq!(&down, &p);
+    }
+
+    #[test]
+    fn a_rule_that_never_fires_is_asked_once_per_node(p in arb_plan()) {
+        let mut calls = 0;
+        let out = fixpoint(p.clone(), 8, &mut |_| {
+            calls += 1;
+            None
+        });
+        prop_assert_eq!(&out, &p);
+        prop_assert_eq!(calls, p.size());
+    }
+
+    #[test]
+    fn substitute_agrees_with_its_per_variant_definition(
+        e in arb_expr(),
+        var in ident(),
+        r in arb_scalar(),
+    ) {
+        prop_assert_eq!(e.substitute(&var, &r), substitute_reference(&e, &var, &r));
     }
 
     #[test]
@@ -86,7 +199,7 @@ proptest! {
     fn output_vars_nonempty_and_stable(p in arb_plan()) {
         let vars = p.output_vars();
         prop_assert!(!vars.is_empty(), "every operator binds something");
-        let rebuilt = with_children(p.clone(), take_children(&p));
+        let rebuilt = p.map_children(&mut |c| c);
         prop_assert_eq!(rebuilt.output_vars(), vars);
     }
 

@@ -74,14 +74,9 @@ impl Classification {
 pub fn split_on_z(pred: &ScalarExpr, z: &str) -> (Option<ScalarExpr>, Vec<ScalarExpr>) {
     let (with_z, without_z): (Vec<_>, Vec<_>) =
         pred.conjuncts().into_iter().partition(|c| c.mentions(z));
-    match with_z.len() {
-        0 => (None, without_z),
-        1 => (
-            Some(with_z.into_iter().next().expect("len is 1")),
-            without_z,
-        ),
-        _ => (Some(ScalarExpr::conj(with_z)), without_z),
-    }
+    // `conj` of one conjunct is that conjunct.
+    let zpart = (!with_z.is_empty()).then(|| ScalarExpr::conj(with_z));
+    (zpart, without_z)
 }
 
 /// Classify a predicate with respect to the subquery variable `z`.

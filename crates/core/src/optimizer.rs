@@ -4,7 +4,7 @@
 use tmql_algebra::Plan;
 
 use crate::rules;
-use crate::strategy::{self, UnnestStrategy};
+use crate::strategy::{self, Block, UnnestStrategy};
 
 /// A cost model the optimizer can rank candidate plans with. Implemented
 /// by `tmql-exec`'s statistics-backed estimator (adapted in the `tmql`
@@ -32,45 +32,16 @@ pub fn unnest_plan(plan: Plan, strat: UnnestStrategy) -> Plan {
 }
 
 /// [`unnest_plan`] with an optional cost model for
-/// [`UnnestStrategy::CostBased`].
+/// [`UnnestStrategy::CostBased`]. Every nested block is analysed once
+/// ([`strategy::Block`]) and decided once: by [`strategy::candidate`], or
+/// by cost (`cheapest`) when there is a model to rank with.
 pub fn unnest_plan_with(plan: Plan, strat: UnnestStrategy, model: Option<&dyn CostModel>) -> Plan {
-    match strat {
-        UnnestStrategy::NestedLoop => strategy::nested_loop::rewrite(plan),
-        UnnestStrategy::Kim => strategy::kim::rewrite(plan),
-        UnnestStrategy::GanskiWong => strategy::ganski_wong::rewrite(plan),
-        UnnestStrategy::Muralikrishna => strategy::muralikrishna::rewrite(plan),
-        UnnestStrategy::NestJoin => strategy::nestjoin::rewrite(plan),
-        UnnestStrategy::FlattenSemiAnti => strategy::semi_anti::rewrite(plan),
-        UnnestStrategy::Optimal => optimal(plan),
-        UnnestStrategy::CostBased => match model {
-            Some(m) => cost_based(plan, m),
-            None => optimal(plan),
-        },
+    if strat == UnnestStrategy::NestedLoop {
+        return plan; // nothing to decide, so no block is analysed
     }
-}
-
-/// The paper's full pipeline (Section 8): "In a preprocessing phase,
-/// predicates between query blocks are rewritten into calculus
-/// expressions if possible. … If predicates between query blocks require
-/// grouping, a nest join operator is applied; if predicates do not need
-/// grouping a flat join operation is executed."
-fn optimal(plan: Plan) -> Plan {
-    strategy::rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        if let Some(p) = pred {
-            // Try Theorem 1 flattening first (semijoin / antijoin) …
-            if let Some(flat) = strategy::semi_anti::rewrite_one(p, input, subquery, label) {
-                return Some(flat);
-            }
-            // … fall back to the nest join, keeping the block predicate.
-            let nj = strategy::nestjoin::rewrite_one(input, subquery, label)?;
-            return Some(nj.select(p.clone()));
-        }
-        // SELECT-clause nesting: nest join unconditionally (Section 5:
-        // grouping is required; Section 6: "queries having subqueries in
-        // the SELECT clause often describe nested results, so processing
-        // by means of the nest join operation will be an appropriate
-        // method").
-        strategy::nestjoin::rewrite_one(input, subquery, label)
+    strategy::rewrite_blocks(plan, &mut |block| match (strat, model) {
+        (UnnestStrategy::CostBased, Some(model)) => cheapest(block, model),
+        _ => strategy::candidate(block, strat),
     })
 }
 
@@ -81,74 +52,27 @@ fn optimal(plan: Plan) -> Plan {
 /// it predicts a clear win, not on a coin-flip-sized gap.
 const COST_MARGIN: f64 = 0.2;
 
-/// Cost-based per-block selection: enumerate every applicable rewrite of
-/// the block plus the nested-loop baseline, cost each candidate plan, and
-/// keep the cheapest (subject to [`COST_MARGIN`]). Blocks whose inner
-/// plan is not closed (Section 3.2: subquery operands that are set-valued
-/// attributes) have no applicable rewrites and therefore stay
-/// nested-loop; when Theorem 1 denies a flat join, only the grouping
-/// strategies compete.
-fn cost_based(plan: Plan, model: &dyn CostModel) -> Plan {
-    strategy::rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        // Candidates in rule-preference order (the `Optimal` pipeline's
-        // own ranking first): flatten, nest join, then the relational
-        // repairs.
-        let mut candidates: Vec<Plan> = Vec::new();
-        match pred {
-            Some(p) => {
-                if let Some(flat) = strategy::semi_anti::rewrite_one(p, input, subquery, label) {
-                    candidates.push(flat);
-                }
-                if let Some(nj) = strategy::nestjoin::rewrite_one(input, subquery, label) {
-                    candidates.push(nj.select(p.clone()));
-                }
-                if let Some(mur) = strategy::muralikrishna::rewrite_one(p, input, subquery, label) {
-                    candidates.push(mur);
-                }
-                if let Some(gw) = strategy::ganski_wong::rewrite_one(input, subquery, label) {
-                    candidates.push(gw.select(p.clone()));
-                }
-            }
-            None => {
-                if let Some(nj) = strategy::nestjoin::rewrite_one(input, subquery, label) {
-                    candidates.push(nj);
-                }
-                if let Some(gw) = strategy::ganski_wong::rewrite_one(input, subquery, label) {
-                    candidates.push(gw);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            // Not closed / not canonical: nested-loop is the only option.
-            return None;
-        }
-        let mut best: Option<(Plan, f64)> = None;
-        for candidate in candidates {
-            let cost = model.total_cost(&candidate);
-            let displaces = match &best {
-                None => true,
-                Some((_, incumbent)) => cost < incumbent * (1.0 - COST_MARGIN),
-            };
-            if displaces {
-                best = Some((candidate, cost));
-            }
-        }
-        let (best, best_cost) = best.expect("candidates is non-empty");
-        // The rewrites still have to beat keeping the Apply outright (no
-        // margin: the nested loop is the fallback, not the preference).
-        let baseline = {
-            let apply = input.clone().apply(subquery.clone(), label);
-            match pred {
-                Some(p) => apply.select(p.clone()),
-                None => apply,
-            }
+/// Cost-based selection for one block: cost each of its
+/// [`strategy::candidates`] and keep the cheapest (subject to
+/// [`COST_MARGIN`]), provided it is no dearer than the nested loop. When
+/// Theorem 1 denies a flat join, only the grouping strategies compete;
+/// a block with no candidate stays nested-loop.
+fn cheapest(block: &Block<'_>, model: &dyn CostModel) -> Option<Plan> {
+    let mut best: Option<(Plan, f64)> = None;
+    for (_, candidate) in strategy::candidates(block) {
+        let cost = model.total_cost(&candidate);
+        let displaces = match &best {
+            None => true,
+            Some((_, incumbent)) => cost < incumbent * (1.0 - COST_MARGIN),
         };
-        if best_cost <= model.total_cost(&baseline) {
-            Some(best)
-        } else {
-            None
+        if displaces {
+            best = Some((candidate, cost));
         }
-    })
+    }
+    // The rewrites still have to beat keeping the Apply outright (no
+    // margin: the nested loop is the fallback, not the preference).
+    best.filter(|(_, cost)| *cost <= model.total_cost(&block.nested_loop()))
+        .map(|(plan, _)| plan)
 }
 
 /// A configured optimizer: strategy + optional rule cleanup.
@@ -171,14 +95,6 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// Optimizer with a fixed strategy and cleanup enabled.
-    pub fn with_strategy(strategy: UnnestStrategy) -> Optimizer {
-        Optimizer {
-            strategy,
-            apply_rules: true,
-        }
-    }
-
     /// Run the full logical optimization pipeline without a cost model
     /// ([`UnnestStrategy::CostBased`] degrades to the rule-based
     /// pipeline — see [`unnest_plan`]).
@@ -193,9 +109,7 @@ impl Optimizer {
         // entirely (Section 5's special case), which is strictly better
         // than any join strategy for it.
         let plan = if self.apply_rules {
-            tmql_algebra::rewrite::fixpoint(plan, 4, &mut |node| {
-                rules::unnest_collapse(&node).unwrap_or(node)
-            })
+            tmql_algebra::rewrite::fixpoint(plan, 4, &mut rules::unnest_collapse)
         } else {
             plan
         };
@@ -208,6 +122,9 @@ impl Optimizer {
     }
 }
 
+// What each strategy makes of each statement — `unnest_plan(p, s)` for every
+// `s` in `UnnestStrategy::ALL` over the 26 `plan_heavy` statements — is pinned
+// byte for byte by `tests/plan_golden.rs`; the tests here pin the decisions.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +293,48 @@ mod tests {
         let out = unnest_plan_with(plan, UnnestStrategy::CostBased, Some(&OpCountModel));
         assert!(out.has_apply(), "{out}");
         assert!(!out.has_nest_join());
+    }
+
+    /// [`OpCountModel`], counting how often it is asked.
+    struct Counting(std::cell::Cell<usize>);
+
+    impl CostModel for Counting {
+        fn total_cost(&self, plan: &Plan) -> f64 {
+            self.0.set(self.0.get() + 1);
+            OpCountModel.total_cost(plan)
+        }
+    }
+
+    fn times_costed(plan: Plan) -> usize {
+        let model = Counting(std::cell::Cell::new(0));
+        unnest_plan_with(plan, UnnestStrategy::CostBased, Some(&model));
+        model.0.get()
+    }
+
+    #[test]
+    fn cost_based_costs_each_distinct_candidate_once() {
+        // x.a ∈ z: flatten, nest join, Ganski–Wong and the nested-loop
+        // baseline. Muralikrishna's entry is the semijoin again; it could
+        // never displace (equal cost does not clear the margin) and is
+        // neither built nor costed.
+        let member = E::set_cmp(SetCmpOp::In, E::path("x", &["a"]), E::var("z"));
+        assert_eq!(times_costed(where_block(member)), 4);
+        // x.a ⊆ z: Theorem 1 denies the flat join; nest join,
+        // Muralikrishna, Ganski–Wong and the baseline.
+        let subset = E::set_cmp(SetCmpOp::SubsetEq, E::path("x", &["a"]), E::var("z"));
+        assert_eq!(times_costed(where_block(subset)), 4);
+        // Not closed (Section 3.2): no candidate, so no baseline either.
+        let sub = Plan::ScanExpr {
+            expr: E::path("d", &["emps"]),
+            var: "e".into(),
+        }
+        .map(E::var("e"), "s");
+        let plan = Plan::scan("DEPT", "d").apply(sub, "z").select(E::set_cmp(
+            SetCmpOp::In,
+            E::path("d", &["mgr"]),
+            E::var("z"),
+        ));
+        assert_eq!(times_costed(plan), 0);
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! pleasant algebraic properties" — it is neither commutative nor
 //! associative — but lists equivalences that *do* hold. Those are
 //! implemented here, plus the Section 5 `UNNEST`-collapse law. Each rule
-//! is a standalone `Option`-returning function (so ablation benchmarks can
-//! toggle them individually); [`cleanup`] applies the always-beneficial
-//! ones to a fixpoint.
+//! is a standalone function from a node to `Some(replacement)` or `None`;
+//! [`cleanup`] applies the always-beneficial ones to a fixpoint.
 
 use std::collections::BTreeSet;
 
 use tmql_algebra::rewrite::fixpoint;
 use tmql_algebra::{Plan, ScalarExpr};
+
+use crate::strategy::{decompose_subquery, decorrelatable};
 
 /// `π_X(X Δ Y) = X` (Section 6): projecting a nest join onto the left
 /// operand's variables drops the nest join entirely — the nest join
@@ -291,17 +292,14 @@ pub fn unnest_collapse(plan: &Plan) -> Option<Plan> {
             return None;
         }
     }
-    let parts = crate::strategy::decompose_subquery(subquery)?;
-    if !crate::strategy::decorrelatable(&parts) {
-        return None;
-    }
+    let parts = decompose_subquery(subquery).filter(decorrelatable)?;
     Some(
         Plan::Join {
             left: outer.clone(),
-            right: Box::new(parts.inner),
-            pred: parts.q,
+            right: Box::new(parts.inner.clone()),
+            pred: parts.q.clone(),
         }
-        .map(parts.g, elem_var.clone()),
+        .map(parts.g.clone(), elem_var.clone()),
     )
 }
 
@@ -309,19 +307,10 @@ pub fn unnest_collapse(plan: &Plan) -> Option<Plan> {
 /// pushdown, unnest collapse) bottom-up to a fixpoint.
 pub fn cleanup(plan: Plan) -> Plan {
     fixpoint(plan, 8, &mut |node| {
-        if let Some(p) = project_nestjoin_elim(&node) {
-            return p;
-        }
-        if let Some(p) = select_pushdown_nestjoin(&node) {
-            return p;
-        }
-        if let Some(p) = select_pushdown_join(&node) {
-            return p;
-        }
-        if let Some(p) = unnest_collapse(&node) {
-            return p;
-        }
-        node
+        project_nestjoin_elim(node)
+            .or_else(|| select_pushdown_nestjoin(node))
+            .or_else(|| select_pushdown_join(node))
+            .or_else(|| unnest_collapse(node))
     })
 }
 

@@ -26,26 +26,12 @@ use std::collections::BTreeSet;
 
 use tmql_algebra::{Plan, ScalarExpr};
 
-use super::{decompose_subquery, decorrelatable, rewrite_blocks};
+use super::Block;
 
-/// Rewrite every decorrelatable block with the outerjoin + ν* scheme.
-pub fn rewrite(plan: Plan) -> Plan {
-    rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        let replacement = rewrite_one(input, subquery, label)?;
-        Some(match pred {
-            Some(p) => replacement.select(p.clone()),
-            None => replacement,
-        })
-    })
-}
-
-/// Rewrite one block; `None` when the inner plan is correlated or the
-/// result expression would not NULL-propagate (see below).
-pub fn rewrite_one(input: &Plan, subquery: &Plan, label: &str) -> Option<Plan> {
-    let parts = decompose_subquery(subquery)?;
-    if !decorrelatable(&parts) {
-        return None;
-    }
+/// `ν*_{vars(I); z := G}(I ⟕_Q R)`, without the block predicate. `None`
+/// when the result expression would not NULL-propagate.
+pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
+    let parts = block.parts;
     // ν* recognizes dangling tuples by their NULL payload, so G must
     // evaluate to NULL on a NULL-extended row. That holds for column
     // references (`y.a`, `y`), i.e. for everything expressible in the
@@ -53,19 +39,19 @@ pub fn rewrite_one(input: &Plan, subquery: &Plan, label: &str) -> Option<Plan> {
     // a tuple literal would mask the NULL and silently resurrect the bug,
     // so we refuse and let the caller fall back.
     let inner_vars: BTreeSet<String> = parts.inner.output_vars().into_iter().collect();
-    if !null_propagating(&parts.g, &inner_vars) {
+    if !null_propagating(parts.g, &inner_vars) {
         return None;
     }
     let outer = Plan::LeftOuterJoin {
-        left: Box::new(input.clone()),
-        right: Box::new(parts.inner),
-        pred: parts.q,
+        left: Box::new(block.input.clone()),
+        right: Box::new(parts.inner.clone()),
+        pred: parts.q.clone(),
     };
     Some(Plan::Nest {
         input: Box::new(outer),
-        keys: input.output_vars(),
-        value: parts.g,
-        label: label.to_string(),
+        keys: block.input.output_vars(),
+        value: parts.g.clone(),
+        label: block.label.to_string(),
         star: true,
     })
 }
@@ -83,7 +69,12 @@ fn null_propagating(g: &ScalarExpr, vars: &BTreeSet<String>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{unnest_plan, UnnestStrategy};
     use tmql_algebra::{AggFn, CmpOp, ScalarExpr as E};
+
+    fn rewrite(plan: Plan) -> Plan {
+        unnest_plan(plan, UnnestStrategy::GanskiWong)
+    }
 
     fn sub(g: E) -> Plan {
         Plan::scan("S", "y")

@@ -34,81 +34,78 @@ use std::collections::BTreeSet;
 
 use tmql_algebra::{AggFn, CmpOp, Plan, ScalarExpr};
 
-use crate::classify::{classify, split_on_z, Classification};
+use crate::classify::{Classification, FRESH_VAR};
 
-use super::{decompose_subquery, decorrelatable, replace_subexpr, rewrite_blocks, SubqueryParts};
+use super::{replace_subexpr, Block};
 
-/// Rewrite every decorrelatable block with Kim's algorithm.
-pub fn rewrite(plan: Plan) -> Plan {
-    rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        rewrite_one(pred, input, subquery, label)
-    })
-}
-
-/// Rewrite a single block. `None` leaves the block as a nested loop (Kim
-/// has no transformation for correlated inner operands).
-pub fn rewrite_one(
-    pred: Option<&ScalarExpr>,
-    input: &Plan,
-    subquery: &Plan,
-    label: &str,
-) -> Option<Plan> {
-    let parts = decompose_subquery(subquery)?;
-    if !decorrelatable(&parts) {
-        return None;
-    }
-    let Some(pred) = pred else {
+/// Kim's plan for one block. `None` leaves it a nested loop (Kim has no
+/// transformation for correlation that is not an equi predicate).
+pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
+    let parts = block.parts;
+    if block.pred.is_none() {
         // SELECT-clause nesting: Kim's relational algorithm has no
         // equivalent (nested results are not relational); the join+ν
         // variant below still applies and still loses dangling tuples.
-        return kim_nest_variant(&ScalarExpr::lit(true), &[], input, &parts, label);
-    };
-    let (zpart, rest) = split_on_z(pred, label);
-    let zpart = match zpart {
-        Some(p) => p,
-        None => return Some(input.clone().select(ScalarExpr::conj(rest))),
+        let (t, key_eqs, _) = nested(correlation(block)?, block);
+        return Some(joined(block, t, key_eqs, ScalarExpr::lit(true)));
+    }
+    let Some((zpart, class)) = &block.zpart else {
+        return Some(block.without_subquery());
     };
 
     // Types N/J: predicates that classify existential flatten to a plain
     // join + projection — Kim handled those correctly.
-    if let Classification::Existential { pred: p_prime } = classify(&zpart, label) {
-        let p_on_g = p_prime.substitute(crate::classify::FRESH_VAR, &parts.g);
+    if let Classification::Existential { pred: p_prime } = class {
+        let p_on_g = p_prime.substitute(FRESH_VAR, parts.g);
         let join_pred = ScalarExpr::and(parts.q.clone(), p_on_g);
-        let joined = input.clone().join(parts.inner.clone(), join_pred);
         // Kim projects back onto the outer relation's attributes; our
         // set-semantics Project both restores the arity and (unlike
         // SQL multisets) removes the duplicates Kim's paper disregards.
-        let outer_vars: Vec<String> = input.output_vars();
         let projected = Plan::Project {
-            input: Box::new(joined),
-            vars: outer_vars,
+            input: Box::new(block.input.clone().join(parts.inner.clone(), join_pred)),
+            vars: block.input.output_vars(),
         };
-        return Some(if rest.is_empty() {
-            projected
-        } else {
-            projected.select(ScalarExpr::conj(rest))
-        });
+        return Some(block.with_rest(projected));
     }
 
-    // Aggregate between blocks (type JA): group-then-join.
-    if let Some(agg) = find_unique_agg(&zpart, label) {
-        return kim_agg_variant(&zpart, &rest, input, &parts, label, agg);
+    let corr = correlation(block)?;
+    // Aggregate between blocks (type JA): group-then-join, unless z also
+    // occurs outside the aggregate (mixed form).
+    if let Some(agg) = find_unique_agg(zpart, block.label) {
+        let tvar = t_var(block.label);
+        let p_sub = replace_agg(zpart, agg, block.label, &ScalarExpr::path(&tvar, &["agg"]));
+        if !p_sub.mentions(block.label) {
+            let (t, key_eqs) = grouped(corr, block, agg, &tvar);
+            return Some(joined(block, t, key_eqs, p_sub));
+        }
     }
-    // Complex-object grouping predicates: nest-then-join.
-    kim_nest_variant(&ScalarExpr::conj([zpart]), &rest, input, &parts, label)
+    // Complex-object grouping predicates: nest-then-join. The nested-set
+    // label reuses the block label so `P(x, z)` applies unchanged.
+    let (t, key_eqs, _) = nested(corr, block);
+    Some(joined(block, t, key_eqs, zpart.clone()))
 }
 
-/// Correlation analysis shared by both variants: split `Q` into equi pairs
-/// `outer-expr = inner-expr` plus inner-only conjuncts (pushed into `R`).
-/// Mixed non-equi conjuncts make Kim inapplicable.
-pub(crate) struct Correlation {
-    pub(crate) outer_keys: Vec<ScalarExpr>,
-    pub(crate) inner_keys: Vec<ScalarExpr>,
-    pub(crate) inner_plan: Plan,
+/// `I ⋈_{keys ∧ p} T` under the `z`-free conjuncts: the regular join that
+/// drops dangling `I` tuples.
+fn joined(block: &Block<'_>, t: Plan, mut conjuncts: Vec<ScalarExpr>, p: ScalarExpr) -> Plan {
+    conjuncts.push(p);
+    block.with_rest(block.input.clone().join(t, ScalarExpr::conj(conjuncts)))
 }
 
-pub(crate) fn correlation(input: &Plan, parts: &SubqueryParts) -> Option<Correlation> {
-    let outer_vars: BTreeSet<String> = input.output_vars().into_iter().collect();
+/// Correlation analysis shared by both variants (and by Muralikrishna):
+/// `Q` split into equi pairs `outer-expr = inner-expr`, the inner-only
+/// conjuncts already pushed into `R`.
+pub(super) struct Correlation {
+    outer_keys: Vec<ScalarExpr>,
+    inner_keys: Vec<ScalarExpr>,
+    inner_plan: Plan,
+}
+
+/// `None` when `Q` has a mixed conjunct that is not an equi predicate:
+/// Kim's algorithm does not apply.
+pub(super) fn correlation(block: &Block<'_>) -> Option<Correlation> {
+    let parts = block.parts;
+    let outer_vars: BTreeSet<String> = block.input.output_vars().into_iter().collect();
     let inner_vars: BTreeSet<String> = parts.inner.output_vars().into_iter().collect();
     let mut outer_keys = Vec::new();
     let mut inner_keys = Vec::new();
@@ -135,8 +132,6 @@ pub(crate) fn correlation(input: &Plan, parts: &SubqueryParts) -> Option<Correla
                 continue;
             }
         }
-        // Correlation that is not a simple equi predicate: Kim's
-        // algorithm does not apply.
         return None;
     }
     let inner_plan = if inner_resid.is_empty() {
@@ -151,103 +146,75 @@ pub(crate) fn correlation(input: &Plan, parts: &SubqueryParts) -> Option<Correla
     })
 }
 
-/// Kim variant (1) of Section 2: `T = γ(R)`, then join.
-fn kim_agg_variant(
-    zpart: &ScalarExpr,
-    rest: &[ScalarExpr],
-    input: &Plan,
-    parts: &SubqueryParts,
-    label: &str,
+/// The variable `T = γ(R)` is bound to.
+pub(super) fn t_var(label: &str) -> String {
+    format!("__t_{label}")
+}
+
+/// `p` with `H(z)` replaced by `by`.
+pub(super) fn replace_agg(p: &ScalarExpr, agg: AggFn, z: &str, by: &ScalarExpr) -> ScalarExpr {
+    replace_subexpr(p, &ScalarExpr::agg(agg, ScalarExpr::var(z)), by)
+}
+
+/// Variant (1) of Section 2: `T = γ_{keys; agg}(R)` bound to `tvar`, with
+/// the key equalities `outer = tvar.k_i`.
+pub(super) fn grouped(
+    corr: Correlation,
+    block: &Block<'_>,
     agg: AggFn,
-) -> Option<Plan> {
-    let corr = correlation(input, parts)?;
-    let tvar = format!("__t_{label}");
+    tvar: &str,
+) -> (Plan, Vec<ScalarExpr>) {
     let keys: Vec<(String, ScalarExpr)> = corr
         .inner_keys
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, e)| (format!("k{i}"), e.clone()))
+        .map(|(i, e)| (format!("k{i}"), e))
+        .collect();
+    let key_eqs = corr
+        .outer_keys
+        .into_iter()
+        .zip(&keys)
+        .map(|(o, (kname, _))| ScalarExpr::eq(o, ScalarExpr::var(tvar).field(kname.clone())))
         .collect();
     let t = Plan::GroupAgg {
         input: Box::new(corr.inner_plan),
-        keys: keys.clone(),
-        aggs: vec![("agg".to_string(), agg, parts.g.clone())],
-        var: tvar.clone(),
+        keys,
+        aggs: vec![("agg".to_string(), agg, block.parts.g.clone())],
+        var: tvar.to_string(),
     };
-    // Join predicate: key equalities plus P with H(z) replaced by t.agg.
-    let target = ScalarExpr::agg(agg, ScalarExpr::var(label));
-    let p_sub = replace_subexpr(zpart, &target, &ScalarExpr::path(&tvar, &["agg"]));
-    if p_sub.mentions(label) {
-        // z occurs outside the aggregate too — mixed form, fall back.
-        return kim_nest_variant(
-            &ScalarExpr::conj([zpart.clone()]),
-            rest,
-            input,
-            parts,
-            label,
-        );
-    }
-    let mut join_conjs: Vec<ScalarExpr> = corr
-        .outer_keys
-        .iter()
-        .zip(&keys)
-        .map(|(o, (kname, _))| {
-            ScalarExpr::eq(o.clone(), ScalarExpr::var(&tvar).field(kname.clone()))
-        })
-        .collect();
-    join_conjs.push(p_sub);
-    let joined = input.clone().join(t, ScalarExpr::conj(join_conjs));
-    Some(finish(joined, rest))
+    (t, key_eqs)
 }
 
-/// The ν-based variant of Section 4: `T = ν(R)`, then join. The nested-set
-/// label reuses the block label so `P(x, z)` applies unchanged.
-fn kim_nest_variant(
-    zpart: &ScalarExpr,
-    rest: &[ScalarExpr],
-    input: &Plan,
-    parts: &SubqueryParts,
-    label: &str,
-) -> Option<Plan> {
-    let corr = correlation(input, parts)?;
-    // Extend R with the key expressions as plain variables so ν can group
-    // on them.
+/// The ν-based variant of Section 4: `T = ν_{keys; z}(R)` with `R`
+/// extended by the key expressions as plain variables (so ν can group on
+/// them), the key equalities `outer = key_i`, and the key variables.
+pub(super) fn nested(corr: Correlation, block: &Block<'_>) -> (Plan, Vec<ScalarExpr>, Vec<String>) {
     let mut extended = corr.inner_plan;
     let mut key_vars = Vec::new();
-    for (i, k) in corr.inner_keys.iter().enumerate() {
-        let kname = format!("__k{i}_{label}");
-        extended = extended.extend(k.clone(), kname.clone());
+    for (i, k) in corr.inner_keys.into_iter().enumerate() {
+        let kname = format!("__k{i}_{}", block.label);
+        extended = extended.extend(k, kname.clone());
         key_vars.push(kname);
     }
+    let key_eqs = corr
+        .outer_keys
+        .into_iter()
+        .zip(&key_vars)
+        .map(|(o, k)| ScalarExpr::eq(o, ScalarExpr::var(k)))
+        .collect();
     let t = Plan::Nest {
         input: Box::new(extended),
         keys: key_vars.clone(),
-        value: parts.g.clone(),
-        label: label.to_string(),
+        value: block.parts.g.clone(),
+        label: block.label.to_string(),
         star: false,
     };
-    let mut join_conjs: Vec<ScalarExpr> = corr
-        .outer_keys
-        .iter()
-        .zip(&key_vars)
-        .map(|(o, k)| ScalarExpr::eq(o.clone(), ScalarExpr::var(k)))
-        .collect();
-    join_conjs.push(zpart.clone());
-    let joined = input.clone().join(t, ScalarExpr::conj(join_conjs));
-    Some(finish(joined, rest))
-}
-
-fn finish(plan: Plan, rest: &[ScalarExpr]) -> Plan {
-    if rest.is_empty() {
-        plan
-    } else {
-        plan.select(ScalarExpr::conj(rest.to_vec()))
-    }
+    (t, key_eqs, key_vars)
 }
 
 /// Find the aggregate `H(z)` if `zpart` contains exactly one aggregate
 /// application over `z`.
-pub(crate) fn find_unique_agg(e: &ScalarExpr, z: &str) -> Option<AggFn> {
+pub(super) fn find_unique_agg(e: &ScalarExpr, z: &str) -> Option<AggFn> {
     let mut found = Vec::new();
     collect_aggs(e, z, &mut found);
     match found.as_slice() {
@@ -291,7 +258,12 @@ fn collect_aggs(e: &ScalarExpr, z: &str, out: &mut Vec<AggFn>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{unnest_plan, UnnestStrategy};
     use tmql_algebra::{ScalarExpr as E, SetCmpOp};
+
+    fn rewrite(plan: Plan) -> Plan {
+        unnest_plan(plan, UnnestStrategy::Kim)
+    }
 
     fn sub() -> Plan {
         Plan::scan("S", "y")

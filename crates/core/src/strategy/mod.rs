@@ -30,6 +30,8 @@ pub mod semi_anti;
 
 use tmql_algebra::{Plan, ScalarExpr};
 
+use crate::classify::{classify, split_on_z, Classification};
+
 /// Which unnesting strategy to apply to a translated plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UnnestStrategy {
@@ -100,40 +102,35 @@ impl UnnestStrategy {
     }
 }
 
-/// The decomposed canonical subquery `Map G (Select Q (R))`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubqueryParts {
+/// The canonical subquery `Map G (Select Q (R))`, borrowed apart.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SubqueryParts<'a> {
     /// Inner operand plan `R` (everything under the block's Select).
-    pub inner: Plan,
+    pub inner: &'a Plan,
     /// Correlation/selection predicate `Q(x, y)` (`true` when absent).
-    pub q: ScalarExpr,
+    pub q: &'a ScalarExpr,
     /// Result expression `G(x, y)`.
-    pub g: ScalarExpr,
+    pub g: &'a ScalarExpr,
 }
 
-/// Decompose a subquery plan into [`SubqueryParts`]. Returns `None` when
+/// The `Q` of a subquery that has no Select.
+static TRUE: ScalarExpr = ScalarExpr::Lit(tmql_model::Value::Bool(true));
+
+/// Take a subquery plan apart into [`SubqueryParts`]. Returns `None` when
 /// the plan is not of the canonical `Map (Select …)` / `Map (…)` shape.
-pub fn decompose_subquery(sub: &Plan) -> Option<SubqueryParts> {
-    let Plan::Map { input, expr, .. } = sub else {
+pub fn decompose_subquery(sub: &Plan) -> Option<SubqueryParts<'_>> {
+    let Plan::Map { input, expr: g, .. } = sub else {
         return None;
     };
     Some(match &**input {
-        Plan::Select { input: r, pred } => SubqueryParts {
-            inner: (**r).clone(),
-            q: pred.clone(),
-            g: expr.clone(),
-        },
-        other => SubqueryParts {
-            inner: other.clone(),
-            q: ScalarExpr::lit(true),
-            g: expr.clone(),
-        },
+        Plan::Select { input: inner, pred } => SubqueryParts { inner, q: pred, g },
+        inner => SubqueryParts { inner, q: &TRUE, g },
     })
 }
 
 /// True iff the inner plan can be decorrelated: it has no free variables
 /// (all correlation lives in `Q`/`G`, not in `R` itself).
-pub fn decorrelatable(parts: &SubqueryParts) -> bool {
+pub fn decorrelatable(parts: &SubqueryParts<'_>) -> bool {
     parts.inner.free_vars().is_empty()
 }
 
@@ -147,127 +144,166 @@ pub fn replace_subexpr(
     if expr == target {
         return replacement.clone();
     }
-    use ScalarExpr as E;
-    match expr {
-        E::Lit(_) | E::Var(_) => expr.clone(),
-        E::Field(e, l) => E::Field(Box::new(replace_subexpr(e, target, replacement)), l.clone()),
-        E::Not(e) => E::not(replace_subexpr(e, target, replacement)),
-        E::Agg(f, e) => E::agg(*f, replace_subexpr(e, target, replacement)),
-        E::Unnest(e) => E::Unnest(Box::new(replace_subexpr(e, target, replacement))),
-        E::IsNull(e) => E::IsNull(Box::new(replace_subexpr(e, target, replacement))),
-        E::Cmp(op, a, b) => E::cmp(
-            *op,
-            replace_subexpr(a, target, replacement),
-            replace_subexpr(b, target, replacement),
-        ),
-        E::Arith(op, a, b) => E::Arith(
-            *op,
-            Box::new(replace_subexpr(a, target, replacement)),
-            Box::new(replace_subexpr(b, target, replacement)),
-        ),
-        E::And(a, b) => E::and(
-            replace_subexpr(a, target, replacement),
-            replace_subexpr(b, target, replacement),
-        ),
-        E::Or(a, b) => E::or(
-            replace_subexpr(a, target, replacement),
-            replace_subexpr(b, target, replacement),
-        ),
-        E::SetBin(op, a, b) => E::SetBin(
-            *op,
-            Box::new(replace_subexpr(a, target, replacement)),
-            Box::new(replace_subexpr(b, target, replacement)),
-        ),
-        E::SetCmp(op, a, b) => E::set_cmp(
-            *op,
-            replace_subexpr(a, target, replacement),
-            replace_subexpr(b, target, replacement),
-        ),
-        E::Tuple(fs) => E::Tuple(
-            fs.iter()
-                .map(|(l, e)| (l.clone(), replace_subexpr(e, target, replacement)))
-                .collect(),
-        ),
-        E::SetLit(es) => E::SetLit(
-            es.iter()
-                .map(|e| replace_subexpr(e, target, replacement))
-                .collect(),
-        ),
-        E::Quant { q, var, over, pred } => E::quant(
-            *q,
-            var.clone(),
-            replace_subexpr(over, target, replacement),
-            replace_subexpr(pred, target, replacement),
-        ),
+    expr.map_children(&mut |e| replace_subexpr(e, target, replacement))
+}
+
+/// One nested block `[Select P] Apply z := (I, Map G (Select Q (R)))`,
+/// analysed once for every strategy that may rewrite it. A `Block` exists
+/// only for a canonical subquery whose operand `R` is closed.
+#[derive(Debug)]
+pub struct Block<'a> {
+    /// Block predicate `P(x, z)`; `None` for SELECT-clause nesting.
+    pub pred: Option<&'a ScalarExpr>,
+    /// Outer plan `I`.
+    pub input: &'a Plan,
+    /// The whole subquery plan, as the `Apply` holds it.
+    pub subquery: &'a Plan,
+    /// Label `z` of the subquery result.
+    pub label: &'a str,
+    /// `R`, `Q` and `G` of the subquery.
+    pub parts: SubqueryParts<'a>,
+    /// The conjunct of `P` that mentions `z` with its Theorem 1
+    /// classification ([`split_on_z`]: several such conjuncts are one
+    /// conjunction). `None` when `P` is absent or ignores `z`.
+    pub zpart: Option<(ScalarExpr, Classification)>,
+    /// The conjuncts of `P` that do not mention `z`.
+    pub rest: Vec<ScalarExpr>,
+}
+
+impl<'a> Block<'a> {
+    /// Analyse one `Apply` (with the Select above it, if any). `None` when
+    /// no strategy applies: the subquery is not canonical, or `R` is
+    /// correlated (Section 3.2).
+    pub fn analyse(
+        pred: Option<&'a ScalarExpr>,
+        input: &'a Plan,
+        subquery: &'a Plan,
+        label: &'a str,
+    ) -> Option<Block<'a>> {
+        let parts = decompose_subquery(subquery).filter(decorrelatable)?;
+        let (zpart, rest) = pred.map_or((None, Vec::new()), |p| split_on_z(p, label));
+        let zpart = zpart.map(|z| {
+            let class = classify(&z, label);
+            (z, class)
+        });
+        Some(Block {
+            pred,
+            input,
+            subquery,
+            label,
+            parts,
+            zpart,
+            rest,
+        })
+    }
+
+    /// The block as it stands: nested-loop processing.
+    pub fn nested_loop(&self) -> Plan {
+        self.with_pred(self.input.clone().apply(self.subquery.clone(), self.label))
+    }
+
+    /// `plan` under the block predicate, for rewrites that bind `z` and
+    /// leave `P` as it is.
+    fn with_pred(&self, plan: Plan) -> Plan {
+        match self.pred {
+            Some(p) => plan.select(p.clone()),
+            None => plan,
+        }
+    }
+
+    /// `plan` under the `z`-free conjuncts, for rewrites that absorb the
+    /// `z` conjunct.
+    fn with_rest(&self, plan: Plan) -> Plan {
+        if self.rest.is_empty() {
+            plan
+        } else {
+            plan.select(ScalarExpr::conj(self.rest.iter().cloned()))
+        }
+    }
+
+    /// The rewrite of a WHERE block whose predicate ignores the subquery:
+    /// drop the `Apply`, keep the filter.
+    fn without_subquery(&self) -> Plan {
+        self.with_rest(self.input.clone())
     }
 }
 
-/// Apply a strategy-specific rewriter over the plan, inside-out: the
-/// nested blocks of a multi-level query are rewritten before their
-/// enclosing block (the order of the paper's Section 8 example). The
-/// rewriter receives `(select_pred, input_plan, subquery_plan, label)` for
-/// each `Select(Apply)` / bare `Apply` occurrence — `select_pred` is `None`
-/// for SELECT-clause nesting — and returns the replacement plan, or `None`
-/// to keep nested-loop processing.
-pub fn rewrite_blocks(
-    plan: Plan,
-    rewriter: &mut impl FnMut(Option<&ScalarExpr>, &Plan, &Plan, &str) -> Option<Plan>,
-) -> Plan {
-    // First rewrite the children of the pattern (inside-out recursion),
-    // *then* offer the rebuilt pattern to the rewriter.
-    match plan {
+/// The strategies that build a plan of their own, in the paper's
+/// rule-preference order (Section 8 first, then the relational repairs).
+pub const CANDIDATES: [UnnestStrategy; 4] = [
+    UnnestStrategy::FlattenSemiAnti,
+    UnnestStrategy::NestJoin,
+    UnnestStrategy::Muralikrishna,
+    UnnestStrategy::GanskiWong,
+];
+
+/// The replacement `strategy` has for an analysed block — the whole of it,
+/// block predicate included — or `None` to keep nested-loop processing.
+/// The two choosing strategies are answered by rule here: the first
+/// applicable of Theorem 1 flattening and the nest join (Section 8: "if
+/// predicates between query blocks require grouping, a nest join operator
+/// is applied; if predicates do not need grouping a flat join operation is
+/// executed"; SELECT-clause nesting always groups). Choosing by cost is
+/// [`crate::optimizer`]'s, over [`candidates`].
+pub fn candidate(block: &Block<'_>, strategy: UnnestStrategy) -> Option<Plan> {
+    use UnnestStrategy as S;
+    match strategy {
+        S::NestedLoop => None,
+        S::Kim => kim::plan(block),
+        S::GanskiWong => ganski_wong::plan(block).map(|p| block.with_pred(p)),
+        S::Muralikrishna => muralikrishna::plan(block),
+        S::NestJoin => Some(block.with_pred(nestjoin::plan(block))),
+        S::FlattenSemiAnti => semi_anti::plan(block),
+        S::Optimal | S::CostBased => [S::FlattenSemiAnti, S::NestJoin]
+            .into_iter()
+            .find_map(|s| candidate(block, s)),
+    }
+}
+
+/// Every distinct rewrite of the block, tagged, in [`CANDIDATES`] order.
+/// Muralikrishna's entry is left out where it *is* the flattening entry.
+pub fn candidates(block: &Block<'_>) -> Vec<(UnnestStrategy, Plan)> {
+    CANDIDATES
+        .into_iter()
+        .filter(|s| *s != UnnestStrategy::Muralikrishna || !muralikrishna::flattens(block))
+        .filter_map(|s| Some((s, candidate(block, s)?)))
+        .collect()
+}
+
+/// Offer every nested block of the plan to `rewriter`, inside-out: the
+/// nested blocks of a multi-level query are decided before their enclosing
+/// block (the order of the paper's Section 8 example). A block is a
+/// `Select(Apply)` (WHERE-clause nesting) or a bare `Apply` (SELECT-clause
+/// nesting); `rewriter` returns the replacement plan, or `None` to keep
+/// nested-loop processing. A block [`Block::analyse`] refuses is kept
+/// without asking.
+pub fn rewrite_blocks(plan: Plan, rewriter: &mut impl FnMut(&Block<'_>) -> Option<Plan>) -> Plan {
+    let (pred, apply) = match plan {
         Plan::Select { input, pred } if matches!(*input, Plan::Apply { .. }) => {
-            let Plan::Apply {
-                input: outer,
-                subquery,
-                label,
-            } = *input
-            else {
-                unreachable!()
-            };
-            let outer = rewrite_blocks(*outer, rewriter);
-            let subquery = rewrite_blocks(*subquery, rewriter);
-            match rewriter(Some(&pred), &outer, &subquery, &label) {
-                Some(replacement) => replacement,
-                None => Plan::Select {
-                    input: Box::new(Plan::Apply {
-                        input: Box::new(outer),
-                        subquery: Box::new(subquery),
-                        label,
-                    }),
-                    pred,
-                },
-            }
+            (Some(pred), *input)
         }
+        apply @ Plan::Apply { .. } => (None, apply),
+        other => return other.map_children(&mut |c| rewrite_blocks(c, rewriter)),
+    };
+    let apply = apply.map_children(&mut |c| rewrite_blocks(c, rewriter));
+    let replacement = match &apply {
         Plan::Apply {
             input,
             subquery,
             label,
-        } => {
-            let input = rewrite_blocks(*input, rewriter);
-            let subquery = rewrite_blocks(*subquery, rewriter);
-            match rewriter(None, &input, &subquery, &label) {
-                Some(replacement) => replacement,
-                None => Plan::Apply {
-                    input: Box::new(input),
-                    subquery: Box::new(subquery),
-                    label,
-                },
-            }
-        }
-        other => {
-            let children: Vec<Plan> = tmql_algebra::rewrite::take_children(&other)
-                .into_iter()
-                .map(|c| rewrite_blocks(c, rewriter))
-                .collect();
-            tmql_algebra::rewrite::with_children(other, children)
-        }
-    }
+        } => Block::analyse(pred.as_ref(), input, subquery, label).and_then(|b| rewriter(&b)),
+        _ => None,
+    };
+    replacement.unwrap_or_else(|| match pred {
+        Some(pred) => apply.select(pred),
+        None => apply,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tmql_algebra::{CmpOp, ScalarExpr as E};
 
     fn canonical_sub() -> Plan {
@@ -278,10 +314,11 @@ mod tests {
 
     #[test]
     fn decompose_canonical() {
-        let parts = decompose_subquery(&canonical_sub()).unwrap();
-        assert_eq!(parts.inner, Plan::scan("Y", "y"));
+        let sub = canonical_sub();
+        let parts = decompose_subquery(&sub).unwrap();
+        assert_eq!(*parts.inner, Plan::scan("Y", "y"));
         assert!(parts.q.mentions("x"));
-        assert_eq!(parts.g, E::path("y", &["a"]));
+        assert_eq!(*parts.g, E::path("y", &["a"]));
         assert!(decorrelatable(&parts));
     }
 
@@ -289,7 +326,7 @@ mod tests {
     fn decompose_without_select() {
         let sub = Plan::scan("Y", "y").map(E::var("y"), "sub");
         let parts = decompose_subquery(&sub).unwrap();
-        assert_eq!(parts.q, E::lit(true));
+        assert_eq!(*parts.q, E::lit(true));
     }
 
     #[test]
@@ -321,6 +358,84 @@ mod tests {
         assert!(replaced.mentions("t"));
     }
 
+    /// `replace_subexpr` as it was written before `ScalarExpr::map_children`:
+    /// one arm per variant.
+    fn replace_reference(e: &E, target: &E, by: &E) -> E {
+        if e == target {
+            return by.clone();
+        }
+        let r = |e: &E| replace_reference(e, target, by);
+        let b = |e: &E| Box::new(replace_reference(e, target, by));
+        match e {
+            E::Lit(_) | E::Var(_) => e.clone(),
+            E::Field(e, l) => E::Field(b(e), l.clone()),
+            E::Not(e) => E::Not(b(e)),
+            E::Agg(f, e) => E::Agg(*f, b(e)),
+            E::Unnest(e) => E::Unnest(b(e)),
+            E::IsNull(e) => E::IsNull(b(e)),
+            E::Cmp(op, x, y) => E::Cmp(*op, b(x), b(y)),
+            E::Arith(op, x, y) => E::Arith(*op, b(x), b(y)),
+            E::And(x, y) => E::And(b(x), b(y)),
+            E::Or(x, y) => E::Or(b(x), b(y)),
+            E::SetBin(op, x, y) => E::SetBin(*op, b(x), b(y)),
+            E::SetCmp(op, x, y) => E::SetCmp(*op, b(x), b(y)),
+            E::Tuple(fs) => E::Tuple(fs.iter().map(|(l, e)| (l.clone(), r(e))).collect()),
+            E::SetLit(es) => E::SetLit(es.iter().map(r).collect()),
+            E::Quant { q, var, over, pred } => E::quant(*q, var.clone(), r(over), r(pred)),
+        }
+    }
+
+    /// Expressions over every variant whose leaves are few enough that a
+    /// generated target recurs inside a generated expression.
+    fn arb_expr() -> impl Strategy<Value = E> {
+        use tmql_algebra::{AggFn, ArithOp, Quantifier, SetBinOp, SetCmpOp};
+        let leaf = prop_oneof![
+            (0i64..2).prop_map(E::lit),
+            "[x-z]".prop_map(E::var),
+            "[x-z]".prop_map(|v| E::agg(AggFn::Count, E::var(v))),
+        ];
+        leaf.prop_recursive(3, 24, 3, |inner| {
+            let two = || (inner.clone(), inner.clone());
+            prop_oneof![
+                inner.clone().prop_map(|e| e.field("a")),
+                inner.clone().prop_map(E::not),
+                inner.clone().prop_map(|e| E::agg(AggFn::Count, e)),
+                inner.clone().prop_map(|e| E::Unnest(Box::new(e))),
+                inner.clone().prop_map(|e| E::IsNull(Box::new(e))),
+                two().prop_map(|(a, b)| E::cmp(CmpOp::Eq, a, b)),
+                two().prop_map(|(a, b)| E::Arith(ArithOp::Add, Box::new(a), Box::new(b))),
+                two().prop_map(|(a, b)| E::and(a, b)),
+                two().prop_map(|(a, b)| E::or(a, b)),
+                two().prop_map(|(a, b)| E::SetBin(SetBinOp::Union, Box::new(a), Box::new(b))),
+                two().prop_map(|(a, b)| E::set_cmp(SetCmpOp::In, a, b)),
+                two().prop_map(|(a, b)| E::Tuple(vec![("a".into(), a), ("b".into(), b)])),
+                prop::collection::vec(inner.clone(), 0..3).prop_map(E::SetLit),
+                ("[x-z]", inner.clone(), inner.clone()).prop_map(|(v, over, body)| E::quant(
+                    Quantifier::Exists,
+                    v,
+                    over,
+                    body
+                )),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn replace_subexpr_agrees_with_its_per_variant_definition(
+            e in arb_expr(),
+            target in arb_expr(),
+            by in arb_expr(),
+        ) {
+            prop_assert_eq!(
+                replace_subexpr(&e, &target, &by),
+                replace_reference(&e, &target, &by)
+            );
+        }
+    }
+
     #[test]
     fn rewrite_blocks_visits_inner_first() {
         // Two-level nesting: record visit order of labels.
@@ -339,8 +454,8 @@ mod tests {
             E::var("z1"),
         ));
         let mut order = Vec::new();
-        let _ = rewrite_blocks(top, &mut |_, _, _, label| {
-            order.push(label.to_string());
+        let _ = rewrite_blocks(top, &mut |block| {
+            order.push(block.label.to_string());
             None
         });
         assert_eq!(order, vec!["z2".to_string(), "z1".to_string()]);
@@ -350,8 +465,49 @@ mod tests {
     fn rewrite_blocks_can_replace() {
         let sub = canonical_sub();
         let top = Plan::scan("X", "x").apply(sub, "z");
-        let out = rewrite_blocks(top, &mut |_, input, _, _| Some(input.clone()));
+        let out = rewrite_blocks(top, &mut |block| Some(block.input.clone()));
         assert_eq!(out, Plan::scan("X", "x"));
+    }
+
+    #[test]
+    fn a_block_is_analysed_once_and_only_when_a_strategy_could_apply() {
+        let member = E::set_cmp(
+            tmql_algebra::SetCmpOp::In,
+            E::path("x", &["a"]),
+            E::var("z"),
+        );
+        let pred = E::and(E::eq(E::path("x", &["b"]), E::lit(1i64)), member.clone());
+        let (outer, sub) = (Plan::scan("X", "x"), canonical_sub());
+        let block = Block::analyse(Some(&pred), &outer, &sub, "z").unwrap();
+        let (zpart, class) = block.zpart.as_ref().unwrap();
+        assert_eq!(*zpart, member);
+        assert!(matches!(class, Classification::Existential { .. }));
+        assert_eq!(block.rest.len(), 1);
+        assert_eq!(
+            block.nested_loop(),
+            outer.clone().apply(sub.clone(), "z").select(pred.clone())
+        );
+        // Muralikrishna's entry would be the semijoin again: three tags.
+        let tags: Vec<_> = candidates(&block).into_iter().map(|(s, _)| s).collect();
+        assert_eq!(
+            tags,
+            [
+                UnnestStrategy::FlattenSemiAnti,
+                UnnestStrategy::NestJoin,
+                UnnestStrategy::GanskiWong
+            ]
+        );
+        // SELECT-clause nesting has no predicate to split or classify.
+        let block = Block::analyse(None, &outer, &sub, "z").unwrap();
+        assert!(block.zpart.is_none() && block.rest.is_empty());
+        // Not canonical, and not closed (Section 3.2): no block at all.
+        assert!(Block::analyse(None, &outer, &Plan::scan("Y", "y"), "z").is_none());
+        let correlated = Plan::ScanExpr {
+            expr: E::path("x", &["kids"]),
+            var: "k".into(),
+        }
+        .map(E::var("k"), "s");
+        assert!(Block::analyse(Some(&pred), &outer, &correlated, "z").is_none());
     }
 
     #[test]

@@ -23,155 +23,85 @@
 use tmql_algebra::{AggFn, Plan, ScalarExpr};
 use tmql_model::Value;
 
-use crate::classify::{classify, split_on_z, Classification};
+use crate::classify::Classification;
 
-use super::kim::{correlation, find_unique_agg};
-use super::{decompose_subquery, decorrelatable, replace_subexpr, rewrite_blocks};
+use super::kim::{correlation, find_unique_agg, grouped, nested, replace_agg, t_var};
+use super::Block;
 
-/// Rewrite every decorrelatable WHERE-block with the outerjoin +
-/// antijoin-predicate scheme. SELECT-clause nesting is left to other
-/// strategies (the scheme fixes a *predicate*, and nested results have
-/// none).
-pub fn rewrite(plan: Plan) -> Plan {
-    rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        rewrite_one(pred?, input, subquery, label)
-    })
+/// True when the scheme has no plan of its own for the block: an
+/// existential predicate flattens exactly (Muralikrishna's treatment of
+/// types N/J coincides with Kim's correct path, the semijoin of
+/// [`super::semi_anti`]), a predicate that ignores the subquery needs no
+/// join at all, and SELECT-clause nesting is left to other strategies (the
+/// scheme fixes a *predicate*, and nested results have none).
+pub(super) fn flattens(block: &Block<'_>) -> bool {
+    matches!(
+        block.zpart,
+        None | Some((_, Classification::Existential { .. }))
+    )
 }
 
-/// Rewrite one block; `None` leaves it as a nested loop.
-pub fn rewrite_one(pred: &ScalarExpr, input: &Plan, subquery: &Plan, label: &str) -> Option<Plan> {
-    let parts = decompose_subquery(subquery)?;
-    if !decorrelatable(&parts) {
-        return None;
+/// The outerjoin + antijoin-predicate plan of a block, or the flattening
+/// where the block [flattens]. `None` leaves it a nested loop.
+pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
+    if flattens(block) {
+        return super::semi_anti::plan(block);
     }
-    let (zpart, rest) = split_on_z(pred, label);
-    let zpart = match zpart {
-        Some(p) => p,
-        None => return Some(input.clone().select(ScalarExpr::conj(rest))),
-    };
-    // Existential predicates flatten exactly; delegate (Muralikrishna's
-    // types N/J treatment coincides with Kim's correct path).
-    if matches!(classify(&zpart, label), Classification::Existential { .. }) {
-        return super::semi_anti::rewrite_one(pred, input, subquery, label);
-    }
-    let corr = correlation(input, &parts)?;
+    let (zpart, _) = block.zpart.as_ref()?;
+    let corr = correlation(block)?;
 
-    let (t_plan, t_vars, matched_pred, anti_pred) =
-        if let Some(agg) = find_unique_agg(&zpart, label) {
+    let (t_plan, key_eqs, probe_var, matched_pred, anti_pred) =
+        if let Some(agg) = find_unique_agg(zpart, block.label) {
             // Aggregate case: T = γ(R).
-            let tvar = format!("__t_{label}");
-            let keys: Vec<(String, ScalarExpr)> = corr
-                .inner_keys
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (format!("k{i}"), e.clone()))
-                .collect();
-            let t = Plan::GroupAgg {
-                input: Box::new(corr.inner_plan.clone()),
-                keys: keys.clone(),
-                aggs: vec![("agg".to_string(), agg, parts.g.clone())],
-                var: tvar.clone(),
-            };
-            let target = ScalarExpr::agg(agg, ScalarExpr::var(label));
-            let matched = replace_subexpr(&zpart, &target, &ScalarExpr::path(&tvar, &["agg"]));
-            if matched.mentions(label) {
+            let tvar = t_var(block.label);
+            let agg_is = |by: &ScalarExpr| replace_agg(zpart, agg, block.label, by);
+            let matched = agg_is(&ScalarExpr::path(&tvar, &["agg"]));
+            if matched.mentions(block.label) {
                 return None; // mixed aggregate/set use of z
             }
             // Antijoin predicate: H(∅).
-            let default = match agg {
-                AggFn::Count => ScalarExpr::lit(0i64),
-                AggFn::Sum => ScalarExpr::lit(0i64),
+            let anti = agg_is(&match agg {
+                AggFn::Count | AggFn::Sum => ScalarExpr::lit(0i64),
                 AggFn::Min | AggFn::Max | AggFn::Avg => ScalarExpr::Lit(Value::Null),
-            };
-            let anti = replace_subexpr(&zpart, &target, &default);
-            let key_eqs: Vec<ScalarExpr> = corr
-                .outer_keys
-                .iter()
-                .zip(&keys)
-                .map(|(o, (kname, _))| {
-                    ScalarExpr::eq(o.clone(), ScalarExpr::var(&tvar).field(kname.clone()))
-                })
-                .collect();
-            (
-                t,
-                vec![tvar.clone()],
-                conj_with(key_eqs, matched, &tvar),
-                anti,
-            )
+            });
+            let (t, key_eqs) = grouped(corr, block, agg, &tvar);
+            (t, key_eqs, tvar, matched, anti)
         } else {
             // Complex-object case: T = ν(R), antijoin predicate P[z ↦ ∅].
-            let mut extended = corr.inner_plan.clone();
-            let mut key_vars = Vec::new();
-            for (i, k) in corr.inner_keys.iter().enumerate() {
-                let kname = format!("__k{i}_{label}");
-                extended = extended.extend(k.clone(), kname.clone());
-                key_vars.push(kname);
-            }
-            let t = Plan::Nest {
-                input: Box::new(extended),
-                keys: key_vars.clone(),
-                value: parts.g.clone(),
-                label: label.to_string(),
-                star: false,
-            };
-            let key_eqs: Vec<ScalarExpr> = corr
-                .outer_keys
-                .iter()
-                .zip(&key_vars)
-                .map(|(o, k)| ScalarExpr::eq(o.clone(), ScalarExpr::var(k)))
-                .collect();
-            let anti = zpart.substitute(label, &ScalarExpr::Lit(Value::empty_set()));
-            let mut t_vars = key_vars.clone();
-            t_vars.push(label.to_string());
-            (t, t_vars, conj_with(key_eqs, zpart.clone(), label), anti)
+            let anti = zpart.substitute(block.label, &ScalarExpr::Lit(Value::empty_set()));
+            let (t, key_eqs, key_vars) = nested(corr, block);
+            let probe_var = key_vars
+                .into_iter()
+                .next()
+                .unwrap_or_else(|| block.label.to_string());
+            (t, key_eqs, probe_var, zpart.clone(), anti)
         };
 
     // The outerjoin on the key equalities; matched/dangling split by a
-    // NULL test on the T-side binding.
-    let probe_var = t_vars[0].clone();
+    // NULL test on the T-side binding, the regular predicate re-applied
+    // to matched rows only.
     let outer = Plan::LeftOuterJoin {
-        left: Box::new(input.clone()),
+        left: Box::new(block.input.clone()),
         right: Box::new(t_plan),
-        pred: strip_matched_keys(&matched_pred),
+        pred: ScalarExpr::conj(key_eqs),
     };
-    let is_null = ScalarExpr::IsNull(Box::new(ScalarExpr::var(&probe_var)));
+    let is_null = ScalarExpr::IsNull(Box::new(ScalarExpr::var(probe_var)));
     let selected = outer.select(ScalarExpr::or(
-        ScalarExpr::and(ScalarExpr::not(is_null.clone()), strip_keys(&matched_pred)),
+        ScalarExpr::and(ScalarExpr::not(is_null.clone()), matched_pred),
         ScalarExpr::and(is_null, anti_pred),
     ));
-    Some(if rest.is_empty() {
-        selected
-    } else {
-        selected.select(ScalarExpr::conj(rest))
-    })
-}
-
-/// The matched predicate is built as `keys ∧ P'`; the outerjoin takes the
-/// whole conjunction as its join predicate, and the post-Select re-applies
-/// only the `P'` part to matched rows. We carry the conjunction as a pair
-/// to avoid re-splitting: `MatchedPred { keys, body }`.
-#[derive(Debug, Clone)]
-struct MatchedPred {
-    keys: Vec<ScalarExpr>,
-    body: ScalarExpr,
-}
-
-fn conj_with(keys: Vec<ScalarExpr>, body: ScalarExpr, _label: &str) -> MatchedPred {
-    MatchedPred { keys, body }
-}
-
-fn strip_matched_keys(p: &MatchedPred) -> ScalarExpr {
-    ScalarExpr::conj(p.keys.clone())
-}
-
-fn strip_keys(p: &MatchedPred) -> ScalarExpr {
-    p.body.clone()
+    Some(block.with_rest(selected))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{unnest_plan, UnnestStrategy};
     use tmql_algebra::{CmpOp, ScalarExpr as E, SetCmpOp};
+
+    fn rewrite(plan: Plan) -> Plan {
+        unnest_plan(plan, UnnestStrategy::Muralikrishna)
+    }
 
     fn sub() -> Plan {
         Plan::scan("S", "y")

@@ -6,24 +6,17 @@
 //! semantics oracle every other strategy is differentially tested against —
 //! and often very inefficient, which is what the benchmarks show.
 
-use tmql_algebra::Plan;
-
-/// Apply the nested-loop strategy (a no-op, by design).
-pub fn rewrite(plan: Plan) -> Plan {
-    plan
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use tmql_algebra::ScalarExpr as E;
+    use crate::{unnest_plan, UnnestStrategy};
+    use tmql_algebra::{Plan, ScalarExpr as E};
 
     #[test]
     fn keeps_apply_nodes() {
         let p = Plan::scan("X", "x")
             .apply(Plan::scan("Y", "y").map(E::var("y"), "s"), "z")
             .select(E::lit(true));
-        let out = rewrite(p.clone());
+        let out = unnest_plan(p.clone(), UnnestStrategy::NestedLoop);
         assert_eq!(out, p);
         assert!(out.has_apply());
     }

@@ -22,40 +22,29 @@
 
 use tmql_algebra::Plan;
 
-use super::{decompose_subquery, decorrelatable, rewrite_blocks};
+use super::Block;
 
-/// Rewrite every decorrelatable block into a nest join.
-pub fn rewrite(plan: Plan) -> Plan {
-    rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        let replacement = rewrite_one(input, subquery, label)?;
-        Some(match pred {
-            // The block predicate stays; `z` is now the nest join label.
-            Some(p) => replacement.select(p.clone()),
-            None => replacement,
-        })
-    })
-}
-
-/// Rewrite a single block, returning `None` when the inner plan is
-/// correlated (set-valued attribute operands stay nested-loop).
-pub fn rewrite_one(input: &Plan, subquery: &Plan, label: &str) -> Option<Plan> {
-    let parts = decompose_subquery(subquery)?;
-    if !decorrelatable(&parts) {
-        return None;
-    }
-    Some(Plan::NestJoin {
-        left: Box::new(input.clone()),
-        right: Box::new(parts.inner),
-        pred: parts.q,
-        func: parts.g,
-        label: label.to_string(),
-    })
+/// `I Δ_{Q, G; z} R`. The block predicate, if any, stays above it: `z` is
+/// now the nest join's label.
+pub(super) fn plan(block: &Block<'_>) -> Plan {
+    let parts = block.parts;
+    block.input.clone().nest_join(
+        parts.inner.clone(),
+        parts.q.clone(),
+        parts.g.clone(),
+        block.label,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{unnest_plan, UnnestStrategy};
     use tmql_algebra::{ScalarExpr as E, SetCmpOp};
+
+    fn rewrite(plan: Plan) -> Plan {
+        unnest_plan(plan, UnnestStrategy::NestJoin)
+    }
 
     fn block() -> Plan {
         // SELECT x FROM X x WHERE x.a ⊆ (SELECT y.a FROM Y y WHERE x.b=y.b)

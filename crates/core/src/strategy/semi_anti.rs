@@ -16,53 +16,25 @@
 
 use tmql_algebra::{Plan, ScalarExpr};
 
-use crate::classify::{classify, split_on_z, Classification, FRESH_VAR};
+use crate::classify::{Classification, FRESH_VAR};
 
-use super::{decompose_subquery, decorrelatable, rewrite_blocks};
+use super::Block;
 
-/// Rewrite every block whose predicate admits a Theorem 1 form; leave
-/// grouping-requiring blocks (and SELECT-clause nesting) untouched.
-pub fn rewrite(plan: Plan) -> Plan {
-    rewrite_blocks(plan, &mut |pred, input, subquery, label| {
-        rewrite_one(pred?, input, subquery, label)
-    })
-}
-
-/// Attempt to flatten one block. Returns `None` when the predicate
-/// requires grouping or the inner plan cannot be decorrelated.
-pub fn rewrite_one(pred: &ScalarExpr, input: &Plan, subquery: &Plan, label: &str) -> Option<Plan> {
-    let parts = decompose_subquery(subquery)?;
-    if !decorrelatable(&parts) {
-        return None;
-    }
-    let (zpart, rest) = split_on_z(pred, label);
-    let zpart = match zpart {
-        Some(p) => p,
-        // Predicate ignores the subquery entirely: drop the Apply, keep
-        // the filter.
-        None => return Some(input.clone().select(ScalarExpr::conj(rest))),
+/// Flatten one WHERE block. `None` when its predicate requires grouping
+/// (and for SELECT-clause nesting, which always does).
+pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
+    block.pred?;
+    let Some((_, class)) = &block.zpart else {
+        return Some(block.without_subquery());
     };
-    let flattened = match classify(&zpart, label) {
-        Classification::Existential { pred: p_prime } => {
-            let join_pred = join_predicate(&parts.q, &p_prime, &parts.g);
-            input.clone().semi_join(parts.inner, join_pred)
-        }
-        Classification::NegatedExistential { pred: p_prime } => {
-            let join_pred = join_predicate(&parts.q, &p_prime, &parts.g);
-            input.clone().anti_join(parts.inner, join_pred)
-        }
-        Classification::Independent => {
-            // split_on_z said the conjunct mentions z but classify says
-            // independent — cannot happen; be safe.
-            return None;
-        }
-        Classification::RequiresGrouping => return None,
+    let (p_prime, join): (_, fn(Plan, Plan, ScalarExpr) -> Plan) = match class {
+        Classification::Existential { pred } => (pred, Plan::semi_join),
+        Classification::NegatedExistential { pred } => (pred, Plan::anti_join),
+        Classification::Independent | Classification::RequiresGrouping => return None,
     };
-    Some(if rest.is_empty() {
-        flattened
-    } else {
-        flattened.select(ScalarExpr::conj(rest))
-    })
+    let parts = block.parts;
+    let join_pred = join_predicate(parts.q, p_prime, parts.g);
+    Some(block.with_rest(join(block.input.clone(), parts.inner.clone(), join_pred)))
 }
 
 /// Build `Q(x,y) ∧ P'(x, G(x,y))`.
@@ -77,7 +49,12 @@ fn join_predicate(q: &ScalarExpr, p_prime: &ScalarExpr, g: &ScalarExpr) -> Scala
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{unnest_plan, UnnestStrategy};
     use tmql_algebra::{CmpOp, ScalarExpr as E, SetCmpOp};
+
+    fn rewrite(plan: Plan) -> Plan {
+        unnest_plan(plan, UnnestStrategy::FlattenSemiAnti)
+    }
 
     fn sub() -> Plan {
         Plan::scan("Y", "y")

@@ -39,5 +39,5 @@ pub mod typecheck;
 
 pub use ast::{Expr, FromItem};
 pub use lexer::lex;
-pub use parser::{parse_query, ParseError, MAX_QUERY_NESTING};
+pub use parser::{parse_query, ParseError, MAX_CHAIN_LINKS, MAX_QUERY_NESTING};
 pub use typecheck::{check_query, TypeError};

@@ -61,17 +61,20 @@ impl std::error::Error for ParseError {}
 /// and read back.
 pub const MAX_QUERY_NESTING: u32 = 64;
 
+/// Most links — binary operators and field accesses — the operator chains
+/// of one statement may have in total. A chain (`a AND a AND …`,
+/// `x + x + …`, `s UNION s UNION …`, `x.f.f.f…`) is parsed by iteration, so
+/// [`MAX_QUERY_NESTING`] does not see it, but the tree it builds is as deep
+/// as the chain is long and everything downstream recurses over that tree.
+/// The count is the statement's, not one chain's: a chain can sit in the
+/// leftmost operand of another at each precedence and nesting level, so
+/// only the total bounds the depth. Far above any written statement (the
+/// one with the most links in the workloads and the docs has nine).
+pub const MAX_CHAIN_LINKS: u32 = 1024;
+
 /// Parse a complete query (a single expression, usually an SFW block).
 pub fn parse_query(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
-    let e = p.expr()?;
-    p.expect(Tok::Eof)?;
-    Ok(e)
+    Parser::new(lex(src)?).query()
 }
 
 struct Parser {
@@ -79,9 +82,31 @@ struct Parser {
     pos: usize,
     /// Recursive entry points currently open (see [`Parser::nested`]).
     depth: u32,
+    /// Chain links built so far (see [`Parser::link`]).
+    links: u32,
+    /// Calls of [`Parser::primary`]; read by the test that pins the
+    /// parser's work to the length of its input.
+    #[cfg_attr(not(test), allow(dead_code))]
+    primary_calls: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            links: 0,
+            primary_calls: 0,
+        }
+    }
+
+    fn query(&mut self) -> Result<Expr, ParseError> {
+        let e = self.expr()?;
+        self.expect(Tok::Eof)?;
+        Ok(e)
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -159,6 +184,20 @@ impl Parser {
         parsed
     }
 
+    /// Count one more link of an operator chain, or refuse with a located
+    /// error past [`MAX_CHAIN_LINKS`]. Every loop of the grammar that
+    /// grows a tree to its left passes through this.
+    fn link(&mut self) -> Result<(), ParseError> {
+        if self.links == MAX_CHAIN_LINKS {
+            return Err(ParseError::new(
+                format!("more than {MAX_CHAIN_LINKS} chained operators"),
+                self.span(),
+            ));
+        }
+        self.links += 1;
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<Expr, ParseError> {
         self.nested(|p| {
             // SELECT at the start of an expression is a bare SFW block.
@@ -173,6 +212,7 @@ impl Parser {
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw(K::Or) {
+            self.link()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
@@ -182,6 +222,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.not_expr()?;
         while self.eat_kw(K::And) {
+            self.link()?;
             let rhs = self.not_expr()?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
@@ -247,6 +288,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let rhs = self.additive()?;
             lhs = Expr::SetBin(op, Box::new(lhs), Box::new(rhs));
         }
@@ -262,6 +304,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let rhs = self.multiplicative()?;
             lhs = Expr::Arith(op, Box::new(lhs), Box::new(rhs));
         }
@@ -277,6 +320,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let rhs = self.postfix()?;
             lhs = Expr::Arith(op, Box::new(lhs), Box::new(rhs));
         }
@@ -286,6 +330,7 @@ impl Parser {
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
         while self.eat(&Tok::Dot) {
+            self.link()?;
             let (field, span) = self.ident()?;
             e = Expr::Field(Box::new(e), field, span);
         }
@@ -293,6 +338,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
+        self.primary_calls += 1;
         let span = self.span();
         match self.peek().clone() {
             Tok::Int(i) => {
@@ -395,16 +441,15 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                // Tuple literal? Needs `ident =` followed (after the first
-                // field's expression) by a comma — single-field tuples are
-                // parsed as grouping, which TM disambiguates by type; we
-                // document the restriction instead.
-                if let (Tok::Ident(_), Tok::Eq) = (self.peek(), self.peek2()) {
-                    let checkpoint = self.pos;
-                    if let Ok(t) = self.try_tuple_lit(span) {
-                        return Ok(t);
-                    }
-                    self.pos = checkpoint;
+                // Tuple literal? Needs `ident =` and a second field —
+                // single-field tuples are parsed as grouping, which TM
+                // disambiguates by type; we document the restriction
+                // instead. A comma at this parenthesis' own level is the
+                // whole difference, so it is looked for, not parsed for.
+                if matches!((self.peek(), self.peek2()), (Tok::Ident(_), Tok::Eq))
+                    && self.comma_before_close()
+                {
+                    return self.tuple_lit(span);
                 }
                 let inner = self.expr()?;
                 self.expect(Tok::RParen)?;
@@ -414,9 +459,26 @@ impl Parser {
         }
     }
 
+    /// True iff a comma stands at the current bracket level before the
+    /// bracket that closes it.
+    fn comma_before_close(&self) -> bool {
+        let mut depth = 0usize;
+        for t in &self.tokens[self.pos..] {
+            match t.tok {
+                Tok::LParen | Tok::LBrace => depth += 1,
+                Tok::RParen | Tok::RBrace if depth == 0 => return false,
+                Tok::RParen | Tok::RBrace => depth -= 1,
+                Tok::Comma if depth == 0 => return true,
+                _ => {}
+            }
+        }
+        false
+    }
+
     /// Parse `ident = expr (, ident = expr)* )` as a tuple literal;
-    /// requires at least two fields (see [`Parser::primary`]).
-    fn try_tuple_lit(&mut self, span: Span) -> Result<Expr, ParseError> {
+    /// requires at least two fields (a comma [`Parser::primary`] saw may
+    /// belong to a field's own `FROM` list).
+    fn tuple_lit(&mut self, span: Span) -> Result<Expr, ParseError> {
         let mut fields = Vec::new();
         loop {
             let (label, lspan) = self.ident()?;
@@ -727,5 +789,66 @@ mod tests {
         }
         // Sequences are not nesting: a long chain stays one level deep.
         parse(&vec!["x.a = 1"; 500].join(" AND "));
+    }
+
+    #[test]
+    fn tuple_literal_or_grouping_is_decided_by_lookahead_not_by_parsing_twice() {
+        // `(a = (a = … 1 …))`: every level starts like a tuple literal and
+        // is a grouping. Parsing the first field to find that out, then
+        // parsing it again, doubles the work at every level.
+        let nest = |n: usize| format!("{}1{}", "(a = ".repeat(n), ")".repeat(n));
+        let tokens = lex(&nest(MAX_QUERY_NESTING as usize - 1)).unwrap();
+        let mut p = Parser::new(tokens);
+        let mut e = &p.query().expect("one level is the statement itself");
+        assert!(p.primary_calls <= p.tokens.len(), "{}", p.primary_calls);
+        for _ in 1..MAX_QUERY_NESTING {
+            let Expr::Cmp(CmpOp::Eq, _, rhs) = e else {
+                panic!("grouped comparison, got {e:?}")
+            };
+            e = rhs;
+        }
+        assert!(matches!(e, Expr::Int(1, _)));
+        let mut p = Parser::new(lex(&nest(MAX_QUERY_NESTING as usize + 1)).unwrap());
+        let err = p.query().expect_err("past the limit");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert!(p.primary_calls <= p.tokens.len(), "{}", p.primary_calls);
+
+        // A comma at the parenthesis' own level makes a tuple literal;
+        // one inside a nested bracket does not.
+        assert!(matches!(parse("(a = 1, b = 2)"), Expr::TupleLit(ref fs, _) if fs.len() == 2));
+        assert!(matches!(
+            parse("(a = COUNT({1, 2}), b = (c = 1))"),
+            Expr::TupleLit(..)
+        ));
+        assert!(matches!(parse("(a = {1, 2})"), Expr::Cmp(CmpOp::Eq, ..)));
+        assert!(matches!(parse("(a = 1 AND b = 2)"), Expr::And(..)));
+        let Expr::Cmp(CmpOp::Eq, _, rhs) = parse("(a = (b = 1, c = 2))") else {
+            panic!("grouping")
+        };
+        assert!(matches!(*rhs, Expr::TupleLit(..)));
+        // The comma of a field's own FROM list is not a second field.
+        assert!(parse_query("(a = SELECT x FROM X x, Y y)").is_err());
+        assert!(matches!(
+            parse("(a = SELECT x FROM X x, Y y WHERE TRUE, b = 2)"),
+            Expr::TupleLit(..)
+        ));
+    }
+
+    #[test]
+    fn operator_chains_past_the_link_limit_are_a_located_error() {
+        let chain = |term: &str, op: &str, links: usize| vec![term; links + 1].join(op);
+        let max = MAX_CHAIN_LINKS as usize;
+        for op in [" OR ", " AND ", " UNION ", " + ", " * "] {
+            parse(&chain("1", op, max));
+            let src = chain("1", op, max + 1);
+            let err = parse_query(&src).expect_err("one link too many");
+            assert!(err.message.contains("chained operators"), "{err}");
+            assert!(err.span.start < src.len(), "located: {err}");
+        }
+        parse(&format!("x{}", ".f".repeat(max)));
+        assert!(parse_query(&format!("x{}", ".f".repeat(max + 1))).is_err());
+        // The budget is the statement's: chains in different operands add up.
+        let half = chain("1", " + ", max / 2 + 1);
+        assert!(parse_query(&format!("({half}) = ({half})")).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! all compared against nested-loop semantics through the public API.
 
 use proptest::prelude::*;
-use tmql::{Database, JoinAlgo, QueryOptions, UnnestStrategy};
+use tmql::{Database, JoinAlgo, QueryOptions, Record, Table, Ty, UnnestStrategy, Value};
 use tmql_workload::gen::{gen_xy, gen_xyz, GenConfig, SkewKind};
 use tmql_workload::queries::{self, table2_templates};
 
@@ -178,4 +178,72 @@ fn statements_nested_to_the_parser_limit_run_on_a_default_thread_stack() {
     })
     .join()
     .expect("no panic and no stack overflow");
+}
+
+#[test]
+fn operator_chains_are_bounded_by_the_parser_not_by_the_stack() {
+    // `a AND a AND …`, `x + x + …`, `s UNION s UNION …` and `x.f.f.f…` are
+    // parsed by iteration, so the nesting limit does not count them — and
+    // the left-deep tree they build is as deep as they are long. Before
+    // `tmql_lang::MAX_CHAIN_LINKS`, 10 000 terms aborted an optimized
+    // build on this 2 MB stack.
+    let db = || {
+        let mut db = Database::from_catalog(gen_xy(&GenConfig {
+            outer: 8,
+            inner: 8,
+            ..GenConfig::default()
+        }));
+        // One row whose `t` is `(f = (f = … 1 …))`, 200 levels deep.
+        let (ty, value) = (0..200).fold((Ty::Int, Value::Int(1)), |(ty, v), _| {
+            (
+                Ty::Tuple(vec![("f".into(), ty)]),
+                Value::Tuple(Record::new([("f", v)]).unwrap()),
+            )
+        });
+        let row = Record::new([("t", value)]).unwrap();
+        db.register_table(Table::from_rows("T", vec![("t".into(), ty)], [row]).unwrap())
+            .unwrap();
+        db
+    };
+    let chains = |terms: usize| {
+        [
+            format!(
+                "SELECT x.n FROM X x WHERE {}",
+                vec!["x.n = 1"; terms].join(" AND ")
+            ),
+            format!(
+                "SELECT x.n FROM X x WHERE {} = {terms}",
+                vec!["x.n"; terms].join(" + ")
+            ),
+            format!(
+                "SELECT x.n FROM X x WHERE x.n IN {}",
+                vec!["{1}"; terms].join(" UNION ")
+            ),
+            format!("SELECT t.t{} FROM T t", ".f".repeat(terms)),
+        ]
+    };
+    std::thread::spawn(move || {
+        let db = db();
+        for query in chains(100_000) {
+            let err = db.query(&query).expect_err("past the limit");
+            assert!(err.to_string().contains("chained operators"), "{err}");
+        }
+    })
+    .join()
+    .expect("no panic and no stack overflow");
+    // Within the limit they run. An unoptimized build spends about ten
+    // times an optimized one's stack per tree level (≈ 15 KB against
+    // ≈ 1.2 KB, measured), so this half gets a stack that fits both.
+    std::thread::Builder::new()
+        .stack_size(32 << 20)
+        .spawn(move || {
+            let db = db();
+            for (query, rows) in chains(200).into_iter().zip([1; 4]) {
+                let result = db.query(&query).expect("a 200-term chain runs");
+                assert_eq!(result.len(), rows, "{query}");
+            }
+        })
+        .unwrap()
+        .join()
+        .expect("no panic and no stack overflow");
 }
