@@ -716,7 +716,10 @@ impl<'a> Estimator<'a> {
         };
         let (res, build_spill) = self.breaker_state(build);
         // Grace hash writes and re-reads *both* sides once the build
-        // overflows — charge the probe side's round-trip too.
+        // overflows — charge the probe side's round-trip too. In full: the
+        // executor no longer spills probe rows its key filter shows to be
+        // partnerless, so a selective grace join is overpriced here until
+        // this constant is calibrated (ROADMAP item 4).
         let spill = if build_spill > 0.0 {
             build_spill + SPILL_IO_PER_ROW * probe
         } else {

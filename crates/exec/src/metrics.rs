@@ -60,6 +60,13 @@ pub struct Metrics {
     /// count each side). A shape metric like `batches_emitted`, excluded
     /// from [`Metrics::total_work`].
     pub spill_partitions: u64,
+    /// Probe rows of grace hash joins that were answered while the probe
+    /// side was being partitioned — a NULL key, or a key hash the build
+    /// side's [`crate::op::spill::KeyFilter`] had not seen — and so never
+    /// written to a run. Each is also one of `hash_probes` (the probe it
+    /// was spared), so this is a shape metric: what `rows_spilled` would
+    /// otherwise have included, excluded from [`Metrics::total_work`].
+    pub spill_rows_filtered: u64,
     /// Batches emitted by operators (streaming executor granularity).
     pub batches_emitted: u64,
     /// Buffer-pool page requests served from memory while this query ran
@@ -155,6 +162,7 @@ impl AddAssign for Metrics {
         self.subquery_invocations += rhs.subquery_invocations;
         self.rows_spilled += rhs.rows_spilled;
         self.spill_partitions += rhs.spill_partitions;
+        self.spill_rows_filtered += rhs.spill_rows_filtered;
         self.batches_emitted += rhs.batches_emitted;
         self.pool_hits += rhs.pool_hits;
         self.pool_misses += rhs.pool_misses;
@@ -172,7 +180,7 @@ impl fmt::Display for Metrics {
         write!(
             f,
             "scanned={} cmp={} hbuild={} hprobe={} sorted={} emitted={} subq={} spilled={} \
-             parts={} batches={} peak={} phit={} pmiss={} iprobe={} ihit={} ainv={} ahit={}",
+             filtered={} parts={} batches={} peak={} phit={} pmiss={} iprobe={} ihit={} ainv={} ahit={}",
             self.rows_scanned,
             self.comparisons,
             self.hash_build_rows,
@@ -181,6 +189,7 @@ impl fmt::Display for Metrics {
             self.rows_emitted,
             self.subquery_invocations,
             self.rows_spilled,
+            self.spill_rows_filtered,
             self.spill_partitions,
             self.batches_emitted,
             self.peak_resident_rows,
@@ -358,6 +367,7 @@ mod tests {
             apply_invocations: 1 << 14,
             apply_cache_hits: 1 << 15,
             peak_resident_rows: 1 << 16,
+            spill_rows_filtered: 1 << 17,
         };
         // The documented work set: real row traffic, predicate/key
         // evaluations, I/O (spills + page faults), index and Apply work.
@@ -379,6 +389,7 @@ mod tests {
         // contribute nothing.
         let shape_only = Metrics {
             spill_partitions: 8,
+            spill_rows_filtered: 12,
             batches_emitted: 9,
             pool_hits: 10,
             peak_resident_rows: 11,

@@ -23,6 +23,7 @@ pub struct MetricsRecorder {
     subquery_invocations: Counter,
     rows_spilled: Counter,
     spill_partitions: Counter,
+    spill_rows_filtered: Counter,
     batches_emitted: Counter,
     pool_hits: Counter,
     pool_misses: Counter,
@@ -66,6 +67,10 @@ impl MetricsRecorder {
             spill_partitions: c(
                 "tmql_exec_spill_partitions_total",
                 "Non-empty spill partitions created",
+            ),
+            spill_rows_filtered: c(
+                "tmql_exec_spill_rows_filtered_total",
+                "Grace-join probe rows answered while partitioning, never spilled",
             ),
             batches_emitted: c(
                 "tmql_exec_batches_emitted_total",
@@ -114,6 +119,7 @@ impl MetricsRecorder {
         self.subquery_invocations.add(m.subquery_invocations);
         self.rows_spilled.add(m.rows_spilled);
         self.spill_partitions.add(m.spill_partitions);
+        self.spill_rows_filtered.add(m.spill_rows_filtered);
         self.batches_emitted.add(m.batches_emitted);
         self.pool_hits.add(m.pool_hits);
         self.pool_misses.add(m.pool_misses);

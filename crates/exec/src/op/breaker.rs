@@ -91,7 +91,7 @@ impl<'p, const N: usize> Breaker<'p, N> {
             .iter()
             .filter_map(|d| match d {
                 Drained::Mem(rows) => Some(rows.as_slice()),
-                Drained::Spilled(_) => None,
+                Drained::Spilled(..) => None,
             })
             .collect();
         // All `N` in memory — and inputs that each fit must still spill
@@ -106,7 +106,9 @@ impl<'p, const N: usize> Breaker<'p, N> {
             let mut files = Vec::with_capacity(N);
             for (d, side) in drained.into_iter().zip(sides) {
                 files.push(match d {
-                    Drained::Spilled(files) => files,
+                    // The key filter goes unused: filtering one input of a
+                    // breaker by the other's keys is not taken.
+                    Drained::Spilled(files, _) => files,
                     Drained::Mem(rows) => spill::spill_rows(rows, ctx, env, side, stats)?,
                 });
             }

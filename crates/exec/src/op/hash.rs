@@ -48,10 +48,15 @@ impl HashTable<'_> {
     }
 }
 
-/// Hash the key values of the row(s) bound in `env`, by reference.
-/// Returns `None` if any key is NULL (NULL never equi-joins).
-fn hash_keys(keys: &[ScalarExpr], env: &Env<'_>) -> Result<Option<u64>> {
-    let mut h = ValueHasher::default();
+/// Hash the key values of the row(s) bound in `env`, by reference, on top
+/// of what `h` already holds (nothing for a table; the level seed for a
+/// spill partition). Returns `None` if any key is NULL (NULL never
+/// equi-joins).
+pub(super) fn hash_keys(
+    keys: &[ScalarExpr],
+    env: &Env<'_>,
+    mut h: ValueHasher,
+) -> Result<Option<u64>> {
     for k in keys {
         let null = with_value(k, env, |v| {
             v.hash(&mut h);
@@ -77,7 +82,7 @@ pub fn build<'k>(
     let mut rows = Vec::with_capacity(right.len());
     let mut hashes = Vec::with_capacity(right.len());
     for r in right {
-        if let Some(hash) = hash_keys(right_keys, &bind(env, shape, &r))? {
+        if let Some(hash) = hash_keys(right_keys, &bind(env, shape, &r), ValueHasher::default())? {
             hashes.push(hash);
             rows.push(r);
             m.hash_build_rows += 1;
@@ -111,7 +116,7 @@ pub fn probe(
         let probe_env = bind(env, ls, l);
         m.hash_probes += 1;
         let mut matched = false;
-        let hash = hash_keys(left_keys, &probe_env)?;
+        let hash = hash_keys(left_keys, &probe_env, ValueHasher::default())?;
         // Build rows of this hash's bucket, in build order; `None` (a NULL
         // key) probes nothing.
         for ri in hash.into_iter().flat_map(|h| table.index.chain(h)) {
@@ -140,30 +145,49 @@ pub fn probe(
                 JoinKind::Nest { func, .. } => nested.push(eval(func, &pair_env)?),
             }
         }
-        match kind {
-            JoinKind::Inner => {}
-            JoinKind::Semi => {
-                if matched {
-                    out.push(l.clone());
-                }
-            }
-            JoinKind::Anti => {
-                if !matched {
-                    out.push(l.clone());
-                }
-            }
-            JoinKind::LeftOuter { right_vars } => {
-                if !matched {
-                    out.push(null_extend(ls, l, right_vars)?);
-                }
-            }
-            JoinKind::Nest { label, .. } => {
-                let set = SetValue::drain_from(&mut nested);
-                out.push(extend(ls, l, label, Value::Set(set))?);
-            }
-        }
+        finish_row(ls, l, kind, matched, &mut nested, &mut out)?;
     }
     Ok(out)
+}
+
+/// What probe row `l` emits once its candidates are exhausted, given
+/// whether any of them `matched` and (nest join) the items they
+/// contributed, which are drained. With `matched` false and nothing in
+/// `nested` this is the **dangling** answer of each kind — Semi / Inner
+/// nothing, Anti the row, Nest `label = ∅`, LeftOuter the NULL extension —
+/// which the grace join's partitioning pass gives a row it can show has
+/// no partner, without probing.
+pub(super) fn finish_row(
+    ls: &Shape,
+    l: &Record,
+    kind: &JoinKind,
+    matched: bool,
+    nested: &mut Vec<Value>,
+    out: &mut Vec<Record>,
+) -> Result<()> {
+    match kind {
+        JoinKind::Inner => {}
+        JoinKind::Semi => {
+            if matched {
+                out.push(l.clone());
+            }
+        }
+        JoinKind::Anti => {
+            if !matched {
+                out.push(l.clone());
+            }
+        }
+        JoinKind::LeftOuter { right_vars } => {
+            if !matched {
+                out.push(null_extend(ls, l, right_vars)?);
+            }
+        }
+        JoinKind::Nest { label, .. } => {
+            let set = SetValue::drain_from(nested);
+            out.push(extend(ls, l, label, Value::Set(set))?);
+        }
+    }
+    Ok(())
 }
 
 /// One-shot hash join of materialized operands on equi-keys plus an

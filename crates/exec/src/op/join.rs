@@ -6,11 +6,11 @@ use std::collections::VecDeque;
 
 use tmql_algebra::{eval, ScalarExpr};
 use tmql_model::{Record, Result};
-use tmql_storage::spill::SpillFile;
+use tmql_storage::spill::{RunWriter, SpillFile};
 
 use crate::exec::ExecContext;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, Operator};
-use crate::op::spill::{self, keys_part, Drained, PartFn, Partitions, Side};
+use crate::op::spill::{self, keys_part, Drained, KeyFilter, PartFn, Partitions, Side};
 use crate::op::{self, hash, nl, Shape};
 use crate::physical::JoinKind;
 
@@ -330,7 +330,16 @@ enum Build<'p> {
     Pending,
     /// It fit: one resident table, the probe side streams past it.
     Table(hash::HashTable<'p>),
-    /// It overflowed: (build, probe) partition pairs on disk.
+    /// It overflowed into `build` runs, and the probe side is streaming
+    /// into `probe` runs split the same way — those of its rows, that is,
+    /// whose key hash `filter` has seen on the build side. The others are
+    /// answered as they pass.
+    Partitioning {
+        build: Vec<SpillFile>,
+        filter: KeyFilter,
+        probe: Vec<RunWriter>,
+    },
+    /// Both sides are on disk: (build, probe) partition pairs.
     Grace(Partitions<2>),
 }
 
@@ -340,7 +349,9 @@ enum Build<'p> {
 /// key, then the partition driver ([`Partitions`]) hands out the pairs
 /// and each joins independently — an in-memory build over the
 /// partition's build rows (its weight), batch-streamed probes from its
-/// probe run.
+/// probe run. Only probe rows that may have a partner get that far: the
+/// partitioning pass answers a row with a NULL key, or a key hash no
+/// build row had, with its kind's dangling output, unspilled.
 pub(super) struct HashJoinOp<'p> {
     base: OpBase<'p>,
     left: BoxedOperator<'p>,
@@ -405,8 +416,8 @@ impl Operator for HashJoinOp<'_> {
         let (left_keys, right_keys) = (self.left_keys, self.right_keys);
         let (residual, kind) = (self.residual, self.kind);
         // NULL keys never match, so build rows with one are dropped before
-        // they hit disk; NULL-key probe rows go to partition 0, where they
-        // probe empty and take the kind's dangling path.
+        // they hit disk, and NULL-key probe rows are answered before they
+        // do (`drop_nullkey` is moot for the probe side: none is written).
         let build_side = Side {
             part: &self.build_part,
             drop_nullkey: true,
@@ -432,10 +443,11 @@ impl Operator for HashJoinOp<'_> {
                     Build::Table(table?)
                 }
                 // Grace mode: the probe side must partition the same way.
-                Drained::Spilled(build_files) => Build::Grace(Partitions::new([
-                    build_files,
-                    spill::spill_stream(&mut self.left, ctx, env, probe_side, stats)?,
-                ])),
+                Drained::Spilled(build, filter) => Build::Partitioning {
+                    build,
+                    filter,
+                    probe: ctx.spill_runs(spill::SPILL_FANOUT)?,
+                },
             };
         }
         let n = ctx.batch_size();
@@ -445,6 +457,39 @@ impl Operator for HashJoinOp<'_> {
             }
             let out = match &mut self.build {
                 Build::Pending => None,
+                // Partitioning pass: a probe row goes to the run its hash
+                // selects if a build row may share its key, and else takes
+                // the dangling answer here. It is counted as the probe it
+                // no longer needs.
+                Build::Partitioning {
+                    build,
+                    filter,
+                    probe,
+                } => {
+                    let Some(b) = self.left.pull(ctx)? else {
+                        let probe = spill::finish_runs(std::mem::take(probe), ctx)?;
+                        let pairs = Partitions::new([std::mem::take(build), probe]);
+                        self.build = Build::Grace(pairs);
+                        continue;
+                    };
+                    let mut out = Vec::new();
+                    for l in &b.rows {
+                        match (self.probe_part)(l, env, 0)? {
+                            Some(h) if filter.may_contain(h) => {
+                                let run = &mut probe[spill::run_of(h)];
+                                spill::write_spilled(run, l, &mut ctx.metrics, stats)?;
+                            }
+                            _ => {
+                                ctx.metrics.hash_probes += 1;
+                                ctx.metrics.spill_rows_filtered += 1;
+                                stats.spill_rows_filtered += 1;
+                                hash::finish_row(&ls, l, kind, false, &mut Vec::new(), &mut out)?;
+                            }
+                        }
+                    }
+                    ctx.resident_acquire(out.len());
+                    Some(out)
+                }
                 // In-memory path: stream probe batches from the left child.
                 Build::Table(table) => match self.left.pull(ctx)? {
                     None => None,

@@ -95,6 +95,10 @@ pub struct OpStats {
     /// repartitioning passes re-count their rows, mirroring
     /// [`crate::Metrics::rows_spilled`]).
     pub rows_spilled: u64,
+    /// Probe rows a grace hash join answered while partitioning its probe
+    /// side instead of spilling them (mirrors
+    /// [`crate::Metrics::spill_rows_filtered`]; 0 for every other operator).
+    pub spill_rows_filtered: u64,
     /// Stored rows a filtering scan's pre-test rejected inside storage,
     /// before they were decoded or bound (0 for every other operator).
     pub rows_skipped: u64,
@@ -219,6 +223,9 @@ pub struct OpProfile {
     pub batches_out: u64,
     /// Rows this operator spilled to disk (0 without a memory budget).
     pub rows_spilled: u64,
+    /// Probe rows answered instead of spilled (see
+    /// [`OpStats::spill_rows_filtered`]).
+    pub spill_rows_filtered: u64,
     /// Rows rejected before materialization (see
     /// [`OpStats::rows_skipped`]).
     pub rows_skipped: u64,
@@ -263,6 +270,7 @@ pub fn collect_profile(root: &dyn Operator, est: Option<&[f64]>) -> Vec<OpProfil
             rows_out: s.rows_out,
             batches_out: s.batches_out,
             rows_spilled: s.rows_spilled,
+            spill_rows_filtered: s.spill_rows_filtered,
             rows_skipped: s.rows_skipped,
             wall_nanos: s.wall_nanos,
             est_rows,
@@ -285,12 +293,15 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
         out.push_str(&"  ".repeat(e.depth));
         // `spilled=` appears only when the operator actually spilled, so
         // in-memory profiles read exactly as before the spill tier existed;
-        // `skipped=` likewise, only on a scan whose pre-test rejected rows.
+        // `filtered=` beside it only on a grace join whose partitioning
+        // pass answered rows, and `skipped=` only on a scan whose pre-test
+        // rejected some.
         let nonzero = |name: &str, n: u64| match n {
             0 => String::new(),
             n => format!(" {name}={n}"),
         };
-        let spilled = nonzero("spilled", e.rows_spilled);
+        let spilled =
+            nonzero("spilled", e.rows_spilled) + &nonzero("filtered", e.spill_rows_filtered);
         let skipped = nonzero("skipped", e.rows_skipped);
         // `time=` appears only when spans were collected, so profiles
         // taken with `collect_timing` off render exactly as before the

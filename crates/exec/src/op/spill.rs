@@ -9,12 +9,16 @@
 //! that could possibly interact (equal keys, equal group keys, equal
 //! values), so per-partition results concatenate to the global result.
 //!
-//! Getting rows onto disk has three entry points: [`drain_or_spill`]
+//! Getting rows onto disk has two entry points: [`drain_or_spill`]
 //! accumulates a child's stream in memory and switches to partitioned
 //! spill the moment the budget is crossed (hash-join builds, grouping
-//! inputs, set-op / sort-merge operands); [`spill_stream`] and
-//! [`spill_rows`] partition unconditionally (the probe side of a grace
-//! hash join; an already-materialized operand whose sibling spilled).
+//! inputs, set-op / sort-merge operands), recording every key hash it
+//! routes by in a [`KeyFilter`]; [`spill_rows`] partitions an
+//! already-materialized operand whose sibling spilled. The probe side of
+//! a grace hash join is the one input that is not spilled whole: the join
+//! partitions it batch by batch and writes only the rows whose hash the
+//! build side's filter has seen — the rest take their dangling answer on
+//! the spot, having cost a hash and one bit test.
 //!
 //! Getting them back has **one**: [`Partitions`], the partition driver
 //! shared by the grace hash join, the breakers over one or two inputs and
@@ -36,11 +40,11 @@
 //! routing), a *weight* (the rows its kernel holds resident), a *skip*
 //! rule and the kernel.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
 use tmql_algebra::{Env, ScalarExpr};
+use tmql_model::hash::ValueHasher;
 use tmql_model::{Record, RecordSet, Result};
 use tmql_storage::spill::{RunWriter, SpillFile};
 
@@ -74,32 +78,33 @@ pub struct Side<'a, 'p> {
     pub drop_nullkey: bool,
 }
 
-/// A hasher mixing in a recursion-level seed, so repartitioning a skewed
-/// partition redistributes rows instead of reproducing the same split.
-pub fn seed_hasher(seed: u64) -> DefaultHasher {
-    let mut h = DefaultHasher::new();
+/// The engine's hasher with a recursion-level seed mixed in first, so
+/// repartitioning a skewed partition redistributes rows instead of
+/// reproducing the same split — and so a partition's rows, which agree on
+/// `hash % SPILL_FANOUT`, do not also agree on the bucket bits of the
+/// unseeded hash the kernel's in-memory table is built on.
+pub fn seed_hasher(seed: u64) -> ValueHasher {
+    let mut h = ValueHasher::default();
     h.write_u64(0x746d_716c ^ seed.rotate_left(17));
     h
 }
 
 /// Hash a whole record under a seed (partitioning key for dedup state,
-/// where the row itself is the key).
+/// where the row itself is the key): the seed mixed with the row's
+/// remembered [`Record::structural_hash`], so no row is walked twice.
 pub fn hash_record(rec: &Record, seed: u64) -> u64 {
     let mut h = seed_hasher(seed);
-    rec.hash(&mut h);
+    h.write_u64(rec.structural_hash());
     h.finish()
 }
 
 /// Partition-key function over equi-join keys of rows of `shape`: the
-/// seeded hash of the evaluated key values, `None` for NULL keys.
+/// seeded hash of the key values, taken by reference out of the row (no
+/// key is evaluated into a value of its own), `None` for NULL keys.
 pub fn keys_part<'p>(keys: &'p [ScalarExpr], shape: &Shape) -> PartFn<'p> {
     let shape = shape.clone();
     Box::new(move |r, env, seed| {
-        Ok(op::eval_keys(keys, &op::bind(env, &shape, r))?.map(|vals| {
-            let mut h = seed_hasher(seed);
-            vals.hash(&mut h);
-            h.finish()
-        }))
+        op::hash::hash_keys(keys, &op::bind(env, &shape, r), seed_hasher(seed))
     })
 }
 
@@ -114,14 +119,63 @@ pub fn value_part(shape: &Shape) -> PartFn<'static> {
     })
 }
 
+/// The build-side keys of a grace hash join, as one bit per seed-0
+/// partition hash: a probe row whose hash the filter has not seen has no
+/// partner among the build rows and need not be spilled to learn that.
+/// One hash function, so a false positive (two hashes on one bit) costs
+/// one spilled row and never an answer; past about 64 keys per budgeted
+/// row every bit is set and the filter passes everything.
+#[derive(Debug)]
+pub struct KeyFilter {
+    /// A power of two of 64-bit words.
+    words: Vec<u64>,
+}
+
+impl KeyFilter {
+    /// An empty filter of 64 bits per budgeted row, rounded up to a power
+    /// of two (one word at least): 8 bytes a row next to the rows the
+    /// budget already allows resident.
+    pub fn for_budget(rows: usize) -> KeyFilter {
+        KeyFilter {
+            words: vec![0; rows.max(1).next_power_of_two()],
+        }
+    }
+
+    /// The word and bit of `hash`. `hash % SPILL_FANOUT` picked the row's
+    /// partition; the bits above pick its place here, so the rows of one
+    /// partition still spread over the whole filter.
+    fn slot(&self, hash: u64) -> (usize, u64) {
+        let bit = hash / SPILL_FANOUT as u64;
+        let word = (bit / 64) as usize & (self.words.len() - 1);
+        (word, 1 << (bit % 64))
+    }
+
+    /// Record a build row's hash.
+    pub fn insert(&mut self, hash: u64) {
+        let (word, bit) = self.slot(hash);
+        self.words[word] |= bit;
+    }
+
+    /// False only if no inserted hash equals `hash`.
+    pub fn may_contain(&self, hash: u64) -> bool {
+        let (word, bit) = self.slot(hash);
+        self.words[word] & bit != 0
+    }
+}
+
 /// Summed rows of a partition's runs: the weight of an operator whose
 /// kernel holds every input resident.
 pub fn total_rows<const N: usize>(files: &[SpillFile; N]) -> u64 {
     files.iter().map(SpillFile::rows).sum()
 }
 
+/// The run of a [`SPILL_FANOUT`]-way split that a row of `hash` goes to.
+pub(super) fn run_of(hash: u64) -> usize {
+    (hash % SPILL_FANOUT as u64) as usize
+}
+
 /// Route one record into the partition its hash selects, counting the
-/// spill traffic.
+/// spill traffic. Returns the hash (`None` for a NULL key).
 fn route(
     writers: &mut [RunWriter],
     side: Side<'_, '_>,
@@ -130,17 +184,19 @@ fn route(
     seed: u64,
     m: &mut Metrics,
     ops: &mut OpStats,
-) -> Result<()> {
-    let idx = match (side.part)(rec, env, seed)? {
-        Some(h) => (h % writers.len() as u64) as usize,
-        None if side.drop_nullkey => return Ok(()),
+) -> Result<Option<u64>> {
+    let hash = (side.part)(rec, env, seed)?;
+    let idx = match hash {
+        Some(h) => run_of(h),
+        None if side.drop_nullkey => return Ok(None),
         None => 0,
     };
-    write_spilled(&mut writers[idx], rec, m, ops)
+    write_spilled(&mut writers[idx], rec, m, ops)?;
+    Ok(hash)
 }
 
 /// Append one record to a run, counting the spill traffic.
-fn write_spilled(
+pub(super) fn write_spilled(
     w: &mut RunWriter,
     rec: &Record,
     m: &mut Metrics,
@@ -155,7 +211,10 @@ fn write_spilled(
 /// Seal a set of partition writers, counting the non-empty ones. The
 /// returned files keep their positions (callers pair build/probe
 /// partitions by index), including empty ones.
-fn finish_runs(writers: Vec<RunWriter>, ctx: &mut ExecContext<'_>) -> Result<Vec<SpillFile>> {
+pub(super) fn finish_runs(
+    writers: Vec<RunWriter>,
+    ctx: &mut ExecContext<'_>,
+) -> Result<Vec<SpillFile>> {
     let mut out = Vec::with_capacity(writers.len());
     for w in writers {
         let f = w.finish()?;
@@ -194,9 +253,10 @@ pub enum Drained {
     /// The input fit in the budget. The rows are **already counted** in
     /// the resident gauge; the caller releases them when done.
     Mem(Vec<Record>),
-    /// The input overflowed and was hash-partitioned to disk (seed 0).
+    /// The input overflowed and was hash-partitioned to disk (seed 0):
+    /// its runs, and the filter of every key hash a row was routed by.
     /// Nothing is resident.
-    Spilled(Vec<SpillFile>),
+    Spilled(Vec<SpillFile>, KeyFilter),
 }
 
 /// Drain `child` to completion, buffering in memory while the budget
@@ -212,25 +272,27 @@ pub fn drain_or_spill(
 ) -> Result<Drained> {
     // `buf` is exactly what this call holds in the gauge at any moment.
     let mut buf: Vec<Record> = Vec::new();
-    let mut writers: Option<Vec<RunWriter>> = None;
+    let mut spill: Option<(Vec<RunWriter>, KeyFilter)> = None;
     let filled = (|| -> Result<()> {
         while let Some(b) = child.pull(ctx)? {
-            match writers.as_mut() {
+            let rows = match &spill {
+                Some(_) => b.rows,
                 None => {
                     ctx.resident_acquire(b.len());
                     buf.extend(b.rows);
-                    if ctx.over_budget(buf.len()) {
-                        let ws = writers.insert(ctx.spill_runs(SPILL_FANOUT)?);
-                        for r in &buf {
-                            route(ws, side, env, r, 0, &mut ctx.metrics, ops)?;
-                        }
-                        ctx.resident_release(buf.len());
-                        buf.clear();
+                    if !ctx.over_budget(buf.len()) {
+                        continue;
                     }
+                    let budget = ctx.memory_budget_rows().unwrap_or(0);
+                    spill = Some((ctx.spill_runs(SPILL_FANOUT)?, KeyFilter::for_budget(budget)));
+                    ctx.resident_release(buf.len());
+                    std::mem::take(&mut buf)
                 }
-                Some(ws) => {
-                    for r in &b.rows {
-                        route(ws, side, env, r, 0, &mut ctx.metrics, ops)?;
+            };
+            if let Some((ws, filter)) = &mut spill {
+                for r in &rows {
+                    if let Some(h) = route(ws, side, env, r, 0, &mut ctx.metrics, ops)? {
+                        filter.insert(h);
                     }
                 }
             }
@@ -241,30 +303,10 @@ pub fn drain_or_spill(
         ctx.resident_release(buf.len());
     }
     filled?;
-    match writers {
+    match spill {
         None => Ok(Drained::Mem(buf)),
-        Some(ws) => Ok(Drained::Spilled(finish_runs(ws, ctx)?)),
+        Some((ws, filter)) => Ok(Drained::Spilled(finish_runs(ws, ctx)?, filter)),
     }
-}
-
-/// Drain `child` straight into partitions (seed 0), buffering nothing —
-/// the probe side of a grace hash join.
-pub fn spill_stream(
-    child: &mut BoxedOperator<'_>,
-    ctx: &mut ExecContext<'_>,
-    env: &Env<'_>,
-    side: Side<'_, '_>,
-    ops: &mut OpStats,
-) -> Result<Vec<SpillFile>> {
-    // Operators never emit an empty batch, so an empty one is the end.
-    partition(
-        |ctx| Ok(child.pull(ctx)?.map_or_else(Vec::new, |b| b.rows)),
-        ctx,
-        env,
-        side,
-        0,
-        ops,
-    )
 }
 
 /// Partition an already-materialized row vector (seed 0). The caller is
@@ -451,7 +493,7 @@ pub struct SpillDedup {
 
 /// The run of a [`SPILL_FANOUT`]-way split that `rec` belongs to.
 fn dedup_slot(rec: &Record, seed: u64) -> usize {
-    (hash_record(rec, seed) % SPILL_FANOUT as u64) as usize
+    run_of(hash_record(rec, seed))
 }
 
 impl SpillDedup {
@@ -737,6 +779,58 @@ mod tests {
         let mut ops = OpStats::default();
         let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
         assert_eq!((got.len(), ops.rows_spilled), (1, 0));
+    }
+
+    #[test]
+    fn the_seed_decorrelates_partitions_from_each_other_and_from_the_table_hash() {
+        use tmql_model::hash::ChainIndex;
+        // The partition hash and the in-memory table's are one family now.
+        // Were they one *function*, the rows of a partition — equal in
+        // `hash % 8` — would share an eighth of their table's buckets.
+        let keys = [ScalarExpr::path("x", &["k"])];
+        let shape = Shape::bare("x");
+        let part = keys_part(&keys, &shape);
+        let rows: Vec<Record> = (0..8192)
+            .map(|k| Record::single("k".into(), Value::Int(k)))
+            .collect();
+        let env = Env::new();
+        let table_hash = |r: &Record| {
+            let bound = op::bind(&env, &shape, r);
+            op::hash::hash_keys(&keys, &bound, ValueHasher::default()).unwrap()
+        };
+        let even = rows.len() / SPILL_FANOUT;
+        let mut splits = Vec::new();
+        for seed in 0..4 {
+            let mut runs = vec![Vec::new(); SPILL_FANOUT];
+            for r in &rows {
+                let h = part(r, &env, seed).unwrap().expect("no NULL key");
+                runs[(h % SPILL_FANOUT as u64) as usize].push(table_hash(r).expect("no NULL"));
+            }
+            for (i, hashes) in runs.iter().enumerate() {
+                let off = hashes.len().abs_diff(even);
+                assert!(
+                    off * 4 <= even,
+                    "seed {seed} run {i}: {} rows",
+                    hashes.len()
+                );
+                let table = ChainIndex::build(hashes);
+                let longest = hashes.iter().map(|&h| table.chain(h).count()).max();
+                assert!(
+                    longest <= Some(8),
+                    "seed {seed} run {i}: chain of {longest:?}"
+                );
+            }
+            splits.push(runs);
+        }
+        // A re-split under the next seed cuts a run eight ways again.
+        for pair in splits.windows(2) {
+            let again: std::collections::BTreeSet<u64> = pair[1][0].iter().copied().collect();
+            let kept = pair[0][0].iter().filter(|h| again.contains(h)).count();
+            assert!(
+                kept * 4 <= pair[0][0].len(),
+                "{kept} of run 0 stay together"
+            );
+        }
     }
 
     #[test]

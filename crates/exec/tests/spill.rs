@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 use tmql_algebra::{AggFn, ArithOp, CmpOp, Env, Plan, ScalarExpr as E, SetOpKind};
+use tmql_exec::op::spill::KeyFilter;
 use tmql_exec::{run, ExecConfig, ExecContext, JoinAlgo, Metrics};
-use tmql_model::Record;
-use tmql_storage::{table::int_table, Catalog};
+use tmql_model::{Record, Ty, Value};
+use tmql_storage::{table::int_table, Catalog, Table};
 
 fn catalog(x: &[(i64, i64)], y: &[(i64, i64)]) -> Catalog {
     let mut cat = Catalog::new();
@@ -183,6 +184,153 @@ fn grace_hash_join_bounds_resident_rows() {
         m.peak_resident_rows,
         budget
     );
+}
+
+/// The five hash-joinable shapes of `breaker_corpus` over `x.k = y.k` and
+/// the residual `x.id < y.id + 40`.
+fn keyed_joins() -> Vec<(&'static str, Plan)> {
+    let sum = E::Arith(
+        ArithOp::Add,
+        Box::new(E::path("y", &["id"])),
+        Box::new(E::lit(40i64)),
+    );
+    let pred = || {
+        E::and(
+            E::eq(E::path("x", &["k"]), E::path("y", &["k"])),
+            E::cmp(CmpOp::Lt, E::path("x", &["id"]), sum.clone()),
+        )
+    };
+    let (x, y) = (|| Plan::scan("X", "x"), || Plan::scan("Y", "y"));
+    let outer = Plan::LeftOuterJoin {
+        left: Box::new(x()),
+        right: Box::new(y()),
+        pred: pred(),
+    };
+    vec![
+        ("join", x().join(y(), pred())),
+        ("semi", x().semi_join(y(), pred())),
+        ("anti", x().anti_join(y(), pred())),
+        ("outer", outer),
+        (
+            "nestjoin",
+            x().nest_join(y(), pred(), E::path("y", &["id"]), "ids"),
+        ),
+    ]
+}
+
+#[test]
+fn grace_join_answers_partnerless_rows_like_the_unbudgeted_join() {
+    // Join keys of every awkward kind, on both sides: NULL (never a
+    // partner), duplicates, 1 and 1.0 (two keys to a hash join, which
+    // compares structurally), NaN (equal to itself), tuples, sets — and on
+    // each side keys the other lacks, which the partitioning pass answers
+    // without spilling the row.
+    let hostile = |side: i64| {
+        vec![
+            Value::Null,
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(f64::NAN),
+            Value::Float(2.5),
+            Value::tuple([("a", Value::Int(1))]),
+            Value::tuple([("a", Value::Int(side))]),
+            Value::set([Value::Int(1), Value::Int(2)]),
+            Value::empty_set(),
+            Value::set([Value::Int(side)]),
+            Value::Null,
+            Value::str("k"),
+            Value::Int(100 + side),
+        ]
+    };
+    let table = |name: &str, side: i64, n: i64| {
+        let keys = hostile(side);
+        let key = |i: i64| match i % 3 {
+            // A third of the rows: ints only this side (7) or both (11) have.
+            0 => Value::Int(i * [7, 11][(i % 2) as usize] * side),
+            _ => keys[(i as usize / 3) % keys.len()].clone(),
+        };
+        let rows = (0..n).map(|i| Record::new([("id", Value::Int(i)), ("k", key(i))]).unwrap());
+        let columns = vec![("id".into(), Ty::Int), ("k".into(), Ty::Any)];
+        Table::from_rows(name, columns, rows).unwrap()
+    };
+    let mut cat = Catalog::new();
+    cat.register(table("X", 1, 150)).unwrap();
+    cat.register(table("Y", 2, 120)).unwrap();
+    let mut filtered = 0;
+    for (name, plan) in keyed_joins() {
+        let free = ExecConfig::with_join_algo(JoinAlgo::Hash).batch_size(16);
+        let (want, _) = run(&plan, &cat, &free).unwrap();
+        let want = multiset(want);
+        assert!(want.len() > 10, "{name}: {} rows", want.len());
+        for budget in [1, 7, 64] {
+            for threads in [1, 4] {
+                let tight = free.memory_budget(budget).threads(threads);
+                let phys = tmql_exec::lower(&plan, &cat, &tight).unwrap();
+                let mut ctx = ExecContext::with_config(&cat, &tight);
+                let got = tmql_exec::execute(&phys, &mut ctx, &Env::new()).unwrap();
+                let case = format!("{name} budget={budget} threads={threads}");
+                assert_eq!(multiset(got), want, "{case}");
+                assert_eq!(ctx.resident_rows(), 0, "{case}");
+                let m = ctx.metrics;
+                assert!(m.rows_spilled >= 120 - 20, "{case}: the build side spills");
+                // Every probe row is a probe, answered early or not.
+                assert_eq!(m.hash_probes, 150, "{case}");
+                filtered += m.spill_rows_filtered;
+                // NULL keys at least: a twentieth of the probe side.
+                assert!(m.spill_rows_filtered >= 7, "{case}: {m}");
+            }
+        }
+    }
+    assert!(filtered > 30 * 30, "the 64-row budget's filter is sparse");
+}
+
+#[test]
+fn mostly_dangling_probe_side_is_answered_not_spilled() {
+    // 1 024 build keys under a 256-row budget: 16 filter bits per key,
+    // so about 6 % of the 3 686 partnerless probe rows pass it.
+    let y: Vec<(i64, i64)> = (0..1024).map(|i| (i, i)).collect();
+    let x: Vec<(i64, i64)> = (0..4096)
+        .map(|i| (i, if i % 10 == 0 { i % 1024 } else { 10_000 + i }))
+        .collect();
+    let cat = catalog(&x, &y);
+    let equi = || E::eq(E::path("x", &["b"]), E::path("y", &["b"]));
+    let (budget, batch) = (256, 128);
+    let free = ExecConfig::with_join_algo(JoinAlgo::Hash).batch_size(batch);
+    let joins = [
+        (
+            "anti",
+            Plan::scan("X", "x").anti_join(Plan::scan("Y", "y"), equi()),
+        ),
+        (
+            "nestjoin",
+            Plan::scan("X", "x").nest_join(
+                Plan::scan("Y", "y"),
+                equi(),
+                E::path("y", &["c"]),
+                "cs",
+            ),
+        ),
+    ];
+    for (name, plan) in joins {
+        let (want, _) = run(&plan, &cat, &free).unwrap();
+        let (got, m) = run(&plan, &cat, &free.memory_budget(budget)).unwrap();
+        assert_eq!(multiset(got), multiset(want), "{name}");
+        assert!(
+            m.peak_resident_rows <= (budget + 3 * batch) as u64,
+            "{name}: peak {} over budget {budget} + 3 batches of {batch}",
+            m.peak_resident_rows
+        );
+        let probe_spilled = 4096 - m.spill_rows_filtered;
+        assert!(probe_spilled >= 410, "{name}: every row with a partner");
+        assert!(
+            probe_spilled < 4096 / 4,
+            "{name}: {probe_spilled} probe rows spilled"
+        );
+        // No partition of the 1 024 build rows is over budget, so the
+        // build side is written once and the rest is the probe side.
+        assert_eq!(m.rows_spilled, 1024 + probe_spilled, "{name}: {m}");
+        assert_eq!(m.hash_probes, 4096, "{name}");
+    }
 }
 
 #[test]
@@ -481,6 +629,28 @@ fn exact_counters_do_not_depend_on_the_thread_count() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Whatever was inserted is found again, at every size from one word
+    /// up; a key that was not is mostly refused while the filter is sparse.
+    #[test]
+    fn key_filter_has_no_false_negatives(
+        hashes in prop::collection::vec(any::<u64>(), 1..200),
+        strangers in prop::collection::vec(any::<u64>(), 100..101),
+    ) {
+        for budget in [0usize, 1, 2, 3, 5, 64, 100, 512, 4096] {
+            let mut filter = KeyFilter::for_budget(budget);
+            prop_assert!(strangers.iter().all(|&h| !filter.may_contain(h)), "empty");
+            for &h in &hashes {
+                filter.insert(h);
+            }
+            prop_assert!(hashes.iter().all(|&h| filter.may_contain(h)), "budget {}", budget);
+            if budget >= 512 {
+                // At least 160 bits per inserted hash.
+                let passed = strangers.iter().filter(|&&h| filter.may_contain(h)).count();
+                prop_assert!(passed <= 5, "{} of 100 strangers at budget {}", passed, budget);
+            }
+        }
+    }
 
     /// Differential: for random inputs, budgets, batch sizes, and join
     /// algorithms, budgeted execution returns exactly the unbounded rows.

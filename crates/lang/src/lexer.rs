@@ -64,30 +64,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
                 i += 2;
             }
             '\'' | '"' => {
-                let quote = c;
                 let start = i;
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(ParseError::new(
-                                format!("unterminated string starting with {quote}"),
-                                Span::new(start, start + 1),
-                            ))
-                        }
-                        Some(&b) if b as char == quote => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
+                // The quotes are ASCII, so the bytes between them are whole
+                // characters: the literal is that slice of the source.
+                let Some(len) = bytes[start + 1..].iter().position(|&b| b == bytes[start]) else {
+                    return Err(ParseError::new(
+                        format!("unterminated string starting with {c}"),
+                        Span::new(start, start + 1),
+                    ));
+                };
+                i = start + 1 + len + 1;
                 out.push(Token {
-                    tok: Tok::Str(s),
+                    tok: Tok::Str(src[start + 1..i - 1].to_string()),
                     span: Span::new(start, i),
                 });
             }
@@ -149,11 +137,13 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
                     span: Span::new(start, i),
                 });
             }
-            other => {
+            _ => {
+                // `c` is only the first byte of a character outside ASCII.
+                let other = src[i..].chars().next().unwrap_or(c);
                 return Err(ParseError::new(
                     format!("unexpected character `{other}`"),
-                    Span::new(i, i + 1),
-                ))
+                    Span::new(i, i + other.len_utf8()),
+                ));
             }
         }
     }
@@ -247,6 +237,54 @@ mod tests {
         assert!(lex("a § b").is_err());
         assert!(lex("__reserved").is_err());
         assert!(lex("99999999999999999999").is_err());
+    }
+
+    #[test]
+    fn string_literals_are_the_source_between_their_quotes() {
+        // One `char` per *byte* made 'café' the five characters "cafÃ©".
+        let t = toks("'café' '日本語' \"ß\" '' 'it\"s' \"it's\"");
+        let strs = ["café", "日本語", "ß", "", "it\"s", "it's"];
+        let want: Vec<Tok> = strs.iter().map(|s| Tok::Str(s.to_string())).collect();
+        assert_eq!(t[..6], want[..]);
+        // Spans are byte offsets, quotes included.
+        let tokens = lex("x = '日本' AND").unwrap();
+        assert_eq!(tokens[2].span, Span::new(4, 12));
+        assert_eq!(tokens[3].tok, Tok::Kw(Keyword::And));
+        let err = lex("'日本").unwrap_err();
+        assert_eq!(err.span, Span::new(0, 1));
+    }
+
+    #[test]
+    fn a_character_outside_ascii_is_reported_whole() {
+        for (src, ch, at) in [("a § b", '§', 2), ("x = 日", '日', 4), ("𝔸", '𝔸', 0)] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.message, format!("unexpected character `{ch}`"));
+            assert_eq!(err.span, Span::new(at, at + ch.len_utf8()), "{src}");
+        }
+        // Inside a comment it is skipped with the rest of the line.
+        assert_eq!(toks("1 -- § 日本\n 2"), toks("1 2"));
+    }
+
+    proptest::proptest! {
+        /// A literal over an alphabet of 1- to 4-byte characters and the
+        /// other quote lexes to itself, under either quote.
+        #[test]
+        fn generated_literals_lex_to_themselves(
+            body in "[a-zé ß日本𝔸∅]{0,12}",
+            inner_quote in proptest::prelude::any::<bool>(),
+        ) {
+            for (quote, other) in [('\'', '"'), ('"', '\'')] {
+                let body = match inner_quote {
+                    true => format!("{body}{other}{body}"),
+                    false => body.clone(),
+                };
+                let src = format!("x = {quote}{body}{quote} AND y");
+                let tokens = lex(&src).unwrap();
+                proptest::prop_assert_eq!(&tokens[2].tok, &Tok::Str(body.clone()), "{}", src);
+                proptest::prop_assert_eq!(tokens[2].span, Span::new(4, 4 + body.len() + 2));
+                proptest::prop_assert_eq!(tokens.len(), 6, "{}", src);
+            }
+        }
     }
 
     #[test]

@@ -571,6 +571,9 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use tmql_algebra::typing::StaticTables;
+    use tmql_model::Ty;
 
     fn parse(src: &str) -> Expr {
         parse_query(src).unwrap_or_else(|e| panic!("{}", e.render(src)))
@@ -775,6 +778,93 @@ mod tests {
         })
         .join()
         .expect("no panic");
+    }
+
+    /// What a statement may be made of, hostile pieces included: every
+    /// keyword, characters of two to four bytes in and out of literals,
+    /// quotes and brackets that nobody closes.
+    fn soup_piece() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        const HOSTILE: &[&str] = &[
+            "(",
+            ")",
+            "{",
+            "}",
+            ",",
+            ".",
+            "=",
+            "<>",
+            "<=",
+            "-",
+            "--",
+            "*",
+            "'",
+            "\"",
+            "\n",
+            "é",
+            "日本",
+            "ß",
+            "𝔸",
+            "∅",
+            "'café'",
+            "\"日本語\"",
+            "'ß",
+            "__x",
+            "1.5",
+            "x.a",
+            "y.b",
+        ];
+        use crate::token::KEYWORDS;
+        prop_oneof![
+            (0..HOSTILE.len()).prop_map(|i| HOSTILE[i].to_string()),
+            (0..KEYWORDS.len()).prop_map(|i| KEYWORDS[i].0.to_string()),
+            "[xyXY]{1,1}".prop_map(|s| s),
+            (0i64..99).prop_map(|i| i.to_string()),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Query text is outside input: whatever it is, the front end
+        /// answers `Ok` or a typed error located on character boundaries of
+        /// the source — on the 2 MB stack of a spawned thread.
+        #[test]
+        fn token_soups_are_ok_or_a_located_error_never_a_panic(
+            pieces in proptest::collection::vec(soup_piece(), 0..40),
+            spaced in proptest::prelude::any::<bool>(),
+        ) {
+            let src = pieces.join(if spaced { " " } else { "" });
+            let shown = src.clone();
+            let front_end = move || {
+                let on_chars = |span: Span| {
+                    span.start <= span.end
+                        && src.is_char_boundary(span.start)
+                        && src.is_char_boundary(span.end)
+                };
+                if let Err(e) = lex(&src) {
+                    assert!(on_chars(e.span), "lex: {e:?}");
+                }
+                let row = |fields: &[(&str, Ty)]| {
+                    Ty::Tuple(fields.iter().map(|(l, t)| (l.to_string(), t.clone())).collect())
+                };
+                let tables = StaticTables(BTreeMap::from([
+                    ("X".to_string(), row(&[("a", Ty::Set(Box::new(Ty::Int))), ("b", Ty::Int)])),
+                    ("Y".to_string(), row(&[("a", Ty::Int), ("b", Ty::Str)])),
+                ]));
+                match parse_query(&src) {
+                    Err(e) => assert!(on_chars(e.span), "parse: {e:?}"),
+                    Ok(q) => {
+                        if let Err(e) = crate::check_query(&q, &tables) {
+                            assert!(on_chars(e.span), "check: {e:?}");
+                        }
+                    }
+                }
+            };
+            let thread = std::thread::Builder::new().stack_size(2 << 20);
+            let outcome = thread.spawn(front_end).expect("spawned").join();
+            proptest::prop_assert!(outcome.is_ok(), "panicked on {:?}", shown);
+        }
     }
 
     #[test]

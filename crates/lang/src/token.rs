@@ -69,39 +69,44 @@ pub enum Keyword {
     False,
 }
 
+/// Every keyword beside its spelling.
+pub(crate) const KEYWORDS: &[(&str, Keyword)] = &[
+    ("SELECT", Keyword::Select),
+    ("FROM", Keyword::From),
+    ("WHERE", Keyword::Where),
+    ("AND", Keyword::And),
+    ("OR", Keyword::Or),
+    ("NOT", Keyword::Not),
+    ("IN", Keyword::In),
+    ("EXISTS", Keyword::Exists),
+    ("FORALL", Keyword::Forall),
+    ("UNION", Keyword::Union),
+    ("INTERSECT", Keyword::Intersect),
+    ("EXCEPT", Keyword::Except),
+    ("SUBSETEQ", Keyword::Subseteq),
+    ("SUBSET", Keyword::Subset),
+    ("SUPERSETEQ", Keyword::Superseteq),
+    ("SUPERSET", Keyword::Superset),
+    ("DISJOINT", Keyword::Disjoint),
+    ("INTERSECTS", Keyword::Intersects),
+    ("COUNT", Keyword::Count),
+    ("SUM", Keyword::Sum),
+    ("MIN", Keyword::Min),
+    ("MAX", Keyword::Max),
+    ("AVG", Keyword::Avg),
+    ("UNNEST", Keyword::Unnest),
+    ("WITH", Keyword::With),
+    ("TRUE", Keyword::True),
+    ("FALSE", Keyword::False),
+];
+
 impl Keyword {
     /// Parse a keyword from an identifier-like word (case-insensitive).
     pub fn from_word(w: &str) -> Option<Keyword> {
-        Some(match w.to_ascii_uppercase().as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
-            "EXISTS" => Keyword::Exists,
-            "FORALL" => Keyword::Forall,
-            "UNION" => Keyword::Union,
-            "INTERSECT" => Keyword::Intersect,
-            "EXCEPT" => Keyword::Except,
-            "SUBSETEQ" => Keyword::Subseteq,
-            "SUBSET" => Keyword::Subset,
-            "SUPERSETEQ" => Keyword::Superseteq,
-            "SUPERSET" => Keyword::Superset,
-            "DISJOINT" => Keyword::Disjoint,
-            "INTERSECTS" => Keyword::Intersects,
-            "COUNT" => Keyword::Count,
-            "SUM" => Keyword::Sum,
-            "MIN" => Keyword::Min,
-            "MAX" => Keyword::Max,
-            "AVG" => Keyword::Avg,
-            "UNNEST" => Keyword::Unnest,
-            "WITH" => Keyword::With,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            _ => return None,
-        })
+        let hit = KEYWORDS
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(w));
+        hit.map(|&(_, k)| k)
     }
 }
 

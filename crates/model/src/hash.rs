@@ -1,17 +1,23 @@
 //! In-memory hashing of complex objects: the one hasher, the one
 //! hash-table layout, and the row set built from them.
 //!
-//! Two hashes of a value exist, for two jobs. `impl Hash for Value` feeds
-//! **any** hasher a byte stream that never changes — spill partitioning
-//! hashes it under a per-level seed, so which partition a row lands in
-//! (and every exact spill counter) is a function of the data alone.
-//! In-memory tables instead use [`ValueHasher`]: one multiply-rotate per
-//! word and a finishing mix, a fixed key so iteration orders and chain
-//! shapes repeat across runs and thread counts, and — through
-//! [`crate::Record::structural_hash`] — a row's hash computed once and
-//! remembered. A fixed key gives no protection against keys crafted to
-//! collide; nor did the fixed-key SipHash it replaces, and a collision
-//! costs a longer chain, never a wrong answer.
+//! Two hashes of a value exist, for two jobs, under one hasher.
+//! `impl Hash for Value` feeds **any** hasher a byte stream that never
+//! changes; [`crate::Record::structural_hash`] is that stream's digest
+//! under [`ValueHasher`], computed once per row and remembered. In-memory
+//! tables bucket by the plain [`ValueHasher`] hash: one multiply-rotate
+//! per word and a finishing mix, a fixed key so iteration orders and chain
+//! shapes repeat across runs and thread counts. Spill partitioning hashes
+//! the same values under the same hasher with a **per-level seed written
+//! first** (`tmql_exec::op::spill::seed_hasher`) — join keys in place in
+//! their row, a whole row as the seed mixed with its remembered hash — so
+//! which partition a row lands in (and every exact spill counter) is a
+//! function of the data and the seed alone, and the bucket a row takes in
+//! its partition's table, which the unseeded hash picks, is not tied to
+//! the partition it came from. A fixed key gives no protection against
+//! keys crafted to collide; nor did the fixed-key SipHash both jobs once
+//! ran under, and a collision costs a longer chain or a partition that is
+//! re-split, never a wrong answer.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

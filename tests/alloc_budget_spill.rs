@@ -14,6 +14,11 @@
 //!   **0.02 written, 1.84 read** — the body of every row and of every
 //!   non-empty set.
 //!
+//! Which run a row goes to is decided by the hash of its join keys, taken
+//! by reference out of the row under the level's seed: **0** allocations,
+//! where evaluating the keys into a `Vec<Value>` to hash them cost one per
+//! row.
+//!
 //! This file holds exactly one test: the counter is process-global, and a
 //! second test running beside it would be counted too.
 
@@ -21,6 +26,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tmql::Record;
+use tmql_algebra::{Env, ScalarExpr};
+use tmql_exec::op::{spill, Shape};
 use tmql_storage::SpillDir;
 use tmql_workload::gen::{gen_xy, GenConfig};
 
@@ -81,6 +88,24 @@ fn spilling_a_row_allocates_nothing_and_reading_it_back_only_its_bodies() {
         .collect();
     assert_eq!(rows.len(), ROWS);
     let dir = SpillDir::create().expect("temp dir is writable");
+
+    // Partitioning by `(x.b, x.a)`: an integer and a set-valued key.
+    let keys = [ScalarExpr::path("x", &["b"]), ScalarExpr::path("x", &["a"])];
+    let part = spill::keys_part(&keys, &Shape::bare("x"));
+    let env = Env::new();
+    let (slots, partitioned) = counted(|| {
+        let mut slots = [0usize; RUNS];
+        for (seed, r) in (0..4).flat_map(|seed| rows.iter().map(move |r| (seed, r))) {
+            let hash = part(r, &env, seed).unwrap().expect("no NULL key");
+            slots[(hash % RUNS as u64) as usize] += 1;
+        }
+        slots
+    });
+    assert_eq!(slots.iter().sum::<usize>(), 4 * ROWS);
+    assert_eq!(
+        partitioned, 0,
+        "allocations to partition {ROWS} rows 4 times"
+    );
 
     let (files, written) = counted(|| {
         let mut runs: Vec<_> = (0..RUNS).map(|_| dir.create_run().unwrap()).collect();

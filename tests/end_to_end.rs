@@ -247,3 +247,29 @@ fn operator_chains_are_bounded_by_the_parser_not_by_the_stack() {
         .join()
         .expect("no panic and no stack overflow");
 }
+
+#[test]
+fn a_string_literal_outside_ascii_finds_its_row() {
+    // The lexer once built a literal one `char` per *byte*: 'café' became
+    // "cafÃ©" and this query answered with no rows.
+    let names = ["café", "cafe", "日本語", "ß"];
+    let rows = names.map(|n| Record::new([("name", Value::str(n))]).unwrap());
+    let mut db = Database::new();
+    db.register_table(Table::from_rows("D", vec![("name".into(), Ty::Str)], rows).unwrap())
+        .unwrap();
+    for name in names {
+        for quote in ['\'', '"'] {
+            let q = format!("SELECT d FROM D d WHERE d.name = {quote}{name}{quote}");
+            let result = db.query(&q).unwrap();
+            assert_eq!(result.len(), 1, "{q}");
+        }
+    }
+    // Outside a literal the character is reported whole, where it stands.
+    let err = db
+        .query("SELECT d FROM D d WHERE d.name = café")
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("unexpected character `é`"),
+        "{err}"
+    );
+}

@@ -123,6 +123,57 @@ fn profile_reports_spilled_rows_per_operator() {
 }
 
 #[test]
+fn probe_rows_without_a_partner_are_reported_as_filtered_not_spilled() {
+    // Y holds the even `a`s only, so every odd X row is dangling; the
+    // build side (512 rows) is 4× the budget, 16 filter bits a key.
+    let mut db = Database::new();
+    for (table, key, step) in [("X", "n", 1), ("Y", "a", 2)] {
+        let rows: Vec<[i64; 2]> = (0..1024).step_by(step).map(|i| [i, i % 32]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        db.register_table(int_table(table, &[key, "b"], &rows))
+            .unwrap();
+    }
+    let free = db.query_with(MEMBER, QueryOptions::default()).unwrap();
+    let opts = QueryOptions::default().batch_size(128).memory_budget(128);
+    let tight = db.query_with(MEMBER, opts).unwrap();
+    assert_eq!(tight.values, free.values);
+    assert_eq!(free.metrics.spill_rows_filtered, 0);
+    assert!(
+        !free.op_profile.contains("filtered="),
+        "{}",
+        free.op_profile
+    );
+
+    let m = &tight.metrics;
+    assert!(
+        m.spill_rows_filtered > 400,
+        "most of 512 dangling rows: {m}"
+    );
+    assert!(m.spill_rows_filtered <= 512, "none with a partner: {m}");
+    assert_eq!(m.hash_probes, 1024, "answered early is still probed: {m}");
+    // Build side once, the probe rows that passed once, nothing re-split.
+    assert_eq!(m.rows_spilled, 512 + 1024 - m.spill_rows_filtered, "{m}");
+    // The join's own line carries both, and the registry the total.
+    let line = tight.op_profile.lines().find(|l| l.contains("filtered="));
+    let line = line.unwrap_or_else(|| panic!("no filtered= in\n{}", tight.op_profile));
+    let (spilled, filtered) = (m.rows_spilled, m.spill_rows_filtered);
+    assert!(
+        line.contains(&format!(" spilled={spilled} filtered={filtered}")),
+        "{line}"
+    );
+    assert!(line.trim_start().starts_with("HashJoin"), "{line}");
+    let exported = format!("tmql_exec_spill_rows_filtered_total {filtered}\n");
+    assert!(
+        db.metrics_text().contains(&exported),
+        "{}",
+        db.metrics_text()
+    );
+    assert!(m
+        .to_string()
+        .contains(&format!("spilled={spilled} filtered={filtered} ")));
+}
+
+#[test]
 fn aggregation_and_grouping_spill_and_agree() {
     // COUNT-per-group over a grouped plan: exercises GroupAgg / Nest
     // breaker spilling end to end through the facade.

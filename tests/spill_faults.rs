@@ -7,7 +7,10 @@
 //! hash semijoin, a spilled nest join and a spilled dedup over 2048-row
 //! `X` and `Y` under a 512-row budget. A counting failpoint first learns
 //! how many scratch operations each performs; then a kill is swept through
-//! every one of them, and a torn write through three.
+//! every one of them, and a torn write through three. The two joins answer
+//! their partnerless probe rows while the probe side is being partitioned,
+//! so some of those kills land with such answers waiting in the join's
+//! carry queue: the sweep checks that it reached that state.
 //!
 //! This file holds exactly one test: a failpoint on the `tmql-spill-`
 //! prefix matches every scratch file of the process, so a second test
@@ -17,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use tmql::{Database, QueryOptions, TmqlError};
 use tmql_algebra::Env;
-use tmql_exec::{ExecConfig, ExecContext};
+use tmql_exec::{ExecConfig, ExecContext, Metrics};
 use tmql_model::{ModelError, Record};
 use tmql_storage::{IoFailpoint, IoOp};
 use tmql_workload::gen::{gen_xy, GenConfig};
@@ -51,13 +54,13 @@ fn leaked_scratch() -> Vec<PathBuf> {
 }
 
 /// Run `src` through the executor's own entry point, where the resident
-/// gauge can be read afterwards: the rows (sorted) or the error, and
-/// whether the statement spilled.
+/// gauge can be read afterwards: the rows (sorted) or the error, and the
+/// counters as they stood when it returned.
 fn execute(
     db: &Database,
     src: &str,
     budget: Option<usize>,
-) -> (Result<Vec<Record>, TmqlError>, bool) {
+) -> (Result<Vec<Record>, TmqlError>, Metrics) {
     let mut opts = QueryOptions::default().threads(1).batch_size(BATCH);
     let mut config = ExecConfig::auto().threads(1).batch_size(BATCH);
     if let Some(b) = budget {
@@ -68,13 +71,13 @@ fn execute(
     let mut ctx = ExecContext::with_config(db.catalog(), &config);
     let result = tmql_exec::execute(&phys, &mut ctx, &Env::new());
     assert_eq!(ctx.resident_rows(), 0, "leaked resident rows: {src}");
-    let spilled = ctx.metrics.rows_spilled > 0;
+    let metrics = ctx.metrics;
     drop(ctx);
     let sorted = result.map(|mut rows| {
         rows.sort();
         rows
     });
-    (sorted.map_err(TmqlError::from), spilled)
+    (sorted.map_err(TmqlError::from), metrics)
 }
 
 fn assert_io_error<T: std::fmt::Debug>(result: Result<T, TmqlError>, case: &str) {
@@ -96,12 +99,17 @@ fn a_fault_at_any_scratch_operation_is_a_typed_error_that_leaks_nothing() {
     let prefix = scratch_prefix();
     for (name, src) in STATEMENTS {
         // Unarmed: the budgeted answer is the unbudgeted one.
-        let (free, spilled) = execute(&db, src, None);
-        assert!(!spilled, "{name}: no budget, no spilling");
+        let (free, m) = execute(&db, src, None);
+        assert_eq!(m.rows_spilled, 0, "{name}: no budget, no spilling");
         let free = free.expect("runs without a budget");
-        let (tight, spilled) = execute(&db, src, Some(BUDGET));
-        assert!(spilled, "{name}: 2048 rows over a 512-row budget spill");
+        let (tight, m) = execute(&db, src, Some(BUDGET));
+        assert!(
+            m.rows_spilled > 0,
+            "{name}: 2048 rows over a 512-row budget"
+        );
         assert_eq!(tight.expect("runs under the budget"), free, "{name}");
+        let is_join = m.hash_build_rows > 0;
+        assert_eq!(m.spill_rows_filtered > 0, is_join, "{name}: {m}");
 
         // Counted: one scratch file for the whole statement, then writes.
         let counter = IoFailpoint::count(&prefix);
@@ -123,15 +131,25 @@ fn a_fault_at_any_scratch_operation_is_a_typed_error_that_leaks_nothing() {
             .threads(1)
             .batch_size(BATCH)
             .memory_budget(BUDGET);
+        let mut killed_partitioning = 0;
         for k in 0..log.len() as u64 {
             let case = format!("{name}, killed at operation {k} of {}", log.len());
             let fp = IoFailpoint::kill_at(&prefix, k);
-            assert_io_error(execute(&db, src, Some(BUDGET)).0, &case);
+            let (killed, m) = execute(&db, src, Some(BUDGET));
+            assert_io_error(killed, &case);
             assert!(fp.triggered(), "{case}");
+            // Probe rows answered and no partition table built yet: the
+            // join died partitioning its probe side.
+            killed_partitioning += (m.spill_rows_filtered > 0 && m.hash_build_rows == 0) as u32;
             assert_io_error(db.query_with(src, opts), &case);
             drop(fp);
             assert_eq!(leaked_scratch(), Vec::<PathBuf>::new(), "{case}");
         }
+        assert_eq!(
+            killed_partitioning > 0,
+            is_join,
+            "{name}: {killed_partitioning}"
+        );
         // Torn at the first write, a middle one and the last.
         for k in [1, log.len() as u64 / 2, log.len() as u64 - 1] {
             let case = format!("{name}, write {k} of {} torn", log.len());
