@@ -67,7 +67,8 @@ pub struct ExecConfig {
     /// it spills to disk (`None` = unbounded, the default — queries behave
     /// exactly as before this knob existed). When set, hash-join builds
     /// switch to grace-hash partitioning, grouping/sort/set-op state and
-    /// dedup sets switch to partitioned spill files, and
+    /// dedup sets below the root switch to partitioned spill files (the
+    /// result set a root projection collects stays in memory), and
     /// [`crate::Metrics::rows_spilled`] / [`crate::Metrics::spill_partitions`]
     /// record the traffic. Best-effort: a single group or key run larger
     /// than the budget still has to be resident to be processed (recursive

@@ -1,11 +1,15 @@
 //! The execution driver: builds the streaming operator tree for a physical
 //! plan and drains it.
 //!
-//! The old recursive `exec_inner` interpreter materialized a full
-//! `Vec<Record>` at every plan node; it is gone. Execution now flows
-//! through the Volcano-style [`crate::op::operator`] tree batch-at-a-time,
-//! and [`execute`] is the thin collect-all wrapper kept for API
-//! compatibility (differential tests and the facade consume row vectors).
+//! Execution flows through the Volcano-style [`crate::op::operator`] tree
+//! batch-at-a-time, and leaves it through one exit, [`execute_values`]: the
+//! query's result set, sorted and deduplicated once. [`execute_collect`]
+//! (and [`execute`] on top of it) is the same exit with each value put back
+//! into its record, for callers that consume row vectors.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::Instant;
 
 use tmql_algebra::{eval, Env, ScalarExpr};
 use tmql_model::{Record, Result, Value};
@@ -14,7 +18,9 @@ use tmql_storage::{Catalog, SpillDir};
 
 use crate::config::ExecConfig;
 use crate::metrics::Metrics;
-use crate::op::operator;
+use crate::op::operator::{self, OpProfile, OpStats};
+use crate::op::{self, Shape};
+use crate::physical::PhysPlan;
 
 /// Execution context: the catalog, accumulated metrics, and the streaming
 /// knobs shared by every operator in the tree.
@@ -127,12 +133,12 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Execute a physical plan, collecting all result rows. `env` carries
-/// correlation bindings (outer rows of enclosing `Apply` operators).
+/// Execute a physical plan, collecting all result rows (those of
+/// [`execute_collect`]: distinct, ascending). `env` carries correlation
+/// bindings (outer rows of enclosing `Apply` operators).
 ///
-/// This is the compatibility wrapper over the streaming executor: the
-/// *collection* here is the query result, not an intermediate, so it is
-/// excluded from [`Metrics::peak_resident_rows`].
+/// The *collection* here is the query result, not an intermediate, so it
+/// is excluded from [`Metrics::peak_resident_rows`].
 pub fn execute(
     plan: &crate::PhysPlan,
     ctx: &mut ExecContext<'_>,
@@ -152,29 +158,149 @@ pub fn execute_profiled(
     Ok((rows, operator::render_profile(&profile)))
 }
 
-/// Execute a physical plan and return structured per-operator profiles.
+/// [`execute_values`] with each value put back into its record, for
+/// callers that consume rows: under a root `Map` the one-binding row
+/// `(var = value)`, under any other root the record of bindings the row
+/// was (a bare row wrapped as [`Shape::wrap`] wraps it). The rows are
+/// distinct and ascending, and only the distinct results are wrapped.
+///
 /// `est` supplies estimated output rows per operator in executed-tree
 /// pre-order (see [`crate::cost::Estimator::exec_order_rows_phys`]); when
 /// present, each profile entry carries estimated next to actual rows so
 /// callers can render them side by side and compute q-error.
 pub fn execute_collect(
-    plan: &crate::PhysPlan,
+    plan: &PhysPlan,
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
     est: Option<&[f64]>,
-) -> Result<(Vec<Record>, Vec<operator::OpProfile>)> {
-    let mut root = operator::build(plan, env);
-    let result = root
-        .open_timed(ctx)
-        .and_then(|()| operator::drain(&mut root, ctx));
+) -> Result<(Vec<Record>, Vec<OpProfile>)> {
+    // Any other root's rows go into the result set whole, so each comes
+    // back out as the record it was.
+    let whole = |shape: &Shape, row: &Record| Value::Tuple(shape.wrap(row.clone()));
+    let (values, profile) = exit(plan, ctx, env, est, whole)?;
+    let rows = match plan {
+        PhysPlan::Map { var, .. } => {
+            let var = Arc::from(var.as_str());
+            values.into_iter().map(|v| op::bind_row(&var, v)).collect()
+        }
+        _ => values
+            .iter()
+            .map(|v| v.as_tuple().cloned())
+            .collect::<Result<_>>()?,
+    };
+    Ok((rows, profile))
+}
+
+/// Execute a physical plan and return its result set — the output value
+/// ([`op::output_value`]) of every row the plan produces, deduplicated —
+/// with the structured per-operator profile (`est` as for
+/// [`execute_collect`]). The set is the query's answer, held in memory
+/// whatever [`ExecConfig::memory_budget_rows`] says, and excluded from
+/// [`Metrics::peak_resident_rows`].
+pub fn execute_values(
+    plan: &PhysPlan,
+    ctx: &mut ExecContext<'_>,
+    env: &Env<'_>,
+    est: Option<&[f64]>,
+) -> Result<(BTreeSet<Value>, Vec<OpProfile>)> {
+    let (values, profile) = exit(plan, ctx, env, est, op::output_value)?;
+    // Ascending and distinct already, so the set is built in one pass.
+    Ok((values.into_iter().collect(), profile))
+}
+
+/// The executor's one exit: drain `plan`'s operator tree into a
+/// [`Collector`] and return its values, ascending and distinct, with the
+/// operator profile.
+///
+/// A `Map` at the root is evaluated here instead of being built as an
+/// operator: each row of its input goes through the expression straight
+/// into the collector — no `(var = value)` envelope, no dedup state of its
+/// own, so it neither spills nor counts as resident. It still appears in
+/// the profile, with the distinct rows it produced, full batches of them,
+/// and a span over its input; its rows and batches count into the metrics
+/// as an emitting operator's would. Any other root's rows go in as
+/// `row_value` makes them.
+fn exit(
+    plan: &PhysPlan,
+    ctx: &mut ExecContext<'_>,
+    env: &Env<'_>,
+    est: Option<&[f64]>,
+    row_value: impl Fn(&Shape, &Record) -> Value,
+) -> Result<(Vec<Value>, Vec<OpProfile>)> {
+    let (input, map) = match plan {
+        PhysPlan::Map { input, expr, .. } => (&**input, Some(expr)),
+        root => (root, None),
+    };
+    let (mut results, batch) = (Collector::default(), ctx.batch_size());
+    let mut root = operator::build(input, env);
+    let span = (map.is_some() && ctx.collect_timing()).then(Instant::now);
+    let drained = root.open_timed(ctx).and_then(|()| {
+        while let Some(b) = root.pull(ctx)? {
+            let shape = root.shape();
+            for row in &b.rows {
+                results.values.push(match map {
+                    Some(expr) => eval(expr, &op::bind(env, shape, row))?,
+                    None => row_value(shape, row),
+                });
+            }
+            results.end_batch(batch);
+        }
+        Ok(())
+    });
     root.close_timed(ctx);
     ctx.sync_pool_metrics();
-    // The executor's exit: callers see records of bindings, whatever
-    // shape the root operator's rows had.
-    let shape = root.shape();
-    let rows = result?.into_iter().map(|r| shape.wrap(r)).collect();
-    let profile = operator::collect_profile(root.as_ref(), est);
-    Ok((rows, profile))
+    drained?;
+    let values = results.finish();
+    let mut profile = Vec::new();
+    if map.is_some() {
+        let stats = OpStats {
+            rows_out: values.len() as u64,
+            batches_out: values.len().div_ceil(batch) as u64,
+            wall_nanos: span.map_or(0, |t| t.elapsed().as_nanos() as u64),
+            ..OpStats::default()
+        };
+        ctx.metrics.rows_emitted += stats.rows_out;
+        ctx.metrics.batches_emitted += stats.batches_out;
+        let est_rows = est.and_then(|e| e.first().copied());
+        profile.push(OpProfile::new(0, plan.op_label(), stats, est_rows));
+    }
+    operator::profile_into(root.as_ref(), profile.len(), est, &mut profile);
+    Ok((values, profile))
+}
+
+/// The result set while it is collected: values in arrival order,
+/// compacted — a stable sort, then dedup, so the first of equal values
+/// stays, as a streaming dedup would have kept it — whenever it has
+/// doubled since the last compaction, and by at least one batch. It never
+/// holds more than twice the distinct values plus one batch.
+#[derive(Default)]
+struct Collector {
+    values: Vec<Value>,
+    /// Distinct values after the last compaction.
+    kept: usize,
+}
+
+impl Collector {
+    /// A batch of values has been pushed: compact if they doubled the set.
+    fn end_batch(&mut self, batch: usize) {
+        if self.values.len() - self.kept >= self.kept.max(batch) {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        self.values.sort();
+        self.values.dedup();
+        self.kept = self.values.len();
+    }
+
+    /// The distinct values, ascending.
+    fn finish(mut self) -> Vec<Value> {
+        if self.values.len() > self.kept {
+            self.compact();
+        }
+        self.values
+    }
 }
 
 /// Lower a logical plan with `config` and execute it, returning rows only.

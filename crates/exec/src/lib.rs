@@ -55,7 +55,9 @@ pub mod planner;
 
 pub use config::{default_threads, hardware_threads, ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
 pub use cost::{CostEstimate, Estimator};
-pub use exec::{execute, execute_collect, execute_logical, execute_profiled, ExecContext};
+pub use exec::{
+    execute, execute_collect, execute_logical, execute_profiled, execute_values, ExecContext,
+};
 pub use metrics::Metrics;
 pub use obs::MetricsRecorder;
 pub use op::operator::{Batch, OpProfile, OpStats, Operator};
@@ -83,6 +85,8 @@ pub fn run_values(
     catalog: &Catalog,
     config: &ExecConfig,
 ) -> Result<std::collections::BTreeSet<tmql_model::Value>> {
-    let (rows, _) = run(plan, catalog, config)?;
-    Ok(rows.iter().map(Plan::row_output_value).collect())
+    let phys = planner::lower(plan, catalog, config)?;
+    let mut ctx = ExecContext::with_config(catalog, config);
+    let (values, _) = exec::execute_values(&phys, &mut ctx, &tmql_algebra::Env::new(), None)?;
+    Ok(values)
 }

@@ -238,6 +238,22 @@ pub struct OpProfile {
 }
 
 impl OpProfile {
+    /// The profile line of an operator labelled `label` at `depth`, with
+    /// the counters `s` and the estimate `est_rows`.
+    pub(crate) fn new(depth: usize, label: String, s: OpStats, est_rows: Option<f64>) -> Self {
+        OpProfile {
+            depth,
+            label,
+            rows_out: s.rows_out,
+            batches_out: s.batches_out,
+            rows_spilled: s.rows_spilled,
+            spill_rows_filtered: s.spill_rows_filtered,
+            rows_skipped: s.rows_skipped,
+            wall_nanos: s.wall_nanos,
+            est_rows,
+        }
+    }
+
     /// The q-error of this operator's row estimate: `max(est/actual,
     /// actual/est)` with both sides floored at 1 row (so empty outputs
     /// and sub-row estimates stay finite). `None` without an estimate.
@@ -254,34 +270,24 @@ impl OpProfile {
 /// rows in the same pre-order (as produced by the cost model's
 /// exec-order walk over the physical plan the tree was built from).
 pub fn collect_profile(root: &dyn Operator, est: Option<&[f64]>) -> Vec<OpProfile> {
-    fn go(
-        op: &dyn Operator,
-        depth: usize,
-        est: Option<&[f64]>,
-        idx: &mut usize,
-        out: &mut Vec<OpProfile>,
-    ) {
-        let s = op.stats();
-        let est_rows = est.and_then(|v| v.get(*idx)).copied();
-        *idx += 1;
-        out.push(OpProfile {
-            depth,
-            label: op.label(),
-            rows_out: s.rows_out,
-            batches_out: s.batches_out,
-            rows_spilled: s.rows_spilled,
-            spill_rows_filtered: s.spill_rows_filtered,
-            rows_skipped: s.rows_skipped,
-            wall_nanos: s.wall_nanos,
-            est_rows,
-        });
-        for c in op.children() {
-            go(c, depth + 1, est, idx, out);
-        }
-    }
     let mut out = Vec::new();
-    go(root, 0, est, &mut 0, &mut out);
+    profile_into(root, 0, est, &mut out);
     out
+}
+
+/// Append the profiles of `op`'s subtree, `op` at `depth`, to the
+/// pre-order list `out`; an entry's estimate is `est` at its position.
+pub(crate) fn profile_into(
+    op: &dyn Operator,
+    depth: usize,
+    est: Option<&[f64]>,
+    out: &mut Vec<OpProfile>,
+) {
+    let est_rows = est.and_then(|v| v.get(out.len())).copied();
+    out.push(OpProfile::new(depth, op.label(), op.stats(), est_rows));
+    for c in op.children() {
+        profile_into(c, depth + 1, est, out);
+    }
 }
 
 /// Render collected profiles as the indented tree shown by `EXPLAIN

@@ -58,10 +58,13 @@ impl Operator for FilterOp<'_> {
     }
 }
 
-/// Streaming generalized projection to a single binding. Dedup state (the
+/// Streaming generalized projection to a single binding, below the root:
+/// it must hand its first occurrences on as they arrive. Dedup state (the
 /// set of distinct records seen) is the only resident memory; under a
 /// memory budget it spills via [`SpillDedup`], deferring emission of the
-/// overflow to a partitioned drain after the input is exhausted.
+/// overflow to a partitioned drain after the input is exhausted. A Map at
+/// the root is no operator: the executor's exit evaluates it straight into
+/// the result set ([`crate::execute_values`]).
 pub(super) struct MapOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,

@@ -62,14 +62,14 @@ impl QueryLog {
     }
 
     /// Append one record (a single line of JSON, no trailing newline)
-    /// and flush. Best-effort: errors warn once and are otherwise
+    /// and flush. The line and its newline go out in one append, so the
+    /// records of two logs on one file (two databases of a process) never
+    /// interleave. Best-effort: errors warn once and are otherwise
     /// swallowed.
     pub fn append(&self, line: &str) {
+        let record = format!("{line}\n");
         let mut f = self.file.lock().unwrap();
-        let r = f
-            .write_all(line.as_bytes())
-            .and_then(|()| f.write_all(b"\n"))
-            .and_then(|()| f.flush());
+        let r = f.write_all(record.as_bytes()).and_then(|()| f.flush());
         if let Err(e) = r {
             if !self.warned.swap(true, Ordering::Relaxed) {
                 eprintln!("tmql: query log write failed: {e}");

@@ -663,12 +663,14 @@ impl Catalog {
         self.statement(|cat| {
             // Enumerate the chain's pages *before* removing the entry, so
             // an I/O error here leaves the index in place.
-            let chain = cat.indexes[&key].chain;
+            let chain = cat.indexes.get(&key).and_then(|e| e.chain);
             let freed = match (cat.store.as_ref(), chain) {
                 (Some(store), Some((first, len))) => store.blob_pages(first, len)?,
                 _ => Vec::new(),
             };
-            let entry = cat.indexes.remove(&key).expect("checked above");
+            let Some(entry) = cat.indexes.remove(&key) else {
+                return Ok(false);
+            };
             if let Some(txn) = cat.txn.as_mut() {
                 txn.freed.extend(freed);
                 return Ok(true);

@@ -20,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use tmql_model::{ModelError, Result};
 
@@ -68,6 +68,13 @@ struct Entry {
     log: Mutex<Vec<IoOp>>,
 }
 
+/// Lock `m`, recovering from poisoning: a test that panicked while holding
+/// it leaves a registry or log that is still whole (each is one `Vec`
+/// push or removal), so later tests keep using it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn registry() -> &'static Mutex<Vec<Arc<Entry>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Arc<Entry>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
@@ -100,7 +107,7 @@ impl IoFailpoint {
             tripped: AtomicBool::new(false),
             log: Mutex::new(Vec::new()),
         });
-        registry().lock().unwrap().push(Arc::clone(&entry));
+        lock(registry()).push(Arc::clone(&entry));
         ARMED.fetch_add(1, Ordering::SeqCst);
         IoFailpoint { entry }
     }
@@ -137,13 +144,13 @@ impl IoFailpoint {
     /// The recorded operation log (counting mode records every
     /// operation; failing modes record those that were allowed).
     pub fn log(&self) -> Vec<IoOp> {
-        self.entry.log.lock().unwrap().clone()
+        lock(&self.entry.log).clone()
     }
 }
 
 impl Drop for IoFailpoint {
     fn drop(&mut self) {
-        let mut reg = registry().lock().unwrap();
+        let mut reg = lock(registry());
         if let Some(i) = reg.iter().position(|e| Arc::ptr_eq(e, &self.entry)) {
             reg.swap_remove(i);
             ARMED.fetch_sub(1, Ordering::SeqCst);
@@ -162,7 +169,7 @@ fn matching(path: &Path) -> Option<Arc<Entry>> {
     // Byte-prefix match, not `Path::starts_with` (which is per-component
     // and would not let a database path cover its `<db>.wal` sidecar).
     let bytes = path.as_os_str().as_encoded_bytes();
-    let reg = registry().lock().unwrap();
+    let reg = lock(registry());
     reg.iter()
         .find(|e| bytes.starts_with(e.prefix.as_os_str().as_encoded_bytes()))
         .map(Arc::clone)
@@ -193,7 +200,7 @@ pub(crate) fn check_write(path: &Path, op: IoOp, len: usize) -> Result<WriteChec
         }
         return Err(injected());
     }
-    e.log.lock().unwrap().push(op);
+    lock(&e.log).push(op);
     Ok(WriteCheck::Full)
 }
 
@@ -211,7 +218,7 @@ pub(crate) fn check_sync(path: &Path, op: IoOp) -> Result<()> {
         e.tripped.store(true, Ordering::SeqCst);
         return Err(injected());
     }
-    e.log.lock().unwrap().push(op);
+    lock(&e.log).push(op);
     Ok(())
 }
 

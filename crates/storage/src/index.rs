@@ -181,29 +181,9 @@ impl OrdIndex {
     /// `Int` and `Float` key bands; anything else falls back to every
     /// position. Always a superset — the caller re-checks the predicate.
     pub fn probe_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<usize> {
-        let numeric = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
-        if lo.is_some_and(|v| !numeric(v)) || hi.is_some_and(|v| !numeric(v)) {
-            return self.all_positions();
-        }
-        // Int-band bounds are exact for `Int` probe values (int/int
-        // comparison never promotes); `Float` bounds get slack for the
-        // `j as f64` rounding the predicate's promotion performs. The
-        // float band tracks the promoted bound verbatim — `sql_cmp` uses
-        // the same `i as f64` promotion and the same total order.
-        let ib_lo = |v: &Value| match v {
-            Value::Int(i) => *i,
-            Value::Float(f) => int_lo(*f),
-            _ => unreachable!("bounds checked numeric"),
-        };
-        let ib_hi = |v: &Value| match v {
-            Value::Int(i) => *i,
-            Value::Float(f) => int_hi(*f),
-            _ => unreachable!("bounds checked numeric"),
-        };
-        let fb = |v: &Value| match v {
-            Value::Int(i) => *i as f64,
-            Value::Float(f) => *f,
-            _ => unreachable!("bounds checked numeric"),
+        let (lo, hi) = match (lo.map(NumericBound::of), hi.map(NumericBound::of)) {
+            (Some(None), _) | (_, Some(None)) => return self.all_positions(),
+            (lo, hi) => (lo.flatten(), hi.flatten()),
         };
         let mut out = Vec::new();
         match (lo, hi) {
@@ -211,28 +191,28 @@ impl OrdIndex {
             (Some(l), None) => {
                 // Ints ≥ lo, every float, and all higher-ranked kinds
                 // (which `sql_cmp` orders above any numeric bound).
-                self.collect_range(Some(Value::Int(ib_lo(l))), None, &mut out);
+                self.collect_range(Some(Value::Int(l.int_lo)), None, &mut out);
             }
             (None, Some(h)) => {
                 // Bools sort below the int band and satisfy any numeric
                 // upper bound (rank comparison); nulls ride along
                 // harmlessly. Then ints and floats up to the bound;
                 // higher ranks never satisfy it.
-                self.collect_range(None, Some(Value::Int(ib_hi(h))), &mut out);
+                self.collect_range(None, Some(Value::Int(h.int_hi)), &mut out);
                 self.collect_range(
                     Some(Value::Float(bottom_float())),
-                    Some(Value::Float(fb(h))),
+                    Some(Value::Float(h.float)),
                     &mut out,
                 );
             }
             (Some(l), Some(h)) => {
-                let (il, ih) = (ib_lo(l), ib_hi(h));
-                if il <= ih {
-                    self.collect_range(Some(Value::Int(il)), Some(Value::Int(ih)), &mut out);
+                if l.int_lo <= h.int_hi {
+                    let (il, ih) = (Value::Int(l.int_lo), Value::Int(h.int_hi));
+                    self.collect_range(Some(il), Some(ih), &mut out);
                 }
-                let (lf, hf) = (fb(l), fb(h));
-                if lf.total_cmp(&hf) != std::cmp::Ordering::Greater {
-                    self.collect_range(Some(Value::Float(lf)), Some(Value::Float(hf)), &mut out);
+                if l.float.total_cmp(&h.float) != std::cmp::Ordering::Greater {
+                    let (lf, hf) = (Value::Float(l.float), Value::Float(h.float));
+                    self.collect_range(Some(lf), Some(hf), &mut out);
                 }
             }
         }
@@ -321,6 +301,39 @@ pub fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
     })?;
     r.finish()?;
     Ok(OrdIndex::from_entries(attr, entries))
+}
+
+/// A numeric range-probe bound as each key band sees it. Int-band edges
+/// are exact for an `Int` bound (int/int comparison never promotes); a
+/// `Float` bound gets slack for the `j as f64` rounding the predicate's
+/// promotion performs. The float band takes the promoted bound verbatim —
+/// `sql_cmp` uses the same `i as f64` promotion and the same total order.
+#[derive(Clone, Copy)]
+struct NumericBound {
+    /// The smallest int the band must include for `attr ≥ bound`.
+    int_lo: i64,
+    /// The largest int the band must include for `attr ≤ bound`.
+    int_hi: i64,
+    float: f64,
+}
+
+impl NumericBound {
+    /// `v` as a bound, or `None` if it is not an `Int` or a `Float`.
+    fn of(v: &Value) -> Option<NumericBound> {
+        match *v {
+            Value::Int(i) => Some(NumericBound {
+                int_lo: i,
+                int_hi: i,
+                float: i as f64,
+            }),
+            Value::Float(f) => Some(NumericBound {
+                int_lo: int_lo(f),
+                int_hi: int_hi(f),
+                float: f,
+            }),
+            _ => None,
+        }
+    }
 }
 
 // Widened int-band bounds for range probes: `j as f64` rounds for huge

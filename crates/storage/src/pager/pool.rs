@@ -143,10 +143,8 @@ pub struct PageRead<'a> {
 
 #[derive(Debug)]
 enum ReadInner<'a> {
-    Pooled {
-        frame: &'a Frame,
-        latch: Option<Latch<'a>>,
-    },
+    /// Fields drop in declaration order: the latch before the pin.
+    Pooled { latch: Latch<'a>, _pin: Pin<'a> },
     /// Zero-capacity pools read straight from the file into an owned
     /// buffer — no frame, no pin, no accounting.
     Direct(Box<[u8]>),
@@ -158,27 +156,26 @@ enum Latch<'a> {
     Exclusive(RwLockWriteGuard<'a, Box<[u8]>>),
 }
 
+/// One pin on a frame, given back when dropped.
+#[derive(Debug)]
+struct Pin<'a>(&'a Frame);
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        self.0.pins.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 impl Deref for PageRead<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
         match &self.inner {
-            ReadInner::Pooled { latch, .. } => {
-                match latch.as_ref().expect("latch held until drop") {
-                    Latch::Shared(g) => g,
-                    Latch::Exclusive(g) => g,
-                }
-            }
+            ReadInner::Pooled { latch, .. } => match latch {
+                Latch::Shared(g) => g,
+                Latch::Exclusive(g) => g,
+            },
             ReadInner::Direct(buf) => buf,
-        }
-    }
-}
-
-impl Drop for PageRead<'_> {
-    fn drop(&mut self) {
-        if let ReadInner::Pooled { frame, latch } = &mut self.inner {
-            *latch = None; // release the latch before the pin
-            frame.pins.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -390,8 +387,8 @@ impl BufferPool {
                 if f.page.load(Ordering::SeqCst) == page {
                     return Ok(PageRead {
                         inner: ReadInner::Pooled {
-                            frame: f,
-                            latch: Some(Latch::Shared(g)),
+                            latch: Latch::Shared(g),
+                            _pin: Pin(f),
                         },
                     });
                 }
@@ -428,8 +425,8 @@ impl BufferPool {
             }
             return Ok(PageRead {
                 inner: ReadInner::Pooled {
-                    frame: f,
-                    latch: Some(Latch::Exclusive(g)),
+                    latch: Latch::Exclusive(g),
+                    _pin: Pin(f),
                 },
             });
         }

@@ -123,6 +123,50 @@ impl From<tmql_model::ModelError> for TmqlError {
     }
 }
 
+/// A statement that failed: the error, and the pipeline phase it failed
+/// in — `parse`, `check`, `translate`, `lower` or `execute` (optimizing
+/// cannot fail).
+struct Failed {
+    phase: &'static str,
+    error: TmqlError,
+}
+
+/// Tag an error with the phase it came from.
+fn at<E: Into<TmqlError>>(phase: &'static str) -> impl FnOnce(E) -> Failed {
+    move |e| Failed {
+        phase,
+        error: e.into(),
+    }
+}
+
+/// The `error_class` of a failed statement's query-log record: the
+/// error's variant, and a model error's kind after a dot.
+fn error_class(e: &TmqlError) -> &'static str {
+    use tmql_model::ModelError as M;
+    match e {
+        TmqlError::Parse(_) => "Parse",
+        TmqlError::Type(_) => "Type",
+        TmqlError::Translate(_) => "Translate",
+        TmqlError::Model(m) => match m {
+            M::NoSuchField { .. } => "Model.NoSuchField",
+            M::KindMismatch { .. } => "Model.KindMismatch",
+            M::TypeMismatch { .. } => "Model.TypeMismatch",
+            M::DuplicateField(_) => "Model.DuplicateField",
+            M::SchemaError(_) => "Model.SchemaError",
+            M::Arithmetic(_) => "Model.Arithmetic",
+            M::Io(_) => "Model.Io",
+        },
+    }
+}
+
+/// The fields every query-log record starts with.
+fn log_record(src: &str, opts: QueryOptions) -> ObjectBuilder {
+    let hash = format!("{:016x}", tmql_obs::fnv1a(src.as_bytes()));
+    ObjectBuilder::new()
+        .str("query_hash", &hash)
+        .str("strategy", opts.strategy.name())
+}
+
 /// Per-query knobs: unnesting strategy, join algorithm, batch size, rule
 /// cleanup, and whether to type-check before executing.
 #[derive(Debug, Clone, Copy)]
@@ -779,26 +823,33 @@ impl Database {
                 self.observe_query(src, opts, &result, &wal_before);
                 Ok(result)
             }
-            Err(e) => {
+            Err(Failed { phase, error }) => {
                 self.obs.query_errors.inc();
-                Err(e)
+                if let Some(log) = self.query_log_for(opts) {
+                    let record = log_record(src, opts)
+                        .str("error_class", error_class(&error))
+                        .str("phase", phase)
+                        .u64("wall_micros", start.elapsed().as_micros() as u64);
+                    log.append(&record.finish());
+                }
+                Err(error)
             }
         }
     }
 
     /// The uninstrumented parse→plan→execute pipeline behind
     /// [`Database::query_with`].
-    fn run_pipeline(&self, src: &str, opts: QueryOptions) -> Result<QueryResult, TmqlError> {
-        let (translated, optimized) = self.plan_with(src, opts)?;
+    fn run_pipeline(&self, src: &str, opts: QueryOptions) -> Result<QueryResult, Failed> {
+        let (translated, optimized) = self.plan_phases(src, opts)?;
         let config = opts.exec_config();
-        let phys = tmql_exec::lower(&optimized, &self.catalog, &config)?;
+        let phys = tmql_exec::lower(&optimized, &self.catalog, &config).map_err(at("lower"))?;
         // Estimated rows per executed operator (same pre-order as the
         // operator tree), so profiles show estimated vs. actual.
         let est = Estimator::new(&self.catalog).exec_order_rows_phys(&phys);
         let mut ctx = tmql_exec::ExecContext::with_config(&self.catalog, &config);
-        let (rows, ops) =
-            tmql_exec::execute_collect(&phys, &mut ctx, &tmql_algebra::Env::new(), Some(&est))?;
-        let values = rows.iter().map(Plan::row_output_value).collect();
+        let env = tmql_algebra::Env::new();
+        let (values, ops) =
+            tmql_exec::execute_values(&phys, &mut ctx, &env, Some(&est)).map_err(at("execute"))?;
         let op_profile = tmql_exec::op::operator::render_profile(&ops);
         Ok(QueryResult {
             values,
@@ -809,6 +860,12 @@ impl Database {
             ops,
             wall_micros: 0,
         })
+    }
+
+    /// The query log, if one is attached and `opts` lets the statement
+    /// into it.
+    fn query_log_for(&self, opts: QueryOptions) -> Option<&QueryLog> {
+        self.obs.query_log.as_ref().filter(|_| opts.query_log)
     }
 
     /// Fold one finished statement into the registry and (when
@@ -823,21 +880,13 @@ impl Database {
         self.obs.queries.inc();
         self.obs.query_wall_micros.observe(result.wall_micros);
         self.obs.exec.record(&result.metrics);
-        let Some(log) = &self.obs.query_log else {
+        let Some(log) = self.query_log_for(opts) else {
             return;
         };
-        if !opts.query_log {
-            return;
-        }
         let wal_after = self.catalog.wal_activity().unwrap_or_default();
         let est_root = result.ops.first().and_then(|o| o.est_rows).unwrap_or(0.0);
         let m = &result.metrics;
-        let mut record = ObjectBuilder::new()
-            .str(
-                "query_hash",
-                &format!("{:016x}", tmql_obs::fnv1a(src.as_bytes())),
-            )
-            .str("strategy", opts.strategy.name())
+        let mut record = log_record(src, opts)
             .f64("est_rows", est_root)
             .u64("actual_rows", result.len() as u64)
             .f64("max_qerror", result.max_qerror())
@@ -945,12 +994,18 @@ impl Database {
     /// Produce the translated and optimized logical plans without
     /// executing.
     pub fn plan_with(&self, src: &str, opts: QueryOptions) -> Result<(Plan, Plan), TmqlError> {
-        let ast = tmql_lang::parse_query(src)?;
+        self.plan_phases(src, opts).map_err(|f| f.error)
+    }
+
+    /// [`Database::plan_with`], naming the phase an error came from.
+    fn plan_phases(&self, src: &str, opts: QueryOptions) -> Result<(Plan, Plan), Failed> {
+        let ast = tmql_lang::parse_query(src).map_err(at("parse"))?;
         if opts.typecheck {
-            tmql_lang::check_query(&ast, &CatalogTypes(&self.catalog))?;
+            tmql_lang::check_query(&ast, &CatalogTypes(&self.catalog)).map_err(at("check"))?;
         }
         let extensions: BTreeSet<String> = self.catalog.table_names().map(str::to_string).collect();
-        let translated = tmql_translate::translate_query(&ast, &extensions)?;
+        let translated =
+            tmql_translate::translate_query(&ast, &extensions).map_err(at("translate"))?;
         let optimizer = tmql_core::Optimizer {
             strategy: opts.strategy,
             apply_rules: opts.apply_rules,

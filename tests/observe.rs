@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use tmql::{Database, Metrics, QueryOptions};
+use tmql::{Database, Metrics, QueryOptions, Record, Table, Ty, Value};
 use tmql_storage::table::int_table;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -247,8 +247,6 @@ fn query_log_emits_parseable_jsonl_with_the_pinned_schema() {
         QueryOptions::default().query_log(false),
     )
     .unwrap();
-    // Failing statements never reach the log either.
-    assert!(db.query("SELECT x.zz FROM X x").is_err());
 
     let body = std::fs::read_to_string(&log_path).unwrap();
     let lines: Vec<&str> = body.lines().collect();
@@ -278,5 +276,65 @@ fn query_log_emits_parseable_jsonl_with_the_pinned_schema() {
     // The budgeted run logged its spill traffic.
     assert!(lines[1].contains("\"rows_spilled\":"), "{}", lines[1]);
     assert!(!lines[1].contains("\"rows_spilled\":0,"), "{}", lines[1]);
+    let _ = std::fs::remove_file(&log_path);
+}
+
+#[test]
+fn a_failed_statement_leaves_one_record_naming_its_phase() {
+    let log_path = std::env::temp_dir().join(format!(
+        "tmql-observe-failed-log-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let mut db = Database::new();
+    db.set_query_log(tmql_obs::QueryLog::create(&log_path).unwrap());
+    // `e` is untyped: the checker admits `x.e.z`, and the row whose `e`
+    // is no tuple fails it at run time.
+    let rows = [Value::tuple([("z", Value::Int(7))]), Value::Int(7)]
+        .into_iter()
+        .enumerate()
+        .map(|(d, e)| Record::new([("d", Value::Int(d as i64)), ("e", e)]).unwrap());
+    let columns = vec![("d".into(), Ty::Int), ("e".into(), Ty::Any)];
+    db.register_table(Table::from_rows("X", columns, rows).unwrap())
+        .unwrap();
+    let failing = [
+        ("SELECT x.d FROM", "parse", "Parse"),
+        ("SELECT x.zz FROM X x", "check", "Type"),
+        ("SELECT x.e.z FROM X x", "execute", "Model.KindMismatch"),
+    ];
+    for (i, (src, phase, class)) in failing.iter().enumerate() {
+        assert!(db.query(src).is_err(), "{src}");
+        let errors = format!("tmql_query_errors_total {}\n", i + 1);
+        assert!(db.metrics_text().contains(&errors), "{src}");
+        let body = std::fs::read_to_string(&log_path).unwrap();
+        let lines: Vec<&str> = body.lines().collect();
+        assert_eq!(lines.len(), i + 1, "one record per statement:\n{body}");
+        let line = lines[i];
+        let keys = tmql_obs::json::parse_object_keys(line).unwrap();
+        let want = [
+            "query_hash",
+            "strategy",
+            "error_class",
+            "phase",
+            "wall_micros",
+        ];
+        assert_eq!(keys, want, "{line}");
+        let hash = format!("{:016x}", tmql_obs::fnv1a(src.as_bytes()));
+        assert!(
+            line.contains(&format!("\"query_hash\":\"{hash}\"")),
+            "{line}"
+        );
+        assert!(line.contains(&format!("\"phase\":\"{phase}\"")), "{line}");
+        assert!(
+            line.contains(&format!("\"error_class\":\"{class}\"")),
+            "{line}"
+        );
+    }
+    // Opted out, a failed statement is counted and not logged.
+    let opts = QueryOptions::default().query_log(false);
+    assert!(db.query_with(failing[0].0, opts).is_err());
+    assert!(db.metrics_text().contains("tmql_query_errors_total 4\n"));
+    let body = std::fs::read_to_string(&log_path).unwrap();
+    assert_eq!(body.lines().count(), 3, "{body}");
     let _ = std::fs::remove_file(&log_path);
 }

@@ -3,9 +3,12 @@
 //! typed `Io` error — no panic, nothing left counted in the resident
 //! gauge, nothing left under the temp directory.
 //!
-//! The three statements are the benchmark's `spill_join` round: a grace
-//! hash semijoin, a spilled nest join and a spilled dedup over 2048-row
-//! `X` and `Y` under a 512-row budget. A counting failpoint first learns
+//! The three statements run over 2048-row `X` and `Y` under a 512-row
+//! budget: the benchmark's grace hash semijoin and spilled nest join, and
+//! a union of two projections whose dedup spills. (A projection at the
+//! root does not spill: its dedup state is the result set, which stays in
+//! memory whatever the budget; the Maps under a union are below the root.)
+//! A counting failpoint first learns
 //! how many scratch operations each performs; then a kill is swept through
 //! every one of them, and a torn write through three. The two joins answer
 //! their partnerless probe rows while the probe side is being partitioned,
@@ -33,7 +36,10 @@ const BATCH: usize = 1024;
 const STATEMENTS: [(&str, &str); 3] = [
     ("grace semijoin", queries::MEMBERSHIP),
     ("spilled nest join", queries::SUBSETEQ_BUG),
-    ("spilled dedup", "SELECT x.b FROM X x"),
+    (
+        "spilled dedup",
+        "(SELECT x.b FROM X x) UNION (SELECT y.b FROM Y y)",
+    ),
 ];
 
 /// What every scratch file of this process is named under.
@@ -110,6 +116,16 @@ fn a_fault_at_any_scratch_operation_is_a_typed_error_that_leaks_nothing() {
         assert_eq!(tight.expect("runs under the budget"), free, "{name}");
         let is_join = m.hash_build_rows > 0;
         assert_eq!(m.spill_rows_filtered > 0, is_join, "{name}: {m}");
+        let opts = QueryOptions::default()
+            .threads(1)
+            .batch_size(BATCH)
+            .memory_budget(BUDGET);
+        if !is_join {
+            let ops = db.query_with(src, opts).expect("runs").ops;
+            let maps = ops.iter().filter(|o| o.label == "Map");
+            let spilled: u64 = maps.map(|o| o.rows_spilled).sum();
+            assert!(spilled > 0, "{name}: the Maps' dedup spills");
+        }
 
         // Counted: one scratch file for the whole statement, then writes.
         let counter = IoFailpoint::count(&prefix);
@@ -127,10 +143,6 @@ fn a_fault_at_any_scratch_operation_is_a_typed_error_that_leaks_nothing() {
         );
 
         // Killed at every operation, through the executor and the facade.
-        let opts = QueryOptions::default()
-            .threads(1)
-            .batch_size(BATCH)
-            .memory_budget(BUDGET);
         let mut killed_partitioning = 0;
         for k in 0..log.len() as u64 {
             let case = format!("{name}, killed at operation {k} of {}", log.len());
