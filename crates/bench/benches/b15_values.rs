@@ -1,6 +1,7 @@
 //! B15 — what a complex object costs as a *key*: the layer micro-bench
 //! under the hash join, the dedup set and the ordered result collect
-//! (ROADMAP item 1, "hash-key computation, `Record` clone").
+//! (the ROADMAP's "measured layer by layer" aim: "hash-key computation,
+//! `Record` clone").
 //!
 //! Every rung works on the generated `X(a: set, b, n)` / `Y(b, a)` rows
 //! the benchmark of record's `paper_nested` workload uses, so a number

@@ -1,6 +1,6 @@
 //! B16 — what a stored row costs a selection: the layer micro-bench under
-//! the filtering scan (ROADMAP item 4b, "sargable predicates on encoded
-//! bytes").
+//! the filtering scan ("sargable predicates on encoded bytes", a ROADMAP
+//! item that has landed).
 //!
 //! One table `X(n, b)` of two-int rows — the shape the benchmark of
 //! record's disk workloads scan — in three backings:

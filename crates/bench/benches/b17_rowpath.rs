@@ -1,5 +1,6 @@
 //! B17 — what a row costs between a scan and its first consumer: the
-//! layer micro-bench under "rows without envelopes" (ROADMAP item 3).
+//! layer micro-bench under "rows without envelopes" (a ROADMAP item that
+//! has landed).
 //!
 //! A scan hands out the stored row itself and the plan says which variable
 //! it is bound to, so the price of a scanned row is what its consumer does

@@ -6,8 +6,9 @@
 //! ladder of the table "Experiment ladders and the paper" in
 //! `tmqlbench/README.md` (target → paper section → recorded file). Two
 //! targets are not experiments of the paper but **layer micro-benches**
-//! (ROADMAP item 1): `b15_values` prices a complex object as a key, on
-//! the generated `X`/`Y` rows of the `paper_nested` workload at n = 256
+//! (the ROADMAP's "measured layer by layer" aim): `b15_values` prices a
+//! complex object as a key, on the generated `X`/`Y` rows of the
+//! `paper_nested` workload at n = 256
 //! and 2048 — a record's hash walked vs remembered, a handle clone, `cmp`
 //! between rows in canonical vs permuted label order, set
 //! build/clone/compare/`⊆`, `RecordSet` insert, the ordered

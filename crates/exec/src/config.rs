@@ -9,7 +9,8 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// [`hardware_threads`]; unset, blank or unparsable is 1. Serial is the
 /// default because it is the configuration that has measured fastest:
 /// on the `b10_parallel` ladder two workers run 1.5–1.75× slower than
-/// one (ROADMAP item 3 decides whether the waves are fixed or removed).
+/// one (the ROADMAP item "Concurrency between statements" decides
+/// whether the waves are fixed or removed).
 /// The variable is read on every call, so a test or a CI leg that changes
 /// it is honoured. There is one code path at every value: at `1` each
 /// wave holds a single work item and [`crate::op::exchange::scatter`]

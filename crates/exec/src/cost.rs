@@ -719,7 +719,8 @@ impl<'a> Estimator<'a> {
         // overflows — charge the probe side's round-trip too. In full: the
         // executor no longer spills probe rows its key filter shows to be
         // partnerless, so a selective grace join is overpriced here until
-        // this constant is calibrated (ROADMAP item 4).
+        // this constant is calibrated (the ROADMAP optimizer item,
+        // "Calibrated").
         let spill = if build_spill > 0.0 {
             build_spill + SPILL_IO_PER_ROW * probe
         } else {

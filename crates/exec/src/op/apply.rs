@@ -339,10 +339,10 @@ impl Operator for MaterializeOp<'_> {
 /// Transient-hash-index scan for Apply inner plans shaped
 /// `σ[var.attr = key](table)` with a correlation-dependent key: builds a
 /// [`HashIndex`] over `table.attr` on first demand, keeps it across
-/// re-opens, and answers each open with one equality probe. Probes return
-/// candidate **supersets** (int/float promotion, NaN totality — the same
-/// widening as [`tmql_storage::OrdIndex`]), and the full predicate is
-/// re-checked per candidate, so results match the scan+filter exactly. If
+/// re-opens, and answers each open with one equality probe — exact under
+/// the equality `=` reads, as [`tmql_storage::OrdIndex`]'s is — and the
+/// full predicate is re-checked per candidate, so results match the
+/// scan+filter exactly. If
 /// the key evaluation fails, the operator degrades to a full position
 /// scan, which reproduces plain filter semantics.
 pub struct HashProbeOp<'p> {

@@ -199,8 +199,8 @@ impl Operator for NlJoinOp<'_> {
 /// `right_table.attr` probed for candidate inner positions, which are
 /// fetched and run through the shared nested-loop match/emit kernel
 /// ([`nl::join_chunk`] + [`nl::finish_block`] with a one-row outer
-/// block). Probes return equality-candidate **supersets** (int/float
-/// promotion, NaN totality), and the kernel re-evaluates the full join
+/// block). A probe finds the rows whose attribute equals the key under
+/// the one equality `=` reads, and the kernel re-evaluates the full join
 /// predicate per pair, so results match `NlJoin` exactly for every
 /// [`JoinKind`] — semi/anti membership rewrites become per-row probes.
 pub(super) struct IndexNLJoinOp<'p> {

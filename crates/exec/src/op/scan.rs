@@ -149,10 +149,9 @@ impl Operator for ScanTableOp<'_> {
 /// the candidate row positions once at first pull, then stream them in
 /// ascending position order through [`tmql_storage::Table::fetch_rows`]
 /// (consecutive candidates coalesce into single page-friendly batch
-/// reads). The probe result is a **superset** of the qualifying rows —
-/// int/float key promotion and NaN totality are handled by widening, not
-/// by trusting the index — so the full original predicate is re-evaluated
-/// against every candidate before it is emitted.
+/// reads). The probe is exact for the indexed conjunct (it reads the same
+/// equality and order `CmpOp::test` does), and the full original predicate
+/// is re-evaluated against every candidate before it is emitted.
 pub(super) struct IndexScanOp<'p> {
     base: OpBase<'p>,
     table: &'p str,

@@ -83,8 +83,9 @@ pub enum PhysPlan {
     /// equality key and/or range bounds (constant expressions) select a
     /// **candidate superset** of row positions, fetched in ascending
     /// position order; `pred` is the full original predicate, re-checked
-    /// against every candidate, so the probe can over-approximate (NaN
-    /// keys, int/float promotion) but never changes results.
+    /// against every candidate, so the probe can over-approximate (strict
+    /// bounds probe inclusively, NULL attributes sort below a range) but
+    /// never changes results.
     IndexScan {
         /// Table name.
         table: String,

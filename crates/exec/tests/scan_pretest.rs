@@ -40,7 +40,7 @@ const OPS: [CmpOp; 6] = [
 const LABELS: [&str; 3] = ["a", "b", "c"];
 
 /// Scalars chosen to collide: every pair the comparison treats specially
-/// (Int↔Float promotion at and past 2⁵³, `-0.0 = 0`, two NaN payloads,
+/// (Int and Float spellings at and past 2⁵³, `-0.0 = 0`, two NaN payloads,
 /// NULL, cross-kind ranks) is drawn often enough to meet itself.
 fn arb_scalar() -> BoxedStrategy<Value> {
     let nan = |bits: u64| Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | bits));

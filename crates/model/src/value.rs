@@ -1,14 +1,22 @@
 //! The universe of complex object values.
 //!
-//! [`Value`] is the dynamic representation of every TM value. It carries a
-//! *total order* (needed so a set of arbitrary values can be kept as one
-//! sorted, duplicate-free slice — [`SetValue`] — giving the paper's set
-//! semantics for free), a structural equality consistent with it, and a
-//! hash implementation (needed by hash-based operators; see
-//! [`crate::hash`] for which hasher is used where).
+//! [`Value`] is the dynamic representation of every TM value. It carries
+//! **one equality**: `==`, [`Ord`] and the hash all decide "the same value"
+//! the same way, and every consumer — `=` in a predicate
+//! ([`CmpOp::test`]), set membership and dedup ([`SetValue`]), the hash,
+//! sort-merge and index joins, index probes and the scan pre-test — calls
+//! those three, so no join algorithm can answer differently from another.
+//! The order is total (a set of arbitrary values is one sorted,
+//! duplicate-free slice, which gives the paper's set semantics for free);
+//! see [`crate::hash`] for which hasher is used where.
 //!
-//! Floats are ordered with [`f64::total_cmp`]; `NaN` is therefore a legal,
-//! orderable set element, and `-0.0 < 0.0`.
+//! Numbers are one kind. `Int` and `Float` share a rank and compare by
+//! exact numeric value: `Int(i) == Float(f)` iff `f` is integral, in i64
+//! range and equal to `i` (no rounding through `i as f64`, so 2⁵³ + 1 is
+//! not 2⁵³ as a float). `-0.0 == 0.0 == 0`. Every NaN equals every other
+//! NaN and sorts above every number, so NaN is a legal set element. An
+//! integral float in i64 range hashes as its `Int`, every NaN as one
+//! pattern.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -34,7 +42,7 @@ pub enum Value {
     Bool(bool),
     /// 64-bit integer (`INT`).
     Int(i64),
-    /// 64-bit float (`REAL`), totally ordered via `total_cmp`.
+    /// 64-bit float (`REAL`), ordered among the integers by exact value.
     Float(f64),
     /// Immutable string (`STRING`), cheaply cloneable.
     Str(Arc<str>),
@@ -177,30 +185,6 @@ impl Value {
             _ => numeric_binop(self, other, "/", |a, b| a.checked_div(b), |a, b| a / b),
         }
     }
-
-    /// SQL-style three-valued-free comparison used by predicates: values of
-    /// different kinds never compare equal (except int/float promotion);
-    /// NULL equals nothing, not even NULL — matching outerjoin semantics in
-    /// the relational baseline.
-    pub fn sql_eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => false,
-            (Value::Int(a), Value::Float(b)) => (*a as f64) == *b,
-            (Value::Float(a), Value::Int(b)) => *a == (*b as f64),
-            (a, b) => a == b,
-        }
-    }
-
-    /// Ordering comparison for predicates, with int/float promotion.
-    /// Returns `None` when either side is NULL (unknown).
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Float(b)) => Some((*a as f64).total_cmp(b)),
-            (Value::Float(a), Value::Int(b)) => Some(a.total_cmp(&(*b as f64))),
-            (a, b) => Some(a.cmp(b)),
-        }
-    }
 }
 
 /// Comparison operators on atomic values.
@@ -246,20 +230,24 @@ impl CmpOp {
     }
 
     /// The predicate `a ⟨self⟩ b` — the one comparison `eval` and the
-    /// storage pre-test both call. `=`/`≠` go through [`Value::sql_eq`]
-    /// (numeric `==` across Int and Float: `-0.0 = 0` holds, a NaN equals
-    /// no integer) and the orderings through
-    /// [`Value::sql_cmp`] (`total_cmp`), so neither can be derived from
-    /// the other; a NULL operand makes every comparison false.
+    /// storage pre-test both call. A NULL operand makes every comparison
+    /// false (NULL equals nothing, not even NULL, as in the relational
+    /// outerjoin baselines); otherwise all six read [`Value`]'s own order,
+    /// so `=` is the equality every hash, merge and index join keys on,
+    /// `≤ ∧ ≥` spells `=`, and `≠` is `¬=`.
     pub fn test(self, a: &Value, b: &Value) -> bool {
         use Ordering::*;
+        if a.is_null() || b.is_null() {
+            return false;
+        }
+        let ord = a.cmp(b);
         match self {
-            CmpOp::Eq => a.sql_eq(b),
-            CmpOp::Ne => !a.is_null() && !b.is_null() && !a.sql_eq(b),
-            CmpOp::Lt => matches!(a.sql_cmp(b), Some(Less)),
-            CmpOp::Le => matches!(a.sql_cmp(b), Some(Less | Equal)),
-            CmpOp::Gt => matches!(a.sql_cmp(b), Some(Greater)),
-            CmpOp::Ge => matches!(a.sql_cmp(b), Some(Greater | Equal)),
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
         }
     }
 }
@@ -305,13 +293,13 @@ fn numeric_binop(
     }
 }
 
-/// Discriminant rank used to order values of different kinds.
+/// Discriminant rank used to order values of different kinds. Numbers are
+/// one kind; the other ranks keep their numbers, and so their hashes.
 fn rank(v: &Value) -> u8 {
     match v {
         Value::Null => 0,
         Value::Bool(_) => 1,
-        Value::Int(_) => 2,
-        Value::Float(_) => 3,
+        Value::Int(_) | Value::Float(_) => 2,
         Value::Str(_) => 4,
         Value::Tuple(_) => 5,
         Value::Set(_) => 6,
@@ -320,18 +308,46 @@ fn rank(v: &Value) -> u8 {
     }
 }
 
+/// 2⁶³, the first float above every i64.
+const I64_END: f64 = 9_223_372_036_854_775_808.0;
+
+/// Two floats by value: `-0.0 = 0.0`, and NaN equals NaN and sorts above
+/// every number.
+fn cmp_floats(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// The `Int` equal to `f`, if there is one.
+fn integral(f: f64) -> Option<i64> {
+    (f.fract() == 0.0 && (-I64_END..I64_END).contains(&f)).then_some(f as i64)
+}
+
+/// `i` against `f`, exactly: no rounding of `i` to a float.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() || f >= I64_END {
+        Ordering::Less
+    } else if f < -I64_END {
+        Ordering::Greater
+    } else {
+        // In range, `as` truncates `f` toward zero exactly; the fraction
+        // decides a tie.
+        i.cmp(&(f as i64))
+            .then(0f64.partial_cmp(&f.fract()).unwrap_or(Ordering::Equal))
+    }
+}
+
 impl PartialEq for Value {
-    /// Structural equality, `a == b ⇔ a.cmp(b) == Equal`, without the
-    /// ordering walk: tuples and sets reach their pointer-identity and
-    /// positional fast paths, floats compare by bit pattern (which is
-    /// when `total_cmp` calls them equal).
+    /// `a == b ⇔ a.cmp(b) == Equal`, without the ordering walk: tuples and
+    /// sets reach their pointer-identity and positional fast paths.
     fn eq(&self, other: &Self) -> bool {
         use Value::*;
         match (self, other) {
             (Null, Null) => true,
             (Bool(a), Bool(b)) => a == b,
             (Int(a), Int(b)) => a == b,
-            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Float(a), Float(b)) => a == b || (a.is_nan() && b.is_nan()),
+            (Int(i), Float(f)) | (Float(f), Int(i)) => integral(*f) == Some(*i),
             (Str(a), Str(b)) => a == b,
             (Tuple(a), Tuple(b)) => a == b,
             (Set(a), Set(b)) => a == b,
@@ -357,7 +373,9 @@ impl Ord for Value {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
+            (Float(a), Float(b)) => cmp_floats(*a, *b),
+            (Int(i), Float(f)) => cmp_int_float(*i, *f),
+            (Float(f), Int(i)) => cmp_int_float(*i, *f).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Tuple(a), Tuple(b)) => a.cmp(b),
             (Set(a), Set(b)) => a.cmp(b),
@@ -379,7 +397,13 @@ impl Value {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
             Value::Int(i) => i.hash(state),
-            Value::Float(x) => x.to_bits().hash(state),
+            // Equal numbers feed equal words: an integral float in range
+            // its `Int`, every NaN one pattern.
+            Value::Float(x) => match integral(*x) {
+                Some(i) => i.hash(state),
+                None if x.is_nan() => f64::NAN.to_bits().hash(state),
+                None => x.to_bits().hash(state),
+            },
             Value::Str(s) => s.hash(state),
             Value::Tuple(r) if memo => state.write_u64(r.structural_hash()),
             Value::Tuple(r) => r.hash(state),
@@ -475,21 +499,69 @@ impl From<String> for Value {
 mod tests {
     use super::*;
 
+    fn hash_of(v: &Value) -> u64 {
+        let mut h = crate::hash::ValueHasher::default();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// `=` in a predicate, `==`, `cmp` and the hash say the same thing on
+    /// every pair that once set them apart.
     #[test]
-    fn equality_and_ordering_are_two_relations() {
-        let (zero, neg_zero, nan) = (Value::Int(0), Value::Float(-0.0), Value::Float(f64::NAN));
-        // Across Int and Float `=` is numeric `==`: -0.0 = 0 holds and a
-        // NaN equals no integer …
-        assert!(CmpOp::Eq.test(&neg_zero, &zero));
-        assert!(!CmpOp::Eq.test(&nan, &zero) && CmpOp::Ne.test(&nan, &zero));
-        // … while the orderings are `total_cmp`: -0.0 sorts below 0 and
-        // NaN above every number, so `≤ ∧ ≥` does not spell `=`, nor
-        // `¬<  ∧ ¬>` either.
-        assert!(CmpOp::Lt.test(&neg_zero, &zero) && !CmpOp::Ge.test(&neg_zero, &zero));
-        assert!(CmpOp::Gt.test(&nan, &Value::Int(i64::MAX)));
-        // Two floats are equal when their bits are.
-        assert!(CmpOp::Eq.test(&nan, &nan) && !CmpOp::Eq.test(&neg_zero, &Value::Float(0.0)));
+    fn equality_and_ordering_are_one_relation() {
+        use Value::{Float, Int};
+        let nan = |bits: u64| Float(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
+        let two_53 = 1i64 << 53;
+        let equal = [
+            // Int 1 and Float 1.0 (hash and merge joins once told them apart).
+            (Int(1), Float(1.0)),
+            // -0.0 = 0.0 (once two bit patterns) and -0.0 = 0.
+            (Float(-0.0), Float(0.0)),
+            (Float(-0.0), Int(0)),
+            // Two NaN payloads (once two keys).
+            (nan(0), nan(0x8000_0000_0000_0001)),
+            (Int(two_53), Float(two_53 as f64)),
+            (Int(i64::MIN), Float(-9_223_372_036_854_775_808.0)),
+        ];
+        for (a, b) in &equal {
+            assert!(
+                CmpOp::Eq.test(a, b) && !CmpOp::Ne.test(a, b),
+                "{a:?} = {b:?}"
+            );
+            assert!(a == b && a.cmp(b) == Ordering::Equal, "{a:?} == {b:?}");
+            assert_eq!(hash_of(a), hash_of(b), "{a:?} and {b:?} hash alike");
+        }
+        // Ascending, each strictly below the next: 2⁵³ + 1 is not the float
+        // 2⁵³ (once equal through `as f64`), -0.0 is not below 0 (once
+        // it was while also `=`), 2⁶³ is above i64::MAX, and NaN is above
+        // every number.
+        let ascending = [
+            Float(f64::NEG_INFINITY),
+            Int(i64::MIN),
+            Int(-1),
+            Float(-0.5),
+            Float(-0.0),
+            Float(0.5),
+            Int(1),
+            Float(1.5),
+            Float(two_53 as f64),
+            Int(two_53 + 1),
+            Int(i64::MAX),
+            Float(9_223_372_036_854_775_808.0),
+            Float(f64::INFINITY),
+            nan(0),
+        ];
+        for w in ascending.windows(2) {
+            let (a, b) = (&w[0], &w[1]);
+            assert!(
+                CmpOp::Lt.test(a, b) && CmpOp::Ne.test(a, b),
+                "{a:?} < {b:?}"
+            );
+            assert!(!CmpOp::Ge.test(a, b) && a != b && a < b, "{a:?} < {b:?}");
+            assert!(CmpOp::Gt.test(b, a) && b.cmp(a) == Ordering::Greater);
+        }
         // NULL makes all six false.
+        let zero = Int(0);
         for op in [
             CmpOp::Eq,
             CmpOp::Ne,
@@ -499,9 +571,12 @@ mod tests {
             CmpOp::Ge,
         ] {
             assert!(!op.test(&Value::Null, &zero) && !op.test(&zero, &Value::Null));
+            assert!(!op.test(&Value::Null, &Value::Null));
             assert_eq!(op.flip().flip(), op);
             assert_eq!(op.negate().negate(), op);
         }
+        // Other kinds stay apart.
+        assert!(!CmpOp::Eq.test(&Int(1), &Value::str("1")));
     }
 
     #[test]
@@ -543,23 +618,6 @@ mod tests {
             &Value::str("Enschede")
         );
         assert!(v.path(&["address", "zip"]).is_err());
-    }
-
-    #[test]
-    fn sql_eq_promotes_numerics_and_rejects_null() {
-        assert!(Value::Int(2).sql_eq(&Value::Float(2.0)));
-        assert!(!Value::Null.sql_eq(&Value::Null));
-        assert!(!Value::Int(1).sql_eq(&Value::str("1")));
-    }
-
-    #[test]
-    fn sql_cmp_null_is_unknown() {
-        assert_eq!(Value::Null.sql_cmp(&Value::Int(1)), None);
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Int(2)), Some(Ordering::Less));
-        assert_eq!(
-            Value::Int(3).sql_cmp(&Value::Float(2.5)),
-            Some(Ordering::Greater)
-        );
     }
 
     #[test]

@@ -32,6 +32,44 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Numbers chosen to collide: `Int`/`Float` spellings of one value, ±0.0,
+/// NaN payloads, 2⁵³ ± 1 (where `i as f64` rounds), the ends of i64 and
+/// 2⁶³ as a float — and tuples and sets holding them.
+fn arb_numeric() -> BoxedStrategy<Value> {
+    let nan = |bits: u64| Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
+    let two_53 = 1i64 << 53;
+    let leaf = prop_oneof![
+        (-2i64..3).prop_map(Value::Int),
+        (-2i64..3).prop_map(|i| Value::Float(i as f64)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(0.5)),
+        Just(nan(0)),
+        Just(nan(1)),
+        Just(nan(0x8000_0000_0000_0001)),
+        (-1i64..2).prop_map(move |d| Value::Int(two_53 + d)),
+        Just(Value::Float(two_53 as f64)),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+        Just(Value::Float(i64::MIN as f64)),
+        Just(Value::Float(9_223_372_036_854_775_808.0)),
+        Just(Value::Float(f64::INFINITY)),
+    ];
+    leaf.prop_recursive(2, 12, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..3).prop_map(Value::set),
+            (inner.clone(), inner).prop_map(|(p, q)| Value::tuple([("p", p), ("q", q)])),
+        ]
+    })
+    .boxed()
+}
+
+fn value_hash(v: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = tmql_model::hash::ValueHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
 fn arb_int_set() -> impl Strategy<Value = Value> {
     prop::collection::btree_set((-20i64..20).prop_map(Value::Int), 0..8).prop_map(Value::set)
 }
@@ -52,18 +90,6 @@ proptest! {
         let mut v = [a, b, c];
         v.sort();
         prop_assert!(v[0] <= v[1] && v[1] <= v[2] && v[0] <= v[2]);
-    }
-
-    #[test]
-    fn equal_values_hash_equal(a in arb_value()) {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let b = a.clone();
-        let mut h1 = DefaultHasher::new();
-        let mut h2 = DefaultHasher::new();
-        a.hash(&mut h1);
-        b.hash(&mut h2);
-        prop_assert_eq!(h1.finish(), h2.finish());
     }
 
     #[test]
@@ -138,6 +164,44 @@ proptest! {
         }
         for (l, v) in y.iter() {
             prop_assert_eq!(joined.get(l).unwrap(), v);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Equal values hash equal under `ValueHasher`, and as fields of a
+    /// record under `Record::structural_hash` — over values that are equal
+    /// without being clones.
+    #[test]
+    fn equal_values_hash_equal(a in arb_numeric(), b in arb_numeric()) {
+        prop_assert_eq!(value_hash(&a), value_hash(&a.clone()));
+        if a == b {
+            prop_assert_eq!(value_hash(&a), value_hash(&b), "{:?} == {:?}", a, b);
+            let (ra, rb) = (Record::new([("k", a)]).unwrap(), Record::new([("k", b)]).unwrap());
+            prop_assert_eq!(ra.structural_hash(), rb.structural_hash());
+        }
+    }
+
+    /// One relation: `==` is `cmp` saying `Equal`, and the order is
+    /// antisymmetric, over numbers spelled every way.
+    #[test]
+    fn numeric_equality_is_the_order(a in arb_numeric(), b in arb_numeric()) {
+        use std::cmp::Ordering::Equal;
+        prop_assert_eq!(a == b, a.cmp(&b) == Equal, "{:?} vs {:?}", a, b);
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+    }
+
+    #[test]
+    fn numeric_order_is_transitive(
+        a in arb_numeric(), b in arb_numeric(), c in arb_numeric(),
+    ) {
+        let v = [a, b, c];
+        for (x, y, z) in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)] {
+            let (x, y, z) = (&v[x], &v[y], &v[z]);
+            prop_assert!(!(x <= y && y <= z) || x <= z, "{:?} ≤ {:?} ≤ {:?}", x, y, z);
+            prop_assert!(!(x == y && y == z) || x == z, "{:?} = {:?} = {:?}", x, y, z);
         }
     }
 }

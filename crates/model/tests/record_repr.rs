@@ -125,7 +125,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         Just(Value::Null),
         Just(Value::Float(f64::NAN)),
-        // Another NaN payload, and both zeros: distinct under `total_cmp`.
+        // Another NaN payload, and both zeros: equal values, distinct bits.
         Just(Value::Float(f64::from_bits(0x7ff8_0000_0000_0001))),
         Just(Value::Float(-0.0)),
         Just(Value::Float(0.0)),

@@ -806,7 +806,7 @@ proptest! {
             let bytes = encode_record(row);
             let back = decoder.decode(&bytes).unwrap();
             prop_assert_eq!(&back, row);
-            // Equality is `total_cmp`'s; the bytes say the NaN payloads
+            // `==` merges NaN payloads and zero signs; the bytes say those
             // and the label order survived too.
             prop_assert_eq!(encode_record(&back), bytes);
             for (_, v) in row.iter() {

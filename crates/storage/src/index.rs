@@ -7,16 +7,13 @@
 //! write-through and committing it through the pager's header-last
 //! catalog protocol (see [`encode_index`] / [`decode_index`]).
 //!
-//! # Probe semantics: candidate supersets
+//! # Probe semantics
 //!
-//! The engine's predicate equality (`Value::sql_eq`) promotes `Int` to
-//! `Float`, while the map keys here use [`Value`]'s *total order*
-//! (`f64::total_cmp`, so `0.0` and `-0.0` are distinct keys and NaN is
-//! self-equal). A probe therefore returns a **candidate superset**: every
-//! key that could `sql_eq` (or `sql_cmp` into range of) the probe value
-//! is looked up, and callers always re-apply the original predicate to
-//! the fetched rows. Over-approximation costs a few extra re-checks;
-//! under-approximation (a missed match) is impossible by construction.
+//! A probe is an exact lookup in [`Value`]'s own equality and order — the
+//! ones `=` and `<` in a predicate read (`CmpOp::test`) — so an `Int` key
+//! finds the rows whose attribute is the equal `Float`, `-0.0` finds `0`,
+//! and NULL finds nothing. Callers still re-apply the whole predicate to
+//! the fetched rows, which may hold more than the indexed conjunct.
 //!
 //! Rows that *lack* the indexed attribute are simply not indexed — the
 //! same semantics a scan-side predicate gives an absent field (it can
@@ -34,34 +31,6 @@ use crate::table::Table;
 /// Batch granularity for index builds (disk tables stream through the
 /// buffer pool at this size).
 const BUILD_BATCH: usize = 1024;
-
-/// Every key that could `sql_eq` the probe value, in index-key (total
-/// order) terms. `Null` equals nothing; `Int`/`Float` promote both ways;
-/// every other kind is equal only to itself.
-pub fn eq_keys(key: &Value) -> Vec<Value> {
-    match key {
-        Value::Null => Vec::new(),
-        Value::Int(i) => {
-            let mut ks = vec![Value::Int(*i), Value::Float(*i as f64)];
-            if *i == 0 {
-                // `Int(0).sql_eq(Float(-0.0))` holds, but -0.0 is its own
-                // total-order key.
-                ks.push(Value::Float(-0.0));
-            }
-            ks
-        }
-        Value::Float(f) => {
-            let mut ks = vec![Value::Float(*f)];
-            if *f == 0.0 {
-                ks.push(Value::Int(0));
-            } else if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                ks.push(Value::Int(*f as i64));
-            }
-            ks
-        }
-        other => vec![other.clone()],
-    }
-}
 
 fn index_rows(table: &Table, attr: &str, mut insert: impl FnMut(Value, usize)) -> Result<()> {
     let mut pos = 0usize;
@@ -102,20 +71,13 @@ impl HashIndex {
         &self.attr
     }
 
-    /// Row positions whose attribute is *key-identical* to `key`.
-    pub fn probe(&self, key: &Value) -> &[usize] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Candidate row positions for `attr sql_eq key`, ascending. A
-    /// superset: the caller re-checks the predicate on the fetched rows.
+    /// Row positions whose attribute equals `key`, ascending; none for
+    /// NULL, which equals nothing.
     pub fn probe_eq(&self, key: &Value) -> Vec<usize> {
-        let mut out = Vec::new();
-        for k in eq_keys(key) {
-            out.extend_from_slice(self.probe(&k));
+        match self.map.get(key) {
+            Some(ps) if !key.is_null() => ps.clone(),
+            _ => Vec::new(),
         }
-        out.sort_unstable();
-        out
     }
 
     /// Number of distinct keys.
@@ -144,14 +106,24 @@ impl OrdIndex {
         })
     }
 
-    /// Reassemble from decoded `(key, positions)` entries.
+    /// Reassemble from decoded `(key, positions)` entries. Entries whose
+    /// keys are equal — `1` and `1.0` in a blob written when those were
+    /// two keys — merge their positions, ascending and without repeats.
     pub fn from_entries(
         attr: impl Into<String>,
         entries: impl IntoIterator<Item = (Value, Vec<usize>)>,
     ) -> OrdIndex {
+        let mut map: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
+        for (key, positions) in entries {
+            map.entry(key).or_default().extend(positions);
+        }
+        for positions in map.values_mut() {
+            positions.sort_unstable();
+            positions.dedup();
+        }
         OrdIndex {
             attr: attr.into(),
-            map: entries.into_iter().collect(),
+            map,
         }
     }
 
@@ -160,89 +132,32 @@ impl OrdIndex {
         &self.attr
     }
 
-    /// Row positions whose attribute is *key-identical* to `key`.
-    pub fn probe(&self, key: &Value) -> &[usize] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Candidate row positions for `attr sql_eq key`, ascending. A
-    /// superset: the caller re-checks the predicate on the fetched rows.
+    /// Row positions whose attribute equals `key`, ascending; none for
+    /// NULL, which equals nothing.
     pub fn probe_eq(&self, key: &Value) -> Vec<usize> {
-        let mut out = Vec::new();
-        for k in eq_keys(key) {
-            out.extend_from_slice(self.probe(&k));
+        match self.map.get(key) {
+            Some(ps) if !key.is_null() => ps.clone(),
+            _ => Vec::new(),
         }
-        out.sort_unstable();
-        out
     }
 
-    /// Candidate row positions for `lo ≤ attr ≤ hi` under `sql_cmp`
-    /// (either bound may be absent), ascending. Numeric bounds probe the
-    /// `Int` and `Float` key bands; anything else falls back to every
-    /// position. Always a superset — the caller re-checks the predicate.
+    /// Row positions whose attribute lies in `[lo, hi]` (either bound may
+    /// be absent), ascending; none when a bound is NULL. Exact on every
+    /// non-NULL attribute: a NULL one sorts below every bound and is left
+    /// to the caller's re-check.
     pub fn probe_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<usize> {
-        let (lo, hi) = match (lo.map(NumericBound::of), hi.map(NumericBound::of)) {
-            (Some(None), _) | (_, Some(None)) => return self.all_positions(),
-            (lo, hi) => (lo.flatten(), hi.flatten()),
-        };
-        let mut out = Vec::new();
-        match (lo, hi) {
-            (None, None) => return self.all_positions(),
-            (Some(l), None) => {
-                // Ints ≥ lo, every float, and all higher-ranked kinds
-                // (which `sql_cmp` orders above any numeric bound).
-                self.collect_range(Some(Value::Int(l.int_lo)), None, &mut out);
-            }
-            (None, Some(h)) => {
-                // Bools sort below the int band and satisfy any numeric
-                // upper bound (rank comparison); nulls ride along
-                // harmlessly. Then ints and floats up to the bound;
-                // higher ranks never satisfy it.
-                self.collect_range(None, Some(Value::Int(h.int_hi)), &mut out);
-                self.collect_range(
-                    Some(Value::Float(bottom_float())),
-                    Some(Value::Float(h.float)),
-                    &mut out,
-                );
-            }
-            (Some(l), Some(h)) => {
-                if l.int_lo <= h.int_hi {
-                    let (il, ih) = (Value::Int(l.int_lo), Value::Int(h.int_hi));
-                    self.collect_range(Some(il), Some(ih), &mut out);
-                }
-                if l.float.total_cmp(&h.float) != std::cmp::Ordering::Greater {
-                    let (lf, hf) = (Value::Float(l.float), Value::Float(h.float));
-                    self.collect_range(Some(lf), Some(hf), &mut out);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    fn collect_range(&self, lo: Option<Value>, hi: Option<Value>, out: &mut Vec<usize>) {
         use std::ops::Bound;
-        let lo = lo.map_or(Bound::Unbounded, Bound::Included);
-        let hi = hi.map_or(Bound::Unbounded, Bound::Included);
-        for (_, ps) in self.map.range((lo, hi)) {
-            out.extend_from_slice(ps);
+        let null = lo.is_some_and(Value::is_null) || hi.is_some_and(Value::is_null);
+        if null || lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
+            return Vec::new();
         }
-    }
-
-    fn all_positions(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.map.values().flatten().copied().collect();
+        let runs = self.map.range::<Value, _>((
+            lo.map_or(Bound::Unbounded, Bound::Included),
+            hi.map_or(Bound::Unbounded, Bound::Included),
+        ));
+        let mut out: Vec<usize> = runs.flat_map(|(_, ps)| ps).copied().collect();
         out.sort_unstable();
         out
-    }
-
-    /// Row positions with attribute in `[lo, hi]` in the keys' total
-    /// order, in key order (merge-operator input; not a predicate probe —
-    /// see [`OrdIndex::probe_range`] for those).
-    pub fn range(&self, lo: &Value, hi: &Value) -> Vec<usize> {
-        self.map
-            .range(lo.clone()..=hi.clone())
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect()
     }
 
     /// Iterate `(key, positions)` in key order — yields the table as sorted
@@ -303,85 +218,6 @@ pub fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
     Ok(OrdIndex::from_entries(attr, entries))
 }
 
-/// A numeric range-probe bound as each key band sees it. Int-band edges
-/// are exact for an `Int` bound (int/int comparison never promotes); a
-/// `Float` bound gets slack for the `j as f64` rounding the predicate's
-/// promotion performs. The float band takes the promoted bound verbatim —
-/// `sql_cmp` uses the same `i as f64` promotion and the same total order.
-#[derive(Clone, Copy)]
-struct NumericBound {
-    /// The smallest int the band must include for `attr ≥ bound`.
-    int_lo: i64,
-    /// The largest int the band must include for `attr ≤ bound`.
-    int_hi: i64,
-    float: f64,
-}
-
-impl NumericBound {
-    /// `v` as a bound, or `None` if it is not an `Int` or a `Float`.
-    fn of(v: &Value) -> Option<NumericBound> {
-        match *v {
-            Value::Int(i) => Some(NumericBound {
-                int_lo: i,
-                int_hi: i,
-                float: i as f64,
-            }),
-            Value::Float(f) => Some(NumericBound {
-                int_lo: int_lo(f),
-                int_hi: int_hi(f),
-                float: f,
-            }),
-            _ => None,
-        }
-    }
-}
-
-// Widened int-band bounds for range probes: `j as f64` rounds for huge
-// magnitudes, so slacken by more than half an ulp to keep the band a
-// superset of every int the predicate could admit.
-
-/// The minimum `f64` under `total_cmp` (a negative NaN with full payload).
-fn bottom_float() -> f64 {
-    f64::from_bits(0xFFFF_FFFF_FFFF_FFFF)
-}
-
-/// Ints near a float bound of at most this magnitude promote to `f64`
-/// exactly, so the band edge can be tight; past it, `j as f64` rounds and
-/// the edge needs slack to stay a superset.
-const EXACT_PROMOTION: f64 = 9.0e15; // < 2^53
-
-fn saturate(g: f64) -> i64 {
-    if g <= i64::MIN as f64 {
-        i64::MIN
-    } else if g >= i64::MAX as f64 {
-        i64::MAX
-    } else {
-        g as i64
-    }
-}
-
-/// Smallest int the band must include for `attr ≥ b`.
-fn int_lo(b: f64) -> i64 {
-    if b.is_nan() {
-        return i64::MIN;
-    }
-    if b.abs() <= EXACT_PROMOTION {
-        return saturate(b.ceil());
-    }
-    saturate((b - (b.abs() * 1e-15 + 1.0)).floor())
-}
-
-/// Largest int the band must include for `attr ≤ b`.
-fn int_hi(b: f64) -> i64 {
-    if b.is_nan() {
-        return i64::MAX;
-    }
-    if b.abs() <= EXACT_PROMOTION {
-        return saturate(b.floor());
-    }
-    saturate((b + (b.abs() * 1e-15 + 1.0)).ceil())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,8 +228,8 @@ mod tests {
     fn hash_index_probe() {
         let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
         let idx = HashIndex::build(&t, "b").unwrap();
-        assert_eq!(idx.probe(&Value::Int(10)).len(), 2);
-        assert_eq!(idx.probe(&Value::Int(99)).len(), 0);
+        assert_eq!(idx.probe_eq(&Value::Int(10)), vec![0, 1]);
+        assert_eq!(idx.probe_eq(&Value::Int(99)), Vec::<usize>::new());
         assert_eq!(idx.probe_eq(&Value::Float(10.0)), vec![0, 1]);
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.attr(), "b");
@@ -403,13 +239,6 @@ mod tests {
     fn ord_index_range() {
         let t = int_table("R", &["a"], &[&[5], &[1], &[3], &[9]]);
         let idx = OrdIndex::build(&t, "a").unwrap();
-        let hits = idx.range(&Value::Int(2), &Value::Int(6));
-        let rows = t.rows_vec().unwrap();
-        let vals: Vec<i64> = hits
-            .iter()
-            .map(|&i| rows[i].get("a").unwrap().as_int().unwrap())
-            .collect();
-        assert_eq!(vals, vec![3, 5]);
         assert_eq!(
             t.fetch_rows(&[1, 2]).unwrap(),
             t.batch(1, 2).unwrap(),
@@ -422,6 +251,11 @@ mod tests {
         assert_eq!(idx.probe_range(Some(&Value::Float(4.5)), None), vec![0, 3]);
         assert_eq!(idx.probe_range(None, Some(&Value::Int(1))), vec![1]);
         assert_eq!(idx.probe_range(None, None), vec![0, 1, 2, 3]);
+        // Float bounds cut the integers exactly; crossed bounds select
+        // nothing.
+        let (lo, hi) = (Value::Float(2.5), Value::Float(5.0));
+        assert_eq!(idx.probe_range(Some(&lo), Some(&hi)), vec![0, 2]);
+        assert_eq!(idx.probe_range(Some(&hi), Some(&lo)), Vec::<usize>::new());
     }
 
     #[test]
@@ -446,7 +280,9 @@ mod tests {
 
     #[test]
     fn probe_eq_promotes_across_int_and_float_keys() {
-        let mut t = crate::table::Table::new("M", vec![("x".into(), tmql_model::Ty::Any)]);
+        use tmql_model::Ty;
+        let mut t =
+            crate::table::Table::new("M", vec![("i".into(), Ty::Int), ("x".into(), Ty::Any)]);
         let vals = [
             Value::Int(1),
             Value::Float(1.0),
@@ -456,22 +292,73 @@ mod tests {
             Value::Float(f64::NAN),
             Value::Null,
         ];
-        for v in &vals {
-            t.insert(Record::new([("x".to_string(), v.clone())]).unwrap())
+        // `i` keeps rows with equal `x` distinct: a table is a set.
+        for (i, v) in vals.iter().enumerate() {
+            t.insert(Record::new([("i", Value::Int(i as i64)), ("x", v.clone())]).unwrap())
                 .unwrap();
         }
         let idx = OrdIndex::build(&t, "x").unwrap();
-        // sql_eq promotion: Int(1) matches Float(1.0) and vice versa.
+        // One numeric kind: Int(1) finds Float(1.0) and vice versa, both
+        // zeros are 0, and the first row of a key names it.
         assert_eq!(idx.probe_eq(&Value::Int(1)), vec![0, 1]);
         assert_eq!(idx.probe_eq(&Value::Float(1.0)), vec![0, 1]);
-        // Zero: Int(0) sql_eq's both float zeros; the superset carries all
-        // candidates and the caller's re-check settles it.
         assert_eq!(idx.probe_eq(&Value::Int(0)), vec![2, 3, 4]);
-        assert!(idx.probe_eq(&Value::Float(0.0)).contains(&3));
-        // NaN is a self-equal key under the total order.
-        assert_eq!(idx.probe_eq(&Value::Float(f64::NAN)), vec![5]);
-        // Null sql_eq's nothing.
+        assert_eq!(idx.probe_eq(&Value::Float(-0.0)), vec![2, 3, 4]);
+        assert_eq!(idx.distinct_keys(), 4);
+        // Every NaN is one key, and NULL equals nothing.
+        let payload = Value::Float(f64::from_bits(0x7ff8_0000_0000_0001));
+        assert_eq!(idx.probe_eq(&payload), vec![5]);
         assert_eq!(idx.probe_eq(&Value::Null), Vec::<usize>::new());
+        let hash = HashIndex::build(&t, "x").unwrap();
+        for v in vals.iter().chain([&payload]) {
+            assert_eq!(hash.probe_eq(v), idx.probe_eq(v), "{v:?}");
+        }
+        // A range over the numbers holds both kinds, and NULL sorts below.
+        let (lo, hi) = (Value::Float(-0.5), Value::Int(1));
+        assert_eq!(idx.probe_range(Some(&lo), Some(&hi)), vec![0, 1, 2, 3, 4]);
+        assert_eq!(idx.probe_range(None, Some(&hi)), vec![0, 1, 2, 3, 4, 6]);
+    }
+
+    #[test]
+    fn decode_merges_keys_that_are_now_equal() {
+        // A blob written when `1` and `1.0`, and `-0.0` and `0`, were four
+        // keys, in that order's sequence, with a position listed twice.
+        let entries = [
+            (Value::Int(0), vec![4]),
+            (Value::Int(1), vec![0, 7]),
+            (Value::Float(-0.0), vec![2]),
+            (Value::Float(1.0), vec![3, 7]),
+        ];
+        let mut blob = Vec::new();
+        put_len(&mut blob, entries.len());
+        for (k, ps) in &entries {
+            put_len_prefixed(&mut blob, |out| encode_value(out, k));
+            put_len(&mut blob, ps.len());
+            for &p in ps {
+                put_u64(&mut blob, p as u64);
+            }
+        }
+        let idx = decode_index("k", &blob).unwrap();
+        assert_eq!(idx.distinct_keys(), 2);
+        assert_eq!(idx.probe_eq(&Value::Float(1.0)), vec![0, 3, 7]);
+        assert_eq!(idx.probe_eq(&Value::Int(0)), vec![2, 4]);
+        // The first spelling of a key is the one kept.
+        let keys: Vec<&Value> = idx.iter().map(|(k, _)| k).collect();
+        assert!(
+            matches!(keys[..], [Value::Int(0), Value::Int(1)]),
+            "{keys:?}"
+        );
+        // A stored set {1, 1.0} decodes to one element: a list's payload
+        // under a set's tag.
+        let (mut bytes, mut set_tag) = (Vec::new(), Vec::new());
+        encode_value(
+            &mut bytes,
+            &Value::List(vec![Value::Int(1), Value::Float(1.0)]),
+        );
+        encode_value(&mut set_tag, &Value::empty_set());
+        bytes[0] = set_tag[0];
+        let set = crate::spill::decode_value(&bytes).unwrap().0;
+        assert_eq!(set.as_set().unwrap().len(), 1, "{set}");
     }
 
     #[test]

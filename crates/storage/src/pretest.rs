@@ -116,7 +116,7 @@ mod tests {
             ),
             // NULL keys make every comparison false: rejected.
             (test(&[("n", CmpOp::Ne, Value::Null)]), true),
-            // Int↔Float promotion is `CmpOp::test`'s, not ours.
+            // Int and Float are one numeric kind to `CmpOp::test`.
             (test(&[("n", CmpOp::Eq, Value::Float(7.0))]), false),
         ] {
             assert_eq!(t.rejects_row(&r), want, "{t:?} on the row");

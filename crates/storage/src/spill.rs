@@ -1124,8 +1124,8 @@ mod tests {
                     back.extend(rows);
                 }
                 prop_assert_eq!(&back, &rows);
-                // Equality is `total_cmp`'s; the bytes say NaN payloads,
-                // zero signs and each row's own label order survived too.
+                // `==` merges NaN payloads and zero signs; the bytes say
+                // those and each row's own label order survived too.
                 for (b, r) in back.iter().zip(&rows) {
                     prop_assert_eq!(encode_record(b), encode_record(r));
                 }

@@ -248,6 +248,98 @@ fn operator_chains_are_bounded_by_the_parser_not_by_the_stack() {
         .expect("no panic and no stack overflow");
 }
 
+/// `R.a` is `REAL` but holds an `Int` too; `S.b` is `INT`. `=` between
+/// them once meant numeric `==` to a nested loop and structural identity
+/// to a hash or sort-merge join, so the answer depended on the plan.
+fn mixed_numeric_db(indexed: bool) -> Database {
+    let r = [
+        (1, Value::Int(1)),
+        (2, Value::Float(2.0)),
+        (3, Value::Float(2.5)),
+        (4, Value::Float(-0.0)),
+        (5, Value::Int(9)),
+    ];
+    let s = [(1, 10), (2, 20), (0, 30), (2, 40), (7, 50)];
+    let r = r.map(|(id, a)| Record::new([("id", Value::Int(id)), ("a", a)]).unwrap());
+    let s = s.map(|(b, c)| Record::new([("b", Value::Int(b)), ("c", Value::Int(c))]).unwrap());
+    let mut db = Database::new();
+    let r_cols = vec![("id".into(), Ty::Int), ("a".into(), Ty::Float)];
+    let s_cols = vec![("b".into(), Ty::Int), ("c".into(), Ty::Int)];
+    db.register_table(Table::from_rows("R", r_cols, r).unwrap())
+        .unwrap();
+    db.register_table(Table::from_rows("S", s_cols, s).unwrap())
+        .unwrap();
+    if indexed {
+        db.create_index("R", "a").unwrap();
+        db.create_index("S", "b").unwrap();
+    }
+    db
+}
+
+#[test]
+fn an_int_in_a_real_column_joins_one_way_under_every_plan() {
+    let ids = |ids: &[i64]| ids.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+    let cases = [
+        // Membership: a semijoin once flattened.
+        (
+            "SELECT r.id FROM R r WHERE r.a IN (SELECT s.b FROM S s)",
+            ids(&[1, 2, 4]),
+        ),
+        (
+            "SELECT r.id FROM R r WHERE COUNT((SELECT s.c FROM S s WHERE s.b = r.a)) > 0",
+            ids(&[1, 2, 4]),
+        ),
+        // The nest join: 2.0 meets both 2s, -0.0 meets 0.
+        (
+            "SELECT (i = r.id, cs = (SELECT s.c FROM S s WHERE s.b = r.a)) FROM R r \
+             WHERE r.a < 9 AND r.a <> 2.5",
+            ["{10}", "{20, 40}", "{30}"]
+                .iter()
+                .zip([1, 2, 4])
+                .map(|(cs, i)| format!("(i = {i}, cs = {cs})"))
+                .map(Value::from)
+                .collect(),
+        ),
+        (
+            "SELECT s.c FROM S s WHERE s.b IN (SELECT r.a FROM R r)",
+            ids(&[10, 20, 30, 40]),
+        ),
+    ];
+    for indexed in [false, true] {
+        let db = mixed_numeric_db(indexed);
+        for (src, want) in &cases {
+            for strategy in UnnestStrategy::ALL {
+                for algo in [JoinAlgo::Auto, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+                    let opts = QueryOptions::default().strategy(strategy).join_algo(algo);
+                    let got = db.query_with(src, opts).unwrap();
+                    let got: Vec<Value> = match want[0] {
+                        Value::Str(_) => got.values.iter().map(|v| v.to_string().into()).collect(),
+                        _ => got.values.into_iter().collect(),
+                    };
+                    let case =
+                        format!("{src} / {} / {algo:?} / indexed={indexed}", strategy.name());
+                    assert_eq!(&got, want, "{case}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn numbers_are_one_kind_to_sets_and_aggregates() {
+    let db = mixed_numeric_db(false);
+    let one = |src: &str| db.query(src).unwrap().render();
+    assert_eq!(
+        one("SELECT r.id FROM R r WHERE r.id = 1 AND 1 IN {1.0}"),
+        "1\n"
+    );
+    assert_eq!(one("SELECT MAX({1, 0.5}) FROM R r"), "1\n");
+    assert_eq!(one("SELECT MIN({1, 0.5}) FROM R r"), "0.5\n");
+    assert_eq!(one("SELECT COUNT({1, 1.0}) FROM R r"), "1\n");
+    // Result order is numeric across the two kinds.
+    assert_eq!(one("SELECT r.a FROM R r"), "-0\n1\n2\n2.5\n9\n");
+}
+
 #[test]
 fn a_string_literal_outside_ascii_finds_its_row() {
     // The lexer once built a literal one `char` per *byte*: 'café' became
