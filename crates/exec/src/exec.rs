@@ -324,6 +324,7 @@ pub fn eval_const(expr: &ScalarExpr) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::physical::PhysPlan;
+    use std::ops::Bound;
     use tmql_algebra::ScalarExpr as E;
     use tmql_storage::table::int_table;
 
@@ -558,8 +559,8 @@ mod tests {
             var: "x".into(),
             attr: "b".into(),
             eq: Some(E::lit(1i64)),
-            lo: None,
-            hi: None,
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
             pred: pred.clone(),
         };
         let mut sctx = ExecContext::new(&cat);
@@ -579,8 +580,8 @@ mod tests {
             var: "x".into(),
             attr: "b".into(),
             eq: None,
-            lo: Some(E::lit(3i64)),
-            hi: None,
+            lo: Bound::Included(E::lit(3i64)),
+            hi: Bound::Unbounded,
             pred: rpred,
         };
         let mut rctx = ExecContext::new(&cat);
@@ -597,8 +598,8 @@ mod tests {
             var: "x".into(),
             attr: "b".into(),
             eq: Some(E::lit(1i64)),
-            lo: None,
-            hi: None,
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
             pred: E::lit(true),
         };
         let mut ctx = ExecContext::new(&cat);

@@ -1,6 +1,7 @@
 //! Streaming leaves: table scan, index scan, set-expression scan.
 
 use std::collections::VecDeque;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use tmql_algebra::{eval, eval_predicate, CmpOp, ScalarExpr};
@@ -157,8 +158,8 @@ pub(super) struct IndexScanOp<'p> {
     table: &'p str,
     attr: &'p str,
     eq: Option<&'p ScalarExpr>,
-    lo: Option<&'p ScalarExpr>,
-    hi: Option<&'p ScalarExpr>,
+    lo: Bound<&'p ScalarExpr>,
+    hi: Bound<&'p ScalarExpr>,
     pred: &'p ScalarExpr,
     /// Candidate positions (ascending), computed at first `next_batch`.
     positions: Option<Vec<usize>>,
@@ -171,8 +172,8 @@ impl<'p> IndexScanOp<'p> {
         table: &'p str,
         attr: &'p str,
         eq: Option<&'p ScalarExpr>,
-        lo: Option<&'p ScalarExpr>,
-        hi: Option<&'p ScalarExpr>,
+        lo: Bound<&'p ScalarExpr>,
+        hi: Bound<&'p ScalarExpr>,
         pred: &'p ScalarExpr,
     ) -> Self {
         IndexScanOp {
@@ -199,8 +200,14 @@ impl<'p> IndexScanOp<'p> {
         let positions = match self.eq {
             Some(eq) => idx.probe_eq(&eval(eq, env)?),
             None => {
-                let lo = self.lo.map(|e| eval(e, env)).transpose()?;
-                let hi = self.hi.map(|e| eval(e, env)).transpose()?;
+                let bound = |b: Bound<&ScalarExpr>| -> Result<Bound<Value>> {
+                    Ok(match b {
+                        Bound::Included(e) => Bound::Included(eval(e, env)?),
+                        Bound::Excluded(e) => Bound::Excluded(eval(e, env)?),
+                        Bound::Unbounded => Bound::Unbounded,
+                    })
+                };
+                let (lo, hi) = (bound(self.lo)?, bound(self.hi)?);
                 idx.probe_range(lo.as_ref(), hi.as_ref())
             }
         };

@@ -6,6 +6,7 @@
 //! profile so `EXPLAIN` output lines up before and after execution.
 
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use tmql_algebra::{AggFn, ScalarExpr, SetOpKind};
@@ -83,9 +84,9 @@ pub enum PhysPlan {
     /// equality key and/or range bounds (constant expressions) select a
     /// **candidate superset** of row positions, fetched in ascending
     /// position order; `pred` is the full original predicate, re-checked
-    /// against every candidate, so the probe can over-approximate (strict
-    /// bounds probe inclusively, NULL attributes sort below a range) but
-    /// never changes results.
+    /// against every candidate, so the probe can over-approximate (NULL
+    /// attributes sort below a range, `pred` may hold more than the
+    /// indexed conjuncts) but never changes results.
     IndexScan {
         /// Table name.
         table: String,
@@ -95,10 +96,10 @@ pub enum PhysPlan {
         attr: String,
         /// Equality key expression (constant w.r.t. the scan), if any.
         eq: Option<ScalarExpr>,
-        /// Inclusive lower bound, if any.
-        lo: Option<ScalarExpr>,
-        /// Inclusive upper bound, if any.
-        hi: Option<ScalarExpr>,
+        /// Lower bound: inclusive for `≥`, strict for `>`.
+        lo: Bound<ScalarExpr>,
+        /// Upper bound: inclusive for `≤`, strict for `<`.
+        hi: Bound<ScalarExpr>,
         /// Full selection predicate, re-evaluated per candidate row.
         pred: ScalarExpr,
     },
@@ -507,8 +508,8 @@ mod tests {
             var: "r".into(),
             attr: "a".into(),
             eq: Some(E::lit(3i64)),
-            lo: None,
-            hi: None,
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
             pred: E::lit(true),
         };
         assert_eq!(scan.op_label(), "IndexScan(R.a)");

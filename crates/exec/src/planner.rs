@@ -35,6 +35,7 @@
 //! times (as the benchmarks do) never re-clones the plan.
 
 use std::collections::BTreeSet;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use tmql_algebra::{Plan, ScalarExpr};
@@ -100,9 +101,8 @@ pub fn extract_equi_keys(
 
 /// The index-eligible component of a selection predicate over one scan:
 /// conjuncts of the form `var.attr ⟨cmp⟩ constant` on an attribute that
-/// carries a secondary index. Either an equality key or range bounds
-/// (strict bounds widen to inclusive probes — the executor re-checks the
-/// full predicate, so a candidate superset is always safe).
+/// carries a secondary index. Either an equality key or range bounds, each
+/// as strict as its comparison (`<` and `>` probe exclusively).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSel {
     /// The indexed attribute.
@@ -110,10 +110,10 @@ pub struct IndexSel {
     /// Equality probe key (constant w.r.t. the scanned variable), if the
     /// component is `attr = k`.
     pub eq: Option<ScalarExpr>,
-    /// Lower range bound, if any.
-    pub lo: Option<ScalarExpr>,
-    /// Upper range bound, if any.
-    pub hi: Option<ScalarExpr>,
+    /// Lower range bound.
+    pub lo: Bound<ScalarExpr>,
+    /// Upper range bound.
+    pub hi: Bound<ScalarExpr>,
     /// Conjunction of the conjuncts the probe covers — what the cost
     /// model estimates the candidate count from.
     pub covered: ScalarExpr,
@@ -180,15 +180,15 @@ pub fn index_selection(
             return Some(IndexSel {
                 attr,
                 eq: Some(key),
-                lo: None,
-                hi: None,
+                lo: Bound::Unbounded,
+                hi: Bound::Unbounded,
                 covered: conj.clone(),
             });
         }
     }
     let mut attr: Option<String> = None;
-    let mut lo: Option<ScalarExpr> = None;
-    let mut hi: Option<ScalarExpr> = None;
+    let mut lo = Bound::Unbounded;
+    let mut hi = Bound::Unbounded;
     let mut used: Vec<ScalarExpr> = Vec::new();
     for conj in &conjuncts {
         let Some((a, op, key)) = indexed_cmp(conj, table, var, catalog) else {
@@ -198,13 +198,15 @@ pub fn index_selection(
         if attr.as_deref().is_some_and(|seen| seen != a) {
             continue;
         }
-        let slot = match op {
-            CmpOp::Gt | CmpOp::Ge => &mut lo,
-            CmpOp::Lt | CmpOp::Le => &mut hi,
+        let (slot, bound) = match op {
+            CmpOp::Gt => (&mut lo, Bound::Excluded(key)),
+            CmpOp::Ge => (&mut lo, Bound::Included(key)),
+            CmpOp::Lt => (&mut hi, Bound::Excluded(key)),
+            CmpOp::Le => (&mut hi, Bound::Included(key)),
             _ => continue,
         };
-        if slot.is_none() {
-            *slot = Some(key);
+        if matches!(slot, Bound::Unbounded) {
+            *slot = bound;
             attr = Some(a);
             used.push(conj.clone());
         }
@@ -1004,7 +1006,7 @@ mod tests {
         };
         assert_eq!(attr, "b");
         assert_eq!(eq, Some(E::lit(3i64)));
-        assert!(lo.is_none() && hi.is_none());
+        assert_eq!((lo, hi), (Bound::Unbounded, Bound::Unbounded));
     }
 
     #[test]
@@ -1024,8 +1026,8 @@ mod tests {
         };
         assert_eq!(attr, "b");
         assert!(eq.is_none());
-        assert_eq!(lo, Some(E::lit(3i64)));
-        assert_eq!(hi, Some(E::lit(4i64)));
+        assert_eq!(lo, Bound::Included(E::lit(3i64)));
+        assert_eq!(hi, Bound::Excluded(E::lit(4i64)));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! must reject a row exactly when `eval` says the comparison is false, and
 //! the two index kinds' probes must select exactly the rows `eval` does.
 
+use std::ops::Bound;
+
 use proptest::prelude::*;
-use tmql_algebra::{eval_predicate, CmpOp, Env, ScalarExpr as E};
-use tmql_exec::{execute, ExecConfig, ExecContext, JoinKind, PhysPlan};
+use tmql_algebra::{eval_predicate, CmpOp, Env, Plan, ScalarExpr as E};
+use tmql_exec::{execute, lower, ExecConfig, ExecContext, JoinKind, PhysPlan};
 use tmql_model::{Record, Ty, Value};
 use tmql_storage::spill::encode_record;
 use tmql_storage::{Catalog, HashIndex, OrdIndex, RowTest, Table};
@@ -157,6 +159,16 @@ fn run(plan: &PhysPlan, cat: &Catalog, budget: Option<usize>) -> Vec<Record> {
     rows
 }
 
+/// Whether `k` is within `bound`, as `eval` sees it: `k ⟨inclusive⟩ v`
+/// or `k ⟨strict⟩ v` against its key `v`, and true when there is none.
+fn holds(k: &Value, bound: Bound<&Value>, inclusive: CmpOp, strict: CmpOp) -> bool {
+    match bound {
+        Bound::Included(v) => inclusive.test(k, v),
+        Bound::Excluded(v) => strict.test(k, v),
+        Bound::Unbounded => true,
+    }
+}
+
 /// Positions of `keys` that `k ⟨op⟩ probe` holds for, as `eval` sees it.
 fn selected(keys: &[Value], op: CmpOp, probe: &Value) -> Vec<usize> {
     (0..keys.len())
@@ -204,18 +216,19 @@ proptest! {
             let eq = selected(&keys, CmpOp::Eq, probe);
             prop_assert_eq!(&ord.probe_eq(probe), &eq, "= {:?} over {:?}", probe, keys);
             prop_assert_eq!(&hash.probe_eq(probe), &eq, "= {:?} over {:?}", probe, keys);
-            for lo in probes.iter().map(Some).chain([None]) {
-                for hi in [Some(probe), None] {
+            // Each bound inclusive (`≥`, `≤`), strict (`>`, `<`) or absent.
+            let each = |v| [Bound::Included(v), Bound::Excluded(v)];
+            for lo in probes.iter().flat_map(each).chain([Bound::Unbounded]) {
+                for hi in each(probe).into_iter().chain([Bound::Unbounded]) {
                     let mut range = ord.probe_range(lo, hi);
                     range.retain(|&i| !keys[i].is_null());
                     let within = |i: &usize| {
                         let k = &keys[*i];
-                        !k.is_null()
-                            && lo.is_none_or(|lo| CmpOp::Ge.test(k, lo))
-                            && hi.is_none_or(|hi| CmpOp::Le.test(k, hi))
+                        !k.is_null() && holds(k, lo, CmpOp::Ge, CmpOp::Gt)
+                            && holds(k, hi, CmpOp::Le, CmpOp::Lt)
                     };
                     let want: Vec<usize> = (0..keys.len()).filter(within).collect();
-                    prop_assert_eq!(range, want, "[{:?}, {:?}] over {:?}", lo, hi, keys);
+                    prop_assert_eq!(range, want, "{:?} .. {:?} over {:?}", lo, hi, keys);
                 }
             }
             // The scan pre-test, on the row and on its bytes.
@@ -231,5 +244,43 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A strict range over an int index probes strictly: the probe fetches
+/// exactly the rows the selection keeps, in either orientation of the
+/// comparison, so none is fetched, decoded and re-checked only to go.
+#[test]
+fn a_strict_range_fetches_only_the_rows_it_keeps() {
+    let mut t = Table::new("X", vec![("id".into(), Ty::Int), ("k".into(), Ty::Int)]);
+    for i in 0..1024 {
+        let row = Record::new([("id", Value::Int(i)), ("k", Value::Int(i % 256))]);
+        t.insert(row.unwrap()).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.register(t).unwrap();
+    cat.create_index("X", "k").unwrap();
+    let k = || E::path("x", &["k"]);
+    let lit = |i: i64| E::lit(i);
+    for (pred, kept) in [
+        (E::cmp(CmpOp::Lt, k(), lit(2)), 8),
+        (E::cmp(CmpOp::Gt, k(), lit(253)), 8),
+        (E::cmp(CmpOp::Gt, lit(2), k()), 8),
+        (
+            E::and(
+                E::cmp(CmpOp::Gt, k(), lit(100)),
+                E::cmp(CmpOp::Lt, k(), lit(102)),
+            ),
+            4,
+        ),
+    ] {
+        let plan = Plan::scan("X", "x").select(pred.clone());
+        let config = ExecConfig::default();
+        let phys = lower(&plan, &cat, &config).unwrap();
+        assert!(matches!(phys, PhysPlan::IndexScan { .. }), "{pred}: {phys}");
+        let mut ctx = ExecContext::with_config(&cat, &config);
+        let rows = execute(&phys, &mut ctx, &Env::new()).unwrap();
+        assert_eq!(rows.len(), kept, "{pred}");
+        assert_eq!(ctx.metrics.index_hits, kept as u64, "{pred}");
     }
 }

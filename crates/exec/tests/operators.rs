@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::ops::Bound;
 use tmql_algebra::{AggFn, CmpOp, Env, Plan, ScalarExpr as E};
 use tmql_exec::op::operator::{build, build_with, drain, Batch, BoxedOperator, OpStats};
 use tmql_exec::op::Shape;
@@ -449,8 +450,8 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                     var: "x".into(),
                     attr: "b".into(),
                     eq: None,
-                    lo: Some(E::lit(2i64)),
-                    hi: None,
+                    lo: Bound::Included(E::lit(2i64)),
+                    hi: Bound::Unbounded,
                     pred: E::cmp(CmpOp::Ge, xb(), E::lit(2i64)),
                 }),
             ),

@@ -11,7 +11,9 @@
 //! with a non-testable one at every position:
 //!
 //! * **the pre-test rejects a row only if `eval_predicate` is `Ok(false)`
-//!   on it** — on the materialized row and on its encoded bytes;
+//!   on it** — on the materialized row and on its encoded bytes — and on
+//!   the bytes it decides whatever it decides on the row, when the tested
+//!   fields are scalars or strings;
 //! * **the fused scan is indistinguishable from a `Filter` over an
 //!   unfiltered scan** — rows, errors, `rows_scanned`, `comparisons` and
 //!   `total_work` — on an in-memory table, a disk table that fits its pool
@@ -211,6 +213,29 @@ fn pretest_rejects_only_rows_the_predicate_rejects() {
     // ... and is not vacuous: it does reject.
     let rejected = REJECTED.load(Ordering::Relaxed);
     assert!(rejected > 400, "only {rejected} rejections in 4096 cases");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Bytes decide as much as the row: when every tested field present
+    /// is a scalar or a string, the byte path reaches the row path's
+    /// decision — it does not quietly fall back to "admit".
+    #[test]
+    fn bytes_decide_as_much_as_the_row(
+        row in arb_row(false),
+        pred in arb_pred(),
+        k in arb_scalar(),
+    ) {
+        let env = outer_env(&k);
+        let test = row_test(&pred, &env);
+        let scalar = |v: &Value| !matches!(v, Value::Tuple(_) | Value::Set(_) | Value::List(_));
+        let tested = scan_pretest(&pred, "x");
+        if tested.iter().all(|(attr, ..)| row.find(attr).is_none_or(scalar)) {
+            let bytes = encode_record(&row);
+            prop_assert_eq!(test.rejects_bytes(&bytes), test.rejects_row(&row), "{:?} on {:?}", test, row);
+        }
+    }
 }
 
 proptest! {

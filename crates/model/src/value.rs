@@ -236,19 +236,26 @@ impl CmpOp {
     /// so `=` is the equality every hash, merge and index join keys on,
     /// `≤ ∧ ≥` spells `=`, and `≠` is `¬=`.
     pub fn test(self, a: &Value, b: &Value) -> bool {
-        use Ordering::*;
         if a.is_null() || b.is_null() {
             return false;
         }
-        let ord = a.cmp(b);
-        match self {
-            CmpOp::Eq => ord == Equal,
-            CmpOp::Ne => ord != Equal,
-            CmpOp::Lt => ord == Less,
-            CmpOp::Le => ord != Greater,
-            CmpOp::Gt => ord == Greater,
-            CmpOp::Ge => ord != Less,
-        }
+        self.holds(a.cmp(b))
+    }
+
+    /// Whether `a ⟨self⟩ b` holds for two non-NULL operands with
+    /// `a.cmp(b) == ord`: one bit of the operator's table, indexed by
+    /// `Less`, `Equal`, `Greater`.
+    #[inline]
+    pub fn holds(self, ord: Ordering) -> bool {
+        let table: u8 = match self {
+            CmpOp::Eq => 0b010,
+            CmpOp::Ne => 0b101,
+            CmpOp::Lt => 0b001,
+            CmpOp::Le => 0b011,
+            CmpOp::Gt => 0b100,
+            CmpOp::Ge => 0b110,
+        };
+        table >> (ord as i8 + 1) & 1 == 1
     }
 }
 
@@ -293,6 +300,9 @@ fn numeric_binop(
     }
 }
 
+/// The rank of strings, which [`str_cmp`] compares other kinds by.
+const STR_RANK: u8 = 4;
+
 /// Discriminant rank used to order values of different kinds. Numbers are
 /// one kind; the other ranks keep their numbers, and so their hashes.
 fn rank(v: &Value) -> u8 {
@@ -300,11 +310,20 @@ fn rank(v: &Value) -> u8 {
         Value::Null => 0,
         Value::Bool(_) => 1,
         Value::Int(_) | Value::Float(_) => 2,
-        Value::Str(_) => 4,
+        Value::Str(_) => STR_RANK,
         Value::Tuple(_) => 5,
         Value::Set(_) => 6,
         Value::List(_) => 7,
         Value::Variant(..) => 8,
+    }
+}
+
+/// `Value::Str(s).cmp(v)` without building the string value: byte order
+/// against a string, rank against any other kind.
+pub fn str_cmp(s: &str, v: &Value) -> Ordering {
+    match v {
+        Value::Str(t) => s.cmp(t),
+        other => STR_RANK.cmp(&rank(other)),
     }
 }
 

@@ -41,7 +41,11 @@ pub(crate) fn too_deep_to_store(what: &str) -> ModelError {
 }
 
 /// A checked cursor over bytes from outside the program (see the
-/// [module docs](self)).
+/// [module docs](self)). Its accessors are always inlined and its errors
+/// are built out of line from its parts by value, so a reader whose
+/// address is never taken lives in registers: a row's skip-scan or
+/// decode pays the bounds checks and nothing for the cursor itself.
+#[derive(Clone)]
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     /// How many bytes of `buf` are consumed; never past its end.
@@ -62,12 +66,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A malformed-bytes error of this reader's format. Out of line:
-    /// the decoders' hot paths carry a call, not the formatting.
-    #[cold]
-    #[inline(never)]
+    /// A malformed-bytes error of this reader's format.
+    #[inline]
     pub(crate) fn err(&self, what: impl std::fmt::Display) -> ModelError {
-        ModelError::Io(format!("{} decode: {what}", self.format))
+        malformed(self.format, what)
     }
 
     /// Bytes not yet consumed.
@@ -76,7 +78,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         // A wrapped sum is below `pos`, and `get` refuses that range too.
         let end = self.pos.wrapping_add(n);
@@ -89,23 +91,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    #[cold]
-    #[inline(never)]
+    #[inline(always)]
     fn truncated(&self, n: usize) -> ModelError {
-        self.err(format_args!(
-            "truncated (want {n} bytes, {} left)",
-            self.remaining()
-        ))
+        truncated(self.format, n, self.remaining())
     }
 
-    #[inline]
+    #[inline(always)]
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
         let mut a = [0u8; N];
         a.copy_from_slice(self.take(N)?);
         Ok(a)
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn u8(&mut self) -> Result<u8> {
         match self.buf.get(self.pos) {
             Some(&byte) => {
@@ -120,23 +118,24 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(self.array()?))
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A float stored as its bit pattern (NaN payloads survive).
+    #[inline(always)]
     pub(crate) fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// A `u32` length and that many bytes.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
@@ -206,6 +205,25 @@ impl<'a> Reader<'a> {
             n => Err(self.err(format_args!("{n} trailing bytes"))),
         }
     }
+}
+
+/// A malformed-bytes error of `format`. Out of line and handed the
+/// reader's parts by value: the decoders' hot paths carry a call, not the
+/// formatting, and a reader never has to leave its registers for it.
+#[cold]
+#[inline(never)]
+fn malformed(format: &str, what: impl std::fmt::Display) -> ModelError {
+    ModelError::Io(format!("{format} decode: {what}"))
+}
+
+/// [`malformed`]: `want` bytes asked for with `left` remaining.
+#[cold]
+#[inline(never)]
+fn truncated(format: &str, want: usize, left: usize) -> ModelError {
+    malformed(
+        format,
+        format_args!("truncated (want {want} bytes, {left} left)"),
+    )
 }
 
 pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {

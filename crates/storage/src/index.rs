@@ -20,6 +20,7 @@
 //! never compare equal), so index paths and scan paths agree.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use tmql_model::hash::ValueMap;
 use tmql_model::{Result, Value};
@@ -141,20 +142,26 @@ impl OrdIndex {
         }
     }
 
-    /// Row positions whose attribute lies in `[lo, hi]` (either bound may
-    /// be absent), ascending; none when a bound is NULL. Exact on every
-    /// non-NULL attribute: a NULL one sorts below every bound and is left
-    /// to the caller's re-check.
-    pub fn probe_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<usize> {
-        use std::ops::Bound;
-        let null = lo.is_some_and(Value::is_null) || hi.is_some_and(Value::is_null);
-        if null || lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
+    /// Row positions whose attribute lies between `lo` and `hi`, each
+    /// bound inclusive, strict or absent, ascending; none when a bound is
+    /// NULL. Exact on every non-NULL attribute: a NULL one sorts below
+    /// every bound and is left to the caller's re-check.
+    pub fn probe_range<'k>(&self, lo: Bound<&'k Value>, hi: Bound<&'k Value>) -> Vec<usize> {
+        let key = |b: Bound<&'k Value>| match b {
+            Bound::Included(v) | Bound::Excluded(v) => Some(v),
+            Bound::Unbounded => None,
+        };
+        let (lo_key, hi_key) = (key(lo), key(hi));
+        let null = lo_key.is_some_and(Value::is_null) || hi_key.is_some_and(Value::is_null);
+        // Crossed bounds, and equal ones either of which is strict, select
+        // nothing (`BTreeMap::range` panics on crossed or equal strict ones).
+        let empty = lo_key.zip(hi_key).is_some_and(|(l, h)| {
+            l > h || (l == h && !matches!((lo, hi), (Bound::Included(_), Bound::Included(_))))
+        });
+        if null || empty {
             return Vec::new();
         }
-        let runs = self.map.range::<Value, _>((
-            lo.map_or(Bound::Unbounded, Bound::Included),
-            hi.map_or(Bound::Unbounded, Bound::Included),
-        ));
+        let runs = self.map.range::<Value, _>((lo, hi));
         let mut out: Vec<usize> = runs.flat_map(|(_, ps)| ps).copied().collect();
         out.sort_unstable();
         out
@@ -222,6 +229,7 @@ pub fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
 mod tests {
     use super::*;
     use crate::table::int_table;
+    use std::ops::Bound::{Excluded as Ex, Included as In, Unbounded as Unb};
     use tmql_model::Record;
 
     #[test]
@@ -244,18 +252,32 @@ mod tests {
             t.batch(1, 2).unwrap(),
             "ascending position fetch groups runs"
         );
-        assert_eq!(
-            idx.probe_range(Some(&Value::Int(2)), Some(&Value::Int(6))),
-            vec![0, 2]
-        );
-        assert_eq!(idx.probe_range(Some(&Value::Float(4.5)), None), vec![0, 3]);
-        assert_eq!(idx.probe_range(None, Some(&Value::Int(1))), vec![1]);
-        assert_eq!(idx.probe_range(None, None), vec![0, 1, 2, 3]);
+        let (two, six) = (Value::Int(2), Value::Int(6));
+        assert_eq!(idx.probe_range(In(&two), In(&six)), vec![0, 2]);
+        assert_eq!(idx.probe_range(In(&Value::Float(4.5)), Unb), vec![0, 3]);
+        assert_eq!(idx.probe_range(Unb, In(&Value::Int(1))), vec![1]);
+        assert_eq!(idx.probe_range(Unb, Unb), vec![0, 1, 2, 3]);
         // Float bounds cut the integers exactly; crossed bounds select
         // nothing.
         let (lo, hi) = (Value::Float(2.5), Value::Float(5.0));
-        assert_eq!(idx.probe_range(Some(&lo), Some(&hi)), vec![0, 2]);
-        assert_eq!(idx.probe_range(Some(&hi), Some(&lo)), Vec::<usize>::new());
+        assert_eq!(idx.probe_range(In(&lo), In(&hi)), vec![0, 2]);
+        assert_eq!(idx.probe_range(In(&hi), In(&lo)), Vec::<usize>::new());
+        // Strict bounds leave their key out; equal bounds keep it only
+        // when both are inclusive.
+        let (three, five) = (Value::Int(3), Value::Int(5));
+        assert_eq!(idx.probe_range(Ex(&three), Ex(&Value::Int(9))), vec![0]);
+        assert_eq!(
+            idx.probe_range(Ex(&Value::Float(0.5)), Ex(&five)),
+            vec![1, 2]
+        );
+        assert_eq!(idx.probe_range(In(&five), In(&five)), vec![0]);
+        for (lo, hi) in [
+            (Ex(&five), In(&five)),
+            (In(&five), Ex(&five)),
+            (Ex(&five), Ex(&five)),
+        ] {
+            assert_eq!(idx.probe_range(lo, hi), Vec::<usize>::new());
+        }
     }
 
     #[test]
@@ -315,8 +337,8 @@ mod tests {
         }
         // A range over the numbers holds both kinds, and NULL sorts below.
         let (lo, hi) = (Value::Float(-0.5), Value::Int(1));
-        assert_eq!(idx.probe_range(Some(&lo), Some(&hi)), vec![0, 1, 2, 3, 4]);
-        assert_eq!(idx.probe_range(None, Some(&hi)), vec![0, 1, 2, 3, 4, 6]);
+        assert_eq!(idx.probe_range(In(&lo), In(&hi)), vec![0, 1, 2, 3, 4]);
+        assert_eq!(idx.probe_range(Unb, In(&hi)), vec![0, 1, 2, 3, 4, 6]);
     }
 
     #[test]

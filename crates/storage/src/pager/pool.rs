@@ -234,20 +234,25 @@ impl BufferPool {
         self.lock_map().map.contains_key(&page)
     }
 
-    /// How many of `pages` are currently resident. `memo` remembers the
-    /// answer with the map epoch it was counted at, so asking again about
-    /// the same pages before anything faulted or was evicted — every
-    /// formula of one planning pass — is a comparison, not a walk.
-    pub fn resident_among(
-        &self,
-        pages: impl Iterator<Item = PageId>,
-        memo: &mut Option<(u64, usize)>,
-    ) -> usize {
+    /// How many of `pages` — sorted ascending, without repeats — are
+    /// currently resident. The count starts from the smaller side: a pool
+    /// holding fewer pages than asked about searches `pages` for each of
+    /// its own, so a small pool in front of a large table costs at most
+    /// one search per frame. `memo` remembers the answer with the map
+    /// epoch it was counted at, so asking again about the same pages
+    /// before anything faulted or was evicted — every formula of one
+    /// planning pass — is a comparison, not a count.
+    pub fn resident_among(&self, pages: &[PageId], memo: &mut Option<(u64, usize)>) -> usize {
         let m = self.lock_map();
         match *memo {
             Some((epoch, count)) if epoch == m.epoch => count,
             _ => {
-                let count = pages.filter(|p| m.map.contains_key(p)).count();
+                let count = if m.map.len() < pages.len() {
+                    let mapped = m.map.keys();
+                    mapped.filter(|p| pages.binary_search(p).is_ok()).count()
+                } else {
+                    pages.iter().filter(|p| m.map.contains_key(p)).count()
+                };
                 *memo = Some((m.epoch, count));
                 count
             }
@@ -569,12 +574,18 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!(pool.is_resident(1));
         let mut memo = None;
-        assert_eq!(pool.resident_among([1u32, 2, 3].into_iter(), &mut memo), 1);
+        assert_eq!(pool.resident_among(&[1, 2, 3], &mut memo), 1);
         // A standing epoch answers from the memo without looking at the
         // pages; a fault moves the epoch and the count with it.
-        assert_eq!(pool.resident_among([].into_iter(), &mut memo), 1);
+        assert_eq!(pool.resident_among(&[], &mut memo), 1);
         let _ = pool.read(2, &file).unwrap();
-        assert_eq!(pool.resident_among([1u32, 2, 3].into_iter(), &mut memo), 2);
+        assert_eq!(pool.resident_among(&[1, 2, 3], &mut memo), 2);
+        // Either side counts the same: the pool holds two pages, so the
+        // first two lists are walked and the last is searched.
+        for pages in [&[2, 3][..], &[1], &[0, 1, 2, 3]] {
+            let want = pages.iter().filter(|p| pool.is_resident(**p)).count();
+            assert_eq!(pool.resident_among(pages, &mut None), want, "{pages:?}");
+        }
         assert_eq!(pool.pinned_frames(), 0);
         let _ = std::fs::remove_file(&path);
     }

@@ -1044,12 +1044,12 @@ impl PagedStore {
         self.pool.capacity()
     }
 
-    /// How many of the extent's data pages are currently resident — the
-    /// cost model's input for pricing a cold vs. warm scan.
-    /// `memo` is the caller's per-extent memory of the last answer (see
-    /// [`BufferPool::resident_among`]).
-    pub fn resident_pages(&self, extent: &TableExtent, memo: &mut Option<(u64, usize)>) -> usize {
-        self.pool.resident_among(extent.page_ids(), memo)
+    /// How many of an extent's data pages — `pages`, sorted ascending and
+    /// distinct — are currently resident: the cost model's input for
+    /// pricing a cold vs. warm scan. `memo` is the caller's per-extent
+    /// memory of the last answer (see [`BufferPool::resident_among`]).
+    pub fn resident_pages(&self, pages: &[PageId], memo: &mut Option<(u64, usize)>) -> usize {
+        self.pool.resident_among(pages, memo)
     }
 
     /// Total outstanding page pins (test/diagnostic hook).
@@ -1297,10 +1297,9 @@ mod tests {
             "freshly written pages are resident"
         );
         assert!(warm.hits > before.hits);
-        assert_eq!(
-            store.resident_pages(&extent, &mut None),
-            extent.page_count()
-        );
+        let mut pages: Vec<PageId> = extent.page_ids().collect();
+        pages.sort_unstable();
+        assert_eq!(store.resident_pages(&pages, &mut None), extent.page_count());
         let _ = std::fs::remove_file(&path);
     }
 

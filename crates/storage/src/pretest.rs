@@ -15,16 +15,27 @@
 //! it. Conjuncts are tried left to right, each through [`CmpOp::test`] —
 //! the comparison `eval` itself calls, so there is no second definition to
 //! drift — and the first one that cannot be decided here (the label is
-//! absent, or on page bytes the field is a string or a container, or the
-//! payload is malformed) **admits the row at once**: whatever `eval`
-//! would have raised for it, it still raises.
+//! absent, or on page bytes the field is a container, a string that is not
+//! UTF-8, or the payload is malformed) **admits the row at once**:
+//! whatever `eval` would have raised for it, it still raises.
+//!
+//! # On page bytes
+//!
+//! A tested field is found by one skip-scan of the encoded fields before
+//! it, which steps over NULLs, booleans, integers and floats inline. An
+//! `Int` field against an `Int` key is one `i64` comparison, read through
+//! the operator's table ([`CmpOp::holds`]); a string is compared where it
+//! lies, in byte order against a string key and by rank against any other
+//! ([`str_cmp`]). Both are what [`CmpOp::test`] answers on the decoded
+//! value, and neither allocates. The in-memory path takes the same
+//! `Int`/`Int` shortcut.
 
-use std::borrow::Borrow;
 use std::sync::Arc;
 
+use tmql_model::value::str_cmp;
 use tmql_model::{CmpOp, Record, Value};
 
-use crate::spill::scalar_field;
+use crate::spill::{stored_field, Stored};
 
 /// Leading `label ⟨cmp⟩ key` conjuncts of a selection over one stored
 /// table (see the [module docs](self)). The empty test rejects nothing.
@@ -44,13 +55,14 @@ impl RowTest {
         self.conjuncts.is_empty()
     }
 
-    /// True iff some conjunct is false on the row whose fields `field`
-    /// looks up, every conjunct before it having been decided true.
-    fn rejects<V: Borrow<Value>>(&self, field: impl Fn(&str) -> Option<V>) -> bool {
+    /// True iff some conjunct is decided false by `holds` — `None` when it
+    /// cannot decide — every conjunct before it having been decided true.
+    #[inline]
+    fn rejects(&self, mut holds: impl FnMut(&str, CmpOp, &Value) -> Option<bool>) -> bool {
         for (label, op, key) in &self.conjuncts {
-            match field(label) {
-                Some(v) if op.test(v.borrow(), key) => {}
-                Some(_) => return true,
+            match holds(label, *op, key) {
+                Some(true) => {}
+                Some(false) => return true,
                 None => return false,
             }
         }
@@ -60,15 +72,27 @@ impl RowTest {
     /// Does the test reject this materialized row? (Comparisons of any
     /// field kind are decided: the value is at hand.)
     pub fn rejects_row(&self, row: &Record) -> bool {
-        self.rejects(|label| row.find(label))
+        self.rejects(|label, op, key| {
+            Some(match (row.find(label)?, key) {
+                (Value::Int(i), Value::Int(k)) => op.holds(i.cmp(k)),
+                (v, key) => op.test(v, key),
+            })
+        })
     }
 
     /// Does the test reject this row, given in the page/spill codec? Each
-    /// tested field is found by skipping over the encoded fields before it
-    /// and compared as a scalar decoded on the stack. Never panics and
-    /// never reads out of bounds, whatever the bytes.
+    /// tested field is compared where it lies (see the
+    /// [module docs](self)). Never panics, never allocates and never
+    /// reads out of bounds, whatever the bytes.
     pub fn rejects_bytes(&self, payload: &[u8]) -> bool {
-        self.rejects(|label| scalar_field(payload, label))
+        self.rejects(|label, op, key| {
+            Some(match (stored_field(payload, label)?, key) {
+                (Stored::Int(i), Value::Int(k)) => op.holds(i.cmp(k)),
+                (Stored::Int(i), key) => op.test(&Value::Int(i), key),
+                (Stored::Str(s), key) => !key.is_null() && op.holds(str_cmp(s, key)),
+                (Stored::Scalar(v), key) => op.test(&v, key),
+            })
+        })
     }
 }
 
@@ -125,13 +149,37 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_containers_are_undecided_on_bytes() {
-        let t = test(&[("n", CmpOp::Eq, Value::Int(1))]);
-        for n in [Value::str("s"), Value::set([Value::Int(1)])] {
-            let r = row(1, n);
-            assert!(t.rejects_row(&r), "a materialized value is comparable");
-            assert!(!t.rejects_bytes(&encode_record(&r)), "its bytes are not");
+    fn strings_are_decided_on_bytes_and_containers_are_not() {
+        let eq_one = test(&[("n", CmpOp::Eq, Value::Int(1))]);
+        let r = row(1, Value::set([Value::Int(1)]));
+        assert!(eq_one.rejects_row(&r), "a materialized value is comparable");
+        assert!(
+            !eq_one.rejects_bytes(&encode_record(&r)),
+            "its bytes are not"
+        );
+        // A string against a string in byte order, against anything else
+        // by rank; NULL compares with nothing.
+        let r = row(1, Value::str("héllo"));
+        let bytes = encode_record(&r);
+        for (t, want) in [
+            (eq_one, true),
+            (test(&[("n", CmpOp::Gt, Value::Int(1))]), false),
+            (test(&[("n", CmpOp::Lt, Value::set([]))]), false),
+            (test(&[("n", CmpOp::Eq, Value::str("héllo"))]), false),
+            (test(&[("n", CmpOp::Lt, Value::str("i"))]), false),
+            // UTF-8 byte order is code point order: `é` is above `z`.
+            (test(&[("n", CmpOp::Lt, Value::str("hz"))]), true),
+            (test(&[("n", CmpOp::Le, Value::str("h"))]), true),
+            (test(&[("n", CmpOp::Ne, Value::Null)]), true),
+        ] {
+            assert_eq!(t.rejects_row(&r), want, "{t:?} on the row");
+            assert_eq!(t.rejects_bytes(&bytes), want, "{t:?} on its bytes");
         }
+        // Bytes that are not UTF-8 cannot be decided: admitted.
+        let at = bytes.len() - 1;
+        let mut broken = bytes.clone();
+        broken[at] = 0xFF;
+        assert!(!test(&[("n", CmpOp::Eq, Value::Int(1))]).rejects_bytes(&broken));
     }
 
     #[test]

@@ -56,9 +56,22 @@
 //! length + UTF-8, containers as `u32` element count + elements). The
 //! codec covers the full [`Value`] universe — nested tuples, sets, lists,
 //! and variants round-trip exactly, including `NaN` floats (bit-pattern
-//! preserved via `to_bits`). A record's fields are decoded straight into
-//! its body, a set's elements through an accumulator the
-//! [`RecordDecoder`] reuses.
+//! preserved via `to_bits`).
+//!
+//! A [`RecordDecoder`] reads a stream of rows — a page batch, a spill run
+//! — at about what the rows' bytes cost. A record's fields are decoded
+//! straight into its body: a scalar where its tag is read, a container
+//! out of line, a set's elements through an accumulator the decoder
+//! reuses. A top-level label is compared, as bytes, with the last row's
+//! label at the same position; only when they differ is it checked as
+//! UTF-8 and interned (nested tuples' labels are always interned), so
+//! rows of one schema share their label `Arc`s and validate none after
+//! the first. Page slots and spill frames share `Cursor::fields`, and a
+//! decoder returns for every payload exactly what a fresh one would.
+//!
+//! The scan pre-test ([`crate::pretest`]) reads no row at all: it finds a
+//! field with `stored_field`, one skip-scan that steps over fixed-width
+//! values inline, and compares it where it lies.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -179,10 +192,17 @@ pub(crate) fn check_nesting(rec: &Record) -> Result<()> {
 
 /// Decoder for a stream of records (one spill run, one page batch) that
 /// hands every row the label `Arc`s of the rows before it: rows of one
-/// schema repeat their labels, so after the first row decoding a label
-/// is a byte comparison and a reference-count bump, not an allocation.
+/// schema repeat their labels, so after the first row a top-level label
+/// is one byte comparison against the last row's label at its position
+/// and a reference-count bump — no UTF-8 check, no search, no allocation.
+/// Only a label that differs from the last row's is validated and
+/// interned.
 #[derive(Debug, Default)]
 pub struct RecordDecoder {
+    /// The last row's top-level labels by position (the first
+    /// [`MAX_LABELS`] of them).
+    row: Vec<Arc<str>>,
+    /// Every label interned so far, top-level or nested.
     labels: Vec<Arc<str>>,
     /// Where the last hit was: labels recur in a cycle, so the search
     /// starts just past it and usually ends at once.
@@ -205,7 +225,7 @@ impl RecordDecoder {
     /// the stack).
     pub fn decode(&mut self, payload: &[u8]) -> Result<Record> {
         let mut c = Cursor::new(FORMAT, payload, self);
-        let rec = c.record()?;
+        let rec = c.record(true)?;
         c.r.finish()?;
         Ok(rec)
     }
@@ -216,8 +236,8 @@ impl RecordDecoder {
     fn decode_frame(&mut self, payload: &[u8], labels: &[Arc<str>]) -> Result<Record> {
         let mut c = Cursor::new(RUN_FORMAT, payload, self);
         let rec = match c.r.u8()? {
-            frame::SHAPED => c.fields(labels.iter().map(Some))?,
-            frame::FULL => c.record()?,
+            frame::SHAPED => c.fields(labels.iter().map(Some), false)?,
+            frame::FULL => c.record(true)?,
             other => return Err(c.r.err(format_args!("unknown frame kind {other}"))),
         };
         c.r.finish()?;
@@ -249,13 +269,38 @@ const FORMAT: &str = "record";
 const MIN_VALUE_BYTES: usize = 1;
 const MIN_FIELD_BYTES: usize = 4 + MIN_VALUE_BYTES;
 
+/// Whether `bytes` spell `label`: a byte loop, since labels are short
+/// and a call to `memcmp` costs more than comparing them.
+#[inline(always)]
+fn same_label(label: &str, bytes: &[u8]) -> bool {
+    label.len() == bytes.len() && std::iter::zip(label.as_bytes(), bytes).all(|(a, b)| a == b)
+}
+
 /// Step over one encoded value without building it.
 fn skip_value(r: &mut Reader<'_>) -> Result<()> {
-    match r.u8()? {
-        tag::NULL | tag::FALSE | tag::TRUE => {}
-        tag::INT | tag::FLOAT => {
-            r.take(8)?;
+    let tag = r.u8()?;
+    skip_tagged(r, tag)
+}
+
+/// [`skip_value`] past the tag: the fixed-width kinds inline, the rest
+/// out of line — on a copy of the reader, so that the caller's never has
+/// its address taken and can stay in registers.
+#[inline(always)]
+fn skip_tagged(r: &mut Reader<'_>, tag: u8) -> Result<()> {
+    match tag {
+        tag::NULL | tag::FALSE | tag::TRUE => Ok(()),
+        tag::INT | tag::FLOAT => r.take(8).map(drop),
+        tag => {
+            let mut rest = r.clone();
+            skip_variable(&mut rest, tag)?;
+            *r = rest;
+            Ok(())
         }
+    }
+}
+
+fn skip_variable(r: &mut Reader<'_>, tag: u8) -> Result<()> {
+    match tag {
         tag::STR => {
             r.bytes()?;
         }
@@ -285,20 +330,6 @@ fn skip_value(r: &mut Reader<'_>) -> Result<()> {
     Ok(())
 }
 
-/// The value behind a fixed-size tag — built without allocating — or
-/// `None` for every other tag.
-#[inline]
-fn scalar(r: &mut Reader<'_>, tag: u8) -> Result<Option<Value>> {
-    Ok(Some(match tag {
-        tag::NULL => Value::Null,
-        tag::FALSE => Value::Bool(false),
-        tag::TRUE => Value::Bool(true),
-        tag::INT => Value::Int(r.u64()? as i64),
-        tag::FLOAT => Value::Float(r.f64()?),
-        _ => return Ok(None),
-    }))
-}
-
 /// The value-level decoder: a [`Reader`] over one payload plus the label
 /// interner of the stream it belongs to.
 struct Cursor<'a> {
@@ -314,17 +345,24 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// One value: a scalar decoded in place, a container out of line.
+    #[inline]
     fn value(&mut self) -> Result<Value> {
-        let tag = self.r.u8()?;
-        if let Some(v) = scalar(&mut self.r, tag)? {
-            return Ok(v);
-        }
-        if tag == tag::STR {
-            return Ok(Value::Str(Arc::from(self.r.str()?)));
-        }
+        Ok(match self.r.u8()? {
+            tag::NULL => Value::Null,
+            tag::FALSE => Value::Bool(false),
+            tag::TRUE => Value::Bool(true),
+            tag::INT => Value::Int(self.r.u64()? as i64),
+            tag::FLOAT => Value::Float(self.r.f64()?),
+            tag::STR => Value::Str(Arc::from(self.r.str()?)),
+            tag => self.container(tag)?,
+        })
+    }
+
+    fn container(&mut self, tag: u8) -> Result<Value> {
         self.r.descend()?;
         let v = match tag {
-            tag::TUPLE => Value::Tuple(self.record()?),
+            tag::TUPLE => Value::Tuple(self.record(false)?),
             tag::SET => Value::Set(self.set()?),
             tag::LIST => {
                 let n = self.r.count(MIN_VALUE_BYTES)?;
@@ -371,27 +409,59 @@ impl<'a> Cursor<'a> {
         Ok(self.names.intern(label))
     }
 
-    fn record(&mut self) -> Result<Record> {
+    /// The label of a top-level field at position `at`: the last row's
+    /// there when the bytes are the same, else validated, interned and
+    /// remembered for the next row.
+    #[inline]
+    fn top_label(&mut self, at: usize) -> Result<Arc<str>> {
+        let bytes = self.r.bytes()?;
+        match self.names.row.get(at) {
+            Some(last) if same_label(last, bytes) => Ok(last.clone()),
+            _ => self.new_top_label(at, bytes),
+        }
+    }
+
+    /// [`Cursor::top_label`] when the bytes are not the last row's label.
+    #[cold]
+    fn new_top_label(&mut self, at: usize, bytes: &[u8]) -> Result<Arc<str>> {
+        let label = std::str::from_utf8(bytes)
+            .map_err(|e| self.r.err(format_args!("invalid UTF-8: {e}")))?;
+        let label = self.names.intern(label);
+        let row = &mut self.names.row;
+        if at < row.len() {
+            row[at] = label.clone();
+        } else if at == row.len() && at < MAX_LABELS {
+            row.push(label.clone());
+        }
+        Ok(label)
+    }
+
+    /// A count-prefixed record: the one a payload holds (`top`), or a
+    /// tuple nested in it.
+    fn record(&mut self, top: bool) -> Result<Record> {
         let n = self.r.count(MIN_FIELD_BYTES)?;
-        self.fields((0..n).map(|_| None))
+        self.fields((0..n).map(|_| None), top)
     }
 
     /// The record of one field per item of `labels` — the label given, or
     /// read from the bytes ahead of its value — built in place in the
-    /// record's body.
+    /// record's body. The labels of a `top` record are read by
+    /// [`Cursor::top_label`].
     fn fields<'l>(
         &mut self,
         labels: impl ExactSizeIterator<Item = Option<&'l Arc<str>>>,
+        top: bool,
     ) -> Result<Record> {
         // `try_new` drives the iterator to its end; past the first error
         // nothing more is read, and the placeholders are dropped unseen.
         let mut intact = true;
-        let built = Record::try_new(labels.map(|given| {
+        let built = Record::try_new(labels.enumerate().map(|(at, given)| {
             if !intact {
                 return Err(ModelError::Io(String::new()));
             }
             let field = match given {
                 Some(label) => Ok(label.clone()),
+                None if top => self.top_label(at),
                 None => self.label(),
             }
             .and_then(|label| Ok((label, self.value()?)));
@@ -427,21 +497,41 @@ pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value> {
     }
 }
 
-/// Skip-scan an encoded record for its top-level field `label` and decode
-/// it **on the stack** when it is NULL, a boolean, an integer or a float.
-/// `None` — the caller cannot decide on these bytes — when the label is
-/// absent, the field is a string or a container, or the payload is
-/// malformed or nested too deep on the way there; whatever is wrong with
-/// it is then [`RecordDecoder::decode`]'s to report.
-pub(crate) fn scalar_field(payload: &[u8], label: &str) -> Option<Value> {
+/// A top-level field of an encoded record, read where it lies: nothing of
+/// it is on the heap.
+pub(crate) enum Stored<'a> {
+    /// An integer.
+    Int(i64),
+    /// A string, its bytes checked as UTF-8.
+    Str(&'a str),
+    /// NULL, a boolean or a float.
+    Scalar(Value),
+}
+
+/// Skip-scan an encoded record for its top-level field `label`: the
+/// fixed-width values before it are stepped over inline, strings and
+/// containers out of line. `None` — the caller cannot decide on
+/// these bytes — when the label is absent, the field is a container or a
+/// string that is not UTF-8, or the payload is malformed or nested too
+/// deep on the way there; whatever is wrong with it is then
+/// [`RecordDecoder::decode`]'s to report.
+#[inline]
+pub(crate) fn stored_field<'a>(payload: &'a [u8], label: &str) -> Option<Stored<'a>> {
     let mut r = Reader::new(FORMAT, payload);
     for _ in 0..r.u32().ok()? {
-        if r.bytes().ok()? != label.as_bytes() {
-            skip_value(&mut r).ok()?;
-            continue;
-        }
+        let hit = same_label(label, r.bytes().ok()?);
         let tag = r.u8().ok()?;
-        return scalar(&mut r, tag).ok()?;
+        if hit {
+            return match tag {
+                tag::INT => Some(Stored::Int(r.u64().ok()? as i64)),
+                tag::STR => std::str::from_utf8(r.bytes().ok()?).ok().map(Stored::Str),
+                tag::FLOAT => Some(Stored::Scalar(Value::Float(r.f64().ok()?))),
+                tag::NULL => Some(Stored::Scalar(Value::Null)),
+                tag::FALSE | tag::TRUE => Some(Stored::Scalar(Value::Bool(tag == tag::TRUE))),
+                _ => None,
+            };
+        }
+        skip_tagged(&mut r, tag).ok()?;
     }
     None
 }
@@ -1129,6 +1219,33 @@ mod tests {
                 for (b, r) in back.iter().zip(&rows) {
                     prop_assert_eq!(encode_record(b), encode_record(r));
                 }
+            }
+        }
+
+        /// A decoder carries the last row's labels into the next: whatever
+        /// came before, each payload decodes exactly as it would alone — the
+        /// same row, or the same error — through label sets and orders that
+        /// change, and payloads cut short, with a byte replaced anywhere or in
+        /// the first label.
+        #[test]
+        fn one_decoder_over_a_stream_answers_each_payload_as_a_fresh_one(
+            rows in arb_mixed_rows(),
+            damage in prop::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 24..25),
+        ) {
+            let mut stream = RecordDecoder::default();
+            for (row, (damage, at, byte)) in rows.iter().zip(damage) {
+                let mut bytes = encode_record(row);
+                let n = bytes.len();
+                match damage {
+                    1 => bytes.truncate(at % n),
+                    2 => bytes[at % n] = byte,
+                    // After the field count and the first label's length.
+                    3 => bytes[8] = byte,
+                    _ => {}
+                }
+                let recode = |r: Result<Record>| r.map(|r| encode_record(&r));
+                let alone = recode(RecordDecoder::default().decode(&bytes));
+                prop_assert_eq!(recode(stream.decode(&bytes)), alone, "{:?}", bytes);
             }
         }
     }

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 
 use tmql_model::{ModelError, Record, RecordSet, Result, Ty, Value};
 
-use crate::pager::{PagedStore, TableExtent};
+use crate::pager::{PageId, PagedStore, TableExtent};
 use crate::pretest::RowTest;
 
 /// A table: an ordered schema plus a duplicate-free multiset of records.
@@ -50,6 +50,9 @@ enum Backing {
     Disk {
         store: Arc<PagedStore>,
         extent: Arc<TableExtent>,
+        /// The extent's distinct page ids, sorted once: what
+        /// [`Table::page_residency`] counts.
+        pages: Arc<[PageId]>,
         /// The last [`Table::page_residency`] answer and the pool epoch
         /// it holds for.
         resident: Arc<Mutex<Option<(u64, usize)>>>,
@@ -90,12 +93,16 @@ impl Table {
         store: Arc<PagedStore>,
         extent: Arc<TableExtent>,
     ) -> Table {
+        let mut pages: Vec<PageId> = extent.page_ids().collect();
+        pages.sort_unstable();
+        pages.dedup();
         Table {
             name: name.into(),
             columns,
             backing: Backing::Disk {
                 store,
                 extent,
+                pages: pages.into(),
                 resident: Arc::default(),
             },
         }
@@ -144,13 +151,15 @@ impl Table {
     }
 
     /// Buffer-pool residency of a disk-backed table: `(resident pages,
-    /// total pages)`; `None` in memory. Walks the extent only when the
-    /// pool's mapping has changed since the last call — every formula of
-    /// one planning pass after the first reads the remembered count.
+    /// total pages)`; `None` in memory. Counts only when the pool's
+    /// mapping has changed since the last call — every formula of one
+    /// planning pass after the first reads the remembered count — and
+    /// then from the smaller side ([`crate::pager::BufferPool::resident_among`]).
     pub fn page_residency(&self) -> Option<(usize, usize)> {
         let Backing::Disk {
             store,
             extent,
+            pages,
             resident,
         } = &self.backing
         else {
@@ -158,7 +167,7 @@ impl Table {
         };
         // The memo is a plain pair, valid whatever a panicking holder did.
         let mut memo = resident.lock().unwrap_or_else(|e| e.into_inner());
-        Some((store.resident_pages(extent, &mut memo), extent.page_count()))
+        Some((store.resident_pages(pages, &mut memo), extent.page_count()))
     }
 
     /// The store and extent of a disk-backed table.

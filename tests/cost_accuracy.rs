@@ -8,6 +8,8 @@
 //! `TMQL_BENCH_QUICK=1` (the CI bench smoke env) shrinks the data so the
 //! whole check runs in milliseconds.
 
+use std::ops::Bound;
+
 use tmql::{Database, QueryOptions};
 use tmql_workload::gen::{gen_rs, gen_xy, GenConfig};
 use tmql_workload::queries::{where_query, COUNT_BUG, UNNEST_COLLAPSE};
@@ -99,8 +101,8 @@ fn index_crossover_estimate_within_4x_of_measured() {
             var: "x".into(),
             attr: "b".into(),
             eq: Some(E::lit(0i64)),
-            lo: None,
-            hi: None,
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
             pred,
         };
         let mut sctx = ExecContext::new(&cat);
