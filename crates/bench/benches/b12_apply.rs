@@ -65,9 +65,7 @@ fn db(n: usize, d: usize) -> Database {
 }
 
 fn configs() -> Vec<(&'static str, QueryOptions)> {
-    let apply = QueryOptions::default()
-        .strategy(UnnestStrategy::NestedLoop)
-        .threads(1);
+    let apply = QueryOptions::default().strategy(UnnestStrategy::NestedLoop);
     vec![("uncached", apply.apply_cache(false)), ("cached", apply)]
 }
 

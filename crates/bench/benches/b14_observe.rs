@@ -12,10 +12,8 @@
 //!   flushed) per statement.
 //!
 //! The query mix mirrors the earlier experiments: B1's flattenable
-//! correlated IN (semijoin after unnesting), B7's COUNT-aggregate
-//! nesting (the count-bug shape), and B10's parallel variant (four
-//! worker threads), so the timing tax is measured on serial, aggregate,
-//! and worker-wave execution alike. Recorded full-mode numbers live in
+//! correlated IN (semijoin after unnesting) and B7's COUNT-aggregate
+//! nesting (the count-bug shape). Recorded full-mode numbers live in
 //! `BENCH_observe.json`; the acceptance pin is timing-on within 5% of
 //! timing-off.
 
@@ -32,15 +30,13 @@ const Q_FLAT: &str = "SELECT x.n FROM X x WHERE x.n IN (SELECT y.a FROM Y y WHER
 const Q_AGG: &str = "SELECT x.n FROM X x WHERE COUNT((SELECT y.a FROM Y y WHERE x.b = y.b)) > 125";
 
 fn modes() -> Vec<(&'static str, QueryOptions)> {
-    let base = QueryOptions::default().threads(1);
+    let base = QueryOptions::default();
     vec![
         ("timing-off", base.collect_timing(false)),
         ("timing-on", base.collect_timing(true)),
         // Query logging implies timing: the record carries wall time.
         // The log sink is attached per-database below.
         ("log-on", base.collect_timing(true)),
-        ("timing-off-par4", base.threads(4).collect_timing(false)),
-        ("timing-on-par4", base.threads(4).collect_timing(true)),
     ]
 }
 

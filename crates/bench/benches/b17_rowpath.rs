@@ -70,7 +70,7 @@ fn hash_join(left: &str, right: &str, kind: JoinKind) -> PhysPlan {
 
 fn bench_rowpath(c: &mut Criterion) {
     let mut g = c.benchmark_group("b17_rowpath");
-    let config = ExecConfig::default().threads(1).collect_timing(false);
+    let config = ExecConfig::default().collect_timing(false);
     for n in ladder(&[2048usize, 8192, 32768]) {
         let mut mem = Database::new();
         load(&mut mem, n);

@@ -1,44 +1,11 @@
 //! Executor configuration.
+//!
+//! A statement runs on the thread that calls the executor, start to
+//! finish; concurrency is many statements against one catalog, each on its
+//! own thread (see `docs/architecture.md`, "One thread per statement").
 
 /// Default number of rows per [`crate::op::operator::Batch`].
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// Default worker count for parallel execution: **1** unless the
-/// `TMQL_THREADS` environment variable says otherwise — a positive
-/// number is that many workers, `auto` (or `0`) is
-/// [`hardware_threads`]; unset, blank or unparsable is 1. Serial is the
-/// default because it is the configuration that has measured fastest:
-/// on the `b10_parallel` ladder two workers run 1.5–1.75× slower than
-/// one (the ROADMAP item "Concurrency between statements" decides
-/// whether the waves are fixed or removed).
-/// The variable is read on every call, so a test or a CI leg that changes
-/// it is honoured. There is one code path at every value: at `1` each
-/// wave holds a single work item and [`crate::op::exchange::scatter`]
-/// runs it in place on the calling thread, spawning nothing.
-pub fn default_threads() -> usize {
-    let Ok(v) = std::env::var("TMQL_THREADS") else {
-        return 1;
-    };
-    match v.trim() {
-        "0" => hardware_threads(),
-        v if v.eq_ignore_ascii_case("auto") => hardware_threads(),
-        v => v.parse().ok().filter(|&n| n >= 1).unwrap_or(1),
-    }
-}
-
-/// The machine's [`std::thread::available_parallelism`] (1 when it cannot
-/// be determined) — what `TMQL_THREADS=auto` and the shell's
-/// `\set threads auto` mean. Asked for **once per process** and
-/// remembered: the standard library re-reads `/proc` and the cgroup files
-/// each time (≈ 23 µs).
-pub fn hardware_threads() -> usize {
-    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HARDWARE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
 
 /// Join algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,13 +42,8 @@ pub struct ExecConfig {
     /// than the budget still has to be resident to be processed (recursive
     /// repartitioning stops at [`crate::op::spill::MAX_REPARTITION_DEPTH`]).
     pub memory_budget_rows: Option<usize>,
-    /// Worker threads for morsel-driven parallel execution (clamped to
-    /// ≥ 1): how many scan morsels, or spilled partitions of a hash join,
-    /// breaker or dedup, one wave hands to scoped workers. Operators run
-    /// the same code at every value — at `1` a wave is one item,
-    /// processed in place — and results and work counters do not depend
-    /// on it. Values above `1` have so far measured *slower* than `1`
-    /// (see [`default_threads`], which is why it says 1).
+    /// Ignored: execution is serial; kept until the benchmark's mirror is
+    /// deleted (ROADMAP "Unfence the benchmark" (c)).
     pub threads: usize,
     /// Memoize correlated `Apply` inner results by the outer row's
     /// correlation-binding values (default `true`). Duplicate bindings
@@ -96,11 +58,7 @@ pub struct ExecConfig {
     /// metered [`crate::op::operator::Operator::pull`] and the
     /// open/close walk wrap each call in an `Instant` span accumulated
     /// into [`crate::op::operator::OpStats::wall_nanos`], which is what
-    /// `EXPLAIN ANALYZE` renders. Spans are measured on the driver
-    /// thread, so a parallel worker wave inside one operator's
-    /// `next_batch` is observed as the wave's wall-clock (the slowest
-    /// worker), not the sum of worker CPU — see `docs/architecture.md`
-    /// § Observability. Overhead is pinned below 5% by `b14_observe`;
+    /// `EXPLAIN ANALYZE` renders. Overhead is pinned below 5% by `b14_observe`;
     /// `false` skips the clock reads entirely and profiles report
     /// zero time.
     pub collect_timing: bool,
@@ -112,7 +70,7 @@ impl Default for ExecConfig {
             join_algo: JoinAlgo::Auto,
             batch_size: DEFAULT_BATCH_SIZE,
             memory_budget_rows: None,
-            threads: default_threads(),
+            threads: 1,
             apply_cache: true,
             collect_timing: true,
         }
@@ -151,12 +109,6 @@ impl ExecConfig {
     /// Remove the memory budget (the default): breakers never spill.
     pub fn unbounded(mut self) -> ExecConfig {
         self.memory_budget_rows = None;
-        self
-    }
-
-    /// Set the worker-thread count (clamped to ≥ 1; `1` = serial).
-    pub fn threads(mut self, n: usize) -> ExecConfig {
-        self.threads = n.max(1);
         self
     }
 
@@ -224,12 +176,5 @@ mod tests {
     fn collect_timing_defaults_on() {
         assert!(ExecConfig::default().collect_timing);
         assert!(!ExecConfig::default().collect_timing(false).collect_timing);
-    }
-
-    #[test]
-    fn threads_default_positive_and_clamp() {
-        assert!(ExecConfig::default().threads >= 1);
-        assert_eq!(ExecConfig::default().threads(0).threads, 1);
-        assert_eq!(ExecConfig::default().threads(8).threads, 8);
     }
 }

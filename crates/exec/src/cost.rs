@@ -110,12 +110,6 @@ pub const INDEX_PROBE_WORK: f64 = 4.0;
 /// memory-pressure penalty so that, costs being close, the plan with the
 /// smaller pipeline-breaker footprint wins.
 const RESIDENT_WEIGHT: f64 = 0.25;
-/// Abstract work units charged per row crossing an exchange when a plan
-/// fragment runs on a worker wave (`threads > 1`): morsel hand-off, the
-/// ordered gather, and the carry-queue copy. Keeps parallel estimates
-/// from claiming a free `1/threads` — the modeled speedup saturates at
-/// the point where exchange traffic dominates per-row work.
-pub const EXCHANGE_COST_PER_ROW: f64 = 0.1;
 
 /// Estimated execution characteristics of a plan (cumulative over the
 /// whole subtree).
@@ -423,19 +417,10 @@ pub struct Estimator<'a> {
     /// spilled row instead — so under tight memory, plans with smaller
     /// breaker state win on work, not just on the resident penalty.
     budget: Option<f64>,
-    /// Mirror of [`crate::ExecConfig::threads`]: parallelizable fragments
-    /// (scans; the per-partition work of spilled joins and breakers)
-    /// divide their work across this many workers and pay
-    /// [`EXCHANGE_COST_PER_ROW`] per row crossing the exchange. `1.0`
-    /// models one-thread execution exactly. Resident state is **not**
-    /// divided — concurrent partitions are summed, which is what the
-    /// executor's budget-capped waves actually hold.
-    threads: f64,
 }
 
 impl<'a> Estimator<'a> {
-    /// An estimator over the catalog's statistics (no memory budget,
-    /// serial execution).
+    /// An estimator over the catalog's statistics (no memory budget).
     pub fn new(catalog: &'a Catalog) -> Estimator<'a> {
         Estimator::with_budget(catalog, None)
     }
@@ -446,14 +431,12 @@ impl<'a> Estimator<'a> {
         Estimator {
             catalog,
             budget: budget.map(|b| b as f64),
-            threads: 1.0,
         }
     }
 
-    /// Model parallel execution on `n` workers (clamped to ≥ 1; `1` is
-    /// the serial model, unchanged).
-    pub fn with_threads(mut self, n: usize) -> Estimator<'a> {
-        self.threads = n.max(1) as f64;
+    /// Ignored: execution is serial; kept until the benchmark's mirror is
+    /// deleted (ROADMAP "Unfence the benchmark" (c)).
+    pub fn with_threads(self, _n: usize) -> Estimator<'a> {
         self
     }
 
@@ -482,17 +465,6 @@ impl<'a> Estimator<'a> {
 
     // -- shared arithmetic ---------------------------------------------------
 
-    /// Work of a fragment the executor runs on a worker wave: divided
-    /// across workers plus the exchange charge for the `rows` that cross
-    /// it. Identity at `threads = 1`.
-    fn parallel_work(&self, work: f64, rows: f64) -> f64 {
-        if self.threads <= 1.0 {
-            work
-        } else {
-            work / self.threads + EXCHANGE_COST_PER_ROW * rows
-        }
-    }
-
     /// Resident contribution and spill-I/O work of one breaker holding
     /// `state` rows: in memory it is `(state, 0)`; past the budget the
     /// resident share is capped at the budget and every state row is
@@ -505,13 +477,11 @@ impl<'a> Estimator<'a> {
     }
 
     /// Kernel work of a breaker over `state` input rows plus its spill
-    /// I/O. An in-memory breaker runs its kernel once, serially; a
-    /// spilled one runs it per grace partition on the worker wave, so the
-    /// kernel share parallelizes (the spill I/O itself does not — the
-    /// partitioning pass is serial).
+    /// I/O (the kernel runs once in memory, or once per grace partition
+    /// over the same rows).
     fn breaker_work(&self, state: f64, spill: f64) -> f64 {
         if spill > 0.0 {
-            self.parallel_work(state, state) + spill
+            state + spill
         } else {
             state
         }
@@ -564,12 +534,10 @@ impl<'a> Estimator<'a> {
             .unwrap_or(UNKNOWN_TABLE_ROWS);
         // Disk-backed tables pay page I/O for whatever part of their
         // extent is cold in the buffer pool right now; a warm working set
-        // scans at in-memory cost. Scans are morsel-parallel: page faults
-        // and row decoding divide across the wave; every row pays the
-        // exchange to reach the gather.
+        // scans at in-memory cost.
         CostEstimate {
             rows,
-            work: self.parallel_work(rows + self.cold_page_io(table), rows),
+            work: rows + self.cold_page_io(table),
             resident: 0.0,
         }
     }
@@ -726,15 +694,7 @@ impl<'a> Estimator<'a> {
         } else {
             0.0
         };
-        // Grace partitions join partition-per-worker; the in-memory
-        // build/probe pipeline is serial (the partitioning I/O is serial
-        // either way).
-        let hash_work = if spill > 0.0 {
-            self.parallel_work(join_cost::hash(probe, build), probe + build)
-        } else {
-            join_cost::hash(probe, build)
-        };
-        (r.work + (hash_work + spill), res)
+        (r.work + (join_cost::hash(probe, build) + spill), res)
     }
 
     /// Work of the index nested-loop path of a join whose inner operand is
@@ -1555,41 +1515,6 @@ mod tests {
         // And None behaves exactly like `new`.
         let none = Estimator::with_budget(&cat, None).cost(&j);
         assert_eq!(none.work, free.work);
-    }
-
-    #[test]
-    fn parallel_fragments_divide_work_but_not_resident() {
-        let cat = catalog();
-        let scan = Plan::scan("BIG", "x");
-        let serial = Estimator::new(&cat).cost(&scan);
-        let par4 = Estimator::new(&cat).with_threads(4).cost(&scan);
-        // threads=1 is the identity.
-        assert_eq!(Estimator::new(&cat).with_threads(1).cost(&scan), serial);
-        assert_eq!(par4.rows, serial.rows, "cardinalities are thread-free");
-        assert!(par4.work < serial.work, "scan work divides across workers");
-        assert!(
-            par4.work > serial.work / 4.0,
-            "the exchange charge keeps speedup sub-linear: {} vs {}",
-            par4.work,
-            serial.work
-        );
-        // A spilled hash join parallelizes its partition work but not its
-        // spill I/O; resident state (summed across wave partitions) is
-        // unchanged by threads.
-        let j = Plan::scan("BIG", "x").join(
-            Plan::scan("BIG", "y"),
-            E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
-        );
-        let tight = Estimator::with_budget(&cat, Some(10)).cost(&j);
-        let tight4 = Estimator::with_budget(&cat, Some(10))
-            .with_threads(4)
-            .cost(&j);
-        assert!(tight4.work < tight.work);
-        assert_eq!(tight4.resident, tight.resident);
-        assert!(
-            tight4.work > tight.work / 4.0,
-            "serial spill I/O bounds the modeled speedup"
-        );
     }
 
     #[test]

@@ -23,7 +23,9 @@ use crate::op::{self, Shape};
 use crate::physical::PhysPlan;
 
 /// Execution context: the catalog, accumulated metrics, and the streaming
-/// knobs shared by every operator in the tree.
+/// knobs shared by every operator in the tree. One statement's, used by
+/// the one thread that runs it; other statements on other threads read the
+/// same catalog through contexts of their own.
 #[derive(Debug)]
 pub struct ExecContext<'a> {
     /// Stored tables.
@@ -32,7 +34,6 @@ pub struct ExecContext<'a> {
     /// correlated subquery executions).
     pub metrics: Metrics,
     batch_size: usize,
-    threads: usize,
     resident_rows: u64,
     memory_budget_rows: Option<usize>,
     /// Scratch file for spill runs, created on first spill; it has no
@@ -56,7 +57,6 @@ impl<'a> ExecContext<'a> {
         ExecContext {
             metrics: Metrics::new(),
             batch_size: config.batch_size.max(1),
-            threads: config.threads.max(1),
             resident_rows: 0,
             memory_budget_rows: config.memory_budget_rows,
             spill_dir: None,
@@ -88,11 +88,6 @@ impl<'a> ExecContext<'a> {
         self.batch_size
     }
 
-    /// Worker threads per wave (≥ 1; at `1` a wave runs in place).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The per-breaker resident-row budget, if one is configured.
     pub fn memory_budget_rows(&self) -> Option<usize> {
         self.memory_budget_rows
@@ -103,14 +98,19 @@ impl<'a> ExecContext<'a> {
         self.memory_budget_rows.is_some_and(|b| n > b)
     }
 
-    /// Open `k` fresh spill runs in this query's scratch file (creating
-    /// it on first use).
-    pub(crate) fn spill_runs(&mut self, k: usize) -> Result<Vec<RunWriter>> {
+    /// Open a fresh spill run in this query's scratch file (creating it on
+    /// first use).
+    pub(crate) fn spill_run(&mut self) -> Result<RunWriter> {
         let dir = match &mut self.spill_dir {
             Some(dir) => dir,
             none => none.insert(SpillDir::create()?),
         };
-        (0..k).map(|_| dir.create_run()).collect()
+        dir.create_run()
+    }
+
+    /// Open `k` fresh spill runs (see [`ExecContext::spill_run`]).
+    pub(crate) fn spill_runs(&mut self, k: usize) -> Result<Vec<RunWriter>> {
+        (0..k).map(|_| self.spill_run()).collect()
     }
 
     /// Rows currently resident in operator state (0 after a clean close).

@@ -43,6 +43,11 @@
 //! ([`op::spill`]), so workloads larger than memory complete with bounded
 //! residency and identical results ([`Metrics::rows_spilled`] counts the
 //! traffic).
+//!
+//! A statement runs start to finish on the thread that calls the
+//! executor. Concurrency is between statements: an [`ExecContext`] is one
+//! statement's, and many of them may read one catalog from as many
+//! threads at once.
 
 pub mod config;
 pub mod cost;
@@ -53,7 +58,7 @@ pub mod op;
 pub mod physical;
 pub mod planner;
 
-pub use config::{default_threads, hardware_threads, ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
+pub use config::{ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
 pub use cost::{CostEstimate, Estimator};
 pub use exec::{
     execute, execute_collect, execute_logical, execute_profiled, execute_values, ExecContext,

@@ -151,11 +151,13 @@ impl<'p> ApplyOp<'p> {
         ctx: &mut ExecContext<'_>,
     ) -> Result<SetValue> {
         ctx.metrics.apply_invocations += 1;
-        match inner.as_mut() {
-            Some(op) => op.rebind(sub_env),
-            None => *inner = Some(build(subquery, sub_env)),
-        }
-        let inner = inner.as_mut().expect("built or rebound above");
+        let inner = match inner {
+            Some(op) => {
+                op.rebind(sub_env);
+                op
+            }
+            None => inner.insert(build(subquery, sub_env)),
+        };
         inner.open_timed(ctx)?;
         let res = drain(inner, ctx);
         inner.close_timed(ctx);

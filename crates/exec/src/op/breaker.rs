@@ -14,11 +14,10 @@ use crate::op::spill::{self, total_rows, Drained, PartFn, Partitions, Side};
 use crate::op::{Rows, Shape};
 
 /// Materialized kernel of a breaker over `N` inputs, each a slice of rows
-/// and the shape its operator emits them in. `Fn + Send + Sync` so
-/// a wave can run it concurrently over several spill partitions — all
-/// mutable state (env, metrics) comes in through the arguments.
+/// and the shape its operator emits them in. `Fn`, as it runs once per
+/// spill partition.
 pub(super) type Kernel<'p, const N: usize> =
-    Box<dyn Fn([Rows<'_>; N], &Env<'_>, &mut Metrics) -> Result<Vec<Record>> + Send + Sync + 'p>;
+    Box<dyn Fn([Rows<'_>; N], &Env<'_>, &mut Metrics) -> Result<Vec<Record>> + 'p>;
 
 /// A pipeline breaker: drains its `N` inputs, runs a materialized kernel
 /// over them, then re-emits the result in batches.
@@ -157,24 +156,23 @@ impl<const N: usize> Operator for Breaker<'_, N> {
             let env = &*env;
             let sides = Self::sides(&self.parts);
             let all_empty = |files: &[SpillFile; N]| files.iter().all(SpillFile::is_empty);
-            let Some(wave) = grace.next_wave(ctx, env, sides, total_rows, all_empty, stats)? else {
+            let Some(part) = grace.next(ctx, env, sides, total_rows, all_empty, stats)? else {
                 self.grace = None;
                 return Ok(None);
             };
             let kernel = &self.kernel;
             let shapes: [&Shape; N] = std::array::from_fn(|i| self.inputs[i].shape());
-            self.out
-                .extend(spill::run_wave(ctx, env, wave, |files, env, m| {
-                    let mut inputs = Vec::with_capacity(N);
-                    for f in &files {
-                        inputs.push(f.reader()?.read_all()?);
-                    }
-                    kernel(
-                        std::array::from_fn(|i| (inputs[i].as_slice(), shapes[i])),
-                        env,
-                        m,
-                    )
-                })?);
+            self.out.extend(spill::run_partition(ctx, part, |files, m| {
+                let mut inputs = Vec::with_capacity(N);
+                for f in &files {
+                    inputs.push(f.reader()?.read_all()?);
+                }
+                kernel(
+                    std::array::from_fn(|i| (inputs[i].as_slice(), shapes[i])),
+                    env,
+                    m,
+                )
+            })?);
         }
     }
 

@@ -80,7 +80,7 @@ impl<'p> NlJoinOp<'p> {
                         ctx.resident_acquire(b.len());
                         rows.extend(b.rows);
                         if ctx.over_budget(rows.len()) {
-                            let mut w = ctx.spill_runs(1)?.pop().expect("one run requested");
+                            let mut w = ctx.spill_run()?;
                             for r in &rows {
                                 w.write(r)?;
                             }
@@ -501,11 +501,11 @@ impl Operator for HashJoinOp<'_> {
                         Some(out)
                     }
                 },
-                // Grace path: a wave of partition pairs, each weighing its
-                // build rows. Every join kind emits per probe row (or
-                // pair), so a pair without probe rows is skipped.
+                // Grace path: the next partition pair, weighing its build
+                // rows. Every join kind emits per probe row (or pair), so a
+                // pair without probe rows is skipped.
                 Build::Grace(parts) => parts
-                    .next_wave(
+                    .next(
                         ctx,
                         env,
                         [build_side, probe_side],
@@ -513,8 +513,8 @@ impl Operator for HashJoinOp<'_> {
                         |[_, probe]| probe.is_empty(),
                         stats,
                     )?
-                    .map(|wave| {
-                        spill::run_wave(ctx, env, wave, |[build_f, probe_f], env, m| {
+                    .map(|part| {
+                        spill::run_partition(ctx, part, |[build_f, probe_f], m| {
                             let build_rows = build_f.reader()?.read_all()?;
                             let table = hash::build(build_rows, &rs, right_keys, env, m)?;
                             let mut out = Vec::new();

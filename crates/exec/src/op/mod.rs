@@ -19,7 +19,6 @@
 
 pub mod apply;
 mod breaker;
-pub mod exchange;
 pub mod group;
 pub mod hash;
 mod join;

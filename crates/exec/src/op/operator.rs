@@ -21,10 +21,8 @@
 //! and set-expression leaves), `stream.rs` (σ, π, map, extend, μ),
 //! `join.rs` (nested-loop, index nested-loop, hash), `breaker.rs` (ν,
 //! GROUP BY, sort-merge join, set operations) and [`crate::op::apply`].
-//! Every operator has **one** `next_batch` body at every thread count:
-//! work that can fan out goes through
-//! [`exchange::scatter`](crate::op::exchange::scatter), which runs in place
-//! with one thread. Under [`crate::ExecConfig::memory_budget_rows`] the
+//! The tree runs on the thread that drives it. Under
+//! [`crate::ExecConfig::memory_budget_rows`] the
 //! breakers cap their resident state and spill the excess to disk; the
 //! one partition driver in [`crate::op::spill`] decides what happens to
 //! each spilled partition for all of them.
@@ -106,10 +104,7 @@ pub struct OpStats {
     /// `next_batch`, and `close` calls, *inclusive* of its children
     /// (a parent's span covers the pulls it issues downstream, exactly
     /// like `EXPLAIN ANALYZE` elsewhere). Always 0 when
-    /// [`crate::ExecConfig::collect_timing`] is off. Spans are measured
-    /// on the driver thread: a parallel worker wave running inside one
-    /// operator's `next_batch` contributes the wave's wall-clock — the
-    /// slowest worker, not the sum of per-worker CPU.
+    /// [`crate::ExecConfig::collect_timing`] is off.
     pub wall_nanos: u64,
 }
 
@@ -675,9 +670,8 @@ mod tests {
             var: "x".into(),
             pred: None,
         };
-        // Serial: the exact shape is pinned — full batches then the rest.
-        let mut ctx =
-            ExecContext::with_config(&cat, &ExecConfig::default().batch_size(3).threads(1));
+        // Full batches, then the rest.
+        let mut ctx = ExecContext::with_config(&cat, &ExecConfig::default().batch_size(3));
         let mut root = build(&plan, &Env::new());
         root.open(&mut ctx).unwrap();
         let mut sizes = Vec::new();
@@ -688,18 +682,6 @@ mod tests {
         root.close(&mut ctx);
         assert_eq!(sizes, vec![3, 3, 3, 1]);
         assert_eq!(ctx.metrics.batches_emitted, 4);
-        assert_eq!(ctx.metrics.rows_scanned, 10);
-        // Parallel waves may cut differently (⌈batch/threads⌉-row
-        // morsels), but the cap and the row total are invariant.
-        let mut ctx =
-            ExecContext::with_config(&cat, &ExecConfig::default().batch_size(3).threads(4));
-        let mut root = build(&plan, &Env::new());
-        root.open(&mut ctx).unwrap();
-        while let Some(b) = root.pull(&mut ctx).unwrap() {
-            assert!(!b.is_empty(), "operators never emit empty batches");
-            assert!(b.len() <= 3, "batch overflows batch_size: {}", b.len());
-        }
-        root.close(&mut ctx);
         assert_eq!(ctx.metrics.rows_scanned, 10);
     }
 

@@ -10,24 +10,18 @@ use tmql_storage::spill::RunReader;
 use tmql_storage::RowTest;
 
 use crate::exec::ExecContext;
+use crate::op;
 use crate::op::operator::{op_base, pop_carry, Batch, OpBase, Operator};
-use crate::op::{self, exchange};
 use crate::planner::scan_pretest;
 
-/// Morsel-driven scan over a stored table — with the selection directly
-/// over it fused in, when there is one; reads row ranges through
+/// Scan over a stored table — with the selection directly over it fused
+/// in, when there is one; reads row ranges through
 /// [`tmql_storage::Table::batch_where`], never cloning the whole extension.
 ///
-/// Each refill issues one wave of [`ExecContext::threads`] consecutive row
-/// ranges (morsels) through [`exchange::scatter`] — disk-backed tables
-/// fault their pages in concurrently through the latch-based buffer pool —
-/// and gathers the results in range order into a carry queue, so emitted
-/// batches keep the table's order at every thread count. Morsels are
-/// `⌈batch_size / threads⌉` rows each, so a wave holds roughly **one**
-/// batch in flight regardless of the worker count (one morsel of
-/// `batch_size` rows, read in place, at one thread):
-/// `peak_resident_rows` stays bounded by `O(batch_size)` instead of
-/// growing as `threads × batch_size`.
+/// Each refill reads the next `batch_size` rows of the table (disk-backed
+/// tables stream the pages they need through the buffer pool) into a carry
+/// queue, so emitted batches keep the table's order and
+/// `peak_resident_rows` stays bounded by one batch.
 ///
 /// A selection is applied in two steps. `open` evaluates the keys of the
 /// predicate's leading `var.attr ⟨cmp⟩ key` conjuncts
@@ -96,7 +90,6 @@ impl Operator for ScanTableOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let n = ctx.batch_size();
-        let threads = ctx.threads();
         loop {
             if let Some(b) = pop_carry(&mut self.carry, n, ctx) {
                 return Ok(Some(b));
@@ -104,38 +97,28 @@ impl Operator for ScanTableOp<'_> {
             if self.exhausted {
                 return Ok(None);
             }
-            // One wave: `threads` consecutive morsels totalling about one
-            // batch, gathered in order. Owned rows: in-memory tables hand
-            // out handles to their shared rows; disk-backed tables stream
-            // the needed pages through the buffer pool.
+            // Owned rows: in-memory tables hand out handles to their shared
+            // rows; disk-backed tables stream the needed pages through the
+            // buffer pool.
             let t = ctx.catalog.table(self.table)?;
-            let test = &self.test;
-            let m = n.div_ceil(threads).max(1);
-            let starts: Vec<usize> = (0..threads).map(|i| self.pos + i * m).collect();
-            let results = exchange::scatter(threads, starts, |start| t.batch_where(start, m, test));
-            for res in results {
-                let (rows, visited) = res?;
-                self.exhausted = visited < m;
-                self.pos += visited;
-                ctx.metrics.rows_scanned += visited as u64;
-                if let Some(pred) = self.pred {
-                    ctx.metrics.comparisons += visited as u64;
-                    ctx.metrics.rows_emitted += visited as u64;
-                    self.base.stats.rows_skipped += (visited - rows.len()) as u64;
-                    let OpBase { env, shape, .. } = &self.base;
-                    for row in rows {
-                        if eval_predicate(pred, &op::bind(env, shape, &row))? {
-                            ctx.resident_acquire(1);
-                            self.carry.push_back(row);
-                        }
+            let (rows, visited) = t.batch_where(self.pos, n, &self.test)?;
+            self.exhausted = visited < n;
+            self.pos += visited;
+            ctx.metrics.rows_scanned += visited as u64;
+            if let Some(pred) = self.pred {
+                ctx.metrics.comparisons += visited as u64;
+                ctx.metrics.rows_emitted += visited as u64;
+                self.base.stats.rows_skipped += (visited - rows.len()) as u64;
+                let OpBase { env, shape, .. } = &self.base;
+                for row in rows {
+                    if eval_predicate(pred, &op::bind(env, shape, &row))? {
+                        ctx.resident_acquire(1);
+                        self.carry.push_back(row);
                     }
-                } else {
-                    ctx.resident_acquire(rows.len());
-                    self.carry.extend(rows);
                 }
-                if self.exhausted {
-                    break;
-                }
+            } else {
+                ctx.resident_acquire(rows.len());
+                self.carry.extend(rows);
             }
         }
     }
@@ -287,17 +270,15 @@ impl<'p> ScanExprOp<'p> {
         let set = eval(self.expr, &self.base.env)?;
         let mut items: VecDeque<Value> = set.as_set()?.iter().cloned().collect();
         if let Some(keep) = ctx.memory_budget_rows().filter(|b| items.len() > *b) {
-            let mut ws = ctx.spill_runs(1)?;
-            if let Some(mut w) = ws.pop() {
-                for item in items.drain(keep..) {
-                    w.write(&op::bind_row(&self.var, item))?;
-                }
-                let spilled = w.rows();
-                ctx.metrics.rows_spilled += spilled;
-                ctx.metrics.spill_partitions += 1;
-                self.base.stats.rows_spilled += spilled;
-                self.overflow = Some(w.finish()?.reader()?);
+            let mut w = ctx.spill_run()?;
+            for item in items.drain(keep..) {
+                w.write(&op::bind_row(&self.var, item))?;
             }
+            let spilled = w.rows();
+            ctx.metrics.rows_spilled += spilled;
+            ctx.metrics.spill_partitions += 1;
+            self.base.stats.rows_spilled += spilled;
+            self.overflow = Some(w.finish()?.reader()?);
         }
         ctx.resident_acquire(items.len());
         Ok(items)

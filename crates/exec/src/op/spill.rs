@@ -23,22 +23,18 @@
 //! Getting them back has **one**: [`Partitions`], the partition driver
 //! shared by the grace hash join, the breakers over one or two inputs and
 //! [`SpillDedup`]. It queues `N` aligned runs per partition and
-//! [`Partitions::next_wave`] alone decides each partition's fate — a
+//! [`Partitions::next`] alone decides each partition's fate — a
 //! partition still over budget is **recursively repartitioned** with a
 //! fresh hash seed, up to [`MAX_REPARTITION_DEPTH`] (past that —
 //! pathological skew, one key carrying more rows than the whole budget —
 //! it is processed in memory anyway: correctness first, the gauge records
 //! the overshoot); a partition the operator cannot produce output from is
-//! dropped unread; the rest form a wave of at most
-//! [`ExecContext::threads`] partitions whose summed weight fits the
-//! budget (always at least one). [`run_wave`] hands each partition of the
-//! wave to the operator's kernel through
-//! [`exchange::scatter`] — in place at one
-//! thread — and materialises the outputs, so a spilled partition's result
-//! is resident once, whole, at every thread count. The operator supplies
-//! only what differs: per input a [`Side`] (partition key, NULL-key
-//! routing), a *weight* (the rows its kernel holds resident), a *skip*
-//! rule and the kernel.
+//! dropped unread; the next one left is handed out. [`run_partition`]
+//! runs the operator's kernel over it in place and materialises the
+//! output, so a spilled partition's result is resident once, whole. The
+//! operator supplies only what differs: per input a [`Side`] (partition
+//! key, NULL-key routing), a *weight* (the rows its kernel holds
+//! resident), a *skip* rule and the kernel.
 
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -51,7 +47,7 @@ use tmql_storage::spill::{RunWriter, SpillFile};
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{pop_carry, Batch, BoxedOperator, OpStats};
-use crate::op::{self, exchange, Shape};
+use crate::op::{self, Shape};
 
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
@@ -365,13 +361,6 @@ pub struct Partitions<const N: usize> {
     queue: VecDeque<([SpillFile; N], usize)>,
 }
 
-/// The partitions [`Partitions::next_wave`] selected for one
-/// [`run_wave`], and their summed weight.
-pub struct Wave<const N: usize> {
-    parts: Vec<[SpillFile; N]>,
-    weight: u64,
-}
-
 impl<const N: usize> Partitions<N> {
     /// Queue the first-pass (seed 0) runs of every input, `i`-th with
     /// `i`-th.
@@ -381,8 +370,9 @@ impl<const N: usize> Partitions<N> {
         }
     }
 
-    /// Select the next partitions to process, or `None` when the queue is
-    /// exhausted. Front to back, each partition is
+    /// The next partition to process — its `N` aligned runs and its
+    /// weight — or `None` when the queue is exhausted. Front to back, each
+    /// partition is
     ///
     /// 1. **re-split** when its `weight` exceeds the budget, it is above
     ///    one row and below [`MAX_REPARTITION_DEPTH`]: every side is
@@ -390,11 +380,8 @@ impl<const N: usize> Partitions<N> {
     ///    and the children take its place in the queue;
     /// 2. else **dropped** unread when `skip` says the kernel has nothing
     ///    to produce from it;
-    /// 3. else **taken** into the wave — unless the wave already holds a
-    ///    partition and this one would push the summed weight over the
-    ///    budget, or the wave already has [`ExecContext::threads`]
-    ///    partitions.
-    pub fn next_wave(
+    /// 3. else **handed out**.
+    pub fn next(
         &mut self,
         ctx: &mut ExecContext<'_>,
         env: &Env<'_>,
@@ -402,15 +389,8 @@ impl<const N: usize> Partitions<N> {
         weight: impl Fn(&[SpillFile; N]) -> u64,
         skip: impl Fn(&[SpillFile; N]) -> bool,
         ops: &mut OpStats,
-    ) -> Result<Option<Wave<N>>> {
-        let mut wave = Wave {
-            parts: Vec::new(),
-            weight: 0,
-        };
-        while wave.parts.len() < ctx.threads() {
-            let Some((files, depth)) = self.queue.pop_front() else {
-                break;
-            };
+    ) -> Result<Option<([SpillFile; N], u64)>> {
+        while let Some((files, depth)) = self.queue.pop_front() {
             let w = weight(&files);
             if ctx.over_budget(w as usize) && depth < MAX_REPARTITION_DEPTH && w > 1 {
                 let mut subs = Vec::with_capacity(N);
@@ -421,45 +401,29 @@ impl<const N: usize> Partitions<N> {
                 for files in children.into_iter().rev() {
                     self.queue.push_front((files, depth + 1));
                 }
-            } else if skip(&files) {
-                // Dropping the runs deletes them unread.
-            } else if !wave.parts.is_empty() && ctx.over_budget((wave.weight + w) as usize) {
-                self.queue.push_front((files, depth));
-                break;
-            } else {
-                wave.weight += w;
-                wave.parts.push(files);
+            } else if !skip(&files) {
+                return Ok(Some((files, w)));
             }
+            // A skipped partition's runs are deleted unread as they drop.
         }
-        Ok((!wave.parts.is_empty()).then_some(wave))
+        Ok(None)
     }
 }
 
-/// Run `kernel` over every partition of `wave` — concurrently on up to
-/// [`ExecContext::threads`] workers, each over the shared `env` with
-/// fresh [`Metrics`] that are merged back — and return the outputs
-/// concatenated in partition order. The wave's weight is held in the
-/// resident gauge while the kernels run; the returned rows are **already
-/// counted** in it (the caller releases them as it emits them). On an
-/// error nothing stays counted.
-pub fn run_wave<const N: usize>(
+/// Run `kernel` over one partition, in place on the context's metrics,
+/// and return its output. The partition's weight is held in the resident
+/// gauge while the kernel runs; the returned rows are **already counted**
+/// in it (the caller releases them as it emits them). On an error nothing
+/// stays counted.
+pub fn run_partition<const N: usize>(
     ctx: &mut ExecContext<'_>,
-    env: &Env<'_>,
-    wave: Wave<N>,
-    kernel: impl Fn([SpillFile; N], &Env<'_>, &mut Metrics) -> Result<Vec<Record>> + Sync,
+    (files, weight): ([SpillFile; N], u64),
+    kernel: impl FnOnce([SpillFile; N], &mut Metrics) -> Result<Vec<Record>>,
 ) -> Result<Vec<Record>> {
-    ctx.resident_acquire(wave.weight as usize);
-    let results = exchange::scatter(ctx.threads(), wave.parts, |files| {
-        let mut m = Metrics::new();
-        kernel(files, env, &mut m).map(|rows| (rows, m))
-    });
-    ctx.resident_release(wave.weight as usize);
-    let mut out = Vec::new();
-    for res in results {
-        let (rows, m) = res?;
-        ctx.metrics += m;
-        out.extend(rows);
-    }
+    ctx.resident_acquire(weight as usize);
+    let out = kernel(files, &mut ctx.metrics);
+    ctx.resident_release(weight as usize);
+    let out = out?;
     ctx.resident_acquire(out.len());
     Ok(out)
 }
@@ -487,7 +451,7 @@ pub struct SpillDedup {
     /// The input is exhausted (and `writers`, if any, became `drain`).
     sealed: bool,
     drain: Option<Partitions<2>>,
-    /// Deferred rows a drain wave produced, handed out in batches.
+    /// Deferred rows a drained partition produced, handed out in batches.
     ready: VecDeque<Record>,
 }
 
@@ -614,13 +578,13 @@ impl SpillDedup {
                 return Ok(None);
             };
             let no_candidates = |[_, cand]: &[SpillFile; 2]| cand.is_empty();
-            let wave = drain.next_wave(ctx, &env, [side; 2], total_rows, no_candidates, ops)?;
-            let Some(wave) = wave else {
+            let part = drain.next(ctx, &env, [side; 2], total_rows, no_candidates, ops)?;
+            let Some(part) = part else {
                 self.drain = None;
                 return Ok(None);
             };
             self.ready
-                .extend(run_wave(ctx, &env, wave, |[seen_f, cand_f], _, _| {
+                .extend(run_partition(ctx, part, |[seen_f, cand_f], _| {
                     let mut seen: RecordSet = seen_f.reader()?.read_all()?.into_iter().collect();
                     let mut out = cand_f.reader()?.read_all()?;
                     out.retain(|r| seen.insert(r.clone()));
@@ -667,7 +631,7 @@ mod tests {
 
     /// A hand-built run of one-field rows; a negative key stands for NULL.
     fn run_of(ctx: &mut ExecContext<'_>, keys: impl IntoIterator<Item = i64>) -> SpillFile {
-        let mut w = ctx.spill_runs(1).unwrap().pop().unwrap();
+        let mut w = ctx.spill_run().unwrap();
         for k in keys {
             let v = if k < 0 { Value::Null } else { Value::Int(k) };
             w.write(&Record::single("k".into(), v)).unwrap();
@@ -680,12 +644,12 @@ mod tests {
         rows.iter().map(|r| r.get("k").unwrap().clone()).collect()
     }
 
-    /// One wave as the test sees it: its weight and, per partition, the
-    /// keys in each side's run.
-    type Seen<const N: usize> = (u64, Vec<[Vec<Value>; N]>);
+    /// One partition as the test sees it: its weight and the keys in each
+    /// side's run.
+    type Seen<const N: usize> = (u64, [Vec<Value>; N]);
 
     /// Drain the driver under weight = summed rows, skip = every run empty.
-    fn waves<const N: usize>(
+    fn drain<const N: usize>(
         mut parts: Partitions<N>,
         ctx: &mut ExecContext<'_>,
         drop_nullkey: [bool; N],
@@ -698,40 +662,33 @@ mod tests {
         });
         let all_empty = |f: &[SpillFile; N]| f.iter().all(SpillFile::is_empty);
         let mut out = Vec::new();
-        while let Some(w) = parts
-            .next_wave(ctx, &Env::new(), sides, total_rows, all_empty, ops)
+        while let Some((files, weight)) = parts
+            .next(ctx, &Env::new(), sides, total_rows, all_empty, ops)
             .unwrap()
         {
-            let keys = |p: &[SpillFile; N]| std::array::from_fn(|i| keys_of(&p[i]));
-            out.push((w.weight, w.parts.iter().map(keys).collect()));
+            out.push((weight, std::array::from_fn(|i| keys_of(&files[i]))));
         }
         out
     }
 
-    fn ctx_with(cat: &Catalog, budget: usize, threads: usize) -> ExecContext<'_> {
-        let config = ExecConfig::default().memory_budget(budget);
-        ExecContext::with_config(cat, &config.threads(threads))
+    fn ctx_with(cat: &Catalog, budget: usize) -> ExecContext<'_> {
+        ExecContext::with_config(cat, &ExecConfig::default().memory_budget(budget))
     }
 
     #[test]
-    fn waves_are_never_empty_skip_without_io_and_fit_the_budget() {
+    fn partitions_come_one_at_a_time_and_skip_without_io() {
         let cat = Catalog::new();
-        let mut ctx = ctx_with(&cat, 10, 4);
+        let mut ctx = ctx_with(&cat, 10);
         let sizes = [0, 4, 0, 4, 4, 0, 4, 9, 3, 0];
         let runs = sizes.map(|n| run_of(&mut ctx, 0..n)).into();
         let mut ops = OpStats::default();
-        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
-        // 4+4 fit and a third 4 would not; 4+4 again; 9 alone; 3 alone.
-        // Every non-empty partition is handed out once, in queue order; no
-        // wave is empty although empty partitions sit between them.
-        let shape: Vec<Vec<usize>> = got
-            .iter()
-            .map(|(_, parts)| parts.iter().map(|[run]| run.len()).collect())
-            .collect();
-        assert_eq!(shape, vec![vec![4, 4], vec![4, 4], vec![9], vec![3]]);
-        for ((weight, _), rows) in got.iter().zip(&shape) {
-            assert_eq!(*weight, rows.iter().sum::<usize>() as u64);
-            assert!(rows.len() == 1 || *weight <= 10, "over budget: {rows:?}");
+        let got = drain(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        // Every non-empty partition is handed out once, alone, in queue
+        // order, weighing its rows; the empty ones between them are not.
+        let weights: Vec<u64> = got.iter().map(|(w, _)| *w).collect();
+        assert_eq!(weights, vec![4, 4, 4, 4, 9, 3]);
+        for (weight, [run]) in &got {
+            assert_eq!(*weight, run.len() as u64);
         }
         assert_eq!(ops.rows_spilled, 0, "nothing was re-split");
         assert_eq!(ctx.metrics.spill_partitions, 0, "no run was written");
@@ -740,19 +697,19 @@ mod tests {
     #[test]
     fn oversize_partition_is_resplit_with_seed_depth_in_queue_order() {
         let cat = Catalog::new();
-        let mut ctx = ctx_with(&cat, 8, 1);
+        let mut ctx = ctx_with(&cat, 8);
         let runs = vec![run_of(&mut ctx, 0..20), run_of(&mut ctx, 100..102)];
         let mut ops = OpStats::default();
-        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        let got = drain(Partitions::new([runs]), &mut ctx, [false], &mut ops);
         assert_eq!(ops.rows_spilled, 20, "only the 20-row partition re-split");
-        // One thread: one partition per wave. The 20 rows come back as the
-        // non-empty runs of a split under seed 1 (the parent's depth), in
-        // run order and ahead of the sibling that was queued behind them.
+        // The 20 rows come back as the non-empty runs of a split under
+        // seed 1 (the parent's depth), in run order and ahead of the
+        // sibling that was queued behind them.
         let Some(((_, sibling), children)) = got.split_last() else {
-            panic!("no waves");
+            panic!("no partitions");
         };
-        assert_eq!(sibling[0][0], vec![Value::Int(100), Value::Int(101)]);
-        let children: Vec<&Vec<Value>> = children.iter().map(|(_, p)| &p[0][0]).collect();
+        assert_eq!(sibling[0], vec![Value::Int(100), Value::Int(101)]);
+        let children: Vec<&Vec<Value>> = children.iter().map(|(_, p)| &p[0]).collect();
         assert_eq!(children.iter().map(|c| c.len()).sum::<usize>(), 20);
         let slots: Vec<usize> = children.iter().map(|c| slot(&c[0], 1)).collect();
         assert!(slots.windows(2).all(|p| p[0] < p[1]), "{slots:?}");
@@ -765,19 +722,19 @@ mod tests {
     fn recursion_stops_at_max_depth_and_at_one_row() {
         let cat = Catalog::new();
         // One key carries every row: no seed can split it.
-        let mut ctx = ctx_with(&cat, 4, 1);
+        let mut ctx = ctx_with(&cat, 4);
         let runs = vec![run_of(&mut ctx, [7; 20])];
         let mut ops = OpStats::default();
-        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        let got = drain(Partitions::new([runs]), &mut ctx, [false], &mut ops);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1[0][0].len(), 20, "processed whole, over budget");
+        assert_eq!(got[0].1[0].len(), 20, "processed whole, over budget");
         let passes = (MAX_REPARTITION_DEPTH - 1) as u64;
         assert_eq!(ops.rows_spilled, 20 * passes, "depths 1..MAX re-split");
         // A single row is over a zero budget, and still not re-split.
-        let mut ctx = ctx_with(&cat, 0, 1);
+        let mut ctx = ctx_with(&cat, 0);
         let runs = vec![run_of(&mut ctx, [1])];
         let mut ops = OpStats::default();
-        let got = waves(Partitions::new([runs]), &mut ctx, [false], &mut ops);
+        let got = drain(Partitions::new([runs]), &mut ctx, [false], &mut ops);
         assert_eq!((got.len(), ops.rows_spilled), (1, 0));
     }
 
@@ -836,15 +793,15 @@ mod tests {
     #[test]
     fn null_keys_drop_or_land_in_partition_zero_per_side() {
         let cat = Catalog::new();
-        let mut ctx = ctx_with(&cat, 8, 1);
+        let mut ctx = ctx_with(&cat, 8);
         // Sixteen keyed rows and three NULL-key rows on both sides: the
         // pair is over budget, so both sides are re-split.
         let keys = || (0..16).chain([-1, -1, -1]);
         let (l, r) = (run_of(&mut ctx, keys()), run_of(&mut ctx, keys()));
         let mut ops = OpStats::default();
         let parts = Partitions::new([vec![l], vec![r]]);
-        let got = waves(parts, &mut ctx, [true, false], &mut ops);
-        let pairs: Vec<&[Vec<Value>; 2]> = got.iter().flat_map(|(_, p)| p).collect();
+        let got = drain(parts, &mut ctx, [true, false], &mut ops);
+        let pairs: Vec<&[Vec<Value>; 2]> = got.iter().map(|(_, p)| p).collect();
         let nulls = |run: &Vec<Value>| run.iter().filter(|k| k.is_null()).count();
         let total = |side: usize| pairs.iter().map(|p| p[side].len()).sum::<usize>();
         assert_eq!((total(0), total(1)), (16, 19), "dropped left, kept right");

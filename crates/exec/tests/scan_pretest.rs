@@ -17,7 +17,7 @@
 //! * **the fused scan is indistinguishable from a `Filter` over an
 //!   unfiltered scan** — rows, errors, `rows_scanned`, `comparisons` and
 //!   `total_work` — on an in-memory table, a disk table that fits its pool
-//!   and one behind a 4-page pool, at 1, 2 and 4 worker threads.
+//!   and one behind a 4-page pool.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -359,11 +359,9 @@ proptest! {
         starved.register(table(&rows)).expect("registers");
 
         for (name, cat) in [("memory", &mem), ("disk-warm", &warm), ("disk-4-pages", &starved)] {
-            for threads in [1, 2, 4] {
-                let config = ExecConfig::default().batch_size(batch).threads(threads);
-                let what = format!("{name}, {threads} threads, batch {batch}");
-                assert_same(&run(&fused, cat, &config, &env), &run(&pair, cat, &config, &env), &what);
-            }
+            let config = ExecConfig::default().batch_size(batch);
+            let what = format!("{name}, batch {batch}");
+            assert_same(&run(&fused, cat, &config, &env), &run(&pair, cat, &config, &env), &what);
         }
         drop((warm, starved));
         remove_db(&warm_path);
@@ -391,19 +389,15 @@ fn a_fully_rejected_morsel_does_not_end_the_scan() {
     let mut cat = Catalog::new();
     cat.register(table(&int_rows(0..10))).unwrap();
     let pred = E::cmp(CmpOp::Ge, E::path("x", &["a"]), E::lit(6i64));
-    for threads in [1, 2, 4] {
-        // Morsels of ⌈2 / threads⌉ rows: the first three waves are all
-        // rejected at every thread count.
-        let config = ExecConfig::default().batch_size(2).threads(threads);
-        let mut ctx = ExecContext::with_config(&cat, &config);
-        let (rows, profile) =
-            execute_collect(&scan(Some(pred.clone())), &mut ctx, &Env::new(), None).unwrap();
-        assert_eq!(rows.len(), 4, "{threads} threads: rows 6..10 survive");
-        assert_eq!(ctx.metrics.rows_scanned, 10, "{threads} threads");
-        assert_eq!(profile[0].rows_skipped, 6, "{threads} threads");
-        assert_eq!(profile[0].label, "Scan(X)[σ]");
-        assert_eq!(ctx.resident_rows(), 0, "close released the carry");
-    }
+    // Refills of 2 rows: the first three are rejected whole.
+    let config = ExecConfig::default().batch_size(2);
+    let mut ctx = ExecContext::with_config(&cat, &config);
+    let (rows, profile) = execute_collect(&scan(Some(pred)), &mut ctx, &Env::new(), None).unwrap();
+    assert_eq!(rows.len(), 4, "rows 6..10 survive");
+    assert_eq!(ctx.metrics.rows_scanned, 10);
+    assert_eq!(profile[0].rows_skipped, 6);
+    assert_eq!(profile[0].label, "Scan(X)[σ]");
+    assert_eq!(ctx.resident_rows(), 0, "close released the carry");
 }
 
 /// Inside an uncached `Apply` the scan is re-opened per outer row after a
@@ -428,7 +422,7 @@ fn a_correlated_key_is_reevaluated_after_rebind() {
         .map(E::path("x", &["a"]), "v");
     let plan = Plan::scan("O", "o").apply(sub, "z");
     for cached in [false, true] {
-        let config = ExecConfig::default().apply_cache(cached).threads(1);
+        let config = ExecConfig::default().apply_cache(cached);
         let phys = lower(&plan, &cat, &config).unwrap();
         if !cached {
             let PhysPlan::Apply { subquery, .. } = &phys else {
@@ -468,7 +462,7 @@ fn the_profile_and_the_estimates_line_up() {
     let plan = Plan::scan("X", "x")
         .select(pred.clone())
         .map(E::path("x", &["a"]), "v");
-    let config = ExecConfig::default().threads(1);
+    let config = ExecConfig::default();
     let phys = lower(&plan, &cat, &config).unwrap();
     assert!(!phys.explain().contains("Filter"), "{phys}");
     let est = Estimator::new(&cat).exec_order_rows_phys(&phys);

@@ -1,9 +1,9 @@
 //! The buffer pool: a fixed set of page frames shared **concurrently** by
 //! every reader of one database file.
 //!
-//! Since the morsel-parallel executor, scans pin pages from many worker
-//! threads at once, so the pool is latch-based rather than hidden behind
-//! one big mutex:
+//! Many statements read one database at once, each on its own thread
+//! (a thread holds one pin at a time), so the pool is latch-based rather
+//! than hidden behind one big mutex:
 //!
 //! * each frame carries its own reader/writer **latch** (the page data),
 //!   an atomic **pin count**, and atomic dirty/referenced bits;
@@ -743,7 +743,7 @@ mod tests {
 
     #[test]
     fn concurrent_scans_share_a_tiny_pool() {
-        // The satellite stress test: N threads hammer a 4-frame pool over
+        // The stress test: N threads hammer a 4-frame pool over
         // 8 pages; every read sees the right bytes, the hit/miss counters
         // account for every request, and all pins return to zero.
         //

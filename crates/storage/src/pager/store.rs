@@ -13,8 +13,8 @@
 //!
 //! Reads ([`PagedStore::read_rows`]) are fully concurrent: the file uses
 //! positional I/O (`&self`), and the pool is latch-based (see
-//! [`super::pool`]), so parallel scan morsels share the store without a
-//! global lock. Writers ([`PagedStore::write_table`],
+//! [`super::pool`]), so statements running on many threads share the store
+//! without a global lock. Writers ([`PagedStore::write_table`],
 //! [`PagedStore::save_catalog`]) serialize on one write lock; the header
 //! state (watermark + free list) sits behind its own small mutex.
 //!
@@ -701,8 +701,8 @@ impl PagedStore {
     }
 
     /// Read up to `n` decoded rows starting at row offset `start`.
-    /// Fully concurrent: parallel scan morsels call this from worker
-    /// threads against disjoint row ranges.
+    /// Fully concurrent: statements on other threads may read the same
+    /// extent at the same time.
     pub fn read_rows(&self, extent: &TableExtent, start: usize, n: usize) -> Result<Vec<Record>> {
         let cap = n.min(extent.rows as usize);
         Ok(self.read_runs(extent, [(start, n)], cap, |_| true)?.0)
@@ -714,7 +714,7 @@ impl PagedStore {
     /// vector of capacity `cap`) and how many rows were visited (fewer
     /// than asked when a run passes the end of the extent). One cursor
     /// walks the extent's pages across all runs, so an index probe's
-    /// scattered positions cost one pass.
+    /// far-apart positions cost one pass.
     ///
     /// An inline row is visited **in place**, as a slice of its latched
     /// page: nothing is copied out, and a row `admit` turns down is never
@@ -1125,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn one_cursor_visits_scattered_runs_in_one_pass() {
+    fn one_cursor_visits_far_apart_runs_in_one_pass() {
         let path = scratch("runs");
         let store = PagedStore::create(&path, 4).unwrap();
         let mut rows = int_rows(2000);

@@ -24,8 +24,10 @@
 //! touches no file — and dropping it (and every reader of it) puts its
 //! blocks on a free list that later runs of the query draw from, so
 //! recursive repartitioning reuses the space of the partitions it
-//! consumed. Every read and write is positional: writers and readers on
-//! any number of threads share the file without a cursor, and the one
+//! consumed. Every read and write is positional: the many runs a statement
+//! has open at once — a breaker's partitions, the runs of breakers nested
+//! under an `Apply` — interleave their reads and writes without a shared
+//! cursor (as writers and readers on other threads could), and the one
 //! lock covers the block bookkeeping, taken once per extent. The one write
 //! and the one read call consult [`crate::failpoint`] under the name the
 //! file was created with.

@@ -43,8 +43,8 @@ meta commands:
   \\algo [name]       show or set the join algorithm: auto | nl | hash | merge
   \\set <opt> <val>   set a session option:
                      batch_size <rows> | memory_budget <rows|off> |
-                     threads <n|auto> | strategy <name> | algo <name> |
-                     rules <on|off> | typecheck <on|off>
+                     strategy <name> | algo <name> | rules <on|off> |
+                     typecheck <on|off>
   \\show              list the current session options
   \\explain <query>   show translated / optimized / physical plans (est_rows per operator)
   \\profile <query>   run the query; explain + executed operator tree
@@ -264,19 +264,6 @@ impl Shell {
                     Err(_) => println!("usage: \\set memory_budget <rows|off>"),
                 },
             },
-            "threads" => match val {
-                "auto" => {
-                    self.opts = self.opts.threads(tmql::hardware_threads());
-                    println!("threads: {} (auto)", self.opts.threads);
-                }
-                _ => match val.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        self.opts = self.opts.threads(n);
-                        println!("threads: {}", self.opts.threads);
-                    }
-                    _ => println!("usage: \\set threads <n|auto>"),
-                },
-            },
             "strategy" => match parse_strategy(val) {
                 Some(s) => {
                     self.opts.strategy = s;
@@ -337,7 +324,6 @@ impl Shell {
             Some(n) => println!("  memory_budget  {n} rows"),
             None => println!("  memory_budget  unbounded"),
         }
-        println!("  threads        {}", self.opts.threads);
         println!("  rules          {}", on_off(self.opts.apply_rules));
         println!("  typecheck      {}", on_off(self.opts.typecheck));
     }

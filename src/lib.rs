@@ -49,10 +49,7 @@ use std::time::Instant;
 
 pub use tmql_algebra::Plan;
 pub use tmql_core::{Classification, CostModel, UnnestStrategy};
-pub use tmql_exec::{
-    default_threads, hardware_threads, CostEstimate, Estimator, ExecConfig, JoinAlgo, Metrics,
-    OpProfile,
-};
+pub use tmql_exec::{CostEstimate, Estimator, ExecConfig, JoinAlgo, Metrics, OpProfile};
 pub use tmql_model::{Record, Ty, Value};
 pub use tmql_obs::{MetricsRegistry, QueryLog};
 pub use tmql_storage::{Catalog, RecoveryReport, Table, WalActivity};
@@ -194,22 +191,8 @@ pub struct QueryOptions {
     /// assert_eq!(QueryOptions::default().memory_budget_rows, None);
     /// ```
     pub memory_budget_rows: Option<usize>,
-    /// Worker threads for morsel-driven parallel execution (clamped to
-    /// ≥ 1): how many table-scan morsels or spilled partitions one wave
-    /// hands to scoped workers. The executor runs the same code at every
-    /// value (at `1` a wave is one item, processed on the calling
-    /// thread), and results and work counters do not depend on it; more
-    /// threads have so far measured slower than one. Defaults to 1
-    /// unless the `TMQL_THREADS` environment variable is set (`auto`
-    /// there means the machine's available parallelism) — see
-    /// [`tmql_exec::default_threads`].
-    ///
-    /// ```
-    /// use tmql::QueryOptions;
-    ///
-    /// assert_eq!(QueryOptions::default().threads(4).threads, 4);
-    /// assert_eq!(QueryOptions::default().threads(0).threads, 1);
-    /// ```
+    /// Ignored: execution is serial; kept until the benchmark's mirror is
+    /// deleted (ROADMAP "Unfence the benchmark" (c)).
     pub threads: usize,
     /// Memoize correlated `Apply` inner results by the outer row's
     /// correlation-binding values, and hoist correlation-independent
@@ -234,8 +217,7 @@ pub struct QueryOptions {
     /// Collect per-operator wall-clock timing during execution (default
     /// `true`; the `b14_observe` benchmark pins the overhead under 5%).
     /// When on, every operator's profile carries an inclusive `time=`
-    /// span — see [`OpProfile::wall_nanos`] for the exact semantics under
-    /// parallel worker waves. `false` skips all clock reads.
+    /// span — see [`OpProfile::wall_nanos`]. `false` skips all clock reads.
     ///
     /// ```
     /// use tmql::QueryOptions;
@@ -259,7 +241,7 @@ impl Default for QueryOptions {
             join_algo: JoinAlgo::Auto,
             batch_size: tmql_exec::DEFAULT_BATCH_SIZE,
             memory_budget_rows: None,
-            threads: tmql_exec::default_threads(),
+            threads: 1,
             apply_cache: true,
             apply_rules: true,
             typecheck: true,
@@ -296,8 +278,8 @@ impl QueryOptions {
         self
     }
 
-    /// Set the worker-thread count for parallel execution (clamped to
-    /// ≥ 1; at `1` every wave runs in place on the calling thread).
+    /// Ignored: execution is serial; kept until the benchmark's mirror is
+    /// deleted (ROADMAP "Unfence the benchmark" (c)).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -328,7 +310,7 @@ impl QueryOptions {
             join_algo: self.join_algo,
             batch_size: self.batch_size,
             memory_budget_rows: self.memory_budget_rows,
-            threads: self.threads.max(1),
+            threads: 1,
             apply_cache: self.apply_cache,
             collect_timing: self.collect_timing,
         }
@@ -433,11 +415,24 @@ impl QueryResult {
 /// (schemas, rows, statistics) persists across processes, and scans
 /// stream pages on demand, so the database can exceed the pool — and
 /// RAM.
+///
+/// A statement runs on the thread that calls [`Database::query_with`].
+/// Concurrency is many statements against one `Database` (it is `Send +
+/// Sync`; share it by reference or in an `Arc`): each reader pins at most
+/// one buffer-pool page at a time, so readers no more numerous than the
+/// pool's frames always get one, and a reader beyond that may get the
+/// typed I/O error `buffer pool exhausted` — never a wrong answer.
 #[derive(Debug, Default)]
 pub struct Database {
     catalog: Catalog,
     obs: DbObs,
 }
+
+// Fails to compile if `Database` stops being shareable between threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Database>();
+};
 
 /// Upper bucket bounds (microseconds) of the `tmql_query_wall_micros`
 /// latency histogram: 100µs to 5s, roughly half-decade steps.
@@ -1014,10 +1009,10 @@ impl Database {
         // estimator-backed cost model ranks CostBased candidates. The
         // memory budget flows in too, so under tight memory the model
         // charges spill I/O to plans with oversized breaker state.
-        let model = EstimatorCostModel(
-            Estimator::with_budget(&self.catalog, opts.memory_budget_rows)
-                .with_threads(opts.threads),
-        );
+        let model = EstimatorCostModel(Estimator::with_budget(
+            &self.catalog,
+            opts.memory_budget_rows,
+        ));
         let optimized = optimizer.optimize_with(translated.clone(), Some(&model));
         Ok((translated, optimized))
     }

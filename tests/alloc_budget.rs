@@ -77,8 +77,7 @@ fn scanning_a_row_allocates_a_small_fixed_number_of_times() {
         ..GenConfig::default()
     }));
     let query = "SELECT x.n FROM X x WHERE x.n < 0";
-    // Serial: a worker wave's thread spawns allocate per batch, not per row.
-    let opts = QueryOptions::default().threads(1);
+    let opts = QueryOptions::default();
     // Once unmeasured, so lazily initialised state is not charged.
     assert!(db.query_with(query, opts).expect("query runs").is_empty());
 

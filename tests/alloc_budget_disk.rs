@@ -72,8 +72,7 @@ fn scanning_a_disk_row_allocates_only_if_it_survives() {
     assert!(db.catalog().table("X").expect("X").is_disk_backed());
 
     let query = "SELECT x.n FROM X x WHERE x.n < 0";
-    // Serial: a worker wave's thread spawns allocate per batch, not per row.
-    let opts = QueryOptions::default().threads(1);
+    let opts = QueryOptions::default();
     // Once unmeasured, so lazily initialised state is not charged.
     assert!(db.query_with(query, opts).expect("query runs").is_empty());
 

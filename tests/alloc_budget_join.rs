@@ -68,8 +68,7 @@ fn a_semijoin_allocates_nothing_per_scanned_row() {
         ..GenConfig::default()
     }));
     let query = tmql_workload::queries::MEMBERSHIP;
-    // Serial: a worker wave's thread spawns allocate per batch, not per row.
-    let opts = QueryOptions::default().threads(1);
+    let opts = QueryOptions::default();
     // Once unmeasured, so lazily initialised state is not charged.
     let rows = db.query_with(query, opts).expect("query runs").len();
 

@@ -77,8 +77,7 @@ fn nesting_a_probe_row_allocates_a_small_fixed_number_of_times() {
         ..GenConfig::default()
     }));
     let query = "SELECT (n = x.n, s = (SELECT y.a FROM Y y WHERE x.b = y.b)) FROM X x";
-    // Serial: a worker wave's thread spawns allocate per batch, not per row.
-    let opts = QueryOptions::default().threads(1);
+    let opts = QueryOptions::default();
     // Once unmeasured, so lazily initialised state is not charged.
     let rows = db.query_with(query, opts).expect("query runs").len();
 

@@ -2,7 +2,7 @@
 //! machine-independent guard on what one fetched disk row costs.
 //!
 //! `SELECT x.n FROM X x WHERE x.b = 7` over a 65 536-row **disk-backed**
-//! `X(n, b)` with an index on `b` (256 keys, 256 rows each, scattered over
+//! `X(n, b)` with an index on `b` (256 keys, 256 rows each, spread over
 //! the whole extent) behind an **8-page pool**: the probe fetches 256 rows,
 //! each from a page faulted for it, and decodes them. The same statement
 //! with a key no row holds (`x.b = -1`) plans, probes and fetches nothing;
@@ -69,8 +69,7 @@ fn fetching_a_probed_disk_row_allocates_its_row_and_little_else() {
     }
     // Reopened, so the pool starts empty, as the disk workloads' do.
     let db = Database::open_with(&path, POOL_PAGES).expect("reopened");
-    // Serial: a worker wave's thread spawns allocate per batch, not per row.
-    let opts = QueryOptions::default().threads(1);
+    let opts = QueryOptions::default();
     let allocations = |key: i64| {
         let query = format!("SELECT x.n FROM X x WHERE x.b = {key}");
         // Once unmeasured, so lazily initialised state is not charged.

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use tmql::{Database, Metrics, QueryOptions, Record, Table, Ty, Value};
+use tmql::{Database, QueryOptions, Record, Table, Ty, Value};
 use tmql_storage::table::int_table;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -37,68 +37,46 @@ fn spill_fixture(db: &mut Database) {
 
 const SPILL_QUERY: &str = "SELECT x.b FROM X x WHERE x.n IN (SELECT y.a FROM Y y WHERE x.b = y.b)";
 
-/// The work counters that must be identical between a timed and an
-/// untimed run: everything except the timing-sensitive shape fields
-/// (peak residency and batch counts can wobble under parallel
-/// scheduling; they are compared only on serial runs).
-fn stable_work(m: &Metrics) -> Metrics {
-    let mut m = *m;
-    m.peak_resident_rows = 0;
-    m.batches_emitted = 0;
-    m
-}
-
 #[test]
 fn timing_collection_changes_neither_results_nor_work() {
     let mut db = Database::new();
     spill_fixture(&mut db);
-    for threads in [1usize, 4] {
-        for budget in [None, Some(32usize)] {
-            let mut opts = QueryOptions::default().threads(threads);
-            opts.memory_budget_rows = budget;
-            let timed = db
-                .query_with(SPILL_QUERY, opts.collect_timing(true))
-                .unwrap();
-            let untimed = db
-                .query_with(SPILL_QUERY, opts.collect_timing(false))
-                .unwrap();
-            assert_eq!(
-                timed.values, untimed.values,
-                "threads={threads} budget={budget:?}"
-            );
-            assert_eq!(
-                stable_work(&timed.metrics),
-                stable_work(&untimed.metrics),
-                "threads={threads} budget={budget:?}"
-            );
-            if threads == 1 {
-                // Serial execution is fully deterministic: every counter
-                // (including peak residency and batches) must match.
-                assert_eq!(timed.metrics, untimed.metrics, "serial budget={budget:?}");
-            }
-            // The only observable difference: timed profiles carry
-            // wall-clock spans, untimed ones do not.
-            assert!(timed.op_profile.contains("time="), "{}", timed.op_profile);
-            assert!(
-                !untimed.op_profile.contains("time="),
-                "{}",
-                untimed.op_profile
-            );
-            assert!(timed.ops.iter().any(|o| o.wall_nanos > 0));
-            assert!(untimed.ops.iter().all(|o| o.wall_nanos == 0));
-        }
+    for budget in [None, Some(32usize)] {
+        let opts = QueryOptions {
+            memory_budget_rows: budget,
+            ..QueryOptions::default()
+        };
+        let timed = db
+            .query_with(SPILL_QUERY, opts.collect_timing(true))
+            .unwrap();
+        let untimed = db
+            .query_with(SPILL_QUERY, opts.collect_timing(false))
+            .unwrap();
+        assert_eq!(timed.values, untimed.values, "budget={budget:?}");
+        // Every counter, peak residency and batches included.
+        assert_eq!(timed.metrics, untimed.metrics, "budget={budget:?}");
+        // The only observable difference: timed profiles carry
+        // wall-clock spans, untimed ones do not.
+        assert!(timed.op_profile.contains("time="), "{}", timed.op_profile);
+        assert!(
+            !untimed.op_profile.contains("time="),
+            "{}",
+            untimed.op_profile
+        );
+        assert!(timed.ops.iter().any(|o| o.wall_nanos > 0));
+        assert!(untimed.ops.iter().all(|o| o.wall_nanos == 0));
     }
 }
 
 #[test]
-fn analyze_on_a_spilling_parallel_query_shows_everything_in_one_tree() {
+fn analyze_on_a_spilling_query_shows_everything_in_one_tree() {
     let path = scratch("analyze");
     clean(&path);
     // A four-page pool under several pages of table data guarantees
     // faults, so pool counters are nonzero.
     let mut db = Database::open_with(&path, 4).unwrap();
     spill_fixture_sized(&mut db, 2048);
-    let opts = QueryOptions::default().memory_budget(32).threads(4);
+    let opts = QueryOptions::default().memory_budget(32);
     let report = db.analyze_with(SPILL_QUERY, opts).unwrap();
     assert!(report.contains("== analyze (executed) =="), "{report}");
     // Per-operator: actual rows, estimated rows, wall time, spilled rows.

@@ -4,15 +4,15 @@
 //! every unnesting strategy, and for hand-built indexed / Apply shapes,
 //! this renders what the planning walk produces — the `EXPLAIN` text, the
 //! per-executed-operator row estimates, and the cost model's
-//! `{rows, work, resident}` under four (budget, threads) settings — and
-//! compares the rendering with `tests/golden/plan_golden.txt`. Floats are
-//! written as their `f64::to_bits` (next to a readable value), so a
-//! refactor of the walk that changes one bit of one estimate, or one
-//! operator of one plan, fails here.
+//! `{rows, work, resident}` under three memory budgets — and compares the
+//! rendering with `tests/golden/plan_golden.txt`. Floats are written as
+//! their `f64::to_bits` (next to a readable value), so a refactor of the
+//! walk that changes one bit of one estimate, or one operator of one plan,
+//! fails here.
 //!
-//! Everything runs over in-memory catalogs with `threads(1)` spelled out,
-//! so every CI leg (`TMQL_THREADS`, `TMQL_TEST_POOL_PAGES`) renders the
-//! same text. Regenerate after an *intended* plan or estimate change with
+//! Everything runs over in-memory catalogs, so every CI leg
+//! (`TMQL_TEST_POOL_PAGES`) renders the same text. Regenerate after an
+//! *intended* plan or estimate change with
 //! `TMQL_BLESS=1 cargo test --test plan_golden`.
 
 use std::fmt::Write as _;
@@ -29,11 +29,10 @@ use tmql_workload::schemas;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/plan_golden.txt");
 
-/// The (memory budget, threads) settings every logical plan is costed
-/// under: the planner's own, a budget nothing here overflows, a parallel
-/// one, and a budget small enough that these 16–100-row breakers spill on
-/// a worker wave.
-const SETTINGS: [(Option<usize>, usize); 4] = [(None, 1), (Some(512), 1), (None, 4), (Some(8), 4)];
+/// The memory budgets every logical plan is costed under: the planner's
+/// own, a budget nothing here overflows, and a budget small enough that
+/// these 16–100-row breakers spill.
+const SETTINGS: [Option<usize>; 3] = [None, Some(512), Some(8)];
 
 /// The strategies whose full `EXPLAIN` report is pinned; the other five
 /// pin the physical section only.
@@ -56,13 +55,11 @@ fn bits_vec(xs: &[f64]) -> String {
 fn estimates(out: &mut String, cat: &Catalog, logical: &Plan, phys: &PhysPlan) -> usize {
     let rows = Estimator::new(cat).exec_order_rows_phys(phys);
     writeln!(out, "exec_order_rows: {}", bits_vec(&rows)).unwrap();
-    for (budget, threads) in SETTINGS {
-        let c = Estimator::with_budget(cat, budget)
-            .with_threads(threads)
-            .cost(logical);
+    for budget in SETTINGS {
+        let c = Estimator::with_budget(cat, budget).cost(logical);
         writeln!(
             out,
-            "cost(budget={budget:?}, threads={threads}): rows={} work={} resident={}",
+            "cost(budget={budget:?}): rows={} work={} resident={}",
             bits(c.rows),
             bits(c.work),
             bits(c.resident)
@@ -122,11 +119,10 @@ fn corpus() -> Vec<(String, Database, String)> {
 fn render_corpus(out: &mut String) {
     for (name, db, src) in corpus() {
         for strategy in UnnestStrategy::ALL {
-            let opts = QueryOptions::default().strategy(strategy).threads(1);
+            let opts = QueryOptions::default().strategy(strategy);
             writeln!(out, "### {name} [{}]", strategy.name()).unwrap();
             let (_, optimized) = db.plan_with(&src, opts).expect("plans");
-            let phys =
-                lower(&optimized, db.catalog(), &ExecConfig::auto().threads(1)).expect("lowers");
+            let phys = lower(&optimized, db.catalog(), &ExecConfig::auto()).expect("lowers");
             if FULL_TEXT.contains(&strategy) {
                 out.push_str(&db.explain_with(&src, opts).expect("explains"));
             } else {
@@ -173,8 +169,8 @@ fn col(var: &str, attr: &str) -> E {
 /// operators no corpus statement reaches, each with the catalog flavour
 /// (indexed or not) and the config it is lowered under.
 fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
-    let auto = || ExecConfig::auto().threads(1);
-    let forced = |a: JoinAlgo| ExecConfig::with_join_algo(a).threads(1);
+    let auto = ExecConfig::auto;
+    let forced = ExecConfig::with_join_algo;
     let tb_xb = || E::eq(col("t", "b"), col("x", "b"));
     let tiny = || Plan::scan("TINY", "t");
     let big = |v: &str| Plan::scan("BIG", v);

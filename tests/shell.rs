@@ -5,14 +5,7 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_shell(input: &str) -> String {
-    run_shell_in(input, |_| {})
-}
-
-/// [`run_shell`] in an environment `env` has edited.
-fn run_shell_in(input: &str, env: impl FnOnce(&mut Command)) -> String {
-    let mut shell = Command::new(env!("CARGO_BIN_EXE_tmql-shell"));
-    env(&mut shell);
-    let mut child = shell
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tmql-shell"))
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -118,13 +111,7 @@ fn help_lists_every_implemented_command() {
         );
     }
     // And the `\set` options are spelled out.
-    for opt in [
-        "batch_size",
-        "memory_budget",
-        "threads",
-        "rules",
-        "typecheck",
-    ] {
+    for opt in ["batch_size", "memory_budget", "rules", "typecheck"] {
         assert!(
             out.contains(opt),
             "`\\help` does not mention \\set option `{opt}`:\n{out}"
@@ -143,6 +130,7 @@ fn set_and_show_session_options() {
          \\set memory_budget off\n\
          \\set bogus 1\n\
          \\set memory_budget notanumber\n\
+         \\set threads 3\n\
          \\quit\n",
     );
     assert!(out.contains("memory_budget  unbounded"), "{out}");
@@ -153,42 +141,9 @@ fn set_and_show_session_options() {
     assert!(out.contains("memory_budget: unbounded"), "{out}");
     assert!(out.contains("unknown option `bogus`"), "{out}");
     assert!(out.contains("usage: \\set memory_budget"), "{out}");
-}
-
-#[test]
-fn set_and_show_threads() {
-    let out = run_shell(
-        "\\set threads 3\n\
-         \\show\n\
-         SELECT d.name FROM DEPT d\n\
-         \\set threads 0\n\
-         \\set threads auto\n\
-         \\quit\n",
-    );
-    assert!(out.contains("threads: 3"), "{out}");
-    assert!(out.contains("threads        3"), "{out}");
-    assert!(out.contains("-- 3 rows"), "{out}");
-    assert!(out.contains("usage: \\set threads"), "{out}");
-    assert!(out.contains("(auto)"), "{out}");
-
-    // The default is serial; the hardware count has to be asked for, by
-    // `\set threads auto` or by `TMQL_THREADS=auto`.
-    let hardware = tmql::hardware_threads();
-    let out = run_shell_in("\\show\n\\set threads auto\n\\quit\n", |shell| {
-        shell.env_remove("TMQL_THREADS");
-    });
-    assert!(out.contains("threads        1\n"), "{out}");
-    assert!(
-        out.contains(&format!("threads: {hardware} (auto)")),
-        "{out}"
-    );
-    let out = run_shell_in("\\show\n\\quit\n", |shell| {
-        shell.env("TMQL_THREADS", "auto");
-    });
-    assert!(
-        out.contains(&format!("threads        {hardware}\n")),
-        "{out}"
-    );
+    // A statement runs on one thread: there is no thread count to set.
+    assert!(out.contains("unknown option `threads`"), "{out}");
+    assert!(!out.contains("  threads "), "{out}");
 }
 
 #[test]

@@ -67,8 +67,8 @@ fn execute(
     src: &str,
     budget: Option<usize>,
 ) -> (Result<Vec<Record>, TmqlError>, Metrics) {
-    let mut opts = QueryOptions::default().threads(1).batch_size(BATCH);
-    let mut config = ExecConfig::auto().threads(1).batch_size(BATCH);
+    let mut opts = QueryOptions::default().batch_size(BATCH);
+    let mut config = ExecConfig::auto().batch_size(BATCH);
     if let Some(b) = budget {
         (opts, config) = (opts.memory_budget(b), config.memory_budget(b));
     }
@@ -117,7 +117,6 @@ fn a_fault_at_any_scratch_operation_is_a_typed_error_that_leaks_nothing() {
         let is_join = m.hash_build_rows > 0;
         assert_eq!(m.spill_rows_filtered > 0, is_join, "{name}: {m}");
         let opts = QueryOptions::default()
-            .threads(1)
             .batch_size(BATCH)
             .memory_budget(BUDGET);
         if !is_join {

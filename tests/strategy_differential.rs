@@ -49,61 +49,59 @@ fn assert_all_strategies_agree(db: &Database, src: &str) {
 }
 
 /// Run every query on the index-free database (CostBased defaults) and on
-/// the indexed one under every thread count × memory budget combination:
-/// indexes may change plans and cost, never the result set.
+/// the indexed one with and without a spilling memory budget: indexes may
+/// change plans and cost, never the result set.
 fn assert_indexes_change_nothing(plain: &Database, indexed: &Database, queries: &[String]) {
     for q in queries {
         let want = plain
             .query(q)
             .unwrap_or_else(|e| panic!("plain {q} fails: {e}"))
             .values;
-        for threads in [1usize, 2] {
-            for budget in [None, Some(8usize)] {
-                let mut opts = QueryOptions::default().threads(threads);
-                if let Some(b) = budget {
-                    opts = opts.memory_budget(b);
-                }
-                let got = indexed
-                    .query_with(q, opts)
-                    .unwrap_or_else(|e| panic!("indexed {q} fails: {e}"));
-                assert_eq!(
-                    got.values, want,
-                    "indexes changed the answer on {q} (threads={threads}, budget={budget:?})"
-                );
-            }
+        for budget in [None, Some(8usize)] {
+            let opts = QueryOptions {
+                memory_budget_rows: budget,
+                ..QueryOptions::default()
+            };
+            let got = indexed
+                .query_with(q, opts)
+                .unwrap_or_else(|e| panic!("indexed {q} fails: {e}"));
+            assert_eq!(
+                got.values, want,
+                "indexes changed the answer on {q} (budget={budget:?})"
+            );
         }
     }
 }
 
 /// The Apply-cache transparency property: with the per-row baseline
 /// (`apply_cache(false)`, forced nested loop) as oracle, the memoizing
-/// executor must produce the same value set under every thread count ×
-/// memory budget combination — cache hits and hoisted inner plans change
-/// counters and cost, never answers — and so must every unnest strategy
-/// running with the cache on.
+/// executor must produce the same value set with and without a spilling
+/// memory budget — cache hits and hoisted inner plans change counters and
+/// cost, never answers — and so must the cost-based choice under that
+/// budget, and every unnest strategy running with the cache on.
 fn assert_apply_cache_is_transparent(db: &Database, src: &str) {
     let nl = QueryOptions::default().strategy(UnnestStrategy::NestedLoop);
     let oracle = db
-        .query_with(src, nl.apply_cache(false).threads(1))
+        .query_with(src, nl.apply_cache(false))
         .expect("uncached nested-loop oracle runs");
-    for threads in [1usize, 4] {
-        for budget in [None, Some(8usize)] {
-            let mut opts = nl.threads(threads);
-            if let Some(b) = budget {
-                opts = opts.memory_budget(b);
-            }
-            let got = db
-                .query_with(src, opts)
-                .unwrap_or_else(|e| panic!("cached Apply fails: {e}"));
-            assert_eq!(
-                got.values, oracle.values,
-                "apply cache changed the result on {src} (threads={threads}, budget={budget:?})"
-            );
-            assert!(
-                got.metrics.apply_invocations <= oracle.metrics.subquery_invocations,
-                "memoization must never run the inner plan more often than per-row"
-            );
-        }
+    let budgeted = [
+        nl,
+        nl.memory_budget(8),
+        QueryOptions::default().memory_budget(8),
+    ];
+    for opts in budgeted {
+        let got = db
+            .query_with(src, opts)
+            .unwrap_or_else(|e| panic!("cached Apply fails: {e}"));
+        let (strategy, budget) = (opts.strategy.name(), opts.memory_budget_rows);
+        assert_eq!(
+            got.values, oracle.values,
+            "{strategy} changed the result on {src} (budget={budget:?})"
+        );
+        assert!(
+            got.metrics.apply_invocations <= oracle.metrics.subquery_invocations,
+            "memoization must never run the inner plan more often than per-row"
+        );
     }
     assert_all_strategies_agree(db, src);
 }
@@ -136,8 +134,7 @@ proptest! {
     /// The index-consistency property: the same generator seed builds two
     /// identical databases, one with secondary indexes on the correlated
     /// inner columns. Whatever access paths CostBased then picks, the
-    /// result sets never differ — under serial and 2-thread execution,
-    /// with and without a spilling memory budget.
+    /// result sets never differ, with and without a spilling memory budget.
     #[test]
     fn cost_based_with_indexes_matches_without(cfg in arb_config()) {
         let plain = Database::from_catalog(gen_rs(&cfg));
