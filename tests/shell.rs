@@ -141,9 +141,39 @@ fn set_and_show_session_options() {
     assert!(out.contains("memory_budget: unbounded"), "{out}");
     assert!(out.contains("unknown option `bogus`"), "{out}");
     assert!(out.contains("usage: \\set memory_budget"), "{out}");
-    // A statement runs on one thread: there is no thread count to set.
-    assert!(out.contains("unknown option `threads`"), "{out}");
+}
+
+#[test]
+fn set_and_show_threads() {
+    // A statement runs on one thread: there is no thread count to set or
+    // show, and `TMQL_THREADS` in the environment changes nothing.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tmql-shell"))
+        .env("TMQL_THREADS", "8")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("shell starts");
+    child
+        .stdin
+        .as_mut()
+        .expect("piped stdin")
+        .write_all(
+            b"\\set threads 3\n\
+              \\set threads auto\n\
+              \\show\n\
+              SELECT d.name FROM DEPT d\n\
+              \\quit\n",
+        )
+        .expect("write input");
+    let out = child.wait_with_output().expect("shell exits");
+    assert!(out.status.success(), "shell exited with {:?}", out.status);
+    let out = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert_eq!(out.matches("unknown option `threads`").count(), 2, "{out}");
+    assert!(!out.contains("threads:"), "{out}");
     assert!(!out.contains("  threads "), "{out}");
+    assert!(out.contains("memory_budget  unbounded"), "{out}");
+    assert!(out.contains("-- 3 rows"), "{out}");
 }
 
 #[test]
