@@ -146,9 +146,8 @@ fn set_and_show_session_options() {
 #[test]
 fn set_and_show_threads() {
     // A statement runs on one thread: there is no thread count to set or
-    // show, and `TMQL_THREADS` in the environment changes nothing.
+    // show.
     let mut child = Command::new(env!("CARGO_BIN_EXE_tmql-shell"))
-        .env("TMQL_THREADS", "8")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
