@@ -17,6 +17,11 @@
 //! * `record_set_insert` — dedup of distinct scan-shaped rows;
 //! * `ordered_collect` — `BTreeSet<Value>` of whole rows, the facade's
 //!   result collect;
+//! * `result_sort/{cmp,keyed}/{rows,nested}` — the executor's exit sort
+//!   (sorted, first of equal values kept) of whole `X` rows and of the
+//!   nest join's `(n = x.n, s = {y.a | x.b = y.b})` tuples: every
+//!   comparison a `Value::cmp`, against sort prefixes with `Value::cmp`
+//!   on equal prefixes only (`tmql_exec::exec::sort_distinct`);
 //! * `hash_join/{build,semi,anti,nest}` — the join table's build and one
 //!   probe pass per kind.
 //!
@@ -24,10 +29,12 @@
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql_algebra::{Env, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
+use tmql_exec::exec::sort_distinct;
 use tmql_exec::op::{hash, Shape};
 use tmql_exec::{JoinKind, Metrics};
 use tmql_model::hash::ValueHasher;
@@ -47,7 +54,7 @@ fn bench_values(c: &mut Criterion) {
     for n in ladder(&[256, 2048]) {
         let cat = gen_xy(&GenConfig::sized(n));
         let (x, x_bound) = rows(&cat, "X", "x");
-        let (_, y_bound) = rows(&cat, "Y", "y");
+        let (y, y_bound) = rows(&cat, "Y", "y");
         let id = |name: &str| BenchmarkId::new(name, n);
 
         g.bench_with_input(id("record_hash/walk"), &n, |b, _| {
@@ -109,6 +116,37 @@ fn bench_values(c: &mut Criterion) {
             let value = |r: &Record| Value::Tuple(r.clone());
             b.iter(|| x.iter().map(value).collect::<BTreeSet<Value>>().len())
         });
+
+        // Rows in scan order, and one `(n, s)` tuple per row, labels shared
+        // as a tuple constructor shares them.
+        let whole: Vec<Value> = x.iter().cloned().map(Value::Tuple).collect();
+        let (n_label, s_label): (Arc<str>, Arc<str>) = ("n".into(), "s".into());
+        let field = |r: &Record, l: &str| r.get(l).expect("field").clone();
+        let nested: Vec<Value> = x
+            .iter()
+            .map(|r| {
+                let b = field(r, "b");
+                let s = y.iter().filter(|y| field(y, "b") == b);
+                let fields = [
+                    (n_label.clone(), field(r, "n")),
+                    (s_label.clone(), Value::set(s.map(|y| field(y, "a")))),
+                ];
+                Value::Tuple(Record::new(fields).expect("two labels"))
+            })
+            .collect();
+        for (shape, values) in [("rows", &whole), ("nested", &nested)] {
+            g.bench_with_input(id(&format!("result_sort/cmp/{shape}")), &n, |b, _| {
+                b.iter(|| {
+                    let mut v = values.clone();
+                    v.sort();
+                    v.dedup();
+                    v.len()
+                })
+            });
+            g.bench_with_input(id(&format!("result_sort/keyed/{shape}")), &n, |b, _| {
+                b.iter(|| sort_distinct(values.clone()).len())
+            });
+        }
 
         let (lk, rk) = ([E::path("x", &["b"])], [E::path("y", &["b"])]);
         let bound = Shape::BOUND;

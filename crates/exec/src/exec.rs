@@ -269,15 +269,34 @@ fn exit(
 }
 
 /// The result set while it is collected: values in arrival order,
-/// compacted — a stable sort, then dedup, so the first of equal values
+/// compacted — sorted, then deduplicated so the first of equal values
 /// stays, as a streaming dedup would have kept it — whenever it has
 /// doubled since the last compaction, and by at least one batch. It never
 /// holds more than twice the distinct values plus one batch.
+///
+/// A set of complex objects (the first value is a tuple, set, list or
+/// variant) is sorted on [`Value::sort_prefix`]es, each built once and
+/// kept beside its value: two values are compared with `Value::cmp` only
+/// where their prefixes are equal, and each compaction moves every value
+/// once, to its sorted place. Numbers, strings and the like compare faster
+/// than a prefix is built, and often arrive sorted, so they sort as they
+/// are.
 #[derive(Default)]
 struct Collector {
     values: Vec<Value>,
     /// Distinct values after the last compaction.
     kept: usize,
+    /// Present when the values are sorted on prefixes.
+    keys: Option<Keys>,
+}
+
+/// The `(prefix, position)` of every value keyed so far: after a
+/// compaction, the i-th pair is the i-th value's.
+struct Keys {
+    pairs: Vec<(u128, usize)>,
+    /// The first value's tuple: while every tuple has its labels, prefixes
+    /// leave them out and hold values only.
+    schema: Option<Record>,
 }
 
 impl Collector {
@@ -289,8 +308,24 @@ impl Collector {
     }
 
     fn compact(&mut self) {
-        self.values.sort();
-        self.values.dedup();
+        if self.kept == 0 {
+            let first = self.values.first();
+            let container = matches!(
+                first,
+                Some(Value::Tuple(_) | Value::Set(_) | Value::List(_) | Value::Variant(..))
+            );
+            self.keys = container.then(|| Keys {
+                pairs: Vec::new(),
+                schema: first.and_then(|v| v.as_tuple().ok()).cloned(),
+            });
+        }
+        match &mut self.keys {
+            Some(keys) => keys.compact(&mut self.values),
+            None => {
+                self.values.sort();
+                self.values.dedup();
+            }
+        }
         self.kept = self.values.len();
     }
 
@@ -300,6 +335,70 @@ impl Collector {
             self.compact();
         }
         self.values
+    }
+}
+
+impl Keys {
+    /// Key the values that arrived since the last compaction, sort every
+    /// pair on (prefix, value), drop the later of equal values and move the
+    /// rest to their places.
+    fn compact(&mut self, values: &mut Vec<Value>) {
+        while let Some(v) = values.get(self.pairs.len()) {
+            match v.sort_prefix(self.schema.as_ref()) {
+                Some(prefix) => self.pairs.push((prefix, self.pairs.len())),
+                // A tuple of other labels: key everything again, labels
+                // and all.
+                None => {
+                    self.schema = None;
+                    self.pairs.clear();
+                }
+            }
+        }
+        // Stable, and the pairs are in arrival order: equal values stay so.
+        self.pairs
+            .sort_by(|a, b| (a.0.cmp(&b.0)).then_with(|| values[a.1].cmp(&values[b.1])));
+        let mut dropped = Vec::new();
+        self.pairs.dedup_by(|b, a| {
+            let equal = a.0 == b.0 && values[a.1] == values[b.1];
+            if equal {
+                dropped.push(b.1);
+            }
+            equal
+        });
+        let mut from: Vec<usize> = self.pairs.iter().map(|p| p.1).chain(dropped).collect();
+        permute(values, &mut from);
+        values.truncate(self.pairs.len());
+        for (i, p) in self.pairs.iter_mut().enumerate() {
+            p.1 = i;
+        }
+    }
+}
+
+/// The exit's sort on its own: `values` ascending and distinct, the first
+/// of equal values kept, as [`execute_values`] collects a result set. For
+/// the layer benches.
+pub fn sort_distinct(values: Vec<Value>) -> Vec<Value> {
+    let collector = Collector {
+        values,
+        ..Collector::default()
+    };
+    collector.finish()
+}
+
+/// Move `values[from[j]]` to position `j` for every `j`, in place: one
+/// swap per element along each cycle of the permutation `from`, which is
+/// left marked done (`usize::MAX`) throughout.
+fn permute(values: &mut [Value], from: &mut [usize]) {
+    for start in 0..from.len() {
+        let mut j = start;
+        loop {
+            let src = std::mem::replace(&mut from[j], usize::MAX);
+            if src == start || src == usize::MAX {
+                break;
+            }
+            values.swap(j, src);
+            j = src;
+        }
     }
 }
 

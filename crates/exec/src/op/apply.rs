@@ -401,32 +401,36 @@ impl Operator for HashProbeOp<'_> {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        if self.index.is_none() {
-            let t = ctx.catalog.table(self.table)?;
-            let built = HashIndex::build(t, self.attr)?;
-            self.indexed_rows = t.len();
-            ctx.metrics.hash_build_rows += self.indexed_rows as u64;
-            ctx.resident_acquire(self.indexed_rows);
-            self.gauge_held = true;
-            self.index = Some(built);
-        }
-        if self.positions.is_none() {
-            let idx = self.index.as_ref().expect("built above");
-            let positions = match eval(self.key, &self.base.env) {
-                Ok(key) => idx.probe_eq(&key),
-                // Key evaluation failed: fall back to checking every row
-                // (plain scan+filter semantics).
-                Err(_) => (0..self.indexed_rows).collect(),
-            };
-            ctx.metrics.index_probes += 1;
-            ctx.metrics.index_hits += positions.len() as u64;
-            self.positions = Some(positions);
-            self.cursor = 0;
-        }
+        let positions = match &self.positions {
+            Some(positions) => positions,
+            None => {
+                let idx = match &self.index {
+                    Some(idx) => idx,
+                    None => {
+                        let t = ctx.catalog.table(self.table)?;
+                        let built = HashIndex::build(t, self.attr)?;
+                        self.indexed_rows = t.len();
+                        ctx.metrics.hash_build_rows += self.indexed_rows as u64;
+                        ctx.resident_acquire(self.indexed_rows);
+                        self.gauge_held = true;
+                        self.index.insert(built)
+                    }
+                };
+                let positions = match eval(self.key, &self.base.env) {
+                    Ok(key) => idx.probe_eq(&key),
+                    // Key evaluation failed: fall back to checking every row
+                    // (plain scan+filter semantics).
+                    Err(_) => (0..self.indexed_rows).collect(),
+                };
+                ctx.metrics.index_probes += 1;
+                ctx.metrics.index_hits += positions.len() as u64;
+                self.cursor = 0;
+                &*self.positions.insert(positions)
+            }
+        };
         let n = ctx.batch_size();
         let t = ctx.catalog.table(self.table)?;
         loop {
-            let positions = self.positions.as_ref().expect("probed above");
             if self.cursor >= positions.len() {
                 return Ok(None);
             }

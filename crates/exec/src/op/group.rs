@@ -1,6 +1,5 @@
 //! Grouping operators: ν / ν* (nest), μ (unnest), and relational GROUP BY.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -29,36 +28,31 @@ pub fn nest(
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
-    // Group index keyed by the key values; insertion order preserved.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: BTreeMap<Vec<Value>, (Record, Vec<Value>)> = BTreeMap::new();
+    // The groups in first-seen order, and where each key's group is.
+    let mut groups: Vec<(Record, Vec<Value>)> = Vec::new();
+    let mut slots: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
     let keys: Vec<Arc<str>> = keys.iter().map(|k| Arc::from(k.as_str())).collect();
     for row in rows {
         let key_rec = project(shape, row, &keys)?;
         let keyvals: Vec<Value> = key_rec.values().cloned().collect();
         let payload = eval(value, &bind(env, shape, row))?;
         m.comparisons += 1;
-        let entry = match groups.entry(keyvals) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                order.push(e.key().clone());
-                e.insert((key_rec, Vec::new()))
-            }
-        };
+        let slot = *slots.entry(keyvals).or_insert_with(|| {
+            groups.push((key_rec, Vec::new()));
+            groups.len() - 1
+        });
         if star && payload.is_null() {
             // ν*: "mapping nested sets consisting of a NULL-tuple to the
             // empty set".
             continue;
         }
-        entry.1.push(payload);
+        groups[slot].1.push(payload);
     }
-    let mut out = Vec::with_capacity(order.len());
     let label: Arc<str> = Arc::from(label);
-    for key in order {
-        let (rec, items) = groups.remove(&key).expect("group recorded");
-        out.push(rec.extend_field(label.clone(), Value::set(items))?);
-    }
-    Ok(out)
+    groups
+        .into_iter()
+        .map(|(rec, items)| rec.extend_field(label.clone(), Value::set(items)))
+        .collect()
 }
 
 /// The unnest operator μ: for each row, bind every element of the set
@@ -109,9 +103,10 @@ pub fn group_agg(
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: BTreeMap<Vec<Value>, Vec<Vec<Value>>> = BTreeMap::new();
-    // groups: key values → per-agg argument value lists.
+    // The groups in first-seen order (key values, per-agg argument value
+    // lists), and where each key's group is.
+    let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
+    let mut slots: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
     for row in rows {
         let e = bind(env, shape, row);
         let mut keyvals = Vec::with_capacity(keys.len());
@@ -123,18 +118,17 @@ pub fn group_agg(
             argvals.push(eval(ae, &e)?);
         }
         m.comparisons += 1;
-        let entry = groups.entry(keyvals.clone()).or_insert_with(|| {
-            order.push(keyvals);
-            vec![Vec::new(); aggs.len()]
+        let slot = *slots.entry(keyvals.clone()).or_insert_with(|| {
+            groups.push((keyvals, vec![Vec::new(); aggs.len()]));
+            groups.len() - 1
         });
-        for (i, v) in argvals.into_iter().enumerate() {
-            entry[i].push(v);
+        for (list, v) in groups[slot].1.iter_mut().zip(argvals) {
+            list.push(v);
         }
     }
-    let mut out = Vec::with_capacity(order.len());
+    let mut out = Vec::with_capacity(groups.len());
     let var: Arc<str> = Arc::from(var);
-    for key in order {
-        let arglists = groups.remove(&key).expect("group recorded");
+    for (key, arglists) in groups {
         let mut fields = Vec::with_capacity(keys.len() + aggs.len());
         for ((label, _), v) in keys.iter().zip(key) {
             fields.push((label.as_str(), v));

@@ -70,7 +70,7 @@ impl<'p> NlJoinOp<'p> {
     /// Drain the right child, tracking residency as it accumulates; once
     /// the buffer exceeds the budget, move it (and the rest of the
     /// stream) into one spill run.
-    fn materialize_inner(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn materialize_inner(&mut self, ctx: &mut ExecContext<'_>) -> Result<NlInner> {
         let mut rows: Vec<Record> = Vec::new();
         let mut writer = None;
         let mut drain = || -> Result<()> {
@@ -104,7 +104,7 @@ impl<'p> NlJoinOp<'p> {
             ctx.resident_release(rows.len());
             return Err(e);
         }
-        self.inner = Some(match writer {
+        Ok(match writer {
             None => NlInner::Mem(rows),
             Some(w) => {
                 let spilled = w.rows();
@@ -113,8 +113,7 @@ impl<'p> NlJoinOp<'p> {
                 self.base.stats.rows_spilled += spilled;
                 NlInner::Spilled(w.finish()?)
             }
-        });
-        Ok(())
+        })
     }
 }
 
@@ -129,9 +128,13 @@ impl Operator for NlJoinOp<'_> {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        if self.inner.is_none() {
-            self.materialize_inner(ctx)?;
-        }
+        let inner = match &self.inner {
+            Some(inner) => inner,
+            None => {
+                let inner = self.materialize_inner(ctx)?;
+                &*self.inner.insert(inner)
+            }
+        };
         let n = ctx.batch_size();
         loop {
             if self.carry.len() >= n || self.done {
@@ -142,7 +145,7 @@ impl Operator for NlJoinOp<'_> {
                 Some(b) => {
                     let left = (b.rows.as_slice(), self.left.shape());
                     let (rs, env) = (self.right.shape(), &self.base.env);
-                    let out = match self.inner.as_ref().expect("materialized above") {
+                    let out = match inner {
                         NlInner::Mem(right) => nl::join(
                             left,
                             (right, rs),

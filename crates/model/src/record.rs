@@ -148,7 +148,7 @@ impl Record {
     }
 
     /// Visit the fields in label order.
-    fn for_each_canonical<'a>(&'a self, mut f: impl FnMut(&'a Arc<str>, &'a Value)) {
+    pub(crate) fn for_each_canonical<'a>(&'a self, mut f: impl FnMut(&'a Arc<str>, &'a Value)) {
         if self.memo.load(Relaxed) & CANONICAL != 0 {
             return self.fields.iter().for_each(|(l, v)| f(l, v));
         }
@@ -157,6 +157,14 @@ impl Record {
         for &i in canonical_order(&self.fields, &mut stack, &mut heap) {
             f(&self.fields[i].0, &self.fields[i].1);
         }
+    }
+
+    /// Both records have one label list in canonical order: rows of one
+    /// schema. (`Arc`'s `==` tries the pointers first.)
+    pub(crate) fn same_canonical_labels(&self, other: &Record) -> bool {
+        self.memo.load(Relaxed) & other.memo.load(Relaxed) & CANONICAL != 0
+            && self.len() == other.len()
+            && (self.fields.iter().zip(other.fields.iter())).all(|((a, _), (b, _))| a == b)
     }
 
     /// The empty record `()`.

@@ -406,6 +406,139 @@ impl Ord for Value {
 }
 
 impl Value {
+    /// A monotone summary of [`Ord`]: 16 bytes, read big-endian, with
+    /// `a ≤ b ⇒ a.sort_prefix(s) ≤ b.sort_prefix(s)` and so `a == b ⇒` equal
+    /// prefixes. Unequal prefixes decide an order; equal ones decide
+    /// nothing, and `cmp` breaks the tie.
+    ///
+    /// The prefix is the start of an order-preserving encoding: a rank byte
+    /// per kind; a number's integer part (its floor) in a length-headed
+    /// big-endian form, with one byte below and one above the i64 range; a
+    /// string's bytes, escaped, and a terminator; a tuple's fields in
+    /// canonical label order, and a set's or list's elements, then a byte
+    /// below every rank. The encoding stops early — later bytes zero — at
+    /// a byte that tells any operand sharing the bytes so far to stop too:
+    /// the byte of a number past either end of the i64 range, or the byte
+    /// after a number's floor that marks a fraction.
+    ///
+    /// Prefixes compare only with prefixes made with the same `schema`.
+    /// With one, a top-level tuple is keyed without its labels, so every
+    /// tuple must share the schema's labels in canonical order; `None`
+    /// means this one does not. Without a schema the result is `Some`.
+    pub fn sort_prefix(&self, schema: Option<&Record>) -> Option<u128> {
+        let mut key = Prefix::default();
+        match (self, schema) {
+            (Value::Tuple(row), Some(schema)) => {
+                if !row.same_canonical_labels(schema) {
+                    return None;
+                }
+                let _ = key
+                    .put((rank(self) + 1).into(), 1)
+                    .and_then(|()| (row.fields().iter()).try_for_each(|(_, v)| key.value(v)));
+            }
+            _ => {
+                let _ = key.value(self);
+            }
+        }
+        Some(key.key)
+    }
+}
+
+/// Ends a tuple, set or list in a sort prefix: below every rank byte and
+/// every label's first byte.
+const END: u8 = 0;
+/// Escapes the bytes 0 and 1 in a string, and with 0 terminates it, so
+/// that no string starts below it and none is a prefix of another.
+const ESC: u8 = 1;
+/// Follows the floor of a number with a fraction, and stops the prefix.
+/// What can follow an integral number is below it: a rank, [`END`], the
+/// first byte of a label (UTF-8 has no `0xFF`) or the zero padding.
+const FRACTION: u8 = 0xFF;
+
+/// A sort prefix being written, from the top byte down. A step returns
+/// `None` once the prefix is full or has stopped, which ends the walk.
+#[derive(Default)]
+struct Prefix {
+    key: u128,
+    /// Bytes written.
+    len: u32,
+}
+
+impl Prefix {
+    /// The low `n` bytes of `v`, or as many of them as fit.
+    fn put(&mut self, v: u128, n: u32) -> Option<()> {
+        let end = self.len + n;
+        if end > 16 {
+            self.key |= v >> (8 * (end - 16));
+            self.len = 16;
+            return None;
+        }
+        self.key |= v << (128 - 8 * end);
+        self.len = end;
+        Some(())
+    }
+
+    /// The byte `b`, then the end of the walk.
+    fn stop(&mut self, b: u8) -> Option<()> {
+        self.put(b.into(), 1).and(None)
+    }
+
+    fn value(&mut self, v: &Value) -> Option<()> {
+        self.put((rank(v) + 1).into(), 1)?;
+        match v {
+            Value::Null => Some(()),
+            Value::Bool(b) => self.put((*b).into(), 1),
+            Value::Int(i) => self.int(*i),
+            Value::Float(f) if *f < -I64_END => self.stop(0),
+            Value::Float(f) if f.is_nan() || *f >= I64_END => self.stop(0xFF),
+            Value::Float(f) => {
+                // In range, so the floor is an exact i64; -0.0 keys as 0.
+                self.int(f.floor() as i64)?;
+                match f.fract() == 0.0 {
+                    true => Some(()),
+                    false => self.stop(FRACTION),
+                }
+            }
+            Value::Str(s) => self.str(s),
+            Value::Tuple(r) => {
+                let mut open = Some(());
+                r.for_each_canonical(|l, v| {
+                    open = open.and_then(|()| self.str(l)).and_then(|()| self.value(v));
+                });
+                open.and_then(|()| self.put(END.into(), 1))
+            }
+            Value::Set(items) => self.all(items),
+            Value::List(items) => self.all(items),
+            Value::Variant(l, v) => self.str(l).and_then(|()| self.value(v)),
+        }
+    }
+
+    fn all(&mut self, items: &[Value]) -> Option<()> {
+        items.iter().try_for_each(|v| self.value(v))?;
+        self.put(END.into(), 1)
+    }
+
+    /// A header byte that orders by sign and magnitude length (`0x77..=0x7F`
+    /// below zero, `0x80..=0x88` from zero up), then the magnitude's bytes.
+    fn int(&mut self, i: i64) -> Option<()> {
+        let len = 8 - (if i < 0 { !i } else { i }).leading_zeros() / 8;
+        let header = u128::from(if i < 0 { 0x7F - len } else { 0x80 + len });
+        let magnitude = u128::from(i as u64) & ((1 << (8 * len)) - 1);
+        self.put(header << (8 * len) | magnitude, len + 1)
+    }
+
+    fn str(&mut self, s: &str) -> Option<()> {
+        for &b in s.as_bytes() {
+            match b <= ESC {
+                true => self.put(u128::from(ESC) << 8 | u128::from(b + 1), 2)?,
+                false => self.put(b.into(), 1)?,
+            }
+        }
+        self.put(u128::from(ESC) << 8, 2)
+    }
+}
+
+impl Value {
     /// The one hash walk. With `memo` off it is `impl Hash`: the byte
     /// stream is fixed, whatever the hasher. With `memo` on, a tuple
     /// contributes its remembered [`Record::structural_hash`] instead of

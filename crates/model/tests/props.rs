@@ -36,9 +36,21 @@ fn arb_value() -> impl Strategy<Value = Value> {
 /// NaN payloads, 2⁵³ ± 1 (where `i as f64` rounds), the ends of i64 and
 /// 2⁶³ as a float — and tuples and sets holding them.
 fn arb_numeric() -> BoxedStrategy<Value> {
+    numeric_leaf()
+        .prop_recursive(2, 12, 3, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..3).prop_map(Value::set),
+                (inner.clone(), inner).prop_map(|(p, q)| Value::tuple([("p", p), ("q", q)])),
+            ]
+        })
+        .boxed()
+}
+
+/// The numbers of [`arb_numeric`], without the containers.
+fn numeric_leaf() -> BoxedStrategy<Value> {
     let nan = |bits: u64| Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
     let two_53 = 1i64 << 53;
-    let leaf = prop_oneof![
+    prop_oneof![
         (-2i64..3).prop_map(Value::Int),
         (-2i64..3).prop_map(|i| Value::Float(i as f64)),
         Just(Value::Float(-0.0)),
@@ -53,14 +65,67 @@ fn arb_numeric() -> BoxedStrategy<Value> {
         Just(Value::Float(i64::MIN as f64)),
         Just(Value::Float(9_223_372_036_854_775_808.0)),
         Just(Value::Float(f64::INFINITY)),
+    ]
+    .boxed()
+}
+
+/// Values at the edges of a sort prefix: the numbers above, fractions next
+/// to their floor and floats below the i64 range; strings with `0x00` and
+/// `0x01` bytes and shared starts; tuples with permuted labels and with
+/// different label sets (the empty label included); sets and lists longer
+/// than the prefix; variants.
+fn arb_prefixed() -> BoxedStrategy<Value> {
+    let piece = prop_oneof![Just("a"), Just("ab"), Just("\0"), Just("\u{1}"), Just("é")];
+    let label = prop_oneof![Just(""), Just("a"), Just("a\0"), Just("b")];
+    let leaf = prop_oneof![
+        arb_near(),
+        Just(Value::Float(-1e300)),
+        Just(Value::Float(f64::NEG_INFINITY)),
+        prop::collection::vec(piece, 0..5).prop_map(|p| Value::str(p.concat())),
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
     ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
+    leaf.prop_recursive(3, 24, 6, move |inner| {
+        let field = (label.clone(), inner.clone());
         prop_oneof![
-            prop::collection::vec(inner.clone(), 0..3).prop_map(Value::set),
-            (inner.clone(), inner).prop_map(|(p, q)| Value::tuple([("p", p), ("q", q)])),
+            prop::collection::vec(inner.clone(), 0..9).prop_map(Value::set),
+            prop::collection::vec(inner.clone(), 0..9).prop_map(Value::List),
+            prop::collection::vec(field, 0..4).prop_map(|fields| {
+                let mut rec = Record::empty();
+                for (l, v) in fields {
+                    // Skip duplicate labels rather than fail the case.
+                    let _ = rec.push(l, v);
+                }
+                Value::Tuple(rec)
+            }),
+            (label.clone(), inner).prop_map(|(l, v)| Value::Variant(l.into(), Box::new(v))),
         ]
     })
+}
+
+/// The numbers of [`arb_numeric`] and fractions next to their floor.
+fn arb_near() -> BoxedStrategy<Value> {
+    let fraction = prop_oneof![Just(0.25), Just(0.5), Just(0.75)];
+    prop_oneof![
+        numeric_leaf(),
+        (-2i64..3, fraction).prop_map(|(floor, f)| Value::Float(floor as f64 + f)),
+    ]
     .boxed()
+}
+
+/// The prefix laws on one pair: `a ≤ b ⇒ prefix(a) ≤ prefix(b)`, and equal
+/// values have equal prefixes.
+fn prefix_laws(a: &Value, b: &Value, schema: Option<&Record>) -> Result<(), TestCaseError> {
+    use std::cmp::Ordering::*;
+    let (pa, pb) = (a.sort_prefix(schema), b.sort_prefix(schema));
+    prop_assert!(pa.is_some() && pb.is_some(), "{:?} / {:?}", a, b);
+    let held = match a.cmp(b) {
+        Less => pa <= pb,
+        Equal => pa == pb,
+        Greater => pa >= pb,
+    };
+    prop_assert!(held, "{:?} vs {:?}: {:032x?} vs {:032x?}", a, b, pa, pb);
+    Ok(())
 }
 
 fn value_hash(v: &Value) -> u64 {
@@ -202,6 +267,49 @@ proptest! {
             let (x, y, z) = (&v[x], &v[y], &v[z]);
             prop_assert!(!(x <= y && y <= z) || x <= z, "{:?} ≤ {:?} ≤ {:?}", x, y, z);
             prop_assert!(!(x == y && y == z) || x == z, "{:?} = {:?} = {:?}", x, y, z);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The sort prefix is monotone in the order, with labels encoded: on
+    /// the pair, and on lists and tuples led by a shared value or by two
+    /// numbers near each other, so the pair is compared behind them.
+    #[test]
+    fn sort_prefix_is_monotone(
+        x in arb_prefixed(), (m, n) in (arb_near(), arb_near()),
+        a in arb_prefixed(), b in arb_prefixed(),
+    ) {
+        prefix_laws(&a, &b, None)?;
+        for (x, y) in [(&x, &x), (&m, &n)] {
+            let list = |x: &Value, v: &Value| Value::List(vec![x.clone(), v.clone()]);
+            prefix_laws(&list(x, &a), &list(y, &b), None)?;
+            let pair = |x: &Value, v: &Value| Value::tuple([("p", x.clone()), ("q", v.clone())]);
+            prefix_laws(&pair(x, &a), &pair(y, &b), None)?;
+        }
+    }
+
+    /// With labels left out: rows of one schema (canonical labels, shared
+    /// or only equal) against the first row's record; a tuple of other
+    /// labels gets no prefix.
+    #[test]
+    fn sort_prefix_without_labels_is_monotone(
+        x in arb_prefixed(), (m, n) in (arb_near(), arb_near()),
+        a in arb_prefixed(), b in arb_prefixed(),
+    ) {
+        let row = |v: &Value| Record::new([("p", x.clone()), ("q", v.clone())]).unwrap();
+        let schema = row(&a);
+        prefix_laws(&Value::Tuple(row(&a)), &Value::Tuple(row(&b)), Some(&schema))?;
+        let led = |v: &Value| Value::Tuple(Record::new([("p", v.clone()), ("q", x.clone())]).unwrap());
+        prefix_laws(&led(&a), &led(&b), Some(&schema))?;
+        let near = |p: &Value, v: &Value| Value::Tuple(Record::new([("p", p.clone()), ("q", v.clone())]).unwrap());
+        prefix_laws(&near(&m, &a), &near(&n, &b), Some(&schema))?;
+        let swapped = Record::new([("q", b.clone()), ("p", x.clone())]).unwrap();
+        let other = Record::new([("p", x.clone()), ("r", b.clone())]).unwrap();
+        for r in [swapped, other, Record::new([("p", x.clone())]).unwrap()] {
+            prop_assert_eq!(Value::Tuple(r).sort_prefix(Some(&schema)), None);
         }
     }
 }

@@ -15,14 +15,23 @@ use tmql_exec::{execute_collect, execute_values, ExecConfig, ExecContext, PhysPl
 use tmql_model::RecordSet;
 use tmql_storage::{table::int_table, Catalog, IoFailpoint};
 
-const BATCH: usize = 8;
+/// How many values [`palette`] holds.
+const PALETTE: usize = 37;
 
 /// Values that are equal but render differently (tuples and sets holding
-/// permuted labels), equal under the model but not under `==` on floats
-/// (NaN), distinct but close (±0.0, 1 and 1.0), and nested.
+/// permuted labels, `1` and `1.0` inside tuples, lists and variants),
+/// equal under the model but not under `==` on floats (NaN), distinct but
+/// close (±0.0, 1 and 1.0), and nested — and values at the edges of the
+/// collector's sort prefixes: fractions next to their floor, floats past
+/// the i64 range, strings with `0x00` / `0x01` bytes and a shared start,
+/// rows of one schema and tuples of others, sets and lists longer than a
+/// prefix, variants.
 fn palette() -> Vec<Value> {
     let ab = Value::tuple([("a", Value::Int(1)), ("b", Value::Int(2))]);
     let ba = Value::tuple([("b", Value::Int(2)), ("a", Value::Int(1))]);
+    let row = |a: Value, b: Value| Value::tuple([("a", a), ("b", b)]);
+    let long = |last: Value| (0..9).map(Value::Int).chain([last]).collect::<Vec<_>>();
+    let variant = |l: &str, v: Value| Value::Variant(l.into(), Box::new(v));
     vec![
         Value::Null,
         Value::Int(1),
@@ -37,9 +46,30 @@ fn palette() -> Vec<Value> {
         Value::tuple([("t", ab.clone()), ("n", Value::Int(1))]),
         Value::tuple([("n", Value::Int(1)), ("t", ba.clone())]),
         Value::set([Value::Int(1), Value::Int(2)]),
-        Value::set([ab, Value::Int(3)]),
+        Value::set([ab.clone(), Value::Int(3)]),
         Value::set([ba, Value::Int(3)]),
         Value::empty_set(),
+        Value::Float(1.5),
+        Value::Float(1.25),
+        Value::Float(-1e300),
+        Value::Float(1e19),
+        Value::Int(i64::MIN),
+        Value::str("a\0"),
+        Value::str("a\u{1}b"),
+        Value::str("a"),
+        row(Value::Int(1), Value::Float(2.0)),
+        row(Value::Float(1.5), Value::Int(0)),
+        row(Value::Float(1.25), Value::Int(9)),
+        row(Value::Int(1), Value::str("a\0")),
+        Value::tuple([("a", Value::Int(1))]),
+        Value::tuple([("a", Value::Int(1)), ("c", Value::Int(2))]),
+        Value::set(long(Value::Int(10))),
+        Value::set(long(Value::Float(10.0))),
+        Value::List(long(Value::Int(9))),
+        Value::List(long(Value::Float(9.0))),
+        variant("some", Value::Int(1)),
+        variant("some", Value::Float(1.0)),
+        variant("none", ab),
     ]
 }
 
@@ -80,37 +110,41 @@ fn projection(values: &[Value]) -> (PhysPlan, Env<'static>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The exit against the old path, at collector sizes around the batch
-    /// that triggers compaction; the same values through a Map below the
-    /// root, which hands its first occurrences to a root `Filter`.
+    /// The exit against the old path, at batch sizes that put compactions
+    /// between equal values and at collector sizes around the batch that
+    /// triggers one; the same values through a Map below the root, which
+    /// hands its first occurrences to a root `Filter`.
     #[test]
     fn the_result_set_keeps_the_first_of_equal_values(
-        codes in prop::collection::vec(0usize..16, 2 * BATCH + 1..2 * BATCH + 2),
+        codes in prop::collection::vec(0..PALETTE, 17..160),
     ) {
         let palette = palette();
+        prop_assert_eq!(palette.len(), PALETTE);
         let cat = Catalog::new();
-        let config = ExecConfig::default().batch_size(BATCH);
-        for n in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1] {
-            let values: Vec<Value> = codes[..n].iter().map(|&c| palette[c].clone()).collect();
-            let want = reference(&values);
-            let (map, env) = projection(&values);
-            let filter = PhysPlan::Filter {
-                input: Box::new(map.clone()),
-                pred: E::lit(true),
-            };
-            for plan in [&map, &filter] {
+        for batch in [1, 2, 3, 8] {
+            let config = ExecConfig::default().batch_size(batch);
+            for n in [0, 1, batch, batch + 1, 2 * batch + 1, codes.len()] {
+                let values: Vec<Value> = codes[..n].iter().map(|&c| palette[c].clone()).collect();
+                let want = reference(&values);
+                let (map, env) = projection(&values);
+                let filter = PhysPlan::Filter {
+                    input: Box::new(map.clone()),
+                    pred: E::lit(true),
+                };
+                for plan in [&map, &filter] {
+                    let mut ctx = ExecContext::with_config(&cat, &config);
+                    let (got, _) = execute_values(plan, &mut ctx, &env, None).unwrap();
+                    prop_assert_eq!(render(&got), render(&want), "batch {}, n = {}", batch, n);
+                }
                 let mut ctx = ExecContext::with_config(&cat, &config);
-                let (got, _) = execute_values(plan, &mut ctx, &env, None).unwrap();
-                prop_assert_eq!(render(&got), render(&want), "n = {}", n);
+                let (rows, _) = execute_collect(&map, &mut ctx, &env, None).unwrap();
+                let enveloped = want.iter().map(|v| Record::new([("v", v.clone())]).unwrap());
+                let want_rows: Vec<String> = enveloped.map(|r| r.to_string()).collect();
+                let rows: Vec<String> = rows.iter().map(Record::to_string).collect();
+                prop_assert_eq!(rows, want_rows, "batch {}, n = {}", batch, n);
             }
-            let mut ctx = ExecContext::with_config(&cat, &config);
-            let (rows, _) = execute_collect(&map, &mut ctx, &env, None).unwrap();
-            let enveloped = want.iter().map(|v| Record::new([("v", v.clone())]).unwrap());
-            let want_rows: Vec<String> = enveloped.map(|r| r.to_string()).collect();
-            let rows: Vec<String> = rows.iter().map(Record::to_string).collect();
-            prop_assert_eq!(rows, want_rows, "n = {}", n);
         }
     }
 }
