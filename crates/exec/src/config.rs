@@ -45,14 +45,9 @@ pub struct ExecConfig {
     /// Ignored: execution is serial; kept until the benchmark's mirror is
     /// deleted (ROADMAP "Unfence the benchmark" (c)).
     pub threads: usize,
-    /// Memoize correlated `Apply` inner results by the outer row's
-    /// correlation-binding values (default `true`). Duplicate bindings
-    /// replay the cached result set instead of re-executing the inner
-    /// plan; the cache is budget-aware (it evicts LRU entries to respect
-    /// `memory_budget_rows`) and never changes results — only the
-    /// `apply_invocations` / `apply_cache_hits` counters. `false` restores
-    /// the one-inner-execution-per-outer-row behavior (differential tests
-    /// and benchmarks compare the two).
+    /// Ignored: a correlated `Apply` always memoizes its inner results;
+    /// kept until the benchmark's mirror is deleted (ROADMAP "Unfence the
+    /// benchmark" (c)).
     pub apply_cache: bool,
     /// Collect per-operator wall-clock spans (default `true`): the
     /// metered [`crate::op::operator::Operator::pull`] and the
@@ -112,12 +107,6 @@ impl ExecConfig {
         self
     }
 
-    /// Enable or disable Apply binding memoization (default on).
-    pub fn apply_cache(mut self, on: bool) -> ExecConfig {
-        self.apply_cache = on;
-        self
-    }
-
     /// Enable or disable per-operator wall-clock spans (default on).
     pub fn collect_timing(mut self, on: bool) -> ExecConfig {
         self.collect_timing = on;
@@ -164,12 +153,6 @@ mod tests {
                 .memory_budget_rows,
             None
         );
-    }
-
-    #[test]
-    fn apply_cache_defaults_on() {
-        assert!(ExecConfig::default().apply_cache);
-        assert!(!ExecConfig::default().apply_cache(false).apply_cache);
     }
 
     #[test]

@@ -1226,10 +1226,7 @@ impl<'a, 'p> Walk<'a, 'p> {
                 ..
             } => {
                 let c = self.phys(input);
-                // Without memo keys the inner plan runs once per outer row.
-                let distinct = bindings
-                    .as_ref()
-                    .map_or(c.rows, |b| self.distinct_bindings(b, from, c.rows));
+                let distinct = self.distinct_bindings(bindings, from, c.rows);
                 // The subquery's operators are not executed operators:
                 // the Apply instantiates them per binding.
                 let trace = self.trace.take();

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tmql_algebra::{eval, Env, ScalarExpr};
+use tmql_algebra::{eval, Env};
 use tmql_model::{Record, Result, Value};
 use tmql_storage::spill::RunWriter;
 use tmql_storage::{Catalog, SpillDir};
@@ -144,18 +144,7 @@ pub fn execute(
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
 ) -> Result<Vec<Record>> {
-    execute_profiled(plan, ctx, env).map(|(rows, _)| rows)
-}
-
-/// Execute a physical plan and also return the per-operator profile: the
-/// operator tree annotated with each operator's emitted rows and batches.
-pub fn execute_profiled(
-    plan: &crate::PhysPlan,
-    ctx: &mut ExecContext<'_>,
-    env: &Env<'_>,
-) -> Result<(Vec<Record>, String)> {
-    let (rows, profile) = execute_collect(plan, ctx, env, None)?;
-    Ok((rows, operator::render_profile(&profile)))
+    execute_collect(plan, ctx, env, None).map(|(rows, _)| rows)
 }
 
 /// [`execute_values`] with each value put back into its record, for
@@ -402,23 +391,6 @@ fn permute(values: &mut [Value], from: &mut [usize]) {
     }
 }
 
-/// Lower a logical plan with `config` and execute it, returning rows only.
-pub fn execute_logical(
-    plan: &tmql_algebra::Plan,
-    catalog: &Catalog,
-    config: &ExecConfig,
-) -> Result<Vec<Record>> {
-    let phys = crate::planner::lower(plan, catalog, config)?;
-    let mut ctx = ExecContext::with_config(catalog, config);
-    execute(&phys, &mut ctx, &Env::new())
-}
-
-/// Evaluate a whole scalar expression tree as a constant (no tables); used
-/// for constant subqueries.
-pub fn eval_const(expr: &ScalarExpr) -> Result<Value> {
-    eval(expr, &Env::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,13 +475,14 @@ mod tests {
             }),
             subquery: Box::new(sub),
             label: "z".into(),
-            bindings: None,
+            // Keyed on the whole outer row: every row is a distinct binding.
+            bindings: vec![E::var("x")],
         };
         let mut ctx = ExecContext::new(&cat);
         let rows = execute(&plan, &mut ctx, &Env::new()).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(ctx.metrics.subquery_invocations, 4);
-        // Uncached: every outer row drains the (reused) inner tree.
+        // Every outer row drains the (reused) inner tree.
         assert_eq!(ctx.metrics.apply_invocations, 4);
         assert_eq!(ctx.metrics.apply_cache_hits, 0);
         // x=(1,1): z = {10, 11}; x=(4,9): z = ∅ (dangling preserved!).
@@ -545,16 +518,17 @@ mod tests {
             label: "z".into(),
             bindings,
         };
-        let cached = mk(Some(vec![E::path("x", &["b"])]));
+        let cached = mk(vec![E::path("x", &["b"])]);
         let mut ctx = ExecContext::new(&cat);
         let rows = execute(&cached, &mut ctx, &Env::new()).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(ctx.metrics.subquery_invocations, 4, "logical count stays");
         assert_eq!(ctx.metrics.apply_invocations, 3, "one drain per binding");
         assert_eq!(ctx.metrics.apply_cache_hits, 1);
-        // Same rows as the uncached run.
+        // Same rows as a run keyed on the whole outer row (no hits).
         let mut ctx2 = ExecContext::new(&cat);
-        let baseline = execute(&mk(None), &mut ctx2, &Env::new()).unwrap();
+        let baseline = execute(&mk(vec![E::var("x")]), &mut ctx2, &Env::new()).unwrap();
+        assert_eq!(ctx2.metrics.apply_cache_hits, 0);
         assert_eq!(rows, baseline);
         // The resident gauge returns to zero once the cache is released.
         assert_eq!(ctx.resident_rows(), 0);
@@ -584,14 +558,18 @@ mod tests {
             }),
             subquery: Box::new(sub),
             label: "z".into(),
-            bindings: None,
+            bindings: vec![E::var("x")],
         };
         let mut ctx = ExecContext::with_config(&cat, &ExecConfig::default().batch_size(2));
-        let (rows, profile) = execute_profiled(&plan, &mut ctx, &Env::new()).unwrap();
+        let (rows, profile) = execute_collect(&plan, &mut ctx, &Env::new(), None).unwrap();
+        let profile = operator::render_profile(&profile);
         assert_eq!(rows.len(), 4);
         assert_eq!(ctx.metrics.subquery_invocations, 4);
         // Timing is on by default, so a ` time=…` suffix follows.
-        assert!(profile.contains("Apply [rows=4 batches=2"), "{profile}");
+        assert!(
+            profile.contains("Apply[memo] [rows=4 batches=2"),
+            "{profile}"
+        );
     }
 
     #[test]
@@ -620,19 +598,27 @@ mod tests {
             pred: E::cmp(tmql_algebra::CmpOp::Gt, E::path("x", &["a"]), E::lit(0i64)),
         };
         let mut ctx = ExecContext::new(&cat);
-        let (_, profile) = execute_profiled(&plan, &mut ctx, &Env::new()).unwrap();
+        let (_, profile) = execute_collect(&plan, &mut ctx, &Env::new(), None).unwrap();
+        let profile = operator::render_profile(&profile);
         assert!(profile.starts_with("Filter"), "{profile}");
         assert!(profile.contains("  Scan(X)"), "{profile}");
     }
 
     #[test]
     fn eval_const_subquery() {
-        let v = eval_const(&E::agg(
-            tmql_algebra::AggFn::Count,
-            E::SetLit(vec![E::lit(1i64)]),
-        ))
-        .unwrap();
-        assert_eq!(v, Value::Int(1));
+        // A constant subquery is a one-row plan over no table.
+        let plan = PhysPlan::ScanExpr {
+            expr: E::SetLit(vec![E::agg(
+                tmql_algebra::AggFn::Count,
+                E::SetLit(vec![E::lit(1i64)]),
+            )]),
+            var: "v".into(),
+        };
+        let cat = catalog();
+        let mut ctx = ExecContext::new(&cat);
+        let (rows, _) = execute_collect(&plan, &mut ctx, &Env::new(), None).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("v").unwrap(), &Value::Int(1));
     }
 
     /// Rows as a multiset-insensitive, order-insensitive fingerprint.

@@ -60,9 +60,7 @@ pub mod planner;
 
 pub use config::{ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
 pub use cost::{CostEstimate, Estimator};
-pub use exec::{
-    execute, execute_collect, execute_logical, execute_profiled, execute_values, ExecContext,
-};
+pub use exec::{execute, execute_collect, execute_values, ExecContext};
 pub use metrics::Metrics;
 pub use obs::MetricsRecorder;
 pub use op::operator::{Batch, OpProfile, OpStats, Operator};

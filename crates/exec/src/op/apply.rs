@@ -4,9 +4,9 @@
 //! [`ApplyOp`] is the paper's baseline nested loop, made cheap along three
 //! axes. **Reuse**: the inner operator tree is built once and re-pointed at
 //! each outer row via [`Operator::rebind`] + `open`, so no per-row planning
-//! or allocation happens. **Memoization**: when the planner supplies
-//! binding expressions (the correlation values the inner result depends
-//! on), completed result sets are cached under the evaluated binding key —
+//! or allocation happens. **Memoization**: completed result sets are
+//! cached under the evaluated binding key (the planner's binding
+//! expressions — the correlation values the inner result depends on) —
 //! duplicate bindings replay the cached set, and the inner plan executes
 //! once per *distinct* binding. The cache is an LRU that respects
 //! [`crate::ExecConfig::memory_budget_rows`] through the shared resident
@@ -110,10 +110,9 @@ pub struct ApplyOp<'p> {
     child: BoxedOperator<'p>,
     subquery: &'p PhysPlan,
     label: Arc<str>,
-    /// `None` = memoization off (one execution per outer row);
-    /// `Some([])` = invariant subquery (single cached execution);
-    /// `Some(exprs)` = cache keyed on the evaluated expressions.
-    bindings: Option<&'p [ScalarExpr]>,
+    /// The cache key's expressions; empty for an invariant subquery
+    /// (single cached execution).
+    bindings: &'p [ScalarExpr],
     /// The long-lived inner operator tree (reused across rows via
     /// rebind/open; kept across `close` so nested re-opens stay cheap).
     inner: Option<BoxedOperator<'p>>,
@@ -128,7 +127,7 @@ impl<'p> ApplyOp<'p> {
         child: BoxedOperator<'p>,
         subquery: &'p PhysPlan,
         label: &'p str,
-        bindings: Option<&'p [ScalarExpr]>,
+        bindings: &'p [ScalarExpr],
     ) -> ApplyOp<'p> {
         ApplyOp {
             base,
@@ -198,26 +197,21 @@ impl Operator for ApplyOp<'_> {
             let mut run =
                 |ctx: &mut ExecContext<'_>| Self::run_inner(inner, subquery, &sub_env, ctx);
             ctx.metrics.subquery_invocations += 1;
-            let set = match self.bindings {
-                None => run(ctx)?,
-                Some(exprs) => {
-                    // A key evaluation failure must not fail the query
-                    // (the expression might never be reached under the
-                    // inner plan's own evaluation order) — run uncached.
-                    let key: std::result::Result<Vec<Value>, _> =
-                        exprs.iter().map(|e| eval(e, &sub_env)).collect();
-                    match key {
-                        Err(_) => run(ctx)?,
-                        Ok(key) => {
-                            if let Some(set) = self.memo.hit(&key) {
-                                ctx.metrics.apply_cache_hits += 1;
-                                set
-                            } else {
-                                let set = run(ctx)?;
-                                self.memo.insert(key, set.clone(), ctx);
-                                set
-                            }
-                        }
+            // A key evaluation failure must not fail the query (the
+            // expression might never be reached under the inner plan's own
+            // evaluation order) — run uncached.
+            let key: std::result::Result<Vec<Value>, _> =
+                self.bindings.iter().map(|e| eval(e, &sub_env)).collect();
+            let set = match key {
+                Err(_) => run(ctx)?,
+                Ok(key) => {
+                    if let Some(set) = self.memo.hit(&key) {
+                        ctx.metrics.apply_cache_hits += 1;
+                        set
+                    } else {
+                        let set = run(ctx)?;
+                        self.memo.insert(key, set.clone(), ctx);
+                        set
                     }
                 }
             };

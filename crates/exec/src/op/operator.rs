@@ -261,17 +261,10 @@ impl OpProfile {
     }
 }
 
-/// Collect per-operator profiles in pre-order. `est` supplies estimated
-/// rows in the same pre-order (as produced by the cost model's
-/// exec-order walk over the physical plan the tree was built from).
-pub fn collect_profile(root: &dyn Operator, est: Option<&[f64]>) -> Vec<OpProfile> {
-    let mut out = Vec::new();
-    profile_into(root, 0, est, &mut out);
-    out
-}
-
 /// Append the profiles of `op`'s subtree, `op` at `depth`, to the
-/// pre-order list `out`; an entry's estimate is `est` at its position.
+/// pre-order list `out`; an entry's estimate is `est` at its position (as
+/// produced by the cost model's exec-order walk over the physical plan
+/// the tree was built from).
 pub(crate) fn profile_into(
     op: &dyn Operator,
     depth: usize,
@@ -327,12 +320,6 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
         }
     }
     out
-}
-
-/// Render the operator tree with per-operator output metrics (the
-/// post-execution profile shown by `EXPLAIN`).
-pub fn render_tree(root: &dyn Operator) -> String {
-    render_profile(&collect_profile(root, None))
 }
 
 /// What an operator knows per plan node rather than per row: the node it
@@ -613,13 +600,7 @@ pub fn build_with<'p>(
             subquery,
             label,
             bindings,
-        } => Box::new(ApplyOp::new(
-            base,
-            sub(input),
-            subquery,
-            label,
-            bindings.as_deref(),
-        )),
+        } => Box::new(ApplyOp::new(base, sub(input), subquery, label, bindings)),
         PhysPlan::Materialize { input } => Box::new(MaterializeOp::new(base, sub(input))),
         PhysPlan::HashProbe {
             table,
@@ -695,7 +676,9 @@ mod tests {
         let rows = drain(&mut root, &mut ctx).unwrap();
         root.close(&mut ctx);
         assert_eq!(rows.len(), 6);
-        let tree = render_tree(root.as_ref());
+        let mut profile = Vec::new();
+        profile_into(root.as_ref(), 0, None, &mut profile);
+        let tree = render_profile(&profile);
         assert!(tree.contains("Filter [rows=6"), "{tree}");
         assert!(tree.contains("Scan(X) [rows=10"), "{tree}");
     }

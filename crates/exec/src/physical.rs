@@ -249,10 +249,9 @@ pub enum PhysPlan {
     },
     /// Correlated apply — a true nested loop over subquery executions; the
     /// paper's baseline. The executor builds the inner operator tree
-    /// **once** and re-opens it per outer row (operator reuse); with
-    /// `bindings` present it additionally memoizes completed inner result
-    /// sets by the evaluated binding values, so the inner plan runs once
-    /// per *distinct* binding.
+    /// **once** and re-opens it per outer row (operator reuse), and
+    /// memoizes completed inner result sets by the evaluated binding
+    /// values, so the inner plan runs once per *distinct* binding.
     Apply {
         /// Outer plan.
         input: Box<PhysPlan>,
@@ -261,11 +260,9 @@ pub enum PhysPlan {
         /// Label bound to the subquery result set.
         label: String,
         /// Correlation-binding key expressions the inner result depends
-        /// on: `None` disables memoization (one inner execution per outer
-        /// row); `Some(vec![])` marks an invariant subquery (a single
-        /// cached execution answers every row); `Some(exprs)` keys the
-        /// cache on the evaluated expressions.
-        bindings: Option<Vec<ScalarExpr>>,
+        /// on, which key the cache; empty marks an invariant subquery (a
+        /// single cached execution answers every row).
+        bindings: Vec<ScalarExpr>,
     },
     /// Replay buffer around a correlation-independent subtree inside an
     /// Apply inner plan: the child executes once on first demand, later
@@ -335,11 +332,8 @@ impl PhysPlan {
             PhysPlan::Nest { star, .. } => if *star { "Nest[ν*]" } else { "Nest[ν]" }.into(),
             PhysPlan::Unnest { .. } => "Unnest".into(),
             PhysPlan::GroupAgg { .. } => "GroupAgg".into(),
-            PhysPlan::Apply { bindings, .. } => match bindings {
-                None => "Apply".into(),
-                Some(b) if b.is_empty() => "Apply[once]".into(),
-                Some(_) => "Apply[memo]".into(),
-            },
+            PhysPlan::Apply { bindings, .. } if bindings.is_empty() => "Apply[once]".into(),
+            PhysPlan::Apply { .. } => "Apply[memo]".into(),
             PhysPlan::Materialize { .. } => "Materialize".into(),
             PhysPlan::HashProbe { table, attr, .. } => format!("HashProbe({table}.{attr})"),
             PhysPlan::SetOp { .. } => "SetOp".into(),
@@ -544,18 +538,14 @@ mod tests {
                 pred: None,
             })
         };
-        let apply = |bindings: Option<Vec<ScalarExpr>>| PhysPlan::Apply {
+        let apply = |bindings: Vec<ScalarExpr>| PhysPlan::Apply {
             input: scan("X", "x"),
             subquery: scan("Y", "y"),
             label: "z".into(),
             bindings,
         };
-        assert_eq!(apply(None).op_label(), "Apply");
-        assert_eq!(apply(Some(vec![])).op_label(), "Apply[once]");
-        assert_eq!(
-            apply(Some(vec![E::path("x", &["b"])])).op_label(),
-            "Apply[memo]"
-        );
+        assert_eq!(apply(vec![]).op_label(), "Apply[once]");
+        assert_eq!(apply(vec![E::path("x", &["b"])]).op_label(), "Apply[memo]");
         let probe = PhysPlan::HashProbe {
             table: "Y".into(),
             var: "y".into(),

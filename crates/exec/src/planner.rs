@@ -398,9 +398,9 @@ pub fn lower(plan: &Plan, catalog: &Catalog, config: &ExecConfig) -> Result<Phys
 }
 
 /// What lowering inside an `Apply` subquery may hoist out of the
-/// per-binding path (everything `None` outside one, for an invariant
+/// per-binding path (everything `None` outside one, and for an invariant
 /// subquery — the Apply cache's empty binding key already collapses it to
-/// one execution — and with `apply_cache` off).
+/// one execution).
 #[derive(Clone, Copy)]
 struct Hoist<'h> {
     /// The subquery's correlation variables: a subtree that references
@@ -642,21 +642,18 @@ impl<'p> Lowering<'_, 'p, '_> {
                 let (input, c) = self.child(input, below);
                 let bindings = apply_bindings(subquery);
                 let distinct = self.walk.distinct_bindings(&bindings, from, c.rows);
-                // Batched Apply (gated on `apply_cache` so `false` is the
-                // faithful legacy per-row baseline): memoize inner results
-                // by the correlation bindings, and hoist
-                // correlation-independent work out of the per-binding path
-                // — a transient hash probe when the whole inner plan is an
-                // eq-selection (one build amortized over the distinct
-                // bindings, one probe each), else materialized subtrees.
-                let cached = self.config.apply_cache;
+                // Batched Apply: memoize inner results by the correlation
+                // bindings, and hoist correlation-independent work out of
+                // the per-binding path — a transient hash probe when the
+                // whole inner plan is an eq-selection (one build amortized
+                // over the distinct bindings, one probe each), else
+                // materialized subtrees.
                 let corr = subquery.free_vars();
                 let est = self.walk.est;
                 let probe = spine_selection(subquery)
-                    .filter(|_| cached)
                     .and_then(|(t, v, pred)| est.hash_probe_choice(t, v, pred, distinct));
                 let hoist = Hoist {
-                    corr: Some(&corr).filter(|c| cached && !c.is_empty()),
+                    corr: Some(&corr).filter(|c| !c.is_empty()),
                     probe: probe.as_ref(),
                 };
                 self.walk.enter_subquery(from);
@@ -666,7 +663,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                     input,
                     subquery: Box::new(sub),
                     label: label.clone(),
-                    bindings: cached.then_some(bindings),
+                    bindings,
                 };
                 (phys, Node::Apply(c, sub_est, distinct))
             }
@@ -1112,7 +1109,7 @@ mod tests {
         else {
             panic!("expected Apply");
         };
-        assert_eq!(bindings, Some(vec![E::path("x", &["b"])]));
+        assert_eq!(bindings, vec![E::path("x", &["b"])]);
         let PhysPlan::HashProbe {
             table, attr, key, ..
         } = *subquery
@@ -1149,15 +1146,6 @@ mod tests {
             !matches!(*subquery, PhysPlan::HashProbe { .. }),
             "{subquery}"
         );
-        // apply_cache(false) is the faithful legacy baseline: no memo
-        // keys, no hoisting.
-        let sub = Plan::scan("BIG", "y").select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
-        let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::auto().apply_cache(false)).unwrap();
-        let PhysPlan::Apply { bindings, .. } = phys else {
-            panic!("expected Apply");
-        };
-        assert_eq!(bindings, None);
     }
 
     #[test]

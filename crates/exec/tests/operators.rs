@@ -669,7 +669,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                     pred: equi(),
                 }),
                 label: "z".into(),
-                bindings: None,
+                bindings: vec![E::var("x")],
             },
         ),
         (
@@ -684,7 +684,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                     pred: equi(),
                 }),
                 label: "z".into(),
-                bindings: Some(vec![xb()]),
+                bindings: vec![xb()],
             },
         ),
         (
@@ -697,7 +697,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                     var: "v".into(),
                 }),
                 label: "z".into(),
-                bindings: Some(vec![]),
+                bindings: vec![],
             },
         ),
     ];

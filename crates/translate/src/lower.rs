@@ -74,12 +74,11 @@ impl<'a> Translator<'a> {
     /// Translate a top-level query expression.
     pub fn query(&mut self, expr: &Expr) -> Result<Plan, TranslateError> {
         match expr {
-            Expr::Sfw { .. } => self.sfw(expr),
+            Expr::Sfw { .. } => Ok(self.sfw(expr)?.0),
             // Top-level UNNEST(query): plan-level μ, in the shape the
             // Section 5 collapse rule recognizes.
             Expr::Unnest(inner, _) if matches!(**inner, Expr::Sfw { .. }) => {
-                let sub = self.sfw(inner)?;
-                let mvar = sub.output_vars().pop().expect("sfw plans bind one var");
+                let (sub, mvar) = self.sfw(inner)?;
                 let elem = self.fresh("u");
                 Ok(Plan::Unnest {
                     input: Box::new(sub),
@@ -135,20 +134,24 @@ impl<'a> Translator<'a> {
         }
     }
 
-    /// Translate an SFW block into `Map(select) ∘ Select(where) ∘ FROM`.
-    fn sfw(&mut self, expr: &Expr) -> Result<Plan, TranslateError> {
+    /// Translate an SFW block into `Map(select) ∘ Select(where) ∘ FROM`,
+    /// and name the variable the `Map` binds.
+    fn sfw(&mut self, expr: &Expr) -> Result<(Plan, String), TranslateError> {
         let Expr::Sfw {
             select,
             from,
             where_clause,
             with_bindings,
-            ..
+            span,
         } = expr
         else {
             return Err(TranslateError::new("expected an SFW block", expr.span()));
         };
+        let Some((first, rest)) = from.split_first() else {
+            return Err(TranslateError::new("a block needs a FROM item", *span));
+        };
         let depth = self.scope.len();
-        let result = self.sfw_inner(select, from, where_clause.as_deref(), with_bindings);
+        let result = self.sfw_inner(select, first, rest, where_clause.as_deref(), with_bindings);
         self.scope.truncate(depth);
         result
     }
@@ -156,54 +159,44 @@ impl<'a> Translator<'a> {
     fn sfw_inner(
         &mut self,
         select: &Expr,
-        from: &[FromItem],
+        first: &FromItem,
+        rest: &[FromItem],
         where_clause: Option<&Expr>,
         with_bindings: &[(String, Expr)],
-    ) -> Result<Plan, TranslateError> {
+    ) -> Result<(Plan, String), TranslateError> {
         // FROM items, left to right.
-        let mut plan: Option<Plan> = None;
-        for item in from {
+        let mut plan = self.from_operand(&first.operand, &first.var)?;
+        self.scope.push(first.var.clone());
+        for item in rest {
             let item_plan = self.from_operand(&item.operand, &item.var)?;
-            plan = Some(match plan {
-                None => item_plan,
-                Some(acc) => {
-                    if item_plan.free_vars().is_empty() {
-                        // Independent table: cartesian product (the flat
-                        // "join query" format of Section 4).
-                        acc.join(item_plan, ScalarExpr::lit(true))
-                    } else {
-                        // Depends on earlier FROM variables: iterate per
-                        // row. For a ScanExpr this is exactly μ.
-                        match item_plan {
-                            Plan::ScanExpr { expr, var } => Plan::Unnest {
-                                input: Box::new(acc),
-                                expr,
-                                elem_var: var,
-                                drop_vars: vec![],
-                            },
-                            other => {
-                                // Correlated derived table: Apply + μ.
-                                let label = self.fresh("z");
-                                let elem = other
-                                    .output_vars()
-                                    .pop()
-                                    .expect("plans bind at least one var");
-                                let applied = acc.apply(other, label.clone());
-                                let _ = elem;
-                                Plan::Unnest {
-                                    input: Box::new(applied),
-                                    expr: ScalarExpr::var(&label),
-                                    elem_var: item.var.clone(),
-                                    drop_vars: vec![label],
-                                }
-                            }
+            plan = if item_plan.free_vars().is_empty() {
+                // Independent table: cartesian product (the flat "join
+                // query" format of Section 4).
+                plan.join(item_plan, ScalarExpr::lit(true))
+            } else {
+                // Depends on earlier FROM variables: iterate per row. For a
+                // ScanExpr this is exactly μ.
+                match item_plan {
+                    Plan::ScanExpr { expr, var } => Plan::Unnest {
+                        input: Box::new(plan),
+                        expr,
+                        elem_var: var,
+                        drop_vars: vec![],
+                    },
+                    other => {
+                        // Correlated derived table: Apply + μ.
+                        let label = self.fresh("z");
+                        Plan::Unnest {
+                            input: Box::new(plan.apply(other, label.clone())),
+                            expr: ScalarExpr::var(&label),
+                            elem_var: item.var.clone(),
+                            drop_vars: vec![label],
                         }
                     }
                 }
-            });
+            };
             self.scope.push(item.var.clone());
         }
-        let mut plan = plan.expect("parser guarantees at least one FROM item");
 
         // WITH bindings (the paper's local definitions, Section 4): a
         // subquery binding becomes an Apply with the user's label — i.e.
@@ -212,7 +205,7 @@ impl<'a> Translator<'a> {
         for (var, e) in with_bindings {
             match e {
                 Expr::Sfw { .. } => {
-                    let sub = self.sfw(e)?;
+                    let (sub, _) = self.sfw(e)?;
                     plan = plan.apply(sub, var.clone());
                 }
                 other => {
@@ -245,7 +238,7 @@ impl<'a> Translator<'a> {
             plan = plan.apply(sub, label);
         }
         let var = self.fresh("q");
-        Ok(plan.map(out, var))
+        Ok((plan.map(out, var.clone()), var))
     }
 
     /// Translate one FROM operand binding `var`.
@@ -262,8 +255,7 @@ impl<'a> Translator<'a> {
             )),
             // A derived table: rebind the subquery's output variable.
             Expr::Sfw { .. } => {
-                let sub = self.sfw(operand)?;
-                let out = sub.output_vars().pop().expect("sfw binds one var");
+                let (sub, out) = self.sfw(operand)?;
                 Ok(sub.map(ScalarExpr::var(&out), var))
             }
             // Any set-valued expression (`d.emps`, `{1,2}`, `a UNION b`…).
@@ -395,7 +387,7 @@ impl<'a> Translator<'a> {
                 // The heart of the translation: a nested SFW becomes a
                 // fresh Apply label (correlated nested-loop semantics;
                 // the optimizer will unnest it).
-                let sub = self.sfw(expr)?;
+                let (sub, _) = self.sfw(expr)?;
                 let label = self.fresh("z");
                 applies.push((label.clone(), sub));
                 ScalarExpr::var(&label)
@@ -558,6 +550,44 @@ mod tests {
         let ast = parse_query("SELECT c FROM EMP e, (SELECT k FROM (SELECT e2 FROM EMP e2) k) c")
             .unwrap();
         assert!(translate_query(&ast, &exts()).is_ok());
+    }
+
+    #[test]
+    fn a_block_without_from_is_an_error_not_a_panic() {
+        // The parser never builds one; a hand-built AST can.
+        let span = tmql_lang::token::Span::new(3, 9);
+        let empty = Expr::Sfw {
+            select: Box::new(Expr::Int(1, span)),
+            from: vec![],
+            where_clause: None,
+            with_bindings: vec![],
+            span,
+        };
+        let err = translate_query(&empty, &exts()).unwrap_err();
+        assert!(err.message.contains("FROM"), "{err:?}");
+        assert_eq!(err.span, span);
+        // Nested, and as a FROM operand, it fails the same way.
+        let nested = Expr::Agg(tmql_algebra::AggFn::Count, Box::new(empty.clone()), span);
+        assert_eq!(translate_query(&nested, &exts()).unwrap_err(), err);
+        let ast = parse_query("SELECT v FROM X v").unwrap();
+        let Expr::Sfw {
+            select, span: s, ..
+        } = ast
+        else {
+            panic!("a block");
+        };
+        let derived = Expr::Sfw {
+            select,
+            from: vec![FromItem {
+                operand: empty,
+                var: "v".into(),
+                span: s,
+            }],
+            where_clause: None,
+            with_bindings: vec![],
+            span: s,
+        };
+        assert_eq!(translate_query(&derived, &exts()).unwrap_err(), err);
     }
 
     #[test]

@@ -194,20 +194,10 @@ pub struct QueryOptions {
     /// Ignored: execution is serial; kept until the benchmark's mirror is
     /// deleted (ROADMAP "Unfence the benchmark" (c)).
     pub threads: usize,
-    /// Memoize correlated `Apply` inner results by the outer row's
-    /// correlation-binding values, and hoist correlation-independent
-    /// inner work (default `true`). Duplicate bindings replay the cached
-    /// result set — visible as `ainv=`/`ahit=` in the profile — and the
-    /// cache evicts to respect [`QueryOptions::memory_budget_rows`].
-    /// `false` restores the per-outer-row baseline (the `b12_apply`
-    /// benchmark compares the two).
-    ///
-    /// ```
-    /// use tmql::QueryOptions;
-    ///
-    /// assert!(QueryOptions::default().apply_cache);
-    /// assert!(!QueryOptions::default().apply_cache(false).apply_cache);
-    /// ```
+    /// Ignored: a correlated `Apply` always memoizes its inner results by
+    /// their correlation bindings (`ainv=`/`ahit=` in the profile); kept
+    /// until the benchmark's mirror is deleted (ROADMAP "Unfence the
+    /// benchmark" (c)).
     pub apply_cache: bool,
     /// Apply the Section 5/6 rewrite rules after unnesting.
     pub apply_rules: bool,
@@ -285,13 +275,6 @@ impl QueryOptions {
         self
     }
 
-    /// Enable or disable Apply binding memoization + hoisting (default
-    /// on; `false` is the faithful per-outer-row baseline).
-    pub fn apply_cache(mut self, on: bool) -> Self {
-        self.apply_cache = on;
-        self
-    }
-
     /// Enable or disable per-operator wall-clock timing (default on).
     pub fn collect_timing(mut self, on: bool) -> Self {
         self.collect_timing = on;
@@ -311,7 +294,7 @@ impl QueryOptions {
             batch_size: self.batch_size,
             memory_budget_rows: self.memory_budget_rows,
             threads: 1,
-            apply_cache: self.apply_cache,
+            apply_cache: true,
             collect_timing: self.collect_timing,
         }
     }

@@ -29,39 +29,11 @@
 //! This file holds exactly one test: the counter is process-global, and a
 //! second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use tmql::{Database, QueryOptions};
 use tmql_workload::gen::{gen_xy, GenConfig};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator with every allocation (and growing or shrinking
-/// reallocation) counted.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect that
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const ROWS: u64 = 8192;
 /// Budget for the whole statement: 0.1 allocations per row.
@@ -81,9 +53,9 @@ fn scanning_a_row_allocates_a_small_fixed_number_of_times() {
     // Once unmeasured, so lazily initialised state is not charged.
     assert!(db.query_with(query, opts).expect("query runs").is_empty());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let result = db.query_with(query, opts).expect("query runs");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counting_alloc::allocations() - before;
 
     assert!(result.is_empty(), "no `n` is negative");
     assert_eq!(result.metrics.rows_scanned, ROWS, "every row was scanned");
@@ -95,9 +67,9 @@ fn scanning_a_row_allocates_a_small_fixed_number_of_times() {
 
     let query = "SELECT x.b FROM X x";
     let distinct = db.query_with(query, opts).expect("query runs").len();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let result = db.query_with(query, opts).expect("query runs");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counting_alloc::allocations() - before;
     assert_eq!(result.len(), distinct);
     assert!(distinct > 1000, "{distinct} result rows");
     let per_row = allocations as f64 / distinct as f64;

@@ -31,39 +31,11 @@
 //! This file holds exactly one test: the counter is process-global, and a
 //! second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use tmql::{Database, QueryOptions};
 use tmql_workload::gen::{gen_xy, GenConfig};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator with every allocation (and growing or shrinking
-/// reallocation) counted.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect that
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const ROWS: u64 = 2048;
 const MAX_ALLOCATIONS_PER_PROBE_ROW: u64 = 5;
@@ -81,9 +53,9 @@ fn nesting_a_probe_row_allocates_a_small_fixed_number_of_times() {
     // Once unmeasured, so lazily initialised state is not charged.
     let rows = db.query_with(query, opts).expect("query runs").len();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let result = db.query_with(query, opts).expect("query runs");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counting_alloc::allocations() - before;
 
     assert_eq!(result.len(), rows);
     assert_eq!(result.metrics.hash_probes, ROWS, "one probe per X row");

@@ -16,39 +16,11 @@
 //! This file holds exactly one test: the counter is process-global, and a
 //! second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use tmql::{Database, QueryOptions};
 use tmql_storage::table::int_table;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator with every allocation (and growing or shrinking
-/// reallocation) counted.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect that
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const ROWS: i64 = 65_536;
 const KEYS: i64 = 256;
@@ -74,9 +46,9 @@ fn fetching_a_probed_disk_row_allocates_its_row_and_little_else() {
         let query = format!("SELECT x.n FROM X x WHERE x.b = {key}");
         // Once unmeasured, so lazily initialised state is not charged.
         db.query_with(&query, opts).expect("query runs");
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = counting_alloc::allocations();
         let result = db.query_with(&query, opts).expect("query runs");
-        let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let spent = counting_alloc::allocations() - before;
         assert_eq!(result.metrics.index_probes, 1, "{query} probes the index");
         (spent, result.metrics.index_hits, result.len())
     };

@@ -24,39 +24,11 @@
 //! This file holds exactly one test: the counter is process-global, and a
 //! second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use tmql::Database;
 use tmql_storage::table::int_table;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator with every allocation (and growing or shrinking
-/// reallocation) counted.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect that
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const ROWS: i64 = 256;
 const ROUNDS: u64 = 16;
@@ -85,17 +57,17 @@ fn replacing_a_row_and_committing_allocate_for_neither_rows_nor_copies() {
     let incoming: Vec<_> = (0..ROUNDS as i64).map(|i| table("T1", i)).collect();
     db.catalog_mut().replace(table("T1", 99)).expect("replace");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for t in incoming {
         db.catalog_mut().replace(t).expect("replace");
     }
-    let replacing = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let replacing = counting_alloc::allocations() - before;
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for _ in 0..ROUNDS {
         db.catalog().sync().expect("commit");
     }
-    let committing = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let committing = counting_alloc::allocations() - before;
 
     let rows = ROUNDS * ROWS as u64;
     assert_eq!(db.catalog().table("T1").expect("T1").len(), ROWS as usize);

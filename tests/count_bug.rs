@@ -12,20 +12,25 @@ use tmql_workload::gen::{gen_rs, GenConfig};
 use tmql_workload::queries::COUNT_BUG;
 use tmql_workload::schemas::count_bug_catalog;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 #[test]
 fn fixed_fixture_demonstrates_the_bug() {
     let db = Database::from_catalog(count_bug_catalog());
 
-    let oracle = db
+    let nl = db
         .query_with(
             COUNT_BUG,
             QueryOptions::default().strategy(UnnestStrategy::NestedLoop),
         )
         .unwrap();
+    let want = oracle::answer(db.catalog(), COUNT_BUG).unwrap();
+    oracle::assert_matches(&nl.values, &want, "nested loop");
     // Rows a=1 (b=2, two matches), a=2 (b=1, one match), a=3 (b=0,
     // dangling) qualify; a=4 has the wrong count.
-    assert_eq!(oracle.len(), 3);
-    let has_dangling = oracle
+    assert_eq!(nl.len(), 3);
+    let has_dangling = nl
         .values
         .iter()
         .any(|v| v.as_tuple().unwrap().get("a").unwrap() == &Value::Int(3));
@@ -42,7 +47,7 @@ fn fixed_fixture_demonstrates_the_bug() {
         )
         .unwrap();
     assert_eq!(kim.len(), 2, "Kim loses the dangling row");
-    assert!(kim.values.iter().all(|v| oracle.values.contains(v)));
+    assert!(kim.values.iter().all(|v| nl.values.contains(v)));
     let kim_has_dangling = kim
         .values
         .iter()
@@ -62,12 +67,7 @@ fn fixed_fixture_demonstrates_the_bug() {
         let got = db
             .query_with(COUNT_BUG, QueryOptions::default().strategy(strat))
             .unwrap();
-        assert_eq!(
-            got.values,
-            oracle.values,
-            "{} must fix the bug",
-            strat.name()
-        );
+        assert_eq!(got.values, nl.values, "{} must fix the bug", strat.name());
     }
 }
 
@@ -128,12 +128,18 @@ fn dangling_fraction_sweep() {
             ..GenConfig::default()
         };
         let db = Database::from_catalog(gen_rs(&cfg));
-        let oracle = db
+        let want = oracle::answer(db.catalog(), COUNT_BUG).unwrap();
+        let nl = db
             .query_with(
                 COUNT_BUG,
                 QueryOptions::default().strategy(UnnestStrategy::NestedLoop),
             )
             .unwrap();
+        oracle::assert_matches(
+            &nl.values,
+            &want,
+            &format!("nested loop, dangling={dangling}"),
+        );
         let kim = db
             .query_with(
                 COUNT_BUG,
@@ -146,24 +152,25 @@ fn dangling_fraction_sweep() {
                 QueryOptions::default().strategy(UnnestStrategy::Optimal),
             )
             .unwrap();
-        assert_eq!(fixed.values, oracle.values, "dangling={dangling}");
+        oracle::assert_matches(
+            &fixed.values,
+            &want,
+            &format!("optimal, dangling={dangling}"),
+        );
 
-        // Kim's deficit is *exactly* the set of oracle rows whose key has
+        // Kim's deficit is *exactly* the set of answer rows whose key has
         // no S partner: only those evaluate `b = COUNT(∅) = 0` correctly
         // in the nested query but vanish from the join. (Even at a 0.0
         // dangling fraction the uniform sampler can leave keys unhit, so
         // we count unmatched keys from the data rather than trusting the
-        // knob.)
-        let s = db.catalog().table("S").unwrap();
-        let matched: std::collections::BTreeSet<&tmql::Value> =
-            s.rows().map(|r| r.get("c").unwrap()).collect();
-        let lost = oracle
-            .values
+        // knob.) Both sides of the count are the oracle's.
+        let matched = oracle::answer(db.catalog(), "SELECT y.c FROM S y").unwrap();
+        let lost = want
             .iter()
-            .filter(|v| !matched.contains(v.as_tuple().unwrap().get("c").unwrap()))
+            .filter(|x| !oracle::member(x.field("c").unwrap(), &matched))
             .count();
         assert_eq!(
-            oracle.len() - kim.len(),
+            want.len() - kim.len(),
             lost,
             "dangling={dangling}: deficit must equal the unmatched qualifying rows"
         );

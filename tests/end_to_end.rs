@@ -7,6 +7,9 @@ use tmql::{Database, JoinAlgo, QueryOptions, Record, Table, Ty, UnnestStrategy, 
 use tmql_workload::gen::{gen_xy, gen_xyz, GenConfig, SkewKind};
 use tmql_workload::queries::{self, table2_templates};
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 fn correct_strategies() -> [UnnestStrategy; 5] {
     [
         UnnestStrategy::Optimal,
@@ -308,16 +311,19 @@ fn an_int_in_a_real_column_joins_one_way_under_every_plan() {
     for indexed in [false, true] {
         let db = mixed_numeric_db(indexed);
         for (src, want) in &cases {
+            // The reference evaluator's equality is written on its own.
+            let reference = oracle::answer(db.catalog(), src).unwrap();
             for strategy in UnnestStrategy::ALL {
                 for algo in [JoinAlgo::Auto, JoinAlgo::Hash, JoinAlgo::SortMerge] {
                     let opts = QueryOptions::default().strategy(strategy).join_algo(algo);
                     let got = db.query_with(src, opts).unwrap();
+                    let case =
+                        format!("{src} / {} / {algo:?} / indexed={indexed}", strategy.name());
+                    oracle::assert_matches(&got.values, &reference, &case);
                     let got: Vec<Value> = match want[0] {
                         Value::Str(_) => got.values.iter().map(|v| v.to_string().into()).collect(),
                         _ => got.values.into_iter().collect(),
                     };
-                    let case =
-                        format!("{src} / {} / {algo:?} / indexed={indexed}", strategy.name());
                     assert_eq!(&got, want, "{case}");
                 }
             }

@@ -74,3 +74,32 @@ fn every_strategy_agrees_on_the_antijoin_query() {
         assert_eq!(got, reference, "strategy {strat:?} diverged");
     }
 }
+
+/// `apply_cache` is an ignored name, kept only while the benchmark still
+/// sets it: `false` runs the one memoizing Apply, with the default's
+/// answer and the default's work counters.
+#[test]
+fn apply_cache_false_is_ignored() {
+    let db = sample_db();
+    let nl = QueryOptions::default().strategy(UnnestStrategy::NestedLoop);
+    let off = QueryOptions {
+        apply_cache: false,
+        ..nl
+    };
+    let want = db.query_with(ANTIJOIN_QUERY, nl).expect("query runs");
+    let got = db.query_with(ANTIJOIN_QUERY, off).expect("query runs");
+    assert_eq!(got.values, want.values);
+    assert_eq!(got.metrics, want.metrics);
+    assert!(
+        got.metrics.apply_cache_hits > 0,
+        "X.b repeats, so the cache hits"
+    );
+    let default = QueryOptions {
+        apply_cache: false,
+        ..Default::default()
+    };
+    let got = db.query_with(ANTIJOIN_QUERY, default).expect("query runs");
+    let want = db.query(ANTIJOIN_QUERY).expect("query runs");
+    assert_eq!(got.values, want.values);
+    assert_eq!(got.metrics, want.metrics);
+}

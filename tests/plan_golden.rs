@@ -313,12 +313,6 @@ fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
             big("x").apply(probe_sub("y"), "z"),
         ),
         (
-            "Apply, cache off: no bindings, no hoisting",
-            false,
-            auto().apply_cache(false),
-            big("x").apply(probe_sub("y"), "z"),
-        ),
-        (
             "Apply -> Materialize under the correlated filter",
             false,
             auto(),
@@ -447,10 +441,9 @@ fn render_shapes(out: &mut String) {
         let cat = shapes_catalog(indexed);
         writeln!(
             out,
-            "### shape: {name} [{}, {:?}, apply_cache={}]",
+            "### shape: {name} [{}, {:?}]",
             if indexed { "indexed" } else { "no index" },
             config.join_algo,
-            config.apply_cache
         )
         .unwrap();
         let phys = lower(&plan, &cat, &config).expect("lowers");

@@ -12,6 +12,9 @@ use tmql_storage::{table::int_table, Catalog};
 use tmql_workload::gen::{gen_xy, GenConfig};
 use tmql_workload::queries::SUBSETEQ_BUG;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 /// The Section 4 scenario, minimal: one dangling X row with x.a = ∅.
 fn fixture() -> Catalog {
     let mut cat = Catalog::new();
@@ -49,13 +52,15 @@ fn fixture() -> Catalog {
 #[test]
 fn subseteq_bug_demonstrated_and_fixed() {
     let db = Database::from_catalog(fixture());
-    let oracle = db
+    let nl = db
         .query_with(
             SUBSETEQ_BUG,
             QueryOptions::default().strategy(UnnestStrategy::NestedLoop),
         )
         .unwrap();
-    assert_eq!(oracle.len(), 2, "rows n=0 and n=2 qualify");
+    let want = oracle::answer(db.catalog(), SUBSETEQ_BUG).unwrap();
+    oracle::assert_matches(&nl.values, &want, "nested loop");
+    assert_eq!(nl.len(), 2, "rows n=0 and n=2 qualify");
 
     let kim = db
         .query_with(
@@ -78,7 +83,7 @@ fn subseteq_bug_demonstrated_and_fixed() {
         let got = db
             .query_with(SUBSETEQ_BUG, QueryOptions::default().strategy(strat))
             .unwrap();
-        assert_eq!(got.values, oracle.values, "{}", strat.name());
+        assert_eq!(got.values, nl.values, "{}", strat.name());
     }
 }
 
@@ -129,12 +134,14 @@ fn generated_sweep_counts_lost_rows() {
         ..GenConfig::default()
     };
     let db = Database::from_catalog(gen_xy(&cfg));
-    let oracle = db
+    let want = oracle::answer(db.catalog(), SUBSETEQ_BUG).unwrap();
+    let nl = db
         .query_with(
             SUBSETEQ_BUG,
             QueryOptions::default().strategy(UnnestStrategy::NestedLoop),
         )
         .unwrap();
+    oracle::assert_matches(&nl.values, &want, "nested loop");
     let kim = db
         .query_with(
             SUBSETEQ_BUG,
@@ -142,18 +149,15 @@ fn generated_sweep_counts_lost_rows() {
         )
         .unwrap();
 
-    // Count dangling ∅-rows directly from the data.
-    let x = db.catalog().table("X").unwrap();
-    let y = db.catalog().table("Y").unwrap();
-    let matched_keys: std::collections::BTreeSet<&Value> =
-        y.rows().map(|r| r.get("b").unwrap()).collect();
-    let lost = x
-        .rows()
-        .filter(|r| {
-            r.get("a").unwrap() == &Value::empty_set()
-                && !matched_keys.contains(r.get("b").unwrap())
+    // Count the dangling ∅-rows of the oracle's answer.
+    let matched_keys = oracle::answer(db.catalog(), "SELECT y.b FROM Y y").unwrap();
+    let lost = want
+        .iter()
+        .filter(|x| {
+            matches!(x.field("a"), Some(oracle::V::Set(a)) if a.is_empty())
+                && !oracle::member(x.field("b").unwrap(), &matched_keys)
         })
         .count();
-    assert_eq!(oracle.len() - kim.len(), lost, "deficit = dangling ∅-rows");
+    assert_eq!(want.len() - kim.len(), lost, "deficit = dangling ∅-rows");
     assert!(lost > 0, "the sweep must actually exercise the bug");
 }
