@@ -294,7 +294,7 @@ fn eval_set_cmp(op: SetCmpOp, a: &Value, b: &Value) -> Result<bool> {
 /// exactly the asymmetry that makes COUNT the famous bug ([Ganski & Wong
 /// 87]): a lost dangling tuple is indistinguishable from NULL for
 /// SUM/MIN/MAX/AVG but not for COUNT.
-pub fn eval_agg(f: AggFn, v: &Value) -> Result<Value> {
+pub(crate) fn eval_agg(f: AggFn, v: &Value) -> Result<Value> {
     match f {
         AggFn::Count => Ok(Value::Int(setops::count(v)?)),
         AggFn::Sum => setops::aggregate::sum(v),

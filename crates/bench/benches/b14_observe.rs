@@ -13,9 +13,9 @@
 //!
 //! The query mix mirrors the earlier experiments: B1's flattenable
 //! correlated IN (semijoin after unnesting) and B7's COUNT-aggregate
-//! nesting (the count-bug shape). Recorded full-mode numbers live in
-//! `BENCH_observe.json`; the acceptance pin is timing-on within 5% of
-//! timing-off.
+//! nesting (the count-bug shape). The acceptance pin is timing-on within
+//! 5% of timing-off; the first full-mode run measured a worst tax of
+//! +3.9% (README, "Bench history").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql::{Database, QueryOptions};

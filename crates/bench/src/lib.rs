@@ -2,10 +2,10 @@
 
 //! # tmql-bench — shared benchmark plumbing
 //!
-//! Each Criterion bench target under `benches/` regenerates one experiment
-//! ladder of the table "Experiment ladders and the paper" in
-//! `tmqlbench/README.md` (target → paper section → recorded file). Two
-//! targets are not experiments of the paper but **layer micro-benches**
+//! The Criterion bench targets under `benches/` are `table1_nestjoin` and
+//! `b1`–`b7`, the paper's experiments (see the table "Experiment ladders
+//! and the paper" in `tmqlbench/README.md`), `b14_observe`, the
+//! observability tax, and three **layer micro-benches**
 //! (the ROADMAP's "measured layer by layer" aim): `b15_values` prices a
 //! complex object as a key, on the generated `X`/`Y` rows of the
 //! `paper_nested` workload at n = 256
@@ -21,7 +21,8 @@
 //! `Table::batch_where` behind a pre-test that admits no row, a quarter of
 //! them, every row; `where/none` is the floor a rejected row pays (page
 //! walk, skip-scan, one comparison), `where/all` what the test adds to an
-//! admitted one.
+//! admitted one. `b17_rowpath`, the third, prices a scanned row into its
+//! first consumer: hash build, semi / nest probe, map.
 //!
 //! This library holds the shared helpers: standard Criterion configuration, a
 //! one-shot work-metrics reporter so every benchmark also logs the
@@ -64,9 +65,8 @@ pub fn criterion() -> Criterion {
 }
 
 /// Run once and log the executor work counters (rows scanned, comparisons,
-/// hash traffic, subquery invocations) — the "shape" data the
-/// `BENCH_*.json` files listed in `tmqlbench/README.md` quote alongside
-/// wall time.
+/// hash traffic, subquery invocations) — the machine-independent "shape"
+/// of a run, to read alongside its wall time.
 pub fn report_work(tag: &str, db: &Database, src: &str, opts: QueryOptions) {
     match db.query_with(src, opts) {
         Ok(r) => eprintln!(

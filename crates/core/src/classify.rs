@@ -20,7 +20,7 @@ use tmql_model::Value;
 /// The fresh variable name used for `v` in produced rewrites. Double
 /// underscore keeps it out of the user's namespace (the parser rejects
 /// leading `__`).
-pub const FRESH_VAR: &str = "__v";
+pub(crate) const FRESH_VAR: &str = "__v";
 
 /// Result of classifying a predicate `P(x, z)` with respect to `z`.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +28,7 @@ pub enum Classification {
     /// `P` does not mention `z` at all; the subquery is dead code for this
     /// predicate.
     Independent,
-    /// `P ≡ ∃v ∈ z (pred)` with `v` = [`FRESH_VAR`] free in `pred`.
+    /// `P ≡ ∃v ∈ z (pred)` with `v` = the fresh variable `__v` free in `pred`.
     Existential {
         /// The rewritten body `P'(x, v)`.
         pred: ScalarExpr,
@@ -71,7 +71,7 @@ impl Classification {
 /// ("P(x, z) contains only one occurrence of z", Section 4) — with more,
 /// the whole conjunction is returned as the z-part so it classifies as
 /// requiring grouping.
-pub fn split_on_z(pred: &ScalarExpr, z: &str) -> (Option<ScalarExpr>, Vec<ScalarExpr>) {
+pub(crate) fn split_on_z(pred: &ScalarExpr, z: &str) -> (Option<ScalarExpr>, Vec<ScalarExpr>) {
     let (with_z, without_z): (Vec<_>, Vec<_>) =
         pred.conjuncts().into_iter().partition(|c| c.mentions(z));
     // `conj` of one conjunct is that conjunct.
@@ -311,6 +311,58 @@ mod tests {
 
     fn zv() -> E {
         E::var("z")
+    }
+
+    // Theorem 1 (Section 7): "grouping is not necessary if the predicate
+    // expression P(x, z) can be rewritten into … (1) ∃v ∈ z (P'(x, v)) or
+    // (2) ¬∃v ∈ z (P'(x, v)). In this expression, P'(x, v) may be
+    // arbitrary." RequiresGrouping means this rewriter found no such form,
+    // not a proof that none exists.
+
+    #[test]
+    fn section8_example_predicates() {
+        // P1: x.a ⊆ z and P2: y.c ⊆ z "do require grouping (see Table 2)".
+        let p1 = E::set_cmp(SetCmpOp::SubsetEq, xa(), zv());
+        assert_eq!(classify(&p1, "z"), Classification::RequiresGrouping);
+        // "Now assume that the operators ⊆ in predicates P1 and P2 are
+        // changed in ∈ and ∉ respectively, then the nest join operation in
+        // (1) may be replaced by an antijoin operation, and the nest join
+        // in (3) may be replaced by a semijoin operation."
+        let p1_in = E::set_cmp(SetCmpOp::In, xa(), zv());
+        assert!(matches!(
+            classify(&p1_in, "z"),
+            Classification::Existential { .. }
+        ));
+        let p2_notin = E::set_cmp(SetCmpOp::NotIn, E::path("y", &["c"]), zv());
+        assert!(matches!(
+            classify(&p2_notin, "z"),
+            Classification::NegatedExistential { .. }
+        ));
+    }
+
+    #[test]
+    fn count_bug_predicate_needs_grouping() {
+        let p = E::eq(E::path("x", &["b"]), E::agg(AggFn::Count, zv()));
+        assert_eq!(classify(&p, "z"), Classification::RequiresGrouping);
+    }
+
+    #[test]
+    fn arbitrary_body_allowed() {
+        // ∃v ∈ z (v.age < x.limit ∧ v.name ≠ "root") — P' arbitrary.
+        let body = E::and(
+            E::cmp(CmpOp::Lt, E::path("v", &["age"]), E::path("x", &["limit"])),
+            E::cmp(CmpOp::Ne, E::path("v", &["name"]), E::lit("root")),
+        );
+        let p = E::quant(Quantifier::Exists, "v", zv(), body);
+        assert!(matches!(
+            classify(&p, "z"),
+            Classification::Existential { .. }
+        ));
+    }
+
+    #[test]
+    fn independent_predicate_has_no_flat_join() {
+        assert_eq!(classify(&E::lit(true), "z"), Classification::Independent);
     }
 
     #[test]

@@ -29,19 +29,16 @@
 //!     (the deployed-optimizer refinement of the Section 8 pipeline);
 //! * [`rules`] — the algebraic properties of the nest join from Section 6
 //!   (`π_X(X Δ Y) = X`, the Δ/⋈ interchange laws, selection pushdown) and
-//!   the Section 5 `UNNEST`-collapse equivalence;
-//! * [`theorem1`] — the grouping decision procedure and its documentation.
+//!   the Section 5 `UNNEST`-collapse equivalence.
 
 pub mod classify;
 pub mod optimizer;
 pub mod rules;
 pub mod strategy;
 pub mod table2;
-pub mod theorem1;
 
 pub use classify::{classify, Classification};
-pub use optimizer::{unnest_plan, unnest_plan_with, CostModel, Optimizer};
+pub use optimizer::{unnest_plan, CostModel, Optimizer};
 pub use strategy::UnnestStrategy;
-pub use theorem1::needs_grouping;
 
 pub use tmql_model::{ModelError, Result};

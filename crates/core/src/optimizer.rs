@@ -25,8 +25,8 @@ pub trait CostModel {
 ///
 /// [`UnnestStrategy::CostBased`] needs a [`CostModel`] to rank candidates;
 /// this entry point has none and therefore degrades it to the rule-based
-/// [`UnnestStrategy::Optimal`] pipeline. Use [`unnest_plan_with`] (or
-/// [`Optimizer::optimize_with`]) to supply one.
+/// [`UnnestStrategy::Optimal`] pipeline. Use [`Optimizer::optimize_with`]
+/// to supply one.
 pub fn unnest_plan(plan: Plan, strat: UnnestStrategy) -> Plan {
     unnest_plan_with(plan, strat, None)
 }
@@ -35,7 +35,11 @@ pub fn unnest_plan(plan: Plan, strat: UnnestStrategy) -> Plan {
 /// [`UnnestStrategy::CostBased`]. Every nested block is analysed once
 /// ([`strategy::Block`]) and decided once: by [`strategy::candidate`], or
 /// by cost (`cheapest`) when there is a model to rank with.
-pub fn unnest_plan_with(plan: Plan, strat: UnnestStrategy, model: Option<&dyn CostModel>) -> Plan {
+pub(crate) fn unnest_plan_with(
+    plan: Plan,
+    strat: UnnestStrategy,
+    model: Option<&dyn CostModel>,
+) -> Plan {
     if strat == UnnestStrategy::NestedLoop {
         return plan; // nothing to decide, so no block is analysed
     }

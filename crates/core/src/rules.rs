@@ -78,7 +78,7 @@ pub fn select_pushdown_nestjoin(plan: &Plan) -> Option<Plan> {
 /// Selection pushdown through regular joins (left side; the symmetric
 /// right-side push follows by the join's symmetry) and through
 /// semi/antijoins (left side only).
-pub fn select_pushdown_join(plan: &Plan) -> Option<Plan> {
+pub(crate) fn select_pushdown_join(plan: &Plan) -> Option<Plan> {
     let Plan::Select { input, pred } = plan else {
         return None;
     };

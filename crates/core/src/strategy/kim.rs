@@ -23,7 +23,7 @@
 //! drops dangling `I` tuples — the COUNT bug (`x.b = 0` rows vanish) and
 //! the paper's generalization, the SUBSETEQ bug (`x.a = ∅` rows vanish).
 //! The bug is kept intact here so experiments E1/E2 can demonstrate and
-//! measure it; see [`super::ganski_wong`] and [`super::nestjoin`] for the
+//! measure it; see `ganski_wong` and [`super::nestjoin`] for the
 //! fixes.
 //!
 //! Predicates already in Theorem 1 form (`x.a ∈ z`, Kim's types N/J) are

@@ -21,12 +21,12 @@
 //! queries in which subquery operands are set-valued attributes"
 //! (Section 3.2).
 
-pub mod ganski_wong;
+pub(crate) mod ganski_wong;
 pub mod kim;
 pub mod muralikrishna;
 pub mod nested_loop;
 pub mod nestjoin;
-pub mod semi_anti;
+pub(crate) mod semi_anti;
 
 use tmql_algebra::{Plan, ScalarExpr};
 
@@ -104,7 +104,7 @@ impl UnnestStrategy {
 
 /// The canonical subquery `Map G (Select Q (R))`, borrowed apart.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubqueryParts<'a> {
+pub(crate) struct SubqueryParts<'a> {
     /// Inner operand plan `R` (everything under the block's Select).
     pub inner: &'a Plan,
     /// Correlation/selection predicate `Q(x, y)` (`true` when absent).
@@ -118,7 +118,7 @@ static TRUE: ScalarExpr = ScalarExpr::Lit(tmql_model::Value::Bool(true));
 
 /// Take a subquery plan apart into [`SubqueryParts`]. Returns `None` when
 /// the plan is not of the canonical `Map (Select …)` / `Map (…)` shape.
-pub fn decompose_subquery(sub: &Plan) -> Option<SubqueryParts<'_>> {
+pub(crate) fn decompose_subquery(sub: &Plan) -> Option<SubqueryParts<'_>> {
     let Plan::Map { input, expr: g, .. } = sub else {
         return None;
     };
@@ -130,13 +130,13 @@ pub fn decompose_subquery(sub: &Plan) -> Option<SubqueryParts<'_>> {
 
 /// True iff the inner plan can be decorrelated: it has no free variables
 /// (all correlation lives in `Q`/`G`, not in `R` itself).
-pub fn decorrelatable(parts: &SubqueryParts<'_>) -> bool {
+pub(crate) fn decorrelatable(parts: &SubqueryParts<'_>) -> bool {
     parts.inner.free_vars().is_empty()
 }
 
 /// Replace every occurrence of the subexpression `target` inside `expr`
 /// by `replacement` (structural equality).
-pub fn replace_subexpr(
+pub(crate) fn replace_subexpr(
     expr: &ScalarExpr,
     target: &ScalarExpr,
     replacement: &ScalarExpr,
@@ -151,7 +151,7 @@ pub fn replace_subexpr(
 /// analysed once for every strategy that may rewrite it. A `Block` exists
 /// only for a canonical subquery whose operand `R` is closed.
 #[derive(Debug)]
-pub struct Block<'a> {
+pub(crate) struct Block<'a> {
     /// Block predicate `P(x, z)`; `None` for SELECT-clause nesting.
     pub pred: Option<&'a ScalarExpr>,
     /// Outer plan `I`.
@@ -174,7 +174,7 @@ impl<'a> Block<'a> {
     /// Analyse one `Apply` (with the Select above it, if any). `None` when
     /// no strategy applies: the subquery is not canonical, or `R` is
     /// correlated (Section 3.2).
-    pub fn analyse(
+    pub(crate) fn analyse(
         pred: Option<&'a ScalarExpr>,
         input: &'a Plan,
         subquery: &'a Plan,
@@ -230,7 +230,7 @@ impl<'a> Block<'a> {
 
 /// The strategies that build a plan of their own, in the paper's
 /// rule-preference order (Section 8 first, then the relational repairs).
-pub const CANDIDATES: [UnnestStrategy; 4] = [
+pub(crate) const CANDIDATES: [UnnestStrategy; 4] = [
     UnnestStrategy::FlattenSemiAnti,
     UnnestStrategy::NestJoin,
     UnnestStrategy::Muralikrishna,
@@ -245,7 +245,7 @@ pub const CANDIDATES: [UnnestStrategy; 4] = [
 /// is applied; if predicates do not need grouping a flat join operation is
 /// executed"; SELECT-clause nesting always groups). Choosing by cost is
 /// [`crate::optimizer`]'s, over [`candidates`].
-pub fn candidate(block: &Block<'_>, strategy: UnnestStrategy) -> Option<Plan> {
+pub(crate) fn candidate(block: &Block<'_>, strategy: UnnestStrategy) -> Option<Plan> {
     use UnnestStrategy as S;
     match strategy {
         S::NestedLoop => None,
@@ -262,7 +262,7 @@ pub fn candidate(block: &Block<'_>, strategy: UnnestStrategy) -> Option<Plan> {
 
 /// Every distinct rewrite of the block, tagged, in [`CANDIDATES`] order.
 /// Muralikrishna's entry is left out where it *is* the flattening entry.
-pub fn candidates(block: &Block<'_>) -> Vec<(UnnestStrategy, Plan)> {
+pub(crate) fn candidates(block: &Block<'_>) -> Vec<(UnnestStrategy, Plan)> {
     CANDIDATES
         .into_iter()
         .filter(|s| *s != UnnestStrategy::Muralikrishna || !muralikrishna::flattens(block))
@@ -277,7 +277,10 @@ pub fn candidates(block: &Block<'_>) -> Vec<(UnnestStrategy, Plan)> {
 /// nesting); `rewriter` returns the replacement plan, or `None` to keep
 /// nested-loop processing. A block [`Block::analyse`] refuses is kept
 /// without asking.
-pub fn rewrite_blocks(plan: Plan, rewriter: &mut impl FnMut(&Block<'_>) -> Option<Plan>) -> Plan {
+pub(crate) fn rewrite_blocks(
+    plan: Plan,
+    rewriter: &mut impl FnMut(&Block<'_>) -> Option<Plan>,
+) -> Plan {
     let (pred, apply) = match plan {
         Plan::Select { input, pred } if matches!(*input, Plan::Apply { .. }) => {
             (Some(pred), *input)

@@ -22,7 +22,7 @@ use crate::classify::{classify, Classification};
 /// Whether a Table 2 row is SQL-expressible (above the separation line) or
 /// TM-specific (below it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dialect {
+pub(crate) enum Dialect {
     /// Predicates that may occur in SQL (a subset of TM).
     Sql,
     /// Predicates involving set-valued attributes — TM only.
@@ -35,7 +35,7 @@ pub struct Table2Entry {
     /// Human-readable predicate form, paper notation.
     pub form: &'static str,
     /// Which language fragment the row belongs to.
-    pub dialect: Dialect,
+    pub(crate) dialect: Dialect,
     /// The predicate, built over outer variable `x` (attribute `a`,
     /// set-valued where the form requires) and subquery variable `z`.
     pub pred: ScalarExpr,

@@ -48,7 +48,7 @@ fn catalog(x: &[(i64, i64)], y: &[(i64, i64)], z: &[(i64, i64)]) -> Catalog {
 }
 
 fn eval(plan: &Plan, cat: &Catalog) -> std::collections::BTreeSet<tmql_model::Value> {
-    run_values(plan, cat, &ExecConfig::auto()).expect("runs")
+    run_values(plan, cat, &ExecConfig::default()).expect("runs")
 }
 
 fn xy_join() -> Plan {

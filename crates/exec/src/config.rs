@@ -40,7 +40,7 @@ pub struct ExecConfig {
     /// [`crate::Metrics::rows_spilled`] / [`crate::Metrics::spill_partitions`]
     /// record the traffic. Best-effort: a single group or key run larger
     /// than the budget still has to be resident to be processed (recursive
-    /// repartitioning stops at [`crate::op::spill::MAX_REPARTITION_DEPTH`]).
+    /// repartitioning stops at `crate::op::spill::MAX_REPARTITION_DEPTH`).
     pub memory_budget_rows: Option<usize>,
     /// Ignored: execution is serial; kept until the benchmark's mirror is
     /// deleted (ROADMAP "Unfence the benchmark" (c)).
@@ -73,11 +73,6 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Cost-based defaults.
-    pub fn auto() -> ExecConfig {
-        ExecConfig::default()
-    }
-
     /// Pin a join algorithm (benchmarks use this to compare
     /// implementations, reproducing the paper's "the optimizer can choose
     /// the most suitable join execution method").
@@ -95,15 +90,9 @@ impl ExecConfig {
     }
 
     /// Bound resident breaker state to `n` rows, spilling beyond it
-    /// (clamped to ≥ 1; use [`ExecConfig::unbounded`] to remove the bound).
+    /// (clamped to ≥ 1; the default, [`ExecConfig::default`], has no bound).
     pub fn memory_budget(mut self, n: usize) -> ExecConfig {
         self.memory_budget_rows = Some(n.max(1));
-        self
-    }
-
-    /// Remove the memory budget (the default): breakers never spill.
-    pub fn unbounded(mut self) -> ExecConfig {
-        self.memory_budget_rows = None;
         self
     }
 
@@ -121,7 +110,6 @@ mod tests {
     #[test]
     fn defaults_are_auto() {
         assert_eq!(ExecConfig::default().join_algo, JoinAlgo::Auto);
-        assert_eq!(ExecConfig::auto().join_algo, JoinAlgo::Auto);
         assert_eq!(
             ExecConfig::with_join_algo(JoinAlgo::Hash).join_algo,
             JoinAlgo::Hash
@@ -145,13 +133,6 @@ mod tests {
         assert_eq!(
             ExecConfig::default().memory_budget(512).memory_budget_rows,
             Some(512)
-        );
-        assert_eq!(
-            ExecConfig::default()
-                .memory_budget(512)
-                .unbounded()
-                .memory_budget_rows,
-            None
         );
     }
 

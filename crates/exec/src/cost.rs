@@ -58,28 +58,28 @@ use crate::planner::{
 };
 
 /// Default selectivity of an opaque predicate.
-pub const DEFAULT_SELECTIVITY: f64 = 0.25;
+pub(crate) const DEFAULT_SELECTIVITY: f64 = 0.25;
 /// Default selectivity of an equi-join conjunct when no stats are known.
-pub const DEFAULT_EQ_SELECTIVITY: f64 = 0.01;
+pub(crate) const DEFAULT_EQ_SELECTIVITY: f64 = 0.01;
 /// Default fan-out of a set-valued expression (`ScanExpr`, `Unnest`) when
 /// no per-column average set-cardinality statistic is available — e.g. the
 /// set is a subquery label or a constructed value. When the expression is
 /// a stored column, [`TableStats::avg_set_card`] is used instead.
-pub const DEFAULT_SET_FANOUT: f64 = 16.0;
+pub(crate) const DEFAULT_SET_FANOUT: f64 = 16.0;
 /// Assumed cardinality of a table with no recorded statistics.
-pub const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
+pub(crate) const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
 /// Grouping collapse factor when group-key distinct counts are unknown.
-pub const GROUP_COLLAPSE: f64 = 0.1;
+pub(crate) const GROUP_COLLAPSE: f64 = 0.1;
 /// Abstract per-invocation overhead of a correlated `Apply` (operator
 /// re-open + environment rebind), on top of the subquery's own work.
 /// Charged once per *distinct* correlation binding — the executor
 /// memoizes completed inner results per binding, so duplicate bindings
 /// cost a cache probe, not an execution.
-pub const APPLY_OVERHEAD: f64 = 4.0;
+pub(crate) const APPLY_OVERHEAD: f64 = 4.0;
 /// Abstract work units charged per outer row of an `Apply` for
 /// evaluating the binding key and probing the result cache — mirrors
 /// [`crate::Metrics::apply_cache_hits`] entering `total_work`.
-pub const CACHE_PROBE_WORK: f64 = 1.0;
+pub(crate) const CACHE_PROBE_WORK: f64 = 1.0;
 /// Floor for combined predicate selectivities.
 const MIN_SELECTIVITY: f64 = 1e-4;
 /// Scalar-expression nodes evaluated per abstract work unit: predicate
@@ -92,20 +92,20 @@ const EXPR_NODES_PER_WORK_UNIT: f64 = 4.0;
 /// `total_work`, with the weight capturing that a spilled row is more
 /// expensive than an emitted one. Traced spill write + read per `X` row:
 /// 434 ns, 292 (53 + 239) since runs share one scratch file — 3–4 units.
-pub const SPILL_IO_PER_ROW: f64 = 4.0;
+pub(crate) const SPILL_IO_PER_ROW: f64 = 4.0;
 /// Abstract work units charged per data page a scan must fault in from
 /// disk (seek + read + slot decode for a whole 8 KiB page). Applied to
 /// the pages of a disk-backed table that are **not** currently resident
 /// in the buffer pool, so a cold scan costs more than the same scan warm
 /// — mirroring [`crate::Metrics::pool_misses`] entering `total_work`.
-pub const PAGE_IO_WORK: f64 = 16.0;
+pub(crate) const PAGE_IO_WORK: f64 = 16.0;
 /// Abstract work units charged per secondary-index probe (an ordered-map
 /// descent plus cursor setup). The probe path additionally pays for every
 /// candidate row it fetches and re-checks, so the modeled crossover
 /// against a full scan sits where the candidate traffic stops being small
 /// — mirroring [`crate::Metrics::index_probes`] / `index_hits` entering
 /// `total_work`.
-pub const INDEX_PROBE_WORK: f64 = 4.0;
+pub(crate) const INDEX_PROBE_WORK: f64 = 4.0;
 /// Weight of the `resident` component in [`CostEstimate::total`]: a mild
 /// memory-pressure penalty so that, costs being close, the plan with the
 /// smaller pipeline-breaker footprint wins.
@@ -137,7 +137,7 @@ impl CostEstimate {
 
 /// Estimated cost (abstract work units) of executing a join of the given
 /// cardinalities with each algorithm.
-pub mod join_cost {
+pub(crate) mod join_cost {
     /// Nested loop: |L|·|R| comparisons.
     pub fn nested_loop(l: f64, r: f64) -> f64 {
         l * r
@@ -150,7 +150,7 @@ pub mod join_cost {
 
     /// Sort-merge: sort both sides (with a realistic per-row constant —
     /// key extraction and comparison are not free) + merge.
-    pub fn sort_merge(l: f64, r: f64) -> f64 {
+    pub(crate) fn sort_merge(l: f64, r: f64) -> f64 {
         let sort = |n: f64| 2.0 * n * (n + 2.0).log2();
         sort(l) + sort(r) + l + r
     }
@@ -159,7 +159,7 @@ pub mod join_cost {
     /// predicate re-check per candidate the probes return. The inner
     /// operand is never scanned or built — that saving is accounted by
     /// the caller dropping the inner subtree's work.
-    pub fn index_nl(l: f64, matches: f64) -> f64 {
+    pub(crate) fn index_nl(l: f64, matches: f64) -> f64 {
         l * super::INDEX_PROBE_WORK + 2.0 * matches
     }
 }
@@ -718,7 +718,7 @@ impl<'a> Estimator<'a> {
     /// has an index-eligible component: `(component, probe_work,
     /// scan_work)`. `None` when no conjunct probes an existing index.
     /// (For equality components with *no* persistent index,
-    /// [`Estimator::transient_hash_paths`] prices the build-it-yourself
+    /// `Estimator::transient_hash_paths` prices the build-it-yourself
     /// alternative an `Apply` can amortize.)
     pub fn select_access_paths(
         &self,
@@ -767,7 +767,7 @@ impl<'a> Estimator<'a> {
     /// the repetition count is high enough, which is why it fires from
     /// `Apply` hoisting (probes = distinct bindings) and not from a
     /// single selection.
-    pub fn transient_hash_paths(
+    pub(crate) fn transient_hash_paths(
         &self,
         table: &str,
         var: &str,
@@ -1297,12 +1297,6 @@ pub fn format_rows(rows: f64) -> String {
     }
 }
 
-/// Estimated output cardinality of a logical plan (statistics-backed;
-/// convenience wrapper over [`Estimator`]).
-pub fn estimate_rows(plan: &Plan, catalog: &Catalog) -> f64 {
-    Estimator::new(catalog).rows(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1322,11 +1316,11 @@ mod tests {
     #[test]
     fn scan_estimates_use_stats() {
         let cat = catalog();
-        assert_eq!(estimate_rows(&Plan::scan("BIG", "x"), &cat), 100.0);
-        assert_eq!(estimate_rows(&Plan::scan("SMALL", "x"), &cat), 1.0);
+        assert_eq!(Estimator::new(&cat).rows(&Plan::scan("BIG", "x")), 100.0);
+        assert_eq!(Estimator::new(&cat).rows(&Plan::scan("SMALL", "x")), 1.0);
         // Unknown table: fallback, not a panic.
         assert_eq!(
-            estimate_rows(&Plan::scan("NOPE", "x"), &cat),
+            Estimator::new(&cat).rows(&Plan::scan("NOPE", "x")),
             UNKNOWN_TABLE_ROWS
         );
     }
@@ -1340,7 +1334,7 @@ mod tests {
             E::var("y"),
             "ys",
         );
-        assert_eq!(estimate_rows(&nj, &cat), 100.0);
+        assert_eq!(Estimator::new(&cat).rows(&nj), 100.0);
     }
 
     #[test]
@@ -1357,27 +1351,27 @@ mod tests {
         // x.a < 25 on uniform 0..100 → about a quarter of the rows.
         let p =
             Plan::scan("BIG", "x").select(E::cmp(CmpOp::Lt, E::path("x", &["a"]), E::lit(25i64)));
-        let rows = estimate_rows(&p, &cat);
+        let rows = Estimator::new(&cat).rows(&p);
         assert!((rows - 25.0).abs() < 8.0, "{rows}");
         // Equality on a 10-distinct column → a tenth.
         let p = Plan::scan("BIG", "x").select(E::eq(E::path("x", &["b"]), E::lit(3i64)));
-        let rows = estimate_rows(&p, &cat);
+        let rows = Estimator::new(&cat).rows(&p);
         assert!((rows - 10.0).abs() < 1.0, "{rows}");
         // A tautology does not shrink the estimate.
         let p = Plan::scan("BIG", "x").select(E::lit(true));
-        assert_eq!(estimate_rows(&p, &cat), 100.0);
+        assert_eq!(Estimator::new(&cat).rows(&p), 100.0);
         // Strict vs inclusive differ by one distinct value's mass:
         // a > 99 keeps (essentially) nothing, a ≥ 99 keeps ≈ one row.
         let gt =
             Plan::scan("BIG", "x").select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(99i64)));
         assert!(
-            estimate_rows(&gt, &cat) < 1.0,
+            Estimator::new(&cat).rows(&gt) < 1.0,
             "{}",
-            estimate_rows(&gt, &cat)
+            Estimator::new(&cat).rows(&gt)
         );
         let ge =
             Plan::scan("BIG", "x").select(E::cmp(CmpOp::Ge, E::path("x", &["a"]), E::lit(99i64)));
-        let ge_rows = estimate_rows(&ge, &cat);
+        let ge_rows = Estimator::new(&cat).rows(&ge);
         assert!((ge_rows - 1.0).abs() < 1.0, "{ge_rows}");
     }
 
@@ -1389,7 +1383,7 @@ mod tests {
             Plan::scan("BIG", "y"),
             E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
         );
-        let rows = estimate_rows(&j, &cat);
+        let rows = Estimator::new(&cat).rows(&j);
         assert!((rows - 1000.0).abs() < 1.0, "{rows}");
     }
 
@@ -1399,8 +1393,8 @@ mod tests {
         let pred = E::eq(E::path("x", &["b"]), E::path("y", &["b"]));
         let semi = Plan::scan("BIG", "x").semi_join(Plan::scan("BIG", "y"), pred.clone());
         let anti = Plan::scan("BIG", "x").anti_join(Plan::scan("BIG", "y"), pred);
-        let s = estimate_rows(&semi, &cat);
-        let a = estimate_rows(&anti, &cat);
+        let s = Estimator::new(&cat).rows(&semi);
+        let a = Estimator::new(&cat).rows(&anti);
         assert!((s + a - 100.0).abs() < 1.0, "semi {s} + anti {a} ≈ |L|");
         assert!(s > a, "every b value has matches here");
     }
@@ -1415,14 +1409,14 @@ mod tests {
             var: "v".into(),
         };
         use tmql_algebra::SetOpKind::*;
-        assert_eq!(estimate_rows(&mk(Union), &cat), 101.0);
+        assert_eq!(Estimator::new(&cat).rows(&mk(Union)), 101.0);
         assert_eq!(
-            estimate_rows(&mk(Intersect), &cat),
+            Estimator::new(&cat).rows(&mk(Intersect)),
             1.0,
             "∩ bounded by the smaller side"
         );
         assert_eq!(
-            estimate_rows(&mk(Except), &cat),
+            Estimator::new(&cat).rows(&mk(Except)),
             100.0,
             "\\ bounded by the left side"
         );
@@ -1596,7 +1590,7 @@ mod tests {
         let cat = catalog();
         let sub = Plan::scan("BIG", "y").map(E::path("y", &["a"]), "s");
         let apply = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = crate::planner::lower(&apply, &cat, &crate::ExecConfig::auto()).unwrap();
+        let phys = crate::planner::lower(&apply, &cat, &crate::ExecConfig::default()).unwrap();
         // Apply + its outer scan only — the subquery tree is per-row.
         assert_eq!(Estimator::new(&cat).exec_order_rows_phys(&phys).len(), 2);
         // EXPLAIN lists all four operators, the subquery's included.
@@ -1614,7 +1608,7 @@ mod tests {
                 E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
             )
             .select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(10i64)));
-        let phys = crate::planner::lower(&plan, &cat, &crate::ExecConfig::auto()).unwrap();
+        let phys = crate::planner::lower(&plan, &cat, &crate::ExecConfig::default()).unwrap();
         // Same shape — one select, one join, two scans — with the inner
         // join's sides swapped to build on SMALL; the swap moves no
         // estimate.
@@ -1674,8 +1668,8 @@ mod tests {
             unreachable!()
         };
         assert_eq!(
-            estimate_rows(&shadowed, &cat),
-            estimate_rows(join, &cat) / 10.0
+            Estimator::new(&cat).rows(&shadowed),
+            Estimator::new(&cat).rows(join) / 10.0
         );
     }
 }

@@ -76,7 +76,7 @@ impl<'a> ExecContext<'a> {
     /// into [`Metrics::pool_hits`] / [`Metrics::pool_misses`]. Called by
     /// the execution driver when a plan finishes; a no-op for in-memory
     /// catalogs.
-    pub fn sync_pool_metrics(&mut self) {
+    pub(crate) fn sync_pool_metrics(&mut self) {
         if let (Some(base), Some(now)) = (self.pool_base, self.catalog.pool_stats()) {
             self.metrics.pool_hits = now.hits.saturating_sub(base.hits);
             self.metrics.pool_misses = now.misses.saturating_sub(base.misses);
@@ -181,7 +181,7 @@ pub fn execute_collect(
 }
 
 /// Execute a physical plan and return its result set — the output value
-/// ([`op::output_value`]) of every row the plan produces, deduplicated —
+/// (`op::output_value`) of every row the plan produces, deduplicated —
 /// with the structured per-operator profile (`est` as for
 /// [`execute_collect`]). The set is the query's answer, held in memory
 /// whatever [`ExecConfig::memory_budget_rows`] says, and excluded from

@@ -12,7 +12,7 @@
 //!   join, semijoin, antijoin, left outerjoin, and the paper's **nest
 //!   join** Δ (Section 6 notes the nest join "is a simple modification of
 //!   any common join implementation method" — compare [`op::hash`] and
-//!   [`op::nl`] to see exactly how small the modification is);
+//!   `op::nl` to see exactly how small the modification is);
 //! * grouping (`ν`/`ν*`, GROUP BY aggregation), unnesting (`μ`), set
 //!   operations, and the correlated [`Plan::Apply`] as a real nested-loop —
 //!   the baseline the paper wants to beat;

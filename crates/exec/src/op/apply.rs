@@ -105,7 +105,7 @@ impl Memo {
 /// Correlated Apply with inner-plan reuse and binding memoization. Outer
 /// rows stream through batch-at-a-time; the subquery tree is built lazily
 /// on the first row and re-opened (never rebuilt) for every execution.
-pub struct ApplyOp<'p> {
+pub(crate) struct ApplyOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
     subquery: &'p PhysPlan,
@@ -237,7 +237,7 @@ impl Operator for ApplyOp<'_> {
 /// buffer would exceed the memory budget the operator degrades to
 /// pass-through (the child re-executes per open — exactly the un-hoisted
 /// behavior, so hoisting never costs memory it doesn't have).
-pub struct MaterializeOp<'p> {
+pub(crate) struct MaterializeOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
     /// Completed replay buffer (kept across close/open).
@@ -341,7 +341,7 @@ impl Operator for MaterializeOp<'_> {
 /// scan+filter exactly. If
 /// the key evaluation fails, the operator degrades to a full position
 /// scan, which reproduces plain filter semantics.
-pub struct HashProbeOp<'p> {
+pub(crate) struct HashProbeOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
     attr: &'p str,

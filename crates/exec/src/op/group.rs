@@ -95,7 +95,7 @@ pub fn unnest(
 /// Relational GROUP BY with aggregates (multiset semantics over the rows of
 /// each group) — the machinery Kim's algorithm and the Ganski–Wong fix are
 /// built from (Section 2).
-pub fn group_agg(
+pub(crate) fn group_agg(
     (rows, shape): Rows<'_>,
     keys: &[(String, ScalarExpr)],
     aggs: &[(String, AggFn, ScalarExpr)],

@@ -1,29 +1,29 @@
 //! Physical operator implementations.
 //!
-//! The join family lives in three modules — [`nl`], [`hash`], [`merge`] —
+//! The join family lives in three modules — `nl`, [`hash`], `merge` —
 //! each implementing **all five** [`crate::JoinKind`]s, demonstrating the
 //! paper's observation that the nest join is "a simple modification of any
 //! common join implementation method" (Section 6). Grouping operators are
-//! in [`group`]. These are the materialized *kernels*; the Volcano-style
+//! in `group`. These are the materialized *kernels*; the Volcano-style
 //! streaming operator tree that drives them batch-at-a-time is defined in
 //! [`operator`], with its operators one family per file beside it and the
 //! one spill-partition driver they share in [`spill`].
 //!
 //! This module itself holds what all of them share: what a row between
 //! two operators *is* ([`Shape`] — a record of bindings, or the stored
-//! tuple itself when [`PhysPlan::row_var`] names the variable it is bound
+//! tuple itself when `PhysPlan::row_var` names the variable it is bound
 //! to) and the only two ways an operator or kernel touches one: [`bind`]
 //! (evaluate over it) and [`fields`] (build a wider row from it, through
-//! [`concat()`], [`extend`], [`null_extend`], [`project`], [`output_value`]).
+//! [`concat()`], [`extend`], `null_extend`, [`project`], `output_value`).
 //! A kernel takes its inputs as [`Rows`]: a slice and its shape.
 
-pub mod apply;
+pub(crate) mod apply;
 mod breaker;
-pub mod group;
+pub(crate) mod group;
 pub mod hash;
 mod join;
-pub mod merge;
-pub mod nl;
+pub(crate) mod merge;
+pub(crate) mod nl;
 pub mod operator;
 mod scan;
 pub mod spill;
@@ -40,7 +40,7 @@ use crate::physical::PhysPlan;
 /// What a row between two operators is — known per plan node, never per
 /// row. Either a **record of bindings** (one field per output variable:
 /// what joins, maps and groupings build), or, when
-/// [`PhysPlan::row_var`] says so, the **stored tuple itself**, bound to
+/// `PhysPlan::row_var` says so, the **stored tuple itself**, bound to
 /// that one variable by the plan alone: a scan hands out the handles
 /// storage gave it and allocates nothing.
 ///
@@ -120,7 +120,7 @@ pub fn extend(shape: &Shape, row: &Record, label: &Arc<str>, value: Value) -> Re
 }
 
 /// NULL-extend a row with the given variables (outerjoin dangling side).
-pub fn null_extend(shape: &Shape, row: &Record, vars: &[Arc<str>]) -> Result<Record> {
+pub(crate) fn null_extend(shape: &Shape, row: &Record, vars: &[Arc<str>]) -> Result<Record> {
     let nulls = vars.iter().map(|v| (v.clone(), Value::Null));
     Record::new(fields(shape, row).chain(nulls))
 }
@@ -146,7 +146,7 @@ pub(crate) fn no_such_var(shape: &Shape, row: &Record, var: &str) -> ModelError 
 
 /// A row's output value (the convention of [`Plan::row_output_value`]): a
 /// bare row is its one binding's value.
-pub fn output_value(shape: &Shape, row: &Record) -> Value {
+pub(crate) fn output_value(shape: &Shape, row: &Record) -> Value {
     match &shape.0 {
         None => Plan::row_output_value(row),
         Some(_) => Value::Tuple(row.clone()),
@@ -155,7 +155,10 @@ pub fn output_value(shape: &Shape, row: &Record) -> Value {
 
 /// Evaluate a list of key expressions over `env`.
 /// Returns `None` if any key is NULL (NULL never equi-joins).
-pub fn eval_keys(keys: &[tmql_algebra::ScalarExpr], env: &Env<'_>) -> Result<Option<Vec<Value>>> {
+pub(crate) fn eval_keys(
+    keys: &[tmql_algebra::ScalarExpr],
+    env: &Env<'_>,
+) -> Result<Option<Vec<Value>>> {
     let mut out = Vec::with_capacity(keys.len());
     for k in keys {
         let v = tmql_algebra::eval(k, env)?;

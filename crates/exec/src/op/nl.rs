@@ -23,7 +23,7 @@ use super::{bind, concat, extend, null_extend, Rows};
 /// tuple a set is created to hold the (possibly modified) right operand
 /// tuples that match" (Section 6).
 #[derive(Debug)]
-pub struct BlockState {
+pub(crate) struct BlockState {
     matched: Vec<bool>,
     nested: Vec<Vec<Value>>,
 }
@@ -48,7 +48,7 @@ impl BlockState {
 /// chunk to emit what depends on the full inner scan (anti rows, dangling
 /// outer rows, nest-join sets).
 #[allow(clippy::too_many_arguments)] // mirrors the other join kernels' shape
-pub fn join_chunk(
+pub(crate) fn join_chunk(
     (left, ls): Rows<'_>,
     (chunk, rs): Rows<'_>,
     pred: &ScalarExpr,
@@ -91,7 +91,7 @@ pub fn join_chunk(
 /// Emit the part of a block's output that needs the whole inner scan:
 /// anti-join survivors, NULL-extended dangling outer rows, and nest-join
 /// rows (dangling tuples get label = ∅, never NULL).
-pub fn finish_block(
+pub(crate) fn finish_block(
     (left, ls): Rows<'_>,
     kind: &JoinKind,
     state: &mut BlockState,

@@ -20,7 +20,7 @@
 //! operators live one family per file beside it: `scan.rs` (table, index
 //! and set-expression leaves), `stream.rs` (σ, π, map, extend, μ),
 //! `join.rs` (nested-loop, index nested-loop, hash), `breaker.rs` (ν,
-//! GROUP BY, sort-merge join, set operations) and [`crate::op::apply`].
+//! GROUP BY, sort-merge join, set operations) and `crate::op::apply`.
 //! The tree runs on the thread that drives it. Under
 //! [`crate::ExecConfig::memory_budget_rows`] the
 //! breakers cap their resident state and spill the excess to disk; the
@@ -28,7 +28,7 @@
 //! each spilled partition for all of them.
 //!
 //! Rows arrive in the [`Shape`] their producer reports
-//! ([`Operator::shape`], decided by [`PhysPlan::row_var`]): a scan's rows
+//! ([`Operator::shape`], decided by `PhysPlan::row_var`): a scan's rows
 //! are the stored tuples themselves, and every consumer reads them through
 //! [`op::bind`] and [`op::fields`] only.
 //!
@@ -38,7 +38,7 @@
 //! [`Apply`](PhysPlan::Apply) builds its subquery tree **once** and
 //! re-opens it per outer row through [`Operator::rebind`] — the true
 //! nested loop the paper's unnesting removes, without per-row planning or
-//! allocation (see [`crate::op::apply`]).
+//! allocation (see `crate::op::apply`).
 
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -115,7 +115,7 @@ pub struct OpStats {
 /// (release buffered state, recurse). Implementations return `None` only
 /// when exhausted and never return an empty batch.
 pub trait Operator {
-    /// Display label: the plan node's [`PhysPlan::op_label`].
+    /// Display label: the plan node's `PhysPlan::op_label`.
     fn label(&self) -> String;
 
     /// The layout of the rows this operator emits.
@@ -210,7 +210,7 @@ pub fn drain(op: &mut BoxedOperator<'_>, ctx: &mut ExecContext<'_>) -> Result<Ve
 pub struct OpProfile {
     /// Depth in the operator tree (root = 0).
     pub depth: usize,
-    /// Operator label (mirrors [`PhysPlan::op_label`]).
+    /// Operator label (mirrors `PhysPlan::op_label`).
     pub label: String,
     /// Rows emitted.
     pub rows_out: u64,

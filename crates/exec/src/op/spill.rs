@@ -4,35 +4,35 @@
 //! When [`crate::ExecConfig::memory_budget_rows`] is set, every pipeline
 //! breaker bounds its resident state with the classic grace discipline:
 //! rows are hash-partitioned by the operator's key into
-//! [`SPILL_FANOUT`]-way on-disk runs ([`tmql_storage::spill`]), and each
+//! `SPILL_FANOUT`-way on-disk runs ([`tmql_storage::spill`]), and each
 //! partition is then processed independently — a partition holds every row
 //! that could possibly interact (equal keys, equal group keys, equal
 //! values), so per-partition results concatenate to the global result.
 //!
-//! Getting rows onto disk has two entry points: [`drain_or_spill`]
+//! Getting rows onto disk has two entry points: `drain_or_spill`
 //! accumulates a child's stream in memory and switches to partitioned
 //! spill the moment the budget is crossed (hash-join builds, grouping
 //! inputs, set-op / sort-merge operands), recording every key hash it
-//! routes by in a [`KeyFilter`]; [`spill_rows`] partitions an
+//! routes by in a [`KeyFilter`]; `spill_rows` partitions an
 //! already-materialized operand whose sibling spilled. The probe side of
 //! a grace hash join is the one input that is not spilled whole: the join
 //! partitions it batch by batch and writes only the rows whose hash the
 //! build side's filter has seen — the rest take their dangling answer on
 //! the spot, having cost a hash and one bit test.
 //!
-//! Getting them back has **one**: [`Partitions`], the partition driver
+//! Getting them back has **one**: `Partitions`, the partition driver
 //! shared by the grace hash join, the breakers over one or two inputs and
-//! [`SpillDedup`]. It queues `N` aligned runs per partition and
-//! [`Partitions::next`] alone decides each partition's fate — a
+//! `SpillDedup`. It queues `N` aligned runs per partition and
+//! `Partitions::next` alone decides each partition's fate — a
 //! partition still over budget is **recursively repartitioned** with a
-//! fresh hash seed, up to [`MAX_REPARTITION_DEPTH`] (past that —
+//! fresh hash seed, up to `MAX_REPARTITION_DEPTH` (past that —
 //! pathological skew, one key carrying more rows than the whole budget —
 //! it is processed in memory anyway: correctness first, the gauge records
 //! the overshoot); a partition the operator cannot produce output from is
-//! dropped unread; the next one left is handed out. [`run_partition`]
+//! dropped unread; the next one left is handed out. `run_partition`
 //! runs the operator's kernel over it in place and materialises the
 //! output, so a spilled partition's result is resident once, whole. The
-//! operator supplies only what differs: per input a [`Side`] (partition
+//! operator supplies only what differs: per input a `Side` (partition
 //! key, NULL-key routing), a *weight* (the rows its kernel holds
 //! resident), a *skip* rule and the kernel.
 
@@ -52,22 +52,22 @@ use crate::op::{self, Shape};
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
 /// to 8× and recursion handles the rest.
-pub const SPILL_FANOUT: usize = 8;
+pub(crate) const SPILL_FANOUT: usize = 8;
 
 /// Maximum recursive repartitioning depth. With [`SPILL_FANOUT`] = 8 this
 /// gives up to `8^4 = 4096` effective partitions before skew is accepted.
-pub const MAX_REPARTITION_DEPTH: usize = 4;
+pub(crate) const MAX_REPARTITION_DEPTH: usize = 4;
 
 /// Partition-key function of one operator: the hash of the row's
 /// partitioning key under the given seed, or `None` when the key is NULL
 /// (the [`Side`] says what happens to such rows).
-pub type PartFn<'p> = Box<dyn Fn(&Record, &Env<'_>, u64) -> Result<Option<u64>> + 'p>;
+pub(crate) type PartFn<'p> = Box<dyn Fn(&Record, &Env<'_>, u64) -> Result<Option<u64>> + 'p>;
 
 /// How one input of a partitioned operator is split: its key function,
 /// and whether NULL-key rows are dropped (hash-join build sides — NULL
 /// never matches) or routed to partition 0 so they stay together.
 #[derive(Clone, Copy)]
-pub struct Side<'a, 'p> {
+pub(crate) struct Side<'a, 'p> {
     /// The input's partition-key function.
     pub part: &'a PartFn<'p>,
     /// Drop NULL-key rows instead of sending them to partition 0.
@@ -88,7 +88,7 @@ pub fn seed_hasher(seed: u64) -> ValueHasher {
 /// Hash a whole record under a seed (partitioning key for dedup state,
 /// where the row itself is the key): the seed mixed with the row's
 /// remembered [`Record::structural_hash`], so no row is walked twice.
-pub fn hash_record(rec: &Record, seed: u64) -> u64 {
+pub(crate) fn hash_record(rec: &Record, seed: u64) -> u64 {
     let mut h = seed_hasher(seed);
     h.write_u64(rec.structural_hash());
     h.finish()
@@ -106,7 +106,7 @@ pub fn keys_part<'p>(keys: &'p [ScalarExpr], shape: &Shape) -> PartFn<'p> {
 
 /// Partition-key function over a row's output value (set operations
 /// compare whole output values, so equal values must co-partition).
-pub fn value_part(shape: &Shape) -> PartFn<'static> {
+pub(crate) fn value_part(shape: &Shape) -> PartFn<'static> {
     let shape = shape.clone();
     Box::new(move |r, _env, seed| {
         let mut h = seed_hasher(seed);
@@ -161,7 +161,7 @@ impl KeyFilter {
 
 /// Summed rows of a partition's runs: the weight of an operator whose
 /// kernel holds every input resident.
-pub fn total_rows<const N: usize>(files: &[SpillFile; N]) -> u64 {
+pub(crate) fn total_rows<const N: usize>(files: &[SpillFile; N]) -> u64 {
     files.iter().map(SpillFile::rows).sum()
 }
 
@@ -245,7 +245,7 @@ fn partition(
 }
 
 /// Outcome of [`drain_or_spill`].
-pub enum Drained {
+pub(crate) enum Drained {
     /// The input fit in the budget. The rows are **already counted** in
     /// the resident gauge; the caller releases them when done.
     Mem(Vec<Record>),
@@ -259,7 +259,7 @@ pub enum Drained {
 /// allows and switching to [`SPILL_FANOUT`]-way partitioned spill (seed 0)
 /// the moment it does not. Without a budget this is a plain materializing
 /// drain. On an error nothing stays counted in the resident gauge.
-pub fn drain_or_spill(
+pub(crate) fn drain_or_spill(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
@@ -307,7 +307,7 @@ pub fn drain_or_spill(
 
 /// Partition an already-materialized row vector (seed 0). The caller is
 /// responsible for releasing the rows' resident accounting.
-pub fn spill_rows(
+pub(crate) fn spill_rows(
     rows: Vec<Record>,
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
@@ -357,7 +357,7 @@ fn zip_sides<const N: usize>(sides: Vec<Vec<SpillFile>>) -> impl Iterator<Item =
 /// The spilled state of one operator: a queue of partitions, each `N`
 /// aligned runs (one per input) plus the repartitioning depth it was
 /// written at, processed front to back.
-pub struct Partitions<const N: usize> {
+pub(crate) struct Partitions<const N: usize> {
     queue: VecDeque<([SpillFile; N], usize)>,
 }
 
@@ -415,7 +415,7 @@ impl<const N: usize> Partitions<N> {
 /// gauge while the kernel runs; the returned rows are **already counted**
 /// in it (the caller releases them as it emits them). On an error nothing
 /// stays counted.
-pub fn run_partition<const N: usize>(
+pub(crate) fn run_partition<const N: usize>(
     ctx: &mut ExecContext<'_>,
     (files, weight): ([SpillFile; N], u64),
     kernel: impl FnOnce([SpillFile; N], &mut Metrics) -> Result<Vec<Record>>,
@@ -444,7 +444,7 @@ pub fn run_partition<const N: usize>(
 /// [`Partitions`] — load the partition's seen-set, stream its candidates
 /// through it, emit the new distinct rows.
 #[derive(Default)]
-pub struct SpillDedup {
+pub(crate) struct SpillDedup {
     seen: RecordSet,
     /// The (seen, candidate) partition writers, once overflowed.
     writers: Option<[Vec<RunWriter>; 2]>,

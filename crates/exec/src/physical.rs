@@ -308,7 +308,7 @@ pub enum PhysPlan {
 
 impl PhysPlan {
     /// Operator label (with algorithm) for explain output.
-    pub fn op_label(&self) -> String {
+    pub(crate) fn op_label(&self) -> String {
         match self {
             PhysPlan::ScanTable {
                 table, pred: None, ..
@@ -423,7 +423,7 @@ impl PhysPlan {
     /// semi/anti kind of every join, a replay buffer) — and `None` when it
     /// is a record of bindings, one field per [output
     /// variable](PhysPlan::output_vars).
-    pub fn row_var(&self) -> Option<&str> {
+    pub(crate) fn row_var(&self) -> Option<&str> {
         use PhysPlan as P;
         match self {
             P::ScanTable { var, .. } | P::IndexScan { var, .. } | P::HashProbe { var, .. } => {

@@ -48,7 +48,7 @@ use crate::physical::{JoinKind, PhysPlan};
 
 /// Extracted equi-join structure.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EquiSplit {
+pub(crate) struct EquiSplit {
     /// Key expressions over the left operand's variables.
     pub left_keys: Vec<ScalarExpr>,
     /// Matching key expressions over the right operand's variables.
@@ -60,7 +60,7 @@ pub struct EquiSplit {
 /// Try to split `pred` into equi-key pairs between `left_vars` and
 /// `right_vars` plus a residual. Conjuncts referencing outer (correlation)
 /// variables stay in the residual.
-pub fn extract_equi_keys(
+pub(crate) fn extract_equi_keys(
     pred: &ScalarExpr,
     left_vars: &BTreeSet<String>,
     right_vars: &BTreeSet<String>,
@@ -167,7 +167,7 @@ fn indexed_cmp(
 /// binding `var`: an equality conjunct on an indexed attribute wins;
 /// otherwise range bounds on one indexed attribute are collected. `None`
 /// when no conjunct can probe an existing index.
-pub fn index_selection(
+pub(crate) fn index_selection(
     pred: &ScalarExpr,
     table: &str,
     var: &str,
@@ -231,7 +231,7 @@ pub fn index_selection(
 /// whenever `o.b` repeats, not just when the whole row does); a whole-row
 /// reference `o` subsumes every `o.*` path. Sorted and deduplicated so
 /// equal subqueries yield identical keys.
-pub fn apply_bindings(subquery: &Plan) -> Vec<ScalarExpr> {
+pub(crate) fn apply_bindings(subquery: &Plan) -> Vec<ScalarExpr> {
     let corr = subquery.free_vars();
     let mut out = Vec::new();
     plan_bindings(subquery, &corr, &mut out);
@@ -847,7 +847,7 @@ mod tests {
             Plan::scan("Y", "y"),
             E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
         );
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         assert!(matches!(phys, PhysPlan::HashJoin { .. }), "{phys}");
     }
 
@@ -877,7 +877,7 @@ mod tests {
             Plan::scan("BIG", "x"),
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::HashJoin {
             left,
             right,
@@ -902,7 +902,7 @@ mod tests {
             Plan::scan("BIG", "x"),
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
-        let phys = lower(&semi, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&semi, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::HashJoin {
             left,
             kind: JoinKind::Semi,
@@ -966,7 +966,7 @@ mod tests {
             E::path("y", &["c"]),
             "zs",
         );
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::HashJoin {
             kind: JoinKind::Nest { label, .. },
             ..
@@ -994,7 +994,7 @@ mod tests {
     fn indexed_selection_lowers_to_index_scan() {
         let cat = indexed_catalog();
         let plan = Plan::scan("BIG", "x").select(E::eq(E::path("x", &["b"]), E::lit(3i64)));
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::IndexScan {
             attr, eq, lo, hi, ..
         } = phys
@@ -1014,7 +1014,7 @@ mod tests {
             E::cmp(CmpOp::Lt, E::path("x", &["b"]), E::lit(4i64)),
         );
         let plan = Plan::scan("BIG", "x").select(pred);
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::IndexScan {
             attr, eq, lo, hi, ..
         } = phys
@@ -1034,7 +1034,7 @@ mod tests {
         // fused into it.
         let pred = E::eq(E::path("x", &["a"]), E::lit(3i64));
         let plan = Plan::scan("BIG", "x").select(pred.clone());
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let fused = PhysPlan::ScanTable {
             table: "BIG".into(),
             var: "x".into(),
@@ -1050,7 +1050,7 @@ mod tests {
             Plan::scan("BIG", "x"),
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::IndexNLJoin {
             right_table,
             attr,
@@ -1102,7 +1102,7 @@ mod tests {
         // x.b bindings amortize a transient hash build on BIG.b.
         let sub = Plan::scan("BIG", "y").select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
         let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::Apply {
             subquery, bindings, ..
         } = phys
@@ -1125,7 +1125,7 @@ mod tests {
             .select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])))
             .map(E::path("y", &["a"]), "q");
         let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::Apply { subquery, .. } = phys else {
             panic!("expected Apply");
         };
@@ -1138,7 +1138,7 @@ mod tests {
         cat.create_index("BIG", "b").unwrap();
         let sub = Plan::scan("BIG", "y").select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
         let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::Apply { subquery, .. } = phys else {
             panic!("expected Apply");
         };
@@ -1161,7 +1161,7 @@ mod tests {
             )
             .select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
         let plan = Plan::scan("X", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::Apply { subquery, .. } = phys else {
             panic!("expected Apply");
         };
@@ -1192,7 +1192,7 @@ mod tests {
             ),
         );
         let plan = Plan::scan("X", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         let PhysPlan::Apply { subquery, .. } = &phys else {
             panic!("expected Apply, got {phys}");
         };
@@ -1239,7 +1239,7 @@ mod tests {
             Plan::scan("BIG", "x"),
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
-        let phys = lower(&plan, &cat, &ExecConfig::auto()).unwrap();
+        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
         assert!(matches!(phys, PhysPlan::HashJoin { .. }), "{phys}");
     }
 
@@ -1280,7 +1280,7 @@ mod tests {
                 Plan::scan("L", "l").nest_join(Plan::scan("R", "r"), pred(), E::var("r"), "rs"),
             ];
             for plan in plans {
-                let phys = lower(&plan, &indexed, &ExecConfig::auto()).unwrap();
+                let phys = lower(&plan, &indexed, &ExecConfig::default()).unwrap();
                 let emitted = matches!(phys, PhysPlan::IndexNLJoin { .. });
                 // Same statistics with and without the index: the costs
                 // differ exactly when the index path is the one priced.

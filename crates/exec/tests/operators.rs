@@ -50,7 +50,7 @@ fn nest_join_then_aggregate_pipeline() {
             ]),
             "out",
         );
-    let vals = run_values(&plan, &cat, &ExecConfig::auto()).unwrap();
+    let vals = run_values(&plan, &cat, &ExecConfig::default()).unwrap();
     let expect: BTreeSet<Value> = [
         Value::tuple([("a", Value::Int(1)), ("n", Value::Int(2))]),
         Value::tuple([("a", Value::Int(2)), ("n", Value::Int(2))]),
@@ -80,7 +80,7 @@ fn outerjoin_nulls_flow_through_group_agg() {
         ],
         var: "g".into(),
     };
-    let (rows, _) = run(&plan, &cat, &ExecConfig::auto()).unwrap();
+    let (rows, _) = run(&plan, &cat, &ExecConfig::default()).unwrap();
     assert_eq!(rows.len(), 2);
     let by_a = |a: i64| {
         rows.iter()
@@ -111,8 +111,8 @@ fn nest_unnest_group_roundtrip_via_plans() {
         elem_var: "x".into(),
         drop_vars: vec!["xs".into()],
     };
-    let orig = run_values(&Plan::scan("X", "x"), &cat, &ExecConfig::auto()).unwrap();
-    let round = run_values(&back, &cat, &ExecConfig::auto()).unwrap();
+    let orig = run_values(&Plan::scan("X", "x"), &cat, &ExecConfig::default()).unwrap();
+    let round = run_values(&back, &cat, &ExecConfig::default()).unwrap();
     assert_eq!(orig, round);
 }
 
@@ -134,14 +134,14 @@ fn env_depth_is_preserved_across_failures() {
             ),
         ),
     );
-    let phys = tmql_exec::lower(&bad, &cat, &ExecConfig::auto()).unwrap();
+    let phys = tmql_exec::lower(&bad, &cat, &ExecConfig::default()).unwrap();
     let mut ctx = tmql_exec::ExecContext::new(&cat);
     let mut env = Env::new();
     env.push("k", Value::Int(7));
     assert!(tmql_exec::execute(&phys, &mut ctx, &env).is_err());
     assert_eq!(env.get("k").unwrap(), Value::Int(7));
     assert!(env.get("x").is_err() && env.get("y").is_err());
-    let good = tmql_exec::lower(&Plan::scan("X", "x"), &cat, &ExecConfig::auto()).unwrap();
+    let good = tmql_exec::lower(&Plan::scan("X", "x"), &cat, &ExecConfig::default()).unwrap();
     assert_eq!(tmql_exec::execute(&good, &mut ctx, &env).unwrap().len(), 1);
 }
 
@@ -200,13 +200,13 @@ proptest! {
             E::path("y", &["c"]),
             "cs",
         );
-        let (rows, _) = run(&nj, &cat, &ExecConfig::auto()).unwrap();
+        let (rows, _) = run(&nj, &cat, &ExecConfig::default()).unwrap();
         prop_assert_eq!(rows.len(), cat.table("X").unwrap().len());
         // A row's set is empty iff the row is antijoin-dangling.
         let anti = run_values(
             &Plan::scan("X", "x").anti_join(Plan::scan("Y", "y"), pred),
             &cat,
-            &ExecConfig::auto(),
+            &ExecConfig::default(),
         ).unwrap();
         for r in &rows {
             let is_empty = r.get("cs").unwrap().as_set().unwrap().is_empty();
@@ -231,8 +231,8 @@ proptest! {
             .join(Plan::scan("Y", "y"), jp.clone());
         let late = Plan::scan("X", "x").join(Plan::scan("Y", "y"), jp).select(fp);
         prop_assert_eq!(
-            run_values(&early, &cat, &ExecConfig::auto()).unwrap(),
-            run_values(&late, &cat, &ExecConfig::auto()).unwrap()
+            run_values(&early, &cat, &ExecConfig::default()).unwrap(),
+            run_values(&late, &cat, &ExecConfig::default()).unwrap()
         );
     }
 }
@@ -247,7 +247,7 @@ fn comparisons_unit_is_one_predicate_evaluation() {
 
     // Filter: one comparison PER INPUT ROW, match or not.
     let filter = Plan::scan("X", "x").select(E::cmp(CmpOp::Lt, E::path("x", &["a"]), E::lit(3i64)));
-    let (_, m) = run(&filter, &cat, &ExecConfig::auto()).unwrap();
+    let (_, m) = run(&filter, &cat, &ExecConfig::default()).unwrap();
     assert_eq!(m.comparisons, 7, "Filter: |X| evaluations");
 
     // Nested-loop join: one comparison PER (LEFT, RIGHT) PAIR.
@@ -302,7 +302,7 @@ fn apply_env_visibility() {
             "v",
         );
     let plan = Plan::scan("X", "x").apply(sub, "z").map(E::var("z"), "out");
-    let vals = run_values(&plan, &cat, &ExecConfig::auto()).unwrap();
+    let vals = run_values(&plan, &cat, &ExecConfig::default()).unwrap();
     let expect: BTreeSet<Value> = [Value::set([Value::Int(11), Value::Int(12)])]
         .into_iter()
         .collect();

@@ -372,7 +372,7 @@ fn binary_breaker_budget_bounds_combined_operands() {
         right: Box::new(Plan::scan("Y", "y").map(E::path("y", &["c"]), "v")),
         var: "v".into(),
     };
-    let free = ExecConfig::auto().batch_size(32);
+    let free = ExecConfig::default().batch_size(32);
     let (rows_free, _) = run(&plan, &cat, &free).unwrap();
     let (rows_tight, m) = run(&plan, &cat, &free.memory_budget(120)).unwrap();
     assert_eq!(multiset(rows_free), multiset(rows_tight));
@@ -386,7 +386,7 @@ fn binary_breaker_budget_bounds_combined_operands() {
 fn resident_gauge_returns_to_zero_after_spilling_runs() {
     let cat = sized_catalog(300, 8);
     for (name, plan) in breaker_corpus() {
-        let config = ExecConfig::auto().batch_size(32).memory_budget(24);
+        let config = ExecConfig::default().batch_size(32).memory_budget(24);
         let phys = tmql_exec::lower(&plan, &cat, &config).unwrap();
         let mut ctx = tmql_exec::ExecContext::with_config(&cat, &config);
         let _ = tmql_exec::execute(&phys, &mut ctx, &tmql_algebra::Env::new()).unwrap();
@@ -464,7 +464,7 @@ fn scan_expr_buffered_set_spills_under_budget() {
         expr: E::SetLit(items),
         var: "v".into(),
     };
-    let free = ExecConfig::auto().batch_size(32);
+    let free = ExecConfig::default().batch_size(32);
     let (rows_free, m_free) = run(&plan, &cat, &free).unwrap();
     assert_eq!(rows_free.len(), 300);
     assert!(

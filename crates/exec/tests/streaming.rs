@@ -162,7 +162,7 @@ proptest! {
         let cat = catalog(&x, &y);
         let mut max_peak = 0;
         for (name, plan) in plan_corpus(4) {
-            let config = ExecConfig::auto().batch_size(bs);
+            let config = ExecConfig::default().batch_size(bs);
             let phys = tmql_exec::lower(&plan, &cat, &config).unwrap();
             let mut ctx = tmql_exec::ExecContext::with_config(&cat, &config);
             let _ = tmql_exec::execute(&phys, &mut ctx, &tmql_algebra::Env::new()).unwrap();

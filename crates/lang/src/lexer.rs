@@ -4,7 +4,7 @@ use crate::parser::ParseError;
 use crate::token::{Keyword, Span, Tok, Token};
 
 /// Tokenize a query string. Comments run from `--` to end of line.
-pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -27,7 +27,7 @@
 //!           FROM d.emps e)
 //! ```
 //!
-//! The pipeline is [`lex`](fn@lexer::lex) → [`parse`](parser::parse_query) →
+//! The pipeline is `lex` → [`parse`](parser::parse_query) →
 //! [`bind + typecheck`](typecheck::check_query); lowering to the algebra
 //! lives in `tmql-translate`.
 
@@ -38,6 +38,5 @@ pub mod token;
 pub mod typecheck;
 
 pub use ast::{Expr, FromItem};
-pub use lexer::lex;
 pub use parser::{parse_query, ParseError, MAX_CHAIN_LINKS, MAX_QUERY_NESTING};
 pub use typecheck::{check_query, TypeError};

@@ -39,7 +39,7 @@ impl Span {
 /// Keywords of the language (case-insensitive in source).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // each variant is the keyword it names
-pub enum Keyword {
+pub(crate) enum Keyword {
     Select,
     From,
     Where,
@@ -102,7 +102,7 @@ pub(crate) const KEYWORDS: &[(&str, Keyword)] = &[
 
 impl Keyword {
     /// Parse a keyword from an identifier-like word (case-insensitive).
-    pub fn from_word(w: &str) -> Option<Keyword> {
+    pub(crate) fn from_word(w: &str) -> Option<Keyword> {
         let hit = KEYWORDS
             .iter()
             .find(|(name, _)| name.eq_ignore_ascii_case(w));
@@ -112,7 +112,7 @@ impl Keyword {
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Keyword.
     Kw(Keyword),
     /// Identifier (variable, attribute, or extension name).
@@ -190,7 +190,7 @@ impl fmt::Display for Tok {
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token.
     pub tok: Tok,
     /// Where it came from.

@@ -65,7 +65,7 @@ impl ClassDef {
     }
 
     /// The tuple type of one instance of this class.
-    pub fn instance_ty(&self) -> Ty {
+    pub(crate) fn instance_ty(&self) -> Ty {
         Ty::Tuple(
             self.attributes
                 .iter()

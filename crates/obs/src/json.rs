@@ -6,7 +6,7 @@
 
 /// Escape `s` for embedding inside a JSON string literal (quotes not
 /// included).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -9,15 +9,15 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable naming the query-log path.
-pub const QUERY_LOG_ENV: &str = "TMQL_QUERY_LOG";
+pub(crate) const QUERY_LOG_ENV: &str = "TMQL_QUERY_LOG";
 
 /// Environment variable holding the slow-query threshold in
 /// microseconds; statements at or above it log their full `ANALYZE`
 /// tree.
-pub const SLOW_QUERY_ENV: &str = "TMQL_SLOW_QUERY_MICROS";
+pub(crate) const SLOW_QUERY_ENV: &str = "TMQL_SLOW_QUERY_MICROS";
 
 /// An append-only JSONL sink shared by every statement of a `Database`.
 #[derive(Debug)]
@@ -68,7 +68,9 @@ impl QueryLog {
     /// swallowed.
     pub fn append(&self, line: &str) {
         let record = format!("{line}\n");
-        let mut f = self.file.lock().unwrap();
+        // A writer that panicked mid-append left at worst a torn line; the
+        // file handle itself is still good.
+        let mut f = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let r = f.write_all(record.as_bytes()).and_then(|()| f.flush());
         if let Err(e) = r {
             if !self.warned.swap(true, Ordering::Relaxed) {

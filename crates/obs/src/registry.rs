@@ -18,7 +18,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing counter handle.
 #[derive(Clone, Default)]
@@ -135,6 +135,12 @@ struct Entry {
 ///
 /// Each `Database` owns one registry; there is no global state, so
 /// tests and embedded uses stay isolated.
+///
+/// A name belongs to the kind it was first registered as. Registering it
+/// again as another kind returns a fresh handle that no rendering reads:
+/// the engine's own series never clash (pinned by a test that registers
+/// them all on one registry), and a caller's clash must not take the
+/// engine's metrics down with it.
 #[derive(Default)]
 pub struct MetricsRegistry {
     entries: Mutex<Vec<Entry>>,
@@ -146,14 +152,20 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The entries, also after a thread panicked while holding them: every
+    /// update leaves the list whole, so a poisoned lock guards no torn state.
+    fn lock(&self) -> MutexGuard<'_, Vec<Entry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register (or fetch the existing) counter named `name`.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.lock();
         if let Some(e) = entries.iter().find(|e| e.name == name) {
-            if let Instrument::Counter(c) = &e.instrument {
-                return c.clone();
-            }
-            panic!("metric {name} already registered with a different kind");
+            return match &e.instrument {
+                Instrument::Counter(c) => c.clone(),
+                _ => Counter::default(), // a kind clash: detached (see `MetricsRegistry`)
+            };
         }
         let c = Counter::default();
         entries.push(Entry {
@@ -166,12 +178,12 @@ impl MetricsRegistry {
 
     /// Register (or fetch the existing) gauge named `name`.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.lock();
         if let Some(e) = entries.iter().find(|e| e.name == name) {
-            if let Instrument::Gauge(g) = &e.instrument {
-                return g.clone();
-            }
-            panic!("metric {name} already registered with a different kind");
+            return match &e.instrument {
+                Instrument::Gauge(g) => g.clone(),
+                _ => Gauge::default(), // a kind clash: detached (see `MetricsRegistry`)
+            };
         }
         let g = Gauge::default();
         entries.push(Entry {
@@ -197,7 +209,7 @@ impl MetricsRegistry {
     }
 
     fn polled(&self, name: &str, help: &str, f: Box<dyn Fn() -> u64 + Send + Sync>, counter: bool) {
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.lock();
         if let Some(e) = entries.iter_mut().find(|e| e.name == name) {
             e.instrument = Instrument::Polled(f, counter);
             return;
@@ -213,13 +225,6 @@ impl MetricsRegistry {
     /// given ascending upper bucket `bounds` (a `+Inf` bucket is
     /// implicit).
     pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
-        let mut entries = self.entries.lock().unwrap();
-        if let Some(e) = entries.iter().find(|e| e.name == name) {
-            if let Instrument::Histogram(h) = &e.instrument {
-                return h.clone();
-            }
-            panic!("metric {name} already registered with a different kind");
-        }
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         let h = Histogram(Arc::new(HistogramCore {
             bounds: bounds.to_vec(),
@@ -227,6 +232,13 @@ impl MetricsRegistry {
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
         }));
+        let mut entries = self.lock();
+        if let Some(e) = entries.iter().find(|e| e.name == name) {
+            return match &e.instrument {
+                Instrument::Histogram(h) => h.clone(),
+                _ => h, // a kind clash: detached (see `MetricsRegistry`)
+            };
+        }
         entries.push(Entry {
             name: name.to_string(),
             help: help.to_string(),
@@ -239,7 +251,7 @@ impl MetricsRegistry {
     /// format (`# HELP` / `# TYPE` / samples), families sorted by name
     /// for deterministic output.
     pub fn render(&self) -> String {
-        let entries = self.entries.lock().unwrap();
+        let entries = self.lock();
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_by(|&a, &b| entries[a].name.cmp(&entries[b].name));
         let mut out = String::new();
@@ -278,7 +290,7 @@ impl MetricsRegistry {
 
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = self.entries.lock().map(|e| e.len()).unwrap_or(0);
+        let n = self.lock().len();
         write!(f, "MetricsRegistry({n} series)")
     }
 }
@@ -346,6 +358,35 @@ mod tests {
         // Boundary values land in their own bucket (le is inclusive).
         h.observe(10);
         assert!(reg.render().contains("tmql_test_lat_bucket{le=\"10\"} 2\n"));
+    }
+
+    #[test]
+    fn a_kind_clash_leaves_the_registry_working() {
+        let reg = MetricsRegistry::new();
+        reg.counter("x", "first a counter").add(2);
+        let clash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.gauge("x", "then a gauge").set(9);
+            reg.histogram("x", "then a histogram", &[1]).observe(5);
+        }));
+        assert!(clash.is_ok(), "a kind clash must not panic");
+        let text = reg.render();
+        assert!(text.contains("# TYPE x counter\nx 2\n"), "{text}");
+        reg.gauge("y", "registered after the clash").set(4);
+        assert_eq!(reg.counter("x", "again").get(), 2);
+        assert!(reg.render().contains("y 4\n"), "{}", reg.render());
+    }
+
+    #[test]
+    fn a_panic_while_locked_does_not_poison_the_registry() {
+        let reg = MetricsRegistry::new();
+        reg.gauge_fn("tmql_test_boom", "panics when sampled", || panic!("boom"));
+        let rendered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.render()));
+        assert!(rendered.is_err());
+        reg.gauge_fn("tmql_test_boom", "replaced", || 1);
+        reg.counter("tmql_test_after_total", "after").inc();
+        let text = reg.render();
+        assert!(text.contains("tmql_test_boom 1\n"), "{text}");
+        assert!(text.contains("tmql_test_after_total 1\n"), "{text}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A catalog is either **transient** (the default — tables live in
 //! memory, exactly the pre-pager behavior) or **persistent**
-//! ([`Catalog::open`]): backed by a [`crate::pager::PagedStore`], where
+//! ([`Catalog::open`]): backed by a paged store, where
 //! [`Catalog::register`] / [`Catalog::replace`] write the rows into
-//! slotted pages and commit a new [catalog image](crate::pager::CatalogImage)
+//! slotted pages and commit a new catalog image
 //! — schema, column types, extents, and statistics — so
 //! `register → drop → open` round-trips the whole database. Reads stream
 //! through the store's buffer pool; the catalog itself keeps only
@@ -278,7 +278,7 @@ impl Catalog {
     }
 
     /// Override the WAL-size checkpoint threshold (no-op for transient
-    /// catalogs); see [`crate::pager::DEFAULT_WAL_CHECKPOINT_BYTES`].
+    /// catalogs); see [`crate::DEFAULT_WAL_CHECKPOINT_BYTES`].
     pub fn set_wal_checkpoint_bytes(&self, bytes: u64) {
         if let Some(store) = &self.store {
             store.set_checkpoint_bytes(bytes);

@@ -26,7 +26,7 @@ use tmql_model::{ModelError, Result};
 
 /// What an armed failpoint does when its trigger operation is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailMode {
+pub(crate) enum FailMode {
     /// Fail the trigger operation outright (and everything after it).
     Kill,
     /// Write a prefix of the trigger operation's bytes, then fail it

@@ -5,7 +5,7 @@
 //! `IndexNLJoin` operators probe it, and [`crate::Catalog`] maintains one
 //! per `create_index` call, rebuilding it on `register`/`replace`
 //! write-through and committing it through the pager's header-last
-//! catalog protocol (see [`encode_index`] / [`decode_index`]).
+//! catalog protocol (see `encode_index` / `decode_index`).
 //!
 //! # Probe semantics
 //!
@@ -80,11 +80,6 @@ impl HashIndex {
             _ => Vec::new(),
         }
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Ordered index: attribute value → row positions in the attribute's
@@ -110,7 +105,7 @@ impl OrdIndex {
     /// Reassemble from decoded `(key, positions)` entries. Entries whose
     /// keys are equal — `1` and `1.0` in a blob written when those were
     /// two keys — merge their positions, ascending and without repeats.
-    pub fn from_entries(
+    pub(crate) fn from_entries(
         attr: impl Into<String>,
         entries: impl IntoIterator<Item = (Value, Vec<usize>)>,
     ) -> OrdIndex {
@@ -173,11 +168,6 @@ impl OrdIndex {
         self.map.iter().map(|(k, v)| (k, v.as_slice()))
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
     /// Total indexed positions across all keys.
     pub fn len(&self) -> usize {
         self.map.values().map(Vec::len).sum()
@@ -195,7 +185,7 @@ impl OrdIndex {
 
 /// Serialize an [`OrdIndex`]'s entries (keys reuse the spill value codec,
 /// so NaN floats and complex keys round-trip bit-exactly).
-pub fn encode_index(idx: &OrdIndex) -> Vec<u8> {
+pub(crate) fn encode_index(idx: &OrdIndex) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     put_len(&mut out, idx.map.len());
     for (k, ps) in idx.iter() {
@@ -214,7 +204,7 @@ const MIN_ENTRY_BYTES: usize = 4 + 1 + 4;
 
 /// Decode a persisted index blob (the inverse of [`encode_index`]).
 /// Malformed bytes are [`tmql_model::ModelError::Io`], never a panic.
-pub fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
+pub(crate) fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
     let mut r = Reader::new("index", blob);
     let entries = r.counted(MIN_ENTRY_BYTES, |r| {
         let key = read_value(r)?;
@@ -239,7 +229,7 @@ mod tests {
         assert_eq!(idx.probe_eq(&Value::Int(10)), vec![0, 1]);
         assert_eq!(idx.probe_eq(&Value::Int(99)), Vec::<usize>::new());
         assert_eq!(idx.probe_eq(&Value::Float(10.0)), vec![0, 1]);
-        assert_eq!(idx.distinct_keys(), 2);
+        assert_eq!(idx.probe_eq(&Value::Int(20)), vec![2]);
         assert_eq!(idx.attr(), "b");
     }
 
@@ -294,7 +284,7 @@ mod tests {
         // predicate semantics — not an error, not a panic.
         let t = int_table("R", &["a"], &[&[1], &[2]]);
         let h = HashIndex::build(&t, "zz").unwrap();
-        assert_eq!(h.distinct_keys(), 0);
+        assert_eq!(h.probe_eq(&Value::Int(1)), Vec::<usize>::new());
         let o = OrdIndex::build(&t, "zz").unwrap();
         assert!(o.is_empty());
         assert_eq!(o.probe_eq(&Value::Int(1)), Vec::<usize>::new());
@@ -326,7 +316,7 @@ mod tests {
         assert_eq!(idx.probe_eq(&Value::Float(1.0)), vec![0, 1]);
         assert_eq!(idx.probe_eq(&Value::Int(0)), vec![2, 3, 4]);
         assert_eq!(idx.probe_eq(&Value::Float(-0.0)), vec![2, 3, 4]);
-        assert_eq!(idx.distinct_keys(), 4);
+        assert_eq!(idx.iter().count(), 4);
         // Every NaN is one key, and NULL equals nothing.
         let payload = Value::Float(f64::from_bits(0x7ff8_0000_0000_0001));
         assert_eq!(idx.probe_eq(&payload), vec![5]);
@@ -361,7 +351,7 @@ mod tests {
             }
         }
         let idx = decode_index("k", &blob).unwrap();
-        assert_eq!(idx.distinct_keys(), 2);
+        assert_eq!(idx.iter().count(), 2);
         assert_eq!(idx.probe_eq(&Value::Float(1.0)), vec![0, 3, 7]);
         assert_eq!(idx.probe_eq(&Value::Int(0)), vec![2, 4]);
         // The first spelling of a key is the one kept.

@@ -14,9 +14,10 @@
 //!   [`tmql_model::Schema`]; [`Catalog::open`] makes it **persistent**:
 //!   register/replace write rows into pages and commit a durable catalog
 //!   image, so a database outlives the process;
-//! * [`pager`] — the disk tier: slotted pages, the fixed-capacity
-//!   [`pager::BufferPool`] (clock eviction, pin counts, dirty
-//!   write-back), table extents, and the persisted catalog image;
+//! * `pager` (crate-private) — the disk tier: slotted pages, the
+//!   fixed-capacity buffer pool (clock eviction, pin counts, dirty
+//!   write-back; [`PoolStats`] counts its traffic), table extents, and
+//!   the persisted catalog image;
 //! * [`stats::TableStats`] — cardinality, distinct counts, min/max,
 //!   equi-width histograms, null/empty-set fractions, and set-valued
 //!   fan-out per column, built on registration a column at a time
@@ -29,7 +30,7 @@
 //!   write-through; the executor's `IndexScan`/`IndexNLJoin` operators
 //!   probe it instead of scanning when the planner's crossover favors
 //!   probes;
-//! * [`wal`] — the write-ahead log: page-image + commit redo records,
+//! * `wal` (crate-private) — the write-ahead log: page-image + commit redo records,
 //!   one batch and one write per commit, fsynced before any write-back,
 //!   replayed on open, truncated at checkpoints. [`Catalog::begin`]/[`Catalog::commit`]/
 //!   [`Catalog::rollback`] make register/replace/create_index atomic
@@ -47,22 +48,21 @@ pub mod catalog;
 pub mod failpoint;
 mod format_tests;
 pub mod index;
-pub mod pager;
+pub(crate) mod pager;
 pub mod pretest;
 pub mod spill;
 pub mod stats;
 pub mod table;
-pub mod wal;
+pub(crate) mod wal;
 
 pub use catalog::Catalog;
-pub use failpoint::{FailMode, IoFailpoint, IoOp};
+pub use failpoint::{IoFailpoint, IoOp};
 pub use index::{HashIndex, OrdIndex};
-pub use pager::IndexImage;
-pub use pager::{BufferPool, PagedStore, PoolStats, TableExtent, DEFAULT_POOL_PAGES};
+pub use pager::{PoolStats, DEFAULT_POOL_PAGES, DEFAULT_WAL_CHECKPOINT_BYTES};
 pub use pretest::RowTest;
 pub use spill::{RunReader, RunWriter, SpillDir, SpillFile};
 pub use stats::{ColumnStats, Histogram, StatsBuilder, TableStats};
 pub use table::Table;
-pub use wal::{RecoveryReport, Wal, WalActivity};
+pub use wal::{RecoveryReport, WalActivity};
 
 pub use tmql_model::{ModelError, Result};

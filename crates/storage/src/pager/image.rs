@@ -26,7 +26,7 @@ use crate::stats::{ColumnStats, Histogram, TableStats};
 
 /// One persisted table: its identity, schema, extent, and statistics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableImage {
+pub(crate) struct TableImage {
     /// Extension name.
     pub name: String,
     /// Column schema in declaration order.
@@ -40,7 +40,7 @@ pub struct TableImage {
 /// One persisted secondary index: its identity plus the page chain
 /// holding its encoded entries (see [`crate::index::encode_index`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexImage {
+pub(crate) struct IndexImage {
     /// Table the index is over.
     pub table: String,
     /// Indexed attribute.
@@ -55,7 +55,7 @@ pub struct IndexImage {
 
 /// The whole persisted catalog.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CatalogImage {
+pub(crate) struct CatalogImage {
     /// The TM schema (classes and sorts).
     pub schema: Schema,
     /// All registered tables.
@@ -73,12 +73,12 @@ pub struct CatalogImage {
 mod ty_tag {
     pub const BOOL: u8 = 0;
     pub const INT: u8 = 1;
-    pub const FLOAT: u8 = 2;
-    pub const STR: u8 = 3;
-    pub const TUPLE: u8 = 4;
-    pub const SET: u8 = 5;
-    pub const LIST: u8 = 6;
-    pub const VARIANT: u8 = 7;
+    pub(crate) const FLOAT: u8 = 2;
+    pub(crate) const STR: u8 = 3;
+    pub(crate) const TUPLE: u8 = 4;
+    pub(crate) const SET: u8 = 5;
+    pub(crate) const LIST: u8 = 6;
+    pub(crate) const VARIANT: u8 = 7;
     pub const CLASS: u8 = 8;
     pub const ANY: u8 = 9;
 }
@@ -206,29 +206,7 @@ pub(crate) struct IndexParts<'a> {
     pub(crate) len: u64,
 }
 
-/// Serialize a catalog image into one blob.
-pub fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
-    let tables = img.tables.iter().map(|t| TableParts {
-        name: &t.name,
-        columns: &t.columns,
-        extent: &t.extent,
-        stats: &t.stats,
-    });
-    let indexes = img.indexes.iter().map(|ix| IndexParts {
-        table: &ix.table,
-        attr: &ix.attr,
-        kind: ix.kind,
-        first: ix.first,
-        len: ix.len,
-    });
-    encode_parts(
-        &img.schema,
-        &tables.collect::<Vec<_>>(),
-        &indexes.collect::<Vec<_>>(),
-    )
-}
-
-/// [`encode_catalog`] over borrowed parts.
+/// Serialize a catalog, given as borrowed parts, into one blob.
 pub(crate) fn encode_parts(
     schema: &Schema,
     tables: &[TableParts<'_>],
@@ -382,7 +360,7 @@ fn table_stats(r: &mut Reader<'_>) -> Result<TableStats> {
 }
 
 /// Decode a catalog blob (the inverse of [`encode_catalog`]).
-pub fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
+pub(crate) fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
     let mut r = Reader::new("catalog", blob);
     let mut schema = Schema::new();
     for _ in 0..r.count(MIN_CLASS_BYTES)? {
@@ -434,6 +412,30 @@ pub fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
         tables,
         indexes,
     })
+}
+
+/// Serialize a catalog image into one blob (the tests' reference for
+/// [`encode_parts`]).
+#[cfg(test)]
+pub(crate) fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
+    let tables = img.tables.iter().map(|t| TableParts {
+        name: &t.name,
+        columns: &t.columns,
+        extent: &t.extent,
+        stats: &t.stats,
+    });
+    let indexes = img.indexes.iter().map(|ix| IndexParts {
+        table: &ix.table,
+        attr: &ix.attr,
+        kind: ix.kind,
+        first: ix.first,
+        len: ix.len,
+    });
+    encode_parts(
+        &img.schema,
+        &tables.collect::<Vec<_>>(),
+        &indexes.collect::<Vec<_>>(),
+    )
 }
 
 #[cfg(test)]

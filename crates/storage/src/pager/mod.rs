@@ -22,12 +22,12 @@
 //!   façade tables and the catalog share;
 //! * [`image`] — the persisted catalog blob (schema + extents + stats).
 
-pub mod image;
-pub mod page;
-pub mod pool;
-pub mod store;
+pub(crate) mod image;
+pub(crate) mod page;
+pub(crate) mod pool;
+pub(crate) mod store;
 
-pub use image::{CatalogImage, IndexImage, TableImage};
-pub use page::{PageId, PAGE_SIZE};
-pub use pool::{BufferPool, PoolStats};
-pub use store::{PagedStore, TableExtent, DEFAULT_POOL_PAGES, DEFAULT_WAL_CHECKPOINT_BYTES};
+pub(crate) use page::PageId;
+pub use pool::PoolStats;
+pub(crate) use store::{PagedStore, TableExtent};
+pub use store::{DEFAULT_POOL_PAGES, DEFAULT_WAL_CHECKPOINT_BYTES};

@@ -20,20 +20,20 @@ use tmql_model::{ModelError, Result};
 /// Size of one page in bytes. 8 KiB balances slot overhead against
 /// read amplification for the small complex-object records the TM
 /// workloads store.
-pub const PAGE_SIZE: usize = 8192;
+pub(crate) const PAGE_SIZE: usize = 8192;
 
 /// Page identifier: an offset into the database file in [`PAGE_SIZE`]
 /// units. Page 0 is the file header and is never handed out, so 0 doubles
 /// as the null sentinel [`NO_PAGE`].
-pub type PageId = u32;
+pub(crate) type PageId = u32;
 
 /// Null page id (the header page is never referenced as data).
-pub const NO_PAGE: PageId = 0;
+pub(crate) const NO_PAGE: PageId = 0;
 
 /// Page-kind tag of a data (slotted) page.
-pub const KIND_DATA: u8 = 1;
+pub(crate) const KIND_DATA: u8 = 1;
 /// Page-kind tag of an overflow (record continuation) page.
-pub const KIND_OVERFLOW: u8 = 2;
+pub(crate) const KIND_OVERFLOW: u8 = 2;
 
 /// Data-page header: kind (1) + pad (1) + slot count (2) + free offset (2).
 const DATA_HDR: usize = 6;
@@ -49,10 +49,10 @@ const OVF_REF_BYTES: usize = 8;
 /// Largest record payload that can be stored inline in a data page slot
 /// (bounded by the 15 length bits and by what fits next to the header and
 /// one slot).
-pub const MAX_INLINE: usize = PAGE_SIZE - DATA_HDR - SLOT_BYTES;
+pub(crate) const MAX_INLINE: usize = PAGE_SIZE - DATA_HDR - SLOT_BYTES;
 
 /// Byte capacity of one overflow page.
-pub const OVF_CAPACITY: usize = PAGE_SIZE - OVF_HDR;
+pub(crate) const OVF_CAPACITY: usize = PAGE_SIZE - OVF_HDR;
 
 const _: () = assert!(MAX_INLINE < OVERFLOW_FLAG as usize, "length fits 15 bits");
 
@@ -86,14 +86,14 @@ pub fn kind(buf: &[u8]) -> u8 {
 // ---------------------------------------------------------------------------
 
 /// Initialize `buf` as an empty data page.
-pub fn init_data(buf: &mut [u8]) {
+pub(crate) fn init_data(buf: &mut [u8]) {
     buf[..DATA_HDR].fill(0);
     buf[0] = KIND_DATA;
     put_u16(buf, 4, PAGE_SIZE as u16); // free offset: payloads grow down
 }
 
 /// Number of slots in a data page.
-pub fn slot_count(buf: &[u8]) -> usize {
+pub(crate) fn slot_count(buf: &[u8]) -> usize {
     get_u16(buf, 2) as usize
 }
 
@@ -105,17 +105,17 @@ fn free_off(buf: &[u8]) -> usize {
 }
 
 /// Free bytes between the slot directory and the payload region.
-pub fn free_space(buf: &[u8]) -> usize {
+pub(crate) fn free_space(buf: &[u8]) -> usize {
     free_off(buf).saturating_sub(DATA_HDR + SLOT_BYTES * slot_count(buf))
 }
 
 /// True iff an inline payload of `len` bytes (plus its slot) fits.
-pub fn fits_inline(buf: &[u8], len: usize) -> bool {
+pub(crate) fn fits_inline(buf: &[u8], len: usize) -> bool {
     len <= MAX_INLINE && free_space(buf) >= len + SLOT_BYTES
 }
 
 /// True iff an overflow reference (plus its slot) fits.
-pub fn fits_overflow_ref(buf: &[u8]) -> bool {
+pub(crate) fn fits_overflow_ref(buf: &[u8]) -> bool {
     free_space(buf) >= OVF_REF_BYTES + SLOT_BYTES
 }
 
@@ -135,14 +135,14 @@ fn push_slot(buf: &mut [u8], payload: &[u8], flags: u16) {
 
 /// Append an inline record payload. The caller must have checked
 /// [`fits_inline`].
-pub fn push_inline(buf: &mut [u8], payload: &[u8]) {
+pub(crate) fn push_inline(buf: &mut [u8], payload: &[u8]) {
     debug_assert!(fits_inline(buf, payload.len()));
     push_slot(buf, payload, 0);
 }
 
 /// Append an overflow reference to a record of `total` bytes whose chain
 /// starts at `first`. The caller must have checked [`fits_overflow_ref`].
-pub fn push_overflow_ref(buf: &mut [u8], first: PageId, total: u32) {
+pub(crate) fn push_overflow_ref(buf: &mut [u8], first: PageId, total: u32) {
     debug_assert!(fits_overflow_ref(buf));
     let mut payload = [0u8; OVF_REF_BYTES];
     payload[..4].copy_from_slice(&first.to_le_bytes());
@@ -152,7 +152,7 @@ pub fn push_overflow_ref(buf: &mut [u8], first: PageId, total: u32) {
 
 /// One resolved slot of a data page.
 #[derive(Debug, PartialEq, Eq)]
-pub enum SlotRef<'a> {
+pub(crate) enum SlotRef<'a> {
     /// The record's encoded bytes live inline in this page.
     Inline(&'a [u8]),
     /// The record's bytes live in an overflow chain.
@@ -198,7 +198,7 @@ pub fn slot(buf: &[u8], i: usize) -> Result<SlotRef<'_>> {
 // ---------------------------------------------------------------------------
 
 /// Initialize `buf` as an overflow page holding `data`, chaining to `next`.
-pub fn init_overflow(buf: &mut [u8], next: PageId, data: &[u8]) {
+pub(crate) fn init_overflow(buf: &mut [u8], next: PageId, data: &[u8]) {
     debug_assert!(data.len() <= OVF_CAPACITY);
     buf[..OVF_HDR].fill(0);
     buf[0] = KIND_OVERFLOW;
@@ -208,7 +208,7 @@ pub fn init_overflow(buf: &mut [u8], next: PageId, data: &[u8]) {
 }
 
 /// The next page in an overflow chain ([`NO_PAGE`] terminates).
-pub fn ovf_next(buf: &[u8]) -> Result<PageId> {
+pub(crate) fn ovf_next(buf: &[u8]) -> Result<PageId> {
     if kind(buf) != KIND_OVERFLOW {
         return Err(corrupt("expected an overflow page"));
     }
@@ -216,7 +216,7 @@ pub fn ovf_next(buf: &[u8]) -> Result<PageId> {
 }
 
 /// The byte chunk stored in an overflow page.
-pub fn ovf_data(buf: &[u8]) -> Result<&[u8]> {
+pub(crate) fn ovf_data(buf: &[u8]) -> Result<&[u8]> {
     if kind(buf) != KIND_OVERFLOW {
         return Err(corrupt("expected an overflow page"));
     }

@@ -123,7 +123,7 @@ struct MapState {
 /// A fixed-capacity, concurrency-safe page cache with clock eviction.
 /// See the module docs for the latch protocol.
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     frames: Vec<Frame>,
     map: Mutex<MapState>,
     hits: AtomicU64,
@@ -137,7 +137,7 @@ pub struct BufferPool {
 /// the latch first and the pin second, so `pins == 0` implies no latch
 /// holders.
 #[derive(Debug)]
-pub struct PageRead<'a> {
+pub(crate) struct PageRead<'a> {
     inner: ReadInner<'a>,
 }
 
@@ -229,11 +229,6 @@ impl BufferPool {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// True iff `page` is currently resident.
-    pub fn is_resident(&self, page: PageId) -> bool {
-        self.lock_map().map.contains_key(&page)
-    }
-
     /// How many of `pages` — sorted ascending, without repeats — are
     /// currently resident. The count starts from the smaller side: a pool
     /// holding fewer pages than asked about searches `pages` for each of
@@ -242,7 +237,11 @@ impl BufferPool {
     /// epoch it was counted at, so asking again about the same pages
     /// before anything faulted or was evicted — every formula of one
     /// planning pass — is a comparison, not a count.
-    pub fn resident_among(&self, pages: &[PageId], memo: &mut Option<(u64, usize)>) -> usize {
+    pub(crate) fn resident_among(
+        &self,
+        pages: &[PageId],
+        memo: &mut Option<(u64, usize)>,
+    ) -> usize {
         let m = self.lock_map();
         match *memo {
             Some((epoch, count)) if epoch == m.epoch => count,
@@ -257,20 +256,6 @@ impl BufferPool {
                 count
             }
         }
-    }
-
-    /// Total outstanding pins across all frames (test/diagnostic hook:
-    /// returns to zero when no guards are live).
-    pub fn pinned_frames(&self) -> u64 {
-        self.frames
-            .iter()
-            .map(|f| f.pins.load(Ordering::SeqCst) as u64)
-            .sum()
-    }
-
-    /// Total frames that own a page buffer (test/diagnostic hook).
-    pub fn allocated_frames(&self) -> usize {
-        self.lock_map().used
     }
 
     /// The frame's exclusive latch, if nobody pins or holds it.
@@ -441,7 +426,7 @@ impl BufferPool {
     /// page-writer path: freshly built data/overflow/catalog pages).
     /// Callers serialize installs against [`BufferPool::flush`] — the
     /// store's write lock does this.
-    pub fn install(&self, page: PageId, bytes: &[u8], file: &PagedFile) -> Result<()> {
+    pub(crate) fn install(&self, page: PageId, bytes: &[u8], file: &PagedFile) -> Result<()> {
         if self.frames.is_empty() {
             // Direct mode: the write reaches the file immediately (the
             // commit's sync makes it durable), no frame bookkeeping at all.
@@ -532,6 +517,29 @@ impl BufferPool {
                 m.free.push(idx);
             }
         }
+    }
+}
+
+/// What the tests observe of a pool.
+#[cfg(test)]
+impl BufferPool {
+    /// True iff `page` is currently resident.
+    pub(crate) fn is_resident(&self, page: PageId) -> bool {
+        self.lock_map().map.contains_key(&page)
+    }
+
+    /// Total outstanding pins across all frames (returns to zero when no
+    /// guards are live).
+    pub(crate) fn pinned_frames(&self) -> u64 {
+        self.frames
+            .iter()
+            .map(|f| f.pins.load(Ordering::SeqCst) as u64)
+            .sum()
+    }
+
+    /// Total frames that own a page buffer.
+    pub(crate) fn allocated_frames(&self) -> usize {
+        self.lock_map().used
     }
 }
 

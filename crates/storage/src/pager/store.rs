@@ -15,14 +15,14 @@
 //! positional I/O (`&self`), and the pool is latch-based (see
 //! [`super::pool`]), so statements running on many threads share the store
 //! without a global lock. Writers ([`PagedStore::write_table`],
-//! [`PagedStore::save_catalog`]) serialize on one write lock; the header
+//! [`PagedStore::write_catalog`]) serialize on one write lock; the header
 //! state (watermark + free list) sits behind its own small mutex.
 //!
 //! # Durability rules
 //!
 //! * Data and catalog pages are written through the pool; eviction and
 //!   [`BufferPool::flush`] perform the actual file writes, at any time.
-//! * A catalog update ([`PagedStore::save_catalog`]) is the commit point:
+//! * A catalog update ([`PagedStore::write_catalog`]) is the commit point:
 //!   every page the transaction wrote is appended to the WAL as a full
 //!   image, followed by a commit record carrying the resulting header
 //!   state, and the WAL is fsynced **before** the in-memory state
@@ -60,7 +60,7 @@ use std::time::Instant;
 use tmql_model::{ModelError, Record, Result};
 use tmql_obs::{Histogram, MetricsRegistry};
 
-use super::image::{decode_catalog, encode_catalog, CatalogImage};
+use super::image::{decode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use super::pool::{BufferPool, PoolStats};
 use crate::bytes::{put_len, put_u16, put_u32, put_u64, Reader};
@@ -72,7 +72,7 @@ use crate::wal::{CommitRecord, RecoveryReport, Wal, WalActivity};
 pub const DEFAULT_POOL_PAGES: usize = 256;
 
 /// Default WAL size (bytes) past which a commit triggers a checkpoint.
-/// Override per store with [`PagedStore::set_checkpoint_bytes`] or
+/// Override per store with `PagedStore::set_checkpoint_bytes` or
 /// process-wide with `TMQL_WAL_CHECKPOINT_BYTES` (read at open/create;
 /// `1` forces a checkpoint after every commit — the starved-WAL test
 /// setting).
@@ -87,7 +87,7 @@ const META_BYTES: usize = 26;
 
 /// Maximum free-page ids the header page can record (the rest of the page
 /// after the fixed fields, 4 bytes per id).
-pub const FREE_LIST_CAP: usize = (PAGE_SIZE - META_BYTES - 4) / 4;
+pub(crate) const FREE_LIST_CAP: usize = (PAGE_SIZE - META_BYTES - 4) / 4;
 
 fn io_err(e: std::io::Error) -> ModelError {
     ModelError::Io(e.to_string())
@@ -110,7 +110,7 @@ fn checkpoint_bytes_from_env() -> u64 {
 /// [`crate::failpoint`] seam, which is how the crash harness injects
 /// kills and torn writes at each I/O boundary.
 #[derive(Debug)]
-pub struct PagedFile {
+pub(crate) struct PagedFile {
     file: File,
     path: PathBuf,
 }
@@ -145,7 +145,7 @@ impl PagedFile {
     }
 
     /// Read page `pid` into `buf` (exactly one page).
-    pub fn read_page(&self, pid: PageId, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn read_page(&self, pid: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         failpoint::check_read(&self.path)?;
         self.file
@@ -160,7 +160,7 @@ impl PagedFile {
     }
 
     /// Write page `pid` from `buf`.
-    pub fn write_page(&self, pid: PageId, buf: &[u8]) -> Result<()> {
+    pub(crate) fn write_page(&self, pid: PageId, buf: &[u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         let allowed = match failpoint::check_write(&self.path, IoOp::PageWrite(pid), buf.len())? {
             WriteCheck::Full => buf.len(),
@@ -297,7 +297,7 @@ impl MetaState {
 /// with its row count (overflow chains hang off individual slots and are
 /// not listed here).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TableExtent {
+pub(crate) struct TableExtent {
     /// `(page id, rows in page)` in scan order.
     pub pages: Vec<(PageId, u16)>,
     /// Total rows across all pages.
@@ -306,12 +306,12 @@ pub struct TableExtent {
 
 impl TableExtent {
     /// The extent's data page ids in scan order.
-    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+    pub(crate) fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
         self.pages.iter().map(|(p, _)| *p)
     }
 
     /// Number of data pages.
-    pub fn page_count(&self) -> usize {
+    pub(crate) fn page_count(&self) -> usize {
         self.pages.len()
     }
 }
@@ -341,11 +341,11 @@ struct TableBuild {
 /// concurrent; writes serialize on an internal write lock (see the
 /// module docs).
 #[derive(Debug)]
-pub struct PagedStore {
+pub(crate) struct PagedStore {
     file: PagedFile,
     pool: BufferPool,
     state: Mutex<MetaState>,
-    /// Serializes writers (`write_table` / `save_catalog`); readers never
+    /// Serializes writers (`write_table` / `write_catalog`); readers never
     /// take it. Also what makes pool installs/flushes single-threaded.
     write_lock: Mutex<()>,
     wal: Mutex<Wal>,
@@ -358,7 +358,6 @@ pub struct PagedStore {
     /// Where commit, fsync and checkpoint latencies are recorded, once a
     /// registry asked for them.
     latencies: OnceLock<Latencies>,
-    path: PathBuf,
 }
 
 /// The write path's latency histograms, in microseconds.
@@ -379,8 +378,8 @@ impl PagedStore {
     /// truncating any stale sidecar from a previous database at the
     /// same path).
     pub fn create(path: impl AsRef<Path>, pool_pages: usize) -> Result<Arc<PagedStore>> {
-        let path = path.as_ref().to_path_buf();
-        let file = PagedFile::create(&path)?;
+        let path = path.as_ref();
+        let file = PagedFile::create(path)?;
         let meta = Meta {
             next_page: 1,
             catalog_first: NO_PAGE,
@@ -388,7 +387,7 @@ impl PagedStore {
         };
         file.write_page(0, &meta.encode(&[]))?;
         file.sync()?;
-        let mut wal = Wal::open(&Wal::path_for(&path))?;
+        let mut wal = Wal::open(&Wal::path_for(path))?;
         if wal.bytes() > 0 {
             wal.reset()?;
         }
@@ -412,7 +411,6 @@ impl PagedStore {
                 discarded_bytes: 0,
             },
             latencies: OnceLock::new(),
-            path,
         }))
     }
 
@@ -475,7 +473,6 @@ impl PagedStore {
                 discarded_bytes: scan.discarded_bytes,
             },
             latencies: OnceLock::new(),
-            path: path.to_path_buf(),
         });
         if dirty {
             // Make the replay durable and truncate the log (discarding
@@ -520,11 +517,6 @@ impl PagedStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The database file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     fn alloc(&self) -> PageId {
         self.state().alloc()
     }
@@ -532,8 +524,8 @@ impl PagedStore {
     // -- transactions --------------------------------------------------------
 
     /// Start an explicit transaction: snapshot the header state so a
-    /// rollback can restore it. Commit is [`PagedStore::save_catalog`]
-    /// (whichever flavor), which clears the snapshot.
+    /// rollback can restore it. Commit is [`PagedStore::write_catalog`],
+    /// which clears the snapshot.
     pub(crate) fn begin_txn(&self) {
         let mut st = self.state();
         let snap = TxnSnapshot {
@@ -703,7 +695,12 @@ impl PagedStore {
     /// Read up to `n` decoded rows starting at row offset `start`.
     /// Fully concurrent: statements on other threads may read the same
     /// extent at the same time.
-    pub fn read_rows(&self, extent: &TableExtent, start: usize, n: usize) -> Result<Vec<Record>> {
+    pub(crate) fn read_rows(
+        &self,
+        extent: &TableExtent,
+        start: usize,
+        n: usize,
+    ) -> Result<Vec<Record>> {
         let cap = n.min(extent.rows as usize);
         Ok(self.read_runs(extent, [(start, n)], cap, |_| true)?.0)
     }
@@ -791,7 +788,7 @@ impl PagedStore {
 
     /// Every page an extent owns: its data pages plus all overflow chains
     /// hanging off their slots. This is what a replace frees.
-    pub fn extent_pages(&self, extent: &TableExtent) -> Result<Vec<PageId>> {
+    pub(crate) fn extent_pages(&self, extent: &TableExtent) -> Result<Vec<PageId>> {
         let mut out: Vec<PageId> = extent.page_ids().collect();
         for &(pid, _) in &extent.pages {
             let mut chains = Vec::new();
@@ -825,13 +822,13 @@ impl PagedStore {
     }
 
     /// Read back a blob written by [`PagedStore::write_blob`].
-    pub fn read_blob(&self, first: PageId, len: u64) -> Result<Vec<u8>> {
+    pub(crate) fn read_blob(&self, first: PageId, len: u64) -> Result<Vec<u8>> {
         self.read_chain(first, len)
     }
 
     /// The page ids of a blob chain — what freeing it hands back to the
     /// free list at a commit.
-    pub fn blob_pages(&self, first: PageId, len: u64) -> Result<Vec<PageId>> {
+    pub(crate) fn blob_pages(&self, first: PageId, len: u64) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
         self.chain_pages(first, len, &mut out)?;
         Ok(out)
@@ -923,11 +920,6 @@ impl PagedStore {
         self.read_chain(first, len).map(Some)
     }
 
-    /// Persist the catalog image (the commit point of register/replace).
-    pub fn save_catalog(&self, image: &CatalogImage) -> Result<()> {
-        self.write_catalog(&encode_catalog(image), Vec::new())
-    }
-
     // -- checkpointing -------------------------------------------------------
 
     /// Checkpoint: flush all pages, sync the file, rewrite the header to
@@ -978,7 +970,7 @@ impl PagedStore {
     /// Override the WAL-size checkpoint threshold for this store
     /// (`1` checkpoints after every commit, `u64::MAX` never
     /// auto-checkpoints — close still does).
-    pub fn set_checkpoint_bytes(&self, bytes: u64) {
+    pub(crate) fn set_checkpoint_bytes(&self, bytes: u64) {
         self.checkpoint_bytes.store(bytes, Ordering::Relaxed);
     }
 
@@ -1009,7 +1001,7 @@ impl PagedStore {
     /// `tmql_commit_micros` (a catalog commit: new catalog chain, WAL
     /// batch, fsync), `tmql_wal_fsync_micros` (the fsync alone) and
     /// `tmql_checkpoint_micros`. Only the first registry to ask is served.
-    pub fn register_latencies(&self, reg: &MetricsRegistry) {
+    pub(crate) fn register_latencies(&self, reg: &MetricsRegistry) {
         self.latencies.get_or_init(|| {
             let histogram = |name, help| reg.histogram(name, help, LATENCY_BOUNDS_MICROS);
             Latencies {
@@ -1048,13 +1040,12 @@ impl PagedStore {
     /// distinct — are currently resident: the cost model's input for
     /// pricing a cold vs. warm scan. `memo` is the caller's per-extent
     /// memory of the last answer (see [`BufferPool::resident_among`]).
-    pub fn resident_pages(&self, pages: &[PageId], memo: &mut Option<(u64, usize)>) -> usize {
+    pub(crate) fn resident_pages(
+        &self,
+        pages: &[PageId],
+        memo: &mut Option<(u64, usize)>,
+    ) -> usize {
         self.pool.resident_among(pages, memo)
-    }
-
-    /// Total outstanding page pins (test/diagnostic hook).
-    pub fn pinned_pages(&self) -> u64 {
-        self.pool.pinned_frames()
     }
 }
 
@@ -1068,6 +1059,20 @@ impl Drop for PagedStore {
             self.rollback_txn();
         }
         let _ = self.checkpoint();
+    }
+}
+
+/// What the tests drive and observe of a store.
+#[cfg(test)]
+impl PagedStore {
+    /// Persist a catalog image (the commit point of register/replace).
+    pub(crate) fn save_catalog(&self, image: &CatalogImage) -> Result<()> {
+        self.write_catalog(&super::image::encode_catalog(image), Vec::new())
+    }
+
+    /// Total outstanding page pins.
+    pub(crate) fn pinned_pages(&self) -> u64 {
+        self.pool.pinned_frames()
     }
 }
 

@@ -60,7 +60,7 @@
 //! and variants round-trip exactly, including `NaN` floats (bit-pattern
 //! preserved via `to_bits`).
 //!
-//! A [`RecordDecoder`] reads a stream of rows — a page batch, a spill run
+//! A `RecordDecoder` reads a stream of rows — a page batch, a spill run
 //! — at about what the rows' bytes cost. A record's fields are decoded
 //! straight into its body: a scalar where its tag is read, a container
 //! out of line, a set's elements through an accumulator the decoder
@@ -98,16 +98,16 @@ mod tag {
     pub const FALSE: u8 = 1;
     pub const TRUE: u8 = 2;
     pub const INT: u8 = 3;
-    pub const FLOAT: u8 = 4;
-    pub const STR: u8 = 5;
-    pub const TUPLE: u8 = 6;
-    pub const SET: u8 = 7;
-    pub const LIST: u8 = 8;
-    pub const VARIANT: u8 = 9;
+    pub(crate) const FLOAT: u8 = 4;
+    pub(crate) const STR: u8 = 5;
+    pub(crate) const TUPLE: u8 = 6;
+    pub(crate) const SET: u8 = 7;
+    pub(crate) const LIST: u8 = 8;
+    pub(crate) const VARIANT: u8 = 9;
 }
 
 /// Append the encoding of one value to `out`.
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
+pub(crate) fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => put_u8(out, tag::NULL),
         Value::Bool(false) => put_u8(out, tag::FALSE),
@@ -200,7 +200,7 @@ pub(crate) fn check_nesting(rec: &Record) -> Result<()> {
 /// Only a label that differs from the last row's is validated and
 /// interned.
 #[derive(Debug, Default)]
-pub struct RecordDecoder {
+pub(crate) struct RecordDecoder {
     /// The last row's top-level labels by position (the first
     /// [`MAX_LABELS`] of them).
     row: Vec<Arc<str>>,
@@ -481,7 +481,7 @@ impl<'a> Cursor<'a> {
 /// Decode one value from the front of a payload (the inverse of
 /// [`encode_value`]), returning the value and the number of bytes
 /// consumed.
-pub fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
+pub(crate) fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
     let mut names = RecordDecoder::default();
     let mut c = Cursor::new(FORMAT, payload, &mut names);
     let v = c.value()?;
@@ -538,7 +538,7 @@ pub(crate) fn stored_field<'a>(payload: &'a [u8], label: &str) -> Option<Stored<
     None
 }
 
-/// Decode one standalone record ([`RecordDecoder::decode`] with nothing
+/// Decode one standalone record (`RecordDecoder::decode` with nothing
 /// to share labels with).
 pub fn decode_record(payload: &[u8]) -> Result<Record> {
     RecordDecoder::default().decode(payload)
@@ -721,9 +721,9 @@ const FRAME_LEN_BYTES: usize = 4;
 /// The first byte of a frame.
 pub(crate) mod frame {
     /// A row with the run's labels in the run's order: its values.
-    pub const SHAPED: u8 = 0;
+    pub(crate) const SHAPED: u8 = 0;
     /// Any other row: a whole encoded record.
-    pub const FULL: u8 = 1;
+    pub(crate) const FULL: u8 = 1;
 }
 
 /// What a run is besides its bytes: where they are, and what they leave

@@ -1,7 +1,7 @@
 //! Table statistics for the cost-based optimizer and physical planner.
 //!
 //! Statistics are built **a column at a time** over rows that are held
-//! anyway ([`TableStats::of_rows`]: the table being registered, or the
+//! anyway (`TableStats::of_rows`: the table being registered, or the
 //! sample of it): the column's values are collected, sorted and counted
 //! as runs, which costs a comparison sort instead of one ordered-set
 //! probe, insert and clone per value. [`StatsBuilder`] is the same pass
@@ -29,17 +29,17 @@ use crate::table::Table;
 /// purpose: tables are in-memory and queries are selective enough that
 /// 16 buckets bound the estimation error well below the cost gaps the
 /// optimizer has to rank.
-pub const HISTOGRAM_BUCKETS: usize = 16;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 16;
 
 /// Above this many rows, statistics switch from an exact full pass to
 /// **reservoir sampling**: per-row work becomes an O(1) reservoir update,
 /// and the finished statistics are estimated from a uniform
-/// [`STATS_SAMPLE_SIZE`]-row sample (row count and min/max stay exact).
+/// `STATS_SAMPLE_SIZE`-row sample (row count and min/max stay exact).
 pub const STATS_SAMPLE_THRESHOLD: usize = 8192;
 
 /// Reservoir capacity of the sampled statistics pass (Vitter's
 /// Algorithm R over the registration stream, deterministic seed).
-pub const STATS_SAMPLE_SIZE: usize = 2048;
+pub(crate) const STATS_SAMPLE_SIZE: usize = 2048;
 
 /// An equi-width histogram over the numeric values of one column
 /// (`Int` and `Float` values; everything else is ignored).
@@ -79,7 +79,7 @@ impl Histogram {
 
     /// Estimated fraction of values strictly below `v` (linear
     /// interpolation inside the bucket containing `v`).
-    pub fn fraction_below(&self, v: f64) -> f64 {
+    pub(crate) fn fraction_below(&self, v: f64) -> f64 {
         if v <= self.lo {
             return 0.0;
         }
@@ -95,7 +95,7 @@ impl Histogram {
     }
 
     /// Estimated fraction of values strictly above `v`.
-    pub fn fraction_above(&self, v: f64) -> f64 {
+    pub(crate) fn fraction_above(&self, v: f64) -> f64 {
         if v < self.lo {
             return 1.0;
         }
@@ -331,12 +331,12 @@ impl Sampler {
 /// Streaming statistics builder for rows whose number is not known in
 /// advance (a disk-backed table's batches): feed rows one at a time, then
 /// [`StatsBuilder::finish`]. Rows already in memory go through
-/// [`TableStats::of_rows`], which this agrees with at every size.
+/// `TableStats::of_rows`, which this agrees with at every size.
 ///
 /// Up to [`STATS_SAMPLE_THRESHOLD`] rows the builder only keeps a handle
 /// to each row and the statistics are exact. The row after that abandons
 /// the exact pass for good: the rows kept so far are replayed into a
-/// uniform reservoir of [`STATS_SAMPLE_SIZE`] rows — the same draws, in
+/// uniform reservoir of `STATS_SAMPLE_SIZE` rows — the same draws, in
 /// the same order, as if sampling had run from the first row — and from
 /// there per-row work is an O(1) reservoir update. Fractions, fan-outs
 /// and histograms then come from the sample and distinct counts through a
@@ -421,7 +421,7 @@ impl TableStats {
     /// per column over borrowed values, with no reservoir and no running
     /// extremes to maintain; above it only the reservoir is kept (see
     /// [`StatsBuilder`], which yields the same statistics row by row).
-    pub fn of_rows(columns: &[(String, Ty)], rows: &[Record]) -> TableStats {
+    pub(crate) fn of_rows(columns: &[(String, Ty)], rows: &[Record]) -> TableStats {
         let names: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
         if rows.len() <= STATS_SAMPLE_THRESHOLD {
             return exact_stats(&names, rows);
@@ -435,7 +435,7 @@ impl TableStats {
     /// [`STATS_SAMPLE_THRESHOLD`] rows). Infallible for
     /// in-memory tables; for disk-backed tables a failed page read
     /// **stops the pass**, yielding statistics over the readable prefix
-    /// only — use [`TableStats::try_compute`] where a scan failure must
+    /// only — use `TableStats::try_compute` where a scan failure must
     /// surface instead.
     pub fn compute(table: &Table) -> TableStats {
         TableStats::try_compute(table).unwrap_or_else(|_| {
@@ -451,7 +451,7 @@ impl TableStats {
     /// [`TableStats::compute`] that propagates disk read failures rather
     /// than truncating the pass (the persistent catalog uses this so a
     /// corrupted table can never contribute silently-wrong statistics).
-    pub fn try_compute(table: &Table) -> Result<TableStats> {
+    pub(crate) fn try_compute(table: &Table) -> Result<TableStats> {
         if let Some(rows) = table.mem_rows() {
             return Ok(TableStats::of_rows(table.columns(), rows));
         }
@@ -474,11 +474,6 @@ impl TableStats {
             Some(c) if c.distinct > 0 => 1.0 / c.distinct as f64,
             _ => 0.1,
         }
-    }
-
-    /// Estimated number of rows matching an equality on `column`.
-    pub fn eq_cardinality(&self, column: &str) -> f64 {
-        self.cardinality as f64 * self.eq_selectivity(column)
     }
 
     /// Average set-valued fan-out of `column` — the expected element count
@@ -516,7 +511,6 @@ mod tests {
         let t = int_table("R", &["a"], &[&[1], &[2], &[3], &[4]]);
         let st = TableStats::compute(&t);
         assert!((st.eq_selectivity("a") - 0.25).abs() < 1e-12);
-        assert!((st.eq_cardinality("a") - 1.0).abs() < 1e-12);
         assert!((st.eq_selectivity("zz") - 0.1).abs() < 1e-12);
     }
 
@@ -790,8 +784,8 @@ mod tests {
             // bytes means the same NaNs and the same representative of
             // tuples that are equal under another label order.
             let bytes = |stats: &TableStats| {
-                crate::pager::image::encode_catalog(&crate::pager::CatalogImage {
-                    tables: vec![crate::pager::TableImage {
+                crate::pager::image::encode_catalog(&crate::pager::image::CatalogImage {
+                    tables: vec![crate::pager::image::TableImage {
                         name: "T".into(),
                         columns: columns.clone(),
                         extent: Default::default(),

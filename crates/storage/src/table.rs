@@ -8,9 +8,8 @@
 //!   are absorbed on [`Table::insert`] and each row is held (and hashed)
 //!   once — and a scan hands out reference-counted handles to them.
 //! * **Disk-backed**: rows live in slotted pages of a
-//!   [`crate::pager::PagedStore`] and stream through its buffer pool;
-//!   the table holds only the store handle and its
-//!   [extent](crate::pager::TableExtent). Disk tables are immutable —
+//!   paged store and stream through its buffer pool; the table holds
+//!   only the store handle and its extent. Disk tables are immutable —
 //!   they are created by registering an in-memory table into a
 //!   persistent [`crate::Catalog`], which writes the rows through the
 //!   pool and records the extent durably.
@@ -141,20 +140,11 @@ impl Table {
         matches!(self.backing, Backing::Disk { .. })
     }
 
-    /// Number of data pages on disk (`None` for in-memory tables) — the
-    /// cost model's unit for pricing cold scans.
-    pub fn page_count(&self) -> Option<usize> {
-        match &self.backing {
-            Backing::Mem { .. } => None,
-            Backing::Disk { extent, .. } => Some(extent.page_count()),
-        }
-    }
-
     /// Buffer-pool residency of a disk-backed table: `(resident pages,
     /// total pages)`; `None` in memory. Counts only when the pool's
     /// mapping has changed since the last call — every formula of one
     /// planning pass after the first reads the remembered count — and
-    /// then from the smaller side ([`crate::pager::BufferPool::resident_among`]).
+    /// then from the smaller side (`BufferPool::resident_among`).
     pub fn page_residency(&self) -> Option<(usize, usize)> {
         let Backing::Disk {
             store,
@@ -196,7 +186,7 @@ impl Table {
 
     /// Validate a record against the column schema: same label set,
     /// admissible values.
-    pub fn validate(&self, row: &Record) -> Result<()> {
+    pub(crate) fn validate(&self, row: &Record) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(ModelError::SchemaError(format!(
                 "table `{}` expects {} columns, row has {}",
@@ -218,7 +208,7 @@ impl Table {
     }
 
     /// Borrow the in-memory row vector (`None` for disk-backed tables).
-    pub fn mem_rows(&self) -> Option<&[Record]> {
+    pub(crate) fn mem_rows(&self) -> Option<&[Record]> {
         match &self.backing {
             Backing::Mem { rows } => Some(rows.as_slice()),
             Backing::Disk { .. } => None,
@@ -383,11 +373,6 @@ impl Table {
         }
     }
 
-    /// The whole table as a TM set-of-tuples value.
-    pub fn to_value(&self) -> Result<Value> {
-        Ok(Value::set(self.rows_vec()?.into_iter().map(Value::Tuple)))
-    }
-
     /// Order-insensitive equality of contents (the correct notion of result
     /// equality for set-semantics queries; used pervasively by differential
     /// tests between unnesting strategies and between backings).
@@ -544,13 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn to_value_round_trip() {
-        let t = int_table("T", &["a", "b"], &[&[1, 2], &[3, 4]]);
-        let v = t.to_value().unwrap();
-        assert_eq!(v.as_set().unwrap().len(), 2);
-    }
-
-    #[test]
     fn render_is_aligned() {
         let t = int_table("T", &["col", "b"], &[&[1, 22], &[333, 4]]);
         let r = t.render();
@@ -596,7 +574,7 @@ mod tests {
     fn in_memory_table_reports_no_pages() {
         let t = int_table("T", &["a"], &[&[5]]);
         assert!(!t.is_disk_backed());
-        assert_eq!(t.page_count(), None);
+        assert_eq!(t.page_residency(), None);
         assert_eq!(t.mem_rows().map(<[Record]>::len), Some(1));
     }
 }

@@ -65,7 +65,7 @@ fn io_err(msg: impl Into<String>) -> ModelError {
 /// The header state a committed transaction leaves behind, logged as
 /// the transaction's commit record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitRecord {
+pub(crate) struct CommitRecord {
     /// Page allocation watermark after the transaction.
     pub next_page: PageId,
     /// Head of the catalog blob chain.
@@ -116,7 +116,7 @@ impl CommitRecord {
 /// One durable transaction recovered from the log: the page images it
 /// wrote, in order, and its commit record.
 #[derive(Debug)]
-pub struct WalTxn {
+pub(crate) struct WalTxn {
     /// `(page id, full page image)` in write order.
     pub pages: Vec<(PageId, Vec<u8>)>,
     /// The transaction's resulting header state.
@@ -126,7 +126,7 @@ pub struct WalTxn {
 /// What a scan of the log found: the committed transactions to replay,
 /// plus an account of everything after the last valid commit.
 #[derive(Debug, Default)]
-pub struct WalScan {
+pub(crate) struct WalScan {
     /// Committed transactions in log order.
     pub txns: Vec<WalTxn>,
     /// Well-formed records after the last commit (an in-flight
@@ -163,7 +163,7 @@ impl RecoveryReport {
 /// `*_total` fields are monotonic for the lifetime of the open store
 /// (they survive checkpoints); `*_since_checkpoint` fields reset when a
 /// checkpoint truncates the log. `checkpoints_total` is tracked by the
-/// store, not the log — [`Wal::activity`] reports it as 0 and
+/// store, not the log — `Wal::activity` reports it as 0 and
 /// `PagedStore::wal_activity` fills it in.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalActivity {
@@ -200,7 +200,7 @@ struct WalCounters {
 /// An open write-ahead log: append-only between checkpoints, truncated
 /// by them.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
     path: PathBuf,
     end: u64,
@@ -273,7 +273,7 @@ impl Batch<'_> {
 
 impl Wal {
     /// The sidecar path for a database file: `<db>.wal`.
-    pub fn path_for(db_path: &Path) -> PathBuf {
+    pub(crate) fn path_for(db_path: &Path) -> PathBuf {
         let mut os = db_path.as_os_str().to_os_string();
         os.push(".wal");
         PathBuf::from(os)

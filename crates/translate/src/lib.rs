@@ -20,4 +20,4 @@
 
 pub mod lower;
 
-pub use lower::{translate_query, TranslateError, Translator};
+pub use lower::{translate_query, TranslateError};

@@ -46,7 +46,7 @@ pub fn translate_query(expr: &Expr, extensions: &BTreeSet<String>) -> Result<Pla
 }
 
 /// The stateful translator (fresh-name counter + scope stack).
-pub struct Translator<'a> {
+pub(crate) struct Translator<'a> {
     extensions: &'a BTreeSet<String>,
     scope: Vec<String>,
     counter: usize,

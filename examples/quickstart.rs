@@ -26,7 +26,7 @@ fn main() {
         E::var("y"),
         "s",
     );
-    let (rows, _) = run(&nest_join, &cat, &ExecConfig::auto()).expect("nest join runs");
+    let (rows, _) = run(&nest_join, &cat, &ExecConfig::default()).expect("nest join runs");
     println!("X Δ Y:");
     for r in &rows {
         let x = r.get("x").unwrap().as_tuple().unwrap();

@@ -368,7 +368,7 @@ impl QueryResult {
     /// counters (pool hits/misses, index probes, spill traffic, …) and a
     /// one-line summary. [`Database::analyze_with`] returns exactly this;
     /// the slow-query log embeds it for offending statements.
-    pub fn render_analyze(&self) -> String {
+    pub(crate) fn render_analyze(&self) -> String {
         format!(
             "== analyze (executed) ==\n{}-- {}\n-- wall={}µs max_qerror={:.2} total_work={}\n",
             self.op_profile,
@@ -480,7 +480,7 @@ pub const DEFAULT_POOL_PAGES: usize = tmql_storage::DEFAULT_POOL_PAGES;
 /// database through `Database::open` under a four-page pool, shaking out
 /// eviction and refault bugs that a comfortably sized pool would hide.
 /// Invalid or zero values fall back to the default.
-pub fn default_pool_pages() -> usize {
+pub(crate) fn default_pool_pages() -> usize {
     std::env::var("TMQL_TEST_POOL_PAGES")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -748,7 +748,7 @@ impl Database {
 
     /// Override the WAL-size threshold beyond which a commit triggers an
     /// automatic checkpoint (default
-    /// [`tmql_storage::pager::DEFAULT_WAL_CHECKPOINT_BYTES`], overridable
+    /// [`tmql_storage::DEFAULT_WAL_CHECKPOINT_BYTES`], overridable
     /// globally via the `TMQL_WAL_CHECKPOINT_BYTES` environment
     /// variable). `u64::MAX` disables automatic checkpoints; `1` forces
     /// one after every commit. No-op on an in-memory database.
@@ -942,13 +942,6 @@ impl Database {
         self.obs.registry.render()
     }
 
-    /// The engine-wide metrics registry backing
-    /// [`Database::metrics_text`] — callers may register their own
-    /// series alongside the engine's.
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.obs.registry
-    }
-
     /// The path of the active query log (set via `TMQL_QUERY_LOG` when
     /// the database was created, or [`Database::set_query_log`]), if any.
     pub fn query_log_path(&self) -> Option<&std::path::Path> {
@@ -1031,16 +1024,12 @@ impl Database {
         ))
     }
 
-    /// `EXPLAIN ANALYZE`: the full [`Database::explain_with`] report plus
-    /// the **executed** operator tree with per-operator emitted
-    /// rows/batches and the run's work counters. This runs the query.
+    /// The full [`Database::explain_with`] report followed by
+    /// [`Database::analyze_with`]'s: the plans, then the **executed**
+    /// operator tree and the run's work counters. This runs the query.
     pub fn profile_with(&self, src: &str, opts: QueryOptions) -> Result<String, TmqlError> {
         let explain = self.explain_with(src, opts)?;
-        let result = self.query_with(src, opts)?;
-        Ok(format!(
-            "{explain}== operators (executed, batch_size={}) ==\n{}-- {}\n",
-            opts.batch_size, result.op_profile, result.metrics,
-        ))
+        Ok(explain + &self.analyze_with(src, opts)?)
     }
 }
 
@@ -1123,16 +1112,60 @@ mod tests {
                 QueryOptions::default().batch_size(2),
             )
             .unwrap();
-        assert!(
-            s.contains("== operators (executed, batch_size=2) =="),
-            "{s}"
-        );
+        assert!(s.contains("== physical ==\n"), "{s}");
+        assert!(s.contains("== analyze (executed) ==\n"), "{s}");
         // The selection runs inside the scan: one line, showing the row
         // its pre-test rejected before it was bound.
         assert!(s.contains("Scan(X)[σ] [rows=2"), "{s}");
         assert!(s.contains("skipped=1"), "{s}");
         assert!(!s.contains("Filter"), "{s}");
         assert!(s.contains("scanned=3 cmp=3"), "{s}");
+    }
+
+    /// `name -> kind` of every family a registry renders.
+    fn families(reg: &MetricsRegistry) -> std::collections::BTreeMap<String, String> {
+        reg.render()
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .map(|(name, kind)| (name.to_string(), kind.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn engine_series_never_clash() {
+        // A kind clash hands out a detached handle (`MetricsRegistry`), so
+        // the engine's own series must be distinct: the facade's and the
+        // executor's (`DbObs`), storage's pool / WAL / latency series and
+        // the recovery gauges, all on the registry of one disk database.
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let (a, b) = (
+            dir.join(format!("tmql-series-a-{pid}.tmdb")),
+            dir.join(format!("tmql-series-b-{pid}.tmdb")),
+        );
+        let all = families(&Database::open(&a).unwrap().obs.registry);
+        // Each part alone, on a registry of its own.
+        let facade = families(&DbObs::default().registry);
+        let storage_reg = MetricsRegistry::new();
+        Catalog::open(&b, 8).unwrap().register_metrics(&storage_reg);
+        let storage = families(&storage_reg);
+        for p in [a, b] {
+            let _ = std::fs::remove_file(&p);
+            let _ = std::fs::remove_file(p.with_extension("tmdb.wal"));
+        }
+        assert!(storage.contains_key("tmql_commit_micros"), "{storage:?}");
+        let mut parts = facade.clone();
+        for (name, kind) in &storage {
+            assert!(parts.insert(name.clone(), kind.clone()).is_none(), "{name}");
+        }
+        for (name, kind) in &all {
+            match parts.remove(name) {
+                Some(k) => assert_eq!(&k, kind, "{name}"),
+                None => assert!(name.starts_with("tmql_recovery_") && kind == "gauge"),
+            }
+        }
+        assert!(parts.is_empty(), "not rendered: {parts:?}");
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn render_corpus(out: &mut String) {
             let opts = QueryOptions::default().strategy(strategy);
             writeln!(out, "### {name} [{}]", strategy.name()).unwrap();
             let (_, optimized) = db.plan_with(&src, opts).expect("plans");
-            let phys = lower(&optimized, db.catalog(), &ExecConfig::auto()).expect("lowers");
+            let phys = lower(&optimized, db.catalog(), &ExecConfig::default()).expect("lowers");
             if FULL_TEXT.contains(&strategy) {
                 out.push_str(&db.explain_with(&src, opts).expect("explains"));
             } else {
@@ -169,7 +169,7 @@ fn col(var: &str, attr: &str) -> E {
 /// operators no corpus statement reaches, each with the catalog flavour
 /// (indexed or not) and the config it is lowered under.
 fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
-    let auto = ExecConfig::auto;
+    let auto = ExecConfig::default;
     let forced = ExecConfig::with_join_algo;
     let tb_xb = || E::eq(col("t", "b"), col("x", "b"));
     let tiny = || Plan::scan("TINY", "t");

@@ -68,7 +68,7 @@ fn execute(
     budget: Option<usize>,
 ) -> (Result<Vec<Record>, TmqlError>, Metrics) {
     let mut opts = QueryOptions::default().batch_size(BATCH);
-    let mut config = ExecConfig::auto().batch_size(BATCH);
+    let mut config = ExecConfig::default().batch_size(BATCH);
     if let Some(b) = budget {
         (opts, config) = (opts.memory_budget(b), config.memory_budget(b));
     }

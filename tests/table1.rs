@@ -82,7 +82,7 @@ fn table1_via_outerjoin_and_nu_star_agrees() {
         label: "s".into(),
         star: true,
     };
-    let cfg = ExecConfig::auto();
+    let cfg = ExecConfig::default();
     let (nj_rows, _) = run(&nest_join_plan(), &cat, &cfg).unwrap();
     let (oj_rows, _) = run(&outer_nu, &cat, &cfg).unwrap();
     let nj: std::collections::BTreeSet<Record> = nj_rows.into_iter().collect();
@@ -94,7 +94,7 @@ fn table1_via_outerjoin_and_nu_star_agrees() {
 fn table1_rendered_for_the_record() {
     // Regenerate the table as text (the examples print this too).
     let cat = table1_catalog();
-    let (rows, _) = run(&nest_join_plan(), &cat, &ExecConfig::auto()).unwrap();
+    let (rows, _) = run(&nest_join_plan(), &cat, &ExecConfig::default()).unwrap();
     let mut lines: Vec<String> = rows
         .iter()
         .map(|r| {
