@@ -148,13 +148,6 @@ pub(crate) mod join_cost {
         r * 1.5 + l
     }
 
-    /// Sort-merge: sort both sides (with a realistic per-row constant —
-    /// key extraction and comparison are not free) + merge.
-    pub(crate) fn sort_merge(l: f64, r: f64) -> f64 {
-        let sort = |n: f64| 2.0 * n * (n + 2.0).log2();
-        sort(l) + sort(r) + l + r
-    }
-
     /// Index nested loop: one probe per outer row plus a fetch + full
     /// predicate re-check per candidate the probes return. The inner
     /// operand is never scanned or built — that saving is accounted by
@@ -370,7 +363,8 @@ pub(crate) enum JoinPath<'p> {
     /// after exchanging them when `swap`.
     Hash { swap: bool },
     /// Sort both operands and merge. Only reachable by forcing the
-    /// algorithm (hash never prices above it), and priced as a hash join.
+    /// algorithm ([`JoinAlgo::Auto`] always hashes), and priced as a hash
+    /// join.
     SortMerge,
 }
 
@@ -813,10 +807,10 @@ impl<'a> Estimator<'a> {
     /// The index path needs `inner`, the bare `(table, var)` scan the
     /// right operand is, with an index on one of `right_keys`' columns,
     /// and wins when its probe work prices below scanning the inner
-    /// operand plus the cheaper scan-based algorithm. Otherwise: nested
-    /// loop without equi keys; hash unless sort-merge prices lower; and a
-    /// hash *inner* join — symmetric, records compare label-insensitively
-    /// — builds on the smaller operand. Every other kind is
+    /// operand plus a hash join. Otherwise: nested loop without equi
+    /// keys; hash (sort-merge only when forced); and a hash *inner* join
+    /// — symmetric, records compare label-insensitively — builds on the
+    /// smaller operand. Every other kind is
     /// left-preserving, and for the nest join "only the right join operand
     /// may be the build table" (Section 6), so their sides stay fixed.
     pub(crate) fn join_path<'p>(
@@ -830,7 +824,6 @@ impl<'a> Estimator<'a> {
     ) -> JoinPath<'p> {
         let (l, r) = (sides.l, sides.r);
         let hash = join_cost::hash(l.rows, r.rows);
-        let sort_merge = join_cost::sort_merge(l.rows, r.rows);
         if let (JoinAlgo::Auto, Some((table, var))) = (algo, inner) {
             let indexed = right_keys.iter().enumerate().find_map(|(key, rk)| {
                 let (_, attr) = as_column(rk)?;
@@ -838,7 +831,7 @@ impl<'a> Estimator<'a> {
             });
             if let Some((key, attr)) = indexed {
                 let work = self.index_nl_work(sides, sel, table);
-                if work < r.work + hash.min(sort_merge) {
+                if work < r.work + hash {
                     return JoinPath::IndexNl {
                         table,
                         var,
@@ -852,11 +845,11 @@ impl<'a> Estimator<'a> {
         match algo {
             _ if right_keys.is_empty() => JoinPath::NestedLoop,
             JoinAlgo::NestedLoop => JoinPath::NestedLoop,
-            JoinAlgo::Auto if hash <= sort_merge => JoinPath::Hash {
+            JoinAlgo::Auto => JoinPath::Hash {
                 swap: kind == JoinOut::Inner && l.rows < r.rows,
             },
             JoinAlgo::Hash => JoinPath::Hash { swap: false },
-            JoinAlgo::Auto | JoinAlgo::SortMerge => JoinPath::SortMerge,
+            JoinAlgo::SortMerge => JoinPath::SortMerge,
         }
     }
 }
@@ -1339,10 +1332,9 @@ mod tests {
 
     #[test]
     fn join_cost_ranking_large_inputs() {
-        // At scale, hash < sort-merge < nested-loop.
+        // At scale, hash < nested-loop.
         let (l, r) = (10_000.0, 10_000.0);
-        assert!(join_cost::hash(l, r) < join_cost::sort_merge(l, r));
-        assert!(join_cost::sort_merge(l, r) < join_cost::nested_loop(l, r));
+        assert!(join_cost::hash(l, r) < join_cost::nested_loop(l, r));
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //! * [`Metrics`] counting scanned rows, predicate/key comparisons, hash
 //!   operations, emitted rows/batches, and the peak-resident-row gauge, so
 //!   experiments can report *work* and *memory shape* as well as wall-time.
+//!   Each counter is one entry of [`Metrics::COUNTERS`] — its
+//!   [`MetricClass`], `Display` label and registry series — which
+//!   [`Metrics::total_work`], the `ANALYZE` footer and the facade's
+//!   `tmql_exec_*` series all read.
 //!
 //! Execution is streaming: every physical operator implements the
 //! Volcano-style [`Operator`] trait (`open` / `next_batch` / `close`) over
@@ -53,7 +57,6 @@ pub mod config;
 pub mod cost;
 pub mod exec;
 pub mod metrics;
-pub mod obs;
 pub mod op;
 pub mod physical;
 pub mod planner;
@@ -61,8 +64,7 @@ pub mod planner;
 pub use config::{ExecConfig, JoinAlgo, DEFAULT_BATCH_SIZE};
 pub use cost::{CostEstimate, Estimator};
 pub use exec::{execute, execute_collect, execute_values, ExecContext};
-pub use metrics::Metrics;
-pub use obs::MetricsRecorder;
+pub use metrics::{MetricClass, MetricDef, Metrics};
 pub use op::operator::{Batch, OpProfile, OpStats, Operator};
 pub use physical::{JoinKind, PhysPlan};
 pub use planner::lower;

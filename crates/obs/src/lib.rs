@@ -21,10 +21,10 @@ pub mod log;
 pub mod registry;
 
 pub use log::QueryLog;
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use registry::{Counter, Histogram, MetricsRegistry};
 
-/// FNV-1a 64-bit hash — the same cheap, dependency-free hash the WAL
-/// uses for record checksums. The query log uses it to identify query
+/// FNV-1a 64-bit hash — cheap and dependency-free; the WAL checksums
+/// its records with it. The query log uses it to identify query
 /// text without storing the (possibly sensitive, possibly huge) source.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -4,16 +4,16 @@
 //! Instruments are plain `u64` atomics (Prometheus counters/gauges are
 //! scraped as numbers; derived rates like pool hit-rate are the
 //! scraper's job, so the registry never needs floats). Components
-//! either hold a handle ([`Counter`], [`Gauge`], [`Histogram`]) and
-//! update it on their hot path, or register a *polled* closure that is
-//! sampled at render time — the right shape for stats that already live
-//! in engine atomics (pool hits, WAL bytes) and must not be counted
-//! twice.
+//! either hold a handle ([`Counter`], [`Histogram`]) and update it on
+//! their hot path, or register a *polled* closure that is sampled at
+//! render time — the right shape for stats that already live elsewhere
+//! (pool hits, WAL bytes, the executor's folded work counters) and must
+//! not be counted twice. Every gauge is polled.
 //!
 //! Naming scheme (documented in `docs/architecture.md`): every series
-//! is `tmql_<layer>_<what>[_total]` — `tmql_pool_*` and `tmql_wal_*`
-//! from storage, `tmql_exec_*` from the executor's work counters,
-//! `tmql_query_*` / `tmql_txn_*` / `tmql_recovery_*` from the facade.
+//! is `tmql_<layer>_<what>[_total]` — `tmql_pool_*`, `tmql_wal_*` and
+//! `tmql_recovery_*` from storage, `tmql_exec_*` from the executor's work
+//! counters, `tmql_query_*` / `tmql_txn_*` from the facade.
 //! Monotonic counters end in `_total`; point-in-time gauges do not.
 
 use std::fmt;
@@ -44,34 +44,6 @@ impl Counter {
 impl fmt::Debug for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Counter({})", self.get())
-    }
-}
-
-/// A point-in-time gauge handle (set, or ratcheted up with
-/// [`Gauge::fetch_max`]).
-#[derive(Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrite the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Ratchet the gauge up to at least `v` (high-water marks).
-    pub fn fetch_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gauge({})", self.get())
     }
 }
 
@@ -118,7 +90,6 @@ impl fmt::Debug for Histogram {
 
 enum Instrument {
     Counter(Counter),
-    Gauge(Gauge),
     /// Sampled at render time; `true` marks the series a counter
     /// (rendered with `# TYPE ... counter`), `false` a gauge.
     Polled(Box<dyn Fn() -> u64 + Send + Sync>, bool),
@@ -174,24 +145,6 @@ impl MetricsRegistry {
             instrument: Instrument::Counter(c.clone()),
         });
         c
-    }
-
-    /// Register (or fetch the existing) gauge named `name`.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut entries = self.lock();
-        if let Some(e) = entries.iter().find(|e| e.name == name) {
-            return match &e.instrument {
-                Instrument::Gauge(g) => g.clone(),
-                _ => Gauge::default(), // a kind clash: detached (see `MetricsRegistry`)
-            };
-        }
-        let g = Gauge::default();
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            instrument: Instrument::Gauge(g.clone()),
-        });
-        g
     }
 
     /// Register a counter whose value is sampled from `f` at render
@@ -259,7 +212,7 @@ impl MetricsRegistry {
             let e = &entries[i];
             let ty = match &e.instrument {
                 Instrument::Counter(_) | Instrument::Polled(_, true) => "counter",
-                Instrument::Gauge(_) | Instrument::Polled(_, false) => "gauge",
+                Instrument::Polled(_, false) => "gauge",
                 Instrument::Histogram(_) => "histogram",
             };
             out.push_str(&format!(
@@ -268,7 +221,6 @@ impl MetricsRegistry {
             ));
             match &e.instrument {
                 Instrument::Counter(c) => out.push_str(&format!("{} {}\n", e.name, c.get())),
-                Instrument::Gauge(g) => out.push_str(&format!("{} {}\n", e.name, g.get())),
                 Instrument::Polled(f, _) => out.push_str(&format!("{} {}\n", e.name, f())),
                 Instrument::Histogram(h) => {
                     let core = &h.0;
@@ -304,8 +256,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c = reg.counter("tmql_test_events_total", "events seen");
         c.add(3);
-        let g = reg.gauge("tmql_test_depth", "current depth");
-        g.set(7);
         reg.gauge_fn("tmql_test_polled", "sampled at render", || 42);
         let text = reg.render();
         assert!(
@@ -313,8 +263,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("tmql_test_events_total 3\n"), "{text}");
-        assert!(text.contains("# TYPE tmql_test_depth gauge"), "{text}");
-        assert!(text.contains("tmql_test_depth 7\n"), "{text}");
+        assert!(text.contains("# TYPE tmql_test_polled gauge"), "{text}");
         assert!(text.contains("tmql_test_polled 42\n"), "{text}");
     }
 
@@ -365,13 +314,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("x", "first a counter").add(2);
         let clash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            reg.gauge("x", "then a gauge").set(9);
             reg.histogram("x", "then a histogram", &[1]).observe(5);
         }));
         assert!(clash.is_ok(), "a kind clash must not panic");
         let text = reg.render();
         assert!(text.contains("# TYPE x counter\nx 2\n"), "{text}");
-        reg.gauge("y", "registered after the clash").set(4);
+        reg.counter("y", "registered after the clash").add(4);
         assert_eq!(reg.counter("x", "again").get(), 2);
         assert!(reg.render().contains("y 4\n"), "{}", reg.render());
     }

@@ -39,6 +39,56 @@ use crate::table::Table;
 use crate::wal::{RecoveryReport, WalActivity};
 use tmql_obs::MetricsRegistry;
 
+/// How a polled storage series renders.
+#[derive(Clone, Copy)]
+enum Series {
+    /// A monotonic total (`# TYPE … counter`).
+    Counter,
+    /// A point-in-time value (`# TYPE … gauge`).
+    Gauge,
+}
+
+/// One polled storage series: name, help, kind, and how to read it off
+/// the store.
+type StoreSeries = (&'static str, &'static str, Series, fn(&PagedStore) -> u64);
+
+/// Every polled series [`Catalog::register_metrics`] registers.
+#[rustfmt::skip]
+const STORE_SERIES: &[StoreSeries] = &[
+    ("tmql_pool_hits_total", "Buffer-pool page requests served from memory",
+        Series::Counter, |s| s.pool_stats().hits),
+    ("tmql_pool_misses_total", "Buffer-pool page faults (disk reads)",
+        Series::Counter, |s| s.pool_stats().misses),
+    ("tmql_pool_evictions_total", "Buffer-pool frames evicted",
+        Series::Counter, |s| s.pool_stats().evictions),
+    ("tmql_pool_writebacks_total", "Dirty pages written back by the pool",
+        Series::Counter, |s| s.pool_stats().writebacks),
+    ("tmql_pool_pages", "Buffer-pool capacity in pages",
+        Series::Gauge, |s| s.pool_pages() as u64),
+    ("tmql_wal_size_bytes", "Current write-ahead-log size",
+        Series::Gauge, |s| s.wal_activity().size_bytes),
+    ("tmql_wal_appends_total", "WAL records appended",
+        Series::Counter, |s| s.wal_activity().appends_total),
+    ("tmql_wal_commits_total", "WAL commit records appended",
+        Series::Counter, |s| s.wal_activity().commits_total),
+    ("tmql_wal_fsyncs_total", "WAL fsyncs (durability points)",
+        Series::Counter, |s| s.wal_activity().syncs_total),
+    ("tmql_wal_bytes_written_total", "Bytes appended to the WAL",
+        Series::Counter, |s| s.wal_activity().bytes_appended_total),
+    ("tmql_wal_checkpoints_total", "Checkpoints taken",
+        Series::Counter, |s| s.wal_activity().checkpoints_total),
+    ("tmql_free_list_pages", "Reusable free pages in the allocator",
+        Series::Gauge, |s| s.free_list_len().0 as u64),
+    ("tmql_pending_free_pages", "Freed pages quarantined until the next checkpoint",
+        Series::Gauge, |s| s.free_list_len().1 as u64),
+    ("tmql_recovery_replayed_txns", "Committed transactions replayed from the WAL at open",
+        Series::Gauge, |s| s.recovery().replayed_txns as u64),
+    ("tmql_recovery_discarded_records", "Torn or uncommitted WAL records discarded at open",
+        Series::Gauge, |s| s.recovery().discarded_records as u64),
+    ("tmql_recovery_discarded_bytes", "WAL bytes discarded at open",
+        Series::Gauge, |s| s.recovery().discarded_bytes),
+];
+
 /// One maintained secondary index: the in-memory structure plus (when the
 /// catalog is persistent) the page chain holding its encoded entries.
 /// The structure is shared, so a transaction snapshot of an index of any
@@ -325,10 +375,11 @@ impl Catalog {
 
     /// Register this catalog's storage series into an engine-wide
     /// metrics registry: buffer-pool traffic (`tmql_pool_*`), WAL
-    /// activity (`tmql_wal_*`), and allocator free-list gauges. These
-    /// series are *polled* — sampled from the store's own atomics at
-    /// render time — so nothing is double-counted and the hot paths gain
-    /// no new work. The write path's latency histograms
+    /// activity (`tmql_wal_*`), allocator free-list gauges and what
+    /// recovery found at open (`tmql_recovery_*`), one row of
+    /// `STORE_SERIES` each. These series are *polled* — sampled from
+    /// the store at render time — so nothing is double-counted and the
+    /// hot paths gain no new work. The write path's latency histograms
     /// (`tmql_commit_micros`, `tmql_wal_fsync_micros`,
     /// `tmql_checkpoint_micros`) are the exception: the store records
     /// into them, two clock reads per timed section. A transient
@@ -336,80 +387,14 @@ impl Catalog {
     pub fn register_metrics(&self, reg: &MetricsRegistry) {
         let Some(store) = &self.store else { return };
         store.register_latencies(reg);
-        let s = store.clone();
-        reg.counter_fn(
-            "tmql_pool_hits_total",
-            "Buffer-pool page requests served from memory",
-            {
-                let s = s.clone();
-                move || s.pool_stats().hits
-            },
-        );
-        reg.counter_fn(
-            "tmql_pool_misses_total",
-            "Buffer-pool page faults (disk reads)",
-            {
-                let s = s.clone();
-                move || s.pool_stats().misses
-            },
-        );
-        reg.counter_fn("tmql_pool_evictions_total", "Buffer-pool frames evicted", {
-            let s = s.clone();
-            move || s.pool_stats().evictions
-        });
-        reg.counter_fn(
-            "tmql_pool_writebacks_total",
-            "Dirty pages written back by the pool",
-            {
-                let s = s.clone();
-                move || s.pool_stats().writebacks
-            },
-        );
-        reg.gauge_fn("tmql_pool_pages", "Buffer-pool capacity in pages", {
-            let s = s.clone();
-            move || s.pool_pages() as u64
-        });
-        reg.gauge_fn("tmql_wal_size_bytes", "Current write-ahead-log size", {
-            let s = s.clone();
-            move || s.wal_activity().size_bytes
-        });
-        reg.counter_fn("tmql_wal_appends_total", "WAL records appended", {
-            let s = s.clone();
-            move || s.wal_activity().appends_total
-        });
-        reg.counter_fn("tmql_wal_commits_total", "WAL commit records appended", {
-            let s = s.clone();
-            move || s.wal_activity().commits_total
-        });
-        reg.counter_fn("tmql_wal_fsyncs_total", "WAL fsyncs (durability points)", {
-            let s = s.clone();
-            move || s.wal_activity().syncs_total
-        });
-        reg.counter_fn(
-            "tmql_wal_bytes_written_total",
-            "Bytes appended to the WAL",
-            {
-                let s = s.clone();
-                move || s.wal_activity().bytes_appended_total
-            },
-        );
-        reg.counter_fn("tmql_wal_checkpoints_total", "Checkpoints taken", {
-            let s = s.clone();
-            move || s.wal_activity().checkpoints_total
-        });
-        reg.gauge_fn(
-            "tmql_free_list_pages",
-            "Reusable free pages in the allocator",
-            {
-                let s = s.clone();
-                move || s.free_list_len().0 as u64
-            },
-        );
-        reg.gauge_fn(
-            "tmql_pending_free_pages",
-            "Freed pages quarantined until the next checkpoint",
-            move || s.free_list_len().1 as u64,
-        );
+        for &(name, help, kind, read) in STORE_SERIES {
+            let s = Arc::clone(store);
+            let poll = move || read(&s);
+            match kind {
+                Series::Counter => reg.counter_fn(name, help, poll),
+                Series::Gauge => reg.gauge_fn(name, help, poll),
+            }
+        }
     }
 
     /// The TM schema.
@@ -541,7 +526,7 @@ impl Catalog {
     /// any page is allocated: written, it would fail on its first read.
     fn prepare(&mut self, table: Table) -> Result<Stored> {
         let Some(store) = self.store.clone() else {
-            let stats = Arc::new(TableStats::compute(&table));
+            let stats = Arc::new(TableStats::compute(&table)?);
             return Ok(Stored { table, stats });
         };
         // `rows_vec` materializes disk-backed sources (e.g. copying a

@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn catalog_image_round_trips() {
         let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
-        let stats = TableStats::compute(&t);
+        let stats = TableStats::compute(&t).unwrap();
         let img = CatalogImage {
             schema: paper_schema(),
             tables: vec![TableImage {

@@ -432,26 +432,10 @@ impl TableStats {
     }
 
     /// Compute the table's statistics (sampling past
-    /// [`STATS_SAMPLE_THRESHOLD`] rows). Infallible for
-    /// in-memory tables; for disk-backed tables a failed page read
-    /// **stops the pass**, yielding statistics over the readable prefix
-    /// only — use `TableStats::try_compute` where a scan failure must
-    /// surface instead.
-    pub fn compute(table: &Table) -> TableStats {
-        TableStats::try_compute(table).unwrap_or_else(|_| {
-            let mut b = StatsBuilder::new(table.columns().iter().map(|(n, _)| n.as_str()));
-            for batch in table.batches(1024) {
-                let Ok(batch) = batch else { break };
-                batch.iter().for_each(|r| b.observe(r));
-            }
-            b.finish()
-        })
-    }
-
-    /// [`TableStats::compute`] that propagates disk read failures rather
-    /// than truncating the pass (the persistent catalog uses this so a
-    /// corrupted table can never contribute silently-wrong statistics).
-    pub(crate) fn try_compute(table: &Table) -> Result<TableStats> {
+    /// [`STATS_SAMPLE_THRESHOLD`] rows). Infallible for in-memory tables;
+    /// for disk-backed tables a failed page read is the error, never
+    /// statistics over the readable prefix.
+    pub fn compute(table: &Table) -> Result<TableStats> {
         if let Some(rows) = table.mem_rows() {
             return Ok(TableStats::of_rows(table.columns(), rows));
         }
@@ -498,7 +482,7 @@ mod tests {
     #[test]
     fn basic_stats() {
         let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
-        let st = TableStats::compute(&t);
+        let st = TableStats::compute(&t).unwrap();
         assert_eq!(st.cardinality, 3);
         assert_eq!(st.columns["a"].distinct, 3);
         assert_eq!(st.columns["b"].distinct, 2);
@@ -509,7 +493,7 @@ mod tests {
     #[test]
     fn selectivity() {
         let t = int_table("R", &["a"], &[&[1], &[2], &[3], &[4]]);
-        let st = TableStats::compute(&t);
+        let st = TableStats::compute(&t).unwrap();
         assert!((st.eq_selectivity("a") - 0.25).abs() < 1e-12);
         assert!((st.eq_selectivity("zz") - 0.1).abs() < 1e-12);
     }
@@ -527,7 +511,7 @@ mod tests {
             .unwrap();
         t.insert(Record::new([("a".to_string(), Value::Int(1))]).unwrap())
             .unwrap();
-        let st = TableStats::compute(&t);
+        let st = TableStats::compute(&t).unwrap();
         let c = &st.columns["a"];
         assert!((c.set_valued_fraction - 0.75).abs() < 1e-12);
         assert!((c.empty_set_fraction - 0.25).abs() < 1e-12);
@@ -543,7 +527,7 @@ mod tests {
             .unwrap();
         t.insert(Record::new([("a".to_string(), Value::Int(3))]).unwrap())
             .unwrap();
-        let st = TableStats::compute(&t);
+        let st = TableStats::compute(&t).unwrap();
         assert!((st.columns["a"].null_fraction - 0.5).abs() < 1e-12);
     }
 
@@ -552,7 +536,7 @@ mod tests {
         // Uniform 0..100: P(< 25) ≈ 0.25, P(> 75) ≈ 0.25.
         let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-        let st = TableStats::compute(&int_table("H", &["a"], &refs));
+        let st = TableStats::compute(&int_table("H", &["a"], &refs)).unwrap();
         let c = &st.columns["a"];
         let below = c.fraction_lt(25.0).unwrap();
         assert!((below - 0.25).abs() < 0.05, "{below}");
@@ -574,7 +558,7 @@ mod tests {
             .chain((170..180).map(|v| vec![v]))
             .collect();
         let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-        let st = TableStats::compute(&int_table("S", &["a"], &refs));
+        let st = TableStats::compute(&int_table("S", &["a"], &refs)).unwrap();
         let below = st.columns["a"].fraction_lt(50.0).unwrap();
         assert!((below - 0.5).abs() < 0.1, "{below}");
     }
@@ -582,7 +566,7 @@ mod tests {
     #[test]
     fn empty_table_stats() {
         let t = int_table("E", &["a"], &[]);
-        let st = TableStats::compute(&t);
+        let st = TableStats::compute(&t).unwrap();
         assert_eq!(st.cardinality, 0);
         assert_eq!(st.columns["a"].distinct, 0);
         assert_eq!(st.columns["a"].min, None);
@@ -820,6 +804,6 @@ mod tests {
         for row in t.rows() {
             b.observe(row);
         }
-        assert_eq!(b.finish(), TableStats::compute(&t));
+        assert_eq!(b.finish(), TableStats::compute(&t).unwrap());
     }
 }

@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tmql_model::{ModelError, Result};
+use tmql_obs::fnv1a;
 
 use crate::bytes::{put_len, put_u32, put_u64, put_u8, Reader};
 use crate::failpoint::{self, IoOp, WriteCheck};
@@ -43,20 +44,11 @@ use crate::pager::page::{PageId, PAGE_SIZE};
 const KIND_PAGE: u8 = 1;
 /// Payload tag for a commit record.
 const KIND_COMMIT: u8 = 2;
-/// Bytes of framing before each payload: u32 length + u64 checksum.
+/// Bytes of framing before each payload: u32 length + u64 checksum (the
+/// payload's 64-bit FNV-1a).
 const FRAME_BYTES: usize = 12;
 /// Payload bytes of a page-image record: kind tag, page id, image.
 const PAGE_RECORD_BYTES: usize = 1 + 4 + PAGE_SIZE;
-
-/// FNV-1a 64-bit, the checksum guarding each record's payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn io_err(msg: impl Into<String>) -> ModelError {
     ModelError::Io(msg.into())

@@ -258,7 +258,7 @@ impl Shell {
                         self.opts = self.opts.memory_budget(n);
                         println!(
                             "memory_budget: {} rows (breakers spill past this)",
-                            self.opts.memory_budget_rows.expect("just set")
+                            n.max(1)
                         );
                     }
                     Err(_) => println!("usage: \\set memory_budget <rows|off>"),

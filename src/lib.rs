@@ -45,6 +45,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 pub use tmql_algebra::Plan;
@@ -54,7 +55,7 @@ pub use tmql_model::{Record, Ty, Value};
 pub use tmql_obs::{MetricsRegistry, QueryLog};
 pub use tmql_storage::{Catalog, RecoveryReport, Table, WalActivity};
 
-use tmql_exec::MetricsRecorder;
+use tmql_exec::MetricClass;
 use tmql_obs::{json::ObjectBuilder, Counter, Histogram};
 
 /// Adapter wiring `tmql-exec`'s statistics-backed [`Estimator`] into the
@@ -301,22 +302,15 @@ impl QueryOptions {
 }
 
 /// A query result: the result **set** (TM queries denote sets) plus the
-/// plans and metrics that produced it.
+/// metrics and operator profiles of the run that produced it
+/// ([`Database::plan_with`] returns the logical plans).
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// The result values, deduplicated and ordered by the model's total
     /// order.
     pub values: BTreeSet<Value>,
-    /// The logical plan after translation (nested-loop semantics).
-    pub translated: Plan,
-    /// The logical plan after unnesting/rules.
-    pub optimized: Plan,
     /// Executor work counters.
     pub metrics: Metrics,
-    /// The executed operator tree annotated with per-operator emitted
-    /// rows/batches and the cost model's estimated rows (the streaming
-    /// executor's profile with estimated vs. actual side by side).
-    pub op_profile: String,
     /// Structured per-operator profiles (pre-order over the executed
     /// tree), each carrying estimated and actual output rows.
     pub ops: Vec<OpProfile>,
@@ -335,6 +329,14 @@ impl QueryResult {
     /// True iff the result is empty.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// The executed operator tree annotated with per-operator emitted
+    /// rows/batches and the cost model's estimated rows (the streaming
+    /// executor's profile with estimated vs. actual side by side),
+    /// rendered from [`QueryResult::ops`].
+    pub fn op_profile(&self) -> String {
+        tmql_exec::op::operator::render_profile(&self.ops)
     }
 
     /// The worst per-operator q-error of the run — `max(est/actual,
@@ -371,7 +373,7 @@ impl QueryResult {
     pub(crate) fn render_analyze(&self) -> String {
         format!(
             "== analyze (executed) ==\n{}-- {}\n-- wall={}µs max_qerror={:.2} total_work={}\n",
-            self.op_profile,
+            self.op_profile(),
             self.metrics,
             self.wall_micros,
             self.max_qerror(),
@@ -433,9 +435,18 @@ struct DbObs {
     txn_commits: Counter,
     txn_rollbacks: Counter,
     query_wall_micros: Histogram,
-    exec: MetricsRecorder,
+    /// Every successful statement's [`Metrics`] folded with `+=`, which
+    /// the `tmql_exec_*` series poll.
+    exec: Arc<Mutex<Metrics>>,
     query_log: Option<QueryLog>,
     slow_micros: Option<u64>,
+}
+
+/// The folded executor metrics, also after a thread panicked while
+/// holding them: `+=` updates each counter on its own, so a fold cut
+/// short leaves every counter a valid, if incomplete, total.
+fn lock(total: &Mutex<Metrics>) -> MutexGuard<'_, Metrics> {
+    total.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for DbObs {
@@ -454,7 +465,23 @@ impl Default for DbObs {
             "Whole-statement wall-clock latency in microseconds",
             QUERY_LATENCY_BOUNDS_MICROS,
         );
-        let exec = MetricsRecorder::register(&registry);
+        let exec = Arc::new(Mutex::new(Metrics::new()));
+        for c in Metrics::COUNTERS {
+            let total = Arc::clone(&exec);
+            let read = move || (c.get)(&lock(&total));
+            match c.class {
+                MetricClass::Gauge => registry.gauge_fn(c.series, c.help, read),
+                MetricClass::Work | MetricClass::Shape => {
+                    registry.counter_fn(c.series, c.help, read)
+                }
+            }
+        }
+        let total = Arc::clone(&exec);
+        registry.counter_fn(
+            "tmql_exec_total_work",
+            "Cumulative Metrics::total_work across queries",
+            move || lock(&total).total_work(),
+        );
         DbObs {
             registry,
             queries,
@@ -506,29 +533,9 @@ impl Database {
     /// A database over an existing catalog (e.g. from `tmql-workload`).
     pub fn from_catalog(catalog: Catalog) -> Database {
         let obs = DbObs::default();
-        // Storage contributes its polled series (pool, WAL, free list) —
-        // a no-op for transient catalogs.
+        // Storage contributes its series (pool, WAL, free list, recovery,
+        // write-path latencies) — a no-op for transient catalogs.
         catalog.register_metrics(&obs.registry);
-        if let Some(report) = catalog.recovery() {
-            obs.registry
-                .gauge(
-                    "tmql_recovery_replayed_txns",
-                    "Committed transactions replayed from the WAL at open",
-                )
-                .set(report.replayed_txns as u64);
-            obs.registry
-                .gauge(
-                    "tmql_recovery_discarded_records",
-                    "Torn or uncommitted WAL records discarded at open",
-                )
-                .set(report.discarded_records as u64);
-            obs.registry
-                .gauge(
-                    "tmql_recovery_discarded_bytes",
-                    "WAL bytes discarded at open",
-                )
-                .set(report.discarded_bytes);
-        }
         Database { catalog, obs }
     }
 
@@ -818,7 +825,7 @@ impl Database {
     /// The uninstrumented parse→plan→execute pipeline behind
     /// [`Database::query_with`].
     fn run_pipeline(&self, src: &str, opts: QueryOptions) -> Result<QueryResult, Failed> {
-        let (translated, optimized) = self.plan_phases(src, opts)?;
+        let optimized = self.optimize(self.translate(src, opts)?, opts);
         let config = opts.exec_config();
         let phys = tmql_exec::lower(&optimized, &self.catalog, &config).map_err(at("lower"))?;
         // Estimated rows per executed operator (same pre-order as the
@@ -828,13 +835,9 @@ impl Database {
         let env = tmql_algebra::Env::new();
         let (values, ops) =
             tmql_exec::execute_values(&phys, &mut ctx, &env, Some(&est)).map_err(at("execute"))?;
-        let op_profile = tmql_exec::op::operator::render_profile(&ops);
         Ok(QueryResult {
             values,
-            translated,
-            optimized,
             metrics: ctx.metrics,
-            op_profile,
             ops,
             wall_micros: 0,
         })
@@ -857,7 +860,7 @@ impl Database {
     ) {
         self.obs.queries.inc();
         self.obs.query_wall_micros.observe(result.wall_micros);
-        self.obs.exec.record(&result.metrics);
+        *lock(&self.obs.exec) += result.metrics;
         let Some(log) = self.query_log_for(opts) else {
             return;
         };
@@ -921,9 +924,9 @@ impl Database {
 
     /// Render every registered metric in Prometheus text exposition
     /// format: engine-wide counters/gauges/histograms from storage
-    /// (`tmql_pool_*`, `tmql_wal_*`), the executor (`tmql_exec_*`), and
-    /// the facade (`tmql_queries_total`, `tmql_query_wall_micros`,
-    /// `tmql_txn_*`, `tmql_recovery_*`). The shell exposes this as
+    /// (`tmql_pool_*`, `tmql_wal_*`, `tmql_recovery_*`), the executor
+    /// (`tmql_exec_*`), and the facade (`tmql_queries_total`,
+    /// `tmql_query_wall_micros`, `tmql_txn_*`). The shell exposes this as
     /// `\metrics`.
     ///
     /// ```
@@ -965,18 +968,23 @@ impl Database {
     /// Produce the translated and optimized logical plans without
     /// executing.
     pub fn plan_with(&self, src: &str, opts: QueryOptions) -> Result<(Plan, Plan), TmqlError> {
-        self.plan_phases(src, opts).map_err(|f| f.error)
+        let translated = self.translate(src, opts).map_err(|f| f.error)?;
+        Ok((translated.clone(), self.optimize(translated, opts)))
     }
 
-    /// [`Database::plan_with`], naming the phase an error came from.
-    fn plan_phases(&self, src: &str, opts: QueryOptions) -> Result<(Plan, Plan), Failed> {
+    /// Parse, check and translate `src`, naming the phase an error came
+    /// from.
+    fn translate(&self, src: &str, opts: QueryOptions) -> Result<Plan, Failed> {
         let ast = tmql_lang::parse_query(src).map_err(at("parse"))?;
         if opts.typecheck {
             tmql_lang::check_query(&ast, &CatalogTypes(&self.catalog)).map_err(at("check"))?;
         }
         let extensions: BTreeSet<String> = self.catalog.table_names().map(str::to_string).collect();
-        let translated =
-            tmql_translate::translate_query(&ast, &extensions).map_err(at("translate"))?;
+        tmql_translate::translate_query(&ast, &extensions).map_err(at("translate"))
+    }
+
+    /// Unnest and rewrite a translated plan under `opts`' strategy.
+    fn optimize(&self, translated: Plan, opts: QueryOptions) -> Plan {
         let optimizer = tmql_core::Optimizer {
             strategy: opts.strategy,
             apply_rules: opts.apply_rules,
@@ -989,8 +997,7 @@ impl Database {
             &self.catalog,
             opts.memory_budget_rows,
         ));
-        let optimized = optimizer.optimize_with(translated.clone(), Some(&model));
-        Ok((translated, optimized))
+        optimizer.optimize_with(translated, Some(&model))
     }
 
     /// `EXPLAIN`: the translated plan, the optimized logical plan, and the
@@ -1136,8 +1143,8 @@ mod tests {
     fn engine_series_never_clash() {
         // A kind clash hands out a detached handle (`MetricsRegistry`), so
         // the engine's own series must be distinct: the facade's and the
-        // executor's (`DbObs`), storage's pool / WAL / latency series and
-        // the recovery gauges, all on the registry of one disk database.
+        // executor's (`DbObs`) and storage's pool / WAL / recovery /
+        // latency series, all on the registry of one disk database.
         let dir = std::env::temp_dir();
         let pid = std::process::id();
         let (a, b) = (
@@ -1159,11 +1166,12 @@ mod tests {
         for (name, kind) in &storage {
             assert!(parts.insert(name.clone(), kind.clone()).is_none(), "{name}");
         }
+        assert!(
+            storage.contains_key("tmql_recovery_replayed_txns"),
+            "{storage:?}"
+        );
         for (name, kind) in &all {
-            match parts.remove(name) {
-                Some(k) => assert_eq!(&k, kind, "{name}"),
-                None => assert!(name.starts_with("tmql_recovery_") && kind == "gauge"),
-            }
+            assert_eq!(parts.remove(name).as_ref(), Some(kind), "{name}");
         }
         assert!(parts.is_empty(), "not rendered: {parts:?}");
     }

@@ -39,7 +39,7 @@ fn check(tag: &str, db: &Database, src: &str) {
     assert!(
         q.is_finite() && q <= MAX_QERROR,
         "{tag}: max q-error {q:.1} exceeds {MAX_QERROR} — estimator regression?\n{}",
-        r.op_profile
+        r.op_profile()
     );
 }
 

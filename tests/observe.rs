@@ -57,11 +57,15 @@ fn timing_collection_changes_neither_results_nor_work() {
         assert_eq!(timed.metrics, untimed.metrics, "budget={budget:?}");
         // The only observable difference: timed profiles carry
         // wall-clock spans, untimed ones do not.
-        assert!(timed.op_profile.contains("time="), "{}", timed.op_profile);
         assert!(
-            !untimed.op_profile.contains("time="),
+            timed.op_profile().contains("time="),
             "{}",
-            untimed.op_profile
+            timed.op_profile()
+        );
+        assert!(
+            !untimed.op_profile().contains("time="),
+            "{}",
+            untimed.op_profile()
         );
         assert!(timed.ops.iter().any(|o| o.wall_nanos > 0));
         assert!(untimed.ops.iter().all(|o| o.wall_nanos == 0));
@@ -171,6 +175,103 @@ fn metrics_text_covers_pool_wal_latency_and_txn_series() {
     let text = db.metrics_text();
     assert!(text.contains("tmql_recovery_replayed_txns"), "{text}");
     assert!(text.contains("tmql_recovery_discarded_records"), "{text}");
+    drop(db);
+    clean(&path);
+}
+
+/// A series name, whether it is the peak gauge, and the field it reads.
+type ExecSeries = (&'static str, bool, fn(&tmql::Metrics) -> u64);
+
+/// Every `tmql_exec_*` series, and how it folds a statement's metrics:
+/// summed, or (the peak gauge) by `max`. Spelled out here rather than
+/// read from `Metrics::COUNTERS`, so a list entry that reads the wrong
+/// field fails.
+const EXEC_SERIES: &[ExecSeries] = &[
+    ("tmql_exec_rows_scanned_total", false, |m| m.rows_scanned),
+    ("tmql_exec_comparisons_total", false, |m| m.comparisons),
+    ("tmql_exec_hash_build_rows_total", false, |m| {
+        m.hash_build_rows
+    }),
+    ("tmql_exec_hash_probes_total", false, |m| m.hash_probes),
+    ("tmql_exec_rows_sorted_total", false, |m| m.rows_sorted),
+    ("tmql_exec_rows_emitted_total", false, |m| m.rows_emitted),
+    ("tmql_exec_subquery_invocations_total", false, |m| {
+        m.subquery_invocations
+    }),
+    ("tmql_exec_rows_spilled_total", false, |m| m.rows_spilled),
+    ("tmql_exec_spill_partitions_total", false, |m| {
+        m.spill_partitions
+    }),
+    ("tmql_exec_spill_rows_filtered_total", false, |m| {
+        m.spill_rows_filtered
+    }),
+    ("tmql_exec_batches_emitted_total", false, |m| {
+        m.batches_emitted
+    }),
+    ("tmql_exec_pool_hits_total", false, |m| m.pool_hits),
+    ("tmql_exec_pool_misses_total", false, |m| m.pool_misses),
+    ("tmql_exec_index_probes_total", false, |m| m.index_probes),
+    ("tmql_exec_index_hits_total", false, |m| m.index_hits),
+    ("tmql_exec_apply_invocations_total", false, |m| {
+        m.apply_invocations
+    }),
+    ("tmql_exec_apply_cache_hits_total", false, |m| {
+        m.apply_cache_hits
+    }),
+    ("tmql_exec_total_work", false, |m| m.total_work()),
+    ("tmql_exec_peak_resident_rows", true, |m| {
+        m.peak_resident_rows
+    }),
+];
+
+#[test]
+fn every_exec_series_is_the_fold_of_the_statements_metrics() {
+    let path = scratch("exec-fold");
+    clean(&path);
+    let mut db = Database::open_with(&path, 4).unwrap();
+    spill_fixture_sized(&mut db, 512);
+    db.create_index("X", "b").unwrap();
+    let nested = QueryOptions::default().strategy(tmql::UnnestStrategy::NestedLoop);
+    let statements = [
+        (
+            "SELECT x.b FROM X x WHERE x.n * 2 IN (SELECT y.a FROM Y y WHERE x.b = y.b)",
+            QueryOptions::default().memory_budget(32),
+        ),
+        (
+            SPILL_QUERY,
+            QueryOptions::default().join_algo(tmql::JoinAlgo::SortMerge),
+        ),
+        ("SELECT x.n FROM X x WHERE x.b = 3", QueryOptions::default()),
+        (
+            "SELECT x.n FROM X x WHERE x.n < COUNT((SELECT y.a FROM Y y WHERE x.b = y.b))",
+            nested,
+        ),
+    ];
+    let mut runs = Vec::new();
+    for (src, opts) in statements {
+        runs.push(db.query_with(src, opts).unwrap().metrics);
+        assert!(
+            db.query("SELECT x.zz FROM X x").is_err(),
+            "failures fold nothing"
+        );
+    }
+    let text = db.metrics_text();
+    let exported = text
+        .lines()
+        .filter(|l| l.starts_with("# TYPE tmql_exec_"))
+        .count();
+    assert_eq!(exported, EXEC_SERIES.len(), "{text}");
+    for &(name, peak, get) in EXEC_SERIES {
+        let values = runs.iter().map(get);
+        let want = if peak {
+            values.max()
+        } else {
+            Some(values.sum())
+        };
+        let line = format!("{name} {}\n", want.unwrap());
+        assert!(text.contains(&line), "want `{line}` in {text}");
+        assert!(want > Some(0), "the statements leave `{name}` at 0");
+    }
     drop(db);
     clean(&path);
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use tmql::{Database, QueryOptions, TmqlError, Ty, Value};
 use tmql_model::{ModelError, Record};
 use tmql_storage::table::int_table;
-use tmql_storage::{IoFailpoint, IoOp, OrdIndex, Table};
+use tmql_storage::{Catalog, IoFailpoint, IoOp, OrdIndex, Table};
 
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -348,6 +348,41 @@ fn corrupted_page_surfaces_as_io_error() {
         other => panic!("expected ModelError::Io, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Statistics are computed over every row or not at all: registering a
+/// disk-backed table with an unreadable page into a transient catalog
+/// fails with the read error instead of recording the statistics of the
+/// readable prefix.
+#[test]
+fn statistics_over_a_corrupted_page_are_an_io_error() {
+    let path = scratch("stats-corrupt");
+    let rows: Vec<Vec<i64>> = (0..2000).map(|i| vec![i, i % 4]).collect();
+    let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+    {
+        let mut disk = Catalog::open(&path, 8).unwrap();
+        disk.register(int_table("X", &["n", "b"], &refs)).unwrap();
+    }
+    // Garbage over the table's last data page, after the first batches
+    // have decoded (page 0 is the header; the catalog chain follows the
+    // data).
+    use std::io::{Seek, SeekFrom, Write};
+    let disk = Catalog::open(&path, 8).unwrap();
+    let pages = disk.table("X").unwrap().page_residency().unwrap().1 as u64;
+    drop(disk);
+    let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    f.seek(SeekFrom::Start(8192 * pages)).unwrap();
+    f.write_all(&vec![0xABu8; 8192]).unwrap();
+    drop(f);
+
+    let disk = Catalog::open(&path, 8).unwrap();
+    let table = disk.table("X").unwrap().clone();
+    match Catalog::new().register(table) {
+        Err(ModelError::Io(msg)) => assert!(msg.contains("page"), "unexpected message: {msg}"),
+        other => panic!("expected ModelError::Io, got {other:?}"),
+    }
+    drop(disk);
+    clean(&path);
 }
 
 #[test]

@@ -135,7 +135,7 @@ fn render_corpus(out: &mut String) {
                 result.ops.len(),
                 "{name} [{}]: one estimate per executed operator\n{}",
                 strategy.name(),
-                result.op_profile
+                result.op_profile()
             );
             out.push('\n');
         }

@@ -113,13 +113,17 @@ fn profile_reports_spilled_rows_per_operator() {
     let r = db.query_with(MEMBER, opts).unwrap();
     assert!(r.metrics.rows_spilled > 0);
     assert!(
-        r.op_profile.contains("spilled="),
+        r.op_profile().contains("spilled="),
         "profile tree must show per-operator spill traffic:\n{}",
-        r.op_profile
+        r.op_profile()
     );
     // And the unbounded profile stays clean of the annotation.
     let free = db.query_with(MEMBER, QueryOptions::default()).unwrap();
-    assert!(!free.op_profile.contains("spilled="), "{}", free.op_profile);
+    assert!(
+        !free.op_profile().contains("spilled="),
+        "{}",
+        free.op_profile()
+    );
 }
 
 #[test]
@@ -139,9 +143,9 @@ fn probe_rows_without_a_partner_are_reported_as_filtered_not_spilled() {
     assert_eq!(tight.values, free.values);
     assert_eq!(free.metrics.spill_rows_filtered, 0);
     assert!(
-        !free.op_profile.contains("filtered="),
+        !free.op_profile().contains("filtered="),
         "{}",
-        free.op_profile
+        free.op_profile()
     );
 
     let m = &tight.metrics;
@@ -154,8 +158,9 @@ fn probe_rows_without_a_partner_are_reported_as_filtered_not_spilled() {
     // Build side once, the probe rows that passed once, nothing re-split.
     assert_eq!(m.rows_spilled, 512 + 1024 - m.spill_rows_filtered, "{m}");
     // The join's own line carries both, and the registry the total.
-    let line = tight.op_profile.lines().find(|l| l.contains("filtered="));
-    let line = line.unwrap_or_else(|| panic!("no filtered= in\n{}", tight.op_profile));
+    let profile = tight.op_profile();
+    let line = profile.lines().find(|l| l.contains("filtered="));
+    let line = line.unwrap_or_else(|| panic!("no filtered= in\n{profile}"));
     let (spilled, filtered) = (m.rows_spilled, m.spill_rows_filtered);
     assert!(
         line.contains(&format!(" spilled={spilled} filtered={filtered}")),

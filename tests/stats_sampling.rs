@@ -36,7 +36,7 @@ fn check_table(tag: &str, t: &Table) {
         "{tag}: fixture must exceed the sampling threshold ({} rows)",
         t.len()
     );
-    let sampled = TableStats::compute(t);
+    let sampled = TableStats::compute(t).unwrap();
     let exact = exact_stats(t);
     assert_eq!(
         sampled.cardinality, exact.cardinality,
