@@ -53,9 +53,7 @@ use tmql_storage::Catalog;
 
 use crate::config::JoinAlgo;
 use crate::physical::{JoinKind, PhysPlan};
-use crate::planner::{
-    apply_bindings, eq_probe_candidate, extract_equi_keys, index_selection, EquiSplit, IndexSel,
-};
+use crate::planner::{apply_bindings, extract_equi_keys, index_selection, EquiSplit, IndexSel};
 
 /// Default selectivity of an opaque predicate.
 pub(crate) const DEFAULT_SELECTIVITY: f64 = 0.25;
@@ -357,7 +355,7 @@ pub(crate) enum JoinPath<'p> {
         key: usize,
         work: f64,
     },
-    /// Materialize the inner operand, compare every pair.
+    /// Buffer the inner operand, compare every pair.
     NestedLoop,
     /// Build a hash table on the right operand, probe with the left —
     /// after exchanging them when `swap`.
@@ -711,9 +709,6 @@ impl<'a> Estimator<'a> {
     /// Price the two access paths of `σ_pred(table)` when the predicate
     /// has an index-eligible component: `(component, probe_work,
     /// scan_work)`. `None` when no conjunct probes an existing index.
-    /// (For equality components with *no* persistent index,
-    /// `Estimator::transient_hash_paths` prices the build-it-yourself
-    /// alternative an `Apply` can amortize.)
     pub fn select_access_paths(
         &self,
         table: &str,
@@ -747,56 +742,6 @@ impl<'a> Estimator<'a> {
     ) -> Option<(IndexSel, f64)> {
         let (isel, probe_work, scan_work) = self.select_access_paths(table, var, pred)?;
         (probe_work < scan_work).then_some((isel, probe_work))
-    }
-
-    /// Price `probes` repetitions of `σ_pred(table)` along two access
-    /// paths: a **transient hash index** on the eq-probed attribute —
-    /// built once (hash-build cost per row plus whatever page I/O a cold
-    /// extent costs), then per repetition one probe plus a fetch and
-    /// full-predicate re-check per candidate — versus re-running the
-    /// scan + filter every time. `covered` is the eq conjunct the probe
-    /// answers (its selectivity sizes the candidate traffic). This is the
-    /// eq-only, no-persistent-index complement of
-    /// [`Estimator::select_access_paths`]: the build only amortizes when
-    /// the repetition count is high enough, which is why it fires from
-    /// `Apply` hoisting (probes = distinct bindings) and not from a
-    /// single selection.
-    pub(crate) fn transient_hash_paths(
-        &self,
-        table: &str,
-        var: &str,
-        pred: &ScalarExpr,
-        covered: &ScalarExpr,
-        probes: f64,
-    ) -> (f64, f64) {
-        let probes = probes.max(1.0);
-        let scan = self.scan(table);
-        let scan_work = probes * (scan.work + scan.rows * expr_weight(pred));
-        let candidates = scan.rows * self.scan_selectivity(table, var, covered);
-        let build = 1.5 * scan.rows + self.cold_page_io(table);
-        let probe_work =
-            build + probes * (INDEX_PROBE_WORK + candidates * (2.0 + expr_weight(pred)));
-        (probe_work, scan_work)
-    }
-
-    /// **Apply hoisting**: should `σ_pred(table)`, run once per distinct
-    /// binding (`probes` times), build a transient hash index? `(attr,
-    /// key)` of the probe when some conjunct is `var.attr = key`, no
-    /// persistent index covers the attribute already, and build plus
-    /// probes price below the repeated scans.
-    pub(crate) fn hash_probe_choice(
-        &self,
-        table: &str,
-        var: &str,
-        pred: &ScalarExpr,
-        probes: f64,
-    ) -> Option<(String, ScalarExpr)> {
-        let (attr, key, covered) = eq_probe_candidate(pred, var)?;
-        if self.catalog.index_on(table, &attr).is_some() {
-            return None;
-        }
-        let (probe_work, scan_work) = self.transient_hash_paths(table, var, pred, &covered, probes);
-        (probe_work < scan_work).then_some((attr, key))
     }
 
     /// **Index nested-loop vs scan-based join, join algorithm, build
@@ -1123,10 +1068,10 @@ impl<'a, 'p> Walk<'a, 'p> {
     }
 
     /// Estimate a physical plan as built — each operator by the formula
-    /// of what it implements: a filtering scan / `IndexScan` / `HashProbe`
-    /// = a scan then the selection, `IndexNLJoin` = its left operand
-    /// joined with a scan of the probed table, hash / merge join = its key
-    /// pairs plus residual, `Materialize` = its child.
+    /// of what it implements: a filtering scan / `IndexScan` = a scan then
+    /// the selection, `IndexNLJoin` = its left operand joined with a scan
+    /// of the probed table, hash / merge join = its key pairs plus
+    /// residual.
     fn estimate_phys(&mut self, phys: &'p PhysPlan) -> CostEstimate {
         use PhysPlan as P;
         let (est, from) = (self.est, self.mark());
@@ -1144,11 +1089,7 @@ impl<'a, 'p> Walk<'a, 'p> {
             }
             | P::IndexScan {
                 table, var, pred, ..
-            }
-            | P::HashProbe {
-                table, var, pred, ..
             } => return self.select_scan(table, var, pred).0,
-            P::Materialize { input } => return self.phys(input),
             P::ScanExpr { expr, .. } => Node::ScanExpr(expr),
             P::Filter { input, pred } => Node::Select(self.phys(input), pred, None),
             P::Map { input, expr, .. } => Node::Map(self.phys(input), expr),
@@ -1551,30 +1492,6 @@ mod tests {
         let cost = Estimator::new(&cat).cost(&apply);
         // outer scan (100) + one inner drain (~200) + 100 cache probes.
         assert!(cost.work < 1000.0, "{}", cost.work);
-    }
-
-    #[test]
-    fn transient_hash_amortizes_with_repetition() {
-        let cat = catalog();
-        let est = Estimator::new(&cat);
-        let pred = E::eq(E::path("y", &["b"]), E::path("x", &["b"]));
-        // Selective probes: the marginal per-repetition cost of the hash
-        // path (probe + candidate rechecks) is far below a full scan, so
-        // repetition amortizes the one-time build.
-        let (probe1, scan1) = est.transient_hash_paths("BIG", "y", &pred, &pred, 1.0);
-        let (probe10, scan10) = est.transient_hash_paths("BIG", "y", &pred, &pred, 10.0);
-        assert!(probe10 < scan10, "probe {probe10} vs scan {scan10}");
-        assert!(
-            probe10 - probe1 < (scan10 - scan1) / 2.0,
-            "marginal probe {} vs marginal scan {}",
-            probe10 - probe1,
-            scan10 - scan1
-        );
-        // An unselective component returns every row as a candidate: the
-        // probe path re-checks them all and never beats the scan.
-        let all = E::lit(true);
-        let (probe_all, scan_all) = est.transient_hash_paths("BIG", "y", &pred, &all, 10.0);
-        assert!(probe_all > scan_all, "probe {probe_all} vs scan {scan_all}");
     }
 
     #[test]

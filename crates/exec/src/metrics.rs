@@ -123,7 +123,10 @@ metrics! {
         /// the per-operator granularity).
         comparisons: Work, "cmp", "tmql_exec_comparisons_total",
             "Predicate evaluations and key comparisons";
-        /// Rows inserted into hash tables.
+        /// Rows inserted into hash-join build tables (a row whose key is
+        /// NULL joins nothing and is not inserted). Nothing else builds a
+        /// hash table over stored rows, so a plan without a `HashJoin`
+        /// counts 0 — the paper's nested-loop baseline among them.
         hash_build_rows: Work, "hbuild", "tmql_exec_hash_build_rows_total",
             "Rows inserted into hash tables";
         /// Hash table probes.
@@ -183,10 +186,12 @@ metrics! {
         /// traffic.
         pool_misses: Work, "pmiss", "tmql_exec_pool_misses_total",
             "Buffer-pool faults attributed to queries";
-        /// Secondary-index probes issued (one per equality/range lookup or
-        /// per-outer-row join probe). Real work — each probe is an ordered
-        /// map descent — included in [`Metrics::total_work`]; the cost
-        /// model's `INDEX_PROBE_WORK` charge prices exactly this traffic.
+        /// Probes of persistent secondary indexes: one per `IndexScan` open
+        /// (an equality or range lookup) and one per outer row of an
+        /// `IndexNLJoin`. Real work — each probe is an ordered map descent
+        /// — included in [`Metrics::total_work`]; the cost model's
+        /// `INDEX_PROBE_WORK` charge prices exactly this traffic. A plan
+        /// without an index operator counts 0.
         index_probes: Work, "iprobe", "tmql_exec_index_probes_total", "Secondary-index probes";
         /// Candidate row positions returned by index probes (before the
         /// operator re-checks the full predicate). Included in

@@ -1,21 +1,18 @@
-//! Batched correlated Apply: operator reuse, binding memoization, and
-//! invariant hoisting.
+//! Batched correlated Apply: operator reuse and binding memoization.
 //!
-//! [`ApplyOp`] is the paper's baseline nested loop, made cheap along three
-//! axes. **Reuse**: the inner operator tree is built once and re-pointed at
-//! each outer row via [`Operator::rebind`] + `open`, so no per-row planning
-//! or allocation happens. **Memoization**: completed result sets are
-//! cached under the evaluated binding key (the planner's binding
-//! expressions — the correlation values the inner result depends on) —
-//! duplicate bindings replay the cached set, and the inner plan executes
-//! once per *distinct* binding. The cache is an LRU that respects
-//! [`crate::ExecConfig::memory_budget_rows`] through the shared resident
-//! gauge. **Hoisting** is the planner's side of the bargain:
-//! correlation-independent subtrees of the inner plan are wrapped in
-//! [`MaterializeOp`] (execute once, replay per re-open), and inner plans
-//! shaped `σ[var.attr = key](table)` with a correlation-dependent key
-//! become a [`HashProbeOp`] — one transient [`HashIndex`] build amortized
-//! across all bindings, one probe per binding instead of one full scan.
+//! [`ApplyOp`] is the paper's baseline nested loop, made cheap along two
+//! axes, neither of which changes the inner plan. **Reuse**: the inner
+//! operator tree is built once and re-pointed at each outer row via
+//! [`Operator::rebind`] + `open`, so no per-row planning or allocation
+//! happens. **Memoization**: completed result sets are cached under the
+//! evaluated binding key (the planner's binding expressions — the
+//! correlation values the inner result depends on) — duplicate bindings
+//! replay the cached set, and the inner plan executes once per *distinct*
+//! binding, which is what the cost model prices. The cache is an LRU that
+//! respects [`crate::ExecConfig::memory_budget_rows`] through the shared
+//! resident gauge. The inner plan is the one lowering builds for the
+//! subquery anywhere else: a scan of a stored table inside it is re-run
+//! per distinct binding unless the model picked an `IndexScan` for it.
 //!
 //! Counters: `subquery_invocations` stays one per outer row (the logical
 //! nested-loop count), `apply_invocations` counts actual inner executions,
@@ -29,10 +26,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
+use tmql_algebra::{eval, Env, ScalarExpr};
 use tmql_model::hash::ValueMap;
-use tmql_model::{Record, Result, SetValue, Value};
-use tmql_storage::HashIndex;
+use tmql_model::{Result, SetValue, Value};
 
 use crate::exec::ExecContext;
 use crate::op;
@@ -229,229 +225,5 @@ impl Operator for ApplyOp<'_> {
             inner.close_timed(ctx);
         }
         self.child.close_timed(ctx);
-    }
-}
-
-/// Replay buffer around a correlation-independent subtree of an Apply
-/// inner plan: the child runs once, re-opens replay the buffer. If the
-/// buffer would exceed the memory budget the operator degrades to
-/// pass-through (the child re-executes per open — exactly the un-hoisted
-/// behavior, so hoisting never costs memory it doesn't have).
-pub(crate) struct MaterializeOp<'p> {
-    base: OpBase<'p>,
-    child: BoxedOperator<'p>,
-    /// Completed replay buffer (kept across close/open).
-    buffer: Option<Vec<Record>>,
-    /// Rows accumulated during the first execution.
-    filling: Vec<Record>,
-    cursor: usize,
-    /// Set once the first execution overflowed the budget; from then on
-    /// every open streams the child directly.
-    overflowed: bool,
-    /// Rows currently counted in the resident gauge.
-    acquired: usize,
-}
-
-impl<'p> MaterializeOp<'p> {
-    /// Wrap a hoisted child subtree.
-    pub(super) fn new(base: OpBase<'p>, child: BoxedOperator<'p>) -> MaterializeOp<'p> {
-        MaterializeOp {
-            base: base.over(&child),
-            child,
-            buffer: None,
-            filling: Vec::new(),
-            cursor: 0,
-            overflowed: false,
-            acquired: 0,
-        }
-    }
-}
-
-impl Operator for MaterializeOp<'_> {
-    // The subtree is correlation-independent by construction, so the
-    // buffer stays valid across rebinds.
-    op_base!(child);
-
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        ctx.resident_release(self.acquired);
-        self.acquired = 0;
-        self.filling.clear();
-        self.cursor = 0;
-        if let Some(buf) = &self.buffer {
-            // Replay answers everything; the child stays closed.
-            ctx.resident_acquire(buf.len());
-            self.acquired = buf.len();
-            return Ok(());
-        }
-        self.child.open_timed(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let n = ctx.batch_size();
-        loop {
-            if let Some(buf) = &self.buffer {
-                if self.cursor >= buf.len() {
-                    return Ok(None);
-                }
-                let end = (self.cursor + n).min(buf.len());
-                let rows = buf[self.cursor..end].to_vec();
-                self.cursor = end;
-                return Ok(Some(Batch::new(rows)));
-            }
-            if self.overflowed {
-                return self.child.pull(ctx);
-            }
-            match self.child.pull(ctx)? {
-                None => {
-                    self.buffer = Some(std::mem::take(&mut self.filling));
-                    // `acquired` already covers the buffer.
-                }
-                Some(b) => {
-                    ctx.resident_acquire(b.len());
-                    self.acquired += b.len();
-                    self.filling.extend(b.rows);
-                    if ctx.over_budget(self.filling.len()) {
-                        // Too big to hold: drop the buffer and degrade to
-                        // pass-through, restarting the child's stream.
-                        ctx.resident_release(self.acquired);
-                        self.acquired = 0;
-                        self.filling.clear();
-                        self.overflowed = true;
-                        self.child.open_timed(ctx)?;
-                    }
-                }
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        ctx.resident_release(self.acquired);
-        self.acquired = 0;
-        self.filling.clear();
-        self.child.close_timed(ctx);
-    }
-}
-
-/// Transient-hash-index scan for Apply inner plans shaped
-/// `σ[var.attr = key](table)` with a correlation-dependent key: builds a
-/// [`HashIndex`] over `table.attr` on first demand, keeps it across
-/// re-opens, and answers each open with one equality probe — exact under
-/// the equality `=` reads, as [`tmql_storage::OrdIndex`]'s is — and the
-/// full predicate is re-checked per candidate, so results match the
-/// scan+filter exactly. If
-/// the key evaluation fails, the operator degrades to a full position
-/// scan, which reproduces plain filter semantics.
-pub(crate) struct HashProbeOp<'p> {
-    base: OpBase<'p>,
-    table: &'p str,
-    attr: &'p str,
-    key: &'p ScalarExpr,
-    pred: &'p ScalarExpr,
-    /// Built on first demand, kept across open/close.
-    index: Option<HashIndex>,
-    /// Rows the index covers (its resident-gauge footprint).
-    indexed_rows: usize,
-    /// Candidate positions for the current open's key, ascending.
-    positions: Option<Vec<usize>>,
-    cursor: usize,
-    gauge_held: bool,
-}
-
-impl<'p> HashProbeOp<'p> {
-    /// New probe operator; the index is built on first `next_batch`.
-    pub(super) fn new(
-        base: OpBase<'p>,
-        table: &'p str,
-        attr: &'p str,
-        key: &'p ScalarExpr,
-        pred: &'p ScalarExpr,
-    ) -> HashProbeOp<'p> {
-        HashProbeOp {
-            base,
-            table,
-            attr,
-            key,
-            pred,
-            index: None,
-            indexed_rows: 0,
-            positions: None,
-            cursor: 0,
-            gauge_held: false,
-        }
-    }
-}
-
-impl Operator for HashProbeOp<'_> {
-    op_base!();
-
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.positions = None;
-        self.cursor = 0;
-        if self.index.is_some() && !self.gauge_held {
-            ctx.resident_acquire(self.indexed_rows);
-            self.gauge_held = true;
-        }
-        Ok(())
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let positions = match &self.positions {
-            Some(positions) => positions,
-            None => {
-                let idx = match &self.index {
-                    Some(idx) => idx,
-                    None => {
-                        let t = ctx.catalog.table(self.table)?;
-                        let built = HashIndex::build(t, self.attr)?;
-                        self.indexed_rows = t.len();
-                        ctx.metrics.hash_build_rows += self.indexed_rows as u64;
-                        ctx.resident_acquire(self.indexed_rows);
-                        self.gauge_held = true;
-                        self.index.insert(built)
-                    }
-                };
-                let positions = match eval(self.key, &self.base.env) {
-                    Ok(key) => idx.probe_eq(&key),
-                    // Key evaluation failed: fall back to checking every row
-                    // (plain scan+filter semantics).
-                    Err(_) => (0..self.indexed_rows).collect(),
-                };
-                ctx.metrics.index_probes += 1;
-                ctx.metrics.index_hits += positions.len() as u64;
-                self.cursor = 0;
-                &*self.positions.insert(positions)
-            }
-        };
-        let n = ctx.batch_size();
-        let t = ctx.catalog.table(self.table)?;
-        loop {
-            if self.cursor >= positions.len() {
-                return Ok(None);
-            }
-            let end = (self.cursor + n).min(positions.len());
-            let chunk = &positions[self.cursor..end];
-            self.cursor = end;
-            let candidates = t.fetch_rows(chunk)?;
-            let mut rows = Vec::with_capacity(candidates.len());
-            let OpBase { env, shape, .. } = &self.base;
-            for row in candidates {
-                ctx.metrics.comparisons += 1;
-                if eval_predicate(self.pred, &op::bind(env, shape, &row))? {
-                    rows.push(row);
-                }
-            }
-            if !rows.is_empty() {
-                return Ok(Some(Batch::new(rows)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.positions = None;
-        self.cursor = 0;
-        if self.gauge_held {
-            ctx.resident_release(self.indexed_rows);
-            self.gauge_held = false;
-        }
     }
 }

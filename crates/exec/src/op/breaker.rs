@@ -13,7 +13,7 @@ use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, Oper
 use crate::op::spill::{self, total_rows, Drained, PartFn, Partitions, Side};
 use crate::op::{Rows, Shape};
 
-/// Materialized kernel of a breaker over `N` inputs, each a slice of rows
+/// The whole-input kernel of a breaker over `N` inputs, each a slice of rows
 /// and the shape its operator emits them in. `Fn`, as it runs once per
 /// spill partition.
 pub(super) type Kernel<'p, const N: usize> =

@@ -47,7 +47,7 @@ use tmql_algebra::{eval, Env};
 use tmql_model::{Record, Result};
 
 use crate::exec::ExecContext;
-use crate::op::apply::{ApplyOp, HashProbeOp, MaterializeOp};
+use crate::op::apply::ApplyOp;
 use crate::op::breaker::Breaker;
 use crate::op::join::{HashJoinOp, IndexNLJoinOp, NlJoinOp};
 use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
@@ -601,14 +601,6 @@ pub fn build_with<'p>(
             label,
             bindings,
         } => Box::new(ApplyOp::new(base, sub(input), subquery, label, bindings)),
-        PhysPlan::Materialize { input } => Box::new(MaterializeOp::new(base, sub(input))),
-        PhysPlan::HashProbe {
-            table,
-            attr,
-            key,
-            pred,
-            ..
-        } => leaf(Box::new(HashProbeOp::new(base, table, attr, key, pred))),
     }
 }
 

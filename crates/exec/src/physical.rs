@@ -71,7 +71,7 @@ pub enum PhysPlan {
     /// leading `var.attr ⟨cmp⟩ key` conjuncts of `pred`, so a row those
     /// reject is never materialized, and re-evaluates the whole `pred` on
     /// every row that survives — a candidate superset, the same contract
-    /// `IndexScan` and `HashProbe` have.
+    /// `IndexScan` has.
     ScanTable {
         /// Table name.
         table: String,
@@ -264,35 +264,6 @@ pub enum PhysPlan {
         /// single cached execution answers every row).
         bindings: Vec<ScalarExpr>,
     },
-    /// Replay buffer around a correlation-independent subtree inside an
-    /// Apply inner plan: the child executes once on first demand, later
-    /// re-opens replay the buffered rows. Falls back to pass-through
-    /// re-execution when the buffer would exceed the memory budget.
-    Materialize {
-        /// The hoisted (correlation-independent) subtree.
-        input: Box<PhysPlan>,
-    },
-    /// Transient-hash-index scan: build a [`tmql_storage::HashIndex`] on
-    /// `table.attr` on first open (there is no persistent index to use),
-    /// keep it across re-opens, and answer each open by probing `key`.
-    /// Chosen for Apply inner plans shaped `σ[var.attr = key](table)`
-    /// where `key` is correlation-dependent: the build cost is paid once,
-    /// each distinct binding pays one probe instead of one full scan.
-    /// Like `IndexScan`, the probe yields a candidate superset and `pred`
-    /// is re-checked per candidate.
-    HashProbe {
-        /// Probed stored table.
-        table: String,
-        /// Binding variable.
-        var: String,
-        /// Hashed attribute.
-        attr: String,
-        /// Equality key expression (correlation-dependent, constant
-        /// w.r.t. the scan variable).
-        key: ScalarExpr,
-        /// Full selection predicate, re-evaluated per candidate row.
-        pred: ScalarExpr,
-    },
     /// Set operation on output values.
     SetOp {
         /// Operation.
@@ -334,8 +305,6 @@ impl PhysPlan {
             PhysPlan::GroupAgg { .. } => "GroupAgg".into(),
             PhysPlan::Apply { bindings, .. } if bindings.is_empty() => "Apply[once]".into(),
             PhysPlan::Apply { .. } => "Apply[memo]".into(),
-            PhysPlan::Materialize { .. } => "Materialize".into(),
-            PhysPlan::HashProbe { table, attr, .. } => format!("HashProbe({table}.{attr})"),
             PhysPlan::SetOp { .. } => "SetOp".into(),
         }
     }
@@ -343,10 +312,7 @@ impl PhysPlan {
     /// Children, left to right.
     pub fn children(&self) -> Vec<&PhysPlan> {
         match self {
-            PhysPlan::ScanTable { .. }
-            | PhysPlan::IndexScan { .. }
-            | PhysPlan::ScanExpr { .. }
-            | PhysPlan::HashProbe { .. } => {
+            PhysPlan::ScanTable { .. } | PhysPlan::IndexScan { .. } | PhysPlan::ScanExpr { .. } => {
                 vec![]
             }
             PhysPlan::IndexNLJoin { left, .. } => vec![left],
@@ -356,8 +322,7 @@ impl PhysPlan {
             | PhysPlan::Project { input, .. }
             | PhysPlan::Nest { input, .. }
             | PhysPlan::Unnest { input, .. }
-            | PhysPlan::GroupAgg { input, .. }
-            | PhysPlan::Materialize { input } => vec![input],
+            | PhysPlan::GroupAgg { input, .. } => vec![input],
             PhysPlan::NlJoin { left, right, .. }
             | PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::MergeJoin { left, right, .. }
@@ -378,11 +343,10 @@ impl PhysPlan {
             P::ScanTable { var, .. }
             | P::IndexScan { var, .. }
             | P::ScanExpr { var, .. }
-            | P::HashProbe { var, .. }
             | P::Map { var, .. }
             | P::GroupAgg { var, .. }
             | P::SetOp { var, .. } => (vec![], from_ref(var)),
-            P::Filter { input, .. } | P::Materialize { input } => (input.output_vars(), &[]),
+            P::Filter { input, .. } => (input.output_vars(), &[]),
             P::Extend { input, var, .. } => (input.output_vars(), from_ref(var)),
             P::Project { vars, .. } => (vec![], vars),
             P::Nest { keys, label, .. } => (keys.clone(), from_ref(label)),
@@ -420,16 +384,13 @@ impl PhysPlan {
     /// What a row of this plan's output is: `Some(var)` when it is a stored
     /// tuple itself, bound to `var` by the plan alone — a table or index
     /// access path, and whatever passes such rows on unchanged (σ, the
-    /// semi/anti kind of every join, a replay buffer) — and `None` when it
-    /// is a record of bindings, one field per [output
-    /// variable](PhysPlan::output_vars).
+    /// semi/anti kind of every join) — and `None` when it is a record of
+    /// bindings, one field per [output variable](PhysPlan::output_vars).
     pub(crate) fn row_var(&self) -> Option<&str> {
         use PhysPlan as P;
         match self {
-            P::ScanTable { var, .. } | P::IndexScan { var, .. } | P::HashProbe { var, .. } => {
-                Some(var)
-            }
-            P::Filter { input, .. } | P::Materialize { input } => input.row_var(),
+            P::ScanTable { var, .. } | P::IndexScan { var, .. } => Some(var),
+            P::Filter { input, .. } => input.row_var(),
             P::NlJoin { left, kind, .. }
             | P::HashJoin { left, kind, .. }
             | P::MergeJoin { left, kind, .. }
@@ -546,20 +507,6 @@ mod tests {
         };
         assert_eq!(apply(vec![]).op_label(), "Apply[once]");
         assert_eq!(apply(vec![E::path("x", &["b"])]).op_label(), "Apply[memo]");
-        let probe = PhysPlan::HashProbe {
-            table: "Y".into(),
-            var: "y".into(),
-            attr: "b".into(),
-            key: E::path("x", &["b"]),
-            pred: E::lit(true),
-        };
-        assert_eq!(probe.op_label(), "HashProbe(Y.b)");
-        assert!(probe.children().is_empty());
-        let mat = PhysPlan::Materialize {
-            input: scan("Y", "y"),
-        };
-        assert_eq!(mat.op_label(), "Materialize");
-        assert_eq!(mat.children().len(), 1);
     }
 
     #[test]

@@ -18,16 +18,14 @@
 //!   split into equi-key pairs `left-expr = right-expr` (each side over one
 //!   operand's variables) plus a residual, and `Estimator::join_path`
 //!   picks index nested-loop / nested-loop / hash (with its build side) /
-//!   sort-merge per the [`ExecConfig`] and the operands' estimates;
-//! * **Apply hoisting** — inside a correlated subquery, an eq-selection on
-//!   the binding becomes a transient `HashProbe`
-//!   (`Estimator::hash_probe_choice`), and any other operand that
-//!   references no correlation variable is wrapped in `Materialize`,
-//!   decided on the way down from the logical subtree's free variables.
+//!   sort-merge per the [`ExecConfig`] and the operands' estimates.
 //!
-//! Lowering decides at no memory budget and one thread, whatever the
-//! budget and thread count `CostBased` ranked the logical candidates
-//! with.
+//! A correlated subquery lowers like any other plan: the `Apply` keeps
+//! the inner plan these choices build, and runs it once per distinct
+//! binding (`apply_bindings`), which is how the model prices it.
+//!
+//! Lowering decides at no memory budget, whatever budget `CostBased`
+//! ranked the logical candidates with.
 //!
 //! The produced [`PhysPlan`] is a description only: the streaming
 //! [`crate::op::operator::build`] instantiates it as an operator tree that
@@ -374,49 +372,10 @@ fn expr_bindings(
     }
 }
 
-/// Decompose some conjunct of `pred` as `var.attr = key` (either
-/// orientation) where `key` does not reference `var` — the shape a
-/// transient hash index can probe per distinct key. Unlike
-/// [`indexed_cmp`] no persistent index is required; the caller prices the
-/// build. Returns `(attr, key, covered_conjunct)`.
-pub(crate) fn eq_probe_candidate(
-    pred: &ScalarExpr,
-    var: &str,
-) -> Option<(String, ScalarExpr, ScalarExpr)> {
-    pred.conjuncts()
-        .into_iter()
-        .find_map(|conj| match attr_cmp(&conj, var) {
-            Some((attr, tmql_algebra::CmpOp::Eq, key)) => Some((attr, key, conj)),
-            _ => None,
-        })
-}
-
 /// Lower a logical plan to a physical plan.
 pub fn lower(plan: &Plan, catalog: &Catalog, config: &ExecConfig) -> Result<PhysPlan> {
     let walk = Walk::new(Estimator::new(catalog));
-    Ok(Lowering { walk, config }.lower(plan, Hoist::NONE).0)
-}
-
-/// What lowering inside an `Apply` subquery may hoist out of the
-/// per-binding path (everything `None` outside one, and for an invariant
-/// subquery — the Apply cache's empty binding key already collapses it to
-/// one execution).
-#[derive(Clone, Copy)]
-struct Hoist<'h> {
-    /// The subquery's correlation variables: a subtree that references
-    /// none of them executes once behind a [`PhysPlan::Materialize`].
-    corr: Option<&'h BTreeSet<String>>,
-    /// `(attr, key)` of the transient hash index that replaces the
-    /// eq-selection at the bottom of the subquery's `Map` / `Extend` /
-    /// `Project` spine; set only while lowering that spine.
-    probe: Option<&'h (String, ScalarExpr)>,
-}
-
-impl Hoist<'_> {
-    const NONE: Hoist<'static> = Hoist {
-        corr: None,
-        probe: None,
-    };
+    Ok(Lowering { walk, config }.lower(plan).0)
 }
 
 /// The lowering recursion: builds each subtree's [`PhysPlan`] and, from
@@ -428,38 +387,14 @@ struct Lowering<'a, 'p, 'c> {
 }
 
 impl<'p> Lowering<'_, 'p, '_> {
-    /// Lower an operand. Inside an `Apply` subquery a maximal
-    /// correlation-independent operand that does real work over stored
-    /// tables is wrapped in [`PhysPlan::Materialize`] — executed once,
-    /// replayed on every re-open; there is nothing to gain deeper inside
-    /// it, and a dependent operand keeps hoisting among its own operands.
-    /// (Not on the spine above a chosen hash probe: the probe is that
-    /// subquery's hoist.)
-    fn child(&mut self, plan: &'p Plan, hoist: Hoist<'_>) -> (Box<PhysPlan>, CostEstimate) {
-        let independent = |corr: &BTreeSet<String>| plan.free_vars().is_disjoint(corr);
-        if hoist.probe.is_none() && hoist.corr.is_some_and(independent) {
-            let (phys, est) = self.lower(plan, Hoist::NONE);
-            let phys = if worth_materializing(&phys) {
-                PhysPlan::Materialize {
-                    input: Box::new(phys),
-                }
-            } else {
-                phys
-            };
-            return (Box::new(phys), est);
-        }
-        let (phys, est) = self.lower(plan, hoist);
+    /// Lower an operand.
+    fn child(&mut self, plan: &'p Plan) -> (Box<PhysPlan>, CostEstimate) {
+        let (phys, est) = self.lower(plan);
         (Box::new(phys), est)
     }
 
-    fn lower(&mut self, plan: &'p Plan, hoist: Hoist<'_>) -> (PhysPlan, CostEstimate) {
+    fn lower(&mut self, plan: &'p Plan) -> (PhysPlan, CostEstimate) {
         let from = self.walk.mark();
-        // Operands below anything but Map / Extend / Project are off the
-        // subquery's spine.
-        let below = Hoist {
-            probe: None,
-            ..hoist
-        };
         let (phys, op) = match plan {
             Plan::ScanTable { table, var } => {
                 let (est, (table, var)) =
@@ -473,21 +408,14 @@ impl<'p> Lowering<'_, 'p, '_> {
             }
             Plan::Select { input, pred } => match &**input {
                 // Scan vs probe: a selection directly over a stored table
-                // probes the Apply's transient hash index, or a persistent
-                // index when the model prices that below scan-and-filter,
-                // which is otherwise one scan that filters as it reads.
+                // probes an index when the model prices that below
+                // scan-and-filter, and is otherwise one scan that filters
+                // as it reads.
                 Plan::ScanTable { table, var } => {
                     let (est, isel) = self.walk.select_scan(table, var, pred);
                     let (table, var, pred) = (table.clone(), var.clone(), pred.clone());
-                    let phys = match (hoist.probe, isel) {
-                        (Some((attr, key)), _) => PhysPlan::HashProbe {
-                            table,
-                            var,
-                            attr: attr.clone(),
-                            key: key.clone(),
-                            pred,
-                        },
-                        (None, Some(isel)) => PhysPlan::IndexScan {
+                    let phys = match isel {
+                        Some(isel) => PhysPlan::IndexScan {
                             table,
                             var,
                             attr: isel.attr,
@@ -496,7 +424,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                             hi: isel.hi,
                             pred,
                         },
-                        (None, None) => PhysPlan::ScanTable {
+                        None => PhysPlan::ScanTable {
                             table,
                             var,
                             pred: Some(pred),
@@ -505,7 +433,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                     return (phys, est);
                 }
                 input => {
-                    let (input, c) = self.child(input, below);
+                    let (input, c) = self.child(input);
                     let phys = PhysPlan::Filter {
                         input,
                         pred: pred.clone(),
@@ -514,19 +442,19 @@ impl<'p> Lowering<'_, 'p, '_> {
                 }
             },
             Plan::Join { left, right, pred } => {
-                return self.join(JoinKind::Inner, left, right, pred, below, from)
+                return self.join(JoinKind::Inner, left, right, pred, from)
             }
             Plan::SemiJoin { left, right, pred } => {
-                return self.join(JoinKind::Semi, left, right, pred, below, from)
+                return self.join(JoinKind::Semi, left, right, pred, from)
             }
             Plan::AntiJoin { left, right, pred } => {
-                return self.join(JoinKind::Anti, left, right, pred, below, from)
+                return self.join(JoinKind::Anti, left, right, pred, from)
             }
             Plan::LeftOuterJoin { left, right, pred } => {
                 let kind = JoinKind::LeftOuter {
                     right_vars: right.output_vars().into_iter().map(Arc::from).collect(),
                 };
-                return self.join(kind, left, right, pred, below, from);
+                return self.join(kind, left, right, pred, from);
             }
             Plan::NestJoin {
                 left,
@@ -539,7 +467,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                     func: func.clone(),
                     label: label.as_str().into(),
                 };
-                return self.join(kind, left, right, pred, below, from);
+                return self.join(kind, left, right, pred, from);
             }
             Plan::ScanExpr { expr, var } => {
                 let phys = PhysPlan::ScanExpr {
@@ -549,7 +477,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 (phys, Node::ScanExpr(expr))
             }
             Plan::Map { input, expr, var } => {
-                let (input, c) = self.child(input, hoist);
+                let (input, c) = self.child(input);
                 let phys = PhysPlan::Map {
                     input,
                     expr: expr.clone(),
@@ -558,7 +486,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 (phys, Node::Map(c, expr))
             }
             Plan::Extend { input, expr, var } => {
-                let (input, c) = self.child(input, hoist);
+                let (input, c) = self.child(input);
                 let phys = PhysPlan::Extend {
                     input,
                     expr: expr.clone(),
@@ -567,7 +495,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 (phys, Node::Extend(c))
             }
             Plan::Project { input, vars } => {
-                let (input, c) = self.child(input, hoist);
+                let (input, c) = self.child(input);
                 let vars = vars.clone();
                 (PhysPlan::Project { input, vars }, Node::Project(c))
             }
@@ -578,7 +506,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 label,
                 star,
             } => {
-                let (input, c) = self.child(input, below);
+                let (input, c) = self.child(input);
                 let phys = PhysPlan::Nest {
                     input,
                     keys: keys.clone(),
@@ -594,7 +522,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 elem_var,
                 drop_vars,
             } => {
-                let (input, c) = self.child(input, below);
+                let (input, c) = self.child(input);
                 let phys = PhysPlan::Unnest {
                     input,
                     expr: expr.clone(),
@@ -609,7 +537,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 aggs,
                 var,
             } => {
-                let (input, c) = self.child(input, below);
+                let (input, c) = self.child(input);
                 let phys = PhysPlan::GroupAgg {
                     input,
                     keys: keys.clone(),
@@ -624,8 +552,8 @@ impl<'p> Lowering<'_, 'p, '_> {
                 right,
                 var,
             } => {
-                let (left, l) = self.child(left, below);
-                let (right, r) = self.child(right, below);
+                let (left, l) = self.child(left);
+                let (right, r) = self.child(right);
                 let phys = PhysPlan::SetOp {
                     kind: *kind,
                     left,
@@ -639,25 +567,13 @@ impl<'p> Lowering<'_, 'p, '_> {
                 subquery,
                 label,
             } => {
-                let (input, c) = self.child(input, below);
+                let (input, c) = self.child(input);
+                // Batched Apply: memoize inner results by the correlation
+                // bindings, one inner execution per distinct binding.
                 let bindings = apply_bindings(subquery);
                 let distinct = self.walk.distinct_bindings(&bindings, from, c.rows);
-                // Batched Apply: memoize inner results by the correlation
-                // bindings, and hoist correlation-independent work out of
-                // the per-binding path — a transient hash probe when the
-                // whole inner plan is an eq-selection (one build amortized
-                // over the distinct bindings, one probe each), else
-                // materialized subtrees.
-                let corr = subquery.free_vars();
-                let est = self.walk.est;
-                let probe = spine_selection(subquery)
-                    .and_then(|(t, v, pred)| est.hash_probe_choice(t, v, pred, distinct));
-                let hoist = Hoist {
-                    corr: Some(&corr).filter(|c| !c.is_empty()),
-                    probe: probe.as_ref(),
-                };
                 self.walk.enter_subquery(from);
-                let (sub, sub_est) = self.lower(subquery, hoist);
+                let (sub, sub_est) = self.lower(subquery);
                 self.walk.leave_subquery();
                 let phys = PhysPlan::Apply {
                     input,
@@ -679,12 +595,11 @@ impl<'p> Lowering<'_, 'p, '_> {
         left: &'p Plan,
         right: &'p Plan,
         pred: &ScalarExpr,
-        hoist: Hoist<'_>,
         from: usize,
     ) -> (PhysPlan, CostEstimate) {
-        let (mut l, l_est) = self.child(left, hoist);
+        let (mut l, l_est) = self.child(left);
         let mid = self.walk.mark();
-        let (mut r, r_est) = self.child(right, hoist);
+        let (mut r, r_est) = self.child(right);
         let sides = Sides {
             from,
             l: l_est,
@@ -741,44 +656,6 @@ impl<'p> Lowering<'_, 'p, '_> {
         };
         (phys, est)
     }
-}
-
-/// The selection directly over a stored table at the bottom of a
-/// subquery's row-shaping spine (`Map` / `Extend` / `Project` consume a
-/// probe's rows exactly as they would the selection's): `(table, var,
-/// pred)`.
-fn spine_selection(mut plan: &Plan) -> Option<(&str, &str, &ScalarExpr)> {
-    while let Plan::Map { input, .. } | Plan::Extend { input, .. } | Plan::Project { input, .. } =
-        plan
-    {
-        plan = input;
-    }
-    match plan {
-        Plan::Select { input, pred } => match &**input {
-            Plan::ScanTable { table, var } => Some((table, var, pred)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Does materializing this subtree save real work per re-execution? True
-/// for subtrees that access a stored table and do more than fetch its
-/// rows — any operator above one, or a scan with a selection fused in (a
-/// bare scan or probe replays as cheaply as it re-reads, so wrapping it
-/// only spends memory).
-fn worth_materializing(phys: &PhysPlan) -> bool {
-    fn touches_table(p: &PhysPlan) -> bool {
-        matches!(
-            p,
-            PhysPlan::ScanTable { .. }
-                | PhysPlan::IndexScan { .. }
-                | PhysPlan::IndexNLJoin { .. }
-                | PhysPlan::HashProbe { .. }
-        ) || p.children().into_iter().any(touches_table)
-    }
-    let selects = matches!(phys, PhysPlan::ScanTable { pred: Some(_), .. });
-    (selects || !phys.children().is_empty()) && touches_table(phys)
 }
 
 #[cfg(test)]
@@ -1090,123 +967,6 @@ mod tests {
         // A scan variable shadows a same-named outer variable.
         let shadowed = Plan::scan("X", "x").select(E::eq(E::path("x", &["b"]), E::lit(3i64)));
         assert!(apply_bindings(&shadowed).is_empty());
-    }
-
-    #[test]
-    fn correlated_eq_selection_hoists_to_hash_probe() {
-        let mut cat = Catalog::new();
-        let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i, i % 10]).collect();
-        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-        cat.register(int_table("BIG", &["a", "b"], &refs)).unwrap();
-        // Apply over BIG with subquery σ[y.b = x.b](BIG): 10 distinct
-        // x.b bindings amortize a transient hash build on BIG.b.
-        let sub = Plan::scan("BIG", "y").select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
-        let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::Apply {
-            subquery, bindings, ..
-        } = phys
-        else {
-            panic!("expected Apply");
-        };
-        assert_eq!(bindings, vec![E::path("x", &["b"])]);
-        let PhysPlan::HashProbe {
-            table, attr, key, ..
-        } = *subquery
-        else {
-            panic!("expected HashProbe subquery, got {subquery}");
-        };
-        assert_eq!(table, "BIG");
-        assert_eq!(attr, "b");
-        assert_eq!(key, E::path("x", &["b"]));
-        // Row-shaping wrappers peel: a projecting Map over the same
-        // eq-selection keeps its shape with the probe underneath.
-        let sub = Plan::scan("BIG", "y")
-            .select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])))
-            .map(E::path("y", &["a"]), "q");
-        let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::Apply { subquery, .. } = phys else {
-            panic!("expected Apply");
-        };
-        let PhysPlan::Map { input, .. } = *subquery else {
-            panic!("expected Map subquery, got {subquery}");
-        };
-        assert!(matches!(*input, PhysPlan::HashProbe { .. }), "{input}");
-        // With a persistent index on b the ordinary IndexScan path wins
-        // and no transient build is planned.
-        cat.create_index("BIG", "b").unwrap();
-        let sub = Plan::scan("BIG", "y").select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
-        let plan = Plan::scan("BIG", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::Apply { subquery, .. } = phys else {
-            panic!("expected Apply");
-        };
-        assert!(
-            !matches!(*subquery, PhysPlan::HashProbe { .. }),
-            "{subquery}"
-        );
-    }
-
-    #[test]
-    fn independent_subtrees_materialize_inside_apply() {
-        let cat = catalog();
-        // Subquery σ[y.b = x.b](Y ⋈ Y'): the join of the two inner scans
-        // is correlation-independent and hoists behind a Materialize; the
-        // dependent filter stays in the per-binding path.
-        let sub = Plan::scan("Y", "y")
-            .join(
-                Plan::scan("Y", "w"),
-                E::eq(E::path("y", &["b"]), E::path("w", &["b"])),
-            )
-            .select(E::eq(E::path("y", &["b"]), E::path("x", &["b"])));
-        let plan = Plan::scan("X", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::Apply { subquery, .. } = phys else {
-            panic!("expected Apply");
-        };
-        let PhysPlan::Filter { input, .. } = *subquery else {
-            panic!("expected Filter subquery, got {subquery}");
-        };
-        assert!(
-            matches!(*input, PhysPlan::Materialize { .. }),
-            "expected Materialize under the correlated filter, got {input}"
-        );
-    }
-
-    #[test]
-    fn an_independent_filtered_scan_materializes_inside_apply() {
-        let cat = catalog();
-        // Subquery Y ⋈[y.b = w.b ∧ y.c < x.a] σ[w.c > 5](Y w): the join
-        // depends on x, so hoisting looks at its operands. The filtered
-        // scan is a leaf now, but it still does a selection's work per
-        // re-execution and must keep its Materialize; the bare scan of Y
-        // replays as cheaply as it re-reads and stays unwrapped.
-        let filtered =
-            Plan::scan("Y", "w").select(E::cmp(CmpOp::Gt, E::path("w", &["c"]), E::lit(5i64)));
-        let sub = Plan::scan("Y", "y").join(
-            filtered,
-            E::and(
-                E::eq(E::path("y", &["b"]), E::path("w", &["b"])),
-                E::cmp(CmpOp::Lt, E::path("y", &["c"]), E::path("x", &["a"])),
-            ),
-        );
-        let plan = Plan::scan("X", "x").apply(sub, "z");
-        let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::Apply { subquery, .. } = &phys else {
-            panic!("expected Apply, got {phys}");
-        };
-        let operands = subquery.children();
-        assert_eq!(operands.len(), 2, "{subquery}");
-        let wrapped = |p: &PhysPlan| match p {
-            PhysPlan::Materialize { input } => {
-                matches!(**input, PhysPlan::ScanTable { pred: Some(_), .. })
-            }
-            _ => false,
-        };
-        assert!(operands.iter().any(|p| wrapped(p)), "{subquery}");
-        let bare = |p: &PhysPlan| matches!(p, PhysPlan::ScanTable { pred: None, .. });
-        assert!(operands.iter().any(|p| bare(p)), "{subquery}");
     }
 
     #[test]

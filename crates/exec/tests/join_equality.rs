@@ -18,7 +18,7 @@ use tmql_algebra::{eval_predicate, CmpOp, Env, Plan, ScalarExpr as E};
 use tmql_exec::{execute, lower, ExecConfig, ExecContext, JoinKind, PhysPlan};
 use tmql_model::{Record, Ty, Value};
 use tmql_storage::spill::encode_record;
-use tmql_storage::{Catalog, HashIndex, OrdIndex, RowTest, Table};
+use tmql_storage::{Catalog, OrdIndex, RowTest, Table};
 
 const OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -209,13 +209,12 @@ proptest! {
         probes in prop::collection::vec(arb_key(), 1..4),
     ) {
         let t = table("Y", &keys);
-        let (ord, hash) = (OrdIndex::build(&t, "k").unwrap(), HashIndex::build(&t, "k").unwrap());
+        let ord = OrdIndex::build(&t, "k").unwrap();
         for probe in &probes {
             // Index probes: exact equality, and ranges exact on every
             // non-NULL key (the caller's re-check drops NULL ones).
             let eq = selected(&keys, CmpOp::Eq, probe);
             prop_assert_eq!(&ord.probe_eq(probe), &eq, "= {:?} over {:?}", probe, keys);
-            prop_assert_eq!(&hash.probe_eq(probe), &eq, "= {:?} over {:?}", probe, keys);
             // Each bound inclusive (`≥`, `≤`), strict (`>`, `<`) or absent.
             let each = |v| [Bound::Included(v), Bound::Excluded(v)];
             for lo in probes.iter().flat_map(each).chain([Bound::Unbounded]) {

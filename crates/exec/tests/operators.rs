@@ -663,28 +663,11 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
             P::Apply {
                 input: scan("X", "x"),
                 subquery: Box::new(P::Filter {
-                    input: Box::new(P::Materialize {
-                        input: scan("Y", "y"),
-                    }),
+                    input: scan("Y", "y"),
                     pred: equi(),
                 }),
                 label: "z".into(),
                 bindings: vec![E::var("x")],
-            },
-        ),
-        (
-            "apply-memo-hash-probe",
-            P::Apply {
-                input: scan("X", "x"),
-                subquery: Box::new(P::HashProbe {
-                    table: "Y".into(),
-                    var: "y".into(),
-                    attr: "b".into(),
-                    key: xb(),
-                    pred: equi(),
-                }),
-                label: "z".into(),
-                bindings: vec![xb()],
             },
         ),
         (

@@ -7,7 +7,7 @@
 //! under [`ValueHasher`], computed once per row and remembered. In-memory
 //! tables bucket by the plain [`ValueHasher`] hash: one multiply-rotate
 //! per word and a finishing mix, a fixed key so iteration orders and chain
-//! shapes repeat across runs and thread counts. Spill partitioning hashes
+//! shapes repeat across runs. Spill partitioning hashes
 //! the same values under the same hasher with a **per-level seed written
 //! first** (`tmql_exec::op::spill::seed_hasher`) — join keys in place in
 //! their row, a whole row as the seed mixed with its remembered hash — so
@@ -155,8 +155,7 @@ impl ChainIndex {
 /// membership: dedup state, a table's extension. It holds handles to the
 /// rows' shared bodies, not copies; membership goes through each row's
 /// remembered [`Record::structural_hash`], so growing the table re-walks
-/// no row; and iteration is insertion order — the same in every run and
-/// at every thread count.
+/// no row; and iteration is insertion order — the same in every run.
 #[derive(Debug, Clone, Default)]
 pub struct RecordSet {
     rows: Vec<Record>,

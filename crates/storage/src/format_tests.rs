@@ -872,7 +872,7 @@ fn nested_type_catalog(depth: usize) -> Vec<u8> {
     put_len(&mut out, 0); // classes
     put_len(&mut out, 1); // sorts
     put_str(&mut out, "Deep");
-    out.extend(std::iter::repeat(TY_SET).take(depth));
+    out.extend(std::iter::repeat_n(TY_SET, depth));
     out.push(TY_INT);
     put_len(&mut out, 0); // tables
     put_len(&mut out, 0); // indexes

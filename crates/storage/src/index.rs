@@ -1,11 +1,11 @@
 //! Single-attribute secondary indexes over stored tables.
 //!
-//! Both index kinds map an attribute value to the row positions holding
-//! it. [`OrdIndex`] is the persistent kind: the planner's `IndexScan` and
-//! `IndexNLJoin` operators probe it, and [`crate::Catalog`] maintains one
-//! per `create_index` call, rebuilding it on `register`/`replace`
-//! write-through and committing it through the pager's header-last
-//! catalog protocol (see `encode_index` / `decode_index`).
+//! An [`OrdIndex`] maps an attribute value to the row positions holding
+//! it. The planner's `IndexScan` and `IndexNLJoin` operators probe it,
+//! and [`crate::Catalog`] maintains one per `create_index` call,
+//! rebuilding it on `register`/`replace` write-through and committing it
+//! through the pager's header-last catalog protocol (see `encode_index` /
+//! `decode_index`).
 //!
 //! # Probe semantics
 //!
@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use tmql_model::hash::ValueMap;
 use tmql_model::{Result, Value};
 
 use crate::bytes::{put_len, put_len_prefixed, put_u64, Reader};
@@ -33,58 +32,8 @@ use crate::table::Table;
 /// buffer pool at this size).
 const BUILD_BATCH: usize = 1024;
 
-fn index_rows(table: &Table, attr: &str, mut insert: impl FnMut(Value, usize)) -> Result<()> {
-    let mut pos = 0usize;
-    for batch in table.batches(BUILD_BATCH) {
-        for row in batch? {
-            // Rows without the attribute are not indexed (they can never
-            // satisfy a predicate over it).
-            if let Ok(v) = row.get(attr) {
-                insert(v.clone(), pos);
-            }
-            pos += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Hash index: attribute value → row positions. Transient (never
-/// persisted); equality probes only.
-#[derive(Debug, Clone)]
-pub struct HashIndex {
-    attr: String,
-    map: ValueMap<Value, Vec<usize>>,
-}
-
-impl HashIndex {
-    /// Build over `table.attr`, skipping rows that lack the attribute.
-    pub fn build(table: &Table, attr: &str) -> Result<HashIndex> {
-        let mut map: ValueMap<Value, Vec<usize>> = ValueMap::default();
-        index_rows(table, attr, |v, pos| map.entry(v).or_default().push(pos))?;
-        Ok(HashIndex {
-            attr: attr.to_string(),
-            map,
-        })
-    }
-
-    /// The indexed attribute.
-    pub fn attr(&self) -> &str {
-        &self.attr
-    }
-
-    /// Row positions whose attribute equals `key`, ascending; none for
-    /// NULL, which equals nothing.
-    pub fn probe_eq(&self, key: &Value) -> Vec<usize> {
-        match self.map.get(key) {
-            Some(ps) if !key.is_null() => ps.clone(),
-            _ => Vec::new(),
-        }
-    }
-}
-
 /// Ordered index: attribute value → row positions in the attribute's
-/// total order, supporting equality and range probes. This is the kind
-/// the catalog persists and the planner's index paths probe.
+/// total order, supporting equality and range probes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrdIndex {
     attr: String,
@@ -95,7 +44,17 @@ impl OrdIndex {
     /// Build over `table.attr`, skipping rows that lack the attribute.
     pub fn build(table: &Table, attr: &str) -> Result<OrdIndex> {
         let mut map: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-        index_rows(table, attr, |v, pos| map.entry(v).or_default().push(pos))?;
+        let mut pos = 0usize;
+        for batch in table.batches(BUILD_BATCH) {
+            for row in batch? {
+                // Rows without the attribute are not indexed (they can
+                // never satisfy a predicate over it).
+                if let Ok(v) = row.get(attr) {
+                    map.entry(v.clone()).or_default().push(pos);
+                }
+                pos += 1;
+            }
+        }
         Ok(OrdIndex {
             attr: attr.to_string(),
             map,
@@ -223,17 +182,6 @@ mod tests {
     use tmql_model::Record;
 
     #[test]
-    fn hash_index_probe() {
-        let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
-        let idx = HashIndex::build(&t, "b").unwrap();
-        assert_eq!(idx.probe_eq(&Value::Int(10)), vec![0, 1]);
-        assert_eq!(idx.probe_eq(&Value::Int(99)), Vec::<usize>::new());
-        assert_eq!(idx.probe_eq(&Value::Float(10.0)), vec![0, 1]);
-        assert_eq!(idx.probe_eq(&Value::Int(20)), vec![2]);
-        assert_eq!(idx.attr(), "b");
-    }
-
-    #[test]
     fn ord_index_range() {
         let t = int_table("R", &["a"], &[&[5], &[1], &[3], &[9]]);
         let idx = OrdIndex::build(&t, "a").unwrap();
@@ -283,8 +231,6 @@ mod tests {
         // Rows lacking the attribute are skipped, mirroring scan-side
         // predicate semantics — not an error, not a panic.
         let t = int_table("R", &["a"], &[&[1], &[2]]);
-        let h = HashIndex::build(&t, "zz").unwrap();
-        assert_eq!(h.probe_eq(&Value::Int(1)), Vec::<usize>::new());
         let o = OrdIndex::build(&t, "zz").unwrap();
         assert!(o.is_empty());
         assert_eq!(o.probe_eq(&Value::Int(1)), Vec::<usize>::new());
@@ -321,10 +267,6 @@ mod tests {
         let payload = Value::Float(f64::from_bits(0x7ff8_0000_0000_0001));
         assert_eq!(idx.probe_eq(&payload), vec![5]);
         assert_eq!(idx.probe_eq(&Value::Null), Vec::<usize>::new());
-        let hash = HashIndex::build(&t, "x").unwrap();
-        for v in vals.iter().chain([&payload]) {
-            assert_eq!(hash.probe_eq(v), idx.probe_eq(v), "{v:?}");
-        }
         // A range over the numbers holds both kinds, and NULL sorts below.
         let (lo, hi) = (Value::Float(-0.5), Value::Int(1));
         assert_eq!(idx.probe_range(In(&lo), In(&hi)), vec![0, 1, 2, 3, 4]);

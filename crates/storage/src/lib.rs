@@ -24,7 +24,7 @@
 //!   (from a reservoir sample past [`stats::STATS_SAMPLE_THRESHOLD`]
 //!   rows) and consumed by the cost-based optimizer and physical
 //!   planner;
-//! * [`index`] — hash and ordered indexes over one attribute.
+//! * [`index`] — the ordered index over one attribute.
 //!   [`Catalog::create_index`] builds an [`OrdIndex`], persists it
 //!   through the pager, and rebuilds it on register/replace
 //!   write-through; the executor's `IndexScan`/`IndexNLJoin` operators
@@ -57,7 +57,7 @@ pub(crate) mod wal;
 
 pub use catalog::Catalog;
 pub use failpoint::{IoFailpoint, IoOp};
-pub use index::{HashIndex, OrdIndex};
+pub use index::OrdIndex;
 pub use pager::{PoolStats, DEFAULT_POOL_PAGES, DEFAULT_WAL_CHECKPOINT_BYTES};
 pub use pretest::RowTest;
 pub use spill::{RunReader, RunWriter, SpillDir, SpillFile};

@@ -50,7 +50,7 @@
 //!   **reported** (see [`crate::wal::RecoveryReport`]), never silently
 //!   dropped.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,19 +116,19 @@ pub(crate) struct PagedFile {
 }
 
 impl PagedFile {
-    /// Create (truncating) a database file.
+    /// Create (truncating) a database file. Truncates only once the lock
+    /// is held, so a refused create leaves a live database intact.
     pub fn create(path: &Path) -> Result<PagedFile> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
-            .truncate(true)
+            .truncate(false)
             .open(path)
             .map_err(io_err)?;
-        Ok(PagedFile {
-            file,
-            path: path.to_path_buf(),
-        })
+        let paged = PagedFile::locked(file, path)?;
+        paged.file.set_len(0).map_err(io_err)?;
+        Ok(paged)
     }
 
     /// Open an existing database file.
@@ -138,10 +138,24 @@ impl PagedFile {
             .write(true)
             .open(path)
             .map_err(io_err)?;
-        Ok(PagedFile {
-            file,
-            path: path.to_path_buf(),
-        })
+        PagedFile::locked(file, path)
+    }
+
+    /// Take the file's exclusive lock, held until the file closes. One
+    /// live store per file, in this process or another: a second one
+    /// would replay and truncate the log the first is appending to.
+    fn locked(file: File, path: &Path) -> Result<PagedFile> {
+        match file.try_lock() {
+            Ok(()) => Ok(PagedFile {
+                file,
+                path: path.to_path_buf(),
+            }),
+            Err(TryLockError::WouldBlock) => Err(ModelError::Io(format!(
+                "`{}` is already open in another live database",
+                path.display()
+            ))),
+            Err(TryLockError::Error(e)) => Err(io_err(e)),
+        }
     }
 
     /// Read page `pid` into `buf` (exactly one page).

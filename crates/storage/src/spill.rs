@@ -1256,7 +1256,7 @@ mod tests {
     fn a_frame_larger_than_a_block_takes_blocks_of_its_own() {
         let dir = SpillDir::create().unwrap();
         let big = |c: char| {
-            let text: String = std::iter::repeat(c).take(3 * BLOCK + 17).collect();
+            let text: String = std::iter::repeat_n(c, 3 * BLOCK + 17).collect();
             Record::new([("a", Value::Int(1)), ("text", Value::str(&text))]).unwrap()
         };
         let small = Record::new([("a", Value::Int(2)), ("text", Value::str(""))]).unwrap();

@@ -285,10 +285,10 @@ impl Sampler {
         self.rows += 1;
         for (i, (min, max)) in self.extremes.iter_mut().enumerate() {
             if let Some(v) = field(row, i, names[i].as_ref()) {
-                if min.as_ref().map_or(true, |m| v < m) {
+                if min.as_ref().is_none_or(|m| v < m) {
                     *min = Some(v.clone());
                 }
-                if max.as_ref().map_or(true, |m| v > m) {
+                if max.as_ref().is_none_or(|m| v > m) {
                     *max = Some(v.clone());
                 }
             }
@@ -721,10 +721,10 @@ mod tests {
                     estimate_distinct(cs.distinct, once, twice, reservoir.len(), rows.len());
                 (cs.min, cs.max) = (None, None);
                 for v in rows.iter().filter_map(|r| r.get(name).ok()) {
-                    if cs.min.as_ref().map_or(true, |m| v < m) {
+                    if cs.min.as_ref().is_none_or(|m| v < m) {
                         cs.min = Some(v.clone());
                     }
-                    if cs.max.as_ref().map_or(true, |m| v > m) {
+                    if cs.max.as_ref().is_none_or(|m| v > m) {
                         cs.max = Some(v.clone());
                     }
                 }

@@ -363,7 +363,9 @@ impl Shell {
     }
 
     /// `\open <path> [pool_pages]`: switch the session to a disk-backed
-    /// database (created on first open).
+    /// database (created on first open). A file admits one live
+    /// `Database`, so a disk-backed session closes its own first: the
+    /// session is then in memory and empty if the open fails.
     fn open(&mut self, spec: &str) {
         let mut parts = spec.split_whitespace();
         let Some(path) = parts.next() else {
@@ -374,6 +376,9 @@ impl Shell {
             .next()
             .and_then(|s| s.parse().ok())
             .unwrap_or(tmql::DEFAULT_POOL_PAGES);
+        if self.db.is_persistent() {
+            self.db = Database::new();
+        }
         match Database::open_with(path, pool) {
             Ok(db) => {
                 self.db = db;

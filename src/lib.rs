@@ -560,6 +560,14 @@ impl Database {
     /// assert!(r.metrics.pool_hits + r.metrics.pool_misses > 0, "the scan went through the pool");
     /// # let _ = std::fs::remove_file(&path);
     /// ```
+    ///
+    /// A file admits **one live `Database`** at a time. The open takes an
+    /// exclusive lock on the file, held until the `Database` drops, and a
+    /// second open of a live file — from this process or another — fails
+    /// with a [`ModelError::Io`](tmql_model::ModelError::Io) that names
+    /// the path. Opening replays the write-ahead log and checkpoints, which
+    /// truncates the log; a second handle would do that under a writer
+    /// still appending to it. Readers on one file share one `Database`.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Database, TmqlError> {
         Database::open_with(path, default_pool_pages())
     }
@@ -707,6 +715,7 @@ impl Database {
     /// db.register_table(int_table("Z", &["c"], &[&[3]])).unwrap();
     /// db.rollback().unwrap(); // Z never happened
     ///
+    /// drop(db); // a file admits one live `Database`
     /// let db = Database::open(&path).unwrap();
     /// assert!(db.query("SELECT x.a FROM X x").is_ok());
     /// assert!(db.query("SELECT z.c FROM Z z").is_err());

@@ -6,7 +6,9 @@
 //! * a buffer pool capped well below the table size still answers
 //!   identically, with pool residency pinned below the row count;
 //! * corrupted and truncated database files surface as
-//!   `ModelError::Io`, never a panic.
+//!   `ModelError::Io`, never a panic;
+//! * a file admits one live `Database`: a second open is refused until
+//!   the first one drops.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -409,6 +411,29 @@ fn truncated_file_surfaces_as_io_error() {
         other => panic!("expected ModelError::Io on bad magic, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_second_open_of_a_live_file_is_refused_until_the_first_drops() {
+    let path = scratch("live");
+    let mut first = Database::open_with(&path, 8).unwrap();
+    first
+        .register_table(int_table("X", &["n"], &[&[1], &[2]]))
+        .unwrap();
+    match Database::open_with(&path, 8) {
+        Err(TmqlError::Model(ModelError::Io(msg))) => {
+            assert!(msg.contains(&*path.to_string_lossy()), "{msg}")
+        }
+        other => panic!("expected ModelError::Io naming the live file, got {other:?}"),
+    }
+    // The refused open replayed and truncated nothing under the writer.
+    let count = |db: &Database| db.query("SELECT x.n FROM X x").unwrap().len();
+    assert_eq!(count(&first), 2);
+    drop(first);
+    let second = Database::open_with(&path, 8).unwrap();
+    assert_eq!(count(&second), 2);
+    drop(second);
+    clean(&path);
 }
 
 // ---------------------------------------------------------------------------

@@ -165,8 +165,8 @@ fn col(var: &str, attr: &str) -> E {
     E::path(var, &[attr])
 }
 
-/// Hand-built logical plans that lower to the index and Apply-hoisting
-/// operators no corpus statement reaches, each with the catalog flavour
+/// Hand-built logical plans that lower to the index operators and Apply
+/// shapes no corpus statement reaches, each with the catalog flavour
 /// (indexed or not) and the config it is lowered under.
 fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
     let auto = ExecConfig::default;
@@ -295,52 +295,10 @@ fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
     let probe_sub = |v: &str| big(v).select(E::eq(col(v, "b"), col("x", "b")));
     out.extend([
         (
-            "Apply -> HashProbe",
-            false,
-            auto(),
-            big("x").apply(probe_sub("y"), "z"),
-        ),
-        (
-            "Apply -> Map over HashProbe",
-            false,
-            auto(),
-            big("x").apply(probe_sub("y").map(col("y", "a"), "q"), "z"),
-        ),
-        (
             "Apply over an indexed inner: IndexScan, no transient build",
             true,
             auto(),
             big("x").apply(probe_sub("y"), "z"),
-        ),
-        (
-            "Apply -> Materialize under the correlated filter",
-            false,
-            auto(),
-            big("x").apply(
-                Plan::scan("MID", "y")
-                    .join(Plan::scan("MID", "w"), E::eq(col("y", "b"), col("w", "b")))
-                    .select(E::eq(col("y", "b"), col("x", "b"))),
-                "z",
-            ),
-        ),
-        (
-            "Apply -> Materialize on one side of a correlated join",
-            false,
-            auto(),
-            tiny().apply(
-                Plan::scan("MID", "y")
-                    .select(E::eq(col("y", "b"), col("t", "b")))
-                    .join(
-                        Plan::scan("MID", "w").select(E::cmp(
-                            CmpOp::Lt,
-                            col("w", "a"),
-                            E::lit(20i64),
-                        )),
-                        E::eq(col("y", "a"), col("w", "a")),
-                    )
-                    .map(col("w", "a"), "q"),
-                "z",
-            ),
         ),
         (
             "invariant Apply: nothing to hoist",
@@ -369,7 +327,7 @@ fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
             ),
         ),
         (
-            "nested Apply: an inner invariant of both levels materializes",
+            "nested Apply: an invariant selection under both levels' filters",
             false,
             auto(),
             tiny().apply(
@@ -505,8 +463,6 @@ fn shapes_reach_the_index_and_hoisting_operators() {
         "IndexNLJoin[antijoin](BIG.b)",
         "IndexNLJoin[outerjoin](BIG.b)",
         "IndexNLJoin[nestjoin](BIG.b)",
-        "HashProbe(BIG.b)",
-        "Materialize",
         "MergeJoin[join]",
         "NlJoin[join]",
         "Apply[once]",

@@ -212,16 +212,21 @@ fn persist_then_open_round_trips_across_shell_sessions() {
         .find(|l| l.contains("rows in"))
         .expect("query ran")
         .to_string();
-    // Session 2: a fresh process opens the file and gets the same answer.
+    // Session 2: a fresh process opens the file and gets the same answer,
+    // also after a second `\open` of the file the session already holds
+    // (a file admits one live database: the session lets go of its own).
     let out2 = run_shell(&format!(
         "\\open {p}\n\
+         \\open {p}\n\
          SELECT x.n FROM X x WHERE x.n IN (SELECT y.a FROM Y y WHERE x.b = y.b)\n\
          \\quit\n"
     ));
-    assert!(
-        out2.contains("X(64)"),
-        "reopened tables list their row counts:\n{out2}"
+    assert_eq!(
+        out2.matches("X(64)").count(),
+        2,
+        "both opens list X:\n{out2}"
     );
+    assert!(!out2.contains("error"), "{out2}");
     let rows = rows_line
         .split(" rows")
         .next()
