@@ -1,5 +1,6 @@
 //! Logical plan operators for the complex object algebra.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use tmql_model::{Record, Value};
@@ -349,10 +350,9 @@ impl Plan {
     /// rows unwrap to the bound value; multi-variable rows stay a tuple of
     /// bindings.
     pub fn row_output_value(row: &Record) -> Value {
-        if row.len() == 1 {
-            row.values().next().expect("len checked").clone()
-        } else {
-            Value::Tuple(row.clone())
+        match row.fields() {
+            [(_, only)] => only.clone(),
+            _ => Value::Tuple(row.clone()),
         }
     }
 
@@ -444,77 +444,70 @@ impl Plan {
     /// [`Plan::Apply`] that supplies those bindings; a closed plan can be
     /// decorrelated into a join (the precondition of every unnesting
     /// strategy).
-    pub fn free_vars(&self) -> std::collections::BTreeSet<String> {
-        let mut referenced = std::collections::BTreeSet::new();
-        let mut bound = std::collections::BTreeSet::new();
+    pub fn free_vars(&self) -> BTreeSet<String> {
+        let (mut referenced, mut bound) = (BTreeSet::new(), BTreeSet::new());
         self.collect_vars(&mut referenced, &mut bound);
         referenced.difference(&bound).cloned().collect()
     }
 
-    fn collect_vars(
-        &self,
-        referenced: &mut std::collections::BTreeSet<String>,
-        bound: &mut std::collections::BTreeSet<String>,
-    ) {
-        let add_expr = |e: &ScalarExpr, referenced: &mut std::collections::BTreeSet<String>| {
-            referenced.extend(e.free_vars());
-        };
+    fn collect_vars(&self, referenced: &mut BTreeSet<String>, bound: &mut BTreeSet<String>) {
+        self.for_each_expr(|e| e.add_free_vars(referenced));
         match self {
-            Plan::ScanTable { var, .. } => {
-                bound.insert(var.clone());
-            }
-            Plan::ScanExpr { expr, var } => {
-                add_expr(expr, referenced);
-                bound.insert(var.clone());
-            }
-            Plan::Select { pred, .. } => add_expr(pred, referenced),
-            Plan::Map { expr, var, .. } | Plan::Extend { expr, var, .. } => {
-                add_expr(expr, referenced);
+            Plan::ScanTable { var, .. }
+            | Plan::ScanExpr { var, .. }
+            | Plan::Map { var, .. }
+            | Plan::Extend { var, .. }
+            | Plan::GroupAgg { var, .. }
+            | Plan::SetOp { var, .. }
+            | Plan::Unnest { elem_var: var, .. }
+            | Plan::NestJoin { label: var, .. }
+            | Plan::Apply { label: var, .. } => {
                 bound.insert(var.clone());
             }
             Plan::Project { vars, .. } => referenced.extend(vars.iter().cloned()),
-            Plan::Join { pred, .. }
-            | Plan::SemiJoin { pred, .. }
-            | Plan::AntiJoin { pred, .. }
-            | Plan::LeftOuterJoin { pred, .. } => add_expr(pred, referenced),
-            Plan::NestJoin {
-                pred, func, label, ..
-            } => {
-                add_expr(pred, referenced);
-                add_expr(func, referenced);
-                bound.insert(label.clone());
-            }
-            Plan::Nest {
-                keys, value, label, ..
-            } => {
+            Plan::Nest { keys, label, .. } => {
                 referenced.extend(keys.iter().cloned());
-                add_expr(value, referenced);
                 bound.insert(label.clone());
             }
-            Plan::Unnest { expr, elem_var, .. } => {
-                add_expr(expr, referenced);
-                bound.insert(elem_var.clone());
-            }
-            Plan::GroupAgg {
-                keys, aggs, var, ..
-            } => {
-                for (_, e) in keys {
-                    add_expr(e, referenced);
-                }
-                for (_, _, e) in aggs {
-                    add_expr(e, referenced);
-                }
-                bound.insert(var.clone());
-            }
-            Plan::Apply { label, .. } => {
-                bound.insert(label.clone());
-            }
-            Plan::SetOp { var, .. } => {
-                bound.insert(var.clone());
-            }
+            Plan::Select { .. }
+            | Plan::Join { .. }
+            | Plan::SemiJoin { .. }
+            | Plan::AntiJoin { .. }
+            | Plan::LeftOuterJoin { .. } => {}
         }
         for c in self.children() {
             c.collect_vars(referenced, bound);
+        }
+    }
+
+    /// Visit the expressions this node itself evaluates (not its
+    /// children's), in field order: a scan's set expression, a
+    /// selection's or join's predicate, a nest join's predicate then
+    /// function, a grouping's keys then aggregate arguments.
+    pub fn for_each_expr<'a>(&'a self, mut f: impl FnMut(&'a ScalarExpr)) {
+        match self {
+            Plan::ScanExpr { expr, .. }
+            | Plan::Map { expr, .. }
+            | Plan::Extend { expr, .. }
+            | Plan::Unnest { expr, .. }
+            | Plan::Nest { value: expr, .. }
+            | Plan::Select { pred: expr, .. }
+            | Plan::Join { pred: expr, .. }
+            | Plan::SemiJoin { pred: expr, .. }
+            | Plan::AntiJoin { pred: expr, .. }
+            | Plan::LeftOuterJoin { pred: expr, .. } => f(expr),
+            Plan::NestJoin { pred, func, .. } => {
+                f(pred);
+                f(func);
+            }
+            Plan::GroupAgg { keys, aggs, .. } => {
+                keys.iter().for_each(|(_, e)| f(e));
+                aggs.iter().for_each(|(_, _, e)| f(e));
+            }
+            Plan::ScanTable { .. }
+            | Plan::Project { .. }
+            | Plan::Apply { .. }
+            | Plan::SetOp { .. } => {}
         }
     }
 

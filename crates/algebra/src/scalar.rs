@@ -243,52 +243,77 @@ impl ScalarExpr {
     /// ("subqueries in which free variables occur", Section 3.2).
     pub fn free_vars(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_free(&mut BTreeSet::new(), &mut out);
+        self.add_free_vars(&mut out);
         out
     }
 
-    fn collect_free(&self, bound: &mut BTreeSet<String>, out: &mut BTreeSet<String>) {
+    /// Add the free variables to `out`, allocating only for new names.
+    pub(crate) fn add_free_vars(&self, out: &mut BTreeSet<String>) {
+        self.free_refs(|v, _| {
+            if !out.contains(v) {
+                out.insert(v.to_owned());
+            }
+        });
+    }
+
+    /// Report every free reference, left to right, with its variable: a
+    /// bare `v`, or the outermost field path `v.f` when `v` is read through
+    /// one (`v.f.g` reports `v.f`). A quantifier's variable is bound in its
+    /// body, so references to it there are not reported.
+    pub fn free_refs<'a>(&'a self, mut f: impl FnMut(&'a str, &'a ScalarExpr)) {
+        self.free_refs_under(&mut Vec::new(), &mut f);
+    }
+
+    fn free_refs_under<'a>(
+        &'a self,
+        bound: &mut Vec<&'a str>,
+        f: &mut impl FnMut(&'a str, &'a ScalarExpr),
+    ) {
+        use ScalarExpr as E;
+        let mut report = |v: &'a String, e: &'a ScalarExpr| {
+            if !bound.contains(&v.as_str()) {
+                f(v, e);
+            }
+        };
         match self {
-            ScalarExpr::Lit(_) => {}
-            ScalarExpr::Var(v) => {
-                if !bound.contains(v) {
-                    out.insert(v.clone());
-                }
-            }
-            ScalarExpr::Field(e, _)
-            | ScalarExpr::Not(e)
-            | ScalarExpr::Agg(_, e)
-            | ScalarExpr::Unnest(e)
-            | ScalarExpr::IsNull(e) => e.collect_free(bound, out),
-            ScalarExpr::Cmp(_, a, b)
-            | ScalarExpr::Arith(_, a, b)
-            | ScalarExpr::And(a, b)
-            | ScalarExpr::Or(a, b)
-            | ScalarExpr::SetBin(_, a, b)
-            | ScalarExpr::SetCmp(_, a, b) => {
-                a.collect_free(bound, out);
-                b.collect_free(bound, out);
-            }
-            ScalarExpr::Tuple(fs) => {
-                for (_, e) in fs {
-                    e.collect_free(bound, out);
-                }
-            }
-            ScalarExpr::SetLit(es) => {
-                for e in es {
-                    e.collect_free(bound, out);
-                }
-            }
-            ScalarExpr::Quant {
+            E::Var(v) => report(v, self),
+            E::Field(inner, _) => match &**inner {
+                E::Var(v) => report(v, self),
+                other => other.free_refs_under(bound, f),
+            },
+            E::Quant {
                 var, over, pred, ..
             } => {
-                over.collect_free(bound, out);
-                let fresh = bound.insert(var.to_string());
-                pred.collect_free(bound, out);
-                if fresh {
-                    bound.remove(&**var);
-                }
+                over.free_refs_under(bound, f);
+                bound.push(var);
+                pred.free_refs_under(bound, f);
+                bound.pop();
             }
+            _ => self.for_each_child(|c| c.free_refs_under(bound, f)),
+        }
+    }
+
+    /// Visit each direct subexpression in [`ScalarExpr::map_children`]
+    /// order: left to right, a quantifier's `over` before its body.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a ScalarExpr)) {
+        use ScalarExpr as E;
+        match self {
+            E::Lit(_) | E::Var(_) => {}
+            E::Field(e, _) | E::Not(e) | E::Agg(_, e) | E::Unnest(e) | E::IsNull(e) => f(e),
+            E::Cmp(_, x, y)
+            | E::Arith(_, x, y)
+            | E::And(x, y)
+            | E::Or(x, y)
+            | E::SetBin(_, x, y)
+            | E::SetCmp(_, x, y)
+            | E::Quant {
+                over: x, pred: y, ..
+            } => {
+                f(x);
+                f(y);
+            }
+            E::Tuple(fs) => fs.iter().for_each(|(_, e)| f(e)),
+            E::SetLit(es) => es.iter().for_each(f),
         }
     }
 

@@ -2,12 +2,15 @@
 //! round-trip arbitrary plans and visit children in `children()` order,
 //! transforms must be the identity when the callback is, a rule that never
 //! fires is asked once per node, `output_vars` / `free_vars` must be stable
-//! under identity rewriting, and `ScalarExpr::substitute` must agree with
-//! the per-variant definition it replaced (kept here as the reference).
+//! under identity rewriting, and `ScalarExpr::substitute` and the
+//! `free_vars` of expressions and plans must agree with the per-variant
+//! definitions they replaced (kept here as the references).
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use tmql_algebra::rewrite::{fixpoint, transform_up};
-use tmql_algebra::{Plan, Quantifier, ScalarExpr as E, SetCmpOp};
+use tmql_algebra::{Plan, Quantifier, ScalarExpr as E, SetCmpOp, SetOpKind};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-c]".prop_map(|s| format!("v{s}"))
@@ -107,6 +110,107 @@ fn substitute_reference(e: &E, var: &str, r: &E) -> E {
     }
 }
 
+/// `ScalarExpr::free_vars` as it was written before `free_refs`: one arm
+/// per variant, with the quantifier-bound names in `bound`.
+fn free_vars_reference(e: &E, bound: &mut BTreeSet<String>, out: &mut BTreeSet<String>) {
+    match e {
+        E::Lit(_) => {}
+        E::Var(v) => {
+            if !bound.contains(v) {
+                out.insert(v.clone());
+            }
+        }
+        E::Field(e, _) | E::Not(e) | E::Agg(_, e) | E::Unnest(e) | E::IsNull(e) => {
+            free_vars_reference(e, bound, out)
+        }
+        E::Cmp(_, a, b)
+        | E::Arith(_, a, b)
+        | E::And(a, b)
+        | E::Or(a, b)
+        | E::SetBin(_, a, b)
+        | E::SetCmp(_, a, b) => {
+            free_vars_reference(a, bound, out);
+            free_vars_reference(b, bound, out);
+        }
+        E::Tuple(fs) => fs
+            .iter()
+            .for_each(|(_, e)| free_vars_reference(e, bound, out)),
+        E::SetLit(es) => es.iter().for_each(|e| free_vars_reference(e, bound, out)),
+        E::Quant {
+            var, over, pred, ..
+        } => {
+            free_vars_reference(over, bound, out);
+            let fresh = bound.insert(var.to_string());
+            free_vars_reference(pred, bound, out);
+            if fresh {
+                bound.remove(&**var);
+            }
+        }
+    }
+}
+
+/// `Plan::free_vars` as it was written before `for_each_expr`: every
+/// name an expression or a `Project` / `Nest` key list references, less
+/// every name the tree binds.
+fn plan_free_vars_reference(p: &Plan) -> BTreeSet<String> {
+    fn walk(p: &Plan, referenced: &mut BTreeSet<String>, bound: &mut BTreeSet<String>) {
+        let mut add = |e: &E| free_vars_reference(e, &mut BTreeSet::new(), referenced);
+        match p {
+            Plan::ScanTable { var, .. } => {
+                bound.insert(var.clone());
+            }
+            Plan::ScanExpr { expr, var }
+            | Plan::Map { expr, var, .. }
+            | Plan::Extend { expr, var, .. } => {
+                add(expr);
+                bound.insert(var.clone());
+            }
+            Plan::Select { pred, .. }
+            | Plan::Join { pred, .. }
+            | Plan::SemiJoin { pred, .. }
+            | Plan::AntiJoin { pred, .. }
+            | Plan::LeftOuterJoin { pred, .. } => add(pred),
+            Plan::Project { vars, .. } => referenced.extend(vars.iter().cloned()),
+            Plan::NestJoin {
+                pred, func, label, ..
+            } => {
+                add(pred);
+                add(func);
+                bound.insert(label.clone());
+            }
+            Plan::Nest {
+                keys, value, label, ..
+            } => {
+                add(value);
+                referenced.extend(keys.iter().cloned());
+                bound.insert(label.clone());
+            }
+            Plan::Unnest { expr, elem_var, .. } => {
+                add(expr);
+                bound.insert(elem_var.clone());
+            }
+            Plan::GroupAgg {
+                keys, aggs, var, ..
+            } => {
+                keys.iter().for_each(|(_, e)| add(e));
+                aggs.iter().for_each(|(_, _, e)| add(e));
+                bound.insert(var.clone());
+            }
+            Plan::Apply { label: var, .. } | Plan::SetOp { var, .. } => {
+                bound.insert(var.clone());
+            }
+        }
+        for c in p.children() {
+            walk(c, referenced, bound);
+        }
+    }
+    let (mut referenced, mut bound) = (BTreeSet::new(), BTreeSet::new());
+    walk(p, &mut referenced, &mut bound);
+    referenced.difference(&bound).cloned().collect()
+}
+
+/// Plans over every `Plan` variant; selections, maps and nest-join
+/// functions carry quantified expressions.
 fn arb_plan() -> impl Strategy<Value = Plan> {
     let leaf = prop_oneof![
         ("[A-C]", ident()).prop_map(|(t, v)| Plan::scan(t, v)),
@@ -114,18 +218,59 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
-            (inner.clone(), arb_scalar()).prop_map(|(p, e)| p.select(e)),
-            (inner.clone(), arb_scalar(), ident()).prop_map(|(p, e, v)| p.map(e, v)),
+            (inner.clone(), arb_expr()).prop_map(|(p, e)| p.select(e)),
+            (inner.clone(), arb_expr(), ident()).prop_map(|(p, e, v)| p.map(e, v)),
+            (inner.clone(), arb_scalar(), ident()).prop_map(|(p, e, v)| p.extend(e, v)),
+            (inner.clone(), prop::collection::vec(ident(), 1..3)).prop_map(|(p, vars)| {
+                Plan::Project {
+                    input: Box::new(p),
+                    vars,
+                }
+            }),
             (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| l.join(r, e)),
             (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| l.semi_join(r, e)),
+            (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| l.anti_join(r, e)),
+            (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| {
+                Plan::LeftOuterJoin {
+                    left: Box::new(l),
+                    right: Box::new(r),
+                    pred: e,
+                }
+            }),
             (
                 inner.clone(),
                 inner.clone(),
                 arb_scalar(),
-                arb_scalar(),
+                arb_expr(),
                 ident()
             )
                 .prop_map(|(l, r, p, g, lbl)| l.nest_join(r, p, g, lbl)),
+            (
+                inner.clone(),
+                arb_scalar(),
+                ident(),
+                prop::collection::vec(ident(), 0..2)
+            )
+                .prop_map(|(p, e, v, drop_vars)| Plan::Unnest {
+                    input: Box::new(p),
+                    expr: e,
+                    elem_var: v,
+                    drop_vars,
+                }),
+            (inner.clone(), arb_scalar(), arb_scalar(), ident()).prop_map(|(p, k, a, v)| {
+                Plan::GroupAgg {
+                    input: Box::new(p),
+                    keys: vec![("k".into(), k)],
+                    aggs: vec![("n".into(), tmql_algebra::AggFn::Count, a)],
+                    var: v,
+                }
+            }),
+            (inner.clone(), inner.clone(), ident()).prop_map(|(l, r, v)| Plan::SetOp {
+                kind: SetOpKind::Union,
+                left: Box::new(l),
+                right: Box::new(r),
+                var: v,
+            }),
             (inner.clone(), inner.clone(), ident()).prop_map(|(l, r, lbl)| l.apply(r, lbl)),
             (
                 inner.clone(),
@@ -185,6 +330,25 @@ proptest! {
         r in arb_scalar(),
     ) {
         prop_assert_eq!(e.substitute(&var, &r), substitute_reference(&e, &var, &r));
+    }
+
+    #[test]
+    fn free_vars_agrees_with_its_per_variant_definition(e in arb_expr(), p in arb_plan()) {
+        let mut expected = BTreeSet::new();
+        free_vars_reference(&e, &mut BTreeSet::new(), &mut expected);
+        prop_assert_eq!(e.free_vars(), expected.clone());
+        // Each free reference is its variable, or one field off it.
+        let mut reported = BTreeSet::new();
+        e.free_refs(|v, r| {
+            let base = match r {
+                E::Field(inner, _) => &**inner,
+                other => other,
+            };
+            assert_eq!(base, &E::var(v), "{r} reported for {v}");
+            reported.insert(v.to_string());
+        });
+        prop_assert_eq!(reported, expected);
+        prop_assert_eq!(p.free_vars(), plan_free_vars_reference(&p));
     }
 
     #[test]

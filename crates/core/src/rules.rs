@@ -5,7 +5,10 @@
 //! associative — but lists equivalences that *do* hold. Those are
 //! implemented here, plus the Section 5 `UNNEST`-collapse law. Each rule
 //! is a standalone function from a node to `Some(replacement)` or `None`;
-//! [`cleanup`] applies the always-beneficial ones to a fixpoint.
+//! [`cleanup`] applies the always-beneficial ones to a fixpoint. Selection
+//! pushdown is one rule, [`select_pushdown`], for the whole join family:
+//! which operands may take a selection is the only thing that differs
+//! between ⋈, ⋉, ▷ and Δ.
 
 use std::collections::BTreeSet;
 
@@ -41,110 +44,40 @@ pub fn project_nestjoin_elim(plan: &Plan) -> Option<Plan> {
     })
 }
 
-/// Selection pushdown through the nest join's left operand:
-/// `σ_p(X Δ Y) = σ_p(X) Δ Y` when `p` references only `X`'s variables.
-/// (Pushing into the right operand is **not** sound in general — dangling
-/// left tuples must still appear with ∅.)
-pub fn select_pushdown_nestjoin(plan: &Plan) -> Option<Plan> {
+/// Selection pushdown into the join operand that covers the predicate:
+/// `σ_p(X ⋈ Y) = σ_p(X) ⋈ Y` when `p` references only `X`'s variables,
+/// and symmetrically into `Y`. Through ⋉, ▷ and the nest join Δ
+/// (Section 6) only the left operand takes it: the right operand decides
+/// what each left row keeps, so filtering it changes the answer (a
+/// dangling left tuple of Δ must still appear, with ∅). The left
+/// outerjoin is left alone.
+pub fn select_pushdown(plan: &Plan) -> Option<Plan> {
     let Plan::Select { input, pred } = plan else {
         return None;
     };
-    let Plan::NestJoin {
-        left,
-        right,
-        pred: q,
-        func,
-        label,
-    } = &**input
-    else {
+    let (left, right) = match &**input {
+        Plan::Join { left, right, .. } => (left, Some(right)),
+        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } | Plan::NestJoin { left, .. } => {
+            (left, None)
+        }
+        _ => return None,
+    };
+    let fv = pred.free_vars();
+    let covers = |p: &Plan| {
+        let vars = p.output_vars();
+        fv.iter().all(|v| vars.contains(v))
+    };
+    let side = if covers(left) {
+        0
+    } else if right.is_some_and(|r| covers(r)) {
+        1
+    } else {
         return None;
     };
-    let left_vars: BTreeSet<String> = left.output_vars().into_iter().collect();
-    if !pred.free_vars().is_subset(&left_vars) {
-        return None;
-    }
-    Some(Plan::NestJoin {
-        left: Box::new(Plan::Select {
-            input: left.clone(),
-            pred: pred.clone(),
-        }),
-        right: right.clone(),
-        pred: q.clone(),
-        func: func.clone(),
-        label: label.clone(),
-    })
-}
-
-/// Selection pushdown through regular joins (left side; the symmetric
-/// right-side push follows by the join's symmetry) and through
-/// semi/antijoins (left side only).
-pub(crate) fn select_pushdown_join(plan: &Plan) -> Option<Plan> {
-    let Plan::Select { input, pred } = plan else {
-        return None;
-    };
-    match &**input {
-        Plan::Join {
-            left,
-            right,
-            pred: q,
-        } => {
-            let lv: BTreeSet<String> = left.output_vars().into_iter().collect();
-            let rv: BTreeSet<String> = right.output_vars().into_iter().collect();
-            let fv = pred.free_vars();
-            if fv.is_subset(&lv) {
-                Some(Plan::Join {
-                    left: Box::new(Plan::Select {
-                        input: left.clone(),
-                        pred: pred.clone(),
-                    }),
-                    right: right.clone(),
-                    pred: q.clone(),
-                })
-            } else if fv.is_subset(&rv) {
-                Some(Plan::Join {
-                    left: left.clone(),
-                    right: Box::new(Plan::Select {
-                        input: right.clone(),
-                        pred: pred.clone(),
-                    }),
-                    pred: q.clone(),
-                })
-            } else {
-                None
-            }
-        }
-        Plan::SemiJoin {
-            left,
-            right,
-            pred: q,
-        } => {
-            let lv: BTreeSet<String> = left.output_vars().into_iter().collect();
-            pred.free_vars().is_subset(&lv).then(|| Plan::SemiJoin {
-                left: Box::new(Plan::Select {
-                    input: left.clone(),
-                    pred: pred.clone(),
-                }),
-                right: right.clone(),
-                pred: q.clone(),
-            })
-        }
-        Plan::AntiJoin {
-            left,
-            right,
-            pred: q,
-        } => {
-            let lv: BTreeSet<String> = left.output_vars().into_iter().collect();
-            pred.free_vars().is_subset(&lv).then(|| Plan::AntiJoin {
-                left: Box::new(Plan::Select {
-                    input: left.clone(),
-                    pred: pred.clone(),
-                }),
-                right: right.clone(),
-                pred: q.clone(),
-            })
-        }
-        _ => None,
-    }
+    let mut out = (**input).clone();
+    let operand = out.children_mut().swap_remove(side);
+    *operand = std::mem::replace(operand, Plan::scan("", "")).select(pred.clone());
+    Some(out)
 }
 
 /// Section 6, second equivalence:
@@ -308,8 +241,7 @@ pub fn unnest_collapse(plan: &Plan) -> Option<Plan> {
 pub fn cleanup(plan: Plan) -> Plan {
     fixpoint(plan, 8, &mut |node| {
         project_nestjoin_elim(node)
-            .or_else(|| select_pushdown_nestjoin(node))
-            .or_else(|| select_pushdown_join(node))
+            .or_else(|| select_pushdown(node))
             .or_else(|| unnest_collapse(node))
     })
 }
@@ -341,7 +273,7 @@ mod tests {
     #[test]
     fn select_pushes_into_left_of_nestjoin() {
         let p = nj().select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(1i64)));
-        let out = select_pushdown_nestjoin(&p).unwrap();
+        let out = select_pushdown(&p).unwrap();
         let Plan::NestJoin { left, .. } = out else {
             panic!("nest join")
         };
@@ -352,7 +284,7 @@ mod tests {
             E::path("x", &["a"]),
             E::var("ys"),
         ));
-        assert!(select_pushdown_nestjoin(&blocked).is_none());
+        assert!(select_pushdown(&blocked).is_none());
     }
 
     #[test]
@@ -364,17 +296,33 @@ mod tests {
         let left_pred = j
             .clone()
             .select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(0i64)));
-        let out = select_pushdown_join(&left_pred).unwrap();
+        let out = select_pushdown(&left_pred).unwrap();
         let Plan::Join { left, .. } = out else {
             panic!()
         };
         assert!(matches!(*left, Plan::Select { .. }));
         let right_pred = j.select(E::cmp(CmpOp::Gt, E::path("y", &["c"]), E::lit(0i64)));
-        let out = select_pushdown_join(&right_pred).unwrap();
+        let out = select_pushdown(&right_pred).unwrap();
         let Plan::Join { right, .. } = out else {
             panic!()
         };
         assert!(matches!(*right, Plan::Select { .. }));
+        // ⋉ and ▷ take a left-only predicate into their left operand.
+        let on = E::eq(E::path("x", &["b"]), E::path("y", &["b"]));
+        let x_pred = E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(0i64));
+        let semi = Plan::scan("X", "x").semi_join(Plan::scan("Y", "y"), on.clone());
+        let anti = Plan::scan("X", "x").anti_join(Plan::scan("Y", "y"), on);
+        for join in [&semi, &anti] {
+            let out = select_pushdown(&join.clone().select(x_pred.clone())).unwrap();
+            let left = &out.children()[0];
+            assert!(matches!(left, Plan::Select { .. }), "{out}");
+            assert_eq!(out.children()[1], join.children()[1]);
+        }
+        // Neither they nor Δ take a predicate over their right operand.
+        let y_pred = E::cmp(CmpOp::Gt, E::path("y", &["c"]), E::lit(0i64));
+        for join in [semi, anti, nj()] {
+            assert!(select_pushdown(&join.select(y_pred.clone())).is_none());
+        }
     }
 
     #[test]

@@ -224,34 +224,11 @@ pub(super) fn find_unique_agg(e: &ScalarExpr, z: &str) -> Option<AggFn> {
 }
 
 fn collect_aggs(e: &ScalarExpr, z: &str, out: &mut Vec<AggFn>) {
-    if let ScalarExpr::Agg(f, inner) = e {
-        if **inner == ScalarExpr::Var(z.to_string()) {
-            out.push(*f);
-            return;
-        }
-    }
     match e {
-        ScalarExpr::Field(a, _)
-        | ScalarExpr::Not(a)
-        | ScalarExpr::Agg(_, a)
-        | ScalarExpr::Unnest(a)
-        | ScalarExpr::IsNull(a) => collect_aggs(a, z, out),
-        ScalarExpr::Cmp(_, a, b)
-        | ScalarExpr::Arith(_, a, b)
-        | ScalarExpr::And(a, b)
-        | ScalarExpr::Or(a, b)
-        | ScalarExpr::SetBin(_, a, b)
-        | ScalarExpr::SetCmp(_, a, b) => {
-            collect_aggs(a, z, out);
-            collect_aggs(b, z, out);
+        ScalarExpr::Agg(f, inner) if matches!(&**inner, ScalarExpr::Var(v) if v == z) => {
+            out.push(*f)
         }
-        ScalarExpr::Tuple(fs) => fs.iter().for_each(|(_, x)| collect_aggs(x, z, out)),
-        ScalarExpr::SetLit(es) => es.iter().for_each(|x| collect_aggs(x, z, out)),
-        ScalarExpr::Quant { over, pred, .. } => {
-            collect_aggs(over, z, out);
-            collect_aggs(pred, z, out);
-        }
-        _ => {}
+        _ => e.for_each_child(|c| collect_aggs(c, z, out)),
     }
 }
 

@@ -139,7 +139,7 @@ proptest! {
             E::path("x", &["a"]),
             E::lit(threshold),
         ));
-        let rhs = rules::select_pushdown_nestjoin(&lhs).expect("pushdown applies");
+        let rhs = rules::select_pushdown(&lhs).expect("pushdown applies");
         prop_assert_eq!(eval(&lhs, &cat), eval(&rhs, &cat));
     }
 }

@@ -468,24 +468,15 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Kernel work of a breaker over `state` input rows plus its spill
-    /// I/O (the kernel runs once in memory, or once per grace partition
-    /// over the same rows).
-    fn breaker_work(&self, state: f64, spill: f64) -> f64 {
-        if spill > 0.0 {
-            state + spill
-        } else {
-            state
-        }
-    }
-
     /// A breaker over `input` (its rows feed the kernel) that holds
-    /// `state` rows resident — spillable — and emits `rows`.
+    /// `state` rows resident — spillable — and emits `rows`. The kernel
+    /// runs once over the input rows, in memory or once per grace
+    /// partition, plus the spill I/O.
     fn breaker(&self, input: CostEstimate, state: f64, rows: f64) -> CostEstimate {
         let (res, spill) = self.breaker_state(state);
         CostEstimate {
             rows,
-            work: input.work + self.breaker_work(input.rows, spill),
+            work: input.work + (input.rows + spill),
             resident: input.resident + res,
         }
     }
@@ -809,20 +800,9 @@ fn expr_weight(e: &ScalarExpr) -> f64 {
 }
 
 fn expr_nodes(e: &ScalarExpr) -> usize {
-    use ScalarExpr as E;
-    1 + match e {
-        E::Lit(_) | E::Var(_) => 0,
-        E::Field(a, _) | E::Not(a) | E::Agg(_, a) | E::Unnest(a) | E::IsNull(a) => expr_nodes(a),
-        E::Cmp(_, a, b)
-        | E::Arith(_, a, b)
-        | E::And(a, b)
-        | E::Or(a, b)
-        | E::SetBin(_, a, b)
-        | E::SetCmp(_, a, b) => expr_nodes(a) + expr_nodes(b),
-        E::Tuple(fs) => fs.iter().map(|(_, x)| expr_nodes(x)).sum(),
-        E::SetLit(xs) => xs.iter().map(expr_nodes).sum(),
-        E::Quant { over, pred, .. } => expr_nodes(over) + expr_nodes(pred),
-    }
+    let mut n = 1;
+    e.for_each_child(|c| n += expr_nodes(c));
+    n
 }
 
 /// One pass over a plan: the scans seen so far (the scope) and the

@@ -22,10 +22,14 @@
 //!
 //! A correlated subquery lowers like any other plan: the `Apply` keeps
 //! the inner plan these choices build, and runs it once per distinct
-//! binding (`apply_bindings`), which is how the model prices it.
+//! binding (`apply_bindings`, the subquery's free references), which is
+//! how the model prices it.
 //!
-//! Lowering decides at no memory budget, whatever budget `CostBased`
-//! ranked the logical candidates with.
+//! Lowering walks with the statement's memory budget, the estimator
+//! `CostBased` ranked the logical candidates with. No budget can move a
+//! physical choice: each reads only row counts and the work of a bare
+//! inner scan, and a budget changes neither (it reprices breakers' work
+//! and resident state only).
 //!
 //! The produced [`PhysPlan`] is a description only: the streaming
 //! [`crate::op::operator::build`] instantiates it as an operator tree that
@@ -222,159 +226,48 @@ pub(crate) fn index_selection(
 
 /// The correlation-binding expressions of an `Apply` subquery: the outer
 /// environment expressions (`o`, `o.b`, …) the subquery's result can
-/// depend on. These are the memoization keys of the executor's Apply
-/// cache and the NDV source of the cost model's distinct-binding pricing.
-/// An empty vector means the subquery is invariant — one execution serves
-/// every outer row. Field paths are kept as paths (the cache then hits
-/// whenever `o.b` repeats, not just when the whole row does); a whole-row
-/// reference `o` subsumes every `o.*` path. Sorted and deduplicated so
-/// equal subqueries yield identical keys.
+/// depend on — each free reference ([`ScalarExpr::free_refs`]) in the
+/// subquery's expressions whose variable is free in the whole subquery.
+/// These are the memoization keys of the executor's Apply cache and the
+/// NDV source of the cost model's distinct-binding pricing. An empty
+/// vector means the subquery is invariant — one execution serves every
+/// outer row. Field paths are kept as paths (the cache then hits whenever
+/// `o.b` repeats, not just when the whole row does); a whole-row reference
+/// `o` subsumes every `o.*` path. Sorted and deduplicated so equal
+/// subqueries yield identical keys.
 pub(crate) fn apply_bindings(subquery: &Plan) -> Vec<ScalarExpr> {
-    let corr = subquery.free_vars();
-    let mut out = Vec::new();
-    plan_bindings(subquery, &corr, &mut out);
+    type Refs<'p> = Vec<(&'p str, &'p ScalarExpr)>;
+    fn walk<'p>(plan: &'p Plan, corr: &BTreeSet<String>, out: &mut Refs<'p>) {
+        plan.for_each_expr(|e| {
+            e.free_refs(|v, r| {
+                if corr.contains(v) {
+                    out.push((v, r));
+                }
+            })
+        });
+        plan.children().into_iter().for_each(|c| walk(c, corr, out));
+    }
+    let mut refs = Refs::new();
+    walk(subquery, &subquery.free_vars(), &mut refs);
+    let is_whole = |r: &ScalarExpr| matches!(r, ScalarExpr::Var(_));
+    let whole: BTreeSet<&str> = refs
+        .iter()
+        .filter(|(_, r)| is_whole(r))
+        .map(|(v, _)| *v)
+        .collect();
+    let mut out: Vec<ScalarExpr> = refs
+        .into_iter()
+        .filter(|(v, r)| is_whole(r) || !whole.contains(v))
+        .map(|(_, r)| r.clone())
+        .collect();
     out.sort_by_key(|e| format!("{e:?}"));
     out.dedup();
-    let whole: BTreeSet<String> = out
-        .iter()
-        .filter_map(|e| match e {
-            ScalarExpr::Var(v) => Some(v.clone()),
-            _ => None,
-        })
-        .collect();
-    out.retain(|e| match e {
-        ScalarExpr::Field(inner, _) => !matches!(&**inner, ScalarExpr::Var(v) if whole.contains(v)),
-        _ => true,
-    });
     out
-}
-
-/// Collect correlation references from one plan node's expressions, then
-/// recurse. `corr` is the candidate outer-variable set; each node's
-/// expressions see its children's output variables, which shadow
-/// same-named outer variables.
-fn plan_bindings(plan: &Plan, corr: &BTreeSet<String>, out: &mut Vec<ScalarExpr>) {
-    let ov = |p: &Plan| -> BTreeSet<String> { p.output_vars().into_iter().collect() };
-    match plan {
-        Plan::ScanTable { .. } | Plan::Project { .. } | Plan::SetOp { .. } => {}
-        Plan::ScanExpr { expr, .. } => expr_bindings(expr, corr, &BTreeSet::new(), out),
-        Plan::Select { input, pred } => expr_bindings(pred, corr, &ov(input), out),
-        Plan::Map { input, expr, .. } | Plan::Extend { input, expr, .. } => {
-            expr_bindings(expr, corr, &ov(input), out)
-        }
-        Plan::Join { left, right, pred }
-        | Plan::SemiJoin { left, right, pred }
-        | Plan::AntiJoin { left, right, pred }
-        | Plan::LeftOuterJoin { left, right, pred } => {
-            let mut vis = ov(left);
-            vis.extend(ov(right));
-            expr_bindings(pred, corr, &vis, out);
-        }
-        Plan::NestJoin {
-            left,
-            right,
-            pred,
-            func,
-            ..
-        } => {
-            let mut vis = ov(left);
-            vis.extend(ov(right));
-            expr_bindings(pred, corr, &vis, out);
-            expr_bindings(func, corr, &vis, out);
-        }
-        Plan::Nest { input, value, .. } => expr_bindings(value, corr, &ov(input), out),
-        Plan::Unnest { input, expr, .. } => expr_bindings(expr, corr, &ov(input), out),
-        Plan::GroupAgg {
-            input, keys, aggs, ..
-        } => {
-            let vis = ov(input);
-            for (_, k) in keys {
-                expr_bindings(k, corr, &vis, out);
-            }
-            for (_, _, e) in aggs {
-                expr_bindings(e, corr, &vis, out);
-            }
-        }
-        Plan::Apply {
-            input, subquery, ..
-        } => {
-            // A nested Apply binds its input's variables inside its own
-            // subquery; those shadow same-named outer variables there.
-            plan_bindings(input, corr, out);
-            let shadow = ov(input);
-            let inner: BTreeSet<String> = corr.difference(&shadow).cloned().collect();
-            plan_bindings(subquery, &inner, out);
-            return;
-        }
-    }
-    for c in plan.children() {
-        plan_bindings(c, corr, out);
-    }
-}
-
-/// Record references to unshadowed correlation variables in `e`: a bare
-/// `Var(v)` or a field path `v.f` directly off one. Deeper paths key on
-/// their first level (`o.a` determines `o.a.b`, so the coarser key is
-/// still sound).
-fn expr_bindings(
-    e: &ScalarExpr,
-    corr: &BTreeSet<String>,
-    visible: &BTreeSet<String>,
-    out: &mut Vec<ScalarExpr>,
-) {
-    use ScalarExpr as E;
-    match e {
-        E::Lit(_) => {}
-        E::Var(v) => {
-            if corr.contains(v) && !visible.contains(v) {
-                out.push(e.clone());
-            }
-        }
-        E::Field(inner, _) => {
-            if let E::Var(v) = &**inner {
-                if corr.contains(v) && !visible.contains(v) {
-                    out.push(e.clone());
-                }
-            } else {
-                expr_bindings(inner, corr, visible, out);
-            }
-        }
-        E::Not(a) | E::Agg(_, a) | E::Unnest(a) | E::IsNull(a) => {
-            expr_bindings(a, corr, visible, out)
-        }
-        E::Cmp(_, a, b)
-        | E::Arith(_, a, b)
-        | E::And(a, b)
-        | E::Or(a, b)
-        | E::SetBin(_, a, b)
-        | E::SetCmp(_, a, b) => {
-            expr_bindings(a, corr, visible, out);
-            expr_bindings(b, corr, visible, out);
-        }
-        E::Tuple(fs) => {
-            for (_, x) in fs {
-                expr_bindings(x, corr, visible, out);
-            }
-        }
-        E::SetLit(xs) => {
-            for x in xs {
-                expr_bindings(x, corr, visible, out);
-            }
-        }
-        E::Quant {
-            var, over, pred, ..
-        } => {
-            expr_bindings(over, corr, visible, out);
-            let mut vis = visible.clone();
-            vis.insert(var.to_string());
-            expr_bindings(pred, corr, &vis, out);
-        }
-    }
 }
 
 /// Lower a logical plan to a physical plan.
 pub fn lower(plan: &Plan, catalog: &Catalog, config: &ExecConfig) -> Result<PhysPlan> {
-    let walk = Walk::new(Estimator::new(catalog));
+    let walk = Walk::new(Estimator::with_budget(catalog, config.memory_budget_rows));
     Ok(Lowering { walk, config }.lower(plan).0)
 }
 
@@ -662,7 +555,7 @@ impl<'p> Lowering<'_, 'p, '_> {
 mod tests {
     use super::*;
     use crate::config::JoinAlgo;
-    use tmql_algebra::{CmpOp, ScalarExpr as E};
+    use tmql_algebra::{CmpOp, Quantifier, ScalarExpr as E};
     use tmql_storage::table::int_table;
 
     fn catalog() -> Catalog {
@@ -967,6 +860,28 @@ mod tests {
         // A scan variable shadows a same-named outer variable.
         let shadowed = Plan::scan("X", "x").select(E::eq(E::path("x", &["b"]), E::lit(3i64)));
         assert!(apply_bindings(&shadowed).is_empty());
+        // A quantifier that rebinds `x` hides its body's `x.c`; the free
+        // `x.b` beside it is the key.
+        let rebound = Plan::scan("Y", "y").select(E::and(
+            E::quant(
+                Quantifier::Exists,
+                "x",
+                E::path("y", &["s"]),
+                E::eq(E::path("x", &["c"]), E::lit(1i64)),
+            ),
+            E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
+        ));
+        assert_eq!(apply_bindings(&rebound), vec![E::path("x", &["b"])]);
+        // Inside a nested Apply, the inner subquery's read of the
+        // outermost `x` is a key; its read of `y`, bound here, is not.
+        let nested = Plan::scan("Y", "y").apply(
+            Plan::scan("Z", "z").select(E::and(
+                E::eq(E::path("z", &["c"]), E::path("x", &["a"])),
+                E::eq(E::path("z", &["d"]), E::path("y", &["d"])),
+            )),
+            "zs",
+        );
+        assert_eq!(apply_bindings(&nested), vec![E::path("x", &["a"])]);
     }
 
     #[test]

@@ -405,27 +405,9 @@ impl PagedStore {
         if wal.bytes() > 0 {
             wal.reset()?;
         }
-        Ok(Arc::new(PagedStore {
-            file,
-            pool: BufferPool::new(pool_pages),
-            state: Mutex::new(MetaState {
-                meta,
-                free: Vec::new(),
-                pending_free: Vec::new(),
-                txn_pages: Vec::new(),
-                snapshot: None,
-            }),
-            write_lock: Mutex::new(()),
-            wal: Mutex::new(wal),
-            checkpoint_bytes: AtomicU64::new(checkpoint_bytes_from_env()),
-            checkpoints: AtomicU64::new(0),
-            recovery: RecoveryReport {
-                replayed_txns: 0,
-                discarded_records: 0,
-                discarded_bytes: 0,
-            },
-            latencies: OnceLock::new(),
-        }))
+        let recovery = RecoveryReport::default();
+        let store = PagedStore::assemble(file, pool_pages, meta, vec![], vec![], wal, recovery);
+        Ok(store)
     }
 
     /// Open an existing database file without touching its catalog:
@@ -467,7 +449,34 @@ impl PagedStore {
         }
         let dirty = !scan.txns.is_empty() || scan.discarded_bytes > 0;
         let wal = Wal::open(&wal_path)?;
-        let store = Arc::new(PagedStore {
+        let recovery = RecoveryReport {
+            replayed_txns: scan.txns.len(),
+            discarded_records: scan.discarded_records,
+            discarded_bytes: scan.discarded_bytes,
+        };
+        let store = PagedStore::assemble(file, pool_pages, meta, free, pending_free, wal, recovery);
+        if dirty {
+            // Make the replay durable and truncate the log (discarding
+            // any torn tail with it). Idempotent: a crash anywhere in
+            // here just replays again on the next open.
+            store.checkpoint()?;
+        }
+        Ok(store)
+    }
+
+    /// The store over an opened file and log, with its header state —
+    /// the header, the pages free now and those freed by logged commits —
+    /// and what recovery found. No I/O.
+    fn assemble(
+        file: PagedFile,
+        pool_pages: usize,
+        meta: Meta,
+        free: Vec<PageId>,
+        pending_free: Vec<PageId>,
+        wal: Wal,
+        recovery: RecoveryReport,
+    ) -> Arc<PagedStore> {
+        Arc::new(PagedStore {
             file,
             pool: BufferPool::new(pool_pages),
             state: Mutex::new(MetaState {
@@ -481,20 +490,9 @@ impl PagedStore {
             wal: Mutex::new(wal),
             checkpoint_bytes: AtomicU64::new(checkpoint_bytes_from_env()),
             checkpoints: AtomicU64::new(0),
-            recovery: RecoveryReport {
-                replayed_txns: scan.txns.len(),
-                discarded_records: scan.discarded_records,
-                discarded_bytes: scan.discarded_bytes,
-            },
+            recovery,
             latencies: OnceLock::new(),
-        });
-        if dirty {
-            // Make the replay durable and truncate the log (discarding
-            // any torn tail with it). Idempotent: a crash anywhere in
-            // here just replays again on the next open.
-            store.checkpoint()?;
-        }
-        Ok(store)
+        })
     }
 
     /// Open an existing database file and decode its persisted catalog.

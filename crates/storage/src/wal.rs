@@ -131,7 +131,7 @@ pub(crate) struct WalScan {
 
 /// Recovery summary surfaced through `Database::recovery_report` after
 /// an open that found work in the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Committed transactions replayed into the database file.
     pub replayed_txns: usize,

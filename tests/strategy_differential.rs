@@ -3,10 +3,13 @@
 //! must be the reference evaluator's answer (`support/oracle.rs`, which
 //! shares no code with the engine), as must every correct strategy's —
 //! strategy choice must never change answers, only cost. (Kim is excluded:
-//! it is deliberately bug-compatible and loses dangling tuples.)
+//! it is deliberately bug-compatible and loses dangling tuples.) On the
+//! same generator, a memory budget never changes the physical plan
+//! lowering builds.
 
 use proptest::prelude::*;
-use tmql::{Database, QueryOptions, UnnestStrategy};
+use tmql::{Database, ExecConfig, QueryOptions, UnnestStrategy};
+use tmql_exec::lower;
 use tmql_workload::gen::{gen_rs, gen_xy, GenConfig};
 use tmql_workload::queries::{where_query, COUNT_BUG, MEMBERSHIP, NON_MEMBERSHIP, SUBSETEQ_BUG};
 
@@ -92,6 +95,30 @@ fn assert_apply_cache_is_transparent(db: &Database, src: &str) {
     }
 }
 
+/// Lowering under a one-row memory budget builds the physical plan it
+/// builds under none, for every strategy's logical plan (ranked with and
+/// without that budget): each physical choice reads only row counts and
+/// the work of a bare inner scan, and a budget reprices neither.
+fn assert_budget_lowers_the_same_plan(db: &Database, src: &str) {
+    for strategy in UnnestStrategy::ALL {
+        for opts in [
+            QueryOptions::default(),
+            QueryOptions::default().memory_budget(1),
+        ] {
+            let (_, plan) = db
+                .plan_with(src, opts.strategy(strategy))
+                .unwrap_or_else(|e| panic!("{} plans {src}: {e}", strategy.name()));
+            let lowered = |config: &ExecConfig| lower(&plan, db.catalog(), config).unwrap();
+            assert_eq!(
+                lowered(&ExecConfig::default().memory_budget(1)),
+                lowered(&ExecConfig::default()),
+                "{} lowers {src} differently under a budget",
+                strategy.name()
+            );
+        }
+    }
+}
+
 /// The paper's baseline as `NestedLoop` runs it: one scan of `Y` per
 /// distinct binding `x.b` over the same inner plan lowering builds
 /// anywhere else — no index probe, no hash build behind the cost model's
@@ -126,6 +153,8 @@ proptest! {
         assert_apply_cache_is_transparent(&db, COUNT_BUG);
         assert_apply_cache_is_transparent(&db, "SELECT x.a FROM R x WHERE x.b IN (SELECT y.d FROM S y WHERE x.c = y.c)");
         assert_apply_cache_is_transparent(&db, TWO_BINDINGS);
+        assert_budget_lowers_the_same_plan(&db, COUNT_BUG);
+        assert_budget_lowers_the_same_plan(&db, TWO_BINDINGS);
     }
 
     #[test]
@@ -140,6 +169,7 @@ proptest! {
             where_query("x.a INTERSECTS {Z}"),
         ] {
             assert_apply_cache_is_transparent(&db, &src);
+            assert_budget_lowers_the_same_plan(&db, &src);
         }
     }
 
@@ -153,18 +183,22 @@ proptest! {
         let mut indexed = Database::from_catalog(gen_rs(&cfg));
         indexed.create_index("S", "c").unwrap();
         indexed.create_index("R", "c").unwrap();
-        assert_indexes_change_nothing(&plain, &indexed, &[
+        let queries = [
             COUNT_BUG.to_string(),
             "SELECT x.a FROM R x WHERE x.b IN (SELECT y.d FROM S y WHERE x.c = y.c)".to_string(),
-        ]);
+        ];
+        assert_indexes_change_nothing(&plain, &indexed, &queries);
+        queries.iter().for_each(|q| assert_budget_lowers_the_same_plan(&indexed, q));
 
         let plain = Database::from_catalog(gen_xy(&cfg));
         let mut indexed = Database::from_catalog(gen_xy(&cfg));
         indexed.create_index("Y", "b").unwrap();
-        assert_indexes_change_nothing(&plain, &indexed, &[
+        let queries = [
             MEMBERSHIP.to_string(),
             NON_MEMBERSHIP.to_string(),
             where_query("COUNT({Z}) = 0"),
-        ]);
+        ];
+        assert_indexes_change_nothing(&plain, &indexed, &queries);
+        queries.iter().for_each(|q| assert_budget_lowers_the_same_plan(&indexed, q));
     }
 }
