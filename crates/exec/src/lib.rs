@@ -11,8 +11,9 @@
 //! * **nested-loop**, **hash**, and **sort-merge** variants of the inner
 //!   join, semijoin, antijoin, left outerjoin, and the paper's **nest
 //!   join** Δ (Section 6 notes the nest join "is a simple modification of
-//!   any common join implementation method" — compare [`op::hash`] and
-//!   `op::nl` to see exactly how small the modification is);
+//!   any common join implementation method" — every algorithm only finds
+//!   a left row's candidates, and one piece of code, `op::RowMatch`,
+//!   decides what the row emits under each of the five kinds);
 //! * grouping (`ν`/`ν*`, GROUP BY aggregation), unnesting (`μ`), set
 //!   operations, and the correlated [`Plan::Apply`] as a real nested-loop —
 //!   the baseline the paper wants to beat;

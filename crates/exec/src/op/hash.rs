@@ -1,27 +1,26 @@
 //! Hash join: build on the right operand, probe with the left.
 //!
-//! All five [`JoinKind`]s share one matching loop. The nest join variant
-//! differs from the inner join only in what the probe emits — matches are
-//! collected into a set per probe row instead of emitted pairwise, and a
-//! dangling probe row emits `label = ∅`. Building on the **right** operand
-//! keeps the output grouped by left rows, which is the paper's
-//! implementation restriction for the nest join (Section 6).
+//! The hash join finds a probe row's candidates in one bucket chain,
+//! checks their keys and the residual, and hands each match to the row's
+//! `RowMatch`, which decides what every [`JoinKind`] emits. Building on
+//! the **right** operand keeps the output grouped by left rows, which is
+//! the paper's implementation restriction for the nest join (Section 6).
 //!
 //! The implementation is split into [`build`] (a pipeline breaker: it owns
 //! the materialized build side) and [`probe`] (streamable: each probe batch
 //! is independent), so the streaming executor builds once and probes
-//! batch-at-a-time. [`join`] composes the two for one-shot callers.
+//! batch-at-a-time.
 
 use std::hash::{Hash, Hasher};
 
-use tmql_algebra::{eval, eval_predicate, with_value, with_values, Env, ScalarExpr};
+use tmql_algebra::{eval_predicate, with_value, with_values, Env, ScalarExpr};
 use tmql_model::hash::{ChainIndex, ValueHasher};
-use tmql_model::{Record, Result, SetValue, Value};
+use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::{bind, concat, extend, null_extend, Rows, Shape};
+use super::{bind, RowMatch, Rows, Shape};
 
 /// A built hash table over the right (build) operand: the owned build
 /// rows, the hash of each row's key values, and one [`ChainIndex`] over
@@ -110,12 +109,11 @@ pub fn probe(
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
     let rs = &table.shape;
-    // The nest-join accumulator, reused across probe rows.
-    let mut nested: Vec<Value> = Vec::new();
+    // One probe row's match state, reused across probe rows.
+    let mut row = RowMatch::default();
     for l in left {
         let probe_env = bind(env, ls, l);
         m.hash_probes += 1;
-        let mut matched = false;
         let hash = hash_keys(left_keys, &probe_env, ValueHasher::default())?;
         // Build rows of this hash's bucket, in build order; `None` (a NULL
         // key) probes nothing.
@@ -135,65 +133,23 @@ pub fn probe(
                 m.comparisons += 1;
                 hit = eval_predicate(p, &pair_env)?;
             }
-            if !hit {
-                continue;
-            }
-            matched = true;
-            match kind {
-                JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(concat(ls, l, rs, r)?),
-                JoinKind::Semi | JoinKind::Anti => break,
-                JoinKind::Nest { func, .. } => nested.push(eval(func, &pair_env)?),
+            if hit {
+                row.hit(kind, (ls, l), (rs, r), &pair_env, &mut out)?;
+                if row.decided(kind) {
+                    break;
+                }
             }
         }
-        finish_row(ls, l, kind, matched, &mut nested, &mut out)?;
+        row.finish(kind, ls, l, &mut out)?;
     }
     Ok(out)
 }
 
-/// What probe row `l` emits once its candidates are exhausted, given
-/// whether any of them `matched` and (nest join) the items they
-/// contributed, which are drained. With `matched` false and nothing in
-/// `nested` this is the **dangling** answer of each kind — Semi / Inner
-/// nothing, Anti the row, Nest `label = ∅`, LeftOuter the NULL extension —
-/// which the grace join's partitioning pass gives a row it can show has
-/// no partner, without probing.
-pub(super) fn finish_row(
-    ls: &Shape,
-    l: &Record,
-    kind: &JoinKind,
-    matched: bool,
-    nested: &mut Vec<Value>,
-    out: &mut Vec<Record>,
-) -> Result<()> {
-    match kind {
-        JoinKind::Inner => {}
-        JoinKind::Semi => {
-            if matched {
-                out.push(l.clone());
-            }
-        }
-        JoinKind::Anti => {
-            if !matched {
-                out.push(l.clone());
-            }
-        }
-        JoinKind::LeftOuter { right_vars } => {
-            if !matched {
-                out.push(null_extend(ls, l, right_vars)?);
-            }
-        }
-        JoinKind::Nest { label, .. } => {
-            let set = SetValue::drain_from(nested);
-            out.push(extend(ls, l, label, Value::Set(set))?);
-        }
-    }
-    Ok(())
-}
-
 /// One-shot hash join of materialized operands on equi-keys plus an
 /// optional residual predicate ([`build`] then [`probe`]).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn join(
+pub(crate) fn join(
     left: Rows<'_>,
     (right, rs): Rows<'_>,
     left_keys: &[ScalarExpr],
@@ -213,6 +169,7 @@ mod tests {
     use crate::op::bound;
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
+    use tmql_model::Value;
 
     fn rows(name: &str, vals: &[(i64, i64)], f1: &str, f2: &str) -> Vec<Record> {
         vals.iter()

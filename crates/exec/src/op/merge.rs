@@ -3,17 +3,18 @@
 //! Both operands are sorted by their key expressions, then key groups are
 //! merged pairwise. Because the left operand arrives in key order, the
 //! nest join's per-left-row grouping falls out of the merge for free — the
-//! paper's other "common join implementation method" (Section 6). Rows with
-//! NULL keys are excluded (they cannot equi-match) except that for the
-//! outer/anti/nest kinds the left row must still surface as dangling.
+//! paper's other "common join implementation method" (Section 6). A left
+//! row's candidates are its equal-key right group, and its [`RowMatch`]
+//! decides what it emits. Rows with NULL keys have no candidates (they
+//! cannot equi-match): a left one still ends as dangling.
 
-use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
-use tmql_model::{Record, Result, SetValue, Value};
+use tmql_algebra::{eval_predicate, Env, ScalarExpr};
+use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::{bind, concat, eval_keys, extend, null_extend, Rows, Shape};
+use super::{bind, eval_keys, RowMatch, Rows};
 
 /// One operand row tagged with its evaluated key (`None` = NULL key).
 struct Keyed<'a> {
@@ -54,8 +55,8 @@ pub fn join(
     let ls = sort_side(left, left_keys, env, m)?;
     let rs = sort_side(right, right_keys, env, m)?;
     let mut out = Vec::new();
-    // The nest-join accumulator, reused across left rows.
-    let mut nested: Vec<Value> = Vec::new();
+    // One left row's match state, reused across left rows.
+    let mut row = RowMatch::default();
 
     // `None` keys sort first; skip them on the right, treat as dangling on
     // the left.
@@ -68,7 +69,7 @@ pub fn join(
     while li < ls.len() {
         let lkey = &ls[li].key;
         if lkey.is_none() {
-            emit_dangling(lshape, ls[li].row, kind, &mut out)?;
+            row.finish(kind, lshape, ls[li].row, &mut out)?;
             li += 1;
             continue;
         }
@@ -83,7 +84,7 @@ pub fn join(
             rj += 1;
         }
         if ri == rj {
-            emit_dangling(lshape, ls[li].row, kind, &mut out)?;
+            row.finish(kind, lshape, ls[li].row, &mut out)?;
             li += 1;
             continue;
         }
@@ -96,7 +97,6 @@ pub fn join(
         for lrow in &ls[li..lj] {
             let l = lrow.row;
             let left_env = bind(env, lshape, l);
-            let mut matched = false;
             for rrow in &rs[ri..rj] {
                 let r = rrow.row;
                 let pair_env = bind(&left_env, rshape, r);
@@ -106,54 +106,17 @@ pub fn join(
                         continue;
                     }
                 }
-                matched = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter { .. } => {
-                        out.push(concat(lshape, l, rshape, r)?)
-                    }
-                    JoinKind::Semi | JoinKind::Anti => break,
-                    JoinKind::Nest { func, .. } => nested.push(eval(func, &pair_env)?),
+                row.hit(kind, (lshape, l), (rshape, r), &pair_env, &mut out)?;
+                if row.decided(kind) {
+                    break;
                 }
             }
-            match kind {
-                JoinKind::Inner => {}
-                JoinKind::Semi => {
-                    if matched {
-                        out.push(l.clone());
-                    }
-                }
-                JoinKind::Anti => {
-                    if !matched {
-                        out.push(l.clone());
-                    }
-                }
-                JoinKind::LeftOuter { right_vars } => {
-                    if !matched {
-                        out.push(null_extend(lshape, l, right_vars)?);
-                    }
-                }
-                JoinKind::Nest { label, .. } => {
-                    let set = SetValue::drain_from(&mut nested);
-                    out.push(extend(lshape, l, label, Value::Set(set))?);
-                }
-            }
+            row.finish(kind, lshape, l, &mut out)?;
         }
         li = lj;
         ri = rj;
     }
     Ok(out)
-}
-
-/// A left row with no possible match: emitted for anti/outer/nest kinds,
-/// dropped for inner/semi.
-fn emit_dangling(ls: &Shape, l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<()> {
-    match kind {
-        JoinKind::Inner | JoinKind::Semi => {}
-        JoinKind::Anti => out.push(l.clone()),
-        JoinKind::LeftOuter { right_vars } => out.push(null_extend(ls, l, right_vars)?),
-        JoinKind::Nest { label, .. } => out.push(extend(ls, l, label, Value::empty_set())?),
-    }
-    Ok(())
 }
 
 #[cfg(test)]

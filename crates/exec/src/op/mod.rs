@@ -1,13 +1,17 @@
 //! Physical operator implementations.
 //!
-//! The join family lives in three modules — `nl`, [`hash`], `merge` —
-//! each implementing **all five** [`crate::JoinKind`]s, demonstrating the
-//! paper's observation that the nest join is "a simple modification of any
-//! common join implementation method" (Section 6). Grouping operators are
-//! in `group`. These are the materialized *kernels*; the Volcano-style
-//! streaming operator tree that drives them batch-at-a-time is defined in
-//! [`operator`], with its operators one family per file beside it and the
-//! one spill-partition driver they share in [`spill`].
+//! The join family is one rule beside the kernels that find candidates.
+//! `RowMatch` is the rule: what a left row emits under each of the five
+//! [`crate::JoinKind`]s once its candidates are known — the only code that
+//! builds a join's output. `nl`, [`hash`] and `merge` only decide how a
+//! left row's candidates are found (every inner row, a hash bucket, an
+//! equal-key group), which makes the paper's observation literal: the nest
+//! join is "a simple modification of any common join implementation
+//! method" (Section 6). Grouping operators are in `group`. These are the
+//! materialized *kernels*; the Volcano-style streaming operator tree that
+//! drives them batch-at-a-time is defined in [`operator`], with its
+//! operators one family per file beside it and the one spill-partition
+//! driver they share in [`spill`].
 //!
 //! This module itself holds what all of them share: what a row between
 //! two operators *is* ([`Shape`] — a record of bindings, or the stored
@@ -31,11 +35,11 @@ mod stream;
 
 use std::sync::Arc;
 
-use tmql_algebra::{Env, Plan};
+use tmql_algebra::{eval, Env, Plan};
 use tmql_model::record::Field;
-use tmql_model::{ModelError, Record, Result, Value};
+use tmql_model::{ModelError, Record, Result, SetValue, Value};
 
-use crate::physical::PhysPlan;
+use crate::physical::{JoinKind, PhysPlan};
 
 /// What a row between two operators is — known per plan node, never per
 /// row. Either a **record of bindings** (one field per output variable:
@@ -161,13 +165,87 @@ pub(crate) fn eval_keys(
 ) -> Result<Option<Vec<Value>>> {
     let mut out = Vec::with_capacity(keys.len());
     for k in keys {
-        let v = tmql_algebra::eval(k, env)?;
+        let v = eval(k, env)?;
         if v.is_null() {
             return Ok(None);
         }
         out.push(v);
     }
     Ok(Some(out))
+}
+
+/// One left row's progress through its join candidates: whether one has
+/// matched, and the images a nest join has collected — "for each left
+/// operand tuple a set is created to hold the (possibly modified) right
+/// operand tuples that match" (Section 6). It is the join kinds' one rule:
+/// every algorithm feeds it the candidates it finds ([`RowMatch::hit`]),
+/// stops early once [`RowMatch::decided`], and ends the row with
+/// [`RowMatch::finish`]; nothing else in the executor builds a join's
+/// output.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RowMatch {
+    matched: bool,
+    nested: Vec<Value>,
+}
+
+impl RowMatch {
+    /// Candidate `r` matched left row `l`, with `pair` binding both: ⋈ and
+    /// ⟕ emit the concatenated pair, Δ collects `func`'s image, ⋉ and ▷
+    /// only note the match.
+    pub(crate) fn hit(
+        &mut self,
+        kind: &JoinKind,
+        (ls, l): (&Shape, &Record),
+        (rs, r): (&Shape, &Record),
+        pair: &Env<'_>,
+        out: &mut Vec<Record>,
+    ) -> Result<()> {
+        self.matched = true;
+        match kind {
+            JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(concat(ls, l, rs, r)?),
+            JoinKind::Semi | JoinKind::Anti => {}
+            JoinKind::Nest { func, .. } => self.nested.push(eval(func, pair)?),
+        }
+        Ok(())
+    }
+
+    /// ⋉ and ▷ are decided by the first match: no further candidate can
+    /// change what the row emits.
+    pub(crate) fn decided(&self, kind: &JoinKind) -> bool {
+        self.matched && matches!(kind, JoinKind::Semi | JoinKind::Anti)
+    }
+
+    /// Left row `l`'s candidates are exhausted: emit what depends on all of
+    /// them, and start over for the next row. On a fresh state this is
+    /// each kind's **dangling** answer — ⋈ and ⋉ nothing, ▷ the row, ⟕ its
+    /// NULL extension, Δ `label = ∅` (never NULL).
+    pub(crate) fn finish(
+        &mut self,
+        kind: &JoinKind,
+        ls: &Shape,
+        l: &Record,
+        out: &mut Vec<Record>,
+    ) -> Result<()> {
+        let matched = std::mem::take(&mut self.matched);
+        match kind {
+            JoinKind::Inner => {}
+            JoinKind::Semi | JoinKind::Anti => {
+                if matched == matches!(kind, JoinKind::Semi) {
+                    out.push(l.clone());
+                }
+            }
+            JoinKind::LeftOuter { right_vars } => {
+                if !matched {
+                    out.push(null_extend(ls, l, right_vars)?);
+                }
+            }
+            JoinKind::Nest { label, .. } => {
+                let set = SetValue::drain_from(&mut self.nested);
+                out.push(extend(ls, l, label, Value::Set(set))?);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Test inputs built by hand are records of bindings.
@@ -264,7 +342,6 @@ mod tests {
     /// by hand, and these paths returned with one or two still pushed.)
     #[test]
     fn a_failed_probe_row_leaves_no_frame_behind() {
-        use crate::physical::JoinKind;
         use crate::Metrics;
         let x = |d: i64, e: Value| Record::new([("d", Value::Int(d)), ("e", e)]).unwrap();
         let y = |b: i64| Record::new([("b", Value::Int(b)), ("a", Value::Int(b * 10))]).unwrap();

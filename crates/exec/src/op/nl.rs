@@ -1,52 +1,26 @@
 //! Nested-loop join: the universal fallback, correct for arbitrary
 //! predicates and every [`JoinKind`].
 //!
-//! The kernel is **chunk-feedable**: [`BlockState`] carries the
-//! per-left-row match flags (and nest-join accumulator sets) across
-//! successive chunks of the inner operand, so the operator can stream a
-//! spilled inner side from disk in batches — block nested loop — instead
-//! of holding it resident. [`join`] is the one-chunk convenience wrapper
-//! for fully materialized operands.
+//! A left row's candidates are every inner row; each one `pred` accepts
+//! goes to the row's [`RowMatch`], which decides what the row emits. The
+//! kernel is **chunk-feedable**: one `RowMatch` per left row carries the
+//! match state across successive chunks of the inner operand, so the
+//! operator can stream a spilled inner side from disk in batches — block
+//! nested loop — and the index nested loop can feed it the rows one probe
+//! fetches, chunk by chunk.
 
-use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
-use tmql_model::{Record, Result, SetValue, Value};
+use tmql_algebra::{eval_predicate, Env, ScalarExpr};
+use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::{bind, concat, extend, null_extend, Rows};
-
-/// Per-left-row state of a block nested-loop join, carried across inner
-/// chunks: which left rows have matched so far, and (for the nest join)
-/// the accumulator (sorted and deduplicated once, at the end) of the set
-/// each left row is building — "for each left operand
-/// tuple a set is created to hold the (possibly modified) right operand
-/// tuples that match" (Section 6).
-#[derive(Debug)]
-pub(crate) struct BlockState {
-    matched: Vec<bool>,
-    nested: Vec<Vec<Value>>,
-}
-
-impl BlockState {
-    /// Fresh state for a block of `left_len` outer rows.
-    pub fn new(left_len: usize, kind: &JoinKind) -> BlockState {
-        BlockState {
-            matched: vec![false; left_len],
-            nested: if matches!(kind, JoinKind::Nest { .. }) {
-                vec![Vec::new(); left_len]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-}
+use super::{bind, RowMatch, Rows};
 
 /// Join one chunk of the inner operand against the whole left block,
-/// updating `state` and appending matched output (inner/outer pairs, semi
-/// rows on first match) to `out`. Call [`finish_block`] after the last
-/// chunk to emit what depends on the full inner scan (anti rows, dangling
-/// outer rows, nest-join sets).
+/// `state[i]` carrying left row `i`'s matches from chunk to chunk. A row
+/// already [`RowMatch::decided`] is skipped. Call [`finish_block`] after
+/// the last chunk.
 #[allow(clippy::too_many_arguments)] // mirrors the other join kernels' shape
 pub(crate) fn join_chunk(
     (left, ls): Rows<'_>,
@@ -55,72 +29,44 @@ pub(crate) fn join_chunk(
     kind: &JoinKind,
     env: &Env<'_>,
     m: &mut Metrics,
-    state: &mut BlockState,
+    state: &mut [RowMatch],
     out: &mut Vec<Record>,
 ) -> Result<()> {
-    for (i, l) in left.iter().enumerate() {
-        if state.matched[i] && matches!(kind, JoinKind::Semi | JoinKind::Anti) {
-            // Existence already decided in an earlier chunk (or row).
+    for (l, row) in left.iter().zip(state) {
+        if row.decided(kind) {
             continue;
         }
         let left_env = bind(env, ls, l);
         for r in chunk {
             let pair_env = bind(&left_env, rs, r);
             m.comparisons += 1;
-            if !eval_predicate(pred, &pair_env)? {
-                continue;
-            }
-            let first = !state.matched[i];
-            state.matched[i] = true;
-            match kind {
-                JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(concat(ls, l, rs, r)?),
-                JoinKind::Semi | JoinKind::Anti => {
-                    // Existence decided; no need to scan further.
-                    if first && matches!(kind, JoinKind::Semi) {
-                        out.push(l.clone());
-                    }
+            if eval_predicate(pred, &pair_env)? {
+                row.hit(kind, (ls, l), (rs, r), &pair_env, out)?;
+                if row.decided(kind) {
                     break;
                 }
-                JoinKind::Nest { func, .. } => state.nested[i].push(eval(func, &pair_env)?),
             }
         }
     }
     Ok(())
 }
 
-/// Emit the part of a block's output that needs the whole inner scan:
-/// anti-join survivors, NULL-extended dangling outer rows, and nest-join
-/// rows (dangling tuples get label = ∅, never NULL).
+/// End a block: every left row's candidates are exhausted.
 pub(crate) fn finish_block(
     (left, ls): Rows<'_>,
     kind: &JoinKind,
-    state: &mut BlockState,
+    state: &mut [RowMatch],
     out: &mut Vec<Record>,
 ) -> Result<()> {
-    for (i, l) in left.iter().enumerate() {
-        match kind {
-            JoinKind::Inner | JoinKind::Semi => {}
-            JoinKind::Anti => {
-                if !state.matched[i] {
-                    out.push(l.clone());
-                }
-            }
-            JoinKind::LeftOuter { right_vars } => {
-                if !state.matched[i] {
-                    out.push(null_extend(ls, l, right_vars)?);
-                }
-            }
-            JoinKind::Nest { label, .. } => {
-                let set = SetValue::drain_from(&mut state.nested[i]);
-                out.push(extend(ls, l, label, Value::Set(set))?);
-            }
-        }
+    for (l, row) in left.iter().zip(state) {
+        row.finish(kind, ls, l, out)?;
     }
     Ok(())
 }
 
 /// Nested-loop join of fully materialized operands (one chunk + finish).
-pub fn join(
+#[cfg(test)]
+pub(crate) fn join(
     left: Rows<'_>,
     right: Rows<'_>,
     pred: &ScalarExpr,
@@ -129,7 +75,7 @@ pub fn join(
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
-    let mut state = BlockState::new(left.0.len(), kind);
+    let mut state = vec![RowMatch::default(); left.0.len()];
     join_chunk(left, right, pred, kind, env, m, &mut state, &mut out)?;
     finish_block(left, kind, &mut state, &mut out)?;
     Ok(out)
@@ -141,6 +87,7 @@ mod tests {
     use crate::op::bound;
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
+    use tmql_model::Value;
 
     fn rows(name: &str, vals: &[(i64, i64)], f1: &str, f2: &str) -> Vec<Record> {
         vals.iter()
@@ -320,7 +267,7 @@ mod tests {
             )
             .unwrap();
             for chunk_size in [1usize, 2, 3, 5] {
-                let mut state = BlockState::new(x.len(), kind);
+                let mut state = vec![RowMatch::default(); x.len()];
                 let mut out = Vec::new();
                 for chunk in y.chunks(chunk_size) {
                     join_chunk(

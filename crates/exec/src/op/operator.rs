@@ -19,8 +19,9 @@
 //! the per-plan-node `OpBase`, the profile tree and [`build`] — and the
 //! operators live one family per file beside it: `scan.rs` (table, index
 //! and set-expression leaves), `stream.rs` (σ, π, map, extend, μ),
-//! `join.rs` (nested-loop, index nested-loop, hash), `breaker.rs` (ν,
-//! GROUP BY, sort-merge join, set operations) and `crate::op::apply`.
+//! `join.rs` (one operator for the nested-loop, index nested-loop and
+//! hash joins), `breaker.rs` (ν, GROUP BY, sort-merge join, set
+//! operations) and `crate::op::apply`.
 //! The tree runs on the thread that drives it. Under
 //! [`crate::ExecConfig::memory_budget_rows`] the
 //! breakers cap their resident state and spill the excess to disk; the
@@ -49,7 +50,7 @@ use tmql_model::{Record, Result};
 use crate::exec::ExecContext;
 use crate::op::apply::ApplyOp;
 use crate::op::breaker::Breaker;
-use crate::op::join::{HashJoinOp, IndexNLJoinOp, NlJoinOp};
+use crate::op::join::{Algo, JoinOp};
 use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
 use crate::op::spill::{self, keys_part, value_part};
 use crate::op::stream::{ExtendOp, FilterOp, MapOp, ProjectOp, UnnestOp};
@@ -465,16 +466,16 @@ pub fn build_with<'p>(
             key,
             pred,
             kind,
-        } => Box::new(IndexNLJoinOp::new(
-            base,
-            sub(left),
-            right_table,
-            right_var,
-            attr,
-            key,
-            pred,
-            kind,
-        )),
+        } => {
+            let algo = Algo::Index {
+                table: right_table,
+                attr,
+                key,
+                pred,
+            };
+            let rs = Shape::bare(right_var);
+            Box::new(JoinOp::new(base, sub(left), None, rs, kind, algo))
+        }
         PhysPlan::ScanExpr { expr, var } => leaf(Box::new(ScanExprOp::new(base, expr, var))),
         PhysPlan::Filter { input, pred } => Box::new(FilterOp::new(base, sub(input), pred)),
         PhysPlan::Map { input, expr, var } => Box::new(MapOp::new(base, sub(input), expr, var)),
@@ -493,7 +494,18 @@ pub fn build_with<'p>(
             right,
             pred,
             kind,
-        } => Box::new(NlJoinOp::new(base, sub(left), sub(right), pred, kind)),
+        } => {
+            let right = sub(right);
+            let rs = right.shape().clone();
+            Box::new(JoinOp::new(
+                base,
+                sub(left),
+                Some(right),
+                rs,
+                kind,
+                Algo::Nl(pred),
+            ))
+        }
         PhysPlan::HashJoin {
             left,
             right,
@@ -501,15 +513,18 @@ pub fn build_with<'p>(
             right_keys,
             residual,
             kind,
-        } => Box::new(HashJoinOp::new(
-            base,
-            sub(left),
-            sub(right),
-            left_keys,
-            right_keys,
-            residual.as_ref(),
-            kind,
-        )),
+        } => {
+            let (left, right) = (sub(left), sub(right));
+            let algo = Algo::Hash {
+                left_keys,
+                right_keys,
+                residual: residual.as_ref(),
+                build_part: keys_part(right_keys, right.shape()),
+                probe_part: keys_part(left_keys, left.shape()),
+            };
+            let rs = right.shape().clone();
+            Box::new(JoinOp::new(base, left, Some(right), rs, kind, algo))
+        }
         PhysPlan::MergeJoin {
             left,
             right,

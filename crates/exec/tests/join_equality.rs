@@ -7,16 +7,17 @@
 //! `x.k = y.k` over keys chosen to collide — `Int`/`Float` spellings of one
 //! number, ±0.0, NaN payloads, 2⁵³ ± 1, the ends of i64, 2⁶³ as a float,
 //! NULL, and tuples and sets holding them — and must return exactly the
-//! unbudgeted nested-loop join's rows. On the same keys the scan pre-test
-//! must reject a row exactly when `eval` says the comparison is false, and
-//! the two index kinds' probes must select exactly the rows `eval` does.
+//! rows the kind's definition gives, built here pair by pair without the
+//! executor. On the same keys the scan pre-test must reject a row exactly
+//! when `eval` says the comparison is false, and the two index kinds'
+//! probes must select exactly the rows `eval` does.
 
 use std::ops::Bound;
 
 use proptest::prelude::*;
 use tmql_algebra::{eval_predicate, CmpOp, Env, Plan, ScalarExpr as E};
 use tmql_exec::{execute, lower, ExecConfig, ExecContext, JoinKind, PhysPlan};
-use tmql_model::{Record, Ty, Value};
+use tmql_model::{ModelError, Record, Ty, Value};
 use tmql_storage::spill::encode_record;
 use tmql_storage::{Catalog, OrdIndex, RowTest, Table};
 
@@ -159,6 +160,47 @@ fn run(plan: &PhysPlan, cat: &Catalog, budget: Option<usize>) -> Vec<Record> {
     rows
 }
 
+/// The rows `x ⟨kind⟩ y` on `x.k = y.k` holds by definition, sorted: a
+/// pair matches when `eval_predicate` says so, and each kind's rows are
+/// built with `Record::new` — ⋈ every matching pair, ⋉ the left rows with
+/// a match, ▷ those without, ⟕ the pairs and the NULL-extended dangling
+/// rows, Δ each left row with the set of its matches' `y.id` (∅ if none).
+fn by_definition(kind: &JoinKind, xs: &[Record], ys: &[Record]) -> Vec<Record> {
+    let pred = E::eq(E::path("x", &["k"]), E::path("y", &["k"]));
+    let root = Env::new();
+    let row = |fields: Vec<(&str, Value)>| Record::new(fields).unwrap();
+    let mut out = Vec::new();
+    for x in xs {
+        let env = root.bind_tuple("x", x);
+        let partners: Vec<&Record> = ys
+            .iter()
+            .filter(|y| eval_predicate(&pred, &env.bind_tuple("y", y)).unwrap())
+            .collect();
+        let x = ("x", Value::Tuple(x.clone()));
+        let pairs = partners
+            .iter()
+            .map(|y| row(vec![x.clone(), ("y", Value::Tuple((*y).clone()))]));
+        match kind {
+            JoinKind::Inner => out.extend(pairs),
+            JoinKind::Semi | JoinKind::Anti => {
+                if partners.is_empty() == matches!(kind, JoinKind::Anti) {
+                    out.push(row(vec![x]));
+                }
+            }
+            JoinKind::LeftOuter { .. } if partners.is_empty() => {
+                out.push(row(vec![x, ("y", Value::Null)]))
+            }
+            JoinKind::LeftOuter { .. } => out.extend(pairs),
+            JoinKind::Nest { .. } => {
+                let ids = partners.iter().map(|y| y.get("id").unwrap().clone());
+                out.push(row(vec![x, ("s", Value::set(ids.collect::<Vec<_>>()))]));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
 /// Whether `k` is within `bound`, as `eval` sees it: `k ⟨inclusive⟩ v`
 /// or `k ⟨strict⟩ v` against its key `v`, and true when there is none.
 fn holds(k: &Value, bound: Bound<&Value>, inclusive: CmpOp, strict: CmpOp) -> bool {
@@ -180,7 +222,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn every_join_algorithm_answers_like_the_nested_loop(
+    fn every_join_algorithm_answers_by_the_kinds_definition(
         xs in prop::collection::vec(arb_key(), 0..10),
         ys in prop::collection::vec(arb_key(), 0..10),
     ) {
@@ -189,8 +231,7 @@ proptest! {
         cat.register(table("Y", &ys)).unwrap();
         cat.create_index("Y", "k").unwrap();
         for kind in kinds() {
-            let [(_, reference), ..] = plans(&kind);
-            let want = run(&reference, &cat, None);
+            let want = by_definition(&kind, &rows(&xs), &rows(&ys));
             for budget in [None, Some(7)] {
                 for (algo, plan) in plans(&kind) {
                     let got = run(&plan, &cat, budget);
@@ -281,5 +322,36 @@ fn a_strict_range_fetches_only_the_rows_it_keeps() {
         let rows = execute(&phys, &mut ctx, &Env::new()).unwrap();
         assert_eq!(rows.len(), kept, "{pred}");
         assert_eq!(ctx.metrics.index_hits, kept as u64, "{pred}");
+    }
+}
+
+/// A plan that expects an index the catalog no longer has fails with a
+/// typed error when it runs — the index join looks its index up per left
+/// batch, the index scan at its probe — and leaves nothing resident.
+#[test]
+fn a_dropped_index_is_a_typed_error() {
+    let ints = |n: i64| (0..n).map(Value::Int).collect::<Vec<_>>();
+    let mut cat = Catalog::new();
+    cat.register(table("X", &ints(4))).unwrap();
+    cat.register(table("Y", &ints(1000))).unwrap();
+    cat.create_index("Y", "k").unwrap();
+    let (xk, yk) = (E::path("x", &["k"]), E::path("y", &["k"]));
+    let join = Plan::scan("X", "x").semi_join(Plan::scan("Y", "y"), E::eq(xk, yk.clone()));
+    let probe = Plan::scan("Y", "y").select(E::eq(yk, E::lit(3i64)));
+    let config = ExecConfig::default();
+    let phys = [join, probe].map(|plan| lower(&plan, &cat, &config).unwrap());
+    assert!(
+        matches!(phys[0], PhysPlan::IndexNLJoin { .. }),
+        "{}",
+        phys[0]
+    );
+    assert!(matches!(phys[1], PhysPlan::IndexScan { .. }), "{}", phys[1]);
+    assert!(cat.drop_index("Y", "k").unwrap());
+    for plan in &phys {
+        let mut ctx = ExecContext::with_config(&cat, &config);
+        let err = execute(plan, &mut ctx, &Env::new()).unwrap_err();
+        let want = "plan expects an index on Y.k but none exists";
+        assert_eq!(err, ModelError::SchemaError(want.into()), "{plan}");
+        assert_eq!(ctx.resident_rows(), 0, "{plan}");
     }
 }

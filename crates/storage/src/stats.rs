@@ -801,7 +801,7 @@ mod tests {
     fn incremental_builder_matches_compute() {
         let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
         let mut b = StatsBuilder::new(["a", "b"]);
-        for row in t.rows() {
+        for row in t.rows_vec().unwrap().iter() {
             b.observe(row);
         }
         assert_eq!(b.finish(), TableStats::compute(&t).unwrap());

@@ -18,8 +18,9 @@
 //! [`Table::batches`] return owned row batches (a disk fault can fail,
 //! so both are fallible), which is what the streaming executor's scan
 //! cursor consumes; [`Table::batch_where`] is the same read behind a
-//! [`RowTest`], which turns rows down before they are materialized. [`Table::rows`] keeps the borrowed iterator for
-//! in-memory tables only.
+//! [`RowTest`], which turns rows down before they are materialized.
+//! [`Table::rows_vec`] materializes every row of either backing, and
+//! [`Table::mem_rows`] borrows them from an in-memory table.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -207,32 +208,14 @@ impl Table {
         Ok(())
     }
 
-    /// Borrow the in-memory row vector (`None` for disk-backed tables).
-    pub(crate) fn mem_rows(&self) -> Option<&[Record]> {
+    /// Borrow the rows in first-insertion order: `None` for a disk-backed
+    /// table, whose rows cannot be borrowed — [`Table::rows_vec`] reads
+    /// every backing, and [`Table::batches`] streams it.
+    pub fn mem_rows(&self) -> Option<&[Record]> {
         match &self.backing {
             Backing::Mem { rows } => Some(rows.as_slice()),
             Backing::Disk { .. } => None,
         }
-    }
-
-    /// Iterate rows in first-insertion order, borrowing them.
-    ///
-    /// # Panics
-    ///
-    /// Panics for disk-backed tables, whose rows cannot be borrowed —
-    /// use [`Table::batches`] or [`Table::rows_vec`] there. Every
-    /// in-engine consumer of disk tables goes through the batch cursor;
-    /// this borrowed form stays for the in-memory construction paths
-    /// (statistics, workload generators, tests).
-    pub fn rows(&self) -> impl Iterator<Item = &Record> {
-        self.mem_rows()
-            .unwrap_or_else(|| {
-                panic!(
-                    "Table::rows on disk-backed table `{}`; use batches()/rows_vec()",
-                    self.name
-                )
-            })
-            .iter()
     }
 
     /// All rows, materialized (disk tables stream through the buffer

@@ -385,12 +385,13 @@ mod tests {
         assert_eq!(r.len(), 40);
         assert_eq!(s.len(), 60);
         // Even rows carry the true count of S matches.
-        for row in r.rows().take(10) {
+        let s = s.rows_vec().unwrap();
+        for row in r.rows_vec().unwrap().iter().take(10) {
             let a = row.get("a").unwrap().as_int().unwrap();
             if a % 2 == 0 {
                 let c = row.get("c").unwrap();
                 let b = row.get("b").unwrap().as_int().unwrap();
-                let actual = s.rows().filter(|srow| srow.get("c").unwrap() == c).count() as i64;
+                let actual = s.iter().filter(|srow| srow.get("c").unwrap() == c).count() as i64;
                 assert_eq!(b, actual, "row a={a}");
             }
         }
@@ -407,7 +408,9 @@ mod tests {
         let cat = gen_rs(&cfg);
         let s = cat.table("S").unwrap();
         let max_key = s
-            .rows()
+            .rows_vec()
+            .unwrap()
+            .iter()
             .map(|r| r.get("c").unwrap().as_int().unwrap())
             .max()
             .unwrap();
@@ -422,7 +425,9 @@ mod tests {
         let cat = gen_xy(&GenConfig::sized(30));
         let x = cat.table("X").unwrap();
         assert!(x
-            .rows()
+            .rows_vec()
+            .unwrap()
+            .iter()
             .all(|r| matches!(r.get("a").unwrap(), Value::Set(_))));
     }
 

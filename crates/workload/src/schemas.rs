@@ -139,7 +139,7 @@ pub fn company_catalog() -> Catalog {
     // Departments embed their employees' tuples in the set-valued `emps`
     // attribute ("set-valued attributes are stored with the objects
     // themselves", Section 3.2).
-    let emp_rows: Vec<Record> = emp.rows().cloned().collect();
+    let emp_rows = emp.mem_rows().unwrap_or_default();
     let emp_by_name = |n: &str| {
         Value::Tuple(
             emp_rows
@@ -274,7 +274,9 @@ mod tests {
         let cat = count_bug_catalog();
         let r = cat.table("R").unwrap();
         let dangling: Vec<_> = r
-            .rows()
+            .rows_vec()
+            .unwrap()
+            .into_iter()
             .filter(|row| row.get("c").unwrap() == &Value::Int(99))
             .collect();
         assert_eq!(dangling.len(), 1);
@@ -290,7 +292,7 @@ mod tests {
         assert!(cat.schema().class_by_extension("EMP").is_some());
         // Departments embed employee tuples.
         let dept = cat.table("DEPT").unwrap();
-        let cs = dept.rows().next().unwrap();
+        let cs = &dept.rows_vec().unwrap()[0];
         let emps = cs.get("emps").unwrap().as_set().unwrap();
         assert_eq!(emps.len(), 2);
     }

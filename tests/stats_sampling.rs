@@ -22,7 +22,7 @@ fn qerr(est: f64, act: f64) -> f64 {
 
 fn exact_stats(t: &Table) -> TableStats {
     let mut b = StatsBuilder::exact(t.columns().iter().map(|(n, _)| n.as_str()));
-    for row in t.rows() {
+    for row in t.rows_vec().unwrap().iter() {
         b.observe(row);
     }
     b.finish()
