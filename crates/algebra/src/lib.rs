@@ -39,7 +39,7 @@ pub mod scalar;
 pub mod typing;
 
 pub use eval::{eval, eval_predicate, with_value, with_values, Env};
-pub use plan::{AggFn, Plan, SetOpKind};
+pub use plan::{AggFn, JoinKind, Plan, SetOpKind};
 pub use scalar::{ArithOp, CmpOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
 
 pub use tmql_model::{ModelError, Result};

@@ -19,6 +19,55 @@ pub enum SetOpKind {
     Except,
 }
 
+/// What a [`Plan::Join`] emits per left row: the paper treats the join
+/// family as one operator that differs only in this (Section 6).
+#[derive(Debug, Clone, PartialEq)]
+pub enum JoinKind {
+    /// Regular join ⋈: the concatenated matching pairs.
+    Inner,
+    /// Semijoin ⋉: left rows with at least one matching right row.
+    Semi,
+    /// Antijoin ▷: left rows with no matching right row.
+    Anti,
+    /// Left outerjoin ⟕: like join, but dangling left rows survive with the
+    /// right side's variables bound to NULL. **Relational baseline only** —
+    /// the nest join makes this unnecessary in the complex object model.
+    LeftOuter,
+    /// The paper's **nest join** Δ: each left row is extended with
+    /// `label = { func(l ++ r) | r ∈ right, pred(l ++ r) }`. Dangling left
+    /// rows get `label = ∅`.
+    Nest {
+        /// Join function G(x, y) applied to matching right rows.
+        func: ScalarExpr,
+        /// Fresh label for the nested set ("an arbitrary label not occurring
+        /// on the top level of X").
+        label: String,
+    },
+}
+
+impl JoinKind {
+    /// The output variables of a join of this kind, from its operands'.
+    pub fn output_vars(&self, mut left: Vec<String>, right: Vec<String>) -> Vec<String> {
+        match self {
+            JoinKind::Inner | JoinKind::LeftOuter => left.extend(right),
+            JoinKind::Semi | JoinKind::Anti => {}
+            JoinKind::Nest { label, .. } => left.push(label.clone()),
+        }
+        left
+    }
+
+    /// Short name for explain output.
+    pub fn name(&self) -> &'static str {
+        match self {
+            JoinKind::Inner => "join",
+            JoinKind::Semi => "semijoin",
+            JoinKind::Anti => "antijoin",
+            JoinKind::LeftOuter => "outerjoin",
+            JoinKind::Nest { .. } => "nestjoin",
+        }
+    }
+}
+
 /// A logical plan. Rows are [`Record`]s of variable bindings; see the crate
 /// docs for the representation.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,59 +121,17 @@ pub enum Plan {
         /// Variables to keep.
         vars: Vec<String>,
     },
-    /// Regular join ⋈ on an arbitrary predicate.
+    /// A member of the join family (Section 6): one predicate over two
+    /// operands, with `kind` saying what a left row emits.
     Join {
+        /// Which join: ⋈, ⋉, ▷, ⟕ or Δ.
+        kind: JoinKind,
         /// Left operand.
         left: Box<Plan>,
         /// Right operand.
         right: Box<Plan>,
-        /// Join predicate over both sides' variables.
+        /// Join predicate over both sides' variables (Δ's Q(x, y)).
         pred: ScalarExpr,
-    },
-    /// Semijoin ⋉: left rows with at least one matching right row.
-    SemiJoin {
-        /// Left operand.
-        left: Box<Plan>,
-        /// Right operand.
-        right: Box<Plan>,
-        /// Join predicate.
-        pred: ScalarExpr,
-    },
-    /// Antijoin ▷: left rows with no matching right row.
-    AntiJoin {
-        /// Left operand.
-        left: Box<Plan>,
-        /// Right operand.
-        right: Box<Plan>,
-        /// Join predicate.
-        pred: ScalarExpr,
-    },
-    /// Left outerjoin ⟕: like join, but dangling left rows survive with the
-    /// right side's variables bound to NULL. **Relational baseline only** —
-    /// the nest join makes this unnecessary in the complex object model.
-    LeftOuterJoin {
-        /// Left operand.
-        left: Box<Plan>,
-        /// Right operand.
-        right: Box<Plan>,
-        /// Join predicate.
-        pred: ScalarExpr,
-    },
-    /// The paper's **nest join** Δ (Section 6): each left row is extended
-    /// with `label = { func(l ++ r) | r ∈ right, pred(l ++ r) }`. Dangling
-    /// left rows get `label = ∅`.
-    NestJoin {
-        /// Left operand.
-        left: Box<Plan>,
-        /// Right operand.
-        right: Box<Plan>,
-        /// Join predicate Q(x, y).
-        pred: ScalarExpr,
-        /// Join function G(x, y) applied to matching right rows.
-        func: ScalarExpr,
-        /// Fresh label for the nested set ("an arbitrary label not occurring
-        /// on the top level of X").
-        label: String,
     },
     /// The nest operator ν (and its ν* variant): group rows by the values
     /// of `keys`, collapsing each group to one row with
@@ -240,31 +247,34 @@ impl Plan {
         }
     }
 
-    /// Join builder.
-    pub fn join(self, right: Plan, pred: ScalarExpr) -> Plan {
+    /// Join builder: `self ⟨kind⟩_pred right`.
+    pub fn join_as(self, kind: JoinKind, right: Plan, pred: ScalarExpr) -> Plan {
         Plan::Join {
+            kind,
             left: Box::new(self),
             right: Box::new(right),
             pred,
         }
+    }
+
+    /// Join builder.
+    pub fn join(self, right: Plan, pred: ScalarExpr) -> Plan {
+        self.join_as(JoinKind::Inner, right, pred)
     }
 
     /// Semijoin builder.
     pub fn semi_join(self, right: Plan, pred: ScalarExpr) -> Plan {
-        Plan::SemiJoin {
-            left: Box::new(self),
-            right: Box::new(right),
-            pred,
-        }
+        self.join_as(JoinKind::Semi, right, pred)
     }
 
     /// Antijoin builder.
     pub fn anti_join(self, right: Plan, pred: ScalarExpr) -> Plan {
-        Plan::AntiJoin {
-            left: Box::new(self),
-            right: Box::new(right),
-            pred,
-        }
+        self.join_as(JoinKind::Anti, right, pred)
+    }
+
+    /// Left outerjoin builder.
+    pub fn left_outer_join(self, right: Plan, pred: ScalarExpr) -> Plan {
+        self.join_as(JoinKind::LeftOuter, right, pred)
     }
 
     /// Nest join builder.
@@ -275,13 +285,8 @@ impl Plan {
         func: ScalarExpr,
         label: impl Into<String>,
     ) -> Plan {
-        Plan::NestJoin {
-            left: Box::new(self),
-            right: Box::new(right),
-            pred,
-            func,
-            label: label.into(),
-        }
+        let label = label.into();
+        self.join_as(JoinKind::Nest { func, label }, right, pred)
     }
 
     /// Apply builder.
@@ -305,17 +310,9 @@ impl Plan {
                 v
             }
             Plan::Project { vars, .. } => vars.clone(),
-            Plan::Join { left, right, .. } | Plan::LeftOuterJoin { left, right, .. } => {
-                let mut v = left.output_vars();
-                v.extend(right.output_vars());
-                v
-            }
-            Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => left.output_vars(),
-            Plan::NestJoin { left, label, .. } => {
-                let mut v = left.output_vars();
-                v.push(label.clone());
-                v
-            }
+            Plan::Join {
+                kind, left, right, ..
+            } => kind.output_vars(left.output_vars(), right.output_vars()),
             Plan::Nest { keys, label, .. } => {
                 let mut v = keys.clone();
                 v.push(label.clone());
@@ -367,12 +364,9 @@ impl Plan {
             | Plan::Nest { input, .. }
             | Plan::Unnest { input, .. }
             | Plan::GroupAgg { input, .. } => vec![input],
-            Plan::Join { left, right, .. }
-            | Plan::SemiJoin { left, right, .. }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::LeftOuterJoin { left, right, .. }
-            | Plan::NestJoin { left, right, .. }
-            | Plan::SetOp { left, right, .. } => vec![left, right],
+            Plan::Join { left, right, .. } | Plan::SetOp { left, right, .. } => {
+                vec![left, right]
+            }
             Plan::Apply {
                 input, subquery, ..
             } => vec![input, subquery],
@@ -390,12 +384,9 @@ impl Plan {
             | Plan::Nest { input, .. }
             | Plan::Unnest { input, .. }
             | Plan::GroupAgg { input, .. } => vec![input],
-            Plan::Join { left, right, .. }
-            | Plan::SemiJoin { left, right, .. }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::LeftOuterJoin { left, right, .. }
-            | Plan::NestJoin { left, right, .. }
-            | Plan::SetOp { left, right, .. } => vec![left, right],
+            Plan::Join { left, right, .. } | Plan::SetOp { left, right, .. } => {
+                vec![left, right]
+            }
             Plan::Apply {
                 input, subquery, ..
             } => vec![input, subquery],
@@ -460,7 +451,10 @@ impl Plan {
             | Plan::GroupAgg { var, .. }
             | Plan::SetOp { var, .. }
             | Plan::Unnest { elem_var: var, .. }
-            | Plan::NestJoin { label: var, .. }
+            | Plan::Join {
+                kind: JoinKind::Nest { label: var, .. },
+                ..
+            }
             | Plan::Apply { label: var, .. } => {
                 bound.insert(var.clone());
             }
@@ -469,11 +463,7 @@ impl Plan {
                 referenced.extend(keys.iter().cloned());
                 bound.insert(label.clone());
             }
-            Plan::Select { .. }
-            | Plan::Join { .. }
-            | Plan::SemiJoin { .. }
-            | Plan::AntiJoin { .. }
-            | Plan::LeftOuterJoin { .. } => {}
+            Plan::Select { .. } | Plan::Join { .. } => {}
         }
         for c in self.children() {
             c.collect_vars(referenced, bound);
@@ -491,14 +481,12 @@ impl Plan {
             | Plan::Extend { expr, .. }
             | Plan::Unnest { expr, .. }
             | Plan::Nest { value: expr, .. }
-            | Plan::Select { pred: expr, .. }
-            | Plan::Join { pred: expr, .. }
-            | Plan::SemiJoin { pred: expr, .. }
-            | Plan::AntiJoin { pred: expr, .. }
-            | Plan::LeftOuterJoin { pred: expr, .. } => f(expr),
-            Plan::NestJoin { pred, func, .. } => {
+            | Plan::Select { pred: expr, .. } => f(expr),
+            Plan::Join { kind, pred, .. } => {
                 f(pred);
-                f(func);
+                if let JoinKind::Nest { func, .. } = kind {
+                    f(func);
+                }
             }
             Plan::GroupAgg { keys, aggs, .. } => {
                 keys.iter().for_each(|(_, e)| f(e));
@@ -519,7 +507,15 @@ impl Plan {
 
     /// True iff the plan contains a nest join.
     pub fn has_nest_join(&self) -> bool {
-        self.any_node(&mut |p| matches!(p, Plan::NestJoin { .. }))
+        self.any_node(&mut |p| {
+            matches!(
+                p,
+                Plan::Join {
+                    kind: JoinKind::Nest { .. },
+                    ..
+                }
+            )
+        })
     }
 }
 

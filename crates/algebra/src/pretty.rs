@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::plan::{Plan, SetOpKind};
+use crate::plan::{JoinKind, Plan, SetOpKind};
 
 /// Render a plan as an indented operator tree, one operator per line, using
 /// the paper's operator symbols where they exist (⋈ ⋉ ▷ ⟕ Δ ν μ σ π).
@@ -50,15 +50,15 @@ fn head(plan: &Plan) -> String {
         Plan::Map { expr, var, .. } => format!("Map [{var} := {expr}]"),
         Plan::Extend { expr, var, .. } => format!("Extend [{var} := {expr}]"),
         Plan::Project { vars, .. } => format!("π [{}]", vars.join(", ")),
-        Plan::Join { pred, .. } => format!("⋈ [{pred}]"),
-        Plan::SemiJoin { pred, .. } => format!("⋉ semijoin [{pred}]"),
-        Plan::AntiJoin { pred, .. } => format!("▷ antijoin [{pred}]"),
-        Plan::LeftOuterJoin { pred, .. } => format!("⟕ outerjoin [{pred}]"),
-        Plan::NestJoin {
-            pred, func, label, ..
-        } => {
-            format!("Δ nestjoin [{pred}; {label} := {{{func}}}]")
-        }
+        Plan::Join { kind, pred, .. } => match kind {
+            JoinKind::Inner => format!("⋈ [{pred}]"),
+            JoinKind::Semi => format!("⋉ semijoin [{pred}]"),
+            JoinKind::Anti => format!("▷ antijoin [{pred}]"),
+            JoinKind::LeftOuter => format!("⟕ outerjoin [{pred}]"),
+            JoinKind::Nest { func, label } => {
+                format!("Δ nestjoin [{pred}; {label} := {{{func}}}]")
+            }
+        },
         Plan::Nest {
             keys,
             value,

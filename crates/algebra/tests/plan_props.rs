@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use tmql_algebra::rewrite::{fixpoint, transform_up};
-use tmql_algebra::{Plan, Quantifier, ScalarExpr as E, SetCmpOp, SetOpKind};
+use tmql_algebra::{JoinKind, Plan, Quantifier, ScalarExpr as E, SetCmpOp, SetOpKind};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-c]".prop_map(|s| format!("v{s}"))
@@ -166,13 +166,16 @@ fn plan_free_vars_reference(p: &Plan) -> BTreeSet<String> {
                 bound.insert(var.clone());
             }
             Plan::Select { pred, .. }
-            | Plan::Join { pred, .. }
-            | Plan::SemiJoin { pred, .. }
-            | Plan::AntiJoin { pred, .. }
-            | Plan::LeftOuterJoin { pred, .. } => add(pred),
+            | Plan::Join {
+                kind: JoinKind::Inner | JoinKind::Semi | JoinKind::Anti | JoinKind::LeftOuter,
+                pred,
+                ..
+            } => add(pred),
             Plan::Project { vars, .. } => referenced.extend(vars.iter().cloned()),
-            Plan::NestJoin {
-                pred, func, label, ..
+            Plan::Join {
+                kind: JoinKind::Nest { func, label },
+                pred,
+                ..
             } => {
                 add(pred);
                 add(func);
@@ -230,13 +233,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
             (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| l.join(r, e)),
             (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| l.semi_join(r, e)),
             (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| l.anti_join(r, e)),
-            (inner.clone(), inner.clone(), arb_scalar()).prop_map(|(l, r, e)| {
-                Plan::LeftOuterJoin {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    pred: e,
-                }
-            }),
+            (inner.clone(), inner.clone(), arb_scalar())
+                .prop_map(|(l, r, e)| l.left_outer_join(r, e)),
             (
                 inner.clone(),
                 inner.clone(),

@@ -35,8 +35,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tmql_algebra::{Env, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::exec::sort_distinct;
-use tmql_exec::op::{hash, Shape};
-use tmql_exec::{JoinKind, Metrics};
+use tmql_exec::op::{hash, JoinKind, Shape};
+use tmql_exec::Metrics;
 use tmql_model::hash::ValueHasher;
 use tmql_model::{setops, Record, RecordSet, Value};
 use tmql_workload::gen::{gen_xy, GenConfig};
@@ -78,7 +78,7 @@ fn bench_values(c: &mut Criterion) {
         // (n, b, a): same rows, label order to be sorted on every compare.
         let permuted: Vec<Record> = x
             .iter()
-            .map(|r| r.fields().iter().rev().cloned().collect())
+            .map(|r| Record::new(r.fields().iter().rev().cloned()).expect("distinct labels"))
             .collect();
         for (name, side) in [
             ("record_cmp/same_schema", &x),

@@ -23,9 +23,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql::{Database, Record, Table, Ty, Value};
-use tmql_algebra::{Env, ScalarExpr as E};
+use tmql_algebra::{Env, JoinKind, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
-use tmql_exec::{execute, ExecConfig, ExecContext, JoinKind, PhysPlan};
+use tmql_exec::planner::EquiSplit;
+use tmql_exec::{execute, ExecConfig, ExecContext, JoinPath, PhysPlan};
 
 const WARM_POOL: usize = 4096;
 const KEYS: i64 = 64;
@@ -58,13 +59,17 @@ fn scan(table: &str, var: &str) -> Box<PhysPlan> {
 }
 
 fn hash_join(left: &str, right: &str, kind: JoinKind) -> PhysPlan {
-    PhysPlan::HashJoin {
-        left: scan(left, "l"),
-        right: scan(right, "r"),
-        left_keys: vec![E::path("l", &["b"])],
-        right_keys: vec![E::path("r", &["b"])],
-        residual: None,
+    PhysPlan::Join {
         kind,
+        left: scan(left, "l"),
+        path: JoinPath::Hash {
+            right: scan(right, "r"),
+            keys: EquiSplit {
+                left_keys: vec![E::path("l", &["b"])],
+                right_keys: vec![E::path("r", &["b"])],
+                residual: None,
+            },
+        },
     }
 }
 

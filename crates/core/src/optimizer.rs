@@ -132,7 +132,7 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmql_algebra::{AggFn, ScalarExpr as E, SetCmpOp};
+    use tmql_algebra::{AggFn, JoinKind, ScalarExpr as E, SetCmpOp};
 
     fn sub() -> Plan {
         Plan::scan("Y", "y")
@@ -159,9 +159,15 @@ mod tests {
             plan.any_node(&mut |n| {
                 cost += match n {
                     Plan::Apply { .. } => 1000.0,
-                    Plan::LeftOuterJoin { .. } => 50.0,
+                    Plan::Join {
+                        kind: JoinKind::LeftOuter,
+                        ..
+                    } => 50.0,
                     Plan::GroupAgg { .. } | Plan::Nest { .. } => 25.0,
-                    Plan::NestJoin { .. } => 20.0,
+                    Plan::Join {
+                        kind: JoinKind::Nest { .. },
+                        ..
+                    } => 20.0,
                     _ => 1.0,
                 };
                 false
@@ -174,7 +180,13 @@ mod tests {
     fn optimal_flattens_membership_to_semijoin() {
         let plan = where_block(E::set_cmp(SetCmpOp::In, E::path("x", &["a"]), E::var("z")));
         let out = unnest_plan(plan, UnnestStrategy::Optimal);
-        assert!(out.any_node(&mut |n| matches!(n, Plan::SemiJoin { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Semi,
+                ..
+            }
+        )));
         assert!(!out.has_nest_join());
     }
 
@@ -222,7 +234,13 @@ mod tests {
         let plan = where_block(E::set_cmp(SetCmpOp::In, E::path("x", &["a"]), E::var("z")));
         let out = unnest_plan_with(plan, UnnestStrategy::CostBased, Some(&OpCountModel));
         assert!(
-            out.any_node(&mut |n| matches!(n, Plan::SemiJoin { .. })),
+            out.any_node(&mut |n| matches!(
+                n,
+                Plan::Join {
+                    kind: JoinKind::Semi,
+                    ..
+                }
+            )),
             "{out}"
         );
         assert!(!out.has_apply());
@@ -241,7 +259,13 @@ mod tests {
         let out = unnest_plan_with(plan, UnnestStrategy::CostBased, Some(&OpCountModel));
         assert!(out.has_nest_join(), "{out}");
         assert!(
-            !out.any_node(&mut |n| matches!(n, Plan::LeftOuterJoin { .. })),
+            !out.any_node(&mut |n| matches!(
+                n,
+                Plan::Join {
+                    kind: JoinKind::LeftOuter,
+                    ..
+                }
+            )),
             "{out}"
         );
         assert!(!out.has_apply());
@@ -258,7 +282,10 @@ mod tests {
                 plan.any_node(&mut |n| {
                     cost += match n {
                         Plan::Apply { .. } => 1000.0,
-                        Plan::NestJoin { .. } => 500.0,
+                        Plan::Join {
+                            kind: JoinKind::Nest { .. },
+                            ..
+                        } => 500.0,
                         _ => 1.0,
                     };
                     false
@@ -364,7 +391,7 @@ mod tests {
         let out = Optimizer::default().optimize(where_block(pred));
         // Residual landed below the semijoin's left input.
         let pushed = out.any_node(&mut |n| {
-            matches!(n, Plan::SemiJoin { left, .. } if matches!(&**left, Plan::Select { .. }))
+            matches!(n, Plan::Join { kind: JoinKind::Semi, left, .. } if matches!(&**left, Plan::Select { .. }))
         });
         assert!(pushed, "{out}");
     }
@@ -383,6 +410,12 @@ mod tests {
         let out = Optimizer::default().optimize(plan);
         assert!(!out.has_apply());
         assert!(!out.has_nest_join(), "collapse must beat nest join: {out}");
-        assert!(out.any_node(&mut |n| matches!(n, Plan::Join { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+        )));
     }
 }

@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 
 use tmql_algebra::rewrite::fixpoint;
-use tmql_algebra::{Plan, ScalarExpr};
+use tmql_algebra::{JoinKind, Plan, ScalarExpr};
 
 use crate::strategy::{decompose_subquery, decorrelatable};
 
@@ -24,7 +24,12 @@ pub fn project_nestjoin_elim(plan: &Plan) -> Option<Plan> {
     let Plan::Project { input, vars } = plan else {
         return None;
     };
-    let Plan::NestJoin { left, label, .. } = &**input else {
+    let Plan::Join {
+        kind: JoinKind::Nest { label, .. },
+        left,
+        ..
+    } = &**input
+    else {
         return None;
     };
     if vars.contains(label) {
@@ -55,12 +60,16 @@ pub fn select_pushdown(plan: &Plan) -> Option<Plan> {
     let Plan::Select { input, pred } = plan else {
         return None;
     };
-    let (left, right) = match &**input {
-        Plan::Join { left, right, .. } => (left, Some(right)),
-        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } | Plan::NestJoin { left, .. } => {
-            (left, None)
-        }
-        _ => return None,
+    let Plan::Join {
+        kind, left, right, ..
+    } = &**input
+    else {
+        return None;
+    };
+    let right = match kind {
+        JoinKind::Inner => Some(right),
+        JoinKind::Semi | JoinKind::Anti | JoinKind::Nest { .. } => None,
+        JoinKind::LeftOuter => return None,
     };
     let fv = pred.free_vars();
     let covers = |p: &Plan| {
@@ -80,87 +89,55 @@ pub fn select_pushdown(plan: &Plan) -> Option<Plan> {
     Some(out)
 }
 
-/// Section 6, second equivalence:
-/// `(X ⋈_{r(x,y)} Y) Δ_{r(x,z)} Z ≡ (X Δ_{r(x,z)} Z) ⋈_{r(x,y)} Y`.
-/// The nest join slides below a join when its predicate and function only
-/// touch the join's left operand.
-pub fn nestjoin_join_interchange(plan: &Plan) -> Option<Plan> {
-    let Plan::NestJoin {
+/// Match `(X ⋈_{p1} Y) Δ_{p2} Z`, the shape both Section 6 laws below
+/// rewrite, when Δ's predicate and function read only Z and the join's
+/// `side` operand (0: X, 1: Y). Returns X, Y, `p1` and `W ↦ W Δ_{p2} Z`.
+fn nest_over_join(
+    plan: &Plan,
+    side: usize,
+) -> Option<(&Plan, &Plan, &ScalarExpr, impl Fn(&Plan) -> Plan + '_)> {
+    let Plan::Join {
+        kind: nest @ JoinKind::Nest { func, .. },
         left,
-        right: z_plan,
+        right: z,
         pred: p2,
-        func,
-        label,
     } = plan
     else {
         return None;
     };
     let Plan::Join {
-        left: x_plan,
-        right: y_plan,
+        kind: JoinKind::Inner,
+        left: x,
+        right: y,
         pred: p1,
     } = &**left
     else {
         return None;
     };
-    let xv: BTreeSet<String> = x_plan.output_vars().into_iter().collect();
-    let zv: BTreeSet<String> = z_plan.output_vars().into_iter().collect();
-    let allowed: BTreeSet<String> = xv.union(&zv).cloned().collect();
+    let mut allowed: BTreeSet<String> = [x, y][side].output_vars().into_iter().collect();
+    allowed.extend(z.output_vars());
     if !p2.free_vars().is_subset(&allowed) || !func.free_vars().is_subset(&allowed) {
         return None;
     }
-    Some(Plan::Join {
-        left: Box::new(Plan::NestJoin {
-            left: x_plan.clone(),
-            right: z_plan.clone(),
-            pred: p2.clone(),
-            func: func.clone(),
-            label: label.clone(),
-        }),
-        right: y_plan.clone(),
-        pred: p1.clone(),
-    })
+    let delta = |w: &Plan| w.clone().join_as(nest.clone(), (**z).clone(), p2.clone());
+    Some((&**x, &**y, p1, delta))
+}
+
+/// Section 6, second equivalence:
+/// `(X ⋈_{r(x,y)} Y) Δ_{r(x,z)} Z ≡ (X Δ_{r(x,z)} Z) ⋈_{r(x,y)} Y`.
+/// The nest join slides below a join when its predicate and function only
+/// touch the join's left operand.
+pub fn nestjoin_join_interchange(plan: &Plan) -> Option<Plan> {
+    let (x, y, p1, delta) = nest_over_join(plan, 0)?;
+    Some(delta(x).join(y.clone(), p1.clone()))
 }
 
 /// Section 6, third equivalence:
 /// `(X ⋈_{r(x,y)} Y) Δ_{r(y,z)} Z ≡ X ⋈_{r(x,y)} (Y Δ_{r(y,z)} Z)`.
 /// The nest join attaches to the join operand it actually references.
 pub fn join_nestjoin_assoc(plan: &Plan) -> Option<Plan> {
-    let Plan::NestJoin {
-        left,
-        right: z_plan,
-        pred: p2,
-        func,
-        label,
-    } = plan
-    else {
-        return None;
-    };
-    let Plan::Join {
-        left: x_plan,
-        right: y_plan,
-        pred: p1,
-    } = &**left
-    else {
-        return None;
-    };
-    let yv: BTreeSet<String> = y_plan.output_vars().into_iter().collect();
-    let zv: BTreeSet<String> = z_plan.output_vars().into_iter().collect();
-    let allowed: BTreeSet<String> = yv.union(&zv).cloned().collect();
-    if !p2.free_vars().is_subset(&allowed) || !func.free_vars().is_subset(&allowed) {
-        return None;
-    }
-    Some(Plan::Join {
-        left: x_plan.clone(),
-        right: Box::new(Plan::NestJoin {
-            left: y_plan.clone(),
-            right: z_plan.clone(),
-            pred: p2.clone(),
-            func: func.clone(),
-            label: label.clone(),
-        }),
-        pred: p1.clone(),
-    })
+    let (x, y, p1, delta) = nest_over_join(plan, 1)?;
+    Some(x.clone().join(delta(y), p1.clone()))
 }
 
 /// Section 5's special case: `UNNEST(SELECT (SELECT …) FROM X)` is a flat
@@ -226,14 +203,8 @@ pub fn unnest_collapse(plan: &Plan) -> Option<Plan> {
         }
     }
     let parts = decompose_subquery(subquery).filter(decorrelatable)?;
-    Some(
-        Plan::Join {
-            left: outer.clone(),
-            right: Box::new(parts.inner.clone()),
-            pred: parts.q.clone(),
-        }
-        .map(parts.g.clone(), elem_var.clone()),
-    )
+    let join = (**outer).clone().join(parts.inner.clone(), parts.q.clone());
+    Some(join.map(parts.g.clone(), elem_var.clone()))
 }
 
 /// Apply the always-beneficial rules (projection elimination, selection
@@ -274,7 +245,12 @@ mod tests {
     fn select_pushes_into_left_of_nestjoin() {
         let p = nj().select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(1i64)));
         let out = select_pushdown(&p).unwrap();
-        let Plan::NestJoin { left, .. } = out else {
+        let Plan::Join {
+            kind: JoinKind::Nest { .. },
+            left,
+            ..
+        } = out
+        else {
             panic!("nest join")
         };
         assert!(matches!(*left, Plan::Select { .. }));
@@ -297,13 +273,23 @@ mod tests {
             .clone()
             .select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(0i64)));
         let out = select_pushdown(&left_pred).unwrap();
-        let Plan::Join { left, .. } = out else {
+        let Plan::Join {
+            kind: JoinKind::Inner,
+            left,
+            ..
+        } = out
+        else {
             panic!()
         };
         assert!(matches!(*left, Plan::Select { .. }));
         let right_pred = j.select(E::cmp(CmpOp::Gt, E::path("y", &["c"]), E::lit(0i64)));
         let out = select_pushdown(&right_pred).unwrap();
-        let Plan::Join { right, .. } = out else {
+        let Plan::Join {
+            kind: JoinKind::Inner,
+            right,
+            ..
+        } = out
+        else {
             panic!()
         };
         assert!(matches!(*right, Plan::Select { .. }));
@@ -323,6 +309,16 @@ mod tests {
         for join in [semi, anti, nj()] {
             assert!(select_pushdown(&join.select(y_pred.clone())).is_none());
         }
+        // ⟕ takes neither: a left-only predicate would drop rows the
+        // outerjoin must still NULL-extend, a right-only one would turn
+        // matched rows into dangling ones.
+        let outer = Plan::scan("X", "x").left_outer_join(
+            Plan::scan("Y", "y"),
+            E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
+        );
+        for pred in [x_pred, y_pred] {
+            assert!(select_pushdown(&outer.clone().select(pred)).is_none());
+        }
     }
 
     #[test]
@@ -339,10 +335,21 @@ mod tests {
             "zs",
         );
         let out = nestjoin_join_interchange(&p).unwrap();
-        let Plan::Join { left, .. } = &out else {
+        let Plan::Join {
+            kind: JoinKind::Inner,
+            left,
+            ..
+        } = &out
+        else {
             panic!("join root")
         };
-        assert!(matches!(**left, Plan::NestJoin { .. }));
+        assert!(matches!(
+            **left,
+            Plan::Join {
+                kind: JoinKind::Nest { .. },
+                ..
+            }
+        ));
         // A Δ-pred referencing y blocks the interchange (but enables the
         // associativity form instead).
         let xy = Plan::scan("X", "x").join(
@@ -357,10 +364,46 @@ mod tests {
         );
         assert!(nestjoin_join_interchange(&p).is_none());
         let out = join_nestjoin_assoc(&p).unwrap();
-        let Plan::Join { right, .. } = &out else {
+        let Plan::Join {
+            kind: JoinKind::Inner,
+            right,
+            ..
+        } = &out
+        else {
             panic!("join root")
         };
-        assert!(matches!(**right, Plan::NestJoin { .. }));
+        assert!(matches!(
+            **right,
+            Plan::Join {
+                kind: JoinKind::Nest { .. },
+                ..
+            }
+        ));
+        // Both laws need an inner join under a nest join: neither touches
+        // (X ⋉ Y) Δ Z or (X ⟕ Y) Δ Z, whichever operand Δ reads, nor
+        // (X ⋈ Y) ⋉ Z.
+        let on = |v: &str| E::eq(E::path(v, &["c"]), E::path("z", &["c"]));
+        let xy = |kind| {
+            Plan::scan("X", "x").join_as(
+                kind,
+                Plan::scan("Y", "y"),
+                E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
+            )
+        };
+        let mut kept = vec![];
+        for lower in [JoinKind::Semi, JoinKind::LeftOuter] {
+            for v in ["x", "y"] {
+                let z = Plan::scan("Z", "z");
+                kept.push(xy(lower.clone()).nest_join(z, on(v), E::var("z"), "zs"));
+            }
+        }
+        for v in ["x", "y"] {
+            kept.push(xy(JoinKind::Inner).semi_join(Plan::scan("Z", "z"), on(v)));
+        }
+        for p in &kept {
+            assert!(nestjoin_join_interchange(p).is_none(), "{p}");
+            assert!(join_nestjoin_assoc(p).is_none(), "{p}");
+        }
     }
 
     #[test]
@@ -382,7 +425,13 @@ mod tests {
         };
         let out = unnest_collapse(&plan).unwrap();
         assert!(!out.has_apply());
-        assert!(out.any_node(&mut |n| matches!(n, Plan::Join { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+        )));
         let Plan::Map { var, .. } = out else {
             panic!("map root")
         };

@@ -42,11 +42,7 @@ pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
     if !null_propagating(parts.g, &inner_vars) {
         return None;
     }
-    let outer = Plan::LeftOuterJoin {
-        left: Box::new(block.input.clone()),
-        right: Box::new(parts.inner.clone()),
-        pred: parts.q.clone(),
-    };
+    let outer = Plan::left_outer_join(block.input.clone(), parts.inner.clone(), parts.q.clone());
     Some(Plan::Nest {
         input: Box::new(outer),
         keys: block.input.output_vars(),
@@ -70,7 +66,7 @@ fn null_propagating(g: &ScalarExpr, vars: &BTreeSet<String>) -> bool {
 mod tests {
     use super::*;
     use crate::{unnest_plan, UnnestStrategy};
-    use tmql_algebra::{AggFn, CmpOp, ScalarExpr as E};
+    use tmql_algebra::{AggFn, CmpOp, JoinKind, ScalarExpr as E};
 
     fn rewrite(plan: Plan) -> Plan {
         unnest_plan(plan, UnnestStrategy::GanskiWong)
@@ -90,7 +86,13 @@ mod tests {
             .select(pred);
         let out = rewrite(p);
         assert!(!out.has_apply());
-        assert!(out.any_node(&mut |n| matches!(n, Plan::LeftOuterJoin { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::LeftOuter,
+                ..
+            }
+        )));
         assert!(out.any_node(&mut |n| matches!(n, Plan::Nest { star: true, .. })));
     }
 

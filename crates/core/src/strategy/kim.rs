@@ -236,7 +236,7 @@ fn collect_aggs(e: &ScalarExpr, z: &str, out: &mut Vec<AggFn>) {
 mod tests {
     use super::*;
     use crate::{unnest_plan, UnnestStrategy};
-    use tmql_algebra::{ScalarExpr as E, SetCmpOp};
+    use tmql_algebra::{JoinKind, ScalarExpr as E, SetCmpOp};
 
     fn rewrite(plan: Plan) -> Plan {
         unnest_plan(plan, UnnestStrategy::Kim)
@@ -256,9 +256,21 @@ mod tests {
         let out = rewrite(p);
         assert!(!out.has_apply());
         assert!(out.any_node(&mut |n| matches!(n, Plan::GroupAgg { .. })));
-        assert!(out.any_node(&mut |n| matches!(n, Plan::Join { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+        )));
         // No outerjoin, no nest join: that is exactly the bug.
-        assert!(!out.any_node(&mut |n| matches!(n, Plan::LeftOuterJoin { .. })));
+        assert!(!out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::LeftOuter,
+                ..
+            }
+        )));
         assert!(!out.has_nest_join());
     }
 
@@ -269,7 +281,13 @@ mod tests {
         let out = rewrite(p);
         assert!(!out.has_apply());
         assert!(out.any_node(&mut |n| matches!(n, Plan::Nest { star: false, .. })));
-        assert!(out.any_node(&mut |n| matches!(n, Plan::Join { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+        )));
     }
 
     #[test]

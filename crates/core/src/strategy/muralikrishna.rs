@@ -80,11 +80,7 @@ pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
     // The outerjoin on the key equalities; matched/dangling split by a
     // NULL test on the T-side binding, the regular predicate re-applied
     // to matched rows only.
-    let outer = Plan::LeftOuterJoin {
-        left: Box::new(block.input.clone()),
-        right: Box::new(t_plan),
-        pred: ScalarExpr::conj(key_eqs),
-    };
+    let outer = Plan::left_outer_join(block.input.clone(), t_plan, ScalarExpr::conj(key_eqs));
     let is_null = ScalarExpr::IsNull(Box::new(ScalarExpr::var(probe_var)));
     let selected = outer.select(ScalarExpr::or(
         ScalarExpr::and(ScalarExpr::not(is_null.clone()), matched_pred),
@@ -97,7 +93,7 @@ pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
 mod tests {
     use super::*;
     use crate::{unnest_plan, UnnestStrategy};
-    use tmql_algebra::{CmpOp, ScalarExpr as E, SetCmpOp};
+    use tmql_algebra::{CmpOp, JoinKind, ScalarExpr as E, SetCmpOp};
 
     fn rewrite(plan: Plan) -> Plan {
         unnest_plan(plan, UnnestStrategy::Muralikrishna)
@@ -120,7 +116,13 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.any_node(&mut |n| matches!(n, Plan::LeftOuterJoin { .. })),
+            out.any_node(&mut |n| matches!(
+                n,
+                Plan::Join {
+                    kind: JoinKind::LeftOuter,
+                    ..
+                }
+            )),
             "{out}"
         );
         // The dangling branch compares against COUNT(∅) = 0.
@@ -153,10 +155,22 @@ mod tests {
         let p = Plan::scan("R", "x").apply(sub(), "z").select(pred);
         let out = rewrite(p);
         assert!(
-            out.any_node(&mut |n| matches!(n, Plan::SemiJoin { .. })),
+            out.any_node(&mut |n| matches!(
+                n,
+                Plan::Join {
+                    kind: JoinKind::Semi,
+                    ..
+                }
+            )),
             "{out}"
         );
-        assert!(!out.any_node(&mut |n| matches!(n, Plan::LeftOuterJoin { .. })));
+        assert!(!out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::LeftOuter,
+                ..
+            }
+        )));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub(super) fn plan(block: &Block<'_>) -> Plan {
 mod tests {
     use super::*;
     use crate::{unnest_plan, UnnestStrategy};
-    use tmql_algebra::{ScalarExpr as E, SetCmpOp};
+    use tmql_algebra::{JoinKind, ScalarExpr as E, SetCmpOp};
 
     fn rewrite(plan: Plan) -> Plan {
         unnest_plan(plan, UnnestStrategy::NestJoin)
@@ -74,7 +74,12 @@ mod tests {
             panic!("select")
         };
         assert!(pred.mentions("z"));
-        let Plan::NestJoin { label, pred: q, .. } = *input else {
+        let Plan::Join {
+            kind: JoinKind::Nest { label, .. },
+            pred: q,
+            ..
+        } = *input
+        else {
             panic!("nest join")
         };
         assert_eq!(label, "z");
@@ -138,7 +143,13 @@ mod tests {
         let out = rewrite(top);
         assert!(!out.has_apply());
         assert_eq!(
-            out.count_nodes(&mut |n| matches!(n, Plan::NestJoin { .. })),
+            out.count_nodes(&mut |n| matches!(
+                n,
+                Plan::Join {
+                    kind: JoinKind::Nest { .. },
+                    ..
+                }
+            )),
             2
         );
     }

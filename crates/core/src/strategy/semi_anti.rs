@@ -50,7 +50,7 @@ fn join_predicate(q: &ScalarExpr, p_prime: &ScalarExpr, g: &ScalarExpr) -> Scala
 mod tests {
     use super::*;
     use crate::{unnest_plan, UnnestStrategy};
-    use tmql_algebra::{CmpOp, ScalarExpr as E, SetCmpOp};
+    use tmql_algebra::{CmpOp, JoinKind, ScalarExpr as E, SetCmpOp};
 
     fn rewrite(plan: Plan) -> Plan {
         unnest_plan(plan, UnnestStrategy::FlattenSemiAnti)
@@ -81,7 +81,12 @@ mod tests {
         let Plan::Map { input, .. } = out else {
             panic!("map root")
         };
-        let Plan::SemiJoin { pred, .. } = *input else {
+        let Plan::Join {
+            kind: JoinKind::Semi,
+            pred,
+            ..
+        } = *input
+        else {
             panic!("semijoin, got {input}")
         };
         // Join predicate must mention both Q and P'(x, G).
@@ -97,7 +102,13 @@ mod tests {
             E::path("x", &["a"]),
             E::var("z"),
         )));
-        assert!(out.any_node(&mut |n| matches!(n, Plan::AntiJoin { .. })));
+        assert!(out.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Anti,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -127,7 +138,13 @@ mod tests {
             panic!("residual select")
         };
         assert!(rest.mentions("x") && !rest.mentions("z"));
-        assert!(matches!(*input, Plan::SemiJoin { .. }));
+        assert!(matches!(
+            *input,
+            Plan::Join {
+                kind: JoinKind::Semi,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -146,7 +163,12 @@ mod tests {
             E::var("z"),
         ));
         let out = rewrite(q);
-        let Plan::SemiJoin { pred, .. } = out else {
+        let Plan::Join {
+            kind: JoinKind::Semi,
+            pred,
+            ..
+        } = out
+        else {
             panic!("semijoin")
         };
         // No `true ∧ …` wrapper.

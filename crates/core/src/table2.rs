@@ -12,7 +12,8 @@
 //!
 //! The machine-readable rows were reconstructed from the paper's (OCR-
 //! degraded) table by semantic equivalence; each rewrite below is verified
-//! executable-equivalent by the property tests in `tests/table2_exec.rs`.
+//! executable-equivalent by the property tests in the workspace's
+//! `tests/table2.rs` and in `crates/core/tests/differential.rs`.
 
 use tmql_algebra::{AggFn, CmpOp, Quantifier, ScalarExpr, SetCmpOp};
 use tmql_model::Value;

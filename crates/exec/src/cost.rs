@@ -25,7 +25,9 @@
 //! visiting every node once: `Walk::plan` over a logical [`Plan`],
 //! `Walk::phys` over a lowered [`PhysPlan`], and the planner's lowering
 //! recursion, which asks the same walk for each subtree's estimate while
-//! it builds the physical tree.
+//! it builds the physical tree. Each has one join arm: the join formula
+//! reads the plan's [`JoinKind`], and a physical join is priced by its own
+//! [`JoinPath`].
 //!
 //! The **scope** is how a formula resolves `var.col` to column
 //! statistics. A walk appends every `ScanTable` it passes to one list in
@@ -46,13 +48,13 @@
 
 use std::collections::BTreeSet;
 
-use tmql_algebra::{CmpOp, Plan, ScalarExpr, SetOpKind};
+use tmql_algebra::{CmpOp, JoinKind, Plan, ScalarExpr, SetOpKind};
 use tmql_model::Value;
 use tmql_storage::stats::{ColumnStats, TableStats};
 use tmql_storage::Catalog;
 
 use crate::config::JoinAlgo;
-use crate::physical::{JoinKind, PhysPlan};
+use crate::physical::{JoinPath, PhysPlan};
 use crate::planner::{apply_bindings, extract_equi_keys, index_selection, EquiSplit, IndexSel};
 
 /// Default selectivity of an opaque predicate.
@@ -318,33 +320,12 @@ fn as_number(e: &ScalarExpr) -> Option<f64> {
     }
 }
 
-/// What a join emits per left row and match — [`JoinKind`] without its
-/// payload, so the logical walk can name a kind without building one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum JoinOut {
-    Inner,
-    Semi,
-    Anti,
-    LeftOuter,
-    Nest,
-}
-
-impl From<&JoinKind> for JoinOut {
-    fn from(kind: &JoinKind) -> JoinOut {
-        match kind {
-            JoinKind::Inner => JoinOut::Inner,
-            JoinKind::Semi => JoinOut::Semi,
-            JoinKind::Anti => JoinOut::Anti,
-            JoinKind::LeftOuter { .. } => JoinOut::LeftOuter,
-            JoinKind::Nest { .. } => JoinOut::Nest,
-        }
-    }
-}
-
 /// How a join reaches and matches its inner operand — the physical choice
-/// [`Estimator::join_path`] makes and [`Estimator::path_cost`] prices.
+/// [`Estimator::join_path`] makes and [`Estimator::path_cost`] prices,
+/// borrowed from the logical plan; lowering builds the [`JoinPath`] it
+/// names.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JoinPath<'p> {
+pub(crate) enum PathChoice<'p> {
     /// Probe the index on `table.attr` once per left row with the `key`-th
     /// left key of the predicate's split (`work`: modeled probe work); the
     /// inner operand, a bare scan binding `var`, is never run.
@@ -395,7 +376,7 @@ pub(crate) enum Node<'e> {
     /// Any member of the join family: the clamped selectivity of the
     /// whole predicate and the `(work, resident)` of reaching and matching
     /// the inner operand ([`Estimator::path_cost`]).
-    Join(JoinOut, &'e Sides, f64, (f64, f64)),
+    Join(&'e JoinKind, &'e Sides, f64, (f64, f64)),
 }
 
 /// The statistics-backed estimator. Cheap to construct (borrows the
@@ -448,7 +429,7 @@ impl<'a> Estimator<'a> {
     /// the subquery operator tree is instantiated per outer row and does
     /// not appear in the executed profile. One estimate per executed
     /// operator (a filtering scan or an `IndexScan` is one operator
-    /// implementing select-over-scan, an `IndexNLJoin` has no inner
+    /// implementing select-over-scan, an index join has no inner
     /// child), so the vector zips 1:1 with the streaming executor's
     /// profile.
     pub fn exec_order_rows_phys(&self, phys: &PhysPlan) -> Vec<f64> {
@@ -621,16 +602,16 @@ impl<'a> Estimator<'a> {
                 // Expected matches per left row → P(left row has ≥ 1 match).
                 let match_frac = (r.rows * sel).min(1.0);
                 let rows = match kind {
-                    JoinOut::Inner => matches,
-                    JoinOut::Semi => l.rows * match_frac,
-                    JoinOut::Anti => l.rows * (1.0 - match_frac),
-                    JoinOut::LeftOuter => matches.max(l.rows),
-                    JoinOut::Nest => l.rows,
+                    JoinKind::Inner => matches,
+                    JoinKind::Semi => l.rows * match_frac,
+                    JoinKind::Anti => l.rows * (1.0 - match_frac),
+                    JoinKind::LeftOuter => matches.max(l.rows),
+                    JoinKind::Nest { .. } => l.rows,
                 };
                 // Per-match output/collection work (the nest join inserts
                 // each match into a per-row set; flat joins emit rows).
                 let emit = match kind {
-                    JoinOut::Semi | JoinOut::Anti => rows,
+                    JoinKind::Semi | JoinKind::Anti => rows,
                     _ => matches.max(rows),
                 };
                 CostEstimate {
@@ -642,23 +623,23 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// `(work, resident)` of one [`JoinPath`] between operands estimated
+    /// `(work, resident)` of one [`PathChoice`] between operands estimated
     /// as `l` and `r`, the inner operand's own work included where the
     /// path runs it.
-    fn path_cost(&self, path: &JoinPath<'_>, &Sides { l, r, .. }: &Sides) -> (f64, f64) {
+    fn path_cost(&self, path: &PathChoice<'_>, &Sides { l, r, .. }: &Sides) -> (f64, f64) {
         let swap = match path {
             // A bare indexed inner scan is probed per outer row — the
             // inner subtree's scan work and the build-side state both
             // disappear.
-            JoinPath::IndexNl { work, .. } => return (*work, 0.0),
+            PathChoice::IndexNl { work, .. } => return (*work, 0.0),
             // The inner side is materialized (the NL join does not spill,
             // so no grace charge here — the resident penalty reports the
             // pressure honestly).
-            JoinPath::NestedLoop => {
+            PathChoice::NestedLoop => {
                 return (r.work + join_cost::nested_loop(l.rows, r.rows), r.rows)
             }
-            JoinPath::Hash { swap } => *swap,
-            JoinPath::SortMerge => false,
+            PathChoice::Hash { swap } => *swap,
+            PathChoice::SortMerge => false,
         };
         let (probe, build) = if swap {
             (r.rows, l.rows)
@@ -670,8 +651,7 @@ impl<'a> Estimator<'a> {
         // overflows — charge the probe side's round-trip too. In full: the
         // executor no longer spills probe rows its key filter shows to be
         // partnerless, so a selective grace join is overpriced here until
-        // this constant is calibrated (the ROADMAP optimizer item,
-        // "Calibrated").
+        // this constant is calibrated (ROADMAP "Calibrated").
         let spill = if build_spill > 0.0 {
             build_spill + SPILL_IO_PER_ROW * probe
         } else {
@@ -752,12 +732,12 @@ impl<'a> Estimator<'a> {
     pub(crate) fn join_path<'p>(
         &self,
         algo: JoinAlgo,
-        kind: JoinOut,
+        kind: &JoinKind,
         sides: &Sides,
         sel: f64,
         inner: Option<(&'p str, &'p str)>,
         right_keys: &[ScalarExpr],
-    ) -> JoinPath<'p> {
+    ) -> PathChoice<'p> {
         let (l, r) = (sides.l, sides.r);
         let hash = join_cost::hash(l.rows, r.rows);
         if let (JoinAlgo::Auto, Some((table, var))) = (algo, inner) {
@@ -768,7 +748,7 @@ impl<'a> Estimator<'a> {
             if let Some((key, attr)) = indexed {
                 let work = self.index_nl_work(sides, sel, table);
                 if work < r.work + hash {
-                    return JoinPath::IndexNl {
+                    return PathChoice::IndexNl {
                         table,
                         var,
                         attr: attr.to_string(),
@@ -779,13 +759,13 @@ impl<'a> Estimator<'a> {
             }
         }
         match algo {
-            _ if right_keys.is_empty() => JoinPath::NestedLoop,
-            JoinAlgo::NestedLoop => JoinPath::NestedLoop,
-            JoinAlgo::Auto => JoinPath::Hash {
-                swap: kind == JoinOut::Inner && l.rows < r.rows,
+            _ if right_keys.is_empty() => PathChoice::NestedLoop,
+            JoinAlgo::NestedLoop => PathChoice::NestedLoop,
+            JoinAlgo::Auto => PathChoice::Hash {
+                swap: matches!(kind, JoinKind::Inner) && l.rows < r.rows,
             },
-            JoinAlgo::Hash => JoinPath::Hash { swap: false },
-            JoinAlgo::SortMerge => JoinPath::SortMerge,
+            JoinAlgo::Hash => PathChoice::Hash { swap: false },
+            JoinAlgo::SortMerge => PathChoice::SortMerge,
         }
     }
 }
@@ -910,12 +890,7 @@ impl<'a, 'p> Walk<'a, 'p> {
     /// Clamped selectivity of a join predicate given as equi-key pairs
     /// plus a residual: each pair resolves its sides against its own
     /// operand, the residual against both.
-    fn join_selectivity(
-        &self,
-        (left_keys, right_keys): (&[ScalarExpr], &[ScalarExpr]),
-        residual: Option<&ScalarExpr>,
-        sides: &Sides,
-    ) -> f64 {
+    fn join_selectivity(&self, split: &EquiSplit, sides: &Sides) -> f64 {
         let both = self.scope(sides.from);
         let left = Scope {
             below: (sides.from, sides.mid),
@@ -926,10 +901,10 @@ impl<'a, 'p> Walk<'a, 'p> {
             ..both
         };
         let mut sel = 1.0f64;
-        for (lk, rk) in left_keys.iter().zip(right_keys) {
+        for (lk, rk) in split.left_keys.iter().zip(&split.right_keys) {
             sel *= eq_selectivity(left.ndv(lk), right.ndv(rk));
         }
-        if let Some(residual) = residual {
+        if let Some(residual) = &split.residual {
             sel *= both.selectivity(residual);
         }
         sel.clamp(MIN_SELECTIVITY, 1.0)
@@ -945,11 +920,7 @@ impl<'a, 'p> Walk<'a, 'p> {
     ) -> (f64, EquiSplit) {
         let vars = |v: Vec<String>| v.into_iter().collect::<BTreeSet<String>>();
         let split = extract_equi_keys(pred, &vars(left_vars), &vars(right_vars));
-        let keys = (&split.left_keys[..], &split.right_keys[..]);
-        (
-            self.join_selectivity(keys, split.residual.as_ref(), sides),
-            split,
-        )
+        (self.join_selectivity(&split, sides), split)
     }
 
     /// A logical join of `left` and `right`, estimated as `sides`: split
@@ -958,11 +929,11 @@ impl<'a, 'p> Walk<'a, 'p> {
     pub(crate) fn join(
         &self,
         algo: JoinAlgo,
-        kind: JoinOut,
+        kind: &JoinKind,
         (left, right): (&Plan, &'p Plan),
         pred: &ScalarExpr,
         sides: Sides,
-    ) -> (CostEstimate, EquiSplit, JoinPath<'p>) {
+    ) -> (CostEstimate, EquiSplit, PathChoice<'p>) {
         let est = self.est;
         let vars = (left.output_vars(), right.output_vars());
         let (sel, split) = self.pred_selectivity(pred, vars, &sides);
@@ -979,36 +950,28 @@ impl<'a, 'p> Walk<'a, 'p> {
     /// would run it.
     pub(crate) fn plan(&mut self, plan: &'p Plan) -> CostEstimate {
         let (est, from) = (self.est, self.mark());
-        let join = |w: &mut Self, kind, left: &'p Plan, right: &'p Plan, pred| {
-            let sides = Sides {
-                from,
-                l: w.plan(left),
-                mid: w.mark(),
-                r: w.plan(right),
-            };
-            w.join(JoinAlgo::Auto, kind, (left, right), pred, sides).0
-        };
         let op = match plan {
             Plan::ScanTable { table, var } => return self.scan(table, var),
             Plan::Select { input, pred } => match &**input {
                 Plan::ScanTable { table, var } => return self.select_scan(table, var, pred).0,
                 input => Node::Select(self.plan(input), pred, None),
             },
-            Plan::Join { left, right, pred } => {
-                return join(self, JoinOut::Inner, left, right, pred)
+            Plan::Join {
+                kind,
+                left,
+                right,
+                pred,
+            } => {
+                let sides = Sides {
+                    from,
+                    l: self.plan(left),
+                    mid: self.mark(),
+                    r: self.plan(right),
+                };
+                return self
+                    .join(JoinAlgo::Auto, kind, (left, right), pred, sides)
+                    .0;
             }
-            Plan::SemiJoin { left, right, pred } => {
-                return join(self, JoinOut::Semi, left, right, pred)
-            }
-            Plan::AntiJoin { left, right, pred } => {
-                return join(self, JoinOut::Anti, left, right, pred)
-            }
-            Plan::LeftOuterJoin { left, right, pred } => {
-                return join(self, JoinOut::LeftOuter, left, right, pred)
-            }
-            Plan::NestJoin {
-                left, right, pred, ..
-            } => return join(self, JoinOut::Nest, left, right, pred),
             Plan::ScanExpr { expr, .. } => Node::ScanExpr(expr),
             Plan::Map { input, expr, .. } => Node::Map(self.plan(input), expr),
             Plan::Extend { input, .. } => Node::Extend(self.plan(input)),
@@ -1049,8 +1012,9 @@ impl<'a, 'p> Walk<'a, 'p> {
 
     /// Estimate a physical plan as built — each operator by the formula
     /// of what it implements: a filtering scan / `IndexScan` = a scan then
-    /// the selection, `IndexNLJoin` = its left operand joined with a scan
-    /// of the probed table, hash / merge join = its key pairs plus
+    /// the selection, and a join by its own [`JoinPath`]: the index path =
+    /// its left operand joined with a scan of the probed table, the nested
+    /// loop = its predicate, hash / sort-merge = its key pairs plus
     /// residual.
     fn estimate_phys(&mut self, phys: &'p PhysPlan) -> CostEstimate {
         use PhysPlan as P;
@@ -1081,57 +1045,33 @@ impl<'a, 'p> Walk<'a, 'p> {
             P::SetOp {
                 kind, left, right, ..
             } => Node::SetOp(*kind, self.phys(left), self.phys(right)),
-            P::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                kind,
-            }
-            | P::MergeJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                kind,
-            } => {
-                sides = self.phys_sides(from, left, right);
-                let sel = self.join_selectivity((left_keys, right_keys), residual.as_ref(), &sides);
-                let path = est.path_cost(&JoinPath::Hash { swap: false }, &sides);
-                Node::Join(kind.into(), &sides, sel, path)
-            }
-            P::NlJoin {
-                left,
-                right,
-                pred,
-                kind,
-            } => {
-                sides = self.phys_sides(from, left, right);
-                let vars = (left.output_vars(), right.output_vars());
-                let (sel, _) = self.pred_selectivity(pred, vars, &sides);
-                let path = est.path_cost(&JoinPath::NestedLoop, &sides);
-                Node::Join(kind.into(), &sides, sel, path)
-            }
-            P::IndexNLJoin {
-                left,
-                right_table,
-                right_var,
-                pred,
-                kind,
-                ..
-            } => {
-                sides = Sides {
-                    from,
-                    l: self.phys(left),
-                    mid: self.mark(),
-                    r: self.scan(right_table, right_var),
+            P::Join { kind, left, path } => {
+                let (l, mid) = (self.phys(left), self.mark());
+                let r = match path {
+                    JoinPath::Index { table, var, .. } => self.scan(table, var),
+                    JoinPath::NestedLoop { right, .. }
+                    | JoinPath::Hash { right, .. }
+                    | JoinPath::SortMerge { right, .. } => self.phys(right),
                 };
-                let vars = (left.output_vars(), vec![right_var.clone()]);
-                let (sel, _) = self.pred_selectivity(pred, vars, &sides);
-                let work = est.index_nl_work(&sides, sel, right_table);
-                Node::Join(kind.into(), &sides, sel, (work, 0.0))
+                sides = Sides { from, l, mid, r };
+                let sel = match path {
+                    JoinPath::NestedLoop { pred, .. } | JoinPath::Index { pred, .. } => {
+                        let vars = (left.output_vars(), path.right_vars());
+                        self.pred_selectivity(pred, vars, &sides).0
+                    }
+                    JoinPath::Hash { keys, .. } | JoinPath::SortMerge { keys, .. } => {
+                        self.join_selectivity(keys, &sides)
+                    }
+                };
+                let cost = match path {
+                    JoinPath::Index { table, .. } => (est.index_nl_work(&sides, sel, table), 0.0),
+                    JoinPath::NestedLoop { .. } => est.path_cost(&PathChoice::NestedLoop, &sides),
+                    JoinPath::Hash { .. } => {
+                        est.path_cost(&PathChoice::Hash { swap: false }, &sides)
+                    }
+                    JoinPath::SortMerge { .. } => est.path_cost(&PathChoice::SortMerge, &sides),
+                };
+                Node::Join(kind, &sides, sel, cost)
             }
             P::Apply {
                 input,
@@ -1158,15 +1098,6 @@ impl<'a, 'p> Walk<'a, 'p> {
             }
         };
         est.estimate(op, self.scope(from))
-    }
-
-    fn phys_sides(&mut self, from: usize, left: &'p PhysPlan, right: &'p PhysPlan) -> Sides {
-        Sides {
-            from,
-            l: self.phys(left),
-            mid: self.mark(),
-            r: self.phys(right),
-        }
     }
 
     /// Walk `phys` and return every executed operator's estimated rows in

@@ -697,48 +697,47 @@ mod tests {
 
     #[test]
     fn index_nl_join_agrees_with_nl_join_for_every_kind() {
+        use crate::physical::JoinPath;
+        use tmql_algebra::JoinKind;
         let mut cat = catalog();
         cat.create_index("Y", "b").unwrap();
         let pred = E::eq(E::path("x", &["b"]), E::path("y", &["b"]));
         let kinds = [
-            crate::JoinKind::Inner,
-            crate::JoinKind::Semi,
-            crate::JoinKind::Anti,
-            crate::JoinKind::LeftOuter {
-                right_vars: vec!["y".into()],
-            },
-            crate::JoinKind::Nest {
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter,
+            JoinKind::Nest {
                 func: E::var("y"),
                 label: "ys".into(),
             },
         ];
+        let scan = |table: &str, var: &str| {
+            Box::new(PhysPlan::ScanTable {
+                table: table.into(),
+                var: var.into(),
+                pred: None,
+            })
+        };
         for kind in kinds {
-            let nl = PhysPlan::NlJoin {
-                left: Box::new(PhysPlan::ScanTable {
-                    table: "X".into(),
-                    var: "x".into(),
-                    pred: None,
-                }),
-                right: Box::new(PhysPlan::ScanTable {
+            let nl = PhysPlan::Join {
+                kind: kind.clone(),
+                left: scan("X", "x"),
+                path: JoinPath::NestedLoop {
+                    right: scan("Y", "y"),
+                    pred: pred.clone(),
+                },
+            };
+            let inl = PhysPlan::Join {
+                kind: kind.clone(),
+                left: scan("X", "x"),
+                path: JoinPath::Index {
                     table: "Y".into(),
                     var: "y".into(),
-                    pred: None,
-                }),
-                pred: pred.clone(),
-                kind: kind.clone(),
-            };
-            let inl = PhysPlan::IndexNLJoin {
-                left: Box::new(PhysPlan::ScanTable {
-                    table: "X".into(),
-                    var: "x".into(),
-                    pred: None,
-                }),
-                right_table: "Y".into(),
-                right_var: "y".into(),
-                attr: "b".into(),
-                key: E::path("x", &["b"]),
-                pred: pred.clone(),
-                kind: kind.clone(),
+                    attr: "b".into(),
+                    key: E::path("x", &["b"]),
+                    pred: pred.clone(),
+                },
             };
             let mut nctx = ExecContext::new(&cat);
             let expected = execute(&nl, &mut nctx, &Env::new()).unwrap();

@@ -67,7 +67,7 @@ pub use cost::{CostEstimate, Estimator};
 pub use exec::{execute, execute_collect, execute_values, ExecContext};
 pub use metrics::{MetricClass, MetricDef, Metrics};
 pub use op::operator::{Batch, OpProfile, OpStats, Operator};
-pub use physical::{JoinKind, PhysPlan};
+pub use physical::{JoinPath, PhysPlan};
 pub use planner::lower;
 
 use tmql_algebra::Plan;

@@ -18,7 +18,7 @@ use tmql_model::hash::{ChainIndex, ValueHasher};
 use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
-use crate::physical::JoinKind;
+use crate::op::JoinKind;
 
 use super::{bind, RowMatch, Rows, Shape};
 
@@ -229,7 +229,7 @@ mod tests {
             .unwrap();
             let hs: BTreeSet<Record> = h.into_iter().collect();
             let ns: BTreeSet<Record> = n.into_iter().collect();
-            assert_eq!(hs, ns, "kind {:?}", kind.name());
+            assert_eq!(hs, ns, "kind {kind:?}");
         }
     }
 
@@ -286,7 +286,7 @@ mod tests {
             let (mut h, mut n) = (h.unwrap(), n.unwrap());
             h.sort();
             n.sort();
-            assert!(h.len() > 100 && h == n, "kind {:?}", kind.name());
+            assert!(h.len() > 100 && h == n, "kind {kind:?}");
             assert_eq!(hm.hash_build_rows, 1000 - 77, "NULL build keys are dropped");
             assert_eq!(hm.hash_probes, 1200);
         }

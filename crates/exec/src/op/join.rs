@@ -15,8 +15,8 @@ use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, OpStats, Operator};
 use crate::op::spill::{self, Drained, KeyFilter, PartFn, Partitions, Side};
-use crate::op::{self, hash, nl, RowMatch, Shape};
-use crate::physical::JoinKind;
+use crate::op::{self, hash, nl, JoinKind, RowMatch, Shape};
+use crate::planner::EquiSplit;
 
 /// How a [`JoinOp`] finds a left row's candidates.
 pub(super) enum Algo<'p> {
@@ -34,14 +34,12 @@ pub(super) enum Algo<'p> {
         key: &'p ScalarExpr,
         pred: &'p ScalarExpr,
     },
-    /// Hash: the right operand is the build side, bucketed on
-    /// `right_keys`; a left row probes with `left_keys`, and `residual`
-    /// checks each key match. Past the memory budget both sides partition
-    /// by `build_part` / `probe_part` (grace hash).
+    /// Hash: the right operand is the build side, bucketed on the right
+    /// keys of `keys`; a left row probes with the left ones, and the
+    /// residual checks each key match. Past the memory budget both sides
+    /// partition by `build_part` / `probe_part` (grace hash).
     Hash {
-        left_keys: &'p [ScalarExpr],
-        right_keys: &'p [ScalarExpr],
-        residual: Option<&'p ScalarExpr>,
+        keys: &'p EquiSplit,
         build_part: PartFn<'p>,
         probe_part: PartFn<'p>,
     },
@@ -88,9 +86,9 @@ pub(super) struct JoinOp<'p> {
     /// The right operand (none for an index join).
     right: Option<BoxedOperator<'p>>,
     /// The shape of the inner rows: the right operand's, or (index join)
-    /// the fetched tuples bound to the plan's `right_var`.
+    /// the fetched tuples bound to the path's `var`.
     rs: Shape,
-    kind: &'p JoinKind,
+    kind: JoinKind,
     algo: Algo<'p>,
     inner: Inner<'p>,
     carry: VecDeque<Record>,
@@ -103,7 +101,7 @@ impl<'p> JoinOp<'p> {
         left: BoxedOperator<'p>,
         right: Option<BoxedOperator<'p>>,
         rs: Shape,
-        kind: &'p JoinKind,
+        kind: JoinKind,
         algo: Algo<'p>,
     ) -> Self {
         JoinOp {
@@ -154,9 +152,7 @@ fn drain<'p>(
             }
         }
         Algo::Hash {
-            right_keys,
-            build_part,
-            ..
+            keys, build_part, ..
         } => {
             // NULL keys never match, so build rows with one are dropped
             // before they hit disk.
@@ -171,7 +167,8 @@ fn drain<'p>(
                     // NULL-key rows, or everything when it fails — leaves
                     // resident state.
                     let n_in = rows.len();
-                    let table = hash::build(rows, rs, right_keys, env, &mut ctx.metrics);
+                    let m = &mut ctx.metrics;
+                    let table = hash::build(rows, rs, &keys.right_keys, env, m);
                     ctx.resident_release(n_in - table.as_ref().map_or(0, hash::HashTable::len));
                     Inner::Table(table?)
                 }
@@ -227,7 +224,7 @@ impl Operator for JoinOp<'_> {
             carry,
             done,
         } = self;
-        let (env, kind, ls) = (&*env, *kind, left.shape().clone());
+        let (env, kind, ls) = (&*env, &*kind, left.shape().clone());
         if let (Inner::Pending, Some(right)) = (&*inner, right) {
             *inner = drain(algo, right, rs, ctx, env, stats)?;
         }
@@ -241,9 +238,7 @@ impl Operator for JoinOp<'_> {
             // without probe rows is skipped. Its output comes back counted.
             if let (
                 Algo::Hash {
-                    left_keys,
-                    right_keys,
-                    residual,
+                    keys,
                     build_part,
                     probe_part,
                 },
@@ -267,7 +262,8 @@ impl Operator for JoinOp<'_> {
                     continue;
                 };
                 carry.extend(spill::run_partition(ctx, part, |[build_f, probe_f], m| {
-                    let table = hash::build(build_f.reader()?.read_all()?, rs, right_keys, env, m)?;
+                    let build = build_f.reader()?.read_all()?;
+                    let table = hash::build(build, rs, &keys.right_keys, env, m)?;
                     let mut out = Vec::new();
                     let mut reader = probe_f.reader()?;
                     loop {
@@ -276,9 +272,8 @@ impl Operator for JoinOp<'_> {
                             return Ok(out);
                         }
                         let left = (batch.as_slice(), &ls);
-                        out.extend(hash::probe(
-                            left, &table, left_keys, *residual, kind, env, m,
-                        )?);
+                        let (lk, residual) = (&keys.left_keys, keys.residual.as_ref());
+                        out.extend(hash::probe(left, &table, lk, residual, kind, env, m)?);
                     }
                 })?);
                 continue;
@@ -361,16 +356,10 @@ impl Operator for JoinOp<'_> {
                         nl::finish_block(outer, kind, &mut state, &mut out)?;
                     }
                 }
-                (
-                    Algo::Hash {
-                        left_keys,
-                        residual,
-                        ..
-                    },
-                    Inner::Table(table),
-                ) => {
+                (Algo::Hash { keys, .. }, Inner::Table(table)) => {
+                    let (lk, residual) = (&keys.left_keys, keys.residual.as_ref());
                     let m = &mut ctx.metrics;
-                    out = hash::probe(left_rows, table, left_keys, *residual, kind, env, m)?;
+                    out = hash::probe(left_rows, table, lk, residual, kind, env, m)?;
                 }
                 // Partitioning pass: a probe row goes to the run its hash
                 // selects if a build row may share its key, and else takes

@@ -12,7 +12,7 @@ use tmql_algebra::{eval_predicate, Env, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
-use crate::physical::JoinKind;
+use crate::op::JoinKind;
 
 use super::{bind, eval_keys, RowMatch, Rows};
 
@@ -183,7 +183,7 @@ mod tests {
             .unwrap();
             let ms: BTreeSet<Record> = mj.into_iter().collect();
             let ns: BTreeSet<Record> = nl.into_iter().collect();
-            assert_eq!(ms, ns, "kind {:?}", kind.name());
+            assert_eq!(ms, ns, "kind {kind:?}");
         }
     }
 

@@ -2,8 +2,10 @@
 //!
 //! The join family is one rule beside the kernels that find candidates.
 //! `RowMatch` is the rule: what a left row emits under each of the five
-//! [`crate::JoinKind`]s once its candidates are known — the only code that
-//! builds a join's output. `nl`, [`hash`] and `merge` only decide how a
+//! [`JoinKind`]s once its candidates are known — the only code that
+//! builds a join's output. [`JoinKind`] is the executor's copy of the
+//! plan's kind, built once per operator by [`JoinKind::of`] with the
+//! labels its rows need interned. `nl`, [`hash`] and `merge` only decide how a
 //! left row's candidates are found (every inner row, a hash bucket, an
 //! equal-key group), which makes the paper's observation literal: the nest
 //! join is "a simple modification of any common join implementation
@@ -35,11 +37,11 @@ mod stream;
 
 use std::sync::Arc;
 
-use tmql_algebra::{eval, Env, Plan};
+use tmql_algebra::{eval, Env, Plan, ScalarExpr};
 use tmql_model::record::Field;
 use tmql_model::{ModelError, Record, Result, SetValue, Value};
 
-use crate::physical::{JoinKind, PhysPlan};
+use crate::physical::{JoinPath, PhysPlan};
 
 /// What a row between two operators is — known per plan node, never per
 /// row. Either a **record of bindings** (one field per output variable:
@@ -172,6 +174,53 @@ pub(crate) fn eval_keys(
         out.push(v);
     }
     Ok(Some(out))
+}
+
+/// What a join emits per left row, as its operator holds it: the plan's
+/// [`tmql_algebra::JoinKind`], with what the output rows need interned
+/// once when the operator is built ([`JoinKind::of`]) — so a dangling row
+/// allocates no label.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JoinKind {
+    /// Regular join: concatenated matching pairs.
+    Inner,
+    /// Semijoin ⋉: left rows with a match.
+    Semi,
+    /// Antijoin ▷: left rows without a match.
+    Anti,
+    /// Left outerjoin ⟕: dangling left rows NULL-extended on the right
+    /// side's variables.
+    LeftOuter {
+        /// Variables of the right side to NULL-bind for dangling rows.
+        right_vars: Vec<Arc<str>>,
+    },
+    /// Nest join Δ: left row extended with the set of `func` images of
+    /// matching right rows under `label`.
+    Nest {
+        /// Join function G(x, y).
+        func: ScalarExpr,
+        /// Output label for the nested set.
+        label: Arc<str>,
+    },
+}
+
+impl JoinKind {
+    /// The kind an operator runs for a plan join of `kind` over `path`.
+    pub fn of(kind: &tmql_algebra::JoinKind, path: &JoinPath) -> JoinKind {
+        use tmql_algebra::JoinKind as K;
+        match kind {
+            K::Inner => JoinKind::Inner,
+            K::Semi => JoinKind::Semi,
+            K::Anti => JoinKind::Anti,
+            K::LeftOuter => JoinKind::LeftOuter {
+                right_vars: path.right_vars().into_iter().map(Arc::from).collect(),
+            },
+            K::Nest { func, label } => JoinKind::Nest {
+                func: func.clone(),
+                label: label.as_str().into(),
+            },
+        }
+    }
 }
 
 /// One left row's progress through its join candidates: whether one has

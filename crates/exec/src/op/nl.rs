@@ -13,7 +13,7 @@ use tmql_algebra::{eval_predicate, Env, ScalarExpr};
 use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
-use crate::physical::JoinKind;
+use crate::op::JoinKind;
 
 use super::{bind, RowMatch, Rows};
 

@@ -55,7 +55,7 @@ use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
 use crate::op::spill::{self, keys_part, value_part};
 use crate::op::stream::{ExtendOp, FilterOp, MapOp, ProjectOp, UnnestOp};
 use crate::op::{self, group, merge, Shape};
-use crate::physical::PhysPlan;
+use crate::physical::{JoinPath, PhysPlan};
 
 /// A unit of streamed data: up to `batch_size` rows.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -458,24 +458,6 @@ pub fn build_with<'p>(
             hi.as_ref(),
             pred,
         ))),
-        PhysPlan::IndexNLJoin {
-            left,
-            right_table,
-            right_var,
-            attr,
-            key,
-            pred,
-            kind,
-        } => {
-            let algo = Algo::Index {
-                table: right_table,
-                attr,
-                key,
-                pred,
-            };
-            let rs = Shape::bare(right_var);
-            Box::new(JoinOp::new(base, sub(left), None, rs, kind, algo))
-        }
         PhysPlan::ScanExpr { expr, var } => leaf(Box::new(ScanExprOp::new(base, expr, var))),
         PhysPlan::Filter { input, pred } => Box::new(FilterOp::new(base, sub(input), pred)),
         PhysPlan::Map { input, expr, var } => Box::new(MapOp::new(base, sub(input), expr, var)),
@@ -489,62 +471,53 @@ pub fn build_with<'p>(
             elem_var,
             drop_vars,
         } => Box::new(UnnestOp::new(base, sub(input), expr, elem_var, drop_vars)),
-        PhysPlan::NlJoin {
-            left,
-            right,
-            pred,
-            kind,
-        } => {
-            let right = sub(right);
-            let rs = right.shape().clone();
-            Box::new(JoinOp::new(
-                base,
-                sub(left),
-                Some(right),
-                rs,
-                kind,
-                Algo::Nl(pred),
-            ))
-        }
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        } => {
-            let (left, right) = (sub(left), sub(right));
-            let algo = Algo::Hash {
-                left_keys,
-                right_keys,
-                residual: residual.as_ref(),
-                build_part: keys_part(right_keys, right.shape()),
-                probe_part: keys_part(left_keys, left.shape()),
+        PhysPlan::Join { kind, left, path } => {
+            let (left, kind) = (sub(left), op::JoinKind::of(kind, path));
+            let (right, algo) = match path {
+                JoinPath::NestedLoop { right, pred } => (sub(right), Algo::Nl(pred)),
+                JoinPath::Index {
+                    table,
+                    var,
+                    attr,
+                    key,
+                    pred,
+                } => {
+                    let algo = Algo::Index {
+                        table,
+                        attr,
+                        key,
+                        pred,
+                    };
+                    let rs = Shape::bare(var);
+                    return Box::new(JoinOp::new(base, left, None, rs, kind, algo));
+                }
+                JoinPath::Hash { right, keys } => {
+                    let right = sub(right);
+                    let algo = Algo::Hash {
+                        keys,
+                        build_part: keys_part(&keys.right_keys, right.shape()),
+                        probe_part: keys_part(&keys.left_keys, left.shape()),
+                    };
+                    (right, algo)
+                }
+                JoinPath::SortMerge { right, keys } => {
+                    let right = sub(right);
+                    return Box::new(Breaker::new(
+                        base.over(&left),
+                        [
+                            keys_part(&keys.left_keys, left.shape()),
+                            keys_part(&keys.right_keys, right.shape()),
+                        ],
+                        [left, right],
+                        Box::new(move |[l, r], env, m| {
+                            let (lk, rk) = (&keys.left_keys, &keys.right_keys);
+                            merge::join(l, r, lk, rk, keys.residual.as_ref(), &kind, env, m)
+                        }),
+                    ));
+                }
             };
             let rs = right.shape().clone();
             Box::new(JoinOp::new(base, left, Some(right), rs, kind, algo))
-        }
-        PhysPlan::MergeJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-        } => {
-            let (left, right) = (sub(left), sub(right));
-            Box::new(Breaker::new(
-                base.over(&left),
-                [
-                    keys_part(left_keys, left.shape()),
-                    keys_part(right_keys, right.shape()),
-                ],
-                [left, right],
-                Box::new(move |[l, r], env, m| {
-                    merge::join(l, r, left_keys, right_keys, residual.as_ref(), kind, env, m)
-                }),
-            ))
         }
         PhysPlan::Nest {
             input,

@@ -1,64 +1,88 @@
 //! Physical plans: logical operators annotated with implementation choice.
 //!
-//! A [`PhysPlan`] is pure description; [`crate::op::operator::build`]
+//! A join keeps its logical [`JoinKind`] and adds the [`JoinPath`] the
+//! cost model picked for it: one `PhysPlan::Join` node for every kind and
+//! every algorithm. A [`PhysPlan`] is pure description; [`crate::op::operator::build`]
 //! turns it into the streaming operator tree that actually executes. The
 //! `op_label` names here match the operator labels in the executed
 //! profile so `EXPLAIN` output lines up before and after execution.
 
 use std::fmt;
 use std::ops::Bound;
-use std::sync::Arc;
 
-use tmql_algebra::{AggFn, ScalarExpr, SetOpKind};
+use tmql_algebra::{AggFn, JoinKind, ScalarExpr, SetOpKind};
 
-/// What a join produces — shared across the nested-loop, hash, and
-/// sort-merge implementations. The `Nest` variant is the paper's Δ: the
-/// *same* matching machinery, but emitting one output row per left row with
-/// the matches collected into a set (and ∅ for dangling rows).
+use crate::planner::EquiSplit;
+
+/// How a [`PhysPlan::Join`] reaches and matches its right side: the path
+/// the cost model priced and lowering picked. Every path implements every
+/// [`JoinKind`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum JoinKind {
-    /// Regular join: concatenated matching pairs.
-    Inner,
-    /// Semijoin ⋉: left rows with a match.
-    Semi,
-    /// Antijoin ▷: left rows without a match.
-    Anti,
-    /// Left outerjoin ⟕: dangling left rows NULL-extended on the right
-    /// variables (listed here so the executor knows what to bind).
-    LeftOuter {
-        /// Variables of the right operand to NULL-bind for dangling rows
-        /// (interned here, once per plan: a dangling row allocates no label).
-        right_vars: Vec<Arc<str>>,
+pub enum JoinPath {
+    /// Nested loop: the right operand is buffered and `pred` is tested on
+    /// every pair — the universal fallback for arbitrary predicates.
+    NestedLoop {
+        /// Right (inner loop) operand.
+        right: Box<PhysPlan>,
+        /// Full join predicate.
+        pred: ScalarExpr,
     },
-    /// Nest join Δ: left row extended with the set of `func` images of
-    /// matching right rows under `label`.
-    Nest {
-        /// Join function G(x, y).
-        func: ScalarExpr,
-        /// Output label for the nested set (interned once per plan).
-        label: Arc<str>,
+    /// Index nested loop: for each left row, evaluate `key` and probe the
+    /// index on `table.attr` for candidate rows, each bound to `var` and
+    /// re-checked against the full `pred`. The stored table is probed,
+    /// never scanned, so semi/anti set-membership rewrites become per-row
+    /// index probes.
+    Index {
+        /// Probed stored table.
+        table: String,
+        /// Binding variable of its rows.
+        var: String,
+        /// Indexed attribute.
+        attr: String,
+        /// Key expression over left variables.
+        key: ScalarExpr,
+        /// Full join predicate, re-evaluated per candidate pair.
+        pred: ScalarExpr,
+    },
+    /// Hash: build on the right operand, probe with the left, on the
+    /// equi-key pairs plus residual of `keys`. For the nest join the right
+    /// side **must** be the build side — the paper's implementation
+    /// restriction ("only the right join operand may be the build table",
+    /// Section 6).
+    Hash {
+        /// Build side.
+        right: Box<PhysPlan>,
+        /// Key pairs and residual.
+        keys: EquiSplit,
+    },
+    /// Sort-merge on `keys`. Merging on sorted left keys emits each left
+    /// group's matches contiguously, so the nest join's grouping is free.
+    SortMerge {
+        /// Right operand.
+        right: Box<PhysPlan>,
+        /// Key pairs and residual.
+        keys: EquiSplit,
     },
 }
 
-impl JoinKind {
-    /// The output variables of a join of this kind, from its operands'.
-    fn output_vars(&self, mut left: Vec<String>, right: Vec<String>) -> Vec<String> {
+impl JoinPath {
+    /// The right operand, unless the path probes a stored table instead.
+    pub fn right(&self) -> Option<&PhysPlan> {
         match self {
-            JoinKind::Inner | JoinKind::LeftOuter { .. } => left.extend(right),
-            JoinKind::Semi | JoinKind::Anti => {}
-            JoinKind::Nest { label, .. } => left.push(label.to_string()),
+            JoinPath::NestedLoop { right, .. }
+            | JoinPath::Hash { right, .. }
+            | JoinPath::SortMerge { right, .. } => Some(right),
+            JoinPath::Index { .. } => None,
         }
-        left
     }
 
-    /// Short name for explain output.
-    pub fn name(&self) -> &'static str {
+    /// The variables the right side binds.
+    pub fn right_vars(&self) -> Vec<String> {
         match self {
-            JoinKind::Inner => "join",
-            JoinKind::Semi => "semijoin",
-            JoinKind::Anti => "antijoin",
-            JoinKind::LeftOuter { .. } => "outerjoin",
-            JoinKind::Nest { .. } => "nestjoin",
+            JoinPath::Index { var, .. } => vec![var.clone()],
+            JoinPath::NestedLoop { right, .. }
+            | JoinPath::Hash { right, .. }
+            | JoinPath::SortMerge { right, .. } => right.output_vars(),
         }
     }
 }
@@ -142,75 +166,14 @@ pub enum PhysPlan {
         /// Variables kept.
         vars: Vec<String>,
     },
-    /// Nested-loop implementation of any [`JoinKind`]; the universal
-    /// fallback for arbitrary predicates.
-    NlJoin {
-        /// Left (outer loop) operand.
-        left: Box<PhysPlan>,
-        /// Right (inner loop) operand.
-        right: Box<PhysPlan>,
-        /// Full join predicate.
-        pred: ScalarExpr,
-        /// Output shape.
+    /// A member of the join family, implemented by `path`.
+    Join {
+        /// What a left row emits.
         kind: JoinKind,
-    },
-    /// Hash implementation for equi-predicates: build on the right
-    /// operand, probe with the left. For `JoinKind::Nest` the right side
-    /// **must** be the build side — the paper's implementation restriction
-    /// ("only the right join operand may be the build table", Section 6).
-    HashJoin {
-        /// Probe side.
+        /// Left (outer, probe) operand.
         left: Box<PhysPlan>,
-        /// Build side.
-        right: Box<PhysPlan>,
-        /// Key expressions over left variables (same length as
-        /// `right_keys`).
-        left_keys: Vec<ScalarExpr>,
-        /// Key expressions over right variables.
-        right_keys: Vec<ScalarExpr>,
-        /// Residual non-equi predicate, if any.
-        residual: Option<ScalarExpr>,
-        /// Output shape.
-        kind: JoinKind,
-    },
-    /// Index nested-loop join: for each left row, evaluate `key` and
-    /// probe the index on `right_table.attr` for candidate inner rows,
-    /// then run them through the same match/emit machinery as `NlJoin`
-    /// (`pred` is the full join predicate, re-checked per candidate).
-    /// Supports every [`JoinKind`], so semi/anti set-membership rewrites
-    /// become per-row index probes.
-    IndexNLJoin {
-        /// Outer operand.
-        left: Box<PhysPlan>,
-        /// Inner stored table (probed, never scanned).
-        right_table: String,
-        /// Inner binding variable.
-        right_var: String,
-        /// Indexed attribute on the inner table.
-        attr: String,
-        /// Key expression over left variables.
-        key: ScalarExpr,
-        /// Full join predicate, re-evaluated per candidate pair.
-        pred: ScalarExpr,
-        /// Output shape.
-        kind: JoinKind,
-    },
-    /// Sort-merge implementation for equi-predicates. For
-    /// `JoinKind::Nest`, merging on sorted left keys emits each left
-    /// group's matches contiguously, so grouping is free.
-    MergeJoin {
-        /// Left operand.
-        left: Box<PhysPlan>,
-        /// Right operand.
-        right: Box<PhysPlan>,
-        /// Key expressions over left variables.
-        left_keys: Vec<ScalarExpr>,
-        /// Key expressions over right variables.
-        right_keys: Vec<ScalarExpr>,
-        /// Residual non-equi predicate, if any.
-        residual: Option<ScalarExpr>,
-        /// Output shape.
-        kind: JoinKind,
+        /// How the right side is reached and matched.
+        path: JoinPath,
     },
     /// ν / ν* grouping.
     Nest {
@@ -286,20 +249,22 @@ impl PhysPlan {
             } => format!("Scan({table})"),
             PhysPlan::ScanTable { table, .. } => format!("Scan({table})[σ]"),
             PhysPlan::IndexScan { table, attr, .. } => format!("IndexScan({table}.{attr})"),
-            PhysPlan::IndexNLJoin {
-                right_table,
-                attr,
-                kind,
-                ..
-            } => format!("IndexNLJoin[{}]({right_table}.{attr})", kind.name()),
             PhysPlan::ScanExpr { .. } => "ScanExpr".into(),
             PhysPlan::Filter { .. } => "Filter".into(),
             PhysPlan::Map { .. } => "Map".into(),
             PhysPlan::Extend { .. } => "Extend".into(),
             PhysPlan::Project { .. } => "Project".into(),
-            PhysPlan::NlJoin { kind, .. } => format!("NlJoin[{}]", kind.name()),
-            PhysPlan::HashJoin { kind, .. } => format!("HashJoin[{}]", kind.name()),
-            PhysPlan::MergeJoin { kind, .. } => format!("MergeJoin[{}]", kind.name()),
+            PhysPlan::Join { kind, path, .. } => {
+                let kind = kind.name();
+                match path {
+                    JoinPath::NestedLoop { .. } => format!("NlJoin[{kind}]"),
+                    JoinPath::Index { table, attr, .. } => {
+                        format!("IndexNLJoin[{kind}]({table}.{attr})")
+                    }
+                    JoinPath::Hash { .. } => format!("HashJoin[{kind}]"),
+                    JoinPath::SortMerge { .. } => format!("MergeJoin[{kind}]"),
+                }
+            }
             PhysPlan::Nest { star, .. } => if *star { "Nest[ν*]" } else { "Nest[ν]" }.into(),
             PhysPlan::Unnest { .. } => "Unnest".into(),
             PhysPlan::GroupAgg { .. } => "GroupAgg".into(),
@@ -315,7 +280,9 @@ impl PhysPlan {
             PhysPlan::ScanTable { .. } | PhysPlan::IndexScan { .. } | PhysPlan::ScanExpr { .. } => {
                 vec![]
             }
-            PhysPlan::IndexNLJoin { left, .. } => vec![left],
+            PhysPlan::Join { left, path, .. } => {
+                std::iter::once(&**left).chain(path.right()).collect()
+            }
             PhysPlan::Filter { input, .. }
             | PhysPlan::Map { input, .. }
             | PhysPlan::Extend { input, .. }
@@ -323,10 +290,7 @@ impl PhysPlan {
             | PhysPlan::Nest { input, .. }
             | PhysPlan::Unnest { input, .. }
             | PhysPlan::GroupAgg { input, .. } => vec![input],
-            PhysPlan::NlJoin { left, right, .. }
-            | PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::MergeJoin { left, right, .. }
-            | PhysPlan::SetOp { left, right, .. } => vec![left, right],
+            PhysPlan::SetOp { left, right, .. } => vec![left, right],
             PhysPlan::Apply {
                 input, subquery, ..
             } => vec![input, subquery],
@@ -361,21 +325,9 @@ impl PhysPlan {
                 vars.retain(|v| !drop_vars.contains(v));
                 (vars, from_ref(elem_var))
             }
-            P::IndexNLJoin {
-                left,
-                right_var,
-                kind,
-                ..
-            } => return kind.output_vars(left.output_vars(), vec![right_var.clone()]),
-            P::NlJoin {
-                left, right, kind, ..
+            P::Join { kind, left, path } => {
+                return kind.output_vars(left.output_vars(), path.right_vars())
             }
-            | P::HashJoin {
-                left, right, kind, ..
-            }
-            | P::MergeJoin {
-                left, right, kind, ..
-            } => return kind.output_vars(left.output_vars(), right.output_vars()),
         };
         vars.extend_from_slice(added);
         vars
@@ -391,14 +343,11 @@ impl PhysPlan {
         match self {
             P::ScanTable { var, .. } | P::IndexScan { var, .. } => Some(var),
             P::Filter { input, .. } => input.row_var(),
-            P::NlJoin { left, kind, .. }
-            | P::HashJoin { left, kind, .. }
-            | P::MergeJoin { left, kind, .. }
-            | P::IndexNLJoin { left, kind, .. }
-                if matches!(kind, JoinKind::Semi | JoinKind::Anti) =>
-            {
-                left.row_var()
-            }
+            P::Join {
+                kind: JoinKind::Semi | JoinKind::Anti,
+                left,
+                ..
+            } => left.row_var(),
             _ => None,
         }
     }
@@ -432,23 +381,27 @@ mod tests {
 
     #[test]
     fn explain_shows_algorithms() {
-        let p = PhysPlan::HashJoin {
+        let p = PhysPlan::Join {
+            kind: JoinKind::Nest {
+                func: E::var("y"),
+                label: "ys".into(),
+            },
             left: Box::new(PhysPlan::ScanTable {
                 table: "X".into(),
                 var: "x".into(),
                 pred: None,
             }),
-            right: Box::new(PhysPlan::ScanTable {
-                table: "Y".into(),
-                var: "y".into(),
-                pred: None,
-            }),
-            left_keys: vec![E::path("x", &["b"])],
-            right_keys: vec![E::path("y", &["b"])],
-            residual: None,
-            kind: JoinKind::Nest {
-                func: E::var("y"),
-                label: "ys".into(),
+            path: JoinPath::Hash {
+                right: Box::new(PhysPlan::ScanTable {
+                    table: "Y".into(),
+                    var: "y".into(),
+                    pred: None,
+                }),
+                keys: EquiSplit {
+                    left_keys: vec![E::path("x", &["b"])],
+                    right_keys: vec![E::path("y", &["b"])],
+                    residual: None,
+                },
             },
         };
         let s = p.explain();
@@ -477,14 +430,16 @@ mod tests {
         assert_eq!(fused.op_label(), "Scan(R)[σ]");
         assert!(fused.children().is_empty());
         assert!(scan.children().is_empty());
-        let join = PhysPlan::IndexNLJoin {
-            left: Box::new(scan),
-            right_table: "S".into(),
-            right_var: "s".into(),
-            attr: "b".into(),
-            key: E::path("r", &["a"]),
-            pred: E::lit(true),
+        let join = PhysPlan::Join {
             kind: JoinKind::Semi,
+            left: Box::new(scan),
+            path: JoinPath::Index {
+                table: "S".into(),
+                var: "s".into(),
+                attr: "b".into(),
+                key: E::path("r", &["a"]),
+                pred: E::lit(true),
+            },
         };
         assert_eq!(join.op_label(), "IndexNLJoin[semijoin](S.b)");
         assert_eq!(join.children().len(), 1, "the probed inner is no child");
@@ -514,9 +469,6 @@ mod tests {
         assert_eq!(JoinKind::Inner.name(), "join");
         assert_eq!(JoinKind::Semi.name(), "semijoin");
         assert_eq!(JoinKind::Anti.name(), "antijoin");
-        assert_eq!(
-            JoinKind::LeftOuter { right_vars: vec![] }.name(),
-            "outerjoin"
-        );
+        assert_eq!(JoinKind::LeftOuter.name(), "outerjoin");
     }
 }

@@ -14,11 +14,13 @@
 //!   in (never a `Filter` over a `ScanTable`): its leading
 //!   `var.attr ⟨cmp⟩ key` conjuncts ([`scan_pretest`]) reject rows inside
 //!   storage, before they are materialized;
-//! * **join path** — for every member of the join family the predicate is
-//!   split into equi-key pairs `left-expr = right-expr` (each side over one
-//!   operand's variables) plus a residual, and `Estimator::join_path`
-//!   picks index nested-loop / nested-loop / hash (with its build side) /
-//!   sort-merge per the [`ExecConfig`] and the operands' estimates.
+//! * **join path** — a logical join of any kind lowers to one
+//!   [`PhysPlan::Join`] that keeps the kind. Its predicate is split into
+//!   equi-key pairs `left-expr = right-expr` (each side over one
+//!   operand's variables) plus a residual ([`EquiSplit`]), and
+//!   `Estimator::join_path` picks the [`JoinPath`] — index nested-loop /
+//!   nested-loop / hash (with its build side) / sort-merge — per the
+//!   [`ExecConfig`] and the operands' estimates.
 //!
 //! A correlated subquery lowers like any other plan: the `Apply` keeps
 //! the inner plan these choices build, and runs it once per distinct
@@ -40,17 +42,18 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use tmql_algebra::{Plan, ScalarExpr};
+use tmql_algebra::{JoinKind, Plan, ScalarExpr};
 use tmql_model::Result;
 use tmql_storage::Catalog;
 
 use crate::config::ExecConfig;
-use crate::cost::{CostEstimate, Estimator, JoinOut, JoinPath, Node, Sides, Walk};
-use crate::physical::{JoinKind, PhysPlan};
+use crate::cost::{CostEstimate, Estimator, Node, PathChoice, Sides, Walk};
+use crate::physical::{JoinPath, PhysPlan};
 
-/// Extracted equi-join structure.
+/// A join predicate split into equi-key pairs and a residual: what the
+/// hash and sort-merge paths match on.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EquiSplit {
+pub struct EquiSplit {
     /// Key expressions over the left operand's variables.
     pub left_keys: Vec<ScalarExpr>,
     /// Matching key expressions over the right operand's variables.
@@ -334,34 +337,12 @@ impl<'p> Lowering<'_, 'p, '_> {
                     (phys, Node::Select(c, pred, None))
                 }
             },
-            Plan::Join { left, right, pred } => {
-                return self.join(JoinKind::Inner, left, right, pred, from)
-            }
-            Plan::SemiJoin { left, right, pred } => {
-                return self.join(JoinKind::Semi, left, right, pred, from)
-            }
-            Plan::AntiJoin { left, right, pred } => {
-                return self.join(JoinKind::Anti, left, right, pred, from)
-            }
-            Plan::LeftOuterJoin { left, right, pred } => {
-                let kind = JoinKind::LeftOuter {
-                    right_vars: right.output_vars().into_iter().map(Arc::from).collect(),
-                };
-                return self.join(kind, left, right, pred, from);
-            }
-            Plan::NestJoin {
+            Plan::Join {
+                kind,
                 left,
                 right,
                 pred,
-                func,
-                label,
-            } => {
-                let kind = JoinKind::Nest {
-                    func: func.clone(),
-                    label: label.as_str().into(),
-                };
-                return self.join(kind, left, right, pred, from);
-            }
+            } => return self.join(kind, left, right, pred, from),
             Plan::ScanExpr { expr, var } => {
                 let phys = PhysPlan::ScanExpr {
                     expr: expr.clone(),
@@ -484,7 +465,7 @@ impl<'p> Lowering<'_, 'p, '_> {
     /// the configured algorithm and prices it; this builds what it picked.
     fn join(
         &mut self,
-        kind: JoinKind,
+        kind: &JoinKind,
         left: &'p Plan,
         right: &'p Plan,
         pred: &ScalarExpr,
@@ -499,55 +480,42 @@ impl<'p> Lowering<'_, 'p, '_> {
             mid,
             r: r_est,
         };
-        let (algo, out) = (self.config.join_algo, JoinOut::from(&kind));
-        let (est, mut split, path) = self.walk.join(algo, out, (left, right), pred, sides);
+        let algo = self.config.join_algo;
+        let (est, mut keys, choice) = self.walk.join(algo, kind, (left, right), pred, sides);
         let pred = pred.clone();
-        let phys = match path {
-            JoinPath::IndexNl {
+        let path = match choice {
+            PathChoice::IndexNl {
                 table,
                 var,
                 attr,
                 key,
                 ..
-            } => PhysPlan::IndexNLJoin {
-                left: l,
-                right_table: table.to_string(),
-                right_var: var.to_string(),
+            } => JoinPath::Index {
+                table: table.to_string(),
+                var: var.to_string(),
                 attr,
-                key: split.left_keys.swap_remove(key),
+                key: keys.left_keys.swap_remove(key),
                 pred,
-                kind,
             },
-            JoinPath::NestedLoop => PhysPlan::NlJoin {
-                left: l,
-                right: r,
-                pred,
-                kind,
-            },
-            JoinPath::Hash { swap } => {
+            PathChoice::NestedLoop => JoinPath::NestedLoop { right: r, pred },
+            PathChoice::Hash { swap } => {
                 if swap {
                     std::mem::swap(&mut l, &mut r);
-                    std::mem::swap(&mut split.left_keys, &mut split.right_keys);
+                    std::mem::swap(&mut keys.left_keys, &mut keys.right_keys);
                 }
-                PhysPlan::HashJoin {
-                    left: l,
-                    right: r,
-                    left_keys: split.left_keys,
-                    right_keys: split.right_keys,
-                    residual: split.residual,
-                    kind,
-                }
+                JoinPath::Hash { right: r, keys }
             }
-            JoinPath::SortMerge => PhysPlan::MergeJoin {
-                left: l,
-                right: r,
-                left_keys: split.left_keys,
-                right_keys: split.right_keys,
-                residual: split.residual,
-                kind,
-            },
+            PathChoice::SortMerge => JoinPath::SortMerge { right: r, keys },
         };
-        (phys, est)
+        let kind = kind.clone();
+        (
+            PhysPlan::Join {
+                kind,
+                left: l,
+                path,
+            },
+            est,
+        )
     }
 }
 
@@ -618,7 +586,7 @@ mod tests {
             E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
         );
         let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        assert!(matches!(phys, PhysPlan::HashJoin { .. }), "{phys}");
+        assert_eq!(phys.op_label(), "HashJoin[join]", "{phys}");
     }
 
     #[test]
@@ -630,7 +598,7 @@ mod tests {
         );
         for algo in [JoinAlgo::Auto, JoinAlgo::Hash, JoinAlgo::SortMerge] {
             let phys = lower(&plan, &cat, &ExecConfig::with_join_algo(algo)).unwrap();
-            assert!(matches!(phys, PhysPlan::NlJoin { .. }), "{phys}");
+            assert_eq!(phys.op_label(), "NlJoin[join]", "{phys}");
         }
     }
 
@@ -648,10 +616,9 @@ mod tests {
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
         let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::HashJoin {
+        let PhysPlan::Join {
             left,
-            right,
-            left_keys,
+            path: JoinPath::Hash { right, keys },
             ..
         } = phys
         else {
@@ -660,10 +627,15 @@ mod tests {
         assert!(matches!(*left, PhysPlan::ScanTable { ref table, .. } if table == "BIG"));
         assert!(matches!(*right, PhysPlan::ScanTable { ref table, .. } if table == "TINY"));
         // Keys swapped with the sides.
-        assert_eq!(left_keys, vec![E::path("x", &["b"])]);
+        assert_eq!(keys.left_keys, vec![E::path("x", &["b"])]);
         // A forced algorithm keeps the written build side.
         let phys = lower(&plan, &cat, &ExecConfig::with_join_algo(JoinAlgo::Hash)).unwrap();
-        let PhysPlan::HashJoin { left, .. } = phys else {
+        let PhysPlan::Join {
+            left,
+            path: JoinPath::Hash { .. },
+            ..
+        } = phys
+        else {
             panic!("hash join expected")
         };
         assert!(matches!(*left, PhysPlan::ScanTable { ref table, .. } if table == "TINY"));
@@ -673,10 +645,10 @@ mod tests {
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
         let phys = lower(&semi, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::HashJoin {
-            left,
+        let PhysPlan::Join {
             kind: JoinKind::Semi,
-            ..
+            left,
+            path: JoinPath::Hash { .. },
         } = phys
         else {
             panic!("hash semijoin expected");
@@ -692,39 +664,21 @@ mod tests {
             E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
         );
         let h = lower(&plan, &cat, &ExecConfig::with_join_algo(JoinAlgo::Hash)).unwrap();
-        assert!(matches!(
-            h,
-            PhysPlan::HashJoin {
-                kind: JoinKind::Semi,
-                ..
-            }
-        ));
+        assert_eq!(h.op_label(), "HashJoin[semijoin]");
         let m = lower(
             &plan,
             &cat,
             &ExecConfig::with_join_algo(JoinAlgo::SortMerge),
         )
         .unwrap();
-        assert!(matches!(
-            m,
-            PhysPlan::MergeJoin {
-                kind: JoinKind::Semi,
-                ..
-            }
-        ));
+        assert_eq!(m.op_label(), "MergeJoin[semijoin]");
         let n = lower(
             &plan,
             &cat,
             &ExecConfig::with_join_algo(JoinAlgo::NestedLoop),
         )
         .unwrap();
-        assert!(matches!(
-            n,
-            PhysPlan::NlJoin {
-                kind: JoinKind::Semi,
-                ..
-            }
-        ));
+        assert_eq!(n.op_label(), "NlJoin[semijoin]");
     }
 
     #[test]
@@ -737,8 +691,9 @@ mod tests {
             "zs",
         );
         let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::HashJoin {
+        let PhysPlan::Join {
             kind: JoinKind::Nest { label, .. },
+            path: JoinPath::Hash { .. },
             ..
         } = phys
         else {
@@ -821,22 +776,22 @@ mod tests {
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
         let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        let PhysPlan::IndexNLJoin {
-            right_table,
-            attr,
-            key,
+        let PhysPlan::Join {
+            path: JoinPath::Index {
+                table, attr, key, ..
+            },
             ..
         } = phys
         else {
             panic!("expected IndexNLJoin, got {phys}");
         };
-        assert_eq!(right_table, "BIG");
+        assert_eq!(table, "BIG");
         assert_eq!(attr, "b");
         assert_eq!(key, E::path("t", &["b"]));
         // Forced algorithms never take the index path.
         for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
             let phys = lower(&plan, &cat, &ExecConfig::with_join_algo(algo)).unwrap();
-            assert!(!matches!(phys, PhysPlan::IndexNLJoin { .. }), "{phys}");
+            assert!(!phys.op_label().starts_with("IndexNLJoin"), "{phys}");
         }
     }
 
@@ -915,7 +870,7 @@ mod tests {
             E::eq(E::path("t", &["b"]), E::path("x", &["b"])),
         );
         let phys = lower(&plan, &cat, &ExecConfig::default()).unwrap();
-        assert!(matches!(phys, PhysPlan::HashJoin { .. }), "{phys}");
+        assert_eq!(phys.op_label(), "HashJoin[join]", "{phys}");
     }
 
     /// The seam the shared `join_path` closes: the model prices the index
@@ -930,10 +885,6 @@ mod tests {
             int_table(name, &["k"], &refs)
         };
         let pred = || E::eq(E::path("l", &["k"]), E::path("r", &["k"]));
-        let (l, r) = (
-            || Box::new(Plan::scan("L", "l")),
-            || Box::new(Plan::scan("R", "r")),
-        );
         for n in [400, 480, 500, 520, 549, 551, 600] {
             let catalog = || {
                 let mut cat = Catalog::new();
@@ -947,16 +898,12 @@ mod tests {
                 Plan::scan("L", "l").join(Plan::scan("R", "r"), pred()),
                 Plan::scan("L", "l").semi_join(Plan::scan("R", "r"), pred()),
                 Plan::scan("L", "l").anti_join(Plan::scan("R", "r"), pred()),
-                Plan::LeftOuterJoin {
-                    left: l(),
-                    right: r(),
-                    pred: pred(),
-                },
+                Plan::scan("L", "l").left_outer_join(Plan::scan("R", "r"), pred()),
                 Plan::scan("L", "l").nest_join(Plan::scan("R", "r"), pred(), E::var("r"), "rs"),
             ];
             for plan in plans {
                 let phys = lower(&plan, &indexed, &ExecConfig::default()).unwrap();
-                let emitted = matches!(phys, PhysPlan::IndexNLJoin { .. });
+                let emitted = phys.op_label().starts_with("IndexNLJoin");
                 // Same statistics with and without the index: the costs
                 // differ exactly when the index path is the one priced.
                 let priced =
@@ -972,10 +919,24 @@ mod tests {
         let cat = indexed_catalog();
         let on_b = || E::eq(E::path("t", &["b"]), E::path("x", &["b"]));
         let (tiny, big) = (|| Plan::scan("TINY", "t"), || Plan::scan("BIG", "x"));
-        let plans = [
-            tiny().join(big(), on_b()),
-            tiny().semi_join(big(), on_b()),
-            tiny().nest_join(big(), on_b(), E::path("x", &["a"]), "xs"),
+        let kinds = [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter,
+            JoinKind::Nest {
+                func: E::path("x", &["a"]),
+                label: "xs".into(),
+            },
+        ];
+        // Every kind over an indexed inner: Auto probes the index, and the
+        // forced algorithms take the other three paths.
+        let mut plans: Vec<Plan> = kinds
+            .into_iter()
+            .map(|kind| tiny().join_as(kind, big(), on_b()))
+            .collect();
+        let paths = plans.len();
+        plans.extend([
             big().join(
                 tiny(),
                 E::cmp(CmpOp::Lt, E::path("x", &["b"]), E::path("t", &["b"])),
@@ -984,10 +945,17 @@ mod tests {
                 .apply(tiny().select(on_b()).map(E::path("t", &["c"]), "q"), "z")
                 .extend(E::path("x", &["a"]), "e")
                 .project(&["z", "e"]),
+        ]);
+        let algos = [
+            JoinAlgo::Auto,
+            JoinAlgo::Hash,
+            JoinAlgo::SortMerge,
+            JoinAlgo::NestedLoop,
         ];
-        for plan in plans {
-            for algo in [JoinAlgo::Auto, JoinAlgo::Hash, JoinAlgo::NestedLoop] {
-                let phys = lower(&plan, &cat, &ExecConfig::with_join_algo(algo)).unwrap();
+        for (i, plan) in plans.iter().enumerate() {
+            let mut labels = BTreeSet::new();
+            for algo in algos {
+                let phys = lower(plan, &cat, &ExecConfig::with_join_algo(algo)).unwrap();
                 // A swapped inner hash join binds the same variables in
                 // the other order.
                 let sorted = |mut v: Vec<String>| {
@@ -999,6 +967,12 @@ mod tests {
                     sorted(plan.output_vars()),
                     "{phys}"
                 );
+                let label = phys.op_label();
+                labels.insert(label[..label.find('[').unwrap_or(label.len())].to_string());
+            }
+            if i < paths {
+                let all = ["HashJoin", "IndexNLJoin", "MergeJoin", "NlJoin"];
+                assert!(labels.iter().eq(all.iter()), "{plan}: {labels:?}");
             }
         }
     }

@@ -15,8 +15,9 @@
 use std::ops::Bound;
 
 use proptest::prelude::*;
-use tmql_algebra::{eval_predicate, CmpOp, Env, Plan, ScalarExpr as E};
-use tmql_exec::{execute, lower, ExecConfig, ExecContext, JoinKind, PhysPlan};
+use tmql_algebra::{eval_predicate, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
+use tmql_exec::planner::EquiSplit;
+use tmql_exec::{execute, lower, ExecConfig, ExecContext, JoinPath, PhysPlan};
 use tmql_model::{ModelError, Record, Ty, Value};
 use tmql_storage::spill::encode_record;
 use tmql_storage::{Catalog, OrdIndex, RowTest, Table};
@@ -82,9 +83,7 @@ fn kinds() -> [JoinKind; 5] {
         JoinKind::Inner,
         JoinKind::Semi,
         JoinKind::Anti,
-        JoinKind::LeftOuter {
-            right_vars: vec!["y".into()],
-        },
+        JoinKind::LeftOuter,
         JoinKind::Nest {
             func: E::path("y", &["id"]),
             label: "s".into(),
@@ -103,49 +102,47 @@ fn plans(kind: &JoinKind) -> [(&'static str, PhysPlan); 4] {
     };
     let (xk, yk) = (E::path("x", &["k"]), E::path("y", &["k"]));
     let pred = E::eq(xk.clone(), yk.clone());
+    let keys = EquiSplit {
+        left_keys: vec![xk.clone()],
+        right_keys: vec![yk],
+        residual: None,
+    };
+    let join = |path| PhysPlan::Join {
+        kind: kind.clone(),
+        left: scan("X", "x"),
+        path,
+    };
     [
         (
             "nested loop",
-            PhysPlan::NlJoin {
-                left: scan("X", "x"),
+            join(JoinPath::NestedLoop {
                 right: scan("Y", "y"),
                 pred: pred.clone(),
-                kind: kind.clone(),
-            },
+            }),
         ),
         (
             "hash",
-            PhysPlan::HashJoin {
-                left: scan("X", "x"),
+            join(JoinPath::Hash {
                 right: scan("Y", "y"),
-                left_keys: vec![xk.clone()],
-                right_keys: vec![yk.clone()],
-                residual: None,
-                kind: kind.clone(),
-            },
+                keys: keys.clone(),
+            }),
         ),
         (
             "sort-merge",
-            PhysPlan::MergeJoin {
-                left: scan("X", "x"),
+            join(JoinPath::SortMerge {
                 right: scan("Y", "y"),
-                left_keys: vec![xk.clone()],
-                right_keys: vec![yk],
-                residual: None,
-                kind: kind.clone(),
-            },
+                keys,
+            }),
         ),
         (
             "index nested loop",
-            PhysPlan::IndexNLJoin {
-                left: scan("X", "x"),
-                right_table: "Y".into(),
-                right_var: "y".into(),
+            join(JoinPath::Index {
+                table: "Y".into(),
+                var: "y".into(),
                 attr: "k".into(),
                 key: xk,
                 pred,
-                kind: kind.clone(),
-            },
+            }),
         ),
     ]
 }
@@ -187,10 +184,10 @@ fn by_definition(kind: &JoinKind, xs: &[Record], ys: &[Record]) -> Vec<Record> {
                     out.push(row(vec![x]));
                 }
             }
-            JoinKind::LeftOuter { .. } if partners.is_empty() => {
+            JoinKind::LeftOuter if partners.is_empty() => {
                 out.push(row(vec![x, ("y", Value::Null)]))
             }
-            JoinKind::LeftOuter { .. } => out.extend(pairs),
+            JoinKind::LeftOuter => out.extend(pairs),
             JoinKind::Nest { .. } => {
                 let ids = partners.iter().map(|y| y.get("id").unwrap().clone());
                 out.push(row(vec![x, ("s", Value::set(ids.collect::<Vec<_>>()))]));
@@ -341,7 +338,13 @@ fn a_dropped_index_is_a_typed_error() {
     let config = ExecConfig::default();
     let phys = [join, probe].map(|plan| lower(&plan, &cat, &config).unwrap());
     assert!(
-        matches!(phys[0], PhysPlan::IndexNLJoin { .. }),
+        matches!(
+            phys[0],
+            PhysPlan::Join {
+                path: JoinPath::Index { .. },
+                ..
+            }
+        ),
         "{}",
         phys[0]
     );

@@ -5,10 +5,11 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::ops::Bound;
-use tmql_algebra::{AggFn, CmpOp, Env, Plan, ScalarExpr as E};
+use tmql_algebra::{AggFn, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
 use tmql_exec::op::operator::{build, build_with, drain, Batch, BoxedOperator, OpStats};
 use tmql_exec::op::Shape;
-use tmql_exec::{run, run_values, ExecConfig, ExecContext, JoinAlgo, JoinKind, Operator, PhysPlan};
+use tmql_exec::planner::EquiSplit;
+use tmql_exec::{run, run_values, ExecConfig, ExecContext, JoinAlgo, JoinPath, Operator, PhysPlan};
 use tmql_model::{Record, Ty, Value};
 use tmql_storage::{table::int_table, Catalog, Table};
 
@@ -68,11 +69,10 @@ fn outerjoin_nulls_flow_through_group_agg() {
     // composes from.
     let cat = catalog(&[(1, 1), (2, 9)], &[(1, 10)]);
     let plan = Plan::GroupAgg {
-        input: Box::new(Plan::LeftOuterJoin {
-            left: Box::new(Plan::scan("X", "x")),
-            right: Box::new(Plan::scan("Y", "y")),
-            pred: E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
-        }),
+        input: Box::new(Plan::scan("X", "x").left_outer_join(
+            Plan::scan("Y", "y"),
+            E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
+        )),
         keys: vec![("a".into(), E::path("x", &["a"]))],
         aggs: vec![
             ("rows".into(), AggFn::Count, E::var("y")),
@@ -162,11 +162,7 @@ proptest! {
             Plan::scan("X", "x").join(Plan::scan("Y", "y"), pred.clone()),
             Plan::scan("X", "x").semi_join(Plan::scan("Y", "y"), pred.clone()),
             Plan::scan("X", "x").anti_join(Plan::scan("Y", "y"), pred.clone()),
-            Plan::LeftOuterJoin {
-                left: Box::new(Plan::scan("X", "x")),
-                right: Box::new(Plan::scan("Y", "y")),
-                pred: pred.clone(),
-            },
+            Plan::scan("X", "x").left_outer_join(Plan::scan("Y", "y"), pred.clone()),
             Plan::scan("X", "x").nest_join(
                 Plan::scan("Y", "y"),
                 pred,
@@ -386,6 +382,15 @@ fn shape_catalog() -> Catalog {
     cat
 }
 
+/// One equi-key pair plus an optional residual.
+fn keys(left: E, right: E, residual: Option<E>) -> EquiSplit {
+    EquiSplit {
+        left_keys: vec![left],
+        right_keys: vec![right],
+        residual,
+    }
+}
+
 fn scan(table: &str, var: &str) -> Box<PhysPlan> {
     Box::new(PhysPlan::ScanTable {
         table: table.into(),
@@ -408,9 +413,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
             JoinKind::Inner,
             JoinKind::Semi,
             JoinKind::Anti,
-            JoinKind::LeftOuter {
-                right_vars: vec!["y".into()],
-            },
+            JoinKind::LeftOuter,
             JoinKind::Nest {
                 func: E::Tuple(vec![
                     ("y".into(), E::var("y")),
@@ -434,13 +437,13 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
             ),
             (
                 "semi",
-                Box::new(P::HashJoin {
-                    left: scan("X", "x"),
-                    right: scan("Y", "w"),
-                    left_keys: vec![xb()],
-                    right_keys: vec![E::path("w", &["b"])],
-                    residual: None,
+                Box::new(P::Join {
                     kind: JoinKind::Anti,
+                    left: scan("X", "x"),
+                    path: JoinPath::Hash {
+                        right: scan("Y", "w"),
+                        keys: keys(xb(), E::path("w", &["b"]), None),
+                    },
                 }),
             ),
             (
@@ -457,11 +460,13 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
             ),
             (
                 "pair",
-                Box::new(P::NlJoin {
-                    left: scan("X", "x"),
-                    right: scan("S", "s"),
-                    pred: E::eq(E::path("x", &["a"]), E::path("s", &["k"])),
+                Box::new(P::Join {
                     kind: JoinKind::Inner,
+                    left: scan("X", "x"),
+                    path: JoinPath::NestedLoop {
+                        right: scan("S", "s"),
+                        pred: E::eq(E::path("x", &["a"]), E::path("s", &["k"])),
+                    },
                 }),
             ),
         ]
@@ -471,67 +476,61 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
         for (lname, left) in lefts() {
             let right = || scan("Y", "y");
             let name = |family: &str| format!("{family}[{}]({lname}, Y)", kind.name());
-            let (lk, rk) = (vec![xb()], vec![yb()]);
+            let join = |path| P::Join {
+                kind: kind.clone(),
+                left: left.clone(),
+                path,
+            };
             out.push((
                 name("nl"),
-                P::NlJoin {
-                    left: left.clone(),
+                join(JoinPath::NestedLoop {
                     right: right(),
                     pred: E::and(equi(), residual()),
-                    kind: kind.clone(),
-                },
+                }),
             ));
             out.push((
                 name("hash"),
-                P::HashJoin {
-                    left: left.clone(),
+                join(JoinPath::Hash {
                     right: right(),
-                    left_keys: lk.clone(),
-                    right_keys: rk.clone(),
-                    residual: Some(residual()),
-                    kind: kind.clone(),
-                },
+                    keys: keys(xb(), yb(), Some(residual())),
+                }),
             ));
             out.push((
                 name("merge"),
-                P::MergeJoin {
-                    left: left.clone(),
+                join(JoinPath::SortMerge {
                     right: right(),
-                    left_keys: lk,
-                    right_keys: rk,
-                    residual: None,
-                    kind: kind.clone(),
-                },
+                    keys: keys(xb(), yb(), None),
+                }),
             ));
             out.push((
                 name("index-nl"),
-                P::IndexNLJoin {
-                    left,
-                    right_table: "Y".into(),
-                    right_var: "y".into(),
+                join(JoinPath::Index {
+                    table: "Y".into(),
+                    var: "y".into(),
                     attr: "b".into(),
                     key: xb(),
                     pred: equi(),
-                    kind: kind.clone(),
-                },
+                }),
             ));
         }
         // A right operand that is a record of bindings (a set-expression
         // scan), against a bare left.
         out.push((
             format!("nl[{}](scan, ScanExpr)", kind.name()),
-            P::NlJoin {
-                left: scan("X", "x"),
-                right: Box::new(P::ScanExpr {
-                    expr: E::SetLit(
-                        (0..5)
-                            .map(|i| E::Tuple(vec![("b".into(), E::lit(i))]))
-                            .collect(),
-                    ),
-                    var: "y".into(),
-                }),
-                pred: equi(),
+            P::Join {
                 kind,
+                left: scan("X", "x"),
+                path: JoinPath::NestedLoop {
+                    right: Box::new(P::ScanExpr {
+                        expr: E::SetLit(
+                            (0..5)
+                                .map(|i| E::Tuple(vec![("b".into(), E::lit(i))]))
+                                .collect(),
+                        ),
+                        var: "y".into(),
+                    }),
+                    pred: equi(),
+                },
             },
         ));
     }
@@ -746,14 +745,12 @@ fn row_shape_is_invisible_to_results_and_counters() {
 #[test]
 fn a_dangling_outer_row_binds_its_bare_right_side_to_null() {
     let cat = shape_catalog();
-    let plan = PhysPlan::HashJoin {
+    let plan = PhysPlan::Join {
+        kind: JoinKind::LeftOuter,
         left: scan("X", "x"),
-        right: scan("Y", "y"),
-        left_keys: vec![E::path("x", &["b"])],
-        right_keys: vec![E::path("y", &["b"])],
-        residual: None,
-        kind: JoinKind::LeftOuter {
-            right_vars: vec!["y".into()],
+        path: JoinPath::Hash {
+            right: scan("Y", "y"),
+            keys: keys(E::path("x", &["b"]), E::path("y", &["b"]), None),
         },
     };
     let (rows, _) = run_shaped(&plan, &cat, &ExecConfig::default(), false);

@@ -59,11 +59,7 @@ fn breaker_corpus() -> Vec<(&'static str, Plan)> {
         ),
         (
             "outer",
-            Plan::LeftOuterJoin {
-                left: Box::new(Plan::scan("X", "x")),
-                right: Box::new(Plan::scan("Y", "y")),
-                pred: equi(),
-            },
+            Plan::scan("X", "x").left_outer_join(Plan::scan("Y", "y"), equi()),
         ),
         (
             "nestjoin",
@@ -206,11 +202,7 @@ fn keyed_joins() -> Vec<(&'static str, Plan)> {
         )
     };
     let (x, y) = (|| Plan::scan("X", "x"), || Plan::scan("Y", "y"));
-    let outer = Plan::LeftOuterJoin {
-        left: Box::new(x()),
-        right: Box::new(y()),
-        pred: pred(),
-    };
+    let outer = x().left_outer_join(y(), pred());
     vec![
         ("join", x().join(y(), pred())),
         ("semi", x().semi_join(y(), pred())),

@@ -61,11 +61,7 @@ fn plan_corpus(lim: i64) -> Vec<(&'static str, Plan)> {
         ),
         (
             "outer",
-            Plan::LeftOuterJoin {
-                left: Box::new(Plan::scan("X", "x")),
-                right: Box::new(Plan::scan("Y", "y")),
-                pred: equi(),
-            },
+            Plan::scan("X", "x").left_outer_join(Plan::scan("Y", "y"), equi()),
         ),
         (
             "nestjoin",

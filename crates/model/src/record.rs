@@ -399,14 +399,6 @@ impl fmt::Display for Record {
     }
 }
 
-impl<L: Into<Arc<str>>> FromIterator<(L, Value)> for Record {
-    /// Collects pairs, silently overwriting nothing: panics on duplicates.
-    /// Intended for internal construction where labels are known distinct.
-    fn from_iter<T: IntoIterator<Item = (L, Value)>>(iter: T) -> Self {
-        Record::new(iter).expect("duplicate label collecting Record")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -158,13 +158,10 @@ fn arb_record() -> impl Strategy<Value = Record> {
 fn permuted(r: &Record, seed: u64) -> Record {
     fn deep(v: &Value) -> Value {
         match v {
-            Value::Tuple(r) => Value::Tuple(
-                r.fields()
-                    .iter()
-                    .rev()
-                    .map(|(l, v)| (l.clone(), deep(v)))
-                    .collect(),
-            ),
+            Value::Tuple(r) => {
+                let fields = r.fields().iter().rev().map(|(l, v)| (l.clone(), deep(v)));
+                Value::Tuple(Record::new(fields).unwrap())
+            }
             Value::Set(s) => Value::set(s.iter().map(deep)),
             Value::List(l) => Value::List(l.iter().map(deep).collect()),
             Value::Variant(l, v) => Value::Variant(l.clone(), Box::new(deep(v))),
@@ -183,7 +180,7 @@ fn permuted(r: &Record, seed: u64) -> Record {
             .wrapping_add(1442695040888963407);
         fields.swap(i, (state >> 33) as usize % (i + 1));
     }
-    fields.into_iter().collect()
+    Record::new(fields).unwrap()
 }
 
 proptest! {
@@ -282,12 +279,13 @@ proptest! {
             return Ok(());
         }
         let victim = seed as usize % a.len();
-        let changed: Record = a
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, (l, old))| (l.clone(), if i == victim { v.clone() } else { old.clone() }))
-            .collect();
+        let changed = Record::new(
+            a.fields()
+                .iter()
+                .enumerate()
+                .map(|(i, (l, old))| (l.clone(), if i == victim { v.clone() } else { old.clone() })),
+        )
+        .unwrap();
         let p = permuted(&changed, seed);
         let expected = ref_cmp(&a.fields()[victim].1, &v);
         prop_assert_eq!(a == p, expected == Ordering::Equal);

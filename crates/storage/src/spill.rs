@@ -1103,7 +1103,7 @@ mod tests {
     fn decoder_remembers_a_bounded_number_of_labels() {
         let mut decoder = RecordDecoder::default();
         let wide =
-            |n: usize| -> Record { (0..n).map(|i| (format!("f{i}"), Value::Int(0))).collect() };
+            |n: usize| Record::new((0..n).map(|i| (format!("f{i}"), Value::Int(0)))).unwrap();
         let bytes = encode_record(&wide(MAX_LABELS + 8));
         let (first, second) = (
             decoder.decode(&bytes).unwrap(),

@@ -487,6 +487,7 @@ mod tests {
         assert!(p.any_node(&mut |n| matches!(
             n,
             Plan::Join {
+                kind: tmql_algebra::JoinKind::Inner,
                 pred: ScalarExpr::Lit(tmql_model::Value::Bool(true)),
                 ..
             }

@@ -6,13 +6,17 @@
 //! ```
 
 use tmql::{Database, Plan, QueryOptions};
+use tmql_algebra::JoinKind;
 use tmql_workload::gen::{gen_xy, GenConfig};
 use tmql_workload::queries::table2_templates;
 
 fn shape(plan: &Plan) -> &'static str {
-    if plan.any_node(&mut |n| matches!(n, Plan::SemiJoin { .. })) {
+    let has = |kind: JoinKind| {
+        plan.any_node(&mut |n| matches!(n, Plan::Join { kind: k, .. } if *k == kind))
+    };
+    if has(JoinKind::Semi) {
         "semijoin ⋉"
-    } else if plan.any_node(&mut |n| matches!(n, Plan::AntiJoin { .. })) {
+    } else if has(JoinKind::Anti) {
         "antijoin ▷"
     } else if plan.has_nest_join() {
         "nest join Δ"

@@ -5,6 +5,7 @@
 //! must rewrite what it can and leave the rest semantically intact.
 
 use tmql::{Database, Plan, QueryOptions, TmqlError, UnnestStrategy};
+use tmql_algebra::JoinKind;
 use tmql_workload::gen::{gen_xy, gen_xyz, GenConfig};
 
 fn xy_db() -> Database {
@@ -128,7 +129,13 @@ fn triple_nesting_fully_decorrelates_with_neighbour_predicates() {
     let (_, plan) = db.plan_with(q, QueryOptions::default()).unwrap();
     assert!(!plan.has_apply(), "{plan}");
     assert_eq!(
-        plan.count_nodes(&mut |n| matches!(n, Plan::SemiJoin { .. })),
+        plan.count_nodes(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Semi,
+                ..
+            }
+        )),
         2,
         "two membership blocks → two semijoins\n{plan}"
     );

@@ -3,6 +3,7 @@
 //! and estimated-vs-actual in the executed profile.
 
 use tmql::{Database, Plan, QueryOptions, UnnestStrategy};
+use tmql_algebra::JoinKind;
 use tmql_workload::gen::{gen_rs, GenConfig};
 use tmql_workload::queries::{COUNT_BUG, MEMBERSHIP};
 
@@ -78,7 +79,13 @@ fn cost_based_keeps_semijoin_for_membership() {
     let db = Database::from_catalog(tmql_workload::gen::gen_xy(&cfg));
     let cost = plan_for(&db, MEMBERSHIP, UnnestStrategy::CostBased);
     assert!(
-        cost.any_node(&mut |n| matches!(n, Plan::SemiJoin { .. })),
+        cost.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Semi,
+                ..
+            }
+        )),
         "{cost}"
     );
     assert!(!cost.has_apply());

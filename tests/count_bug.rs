@@ -86,7 +86,13 @@ fn plan_shapes_match_section2() {
         "{kim}"
     );
     assert!(
-        kim.any_node(&mut |n| matches!(n, tmql::Plan::Join { .. })),
+        kim.any_node(&mut |n| matches!(
+            n,
+            tmql::Plan::Join {
+                kind: tmql_algebra::JoinKind::Inner,
+                ..
+            }
+        )),
         "{kim}"
     );
     // Ganski–Wong: outerjoin + ν*.
@@ -97,7 +103,13 @@ fn plan_shapes_match_section2() {
         )
         .unwrap();
     assert!(
-        gw.any_node(&mut |n| matches!(n, tmql::Plan::LeftOuterJoin { .. })),
+        gw.any_node(&mut |n| matches!(
+            n,
+            tmql::Plan::Join {
+                kind: tmql_algebra::JoinKind::LeftOuter,
+                ..
+            }
+        )),
         "{gw}"
     );
     assert!(
@@ -113,7 +125,13 @@ fn plan_shapes_match_section2() {
         .unwrap();
     assert!(nj.has_nest_join(), "{nj}");
     assert!(
-        !nj.any_node(&mut |n| matches!(n, tmql::Plan::LeftOuterJoin { .. })),
+        !nj.any_node(&mut |n| matches!(
+            n,
+            tmql::Plan::Join {
+                kind: tmql_algebra::JoinKind::LeftOuter,
+                ..
+            }
+        )),
         "{nj}"
     );
 }

@@ -131,7 +131,7 @@ proptest! {
         let (_, plan) = db
             .plan_with(queries::MEMBERSHIP, QueryOptions::default())
             .unwrap();
-        let is_semi = plan.any_node(&mut |n| matches!(n, tmql::Plan::SemiJoin { .. }));
+        let is_semi = plan.any_node(&mut |n| matches!(n, tmql::Plan::Join { kind: tmql_algebra::JoinKind::Semi, .. }));
         prop_assert!(!plan.has_apply());
         prop_assert!(!plan.has_nest_join());
         prop_assert!(is_semi);

@@ -222,11 +222,7 @@ fn shapes() -> Vec<(&'static str, bool, ExecConfig, Plan)> {
             "IndexNLJoin left outer",
             true,
             auto(),
-            Plan::LeftOuterJoin {
-                left: boxed(tiny()),
-                right: boxed(big("x")),
-                pred: tb_xb(),
-            },
+            tiny().left_outer_join(big("x"), tb_xb()),
         ),
         (
             "IndexNLJoin nest, residual conjunct, map on top",

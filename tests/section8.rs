@@ -15,6 +15,7 @@
 //! the outer one a semijoin.
 
 use tmql::{Database, Plan, QueryOptions, UnnestStrategy, Value};
+use tmql_algebra::JoinKind;
 use tmql_workload::gen::{gen_xyz, GenConfig};
 use tmql_workload::queries::{SECTION8, SECTION8_FLAT};
 use tmql_workload::schemas::section8_catalog;
@@ -35,7 +36,13 @@ fn subseteq_version_uses_two_nest_joins() {
     );
     assert!(!plan.has_apply(), "{plan}");
     assert_eq!(
-        plan.count_nodes(&mut |n| matches!(n, Plan::NestJoin { .. })),
+        plan.count_nodes(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Nest { .. },
+                ..
+            }
+        )),
         2,
         "both blocks become nest joins (steps 1 and 3)\n{plan}"
     );
@@ -52,7 +59,13 @@ fn subseteq_version_uses_two_nest_joins() {
 fn find_outer_nestjoin_right(plan: &Plan) -> Option<bool> {
     let mut result = None;
     plan.any_node(&mut |n| {
-        if let Plan::NestJoin { left, right, .. } = n {
+        if let Plan::Join {
+            kind: JoinKind::Nest { .. },
+            left,
+            right,
+            ..
+        } = n
+        {
             if matches!(&**left, Plan::ScanTable { table, .. } if table == "X") {
                 result = Some(right.has_nest_join());
                 return true;
@@ -99,11 +112,23 @@ fn flat_version_replaces_nest_joins_with_semi_and_anti() {
     assert!(!plan.has_apply(), "{plan}");
     assert!(!plan.has_nest_join(), "no grouping needed anywhere\n{plan}");
     assert!(
-        plan.any_node(&mut |n| matches!(n, Plan::SemiJoin { .. })),
+        plan.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Semi,
+                ..
+            }
+        )),
         "outer block → semijoin\n{plan}"
     );
     assert!(
-        plan.any_node(&mut |n| matches!(n, Plan::AntiJoin { .. })),
+        plan.any_node(&mut |n| matches!(
+            n,
+            Plan::Join {
+                kind: JoinKind::Anti,
+                ..
+            }
+        )),
         "inner block → antijoin\n{plan}"
     );
 }

@@ -103,7 +103,13 @@ fn kim_plan_uses_nest_then_join_as_in_section4() {
         "{kim}"
     );
     assert!(
-        kim.any_node(&mut |n| matches!(n, tmql::Plan::Join { .. })),
+        kim.any_node(&mut |n| matches!(
+            n,
+            tmql::Plan::Join {
+                kind: tmql_algebra::JoinKind::Inner,
+                ..
+            }
+        )),
         "{kim}"
     );
     assert!(!kim.has_apply());
@@ -120,7 +126,13 @@ fn optimal_uses_nest_join_for_subseteq() {
         )
         .unwrap();
     assert!(plan.has_nest_join(), "{plan}");
-    assert!(!plan.any_node(&mut |n| matches!(n, tmql::Plan::SemiJoin { .. })));
+    assert!(!plan.any_node(&mut |n| matches!(
+        n,
+        tmql::Plan::Join {
+            kind: tmql_algebra::JoinKind::Semi,
+            ..
+        }
+    )));
 }
 
 #[test]

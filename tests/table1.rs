@@ -72,11 +72,10 @@ fn table1_via_outerjoin_and_nu_star_agrees() {
     // Section 6: X Δ Y = ν*(X ⟕ Y) — the algebraic characterization.
     let cat = table1_catalog();
     let outer_nu = Plan::Nest {
-        input: Box::new(Plan::LeftOuterJoin {
-            left: Box::new(Plan::scan("X", "x")),
-            right: Box::new(Plan::scan("Y", "y")),
-            pred: E::eq(E::path("x", &["d"]), E::path("y", &["b"])),
-        }),
+        input: Box::new(Plan::scan("X", "x").left_outer_join(
+            Plan::scan("Y", "y"),
+            E::eq(E::path("x", &["d"]), E::path("y", &["b"])),
+        )),
         keys: vec!["x".into()],
         value: E::var("y"),
         label: "s".into(),

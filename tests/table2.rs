@@ -53,8 +53,24 @@ fn table2_shapes_and_results() {
         let shape = expected_shape(name);
         let has = |p: &tmql::Plan, what: &str| -> bool {
             match what {
-                "semijoin" => p.any_node(&mut |n| matches!(n, tmql::Plan::SemiJoin { .. })),
-                "antijoin" => p.any_node(&mut |n| matches!(n, tmql::Plan::AntiJoin { .. })),
+                "semijoin" => p.any_node(&mut |n| {
+                    matches!(
+                        n,
+                        tmql::Plan::Join {
+                            kind: tmql_algebra::JoinKind::Semi,
+                            ..
+                        }
+                    )
+                }),
+                "antijoin" => p.any_node(&mut |n| {
+                    matches!(
+                        n,
+                        tmql::Plan::Join {
+                            kind: tmql_algebra::JoinKind::Anti,
+                            ..
+                        }
+                    )
+                }),
                 _ => p.has_nest_join(),
             }
         };

@@ -36,7 +36,13 @@ fn collapse_rule_produces_flat_join() {
         "after: no grouping at all\n{optimized}"
     );
     assert!(
-        optimized.any_node(&mut |n| matches!(n, tmql::Plan::Join { .. })),
+        optimized.any_node(&mut |n| matches!(
+            n,
+            tmql::Plan::Join {
+                kind: tmql_algebra::JoinKind::Inner,
+                ..
+            }
+        )),
         "after: a plain join\n{optimized}"
     );
 }

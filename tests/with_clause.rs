@@ -4,6 +4,7 @@
 //! identically to the inline-subquery spelling.
 
 use tmql::{Database, Plan, QueryOptions, UnnestStrategy};
+use tmql_algebra::JoinKind;
 use tmql_workload::gen::{gen_xy, GenConfig};
 use tmql_workload::queries::SUBSETEQ_BUG;
 
@@ -47,8 +48,9 @@ fn with_clause_unnests_into_a_nest_join_with_the_users_label() {
     let has_z_apply =
         translated.any_node(&mut |n| matches!(n, Plan::Apply { label, .. } if label == "z"));
     assert!(has_z_apply, "{translated}");
-    let has_z_nestjoin =
-        optimized.any_node(&mut |n| matches!(n, Plan::NestJoin { label, .. } if label == "z"));
+    let has_z_nestjoin = optimized.any_node(
+        &mut |n| matches!(n, Plan::Join { kind: JoinKind::Nest { label, .. }, .. } if label == "z"),
+    );
     assert!(has_z_nestjoin, "{optimized}");
 }
 
