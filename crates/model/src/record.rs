@@ -187,6 +187,30 @@ impl Record {
         &self.fields
     }
 
+    /// This record with each top-level label that equals one of `labels`
+    /// spelled by that `Arc` — a table passes its columns', so its rows
+    /// share one label per column. Field order, the canonical bit and the
+    /// remembered hash are kept (the strings do not change). A record
+    /// that already carries them, in `labels`' order, is returned as it
+    /// is; a body no other handle holds is relabelled in place, and only
+    /// a shared one is copied.
+    pub fn share_labels(mut self, labels: &[Arc<str>]) -> Record {
+        let carried =
+            |(i, (l, _)): (usize, &Field)| labels.get(i).is_some_and(|s| Arc::ptr_eq(s, l));
+        if self.fields.iter().enumerate().all(carried) {
+            return self;
+        }
+        let shared = |l: &Arc<str>| labels.iter().find(|s| *s == l).unwrap_or(l).clone();
+        match Arc::get_mut(&mut self.fields) {
+            Some(fields) => fields.iter_mut().for_each(|(l, _)| *l = shared(l)),
+            None => {
+                let body = self.fields.iter().map(|(l, v)| (shared(l), v.clone()));
+                self.fields = body.collect();
+            }
+        }
+        self
+    }
+
     /// Append one field, rejecting a duplicate label.
     pub fn push(&mut self, label: impl Into<Arc<str>>, value: Value) -> Result<()> {
         *self = self.extend_field(label, value)?;

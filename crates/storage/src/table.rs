@@ -39,6 +39,9 @@ use crate::pretest::RowTest;
 pub struct Table {
     name: String,
     columns: Vec<(String, Ty)>,
+    /// One label per column, in column order: every stored row spells
+    /// its top-level labels with these `Arc`s.
+    labels: Vec<Arc<str>>,
     backing: Backing,
 }
 
@@ -62,12 +65,17 @@ enum Backing {
 impl Table {
     /// Create an empty in-memory table with the given column schema.
     pub fn new(name: impl Into<String>, columns: Vec<(String, Ty)>) -> Table {
+        let rows = RecordSet::default();
+        Table::with_backing(name.into(), columns, Backing::Mem { rows })
+    }
+
+    fn with_backing(name: String, columns: Vec<(String, Ty)>, backing: Backing) -> Table {
+        let labels = columns.iter().map(|(l, _)| Arc::from(l.as_str())).collect();
         Table {
-            name: name.into(),
+            name,
             columns,
-            backing: Backing::Mem {
-                rows: RecordSet::default(),
-            },
+            labels,
+            backing,
         }
     }
 
@@ -96,16 +104,13 @@ impl Table {
         let mut pages: Vec<PageId> = extent.page_ids().collect();
         pages.sort_unstable();
         pages.dedup();
-        Table {
-            name: name.into(),
-            columns,
-            backing: Backing::Disk {
-                store,
-                extent,
-                pages: pages.into(),
-                resident: Arc::default(),
-            },
-        }
+        let backing = Backing::Disk {
+            store,
+            extent,
+            pages: pages.into(),
+            resident: Arc::default(),
+        };
+        Table::with_backing(name.into(), columns, backing)
     }
 
     /// Table name (usually the extension name, e.g. `EMP`).
@@ -116,6 +121,12 @@ impl Table {
     /// Column schema in declaration order.
     pub fn columns(&self) -> &[(String, Ty)] {
         &self.columns
+    }
+
+    /// The column labels in column order: every row [`Table::insert`]
+    /// stores spells its top-level labels with these `Arc`s.
+    pub fn labels(&self) -> &[Arc<str>] {
+        &self.labels
     }
 
     /// The tuple type of one row.
@@ -173,16 +184,35 @@ impl Table {
     /// `Ok(false)` if it was a duplicate (set semantics: silently absorbed),
     /// and an error if it does not match the schema — or if the table is
     /// disk-backed (disk tables are immutable; build in memory and
-    /// re-register).
+    /// re-register). The stored row spells its labels with the table's
+    /// [`Table::labels`] (`Record::share_labels`), in the row's own field
+    /// order.
     pub fn insert(&mut self, row: Record) -> Result<bool> {
         self.validate(&row)?;
         match &mut self.backing {
-            Backing::Mem { rows } => Ok(rows.insert(row)),
+            Backing::Mem { rows } => Ok(rows.insert(row.share_labels(&self.labels))),
             Backing::Disk { .. } => Err(ModelError::SchemaError(format!(
                 "table `{}` is disk-backed and immutable; build a new table and re-register",
                 self.name
             ))),
         }
+    }
+
+    /// Insert one row given as its values in column order, labelled with
+    /// the table's own [`Table::labels`]: [`Table::insert`] of that
+    /// record. A value count other than the column count, or a table
+    /// whose column names repeat, is a typed error.
+    pub fn insert_values(&mut self, values: impl IntoIterator<Item = Value>) -> Result<bool> {
+        let mut values = values.into_iter();
+        let row = Record::new(self.labels.iter().cloned().zip(values.by_ref()))?;
+        if values.next().is_some() {
+            return Err(ModelError::SchemaError(format!(
+                "table `{}` expects {} columns, row has more",
+                self.name,
+                self.columns.len()
+            )));
+        }
+        self.insert(row)
     }
 
     /// Validate a record against the column schema: same label set,
@@ -425,13 +455,8 @@ pub fn int_table(name: &str, cols: &[&str], data: &[&[i64]]) -> Table {
     let mut t = Table::new(name, columns);
     for row in data {
         assert_eq!(row.len(), cols.len(), "int_table row arity mismatch");
-        let rec = Record::new(
-            cols.iter()
-                .zip(row.iter())
-                .map(|(c, v)| (c.to_string(), Value::Int(*v))),
-        )
-        .expect("distinct column names");
-        t.insert(rec).expect("schema admits ints");
+        let row = row.iter().map(|&v| Value::Int(v));
+        t.insert_values(row).expect("distinct column names");
     }
     t
 }
@@ -452,7 +477,10 @@ mod tests {
     #[test]
     fn memory_table_holds_one_copy_and_scans_hand_out_handles() {
         let mut t = Table::new("T", vec![("a".into(), Ty::Int), ("b".into(), Ty::Int)]);
-        let row = Record::new([("a", Value::Int(1)), ("b", Value::Int(2))]).unwrap();
+        // A row that already spells its labels with the table's is stored
+        // as it is: the table's copy is the caller's body.
+        let values = [Value::Int(1), Value::Int(2)];
+        let row = Record::new(t.labels().iter().cloned().zip(values)).unwrap();
         assert!(t.insert(row.clone()).unwrap());
         // The same mapping in another field order is the same row.
         let permuted = Record::new([("b", Value::Int(2)), ("a", Value::Int(1))]).unwrap();
@@ -463,6 +491,55 @@ mod tests {
         for scanned in [t.batch(0, 8).unwrap(), t.rows_vec().unwrap()] {
             assert_eq!(body(&scanned[0]), body(&row));
         }
+    }
+
+    #[test]
+    fn stored_rows_spell_their_labels_with_the_tables() {
+        let mut t = Table::new("T", vec![("a".into(), Ty::Int), ("b".into(), Ty::Int)]);
+        let fresh = |fields: [(&str, i64); 2]| {
+            Record::new(fields.map(|(l, v)| (l.to_string(), Value::Int(v)))).unwrap()
+        };
+        // Kept by the caller (a shared body, copied once) or not (relabelled
+        // in place); in column order or permuted.
+        let given = [fresh([("a", 1), ("b", 2)]), fresh([("b", 4), ("a", 3)])];
+        for row in &given {
+            assert!(t.insert(row.clone()).unwrap());
+        }
+        assert!(t.insert(fresh([("b", 6), ("a", 5)])).unwrap());
+        let given = [&given[0], &given[1], &fresh([("b", 6), ("a", 5)])];
+        let stored = t.mem_rows().unwrap();
+        assert_eq!(stored.len(), 3);
+        for (row, given) in stored.iter().zip(given) {
+            assert_eq!(row, given);
+            assert_eq!(row.cmp(given), std::cmp::Ordering::Equal);
+            assert_eq!(row.structural_hash(), given.structural_hash());
+            assert!(row.labels().eq(given.labels()), "field order is kept");
+            for (label, _) in row.fields() {
+                let column = t.labels().iter().find(|c| **c == *label).unwrap();
+                assert!(Arc::ptr_eq(label, column), "`{label}` is not the table's");
+            }
+        }
+        // Second copies are still absorbed, however they are labelled.
+        let again = stored[1].clone();
+        assert!(!t.insert(fresh([("a", 1), ("b", 2)])).unwrap());
+        assert!(!t.insert(again).unwrap());
+        assert!(!t.insert_values([Value::Int(5), Value::Int(6)]).unwrap());
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn positional_insert_checks_the_row() {
+        let mut t = Table::new("T", vec![("a".into(), Ty::Int), ("b".into(), Ty::Int)]);
+        assert!(t.insert_values([Value::Int(1), Value::Int(2)]).unwrap());
+        assert!(t.insert_values([Value::Int(1)]).is_err());
+        assert!(t.insert_values([1, 2, 3].map(Value::Int)).is_err());
+        assert!(t.insert_values([Value::Int(1), Value::str("x")]).is_err());
+        assert_eq!(t.len(), 1);
+        // Repeated column names are a typed error, not a malformed row.
+        let mut twice = Table::new("D", vec![("a".into(), Ty::Int), ("a".into(), Ty::Int)]);
+        let err = twice.insert_values([Value::Int(1), Value::Int(2)]);
+        assert!(matches!(err, Err(ModelError::DuplicateField(l)) if l == "a"));
+        assert!(twice.is_empty());
     }
 
     #[test]

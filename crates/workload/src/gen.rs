@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tmql_model::{Record, Ty, Value};
+use tmql_model::{Ty, Value};
 use tmql_storage::{Catalog, Table};
 
 use crate::zipf::Zipf;
@@ -77,7 +77,6 @@ impl GenConfig {
 /// and an off-by-one count for the rest.
 pub fn gen_rs(cfg: &GenConfig) -> Catalog {
     let mut rng = cfg.rng();
-    let mut cat = Catalog::new();
     let matched = cfg.matched_keys();
 
     // Build S first so R.b can be the exact count.
@@ -95,12 +94,7 @@ pub fn gen_rs(cfg: &GenConfig) -> Catalog {
             None => rng.gen_range(0..matched),
         };
         d_val += 1;
-        let rec = Record::new([
-            ("c".to_string(), Value::Int(key as i64)),
-            ("d".to_string(), Value::Int(d_val)),
-        ])
-        .expect("distinct labels");
-        if s.insert(rec).expect("valid row") {
+        if put(&mut s, [Value::Int(key as i64), Value::Int(d_val)]) {
             s_counts[key] += 1;
             inserted += 1;
         }
@@ -123,20 +117,13 @@ pub fn gen_rs(cfg: &GenConfig) -> Catalog {
         } else {
             true_count + 1
         };
-        r.insert(
-            Record::new([
-                ("a".to_string(), Value::Int(i as i64)),
-                ("b".to_string(), Value::Int(b)),
-                ("c".to_string(), Value::Int(key)),
-            ])
-            .expect("distinct labels"),
-        )
-        .expect("valid row");
+        put(
+            &mut r,
+            [Value::Int(i as i64), Value::Int(b), Value::Int(key)],
+        );
     }
 
-    cat.register(r).expect("fresh catalog");
-    cat.register(s).expect("fresh catalog");
-    cat
+    register(Catalog::new(), [r, s])
 }
 
 /// Generate the complex-object pair `X(a: P INT, b, n)`, `Y(b, a)` used by
@@ -146,7 +133,6 @@ pub fn gen_rs(cfg: &GenConfig) -> Catalog {
 /// integer for the atomic rows.
 pub fn gen_xy(cfg: &GenConfig) -> Catalog {
     let mut rng = cfg.rng();
-    let mut cat = Catalog::new();
     let matched = cfg.matched_keys();
     let domain = (cfg.max_set * 4).max(8) as i64;
 
@@ -163,15 +149,10 @@ pub fn gen_xy(cfg: &GenConfig) -> Catalog {
         let set_size = rng.gen_range(0..=cfg.max_set);
         let set = Value::set((0..set_size).map(|_| Value::Int(rng.gen_range(0..domain))));
         let key = i as i64;
-        x.insert(
-            Record::new([
-                ("a".to_string(), set),
-                ("b".to_string(), Value::Int(key)),
-                ("n".to_string(), Value::Int(rng.gen_range(0..domain))),
-            ])
-            .expect("distinct labels"),
-        )
-        .expect("valid row");
+        put(
+            &mut x,
+            [set, Value::Int(key), Value::Int(rng.gen_range(0..domain))],
+        );
         i += 1;
     }
 
@@ -188,19 +169,13 @@ pub fn gen_xy(cfg: &GenConfig) -> Catalog {
             Some(z) => z.sample(&mut rng),
             None => rng.gen_range(0..matched),
         };
-        let rec = Record::new([
-            ("b".to_string(), Value::Int(key as i64)),
-            ("a".to_string(), Value::Int(rng.gen_range(0..domain))),
-        ])
-        .expect("distinct labels");
-        if y.insert(rec).expect("valid row") {
+        let row = [Value::Int(key as i64), Value::Int(rng.gen_range(0..domain))];
+        if put(&mut y, row) {
             inserted += 1;
         }
     }
 
-    cat.register(x).expect("fresh catalog");
-    cat.register(y).expect("fresh catalog");
-    cat
+    register(Catalog::new(), [x, y])
 }
 
 /// Generate the Section 8 chain `X(a: P INT, b)`, `Y(a, b, c: P INT, d)`,
@@ -208,7 +183,6 @@ pub fn gen_xy(cfg: &GenConfig) -> Catalog {
 /// correlation keys with the configured dangling fraction at both levels.
 pub fn gen_xyz(cfg: &GenConfig) -> Catalog {
     let mut rng = cfg.rng();
-    let mut cat = Catalog::new();
     let matched = cfg.matched_keys();
     let domain = (cfg.max_set * 4).max(8) as i64;
 
@@ -221,17 +195,8 @@ pub fn gen_xyz(cfg: &GenConfig) -> Catalog {
     );
     for i in 0..cfg.outer {
         let size = rng.gen_range(0..=cfg.max_set);
-        x.insert(
-            Record::new([
-                (
-                    "a".to_string(),
-                    Value::set((0..size).map(|_| Value::Int(rng.gen_range(0..domain)))),
-                ),
-                ("b".to_string(), Value::Int(i as i64)),
-            ])
-            .expect("distinct labels"),
-        )
-        .expect("valid row");
+        let a = Value::set((0..size).map(|_| Value::Int(rng.gen_range(0..domain))));
+        put(&mut x, [a, Value::Int(i as i64)]);
     }
 
     let y_matched = ((1.0 - cfg.dangling_fraction) * cfg.inner as f64)
@@ -248,22 +213,10 @@ pub fn gen_xyz(cfg: &GenConfig) -> Catalog {
     );
     for i in 0..cfg.inner {
         let size = rng.gen_range(0..=cfg.max_set);
-        y.insert(
-            Record::new([
-                ("a".to_string(), Value::Int(rng.gen_range(0..domain))),
-                (
-                    "b".to_string(),
-                    Value::Int(rng.gen_range(0..matched) as i64),
-                ),
-                (
-                    "c".to_string(),
-                    Value::set((0..size).map(|_| Value::Int(rng.gen_range(0..domain)))),
-                ),
-                ("d".to_string(), Value::Int(i as i64)),
-            ])
-            .expect("distinct labels"),
-        )
-        .expect("valid row");
+        let a = Value::Int(rng.gen_range(0..domain));
+        let b = Value::Int(rng.gen_range(0..matched) as i64);
+        let c = Value::set((0..size).map(|_| Value::Int(rng.gen_range(0..domain))));
+        put(&mut y, [a, b, c, Value::Int(i as i64)]);
     }
 
     let mut z = Table::new("Z", vec![("c".into(), Ty::Int), ("d".into(), Ty::Int)]);
@@ -271,23 +224,14 @@ pub fn gen_xyz(cfg: &GenConfig) -> Catalog {
     let mut guard = 0usize;
     while inserted < cfg.inner && guard < cfg.inner * 20 {
         guard += 1;
-        let rec = Record::new([
-            ("c".to_string(), Value::Int(rng.gen_range(0..domain))),
-            (
-                "d".to_string(),
-                Value::Int(rng.gen_range(0..y_matched) as i64),
-            ),
-        ])
-        .expect("distinct labels");
-        if z.insert(rec).expect("valid row") {
+        let c = Value::Int(rng.gen_range(0..domain));
+        let d = Value::Int(rng.gen_range(0..y_matched) as i64);
+        if put(&mut z, [c, d]) {
             inserted += 1;
         }
     }
 
-    cat.register(x).expect("fresh catalog");
-    cat.register(y).expect("fresh catalog");
-    cat.register(z).expect("fresh catalog");
-    cat
+    register(Catalog::new(), [x, y, z])
 }
 
 /// Generate a scaled Employee/Department database (for the Q2-style
@@ -295,7 +239,6 @@ pub fn gen_xyz(cfg: &GenConfig) -> Catalog {
 /// with `dangling_fraction` of departments in cities without employees.
 pub fn gen_company(cfg: &GenConfig) -> Catalog {
     let mut rng = cfg.rng();
-    let mut cat = Catalog::new();
     let n_dept = cfg.outer.max(1);
     let n_emp = cfg.inner.max(1);
     let matched_cities = ((1.0 - cfg.dangling_fraction) * n_dept as f64)
@@ -308,14 +251,11 @@ pub fn gen_company(cfg: &GenConfig) -> Catalog {
         ("city".into(), Ty::Str),
     ]);
     let mk_addr = |street: String, nr: i64, city: String| {
-        Value::Tuple(
-            Record::new([
-                ("street".to_string(), Value::str(street)),
-                ("nr".to_string(), Value::str(nr.to_string())),
-                ("city".to_string(), Value::str(city)),
-            ])
-            .expect("distinct labels"),
-        )
+        Value::tuple([
+            ("street", Value::str(street)),
+            ("nr", Value::str(nr.to_string())),
+            ("city", Value::str(city)),
+        ])
     };
 
     let mut emp = Table::new(
@@ -328,18 +268,9 @@ pub fn gen_company(cfg: &GenConfig) -> Catalog {
     );
     for i in 0..n_emp {
         let city = format!("city{}", rng.gen_range(0..matched_cities));
-        emp.insert(
-            Record::new([
-                ("name".to_string(), Value::str(format!("emp{i}"))),
-                (
-                    "address".to_string(),
-                    mk_addr(format!("street{}", rng.gen_range(0..50)), i as i64, city),
-                ),
-                ("sal".to_string(), Value::Int(rng.gen_range(2000..8000))),
-            ])
-            .expect("distinct labels"),
-        )
-        .expect("valid row");
+        let address = mk_addr(format!("street{}", rng.gen_range(0..50)), i as i64, city);
+        let sal = Value::Int(rng.gen_range(2000..8000));
+        put(&mut emp, [Value::str(format!("emp{i}")), address, sal]);
     }
 
     let mut dept = Table::new(
@@ -349,21 +280,28 @@ pub fn gen_company(cfg: &GenConfig) -> Catalog {
     for i in 0..n_dept {
         // Departments beyond `matched_cities` sit in employee-less cities.
         let city = format!("city{i}");
-        dept.insert(
-            Record::new([
-                ("name".to_string(), Value::str(format!("dept{i}"))),
-                (
-                    "address".to_string(),
-                    mk_addr(format!("street{}", rng.gen_range(0..50)), i as i64, city),
-                ),
-            ])
-            .expect("distinct labels"),
-        )
-        .expect("valid row");
+        let address = mk_addr(format!("street{}", rng.gen_range(0..50)), i as i64, city);
+        put(&mut dept, [Value::str(format!("dept{i}")), address]);
     }
 
-    cat.register(emp).expect("fresh catalog");
-    cat.register(dept).expect("fresh catalog");
+    register(Catalog::new(), [emp, dept])
+}
+
+/// Insert one row given as its values in column order
+/// ([`Table::insert_values`]); true iff it was new. A generator's rows
+/// match their table by construction.
+pub(crate) fn put<const N: usize>(table: &mut Table, values: [Value; N]) -> bool {
+    table
+        .insert_values(values)
+        .expect("a generated row matches its table")
+}
+
+/// `cat` with `tables` registered: tables a generator built, with distinct
+/// names, into a catalog that holds none of them.
+pub(crate) fn register(mut cat: Catalog, tables: impl IntoIterator<Item = Table>) -> Catalog {
+    for t in tables {
+        cat.register(t).expect("a fresh table name");
+    }
     cat
 }
 

@@ -1,26 +1,24 @@
 //! The paper's fixed fixtures.
 
 use tmql_model::schema::paper_schema;
-use tmql_model::{Record, Ty, Value};
+use tmql_model::{Ty, Value};
 use tmql_storage::{table::int_table, Catalog, Table};
+
+use crate::gen::{put, register};
 
 /// Table 1's operands: `X(e, d) = {(1,1),(2,2),(3,3)}` and
 /// `Y(a, b) = {(1,1),(2,1),(3,3)}` — `x = (2,2)` is the dangling tuple
 /// whose nest join result is `(2, 2, ∅)`.
 pub fn table1_catalog() -> Catalog {
-    let mut cat = Catalog::new();
-    cat.register(int_table("X", &["e", "d"], &[&[1, 1], &[2, 2], &[3, 3]]))
-        .unwrap();
-    cat.register(int_table("Y", &["a", "b"], &[&[1, 1], &[2, 1], &[3, 3]]))
-        .unwrap();
-    cat
+    let x = int_table("X", &["e", "d"], &[&[1, 1], &[2, 2], &[3, 3]]);
+    let y = int_table("Y", &["a", "b"], &[&[1, 1], &[2, 1], &[3, 3]]);
+    register(Catalog::new(), [x, y])
 }
 
 /// Section 2's relational schema `R(A, B, C)`, `S(C, D)`, with a COUNT-bug
 /// trigger built in: `R` rows with `b = 0` have no matching `S.c`.
 pub fn count_bug_catalog() -> Catalog {
-    let mut cat = Catalog::new();
-    cat.register(int_table(
+    let r = int_table(
         "R",
         &["a", "b", "c"],
         // (a, b, c): b counts expected matches; c is the join column.
@@ -30,15 +28,9 @@ pub fn count_bug_catalog() -> Catalog {
             &[3, 0, 99], // dangling: COUNT = 0 — the bug row
             &[4, 5, 10], // wrong count: excluded everywhere
         ],
-    ))
-    .unwrap();
-    cat.register(int_table(
-        "S",
-        &["c", "d"],
-        &[&[10, 100], &[10, 101], &[20, 200]],
-    ))
-    .unwrap();
-    cat
+    );
+    let s = int_table("S", &["c", "d"], &[&[10, 100], &[10, 101], &[20, 200]]);
+    register(Catalog::new(), [r, s])
 }
 
 /// The Employee/Department database of Section 3.2 (classes `Employee`
@@ -48,28 +40,15 @@ pub fn count_bug_catalog() -> Catalog {
 /// some departments have no employees in their city (exercising empty
 /// nested results in Q2).
 pub fn company_catalog() -> Catalog {
-    let schema = paper_schema();
-    let mut cat = Catalog::with_schema(schema);
-
     let address = |street: &str, nr: i64, city: &str| {
-        Value::Tuple(
-            Record::new([
-                ("street".to_string(), Value::str(street)),
-                ("nr".to_string(), Value::str(nr.to_string())),
-                ("city".to_string(), Value::str(city)),
-            ])
-            .unwrap(),
-        )
+        Value::tuple([
+            ("street", Value::str(street)),
+            ("nr", Value::str(nr.to_string())),
+            ("city", Value::str(city)),
+        ])
     };
-    let child = |name: &str, age: i64| {
-        Value::Tuple(
-            Record::new([
-                ("name".to_string(), Value::str(name)),
-                ("age".to_string(), Value::Int(age)),
-            ])
-            .unwrap(),
-        )
-    };
+    let child =
+        |name: &str, age: i64| Value::tuple([("name", Value::str(name)), ("age", Value::Int(age))]);
 
     let emp_ty = vec![
         ("name".to_string(), Ty::Str),
@@ -124,16 +103,13 @@ pub fn company_catalog() -> Catalog {
         ),
     ];
     for (name, addr, sal, children) in employees {
-        emp.insert(
-            Record::new([
-                ("name".to_string(), Value::str(name)),
-                ("address".to_string(), addr),
-                ("sal".to_string(), Value::Int(sal)),
-                ("children".to_string(), Value::set(children)),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let row = [
+            Value::str(name),
+            addr,
+            Value::Int(sal),
+            Value::set(children),
+        ];
+        put(&mut emp, row);
     }
 
     // Departments embed their employees' tuples in the set-valued `emps`
@@ -144,7 +120,7 @@ pub fn company_catalog() -> Catalog {
         Value::Tuple(
             emp_rows
                 .iter()
-                .find(|r| r.get("name").unwrap() == &Value::str(n))
+                .find(|r| r.find("name") == Some(&Value::str(n)))
                 .expect("employee exists")
                 .clone(),
         )
@@ -180,30 +156,16 @@ pub fn company_catalog() -> Catalog {
         ),
     ];
     for (name, addr, members) in depts {
-        dept.insert(
-            Record::new([
-                ("name".to_string(), Value::str(name)),
-                ("address".to_string(), addr),
-                (
-                    "emps".to_string(),
-                    Value::set(members.into_iter().map(emp_by_name)),
-                ),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let emps = Value::set(members.into_iter().map(emp_by_name));
+        put(&mut dept, [Value::str(name), addr, emps]);
     }
 
-    cat.register(emp).unwrap();
-    cat.register(dept).unwrap();
-    cat
+    register(Catalog::with_schema(paper_schema()), [emp, dept])
 }
 
 /// Section 8's three-table chain: `X(a: P INT, b)`, `Y(a, b, c: P INT, d)`,
 /// `Z(c, d)`, deterministic small population with danglers at both levels.
 pub fn section8_catalog() -> Catalog {
-    let mut cat = Catalog::new();
-
     let set_of = |items: &[i64]| Value::set(items.iter().copied().map(Value::Int));
 
     let mut x = Table::new(
@@ -214,16 +176,8 @@ pub fn section8_catalog() -> Catalog {
         ],
     );
     for (a, b) in [(vec![1, 2], 1), (vec![], 2), (vec![1], 7), (vec![3], 1)] {
-        x.insert(
-            Record::new([
-                ("a".to_string(), set_of(&a)),
-                ("b".to_string(), Value::Int(b)),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        put(&mut x, [set_of(&a), Value::Int(b)]);
     }
-    cat.register(x).unwrap();
 
     let mut y = Table::new(
         "Y",
@@ -240,22 +194,14 @@ pub fn section8_catalog() -> Catalog {
         (3, 1, vec![], 6),       // ∅ ⊆ anything ✓ (even with no Z match)
         (4, 2, vec![11], 5),     // different x.b group
     ] {
-        y.insert(
-            Record::new([
-                ("a".to_string(), Value::Int(a)),
-                ("b".to_string(), Value::Int(b)),
-                ("c".to_string(), set_of(&c)),
-                ("d".to_string(), Value::Int(d)),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        put(
+            &mut y,
+            [Value::Int(a), Value::Int(b), set_of(&c), Value::Int(d)],
+        );
     }
-    cat.register(y).unwrap();
 
-    cat.register(int_table("Z", &["c", "d"], &[&[10, 5], &[11, 5], &[20, 9]]))
-        .unwrap();
-    cat
+    let z = int_table("Z", &["c", "d"], &[&[10, 5], &[11, 5], &[20, 9]]);
+    register(Catalog::new(), [x, y, z])
 }
 
 #[cfg(test)]
