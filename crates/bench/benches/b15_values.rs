@@ -35,7 +35,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tmql_algebra::{Env, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::exec::sort_distinct;
-use tmql_exec::op::{hash, JoinKind, Shape};
+use tmql_exec::op::{hash, Emit, JoinKind, Shape};
 use tmql_exec::Metrics;
 use tmql_model::hash::ValueHasher;
 use tmql_model::{setops, Record, RecordSet, Value};
@@ -166,10 +166,11 @@ fn bench_values(c: &mut Criterion) {
             ("anti", JoinKind::Anti),
             ("nest", nest),
         ] {
+            let emit = Emit::from(kind);
             g.bench_with_input(id(&format!("hash_join/{name}")), &n, |b, _| {
                 let (env, mut m) = (Env::new(), Metrics::new());
                 b.iter(|| {
-                    hash::probe((&x_bound, &bound), &table, &lk, None, &kind, &env, &mut m)
+                    hash::probe((&x_bound, &bound), &table, &lk, None, &emit, &env, &mut m)
                         .expect("probe")
                         .len()
                 })

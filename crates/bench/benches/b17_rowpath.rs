@@ -70,6 +70,7 @@ fn hash_join(left: &str, right: &str, kind: JoinKind) -> PhysPlan {
                 residual: None,
             },
         },
+        select: None,
     }
 }
 

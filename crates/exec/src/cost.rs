@@ -429,7 +429,8 @@ impl<'a> Estimator<'a> {
     /// the subquery operator tree is instantiated per outer row and does
     /// not appear in the executed profile. One estimate per executed
     /// operator (a filtering scan or an `IndexScan` is one operator
-    /// implementing select-over-scan, an index join has no inner
+    /// implementing select-over-scan, and a join with a fused selection
+    /// one implementing select-over-join; an index join has no inner
     /// child), so the vector zips 1:1 with the streaming executor's
     /// profile.
     pub fn exec_order_rows_phys(&self, phys: &PhysPlan) -> Vec<f64> {
@@ -1015,7 +1016,7 @@ impl<'a, 'p> Walk<'a, 'p> {
     /// the selection, and a join by its own [`JoinPath`]: the index path =
     /// its left operand joined with a scan of the probed table, the nested
     /// loop = its predicate, hash / sort-merge = its key pairs plus
-    /// residual.
+    /// residual — then, with a fused selection, the selection over it.
     fn estimate_phys(&mut self, phys: &'p PhysPlan) -> CostEstimate {
         use PhysPlan as P;
         let (est, from) = (self.est, self.mark());
@@ -1045,7 +1046,12 @@ impl<'a, 'p> Walk<'a, 'p> {
             P::SetOp {
                 kind, left, right, ..
             } => Node::SetOp(*kind, self.phys(left), self.phys(right)),
-            P::Join { kind, left, path } => {
+            P::Join {
+                kind,
+                left,
+                path,
+                select,
+            } => {
                 let (l, mid) = (self.phys(left), self.mark());
                 let r = match path {
                     JoinPath::Index { table, var, .. } => self.scan(table, var),
@@ -1071,7 +1077,11 @@ impl<'a, 'p> Walk<'a, 'p> {
                     }
                     JoinPath::SortMerge { .. } => est.path_cost(&PathChoice::SortMerge, &sides),
                 };
-                Node::Join(kind, &sides, sel, cost)
+                let join = Node::Join(kind, &sides, sel, cost);
+                match select {
+                    None => join,
+                    Some(pred) => Node::Select(est.estimate(join, self.scope(from)), pred, None),
+                }
             }
             P::Apply {
                 input,
@@ -1429,18 +1439,14 @@ mod tests {
             )
             .select(E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(10i64)));
         let phys = crate::planner::lower(&plan, &cat, &crate::ExecConfig::default()).unwrap();
-        // Same shape — one select, one join, two scans — with the inner
-        // join's sides swapped to build on SMALL; the swap moves no
-        // estimate.
+        // Same shape with the select fused into the join — one join with
+        // the select's estimate, two scans — and the inner join's sides
+        // swapped to build on SMALL; neither moves an estimate.
         let est = Estimator::new(&cat);
         let rows = est.exec_order_rows_phys(&phys);
-        assert_eq!(rows.len(), plan.size());
+        assert_eq!(rows.len(), plan.size() - 1, "{phys}");
         assert_eq!(rows[0], est.rows(&plan));
-        let Plan::Select { input: join, .. } = &plan else {
-            unreachable!()
-        };
-        assert_eq!(rows[1], est.rows(join));
-        assert_eq!(&rows[2..], [100.0, 1.0], "BIG probes, SMALL builds: {phys}");
+        assert_eq!(&rows[1..], [100.0, 1.0], "BIG probes, SMALL builds: {phys}");
         let s = explain_with_estimates(&phys, &cat);
         assert!(s.contains("est_rows="), "{s}");
     }

@@ -727,6 +727,7 @@ mod tests {
                     right: scan("Y", "y"),
                     pred: pred.clone(),
                 },
+                select: None,
             };
             let inl = PhysPlan::Join {
                 kind: kind.clone(),
@@ -738,6 +739,7 @@ mod tests {
                     key: E::path("x", &["b"]),
                     pred: pred.clone(),
                 },
+                select: None,
             };
             let mut nctx = ExecContext::new(&cat);
             let expected = execute(&nl, &mut nctx, &Env::new()).unwrap();

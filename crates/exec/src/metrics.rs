@@ -108,12 +108,15 @@ metrics! {
     ///   right) candidate → one comparison **per pair**;
     /// * hash/merge joins count one comparison per *residual* evaluation (the
     ///   equi-part is covered by `hash_probes` / `rows_sorted`), plus one per
-    ///   key-order advance in the merge.
+    ///   key-order advance in the merge;
+    /// * a join with the selection over it fused in counts one more per row
+    ///   it produces, before the selection keeps or rejects the row — what
+    ///   a `Filter` over the join counted.
     ///
     /// Summing them is still meaningful: the total is the number of predicate
     /// evaluations performed, which is exactly the work the paper's rewrites
     /// reduce. The unit test `comparisons_unit_is_one_predicate_evaluation`
-    /// in `tests/operators.rs` pins both granularities.
+    /// in `tests/operators.rs` pins these granularities.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct Metrics {
         /// Rows read from base tables.
@@ -136,7 +139,8 @@ metrics! {
         /// Rows emitted by operators (every operator in the tree, scans
         /// included — the "total intermediate row count" of a streaming run).
         /// A scan with a selection fused in counts every row it visits here
-        /// besides the rows it emits: the hand-over from scan to selection
+        /// besides the rows it emits, and a join with one fused in every
+        /// row it produces, built or not: the hand-over to the selection
         /// still happens, in place, and the cost model still prices it.
         rows_emitted: Work, "emitted", "tmql_exec_rows_emitted_total",
             "Rows emitted by all operators";

@@ -9,15 +9,15 @@ use tmql_storage::spill::SpillFile;
 
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
-use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, Operator};
+use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, OpStats, Operator};
 use crate::op::spill::{self, total_rows, Drained, PartFn, Partitions, Side};
 use crate::op::{Rows, Shape};
 
 /// The whole-input kernel of a breaker over `N` inputs, each a slice of rows
-/// and the shape its operator emits them in. `Fn`, as it runs once per
-/// spill partition.
+/// and the shape its operator emits them in, counting into the metrics and
+/// the breaker's own counters. `Fn`, as it runs once per spill partition.
 pub(super) type Kernel<'p, const N: usize> =
-    Box<dyn Fn([Rows<'_>; N], &Env<'_>, &mut Metrics) -> Result<Vec<Record>> + 'p>;
+    Box<dyn Fn([Rows<'_>; N], &Env<'_>, &mut Metrics, &mut OpStats) -> Result<Vec<Record>> + 'p>;
 
 /// A pipeline breaker: drains its `N` inputs, runs a materialized kernel
 /// over them, then re-emits the result in batches.
@@ -98,7 +98,7 @@ impl<'p, const N: usize> Breaker<'p, N> {
         let fits = !ctx.over_budget(self.held);
         if let (Ok(mem), true) = (<[&[Record]; N]>::try_from(mem), fits) {
             let rows = std::array::from_fn(|i| (mem[i], self.inputs[i].shape()));
-            let out = (self.kernel)(rows, env, &mut ctx.metrics)?;
+            let out = (self.kernel)(rows, env, &mut ctx.metrics, stats)?;
             ctx.resident_acquire(out.len());
             self.out = out.into();
         } else {
@@ -171,6 +171,7 @@ impl<const N: usize> Operator for Breaker<'_, N> {
                     std::array::from_fn(|i| (inputs[i].as_slice(), shapes[i])),
                     env,
                     m,
+                    stats,
                 )
             })?);
         }

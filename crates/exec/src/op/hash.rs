@@ -2,7 +2,7 @@
 //!
 //! The hash join finds a probe row's candidates in one bucket chain,
 //! checks their keys and the residual, and hands each match to the row's
-//! `RowMatch`, which decides what every [`JoinKind`] emits. Building on
+//! `RowMatch`, which decides what every join kind emits. Building on
 //! the **right** operand keeps the output grouped by left rows, which is
 //! the paper's implementation restriction for the nest join (Section 6).
 //!
@@ -18,9 +18,8 @@ use tmql_model::hash::{ChainIndex, ValueHasher};
 use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
-use crate::op::JoinKind;
 
-use super::{bind, RowMatch, Rows, Shape};
+use super::{bind, Emit, RowMatch, Rows, Shape};
 
 /// A built hash table over the right (build) operand: the owned build
 /// rows, the hash of each row's key values, and one [`ChainIndex`] over
@@ -103,7 +102,7 @@ pub fn probe(
     table: &HashTable<'_>,
     left_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
-    kind: &JoinKind,
+    emit: &Emit,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
@@ -134,13 +133,13 @@ pub fn probe(
                 hit = eval_predicate(p, &pair_env)?;
             }
             if hit {
-                row.hit(kind, (ls, l), (rs, r), &pair_env, &mut out)?;
-                if row.decided(kind) {
+                row.hit(emit, (ls, l), (rs, r), &pair_env, m, &mut out)?;
+                if row.decided(&emit.kind) {
                     break;
                 }
             }
         }
-        row.finish(kind, ls, l, &mut out)?;
+        row.finish(emit, (ls, l), env, m, &mut out)?;
     }
     Ok(out)
 }
@@ -155,18 +154,18 @@ pub(crate) fn join(
     left_keys: &[ScalarExpr],
     right_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
-    kind: &JoinKind,
+    emit: &Emit,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let table = build(right.to_vec(), rs, right_keys, env, m)?;
-    probe(left, &table, left_keys, residual, kind, env, m)
+    probe(left, &table, left_keys, residual, emit, env, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::bound;
+    use crate::op::{bound, Emit, JoinKind};
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
     use tmql_model::Value;
@@ -213,7 +212,7 @@ mod tests {
                 &lk,
                 &rk,
                 None,
-                &kind,
+                &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
             )
@@ -222,7 +221,7 @@ mod tests {
                 bound(&x),
                 bound(&y),
                 &pred,
-                &kind,
+                &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
             )
@@ -277,12 +276,18 @@ mod tests {
                 &lk,
                 &rk,
                 Some(&residual),
-                &kind,
+                &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut hm,
             );
-            let n =
-                super::super::nl::join(bound(&x), bound(&y), &pred, &kind, &Env::new(), &mut nm);
+            let n = super::super::nl::join(
+                bound(&x),
+                bound(&y),
+                &pred,
+                &Emit::from(kind.clone()),
+                &Env::new(),
+                &mut nm,
+            );
             let (mut h, mut n) = (h.unwrap(), n.unwrap());
             h.sort();
             n.sort();
@@ -300,7 +305,16 @@ mod tests {
         let env = Env::new();
         let mut m = Metrics::new();
         let table = build(y.clone(), &Shape::BOUND, &rk, &env, &mut m).unwrap();
-        let whole = probe(bound(&x), &table, &lk, None, &JoinKind::Inner, &env, &mut m).unwrap();
+        let whole = probe(
+            bound(&x),
+            &table,
+            &lk,
+            None,
+            &Emit::from(JoinKind::Inner),
+            &env,
+            &mut m,
+        )
+        .unwrap();
         for split in 1..x.len() {
             let mut pieces = Vec::new();
             for chunk in x.chunks(split) {
@@ -310,7 +324,7 @@ mod tests {
                         &table,
                         &lk,
                         None,
-                        &JoinKind::Inner,
+                        &Emit::from(JoinKind::Inner),
                         &env,
                         &mut m,
                     )
@@ -334,7 +348,7 @@ mod tests {
             &lk,
             &rk,
             None,
-            &kind,
+            &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -358,7 +372,7 @@ mod tests {
             &lk,
             &rk,
             Some(&residual),
-            &JoinKind::Inner,
+            &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -384,7 +398,7 @@ mod tests {
             &lk,
             &rk,
             None,
-            &JoinKind::Inner,
+            &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -402,7 +416,7 @@ mod tests {
             &lk,
             &rk,
             None,
-            &JoinKind::Inner,
+            &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut m,
         )

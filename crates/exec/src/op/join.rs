@@ -2,8 +2,10 @@
 //! index nested-loop and hash algorithms. The left operand streams
 //! batch-at-a-time through one carry loop; an [`Algo`] only decides how a
 //! left row's candidates are found, and the kernels of [`nl`] / [`hash`]
-//! hand each match to the row's [`RowMatch`]. The sort-merge join is a
-//! breaker (`breaker.rs`) over [`crate::op::merge`].
+//! hand each match to the row's [`RowMatch`], which decides the selection
+//! fused over the join ([`Emit`]) before it builds a row — so the carry
+//! holds only rows the selection kept. The sort-merge join is a breaker
+//! (`breaker.rs`) over [`crate::op::merge`].
 
 use std::collections::VecDeque;
 
@@ -15,7 +17,7 @@ use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, OpStats, Operator};
 use crate::op::spill::{self, Drained, KeyFilter, PartFn, Partitions, Side};
-use crate::op::{self, hash, nl, JoinKind, RowMatch, Shape};
+use crate::op::{self, hash, nl, Emit, RowMatch, Shape};
 use crate::planner::EquiSplit;
 
 /// How a [`JoinOp`] finds a left row's candidates.
@@ -88,9 +90,10 @@ pub(super) struct JoinOp<'p> {
     /// The shape of the inner rows: the right operand's, or (index join)
     /// the fetched tuples bound to the path's `var`.
     rs: Shape,
-    kind: JoinKind,
+    emit: Emit,
     algo: Algo<'p>,
     inner: Inner<'p>,
+    /// Output rows not yet emitted: those the fused selection kept.
     carry: VecDeque<Record>,
     done: bool,
 }
@@ -101,7 +104,7 @@ impl<'p> JoinOp<'p> {
         left: BoxedOperator<'p>,
         right: Option<BoxedOperator<'p>>,
         rs: Shape,
-        kind: JoinKind,
+        emit: Emit,
         algo: Algo<'p>,
     ) -> Self {
         JoinOp {
@@ -109,7 +112,7 @@ impl<'p> JoinOp<'p> {
             left,
             right,
             rs,
-            kind,
+            emit,
             algo,
             inner: Inner::Pending,
             carry: VecDeque::new(),
@@ -218,19 +221,22 @@ impl Operator for JoinOp<'_> {
             left,
             right,
             rs,
-            kind,
+            emit,
             algo,
             inner,
             carry,
             done,
         } = self;
-        let (env, kind, ls) = (&*env, &*kind, left.shape().clone());
+        let (env, emit, ls) = (&*env, &*emit, left.shape().clone());
         if let (Inner::Pending, Some(right)) = (&*inner, right) {
             *inner = drain(algo, right, rs, ctx, env, stats)?;
         }
         let n = ctx.batch_size();
         loop {
-            if carry.len() >= n || *done {
+            // With a fused selection, what one left batch (or partition)
+            // kept goes out before the next is pulled: survivors never sit
+            // resident while the left operand refills.
+            if carry.len() >= n || *done || (emit.selects() && !carry.is_empty()) {
                 return Ok(pop_carry(carry, n, ctx));
             }
             // Grace: the next partition pair, weighing its build rows.
@@ -273,9 +279,10 @@ impl Operator for JoinOp<'_> {
                         }
                         let left = (batch.as_slice(), &ls);
                         let (lk, residual) = (&keys.left_keys, keys.residual.as_ref());
-                        out.extend(hash::probe(left, &table, lk, residual, kind, env, m)?);
+                        out.extend(hash::probe(left, &table, lk, residual, emit, env, m)?);
                     }
                 })?);
+                stats.rows_skipped += emit.take_skipped();
                 continue;
             }
             let Some(b) = left.pull(ctx)? else {
@@ -297,7 +304,7 @@ impl Operator for JoinOp<'_> {
                     let mut state = vec![RowMatch::default(); b.len()];
                     let mut chunk = |rows: &[Record], m: &mut Metrics| {
                         let inner = (rows, &*rs);
-                        nl::join_chunk(left_rows, inner, pred, kind, env, m, &mut state, &mut out)
+                        nl::join_chunk(left_rows, inner, pred, emit, env, m, &mut state, &mut out)
                     };
                     match inner {
                         Inner::Rows(rows) => chunk(rows, &mut ctx.metrics)?,
@@ -320,7 +327,8 @@ impl Operator for JoinOp<'_> {
                         }
                         _ => {}
                     }
-                    nl::finish_block(left_rows, kind, &mut state, &mut out)?;
+                    let m = &mut ctx.metrics;
+                    nl::finish_block(left_rows, emit, env, m, &mut state, &mut out)?;
                 }
                 (
                     Algo::Index {
@@ -351,15 +359,16 @@ impl Operator for JoinOp<'_> {
                             let fetched = t.fetch_rows(chunk)?;
                             let m = &mut ctx.metrics;
                             let inner = (fetched.as_slice(), &*rs);
-                            nl::join_chunk(outer, inner, pred, kind, env, m, &mut state, &mut out)?;
+                            nl::join_chunk(outer, inner, pred, emit, env, m, &mut state, &mut out)?;
                         }
-                        nl::finish_block(outer, kind, &mut state, &mut out)?;
+                        let m = &mut ctx.metrics;
+                        nl::finish_block(outer, emit, env, m, &mut state, &mut out)?;
                     }
                 }
                 (Algo::Hash { keys, .. }, Inner::Table(table)) => {
                     let (lk, residual) = (&keys.left_keys, keys.residual.as_ref());
                     let m = &mut ctx.metrics;
-                    out = hash::probe(left_rows, table, lk, residual, kind, env, m)?;
+                    out = hash::probe(left_rows, table, lk, residual, emit, env, m)?;
                 }
                 // Partitioning pass: a probe row goes to the run its hash
                 // selects if a build row may share its key, and else takes
@@ -376,7 +385,8 @@ impl Operator for JoinOp<'_> {
                                 ctx.metrics.hash_probes += 1;
                                 ctx.metrics.spill_rows_filtered += 1;
                                 stats.spill_rows_filtered += 1;
-                                RowMatch::default().finish(kind, &ls, l, &mut out)?;
+                                let m = &mut ctx.metrics;
+                                RowMatch::default().finish(emit, (&ls, l), env, m, &mut out)?;
                             }
                         }
                     }
@@ -385,6 +395,7 @@ impl Operator for JoinOp<'_> {
                 // answers no left batch.
                 (Algo::Hash { .. }, _) => {}
             }
+            stats.rows_skipped += emit.take_skipped();
             ctx.resident_acquire(out.len());
             carry.extend(out);
         }

@@ -12,9 +12,8 @@ use tmql_algebra::{eval_predicate, Env, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
-use crate::op::JoinKind;
 
-use super::{bind, eval_keys, RowMatch, Rows};
+use super::{bind, eval_keys, Emit, RowMatch, Rows};
 
 /// One operand row tagged with its evaluated key (`None` = NULL key).
 struct Keyed<'a> {
@@ -47,7 +46,7 @@ pub fn join(
     left_keys: &[ScalarExpr],
     right_keys: &[ScalarExpr],
     residual: Option<&ScalarExpr>,
-    kind: &JoinKind,
+    emit: &Emit,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
@@ -69,7 +68,7 @@ pub fn join(
     while li < ls.len() {
         let lkey = &ls[li].key;
         if lkey.is_none() {
-            row.finish(kind, lshape, ls[li].row, &mut out)?;
+            row.finish(emit, (lshape, ls[li].row), env, m, &mut out)?;
             li += 1;
             continue;
         }
@@ -84,7 +83,7 @@ pub fn join(
             rj += 1;
         }
         if ri == rj {
-            row.finish(kind, lshape, ls[li].row, &mut out)?;
+            row.finish(emit, (lshape, ls[li].row), env, m, &mut out)?;
             li += 1;
             continue;
         }
@@ -106,12 +105,12 @@ pub fn join(
                         continue;
                     }
                 }
-                row.hit(kind, (lshape, l), (rshape, r), &pair_env, &mut out)?;
-                if row.decided(kind) {
+                row.hit(emit, (lshape, l), (rshape, r), &pair_env, m, &mut out)?;
+                if row.decided(&emit.kind) {
                     break;
                 }
             }
-            row.finish(kind, lshape, l, &mut out)?;
+            row.finish(emit, (lshape, l), env, m, &mut out)?;
         }
         li = lj;
         ri = rj;
@@ -122,7 +121,7 @@ pub fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::bound;
+    use crate::op::{bound, Emit, JoinKind};
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
@@ -167,7 +166,7 @@ mod tests {
                 &lk,
                 &rk,
                 None,
-                &kind,
+                &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
             )
@@ -176,7 +175,7 @@ mod tests {
                 bound(&x),
                 bound(&y),
                 &pred,
-                &kind,
+                &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
             )
@@ -201,7 +200,7 @@ mod tests {
             &[E::path("x", &["d"])],
             &[E::path("y", &["b"])],
             None,
-            &kind,
+            &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -232,7 +231,7 @@ mod tests {
             &[E::path("x", &["d"])],
             &[E::path("y", &["b"])],
             None,
-            &kind,
+            &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -264,7 +263,7 @@ mod tests {
             &[E::path("x", &["d"])],
             &[E::path("y", &["b"])],
             None,
-            &JoinKind::Inner,
+            &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut m,
         )

@@ -5,7 +5,9 @@
 //! [`JoinKind`]s once its candidates are known — the only code that
 //! builds a join's output. [`JoinKind`] is the executor's copy of the
 //! plan's kind, built once per operator by [`JoinKind::of`] with the
-//! labels its rows need interned. `nl`, [`hash`] and `merge` only decide how a
+//! labels its rows need interned, and [`Emit`] is the kind together with
+//! the selection fused over the join, which `RowMatch` decides before it
+//! builds a row. `nl`, [`hash`] and `merge` only decide how a
 //! left row's candidates are found (every inner row, a hash bucket, an
 //! equal-key group), which makes the paper's observation literal: the nest
 //! join is "a simple modification of any common join implementation
@@ -35,12 +37,14 @@ mod scan;
 pub mod spill;
 mod stream;
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, Env, Plan, ScalarExpr};
+use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
 use tmql_model::record::Field;
 use tmql_model::{ModelError, Record, Result, SetValue, Value};
 
+use crate::metrics::Metrics;
 use crate::physical::{JoinPath, PhysPlan};
 
 /// What a row between two operators is — known per plan node, never per
@@ -223,6 +227,86 @@ impl JoinKind {
     }
 }
 
+/// What a join's operator emits: the rows of its [`JoinKind`] that the
+/// selection directly over the join, fused into it, accepts. The
+/// selection is decided on the bindings an output row would have — ⋈
+/// and a matched ⟕ on the pair, ⋉ and ▷ on the left row, a dangling ⟕
+/// on its NULL extension, Δ on the left row plus `label → set` — under
+/// the operator's correlation environment, and a row it rejects is never
+/// built. It filters output rows and is never part of the join predicate,
+/// so what ⟕ and Δ answer for a dangling row is unchanged.
+///
+/// A row the join produces counts what it counted as the input of a
+/// `Filter` above the join: one `comparisons` and one `rows_emitted`
+/// (the hand-over, made in place, as a filtering scan counts it).
+#[derive(Debug)]
+pub struct Emit {
+    pub(crate) kind: JoinKind,
+    /// The fused selection.
+    select: Option<ScalarExpr>,
+    /// A variable the output rows would bind twice (decided once per
+    /// operator, from the plan): no such row can be built, so each one the
+    /// selection would decide fails as building it would.
+    clash: Option<String>,
+    /// Rows the selection rejected that the operator has not yet counted
+    /// in its `rows_skipped`.
+    skipped: Cell<u64>,
+}
+
+impl From<JoinKind> for Emit {
+    /// Every row of `kind`: no selection.
+    fn from(kind: JoinKind) -> Emit {
+        Emit::new(kind, None, Vec::new())
+    }
+}
+
+impl Emit {
+    /// The rows of `kind` that `select` accepts; `vars` are the output
+    /// rows' variables ([`PhysPlan::output_vars`] of the join).
+    pub fn new(kind: JoinKind, select: Option<&ScalarExpr>, vars: Vec<String>) -> Emit {
+        let builds = !matches!(kind, JoinKind::Semi | JoinKind::Anti);
+        let twice = |(i, v): &(usize, &String)| vars[..*i].contains(v);
+        let clash = match (builds, select) {
+            (true, Some(_)) => vars.iter().enumerate().find(twice).map(|(_, v)| v.clone()),
+            _ => None,
+        };
+        Emit {
+            kind,
+            select: select.cloned(),
+            clash,
+            skipped: Cell::new(0),
+        }
+    }
+
+    /// Whether the output row `row` binds passes the selection: one
+    /// `comparisons` and one `rows_emitted` when there is a selection.
+    fn admits(&self, row: &Env<'_>, m: &mut Metrics) -> Result<bool> {
+        let Some(select) = &self.select else {
+            return Ok(true);
+        };
+        if let Some(var) = &self.clash {
+            return Err(ModelError::DuplicateField(var.clone()));
+        }
+        m.comparisons += 1;
+        m.rows_emitted += 1;
+        let keep = eval_predicate(select, row)?;
+        if !keep {
+            self.skipped.set(self.skipped.get() + 1);
+        }
+        Ok(keep)
+    }
+
+    /// Whether a selection is fused in.
+    pub(crate) fn selects(&self) -> bool {
+        self.select.is_some()
+    }
+
+    /// The rows rejected since the last call.
+    pub(crate) fn take_skipped(&self) -> u64 {
+        self.skipped.take()
+    }
+}
+
 /// One left row's progress through its join candidates: whether one has
 /// matched, and the images a nest join has collected — "for each left
 /// operand tuple a set is created to hold the (possibly modified) right
@@ -230,7 +314,8 @@ impl JoinKind {
 /// every algorithm feeds it the candidates it finds ([`RowMatch::hit`]),
 /// stops early once [`RowMatch::decided`], and ends the row with
 /// [`RowMatch::finish`]; nothing else in the executor builds a join's
-/// output.
+/// output, and both decide the fused selection ([`Emit`]) before they
+/// build a row.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct RowMatch {
     matched: bool,
@@ -243,15 +328,20 @@ impl RowMatch {
     /// only note the match.
     pub(crate) fn hit(
         &mut self,
-        kind: &JoinKind,
+        emit: &Emit,
         (ls, l): (&Shape, &Record),
         (rs, r): (&Shape, &Record),
         pair: &Env<'_>,
+        m: &mut Metrics,
         out: &mut Vec<Record>,
     ) -> Result<()> {
         self.matched = true;
-        match kind {
-            JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(concat(ls, l, rs, r)?),
+        match &emit.kind {
+            JoinKind::Inner | JoinKind::LeftOuter { .. } => {
+                if emit.admits(pair, m)? {
+                    out.push(concat(ls, l, rs, r)?);
+                }
+            }
             JoinKind::Semi | JoinKind::Anti => {}
             JoinKind::Nest { func, .. } => self.nested.push(eval(func, pair)?),
         }
@@ -267,30 +357,40 @@ impl RowMatch {
     /// Left row `l`'s candidates are exhausted: emit what depends on all of
     /// them, and start over for the next row. On a fresh state this is
     /// each kind's **dangling** answer — ⋈ and ⋉ nothing, ▷ the row, ⟕ its
-    /// NULL extension, Δ `label = ∅` (never NULL).
+    /// NULL extension, Δ `label = ∅` (never NULL). `env` is the operator's
+    /// correlation environment.
     pub(crate) fn finish(
         &mut self,
-        kind: &JoinKind,
-        ls: &Shape,
-        l: &Record,
+        emit: &Emit,
+        (ls, l): (&Shape, &Record),
+        env: &Env<'_>,
+        m: &mut Metrics,
         out: &mut Vec<Record>,
     ) -> Result<()> {
         let matched = std::mem::take(&mut self.matched);
-        match kind {
+        match &emit.kind {
             JoinKind::Inner => {}
             JoinKind::Semi | JoinKind::Anti => {
-                if matched == matches!(kind, JoinKind::Semi) {
+                let semi = matches!(emit.kind, JoinKind::Semi);
+                if matched == semi && emit.admits(&bind(env, ls, l), m)? {
                     out.push(l.clone());
                 }
             }
+            // The NULL extension is built first: the selection decides
+            // it as the bound row it is.
             JoinKind::LeftOuter { right_vars } => {
                 if !matched {
-                    out.push(null_extend(ls, l, right_vars)?);
+                    let row = null_extend(ls, l, right_vars)?;
+                    if emit.admits(&env.bind_row(&row), m)? {
+                        out.push(row);
+                    }
                 }
             }
             JoinKind::Nest { label, .. } => {
-                let set = SetValue::drain_from(&mut self.nested);
-                out.push(extend(ls, l, label, Value::Set(set))?);
+                let set = Value::Set(SetValue::drain_from(&mut self.nested));
+                if emit.admits(&bind(env, ls, l).bind(label, &set), m)? {
+                    out.push(extend(ls, l, label, set)?);
+                }
             }
         }
         Ok(())
@@ -409,6 +509,7 @@ mod tests {
             ]),
             label: "s".into(),
         };
+        let kind = Emit::from(kind);
         let mut env = Env::new();
         env.push("k", Value::Int(42));
         type Kernel<'a> = &'a dyn Fn(&[Record], &Env<'_>) -> Result<Vec<Record>>;

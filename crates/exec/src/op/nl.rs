@@ -1,5 +1,5 @@
 //! Nested-loop join: the universal fallback, correct for arbitrary
-//! predicates and every [`JoinKind`].
+//! predicates and every join kind.
 //!
 //! A left row's candidates are every inner row; each one `pred` accepts
 //! goes to the row's [`RowMatch`], which decides what the row emits. The
@@ -13,9 +13,8 @@ use tmql_algebra::{eval_predicate, Env, ScalarExpr};
 use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
-use crate::op::JoinKind;
 
-use super::{bind, RowMatch, Rows};
+use super::{bind, Emit, RowMatch, Rows};
 
 /// Join one chunk of the inner operand against the whole left block,
 /// `state[i]` carrying left row `i`'s matches from chunk to chunk. A row
@@ -26,14 +25,14 @@ pub(crate) fn join_chunk(
     (left, ls): Rows<'_>,
     (chunk, rs): Rows<'_>,
     pred: &ScalarExpr,
-    kind: &JoinKind,
+    emit: &Emit,
     env: &Env<'_>,
     m: &mut Metrics,
     state: &mut [RowMatch],
     out: &mut Vec<Record>,
 ) -> Result<()> {
     for (l, row) in left.iter().zip(state) {
-        if row.decided(kind) {
+        if row.decided(&emit.kind) {
             continue;
         }
         let left_env = bind(env, ls, l);
@@ -41,8 +40,8 @@ pub(crate) fn join_chunk(
             let pair_env = bind(&left_env, rs, r);
             m.comparisons += 1;
             if eval_predicate(pred, &pair_env)? {
-                row.hit(kind, (ls, l), (rs, r), &pair_env, out)?;
-                if row.decided(kind) {
+                row.hit(emit, (ls, l), (rs, r), &pair_env, m, out)?;
+                if row.decided(&emit.kind) {
                     break;
                 }
             }
@@ -54,12 +53,14 @@ pub(crate) fn join_chunk(
 /// End a block: every left row's candidates are exhausted.
 pub(crate) fn finish_block(
     (left, ls): Rows<'_>,
-    kind: &JoinKind,
+    emit: &Emit,
+    env: &Env<'_>,
+    m: &mut Metrics,
     state: &mut [RowMatch],
     out: &mut Vec<Record>,
 ) -> Result<()> {
     for (l, row) in left.iter().zip(state) {
-        row.finish(kind, ls, l, out)?;
+        row.finish(emit, (ls, l), env, m, out)?;
     }
     Ok(())
 }
@@ -70,21 +71,21 @@ pub(crate) fn join(
     left: Rows<'_>,
     right: Rows<'_>,
     pred: &ScalarExpr,
-    kind: &JoinKind,
+    emit: &Emit,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
     let mut state = vec![RowMatch::default(); left.0.len()];
-    join_chunk(left, right, pred, kind, env, m, &mut state, &mut out)?;
-    finish_block(left, kind, &mut state, &mut out)?;
+    join_chunk(left, right, pred, emit, env, m, &mut state, &mut out)?;
+    finish_block(left, emit, env, m, &mut state, &mut out)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::bound;
+    use crate::op::{bound, Emit, JoinKind};
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
     use tmql_model::Value;
@@ -119,7 +120,7 @@ mod tests {
             bound(&x),
             bound(&y),
             &pred,
-            &JoinKind::Inner,
+            &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut m,
         )
@@ -137,7 +138,15 @@ mod tests {
             func: E::var("y"),
             label: "s".into(),
         };
-        let out = join(bound(&x), bound(&y), &pred, &kind, &Env::new(), &mut m).unwrap();
+        let out = join(
+            bound(&x),
+            bound(&y),
+            &pred,
+            &Emit::from(kind.clone()),
+            &Env::new(),
+            &mut m,
+        )
+        .unwrap();
         assert_eq!(out.len(), 3, "every left tuple survives");
         // x=(2,1): matches y=(1,1),(2,1) — wait, x=(2,1).d=1 matches b=1.
         let row0 = &out[0];
@@ -159,7 +168,7 @@ mod tests {
             bound(&x),
             bound(&y),
             &pred,
-            &kind,
+            &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -175,7 +184,7 @@ mod tests {
             bound(&x),
             bound(&y),
             &pred,
-            &JoinKind::Semi,
+            &Emit::from(JoinKind::Semi),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -184,7 +193,7 @@ mod tests {
             bound(&x),
             bound(&y),
             &pred,
-            &JoinKind::Anti,
+            &Emit::from(JoinKind::Anti),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -201,7 +210,7 @@ mod tests {
             bound(&x),
             bound(&y),
             &pred,
-            &JoinKind::Semi,
+            &Emit::from(JoinKind::Semi),
             &Env::new(),
             &mut m,
         )
@@ -227,7 +236,7 @@ mod tests {
             bound(&x),
             bound(&y),
             &pred,
-            &kind,
+            &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
         )
@@ -256,7 +265,8 @@ mod tests {
                 label: "s".into(),
             },
         ];
-        for kind in &kinds {
+        for kind in kinds {
+            let kind = &Emit::from(kind);
             let whole = join(
                 bound(&x),
                 bound(&y),
@@ -282,11 +292,17 @@ mod tests {
                     )
                     .unwrap();
                 }
-                finish_block(bound(&x), kind, &mut state, &mut out).unwrap();
+                let (env, m) = (&Env::new(), &mut Metrics::new());
+                finish_block(bound(&x), kind, env, m, &mut state, &mut out).unwrap();
                 let a: BTreeSet<&Record> = whole.iter().collect();
                 let b: BTreeSet<&Record> = out.iter().collect();
-                assert_eq!(a, b, "kind {kind:?} chunk {chunk_size}");
-                assert_eq!(whole.len(), out.len(), "kind {kind:?} chunk {chunk_size}");
+                assert_eq!(a, b, "kind {:?} chunk {chunk_size}", kind.kind);
+                assert_eq!(
+                    whole.len(),
+                    out.len(),
+                    "kind {:?} chunk {chunk_size}",
+                    kind.kind
+                );
             }
         }
     }

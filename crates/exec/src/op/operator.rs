@@ -54,7 +54,7 @@ use crate::op::join::{Algo, JoinOp};
 use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
 use crate::op::spill::{self, keys_part, value_part};
 use crate::op::stream::{ExtendOp, FilterOp, MapOp, ProjectOp, UnnestOp};
-use crate::op::{self, group, merge, Shape};
+use crate::op::{self, group, merge, Emit, Shape};
 use crate::physical::{JoinPath, PhysPlan};
 
 /// A unit of streamed data: up to `batch_size` rows.
@@ -98,8 +98,10 @@ pub struct OpStats {
     /// side instead of spilling them (mirrors
     /// [`crate::Metrics::spill_rows_filtered`]; 0 for every other operator).
     pub spill_rows_filtered: u64,
-    /// Stored rows a filtering scan's pre-test rejected inside storage,
-    /// before they were decoded or bound (0 for every other operator).
+    /// Rows rejected before they were materialized: stored rows a
+    /// filtering scan's pre-test rejected inside storage, before they were
+    /// decoded or bound, and rows a join's fused selection rejected before
+    /// the join built them (0 for every other operator).
     pub rows_skipped: u64,
     /// Wall-clock nanoseconds spent inside this operator's `open`,
     /// `next_batch`, and `close` calls, *inclusive* of its children
@@ -289,8 +291,8 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
         // `spilled=` appears only when the operator actually spilled, so
         // in-memory profiles read exactly as before the spill tier existed;
         // `filtered=` beside it only on a grace join whose partitioning
-        // pass answered rows, and `skipped=` only on a scan whose pre-test
-        // rejected some.
+        // pass answered rows, and `skipped=` only on a scan whose pre-test,
+        // or a join whose fused selection, rejected some.
         let nonzero = |name: &str, n: u64| match n {
             0 => String::new(),
             n => format!(" {name}={n}"),
@@ -471,8 +473,17 @@ pub fn build_with<'p>(
             elem_var,
             drop_vars,
         } => Box::new(UnnestOp::new(base, sub(input), expr, elem_var, drop_vars)),
-        PhysPlan::Join { kind, left, path } => {
-            let (left, kind) = (sub(left), op::JoinKind::of(kind, path));
+        PhysPlan::Join {
+            kind,
+            left,
+            path,
+            select,
+        } => {
+            let kind = op::JoinKind::of(kind, path);
+            let (left, emit) = (
+                sub(left),
+                Emit::new(kind, select.as_ref(), plan.output_vars()),
+            );
             let (right, algo) = match path {
                 JoinPath::NestedLoop { right, pred } => (sub(right), Algo::Nl(pred)),
                 JoinPath::Index {
@@ -489,7 +500,7 @@ pub fn build_with<'p>(
                         pred,
                     };
                     let rs = Shape::bare(var);
-                    return Box::new(JoinOp::new(base, left, None, rs, kind, algo));
+                    return Box::new(JoinOp::new(base, left, None, rs, emit, algo));
                 }
                 JoinPath::Hash { right, keys } => {
                     let right = sub(right);
@@ -509,15 +520,18 @@ pub fn build_with<'p>(
                             keys_part(&keys.right_keys, right.shape()),
                         ],
                         [left, right],
-                        Box::new(move |[l, r], env, m| {
+                        Box::new(move |[l, r], env, m, stats| {
                             let (lk, rk) = (&keys.left_keys, &keys.right_keys);
-                            merge::join(l, r, lk, rk, keys.residual.as_ref(), &kind, env, m)
+                            let out =
+                                merge::join(l, r, lk, rk, keys.residual.as_ref(), &emit, env, m);
+                            stats.rows_skipped += emit.take_skipped();
+                            out
                         }),
                     ));
                 }
             };
             let rs = right.shape().clone();
-            Box::new(JoinOp::new(base, left, Some(right), rs, kind, algo))
+            Box::new(JoinOp::new(base, left, Some(right), rs, emit, algo))
         }
         PhysPlan::Nest {
             input,
@@ -540,7 +554,7 @@ pub fn build_with<'p>(
                     Ok(Some(h.finish()))
                 })],
                 [input],
-                Box::new(move |[rows], env, m| {
+                Box::new(move |[rows], env, m, _| {
                     group::nest(rows, keys, value, label, *star, env, m)
                 }),
             ))
@@ -564,7 +578,7 @@ pub fn build_with<'p>(
                     Ok(Some(h.finish()))
                 })],
                 [input],
-                Box::new(move |[rows], env, m| group::group_agg(rows, keys, aggs, var, env, m)),
+                Box::new(move |[rows], env, m, _| group::group_agg(rows, keys, aggs, var, env, m)),
             ))
         }
         PhysPlan::SetOp {
@@ -580,7 +594,7 @@ pub fn build_with<'p>(
                 // union/intersect/except concatenate to the global result.
                 [value_part(left.shape()), value_part(right.shape())],
                 [left, right],
-                Box::new(move |[l, r], _env, m| group::set_op(*kind, l, r, var, m)),
+                Box::new(move |[l, r], _env, m, _| group::set_op(*kind, l, r, var, m)),
             ))
         }
         PhysPlan::Apply {

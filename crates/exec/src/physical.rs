@@ -166,7 +166,13 @@ pub enum PhysPlan {
         /// Variables kept.
         vars: Vec<String>,
     },
-    /// A member of the join family, implemented by `path`.
+    /// A member of the join family, implemented by `path`, with the
+    /// selection directly over it (if any) fused in, as `ScanTable` fuses
+    /// its own: `select` filters the join's **output rows**, decided on
+    /// each row's bindings before the row is built, so the join never
+    /// builds a row the selection drops. It is never part of the join
+    /// predicate — that would change what ⟕ and Δ answer for a dangling
+    /// row.
     Join {
         /// What a left row emits.
         kind: JoinKind,
@@ -174,6 +180,8 @@ pub enum PhysPlan {
         left: Box<PhysPlan>,
         /// How the right side is reached and matched.
         path: JoinPath,
+        /// Selection over the join's output rows (`None`: every row).
+        select: Option<ScalarExpr>,
     },
     /// ν / ν* grouping.
     Nest {
@@ -254,15 +262,21 @@ impl PhysPlan {
             PhysPlan::Map { .. } => "Map".into(),
             PhysPlan::Extend { .. } => "Extend".into(),
             PhysPlan::Project { .. } => "Project".into(),
-            PhysPlan::Join { kind, path, .. } => {
+            PhysPlan::Join {
+                kind, path, select, ..
+            } => {
                 let kind = kind.name();
-                match path {
+                let label = match path {
                     JoinPath::NestedLoop { .. } => format!("NlJoin[{kind}]"),
                     JoinPath::Index { table, attr, .. } => {
                         format!("IndexNLJoin[{kind}]({table}.{attr})")
                     }
                     JoinPath::Hash { .. } => format!("HashJoin[{kind}]"),
                     JoinPath::SortMerge { .. } => format!("MergeJoin[{kind}]"),
+                };
+                match select {
+                    None => label,
+                    Some(_) => label + "[σ]",
                 }
             }
             PhysPlan::Nest { star, .. } => if *star { "Nest[ν*]" } else { "Nest[ν]" }.into(),
@@ -325,9 +339,9 @@ impl PhysPlan {
                 vars.retain(|v| !drop_vars.contains(v));
                 (vars, from_ref(elem_var))
             }
-            P::Join { kind, left, path } => {
-                return kind.output_vars(left.output_vars(), path.right_vars())
-            }
+            P::Join {
+                kind, left, path, ..
+            } => return kind.output_vars(left.output_vars(), path.right_vars()),
         };
         vars.extend_from_slice(added);
         vars
@@ -403,10 +417,30 @@ mod tests {
                     residual: None,
                 },
             },
+            select: None,
         };
         let s = p.explain();
         assert!(s.contains("HashJoin[nestjoin]"), "{s}");
         assert!(s.contains("Scan(X)"), "{s}");
+        // A fused selection shows on the join's own line, as on a scan's.
+        let PhysPlan::Join {
+            kind, left, path, ..
+        } = p
+        else {
+            unreachable!()
+        };
+        let select = Some(E::lit(true));
+        let fused = PhysPlan::Join {
+            kind,
+            left,
+            path,
+            select,
+        };
+        assert_eq!(
+            fused.explain().lines().next(),
+            Some("HashJoin[nestjoin][σ]")
+        );
+        assert_eq!(fused.children().len(), 2);
     }
 
     #[test]
@@ -440,6 +474,7 @@ mod tests {
                 key: E::path("r", &["a"]),
                 pred: E::lit(true),
             },
+            select: None,
         };
         assert_eq!(join.op_label(), "IndexNLJoin[semijoin](S.b)");
         assert_eq!(join.children().len(), 1, "the probed inner is no child");

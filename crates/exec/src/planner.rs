@@ -20,7 +20,10 @@
 //!   operand's variables) plus a residual ([`EquiSplit`]), and
 //!   `Estimator::join_path` picks the [`JoinPath`] — index nested-loop /
 //!   nested-loop / hash (with its build side) / sort-merge — per the
-//!   [`ExecConfig`] and the operands' estimates.
+//!   [`ExecConfig`] and the operands' estimates. A selection directly
+//!   over a join is fused into it (never a `Filter` over a join): the
+//!   join decides it on each output row before building the row. The
+//!   choice of path does not read it.
 //!
 //! A correlated subquery lowers like any other plan: the `Apply` keeps
 //! the inner plan these choices build, and runs it once per distinct
@@ -328,6 +331,17 @@ impl<'p> Lowering<'_, 'p, '_> {
                     };
                     return (phys, est);
                 }
+                // A selection directly over a join is decided inside it,
+                // on each output row before the row is built.
+                Plan::Join {
+                    kind,
+                    left,
+                    right,
+                    pred: on,
+                } => {
+                    let (phys, c) = self.join(kind, (left, right), on, Some(pred), from);
+                    (phys, Node::Select(c, pred, None))
+                }
                 input => {
                     let (input, c) = self.child(input);
                     let phys = PhysPlan::Filter {
@@ -342,7 +356,7 @@ impl<'p> Lowering<'_, 'p, '_> {
                 left,
                 right,
                 pred,
-            } => return self.join(kind, left, right, pred, from),
+            } => return self.join(kind, (left, right), pred, None, from),
             Plan::ScanExpr { expr, var } => {
                 let phys = PhysPlan::ScanExpr {
                     expr: expr.clone(),
@@ -461,14 +475,16 @@ impl<'p> Lowering<'_, 'p, '_> {
         (phys, self.walk.est.estimate(op, self.walk.scope(from)))
     }
 
-    /// Lower a join: the walk splits the predicate, picks the path under
-    /// the configured algorithm and prices it; this builds what it picked.
+    /// Lower a join, with the selection directly over it if there is one:
+    /// the walk splits the predicate, picks the path under the configured
+    /// algorithm and prices the join; this builds what it picked. The
+    /// estimate is the join's, before any selection.
     fn join(
         &mut self,
         kind: &JoinKind,
-        left: &'p Plan,
-        right: &'p Plan,
+        (left, right): (&'p Plan, &'p Plan),
         pred: &ScalarExpr,
+        select: Option<&ScalarExpr>,
         from: usize,
     ) -> (PhysPlan, CostEstimate) {
         let (mut l, l_est) = self.child(left);
@@ -507,12 +523,13 @@ impl<'p> Lowering<'_, 'p, '_> {
             }
             PathChoice::SortMerge => JoinPath::SortMerge { right: r, keys },
         };
-        let kind = kind.clone();
+        let (kind, select) = (kind.clone(), select.cloned());
         (
             PhysPlan::Join {
                 kind,
                 left: l,
                 path,
+                select,
             },
             est,
         )
@@ -649,6 +666,7 @@ mod tests {
             kind: JoinKind::Semi,
             left,
             path: JoinPath::Hash { .. },
+            select: None,
         } = phys
         else {
             panic!("hash semijoin expected");
@@ -912,6 +930,92 @@ mod tests {
                 assert_eq!(emitted, n < 500, "|L| = {n}: {phys}");
             }
         }
+    }
+
+    /// σ directly over a join of every kind, under every algorithm, is
+    /// the join that lowering picks without it, with the selection fused
+    /// in and its line estimated as the `Filter` over it was. A second σ,
+    /// or a σ over anything but a join, stays a `Filter`.
+    #[test]
+    fn a_selection_directly_over_a_join_is_fused_into_it() {
+        let cat = indexed_catalog();
+        let est = Estimator::new(&cat);
+        let on_b = || E::eq(E::path("t", &["b"]), E::path("x", &["b"]));
+        let p = E::cmp(CmpOp::Lt, E::path("t", &["c"]), E::lit(15i64));
+        let kinds = [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter,
+            JoinKind::Nest {
+                func: E::path("x", &["a"]),
+                label: "xs".into(),
+            },
+        ];
+        let algos = [
+            JoinAlgo::Auto,
+            JoinAlgo::Hash,
+            JoinAlgo::SortMerge,
+            JoinAlgo::NestedLoop,
+        ];
+        for kind in kinds {
+            let join = Plan::scan("TINY", "t").join_as(kind, Plan::scan("BIG", "x"), on_b());
+            for algo in algos {
+                let config = ExecConfig::with_join_algo(algo);
+                let fused = lower(&join.clone().select(p.clone()), &cat, &config).unwrap();
+                let bare = lower(&join, &cat, &config).unwrap();
+                let PhysPlan::Join {
+                    kind,
+                    left,
+                    path,
+                    select: None,
+                } = bare.clone()
+                else {
+                    panic!("a join expected: {bare}");
+                };
+                let select = Some(p.clone());
+                assert_eq!(
+                    fused,
+                    PhysPlan::Join {
+                        kind,
+                        left,
+                        path,
+                        select
+                    }
+                );
+                assert!(fused.op_label().ends_with("[σ]"), "{fused}");
+                let filter = PhysPlan::Filter {
+                    input: Box::new(bare),
+                    pred: p.clone(),
+                };
+                let (f, j) = (
+                    est.exec_order_rows_phys(&filter),
+                    est.exec_order_rows_phys(&fused),
+                );
+                assert_eq!(j[0], f[0], "{fused}");
+                assert_eq!(j[1..], f[2..], "{fused}");
+            }
+            let twice = join.select(p.clone()).select(E::lit(true));
+            let phys = lower(&twice, &cat, &ExecConfig::default()).unwrap();
+            let PhysPlan::Filter { input, .. } = &phys else {
+                panic!("a Filter expected: {phys}");
+            };
+            assert!(
+                matches!(
+                    **input,
+                    PhysPlan::Join {
+                        select: Some(_),
+                        ..
+                    }
+                ),
+                "{phys}"
+            );
+        }
+        let over_apply = Plan::scan("BIG", "x")
+            .apply(Plan::scan("TINY", "t").select(on_b()), "z")
+            .select(p);
+        let phys = lower(&over_apply, &cat, &ExecConfig::default()).unwrap();
+        assert_eq!(phys.op_label(), "Filter", "{phys}");
     }
 
     #[test]

@@ -8,16 +8,23 @@
 //! number, ±0.0, NaN payloads, 2⁵³ ± 1, the ends of i64, 2⁶³ as a float,
 //! NULL, and tuples and sets holding them — and must return exactly the
 //! rows the kind's definition gives, built here pair by pair without the
-//! executor. On the same keys the scan pre-test must reject a row exactly
+//! executor. With a selection over the join — on the nest label for Δ,
+//! on both sides for ⋈ and ⟕, on the left row for ⋉ and ▷ — the join
+//! fused with it and a `Filter` over the unfused join must both return
+//! the definition's rows the selection keeps, with the same work
+//! counters. On the same keys the scan pre-test must reject a row exactly
 //! when `eval` says the comparison is false, and the two index kinds'
 //! probes must select exactly the rows `eval` does.
 
 use std::ops::Bound;
 
 use proptest::prelude::*;
-use tmql_algebra::{eval_predicate, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
+use tmql_algebra::{eval_predicate, AggFn, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
 use tmql_exec::planner::EquiSplit;
-use tmql_exec::{execute, lower, ExecConfig, ExecContext, JoinPath, PhysPlan};
+use tmql_exec::{
+    execute, execute_collect, lower, ExecConfig, ExecContext, JoinPath, MetricClass, Metrics,
+    OpProfile, PhysPlan,
+};
 use tmql_model::{ModelError, Record, Ty, Value};
 use tmql_storage::spill::encode_record;
 use tmql_storage::{Catalog, OrdIndex, RowTest, Table};
@@ -91,8 +98,31 @@ fn kinds() -> [JoinKind; 5] {
     ]
 }
 
-/// `x.k = y.k` as each algorithm takes it.
-fn plans(kind: &JoinKind) -> [(&'static str, PhysPlan); 4] {
+/// A selection over `kind`'s output rows that keeps some and drops some:
+/// it reads the nest label (and the left row) for Δ, both sides for ⋈
+/// and ⟕ (a dangling ⟕ row's NULL side too), and the left row for ⋉
+/// and ▷.
+fn selection(kind: &JoinKind) -> E {
+    let (x_id, y_id) = (E::path("x", &["id"]), E::path("y", &["id"]));
+    let below = |e: E, n: i64| E::cmp(CmpOp::Lt, e, E::lit(n));
+    match kind {
+        JoinKind::Nest { .. } => {
+            let none = E::eq(E::agg(AggFn::Count, E::var("s")), E::lit(0i64));
+            E::or(none, below(x_id, 4))
+        }
+        JoinKind::Inner | JoinKind::LeftOuter => {
+            let dangling = E::and(E::IsNull(Box::new(E::var("y"))), below(x_id.clone(), 5));
+            E::or(E::cmp(CmpOp::Le, x_id, y_id), dangling)
+        }
+        JoinKind::Semi | JoinKind::Anti => E::or(
+            below(x_id.clone(), 3),
+            E::cmp(CmpOp::Gt, x_id, E::lit(6i64)),
+        ),
+    }
+}
+
+/// `x.k = y.k` as each algorithm takes it, with `select` fused in.
+fn plans(kind: &JoinKind, select: Option<&E>) -> [(&'static str, PhysPlan); 4] {
     let scan = |table: &str, var: &str| {
         Box::new(PhysPlan::ScanTable {
             table: table.into(),
@@ -111,6 +141,7 @@ fn plans(kind: &JoinKind) -> [(&'static str, PhysPlan); 4] {
         kind: kind.clone(),
         left: scan("X", "x"),
         path,
+        select: select.cloned(),
     };
     [
         (
@@ -147,14 +178,27 @@ fn plans(kind: &JoinKind) -> [(&'static str, PhysPlan); 4] {
     ]
 }
 
-fn run(plan: &PhysPlan, cat: &Catalog, budget: Option<usize>) -> Vec<Record> {
+/// `plan`'s rows, sorted, its counters and its operators' profile lines
+/// in pre-order.
+fn run(
+    plan: &PhysPlan,
+    cat: &Catalog,
+    budget: Option<usize>,
+) -> (Vec<Record>, Metrics, Vec<OpProfile>) {
     let mut config = ExecConfig::default().batch_size(3);
     config.memory_budget_rows = budget;
     let mut ctx = ExecContext::with_config(cat, &config);
-    let mut rows = execute(plan, &mut ctx, &Env::new()).unwrap();
+    let (mut rows, profile) = execute_collect(plan, &mut ctx, &Env::new(), None).unwrap();
     assert_eq!(ctx.resident_rows(), 0, "{plan}");
     rows.sort();
-    rows
+    (rows, ctx.metrics, profile)
+}
+
+/// The work-class counters of `m`, by label.
+fn work(m: &Metrics) -> Vec<(&'static str, u64)> {
+    let counters = Metrics::COUNTERS.iter();
+    let work = counters.filter(|c| c.class == MetricClass::Work);
+    work.map(|c| (c.label, (c.get)(m))).collect()
 }
 
 /// The rows `x ⟨kind⟩ y` on `x.k = y.k` holds by definition, sorted: a
@@ -229,13 +273,26 @@ proptest! {
         cat.create_index("Y", "k").unwrap();
         for kind in kinds() {
             let want = by_definition(&kind, &rows(&xs), &rows(&ys));
+            let p = selection(&kind);
+            let mut kept = want.clone();
+            kept.retain(|row| eval_predicate(&p, &Env::new().bind_row(row)).unwrap());
+            let fused = plans(&kind, Some(&p));
             for budget in [None, Some(7)] {
-                for (algo, plan) in plans(&kind) {
-                    let got = run(&plan, &cat, budget);
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{} {} budget {:?} on {:?} ⋈ {:?}", kind.name(), algo, budget, xs, ys
-                    );
+                for ((algo, plan), (_, fused)) in plans(&kind, None).into_iter().zip(&fused) {
+                    let on = || format!("{} {algo} budget {budget:?} on {xs:?} ⋈ {ys:?}", kind.name());
+                    let (got, ..) = run(&plan, &cat, budget);
+                    prop_assert_eq!(&got, &want, "{}", on());
+                    // σ over the join: fused into it, and as a Filter.
+                    let filter = PhysPlan::Filter { input: Box::new(plan), pred: p.clone() };
+                    let (by_filter, m_filter, p_filter) = run(&filter, &cat, budget);
+                    let (by_fused, m_fused, p_fused) = run(fused, &cat, budget);
+                    prop_assert_eq!(&by_filter, &kept, "σ {}: Filter", on());
+                    prop_assert_eq!(&by_fused, &kept, "σ {}: fused", on());
+                    prop_assert_eq!(work(&m_fused), work(&m_filter), "σ {}", on());
+                    prop_assert!(m_fused.peak_resident_rows <= m_filter.peak_resident_rows, "σ {}", on());
+                    // What the Filter dropped, the fused join skipped.
+                    let dropped = p_filter[1].rows_out - p_filter[0].rows_out;
+                    prop_assert_eq!(p_fused[0].rows_skipped, dropped, "σ {}", on());
                 }
             }
         }

@@ -9,8 +9,11 @@ use tmql_algebra::{AggFn, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
 use tmql_exec::op::operator::{build, build_with, drain, Batch, BoxedOperator, OpStats};
 use tmql_exec::op::Shape;
 use tmql_exec::planner::EquiSplit;
-use tmql_exec::{run, run_values, ExecConfig, ExecContext, JoinAlgo, JoinPath, Operator, PhysPlan};
-use tmql_model::{Record, Ty, Value};
+use tmql_exec::{
+    execute, lower, run, run_values, ExecConfig, ExecContext, JoinAlgo, JoinPath, Operator,
+    PhysPlan,
+};
+use tmql_model::{ModelError, Record, Ty, Value};
 use tmql_storage::{table::int_table, Catalog, Table};
 
 fn catalog(x: &[(i64, i64)], y: &[(i64, i64)]) -> Catalog {
@@ -258,6 +261,77 @@ fn comparisons_unit_is_one_predicate_evaluation() {
     )
     .unwrap();
     assert_eq!(m.comparisons, 7 * 5, "NlJoin: |X|·|Y| evaluations");
+
+    // A selection fused into that join: one more PER ROW THE JOIN
+    // PRODUCES, kept or not — what a Filter over the join evaluated —
+    // and the rows it rejects show as the join's `skipped`.
+    let pairs = 4 * 4 + 3 * 3; // x.b = 0 with y.c ∈ 1..5, x.b = 1 with y.c ∈ 2..5
+    let kept = 2 * 4 + 3; // x.a ∈ {0, 2} with x.b = 0, x.a = 1 with x.b = 1
+    let fused = join.select(E::cmp(CmpOp::Lt, E::path("x", &["a"]), E::lit(3i64)));
+    let config = ExecConfig::with_join_algo(JoinAlgo::NestedLoop);
+    let phys = lower(&fused, &cat, &config).unwrap();
+    assert_eq!(phys.explain(), "NlJoin[join][σ]\n  Scan(X)\n  Scan(Y)\n");
+    let mut ctx = ExecContext::with_config(&cat, &config);
+    let mut root = build(&phys, &Env::new());
+    root.open(&mut ctx).unwrap();
+    let rows = drain(&mut root, &mut ctx).unwrap();
+    root.close(&mut ctx);
+    assert_eq!(rows.len(), kept);
+    assert_eq!(
+        ctx.metrics.comparisons,
+        7 * 5 + pairs,
+        "fused σ: one per produced row"
+    );
+    assert_eq!(ctx.metrics.rows_emitted, 7 + 5 + pairs + kept as u64);
+    assert_eq!(root.stats().rows_skipped, pairs - kept as u64);
+}
+
+/// A nest label that clashes with a left variable is the typed error an
+/// unfused join raises when it builds a row — under every path, also when
+/// the selection fused into the join would reject every row it builds.
+#[test]
+fn a_clashing_nest_label_fails_even_when_the_selection_rejects_every_row() {
+    let mut cat = catalog(&[(1, 1), (2, 9)], &[(1, 10)]);
+    cat.create_index("Y", "b").unwrap();
+    let (xb, yb) = (E::path("x", &["b"]), E::path("y", &["b"]));
+    let paths = [
+        JoinPath::NestedLoop {
+            right: scan("Y", "y"),
+            pred: E::eq(xb.clone(), yb.clone()),
+        },
+        JoinPath::Hash {
+            right: scan("Y", "y"),
+            keys: keys(xb.clone(), yb.clone(), None),
+        },
+        JoinPath::SortMerge {
+            right: scan("Y", "y"),
+            keys: keys(xb.clone(), yb.clone(), None),
+        },
+        JoinPath::Index {
+            table: "Y".into(),
+            var: "y".into(),
+            attr: "b".into(),
+            key: xb.clone(),
+            pred: E::eq(xb, yb),
+        },
+    ];
+    for path in paths {
+        for select in [None, Some(E::lit(false))] {
+            let plan = PhysPlan::Join {
+                kind: JoinKind::Nest {
+                    func: E::path("y", &["c"]),
+                    label: "x".into(),
+                },
+                left: scan("X", "x"),
+                path: path.clone(),
+                select,
+            };
+            let mut ctx = ExecContext::new(&cat);
+            let err = execute(&plan, &mut ctx, &Env::new()).unwrap_err();
+            assert_eq!(err, ModelError::DuplicateField("x".into()), "{plan}");
+            assert_eq!(ctx.resident_rows(), 0, "{plan}");
+        }
+    }
 }
 
 #[test]
@@ -444,6 +518,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                         right: scan("Y", "w"),
                         keys: keys(xb(), E::path("w", &["b"]), None),
                     },
+                    select: None,
                 }),
             ),
             (
@@ -467,6 +542,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                         right: scan("S", "s"),
                         pred: E::eq(E::path("x", &["a"]), E::path("s", &["k"])),
                     },
+                    select: None,
                 }),
             ),
         ]
@@ -476,41 +552,66 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
         for (lname, left) in lefts() {
             let right = || scan("Y", "y");
             let name = |family: &str| format!("{family}[{}]({lname}, Y)", kind.name());
-            let join = |path| P::Join {
+            let join = |path, select| P::Join {
                 kind: kind.clone(),
                 left: left.clone(),
                 path,
+                select,
             };
             out.push((
                 name("nl"),
-                join(JoinPath::NestedLoop {
-                    right: right(),
-                    pred: E::and(equi(), residual()),
-                }),
+                join(
+                    JoinPath::NestedLoop {
+                        right: right(),
+                        pred: E::and(equi(), residual()),
+                    },
+                    None,
+                ),
             ));
             out.push((
                 name("hash"),
-                join(JoinPath::Hash {
-                    right: right(),
-                    keys: keys(xb(), yb(), Some(residual())),
-                }),
+                join(
+                    JoinPath::Hash {
+                        right: right(),
+                        keys: keys(xb(), yb(), Some(residual())),
+                    },
+                    None,
+                ),
+            ));
+            // σ fused into the join: decided on the bindings of a row not
+            // yet built.
+            out.push((
+                name("hash σ"),
+                join(
+                    JoinPath::Hash {
+                        right: right(),
+                        keys: keys(xb(), yb(), Some(residual())),
+                    },
+                    Some(small("x")),
+                ),
             ));
             out.push((
                 name("merge"),
-                join(JoinPath::SortMerge {
-                    right: right(),
-                    keys: keys(xb(), yb(), None),
-                }),
+                join(
+                    JoinPath::SortMerge {
+                        right: right(),
+                        keys: keys(xb(), yb(), None),
+                    },
+                    None,
+                ),
             ));
             out.push((
                 name("index-nl"),
-                join(JoinPath::Index {
-                    table: "Y".into(),
-                    var: "y".into(),
-                    attr: "b".into(),
-                    key: xb(),
-                    pred: equi(),
-                }),
+                join(
+                    JoinPath::Index {
+                        table: "Y".into(),
+                        var: "y".into(),
+                        attr: "b".into(),
+                        key: xb(),
+                        pred: equi(),
+                    },
+                    None,
+                ),
             ));
         }
         // A right operand that is a record of bindings (a set-expression
@@ -531,6 +632,7 @@ fn shape_corpus() -> Vec<(String, PhysPlan)> {
                     }),
                     pred: equi(),
                 },
+                select: None,
             },
         ));
     }
@@ -752,6 +854,7 @@ fn a_dangling_outer_row_binds_its_bare_right_side_to_null() {
             right: scan("Y", "y"),
             keys: keys(E::path("x", &["b"]), E::path("y", &["b"]), None),
         },
+        select: None,
     };
     let (rows, _) = run_shaped(&plan, &cat, &ExecConfig::default(), false);
     let dangling: Vec<&Record> = rows

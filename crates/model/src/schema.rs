@@ -230,48 +230,42 @@ fn mentions_class(ty: &Ty, name: &str) -> bool {
 /// The paper's running example schema (Section 3.2): classes `Employee`
 /// (extension `EMP`) and `Department` (extension `DEPT`), and sort
 /// `Address`.
-pub fn paper_schema() -> Schema {
+pub fn paper_schema() -> Result<Schema> {
     let mut schema = Schema::new();
-    schema
-        .add_sort(SortDef {
-            name: "Address".into(),
-            ty: Ty::Tuple(vec![
-                ("street".into(), Ty::Str),
-                ("nr".into(), Ty::Str),
-                ("city".into(), Ty::Str),
-            ]),
-        })
-        .expect("fresh schema");
-    schema
-        .add_class(ClassDef::new(
-            "Employee",
-            "EMP",
-            vec![
-                AttrDef::new("name", Ty::Str),
-                AttrDef::new("address", Ty::Class("Address".into())),
-                AttrDef::new("sal", Ty::Int),
-                AttrDef::new(
-                    "children",
-                    Ty::Set(Box::new(Ty::Tuple(vec![
-                        ("name".into(), Ty::Str),
-                        ("age".into(), Ty::Int),
-                    ]))),
-                ),
-            ],
-        ))
-        .expect("fresh schema");
-    schema
-        .add_class(ClassDef::new(
-            "Department",
-            "DEPT",
-            vec![
-                AttrDef::new("name", Ty::Str),
-                AttrDef::new("address", Ty::Class("Address".into())),
-                AttrDef::new("emps", Ty::Set(Box::new(Ty::Class("Employee".into())))),
-            ],
-        ))
-        .expect("fresh schema");
-    schema
+    schema.add_sort(SortDef {
+        name: "Address".into(),
+        ty: Ty::Tuple(vec![
+            ("street".into(), Ty::Str),
+            ("nr".into(), Ty::Str),
+            ("city".into(), Ty::Str),
+        ]),
+    })?;
+    schema.add_class(ClassDef::new(
+        "Employee",
+        "EMP",
+        vec![
+            AttrDef::new("name", Ty::Str),
+            AttrDef::new("address", Ty::Class("Address".into())),
+            AttrDef::new("sal", Ty::Int),
+            AttrDef::new(
+                "children",
+                Ty::Set(Box::new(Ty::Tuple(vec![
+                    ("name".into(), Ty::Str),
+                    ("age".into(), Ty::Int),
+                ]))),
+            ),
+        ],
+    ))?;
+    schema.add_class(ClassDef::new(
+        "Department",
+        "DEPT",
+        vec![
+            AttrDef::new("name", Ty::Str),
+            AttrDef::new("address", Ty::Class("Address".into())),
+            AttrDef::new("emps", Ty::Set(Box::new(Ty::Class("Employee".into())))),
+        ],
+    ))?;
+    Ok(schema)
 }
 
 #[cfg(test)]
@@ -280,7 +274,7 @@ mod tests {
 
     #[test]
     fn paper_schema_resolves() {
-        let s = paper_schema();
+        let s = paper_schema().unwrap();
         let dept = s.extension_ty("DEPT").unwrap();
         // DEPT : P (name, address-tuple, emps : P employee-tuple)
         let Ty::Set(inner) = dept else {
@@ -304,7 +298,7 @@ mod tests {
 
     #[test]
     fn duplicate_definitions_rejected() {
-        let mut s = paper_schema();
+        let mut s = paper_schema().unwrap();
         assert!(s
             .add_class(ClassDef::new("Employee", "EMP2", vec![]))
             .is_err());
@@ -321,7 +315,7 @@ mod tests {
 
     #[test]
     fn unknown_extension_errors() {
-        let s = paper_schema();
+        let s = paper_schema().unwrap();
         assert!(s.extension_ty("NOPE").is_err());
         assert!(s.resolve(&Ty::Class("Mystery".into())).is_err());
     }
@@ -346,7 +340,7 @@ mod tests {
 
     #[test]
     fn class_by_extension() {
-        let s = paper_schema();
+        let s = paper_schema().unwrap();
         assert_eq!(s.class_by_extension("EMP").unwrap().name, "Employee");
         assert!(s.class_by_extension("EMPX").is_none());
     }

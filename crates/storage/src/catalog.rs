@@ -763,7 +763,7 @@ mod tests {
     #[test]
     fn row_ty_from_schema_when_unregistered() {
         use tmql_model::schema::paper_schema;
-        let cat = Catalog::with_schema(paper_schema());
+        let cat = Catalog::with_schema(paper_schema().unwrap());
         let ty = cat.row_ty("EMP").unwrap();
         assert!(matches!(ty, Ty::Tuple(_)));
         assert!(cat.row_ty("NOPE").is_err());
@@ -1135,7 +1135,7 @@ mod tests {
         let path = scratch("schema");
         {
             let mut cat = Catalog::open(&path, 16).unwrap();
-            *cat.schema_mut() = paper_schema();
+            *cat.schema_mut() = paper_schema().unwrap();
             cat.sync().unwrap();
         }
         let cat = Catalog::open(&path, 16).unwrap();

@@ -449,7 +449,7 @@ mod tests {
         let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
         let stats = TableStats::compute(&t).unwrap();
         let img = CatalogImage {
-            schema: paper_schema(),
+            schema: paper_schema().unwrap(),
             tables: vec![TableImage {
                 name: "R".into(),
                 columns: t.columns().to_vec(),
@@ -477,7 +477,7 @@ mod tests {
         // A blob that ends at the tables section (how pre-index files
         // look) must decode to an index-less image.
         let img = CatalogImage {
-            schema: paper_schema(),
+            schema: paper_schema().unwrap(),
             ..CatalogImage::default()
         };
         let mut blob = encode_catalog(&img);

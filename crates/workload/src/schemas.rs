@@ -12,7 +12,7 @@ use crate::gen::{put, register};
 pub fn table1_catalog() -> Catalog {
     let x = int_table("X", &["e", "d"], &[&[1, 1], &[2, 2], &[3, 3]]);
     let y = int_table("Y", &["a", "b"], &[&[1, 1], &[2, 1], &[3, 3]]);
-    register(Catalog::new(), [x, y])
+    register(Ok(Catalog::new()), [x, y])
 }
 
 /// Section 2's relational schema `R(A, B, C)`, `S(C, D)`, with a COUNT-bug
@@ -30,7 +30,7 @@ pub fn count_bug_catalog() -> Catalog {
         ],
     );
     let s = int_table("S", &["c", "d"], &[&[10, 100], &[10, 101], &[20, 200]]);
-    register(Catalog::new(), [r, s])
+    register(Ok(Catalog::new()), [r, s])
 }
 
 /// The Employee/Department database of Section 3.2 (classes `Employee`
@@ -160,7 +160,7 @@ pub fn company_catalog() -> Catalog {
         put(&mut dept, [Value::str(name), addr, emps]);
     }
 
-    register(Catalog::with_schema(paper_schema()), [emp, dept])
+    register(paper_schema().map(Catalog::with_schema), [emp, dept])
 }
 
 /// Section 8's three-table chain: `X(a: P INT, b)`, `Y(a, b, c: P INT, d)`,
@@ -201,7 +201,7 @@ pub fn section8_catalog() -> Catalog {
     }
 
     let z = int_table("Z", &["c", "d"], &[&[10, 5], &[11, 5], &[20, 9]]);
-    register(Catalog::new(), [x, y, z])
+    register(Ok(Catalog::new()), [x, y, z])
 }
 
 #[cfg(test)]
