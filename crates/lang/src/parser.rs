@@ -103,7 +103,7 @@ impl Parser {
 
     fn query(&mut self) -> Result<Expr, ParseError> {
         let e = self.expr()?;
-        self.expect(Tok::Eof)?;
+        self.require(Tok::Eof)?;
         Ok(e)
     }
 
@@ -140,7 +140,7 @@ impl Parser {
         self.eat(&Tok::Kw(k))
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<Token, ParseError> {
+    fn require(&mut self, tok: Tok) -> Result<Token, ParseError> {
         if *self.peek() == tok {
             Ok(self.bump())
         } else {
@@ -385,9 +385,9 @@ impl Parser {
             }
             Tok::Kw(k @ (K::Count | K::Sum | K::Min | K::Max | K::Avg)) => {
                 self.bump();
-                self.expect(Tok::LParen)?;
+                self.require(Tok::LParen)?;
                 let arg = self.expr()?;
-                self.expect(Tok::RParen)?;
+                self.require(Tok::RParen)?;
                 let f = match k {
                     K::Count => AggFn::Count,
                     K::Sum => AggFn::Sum,
@@ -399,19 +399,19 @@ impl Parser {
             }
             Tok::Kw(K::Unnest) => {
                 self.bump();
-                self.expect(Tok::LParen)?;
+                self.require(Tok::LParen)?;
                 let arg = self.expr()?;
-                self.expect(Tok::RParen)?;
+                self.require(Tok::RParen)?;
                 Ok(Expr::Unnest(Box::new(arg), span))
             }
             Tok::Kw(k @ (K::Exists | K::Forall)) => {
                 self.bump();
                 let (var, _) = self.ident()?;
-                self.expect(Tok::Kw(K::In))?;
+                self.require(Tok::Kw(K::In))?;
                 let over = self.set_expr()?;
-                self.expect(Tok::LParen)?;
+                self.require(Tok::LParen)?;
                 let pred = self.expr()?;
-                self.expect(Tok::RParen)?;
+                self.require(Tok::RParen)?;
                 let q = if k == K::Exists {
                     Quantifier::Exists
                 } else {
@@ -435,7 +435,7 @@ impl Parser {
                             break;
                         }
                     }
-                    self.expect(Tok::RBrace)?;
+                    self.require(Tok::RBrace)?;
                 }
                 Ok(Expr::SetLit(items, span))
             }
@@ -452,7 +452,7 @@ impl Parser {
                     return self.tuple_lit(span);
                 }
                 let inner = self.expr()?;
-                self.expect(Tok::RParen)?;
+                self.require(Tok::RParen)?;
                 Ok(inner)
             }
             other => Err(ParseError::new(format!("unexpected {other}"), span)),
@@ -482,7 +482,7 @@ impl Parser {
         let mut fields = Vec::new();
         loop {
             let (label, lspan) = self.ident()?;
-            self.expect(Tok::Eq)?;
+            self.require(Tok::Eq)?;
             let value = self.expr()?;
             if fields.iter().any(|(l, _)| *l == label) {
                 return Err(ParseError::new(
@@ -501,16 +501,16 @@ impl Parser {
                 span,
             ));
         }
-        self.expect(Tok::RParen)?;
+        self.require(Tok::RParen)?;
         Ok(Expr::TupleLit(fields, span))
     }
 
     /// `SELECT expr FROM operand var (, operand var)* [WHERE expr]`.
     fn sfw(&mut self) -> Result<Expr, ParseError> {
         let span = self.span();
-        self.expect(Tok::Kw(K::Select))?;
+        self.require(Tok::Kw(K::Select))?;
         let select = self.expr()?;
-        self.expect(Tok::Kw(K::From))?;
+        self.require(Tok::Kw(K::From))?;
         let mut from = Vec::new();
         loop {
             let operand = self.set_expr()?;
@@ -551,7 +551,7 @@ impl Parser {
                         vspan,
                     ));
                 }
-                self.expect(Tok::Eq)?;
+                self.require(Tok::Eq)?;
                 with_bindings.push((var, self.expr()?));
                 if !self.eat(&Tok::Comma) {
                     break;

@@ -29,7 +29,8 @@ pub enum ModelError {
     /// (the paper requires the nest join label "not occurring on the top
     /// level of X", Section 6).
     DuplicateField(String),
-    /// A class, sort, or extension name was redefined or missing.
+    /// A table, index, or extension name was redefined or missing, or a
+    /// catalog request was refused.
     SchemaError(String),
     /// Arithmetic error (division by zero, overflow).
     Arithmetic(String),

@@ -13,10 +13,7 @@
 //! * **set semantics**: sets never contain duplicates ("Sets do not contain
 //!   duplicates", Section 3.1) — enforced by representing a set as one
 //!   sorted, duplicate-free slice ([`SetValue`]) over the total order on
-//!   [`Value`];
-//! * class and sort definitions with explicitly named extensions
-//!   ([`schema::ClassDef`], [`schema::SortDef`]), mirroring the paper's
-//!   `CLASS Employee WITH EXTENSION EMP` declarations.
+//!   [`Value`].
 //!
 //! A deliberately included oddity is [`Value::Null`]: TM itself has **no**
 //! NULL — "in a complex object model we do not have to represent the empty
@@ -27,7 +24,6 @@
 pub mod error;
 pub mod hash;
 pub mod record;
-pub mod schema;
 pub mod set;
 pub mod setops;
 pub mod types;
@@ -36,7 +32,6 @@ pub mod value;
 pub use error::ModelError;
 pub use hash::RecordSet;
 pub use record::Record;
-pub use schema::{AttrDef, ClassDef, Schema, SortDef};
 pub use set::SetValue;
 pub use types::Ty;
 pub use value::{CmpOp, Value};

@@ -3,8 +3,8 @@
 //! Types mirror the value constructors: basic types plus tuple, set, list,
 //! and variant constructors, arbitrarily nested (Section 3.1: "attribute
 //! types may be arbitrarily complex ... type constructors may be arbitrarily
-//! nested"). Class names may appear in type positions; at this layer a class
-//! reference is resolved to the class's attribute tuple by the schema.
+//! nested"). A class extension's type is its stored table's: a set of
+//! tuples over the table's columns ([`Ty::table`]).
 
 use std::fmt;
 
@@ -30,8 +30,6 @@ pub enum Ty {
     List(Box<Ty>),
     /// Variant type `V (l1 : t1 | l2 : t2)`.
     Variant(Vec<(String, Ty)>),
-    /// Reference to a class by name; resolved against a schema.
-    Class(String),
     /// Top type: compatible with everything. Used for the element type of
     /// the empty set literal and for NULL in relational baselines.
     Any,
@@ -80,7 +78,6 @@ impl Ty {
                     && a.iter()
                         .all(|(l, t)| b.iter().any(|(l2, t2)| l == l2 && t.compatible(t2)))
             }
-            (Class(a), Class(b)) => a == b,
             _ => false,
         }
     }
@@ -189,7 +186,6 @@ impl fmt::Display for Ty {
                 }
                 write!(f, ")")
             }
-            Ty::Class(n) => write!(f, "{n}"),
             Ty::Any => write!(f, "ANY"),
         }
     }
@@ -270,8 +266,8 @@ mod tests {
     fn display_round_trip_forms() {
         let t = Ty::table(vec![(
             "emps".into(),
-            Ty::Set(Box::new(Ty::Class("Employee".into()))),
+            Ty::Set(Box::new(Ty::Tuple(vec![("name".into(), Ty::Str)]))),
         )]);
-        assert_eq!(t.to_string(), "P (emps : P Employee)");
+        assert_eq!(t.to_string(), "P (emps : P (name : STRING))");
     }
 }

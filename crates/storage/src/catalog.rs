@@ -1,11 +1,11 @@
-//! The catalog: schema + named extensions (tables), in memory or durable.
+//! The catalog: named extensions (tables), in memory or durable.
 //!
 //! A catalog is either **transient** (the default — tables live in
 //! memory, exactly the pre-pager behavior) or **persistent**
 //! ([`Catalog::open`]): backed by a paged store, where
 //! [`Catalog::register`] / [`Catalog::replace`] write the rows into
 //! slotted pages and commit a new catalog image
-//! — schema, column types, extents, and statistics — so
+//! — column types, extents, and statistics — so
 //! `register → drop → open` round-trips the whole database. Reads stream
 //! through the store's buffer pool; the catalog itself keeps only
 //! descriptors.
@@ -19,7 +19,7 @@
 //! transaction: statements mutate the in-memory view and write pages,
 //! but nothing commits until [`Catalog::commit`] logs the lot to the
 //! write-ahead log as one atomic unit; [`Catalog::rollback`] restores
-//! the catalog (schema, tables, stats, indexes) and the store's
+//! the catalog (tables, stats, indexes) and the store's
 //! allocation state to the begin snapshot. A statement that *fails*
 //! inside an open transaction aborts the whole transaction — partial
 //! transactions are never left half-applied.
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use tmql_model::{ModelError, Record, Result, Schema, Ty};
+use tmql_model::{ModelError, Record, Result, Ty};
 
 use crate::index::{decode_index, encode_index, OrdIndex};
 use crate::pager::image::{check_ty, encode_parts, IndexParts, TableParts};
@@ -112,18 +112,16 @@ struct Stored {
 /// to the store only at commit).
 #[derive(Debug)]
 struct TxnState {
-    schema: Schema,
     tables: BTreeMap<String, Stored>,
     indexes: BTreeMap<(String, String), IndexEntry>,
     freed: Vec<PageId>,
 }
 
-/// Maps extension names (`EMP`, `DEPT`, `R`, `S`, ...) to stored tables and
-/// carries the TM schema for type resolution. See the module docs for the
+/// Maps extension names (`EMP`, `DEPT`, `R`, `S`, ...) to stored tables,
+/// whose columns are the extensions' types. See the module docs for the
 /// transient/persistent split.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    schema: Schema,
     tables: BTreeMap<String, Stored>,
     indexes: BTreeMap<(String, String), IndexEntry>,
     store: Option<Arc<PagedStore>>,
@@ -131,23 +129,14 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// An empty transient catalog with an empty schema.
+    /// An empty transient catalog.
     pub fn new() -> Catalog {
         Catalog::default()
     }
 
-    /// Build a transient catalog around an existing schema.
-    pub fn with_schema(schema: Schema) -> Catalog {
-        Catalog {
-            schema,
-            ..Catalog::default()
-        }
-    }
-
     /// Open (or create) a persistent catalog at `path` with a buffer pool
     /// of `pool_pages` frames. An existing database loads its persisted
-    /// schema, table descriptors, and statistics; rows stay on disk until
-    /// scanned.
+    /// table descriptors and statistics; rows stay on disk until scanned.
     pub fn open(path: impl AsRef<Path>, pool_pages: usize) -> Result<Catalog> {
         let path = path.as_ref();
         // An empty file is a fresh database too: a crash during creation
@@ -192,7 +181,6 @@ impl Catalog {
             );
         }
         Ok(Catalog {
-            schema: image.schema,
             tables,
             indexes,
             store: Some(store),
@@ -217,7 +205,6 @@ impl Catalog {
             store.begin_txn();
         }
         self.txn = Some(TxnState {
-            schema: self.schema.clone(),
             tables: self.tables.clone(),
             indexes: self.indexes.clone(),
             freed: Vec::new(),
@@ -267,7 +254,6 @@ impl Catalog {
     }
 
     fn restore(&mut self, txn: TxnState) {
-        self.schema = txn.schema;
         self.tables = txn.tables;
         self.indexes = txn.indexes;
     }
@@ -395,19 +381,6 @@ impl Catalog {
                 Series::Gauge => reg.gauge_fn(name, help, poll),
             }
         }
-    }
-
-    /// The TM schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Mutable access to the schema (for registering classes/sorts). On a
-    /// persistent catalog the change is committed with the next
-    /// [`Catalog::register`] / [`Catalog::replace`] (or an explicit
-    /// [`Catalog::sync`]).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
     }
 
     /// Register a table under its own name. Statistics are computed eagerly
@@ -550,7 +523,7 @@ impl Catalog {
         Ok(Stored { table, stats })
     }
 
-    /// Commit the current schema and table descriptors to the store
+    /// Commit the current table and index descriptors to the store
     /// (no-op for transient catalogs). Called automatically by
     /// [`Catalog::register`] / [`Catalog::replace`]; an error while a
     /// transaction is open (commit or roll back instead).
@@ -570,12 +543,6 @@ impl Catalog {
         let Some(store) = self.store.as_ref() else {
             return Ok(());
         };
-        let class_tys = self.schema.classes().iter().flat_map(|c| &c.attributes);
-        let sort_tys = self.schema.sorts().iter().map(|s| &s.ty);
-        class_tys
-            .map(|a| &a.ty)
-            .chain(sort_tys)
-            .try_for_each(check_ty)?;
         let not_on_disk = |what: String| {
             ModelError::Io(format!(
                 "persistent catalog holds {what} that is not on disk"
@@ -606,7 +573,7 @@ impl Catalog {
                 len,
             });
         }
-        store.write_catalog(&encode_parts(&self.schema, &tables, &indexes), freed)
+        store.write_catalog(&encode_parts(&tables, &indexes), freed)
     }
 
     /// Create a secondary (ordered) index on `table.attr`. Rows lacking
@@ -695,16 +662,9 @@ impl Catalog {
         self.tables.get(name).map(|t| &*t.stats)
     }
 
-    /// The row type of a stored table, falling back to the schema's class
-    /// declaration when the table is registered via a class extension.
+    /// The row type of a stored table: a tuple of its columns.
     pub fn row_ty(&self, name: &str) -> Result<Ty> {
-        if let Ok(t) = self.table(name) {
-            return Ok(t.row_ty());
-        }
-        match self.schema.extension_ty(name)? {
-            Ty::Set(inner) => Ok(*inner),
-            other => Ok(other),
-        }
+        self.table(name).map(Table::row_ty)
     }
 
     /// Names of all registered tables, sorted.
@@ -758,14 +718,6 @@ mod tests {
             ty,
             Ty::Tuple(vec![("a".into(), Ty::Int), ("b".into(), Ty::Int)])
         );
-    }
-
-    #[test]
-    fn row_ty_from_schema_when_unregistered() {
-        use tmql_model::schema::paper_schema;
-        let cat = Catalog::with_schema(paper_schema().unwrap());
-        let ty = cat.row_ty("EMP").unwrap();
-        assert!(matches!(ty, Ty::Tuple(_)));
         assert!(cat.row_ty("NOPE").is_err());
     }
 
@@ -1063,21 +1015,10 @@ mod tests {
         let err = cat.register(typed(129)).unwrap_err();
         assert!(matches!(err, ModelError::SchemaError(_)), "{err}");
         cat.register(typed(128)).unwrap();
-        // So is a type of the schema, which rides in every catalog image.
-        let sort = |depth| tmql_model::schema::SortDef {
-            name: format!("S{depth}"),
-            ty: ty(depth),
-        };
-        cat.schema_mut().add_sort(sort(128)).unwrap();
-        cat.sync().unwrap();
-        cat.schema_mut().add_sort(sort(129)).unwrap();
-        let err = cat.sync().unwrap_err();
-        assert!(matches!(err, ModelError::SchemaError(_)), "{err}");
         drop(cat);
         let cat = Catalog::open(&path, 16).unwrap();
         assert_eq!(cat.table_names().count(), 6, "everything accepted reopens");
         assert_eq!(cat.table("ok2").unwrap().rows_vec().unwrap().len(), 1);
-        assert_eq!(cat.schema().sorts().len(), 1, "the last good commit");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1126,20 +1067,6 @@ mod tests {
         }
         cat.wal_checkpoint().unwrap();
         assert_eq!(size(&path), before, "rolled-back writes reuse no space");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn schema_persists_with_sync() {
-        use tmql_model::schema::paper_schema;
-        let path = scratch("schema");
-        {
-            let mut cat = Catalog::open(&path, 16).unwrap();
-            *cat.schema_mut() = paper_schema().unwrap();
-            cat.sync().unwrap();
-        }
-        let cat = Catalog::open(&path, 16).unwrap();
-        assert!(cat.schema().class_by_extension("EMP").is_some());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -21,10 +21,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tmql_model::schema::{AttrDef, ClassDef, Schema, SortDef};
 use tmql_model::{ModelError, Record, Result, Ty, Value};
 
-use crate::bytes::{put_len, put_len_prefixed, put_str, Reader, MAX_NESTING};
+use crate::bytes::{put_len, put_len_prefixed, put_str, put_u64, Reader, MAX_NESTING};
 use crate::index::{decode_index, encode_index, OrdIndex};
 use crate::pager::image::{decode_catalog, encode_catalog, CatalogImage, IndexImage, TableImage};
 use crate::pager::page::{NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
@@ -148,27 +147,6 @@ fn golden_column(min: Value, max: Value, histogram: Option<Histogram>) -> Column
 }
 
 fn golden_catalog() -> CatalogImage {
-    let kid = Ty::Tuple(vec![("n".into(), Ty::Str), ("age".into(), Ty::Int)]);
-    let mut schema = Schema::new();
-    schema
-        .add_class(ClassDef::new(
-            "Emp",
-            "EMP",
-            vec![
-                AttrDef::new("name", Ty::Str),
-                AttrDef::new("kids", Ty::Set(Box::new(kid))),
-            ],
-        ))
-        .unwrap();
-    schema
-        .add_sort(SortDef {
-            name: "Shape".into(),
-            ty: Ty::Variant(vec![
-                ("circle".into(), Ty::Float),
-                ("poly".into(), Ty::List(Box::new(Ty::Class("Emp".into())))),
-            ]),
-        })
-        .unwrap();
     let histogram = Histogram {
         lo: -1.5,
         hi: 10.0,
@@ -204,7 +182,6 @@ fn golden_catalog() -> CatalogImage {
         .collect(),
     };
     CatalogImage {
-        schema,
         tables: vec![
             TableImage {
                 name: "R".into(),
@@ -325,6 +302,11 @@ const GOLDEN_CATALOG: &str = concat!(
     "0000e03f000000000000c03f0000000000000440000100000001000000520100",
     "00006100070000007b00000000000000",
 );
+/// How many bytes at the front of [`GOLDEN_CATALOG`] are its class and
+/// sort sections: the class `Emp` (extension `EMP`) and the sort `Shape`,
+/// whose `L Emp` holds a class-type tag. A catalog now writes two zero
+/// counts there.
+const GOLDEN_SCHEMA_BYTES: usize = 105;
 const GOLDEN_INDEX: &str = concat!(
     "0300000009000000030100000000000000020000000000000000000000050000",
     "00000000000900000004000000000000f83f0100000002000000000000000600",
@@ -349,7 +331,11 @@ const GOLDEN_HEADER_HEAD: &str = concat!(
 #[test]
 fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
     assert_eq!(hex(&encode_record(&golden_row())), GOLDEN_RECORD);
-    assert_eq!(hex(&encode_catalog(&golden_catalog())), GOLDEN_CATALOG);
+    let after_schema = &GOLDEN_CATALOG[2 * GOLDEN_SCHEMA_BYTES..];
+    assert_eq!(
+        hex(&encode_catalog(&golden_catalog())),
+        format!("{}{after_schema}", "00".repeat(8))
+    );
     assert_eq!(hex(&encode_index(&golden_index())), GOLDEN_INDEX);
     assert_eq!(hex(&commit_bytes(&golden_commit())), GOLDEN_COMMIT);
 
@@ -370,7 +356,8 @@ fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
 #[test]
 fn the_pinned_bytes_decode_to_their_inputs() {
     assert_eq!(decode_record(&unhex(GOLDEN_RECORD)).unwrap(), golden_row());
-    // NaN-free, so `==` on the statistics' floats is meaningful.
+    // NaN-free, so `==` on the statistics' floats is meaningful. The
+    // class and sort the bytes begin with are read past.
     assert_eq!(
         decode_catalog(&unhex(GOLDEN_CATALOG)).unwrap(),
         golden_catalog()
@@ -617,6 +604,8 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     check_corruptions(VALUE, &value, everywhere(&value));
     let catalog = encode_catalog(&golden_catalog());
     check_corruptions(CATALOG, &catalog, everywhere(&catalog));
+    let legacy = unhex(GOLDEN_CATALOG);
+    check_corruptions(CATALOG, &legacy, everywhere(&legacy));
     let index = encode_index(&golden_index());
     check_corruptions(INDEX, &index, everywhere(&index));
     let commit = commit_bytes(&golden_commit());
@@ -842,6 +831,7 @@ const LIST: u8 = 8;
 const VARIANT: u8 = 9;
 const TY_SET: u8 = 5;
 const TY_INT: u8 = 1;
+const TY_CLASS: u8 = 8;
 
 /// The row `(deep = <`depth` containers of `kind` around NULL>, n = 5)`,
 /// written without building the value (which could not be dropped).
@@ -866,14 +856,45 @@ fn nested_row(kind: u8, depth: usize) -> Vec<u8> {
     out
 }
 
-/// A catalog whose one sort is `depth` set types around `Int`.
+/// `depth` set types around `Int`, as the catalog writes a type.
+fn nested_ty(depth: usize) -> Vec<u8> {
+    let mut out = vec![TY_SET; depth];
+    out.push(TY_INT);
+    out
+}
+
+/// A catalog whose one table, `T`, has no rows and one column of the
+/// type written as `ty`.
+fn column_catalog(ty: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_len(&mut out, 0); // classes
+    put_len(&mut out, 0); // sorts
+    put_len(&mut out, 1); // tables
+    put_str(&mut out, "T");
+    put_len(&mut out, 1); // columns
+    put_str(&mut out, "c");
+    out.extend(ty);
+    put_u64(&mut out, 0); // rows
+    put_len(&mut out, 0); // extent pages
+    put_u64(&mut out, 0); // cardinality
+    put_len(&mut out, 0); // column statistics
+    put_len(&mut out, 0); // indexes
+    out
+}
+
+/// A catalog whose one column is `depth` set types around `Int`.
 fn nested_type_catalog(depth: usize) -> Vec<u8> {
+    column_catalog(&nested_ty(depth))
+}
+
+/// A catalog as a class-and-sort schema wrote it: no tables, and one sort
+/// of `depth` set types around `Int`.
+fn nested_sort_catalog(depth: usize) -> Vec<u8> {
     let mut out = Vec::new();
     put_len(&mut out, 0); // classes
     put_len(&mut out, 1); // sorts
     put_str(&mut out, "Deep");
-    out.extend(std::iter::repeat_n(TY_SET, depth));
-    out.push(TY_INT);
+    out.extend(nested_ty(depth));
     put_len(&mut out, 0); // tables
     put_len(&mut out, 0); // indexes
     out
@@ -905,10 +926,10 @@ fn nesting_past_the_limit_is_an_io_error_on_a_default_thread_stack() {
                 assert!(!n_is_negative.rejects_bytes(&row));
             }
         }
-        assert_too_deep(decode_catalog(&nested_type_catalog(100_000)));
-        assert_too_deep(decode_catalog(&nested_type_catalog(
-            MAX_NESTING as usize + 1,
-        )));
+        for depth in [MAX_NESTING as usize + 1, 100_000] {
+            assert_too_deep(decode_catalog(&nested_type_catalog(depth)));
+            assert_too_deep(decode_catalog(&nested_sort_catalog(depth)));
+        }
     })
     .join()
     .expect("no panic, no overflow");
@@ -925,6 +946,17 @@ fn nesting_up_to_the_limit_decodes() {
     }
     let catalog = nested_type_catalog(MAX_NESTING as usize);
     assert_eq!(encode_catalog(&decode_catalog(&catalog).unwrap()), catalog);
+    let legacy = decode_catalog(&nested_sort_catalog(MAX_NESTING as usize)).unwrap();
+    assert_eq!(legacy, CatalogImage::default(), "a sort is read past");
+}
+
+#[test]
+fn a_class_typed_column_decodes_as_any() {
+    // A class type admitted only NULL, so such a column held only NULLs.
+    let mut class_ty = vec![TY_CLASS];
+    put_str(&mut class_ty, "Emp");
+    let image = decode_catalog(&column_catalog(&class_ty)).unwrap();
+    assert_eq!(image.tables[0].columns, vec![("c".to_string(), Ty::Any)]);
 }
 
 // ---------------------------------------------------------------------------

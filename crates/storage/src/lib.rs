@@ -10,8 +10,8 @@
 //! * [`Table`] — a typed, duplicate-free (set semantics) collection of
 //!   [`tmql_model::Record`]s, either in memory or disk-backed through the
 //!   pager's buffer pool (scans are batch cursors in both cases);
-//! * [`Catalog`] — maps extension names to tables, carries the
-//!   [`tmql_model::Schema`]; [`Catalog::open`] makes it **persistent**:
+//! * [`Catalog`] — maps extension names to tables, whose columns are
+//!   the extensions' types; [`Catalog::open`] makes it **persistent**:
 //!   register/replace write rows into pages and commit a durable catalog
 //!   image, so a database outlives the process;
 //! * `pager` (crate-private) — the disk tier: slotted pages, the

@@ -1,6 +1,7 @@
-//! The persisted catalog image: schema, table descriptors, and statistics
-//! serialized into one blob (stored as a page chain by
-//! [`super::store::PagedStore`]'s header-last catalog commit).
+//! The persisted catalog image: each table's column types, extent and
+//! statistics, and each index's page chain, serialized into one blob
+//! (stored as a page chain by [`super::store::PagedStore`]'s header-last
+//! catalog commit).
 //!
 //! Values (statistics min/max) reuse the spill codec
 //! ([`crate::spill::encode_value`] / [`crate::spill::decode_value`]), so
@@ -12,7 +13,6 @@
 
 use std::collections::BTreeMap;
 
-use tmql_model::schema::{AttrDef, ClassDef, Schema, SortDef};
 use tmql_model::{Result, Ty, Value};
 
 use super::page::PageId;
@@ -24,12 +24,12 @@ use crate::bytes::{
 use crate::spill::{encode_value, read_value};
 use crate::stats::{ColumnStats, Histogram, TableStats};
 
-/// One persisted table: its identity, schema, extent, and statistics.
+/// One persisted table: its identity, column types, extent, and statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TableImage {
     /// Extension name.
     pub name: String,
-    /// Column schema in declaration order.
+    /// Column types in declaration order.
     pub columns: Vec<(String, Ty)>,
     /// Data pages on disk.
     pub extent: TableExtent,
@@ -56,8 +56,6 @@ pub(crate) struct IndexImage {
 /// The whole persisted catalog.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct CatalogImage {
-    /// The TM schema (classes and sorts).
-    pub schema: Schema,
     /// All registered tables.
     pub tables: Vec<TableImage>,
     /// All secondary indexes. Encoded as a trailing section, so files
@@ -123,10 +121,6 @@ fn put_ty(out: &mut Vec<u8>, ty: &Ty) {
         Ty::Variant(alts) => {
             put_u8(out, ty_tag::VARIANT);
             put_labelled_tys(out, alts);
-        }
-        Ty::Class(n) => {
-            put_u8(out, ty_tag::CLASS);
-            put_str(out, n);
         }
         Ty::Any => put_u8(out, ty_tag::ANY),
     }
@@ -207,28 +201,11 @@ pub(crate) struct IndexParts<'a> {
 }
 
 /// Serialize a catalog, given as borrowed parts, into one blob.
-pub(crate) fn encode_parts(
-    schema: &Schema,
-    tables: &[TableParts<'_>],
-    indexes: &[IndexParts<'_>],
-) -> Vec<u8> {
+pub(crate) fn encode_parts(tables: &[TableParts<'_>], indexes: &[IndexParts<'_>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
-    // Schema: classes then sorts.
-    put_len(&mut out, schema.classes().len());
-    for c in schema.classes() {
-        put_str(&mut out, &c.name);
-        put_str(&mut out, &c.extension);
-        put_len(&mut out, c.attributes.len());
-        for a in &c.attributes {
-            put_str(&mut out, &a.name);
-            put_ty(&mut out, &a.ty);
-        }
-    }
-    put_len(&mut out, schema.sorts().len());
-    for s in schema.sorts() {
-        put_str(&mut out, &s.name);
-        put_ty(&mut out, &s.ty);
-    }
+    // No classes, no sorts: the sections a class-and-sort schema filled.
+    put_len(&mut out, 0);
+    put_len(&mut out, 0);
     // Tables.
     put_len(&mut out, tables.len());
     for t in tables {
@@ -285,7 +262,11 @@ fn ty(r: &mut Reader<'_>) -> Result<Ty> {
         ty_tag::INT => Ty::Int,
         ty_tag::FLOAT => Ty::Float,
         ty_tag::STR => Ty::Str,
-        ty_tag::CLASS => Ty::Class(string(r)?),
+        // A class type admitted only NULL, which `ANY` admits too.
+        ty_tag::CLASS => {
+            r.str()?;
+            Ty::Any
+        }
         ty_tag::ANY => Ty::Any,
         compound => {
             r.descend()?;
@@ -362,23 +343,16 @@ fn table_stats(r: &mut Reader<'_>) -> Result<TableStats> {
 /// Decode a catalog blob (the inverse of [`encode_catalog`]).
 pub(crate) fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
     let mut r = Reader::new("catalog", blob);
-    let mut schema = Schema::new();
+    // Classes, then sorts, as a file written with a class-and-sort schema
+    // holds them: no query read them, so they are read past.
     for _ in 0..r.count(MIN_CLASS_BYTES)? {
-        let name = string(&mut r)?;
-        let extension = string(&mut r)?;
-        let attributes = r.counted(MIN_LABELLED_TY_BYTES, |r| {
-            Ok(AttrDef::new(string(r)?, ty(r)?))
-        })?;
-        schema
-            .add_class(ClassDef::new(name, extension, attributes))
-            .map_err(|e| r.err(e))?;
+        r.str()?;
+        r.str()?;
+        labelled_tys(&mut r)?;
     }
     for _ in 0..r.count(MIN_LABELLED_TY_BYTES)? {
-        let name = string(&mut r)?;
-        let ty = ty(&mut r)?;
-        schema
-            .add_sort(SortDef { name, ty })
-            .map_err(|e| r.err(e))?;
+        r.str()?;
+        ty(&mut r)?;
     }
     let tables = r.counted(MIN_TABLE_BYTES, |r| {
         let name = string(r)?;
@@ -407,11 +381,7 @@ pub(crate) fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
         })?;
     }
     r.finish()?;
-    Ok(CatalogImage {
-        schema,
-        tables,
-        indexes,
-    })
+    Ok(CatalogImage { tables, indexes })
 }
 
 /// Serialize a catalog image into one blob (the tests' reference for
@@ -431,25 +401,19 @@ pub(crate) fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
         first: ix.first,
         len: ix.len,
     });
-    encode_parts(
-        &img.schema,
-        &tables.collect::<Vec<_>>(),
-        &indexes.collect::<Vec<_>>(),
-    )
+    encode_parts(&tables.collect::<Vec<_>>(), &indexes.collect::<Vec<_>>())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::int_table;
-    use tmql_model::schema::paper_schema;
 
     #[test]
     fn catalog_image_round_trips() {
         let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
         let stats = TableStats::compute(&t).unwrap();
         let img = CatalogImage {
-            schema: paper_schema().unwrap(),
             tables: vec![TableImage {
                 name: "R".into(),
                 columns: t.columns().to_vec(),
@@ -476,10 +440,7 @@ mod tests {
     fn pre_index_blobs_still_decode() {
         // A blob that ends at the tables section (how pre-index files
         // look) must decode to an index-less image.
-        let img = CatalogImage {
-            schema: paper_schema().unwrap(),
-            ..CatalogImage::default()
-        };
+        let img = CatalogImage::default();
         let mut blob = encode_catalog(&img);
         blob.truncate(blob.len() - 4); // drop the (empty) index section
         let back = decode_catalog(&blob).unwrap();
@@ -506,7 +467,6 @@ mod tests {
             },
         );
         let img = CatalogImage {
-            schema: Schema::new(),
             tables: vec![TableImage {
                 name: "N".into(),
                 columns: vec![("x".into(), Ty::Float)],

@@ -20,7 +20,7 @@
 //! * [`pool`] — the buffer pool ([`BufferPool`], [`PoolStats`]);
 //! * [`store`] — the database file, extents, and the [`PagedStore`]
 //!   façade tables and the catalog share;
-//! * [`image`] — the persisted catalog blob (schema + extents + stats).
+//! * [`image`] — the persisted catalog blob (column types + extents + stats).
 
 pub(crate) mod image;
 pub(crate) mod page;

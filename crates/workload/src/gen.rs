@@ -123,7 +123,7 @@ pub fn gen_rs(cfg: &GenConfig) -> Catalog {
         );
     }
 
-    register(Ok(Catalog::new()), [r, s])
+    register([r, s])
 }
 
 /// Generate the complex-object pair `X(a: P INT, b, n)`, `Y(b, a)` used by
@@ -175,7 +175,7 @@ pub fn gen_xy(cfg: &GenConfig) -> Catalog {
         }
     }
 
-    register(Ok(Catalog::new()), [x, y])
+    register([x, y])
 }
 
 /// Generate the Section 8 chain `X(a: P INT, b)`, `Y(a, b, c: P INT, d)`,
@@ -231,7 +231,7 @@ pub fn gen_xyz(cfg: &GenConfig) -> Catalog {
         }
     }
 
-    register(Ok(Catalog::new()), [x, y, z])
+    register([x, y, z])
 }
 
 /// Generate a scaled Employee/Department database (for the Q2-style
@@ -284,7 +284,7 @@ pub fn gen_company(cfg: &GenConfig) -> Catalog {
         put(&mut dept, [Value::str(format!("dept{i}")), address]);
     }
 
-    register(Ok(Catalog::new()), [emp, dept])
+    register([emp, dept])
 }
 
 /// Insert one row given as its values in column order
@@ -296,19 +296,14 @@ pub(crate) fn put<const N: usize>(table: &mut Table, values: [Value; N]) -> bool
         .expect("a generated row matches its table")
 }
 
-/// `cat` with `tables` registered: tables a generator built, with distinct
-/// names, into a catalog that holds none of them (built from a fixed
-/// schema, when it has one).
-pub(crate) fn register(
-    cat: tmql_model::Result<Catalog>,
-    tables: impl IntoIterator<Item = Table>,
-) -> Catalog {
-    let fill = |mut cat: Catalog| {
-        tables.into_iter().try_for_each(|t| cat.register(t))?;
-        Ok(cat)
-    };
-    cat.and_then(fill)
-        .expect("a fixed schema and fresh table names")
+/// A transient catalog of `tables`: tables a generator built, with
+/// distinct names.
+pub(crate) fn register(tables: impl IntoIterator<Item = Table>) -> Catalog {
+    let mut cat = Catalog::new();
+    for table in tables {
+        cat.register(table).expect("a fresh table name");
+    }
+    cat
 }
 
 #[cfg(test)]

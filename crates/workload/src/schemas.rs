@@ -1,6 +1,5 @@
 //! The paper's fixed fixtures.
 
-use tmql_model::schema::paper_schema;
 use tmql_model::{Ty, Value};
 use tmql_storage::{table::int_table, Catalog, Table};
 
@@ -12,7 +11,7 @@ use crate::gen::{put, register};
 pub fn table1_catalog() -> Catalog {
     let x = int_table("X", &["e", "d"], &[&[1, 1], &[2, 2], &[3, 3]]);
     let y = int_table("Y", &["a", "b"], &[&[1, 1], &[2, 1], &[3, 3]]);
-    register(Ok(Catalog::new()), [x, y])
+    register([x, y])
 }
 
 /// Section 2's relational schema `R(A, B, C)`, `S(C, D)`, with a COUNT-bug
@@ -30,7 +29,7 @@ pub fn count_bug_catalog() -> Catalog {
         ],
     );
     let s = int_table("S", &["c", "d"], &[&[10, 100], &[10, 101], &[20, 200]]);
-    register(Ok(Catalog::new()), [r, s])
+    register([r, s])
 }
 
 /// The Employee/Department database of Section 3.2 (classes `Employee`
@@ -160,7 +159,7 @@ pub fn company_catalog() -> Catalog {
         put(&mut dept, [Value::str(name), addr, emps]);
     }
 
-    register(paper_schema().map(Catalog::with_schema), [emp, dept])
+    register([emp, dept])
 }
 
 /// Section 8's three-table chain: `X(a: P INT, b)`, `Y(a, b, c: P INT, d)`,
@@ -201,7 +200,7 @@ pub fn section8_catalog() -> Catalog {
     }
 
     let z = int_table("Z", &["c", "d"], &[&[10, 5], &[11, 5], &[20, 9]]);
-    register(Ok(Catalog::new()), [x, y, z])
+    register([x, y, z])
 }
 
 #[cfg(test)]
@@ -234,8 +233,6 @@ mod tests {
         let cat = company_catalog();
         assert_eq!(cat.table("EMP").unwrap().len(), 5);
         assert_eq!(cat.table("DEPT").unwrap().len(), 3);
-        // Schema is attached and resolvable.
-        assert!(cat.schema().class_by_extension("EMP").is_some());
         // Departments embed employee tuples.
         let dept = cat.table("DEPT").unwrap();
         let cs = &dept.rows_vec().unwrap()[0];

@@ -31,10 +31,7 @@ impl Zipf {
     /// Sample a rank in `0..n`.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("no NaN"))
-        {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

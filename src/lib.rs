@@ -34,7 +34,7 @@
 //!
 //! | crate | role |
 //! |-------|------|
-//! | `tmql-model` | complex object values, types, schemas |
+//! | `tmql-model` | complex object values, types |
 //! | `tmql-storage` | stored extensions (in-memory and paged/disk-backed), catalog + persistence, buffer pool, statistics, spill runs |
 //! | `tmql-lang` | the SFW language: parser + type checker |
 //! | `tmql-algebra` | the complex object algebra (ADL-like) |
@@ -397,7 +397,7 @@ impl QueryResult {
 /// [`Database::new`] is fully in-memory (exactly the pre-storage-tier
 /// behavior); [`Database::open`] is **disk-backed** — tables live in
 /// slotted pages behind a fixed-capacity buffer pool, the catalog
-/// (schemas, rows, statistics) persists across processes, and scans
+/// (column types, rows, statistics) persists across processes, and scans
 /// stream pages on demand, so the database can exceed the pool — and
 /// RAM.
 ///
@@ -542,7 +542,7 @@ impl Database {
     /// Open (or create) a **disk-backed** database at `path` with the
     /// default buffer pool ([`DEFAULT_POOL_PAGES`] pages). Registered
     /// tables are written into pages and committed durably, so the whole
-    /// database — schemas, rows, statistics — survives a close/reopen:
+    /// database — column types, rows, statistics — survives a close/reopen:
     ///
     /// ```
     /// use tmql::Database;
@@ -588,7 +588,7 @@ impl Database {
         self.catalog.is_persistent()
     }
 
-    /// Copy this database (schema and every table) into a **new**
+    /// Copy this database (every table and index) into a **new**
     /// disk-backed database at `path` and return it. The source is
     /// untouched; the copy is immediately durable. The target must not
     /// exist — persisting over an existing database would merge with
@@ -606,7 +606,6 @@ impl Database {
             ))));
         }
         let mut catalog = Catalog::open(path, pool_pages)?;
-        *catalog.schema_mut() = self.catalog.schema().clone();
         let names: Vec<String> = self.catalog.table_names().map(str::to_string).collect();
         for name in names {
             let table = self.catalog.table(&name)?;
@@ -631,7 +630,7 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access (schema registration, table replacement).
+    /// Mutable catalog access (table registration and replacement).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
