@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use tmql_model::name::same;
 use tmql_model::{setops, ModelError, Record, Result, Value};
 
 use crate::scalar::{AggFn, ArithOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
@@ -93,10 +94,13 @@ impl<'a> Env<'a> {
         out
     }
 
+    /// The innermost binding of `name`. Names are compared in place
+    /// ([`tmql_model::name`]): this runs for every variable of every
+    /// expression evaluated on a row.
     fn resolve(&self, name: &str) -> Result<Bound<'_>> {
         let mut env = self;
         loop {
-            if let Some((_, v)) = env.owned.iter().rev().find(|(l, _)| &**l == name) {
+            if let Some((_, v)) = env.owned.iter().rev().find(|(l, _)| same(l, name)) {
                 return Ok(Bound::Value(v));
             }
             let Some((frame, outer)) = env.scope else {
@@ -105,8 +109,8 @@ impl<'a> Env<'a> {
                 )));
             };
             match frame {
-                Frame::Var(l, v) if l == name => return Ok(Bound::Value(v)),
-                Frame::Tuple(l, row) if l == name => return Ok(Bound::Tuple(row)),
+                Frame::Var(l, v) if same(l, name) => return Ok(Bound::Value(v)),
+                Frame::Tuple(l, row) if same(l, name) => return Ok(Bound::Tuple(row)),
                 Frame::Row(row) => {
                     if let Some(v) = row.find(name) {
                         return Ok(Bound::Value(v));

@@ -20,10 +20,16 @@
 //! from its page, no I/O).
 //!
 //! Times are per statement over all `n` rows (divide by `n` for ns/row).
+//!
+//! The `lookup` group prices one name path where those operators pay it,
+//! per row: ns per [`tmql_algebra::eval`] of `x.b` over a bare stored
+//! row, of the same under a two-row pair environment (a join's: `y` is
+//! bound innermost, so `x` is found one frame out), of `s` in a bound row
+//! (a nest join's output), and of a literal — the floor of an `eval`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql::{Database, Record, Table, Ty, Value};
-use tmql_algebra::{Env, JoinKind, ScalarExpr as E};
+use tmql_algebra::{eval, Env, JoinKind, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::planner::EquiSplit;
 use tmql_exec::{execute, ExecConfig, ExecContext, JoinPath, PhysPlan};
@@ -129,9 +135,35 @@ fn bench_rowpath(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lookup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("b17_rowpath/lookup");
+    let row = |n, b| Record::new([("n", Value::Int(n)), ("b", Value::Int(b))]).expect("distinct");
+    let (x, y) = (row(7, 3), row(9, 3));
+    let s = Value::set([Value::Int(7)]);
+    let nested = Record::new([("x", Value::Tuple(x.clone())), ("s", s.clone())]).expect("distinct");
+    let root = Env::new();
+    let bare = root.bind_tuple("x", &x);
+    let pair = bare.bind_tuple("y", &y);
+    let bound = root.bind_row(&nested);
+    let (xb, var_s, lit) = (E::path("x", &["b"]), E::var("s"), E::lit(3));
+    let cases = [
+        ("x.b/bare", &xb, &bare, Value::Int(3)),
+        ("x.b/pair", &xb, &pair, Value::Int(3)),
+        ("s/row", &var_s, &bound, s),
+        ("literal", &lit, &bare, Value::Int(3)),
+    ];
+    for (name, expr, env, expected) in cases {
+        assert_eq!(eval(expr, env).expect("evaluates"), expected, "{name}");
+        g.bench_function(name, |b| {
+            b.iter(|| eval(black_box(expr), black_box(env)).expect("evaluates"))
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = criterion();
-    targets = bench_rowpath
+    targets = bench_rowpath, bench_lookup
 }
 criterion_main!(benches);

@@ -22,7 +22,8 @@
 //! them, every row; `where/none` is the floor a rejected row pays (page
 //! walk, skip-scan, one comparison), `where/all` what the test adds to an
 //! admitted one. `b17_rowpath`, the third, prices a scanned row into its
-//! first consumer: hash build, semi / nest probe, map.
+//! first consumer: hash build, semi / nest probe, map; its `lookup` group
+//! prices the name path (`x.b`, `s`) each of them evaluates per row.
 //!
 //! This library holds the shared helpers: standard Criterion configuration, a
 //! one-shot work-metrics reporter so every benchmark also logs the

@@ -23,6 +23,7 @@
 
 pub mod error;
 pub mod hash;
+pub mod name;
 pub mod record;
 pub mod set;
 pub mod setops;

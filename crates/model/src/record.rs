@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::hash::ValueHasher;
+use crate::name;
 use crate::value::Value;
 use crate::Result;
 
@@ -100,7 +101,7 @@ impl Record {
         let duplicate = |l: &Arc<str>| Err(ModelError::DuplicateField(l.to_string()));
         let mut canonical = true;
         for w in fields.windows(2) {
-            match w[0].0.cmp(&w[1].0) {
+            match name::order(&w[0].0, &w[1].0) {
                 Ordering::Less => {}
                 Ordering::Equal => return duplicate(&w[1].0),
                 Ordering::Greater => canonical = false,
@@ -108,7 +109,7 @@ impl Record {
         }
         if !canonical && fields.len() > 2 {
             for (i, (label, _)) in fields.iter().enumerate() {
-                if fields[..i].iter().any(|(l, _)| l == label) {
+                if fields[..i].iter().any(|(l, _)| same_label(l, label)) {
                     return duplicate(label);
                 }
             }
@@ -160,11 +161,12 @@ impl Record {
     }
 
     /// Both records have one label list in canonical order: rows of one
-    /// schema. (`Arc`'s `==` tries the pointers first.)
+    /// schema.
     pub(crate) fn same_canonical_labels(&self, other: &Record) -> bool {
         self.memo.load(Relaxed) & other.memo.load(Relaxed) & CANONICAL != 0
             && self.len() == other.len()
-            && (self.fields.iter().zip(other.fields.iter())).all(|((a, _), (b, _))| a == b)
+            && (self.fields.iter().zip(other.fields.iter()))
+                .all(|((a, _), (b, _))| same_label(a, b))
     }
 
     /// The empty record `()`.
@@ -226,7 +228,7 @@ impl Record {
     pub fn find(&self, label: &str) -> Option<&Value> {
         self.fields
             .iter()
-            .find(|(l, _)| &**l == label)
+            .find(|(l, _)| name::same(l, label))
             .map(|(_, v)| v)
     }
 
@@ -280,7 +282,7 @@ impl Record {
     pub fn project(&self, labels: &[&str]) -> Result<Record> {
         let mut out = Vec::with_capacity(labels.len());
         for label in labels {
-            let field = self.fields.iter().find(|(l, _)| &**l == *label);
+            let field = self.fields.iter().find(|(l, _)| name::same(l, label));
             out.push(field.ok_or_else(|| self.no_such_field(label))?.clone());
         }
         Record::new(out)
@@ -291,7 +293,7 @@ impl Record {
         if !self.has(label) {
             return Err(self.no_such_field(label));
         }
-        let rest = self.fields.iter().filter(|(l, _)| &**l != label);
+        let rest = self.fields.iter().filter(|(l, _)| !name::same(l, label));
         Record::checked(rest.cloned().collect())
     }
 }
@@ -327,7 +329,7 @@ fn canonical_order<'a>(
     for (i, slot) in order.iter_mut().enumerate() {
         *slot = i;
     }
-    order.sort_unstable_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
+    order.sort_unstable_by(|&a, &b| name::order(&fields[a].0, &fields[b].0));
     order
 }
 
@@ -349,7 +351,7 @@ impl PartialEq for Record {
                 .iter()
                 .zip(other.fields.iter())
                 .all(|((l, v), (ol, ov))| {
-                    if l == ol {
+                    if same_label(l, ol) {
                         v == ov
                     } else {
                         other.find(l) == Some(v)
@@ -371,30 +373,42 @@ impl Ord for Record {
         if Arc::ptr_eq(&self.fields, &other.fields) {
             return Ordering::Equal;
         }
-        if self.memo.load(Relaxed) & other.memo.load(Relaxed) & CANONICAL != 0 {
-            // Both already in label order: the canonical comparison is the
-            // positional one. Rows of one schema share their label `Arc`s.
-            for ((la, va), (lb, vb)) in self.fields.iter().zip(other.fields.iter()) {
-                let by_label = match Arc::ptr_eq(la, lb) {
-                    true => Ordering::Equal,
-                    false => la.cmp(lb),
-                };
-                match by_label.then_with(|| va.cmp(vb)) {
-                    Ordering::Equal => {}
-                    unequal => return unequal,
-                }
-            }
-            return self.len().cmp(&other.len());
-        }
-        let (mut sa, mut sb) = ([0; INLINE_ORDER], [0; INLINE_ORDER]);
-        let (mut ha, mut hb) = (Vec::new(), Vec::new());
-        let a = canonical_order(&self.fields, &mut sa, &mut ha);
-        let b = canonical_order(&other.fields, &mut sb, &mut hb);
-        let (a, b) = (
-            a.iter().map(|&i| &self.fields[i]),
-            b.iter().map(|&i| &other.fields[i]),
-        );
-        a.cmp(b)
+        let by_field =
+            |((la, va), (lb, vb)): (&Field, &Field)| label_order(la, lb).then_with(|| va.cmp(vb));
+        let first_difference =
+            if self.memo.load(Relaxed) & other.memo.load(Relaxed) & CANONICAL != 0 {
+                // Both already in label order: the canonical comparison is the
+                // positional one.
+                let pairs = self.fields.iter().zip(other.fields.iter());
+                pairs.map(by_field).find(|o| o.is_ne())
+            } else {
+                let (mut sa, mut sb) = ([0; INLINE_ORDER], [0; INLINE_ORDER]);
+                let (mut ha, mut hb) = (Vec::new(), Vec::new());
+                let a = canonical_order(&self.fields, &mut sa, &mut ha);
+                let b = canonical_order(&other.fields, &mut sb, &mut hb);
+                let pairs = a
+                    .iter()
+                    .zip(b)
+                    .map(|(&i, &j)| (&self.fields[i], &other.fields[j]));
+                pairs.map(by_field).find(|o| o.is_ne())
+            };
+        first_difference.unwrap_or_else(|| self.len().cmp(&other.len()))
+    }
+}
+
+/// Two labels are one: the same `Arc` (rows of one table share theirs),
+/// else the same bytes.
+#[inline(always)]
+fn same_label(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || name::same(a, b)
+}
+
+/// The order of two labels, the same `Arc` being equal without a look.
+#[inline(always)]
+fn label_order(a: &Arc<str>, b: &Arc<str>) -> Ordering {
+    match Arc::ptr_eq(a, b) {
+        true => Ordering::Equal,
+        false => name::order(a, b),
     }
 }
 

@@ -5,7 +5,7 @@
 //! corrupt.
 
 use proptest::prelude::*;
-use tmql_model::{setops, Record, Ty, Value};
+use tmql_model::{name, setops, Record, Ty, Value};
 
 /// Strategy for arbitrary (bounded-depth) complex object values.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -311,5 +311,36 @@ proptest! {
         for r in [swapped, other, Record::new([("p", x.clone())]).unwrap()] {
             prop_assert_eq!(Value::Tuple(r).sort_prefix(Some(&schema)), None);
         }
+    }
+}
+
+/// Names for the in-place comparison: short strings over an alphabet with
+/// multi-byte UTF-8 (`é` and `è` are 2 bytes and differ in the second,
+/// `∅` is 3), `\0` and the empty string, names sharing a prefix, and
+/// printable text — so equal pairs, pairs that differ inside a multi-byte
+/// char and prefix pairs are all common.
+fn arb_name() -> BoxedStrategy<String> {
+    prop_oneof![
+        "[ab\u{0}éè∅]{0,3}",
+        ("[ab]{0,2}", "[a\u{0}é∅]{0,2}").prop_map(|(p, s)| format!("ab{p}{s}")),
+        "\\PC{0,8}",
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `name::same` and `name::order` are `str`'s `==` and `Ord`, on
+    /// arbitrary pairs and on a name against itself extended.
+    #[test]
+    fn name_comparison_is_strs(a in arb_name(), b in arb_name()) {
+        let longer = format!("{a}{b}");
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &longer), (&longer, &a)] {
+            prop_assert_eq!(name::same(x, y), x == y, "{:?} {:?}", x, y);
+            prop_assert_eq!(name::same_bytes(x.as_bytes(), y.as_bytes()), x == y);
+            prop_assert_eq!(name::order(x, y), x.cmp(y), "{:?} {:?}", x, y);
+        }
+        prop_assert!(name::same(&a, &a.clone()));
     }
 }

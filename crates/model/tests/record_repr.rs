@@ -12,7 +12,7 @@ use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 use tmql_model::hash::ValueHasher;
-use tmql_model::{setops, Record, Value};
+use tmql_model::{setops, ModelError, Record, Value};
 
 // ---------------------------------------------------------------------------
 // Reference implementation: allocate, sort by label, compare pairwise
@@ -413,4 +413,64 @@ fn derived_records_share_label_allocations_with_their_source() {
         &a.fields()[2].0,
         &projected.fields()[0].0
     ));
+}
+
+/// Labels are compared by their bytes, never by their allocation: a row
+/// whose labels are separate allocations (a row decoded from a page, a
+/// tuple built by a query) finds, compares, equals and orders like one
+/// that shares them, and a duplicate label is refused either way.
+#[test]
+fn labels_in_separate_allocations_behave_as_shared_ones() {
+    use std::sync::Arc;
+    // Declared out of canonical order, with multi-byte and `\0` labels.
+    const LABELS: [&str; 5] = ["b", "é", "a", "a\0", "∅"];
+    let fresh = || Vec::from(LABELS.map(Arc::<str>::from));
+    let shared = fresh();
+    let row = |labels: Vec<Arc<str>>, first: i64| {
+        let values = (first..).map(Value::Int);
+        Record::new(labels.into_iter().zip(values)).unwrap()
+    };
+    let (a, b) = (row(shared.clone(), 0), row(shared.clone(), 1));
+    let (fa, fb) = (row(fresh(), 0), row(fresh(), 1));
+    let separate = |x: &Record, y: &Record| {
+        std::iter::zip(x.fields(), y.fields()).all(|((l, _), (m, _))| !Arc::ptr_eq(l, m))
+    };
+    assert!(separate(&a, &fa) && separate(&fa, &fb));
+
+    for label in LABELS.into_iter().chain(["", "a\0\0", "e", "c"]) {
+        assert_eq!(fa.find(label), a.find(label), "{label:?}");
+        assert_eq!(fa.has(label), a.has(label), "{label:?}");
+    }
+    assert_eq!(fa, a);
+    assert_ne!(fa, fb);
+    assert_eq!(fa.cmp(&a), Ordering::Equal);
+    assert_eq!(fa.cmp(&fb), a.cmp(&b));
+    assert_eq!(fb.cmp(&a), b.cmp(&a));
+    assert_eq!(fa.cmp(&fb), ref_cmp_record(&fa, &fb));
+
+    // In canonical order (the positional comparison) and permuted (the
+    // sorted one), each against the other allocation.
+    let mut ascending = fresh();
+    ascending.sort();
+    let canonical =
+        Record::new(ascending.into_iter().zip([2, 3, 0, 1, 4].map(Value::Int))).unwrap();
+    assert_eq!(canonical, a);
+    assert_eq!(canonical.cmp(&a), Ordering::Equal);
+    assert_eq!(canonical.cmp(&b), ref_cmp_record(&canonical, &b));
+    assert_eq!(hash_of(&canonical), hash_of(&a));
+    assert_eq!(canonical.structural_hash(), a.structural_hash());
+
+    let duplicate = |labels: &[&str]| {
+        let body = labels.iter().map(|&l| (Arc::<str>::from(l), Value::Null));
+        Record::new(body.collect::<Vec<_>>())
+    };
+    for labels in [&["é", "é"][..], &["b", "é", "b"], &["∅", "a", "a\0", "∅"]] {
+        let refused = duplicate(labels);
+        assert!(
+            matches!(refused, Err(ModelError::DuplicateField(_))),
+            "{labels:?}"
+        );
+    }
+    assert!(fa.concat(&row(fresh()[..1].to_vec(), 9)).is_err());
+    assert!(fa.extend_field(Arc::<str>::from("é"), Value::Null).is_err());
 }

@@ -68,8 +68,11 @@
 //! label at the same position; only when they differ is it checked as
 //! UTF-8 and interned (nested tuples' labels are always interned), so
 //! rows of one schema share their label `Arc`s and validate none after
-//! the first. Page slots and spill frames share `Cursor::fields`, and a
-//! decoder returns for every payload exactly what a fresh one would.
+//! the first. Every label comparison of the codec is the model's
+//! in-place one ([`tmql_model::name`]): a label is a few bytes, and a
+//! call to `memcmp` costs more than comparing them. Page slots and
+//! spill frames share `Cursor::fields`, and a decoder returns for every
+//! payload exactly what a fresh one would.
 //!
 //! The scan pre-test ([`crate::pretest`]) reads no row at all: it finds a
 //! field with `stored_field`, one skip-scan that steps over fixed-width
@@ -81,7 +84,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tmql_model::{ModelError, Record, Result, SetValue, Value};
+use tmql_model::{name, ModelError, Record, Result, SetValue, Value};
 
 use crate::bytes::{
     put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, too_deep_to_store, Reader,
@@ -249,7 +252,7 @@ impl RecordDecoder {
     fn intern(&mut self, label: &str) -> Arc<str> {
         let n = self.labels.len();
         for i in (self.next..n).chain(0..self.next) {
-            if &*self.labels[i] == label {
+            if name::same(&self.labels[i], label) {
                 self.next = (i + 1) % n;
                 return self.labels[i].clone();
             }
@@ -270,13 +273,6 @@ const FORMAT: &str = "record";
 /// (an empty label's length prefix, then a value).
 const MIN_VALUE_BYTES: usize = 1;
 const MIN_FIELD_BYTES: usize = 4 + MIN_VALUE_BYTES;
-
-/// Whether `bytes` spell `label`: a byte loop, since labels are short
-/// and a call to `memcmp` costs more than comparing them.
-#[inline(always)]
-fn same_label(label: &str, bytes: &[u8]) -> bool {
-    label.len() == bytes.len() && std::iter::zip(label.as_bytes(), bytes).all(|(a, b)| a == b)
-}
 
 /// Step over one encoded value without building it.
 fn skip_value(r: &mut Reader<'_>) -> Result<()> {
@@ -418,7 +414,7 @@ impl<'a> Cursor<'a> {
     fn top_label(&mut self, at: usize) -> Result<Arc<str>> {
         let bytes = self.r.bytes()?;
         match self.names.row.get(at) {
-            Some(last) if same_label(last, bytes) => Ok(last.clone()),
+            Some(last) if name::same_bytes(last.as_bytes(), bytes) => Ok(last.clone()),
             _ => self.new_top_label(at, bytes),
         }
     }
@@ -521,7 +517,7 @@ pub(crate) enum Stored<'a> {
 pub(crate) fn stored_field<'a>(payload: &'a [u8], label: &str) -> Option<Stored<'a>> {
     let mut r = Reader::new(FORMAT, payload);
     for _ in 0..r.u32().ok()? {
-        let hit = same_label(label, r.bytes().ok()?);
+        let hit = name::same_bytes(label.as_bytes(), r.bytes().ok()?);
         let tag = r.u8().ok()?;
         if hit {
             return match tag {
@@ -761,7 +757,8 @@ impl RunWriter {
         }
         let labels = &self.run.labels;
         let shaped = rec.len() == labels.len()
-            && std::iter::zip(rec.fields(), labels).all(|((l, _), m)| Arc::ptr_eq(l, m) || l == m);
+            && std::iter::zip(rec.fields(), labels)
+                .all(|((l, _), m)| Arc::ptr_eq(l, m) || name::same(l, m));
         let start = self.buf.len();
         put_len_prefixed(&mut self.buf, |out| {
             if shaped {
