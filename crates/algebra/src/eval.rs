@@ -2,8 +2,10 @@
 
 use std::sync::Arc;
 
+use std::cell::Cell;
+
 use tmql_model::name::same;
-use tmql_model::{setops, ModelError, Record, Result, Value};
+use tmql_model::{setops, CmpOp, ModelError, Record, Result, Value};
 
 use crate::scalar::{AggFn, ArithOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
 
@@ -122,6 +124,16 @@ impl<'a> Env<'a> {
         }
     }
 
+    /// The scoped frame `k` scopes out from this one (0: its own).
+    #[inline(always)]
+    fn frame(&self, k: usize) -> Option<Frame<'_>> {
+        let mut env = self;
+        for _ in 0..k {
+            env = env.scope?.1;
+        }
+        env.scope.map(|(frame, _)| frame)
+    }
+
     /// Look up a variable, innermost binding first.
     pub fn get(&self, name: &str) -> Result<Value> {
         Ok(match self.resolve(name)? {
@@ -131,148 +143,373 @@ impl<'a> Env<'a> {
     }
 }
 
-/// The value of a literal or a `Var`/`Field` chain, borrowed from the
-/// expression or the environment; `None` for any other expression, and for
-/// a variable bound to a bare tuple on its own (`x.b` borrows straight out
-/// of the row; `x` has to be made).
-fn borrowed<'e>(expr: &'e ScalarExpr, env: &'e Env<'_>) -> Option<Result<&'e Value>> {
-    static NULL: Value = Value::Null;
-    match expr {
-        ScalarExpr::Lit(v) => Some(Ok(v)),
-        ScalarExpr::Var(name) => match env.resolve(name) {
-            Ok(Bound::Value(v)) => Some(Ok(v)),
-            Ok(Bound::Tuple(_)) => None,
-            Err(e) => Some(Err(e)),
-        },
-        ScalarExpr::Field(e, label) => {
-            let base = match &**e {
-                ScalarExpr::Var(name) => match env.resolve(name) {
-                    Ok(Bound::Tuple(row)) => return Some(row.get(label)),
-                    Ok(Bound::Value(v)) => Ok(v),
-                    Err(e) => Err(e),
-                },
-                e => borrowed(e, env)?,
-            };
-            Some(base.and_then(|v| match v {
-                // NULL propagates through field access (relational baseline:
-                // NULL-extended outerjoin tuples have no fields).
-                Value::Null => Ok(&NULL),
-                v => v.as_tuple()?.get(label),
-            }))
+/// A scalar expression compiled for the operator that evaluates it, once,
+/// when the operator is built — the only evaluator of row expressions.
+///
+/// Each variable becomes a **slot**: the frame that binds it, counted
+/// outward from the innermost scope, fixed from the variables each frame
+/// of the operator's environment binds ([`Compiled::new`]'s `frames`, a
+/// quantifier's variable in front of them inside its body). So the plan
+/// decides shadowing, not the first row. A variable no frame binds — a
+/// correlation variable of the operator's own environment — is searched
+/// for by name, as `Env::get` searches.
+///
+/// Each label a slot reads in a record (`var.label`, or the variable
+/// itself in a record of bindings) keeps the position it was last found
+/// at, learned from the first row that has it. Every row checks the
+/// position before it trusts it, by [`same`]; on a miss the row is
+/// searched for the label and the new position learned, so rows with
+/// permuted labels read what a search of each row reads. A slot's frame
+/// is checked the same way: a frame that does not bind the variable it
+/// was compiled for falls back to the search.
+///
+/// A compiled expression borrows its names and literals from the
+/// expression it was compiled from, so compiling one allocates only its
+/// inner nodes.
+#[derive(Debug, Clone)]
+pub struct Compiled<'e>(Node<'e>);
+
+#[derive(Debug, Clone)]
+enum Node<'e> {
+    Lit(&'e Value),
+    Var(Slot<'e>),
+    /// `var.label`: the leaf most row expressions are made of.
+    Path(Slot<'e>, Label<'e>),
+    Field(Box<Node<'e>>, Label<'e>),
+    Cmp(CmpOp, Box<Node<'e>>, Box<Node<'e>>),
+    Arith(ArithOp, Box<Node<'e>>, Box<Node<'e>>),
+    And(Box<Node<'e>>, Box<Node<'e>>),
+    Or(Box<Node<'e>>, Box<Node<'e>>),
+    Not(Box<Node<'e>>),
+    SetBin(SetBinOp, Box<Node<'e>>, Box<Node<'e>>),
+    SetCmp(SetCmpOp, Box<Node<'e>>, Box<Node<'e>>),
+    Agg(AggFn, Box<Node<'e>>),
+    Tuple(Vec<(&'e Arc<str>, Node<'e>)>),
+    SetLit(Vec<Node<'e>>),
+    Quant {
+        q: Quantifier,
+        var: &'e str,
+        over: Box<Node<'e>>,
+        pred: Box<Node<'e>>,
+    },
+    Unnest(Box<Node<'e>>),
+    IsNull(Box<Node<'e>>),
+}
+
+/// A variable: the frame the plan says binds it (`None`: searched for by
+/// name), and where it was last found when that frame is a record of
+/// bindings.
+#[derive(Debug, Clone)]
+struct Slot<'e> {
+    frame: Option<usize>,
+    label: Label<'e>,
+}
+
+/// A label to read out of a record, and the position it was last found
+/// at (a copy learns on its own; a stale position only costs a search).
+#[derive(Debug, Clone)]
+struct Label<'e> {
+    name: &'e str,
+    at: Cell<usize>,
+}
+
+impl<'e> Label<'e> {
+    fn new(name: &'e str) -> Label<'e> {
+        Label {
+            name,
+            at: Cell::new(0),
         }
-        _ => None,
+    }
+
+    /// The field `name` of `row`, if it has one: at the learned position
+    /// when the label there spells `name`, else searched for, and its
+    /// position learned.
+    #[inline(always)]
+    fn find<'r>(&self, row: &'r Record) -> Option<&'r Value> {
+        match row.fields().get(self.at.get()) {
+            Some((l, v)) if same(l, self.name) => Some(v),
+            _ => self.search(row),
+        }
+    }
+
+    /// [`Label::find`] past a position that holds another label.
+    #[cold]
+    fn search<'r>(&self, row: &'r Record) -> Option<&'r Value> {
+        let fields = row.fields();
+        let pos = fields.iter().position(|(l, _)| same(l, self.name))?;
+        self.at.set(pos);
+        Some(&fields[pos].1)
+    }
+
+    /// [`Label::find`], or the error [`Record::get`] reports.
+    #[inline(always)]
+    fn get<'r>(&self, row: &'r Record) -> Result<&'r Value> {
+        match self.find(row) {
+            Some(v) => Ok(v),
+            None => row.get(self.name),
+        }
     }
 }
 
-/// Evaluate one operand and hand it to `f` — by reference, without a
-/// copy, when it is a literal or a `Var`/`Field` chain.
-pub fn with_value<T>(
-    e: &ScalarExpr,
-    env: &Env<'_>,
-    f: impl FnOnce(&Value) -> Result<T>,
-) -> Result<T> {
-    if let Some(v) = borrowed(e, env) {
-        return f(v?);
+impl Slot<'_> {
+    /// The variable's binding: read out of the frame the plan says binds
+    /// it when that frame does bind it, or — for a correlation variable,
+    /// or a frame that turns out not to bind it — searched for as
+    /// [`Env::resolve`] does.
+    #[inline(always)]
+    fn resolve<'v>(&self, env: &'v Env<'_>) -> Result<Bound<'v>> {
+        let name = self.label.name;
+        match self.frame.and_then(|k| env.frame(k)) {
+            Some(Frame::Var(l, v)) if same(l, name) => Ok(Bound::Value(v)),
+            Some(Frame::Tuple(l, row)) if same(l, name) => Ok(Bound::Tuple(row)),
+            Some(Frame::Row(row)) => match self.label.find(row) {
+                Some(v) => Ok(Bound::Value(v)),
+                None => env.resolve(name),
+            },
+            _ => env.resolve(name),
+        }
     }
-    f(&eval(e, env)?)
 }
 
-/// [`with_value`] for two operands, evaluated left to right.
+impl<'e> Compiled<'e> {
+    /// Compile `expr` for an environment whose scoped frames bind `frames`
+    /// (innermost first: the variables of each frame an operator binds
+    /// over its correlation environment, for each row it evaluates on).
+    /// With no frames every variable is searched for by name.
+    pub fn new(expr: &'e ScalarExpr, frames: &[&[String]]) -> Compiled<'e> {
+        Compiled(compile(expr, &Scope::Frames(frames)))
+    }
+
+    /// Evaluate to a value.
+    pub fn eval(&self, env: &Env<'_>) -> Result<Value> {
+        self.0.eval(env)
+    }
+
+    /// Evaluate a predicate to a boolean.
+    pub fn test(&self, env: &Env<'_>) -> Result<bool> {
+        self.0.test(env)
+    }
+
+    /// Evaluate and hand the value to `f` — by reference, without a copy,
+    /// when it is a literal or a `Var`/`Field` chain.
+    pub fn with_value<T>(&self, env: &Env<'_>, f: impl FnOnce(&Value) -> Result<T>) -> Result<T> {
+        self.0.with_value(env, f)
+    }
+}
+
+/// [`Compiled::with_value`] for two operands, evaluated left to right.
 pub fn with_values<T>(
-    a: &ScalarExpr,
-    b: &ScalarExpr,
+    a: &Compiled<'_>,
+    b: &Compiled<'_>,
     env: &Env<'_>,
     f: impl FnOnce(&Value, &Value) -> Result<T>,
 ) -> Result<T> {
-    if let (Some(va), Some(vb)) = (borrowed(a, env), borrowed(b, env)) {
-        return f(va?, vb?);
-    }
-    let (va, vb) = (eval(a, env)?, eval(b, env)?);
-    f(&va, &vb)
+    Node::with_values(&a.0, &b.0, env, f)
 }
 
-/// Evaluate an expression to a value.
-pub fn eval(expr: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
+/// The frames an expression is compiled for: an operator's, and inside a
+/// quantifier's body its element in front of the enclosing scope.
+enum Scope<'s> {
+    Frames(&'s [&'s [String]]),
+    Quant(&'s str, &'s Scope<'s>),
+}
+
+impl Scope<'_> {
+    /// The frame, counted outward, whose variables include `name`.
+    fn frame_of(&self, name: &str) -> Option<usize> {
+        match self {
+            Scope::Frames(frames) => frames.iter().position(|f| f.iter().any(|v| same(v, name))),
+            Scope::Quant(var, _) if same(var, name) => Some(0),
+            Scope::Quant(_, outer) => outer.frame_of(name).map(|k| k + 1),
+        }
+    }
+}
+
+/// The node of `expr`, each variable resolved against `scope`.
+fn compile<'e>(expr: &'e ScalarExpr, scope: &Scope<'_>) -> Node<'e> {
+    let go = |e: &'e ScalarExpr| Box::new(compile(e, scope));
     match expr {
-        ScalarExpr::Lit(v) => Ok(v.clone()),
-        ScalarExpr::Var(name) => env.get(name),
-        ScalarExpr::Field(e, label) => {
-            // A chain is walked by reference; only the leaf is cloned (a
-            // tuple or set leaf by bumping its count).
-            if let Some(v) = borrowed(expr, env) {
-                return v.cloned();
-            }
-            match eval(e, env)? {
-                Value::Null => Ok(Value::Null),
-                v => v.as_tuple()?.get(label).cloned(),
-            }
-        }
-        ScalarExpr::Cmp(op, a, b) => {
-            with_values(a, b, env, |va, vb| Ok(Value::Bool(op.test(va, vb))))
-        }
-        ScalarExpr::Arith(op, a, b) => with_values(a, b, env, |va, vb| {
-            if va.is_null() || vb.is_null() {
-                return Ok(Value::Null);
-            }
-            match op {
-                ArithOp::Add => va.add(vb),
-                ArithOp::Sub => va.sub(vb),
-                ArithOp::Mul => va.mul(vb),
-                ArithOp::Div => va.div(vb),
-            }
+        ScalarExpr::Lit(v) => Node::Lit(v),
+        ScalarExpr::Var(name) => Node::Var(Slot {
+            frame: scope.frame_of(name),
+            label: Label::new(name),
         }),
-        ScalarExpr::And(a, b) => {
-            // Short-circuit; two-valued logic (NULL comparisons are false).
-            if !eval(a, env)?.as_bool()? {
-                return Ok(Value::Bool(false));
-            }
-            Ok(Value::Bool(eval(b, env)?.as_bool()?))
-        }
-        ScalarExpr::Or(a, b) => {
-            if eval(a, env)?.as_bool()? {
-                return Ok(Value::Bool(true));
-            }
-            Ok(Value::Bool(eval(b, env)?.as_bool()?))
-        }
-        ScalarExpr::Not(e) => Ok(Value::Bool(!eval(e, env)?.as_bool()?)),
-        ScalarExpr::SetBin(op, a, b) => with_values(a, b, env, |va, vb| match op {
-            SetBinOp::Union => setops::union(va, vb),
-            SetBinOp::Intersect => setops::intersect(va, vb),
-            SetBinOp::Difference => setops::difference(va, vb),
-        }),
-        ScalarExpr::SetCmp(op, a, b) => with_values(a, b, env, |va, vb| {
-            Ok(Value::Bool(eval_set_cmp(*op, va, vb)?))
-        }),
-        ScalarExpr::Agg(f, e) => with_value(e, env, |v| eval_agg(*f, v)),
+        ScalarExpr::Field(e, label) => match compile(e, scope) {
+            Node::Var(slot) => Node::Path(slot, Label::new(label)),
+            e => Node::Field(Box::new(e), Label::new(label)),
+        },
+        ScalarExpr::Cmp(op, a, b) => Node::Cmp(*op, go(a), go(b)),
+        ScalarExpr::Arith(op, a, b) => Node::Arith(*op, go(a), go(b)),
+        ScalarExpr::And(a, b) => Node::And(go(a), go(b)),
+        ScalarExpr::Or(a, b) => Node::Or(go(a), go(b)),
+        ScalarExpr::Not(e) => Node::Not(go(e)),
+        ScalarExpr::SetBin(op, a, b) => Node::SetBin(*op, go(a), go(b)),
+        ScalarExpr::SetCmp(op, a, b) => Node::SetCmp(*op, go(a), go(b)),
+        ScalarExpr::Agg(f, e) => Node::Agg(*f, go(e)),
         ScalarExpr::Tuple(fields) => {
-            // Straight into the exact-size body: no field buffer.
-            let fields = fields.iter().map(|(l, e)| Ok((l.clone(), eval(e, env)?)));
-            Ok(Value::Tuple(Record::try_new(fields)?))
+            Node::Tuple(fields.iter().map(|(l, e)| (l, compile(e, scope))).collect())
         }
         ScalarExpr::SetLit(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for e in items {
-                out.push(eval(e, env)?);
-            }
-            Ok(Value::set(out))
+            Node::SetLit(items.iter().map(|e| compile(e, scope)).collect())
         }
-        ScalarExpr::Quant { q, var, over, pred } => {
-            let set = eval(over, env)?.into_set()?;
-            // ∃ stops at the first hit, ∀ at the first miss.
-            let stop_on = matches!(q, Quantifier::Exists);
-            for item in &set {
-                if eval_predicate(pred, &env.bind(var, item))? == stop_on {
-                    return Ok(Value::Bool(stop_on));
-                }
-            }
-            Ok(Value::Bool(!stop_on))
-        }
-        ScalarExpr::Unnest(e) => with_value(e, env, setops::unnest),
-        ScalarExpr::IsNull(e) => with_value(e, env, |v| Ok(Value::Bool(v.is_null()))),
+        ScalarExpr::Quant { q, var, over, pred } => Node::Quant {
+            q: *q,
+            var,
+            over: go(over),
+            pred: Box::new(compile(pred, &Scope::Quant(var, scope))),
+        },
+        ScalarExpr::Unnest(e) => Node::Unnest(go(e)),
+        ScalarExpr::IsNull(e) => Node::IsNull(go(e)),
     }
 }
 
-/// Evaluate a predicate to a boolean.
+/// Field `label` of `v`. NULL propagates through field access (relational
+/// baseline: NULL-extended outerjoin tuples have no fields).
+#[inline(always)]
+fn field<'v>(v: &'v Value, label: &Label<'_>) -> Result<&'v Value> {
+    static NULL: Value = Value::Null;
+    match v {
+        Value::Null => Ok(&NULL),
+        v => label.get(v.as_tuple()?),
+    }
+}
+
+/// `var.label`, borrowed out of the row or value the variable is bound to.
+#[inline(always)]
+fn path<'v>(slot: &Slot<'_>, label: &Label<'_>, env: &'v Env<'_>) -> Result<&'v Value> {
+    match slot.resolve(env)? {
+        Bound::Tuple(row) => label.get(row),
+        Bound::Value(v) => field(v, label),
+    }
+}
+
+impl Node<'_> {
+    /// The value of a literal or a `Var`/`Field` chain, borrowed from the
+    /// expression or the environment; `None` for any other expression,
+    /// and for a variable bound to a bare tuple on its own (`x.b` borrows
+    /// straight out of the row; `x` has to be made).
+    #[inline]
+    fn borrowed<'v>(&'v self, env: &'v Env<'_>) -> Option<Result<&'v Value>> {
+        match self {
+            Node::Lit(v) => Some(Ok(v)),
+            Node::Var(slot) => match slot.resolve(env) {
+                Ok(Bound::Value(v)) => Some(Ok(v)),
+                Ok(Bound::Tuple(_)) => None,
+                Err(e) => Some(Err(e)),
+            },
+            Node::Path(slot, label) => Some(path(slot, label, env)),
+            Node::Field(e, label) => Some(e.borrowed(env)?.and_then(|v| field(v, label))),
+            _ => None,
+        }
+    }
+
+    fn with_value<T>(&self, env: &Env<'_>, f: impl FnOnce(&Value) -> Result<T>) -> Result<T> {
+        if let Some(v) = self.borrowed(env) {
+            return f(v?);
+        }
+        f(&self.eval(env)?)
+    }
+
+    fn with_values<T>(
+        a: &Node<'_>,
+        b: &Node<'_>,
+        env: &Env<'_>,
+        f: impl FnOnce(&Value, &Value) -> Result<T>,
+    ) -> Result<T> {
+        if let (Some(va), Some(vb)) = (a.borrowed(env), b.borrowed(env)) {
+            return f(va?, vb?);
+        }
+        let (va, vb) = (a.eval(env)?, b.eval(env)?);
+        f(&va, &vb)
+    }
+
+    fn test(&self, env: &Env<'_>) -> Result<bool> {
+        self.eval(env)?.as_bool()
+    }
+
+    fn eval(&self, env: &Env<'_>) -> Result<Value> {
+        match self {
+            Node::Lit(v) => Ok((*v).clone()),
+            Node::Var(slot) => Ok(match slot.resolve(env)? {
+                Bound::Value(v) => v.clone(),
+                Bound::Tuple(row) => Value::Tuple(row.clone()),
+            }),
+            // A chain is walked by reference; only the leaf is cloned (a
+            // tuple or set leaf by bumping its count).
+            Node::Path(slot, label) => path(slot, label, env).cloned(),
+            Node::Field(e, label) => {
+                if let Some(v) = self.borrowed(env) {
+                    return v.cloned();
+                }
+                match e.eval(env)? {
+                    Value::Null => Ok(Value::Null),
+                    v => label.get(v.as_tuple()?).cloned(),
+                }
+            }
+            Node::Cmp(op, a, b) => {
+                Node::with_values(a, b, env, |va, vb| Ok(Value::Bool(op.test(va, vb))))
+            }
+            Node::Arith(op, a, b) => Node::with_values(a, b, env, |va, vb| {
+                if va.is_null() || vb.is_null() {
+                    return Ok(Value::Null);
+                }
+                match op {
+                    ArithOp::Add => va.add(vb),
+                    ArithOp::Sub => va.sub(vb),
+                    ArithOp::Mul => va.mul(vb),
+                    ArithOp::Div => va.div(vb),
+                }
+            }),
+            // Short-circuit; two-valued logic (NULL comparisons are false).
+            Node::And(a, b) => Ok(Value::Bool(a.test(env)? && b.test(env)?)),
+            Node::Or(a, b) => Ok(Value::Bool(a.test(env)? || b.test(env)?)),
+            Node::Not(e) => Ok(Value::Bool(!e.test(env)?)),
+            Node::SetBin(op, a, b) => Node::with_values(a, b, env, |va, vb| match op {
+                SetBinOp::Union => setops::union(va, vb),
+                SetBinOp::Intersect => setops::intersect(va, vb),
+                SetBinOp::Difference => setops::difference(va, vb),
+            }),
+            Node::SetCmp(op, a, b) => Node::with_values(a, b, env, |va, vb| {
+                Ok(Value::Bool(eval_set_cmp(*op, va, vb)?))
+            }),
+            Node::Agg(f, e) => e.with_value(env, |v| eval_agg(*f, v)),
+            Node::Tuple(fields) => {
+                // Straight into the exact-size body: no field buffer.
+                let fields = fields.iter().map(|(l, e)| Ok(((*l).clone(), e.eval(env)?)));
+                Ok(Value::Tuple(Record::try_new(fields)?))
+            }
+            Node::SetLit(items) => {
+                let mut out = Vec::with_capacity(items.len());
+                for e in items {
+                    out.push(e.eval(env)?);
+                }
+                Ok(Value::set(out))
+            }
+            Node::Quant { q, var, over, pred } => {
+                let set = over.eval(env)?.into_set()?;
+                // ∃ stops at the first hit, ∀ at the first miss.
+                let stop_on = matches!(q, Quantifier::Exists);
+                for item in &set {
+                    if pred.test(&env.bind(var, item))? == stop_on {
+                        return Ok(Value::Bool(stop_on));
+                    }
+                }
+                Ok(Value::Bool(!stop_on))
+            }
+            Node::Unnest(e) => e.with_value(env, setops::unnest),
+            Node::IsNull(e) => e.with_value(env, |v| Ok(Value::Bool(v.is_null()))),
+        }
+    }
+}
+
+/// Evaluate an expression to a value: compiled for no frames, so every
+/// variable is searched for by name. Operators compile theirs once
+/// ([`Compiled`]); this is for tests and one-off evaluations.
+pub fn eval(expr: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
+    Compiled::new(expr, &[]).eval(env)
+}
+
+/// [`eval`] of a predicate, to a boolean.
 pub fn eval_predicate(expr: &ScalarExpr, env: &Env<'_>) -> Result<bool> {
     eval(expr, env)?.as_bool()
 }
@@ -449,10 +686,12 @@ mod tests {
         assert_eq!(env.get("x").unwrap(), seven);
         assert_eq!(env.get("y").unwrap(), Value::Int(2));
         let y = ScalarExpr::var("y");
-        let y = borrowed(&y, &env).unwrap().unwrap();
+        let y = Compiled::new(&y, &[]);
+        let y = y.0.borrowed(&env).unwrap().unwrap();
         assert!(std::ptr::eq(y, wide.get("y").unwrap()), "bound, not copied");
         let b = ScalarExpr::path("t", &["b"]);
-        let b = borrowed(&b, &env).unwrap().unwrap();
+        let b = Compiled::new(&b, &[]);
+        let b = b.0.borrowed(&env).unwrap().unwrap();
         assert!(std::ptr::eq(b, row.get("b").unwrap()), "bound, not copied");
     }
 
@@ -462,7 +701,8 @@ mod tests {
         let root = Env::new();
         let (bare, old) = (root.bind_tuple("x", &row), root.bind_row(&bound));
         let x = ScalarExpr::var("x");
-        assert!(borrowed(&x, &bare).is_none(), "`x` alone has to be made");
+        let made = Compiled::new(&x, &[]);
+        assert!(made.0.borrowed(&bare).is_none(), "`x` alone has to be made");
         assert_eq!(eval(&x, &bare).unwrap(), eval(&x, &old).unwrap());
         assert_eq!(eval(&x, &bare).unwrap(), Value::Tuple(row.clone()));
         for path in [&["b"][..], &["c"], &["zz"], &["b", "deeper"]] {
@@ -509,6 +749,27 @@ mod tests {
             Value::Int(9)
         );
         assert_eq!(correlation.get("x").unwrap(), Value::Tuple(row.clone()));
+    }
+
+    #[test]
+    fn a_frame_that_binds_another_name_is_searched_past() {
+        // Compiled as if `x` and `v` were the innermost frames, evaluated
+        // where they are not: each reads what the name search reads.
+        let (row, _, _) = rows();
+        let (seven, nine) = (Value::Int(7), Value::Int(9));
+        let root = Env::new();
+        let env = root.bind("v", &seven);
+        let env = env.bind_tuple("x", &row);
+        let env = env.bind("y", &nine);
+        let frames: &[&[String]] = &[&["x".into()], &["v".into()]];
+        for e in [ScalarExpr::path("x", &["b"]), ScalarExpr::var("v")] {
+            let compiled = Compiled::new(&e, frames);
+            assert_eq!(compiled.eval(&env), eval(&e, &env), "{e}");
+        }
+        assert_eq!(
+            Compiled::new(&ScalarExpr::var("v"), frames).eval(&env),
+            Ok(seven)
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   group-aggregate), `μ` unnest, set operations, and the correlated
 //!   [`plan::Plan::Apply`] that gives nested SFW expressions their
 //!   nested-loop semantics before unnesting;
-//! * [`mod@eval`] — scalar evaluation against variable environments;
+//! * [`mod@eval`] — scalar expressions compiled once per operator
+//!   ([`eval::Compiled`]: every variable a frame slot) and evaluated
+//!   against variable environments;
 //! * [`typing`] — [`typing::TableTypes`], where the front end gets stored row types;
 //! * [`rewrite`] — a small bottom-up plan-transformation framework used by
 //!   the unnesting strategies in `tmql-core`;
@@ -38,7 +40,7 @@ pub mod rewrite;
 pub mod scalar;
 pub mod typing;
 
-pub use eval::{eval, eval_predicate, with_value, with_values, Env};
+pub use eval::{eval, eval_predicate, with_values, Compiled, Env};
 pub use plan::{AggFn, JoinKind, Plan, SetOpKind};
 pub use scalar::{ArithOp, CmpOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
 

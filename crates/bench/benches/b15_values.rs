@@ -32,10 +32,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tmql_algebra::{Env, ScalarExpr as E};
+use tmql_algebra::{Compiled, Env, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::exec::sort_distinct;
-use tmql_exec::op::{hash, Emit, JoinKind, Shape};
+use tmql_exec::op::{hash, Emit, JoinKeys, JoinKind, Shape};
+use tmql_exec::planner::EquiSplit;
 use tmql_exec::Metrics;
 use tmql_model::hash::ValueHasher;
 use tmql_model::{setops, Record, RecordSet, Value};
@@ -148,17 +149,24 @@ fn bench_values(c: &mut Criterion) {
             });
         }
 
-        let (lk, rk) = ([E::path("x", &["b"])], [E::path("y", &["b"])]);
+        let split = EquiSplit {
+            left_keys: vec![E::path("x", &["b"])],
+            right_keys: vec![E::path("y", &["b"])],
+            residual: None,
+        };
+        let (xv, yv) = (["x".to_string()], ["y".to_string()]);
+        let keys = JoinKeys::new(&split, (&xv, &yv));
         let bound = Shape::BOUND;
         let build = |m: &mut Metrics| {
-            hash::build(y_bound.clone(), &bound, &rk, &Env::new(), m).expect("build")
+            hash::build(y_bound.clone(), &bound, &keys, &Env::new(), m).expect("build")
         };
         g.bench_with_input(id("hash_join/build"), &n, |b, _| {
             b.iter(|| build(&mut Metrics::new()).len())
         });
         let table = build(&mut Metrics::new());
+        let func = E::path("y", &["a"]);
         let nest = JoinKind::Nest {
-            func: E::path("y", &["a"]),
+            func: Compiled::new(&func, &[&yv, &xv]),
             label: "s".into(),
         };
         for (name, kind) in [
@@ -170,7 +178,7 @@ fn bench_values(c: &mut Criterion) {
             g.bench_with_input(id(&format!("hash_join/{name}")), &n, |b, _| {
                 let (env, mut m) = (Env::new(), Metrics::new());
                 b.iter(|| {
-                    hash::probe((&x_bound, &bound), &table, &lk, None, &emit, &env, &mut m)
+                    hash::probe((&x_bound, &bound), &table, &keys, &emit, &env, &mut m)
                         .expect("probe")
                         .len()
                 })

@@ -13,7 +13,12 @@
 //!   `K` the 64 distinct keys: `n` probes against a tiny table, the
 //!   semijoin emitting the probe row as it came, the nest join extending
 //!   it with its set of matches;
-//! * `map` — `Map[x.n](Scan(X))`: scan → evaluate → bind → dedup.
+//! * `map` — `Map[x.n](Scan(X))`: scan → evaluate → bind → dedup;
+//! * `select_nesting` — the root `Map[(n = l.n, s = s)]` over
+//!   `HashJoin[nestjoin](Scan(X), Scan(K))`, run through
+//!   [`tmql_exec::execute_values`]: the shape of a SELECT-clause subquery,
+//!   whose answer tuple the join builds where it would build `l ++ (s =
+//!   set)`.
 //!
 //! in two backings: **memory** (rows are shared handles) and **disk-warm**
 //! (a pool that holds the whole extent, warmed once: every row is decoded
@@ -22,17 +27,20 @@
 //! Times are per statement over all `n` rows (divide by `n` for ns/row).
 //!
 //! The `lookup` group prices one name path where those operators pay it,
-//! per row: ns per [`tmql_algebra::eval`] of `x.b` over a bare stored
-//! row, of the same under a two-row pair environment (a join's: `y` is
-//! bound innermost, so `x` is found one frame out), of `s` in a bound row
-//! (a nest join's output), and of a literal — the floor of an `eval`.
+//! per row: ns per evaluation of an expression compiled once
+//! ([`tmql_algebra::Compiled`]) — `x.b` over a bare stored row, the same
+//! under a two-row pair environment (a join's: `y` is bound innermost, so
+//! `x` is its slot one frame out), `s` in a bound row (a nest join's
+//! output), and a literal, the floor of an evaluation — and of `x.b`
+//! compiled for no frames (`x.b/search`: the variable searched for by
+//! name, as every variable was before expressions were compiled).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql::{Database, Record, Table, Ty, Value};
-use tmql_algebra::{eval, Env, JoinKind, ScalarExpr as E};
+use tmql_algebra::{Compiled, Env, JoinKind, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::planner::EquiSplit;
-use tmql_exec::{execute, ExecConfig, ExecContext, JoinPath, PhysPlan};
+use tmql_exec::{execute, execute_values, ExecConfig, ExecContext, JoinPath, PhysPlan};
 
 const WARM_POOL: usize = 4096;
 const KEYS: i64 = 64;
@@ -97,10 +105,19 @@ fn bench_rowpath(c: &mut Criterion) {
             func: E::path("r", &["n"]),
             label: "s".into(),
         };
+        let select_nesting = PhysPlan::Map {
+            input: Box::new(hash_join("X", "K", nest.clone())),
+            expr: E::Tuple(vec![
+                ("n".into(), E::path("l", &["n"])),
+                ("s".into(), E::var("s")),
+            ]),
+            var: "v".into(),
+        };
         let plans = [
             ("build", hash_join("E", "X", JoinKind::Semi), 0),
             ("probe/semi", hash_join("X", "K", JoinKind::Semi), n),
             ("probe/nest", hash_join("X", "K", nest), n),
+            ("select_nesting", select_nesting, n),
             (
                 "map",
                 PhysPlan::Map {
@@ -115,7 +132,14 @@ fn bench_rowpath(c: &mut Criterion) {
             for (name, plan, rows) in &plans {
                 let run = || {
                     let mut ctx = ExecContext::with_config(db.catalog(), &config);
-                    execute(plan, &mut ctx, &Env::new()).expect("runs").len()
+                    let env = Env::new();
+                    match *name {
+                        "select_nesting" => execute_values(plan, &mut ctx, &env, None)
+                            .expect("runs")
+                            .0
+                            .len(),
+                        _ => execute(plan, &mut ctx, &env).expect("runs").len(),
+                    }
                 };
                 // Also the warming pass of the pool.
                 assert_eq!(run(), *rows, "{backing}/{name}");
@@ -146,16 +170,29 @@ fn bench_lookup(c: &mut Criterion) {
     let pair = bare.bind_tuple("y", &y);
     let bound = root.bind_row(&nested);
     let (xb, var_s, lit) = (E::path("x", &["b"]), E::var("s"), E::lit(3));
+    let vars = |names: &[&str]| names.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+    let (x_frame, y_frame, row_frame) = (vars(&["x"]), vars(&["y"]), vars(&["x", "s"]));
     let cases = [
-        ("x.b/bare", &xb, &bare, Value::Int(3)),
-        ("x.b/pair", &xb, &pair, Value::Int(3)),
-        ("s/row", &var_s, &bound, s),
-        ("literal", &lit, &bare, Value::Int(3)),
+        (
+            "x.b/bare",
+            Compiled::new(&xb, &[&x_frame]),
+            &bare,
+            Value::Int(3),
+        ),
+        (
+            "x.b/pair",
+            Compiled::new(&xb, &[&y_frame, &x_frame]),
+            &pair,
+            Value::Int(3),
+        ),
+        ("x.b/search", Compiled::new(&xb, &[]), &pair, Value::Int(3)),
+        ("s/row", Compiled::new(&var_s, &[&row_frame]), &bound, s),
+        ("literal", Compiled::new(&lit, &[]), &bare, Value::Int(3)),
     ];
-    for (name, expr, env, expected) in cases {
-        assert_eq!(eval(expr, env).expect("evaluates"), expected, "{name}");
-        g.bench_function(name, |b| {
-            b.iter(|| eval(black_box(expr), black_box(env)).expect("evaluates"))
+    for (name, expr, env, expected) in &cases {
+        assert_eq!(&expr.eval(env).expect("evaluates"), expected, "{name}");
+        g.bench_function(*name, |b| {
+            b.iter(|| black_box(expr).eval(black_box(env)).expect("evaluates"))
         });
     }
     g.finish();

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tmql_algebra::{eval, Env};
+use tmql_algebra::{Compiled, Env, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 use tmql_storage::spill::RunWriter;
 use tmql_storage::{Catalog, SpillDir};
@@ -204,11 +204,14 @@ pub fn execute_values(
 /// A `Map` at the root is evaluated here instead of being built as an
 /// operator: each row of its input goes through the expression straight
 /// into the collector — no `(var = value)` envelope, no dedup state of its
-/// own, so it neither spills nor counts as resident. It still appears in
-/// the profile, with the distinct rows it produced, full batches of them,
-/// and a span over its input; its rows and batches count into the metrics
-/// as an emitting operator's would. Any other root's rows go in as
-/// `row_value` makes them.
+/// own, so it neither spills nor counts as resident. A root `Map` of a
+/// tuple constructor over a join is evaluated by the join, where it would
+/// build its output row ([`op::Emit`]), and the tuple it emits instead is
+/// moved into the collector. Either way the `Map` still appears in the profile, with the
+/// distinct rows it produced, full batches of them, and a span over its
+/// input; its rows and batches count into the metrics as an emitting
+/// operator's would. Any other root's rows go in as `row_value` makes
+/// them.
 fn exit(
     plan: &PhysPlan,
     ctx: &mut ExecContext<'_>,
@@ -216,20 +219,30 @@ fn exit(
     est: Option<&[f64]>,
     row_value: impl Fn(&Shape, &Record) -> Value,
 ) -> Result<(Vec<Value>, Vec<OpProfile>)> {
-    let (input, map) = match plan {
-        PhysPlan::Map { input, expr, .. } => (&**input, Some(expr)),
-        root => (root, None),
-    };
     let (mut results, batch) = (Collector::default(), ctx.batch_size());
-    let mut root = operator::build(input, env);
-    let span = (map.is_some() && ctx.collect_timing()).then(Instant::now);
+    // The root `Map` evaluated here, or the one the join evaluates.
+    let (mut root, map, fused) = match plan {
+        PhysPlan::Map { input, expr, .. } => match (&**input, expr) {
+            (PhysPlan::Join { .. }, ScalarExpr::Tuple(_)) => {
+                (operator::build_mapped(input, env, expr), None, true)
+            }
+            (input, _) => {
+                let map = Compiled::new(expr, &[&input.output_vars()]);
+                (operator::build(input, env), Some(map), false)
+            }
+        },
+        root => (operator::build(root, env), None, false),
+    };
+    let mapped = matches!(plan, PhysPlan::Map { .. });
+    let span = (mapped && ctx.collect_timing()).then(Instant::now);
     let drained = root.open_timed(ctx).and_then(|()| {
         while let Some(b) = root.pull(ctx)? {
             let shape = root.shape();
-            for row in &b.rows {
-                results.values.push(match map {
-                    Some(expr) => eval(expr, &op::bind(env, shape, row))?,
-                    None => row_value(shape, row),
+            for row in b.rows {
+                results.values.push(match (&map, fused) {
+                    (Some(map), _) => map.eval(&op::bind(env, shape, &row))?,
+                    (None, true) => Value::Tuple(row),
+                    (None, false) => row_value(shape, &row),
                 });
             }
             results.end_batch(batch);
@@ -241,7 +254,7 @@ fn exit(
     drained?;
     let values = results.finish();
     let mut profile = Vec::new();
-    if map.is_some() {
+    if mapped {
         let stats = OpStats {
             rows_out: values.len() as u64,
             batches_out: values.len().div_ceil(batch) as u64,

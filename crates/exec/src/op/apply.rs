@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, Env, ScalarExpr};
+use tmql_algebra::{Compiled, Env};
 use tmql_model::hash::ValueMap;
 use tmql_model::{Result, SetValue, Value};
 
@@ -107,8 +107,8 @@ pub(crate) struct ApplyOp<'p> {
     subquery: &'p PhysPlan,
     label: Arc<str>,
     /// The cache key's expressions; empty for an invariant subquery
-    /// (single cached execution).
-    bindings: &'p [ScalarExpr],
+    /// (single cached execution), over an outer row.
+    bindings: Vec<Compiled<'p>>,
     /// The long-lived inner operator tree (reused across rows via
     /// rebind/open; kept across `close` so nested re-opens stay cheap).
     inner: Option<BoxedOperator<'p>>,
@@ -123,7 +123,7 @@ impl<'p> ApplyOp<'p> {
         child: BoxedOperator<'p>,
         subquery: &'p PhysPlan,
         label: &'p str,
-        bindings: &'p [ScalarExpr],
+        bindings: Vec<Compiled<'p>>,
     ) -> ApplyOp<'p> {
         ApplyOp {
             base,
@@ -197,7 +197,7 @@ impl Operator for ApplyOp<'_> {
             // expression might never be reached under the inner plan's own
             // evaluation order) — run uncached.
             let key: std::result::Result<Vec<Value>, _> =
-                self.bindings.iter().map(|e| eval(e, &sub_env)).collect();
+                self.bindings.iter().map(|e| e.eval(&sub_env)).collect();
             let set = match key {
                 Err(_) => run(ctx)?,
                 Ok(key) => {

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, AggFn, Env, ScalarExpr, SetOpKind};
+use tmql_algebra::{AggFn, Compiled, Env, SetOpKind};
 use tmql_model::record::Field;
 use tmql_model::{Record, Result, Value};
 
@@ -22,7 +22,7 @@ use super::{bind, bind_row, fields, no_such_var, output_value, project, Rows};
 pub fn nest(
     (rows, shape): Rows<'_>,
     keys: &[String],
-    value: &ScalarExpr,
+    value: &Compiled<'_>,
     label: &str,
     star: bool,
     env: &Env<'_>,
@@ -35,7 +35,7 @@ pub fn nest(
     for row in rows {
         let key_rec = project(shape, row, &keys)?;
         let keyvals: Vec<Value> = key_rec.values().cloned().collect();
-        let payload = eval(value, &bind(env, shape, row))?;
+        let payload = value.eval(&bind(env, shape, row))?;
         m.comparisons += 1;
         let slot = *slots.entry(keyvals).or_insert_with(|| {
             groups.push((key_rec, Vec::new()));
@@ -61,7 +61,7 @@ pub fn nest(
 /// mutual inverses in general.
 pub fn unnest(
     (rows, shape): Rows<'_>,
-    expr: &ScalarExpr,
+    expr: &Compiled<'_>,
     elem_var: &str,
     drop_vars: &[String],
     env: &Env<'_>,
@@ -71,7 +71,7 @@ pub fn unnest(
     // The variables a row keeps, gathered once per row.
     let mut kept: Vec<Field> = Vec::new();
     for row in rows {
-        let set = eval(expr, &bind(env, shape, row))?.into_set()?;
+        let set = expr.eval(&bind(env, shape, row))?.into_set()?;
         let mut dropped = 0;
         kept.clear();
         kept.extend(fields(shape, row).filter(|(l, _)| {
@@ -97,8 +97,8 @@ pub fn unnest(
 /// built from (Section 2).
 pub(crate) fn group_agg(
     (rows, shape): Rows<'_>,
-    keys: &[(String, ScalarExpr)],
-    aggs: &[(String, AggFn, ScalarExpr)],
+    keys: &[(String, Compiled<'_>)],
+    aggs: &[(String, AggFn, Compiled<'_>)],
     var: &str,
     env: &Env<'_>,
     m: &mut Metrics,
@@ -111,11 +111,11 @@ pub(crate) fn group_agg(
         let e = bind(env, shape, row);
         let mut keyvals = Vec::with_capacity(keys.len());
         for (_, ke) in keys {
-            keyvals.push(eval(ke, &e)?);
+            keyvals.push(ke.eval(&e)?);
         }
         let mut argvals = Vec::with_capacity(aggs.len());
         for (_, _, ae) in aggs {
-            argvals.push(eval(ae, &e)?);
+            argvals.push(ae.eval(&e)?);
         }
         m.comparisons += 1;
         let slot = *slots.entry(keyvals.clone()).or_insert_with(|| {
@@ -190,7 +190,7 @@ pub fn set_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::bound;
+    use crate::op::{bound, dynamic};
     use tmql_algebra::ScalarExpr as E;
 
     fn row(pairs: &[(&str, Value)]) -> Record {
@@ -207,7 +207,7 @@ mod tests {
         let out = nest(
             bound(&rows),
             &["b".to_string()],
-            &E::var("a"),
+            &dynamic(&E::var("a")),
             "as",
             false,
             &Env::new(),
@@ -229,7 +229,7 @@ mod tests {
         let star = nest(
             bound(&rows),
             &["x".to_string()],
-            &E::var("y"),
+            &dynamic(&E::var("y")),
             "ys",
             true,
             &Env::new(),
@@ -242,7 +242,7 @@ mod tests {
         let plain = nest(
             bound(&rows),
             &["x".to_string()],
-            &E::var("y"),
+            &dynamic(&E::var("y")),
             "ys",
             false,
             &Env::new(),
@@ -263,7 +263,7 @@ mod tests {
         ];
         let out = unnest(
             bound(&rows),
-            &E::var("s"),
+            &dynamic(&E::var("s")),
             "v",
             &["s".to_string()],
             &Env::new(),
@@ -283,7 +283,7 @@ mod tests {
         let nested = nest(
             bound(&rows),
             &["b".to_string()],
-            &E::var("a"),
+            &dynamic(&E::var("a")),
             "as",
             false,
             &Env::new(),
@@ -292,7 +292,7 @@ mod tests {
         .unwrap();
         let back = unnest(
             bound(&nested),
-            &E::var("as"),
+            &dynamic(&E::var("as")),
             "a",
             &["as".to_string()],
             &Env::new(),
@@ -322,8 +322,8 @@ mod tests {
         ];
         let out = group_agg(
             bound(&s_rows),
-            &[("c".to_string(), E::path("y", &["c"]))],
-            &[("cnt".to_string(), AggFn::Count, E::var("y"))],
+            &[("c".to_string(), dynamic(&E::path("y", &["c"])))],
+            &[("cnt".to_string(), AggFn::Count, dynamic(&E::var("y")))],
             "t",
             &Env::new(),
             &mut Metrics::new(),

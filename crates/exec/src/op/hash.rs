@@ -13,28 +13,27 @@
 
 use std::hash::{Hash, Hasher};
 
-use tmql_algebra::{eval_predicate, with_value, with_values, Env, ScalarExpr};
+use tmql_algebra::{with_values, Compiled, Env};
 use tmql_model::hash::{ChainIndex, ValueHasher};
 use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
 
-use super::{bind, Emit, RowMatch, Rows, Shape};
+use super::{bind, Emit, JoinKeys, RowMatch, Rows, Shape};
 
 /// A built hash table over the right (build) operand: the owned build
 /// rows, the hash of each row's key values, and one [`ChainIndex`] over
 /// their positions. No key is stored: a candidate's key is compared by
 /// reference out of its row, and only when its hash already matches.
 #[derive(Debug)]
-pub struct HashTable<'k> {
+pub struct HashTable {
     rows: Vec<Record>,
     shape: Shape,
     hashes: Vec<u64>,
     index: ChainIndex,
-    keys: &'k [ScalarExpr],
 }
 
-impl HashTable<'_> {
+impl HashTable {
     /// Number of resident build-side rows (for peak-memory accounting).
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -51,12 +50,12 @@ impl HashTable<'_> {
 /// spill partition). Returns `None` if any key is NULL (NULL never
 /// equi-joins).
 pub(super) fn hash_keys(
-    keys: &[ScalarExpr],
+    keys: &[Compiled<'_>],
     env: &Env<'_>,
     mut h: ValueHasher,
 ) -> Result<Option<u64>> {
     for k in keys {
-        let null = with_value(k, env, |v| {
+        let null = k.with_value(env, |v| {
             v.hash(&mut h);
             Ok(v.is_null())
         })?;
@@ -67,20 +66,20 @@ pub(super) fn hash_keys(
     Ok(Some(h.finish()))
 }
 
-/// Build phase: index `right` (rows of shape `shape`) by its key values.
-/// Rows with a NULL key are dropped — NULL never equi-joins, consistent
-/// with SQL semantics in the relational baselines.
-pub fn build<'k>(
+/// Build phase: index `right` (rows of shape `shape`) by its key values
+/// (`keys.right`). Rows with a NULL key are dropped — NULL never
+/// equi-joins, consistent with SQL semantics in the relational baselines.
+pub fn build(
     right: Vec<Record>,
     shape: &Shape,
-    right_keys: &'k [ScalarExpr],
+    keys: &JoinKeys<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
-) -> Result<HashTable<'k>> {
+) -> Result<HashTable> {
     let mut rows = Vec::with_capacity(right.len());
     let mut hashes = Vec::with_capacity(right.len());
     for r in right {
-        if let Some(hash) = hash_keys(right_keys, &bind(env, shape, &r), ValueHasher::default())? {
+        if let Some(hash) = hash_keys(&keys.right, &bind(env, shape, &r), ValueHasher::default())? {
             hashes.push(hash);
             rows.push(r);
             m.hash_build_rows += 1;
@@ -91,7 +90,6 @@ pub fn build<'k>(
         rows,
         shape: shape.clone(),
         hashes,
-        keys: right_keys,
     })
 }
 
@@ -99,10 +97,9 @@ pub fn build<'k>(
 /// are independent of each other, so this streams.
 pub fn probe(
     (left, ls): Rows<'_>,
-    table: &HashTable<'_>,
-    left_keys: &[ScalarExpr],
-    residual: Option<&ScalarExpr>,
-    emit: &Emit,
+    table: &HashTable,
+    keys: &JoinKeys<'_>,
+    emit: &Emit<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
@@ -113,7 +110,7 @@ pub fn probe(
     for l in left {
         let probe_env = bind(env, ls, l);
         m.hash_probes += 1;
-        let hash = hash_keys(left_keys, &probe_env, ValueHasher::default())?;
+        let hash = hash_keys(&keys.left, &probe_env, ValueHasher::default())?;
         // Build rows of this hash's bucket, in build order; `None` (a NULL
         // key) probes nothing.
         for ri in hash.into_iter().flat_map(|h| table.index.chain(h)) {
@@ -125,12 +122,12 @@ pub fn probe(
             // Equal hashes: now the keys themselves, both sides by
             // reference out of their rows, then the residual.
             let mut hit = true;
-            for (lk, rk) in left_keys.iter().zip(table.keys) {
+            for (lk, rk) in keys.left_in_pair.iter().zip(&keys.right) {
                 hit = hit && with_values(lk, rk, &pair_env, |a, b| Ok(a == b))?;
             }
-            if let (true, Some(p)) = (hit, residual) {
+            if let (true, Some(p)) = (hit, &keys.residual) {
                 m.comparisons += 1;
-                hit = eval_predicate(p, &pair_env)?;
+                hit = p.test(&pair_env)?;
             }
             if hit {
                 row.hit(emit, (ls, l), (rs, r), &pair_env, m, &mut out)?;
@@ -147,25 +144,22 @@ pub fn probe(
 /// One-shot hash join of materialized operands on equi-keys plus an
 /// optional residual predicate ([`build`] then [`probe`]).
 #[cfg(test)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn join(
     left: Rows<'_>,
     (right, rs): Rows<'_>,
-    left_keys: &[ScalarExpr],
-    right_keys: &[ScalarExpr],
-    residual: Option<&ScalarExpr>,
-    emit: &Emit,
+    keys: &JoinKeys<'_>,
+    emit: &Emit<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
-    let table = build(right.to_vec(), rs, right_keys, env, m)?;
-    probe(left, &table, left_keys, residual, emit, env, m)
+    let table = build(right.to_vec(), rs, keys, env, m)?;
+    probe(left, &table, keys, emit, env, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{bound, Emit, JoinKind};
+    use crate::op::{bound, dynamic, keys, Emit, JoinKind};
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
     use tmql_model::Value;
@@ -201,7 +195,7 @@ mod tests {
                 right_vars: vec!["y".into()],
             },
             JoinKind::Nest {
-                func: E::var("y"),
+                func: dynamic(&E::var("y")),
                 label: "s".into(),
             },
         ];
@@ -209,9 +203,7 @@ mod tests {
             let h = join(
                 bound(&x),
                 bound(&y),
-                &lk,
-                &rk,
-                None,
+                &keys(&lk, &rk, None),
                 &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
@@ -220,7 +212,7 @@ mod tests {
             let n = super::super::nl::join(
                 bound(&x),
                 bound(&y),
-                &pred,
+                &dynamic(&pred),
                 &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
@@ -264,7 +256,7 @@ mod tests {
                 right_vars: vec!["y".into()],
             },
             JoinKind::Nest {
-                func: E::path("y", &["a"]),
+                func: dynamic(&E::path("y", &["a"])),
                 label: "s".into(),
             },
         ];
@@ -273,9 +265,7 @@ mod tests {
             let h = join(
                 bound(&x),
                 bound(&y),
-                &lk,
-                &rk,
-                Some(&residual),
+                &keys(&lk, &rk, Some(&residual)),
                 &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut hm,
@@ -283,7 +273,7 @@ mod tests {
             let n = super::super::nl::join(
                 bound(&x),
                 bound(&y),
-                &pred,
+                &dynamic(&pred),
                 &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut nm,
@@ -304,12 +294,12 @@ mod tests {
         let (x, y, lk, rk) = fixture();
         let env = Env::new();
         let mut m = Metrics::new();
-        let table = build(y.clone(), &Shape::BOUND, &rk, &env, &mut m).unwrap();
+        let keys = keys(&lk, &rk, None);
+        let table = build(y.clone(), &Shape::BOUND, &keys, &env, &mut m).unwrap();
         let whole = probe(
             bound(&x),
             &table,
-            &lk,
-            None,
+            &keys,
             &Emit::from(JoinKind::Inner),
             &env,
             &mut m,
@@ -322,8 +312,7 @@ mod tests {
                     probe(
                         bound(chunk),
                         &table,
-                        &lk,
-                        None,
+                        &keys,
                         &Emit::from(JoinKind::Inner),
                         &env,
                         &mut m,
@@ -339,15 +328,13 @@ mod tests {
     fn nest_join_dangling_probe_gets_empty_set() {
         let (x, y, lk, rk) = fixture();
         let kind = JoinKind::Nest {
-            func: E::path("y", &["a"]),
+            func: dynamic(&E::path("y", &["a"])),
             label: "s".into(),
         };
         let out = join(
             bound(&x),
             bound(&y),
-            &lk,
-            &rk,
-            None,
+            &keys(&lk, &rk, None),
             &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
@@ -369,9 +356,7 @@ mod tests {
         let out = join(
             bound(&x),
             bound(&y),
-            &lk,
-            &rk,
-            Some(&residual),
+            &keys(&lk, &rk, Some(&residual)),
             &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut Metrics::new(),
@@ -395,9 +380,7 @@ mod tests {
         let out = join(
             bound(&x),
             bound(&y),
-            &lk,
-            &rk,
-            None,
+            &keys(&lk, &rk, None),
             &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut Metrics::new(),
@@ -413,9 +396,7 @@ mod tests {
         let _ = join(
             bound(&x),
             bound(&y),
-            &lk,
-            &rk,
-            None,
+            &keys(&lk, &rk, None),
             &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut m,

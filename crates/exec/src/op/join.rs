@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use tmql_algebra::{eval, Env, ScalarExpr};
+use tmql_algebra::{Compiled, Env};
 use tmql_model::{ModelError, Record, Result};
 use tmql_storage::spill::{RunWriter, SpillFile};
 
@@ -17,13 +17,13 @@ use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, OpStats, Operator};
 use crate::op::spill::{self, Drained, KeyFilter, PartFn, Partitions, Side};
-use crate::op::{self, hash, nl, Emit, RowMatch, Shape};
-use crate::planner::EquiSplit;
+use crate::op::{self, hash, nl, Emit, JoinKeys, RowMatch, Shape};
 
 /// How a [`JoinOp`] finds a left row's candidates.
 pub(super) enum Algo<'p> {
-    /// Nested loop: every row of the right operand, under `pred`.
-    Nl(&'p ScalarExpr),
+    /// Nested loop: every row of the right operand, under `pred` (over a
+    /// pair).
+    Nl(Compiled<'p>),
     /// Index nested loop: no right operand is built. The secondary index
     /// on `table.attr` is probed with the left row's `key`, which finds
     /// the rows whose attribute equals it under the one equality `=`
@@ -33,22 +33,22 @@ pub(super) enum Algo<'p> {
     Index {
         table: &'p str,
         attr: &'p str,
-        key: &'p ScalarExpr,
-        pred: &'p ScalarExpr,
+        key: Compiled<'p>,
+        pred: Compiled<'p>,
     },
     /// Hash: the right operand is the build side, bucketed on the right
     /// keys of `keys`; a left row probes with the left ones, and the
     /// residual checks each key match. Past the memory budget both sides
     /// partition by `build_part` / `probe_part` (grace hash).
     Hash {
-        keys: &'p EquiSplit,
+        keys: JoinKeys<'p>,
         build_part: PartFn<'p>,
         probe_part: PartFn<'p>,
     },
 }
 
 /// What a [`JoinOp`] holds of its right operand.
-enum Inner<'p> {
+enum Inner {
     /// Not consumed yet (an index join never consumes one).
     Pending,
     /// Nested loop: the right operand's rows, resident.
@@ -58,7 +58,7 @@ enum Inner<'p> {
     Runs(Vec<SpillFile>),
     /// Hash: the build side fit — one resident table, the probe side
     /// streams past it.
-    Table(hash::HashTable<'p>),
+    Table(hash::HashTable),
     /// Hash past the budget: the build side is in runs, and the probe side
     /// is streaming into `probe` runs split the same way — those of its
     /// rows, that is, whose key hash `filter` has seen on the build side.
@@ -90,9 +90,9 @@ pub(super) struct JoinOp<'p> {
     /// The shape of the inner rows: the right operand's, or (index join)
     /// the fetched tuples bound to the path's `var`.
     rs: Shape,
-    emit: Emit,
+    emit: Emit<'p>,
     algo: Algo<'p>,
-    inner: Inner<'p>,
+    inner: Inner,
     /// Output rows not yet emitted: those the fused selection kept.
     carry: VecDeque<Record>,
     done: bool,
@@ -104,7 +104,7 @@ impl<'p> JoinOp<'p> {
         left: BoxedOperator<'p>,
         right: Option<BoxedOperator<'p>>,
         rs: Shape,
-        emit: Emit,
+        emit: Emit<'p>,
         algo: Algo<'p>,
     ) -> Self {
         JoinOp {
@@ -140,7 +140,7 @@ fn drain<'p>(
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
     stats: &mut OpStats,
-) -> Result<Inner<'p>> {
+) -> Result<Inner> {
     Ok(match algo {
         Algo::Nl(_) => {
             // Every row to one partition: the spilled inner side is one run.
@@ -171,7 +171,7 @@ fn drain<'p>(
                     // resident state.
                     let n_in = rows.len();
                     let m = &mut ctx.metrics;
-                    let table = hash::build(rows, rs, &keys.right_keys, env, m);
+                    let table = hash::build(rows, rs, keys, env, m);
                     ctx.resident_release(n_in - table.as_ref().map_or(0, hash::HashTable::len));
                     Inner::Table(table?)
                 }
@@ -269,7 +269,7 @@ impl Operator for JoinOp<'_> {
                 };
                 carry.extend(spill::run_partition(ctx, part, |[build_f, probe_f], m| {
                     let build = build_f.reader()?.read_all()?;
-                    let table = hash::build(build, rs, &keys.right_keys, env, m)?;
+                    let table = hash::build(build, rs, keys, env, m)?;
                     let mut out = Vec::new();
                     let mut reader = probe_f.reader()?;
                     loop {
@@ -278,8 +278,7 @@ impl Operator for JoinOp<'_> {
                             return Ok(out);
                         }
                         let left = (batch.as_slice(), &ls);
-                        let (lk, residual) = (&keys.left_keys, keys.residual.as_ref());
-                        out.extend(hash::probe(left, &table, lk, residual, emit, env, m)?);
+                        out.extend(hash::probe(left, &table, keys, emit, env, m)?);
                     }
                 })?);
                 stats.rows_skipped += emit.take_skipped();
@@ -348,7 +347,7 @@ impl Operator for JoinOp<'_> {
                     let t = catalog.table(table)?;
                     let mut state = [RowMatch::default()];
                     for l in &b.rows {
-                        let positions = idx.probe_eq(&eval(key, &op::bind(env, &ls, l))?);
+                        let positions = idx.probe_eq(&key.eval(&op::bind(env, &ls, l))?);
                         ctx.metrics.index_probes += 1;
                         ctx.metrics.index_hits += positions.len() as u64;
                         let outer = (std::slice::from_ref(l), &ls);
@@ -366,9 +365,8 @@ impl Operator for JoinOp<'_> {
                     }
                 }
                 (Algo::Hash { keys, .. }, Inner::Table(table)) => {
-                    let (lk, residual) = (&keys.left_keys, keys.residual.as_ref());
                     let m = &mut ctx.metrics;
-                    out = hash::probe(left_rows, table, lk, residual, emit, env, m)?;
+                    out = hash::probe(left_rows, table, keys, emit, env, m)?;
                 }
                 // Partitioning pass: a probe row goes to the run its hash
                 // selects if a build row may share its key, and else takes

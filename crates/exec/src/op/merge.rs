@@ -8,12 +8,12 @@
 //! decides what it emits. Rows with NULL keys have no candidates (they
 //! cannot equi-match): a left one still ends as dangling.
 
-use tmql_algebra::{eval_predicate, Env, ScalarExpr};
+use tmql_algebra::{Compiled, Env};
 use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
 
-use super::{bind, eval_keys, Emit, RowMatch, Rows};
+use super::{bind, eval_keys, Emit, JoinKeys, RowMatch, Rows};
 
 /// One operand row tagged with its evaluated key (`None` = NULL key).
 struct Keyed<'a> {
@@ -23,7 +23,7 @@ struct Keyed<'a> {
 
 fn sort_side<'a>(
     (rows, shape): Rows<'a>,
-    keys: &[ScalarExpr],
+    keys: &[Compiled<'_>],
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Keyed<'a>>> {
@@ -39,20 +39,17 @@ fn sort_side<'a>(
 
 /// Sort-merge join of materialized operands on equi-keys plus an optional
 /// residual predicate.
-#[allow(clippy::too_many_arguments)]
 pub fn join(
     left: Rows<'_>,
     right: Rows<'_>,
-    left_keys: &[ScalarExpr],
-    right_keys: &[ScalarExpr],
-    residual: Option<&ScalarExpr>,
-    emit: &Emit,
+    keys: &JoinKeys<'_>,
+    emit: &Emit<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
     let (lshape, rshape) = (left.1, right.1);
-    let ls = sort_side(left, left_keys, env, m)?;
-    let rs = sort_side(right, right_keys, env, m)?;
+    let ls = sort_side(left, &keys.left, env, m)?;
+    let rs = sort_side(right, &keys.right, env, m)?;
     let mut out = Vec::new();
     // One left row's match state, reused across left rows.
     let mut row = RowMatch::default();
@@ -99,9 +96,9 @@ pub fn join(
             for rrow in &rs[ri..rj] {
                 let r = rrow.row;
                 let pair_env = bind(&left_env, rshape, r);
-                if let Some(p) = residual {
+                if let Some(p) = &keys.residual {
                     m.comparisons += 1;
-                    if !eval_predicate(p, &pair_env)? {
+                    if !p.test(&pair_env)? {
                         continue;
                     }
                 }
@@ -121,7 +118,7 @@ pub fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{bound, Emit, JoinKind};
+    use crate::op::{bound, dynamic, keys, Emit, JoinKind};
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
@@ -155,7 +152,7 @@ mod tests {
                 right_vars: vec!["y".into()],
             },
             JoinKind::Nest {
-                func: E::var("y"),
+                func: dynamic(&E::var("y")),
                 label: "s".into(),
             },
         ];
@@ -163,9 +160,7 @@ mod tests {
             let mj = join(
                 bound(&x),
                 bound(&y),
-                &lk,
-                &rk,
-                None,
+                &keys(&lk, &rk, None),
                 &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
@@ -174,7 +169,7 @@ mod tests {
             let nl = super::super::nl::join(
                 bound(&x),
                 bound(&y),
-                &pred,
+                &dynamic(&pred),
                 &Emit::from(kind.clone()),
                 &Env::new(),
                 &mut Metrics::new(),
@@ -191,15 +186,13 @@ mod tests {
         let x = rows("x", &[(1, 1), (2, 1)], "e", "d");
         let y = rows("y", &[(10, 1), (11, 1)], "a", "b");
         let kind = JoinKind::Nest {
-            func: E::path("y", &["a"]),
+            func: dynamic(&E::path("y", &["a"])),
             label: "s".into(),
         };
         let out = join(
             bound(&x),
             bound(&y),
-            &[E::path("x", &["d"])],
-            &[E::path("y", &["b"])],
-            None,
+            &keys(&[E::path("x", &["d"])], &[E::path("y", &["b"])], None),
             &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
@@ -222,15 +215,13 @@ mod tests {
         x.push(Record::new([("x".to_string(), Value::Tuple(null_tup))]).unwrap());
         let y = rows("y", &[(1, 1)], "a", "b");
         let kind = JoinKind::Nest {
-            func: E::var("y"),
+            func: dynamic(&E::var("y")),
             label: "s".into(),
         };
         let out = join(
             bound(&x),
             bound(&y),
-            &[E::path("x", &["d"])],
-            &[E::path("y", &["b"])],
-            None,
+            &keys(&[E::path("x", &["d"])], &[E::path("y", &["b"])], None),
             &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
@@ -260,9 +251,7 @@ mod tests {
         let _ = join(
             bound(&x),
             bound(&y),
-            &[E::path("x", &["d"])],
-            &[E::path("y", &["b"])],
-            None,
+            &keys(&[E::path("x", &["d"])], &[E::path("y", &["b"])], None),
             &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut m,

@@ -40,12 +40,13 @@ mod stream;
 use std::cell::Cell;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
+use tmql_algebra::{Compiled, Env, Plan, ScalarExpr};
 use tmql_model::record::Field;
 use tmql_model::{ModelError, Record, Result, SetValue, Value};
 
 use crate::metrics::Metrics;
-use crate::physical::{JoinPath, PhysPlan};
+use crate::physical::PhysPlan;
+use crate::planner::EquiSplit;
 
 /// What a row between two operators is — known per plan node, never per
 /// row. Either a **record of bindings** (one field per output variable:
@@ -163,15 +164,18 @@ pub(crate) fn output_value(shape: &Shape, row: &Record) -> Value {
     }
 }
 
+/// Each of `exprs` compiled for rows whose frames bind `frames` (innermost
+/// first; see [`Compiled::new`]).
+pub fn compile_all<'e>(exprs: &'e [ScalarExpr], frames: &[&[String]]) -> Vec<Compiled<'e>> {
+    exprs.iter().map(|e| Compiled::new(e, frames)).collect()
+}
+
 /// Evaluate a list of key expressions over `env`.
 /// Returns `None` if any key is NULL (NULL never equi-joins).
-pub(crate) fn eval_keys(
-    keys: &[tmql_algebra::ScalarExpr],
-    env: &Env<'_>,
-) -> Result<Option<Vec<Value>>> {
+pub(crate) fn eval_keys(keys: &[Compiled<'_>], env: &Env<'_>) -> Result<Option<Vec<Value>>> {
     let mut out = Vec::with_capacity(keys.len());
     for k in keys {
-        let v = eval(k, env)?;
+        let v = k.eval(env)?;
         if v.is_null() {
             return Ok(None);
         }
@@ -180,12 +184,38 @@ pub(crate) fn eval_keys(
     Ok(Some(out))
 }
 
+/// A hash or sort-merge join's [`EquiSplit`], compiled for where each part
+/// is evaluated: the left keys over a left row, the right keys over a
+/// right row — or over a pair, whose innermost frame is the right row —
+/// and the residual over a pair.
+#[derive(Debug)]
+pub struct JoinKeys<'p> {
+    pub(crate) left: Vec<Compiled<'p>>,
+    pub(crate) right: Vec<Compiled<'p>>,
+    /// The left keys over a pair: how a probe compares a candidate's key.
+    pub(crate) left_in_pair: Vec<Compiled<'p>>,
+    pub(crate) residual: Option<Compiled<'p>>,
+}
+
+impl<'p> JoinKeys<'p> {
+    /// `split` between operands whose rows bind `left` and `right`.
+    pub fn new(split: &'p EquiSplit, (left, right): (&[String], &[String])) -> Self {
+        let pair = [right, left];
+        JoinKeys {
+            left: compile_all(&split.left_keys, &[left]),
+            right: compile_all(&split.right_keys, &[right]),
+            left_in_pair: compile_all(&split.left_keys, &pair),
+            residual: split.residual.as_ref().map(|p| Compiled::new(p, &pair)),
+        }
+    }
+}
+
 /// What a join emits per left row, as its operator holds it: the plan's
 /// [`tmql_algebra::JoinKind`], with what the output rows need interned
-/// once when the operator is built ([`JoinKind::of`]) — so a dangling row
-/// allocates no label.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JoinKind {
+/// and compiled once when the operator is built ([`JoinKind::of`]) — so a
+/// dangling row allocates no label.
+#[derive(Debug, Clone)]
+pub enum JoinKind<'p> {
     /// Regular join: concatenated matching pairs.
     Inner,
     /// Semijoin ⋉: left rows with a match.
@@ -201,78 +231,138 @@ pub enum JoinKind {
     /// Nest join Δ: left row extended with the set of `func` images of
     /// matching right rows under `label`.
     Nest {
-        /// Join function G(x, y).
-        func: ScalarExpr,
+        /// Join function G(x, y), over a pair.
+        func: Compiled<'p>,
         /// Output label for the nested set.
         label: Arc<str>,
     },
 }
 
-impl JoinKind {
-    /// The kind an operator runs for a plan join of `kind` over `path`.
-    pub fn of(kind: &tmql_algebra::JoinKind, path: &JoinPath) -> JoinKind {
+impl<'p> JoinKind<'p> {
+    /// The kind an operator runs for a plan join of `kind` between
+    /// operands whose rows bind `left` and `right`.
+    pub fn of(kind: &'p tmql_algebra::JoinKind, (left, right): (&[String], &[String])) -> Self {
         use tmql_algebra::JoinKind as K;
         match kind {
             K::Inner => JoinKind::Inner,
             K::Semi => JoinKind::Semi,
             K::Anti => JoinKind::Anti,
             K::LeftOuter => JoinKind::LeftOuter {
-                right_vars: path.right_vars().into_iter().map(Arc::from).collect(),
+                right_vars: right.iter().map(|v| Arc::from(v.as_str())).collect(),
             },
             K::Nest { func, label } => JoinKind::Nest {
-                func: func.clone(),
+                func: Compiled::new(func, &[right, left]),
                 label: label.as_str().into(),
             },
         }
     }
 }
 
+/// The row a root `Map` of a tuple constructor, evaluated by the join
+/// under it, emits where the join would build its output row: the tuple
+/// itself, which the executor's exit moves into its result set.
+fn mapped(map: &Compiled<'_>, row: &Env<'_>) -> Result<Record> {
+    match map.eval(row)? {
+        Value::Tuple(row) => Ok(row),
+        v => v.as_tuple().cloned(),
+    }
+}
+
 /// What a join's operator emits: the rows of its [`JoinKind`] that the
-/// selection directly over the join, fused into it, accepts. The
-/// selection is decided on the bindings an output row would have — ⋈
-/// and a matched ⟕ on the pair, ⋉ and ▷ on the left row, a dangling ⟕
-/// on its NULL extension, Δ on the left row plus `label → set` — under
-/// the operator's correlation environment, and a row it rejects is never
-/// built. It filters output rows and is never part of the join predicate,
-/// so what ⟕ and Δ answer for a dangling row is unchanged.
+/// selection directly over the join, fused into it, accepts — each made
+/// into the tuple of the root `Map` over the join when the executor's exit
+/// fused one in. Both are evaluated on the bindings an output
+/// row would have — ⋈ and a matched ⟕ on the pair, ⋉ and ▷ on the left
+/// row, a dangling ⟕ on its NULL extension, Δ on the left row plus
+/// `label → set` — under the operator's correlation environment, the
+/// selection first, and a row it rejects is never built. It filters
+/// output rows and is never part of the join predicate, so what ⟕ and Δ
+/// answer for a dangling row is unchanged.
 ///
 /// A row the join produces counts what it counted as the input of a
 /// `Filter` above the join: one `comparisons` and one `rows_emitted`
-/// (the hand-over, made in place, as a filtering scan counts it).
+/// (the hand-over, made in place, as a filtering scan counts it). The
+/// map changes no counter: the join emits one row per output row. Only a
+/// tuple constructor is fused: its value is a row, so it replaces the row
+/// the join would build, where any other value would need a `(var = value)`
+/// row of its own.
 #[derive(Debug)]
-pub struct Emit {
-    pub(crate) kind: JoinKind,
+pub struct Emit<'p> {
+    pub(crate) kind: JoinKind<'p>,
+    /// A dangling ⟕ row's right side: every right variable bound to NULL.
+    nulls: Record,
     /// The fused selection.
-    select: Option<ScalarExpr>,
+    select: Option<Compiled<'p>>,
+    /// The fused root `Map`'s tuple constructor.
+    map: Option<Compiled<'p>>,
     /// A variable the output rows would bind twice (decided once per
     /// operator, from the plan): no such row can be built, so each one the
-    /// selection would decide fails as building it would.
+    /// selection or the map would read fails as building it would.
     clash: Option<String>,
     /// Rows the selection rejected that the operator has not yet counted
     /// in its `rows_skipped`.
     skipped: Cell<u64>,
 }
 
-impl From<JoinKind> for Emit {
-    /// Every row of `kind`: no selection.
-    fn from(kind: JoinKind) -> Emit {
-        Emit::new(kind, None, Vec::new())
+impl<'p> From<JoinKind<'p>> for Emit<'p> {
+    /// Every row of `kind`, built: no selection, no map.
+    fn from(kind: JoinKind<'p>) -> Self {
+        Emit::with(kind, None, None, None)
     }
 }
 
-impl Emit {
-    /// The rows of `kind` that `select` accepts; `vars` are the output
-    /// rows' variables ([`PhysPlan::output_vars`] of the join).
-    pub fn new(kind: JoinKind, select: Option<&ScalarExpr>, vars: Vec<String>) -> Emit {
+impl<'p> Emit<'p> {
+    /// The rows a plan join of `kind` between operands whose rows bind
+    /// `vars` (left, right) emits that `select` accepts, made into the
+    /// tuple `map` (a tuple constructor) makes of each, when one is given.
+    pub fn new(
+        kind: &'p tmql_algebra::JoinKind,
+        vars: (&[String], &[String]),
+        select: Option<&'p ScalarExpr>,
+        map: Option<&'p ScalarExpr>,
+    ) -> Self {
+        use tmql_algebra::JoinKind as K;
+        let (left, right) = vars;
+        // The frames of an output row's bindings.
+        let frames: &[&[String]] = match kind {
+            K::Semi | K::Anti => &[left],
+            K::Nest { label, .. } => &[std::slice::from_ref(label), left],
+            _ => &[right, left],
+        };
+        let reads = select.is_some() || map.is_some();
+        let out = reads.then(|| kind.output_vars(left.to_vec(), right.to_vec()));
+        let select = select.map(|p| Compiled::new(p, frames));
+        let map = map.map(|expr| Compiled::new(expr, frames));
+        Emit::with(JoinKind::of(kind, vars), select, map, out)
+    }
+
+    fn with(
+        kind: JoinKind<'p>,
+        select: Option<Compiled<'p>>,
+        map: Option<Compiled<'p>>,
+        vars: Option<Vec<String>>,
+    ) -> Self {
         let builds = !matches!(kind, JoinKind::Semi | JoinKind::Anti);
+        let reads = select.is_some() || map.is_some();
+        let vars = vars.unwrap_or_default();
         let twice = |(i, v): &(usize, &String)| vars[..*i].contains(v);
-        let clash = match (builds, select) {
-            (true, Some(_)) => vars.iter().enumerate().find(twice).map(|(_, v)| v.clone()),
-            _ => None,
+        let clash = match builds && reads {
+            true => vars.iter().enumerate().find(twice).map(|(_, v)| v.clone()),
+            false => None,
+        };
+        // Distinct unless the plan is broken, and then `clash` fails every
+        // row that would read them.
+        let nulls = match &kind {
+            JoinKind::LeftOuter { right_vars } => {
+                Record::new(right_vars.iter().map(|v| (v.clone(), Value::Null))).unwrap_or_default()
+            }
+            _ => Record::empty(),
         };
         Emit {
             kind,
-            select: select.cloned(),
+            nulls,
+            select,
+            map,
             clash,
             skipped: Cell::new(0),
         }
@@ -281,19 +371,37 @@ impl Emit {
     /// Whether the output row `row` binds passes the selection: one
     /// `comparisons` and one `rows_emitted` when there is a selection.
     fn admits(&self, row: &Env<'_>, m: &mut Metrics) -> Result<bool> {
-        let Some(select) = &self.select else {
-            return Ok(true);
-        };
         if let Some(var) = &self.clash {
             return Err(ModelError::DuplicateField(var.clone()));
         }
+        let Some(select) = &self.select else {
+            return Ok(true);
+        };
         m.comparisons += 1;
         m.rows_emitted += 1;
-        let keep = eval_predicate(select, row)?;
+        let keep = select.test(row)?;
         if !keep {
             self.skipped.set(self.skipped.get() + 1);
         }
         Ok(keep)
+    }
+
+    /// Emit the output row `row` binds, if the selection admits it: the
+    /// map's value, or the row `build` makes.
+    fn push(
+        &self,
+        row: &Env<'_>,
+        m: &mut Metrics,
+        out: &mut Vec<Record>,
+        build: impl FnOnce() -> Result<Record>,
+    ) -> Result<()> {
+        if self.admits(row, m)? {
+            out.push(match &self.map {
+                Some(map) => mapped(map, row)?,
+                None => build()?,
+            });
+        }
+        Ok(())
     }
 
     /// Whether a selection is fused in.
@@ -314,8 +422,8 @@ impl Emit {
 /// every algorithm feeds it the candidates it finds ([`RowMatch::hit`]),
 /// stops early once [`RowMatch::decided`], and ends the row with
 /// [`RowMatch::finish`]; nothing else in the executor builds a join's
-/// output, and both decide the fused selection ([`Emit`]) before they
-/// build a row.
+/// output, and both decide the fused selection, and evaluate the fused
+/// map, where they would build a row ([`Emit`]).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct RowMatch {
     matched: bool,
@@ -328,7 +436,7 @@ impl RowMatch {
     /// only note the match.
     pub(crate) fn hit(
         &mut self,
-        emit: &Emit,
+        emit: &Emit<'_>,
         (ls, l): (&Shape, &Record),
         (rs, r): (&Shape, &Record),
         pair: &Env<'_>,
@@ -338,19 +446,17 @@ impl RowMatch {
         self.matched = true;
         match &emit.kind {
             JoinKind::Inner | JoinKind::LeftOuter { .. } => {
-                if emit.admits(pair, m)? {
-                    out.push(concat(ls, l, rs, r)?);
-                }
+                emit.push(pair, m, out, || concat(ls, l, rs, r))?
             }
             JoinKind::Semi | JoinKind::Anti => {}
-            JoinKind::Nest { func, .. } => self.nested.push(eval(func, pair)?),
+            JoinKind::Nest { func, .. } => self.nested.push(func.eval(pair)?),
         }
         Ok(())
     }
 
     /// ⋉ and ▷ are decided by the first match: no further candidate can
     /// change what the row emits.
-    pub(crate) fn decided(&self, kind: &JoinKind) -> bool {
+    pub(crate) fn decided(&self, kind: &JoinKind<'_>) -> bool {
         self.matched && matches!(kind, JoinKind::Semi | JoinKind::Anti)
     }
 
@@ -361,35 +467,36 @@ impl RowMatch {
     /// correlation environment.
     pub(crate) fn finish(
         &mut self,
-        emit: &Emit,
+        emit: &Emit<'_>,
         (ls, l): (&Shape, &Record),
         env: &Env<'_>,
         m: &mut Metrics,
         out: &mut Vec<Record>,
     ) -> Result<()> {
         let matched = std::mem::take(&mut self.matched);
+        let left = bind(env, ls, l);
         match &emit.kind {
             JoinKind::Inner => {}
             JoinKind::Semi | JoinKind::Anti => {
-                let semi = matches!(emit.kind, JoinKind::Semi);
-                if matched == semi && emit.admits(&bind(env, ls, l), m)? {
-                    out.push(l.clone());
+                if matched == matches!(emit.kind, JoinKind::Semi) {
+                    emit.push(&left, m, out, || Ok(l.clone()))?;
                 }
             }
-            // The NULL extension is built first: the selection decides
-            // it as the bound row it is.
+            // The right side bound to NULL where a match would be.
             JoinKind::LeftOuter { right_vars } => {
                 if !matched {
-                    let row = null_extend(ls, l, right_vars)?;
-                    if emit.admits(&env.bind_row(&row), m)? {
-                        out.push(row);
-                    }
+                    let dangling = left.bind_row(&emit.nulls);
+                    emit.push(&dangling, m, out, || null_extend(ls, l, right_vars))?;
                 }
             }
             JoinKind::Nest { label, .. } => {
                 let set = Value::Set(SetValue::drain_from(&mut self.nested));
-                if emit.admits(&bind(env, ls, l).bind(label, &set), m)? {
-                    out.push(extend(ls, l, label, set)?);
+                let row = left.bind(label, &set);
+                if emit.admits(&row, m)? {
+                    out.push(match &emit.map {
+                        Some(map) => mapped(map, &row)?,
+                        None => extend(ls, l, label, set)?,
+                    });
                 }
             }
         }
@@ -402,6 +509,29 @@ impl RowMatch {
 pub(crate) fn bound(rows: &[Record]) -> Rows<'_> {
     static BOUND: Shape = Shape::BOUND;
     (rows, &BOUND)
+}
+
+/// A test's expression, every variable searched for by name (leaked: a
+/// test's operators outlive the expression it built them from).
+#[cfg(test)]
+pub(crate) fn dynamic(e: &ScalarExpr) -> Compiled<'static> {
+    Compiled::new(Box::leak(Box::new(e.clone())), &[])
+}
+
+/// A test's join keys between rows binding `x` (left) and `y` (right)
+/// (leaked, as [`dynamic`]'s expression).
+#[cfg(test)]
+pub(crate) fn keys(
+    lk: &[ScalarExpr],
+    rk: &[ScalarExpr],
+    residual: Option<&ScalarExpr>,
+) -> JoinKeys<'static> {
+    let split = EquiSplit {
+        left_keys: lk.to_vec(),
+        right_keys: rk.to_vec(),
+        residual: residual.cloned(),
+    };
+    JoinKeys::new(Box::leak(Box::new(split)), (&["x".into()], &["y".into()]))
 }
 
 #[cfg(test)]
@@ -417,7 +547,7 @@ mod tests {
     fn eval_keys_rejects_null() {
         let mut env = Env::new();
         env.push("x", Value::Null);
-        let keys = vec![E::var("x")];
+        let keys = vec![dynamic(&E::var("x"))];
         assert_eq!(eval_keys(&keys, &env).unwrap(), None);
         env.push("x", Value::Int(3));
         assert_eq!(eval_keys(&keys, &env).unwrap(), Some(vec![Value::Int(3)]));
@@ -502,11 +632,11 @@ mod tests {
         let (lk, rk) = ([E::path("x", &["d"])], [E::path("y", &["b"])]);
         let pred = E::eq(lk[0].clone(), rk[0].clone());
         let kind = JoinKind::Nest {
-            func: E::Tuple(vec![
+            func: dynamic(&E::Tuple(vec![
                 ("k".into(), E::var("k")),
                 ("z".into(), E::path("x", &["e", "z"])),
                 ("a".into(), E::path("y", &["a"])),
-            ]),
+            ])),
             label: "s".into(),
         };
         let kind = Emit::from(kind);
@@ -515,11 +645,10 @@ mod tests {
         type Kernel<'a> = &'a dyn Fn(&[Record], &Env<'_>) -> Result<Vec<Record>>;
         let m = || Metrics::new();
         let r = (right.as_slice(), &ys);
-        let hash: Kernel<'_> =
-            &|l, env| hash::join((l, &xs), r, &lk, &rk, None, &kind, env, &mut m());
+        let (keys, pred) = (keys(&lk, &rk, None), dynamic(&pred));
+        let hash: Kernel<'_> = &|l, env| hash::join((l, &xs), r, &keys, &kind, env, &mut m());
         let nl: Kernel<'_> = &|l, env| nl::join((l, &xs), r, &pred, &kind, env, &mut m());
-        let merge: Kernel<'_> =
-            &|l, env| merge::join((l, &xs), r, &lk, &rk, None, &kind, env, &mut m());
+        let merge: Kernel<'_> = &|l, env| merge::join((l, &xs), r, &keys, &kind, env, &mut m());
         let item = |a: i64| {
             let fields = [("k", 42), ("z", 7), ("a", a)];
             Value::tuple(fields.map(|(l, v)| (l, Value::Int(v))))

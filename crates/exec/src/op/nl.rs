@@ -9,7 +9,7 @@
 //! nested loop — and the index nested loop can feed it the rows one probe
 //! fetches, chunk by chunk.
 
-use tmql_algebra::{eval_predicate, Env, ScalarExpr};
+use tmql_algebra::{Compiled, Env};
 use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
@@ -24,8 +24,8 @@ use super::{bind, Emit, RowMatch, Rows};
 pub(crate) fn join_chunk(
     (left, ls): Rows<'_>,
     (chunk, rs): Rows<'_>,
-    pred: &ScalarExpr,
-    emit: &Emit,
+    pred: &Compiled<'_>,
+    emit: &Emit<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
     state: &mut [RowMatch],
@@ -39,7 +39,7 @@ pub(crate) fn join_chunk(
         for r in chunk {
             let pair_env = bind(&left_env, rs, r);
             m.comparisons += 1;
-            if eval_predicate(pred, &pair_env)? {
+            if pred.test(&pair_env)? {
                 row.hit(emit, (ls, l), (rs, r), &pair_env, m, out)?;
                 if row.decided(&emit.kind) {
                     break;
@@ -53,7 +53,7 @@ pub(crate) fn join_chunk(
 /// End a block: every left row's candidates are exhausted.
 pub(crate) fn finish_block(
     (left, ls): Rows<'_>,
-    emit: &Emit,
+    emit: &Emit<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
     state: &mut [RowMatch],
@@ -70,8 +70,8 @@ pub(crate) fn finish_block(
 pub(crate) fn join(
     left: Rows<'_>,
     right: Rows<'_>,
-    pred: &ScalarExpr,
-    emit: &Emit,
+    pred: &Compiled<'_>,
+    emit: &Emit<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
 ) -> Result<Vec<Record>> {
@@ -85,7 +85,7 @@ pub(crate) fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{bound, Emit, JoinKind};
+    use crate::op::{bound, dynamic, Emit, JoinKind};
     use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
     use tmql_model::Value;
@@ -119,7 +119,7 @@ mod tests {
         let out = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(JoinKind::Inner),
             &Env::new(),
             &mut m,
@@ -135,13 +135,13 @@ mod tests {
         let (x, y, pred) = table1();
         let mut m = Metrics::new();
         let kind = JoinKind::Nest {
-            func: E::var("y"),
+            func: dynamic(&E::var("y")),
             label: "s".into(),
         };
         let out = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(kind.clone()),
             &Env::new(),
             &mut m,
@@ -161,13 +161,13 @@ mod tests {
         let y = rows("y", &[(1, 1)], "a", "b");
         let pred = E::eq(E::path("x", &["d"]), E::path("y", &["b"]));
         let kind = JoinKind::Nest {
-            func: E::var("y"),
+            func: dynamic(&E::var("y")),
             label: "s".into(),
         };
         let out = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
@@ -183,7 +183,7 @@ mod tests {
         let semi = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(JoinKind::Semi),
             &Env::new(),
             &mut Metrics::new(),
@@ -192,7 +192,7 @@ mod tests {
         let anti = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(JoinKind::Anti),
             &Env::new(),
             &mut Metrics::new(),
@@ -209,7 +209,7 @@ mod tests {
         let _ = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(JoinKind::Semi),
             &Env::new(),
             &mut m,
@@ -235,7 +235,7 @@ mod tests {
         let out = join(
             bound(&x),
             bound(&y),
-            &pred,
+            &dynamic(&pred),
             &Emit::from(kind.clone()),
             &Env::new(),
             &mut Metrics::new(),
@@ -261,7 +261,7 @@ mod tests {
                 right_vars: vec!["y".into()],
             },
             JoinKind::Nest {
-                func: E::var("y"),
+                func: dynamic(&E::var("y")),
                 label: "s".into(),
             },
         ];
@@ -270,7 +270,7 @@ mod tests {
             let whole = join(
                 bound(&x),
                 bound(&y),
-                &pred,
+                &dynamic(&pred),
                 kind,
                 &Env::new(),
                 &mut Metrics::new(),
@@ -283,7 +283,7 @@ mod tests {
                     join_chunk(
                         bound(&x),
                         bound(chunk),
-                        &pred,
+                        &dynamic(&pred),
                         kind,
                         &Env::new(),
                         &mut Metrics::new(),

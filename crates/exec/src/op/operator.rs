@@ -44,7 +44,7 @@
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-use tmql_algebra::{eval, Env};
+use tmql_algebra::{Compiled, Env, ScalarExpr};
 use tmql_model::{Record, Result};
 
 use crate::exec::ExecContext;
@@ -54,7 +54,7 @@ use crate::op::join::{Algo, JoinOp};
 use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
 use crate::op::spill::{self, keys_part, value_part};
 use crate::op::stream::{ExtendOp, FilterOp, MapOp, ProjectOp, UnnestOp};
-use crate::op::{self, group, merge, Emit, Shape};
+use crate::op::{self, group, merge, Emit, JoinKeys, Shape};
 use crate::physical::{JoinPath, PhysPlan};
 
 /// A unit of streamed data: up to `batch_size` rows.
@@ -281,12 +281,35 @@ pub(crate) fn profile_into(
     }
 }
 
+/// Each entry's exclusive (self) wall time: its inclusive
+/// [`OpProfile::wall_nanos`] minus its children's — the entries one level
+/// deeper that follow it before the next one at its depth or shallower. A
+/// parent's span encloses its children's, so over a whole tree these add
+/// up to the root's inclusive time (never below zero; a clock that read
+/// a child longer than its parent would clamp at zero).
+pub fn self_nanos(entries: &[OpProfile]) -> Vec<u64> {
+    let children = |i: usize| {
+        let depth = entries[i].depth;
+        (entries[i + 1..].iter())
+            .take_while(move |c| c.depth > depth)
+            .filter(move |c| c.depth == depth + 1)
+    };
+    (0..entries.len())
+        .map(|i| {
+            let nested: u64 = children(i).map(|c| c.wall_nanos).sum();
+            entries[i].wall_nanos.saturating_sub(nested)
+        })
+        .collect()
+}
+
 /// Render collected profiles as the indented tree shown by `EXPLAIN
 /// ANALYZE`-style output; estimated rows print next to actual rows when
 /// present.
 pub fn render_profile(entries: &[OpProfile]) -> String {
     let mut out = String::new();
-    for e in entries {
+    let own = self_nanos(entries);
+    let total = entries.first().map_or(0, |root| root.wall_nanos);
+    for (e, own) in entries.iter().zip(own) {
         out.push_str(&"  ".repeat(e.depth));
         // `spilled=` appears only when the operator actually spilled, so
         // in-memory profiles read exactly as before the spill tier existed;
@@ -300,11 +323,17 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
         let spilled =
             nonzero("spilled", e.rows_spilled) + &nonzero("filtered", e.spill_rows_filtered);
         let skipped = nonzero("skipped", e.rows_skipped);
-        // `time=` appears only when spans were collected, so profiles
-        // taken with `collect_timing` off render exactly as before the
-        // observability layer existed.
+        // `time=` (inclusive) and `self=` (exclusive, with its share of
+        // the root's time) appear only when spans were collected, so
+        // profiles taken with `collect_timing` off render exactly as
+        // before the observability layer existed.
         let time = if e.wall_nanos > 0 {
-            format!(" time={}", tmql_obs::human_duration_nanos(e.wall_nanos))
+            let share = 100.0 * own as f64 / total.max(1) as f64;
+            format!(
+                " time={} self={} ({share:.0}%)",
+                tmql_obs::human_duration_nanos(e.wall_nanos),
+                tmql_obs::human_duration_nanos(own)
+            )
         } else {
             String::new()
         };
@@ -432,7 +461,31 @@ pub fn build_with<'p>(
     env: &Env<'_>,
     leaf: &dyn Fn(BoxedOperator<'p>) -> BoxedOperator<'p>,
 ) -> BoxedOperator<'p> {
-    let sub = |p: &'p PhysPlan| build_with(p, env, leaf);
+    node(plan, env, leaf, None)
+}
+
+/// [`build`] of a join with the root `Map` over it — a tuple constructor
+/// — evaluated by the join: the operator emits the map's tuples as rows.
+pub(crate) fn build_mapped<'p>(
+    join: &'p PhysPlan,
+    env: &Env<'_>,
+    map: &'p ScalarExpr,
+) -> BoxedOperator<'p> {
+    node(join, env, &|leaf| leaf, Some(map))
+}
+
+/// Build `plan`'s operator, compiling every expression it evaluates per
+/// row for the frames its rows bind; `map` is a root `Map` for a join to
+/// evaluate (ignored by every other operator).
+fn node<'p>(
+    plan: &'p PhysPlan,
+    env: &Env<'_>,
+    leaf: &dyn Fn(BoxedOperator<'p>) -> BoxedOperator<'p>,
+    map: Option<&'p ScalarExpr>,
+) -> BoxedOperator<'p> {
+    let sub = |p: &'p PhysPlan| node(p, env, leaf, None);
+    // An expression over one row of `input`.
+    let over = |input: &PhysPlan, e: &'p ScalarExpr| Compiled::new(e, &[&input.output_vars()]);
     let base = OpBase {
         plan,
         shape: Shape::of(plan),
@@ -445,15 +498,16 @@ pub fn build_with<'p>(
         }
         PhysPlan::IndexScan {
             table,
+            var,
             attr,
             eq,
             lo,
             hi,
             pred,
-            ..
         } => leaf(Box::new(IndexScanOp::new(
             base,
             table,
+            var,
             attr,
             eq.as_ref(),
             lo.as_ref(),
@@ -461,10 +515,14 @@ pub fn build_with<'p>(
             pred,
         ))),
         PhysPlan::ScanExpr { expr, var } => leaf(Box::new(ScanExprOp::new(base, expr, var))),
-        PhysPlan::Filter { input, pred } => Box::new(FilterOp::new(base, sub(input), pred)),
-        PhysPlan::Map { input, expr, var } => Box::new(MapOp::new(base, sub(input), expr, var)),
+        PhysPlan::Filter { input, pred } => {
+            Box::new(FilterOp::new(base, sub(input), over(input, pred)))
+        }
+        PhysPlan::Map { input, expr, var } => {
+            Box::new(MapOp::new(base, sub(input), over(input, expr), var))
+        }
         PhysPlan::Extend { input, expr, var } => {
-            Box::new(ExtendOp::new(base, sub(input), expr, var))
+            Box::new(ExtendOp::new(base, sub(input), over(input, expr), var))
         }
         PhysPlan::Project { input, vars } => Box::new(ProjectOp::new(base, sub(input), vars)),
         PhysPlan::Unnest {
@@ -472,20 +530,27 @@ pub fn build_with<'p>(
             expr,
             elem_var,
             drop_vars,
-        } => Box::new(UnnestOp::new(base, sub(input), expr, elem_var, drop_vars)),
+        } => Box::new(UnnestOp::new(
+            base,
+            sub(input),
+            over(input, expr),
+            elem_var,
+            drop_vars,
+        )),
         PhysPlan::Join {
             kind,
             left,
             path,
             select,
         } => {
-            let kind = op::JoinKind::of(kind, path);
-            let (left, emit) = (
-                sub(left),
-                Emit::new(kind, select.as_ref(), plan.output_vars()),
-            );
+            let (lv, rv) = (left.output_vars(), path.right_vars());
+            let vars = (lv.as_slice(), rv.as_slice());
+            let pair: &[&[String]] = &[&rv[..], &lv[..]];
+            let (left, emit) = (sub(left), Emit::new(kind, vars, select.as_ref(), map));
             let (right, algo) = match path {
-                JoinPath::NestedLoop { right, pred } => (sub(right), Algo::Nl(pred)),
+                JoinPath::NestedLoop { right, pred } => {
+                    (sub(right), Algo::Nl(Compiled::new(pred, pair)))
+                }
                 JoinPath::Index {
                     table,
                     var,
@@ -496,34 +561,33 @@ pub fn build_with<'p>(
                     let algo = Algo::Index {
                         table,
                         attr,
-                        key,
-                        pred,
+                        key: Compiled::new(key, &[&lv]),
+                        pred: Compiled::new(pred, pair),
                     };
                     let rs = Shape::bare(var);
                     return Box::new(JoinOp::new(base, left, None, rs, emit, algo));
                 }
                 JoinPath::Hash { right, keys } => {
-                    let right = sub(right);
+                    let (right, keys) = (sub(right), JoinKeys::new(keys, vars));
                     let algo = Algo::Hash {
+                        build_part: keys_part(keys.right.clone(), right.shape()),
+                        probe_part: keys_part(keys.left.clone(), left.shape()),
                         keys,
-                        build_part: keys_part(&keys.right_keys, right.shape()),
-                        probe_part: keys_part(&keys.left_keys, left.shape()),
                     };
                     (right, algo)
                 }
                 JoinPath::SortMerge { right, keys } => {
-                    let right = sub(right);
+                    let (right, keys) = (sub(right), JoinKeys::new(keys, vars));
+                    let parts = [
+                        keys_part(keys.left.clone(), left.shape()),
+                        keys_part(keys.right.clone(), right.shape()),
+                    ];
                     return Box::new(Breaker::new(
                         base.over(&left),
-                        [
-                            keys_part(&keys.left_keys, left.shape()),
-                            keys_part(&keys.right_keys, right.shape()),
-                        ],
+                        parts,
                         [left, right],
                         Box::new(move |[l, r], env, m, stats| {
-                            let (lk, rk) = (&keys.left_keys, &keys.right_keys);
-                            let out =
-                                merge::join(l, r, lk, rk, keys.residual.as_ref(), &emit, env, m);
+                            let out = merge::join(l, r, &keys, &emit, env, m);
                             stats.rows_skipped += emit.take_skipped();
                             out
                         }),
@@ -540,6 +604,7 @@ pub fn build_with<'p>(
             label,
             star,
         } => {
+            let value = over(input, value);
             let input = sub(input);
             let shape = input.shape().clone();
             Box::new(Breaker::new(
@@ -555,7 +620,7 @@ pub fn build_with<'p>(
                 })],
                 [input],
                 Box::new(move |[rows], env, m, _| {
-                    group::nest(rows, keys, value, label, *star, env, m)
+                    group::nest(rows, keys, &value, label, *star, env, m)
                 }),
             ))
         }
@@ -565,20 +630,29 @@ pub fn build_with<'p>(
             aggs,
             var,
         } => {
+            let vars = input.output_vars();
+            let over = |e: &'p ScalarExpr| Compiled::new(e, &[&vars]);
+            let keys: Vec<_> = keys.iter().map(|(l, e)| (l.clone(), over(e))).collect();
+            let aggs: Vec<_> = (aggs.iter())
+                .map(|(l, f, e)| (l.clone(), *f, over(e)))
+                .collect();
             let input = sub(input);
             let shape = input.shape().clone();
+            let part_keys: Vec<Compiled> = keys.iter().map(|(_, k)| k.clone()).collect();
             Box::new(Breaker::new(
                 base,
                 [Box::new(move |r, env, seed| {
                     let mut h = spill::seed_hasher(seed);
                     let env = op::bind(env, &shape, r);
-                    for (_, ke) in keys {
-                        eval(ke, &env)?.hash(&mut h);
+                    for k in &part_keys {
+                        k.eval(&env)?.hash(&mut h);
                     }
                     Ok(Some(h.finish()))
                 })],
                 [input],
-                Box::new(move |[rows], env, m, _| group::group_agg(rows, keys, aggs, var, env, m)),
+                Box::new(move |[rows], env, m, _| {
+                    group::group_agg(rows, &keys, &aggs, var, env, m)
+                }),
             ))
         }
         PhysPlan::SetOp {
@@ -602,7 +676,13 @@ pub fn build_with<'p>(
             subquery,
             label,
             bindings,
-        } => Box::new(ApplyOp::new(base, sub(input), subquery, label, bindings)),
+        } => {
+            let vars = input.output_vars();
+            let bindings = (bindings.iter())
+                .map(|e| Compiled::new(e, &[&vars]))
+                .collect();
+            Box::new(ApplyOp::new(base, sub(input), subquery, label, bindings))
+        }
     }
 }
 
@@ -675,6 +755,81 @@ mod tests {
         let tree = render_profile(&profile);
         assert!(tree.contains("Filter [rows=6"), "{tree}");
         assert!(tree.contains("Scan(X) [rows=10"), "{tree}");
+    }
+
+    #[test]
+    fn self_times_add_up_to_the_root_and_render_only_when_timed() {
+        let entry = |depth, wall_nanos| OpProfile {
+            depth,
+            label: "Op".into(),
+            rows_out: 0,
+            batches_out: 0,
+            rows_spilled: 0,
+            spill_rows_filtered: 0,
+            rows_skipped: 0,
+            wall_nanos,
+            est_rows: None,
+        };
+        let tree = [entry(0, 100), entry(1, 60), entry(2, 50), entry(1, 30)];
+        assert_eq!(self_nanos(&tree), vec![10, 10, 50, 30]);
+
+        // A root `Map` over a hash nest join, timed and untimed.
+        use crate::planner::EquiSplit;
+        let scan = |var: &str| {
+            Box::new(PhysPlan::ScanTable {
+                table: "X".into(),
+                var: var.into(),
+                pred: None,
+            })
+        };
+        let plan = PhysPlan::Map {
+            input: Box::new(PhysPlan::Join {
+                kind: tmql_algebra::JoinKind::Nest {
+                    func: E::path("y", &["a"]),
+                    label: "s".into(),
+                },
+                left: scan("x"),
+                path: JoinPath::Hash {
+                    right: scan("y"),
+                    keys: EquiSplit {
+                        left_keys: vec![E::path("x", &["b"])],
+                        right_keys: vec![E::path("y", &["b"])],
+                        residual: None,
+                    },
+                },
+                select: None,
+            }),
+            expr: E::Tuple(vec![
+                ("n".into(), E::path("x", &["a"])),
+                ("s".into(), E::var("s")),
+            ]),
+            var: "v".into(),
+        };
+        let cat = catalog();
+        for timed in [true, false] {
+            let config = ExecConfig::default().batch_size(3).collect_timing(timed);
+            let mut ctx = ExecContext::with_config(&cat, &config);
+            let (values, profile) =
+                crate::execute_values(&plan, &mut ctx, &Env::new(), None).unwrap();
+            assert_eq!(values.len(), 10);
+            let own = self_nanos(&profile);
+            assert_eq!(
+                own.iter().sum::<u64>(),
+                profile[0].wall_nanos,
+                "{profile:?}"
+            );
+            let rendered = render_profile(&profile);
+            assert_eq!(rendered.contains(" self="), timed, "{rendered}");
+            assert_eq!(rendered.contains(" time="), timed, "{rendered}");
+            if timed {
+                assert!(profile.iter().all(|e| e.wall_nanos > 0), "{profile:?}");
+            } else {
+                assert!(
+                    rendered.starts_with("Map [rows=10 batches=4]\n"),
+                    "{rendered}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, eval_predicate, CmpOp, ScalarExpr};
+use tmql_algebra::{eval, CmpOp, Compiled, ScalarExpr};
 use tmql_model::{ModelError, Record, Result, Value};
 use tmql_storage::spill::RunReader;
 use tmql_storage::RowTest;
@@ -40,8 +40,9 @@ use crate::planner::scan_pretest;
 pub(super) struct ScanTableOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
-    pred: Option<&'p ScalarExpr>,
-    /// The pre-testable conjuncts of `pred`, keys unevaluated.
+    pred: Option<Compiled<'p>>,
+    /// The pre-testable conjuncts of `pred`, keys unevaluated: `open`
+    /// evaluates them once over the correlation environment alone.
     sargable: Vec<(Arc<str>, CmpOp, ScalarExpr)>,
     /// What `open` made of them (empty: storage rejects nothing).
     test: RowTest,
@@ -60,7 +61,7 @@ impl<'p> ScanTableOp<'p> {
         ScanTableOp {
             base,
             table,
-            pred,
+            pred: pred.map(|p| Compiled::new(p, &[&[var.to_string()]])),
             sargable: pred.map_or_else(Vec::new, |p| scan_pretest(p, var)),
             test: RowTest::default(),
             pos: 0,
@@ -105,13 +106,13 @@ impl Operator for ScanTableOp<'_> {
             self.exhausted = visited < n;
             self.pos += visited;
             ctx.metrics.rows_scanned += visited as u64;
-            if let Some(pred) = self.pred {
+            if let Some(pred) = &self.pred {
                 ctx.metrics.comparisons += visited as u64;
                 ctx.metrics.rows_emitted += visited as u64;
                 self.base.stats.rows_skipped += (visited - rows.len()) as u64;
                 let OpBase { env, shape, .. } = &self.base;
                 for row in rows {
-                    if eval_predicate(pred, &op::bind(env, shape, &row))? {
+                    if pred.test(&op::bind(env, shape, &row))? {
                         ctx.resident_acquire(1);
                         self.carry.push_back(row);
                     }
@@ -140,33 +141,37 @@ pub(super) struct IndexScanOp<'p> {
     base: OpBase<'p>,
     table: &'p str,
     attr: &'p str,
-    eq: Option<&'p ScalarExpr>,
-    lo: Bound<&'p ScalarExpr>,
-    hi: Bound<&'p ScalarExpr>,
-    pred: &'p ScalarExpr,
+    /// The probe's keys, over the correlation environment alone.
+    eq: Option<Compiled<'p>>,
+    lo: Bound<Compiled<'p>>,
+    hi: Bound<Compiled<'p>>,
+    pred: Compiled<'p>,
     /// Candidate positions (ascending), computed at first `next_batch`.
     positions: Option<Vec<usize>>,
     cursor: usize,
 }
 
 impl<'p> IndexScanOp<'p> {
+    #[allow(clippy::too_many_arguments)] // the plan node's fields
     pub(super) fn new(
         base: OpBase<'p>,
         table: &'p str,
+        var: &str,
         attr: &'p str,
         eq: Option<&'p ScalarExpr>,
         lo: Bound<&'p ScalarExpr>,
         hi: Bound<&'p ScalarExpr>,
         pred: &'p ScalarExpr,
     ) -> Self {
+        let key = |e: &'p ScalarExpr| Compiled::new(e, &[]);
         IndexScanOp {
             base,
             table,
             attr,
-            eq,
-            lo,
-            hi,
-            pred,
+            eq: eq.map(key),
+            lo: lo.map(key),
+            hi: hi.map(key),
+            pred: Compiled::new(pred, &[&[var.to_string()]]),
             positions: None,
             cursor: 0,
         }
@@ -180,17 +185,17 @@ impl<'p> IndexScanOp<'p> {
             ))
         })?;
         let env = &self.base.env;
-        let positions = match self.eq {
-            Some(eq) => idx.probe_eq(&eval(eq, env)?),
+        let positions = match &self.eq {
+            Some(eq) => idx.probe_eq(&eq.eval(env)?),
             None => {
-                let bound = |b: Bound<&ScalarExpr>| -> Result<Bound<Value>> {
+                let bound = |b: Bound<&Compiled<'_>>| -> Result<Bound<Value>> {
                     Ok(match b {
-                        Bound::Included(e) => Bound::Included(eval(e, env)?),
-                        Bound::Excluded(e) => Bound::Excluded(eval(e, env)?),
+                        Bound::Included(e) => Bound::Included(e.eval(env)?),
+                        Bound::Excluded(e) => Bound::Excluded(e.eval(env)?),
                         Bound::Unbounded => Bound::Unbounded,
                     })
                 };
-                let (lo, hi) = (bound(self.lo)?, bound(self.hi)?);
+                let (lo, hi) = (bound(self.lo.as_ref())?, bound(self.hi.as_ref())?);
                 idx.probe_range(lo.as_ref(), hi.as_ref())
             }
         };
@@ -222,7 +227,7 @@ impl Operator for IndexScanOp<'_> {
             let OpBase { env, shape, .. } = &self.base;
             for row in t.fetch_rows(&positions[self.cursor..end])? {
                 ctx.metrics.comparisons += 1;
-                if eval_predicate(self.pred, &op::bind(env, shape, &row))? {
+                if self.pred.test(&op::bind(env, shape, &row))? {
                     rows.push(row);
                 }
             }
@@ -246,7 +251,8 @@ impl Operator for IndexScanOp<'_> {
 /// buffer drains.
 pub(super) struct ScanExprOp<'p> {
     base: OpBase<'p>,
-    expr: &'p ScalarExpr,
+    /// Over the correlation environment alone.
+    expr: Compiled<'p>,
     var: Arc<str>,
     items: Option<VecDeque<Value>>,
     /// The spilled tail, being read back.
@@ -257,7 +263,7 @@ impl<'p> ScanExprOp<'p> {
     pub(super) fn new(base: OpBase<'p>, expr: &'p ScalarExpr, var: &str) -> Self {
         ScanExprOp {
             base,
-            expr,
+            expr: Compiled::new(expr, &[]),
             var: Arc::from(var),
             items: None,
             overflow: None,
@@ -267,7 +273,7 @@ impl<'p> ScanExprOp<'p> {
     /// Evaluate the set; keep a budget's worth resident and send the tail
     /// to disk as ready-to-emit rows.
     fn load(&mut self, ctx: &mut ExecContext<'_>) -> Result<VecDeque<Value>> {
-        let set = eval(self.expr, &self.base.env)?;
+        let set = self.expr.eval(&self.base.env)?;
         let mut items: VecDeque<Value> = set.as_set()?.iter().cloned().collect();
         if let Some(keep) = ctx.memory_budget_rows().filter(|b| items.len() > *b) {
             let mut w = ctx.spill_run()?;

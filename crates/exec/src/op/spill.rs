@@ -39,7 +39,7 @@
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-use tmql_algebra::{Env, ScalarExpr};
+use tmql_algebra::{Compiled, Env};
 use tmql_model::hash::ValueHasher;
 use tmql_model::{Record, RecordSet, Result};
 use tmql_storage::spill::{RunWriter, SpillFile};
@@ -97,10 +97,10 @@ pub(crate) fn hash_record(rec: &Record, seed: u64) -> u64 {
 /// Partition-key function over equi-join keys of rows of `shape`: the
 /// seeded hash of the key values, taken by reference out of the row (no
 /// key is evaluated into a value of its own), `None` for NULL keys.
-pub fn keys_part<'p>(keys: &'p [ScalarExpr], shape: &Shape) -> PartFn<'p> {
+pub fn keys_part<'p>(keys: Vec<Compiled<'p>>, shape: &Shape) -> PartFn<'p> {
     let shape = shape.clone();
     Box::new(move |r, env, seed| {
-        op::hash::hash_keys(keys, &op::bind(env, &shape, r), seed_hasher(seed))
+        op::hash::hash_keys(&keys, &op::bind(env, &shape, r), seed_hasher(seed))
     })
 }
 
@@ -609,6 +609,7 @@ impl SpillDedup {
 mod tests {
     use super::*;
     use crate::config::ExecConfig;
+    use tmql_algebra::ScalarExpr;
     use tmql_model::Value;
     use tmql_storage::Catalog;
 
@@ -744,9 +745,10 @@ mod tests {
         // The partition hash and the in-memory table's are one family now.
         // Were they one *function*, the rows of a partition — equal in
         // `hash % 8` — would share an eighth of their table's buckets.
-        let keys = [ScalarExpr::path("x", &["k"])];
+        let exprs = [ScalarExpr::path("x", &["k"])];
+        let keys = op::compile_all(&exprs, &[&["x".into()]]);
         let shape = Shape::bare("x");
-        let part = keys_part(&keys, &shape);
+        let part = keys_part(keys.clone(), &shape);
         let rows: Vec<Record> = (0..8192)
             .map(|k| Record::single("k".into(), Value::Int(k)))
             .collect();

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tmql_algebra::{eval, eval_predicate, ScalarExpr};
+use tmql_algebra::Compiled;
 use tmql_model::{Record, Result};
 
 use crate::exec::ExecContext;
@@ -17,11 +17,11 @@ use crate::op::{self, group};
 pub(super) struct FilterOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
-    pred: &'p ScalarExpr,
+    pred: Compiled<'p>,
 }
 
 impl<'p> FilterOp<'p> {
-    pub(super) fn new(base: OpBase<'p>, child: BoxedOperator<'p>, pred: &'p ScalarExpr) -> Self {
+    pub(super) fn new(base: OpBase<'p>, child: BoxedOperator<'p>, pred: Compiled<'p>) -> Self {
         let base = base.over(&child);
         FilterOp { base, child, pred }
     }
@@ -43,7 +43,7 @@ impl Operator for FilterOp<'_> {
             for row in b.rows {
                 ctx.metrics.comparisons += 1;
                 let env = op::bind(&self.base.env, self.child.shape(), &row);
-                if eval_predicate(self.pred, &env)? {
+                if self.pred.test(&env)? {
                     out.push(row);
                 }
             }
@@ -68,7 +68,7 @@ impl Operator for FilterOp<'_> {
 pub(super) struct MapOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
-    expr: &'p ScalarExpr,
+    expr: Compiled<'p>,
     var: Arc<str>,
     dedup: SpillDedup,
 }
@@ -77,7 +77,7 @@ impl<'p> MapOp<'p> {
     pub(super) fn new(
         base: OpBase<'p>,
         child: BoxedOperator<'p>,
-        expr: &'p ScalarExpr,
+        expr: Compiled<'p>,
         var: &str,
     ) -> Self {
         MapOp {
@@ -100,9 +100,9 @@ impl Operator for MapOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let OpBase { env, stats, .. } = &mut self.base;
-        let shape = self.child.shape().clone();
+        let (shape, expr) = (self.child.shape().clone(), &self.expr);
         self.dedup.next_batch(&mut self.child, ctx, stats, |row| {
-            let v = eval(self.expr, &op::bind(env, &shape, &row))?;
+            let v = expr.eval(&op::bind(env, &shape, &row))?;
             Ok(op::bind_row(&self.var, v))
         })
     }
@@ -117,7 +117,7 @@ impl Operator for MapOp<'_> {
 pub(super) struct ExtendOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
-    expr: &'p ScalarExpr,
+    expr: Compiled<'p>,
     var: Arc<str>,
 }
 
@@ -125,7 +125,7 @@ impl<'p> ExtendOp<'p> {
     pub(super) fn new(
         base: OpBase<'p>,
         child: BoxedOperator<'p>,
-        expr: &'p ScalarExpr,
+        expr: Compiled<'p>,
         var: &str,
     ) -> Self {
         ExtendOp {
@@ -151,7 +151,7 @@ impl Operator for ExtendOp<'_> {
         let mut out = Vec::with_capacity(b.len());
         let shape = self.child.shape();
         for row in b.rows {
-            let v = eval(self.expr, &op::bind(&self.base.env, shape, &row))?;
+            let v = self.expr.eval(&op::bind(&self.base.env, shape, &row))?;
             out.push(op::extend(shape, &row, &self.var, v)?);
         }
         Ok(Some(Batch::new(out)))
@@ -209,7 +209,7 @@ impl Operator for ProjectOp<'_> {
 pub(super) struct UnnestOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
-    expr: &'p ScalarExpr,
+    expr: Compiled<'p>,
     elem_var: &'p str,
     drop_vars: &'p [String],
     carry: VecDeque<Record>,
@@ -220,7 +220,7 @@ impl<'p> UnnestOp<'p> {
     pub(super) fn new(
         base: OpBase<'p>,
         child: BoxedOperator<'p>,
-        expr: &'p ScalarExpr,
+        expr: Compiled<'p>,
         elem_var: &'p str,
         drop_vars: &'p [String],
     ) -> Self {
@@ -257,7 +257,7 @@ impl Operator for UnnestOp<'_> {
                 Some(b) => {
                     let expanded = group::unnest(
                         (&b.rows, self.child.shape()),
-                        self.expr,
+                        &self.expr,
                         self.elem_var,
                         self.drop_vars,
                         &self.base.env,

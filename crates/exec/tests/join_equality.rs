@@ -12,18 +12,24 @@
 //! on both sides for ⋈ and ⟕, on the left row for ⋉ and ▷ — the join
 //! fused with it and a `Filter` over the unfused join must both return
 //! the definition's rows the selection keeps, with the same work
-//! counters. On the same keys the scan pre-test must reject a row exactly
+//! counters. With a root `Map` over the join — a tuple constructor, which
+//! the join evaluates, and a path that is no tuple, which the exit
+//! evaluates — the plan (with and without the selection fused in) must
+//! answer the values the map takes over the unmapped join's rows, with
+//! the counters the exit's evaluation of it over those rows adds. On the same keys the scan pre-test must reject a row exactly
 //! when `eval` says the comparison is false, and the two index kinds'
 //! probes must select exactly the rows `eval` does.
 
 use std::ops::Bound;
 
 use proptest::prelude::*;
-use tmql_algebra::{eval_predicate, AggFn, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
+use std::collections::BTreeSet;
+
+use tmql_algebra::{eval, eval_predicate, AggFn, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
 use tmql_exec::planner::EquiSplit;
 use tmql_exec::{
-    execute, execute_collect, lower, ExecConfig, ExecContext, JoinPath, MetricClass, Metrics,
-    OpProfile, PhysPlan,
+    execute, execute_collect, execute_values, lower, ExecConfig, ExecContext, JoinPath,
+    MetricClass, Metrics, OpProfile, PhysPlan,
 };
 use tmql_model::{ModelError, Record, Ty, Value};
 use tmql_storage::spill::encode_record;
@@ -121,6 +127,22 @@ fn selection(kind: &JoinKind) -> E {
     }
 }
 
+/// Root maps over `kind`'s output rows: a tuple constructor (evaluated
+/// by the join), and a path that is no tuple (NULL on a dangling ⟕ row;
+/// evaluated by the exit).
+fn maps(kind: &JoinKind) -> [E; 2] {
+    let x_id = E::path("x", &["id"]);
+    let (other, path) = match kind {
+        JoinKind::Semi | JoinKind::Anti => (E::path("x", &["k"]), E::path("x", &["k"])),
+        JoinKind::Inner | JoinKind::LeftOuter => (E::var("y"), E::path("y", &["id"])),
+        JoinKind::Nest { .. } => (E::var("s"), E::var("s")),
+    };
+    [
+        E::Tuple(vec![("i".into(), x_id), ("o".into(), other)]),
+        path,
+    ]
+}
+
 /// `x.k = y.k` as each algorithm takes it, with `select` fused in.
 fn plans(kind: &JoinKind, select: Option<&E>) -> [(&'static str, PhysPlan); 4] {
     let scan = |table: &str, var: &str| {
@@ -192,6 +214,20 @@ fn run(
     assert_eq!(ctx.resident_rows(), 0, "{plan}");
     rows.sort();
     (rows, ctx.metrics, profile)
+}
+
+/// [`run`] of a plan under a root `Map`: its result set.
+fn run_values(
+    plan: &PhysPlan,
+    cat: &Catalog,
+    budget: Option<usize>,
+) -> (BTreeSet<Value>, Metrics, Vec<OpProfile>) {
+    let mut config = ExecConfig::default().batch_size(3);
+    config.memory_budget_rows = budget;
+    let mut ctx = ExecContext::with_config(cat, &config);
+    let (values, profile) = execute_values(plan, &mut ctx, &Env::new(), None).unwrap();
+    assert_eq!(ctx.resident_rows(), 0, "{plan}");
+    (values, ctx.metrics, profile)
 }
 
 /// The work-class counters of `m`, by label.
@@ -282,6 +318,29 @@ proptest! {
                     let on = || format!("{} {algo} budget {budget:?} on {xs:?} ⋈ {ys:?}", kind.name());
                     let (got, ..) = run(&plan, &cat, budget);
                     prop_assert_eq!(&got, &want, "{}", on());
+                    // A root `Map` over the join, with and without σ: the
+                    // values and counters of the exit's evaluation of it
+                    // over the join's rows.
+                    for (join, map) in [&plan, fused].into_iter().flat_map(|j| maps(&kind).map(|m| (j, m))) {
+                        let on = || format!("{} ↦ {map} over {join}", on());
+                        let (rows, mut m_join, p_join) = run(join, &cat, budget);
+                        let value = |row: &Record| eval(&map, &Env::new().bind_row(row)).unwrap();
+                        let want: BTreeSet<Value> = rows.iter().map(value).collect();
+                        let mapped = PhysPlan::Map {
+                            input: Box::new(join.clone()),
+                            expr: map.clone(),
+                            var: "v".into(),
+                        };
+                        let (values, m_map, p_map) = run_values(&mapped, &cat, budget);
+                        prop_assert_eq!(&values, &want, "{}", on());
+                        m_join.rows_emitted += want.len() as u64;
+                        m_join.batches_emitted += want.len().div_ceil(3) as u64;
+                        prop_assert_eq!(work(&m_map), work(&m_join), "{}", on());
+                        prop_assert_eq!(m_map.peak_resident_rows, m_join.peak_resident_rows, "{}", on());
+                        prop_assert_eq!(p_map[0].rows_out, want.len() as u64, "{}", on());
+                        prop_assert_eq!(p_map[1].rows_out, p_join[0].rows_out, "{}", on());
+                        prop_assert_eq!(p_map[1].rows_skipped, p_join[0].rows_skipped, "{}", on());
+                    }
                     // σ over the join: fused into it, and as a Filter.
                     let filter = PhysPlan::Filter { input: Box::new(plan), pred: p.clone() };
                     let (by_filter, m_filter, p_filter) = run(&filter, &cat, budget);

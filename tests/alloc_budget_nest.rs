@@ -22,11 +22,17 @@
 //!   tuple evaluated straight into its body: **4.0 per probe row**
 //!   (8 109) — the nested set, the extended row `x ++ (s = …)`, the result
 //!   tuple's body and its `(v = tuple)` binding. A scanned row, on either
-//!   side of the join, costs none.
+//!   side of the join, costs none;
+//! * with the root `Map` evaluated by the exit into the result set (no
+//!   `(v = tuple)` binding): **2.82 per probe row** (5 777) — the nested
+//!   set, the extended row and the result tuple's body;
+//! * with the root `Map` evaluated by the join where it would build
+//!   `x ++ (s = …)`: **1.83 per probe row** (3 739) — the nested set (none
+//!   for an empty one) and the result tuple's body.
 //!
-//! The bound below leaves headroom for about one more allocation per
-//! row, not for a return to an envelope per scanned row, a key vector, a
-//! B-tree node or a label per row.
+//! The bound below, 2.25 per probe row, fails a return to building the
+//! intermediate row `x ++ (s = …)`, an envelope per scanned row, a key
+//! vector, a B-tree node or a label per row.
 //!
 //! The same test prices the WHERE-clause nest join, `SUBSETEQ_BUG`
 //! (`x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b)`, σ over Δ): the
@@ -52,7 +58,7 @@ use tmql_workload::queries::SUBSETEQ_BUG;
 mod counting_alloc;
 
 const ROWS: u64 = 2048;
-const MAX_ALLOCATIONS_PER_PROBE_ROW: u64 = 5;
+const MAX_ALLOCATIONS_PER_PROBE_ROW: f64 = 2.25;
 const MAX_ALLOCATIONS_PER_FILTERED_PROBE_ROW: f64 = 1.25;
 
 #[test]
@@ -79,8 +85,8 @@ fn nesting_a_probe_row_allocates_a_small_fixed_number_of_times() {
     let allocations =
         measure("SELECT (n = x.n, s = (SELECT y.a FROM Y y WHERE x.b = y.b)) FROM X x");
     assert!(
-        allocations <= MAX_ALLOCATIONS_PER_PROBE_ROW * ROWS,
-        "{allocations} allocations for {ROWS} probe rows ({:.1} per row, budget {MAX_ALLOCATIONS_PER_PROBE_ROW})",
+        allocations as f64 <= MAX_ALLOCATIONS_PER_PROBE_ROW * ROWS as f64,
+        "{allocations} allocations for {ROWS} probe rows ({:.2} per row, budget {MAX_ALLOCATIONS_PER_PROBE_ROW})",
         allocations as f64 / ROWS as f64
     );
 

@@ -24,7 +24,7 @@
 
 use tmql::Record;
 use tmql_algebra::{Env, ScalarExpr};
-use tmql_exec::op::{spill, Shape};
+use tmql_exec::op::{compile_all, spill, Shape};
 use tmql_storage::SpillDir;
 use tmql_workload::gen::{gen_xy, GenConfig};
 
@@ -63,7 +63,7 @@ fn spilling_a_row_allocates_nothing_and_reading_it_back_only_its_bodies() {
 
     // Partitioning by `(x.b, x.a)`: an integer and a set-valued key.
     let keys = [ScalarExpr::path("x", &["b"]), ScalarExpr::path("x", &["a"])];
-    let part = spill::keys_part(&keys, &Shape::bare("x"));
+    let part = spill::keys_part(compile_all(&keys, &[&["x".into()]]), &Shape::bare("x"));
     let env = Env::new();
     let (slots, partitioned) = counted(|| {
         let mut slots = [0usize; RUNS];
