@@ -276,8 +276,8 @@ fn exit(
 /// doubled since the last compaction, and by at least one batch. It never
 /// holds more than twice the distinct values plus one batch.
 ///
-/// A set of complex objects (the first value is a tuple, set, list or
-/// variant) is sorted on [`Value::sort_prefix`]es, each built once and
+/// A set of complex objects (the first value is a tuple or a set) is
+/// sorted on [`Value::sort_prefix`]es, each built once and
 /// kept beside its value: two values are compared with `Value::cmp` only
 /// where their prefixes are equal, and each compaction moves every value
 /// once, to its sorted place. Numbers, strings and the like compare faster
@@ -312,10 +312,7 @@ impl Collector {
     fn compact(&mut self) {
         if self.kept == 0 {
             let first = self.values.first();
-            let container = matches!(
-                first,
-                Some(Value::Tuple(_) | Value::Set(_) | Value::List(_) | Value::Variant(..))
-            );
+            let container = matches!(first, Some(Value::Tuple(_) | Value::Set(_)));
             self.keys = container.then(|| Keys {
                 pairs: Vec::new(),
                 schema: first.and_then(|v| v.as_tuple().ok()).cloned(),

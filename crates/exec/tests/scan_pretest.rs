@@ -229,7 +229,7 @@ proptest! {
     ) {
         let env = outer_env(&k);
         let test = row_test(&pred, &env);
-        let scalar = |v: &Value| !matches!(v, Value::Tuple(_) | Value::Set(_) | Value::List(_));
+        let scalar = |v: &Value| !matches!(v, Value::Tuple(_) | Value::Set(_));
         let tested = scan_pretest(&pred, "x");
         if tested.iter().all(|(attr, ..)| row.find(attr).is_none_or(scalar)) {
             let bytes = encode_record(&row);

@@ -6,9 +6,10 @@
 //! language as described in Section 3 of Steenhagen, Apers & Blanken,
 //! *Optimization of Nested Queries in a Complex Object Model* (EDBT 1994):
 //!
-//! * arbitrarily nested values built from the **tuple**, **set**, **list**,
-//!   and **variant** type constructors over basic types
-//!   ([`Value`], [`Record`]);
+//! * arbitrarily nested values built from the **tuple** and **set** type
+//!   constructors over basic types ([`Value`], [`Record`]) — the part of
+//!   TM's constructors that TMQL can build (TM's lists and variants are
+//!   not modelled);
 //! * the corresponding type language ([`Ty`]) with structural typing;
 //! * **set semantics**: sets never contain duplicates ("Sets do not contain
 //!   duplicates", Section 3.1) — enforced by representing a set as one

@@ -1,10 +1,10 @@
 //! The TM type language.
 //!
-//! Types mirror the value constructors: basic types plus tuple, set, list,
-//! and variant constructors, arbitrarily nested (Section 3.1: "attribute
-//! types may be arbitrarily complex ... type constructors may be arbitrarily
-//! nested"). A class extension's type is its stored table's: a set of
-//! tuples over the table's columns ([`Ty::table`]).
+//! Types mirror the value constructors: basic types plus tuple and set
+//! constructors, arbitrarily nested (Section 3.1: "attribute types may be
+//! arbitrarily complex ... type constructors may be arbitrarily nested").
+//! A class extension's type is its stored table's: a set of tuples over
+//! the table's columns.
 
 use std::fmt;
 
@@ -26,29 +26,12 @@ pub enum Ty {
     Tuple(Vec<(String, Ty)>),
     /// Set type `P t` (the paper's ℙ constructor).
     Set(Box<Ty>),
-    /// List type `L t`.
-    List(Box<Ty>),
-    /// Variant type `V (l1 : t1 | l2 : t2)`.
-    Variant(Vec<(String, Ty)>),
     /// Top type: compatible with everything. Used for the element type of
     /// the empty set literal and for NULL in relational baselines.
     Any,
 }
 
 impl Ty {
-    /// Set-of-tuples shorthand — the type of a class extension.
-    pub fn table(fields: Vec<(String, Ty)>) -> Ty {
-        Ty::Set(Box::new(Ty::Tuple(fields)))
-    }
-
-    /// Element type of a set or list type, if any.
-    pub fn element(&self) -> Option<&Ty> {
-        match self {
-            Ty::Set(t) | Ty::List(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Field type of a tuple type, if present.
     pub fn field(&self, label: &str) -> Option<&Ty> {
         match self {
@@ -67,13 +50,8 @@ impl Ty {
             (Any, _) | (_, Any) => true,
             (Bool, Bool) | (Str, Str) => true,
             (Int | Float, Int | Float) => true,
-            (Set(a), Set(b)) | (List(a), List(b)) => a.compatible(b),
+            (Set(a), Set(b)) => a.compatible(b),
             (Tuple(a), Tuple(b)) => {
-                a.len() == b.len()
-                    && a.iter()
-                        .all(|(l, t)| b.iter().any(|(l2, t2)| l == l2 && t.compatible(t2)))
-            }
-            (Variant(a), Variant(b)) => {
                 a.len() == b.len()
                     && a.iter()
                         .all(|(l, t)| b.iter().any(|(l2, t2)| l == l2 && t.compatible(t2)))
@@ -93,28 +71,8 @@ impl Ty {
             (Any, _) | (_, Any) => Some(Any),
             (Int, Float) | (Float, Int) => Some(Float),
             (Set(a), Set(b)) => a.join(b).map(|t| Set(Box::new(t))),
-            (List(a), List(b)) => a.join(b).map(|t| List(Box::new(t))),
             (a, b) if a.compatible(b) => Some(a.clone()),
             _ => None,
-        }
-    }
-
-    /// Infer the most specific type of a value. Empty sets/lists infer to
-    /// `P Any` / `L Any`; heterogeneous containers widen element types with
-    /// [`Ty::join`], falling back to `Any`.
-    pub fn of(value: &Value) -> Ty {
-        match value {
-            Value::Null => Ty::Any,
-            Value::Bool(_) => Ty::Bool,
-            Value::Int(_) => Ty::Int,
-            Value::Float(_) => Ty::Float,
-            Value::Str(_) => Ty::Str,
-            Value::Tuple(r) => {
-                Ty::Tuple(r.iter().map(|(l, v)| (l.to_string(), Ty::of(v))).collect())
-            }
-            Value::Set(s) => Ty::Set(Box::new(common_element_type(s.iter()))),
-            Value::List(l) => Ty::List(Box::new(common_element_type(l.iter()))),
-            Value::Variant(lbl, v) => Ty::Variant(vec![(lbl.to_string(), Ty::of(v))]),
         }
     }
 
@@ -130,31 +88,15 @@ impl Ty {
             (Ty::Float, Value::Float(_) | Value::Int(_)) => true,
             (Ty::Str, Value::Str(_)) => true,
             (Ty::Set(t), Value::Set(s)) => s.iter().all(|v| t.admits(v)),
-            (Ty::List(t), Value::List(l)) => l.iter().all(|v| t.admits(v)),
             (Ty::Tuple(fs), Value::Tuple(r)) => {
                 fs.len() == r.len()
                     && fs
                         .iter()
                         .all(|(l, t)| r.get(l).map(|v| t.admits(v)).unwrap_or(false))
             }
-            (Ty::Variant(alts), Value::Variant(lbl, v)) => alts
-                .iter()
-                .any(|(l, t)| l.as_str() == lbl.as_ref() && t.admits(v)),
             _ => false,
         }
     }
-}
-
-fn common_element_type<'a>(items: impl Iterator<Item = &'a Value>) -> Ty {
-    let mut acc: Option<Ty> = None;
-    for v in items {
-        let t = Ty::of(v);
-        acc = Some(match acc {
-            None => t,
-            Some(prev) => prev.join(&t).unwrap_or(Ty::Any),
-        });
-    }
-    acc.unwrap_or(Ty::Any)
 }
 
 impl fmt::Display for Ty {
@@ -175,17 +117,6 @@ impl fmt::Display for Ty {
                 write!(f, ")")
             }
             Ty::Set(t) => write!(f, "P {t}"),
-            Ty::List(t) => write!(f, "L {t}"),
-            Ty::Variant(alts) => {
-                write!(f, "V (")?;
-                for (i, (l, t)) in alts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " | ")?;
-                    }
-                    write!(f, "{l} : {t}")?;
-                }
-                write!(f, ")")
-            }
             Ty::Any => write!(f, "ANY"),
         }
     }
@@ -194,6 +125,10 @@ impl fmt::Display for Ty {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn set(t: Ty) -> Ty {
+        Ty::Set(Box::new(t))
+    }
 
     #[test]
     fn infer_nested_value_type() {
@@ -204,23 +139,31 @@ mod tests {
                 Value::set([Value::tuple([("age", Value::Int(7))])]),
             ),
         ]);
-        let t = Ty::of(&v);
-        assert_eq!(
-            t,
-            Ty::Tuple(vec![
-                ("name".into(), Ty::Str),
-                (
-                    "children".into(),
-                    Ty::Set(Box::new(Ty::Tuple(vec![("age".into(), Ty::Int)])))
-                ),
-            ])
-        );
+        let t = Ty::Tuple(vec![
+            ("name".into(), Ty::Str),
+            (
+                "children".into(),
+                set(Ty::Tuple(vec![("age".into(), Ty::Int)])),
+            ),
+        ]);
         assert!(t.admits(&v));
-    }
-
-    #[test]
-    fn empty_set_infers_any_element() {
-        assert_eq!(Ty::of(&Value::empty_set()), Ty::Set(Box::new(Ty::Any)));
+        // A nested field of another type, a missing field and an extra one
+        // are each refused.
+        let wrong_age = Value::tuple([
+            ("name", Value::str("Smith")),
+            (
+                "children",
+                Value::set([Value::tuple([("age", Value::str("7"))])]),
+            ),
+        ]);
+        assert!(!t.admits(&wrong_age));
+        assert!(!t.admits(&Value::tuple([("name", Value::str("Smith"))])));
+        let extra = Value::tuple([
+            ("name", Value::str("Smith")),
+            ("children", Value::empty_set()),
+            ("age", Value::Int(40)),
+        ]);
+        assert!(!t.admits(&extra));
     }
 
     #[test]
@@ -239,8 +182,8 @@ mod tests {
 
     #[test]
     fn any_is_top() {
-        let set_any = Ty::Set(Box::new(Ty::Any));
-        let set_int = Ty::Set(Box::new(Ty::Int));
+        let set_any = set(Ty::Any);
+        let set_int = set(Ty::Int);
         assert!(set_any.compatible(&set_int));
         // Any is the top type: joining widens, never specializes.
         assert_eq!(set_any.join(&set_int), Some(set_any.clone()));
@@ -249,25 +192,25 @@ mod tests {
 
     #[test]
     fn admits_checks_structure() {
-        let t = Ty::table(vec![("a".into(), Ty::Int)]);
+        let t = set(Ty::Tuple(vec![("a".into(), Ty::Int)]));
         let good = Value::set([Value::tuple([("a", Value::Int(1))])]);
         let bad = Value::set([Value::tuple([("a", Value::str("x"))])]);
         assert!(t.admits(&good));
         assert!(!t.admits(&bad));
-    }
-
-    #[test]
-    fn mixed_numeric_set_widens() {
-        let v = Value::set([Value::Int(1), Value::Float(2.5)]);
-        assert_eq!(Ty::of(&v), Ty::Set(Box::new(Ty::Float)));
+        // NULL inhabits every type, `ANY` admits every value, and a `REAL`
+        // admits an `INT` but not the reverse.
+        assert!(t.admits(&Value::Null) && Ty::Any.admits(&good));
+        assert!(Ty::Float.admits(&Value::Int(1)) && !Ty::Int.admits(&Value::Float(1.0)));
+        assert!(set(Ty::Float).admits(&Value::set([Value::Int(1), Value::Float(2.5)])));
+        assert!(!t.admits(&Value::tuple([("a", Value::Int(1))])));
     }
 
     #[test]
     fn display_round_trip_forms() {
-        let t = Ty::table(vec![(
+        let t = set(Ty::Tuple(vec![(
             "emps".into(),
-            Ty::Set(Box::new(Ty::Tuple(vec![("name".into(), Ty::Str)]))),
-        )]);
+            set(Ty::Tuple(vec![("name".into(), Ty::Str)])),
+        )]));
         assert_eq!(t.to_string(), "P (emps : P (name : STRING))");
     }
 }

@@ -30,9 +30,9 @@ use crate::Result;
 
 /// A TM complex object value.
 ///
-/// The constructors mirror Section 3.1 of the paper: basic types plus the
-/// tuple (`Record`), set, list, and variant type constructors, arbitrarily
-/// nested.
+/// The constructors are the part of Section 3.1 of the paper that TMQL
+/// can build: basic types plus the tuple (`Record`) and set type
+/// constructors, arbitrarily nested.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// Relational NULL. **Not part of TM** — exists only so the relational
@@ -50,10 +50,6 @@ pub enum Value {
     Tuple(Record),
     /// Duplicate-free set value `{1, 2, 3}`.
     Set(SetValue),
-    /// Ordered list value `[1, 2, 2, 3]`.
-    List(Vec<Value>),
-    /// Variant value `label(v)` of a variant type.
-    Variant(Arc<str>, Box<Value>),
 }
 
 impl Value {
@@ -92,8 +88,6 @@ impl Value {
             Value::Str(_) => "string",
             Value::Tuple(_) => "tuple",
             Value::Set(_) => "set",
-            Value::List(_) => "list",
-            Value::Variant(..) => "variant",
         }
     }
 
@@ -149,16 +143,6 @@ impl Value {
             Value::Tuple(r) => Ok(r),
             other => Err(mismatch("tuple", other)),
         }
-    }
-
-    /// Navigate a dotted path of tuple field accesses, e.g.
-    /// `v.path(&["address", "city"])` for the paper's `d.address.city`.
-    pub fn path(&self, fields: &[&str]) -> Result<&Value> {
-        let mut cur = self;
-        for f in fields {
-            cur = cur.as_tuple()?.get(f)?;
-        }
-        Ok(cur)
     }
 
     /// Numeric addition with int/float promotion.
@@ -313,8 +297,6 @@ fn rank(v: &Value) -> u8 {
         Value::Str(_) => STR_RANK,
         Value::Tuple(_) => 5,
         Value::Set(_) => 6,
-        Value::List(_) => 7,
-        Value::Variant(..) => 8,
     }
 }
 
@@ -370,8 +352,6 @@ impl PartialEq for Value {
             (Str(a), Str(b)) => a == b,
             (Tuple(a), Tuple(b)) => a == b,
             (Set(a), Set(b)) => a == b,
-            (List(a), List(b)) => a == b,
-            (Variant(la, va), Variant(lb, vb)) => la == lb && va == vb,
             _ => false,
         }
     }
@@ -398,8 +378,6 @@ impl Ord for Value {
             (Str(a), Str(b)) => a.cmp(b),
             (Tuple(a), Tuple(b)) => a.cmp(b),
             (Set(a), Set(b)) => a.cmp(b),
-            (List(a), List(b)) => a.cmp(b),
-            (Variant(la, va), Variant(lb, vb)) => la.cmp(lb).then_with(|| va.cmp(vb)),
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
@@ -415,8 +393,8 @@ impl Value {
     /// per kind; a number's integer part (its floor) in a length-headed
     /// big-endian form, with one byte below and one above the i64 range; a
     /// string's bytes, escaped, and a terminator; a tuple's fields in
-    /// canonical label order, and a set's or list's elements, then a byte
-    /// below every rank. The encoding stops early — later bytes zero — at
+    /// canonical label order, and a set's elements, then a byte below every
+    /// rank. The encoding stops early — later bytes zero — at
     /// a byte that tells any operand sharing the bytes so far to stop too:
     /// the byte of a number past either end of the i64 range, or the byte
     /// after a number's floor that marks a fraction.
@@ -444,7 +422,7 @@ impl Value {
     }
 }
 
-/// Ends a tuple, set or list in a sort prefix: below every rank byte and
+/// Ends a tuple or set in a sort prefix: below every rank byte and
 /// every label's first byte.
 const END: u8 = 0;
 /// Escapes the bytes 0 and 1 in a string, and with 0 terminates it, so
@@ -507,15 +485,11 @@ impl Prefix {
                 });
                 open.and_then(|()| self.put(END.into(), 1))
             }
-            Value::Set(items) => self.all(items),
-            Value::List(items) => self.all(items),
-            Value::Variant(l, v) => self.str(l).and_then(|()| self.value(v)),
+            Value::Set(items) => {
+                items.iter().try_for_each(|v| self.value(v))?;
+                self.put(END.into(), 1)
+            }
         }
-    }
-
-    fn all(&mut self, items: &[Value]) -> Option<()> {
-        items.iter().try_for_each(|v| self.value(v))?;
-        self.put(END.into(), 1)
     }
 
     /// A header byte that orders by sign and magnitude length (`0x77..=0x7F`
@@ -559,21 +533,14 @@ impl Value {
             Value::Str(s) => s.hash(state),
             Value::Tuple(r) if memo => state.write_u64(r.structural_hash()),
             Value::Tuple(r) => r.hash(state),
-            Value::Set(items) => feed_all(items, state, memo),
-            Value::List(items) => feed_all(items, state, memo),
-            Value::Variant(lbl, v) => {
-                lbl.hash(state);
-                v.feed(state, memo);
+            // Length, then every element (what `[Value]::hash` feeds).
+            Value::Set(items) => {
+                items.len().hash(state);
+                for v in items.iter() {
+                    v.feed(state, memo);
+                }
             }
         }
-    }
-}
-
-/// Length, then every element (what `[Value]::hash` feeds).
-fn feed_all<H: Hasher>(items: &[Value], state: &mut H, memo: bool) {
-    items.len().hash(state);
-    for v in items {
-        v.feed(state, memo);
     }
 }
 
@@ -602,17 +569,6 @@ impl fmt::Display for Value {
                 }
                 write!(f, "}}")
             }
-            Value::List(l) => {
-                write!(f, "[")?;
-                for (i, v) in l.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Value::Variant(lbl, v) => write!(f, "{lbl}({v})"),
         }
     }
 }
@@ -757,22 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn path_navigation() {
-        let v = Value::tuple([(
-            "address",
-            Value::tuple([
-                ("city", Value::str("Enschede")),
-                ("street", Value::str("Drienerlolaan")),
-            ]),
-        )]);
-        assert_eq!(
-            v.path(&["address", "city"]).unwrap(),
-            &Value::str("Enschede")
-        );
-        assert!(v.path(&["address", "zip"]).is_err());
-    }
-
-    #[test]
     fn arithmetic_promotion_and_errors() {
         assert_eq!(Value::Int(2).add(&Value::Int(3)).unwrap(), Value::Int(5));
         assert_eq!(
@@ -803,14 +743,6 @@ mod tests {
         assert_eq!(
             Value::set([Value::Int(2), Value::Int(1)]).to_string(),
             "{1, 2}"
-        );
-        assert_eq!(
-            Value::List(vec![Value::Int(1), Value::Int(1)]).to_string(),
-            "[1, 1]"
-        );
-        assert_eq!(
-            Value::Variant(Arc::from("some"), Box::new(Value::Int(1))).to_string(),
-            "some(1)"
         );
     }
 

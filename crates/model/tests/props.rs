@@ -5,7 +5,7 @@
 //! corrupt.
 
 use proptest::prelude::*;
-use tmql_model::{name, setops, Record, Ty, Value};
+use tmql_model::{name, setops, Record, Value};
 
 /// Strategy for arbitrary (bounded-depth) complex object values.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -19,7 +19,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::set),
-            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
             prop::collection::vec(("[a-d]", inner), 0..3).prop_map(|pairs| {
                 let mut rec = Record::empty();
                 for (l, v) in pairs {
@@ -72,8 +71,8 @@ fn numeric_leaf() -> BoxedStrategy<Value> {
 /// Values at the edges of a sort prefix: the numbers above, fractions next
 /// to their floor and floats below the i64 range; strings with `0x00` and
 /// `0x01` bytes and shared starts; tuples with permuted labels and with
-/// different label sets (the empty label included); sets and lists longer
-/// than the prefix; variants.
+/// different label sets (the empty label included); sets longer than the
+/// prefix.
 fn arb_prefixed() -> BoxedStrategy<Value> {
     let piece = prop_oneof![Just("a"), Just("ab"), Just("\0"), Just("\u{1}"), Just("é")];
     let label = prop_oneof![Just(""), Just("a"), Just("a\0"), Just("b")];
@@ -89,7 +88,6 @@ fn arb_prefixed() -> BoxedStrategy<Value> {
         let field = (label.clone(), inner.clone());
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..9).prop_map(Value::set),
-            prop::collection::vec(inner.clone(), 0..9).prop_map(Value::List),
             prop::collection::vec(field, 0..4).prop_map(|fields| {
                 let mut rec = Record::empty();
                 for (l, v) in fields {
@@ -98,7 +96,6 @@ fn arb_prefixed() -> BoxedStrategy<Value> {
                 }
                 Value::Tuple(rec)
             }),
-            (label.clone(), inner).prop_map(|(l, v)| Value::Variant(l.into(), Box::new(v))),
         ]
     })
 }
@@ -155,12 +152,6 @@ proptest! {
         let mut v = [a, b, c];
         v.sort();
         prop_assert!(v[0] <= v[1] && v[1] <= v[2] && v[0] <= v[2]);
-    }
-
-    #[test]
-    fn type_of_admits_its_value(a in arb_value()) {
-        let t = Ty::of(&a);
-        prop_assert!(t.admits(&a), "inferred type {} must admit {}", t, a);
     }
 
     #[test]
@@ -275,8 +266,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// The sort prefix is monotone in the order, with labels encoded: on
-    /// the pair, and on lists and tuples led by a shared value or by two
-    /// numbers near each other, so the pair is compared behind them.
+    /// the pair, and on tuples led by a shared value or by two numbers near
+    /// each other, so the pair is compared behind them.
     #[test]
     fn sort_prefix_is_monotone(
         x in arb_prefixed(), (m, n) in (arb_near(), arb_near()),
@@ -284,8 +275,6 @@ proptest! {
     ) {
         prefix_laws(&a, &b, None)?;
         for (x, y) in [(&x, &x), (&m, &n)] {
-            let list = |x: &Value, v: &Value| Value::List(vec![x.clone(), v.clone()]);
-            prefix_laws(&list(x, &a), &list(y, &b), None)?;
             let pair = |x: &Value, v: &Value| Value::tuple([("p", x.clone()), ("q", v.clone())]);
             prefix_laws(&pair(x, &a), &pair(y, &b), None)?;
         }

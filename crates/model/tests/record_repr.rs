@@ -54,8 +54,6 @@ fn ref_cmp(a: &Value, b: &Value) -> Ordering {
     match (a, b) {
         (Value::Tuple(x), Value::Tuple(y)) => ref_cmp_record(x, y),
         (Value::Set(x), Value::Set(y)) => ref_cmp_seq(x.iter(), y.iter()),
-        (Value::List(x), Value::List(y)) => ref_cmp_seq(x.iter(), y.iter()),
-        (Value::Variant(lx, x), Value::Variant(ly, y)) => lx.cmp(ly).then_with(|| ref_cmp(x, y)),
         _ => a.cmp(b),
     }
 }
@@ -79,22 +77,15 @@ fn hash_of<T: Hash>(r: &T) -> u64 {
 /// tuples by recursion, nothing remembered.
 fn ref_structural(r: &Record) -> u64 {
     fn feed(v: &Value, h: &mut ValueHasher) {
-        let all = |rank: u8, items: &[Value], h: &mut ValueHasher| {
-            rank.hash(h);
-            items.len().hash(h);
-            items.iter().for_each(|v| feed(v, h));
-        };
         match v {
             Value::Tuple(r) => {
                 5u8.hash(h);
                 h.write_u64(ref_structural(r));
             }
-            Value::Set(s) => all(6, s, h),
-            Value::List(l) => all(7, l, h),
-            Value::Variant(label, inner) => {
-                8u8.hash(h);
-                label.hash(h);
-                feed(inner, h);
+            Value::Set(s) => {
+                6u8.hash(h);
+                s.len().hash(h);
+                s.iter().for_each(|v| feed(v, h));
             }
             scalar => scalar.hash(h),
         }
@@ -137,7 +128,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::set),
-            prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
             prop::collection::vec(("[a-d]", inner), 0..4)
                 .prop_map(|pairs| Value::Tuple(record_of(pairs))),
         ]
@@ -163,8 +153,6 @@ fn permuted(r: &Record, seed: u64) -> Record {
                 Value::Tuple(Record::new(fields).unwrap())
             }
             Value::Set(s) => Value::set(s.iter().map(deep)),
-            Value::List(l) => Value::List(l.iter().map(deep).collect()),
-            Value::Variant(l, v) => Value::Variant(l.clone(), Box::new(deep(v))),
             other => other.clone(),
         }
     }

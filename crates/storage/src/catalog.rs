@@ -972,14 +972,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// `depth` containers of one kind around an integer.
+    /// `depth` containers of one kind (a set, else a tuple) around an
+    /// integer.
     fn nested(kind: usize, depth: usize) -> tmql_model::Value {
         use tmql_model::Value;
         (0..depth).fold(Value::Int(7), |v, _| match kind {
             0 => Value::set([v]),
-            1 => Value::List(vec![v]),
-            2 => Value::tuple([("f", v)]),
-            _ => Value::Variant(Arc::from("alt"), Box::new(v)),
+            _ => Value::tuple([("f", v)]),
         })
     }
 
@@ -995,7 +994,7 @@ mod tests {
             let columns = vec![("n".into(), Ty::Int), ("v".into(), Ty::Any)];
             Table::from_rows(name, columns, [row.unwrap()]).unwrap()
         };
-        for kind in 0..4 {
+        for kind in 0..2 {
             let before = (cat.free_list_len(), cat.wal_activity());
             let err = cat.register(deep("deep", kind, 129)).unwrap_err();
             assert!(matches!(err, ModelError::SchemaError(_)), "{err}");
@@ -1017,8 +1016,8 @@ mod tests {
         cat.register(typed(128)).unwrap();
         drop(cat);
         let cat = Catalog::open(&path, 16).unwrap();
-        assert_eq!(cat.table_names().count(), 6, "everything accepted reopens");
-        assert_eq!(cat.table("ok2").unwrap().rows_vec().unwrap().len(), 1);
+        assert_eq!(cat.table_names().count(), 4, "everything accepted reopens");
+        assert_eq!(cat.table("ok1").unwrap().rows_vec().unwrap().len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

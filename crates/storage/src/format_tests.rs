@@ -91,7 +91,7 @@ fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// What a decoder may allocate for `len` input bytes. The steepest honest
-/// ratio is a container of one-byte elements (a list of NULLs): a
+/// ratio is a container of one-byte elements (a set of NULLs): a
 /// `Value` per byte in the vector, as much again while `Value::set` sorts,
 /// and the `Record`/`Arc` bodies around them (measured: under 30 bytes
 /// per byte). The fixed part covers a re-encoded header page and error
@@ -120,14 +120,6 @@ fn golden_row() -> Record {
                 ("a", Value::Int(1)),
                 ("b", Value::set([Value::Int(2), Value::Int(1)])),
             ]),
-        ),
-        (
-            "l",
-            Value::List(vec![Value::empty_set(), Value::Int(i64::MAX)]),
-        ),
-        (
-            "v",
-            Value::Variant(Arc::from("left"), Box::new(Value::str(""))),
         ),
     ])
     .unwrap()
@@ -302,6 +294,11 @@ const GOLDEN_CATALOG: &str = concat!(
     "0000e03f000000000000c03f0000000000000440000100000001000000520100",
     "00006100070000007b00000000000000",
 );
+/// How many bytes at the end of [`GOLDEN_RECORD`] are its last two fields:
+/// `l`, a list `[{}, i64::MAX]` (value tag 8), and `v`, a variant
+/// `left("")` (value tag 9). A row without them writes the literal with
+/// those bytes cut and a field count of 8, not 10.
+const GOLDEN_LIST_VARIANT_BYTES: usize = 43;
 /// How many bytes at the front of [`GOLDEN_CATALOG`] are its class and
 /// sort sections: the class `Emp` (extension `EMP`) and the sort `Shape`,
 /// whose `L Emp` holds a class-type tag. A catalog now writes two zero
@@ -328,9 +325,16 @@ const GOLDEN_HEADER_HEAD: &str = concat!(
     "00000400000008000000",
 );
 
+/// [`GOLDEN_RECORD`] as a row without its list and variant is written.
+fn golden_record_now() -> String {
+    assert_eq!(&GOLDEN_RECORD[..8], "0a000000", "ten fields");
+    let end = GOLDEN_RECORD.len() - 2 * GOLDEN_LIST_VARIANT_BYTES;
+    format!("08000000{}", &GOLDEN_RECORD[8..end])
+}
+
 #[test]
 fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
-    assert_eq!(hex(&encode_record(&golden_row())), GOLDEN_RECORD);
+    assert_eq!(hex(&encode_record(&golden_row())), golden_record_now());
     let after_schema = &GOLDEN_CATALOG[2 * GOLDEN_SCHEMA_BYTES..];
     assert_eq!(
         hex(&encode_catalog(&golden_catalog())),
@@ -355,7 +359,10 @@ fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
 
 #[test]
 fn the_pinned_bytes_decode_to_their_inputs() {
-    assert_eq!(decode_record(&unhex(GOLDEN_RECORD)).unwrap(), golden_row());
+    assert_eq!(
+        decode_record(&unhex(&golden_record_now())).unwrap(),
+        golden_row()
+    );
     // NaN-free, so `==` on the statistics' floats is meaningful. The
     // class and sort the bytes begin with are read past.
     assert_eq!(
@@ -606,6 +613,9 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     check_corruptions(CATALOG, &catalog, everywhere(&catalog));
     let legacy = unhex(GOLDEN_CATALOG);
     check_corruptions(CATALOG, &legacy, everywhere(&legacy));
+    // A row an older file holds, with a list and a variant in it.
+    let legacy = unhex(GOLDEN_RECORD);
+    check_corruptions(RECORD, &legacy, everywhere(&legacy));
     let index = encode_index(&golden_index());
     check_corruptions(INDEX, &index, everywhere(&index));
     let commit = commit_bytes(&golden_commit());
@@ -754,17 +764,14 @@ fn arb_scalar() -> BoxedStrategy<Value> {
     .boxed()
 }
 
-/// Scalars under up to three levels of sets (empty ones included), lists,
-/// tuples and variants.
+/// Scalars under up to three levels of sets (empty ones included) and
+/// tuples.
 pub(crate) fn arb_value() -> BoxedStrategy<Value> {
     arb_scalar()
         .prop_recursive(3, 24, 4, |inner| {
             prop_oneof![
                 prop::collection::vec(inner.clone(), 0..4).prop_map(Value::set),
-                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
-                (inner.clone(), inner.clone())
-                    .prop_map(|(p, q)| Value::tuple([("q", q), ("p", p)])),
-                inner.prop_map(|v| Value::Variant(Arc::from("alt"), Box::new(v))),
+                (inner.clone(), inner).prop_map(|(p, q)| Value::tuple([("q", q), ("p", p)])),
             ]
         })
         .boxed()
@@ -823,14 +830,14 @@ proptest! {
 // No bytes exhaust the stack
 // ---------------------------------------------------------------------------
 
-// The record codec's container tags and the catalog's set-type tag, as
-// the formats fix them.
+// The record codec's container tags and the catalog's type tags, as the
+// formats fix them.
 const TUPLE: u8 = 6;
 const SET: u8 = 7;
-const LIST: u8 = 8;
-const VARIANT: u8 = 9;
-const TY_SET: u8 = 5;
 const TY_INT: u8 = 1;
+const TY_SET: u8 = 5;
+const TY_LIST: u8 = 6;
+const TY_VARIANT: u8 = 7;
 const TY_CLASS: u8 = 8;
 
 /// The row `(deep = <`depth` containers of `kind` around NULL>, n = 5)`,
@@ -841,13 +848,9 @@ fn nested_row(kind: u8, depth: usize) -> Vec<u8> {
     put_str(&mut out, "deep");
     for _ in 0..depth {
         out.push(kind);
-        match kind {
-            TUPLE => {
-                put_len(&mut out, 1);
-                put_str(&mut out, "f");
-            }
-            VARIANT => put_str(&mut out, "v"),
-            _ => put_len(&mut out, 1),
+        put_len(&mut out, 1);
+        if kind == TUPLE {
+            put_str(&mut out, "f");
         }
     }
     out.push(0); // NULL
@@ -914,7 +917,7 @@ fn nesting_past_the_limit_is_an_io_error_on_a_default_thread_stack() {
     std::thread::spawn(|| {
         let n_is_negative =
             RowTest::new(vec![(Arc::from("n"), tmql_model::CmpOp::Lt, Value::Int(0))]);
-        for kind in [TUPLE, SET, LIST, VARIANT] {
+        for kind in [TUPLE, SET] {
             for depth in [MAX_NESTING as usize + 1, 100_000] {
                 let row = nested_row(kind, depth);
                 assert_too_deep(decode_record(&row));
@@ -938,7 +941,7 @@ fn nesting_past_the_limit_is_an_io_error_on_a_default_thread_stack() {
 #[test]
 fn nesting_up_to_the_limit_decodes() {
     let n_is_negative = RowTest::new(vec![(Arc::from("n"), tmql_model::CmpOp::Lt, Value::Int(0))]);
-    for kind in [TUPLE, SET, LIST, VARIANT] {
+    for kind in [TUPLE, SET] {
         let row = nested_row(kind, MAX_NESTING as usize);
         let rec = decode_record(&row).unwrap();
         assert_eq!(encode_record(&rec), row);
@@ -957,6 +960,50 @@ fn a_class_typed_column_decodes_as_any() {
     put_str(&mut class_ty, "Emp");
     let image = decode_catalog(&column_catalog(&class_ty)).unwrap();
     assert_eq!(image.tables[0].columns, vec![("c".to_string(), Ty::Any)]);
+}
+
+#[test]
+fn a_list_or_variant_typed_column_decodes_as_any() {
+    // TMQL builds no list or variant, so such a column held only NULLs.
+    let list_ty = [TY_LIST, TY_INT];
+    let mut variant_ty = vec![TY_VARIANT];
+    put_len(&mut variant_ty, 1);
+    put_str(&mut variant_ty, "a");
+    variant_ty.push(TY_INT);
+    for ty in [&list_ty[..], &variant_ty] {
+        let image = decode_catalog(&column_catalog(ty)).unwrap();
+        assert_eq!(image.tables[0].columns, vec![("c".to_string(), Ty::Any)]);
+    }
+    // The element or alternatives are still read, under the nesting limit.
+    let mut deep = vec![TY_LIST; MAX_NESTING as usize + 1];
+    deep.push(TY_INT);
+    assert_too_deep(decode_catalog(&column_catalog(&deep)));
+}
+
+#[test]
+fn a_stored_list_or_variant_is_an_io_error_never_a_panic() {
+    let unknown = |result: Result<Record>, tag: u8| match result {
+        Err(ModelError::Io(msg)) => {
+            assert!(msg.contains(&format!("unknown value tag {tag}")), "{msg}")
+        }
+        other => panic!("expected tag {tag} to be refused, got {other:?}"),
+    };
+    // A row an older file holds: `l` (tag 8) before `v` (tag 9).
+    let legacy = unhex(GOLDEN_RECORD);
+    unknown(decode_record(&legacy), 8);
+    unknown(RecordDecoder::default().decode(&legacy), 8);
+    // `v`'s value alone: its tag, the label "left", then "".
+    let variant = &legacy[legacy.len() - 14..];
+    assert_eq!(variant[0], 9);
+    unknown(decode_value(variant).map(|_| Record::empty()), 9);
+    // The skip-scan stops at the list: a field behind it is undecided, so
+    // the row is admitted and fails in the decoder, above. A field in
+    // front of it is still decided.
+    let test = |label: &str, op, key| RowTest::new(vec![(Arc::from(label), op, key)]);
+    let lt = tmql_model::CmpOp::Lt;
+    assert!(!test("v", lt, Value::Int(0)).rejects_bytes(&legacy));
+    assert!(!test("missing", lt, Value::Int(0)).rejects_bytes(&legacy));
+    assert!(test("id", lt, Value::Int(-7)).rejects_bytes(&legacy));
 }
 
 // ---------------------------------------------------------------------------

@@ -302,15 +302,12 @@ mod tests {
             matches!(keys[..], [Value::Int(0), Value::Int(1)]),
             "{keys:?}"
         );
-        // A stored set {1, 1.0} decodes to one element: a list's payload
-        // under a set's tag.
-        let (mut bytes, mut set_tag) = (Vec::new(), Vec::new());
-        encode_value(
-            &mut bytes,
-            &Value::List(vec![Value::Int(1), Value::Float(1.0)]),
-        );
-        encode_value(&mut set_tag, &Value::empty_set());
-        bytes[0] = set_tag[0];
+        // A stored set {1, 1.0} decodes to one element: a set's tag, a
+        // count of 2, then `Int 1` and `Float 1.0`, each a tag and 8 bytes.
+        let mut bytes = vec![7, 2, 0, 0, 0, 3];
+        bytes.extend(1i64.to_le_bytes());
+        bytes.push(4);
+        bytes.extend(1f64.to_le_bytes());
         let set = crate::spill::decode_value(&bytes).unwrap().0;
         assert_eq!(set.as_set().unwrap().len(), 1, "{set}");
     }

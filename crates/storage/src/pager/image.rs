@@ -75,6 +75,7 @@ mod ty_tag {
     pub(crate) const STR: u8 = 3;
     pub(crate) const TUPLE: u8 = 4;
     pub(crate) const SET: u8 = 5;
+    // Lists, variants and classes are read from older files, never written.
     pub(crate) const LIST: u8 = 6;
     pub(crate) const VARIANT: u8 = 7;
     pub const CLASS: u8 = 8;
@@ -87,10 +88,8 @@ mod ty_tag {
 pub(crate) fn check_ty(ty: &Ty) -> Result<()> {
     fn fits(ty: &Ty, budget: u32) -> bool {
         match ty {
-            Ty::Tuple(items) | Ty::Variant(items) => {
-                budget > 0 && items.iter().all(|(_, t)| fits(t, budget - 1))
-            }
-            Ty::Set(t) | Ty::List(t) => budget > 0 && fits(t, budget - 1),
+            Ty::Tuple(items) => budget > 0 && items.iter().all(|(_, t)| fits(t, budget - 1)),
+            Ty::Set(t) => budget > 0 && fits(t, budget - 1),
             _ => true,
         }
     }
@@ -114,20 +113,11 @@ fn put_ty(out: &mut Vec<u8>, ty: &Ty) {
             put_u8(out, ty_tag::SET);
             put_ty(out, t);
         }
-        Ty::List(t) => {
-            put_u8(out, ty_tag::LIST);
-            put_ty(out, t);
-        }
-        Ty::Variant(alts) => {
-            put_u8(out, ty_tag::VARIANT);
-            put_labelled_tys(out, alts);
-        }
         Ty::Any => put_u8(out, ty_tag::ANY),
     }
 }
 
-/// Tuple fields, variant alternatives, table columns: a count, then
-/// `(label, type)` pairs.
+/// Tuple fields, table columns: a count, then `(label, type)` pairs.
 fn put_labelled_tys(out: &mut Vec<u8>, items: &[(String, Ty)]) {
     put_len(out, items.len());
     for (l, t) in items {
@@ -273,8 +263,10 @@ fn ty(r: &mut Reader<'_>) -> Result<Ty> {
             let t = match compound {
                 ty_tag::TUPLE => Ty::Tuple(labelled_tys(r)?),
                 ty_tag::SET => Ty::Set(Box::new(ty(r)?)),
-                ty_tag::LIST => Ty::List(Box::new(ty(r)?)),
-                ty_tag::VARIANT => Ty::Variant(labelled_tys(r)?),
+                // TMQL builds no list or variant, so such a column held
+                // only NULL, which `ANY` admits too.
+                ty_tag::LIST => ty(r).map(|_| Ty::Any)?,
+                ty_tag::VARIANT => labelled_tys(r).map(|_| Ty::Any)?,
                 other => return Err(r.err(format_args!("unknown type tag {other}"))),
             };
             r.ascend();

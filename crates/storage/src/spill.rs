@@ -56,9 +56,9 @@
 //! Values are encoded with a one-byte kind tag followed by the payload
 //! (integers and float bits little-endian, strings and labels as `u32`
 //! length + UTF-8, containers as `u32` element count + elements). The
-//! codec covers the full [`Value`] universe — nested tuples, sets, lists,
-//! and variants round-trip exactly, including `NaN` floats (bit-pattern
-//! preserved via `to_bits`).
+//! codec covers the full [`Value`] universe — nested tuples and sets
+//! round-trip exactly, including `NaN` floats (bit-pattern preserved via
+//! `to_bits`).
 //!
 //! A `RecordDecoder` reads a stream of rows — a page batch, a spill run
 //! — at about what the rows' bytes cost. A record's fields are decoded
@@ -105,8 +105,8 @@ mod tag {
     pub(crate) const STR: u8 = 5;
     pub(crate) const TUPLE: u8 = 6;
     pub(crate) const SET: u8 = 7;
-    pub(crate) const LIST: u8 = 8;
-    pub(crate) const VARIANT: u8 = 9;
+    // 8 and 9 were lists and variants, which older files may hold: they
+    // decode as an unknown tag, and must never be reused.
 }
 
 /// Append the encoding of one value to `out`.
@@ -137,18 +137,6 @@ pub(crate) fn encode_value(out: &mut Vec<u8>, v: &Value) {
             for item in items {
                 encode_value(out, item);
             }
-        }
-        Value::List(items) => {
-            put_u8(out, tag::LIST);
-            put_len(out, items.len());
-            for item in items {
-                encode_value(out, item);
-            }
-        }
-        Value::Variant(label, inner) => {
-            put_u8(out, tag::VARIANT);
-            put_str(out, label);
-            encode_value(out, inner);
         }
     }
 }
@@ -184,8 +172,6 @@ pub(crate) fn check_nesting(rec: &Record) -> Result<()> {
         match v {
             Value::Tuple(rec) => budget > 0 && rec.iter().all(|(_, v)| fits(v, budget - 1)),
             Value::Set(items) => budget > 0 && items.iter().all(|v| fits(v, budget - 1)),
-            Value::List(items) => budget > 0 && items.iter().all(|v| fits(v, budget - 1)),
-            Value::Variant(_, inner) => budget > 0 && fits(inner, budget - 1),
             _ => true,
         }
     }
@@ -310,17 +296,11 @@ fn skip_variable(r: &mut Reader<'_>, tag: u8) -> Result<()> {
             }
             r.ascend();
         }
-        tag::SET | tag::LIST => {
+        tag::SET => {
             r.descend()?;
             for _ in 0..r.u32()? {
                 skip_value(r)?;
             }
-            r.ascend();
-        }
-        tag::VARIANT => {
-            r.descend()?;
-            r.bytes()?;
-            skip_value(r)?;
             r.ascend();
         }
         other => return Err(r.err(format_args!("unknown value tag {other}"))),
@@ -362,29 +342,10 @@ impl<'a> Cursor<'a> {
         let v = match tag {
             tag::TUPLE => Value::Tuple(self.record(false)?),
             tag::SET => Value::Set(self.set()?),
-            tag::LIST => {
-                let n = self.r.count(MIN_VALUE_BYTES)?;
-                let mut items = Vec::with_capacity(n);
-                self.values(n, &mut items)?;
-                Value::List(items)
-            }
-            tag::VARIANT => {
-                let label = self.label()?;
-                Value::Variant(label, Box::new(self.value()?))
-            }
             other => return Err(self.r.err(format_args!("unknown value tag {other}"))),
         };
         self.r.ascend();
         Ok(v)
-    }
-
-    /// The next `n` values, appended to `items`.
-    fn values(&mut self, n: usize, items: &mut Vec<Value>) -> Result<()> {
-        items.reserve(n);
-        for _ in 0..n {
-            items.push(self.value()?);
-        }
-        Ok(())
     }
 
     /// A count-prefixed set. An encoder writes the elements in order;
@@ -394,8 +355,9 @@ impl<'a> Cursor<'a> {
     fn set(&mut self) -> Result<SetValue> {
         let n = self.r.count(MIN_VALUE_BYTES)?;
         let mut items = self.names.accumulators.pop().unwrap_or_default();
-        let set = self
-            .values(n, &mut items)
+        items.reserve(n);
+        let set = (0..n)
+            .try_for_each(|_| self.value().map(|v| items.push(v)))
             .map(|()| SetValue::drain_from(&mut items));
         items.clear();
         self.names.accumulators.push(items);
@@ -955,15 +917,12 @@ mod tests {
                 ("a".to_string(), Value::Float(f64::NAN)),
                 (
                     "b".to_string(),
-                    Value::List(vec![Value::Bool(true), Value::Null]),
+                    Value::set([Value::Bool(true), Value::Null]),
                 ),
             ])
             .unwrap(),
             Record::new([
-                (
-                    "a".to_string(),
-                    Value::Variant(Arc::from("left"), Box::new(Value::Int(7))),
-                ),
+                ("a".to_string(), Value::str("left")),
                 ("b".to_string(), Value::empty_set()),
             ])
             .unwrap(),

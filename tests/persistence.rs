@@ -12,7 +12,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use tmql::{Database, QueryOptions, TmqlError, Ty, Value};
@@ -57,9 +56,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::set),
-            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
-            ("[a-d]", inner.clone())
-                .prop_map(|(l, v)| Value::Variant(Arc::from(l.as_str()), Box::new(v))),
             prop::collection::vec(("[a-d]", inner), 0..3).prop_map(|pairs| {
                 let mut rec = Record::empty();
                 for (l, v) in pairs {

@@ -8,8 +8,9 @@
 //! oracle's own [`V`], with its own equality ([`same`]) and dedup. Numbers
 //! are one kind: `Int(i)` equals `Float(f)` iff `f` is integral and exactly
 //! `i`, `-0.0` equals `0`, NaN equals NaN, and a comparison with NULL is
-//! false. What it does not cover — lists, variants, ordering across kinds
-//! or of tuples and sets — is [`Failure::Unsupported`], never a guess.
+//! false. It copies every engine value; what it does not cover — ordering
+//! across kinds or of tuples and sets — is [`Failure::Unsupported`], never
+//! a guess.
 //!
 //! A suite includes it with
 //!
@@ -76,7 +77,7 @@ pub fn answer(catalog: &Catalog, src: &str) -> Res<Vec<V>> {
         let table = catalog.table(name).or_else(|e| invalid(e.to_string()))?;
         let mut rows = Vec::new();
         for row in table.rows_vec().or_else(|e| invalid(e.to_string()))? {
-            insert(&mut rows, from_value(&Value::Tuple(row))?);
+            insert(&mut rows, from_value(&Value::Tuple(row)));
         }
         tables.push((name.to_string(), rows));
     }
@@ -84,8 +85,8 @@ pub fn answer(catalog: &Catalog, src: &str) -> Res<Vec<V>> {
 }
 
 /// The oracle's copy of an engine value.
-pub fn from_value(v: &Value) -> Res<V> {
-    Ok(match v {
+pub fn from_value(v: &Value) -> V {
+    match v {
         Value::Null => V::Null,
         Value::Bool(b) => V::Bool(*b),
         Value::Int(i) => V::Int(*i),
@@ -93,22 +94,18 @@ pub fn from_value(v: &Value) -> Res<V> {
         Value::Str(s) => V::Str(s.to_string()),
         Value::Tuple(r) => V::Tuple(
             r.iter()
-                .map(|(l, v)| Ok((l.to_string(), from_value(v)?)))
-                .collect::<Res<_>>()?,
+                .map(|(l, v)| (l.to_string(), from_value(v)))
+                .collect(),
         ),
-        Value::Set(s) => V::Set(s.iter().map(from_value).collect::<Res<_>>()?),
-        Value::List(_) | Value::Variant(..) => return unsupported(format!("value {v}")),
-    })
+        Value::Set(s) => V::Set(s.iter().map(from_value).collect()),
+    }
 }
 
 /// Assert that the engine's result set `got` is the oracle's `want`: each
 /// of them holds every value of the other, and they are equally large (so
 /// a set the engine failed to deduplicate is caught too).
 pub fn assert_matches<'a>(got: impl IntoIterator<Item = &'a Value>, want: &[V], case: &str) {
-    let got: Vec<V> = got
-        .into_iter()
-        .map(|v| from_value(v).unwrap_or_else(|e| panic!("{case}: {e:?}")))
-        .collect();
+    let got: Vec<V> = got.into_iter().map(from_value).collect();
     let missing: Vec<&V> = want.iter().filter(|w| !member(w, &got)).collect();
     let extra: Vec<&V> = got.iter().filter(|g| !member(g, want)).collect();
     assert!(
