@@ -125,14 +125,11 @@ fn golden_row() -> Record {
     .unwrap()
 }
 
-fn golden_column(min: Value, max: Value, histogram: Option<Histogram>) -> ColumnStats {
+fn golden_column(histogram: Option<Histogram>) -> ColumnStats {
     ColumnStats {
         distinct: 3,
-        min: Some(min),
-        max: Some(max),
         null_fraction: 0.25,
         set_valued_fraction: 0.5,
-        empty_set_fraction: 0.125,
         avg_set_card: 2.5,
         histogram,
     }
@@ -148,30 +145,17 @@ fn golden_catalog() -> CatalogImage {
     let r_stats = TableStats {
         cardinality: 3,
         columns: [
-            (
-                "a".to_string(),
-                golden_column(Value::Int(1), Value::Int(3), Some(histogram)),
-            ),
-            (
-                "b".to_string(),
-                golden_column(Value::empty_set(), Value::set([Value::Int(4)]), None),
-            ),
+            ("a".to_string(), golden_column(Some(histogram))),
+            ("b".to_string(), golden_column(None)),
         ]
         .into_iter()
         .collect(),
     };
     let s_stats = TableStats {
         cardinality: 0,
-        columns: [(
-            "flag".to_string(),
-            ColumnStats {
-                min: None,
-                max: None,
-                ..golden_column(Value::Null, Value::Null, None)
-            },
-        )]
-        .into_iter()
-        .collect(),
+        columns: [("flag".to_string(), golden_column(None))]
+            .into_iter()
+            .collect(),
     };
     CatalogImage {
         tables: vec![
@@ -304,6 +288,14 @@ const GOLDEN_LIST_VARIANT_BYTES: usize = 43;
 /// whose `L Emp` holds a class-type tag. A catalog now writes two zero
 /// counts there.
 const GOLDEN_SCHEMA_BYTES: usize = 105;
+/// Where [`GOLDEN_CATALOG`]'s three columns (`R.a`, `R.b`, `S.flag`) hold
+/// their `min`/`max`: the offset and length of the two option encodings
+/// (two integers, two sets, two absent tags). A catalog now writes two
+/// absent tags there, `00 00`.
+const GOLDEN_EXTREMES: [(usize, usize); 3] = [(180, 28), (306, 29), (434, 2)];
+/// Where the same three columns hold their empty-set fraction (`0.125`).
+/// A catalog now writes `0.0` there.
+const GOLDEN_EMPTY_SET_FRACTIONS: [usize; 3] = [224, 351, 452];
 const GOLDEN_INDEX: &str = concat!(
     "0300000009000000030100000000000000020000000000000000000000050000",
     "00000000000900000004000000000000f83f0100000002000000000000000600",
@@ -325,6 +317,26 @@ const GOLDEN_HEADER_HEAD: &str = concat!(
     "00000400000008000000",
 );
 
+/// [`GOLDEN_CATALOG`] as the catalog is written now: two zero counts for
+/// its class and sort sections, and in each column's statistics two
+/// absent option tags for its extremes and a zero empty-set fraction.
+fn golden_catalog_now() -> Vec<u8> {
+    let legacy = unhex(GOLDEN_CATALOG);
+    let mut now = vec![0; 8];
+    let mut at = GOLDEN_SCHEMA_BYTES;
+    for ((extremes, len), fraction) in GOLDEN_EXTREMES.into_iter().zip(GOLDEN_EMPTY_SET_FRACTIONS) {
+        assert!(legacy[extremes] <= 1, "an option tag at {extremes}");
+        assert_eq!(legacy[fraction..fraction + 8], 0.125f64.to_le_bytes());
+        now.extend_from_slice(&legacy[at..extremes]);
+        now.extend_from_slice(&[0, 0]);
+        now.extend_from_slice(&legacy[extremes + len..fraction]);
+        now.extend_from_slice(&0.0f64.to_le_bytes());
+        at = fraction + 8;
+    }
+    now.extend_from_slice(&legacy[at..]);
+    now
+}
+
 /// [`GOLDEN_RECORD`] as a row without its list and variant is written.
 fn golden_record_now() -> String {
     assert_eq!(&GOLDEN_RECORD[..8], "0a000000", "ten fields");
@@ -335,10 +347,9 @@ fn golden_record_now() -> String {
 #[test]
 fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
     assert_eq!(hex(&encode_record(&golden_row())), golden_record_now());
-    let after_schema = &GOLDEN_CATALOG[2 * GOLDEN_SCHEMA_BYTES..];
     assert_eq!(
         hex(&encode_catalog(&golden_catalog())),
-        format!("{}{after_schema}", "00".repeat(8))
+        hex(&golden_catalog_now())
     );
     assert_eq!(hex(&encode_index(&golden_index())), GOLDEN_INDEX);
     assert_eq!(hex(&commit_bytes(&golden_commit())), GOLDEN_COMMIT);
@@ -364,9 +375,14 @@ fn the_pinned_bytes_decode_to_their_inputs() {
         golden_row()
     );
     // NaN-free, so `==` on the statistics' floats is meaningful. The
-    // class and sort the bytes begin with are read past.
+    // class and sort the bytes begin with are read past, and so are each
+    // column's extremes and empty-set fraction.
     assert_eq!(
         decode_catalog(&unhex(GOLDEN_CATALOG)).unwrap(),
+        golden_catalog()
+    );
+    assert_eq!(
+        decode_catalog(&golden_catalog_now()).unwrap(),
         golden_catalog()
     );
     assert_eq!(
@@ -611,6 +627,7 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     check_corruptions(VALUE, &value, everywhere(&value));
     let catalog = encode_catalog(&golden_catalog());
     check_corruptions(CATALOG, &catalog, everywhere(&catalog));
+    // An older catalog, with a class, a sort and values for extremes.
     let legacy = unhex(GOLDEN_CATALOG);
     check_corruptions(CATALOG, &legacy, everywhere(&legacy));
     // A row an older file holds, with a list and a variant in it.

@@ -18,12 +18,12 @@
 //!   fixed-capacity buffer pool (clock eviction, pin counts, dirty
 //!   write-back; [`PoolStats`] counts its traffic), table extents, and
 //!   the persisted catalog image;
-//! * [`stats::TableStats`] — cardinality, distinct counts, min/max,
-//!   equi-width histograms, null/empty-set fractions, and set-valued
-//!   fan-out per column, built on registration a column at a time
+//! * [`stats::TableStats`] — cardinality, and per column the distinct
+//!   count, an equi-width histogram, the null and set-valued fractions
+//!   and the set-valued fan-out: what the cost-based optimizer and
+//!   physical planner read. Built on registration a column at a time
 //!   (from a reservoir sample past [`stats::STATS_SAMPLE_THRESHOLD`]
-//!   rows) and consumed by the cost-based optimizer and physical
-//!   planner;
+//!   rows);
 //! * [`index`] — the ordered index over one attribute.
 //!   [`Catalog::create_index`] builds an [`OrdIndex`], persists it
 //!   through the pager, and rebuilds it on register/replace
@@ -61,7 +61,7 @@ pub use index::OrdIndex;
 pub use pager::{PoolStats, DEFAULT_POOL_PAGES, DEFAULT_WAL_CHECKPOINT_BYTES};
 pub use pretest::RowTest;
 pub use spill::{RunReader, RunWriter, SpillDir, SpillFile};
-pub use stats::{ColumnStats, Histogram, StatsBuilder, TableStats};
+pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::Table;
 pub use wal::{RecoveryReport, WalActivity};
 

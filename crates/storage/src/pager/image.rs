@@ -3,25 +3,27 @@
 //! (stored as a page chain by [`super::store::PagedStore`]'s header-last
 //! catalog commit).
 //!
-//! Values (statistics min/max) reuse the spill codec
-//! ([`crate::spill::encode_value`] / [`crate::spill::decode_value`]), so
-//! the full complex-object universe — NaN floats included — round-trips
-//! bit-exactly. Everything else (types, histograms, fractions) has a
-//! straightforward tagged little-endian encoding, written and read
-//! through the crate's one `bytes::Reader`; malformed bytes decode to
-//! [`tmql_model::ModelError::Io`], never a panic.
+//! Types, extents, histograms and fractions have a straightforward
+//! tagged little-endian encoding, written and read through the crate's
+//! one `bytes::Reader`; malformed bytes decode to
+//! [`tmql_model::ModelError::Io`], never a panic. No value is written:
+//! where a column's statistics once held its min/max (values in the
+//! spill codec) and its empty-set fraction, an image holds two absent
+//! option tags and `0.0`, and an older file's values there are read
+//! through [`crate::spill::read_value`] — nesting budget and typed errors
+//! included — and dropped.
 
 use std::collections::BTreeMap;
 
-use tmql_model::{Result, Ty, Value};
+use tmql_model::{Result, Ty};
 
 use super::page::PageId;
 use super::store::TableExtent;
 use crate::bytes::{
-    put_f64, put_len, put_len_prefixed, put_str, put_u16, put_u32, put_u64, put_u8,
-    too_deep_to_store, Reader, MAX_NESTING,
+    put_f64, put_len, put_str, put_u16, put_u32, put_u64, put_u8, too_deep_to_store, Reader,
+    MAX_NESTING,
 };
-use crate::spill::{encode_value, read_value};
+use crate::spill::read_value;
 use crate::stats::{ColumnStats, Histogram, TableStats};
 
 /// One persisted table: its identity, column types, extent, and statistics.
@@ -126,16 +128,6 @@ fn put_labelled_tys(out: &mut Vec<u8>, items: &[(String, Ty)]) {
     }
 }
 
-fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(v) => {
-            put_u8(out, 1);
-            put_len_prefixed(out, |out| encode_value(out, v));
-        }
-    }
-}
-
 fn put_histogram(out: &mut Vec<u8>, h: &Option<Histogram>) {
     match h {
         None => put_u8(out, 0),
@@ -154,11 +146,13 @@ fn put_histogram(out: &mut Vec<u8>, h: &Option<Histogram>) {
 
 fn put_column_stats(out: &mut Vec<u8>, c: &ColumnStats) {
     put_u64(out, c.distinct as u64);
-    put_opt_value(out, &c.min);
-    put_opt_value(out, &c.max);
+    // No min, no max: the option tags an older image's values sat behind.
+    put_u8(out, 0);
+    put_u8(out, 0);
     put_f64(out, c.null_fraction);
     put_f64(out, c.set_valued_fraction);
-    put_f64(out, c.empty_set_fraction);
+    // The empty-set fraction an older image carried.
+    put_f64(out, 0.0);
     put_f64(out, c.avg_set_card);
     put_histogram(out, &c.histogram);
 }
@@ -279,10 +273,11 @@ fn labelled_tys(r: &mut Reader<'_>) -> Result<Vec<(String, Ty)>> {
     r.counted(MIN_LABELLED_TY_BYTES, |r| Ok((string(r)?, ty(r)?)))
 }
 
-fn opt_value(r: &mut Reader<'_>) -> Result<Option<Value>> {
+/// Read past an older image's min or max: an option tag, then a value.
+fn skip_opt_value(r: &mut Reader<'_>) -> Result<()> {
     match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_value(r)?)),
+        0 => Ok(()),
+        1 => read_value(r).map(drop),
         other => Err(r.err(format_args!("bad option tag {other}"))),
     }
 }
@@ -307,13 +302,16 @@ fn histogram(r: &mut Reader<'_>) -> Result<Option<Histogram>> {
 }
 
 fn column_stats(r: &mut Reader<'_>) -> Result<ColumnStats> {
+    let distinct = r.u64()? as usize;
+    skip_opt_value(r)?;
+    skip_opt_value(r)?;
+    let null_fraction = r.f64()?;
+    let set_valued_fraction = r.f64()?;
+    r.f64()?; // the empty-set fraction
     Ok(ColumnStats {
-        distinct: r.u64()? as usize,
-        min: opt_value(r)?,
-        max: opt_value(r)?,
-        null_fraction: r.f64()?,
-        set_valued_fraction: r.f64()?,
-        empty_set_fraction: r.f64()?,
+        distinct,
+        null_fraction,
+        set_valued_fraction,
         avg_set_card: r.f64()?,
         histogram: histogram(r)?,
     })
@@ -437,41 +435,6 @@ mod tests {
         blob.truncate(blob.len() - 4); // drop the (empty) index section
         let back = decode_catalog(&blob).unwrap();
         assert_eq!(back, img);
-    }
-
-    #[test]
-    fn nan_min_max_survive_the_round_trip() {
-        let mut stats = TableStats {
-            cardinality: 1,
-            columns: BTreeMap::new(),
-        };
-        stats.columns.insert(
-            "x".into(),
-            ColumnStats {
-                distinct: 1,
-                min: Some(Value::Float(f64::NAN)),
-                max: Some(Value::Float(f64::NAN)),
-                null_fraction: 0.0,
-                set_valued_fraction: 0.0,
-                empty_set_fraction: 0.0,
-                avg_set_card: 0.0,
-                histogram: None,
-            },
-        );
-        let img = CatalogImage {
-            tables: vec![TableImage {
-                name: "N".into(),
-                columns: vec![("x".into(), Ty::Float)],
-                extent: TableExtent::default(),
-                stats,
-            }],
-            indexes: Vec::new(),
-        };
-        let back = decode_catalog(&encode_catalog(&img)).unwrap();
-        match &back.tables[0].stats.columns["x"].min {
-            Some(Value::Float(f)) => assert!(f.is_nan()),
-            other => panic!("expected NaN min, got {other:?}"),
-        }
     }
 
     #[test]

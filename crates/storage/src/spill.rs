@@ -446,9 +446,9 @@ pub(crate) fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
     Ok((v, payload.len() - c.r.remaining()))
 }
 
-/// Read one length-prefixed value — how the catalog image stores
-/// statistics min/max and the index blob its keys. The value must fill
-/// its length exactly.
+/// Read one length-prefixed value — how the index blob stores its keys,
+/// and an older catalog image its statistics' min/max. The value must
+/// fill its length exactly.
 pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value> {
     let bytes = r.bytes()?;
     match decode_value(bytes)? {

@@ -1,21 +1,23 @@
-//! Table statistics for the cost-based optimizer and physical planner.
+//! Table statistics for the cost-based optimizer and physical planner:
+//! what `tmql-exec`'s cost model reads, and nothing else.
 //!
-//! Statistics are built **a column at a time** over rows that are held
-//! anyway (`TableStats::of_rows`: the table being registered, or the
-//! sample of it): the column's values are collected, sorted and counted
-//! as runs, which costs a comparison sort instead of one ordered-set
-//! probe, insert and clone per value. [`StatsBuilder`] is the same pass
-//! behind a row-at-a-time front for rows that arrive as a stream. The
-//! finished [`TableStats`] carry, per column:
+//! Statistics are built **a column at a time** over rows held in memory
+//! ([`TableStats::exact`]: the table's rows, or a sample of them): the
+//! column's values are collected, sorted and counted as runs, which
+//! costs a comparison sort instead of one ordered-set probe, insert and
+//! clone per value. [`TableStats::compute`] is the one front: it knows a
+//! table's row count before its first row, so it takes the exact pass up
+//! to [`STATS_SAMPLE_THRESHOLD`] rows and a reservoir sample past it. The
+//! finished [`TableStats`] carry the row count and, per column:
 //!
-//! * distinct count, min/max (classic System-R inputs),
+//! * the distinct count (the 1/NDV of equality selectivities),
 //! * an **equi-width histogram** over numeric values (comparison
 //!   selectivities better than a magic constant),
 //! * the **null fraction** (the relational baselines introduce NULLs),
-//! * the **set-valued / empty-set fractions** and the **average
-//!   set-valued fan-out** — the complex-object inputs that drive
-//!   `ScanExpr`/`Unnest` cardinality and unnest-strategy choice
-//!   (Section 3.2: subqueries over set-valued attributes).
+//! * the **set-valued fraction** and the **average set-valued fan-out**
+//!   — the complex-object inputs that drive `ScanExpr`/`Unnest`
+//!   cardinality and unnest-strategy choice (Section 3.2: subqueries
+//!   over set-valued attributes).
 
 use std::collections::BTreeMap;
 
@@ -26,15 +28,15 @@ use tmql_model::{Record, Result, Ty, Value};
 use crate::table::Table;
 
 /// Number of buckets in per-column equi-width histograms. Small on
-/// purpose: tables are in-memory and queries are selective enough that
-/// 16 buckets bound the estimation error well below the cost gaps the
-/// optimizer has to rank.
+/// purpose: 16 buckets bound the estimation error well below the cost
+/// gaps the optimizer has to rank, and a catalog image spends 8 bytes on
+/// each.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 16;
 
 /// Above this many rows, statistics switch from an exact full pass to
 /// **reservoir sampling**: per-row work becomes an O(1) reservoir update,
 /// and the finished statistics are estimated from a uniform
-/// `STATS_SAMPLE_SIZE`-row sample (row count and min/max stay exact).
+/// `STATS_SAMPLE_SIZE`-row sample (the row count stays exact).
 pub const STATS_SAMPLE_THRESHOLD: usize = 8192;
 
 /// Reservoir capacity of the sampled statistics pass (Vitter's
@@ -94,7 +96,8 @@ impl Histogram {
         (below as f64 + self.counts[bucket] as f64 * within) / self.total.max(1) as f64
     }
 
-    /// Estimated fraction of values strictly above `v`.
+    /// Estimated fraction of values at or above `v`: the complement of
+    /// `fraction_below`.
     pub(crate) fn fraction_above(&self, v: f64) -> f64 {
         if v < self.lo {
             return 1.0;
@@ -108,20 +111,12 @@ impl Histogram {
 pub struct ColumnStats {
     /// Number of distinct values.
     pub distinct: usize,
-    /// Minimum value under the model's total order (None for empty tables).
-    pub min: Option<Value>,
-    /// Maximum value under the model's total order.
-    pub max: Option<Value>,
     /// Fraction of rows in which the value is NULL (the relational
     /// outerjoin baselines are the only producers of NULLs in TM data).
     pub null_fraction: f64,
     /// Fraction of rows in which the value is a set — set-valued attributes
     /// change unnesting decisions (Section 3.2).
     pub set_valued_fraction: f64,
-    /// Fraction of rows in which the value is the **empty** set. Empty sets
-    /// make membership-style predicates trivially false and cut the fan-out
-    /// of `FROM x.a e` iteration.
-    pub empty_set_fraction: f64,
     /// Average cardinality of the set values in this column (0.0 when the
     /// column holds no sets) — the per-column fan-out of `ScanExpr`/unnest.
     pub avg_set_card: f64,
@@ -136,13 +131,14 @@ impl ColumnStats {
         self.histogram.as_ref().map(|h| h.fraction_below(v))
     }
 
-    /// Estimated fraction of rows with value `> v`.
+    /// Estimated fraction of rows with value `>= v` (the complement of
+    /// [`ColumnStats::fraction_lt`]).
     pub fn fraction_gt(&self, v: f64) -> Option<f64> {
         self.histogram.as_ref().map(|h| h.fraction_above(v))
     }
 
-    /// Estimated fraction of rows with value `= v`: histogram bucket mass
-    /// spread over the distinct values, falling back to 1/NDV.
+    /// Estimated fraction of rows with value `= v`: 1/NDV, `None` for an
+    /// empty column.
     pub fn fraction_eq(&self) -> Option<f64> {
         if self.distinct == 0 {
             return None;
@@ -166,19 +162,17 @@ fn field<'a>(row: &'a Record, i: usize, name: &str) -> Option<&'a Value> {
 /// exactly once and exactly twice (the Chao1 inputs). The counters and
 /// the histogram's numerics are taken as the values go by; then the
 /// values are sorted, which makes every distinct value one run: the
-/// distinct count is the number of runs, min and max are the two ends.
-/// The sort is stable and borrows, so among equal values the one that
-/// survives is the first met, and nothing is cloned but the two extremes.
+/// distinct count is the number of runs. The sort borrows, so no value is
+/// cloned.
 fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, usize) {
     let mut values: Vec<&Value> = Vec::with_capacity(rows.len());
     let mut numerics = Vec::new();
-    let (mut nulls, mut sets, mut empty_sets, mut set_elems) = (0usize, 0usize, 0usize, 0usize);
+    let (mut nulls, mut sets, mut set_elems) = (0usize, 0usize, 0usize);
     for v in rows.iter().filter_map(|row| field(row, i, name)) {
         match v {
             Value::Null => nulls += 1,
             Value::Set(s) => {
                 sets += 1;
-                empty_sets += usize::from(s.is_empty());
                 set_elems += s.len();
             }
             Value::Int(i) => numerics.push(*i as f64),
@@ -188,8 +182,7 @@ fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, us
         values.push(v);
     }
     values.sort();
-    let (mut distinct, mut once, mut twice) = (0usize, 0usize, 0usize);
-    let (mut run_start, mut max) = (0usize, None);
+    let (mut distinct, mut once, mut twice, mut run_start) = (0usize, 0usize, 0usize, 0usize);
     for end in 1..=values.len() {
         if end < values.len() && values[end] == values[run_start] {
             continue;
@@ -197,17 +190,13 @@ fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, us
         distinct += 1;
         once += usize::from(end - run_start == 1);
         twice += usize::from(end - run_start == 2);
-        max = Some(values[run_start]);
         run_start = end;
     }
     let n = rows.len().max(1) as f64;
     let stats = ColumnStats {
         distinct,
-        min: values.first().map(|v| (*v).clone()),
-        max: max.cloned(),
         null_fraction: nulls as f64 / n,
         set_valued_fraction: sets as f64 / n,
-        empty_set_fraction: empty_sets as f64 / n,
         avg_set_card: if sets > 0 {
             set_elems as f64 / sets as f64
         } else {
@@ -216,18 +205,6 @@ fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, us
         histogram: Histogram::build(&numerics),
     };
     (stats, once, twice)
-}
-
-/// The exact statistics of `rows`: one [`column_pass`] per column.
-fn exact_stats<S: AsRef<str>>(names: &[S], rows: &[Record]) -> TableStats {
-    let column = |(i, name): (usize, &S)| {
-        let name = name.as_ref();
-        (name.to_string(), column_pass(rows, i, name).0)
-    };
-    TableStats {
-        cardinality: rows.len(),
-        columns: names.iter().enumerate().map(column).collect(),
-    }
 }
 
 /// Estimate a column's distinct count from a uniform sample of
@@ -259,40 +236,27 @@ fn estimate_distinct(
 }
 
 /// The sampled pass: a uniform reservoir of [`STATS_SAMPLE_SIZE`] rows
-/// (Vitter's Algorithm R, deterministic seed) beside the exact row count
-/// and the exact running extremes of every column.
+/// (Vitter's Algorithm R, deterministic seed) beside the exact row count.
 #[derive(Debug)]
 struct Sampler {
     rows: usize,
     reservoir: Vec<Record>,
     rng: StdRng,
-    extremes: Vec<(Option<Value>, Option<Value>)>,
 }
 
 impl Sampler {
-    fn new(columns: usize) -> Sampler {
+    fn new() -> Sampler {
         Sampler {
             rows: 0,
             reservoir: Vec::with_capacity(STATS_SAMPLE_SIZE),
             // Deterministic: registering the same table twice yields the
             // same statistics.
             rng: StdRng::seed_from_u64(0x7153_7461_7473),
-            extremes: vec![(None, None); columns],
         }
     }
 
-    fn offer<S: AsRef<str>>(&mut self, names: &[S], row: &Record) {
+    fn offer(&mut self, row: &Record) {
         self.rows += 1;
-        for (i, (min, max)) in self.extremes.iter_mut().enumerate() {
-            if let Some(v) = field(row, i, names[i].as_ref()) {
-                if min.as_ref().is_none_or(|m| v < m) {
-                    *min = Some(v.clone());
-                }
-                if max.as_ref().is_none_or(|m| v > m) {
-                    *max = Some(v.clone());
-                }
-            }
-        }
         // Algorithm R: every row ends up in the reservoir with
         // probability STATS_SAMPLE_SIZE / rows.
         if self.reservoir.len() < STATS_SAMPLE_SIZE {
@@ -306,99 +270,17 @@ impl Sampler {
     }
 
     /// Fractions, fan-outs and histograms straight from the sample;
-    /// distinct counts through Chao1; row count and extremes exact.
-    fn finish<S: AsRef<str>>(self, names: &[S]) -> TableStats {
+    /// distinct counts through Chao1; the row count exact.
+    fn finish(self, columns: &[(String, Ty)]) -> TableStats {
         let sample_n = self.reservoir.len();
-        let column = |((i, name), (min, max)): ((usize, &S), _)| {
-            let name = name.as_ref();
+        let column = |(i, (name, _)): (usize, &(String, Ty))| {
             let (mut cs, once, twice) = column_pass(&self.reservoir, i, name);
             cs.distinct = estimate_distinct(cs.distinct, once, twice, sample_n, self.rows);
-            (cs.min, cs.max) = (min, max);
-            (name.to_string(), cs)
+            (name.clone(), cs)
         };
         TableStats {
             cardinality: self.rows,
-            columns: names
-                .iter()
-                .enumerate()
-                .zip(self.extremes)
-                .map(column)
-                .collect(),
-        }
-    }
-}
-
-/// Streaming statistics builder for rows whose number is not known in
-/// advance (a disk-backed table's batches): feed rows one at a time, then
-/// [`StatsBuilder::finish`]. Rows already in memory go through
-/// `TableStats::of_rows`, which this agrees with at every size.
-///
-/// Up to [`STATS_SAMPLE_THRESHOLD`] rows the builder only keeps a handle
-/// to each row and the statistics are exact. The row after that abandons
-/// the exact pass for good: the rows kept so far are replayed into a
-/// uniform reservoir of `STATS_SAMPLE_SIZE` rows — the same draws, in
-/// the same order, as if sampling had run from the first row — and from
-/// there per-row work is an O(1) reservoir update. Fractions, fan-outs
-/// and histograms then come from the sample and distinct counts through a
-/// Chao1 estimator, while the row count and per-column min/max stay
-/// exact. [`StatsBuilder::exact`] disables sampling for callers that
-/// need the full pass regardless of size (differential tests pin the
-/// sampled estimates against it).
-#[derive(Debug)]
-pub struct StatsBuilder {
-    names: Vec<String>,
-    threshold: usize,
-    /// Every row so far, while there are at most `threshold` of them.
-    kept: Vec<Record>,
-    /// The reservoir, once there are more.
-    sampler: Option<Sampler>,
-}
-
-impl StatsBuilder {
-    /// A builder for the given column names (sampling past
-    /// [`STATS_SAMPLE_THRESHOLD`] rows).
-    pub fn new<'a>(columns: impl IntoIterator<Item = &'a str>) -> StatsBuilder {
-        StatsBuilder::with_threshold(columns, STATS_SAMPLE_THRESHOLD)
-    }
-
-    /// A builder that never samples — the exact full pass at any size.
-    pub fn exact<'a>(columns: impl IntoIterator<Item = &'a str>) -> StatsBuilder {
-        StatsBuilder::with_threshold(columns, usize::MAX)
-    }
-
-    fn with_threshold<'a>(
-        columns: impl IntoIterator<Item = &'a str>,
-        threshold: usize,
-    ) -> StatsBuilder {
-        StatsBuilder {
-            names: columns.into_iter().map(str::to_string).collect(),
-            threshold,
-            kept: Vec::new(),
-            sampler: None,
-        }
-    }
-
-    /// Observe one row (missing fields are simply not counted).
-    pub fn observe(&mut self, row: &Record) {
-        match &mut self.sampler {
-            Some(sampler) => sampler.offer(&self.names, row),
-            None if self.kept.len() < self.threshold => self.kept.push(row.clone()),
-            None => {
-                let mut sampler = Sampler::new(self.names.len());
-                for kept in self.kept.drain(..) {
-                    sampler.offer(&self.names, &kept);
-                }
-                sampler.offer(&self.names, row);
-                self.sampler = Some(sampler);
-            }
-        }
-    }
-
-    /// Finish into per-table statistics.
-    pub fn finish(self) -> TableStats {
-        match self.sampler {
-            Some(sampler) => sampler.finish(&self.names),
-            None => exact_stats(&self.names, &self.kept),
+            columns: columns.iter().enumerate().map(column).collect(),
         }
     }
 }
@@ -413,51 +295,56 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// The statistics of a table whose `rows` are all in memory — the one
-    /// entry registration ([`crate::Catalog::register`] /
-    /// [`crate::Catalog::replace`]) and [`TableStats::compute`] share.
-    /// Knowing the row count up front decides the pass before the first
-    /// row: at or below [`STATS_SAMPLE_THRESHOLD`] it is exact, one sort
-    /// per column over borrowed values, with no reservoir and no running
-    /// extremes to maintain; above it only the reservoir is kept (see
-    /// [`StatsBuilder`], which yields the same statistics row by row).
-    pub(crate) fn of_rows(columns: &[(String, Ty)], rows: &[Record]) -> TableStats {
-        let names: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
-        if rows.len() <= STATS_SAMPLE_THRESHOLD {
-            return exact_stats(&names, rows);
+    /// The exact statistics of `rows` over the declared `columns`, at any
+    /// size: one sort per column over borrowed values. The reference the
+    /// sampled pass is measured against.
+    pub fn exact(columns: &[(String, Ty)], rows: &[Record]) -> TableStats {
+        let column =
+            |(i, (name, _)): (usize, &(String, Ty))| (name.clone(), column_pass(rows, i, name).0);
+        TableStats {
+            cardinality: rows.len(),
+            columns: columns.iter().enumerate().map(column).collect(),
         }
-        let mut sampler = Sampler::new(names.len());
-        rows.iter().for_each(|row| sampler.offer(&names, row));
-        sampler.finish(&names)
     }
 
-    /// Compute the table's statistics (sampling past
-    /// [`STATS_SAMPLE_THRESHOLD`] rows). Infallible for in-memory tables;
-    /// for disk-backed tables a failed page read is the error, never
-    /// statistics over the readable prefix.
+    /// The statistics of a table whose `rows` are all in memory — what
+    /// registration ([`crate::Catalog::register`] /
+    /// [`crate::Catalog::replace`]) and [`TableStats::compute`] share:
+    /// the exact pass up to [`STATS_SAMPLE_THRESHOLD`] rows, a reservoir
+    /// sample past it.
+    pub(crate) fn of_rows(columns: &[(String, Ty)], rows: &[Record]) -> TableStats {
+        if rows.len() <= STATS_SAMPLE_THRESHOLD {
+            return TableStats::exact(columns, rows);
+        }
+        let mut sampler = Sampler::new();
+        rows.iter().for_each(|row| sampler.offer(row));
+        sampler.finish(columns)
+    }
+
+    /// Compute the table's statistics, the pass chosen from its row
+    /// count: a disk-backed table at or below [`STATS_SAMPLE_THRESHOLD`]
+    /// rows is read whole for the exact pass, a larger one streams its
+    /// batches through one reservoir — the statistics the same rows give
+    /// in memory. Infallible for in-memory tables; for disk-backed tables
+    /// a failed page read is the error, never statistics over the
+    /// readable prefix.
     pub fn compute(table: &Table) -> Result<TableStats> {
         if let Some(rows) = table.mem_rows() {
             return Ok(TableStats::of_rows(table.columns(), rows));
         }
-        let mut b = StatsBuilder::new(table.columns().iter().map(|(n, _)| n.as_str()));
-        for batch in table.batches(1024) {
-            batch?.iter().for_each(|r| b.observe(r));
+        if table.len() <= STATS_SAMPLE_THRESHOLD {
+            return Ok(TableStats::exact(table.columns(), &table.rows_vec()?));
         }
-        Ok(b.finish())
+        let mut sampler = Sampler::new();
+        for batch in table.batches(1024) {
+            batch?.iter().for_each(|row| sampler.offer(row));
+        }
+        Ok(sampler.finish(table.columns()))
     }
 
     /// Per-column stats, `None` for unknown columns.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.get(name)
-    }
-
-    /// Estimated selectivity of an equality predicate on `column`
-    /// (classic 1/NDV); 0.1 fallback when the column is unknown.
-    pub fn eq_selectivity(&self, column: &str) -> f64 {
-        match self.columns.get(column) {
-            Some(c) if c.distinct > 0 => 1.0 / c.distinct as f64,
-            _ => 0.1,
-        }
     }
 
     /// Average set-valued fan-out of `column` — the expected element count
@@ -486,16 +373,6 @@ mod tests {
         assert_eq!(st.cardinality, 3);
         assert_eq!(st.columns["a"].distinct, 3);
         assert_eq!(st.columns["b"].distinct, 2);
-        assert_eq!(st.columns["a"].min, Some(Value::Int(1)));
-        assert_eq!(st.columns["a"].max, Some(Value::Int(3)));
-    }
-
-    #[test]
-    fn selectivity() {
-        let t = int_table("R", &["a"], &[&[1], &[2], &[3], &[4]]);
-        let st = TableStats::compute(&t).unwrap();
-        assert!((st.eq_selectivity("a") - 0.25).abs() < 1e-12);
-        assert!((st.eq_selectivity("zz") - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -514,7 +391,6 @@ mod tests {
         let st = TableStats::compute(&t).unwrap();
         let c = &st.columns["a"];
         assert!((c.set_valued_fraction - 0.75).abs() < 1e-12);
-        assert!((c.empty_set_fraction - 0.25).abs() < 1e-12);
         assert!((c.avg_set_card - 1.0).abs() < 1e-12, "(2 + 1 + 0) / 3 sets");
         assert_eq!(st.avg_set_card("a"), Some(1.0));
         assert_eq!(st.avg_set_card("nope"), None);
@@ -569,9 +445,12 @@ mod tests {
         let st = TableStats::compute(&t).unwrap();
         assert_eq!(st.cardinality, 0);
         assert_eq!(st.columns["a"].distinct, 0);
-        assert_eq!(st.columns["a"].min, None);
         assert!(st.columns["a"].histogram.is_none());
         assert_eq!(st.columns["a"].fraction_eq(), None);
+    }
+
+    fn wide_columns() -> Vec<(String, Ty)> {
+        vec![("id".into(), Ty::Int), ("m".into(), Ty::Int)]
     }
 
     fn wide_rows(n: i64) -> Vec<Record> {
@@ -589,18 +468,11 @@ mod tests {
     #[test]
     fn sampling_kicks_in_past_the_threshold() {
         let n = (STATS_SAMPLE_THRESHOLD * 3) as i64;
-        let mut sampled = StatsBuilder::new(["id", "m"]);
-        let mut exact = StatsBuilder::exact(["id", "m"]);
-        for row in wide_rows(n) {
-            sampled.observe(&row);
-            exact.observe(&row);
-        }
-        let s = sampled.finish();
-        let e = exact.finish();
-        // Row count and extremes are exact in both modes.
+        let rows = wide_rows(n);
+        let s = TableStats::of_rows(&wide_columns(), &rows);
+        let e = TableStats::exact(&wide_columns(), &rows);
+        // The row count is exact in both modes.
         assert_eq!(s.cardinality, e.cardinality);
-        assert_eq!(s.columns["id"].min, e.columns["id"].min);
-        assert_eq!(s.columns["id"].max, e.columns["id"].max);
         // Distinct estimates: the key column reads as all-distinct, the
         // modulo column is saturated in the sample.
         assert_eq!(s.columns["id"].distinct, n as usize);
@@ -626,15 +498,10 @@ mod tests {
 
     #[test]
     fn small_tables_keep_the_exact_pass() {
-        let mut sampled = StatsBuilder::new(["id", "m"]);
-        let mut exact = StatsBuilder::exact(["id", "m"]);
-        for row in wide_rows(512) {
-            sampled.observe(&row);
-            exact.observe(&row);
-        }
+        let rows = wide_rows(512);
         assert_eq!(
-            sampled.finish(),
-            exact.finish(),
+            TableStats::of_rows(&wide_columns(), &rows),
+            TableStats::exact(&wide_columns(), &rows),
             "below the threshold nothing changes"
         );
     }
@@ -655,20 +522,19 @@ mod tests {
     /// The builder this module had before it sorted columns, kept as the
     /// reference: per value, a probe of (and a clone into) the column's
     /// ordered set, by-name field lookups, and — past `threshold` rows —
-    /// Algorithm R beside running extremes.
+    /// Algorithm R.
     fn reference(names: &[&str], rows: &[Record], threshold: usize) -> TableStats {
         use std::collections::BTreeSet;
         fn column(rows: &[Record], name: &str) -> (ColumnStats, usize, usize) {
             let mut distinct = BTreeSet::new();
             let mut freq: BTreeMap<&Value, usize> = BTreeMap::new();
-            let (mut nulls, mut sets, mut empty_sets, mut set_elems) = (0, 0, 0, 0);
+            let (mut nulls, mut sets, mut set_elems) = (0, 0, 0);
             let mut numerics = Vec::new();
             for v in rows.iter().filter_map(|r| r.get(name).ok()) {
                 match v {
                     Value::Null => nulls += 1,
                     Value::Set(s) => {
                         sets += 1;
-                        empty_sets += usize::from(s.is_empty());
                         set_elems += s.len();
                     }
                     Value::Int(i) => numerics.push(*i as f64),
@@ -683,11 +549,8 @@ mod tests {
             let n = rows.len().max(1) as f64;
             let stats = ColumnStats {
                 distinct: distinct.len(),
-                min: distinct.iter().next().cloned(),
-                max: distinct.iter().next_back().cloned(),
                 null_fraction: nulls as f64 / n,
                 set_valued_fraction: sets as f64 / n,
-                empty_set_fraction: empty_sets as f64 / n,
                 avg_set_card: match sets {
                     0 => 0.0,
                     _ => set_elems as f64 / sets as f64,
@@ -719,15 +582,6 @@ mod tests {
                 let (mut cs, once, twice) = column(&reservoir, name);
                 cs.distinct =
                     estimate_distinct(cs.distinct, once, twice, reservoir.len(), rows.len());
-                (cs.min, cs.max) = (None, None);
-                for v in rows.iter().filter_map(|r| r.get(name).ok()) {
-                    if cs.min.as_ref().is_none_or(|m| v < m) {
-                        cs.min = Some(v.clone());
-                    }
-                    if cs.max.as_ref().is_none_or(|m| v > m) {
-                        cs.max = Some(v.clone());
-                    }
-                }
                 columns.insert(name.to_string(), cs);
             }
         }
@@ -764,9 +618,8 @@ mod tests {
             let names = ["a", "b", "c"];
             let columns: Vec<(String, Ty)> =
                 names.iter().map(|n| (n.to_string(), Ty::Any)).collect();
-            // The bytes a catalog image spends on the statistics: equal
-            // bytes means the same NaNs and the same representative of
-            // tuples that are equal under another label order.
+            // The bytes a catalog image spends on the statistics: every
+            // float compared bit for bit.
             let bytes = |stats: &TableStats| {
                 crate::pager::image::encode_catalog(&crate::pager::image::CatalogImage {
                     tables: vec![crate::pager::image::TableImage {
@@ -782,28 +635,13 @@ mod tests {
             for size in [0, 1, pool.len(), t - 1, t, t + 1, 2 * t + 77] {
                 let rows: Vec<Record> =
                     (0..size).map(|i| pool[(i * 31 + i / 7) % pool.len()].clone()).collect();
-                let stream = |mut b: StatsBuilder| {
-                    rows.iter().for_each(|r| b.observe(r));
-                    b.finish()
-                };
                 let want = reference(&names, &rows, t);
-                for got in [TableStats::of_rows(&columns, &rows), stream(StatsBuilder::new(names))] {
-                    prop_assert_eq!(bytes(&got), bytes(&want), "size {}", size);
-                    prop_assert_eq!(got, want.clone(), "size {}", size);
-                }
-                let exact = stream(StatsBuilder::exact(names));
+                let got = TableStats::of_rows(&columns, &rows);
+                prop_assert_eq!(bytes(&got), bytes(&want), "size {}", size);
+                prop_assert_eq!(got, want, "size {}", size);
+                let exact = TableStats::exact(&columns, &rows);
                 prop_assert_eq!(exact, reference(&names, &rows, usize::MAX), "size {}", size);
             }
         }
-    }
-
-    #[test]
-    fn incremental_builder_matches_compute() {
-        let t = int_table("R", &["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
-        let mut b = StatsBuilder::new(["a", "b"]);
-        for row in t.rows_vec().unwrap().iter() {
-            b.observe(row);
-        }
-        assert_eq!(b.finish(), TableStats::compute(&t).unwrap());
     }
 }
