@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 
 use tmql_algebra::rewrite::fixpoint;
 use tmql_algebra::{JoinKind, Plan, ScalarExpr};
+use tmql_model::Value;
 
 use crate::strategy::{decompose_subquery, decorrelatable};
 
@@ -51,42 +52,61 @@ pub fn project_nestjoin_elim(plan: &Plan) -> Option<Plan> {
 
 /// Selection pushdown into the join operand that covers the predicate:
 /// `σ_p(X ⋈ Y) = σ_p(X) ⋈ Y` when `p` references only `X`'s variables,
-/// and symmetrically into `Y`. Through ⋉, ▷ and the nest join Δ
-/// (Section 6) only the left operand takes it: the right operand decides
-/// what each left row keeps, so filtering it changes the answer (a
-/// dangling left tuple of Δ must still appear, with ∅). The left
-/// outerjoin is left alone.
+/// and symmetrically into `Y`. Over ⋈ the predicate is split into its
+/// conjuncts: those only `X` covers go to `X`, those only `Y` covers go to
+/// `Y`, and the rest join the ⋈ predicate (`σ_{p ∧ q}(X ⋈_r Y) =
+/// σ_p(X) ⋈_{r ∧ q} Y`, a literal `true` dropped), so a flat `FROM X x,
+/// Y y WHERE x.b = y.b` — `σ(X ⋈_true Y)` — becomes an equi-join. Through
+/// ⋉, ▷ and the nest join Δ (Section 6) only the left operand takes a
+/// whole predicate: the right operand decides what each left row keeps,
+/// so filtering it changes the answer (a dangling left tuple of Δ must
+/// still appear, with ∅). The left outerjoin is left alone.
 pub fn select_pushdown(plan: &Plan) -> Option<Plan> {
     let Plan::Select { input, pred } = plan else {
         return None;
     };
     let Plan::Join {
-        kind, left, right, ..
+        kind,
+        left,
+        right,
+        pred: on,
     } = &**input
     else {
         return None;
     };
-    let right = match kind {
-        JoinKind::Inner => Some(right),
-        JoinKind::Semi | JoinKind::Anti | JoinKind::Nest { .. } => None,
-        JoinKind::LeftOuter => return None,
+    let covers = |vars: &[String], e: &ScalarExpr| e.free_vars().iter().all(|v| vars.contains(v));
+    match kind {
+        JoinKind::Inner => {}
+        JoinKind::Semi | JoinKind::Anti | JoinKind::Nest { .. }
+            if covers(&left.output_vars(), pred) =>
+        {
+            let left = (**left).clone().select(pred.clone());
+            return Some(left.join_as(kind.clone(), (**right).clone(), on.clone()));
+        }
+        _ => return None,
+    }
+    let (left_vars, right_vars) = (left.output_vars(), right.output_vars());
+    let conjuncts = pred.conjuncts();
+    let n = conjuncts.len();
+    let (to_left, others): (Vec<_>, Vec<_>) =
+        (conjuncts.into_iter()).partition(|c| covers(&left_vars, c));
+    let (to_right, rest): (Vec<_>, Vec<_>) =
+        (others.into_iter()).partition(|c| covers(&right_vars, c));
+    // A part that is the whole predicate keeps its original shape.
+    let part = |terms: Vec<ScalarExpr>| match terms.len() == n {
+        true => pred.clone(),
+        false => ScalarExpr::conj(terms),
     };
-    let fv = pred.free_vars();
-    let covers = |p: &Plan| {
-        let vars = p.output_vars();
-        fv.iter().all(|v| vars.contains(v))
+    let operand = |p: &Plan, terms: Vec<ScalarExpr>| match terms.is_empty() {
+        true => p.clone(),
+        false => p.clone().select(part(terms)),
     };
-    let side = if covers(left) {
-        0
-    } else if right.is_some_and(|r| covers(r)) {
-        1
-    } else {
-        return None;
+    let on = match (rest.is_empty(), on) {
+        (true, on) => on.clone(),
+        (false, ScalarExpr::Lit(Value::Bool(true))) => part(rest),
+        (false, on) => ScalarExpr::and(on.clone(), part(rest)),
     };
-    let mut out = (**input).clone();
-    let operand = out.children_mut().swap_remove(side);
-    *operand = std::mem::replace(operand, Plan::scan("", "")).select(pred.clone());
-    Some(out)
+    Some(operand(left, to_left).join(operand(right, to_right), on))
 }
 
 /// Match `(X ⋈_{p1} Y) Δ_{p2} Z`, the shape both Section 6 laws below
@@ -319,6 +339,35 @@ mod tests {
         for pred in [x_pred, y_pred] {
             assert!(select_pushdown(&outer.clone().select(pred)).is_none());
         }
+    }
+
+    #[test]
+    fn join_takes_the_conjuncts_no_operand_covers() {
+        let on = E::eq(E::path("x", &["b"]), E::path("y", &["b"]));
+        let x_pred = E::cmp(CmpOp::Gt, E::path("x", &["a"]), E::lit(0i64));
+        let cross = Plan::scan("X", "x").join(Plan::scan("Y", "y"), E::lit(true));
+        // The literal `true` goes; the equality becomes the predicate.
+        let out = select_pushdown(&cross.clone().select(on.clone())).unwrap();
+        assert_eq!(
+            out,
+            Plan::scan("X", "x").join(Plan::scan("Y", "y"), on.clone())
+        );
+        // A left-only conjunct beside it goes left.
+        let both = cross.select(E::and(on.clone(), x_pred.clone()));
+        let out = select_pushdown(&both).unwrap();
+        let want = Plan::scan("X", "x")
+            .select(x_pred.clone())
+            .join(Plan::scan("Y", "y"), on.clone());
+        assert_eq!(out, want);
+        // Over a join with a predicate, the rest is ANDed to it.
+        let y_a = E::eq(E::path("y", &["a"]), E::path("x", &["a"]));
+        let joined = Plan::scan("X", "x").join(Plan::scan("Y", "y"), on.clone());
+        let out = select_pushdown(&joined.select(y_a.clone())).unwrap();
+        let want = Plan::scan("X", "x").join(Plan::scan("Y", "y"), E::and(on.clone(), y_a.clone()));
+        assert_eq!(out, want);
+        // ⋉ keeps today's rule: a predicate over both operands stays put.
+        let semi = Plan::scan("X", "x").semi_join(Plan::scan("Y", "y"), on);
+        assert!(select_pushdown(&semi.select(E::and(x_pred, y_a))).is_none());
     }
 
     #[test]

@@ -142,6 +142,30 @@ proptest! {
         let rhs = rules::select_pushdown(&lhs).expect("pushdown applies");
         prop_assert_eq!(eval(&lhs, &cat), eval(&rhs, &cat));
     }
+
+    /// Over ⋈, σ's conjuncts split three ways:
+    /// `σ_{p(x) ∧ r(x,y) ∧ q(y)}(X ⋈_true Y) ≡ σ_p(X) ⋈_r σ_q(Y)`.
+    #[test]
+    fn select_splits_over_a_join(
+        x in prop::collection::vec((0i64..5, 0i64..4), 0..6),
+        y in prop::collection::vec((0i64..4, 0i64..5), 0..6),
+        t in 0i64..5,
+        u in 0i64..5,
+    ) {
+        let cat = catalog(&x, &y, &[]);
+        let on = E::eq(E::path("x", &["b"]), E::path("y", &["b"]));
+        let p = E::cmp(tmql_algebra::CmpOp::Ge, E::path("x", &["a"]), E::lit(t));
+        let q = E::cmp(tmql_algebra::CmpOp::Lt, E::path("y", &["c"]), E::lit(u));
+        let lhs = Plan::scan("X", "x")
+            .join(Plan::scan("Y", "y"), E::lit(true))
+            .select(E::conj([p.clone(), on.clone(), q.clone()]));
+        let rhs = rules::select_pushdown(&lhs).expect("pushdown applies");
+        let want = Plan::scan("X", "x")
+            .select(p)
+            .join(Plan::scan("Y", "y").select(q), on);
+        prop_assert_eq!(&rhs, &want);
+        prop_assert_eq!(eval(&lhs, &cat), eval(&rhs, &cat));
+    }
 }
 
 /// The nest join is **not commutative**: `X Δ Y` and `Y Δ X` differ

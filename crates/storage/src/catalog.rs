@@ -726,8 +726,14 @@ mod tests {
             "tmql-catalog-test-{}-{name}.tmdb",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&p);
+        clean(&p);
         p
+    }
+
+    /// Remove a scratch database and its WAL sidecar.
+    fn clean(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(crate::wal::Wal::path_for(path));
     }
 
     #[test]
@@ -760,7 +766,7 @@ mod tests {
         assert_eq!(st.cardinality, 3);
         assert_eq!(st.columns["b"].distinct, 2, "statistics round-tripped");
         assert_eq!(cat.page_residency("R"), Some((1, 1)), "warm after the scan");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -774,7 +780,7 @@ mod tests {
         let cat = Catalog::open(&path, 16).unwrap();
         assert_eq!(cat.table("R").unwrap().len(), 2);
         assert_eq!(cat.stats("R").unwrap().cardinality, 2);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -804,7 +810,7 @@ mod tests {
         drop(cat);
         let cat = Catalog::open(&path, 16).unwrap();
         assert_eq!(cat.table("R").unwrap().len(), 500);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -825,7 +831,7 @@ mod tests {
         assert_eq!(idx.probe_eq(&Value::Int(10)), vec![0, 1]);
         assert_eq!(idx.probe_eq(&Value::Int(20)), vec![2]);
         assert_eq!(cat.indexes().count(), 1);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -849,7 +855,7 @@ mod tests {
             vec![1],
             "maintained index persisted"
         );
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -892,7 +898,7 @@ mod tests {
             }
         }
         assert_eq!(size(&path), settled, "index churn reuses freed pages");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -939,7 +945,7 @@ mod tests {
                 .unwrap(),
             &Value::Int(9)
         );
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -969,7 +975,7 @@ mod tests {
         assert!(cat.index_on("R", "a").is_none());
         assert_eq!(cat.stats("R").unwrap().cardinality, 300);
         assert_eq!(cat.index_on("R", "b").unwrap().len(), 300);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     /// `depth` containers of one kind (a set, else a tuple) around an
@@ -1018,7 +1024,7 @@ mod tests {
         let cat = Catalog::open(&path, 16).unwrap();
         assert_eq!(cat.table_names().count(), 4, "everything accepted reopens");
         assert_eq!(cat.table("ok1").unwrap().rows_vec().unwrap().len(), 1);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1044,7 +1050,7 @@ mod tests {
         assert!(!cat.in_transaction(), "failed statement aborted the txn");
         assert!(cat.table("big").is_err());
         assert_eq!(cat.stats("R").unwrap().cardinality, 1, "rolled back");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1066,6 +1072,6 @@ mod tests {
         }
         cat.wal_checkpoint().unwrap();
         assert_eq!(size(&path), before, "rolled-back writes reuse no space");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 }

@@ -1099,9 +1099,14 @@ mod tests {
             "tmql-store-test-{}-{name}.tmdb",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&p);
-        let _ = std::fs::remove_file(Wal::path_for(&p));
+        clean(&p);
         p
+    }
+
+    /// Remove a scratch database and its WAL sidecar.
+    fn clean(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(Wal::path_for(path));
     }
 
     fn int_rows(n: i64) -> Vec<Record> {
@@ -1138,7 +1143,7 @@ mod tests {
         assert_eq!(got, rows);
         // Random-access batch in the middle.
         assert_eq!(store.read_rows(&extent, 1500, 5).unwrap(), rows[1500..1505]);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1167,7 +1172,7 @@ mod tests {
         // The cursor only moves forward.
         assert!(matches!(read(&[(1500, 1), (3, 1)]), Err(ModelError::Io(_))));
         assert_eq!(store.pinned_pages(), 0, "every latch was released");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1184,7 +1189,7 @@ mod tests {
         let rows = vec![small.clone(), big.clone(), small.clone()];
         let extent = store.write_table(&rows).unwrap();
         assert_eq!(store.read_rows(&extent, 0, 10).unwrap(), rows);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1200,7 +1205,7 @@ mod tests {
         let blob = store.read_catalog().unwrap().expect("catalog present");
         assert_eq!(blob.len(), 3 * OVF_CAPACITY + 17);
         assert!(blob.iter().all(|&b| b == 9));
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1222,8 +1227,7 @@ mod tests {
         assert_eq!(store.recovery().replayed_txns, 1);
         let blob = store.read_catalog().unwrap().expect("catalog replayed");
         assert_eq!(blob, vec![5u8; 2 * OVF_CAPACITY]);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(Wal::path_for(&path));
+        clean(&path);
     }
 
     #[test]
@@ -1244,7 +1248,7 @@ mod tests {
         };
         assert_eq!(after, before, "rollback restores the allocation state");
         assert!(store.state().txn_pages.is_empty());
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1268,7 +1272,7 @@ mod tests {
         let store = PagedStore::open_store(&path, 4).unwrap();
         let err = store.read_catalog().unwrap_err();
         assert!(matches!(err, ModelError::Io(_)), "{err}");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1279,7 +1283,7 @@ mod tests {
             PagedStore::open_store(&path, 4),
             Err(ModelError::Io(_))
         ));
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1298,7 +1302,7 @@ mod tests {
         let store2 = PagedStore::open_store(&path, 4).unwrap();
         let err = store2.read_rows(&extent, 0, 10).unwrap_err();
         assert!(matches!(err, ModelError::Io(_)), "{err}");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1317,7 +1321,7 @@ mod tests {
         let mut pages: Vec<PageId> = extent.page_ids().collect();
         pages.sort_unstable();
         assert_eq!(store.resident_pages(&pages, &mut None), extent.page_count());
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1340,7 +1344,7 @@ mod tests {
             !store.state().free.is_empty(),
             "free list survived the reopen"
         );
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
@@ -1379,6 +1383,6 @@ mod tests {
             settled,
             "replaces reuse freed pages instead of growing the file"
         );
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 }

@@ -1,17 +1,23 @@
-//! A sampling CPU profile of the paper's nested statements: where the time
-//! of a `tmql-workload` statement goes, function by function.
+//! A sampling CPU profile of the benchmark's statements: where the time
+//! of a workload's statements goes, function by function.
 //!
 //! ```sh
 //! RUSTFLAGS="-C force-frame-pointers=yes" \
-//!   cargo run --release --example profile -- [--seconds 10] [statement …]
+//!   cargo run --release --example profile -- [--seconds 10] [workload | class …]
 //! ```
 //!
-//! The statements are those of the benchmark's `paper_nested` workload —
-//! `semijoin`, `antijoin`, `nestjoin_filter` (two statements),
-//! `nestjoin_select` and `nestjoin_2level` — over `tmql-workload`'s
-//! generated `X`/`Y` (2 048 rows each, a quarter dangling) and `X`/`Y`/`Z`
-//! chain (512 rows) at seed 42; naming some runs only those. Each runs in
-//! turn, round after round, for the given seconds.
+//! The workloads and their statements are the benchmark's own: this file
+//! includes `tmqlbench/src/workloads.rs` and builds each workload with its
+//! `build` at the pinned seed and full size, disk files in a temporary
+//! directory removed afterwards. An argument names a workload
+//! (`paper_nested`, `plan_heavy`, `scan_mem`, `spill_join`, `disk_cold`,
+//! `disk_rw`) or a statement class (`semijoin`, `nestjoin_select`,
+//! `table2`, `grace_semijoin`, `cold_probe`, `commit`, …; classes are
+//! unique across workloads); with none it profiles `paper_nested`. A query
+//! runs through `query_with` under the statement's own options, a write as
+//! the benchmark runs it (`catalog_mut().replace`, or `begin`, replaces,
+//! `commit`). Each chosen statement runs in turn, round after round, for
+//! the given seconds.
 //!
 //! `setitimer(ITIMER_PROF)` delivers `SIGPROF` every millisecond of CPU
 //! time. The handler, installed with `sigaction` and `SA_SIGINFO`, reads
@@ -30,6 +36,10 @@
 //! This is the one place in the workspace with `unsafe` code (the FFI and
 //! the stack reads); every engine crate stays without. On other targets
 //! the program says so and exits.
+
+#[allow(dead_code)]
+#[path = "../tmqlbench/src/workloads.rs"]
+mod workloads;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
@@ -50,9 +60,17 @@ mod sampler {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
     use std::time::Instant;
 
-    use tmql::Database;
-    use tmql_workload::gen::{gen_xy, gen_xyz, GenConfig};
-    use tmql_workload::queries::{self, where_query};
+    use crate::workloads::{self, Instance, Op, PINNED_SEED};
+
+    /// The benchmark's workloads, in its manifest's order.
+    const WORKLOADS: [&str; 6] = [
+        "paper_nested",
+        "plan_heavy",
+        "scan_mem",
+        "spill_join",
+        "disk_cold",
+        "disk_rw",
+    ];
 
     /// Frames kept per sample, and samples kept per run.
     const DEPTH: usize = 48;
@@ -266,33 +284,40 @@ mod sampler {
         }
     }
 
-    /// The benchmark's `paper_nested` statements and their databases, at
-    /// its pinned seed 42. This mirrors `paper_nested` in the benchmark's
-    /// `tmqlbench/src/workloads.rs` (`build`), statement for statement, and
-    /// must be kept in step with it by hand.
-    #[allow(clippy::type_complexity)]
-    fn paper_nested() -> (Vec<Database>, Vec<(&'static str, usize, String)>) {
-        let config = |n| GenConfig {
-            outer: n,
-            inner: n,
-            dangling_fraction: 0.25,
-            seed: 42,
-            ..GenConfig::default()
-        };
-        let dbs = vec![
-            Database::from_catalog(gen_xy(&config(2048))),
-            Database::from_catalog(gen_xyz(&config(512))),
-        ];
-        let select_nesting = "SELECT (n = x.n, s = (SELECT y.a FROM Y y WHERE x.b = y.b)) FROM X x";
-        let stmts = vec![
-            ("semijoin", 0, queries::MEMBERSHIP.to_string()),
-            ("antijoin", 0, queries::NON_MEMBERSHIP.to_string()),
-            ("nestjoin_filter", 0, queries::SUBSETEQ_BUG.to_string()),
-            ("nestjoin_filter", 0, where_query("x.n = COUNT({Z})")),
-            ("nestjoin_select", 0, select_nesting.to_string()),
-            ("nestjoin_2level", 1, queries::SECTION8.to_string()),
-        ];
-        (dbs, stmts)
+    /// The directory the disk workloads' files go in, removed when dropped
+    /// (declared before the databases, so dropped after them).
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Run statement `i` of `inst` as the benchmark runs it.
+    fn run(inst: &mut Instance, i: usize) {
+        let Instance {
+            dbs, stmts, tables, ..
+        } = inst;
+        let s = &stmts[i];
+        let db = &mut dbs[s.db];
+        match &s.op {
+            Op::Query(src) => {
+                db.query_with(src, s.opts).expect("statement runs");
+            }
+            Op::Replace(t) => {
+                let table = tables[*t].clone();
+                db.catalog_mut().replace(table).expect("replace commits");
+            }
+            Op::Txn(ts) => {
+                db.begin().expect("transaction begins");
+                for t in ts {
+                    let table = tables[*t].clone();
+                    db.catalog_mut().replace(table).expect("replace runs");
+                }
+                db.commit().expect("transaction commits");
+            }
+        }
     }
 
     pub fn main() {
@@ -305,21 +330,45 @@ mod sampler {
                 .expect("--seconds N");
             args.drain(i..i + 2);
         }
-        let (dbs, all) = paper_nested();
-        let stmts: Vec<_> = (all.iter())
-            .filter(|(name, ..)| args.is_empty() || args.iter().any(|a| a == *name))
+        if args.is_empty() {
+            args.push("paper_nested".to_string());
+        }
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("tmql-profile-{}", std::process::id())));
+        std::fs::create_dir_all(&dir.0).expect("a temporary directory");
+        // Every workload is built, so a class can be found in whichever
+        // one holds it; those with no chosen statement are dropped.
+        let mut chosen: Vec<(Instance, Vec<usize>)> = Vec::new();
+        for name in WORKLOADS {
+            let inst = workloads::build(name, PINNED_SEED, 1, &dir.0).expect("workload builds");
+            let picked: Vec<usize> = (0..inst.stmts.len())
+                .filter(|&i| args.iter().any(|a| a == name || a == inst.stmts[i].class))
+                .collect();
+            if !picked.is_empty() {
+                chosen.push((inst, picked));
+            }
+        }
+        let mut which: Vec<&'static str> = (chosen.iter())
+            .flat_map(|(inst, picked)| picked.iter().map(|&i| inst.stmts[i].class))
             .collect();
-        assert!(!stmts.is_empty(), "no statement named {args:?}");
+        which.dedup();
+        for a in &args {
+            let known = WORKLOADS.contains(&a.as_str()) || which.contains(&a.as_str());
+            assert!(known, "no workload or statement class named `{a}`");
+        }
 
         start(1000);
         let (clock, mut rounds) = (Instant::now(), 0);
         while clock.elapsed().as_secs_f64() < seconds && TAKEN.load(Relaxed) < SAMPLES {
-            for (_, db, src) in &stmts {
-                dbs[*db].query(src).expect("statement runs");
+            for (inst, picked) in &mut chosen {
+                for &i in picked.iter() {
+                    run(inst, i);
+                }
             }
             rounds += 1;
         }
         stop();
+        drop((chosen, dir));
 
         let taken = TAKEN.load(Relaxed).min(SAMPLES);
         let samples: Vec<&[AtomicU64]> = (0..taken)
@@ -360,7 +409,6 @@ mod sampler {
                 *inclusive.entry(f.clone()).or_insert(0) += 1;
             }
         }
-        let which: Vec<&str> = stmts.iter().map(|(n, ..)| *n).collect();
         println!(
             "{rounds} rounds of {which:?} in {:.1} s",
             clock.elapsed().as_secs_f64()

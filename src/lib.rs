@@ -548,7 +548,7 @@ impl Database {
     /// use tmql::Database;
     /// use tmql_storage::table::int_table;
     ///
-    /// let path = std::env::temp_dir().join(format!("doc-open-{}.tmdb", std::process::id()));
+    /// let path = std::env::temp_dir().join(format!("tmql-doc-open-{}.tmdb", std::process::id()));
     /// # let _ = std::fs::remove_file(&path);
     /// {
     ///     let mut db = Database::open(&path).unwrap();
@@ -558,7 +558,9 @@ impl Database {
     /// let r = db.query("SELECT x.a FROM X x").unwrap();
     /// assert_eq!(r.len(), 2);
     /// assert!(r.metrics.pool_hits + r.metrics.pool_misses > 0, "the scan went through the pool");
+    /// # drop(db);
     /// # let _ = std::fs::remove_file(&path);
+    /// # let _ = std::fs::remove_file(path.with_extension("tmdb.wal"));
     /// ```
     ///
     /// A file admits **one live `Database`** at a time. The open takes an

@@ -108,7 +108,7 @@ proptest! {
         let got = reopened.query("SELECT t.v FROM T t").unwrap();
         prop_assert_eq!(&got.values, &expected.values, "reopened result diverged");
         prop_assert_eq!(got.len(), values.iter().collect::<std::collections::BTreeSet<_>>().len());
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 }
 
@@ -143,7 +143,7 @@ proptest! {
         mem.register_table(table).unwrap();
         let q = "SELECT t.v FROM T t WHERE t.k = 0";
         prop_assert_eq!(reopened.query(q).unwrap().values, mem.query(q).unwrap().values);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 }
 
@@ -187,7 +187,7 @@ fn crash_between_index_write_and_commit_keeps_old_catalog() {
     let r = reopened.query("SELECT x.n FROM X x WHERE x.b = 3").unwrap();
     assert_eq!(r.len(), 50);
     assert_eq!(r.metrics.index_probes, 0, "no index to probe");
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }
 
 /// A corrupted index page surfaces as `ModelError::Io` — never a panic,
@@ -221,7 +221,7 @@ fn corrupted_index_page_surfaces_as_io_error() {
         Ok(_) => panic!("opening a database with a torn index must fail"),
         Err(other) => panic!("expected ModelError::Io, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }
 
 /// The headline acceptance: a dataset bigger than the buffer pool,
@@ -292,7 +292,7 @@ fn bounded_pool_database_agrees_with_memory() {
         "a working set larger than the pool keeps faulting: {}",
         again.metrics
     );
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }
 
 /// A warm pool large enough for the table serves rescans from memory.
@@ -316,7 +316,7 @@ fn warm_pool_stops_faulting() {
     // The estimator's page-I/O charge reflects the temperature: the warm
     // scan is priced cheaper than the cold one was.
     assert!(cold.metrics.pool_misses > 0 || cold.metrics.pool_hits > 0);
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }
 
 #[test]
@@ -345,7 +345,7 @@ fn corrupted_page_surfaces_as_io_error() {
         }
         other => panic!("expected ModelError::Io, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }
 
 /// Statistics are computed over every row or not at all: registering a
@@ -406,7 +406,7 @@ fn truncated_file_surfaces_as_io_error() {
         Err(TmqlError::Model(ModelError::Io(_))) => {}
         other => panic!("expected ModelError::Io on bad magic, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }
 
 #[test]
@@ -693,5 +693,5 @@ fn persist_to_copies_a_live_database() {
         }
         other => panic!("expected refusal on existing target, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    clean(&path);
 }

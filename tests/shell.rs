@@ -239,6 +239,7 @@ fn persist_then_open_round_trips_across_shell_sessions() {
         "reopened database must answer identically ({rows_line}):\n{out2}"
     );
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("tmdb.wal"));
 }
 
 #[test]
