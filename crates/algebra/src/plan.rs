@@ -300,23 +300,49 @@ impl Plan {
 
     /// The variables bound in this plan's output rows, in order.
     pub fn output_vars(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_output_var(&mut |v| out.push(v.to_owned()));
+        out
+    }
+
+    /// True iff `var` is one of [`Plan::output_vars`], found without
+    /// collecting them.
+    pub fn binds(&self, var: &str) -> bool {
+        let mut found = false;
+        self.for_each_output_var(&mut |v| found = found || v == var);
+        found
+    }
+
+    /// Visit the variables bound in this plan's output rows, in order.
+    fn for_each_output_var<'a>(&'a self, f: &mut dyn FnMut(&'a str)) {
         match self {
-            Plan::ScanTable { var, .. } | Plan::ScanExpr { var, .. } => vec![var.clone()],
-            Plan::Select { input, .. } => input.output_vars(),
-            Plan::Map { var, .. } => vec![var.clone()],
-            Plan::Extend { input, var, .. } => {
-                let mut v = input.output_vars();
-                v.push(var.clone());
-                v
+            Plan::ScanTable { var, .. }
+            | Plan::ScanExpr { var, .. }
+            | Plan::Map { var, .. }
+            | Plan::GroupAgg { var, .. }
+            | Plan::SetOp { var, .. } => f(var),
+            Plan::Select { input, .. } => input.for_each_output_var(f),
+            Plan::Extend { input, var, .. }
+            | Plan::Apply {
+                input, label: var, ..
+            } => {
+                input.for_each_output_var(f);
+                f(var);
             }
-            Plan::Project { vars, .. } => vars.clone(),
+            Plan::Project { vars, .. } => vars.iter().for_each(|v| f(v)),
             Plan::Join {
                 kind, left, right, ..
-            } => kind.output_vars(left.output_vars(), right.output_vars()),
+            } => {
+                left.for_each_output_var(f);
+                match kind {
+                    JoinKind::Inner | JoinKind::LeftOuter => right.for_each_output_var(f),
+                    JoinKind::Semi | JoinKind::Anti => {}
+                    JoinKind::Nest { label, .. } => f(label),
+                }
+            }
             Plan::Nest { keys, label, .. } => {
-                let mut v = keys.clone();
-                v.push(label.clone());
-                v
+                keys.iter().for_each(|k| f(k));
+                f(label);
             }
             Plan::Unnest {
                 input,
@@ -324,21 +350,13 @@ impl Plan {
                 drop_vars,
                 ..
             } => {
-                let mut v: Vec<String> = input
-                    .output_vars()
-                    .into_iter()
-                    .filter(|x| !drop_vars.contains(x))
-                    .collect();
-                v.push(elem_var.clone());
-                v
+                input.for_each_output_var(&mut |v| {
+                    if !drop_vars.iter().any(|d| d == v) {
+                        f(v)
+                    }
+                });
+                f(elem_var);
             }
-            Plan::GroupAgg { var, .. } => vec![var.clone()],
-            Plan::Apply { input, label, .. } => {
-                let mut v = input.output_vars();
-                v.push(label.clone());
-                v
-            }
-            Plan::SetOp { var, .. } => vec![var.clone()],
         }
     }
 
@@ -560,6 +578,52 @@ mod tests {
             drop_vars: vec!["zs".into()],
         };
         assert_eq!(u.output_vars(), vec!["x", "z"]);
+    }
+
+    /// `binds` answers what `output_vars` lists, for every operator.
+    #[test]
+    fn binds_is_membership_in_output_vars() {
+        let (x, y) = (|| Plan::scan("X", "x"), || Plan::scan("Y", "y"));
+        let t = || E::lit(true);
+        let plans = [
+            sample(),
+            x().join(y(), t()).select(t()),
+            x().semi_join(y(), t()),
+            x().anti_join(y(), t()),
+            x().left_outer_join(y(), t()),
+            x().nest_join(y(), t(), E::var("y"), "ys"),
+            x().extend(E::var("x"), "e").project(&["e"]),
+            x().apply(y(), "zs").extend(E::var("zs"), "e"),
+            Plan::Unnest {
+                input: Box::new(x().apply(y(), "zs")),
+                expr: E::var("zs"),
+                elem_var: "z".into(),
+                drop_vars: vec!["zs".into()],
+            },
+            Plan::Nest {
+                input: Box::new(x().join(y(), t())),
+                keys: vec!["x".into()],
+                value: E::var("y"),
+                label: "ys".into(),
+                star: false,
+            },
+            Plan::GroupAgg {
+                input: Box::new(x()),
+                keys: vec![],
+                aggs: vec![],
+                var: "g".into(),
+            },
+            Plan::ScanExpr {
+                expr: E::path("x", &["a"]),
+                var: "a".into(),
+            },
+        ];
+        for plan in plans {
+            let vars = plan.output_vars();
+            for v in ["x", "y", "e", "zs", "z", "ys", "out", "g", "a", ""] {
+                assert_eq!(plan.binds(v), vars.iter().any(|o| o == v), "{v} in {plan}");
+            }
+        }
     }
 
     #[test]

@@ -226,15 +226,21 @@ impl ScalarExpr {
     }
 
     /// The top-level conjuncts, left to right (the inverse of
-    /// [`ScalarExpr::conj`] for a non-empty list).
-    pub fn conjuncts(&self) -> Vec<ScalarExpr> {
+    /// [`ScalarExpr::conj`] for a non-empty list), borrowed: a caller
+    /// clones only those it puts into a new expression.
+    pub fn conjuncts(&self) -> Vec<&ScalarExpr> {
+        let mut out = Vec::new();
+        self.push_conjuncts(&mut out);
+        out
+    }
+
+    fn push_conjuncts<'a>(&'a self, out: &mut Vec<&'a ScalarExpr>) {
         match self {
             ScalarExpr::And(a, b) => {
-                let mut out = a.conjuncts();
-                out.extend(b.conjuncts());
-                out
+                a.push_conjuncts(out);
+                b.push_conjuncts(out);
             }
-            other => vec![other.clone()],
+            other => out.push(other),
         }
     }
 
@@ -319,7 +325,15 @@ impl ScalarExpr {
 
     /// True iff `var` occurs free in the expression.
     pub fn mentions(&self, var: &str) -> bool {
-        self.free_vars().contains(var)
+        !self.reads_only(|v| v != var)
+    }
+
+    /// True iff every free variable satisfies `bound` (vacuously for a
+    /// closed expression): the variables are tested, never collected.
+    pub fn reads_only(&self, mut bound: impl FnMut(&str) -> bool) -> bool {
+        let mut all = true;
+        self.free_refs(|v, _| all = all && bound(v));
+        all
     }
 
     /// The same node over `f(child)` for each direct subexpression, left to

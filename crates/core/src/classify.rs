@@ -14,6 +14,8 @@
 //! sound extensions (MIN/MAX comparisons, quantifier bodies), each
 //! documented at its match arm.
 
+use std::borrow::Cow;
+
 use tmql_algebra::{AggFn, CmpOp, Quantifier, ScalarExpr, SetCmpOp};
 use tmql_model::Value;
 
@@ -70,12 +72,19 @@ impl Classification {
 /// conjunct mentions `z`; classification demands **exactly one** mention
 /// ("P(x, z) contains only one occurrence of z", Section 4) — with more,
 /// the whole conjunction is returned as the z-part so it classifies as
-/// requiring grouping.
-pub(crate) fn split_on_z(pred: &ScalarExpr, z: &str) -> (Option<ScalarExpr>, Vec<ScalarExpr>) {
+/// requiring grouping. Only a conjunction of several is built; the
+/// conjuncts are borrowed.
+pub(crate) fn split_on_z<'e>(
+    pred: &'e ScalarExpr,
+    z: &str,
+) -> (Option<Cow<'e, ScalarExpr>>, Vec<&'e ScalarExpr>) {
     let (with_z, without_z): (Vec<_>, Vec<_>) =
         pred.conjuncts().into_iter().partition(|c| c.mentions(z));
-    // `conj` of one conjunct is that conjunct.
-    let zpart = (!with_z.is_empty()).then(|| ScalarExpr::conj(with_z));
+    let zpart = match with_z[..] {
+        [] => None,
+        [one] => Some(Cow::Borrowed(one)),
+        _ => Some(Cow::Owned(ScalarExpr::conj(with_z.into_iter().cloned()))),
+    };
     (zpart, without_z)
 }
 
@@ -525,7 +534,8 @@ mod tests {
         assert!(zpart.unwrap().mentions("z"));
         assert_eq!(rest.len(), 1);
         // No z at all.
-        let (zpart, rest) = split_on_z(&E::lit(true), "z");
+        let t = E::lit(true);
+        let (zpart, rest) = split_on_z(&t, "z");
         assert!(zpart.is_none());
         assert_eq!(rest.len(), 1);
     }

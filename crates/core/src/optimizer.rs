@@ -75,7 +75,7 @@ fn cheapest(block: &Block<'_>, model: &dyn CostModel) -> Option<Plan> {
     }
     // The rewrites still have to beat keeping the Apply outright (no
     // margin: the nested loop is the fallback, not the preference).
-    best.filter(|(_, cost)| *cost <= model.total_cost(&block.nested_loop()))
+    best.filter(|(_, cost)| *cost <= model.total_cost(block.nested_loop()))
         .map(|(plan, _)| plan)
 }
 

@@ -74,30 +74,26 @@ pub fn select_pushdown(plan: &Plan) -> Option<Plan> {
     else {
         return None;
     };
-    let covers = |vars: &[String], e: &ScalarExpr| e.free_vars().iter().all(|v| vars.contains(v));
+    let covers = |p: &Plan, e: &ScalarExpr| e.reads_only(|v| p.binds(v));
     match kind {
         JoinKind::Inner => {}
-        JoinKind::Semi | JoinKind::Anti | JoinKind::Nest { .. }
-            if covers(&left.output_vars(), pred) =>
-        {
+        JoinKind::Semi | JoinKind::Anti | JoinKind::Nest { .. } if covers(left, pred) => {
             let left = (**left).clone().select(pred.clone());
             return Some(left.join_as(kind.clone(), (**right).clone(), on.clone()));
         }
         _ => return None,
     }
-    let (left_vars, right_vars) = (left.output_vars(), right.output_vars());
     let conjuncts = pred.conjuncts();
     let n = conjuncts.len();
     let (to_left, others): (Vec<_>, Vec<_>) =
-        (conjuncts.into_iter()).partition(|c| covers(&left_vars, c));
-    let (to_right, rest): (Vec<_>, Vec<_>) =
-        (others.into_iter()).partition(|c| covers(&right_vars, c));
+        (conjuncts.into_iter()).partition(|c| covers(left, c));
+    let (to_right, rest): (Vec<_>, Vec<_>) = (others.into_iter()).partition(|c| covers(right, c));
     // A part that is the whole predicate keeps its original shape.
-    let part = |terms: Vec<ScalarExpr>| match terms.len() == n {
+    let part = |terms: Vec<&ScalarExpr>| match terms.len() == n {
         true => pred.clone(),
-        false => ScalarExpr::conj(terms),
+        false => ScalarExpr::conj(terms.into_iter().cloned()),
     };
-    let operand = |p: &Plan, terms: Vec<ScalarExpr>| match terms.is_empty() {
+    let operand = |p: &Plan, terms: Vec<&ScalarExpr>| match terms.is_empty() {
         true => p.clone(),
         false => p.clone().select(part(terms)),
     };

@@ -30,8 +30,6 @@
 //! flattened via the semijoin path, which is correct (no grouping, no
 //! bug) — matching Kim's original treatment of those types.
 
-use std::collections::BTreeSet;
-
 use tmql_algebra::{AggFn, CmpOp, Plan, ScalarExpr};
 
 use crate::classify::{Classification, FRESH_VAR};
@@ -82,7 +80,7 @@ pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
     // Complex-object grouping predicates: nest-then-join. The nested-set
     // label reuses the block label so `P(x, z)` applies unchanged.
     let (t, key_eqs, _) = nested(corr, block);
-    Some(joined(block, t, key_eqs, zpart.clone()))
+    Some(joined(block, t, key_eqs, zpart.clone().into_owned()))
 }
 
 /// `I ⋈_{keys ∧ p} T` under the `z`-free conjuncts: the regular join that
@@ -105,8 +103,8 @@ pub(super) struct Correlation {
 /// Kim's algorithm does not apply.
 pub(super) fn correlation(block: &Block<'_>) -> Option<Correlation> {
     let parts = block.parts;
-    let outer_vars: BTreeSet<String> = block.input.output_vars().into_iter().collect();
-    let inner_vars: BTreeSet<String> = parts.inner.output_vars().into_iter().collect();
+    let outer = |e: &ScalarExpr| e.reads_only(|v| block.input.binds(v));
+    let inner = |e: &ScalarExpr| e.reads_only(|v| parts.inner.binds(v));
     let mut outer_keys = Vec::new();
     let mut inner_keys = Vec::new();
     let mut inner_resid = Vec::new();
@@ -114,19 +112,17 @@ pub(super) fn correlation(block: &Block<'_>) -> Option<Correlation> {
         if matches!(c, ScalarExpr::Lit(tmql_model::Value::Bool(true))) {
             continue;
         }
-        let fv = c.free_vars();
-        if fv.is_subset(&inner_vars) {
+        if inner(c) {
             inner_resid.push(c);
             continue;
         }
-        if let ScalarExpr::Cmp(CmpOp::Eq, a, b) = &c {
-            let (fa, fb) = (a.free_vars(), b.free_vars());
-            if fa.is_subset(&outer_vars) && fb.is_subset(&inner_vars) {
+        if let ScalarExpr::Cmp(CmpOp::Eq, a, b) = c {
+            if outer(a) && inner(b) {
                 outer_keys.push((**a).clone());
                 inner_keys.push((**b).clone());
                 continue;
             }
-            if fb.is_subset(&outer_vars) && fa.is_subset(&inner_vars) {
+            if outer(b) && inner(a) {
                 outer_keys.push((**b).clone());
                 inner_keys.push((**a).clone());
                 continue;
@@ -137,7 +133,10 @@ pub(super) fn correlation(block: &Block<'_>) -> Option<Correlation> {
     let inner_plan = if inner_resid.is_empty() {
         parts.inner.clone()
     } else {
-        parts.inner.clone().select(ScalarExpr::conj(inner_resid))
+        parts
+            .inner
+            .clone()
+            .select(ScalarExpr::conj(inner_resid.into_iter().cloned()))
     };
     Some(Correlation {
         outer_keys,

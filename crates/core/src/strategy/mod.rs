@@ -28,6 +28,8 @@ pub mod nested_loop;
 pub mod nestjoin;
 pub(crate) mod semi_anti;
 
+use std::borrow::Cow;
+
 use tmql_algebra::{Plan, ScalarExpr};
 
 use crate::classify::{classify, split_on_z, Classification};
@@ -152,12 +154,12 @@ pub(crate) fn replace_subexpr(
 /// only for a canonical subquery whose operand `R` is closed.
 #[derive(Debug)]
 pub(crate) struct Block<'a> {
+    /// The block as it stands: nested-loop processing.
+    plan: &'a Plan,
     /// Block predicate `P(x, z)`; `None` for SELECT-clause nesting.
     pub pred: Option<&'a ScalarExpr>,
     /// Outer plan `I`.
     pub input: &'a Plan,
-    /// The whole subquery plan, as the `Apply` holds it.
-    pub subquery: &'a Plan,
     /// Label `z` of the subquery result.
     pub label: &'a str,
     /// `R`, `Q` and `G` of the subquery.
@@ -165,21 +167,28 @@ pub(crate) struct Block<'a> {
     /// The conjunct of `P` that mentions `z` with its Theorem 1
     /// classification ([`split_on_z`]: several such conjuncts are one
     /// conjunction). `None` when `P` is absent or ignores `z`.
-    pub zpart: Option<(ScalarExpr, Classification)>,
+    pub zpart: Option<(Cow<'a, ScalarExpr>, Classification)>,
     /// The conjuncts of `P` that do not mention `z`.
-    pub rest: Vec<ScalarExpr>,
+    pub rest: Vec<&'a ScalarExpr>,
 }
 
 impl<'a> Block<'a> {
-    /// Analyse one `Apply` (with the Select above it, if any). `None` when
-    /// no strategy applies: the subquery is not canonical, or `R` is
-    /// correlated (Section 3.2).
-    pub(crate) fn analyse(
-        pred: Option<&'a ScalarExpr>,
-        input: &'a Plan,
-        subquery: &'a Plan,
-        label: &'a str,
-    ) -> Option<Block<'a>> {
+    /// Analyse one `Apply`, or a Select directly over one. `None` for
+    /// any other plan, and when no strategy applies: the subquery is not
+    /// canonical, or `R` is correlated (Section 3.2).
+    pub(crate) fn analyse(plan: &'a Plan) -> Option<Block<'a>> {
+        let (pred, apply) = match plan {
+            Plan::Select { input, pred } => (Some(pred), &**input),
+            apply => (None, apply),
+        };
+        let Plan::Apply {
+            input,
+            subquery,
+            label,
+        } = apply
+        else {
+            return None;
+        };
         let parts = decompose_subquery(subquery).filter(decorrelatable)?;
         let (zpart, rest) = pred.map_or((None, Vec::new()), |p| split_on_z(p, label));
         let zpart = zpart.map(|z| {
@@ -187,9 +196,9 @@ impl<'a> Block<'a> {
             (z, class)
         });
         Some(Block {
+            plan,
             pred,
             input,
-            subquery,
             label,
             parts,
             zpart,
@@ -198,8 +207,8 @@ impl<'a> Block<'a> {
     }
 
     /// The block as it stands: nested-loop processing.
-    pub fn nested_loop(&self) -> Plan {
-        self.with_pred(self.input.clone().apply(self.subquery.clone(), self.label))
+    pub fn nested_loop(&self) -> &'a Plan {
+        self.plan
     }
 
     /// `plan` under the block predicate, for rewrites that bind `z` and
@@ -217,7 +226,7 @@ impl<'a> Block<'a> {
         if self.rest.is_empty() {
             plan
         } else {
-            plan.select(ScalarExpr::conj(self.rest.iter().cloned()))
+            plan.select(ScalarExpr::conj(self.rest.iter().map(|&c| c.clone())))
         }
     }
 
@@ -281,26 +290,19 @@ pub(crate) fn rewrite_blocks(
     plan: Plan,
     rewriter: &mut impl FnMut(&Block<'_>) -> Option<Plan>,
 ) -> Plan {
-    let (pred, apply) = match plan {
-        Plan::Select { input, pred } if matches!(*input, Plan::Apply { .. }) => {
-            (Some(pred), *input)
+    let mut inside = |c| rewrite_blocks(c, rewriter);
+    let block = match plan {
+        Plan::Select { mut input, pred } if matches!(*input, Plan::Apply { .. }) => {
+            // The Apply is this block: only its children are rewritten.
+            let apply = std::mem::replace(&mut *input, Plan::scan("", ""));
+            *input = apply.map_children(&mut inside);
+            Plan::Select { input, pred }
         }
-        apply @ Plan::Apply { .. } => (None, apply),
-        other => return other.map_children(&mut |c| rewrite_blocks(c, rewriter)),
+        apply @ Plan::Apply { .. } => apply.map_children(&mut inside),
+        other => return other.map_children(&mut inside),
     };
-    let apply = apply.map_children(&mut |c| rewrite_blocks(c, rewriter));
-    let replacement = match &apply {
-        Plan::Apply {
-            input,
-            subquery,
-            label,
-        } => Block::analyse(pred.as_ref(), input, subquery, label).and_then(|b| rewriter(&b)),
-        _ => None,
-    };
-    replacement.unwrap_or_else(|| match pred {
-        Some(pred) => apply.select(pred),
-        None => apply,
-    })
+    let replacement = Block::analyse(&block).and_then(|b| rewriter(&b));
+    replacement.unwrap_or(block)
 }
 
 #[cfg(test)]
@@ -481,17 +483,16 @@ mod tests {
         );
         let pred = E::and(E::eq(E::path("x", &["b"]), E::lit(1i64)), member.clone());
         let (outer, sub) = (Plan::scan("X", "x"), canonical_sub());
-        let block = Block::analyse(Some(&pred), &outer, &sub, "z").unwrap();
-        let (zpart, class) = block.zpart.as_ref().unwrap();
-        assert_eq!(*zpart, member);
+        let block = |sub: &Plan| outer.clone().apply(sub.clone(), "z");
+        let nested = block(&sub).select(pred.clone());
+        let analysed = Block::analyse(&nested).unwrap();
+        let (zpart, class) = analysed.zpart.as_ref().unwrap();
+        assert_eq!(**zpart, member);
         assert!(matches!(class, Classification::Existential { .. }));
-        assert_eq!(block.rest.len(), 1);
-        assert_eq!(
-            block.nested_loop(),
-            outer.clone().apply(sub.clone(), "z").select(pred.clone())
-        );
+        assert_eq!(analysed.rest.len(), 1);
+        assert!(std::ptr::eq(analysed.nested_loop(), &nested));
         // Muralikrishna's entry would be the semijoin again: three tags.
-        let tags: Vec<_> = candidates(&block).into_iter().map(|(s, _)| s).collect();
+        let tags: Vec<_> = candidates(&analysed).into_iter().map(|(s, _)| s).collect();
         assert_eq!(
             tags,
             [
@@ -501,16 +502,18 @@ mod tests {
             ]
         );
         // SELECT-clause nesting has no predicate to split or classify.
-        let block = Block::analyse(None, &outer, &sub, "z").unwrap();
-        assert!(block.zpart.is_none() && block.rest.is_empty());
-        // Not canonical, and not closed (Section 3.2): no block at all.
-        assert!(Block::analyse(None, &outer, &Plan::scan("Y", "y"), "z").is_none());
+        let analysed = Block::analyse(nested.children()[0]).unwrap();
+        assert!(analysed.zpart.is_none() && analysed.rest.is_empty());
+        // No Apply, not canonical, or not closed (Section 3.2): no block at
+        // all.
+        assert!(Block::analyse(&outer.clone().select(pred.clone())).is_none());
+        assert!(Block::analyse(&block(&Plan::scan("Y", "y"))).is_none());
         let correlated = Plan::ScanExpr {
             expr: E::path("x", &["kids"]),
             var: "k".into(),
         }
         .map(E::var("k"), "s");
-        assert!(Block::analyse(Some(&pred), &outer, &correlated, "z").is_none());
+        assert!(Block::analyse(&block(&correlated).select(pred)).is_none());
     }
 
     #[test]

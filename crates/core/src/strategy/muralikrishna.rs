@@ -74,7 +74,7 @@ pub(super) fn plan(block: &Block<'_>) -> Option<Plan> {
                 .into_iter()
                 .next()
                 .unwrap_or_else(|| block.label.to_string());
-            (t, key_eqs, probe_var, zpart.clone(), anti)
+            (t, key_eqs, probe_var, zpart.clone().into_owned(), anti)
         };
 
     // The outerjoin on the key equalities; matched/dangling split by a

@@ -46,8 +46,6 @@
 //! buffers, grouping state, dedup sets) hold rows, pipelined operators do
 //! not.
 
-use std::collections::BTreeSet;
-
 use tmql_algebra::{CmpOp, JoinKind, Plan, ScalarExpr, SetOpKind};
 use tmql_model::Value;
 use tmql_storage::stats::{ColumnStats, TableStats};
@@ -55,7 +53,7 @@ use tmql_storage::Catalog;
 
 use crate::config::JoinAlgo;
 use crate::physical::{JoinPath, PhysPlan};
-use crate::planner::{apply_bindings, extract_equi_keys, index_selection, EquiSplit, IndexSel};
+use crate::planner::{apply_bindings, extract_equi_keys, index_selection, IndexSel, KeySplit};
 
 /// Default selectivity of an opaque predicate.
 pub(crate) const DEFAULT_SELECTIVITY: f64 = 0.25;
@@ -332,7 +330,7 @@ pub(crate) enum PathChoice<'p> {
     IndexNl {
         table: &'p str,
         var: &'p str,
-        attr: String,
+        attr: &'p str,
         key: usize,
         work: f64,
     },
@@ -722,7 +720,8 @@ impl<'a> Estimator<'a> {
     /// configured one; a forced algorithm never takes the index path).
     ///
     /// The index path needs `inner`, the bare `(table, var)` scan the
-    /// right operand is, with an index on one of `right_keys`' columns,
+    /// right operand is, with an index on the column of one of `keys`'
+    /// right sides,
     /// and wins when its probe work prices below scanning the inner
     /// operand plus a hash join. Otherwise: nested loop without equi
     /// keys; hash (sort-merge only when forced); and a hash *inner* join
@@ -737,12 +736,12 @@ impl<'a> Estimator<'a> {
         sides: &Sides,
         sel: f64,
         inner: Option<(&'p str, &'p str)>,
-        right_keys: &[ScalarExpr],
+        keys: &[(&'p ScalarExpr, &'p ScalarExpr)],
     ) -> PathChoice<'p> {
         let (l, r) = (sides.l, sides.r);
         let hash = join_cost::hash(l.rows, r.rows);
         if let (JoinAlgo::Auto, Some((table, var))) = (algo, inner) {
-            let indexed = right_keys.iter().enumerate().find_map(|(key, rk)| {
+            let indexed = keys.iter().enumerate().find_map(|(key, &(_, rk))| {
                 let (_, attr) = as_column(rk)?;
                 self.catalog.index_on(table, attr).map(|_| (key, attr))
             });
@@ -752,7 +751,7 @@ impl<'a> Estimator<'a> {
                     return PathChoice::IndexNl {
                         table,
                         var,
-                        attr: attr.to_string(),
+                        attr,
                         key,
                         work,
                     };
@@ -760,7 +759,7 @@ impl<'a> Estimator<'a> {
             }
         }
         match algo {
-            _ if right_keys.is_empty() => PathChoice::NestedLoop,
+            _ if keys.is_empty() => PathChoice::NestedLoop,
             JoinAlgo::NestedLoop => PathChoice::NestedLoop,
             JoinAlgo::Auto => PathChoice::Hash {
                 swap: matches!(kind, JoinKind::Inner) && l.rows < r.rows,
@@ -888,10 +887,13 @@ impl<'a, 'p> Walk<'a, 'p> {
         distinct.clamp(1.0, cap)
     }
 
-    /// Clamped selectivity of a join predicate given as equi-key pairs
-    /// plus a residual: each pair resolves its sides against its own
-    /// operand, the residual against both.
-    fn join_selectivity(&self, split: &EquiSplit, sides: &Sides) -> f64 {
+    /// Clamped selectivity of a join predicate split into equi-key pairs
+    /// and residual conjuncts: each pair resolves its sides against its
+    /// own operand, the residual against both. The pairs multiply in
+    /// order; the residual conjuncts multiply left to right, as their
+    /// conjunction's selectivity does, and that product, clamped, is
+    /// multiplied in.
+    fn join_selectivity(&self, split: &KeySplit<'_>, sides: &Sides) -> f64 {
         let both = self.scope(sides.from);
         let left = Scope {
             below: (sides.from, sides.mid),
@@ -902,26 +904,16 @@ impl<'a, 'p> Walk<'a, 'p> {
             ..both
         };
         let mut sel = 1.0f64;
-        for (lk, rk) in split.left_keys.iter().zip(&split.right_keys) {
+        for &(lk, rk) in &split.keys {
             sel *= eq_selectivity(left.ndv(lk), right.ndv(rk));
         }
-        if let Some(residual) = &split.residual {
-            sel *= both.selectivity(residual);
+        if let Some((&first, rest)) = split.residual.split_first() {
+            let residual = (rest.iter()).fold(both.conjunct_selectivity(first), |s, c| {
+                s * both.conjunct_selectivity(c)
+            });
+            sel *= residual.clamp(MIN_SELECTIVITY, 1.0);
         }
         sel.clamp(MIN_SELECTIVITY, 1.0)
-    }
-
-    /// [`Walk::join_selectivity`] of a full predicate, split between
-    /// operands producing `left_vars` and `right_vars`.
-    fn pred_selectivity(
-        &self,
-        pred: &ScalarExpr,
-        (left_vars, right_vars): (Vec<String>, Vec<String>),
-        sides: &Sides,
-    ) -> (f64, EquiSplit) {
-        let vars = |v: Vec<String>| v.into_iter().collect::<BTreeSet<String>>();
-        let split = extract_equi_keys(pred, &vars(left_vars), &vars(right_vars));
-        (self.join_selectivity(&split, sides), split)
     }
 
     /// A logical join of `left` and `right`, estimated as `sides`: split
@@ -931,18 +923,18 @@ impl<'a, 'p> Walk<'a, 'p> {
         &self,
         algo: JoinAlgo,
         kind: &JoinKind,
-        (left, right): (&Plan, &'p Plan),
-        pred: &ScalarExpr,
+        (left, right): (&'p Plan, &'p Plan),
+        pred: &'p ScalarExpr,
         sides: Sides,
-    ) -> (CostEstimate, EquiSplit, PathChoice<'p>) {
+    ) -> (CostEstimate, KeySplit<'p>, PathChoice<'p>) {
         let est = self.est;
-        let vars = (left.output_vars(), right.output_vars());
-        let (sel, split) = self.pred_selectivity(pred, vars, &sides);
+        let split = extract_equi_keys(pred, |v| left.binds(v), |v| right.binds(v));
+        let sel = self.join_selectivity(&split, &sides);
         let inner = match right {
             Plan::ScanTable { table, var } => Some((table.as_str(), var.as_str())),
             _ => None,
         };
-        let path = est.join_path(algo, kind, &sides, sel, inner, &split.right_keys);
+        let path = est.join_path(algo, kind, &sides, sel, inner, &split.keys);
         let op = Node::Join(kind, &sides, sel, est.path_cost(&path, &sides));
         (est.estimate(op, self.scope(sides.from)), split, path)
     }
@@ -1060,15 +1052,15 @@ impl<'a, 'p> Walk<'a, 'p> {
                     | JoinPath::SortMerge { right, .. } => self.phys(right),
                 };
                 sides = Sides { from, l, mid, r };
-                let sel = match path {
+                let split = match path {
                     JoinPath::NestedLoop { pred, .. } | JoinPath::Index { pred, .. } => {
-                        let vars = (left.output_vars(), path.right_vars());
-                        self.pred_selectivity(pred, vars, &sides).0
+                        let (lv, rv) = (left.output_vars(), path.right_vars());
+                        let binds = |vars: &[String], v: &str| vars.iter().any(|b| b == v);
+                        extract_equi_keys(pred, |v| binds(&lv, v), |v| binds(&rv, v))
                     }
-                    JoinPath::Hash { keys, .. } | JoinPath::SortMerge { keys, .. } => {
-                        self.join_selectivity(keys, &sides)
-                    }
+                    JoinPath::Hash { keys, .. } | JoinPath::SortMerge { keys, .. } => keys.parts(),
                 };
+                let sel = self.join_selectivity(&split, &sides);
                 let cost = match path {
                     JoinPath::Index { table, .. } => (est.index_nl_work(&sides, sel, table), 0.0),
                     JoinPath::NestedLoop { .. } => est.path_cost(&PathChoice::NestedLoop, &sides),

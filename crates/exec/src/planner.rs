@@ -65,44 +65,83 @@ pub struct EquiSplit {
     pub residual: Option<ScalarExpr>,
 }
 
-/// Try to split `pred` into equi-key pairs between `left_vars` and
-/// `right_vars` plus a residual. Conjuncts referencing outer (correlation)
-/// variables stay in the residual.
-pub(crate) fn extract_equi_keys(
-    pred: &ScalarExpr,
-    left_vars: &BTreeSet<String>,
-    right_vars: &BTreeSet<String>,
-) -> EquiSplit {
-    let mut split = EquiSplit {
-        left_keys: vec![],
-        right_keys: vec![],
-        residual: None,
+impl EquiSplit {
+    /// The split as borrowed parts, the residual as one conjunct.
+    pub(crate) fn parts(&self) -> KeySplit<'_> {
+        KeySplit {
+            keys: self.left_keys.iter().zip(&self.right_keys).collect(),
+            residual: self.residual.iter().collect(),
+        }
+    }
+}
+
+/// A join predicate split as borrowed parts: `(left, right)` equi-key
+/// pairs and the residual conjuncts, each in predicate order. The model
+/// prices a join from it; lowering makes the owned [`EquiSplit`] a hash or
+/// sort-merge join keeps from it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct KeySplit<'e> {
+    pub keys: Vec<(&'e ScalarExpr, &'e ScalarExpr)>,
+    pub residual: Vec<&'e ScalarExpr>,
+}
+
+impl KeySplit<'_> {
+    /// The owned split, the residual conjuncts conjoined left to right.
+    pub(crate) fn owned(&self) -> EquiSplit {
+        let (left_keys, right_keys) = self
+            .keys
+            .iter()
+            .map(|&(l, r)| (l.clone(), r.clone()))
+            .unzip();
+        let residual = (!self.residual.is_empty())
+            .then(|| ScalarExpr::conj(self.residual.iter().map(|&c| c.clone())));
+        EquiSplit {
+            left_keys,
+            right_keys,
+            residual,
+        }
+    }
+}
+
+/// Split `pred` into equi-key pairs between the operands binding the
+/// variables `left` and `right` accept, plus the residual conjuncts: a
+/// key is a side whose free variables are all bound by one operand (and
+/// which has some). Conjuncts referencing outer (correlation) variables
+/// stay in the residual.
+pub(crate) fn extract_equi_keys<'e>(
+    pred: &'e ScalarExpr,
+    left: impl Fn(&str) -> bool,
+    right: impl Fn(&str) -> bool,
+) -> KeySplit<'e> {
+    // Whether all of `e`'s free variables, and at least one, are bound by
+    // the left operand, and by the right one.
+    let sides = |e: &ScalarExpr| {
+        let (mut any, mut l, mut r) = (false, true, true);
+        e.free_refs(|v, _| {
+            any = true;
+            l = l && left(v);
+            r = r && right(v);
+        });
+        (any && l, any && r)
     };
-    let mut residuals = Vec::new();
+    let mut split = KeySplit {
+        keys: vec![],
+        residual: vec![],
+    };
     for conj in pred.conjuncts() {
-        if let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = &conj {
-            let (fa, fb) = (a.free_vars(), b.free_vars());
-            let sides = |l: &BTreeSet<String>, r: &BTreeSet<String>| {
-                !l.is_empty() && !r.is_empty() && l.is_subset(left_vars) && r.is_subset(right_vars)
-            };
+        if let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = conj {
+            let ((a_left, a_right), (b_left, b_right)) = (sides(a), sides(b));
             // Either orientation: `left-expr = right-expr` or the reverse.
-            let pair = if sides(&fa, &fb) {
-                Some((a, b))
-            } else if sides(&fb, &fa) {
-                Some((b, a))
-            } else {
-                None
-            };
-            if let Some((lk, rk)) = pair {
-                split.left_keys.push((**lk).clone());
-                split.right_keys.push((**rk).clone());
+            if a_left && b_right {
+                split.keys.push((a, b));
+                continue;
+            }
+            if b_left && a_right {
+                split.keys.push((b, a));
                 continue;
             }
         }
-        residuals.push(conj);
-    }
-    if !residuals.is_empty() {
-        split.residual = Some(ScalarExpr::conj(residuals));
+        split.residual.push(conj);
     }
     split
 }
@@ -129,16 +168,18 @@ pub struct IndexSel {
 
 /// Decompose `conj` as `var.attr ⟨cmp⟩ key` (either orientation) where
 /// `key` does not reference `var`.
-fn attr_cmp(conj: &ScalarExpr, var: &str) -> Option<(String, tmql_algebra::CmpOp, ScalarExpr)> {
+fn attr_cmp<'e>(
+    conj: &'e ScalarExpr,
+    var: &str,
+) -> Option<(&'e str, tmql_algebra::CmpOp, &'e ScalarExpr)> {
     let ScalarExpr::Cmp(op, a, b) = conj else {
         return None;
     };
-    let oriented = |col: &ScalarExpr, key: &ScalarExpr, op: tmql_algebra::CmpOp| match col {
+    let oriented = |col: &'e ScalarExpr, key: &'e ScalarExpr, op: tmql_algebra::CmpOp| match col {
         ScalarExpr::Field(inner, attr)
-            if matches!(&**inner, ScalarExpr::Var(v) if v == var)
-                && !key.free_vars().contains(var) =>
+            if matches!(&**inner, ScalarExpr::Var(v) if v == var) && !key.mentions(var) =>
         {
-            Some((attr.clone(), op, key.clone()))
+            Some((attr.as_str(), op, key))
         }
         _ => None,
     };
@@ -155,26 +196,17 @@ pub fn scan_pretest(
     var: &str,
 ) -> Vec<(Arc<str>, tmql_algebra::CmpOp, ScalarExpr)> {
     pred.conjuncts()
-        .iter()
+        .into_iter()
         .map_while(|conj| attr_cmp(conj, var))
-        .map(|(attr, op, key)| (attr.into(), op, key))
+        .map(|(attr, op, key)| (attr.into(), op, key.clone()))
         .collect()
-}
-
-/// [`attr_cmp`] on an attribute that carries a secondary index on `table`.
-fn indexed_cmp(
-    conj: &ScalarExpr,
-    table: &str,
-    var: &str,
-    catalog: &Catalog,
-) -> Option<(String, tmql_algebra::CmpOp, ScalarExpr)> {
-    attr_cmp(conj, var).filter(|(attr, ..)| catalog.index_on(table, attr).is_some())
 }
 
 /// Extract the index-eligible component of `pred` for a scan of `table`
 /// binding `var`: an equality conjunct on an indexed attribute wins;
 /// otherwise range bounds on one indexed attribute are collected. `None`
-/// when no conjunct can probe an existing index.
+/// when no conjunct can probe an existing index. The conjuncts are read
+/// borrowed; only the component found is cloned.
 pub(crate) fn index_selection(
     pred: &ScalarExpr,
     table: &str,
@@ -182,28 +214,34 @@ pub(crate) fn index_selection(
     catalog: &Catalog,
 ) -> Option<IndexSel> {
     use tmql_algebra::CmpOp;
+    if catalog.indexes().all(|(t, ..)| t != table) {
+        return None;
+    }
+    // [`attr_cmp`] on an attribute that carries a secondary index.
+    let indexed_cmp =
+        |conj| attr_cmp(conj, var).filter(|&(attr, ..)| catalog.index_on(table, attr).is_some());
     let conjuncts = pred.conjuncts();
-    for conj in &conjuncts {
-        if let Some((attr, CmpOp::Eq, key)) = indexed_cmp(conj, table, var, catalog) {
+    for &conj in &conjuncts {
+        if let Some((attr, CmpOp::Eq, key)) = indexed_cmp(conj) {
             return Some(IndexSel {
-                attr,
-                eq: Some(key),
+                attr: attr.to_string(),
+                eq: Some(key.clone()),
                 lo: Bound::Unbounded,
                 hi: Bound::Unbounded,
                 covered: conj.clone(),
             });
         }
     }
-    let mut attr: Option<String> = None;
+    let mut attr: Option<&str> = None;
     let mut lo = Bound::Unbounded;
     let mut hi = Bound::Unbounded;
-    let mut used: Vec<ScalarExpr> = Vec::new();
-    for conj in &conjuncts {
-        let Some((a, op, key)) = indexed_cmp(conj, table, var, catalog) else {
+    let mut used: Vec<&ScalarExpr> = Vec::new();
+    for &conj in &conjuncts {
+        let Some((a, op, key)) = indexed_cmp(conj) else {
             continue;
         };
         // Bounds must all probe one attribute — the first one seen.
-        if attr.as_deref().is_some_and(|seen| seen != a) {
+        if attr.is_some_and(|seen| seen != a) {
             continue;
         }
         let (slot, bound) = match op {
@@ -216,17 +254,15 @@ pub(crate) fn index_selection(
         if matches!(slot, Bound::Unbounded) {
             *slot = bound;
             attr = Some(a);
-            used.push(conj.clone());
+            used.push(conj);
         }
     }
-    let attr = attr?;
-    let covered = ScalarExpr::conj(used);
     Some(IndexSel {
-        attr,
+        attr: attr?.to_string(),
         eq: None,
-        lo,
-        hi,
-        covered,
+        lo: lo.cloned(),
+        hi: hi.cloned(),
+        covered: ScalarExpr::conj(used.into_iter().cloned()),
     })
 }
 
@@ -261,14 +297,26 @@ pub(crate) fn apply_bindings(subquery: &Plan) -> Vec<ScalarExpr> {
         .filter(|(_, r)| is_whole(r))
         .map(|(v, _)| *v)
         .collect();
-    let mut out: Vec<ScalarExpr> = refs
-        .into_iter()
-        .filter(|(v, r)| is_whole(r) || !whole.contains(v))
-        .map(|(_, r)| r.clone())
-        .collect();
-    out.sort_by_key(|e| format!("{e:?}"));
-    out.dedup();
-    out
+    refs.retain(|(v, r)| is_whole(r) || !whole.contains(v));
+    refs.sort_by(|a, b| binding_order(*a, *b));
+    refs.dedup_by(|(_, a), (_, b)| a == b);
+    refs.into_iter().map(|(_, r)| r.clone()).collect()
+}
+
+/// The order of two correlation bindings' `Debug` renderings, found
+/// without rendering them: every `v.f` path (`Field(Var(..), ..)`)
+/// before every whole row `v` (`Var(..)`), then by variable and by
+/// field. A binding is one of the two ([`ScalarExpr::free_refs`]), and
+/// the names are identifiers, whose characters all sort after the `"`
+/// and `)` that follow a rendered name.
+fn binding_order(a: (&str, &ScalarExpr), b: (&str, &ScalarExpr)) -> std::cmp::Ordering {
+    fn key<'e>((v, e): (&'e str, &'e ScalarExpr)) -> (bool, &'e str, &'e str) {
+        match e {
+            ScalarExpr::Field(_, f) => (false, v, f),
+            _ => (true, v, ""),
+        }
+    }
+    key(a).cmp(&key(b))
 }
 
 /// Lower a logical plan to a physical plan.
@@ -483,7 +531,7 @@ impl<'p> Lowering<'_, 'p, '_> {
         &mut self,
         kind: &JoinKind,
         (left, right): (&'p Plan, &'p Plan),
-        pred: &ScalarExpr,
+        pred: &'p ScalarExpr,
         select: Option<&ScalarExpr>,
         from: usize,
     ) -> (PhysPlan, CostEstimate) {
@@ -497,8 +545,7 @@ impl<'p> Lowering<'_, 'p, '_> {
             r: r_est,
         };
         let algo = self.config.join_algo;
-        let (est, mut keys, choice) = self.walk.join(algo, kind, (left, right), pred, sides);
-        let pred = pred.clone();
+        let (est, split, choice) = self.walk.join(algo, kind, (left, right), pred, sides);
         let path = match choice {
             PathChoice::IndexNl {
                 table,
@@ -509,19 +556,26 @@ impl<'p> Lowering<'_, 'p, '_> {
             } => JoinPath::Index {
                 table: table.to_string(),
                 var: var.to_string(),
-                attr,
-                key: keys.left_keys.swap_remove(key),
-                pred,
+                attr: attr.to_string(),
+                key: split.keys[key].0.clone(),
+                pred: pred.clone(),
             },
-            PathChoice::NestedLoop => JoinPath::NestedLoop { right: r, pred },
+            PathChoice::NestedLoop => JoinPath::NestedLoop {
+                right: r,
+                pred: pred.clone(),
+            },
             PathChoice::Hash { swap } => {
+                let mut keys = split.owned();
                 if swap {
                     std::mem::swap(&mut l, &mut r);
                     std::mem::swap(&mut keys.left_keys, &mut keys.right_keys);
                 }
                 JoinPath::Hash { right: r, keys }
             }
-            PathChoice::SortMerge => JoinPath::SortMerge { right: r, keys },
+            PathChoice::SortMerge => JoinPath::SortMerge {
+                right: r,
+                keys: split.owned(),
+            },
         };
         let (kind, select) = (kind.clone(), select.cloned());
         (
@@ -552,8 +606,10 @@ mod tests {
         cat
     }
 
-    fn vars(names: &[&str]) -> BTreeSet<String> {
-        names.iter().map(|s| s.to_string()).collect()
+    /// The equi-key split between an operand binding `x` and one binding
+    /// `y`.
+    fn split_xy(p: &ScalarExpr) -> KeySplit<'_> {
+        extract_equi_keys(p, |v| v == "x", |v| v == "y")
     }
 
     #[test]
@@ -568,11 +624,14 @@ mod tests {
             E::eq(E::path("x", &["b"]), E::path("y", &["b"])),
             E::eq(E::path("y", &["c"]), E::path("x", &["a"])),
         );
-        let s = extract_equi_keys(&p, &vars(&["x"]), &vars(&["y"]));
-        assert_eq!(s.left_keys.len(), 2);
-        assert_eq!(s.left_keys[1], E::path("x", &["a"]));
-        assert_eq!(s.right_keys[1], E::path("y", &["c"]));
-        assert!(s.residual.is_none());
+        let s = split_xy(&p);
+        assert_eq!(s.keys.len(), 2);
+        assert_eq!(s.keys[1], (&E::path("x", &["a"]), &E::path("y", &["c"])));
+        assert!(s.residual.is_empty());
+        let owned = s.owned();
+        assert_eq!(owned.left_keys[1], E::path("x", &["a"]));
+        assert_eq!(owned.right_keys[1], E::path("y", &["c"]));
+        assert_eq!(owned.parts(), s);
     }
 
     #[test]
@@ -582,17 +641,18 @@ mod tests {
             E::cmp(CmpOp::Lt, E::path("x", &["a"]), E::path("y", &["c"])),
             E::eq(E::path("x", &["b"]), E::path("o", &["b"])),
         );
-        let s = extract_equi_keys(&p, &vars(&["x"]), &vars(&["y"]));
-        assert!(s.left_keys.is_empty());
-        assert!(s.residual.is_some());
+        let s = split_xy(&p);
+        assert!(s.keys.is_empty());
+        assert_eq!(s.residual, p.conjuncts());
+        // The owned residual is their conjunction, left to right.
+        assert_eq!(s.owned().residual, Some(p.clone()));
     }
 
     #[test]
     fn constant_sides_are_not_keys() {
         // x.b = 3 must not become a hash key pair (right side has no vars).
         let p = E::eq(E::path("x", &["b"]), E::lit(3i64));
-        let s = extract_equi_keys(&p, &vars(&["x"]), &vars(&["y"]));
-        assert!(s.left_keys.is_empty());
+        assert!(split_xy(&p).keys.is_empty());
     }
 
     #[test]
@@ -855,6 +915,46 @@ mod tests {
             "zs",
         );
         assert_eq!(apply_bindings(&nested), vec![E::path("x", &["a"])]);
+    }
+
+    /// `binding_order` is the order of the bindings' `Debug` renderings,
+    /// which the Apply cache keys and `distinct_bindings` have always
+    /// read, over the shapes `plan_golden` holds: whole rows and field
+    /// paths off the blocks' variables, the translator's and the
+    /// relational rewrites' generated names among them, with names that
+    /// are prefixes of one another.
+    #[test]
+    fn bindings_sort_as_their_debug_renderings() {
+        let (vars, fields) = (
+            ["x", "x1", "x_", "xy", "y", "d", "e", "z", "__t_z", "__k0_z"],
+            ["a", "ab", "a_b", "b", "address", "name", "k0", "n"],
+        );
+        let mut refs: Vec<ScalarExpr> = Vec::new();
+        for v in vars {
+            refs.push(E::var(v));
+            refs.extend(fields.iter().map(|f| E::path(v, &[f])));
+        }
+        // A fixed scramble of the list.
+        let n = refs.len();
+        let scrambled: Vec<&ScalarExpr> = (0..n).map(|i| &refs[(i * 37 + 11) % n]).collect();
+        let root = |e: &ScalarExpr| match e {
+            ScalarExpr::Field(inner, _) => match &**inner {
+                ScalarExpr::Var(v) => v.clone(),
+                _ => unreachable!("a binding is a path off a variable"),
+            },
+            ScalarExpr::Var(v) => v.clone(),
+            _ => unreachable!("a binding is a variable or a path"),
+        };
+        let roots: Vec<String> = scrambled.iter().map(|e| root(e)).collect();
+        let mut ours: Vec<(&str, &ScalarExpr)> = roots
+            .iter()
+            .map(String::as_str)
+            .zip(scrambled.iter().copied())
+            .collect();
+        ours.sort_by(|a, b| binding_order(*a, *b));
+        let mut debug = scrambled.clone();
+        debug.sort_by_key(|e| format!("{e:?}"));
+        assert!(ours.iter().map(|(_, e)| *e).eq(debug), "{ours:?}");
     }
 
     #[test]

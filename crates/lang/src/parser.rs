@@ -119,12 +119,22 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Step past the current token (never past the last, `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Step past the current identifier or string token, moving its text
+    /// out: no code reads a consumed token again.
+    fn bump_text(&mut self) -> String {
+        let text = match &mut self.tokens[self.pos].tok {
+            Tok::Ident(s) | Tok::Str(s) => std::mem::take(s),
+            _ => String::new(),
+        };
+        self.bump();
+        text
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
@@ -140,9 +150,10 @@ impl Parser {
         self.eat(&Tok::Kw(k))
     }
 
-    fn require(&mut self, tok: Tok) -> Result<Token, ParseError> {
+    fn require(&mut self, tok: Tok) -> Result<(), ParseError> {
         if *self.peek() == tok {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(ParseError::new(
                 format!("expected {tok}, found {}", self.peek()),
@@ -153,11 +164,8 @@ impl Parser {
 
     fn ident(&mut self) -> Result<(String, Span), ParseError> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok((s, span))
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok((self.bump_text(), span)),
             other => Err(ParseError::new(
                 format!("expected identifier, found {other}"),
                 span,
@@ -340,7 +348,7 @@ impl Parser {
     fn primary(&mut self) -> Result<Expr, ParseError> {
         self.primary_calls += 1;
         let span = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(i) => {
                 self.bump();
                 Ok(Expr::Int(i, span))
@@ -349,10 +357,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Float(x, span))
             }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Str(s, span))
-            }
+            Tok::Str(_) => Ok(Expr::Str(self.bump_text(), span)),
             Tok::Kw(K::True) => {
                 self.bump();
                 Ok(Expr::Bool(true, span))
@@ -364,7 +369,7 @@ impl Parser {
             Tok::Minus => {
                 // Negative numeric literal.
                 self.bump();
-                match self.peek().clone() {
+                match *self.peek() {
                     Tok::Int(i) => {
                         self.bump();
                         Ok(Expr::Int(-i, span))
@@ -373,16 +378,13 @@ impl Parser {
                         self.bump();
                         Ok(Expr::Float(-x, span))
                     }
-                    other => Err(ParseError::new(
+                    ref other => Err(ParseError::new(
                         format!("expected numeric literal after `-`, found {other}"),
                         span,
                     )),
                 }
             }
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(Expr::Var(name, span))
-            }
+            Tok::Ident(_) => Ok(Expr::Var(self.bump_text(), span)),
             Tok::Kw(k @ (K::Count | K::Sum | K::Min | K::Max | K::Avg)) => {
                 self.bump();
                 self.require(Tok::LParen)?;
@@ -455,7 +457,7 @@ impl Parser {
                 self.require(Tok::RParen)?;
                 Ok(inner)
             }
-            other => Err(ParseError::new(format!("unexpected {other}"), span)),
+            ref other => Err(ParseError::new(format!("unexpected {other}"), span)),
         }
     }
 

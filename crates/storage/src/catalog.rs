@@ -635,11 +635,13 @@ impl Catalog {
         })
     }
 
-    /// The index on `table.attr`, if one exists.
+    /// The index on `table.attr`, if one exists. Found by comparing the
+    /// names in place: a keyed lookup would allocate its owned key, and
+    /// the planner looks up per join key and per conjunct, while a
+    /// catalog holds a handful of indexes.
     pub fn index_on(&self, table: &str, attr: &str) -> Option<&OrdIndex> {
-        self.indexes
-            .get(&(table.to_string(), attr.to_string()))
-            .map(|e| &*e.ord)
+        self.indexes()
+            .find_map(|(t, a, index)| (t == table && a == attr).then_some(index))
     }
 
     /// All indexes as `(table, attr, index)`, sorted by table then attr.
@@ -876,6 +878,22 @@ mod tests {
         assert!(cat.drop_index("R", "a").unwrap());
         assert!(!cat.drop_index("R", "a").unwrap());
         assert!(cat.index_on("R", "a").is_none());
+    }
+
+    #[test]
+    fn borrowed_index_lookup_matches_the_pair_of_names() {
+        let mut cat = Catalog::new();
+        cat.register(int_table("R", &["a", "ab"], &[&[1, 2]]))
+            .unwrap();
+        cat.register(int_table("RA", &["b"], &[&[3]])).unwrap();
+        for (table, attr) in [("R", "ab"), ("RA", "b")] {
+            cat.create_index(table, attr).unwrap();
+        }
+        let found = |t, a| cat.index_on(t, a).map(|ix| ix.len());
+        assert_eq!((found("R", "ab"), found("RA", "b")), (Some(1), Some(1)));
+        for (table, attr) in [("R", "a"), ("R", "b"), ("RA", "ab"), ("", "Rab")] {
+            assert_eq!(found(table, attr), None, "{table}.{attr}");
+        }
     }
 
     #[test]

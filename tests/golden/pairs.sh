@@ -14,6 +14,10 @@
 # k = 1..K, each in its own target directory. The flag goes through
 # `cargo --config 'target.<host>.rustflags=[…]'`, which adds to the
 # rustflags a config file sets; a RUSTFLAGS variable would replace them.
+# Each side is built from inside its own root: cargo reads
+# `.cargo/config.toml` from the directory it runs in and its parents, not
+# from the manifest's, so a config in the working tree must not reach the
+# parent's build.
 # Within each variant it runs PAIRS pairs of SECONDS-long runs at seed 42,
 # the parent first in odd pairs and the change first in even ones. Per
 # workload it prints every run (rounds, round_norm_ms, setup_s,
@@ -43,15 +47,17 @@ SECONDS_PER_RUN=10
 
 host=$(rustc -vV | sed -n 's/^host: //p')
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/tmql-pairs-XXXXXX")
+tmp=$(cd "$tmp" && pwd)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent-src"
 git archive "$ref" | tar -x -C "$tmp/parent-src"
 
-# build SOURCE-ROOT K OUT: a release tmql-bench of SOURCE-ROOT in layout K.
+# build SOURCE-ROOT K OUT: a release tmql-bench of SOURCE-ROOT in layout K,
+# under SOURCE-ROOT's own cargo config.
 build() {
-  cargo build --quiet --release --offline \
+  (cd "$1" && cargo build --quiet --release --offline \
     --config "target.$host.rustflags=[\"-C\",\"metadata=layout$2\"]" \
-    --manifest-path "$1/tmqlbench/Cargo.toml" --target-dir "$tmp/target-$3-$2"
+    --manifest-path tmqlbench/Cargo.toml --target-dir "$tmp/target-$3-$2")
   cp "$tmp/target-$3-$2/release/tmql-bench" "$tmp/bench-$3-$2"
   rm -rf "$tmp/target-$3-$2"
 }
