@@ -65,7 +65,7 @@ const STORE_SERIES: &[StoreSeries] = &[
         Series::Counter, |s| s.pool_stats().writebacks),
     ("tmql_pool_pages", "Buffer-pool capacity in pages",
         Series::Gauge, |s| s.pool_pages() as u64),
-    ("tmql_wal_size_bytes", "Current write-ahead-log size",
+    ("tmql_wal_size_bytes", "Bytes of the write-ahead log's current generation",
         Series::Gauge, |s| s.wal_activity().size_bytes),
     ("tmql_wal_appends_total", "WAL records appended",
         Series::Counter, |s| s.wal_activity().appends_total),
@@ -298,9 +298,9 @@ impl Catalog {
         }
     }
 
-    /// Force a checkpoint: flush pages, rewrite the header, truncate the
-    /// WAL (see the pager's durability rules). No-op for transient
-    /// catalogs; an error while a transaction is open.
+    /// Force a checkpoint: flush pages, rewrite the header, start the
+    /// WAL's next generation (see the pager's durability rules). No-op
+    /// for transient catalogs; an error while a transaction is open.
     pub fn wal_checkpoint(&self) -> Result<()> {
         if self.txn.is_some() {
             return Err(ModelError::SchemaError(

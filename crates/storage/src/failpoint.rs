@@ -8,7 +8,9 @@
 //! fails **every** subsequent operation on those files (a killed process
 //! does not come back for one more write), while
 //! [`IoFailpoint::torn_at`] additionally writes a prefix of the fatal
-//! write before failing, modelling a torn sector. [`IoFailpoint::count`]
+//! write before failing, modelling a torn sector, and
+//! [`IoFailpoint::fail_once_at`] fails one operation alone, an I/O error
+//! the process lives through. [`IoFailpoint::count`]
 //! arms a counting-only observer that records the operation log, so a
 //! test can first learn how many sync boundaries a workload crosses (and
 //! which kind each one is) and then sweep a kill through every single
@@ -33,6 +35,9 @@ pub(crate) enum FailMode {
     /// (and everything after it). Only meaningful on writes; a sync at
     /// the trigger index behaves like [`FailMode::Kill`].
     Torn,
+    /// Fail the trigger operation only: an I/O error the process lives
+    /// through (`EIO`, `ENOSPC`), not a crash.
+    Once,
     /// Never fail; just count operations and record the log.
     Count,
 }
@@ -48,7 +53,9 @@ pub enum IoOp {
     WalWrite(usize),
     /// An `fsync` of the write-ahead log.
     WalSync,
-    /// A truncation of the write-ahead log (checkpoint completion).
+    /// The start of the write-ahead log's next generation — its header
+    /// rewritten, or the file emptied — and its sync (checkpoint
+    /// completion, close).
     WalReset,
     /// The creation of a query's scratch file, on its first spill.
     SpillCreate,
@@ -87,7 +94,7 @@ static ARMED: AtomicUsize = AtomicUsize::new(0);
 ///
 /// Failpoints match by path prefix, so arming on a database path also
 /// covers its `.wal` sidecar. The operation counter covers writes,
-/// syncs, and WAL truncations — the boundaries where a crash changes
+/// syncs, and WAL resets — the boundaries where a crash changes
 /// what recovery can see — plus the creation and every write of a
 /// query's scratch file, and is shared across all matched files, so a
 /// trigger index identifies one global point in the workload's I/O
@@ -131,6 +138,12 @@ impl IoFailpoint {
         IoFailpoint::arm(prefix, FailMode::Torn, n)
     }
 
+    /// Arm one failure: operation `n` fails with an injected error, and
+    /// every other one succeeds.
+    pub fn fail_once_at(prefix: &Path, n: u64) -> IoFailpoint {
+        IoFailpoint::arm(prefix, FailMode::Once, n)
+    }
+
     /// Operations observed so far.
     pub fn ops(&self) -> u64 {
         self.entry.ops.load(Ordering::SeqCst)
@@ -162,6 +175,21 @@ fn injected() -> ModelError {
     ModelError::Io("injected crash (failpoint)".into())
 }
 
+/// Whether `e` fails everything from now on: it has killed the process.
+fn dead(e: &Entry) -> bool {
+    e.mode != FailMode::Once && e.tripped.load(Ordering::SeqCst)
+}
+
+/// Count one operation under `e` and say whether it fails.
+fn fails(e: &Entry) -> bool {
+    let idx = e.ops.fetch_add(1, Ordering::SeqCst);
+    let fail = idx == e.fail_at || (idx > e.fail_at && e.mode != FailMode::Once);
+    if fail {
+        e.tripped.store(true, Ordering::SeqCst);
+    }
+    fail
+}
+
 fn matching(path: &Path) -> Option<Arc<Entry>> {
     if ARMED.load(Ordering::Relaxed) == 0 {
         return None;
@@ -189,13 +217,11 @@ pub(crate) fn check_write(path: &Path, op: IoOp, len: usize) -> Result<WriteChec
     let Some(e) = matching(path) else {
         return Ok(WriteCheck::Full);
     };
-    if e.tripped.load(Ordering::SeqCst) {
+    if dead(&e) {
         return Err(injected());
     }
-    let idx = e.ops.fetch_add(1, Ordering::SeqCst);
-    if idx >= e.fail_at {
-        e.tripped.store(true, Ordering::SeqCst);
-        if e.mode == FailMode::Torn && idx == e.fail_at {
+    if fails(&e) {
+        if e.mode == FailMode::Torn {
             return Ok(WriteCheck::Torn(len / 2));
         }
         return Err(injected());
@@ -210,12 +236,7 @@ pub(crate) fn check_sync(path: &Path, op: IoOp) -> Result<()> {
     let Some(e) = matching(path) else {
         return Ok(());
     };
-    if e.tripped.load(Ordering::SeqCst) {
-        return Err(injected());
-    }
-    let idx = e.ops.fetch_add(1, Ordering::SeqCst);
-    if idx >= e.fail_at {
-        e.tripped.store(true, Ordering::SeqCst);
+    if dead(&e) || fails(&e) {
         return Err(injected());
     }
     lock(&e.log).push(op);
@@ -228,7 +249,7 @@ pub(crate) fn check_read(path: &Path) -> Result<()> {
     let Some(e) = matching(path) else {
         return Ok(());
     };
-    if e.tripped.load(Ordering::SeqCst) {
+    if dead(&e) {
         return Err(injected());
     }
     Ok(())
@@ -272,6 +293,26 @@ mod tests {
             WriteCheck::Full => panic!("expected torn"),
         }
         assert!(check_write(p, IoOp::WalWrite(10), 10).is_err());
+    }
+
+    #[test]
+    fn once_fails_the_trigger_operation_alone() {
+        let p = Path::new("/tmp/failpoint-once-test");
+        let fp = IoFailpoint::fail_once_at(p, 1);
+        check_sync(p, IoOp::FileSync).unwrap();
+        assert!(check_sync(p, IoOp::FileSync).is_err());
+        assert!(fp.triggered());
+        check_read(p).unwrap();
+        check_sync(p, IoOp::WalReset).unwrap();
+        assert!(matches!(
+            check_write(p, IoOp::WalWrite(4), 4).unwrap(),
+            WriteCheck::Full
+        ));
+        assert_eq!(fp.ops(), 4);
+        assert_eq!(
+            fp.log(),
+            vec![IoOp::FileSync, IoOp::WalReset, IoOp::WalWrite(4)]
+        );
     }
 
     #[test]

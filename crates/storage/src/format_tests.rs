@@ -34,6 +34,7 @@ use crate::spill::{
 };
 use crate::stats::{ColumnStats, Histogram, TableStats};
 use crate::wal::{CommitRecord, Wal, WalScan};
+use crate::xxh64::xxh64;
 
 // ---------------------------------------------------------------------------
 // Allocation metering
@@ -229,7 +230,8 @@ fn commit_bytes(commit: &CommitRecord) -> Vec<u8> {
     out
 }
 
-/// The WAL file after one batch of a page record and a commit record.
+/// The WAL file after one batch of a page record and a commit record:
+/// the header of epoch 1, the two frames, the end marker.
 fn golden_wal() -> Vec<u8> {
     let path = scratch_file("golden.wal");
     let mut wal = Wal::open(&path).unwrap();
@@ -239,6 +241,14 @@ fn golden_wal() -> Vec<u8> {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     bytes
+}
+
+/// [`golden_wal`] as format version 1 wrote it: the same frames from
+/// offset 0, checksummed with FNV-1a, and no header and no marker.
+fn golden_wal_v1() -> Vec<u8> {
+    let page_head = unhex(GOLDEN_WAL_V1_PAGE_HEAD);
+    let commit_frame = unhex(GOLDEN_WAL_V1_COMMIT_FRAME);
+    [page_head, golden_page_image(), commit_frame].concat()
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -305,12 +315,27 @@ const GOLDEN_COMMIT: &str = concat!(
     "0209000000070000002a00000000000000020000000300000004000000010000",
     "0005000000",
 );
-/// Frame header (length, checksum) + kind tag + page id of the page record.
-const GOLDEN_WAL_PAGE_HEAD: &str = "052000003f6aac7d68a040680103000000";
-const GOLDEN_WAL_COMMIT_FRAME: &str = concat!(
+/// Frame header (length, FNV-1a checksum) + kind tag + page id of the
+/// page record, as format version 1 of the log wrote it. Only read now.
+const GOLDEN_WAL_V1_PAGE_HEAD: &str = "052000003f6aac7d68a040680103000000";
+const GOLDEN_WAL_V1_COMMIT_FRAME: &str = concat!(
     "25000000f052e24e662609260209000000070000002a00000000000000020000",
     "0003000000040000000100000005000000",
 );
+// Captured when the log's format became version 2: a fresh log, epoch 1.
+// The frames carry version 1's lengths and payloads under XXH64
+// checksums seeded with the epoch.
+/// The log's header: magic, version, epoch, the header's XXH64.
+const GOLDEN_WAL_HEADER: &str = "544d5157020000000100000000000000247010e44a8e9f97";
+/// Frame header (length, checksum) + kind tag + page id of the page record.
+const GOLDEN_WAL_PAGE_HEAD: &str = "0520000076c943fa98cfed280103000000";
+const GOLDEN_WAL_COMMIT_FRAME: &str = concat!(
+    "25000000493f09938e482d140209000000070000002a00000000000000020000",
+    "0003000000040000000100000005000000",
+);
+/// The end marker: a zero length and the XXH64 of nothing, seeded with
+/// the epoch.
+const GOLDEN_WAL_MARKER: &str = "000000004bbea33613baafd5";
 /// The header page up to the end of its free list; zeros follow.
 const GOLDEN_HEADER_HEAD: &str = concat!(
     "544d514201000020000009000000070000009210000000000000030000000300",
@@ -355,11 +380,25 @@ fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
     assert_eq!(hex(&commit_bytes(&golden_commit())), GOLDEN_COMMIT);
 
     let wal = golden_wal();
-    let (page_head, rest) = wal.split_at(GOLDEN_WAL_PAGE_HEAD.len() / 2);
-    let (image, commit_frame) = rest.split_at(PAGE_SIZE);
+    let (header, rest) = wal.split_at(GOLDEN_WAL_HEADER.len() / 2);
+    let (page_head, rest) = rest.split_at(GOLDEN_WAL_PAGE_HEAD.len() / 2);
+    let (image, rest) = rest.split_at(PAGE_SIZE);
+    let (commit_frame, marker) = rest.split_at(GOLDEN_WAL_COMMIT_FRAME.len() / 2);
+    assert_eq!(hex(header), GOLDEN_WAL_HEADER);
     assert_eq!(hex(page_head), GOLDEN_WAL_PAGE_HEAD);
     assert_eq!(image, golden_page_image());
     assert_eq!(hex(commit_frame), GOLDEN_WAL_COMMIT_FRAME);
+    assert_eq!(hex(marker), GOLDEN_WAL_MARKER);
+    // Version 2 logs version 1's bytes; only the checksums differ.
+    let unsummed = |frame: &str| format!("{}{}", &frame[..8], &frame[24..]);
+    assert_eq!(
+        unsummed(GOLDEN_WAL_PAGE_HEAD),
+        unsummed(GOLDEN_WAL_V1_PAGE_HEAD)
+    );
+    assert_eq!(
+        unsummed(GOLDEN_WAL_COMMIT_FRAME),
+        unsummed(GOLDEN_WAL_V1_COMMIT_FRAME)
+    );
 
     let header = golden_header();
     let (head, padding) = header.split_at(GOLDEN_HEADER_HEAD.len() / 2);
@@ -405,14 +444,60 @@ fn the_pinned_bytes_decode_to_their_inputs() {
 }
 
 #[test]
+fn a_log_format_version_1_wrote_still_replays() {
+    let scan = scan_bytes(&golden_wal_v1());
+    assert_eq!(scan.epoch, None);
+    assert_eq!((scan.txns.len(), scan.discarded_records), (1, 0));
+    assert_eq!(scan.txns[0].commit, golden_commit());
+    assert_eq!(scan.txns[0].pages, vec![(3, golden_page_image())]);
+    // Whatever it holds is replayed under its own checksum: the same
+    // frames under XXH64 are no version 1 log.
+    let scan = scan_bytes(&golden_wal()[GOLDEN_WAL_HEADER.len() / 2..]);
+    assert_eq!((scan.txns.len(), scan.discarded_records), (0, 1));
+}
+
+#[test]
+fn xxh64_is_the_published_function() {
+    // Vectors of the C reference implementation, as published with it and
+    // in the `twox-hash` crate's tests. Between them they take every
+    // branch under seed 0 and others: no 32-byte stripe and whole stripes
+    // (the sentence, 39 bytes; the count, 100), then a tail of 8-byte
+    // words ("Hello, world!\0", 14 bytes: one word, one half, two bytes),
+    // 4-byte halves and single bytes.
+    let count: Vec<u8> = (0..100).collect();
+    let vectors: [(&[u8], u64, u64); 10] = [
+        (b"", 0, 0xEF46_DB37_51D8_E999),
+        (b"a", 0, 0xD24E_C4F1_A98C_6E5B),
+        (b"abc", 0, 0x44BC_2CF5_AD77_0999),
+        (
+            b"Nobody inspects the spammish repetition",
+            0,
+            0xFBCE_A83C_8A37_8BF1,
+        ),
+        (b"xxhash", 0, 0x32DD_3895_2C4B_C720),
+        (b"xxhash", 20_141_025, 0xB559_B98D_844E_0635),
+        (&[42], 0, 0x0A9E_DECE_BEB0_3AE4),
+        (b"Hello, world!\0", 0, 0x7B06_C531_EA43_E89F),
+        (&count, 0, 0x6AC1_E580_3216_6597),
+        (b"", 0xAE05_4331_1B70_2D91, 0x4B6A_04FC_DF7A_4672),
+    ];
+    for (input, seed, hash) in vectors {
+        assert_eq!(xxh64(input, seed), hash, "{input:?} seed {seed}");
+    }
+}
+
+#[test]
 fn a_batch_torn_at_any_byte_is_no_transaction_and_takes_no_earlier_one_with_it() {
-    // A commit's records are one write. Wherever a crash cuts it, replay
-    // finds the transactions before it whole and nothing of this one: its
-    // records are checksummed one by one, and the commit record is last.
+    // A commit's records are one write, over the marker the last one
+    // ended with. Wherever a crash cuts it, replay finds the transactions
+    // before it whole and nothing of this one: its records are
+    // checksummed one by one, and the commit record is last.
     let path = scratch_file("torn-batch.wal");
     let mut wal = Wal::open(&path).unwrap();
     wal.batch().commit(&golden_commit()).unwrap();
-    let first = wal.bytes() as usize;
+    let header = GOLDEN_WAL_HEADER.len() / 2;
+    let first = header + wal.bytes() as usize;
+    let before = std::fs::read(&path).unwrap();
     let mut batch = wal.batch();
     batch.page(3, &golden_page_image());
     batch.page(4, &golden_page_image());
@@ -425,18 +510,34 @@ fn a_batch_torn_at_any_byte_is_no_transaction_and_takes_no_earlier_one_with_it()
     let log = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     let frame = GOLDEN_WAL_PAGE_HEAD.len() / 2 + PAGE_SIZE;
-    assert_eq!(log.len(), 2 * first + 2 * frame);
-    for cut in first..log.len() {
-        let scan = scan_bytes(&log[..cut]);
-        assert_eq!(scan.txns.len(), 1, "cut at {cut}");
-        assert_eq!(scan.txns[0].commit, golden_commit());
-        assert!(scan.txns[0].pages.is_empty());
-        assert_eq!(scan.discarded_bytes, (cut - first) as u64);
-        // The whole page records before the cut, and the record it fell in.
-        let whole = ((cut - first) / frame).min(2);
-        let torn = usize::from(cut - first > whole * frame);
-        assert_eq!(scan.discarded_records, whole + torn, "cut at {cut}");
+    let marker = GOLDEN_WAL_MARKER.len() / 2;
+    assert_eq!(log.len(), 2 * first - header + 2 * frame + marker);
+    // Where the second commit record ends and its marker begins.
+    let second = log.len() - marker;
+    for cut in first + 1..log.len() {
+        // The write reached `cut`; past it the file holds what it held,
+        // the first batch's marker or nothing.
+        let torn = [&log[..cut], before.get(cut..).unwrap_or_default()].concat();
+        let scan = scan_bytes(&torn);
+        if cut < second {
+            assert_eq!(scan.txns.len(), 1, "cut at {cut}");
+            assert_eq!(scan.txns[0].commit, golden_commit());
+            assert!(scan.txns[0].pages.is_empty());
+            assert_eq!(scan.discarded_bytes, (torn.len() - first) as u64);
+            // The whole page records before the cut, and the record the
+            // scan could not get past: the one the cut fell in, or the
+            // marker missing after a whole one.
+            let whole = ((cut - first) / frame).min(2);
+            assert_eq!(scan.discarded_records, whole + 1, "cut at {cut}");
+        } else {
+            // Only the marker is torn: the commit record is whole.
+            assert_eq!(scan.txns.len(), 2, "cut at {cut}");
+            assert_eq!(scan.discarded_records, 1, "cut at {cut}");
+            assert_eq!(scan.discarded_bytes, (cut - second) as u64);
+        }
     }
+    let scan = scan_bytes(&before);
+    assert_eq!((scan.txns.len(), scan.discarded_records), (1, 0));
     let scan = scan_bytes(&log);
     assert_eq!((scan.txns.len(), scan.discarded_bytes), (2, 0));
     assert_eq!(scan.txns[1].pages.len(), 2);
@@ -644,10 +745,15 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
         &golden_header(),
         0..GOLDEN_HEADER_HEAD.len() / 2 + 8,
     );
-    // The log's two frame headers and the whole commit frame; a flipped
-    // byte inside the page image is one checksum mismatch like another.
+    // The log's header, its two frame headers, the whole commit frame and
+    // the marker; a flipped byte inside the page image is one checksum
+    // mismatch like another. The same for the frames of a version 1 log.
     let log = golden_wal();
-    let commit_frame = log.len() - GOLDEN_WAL_COMMIT_FRAME.len() / 2;
+    let header = GOLDEN_WAL_HEADER.len() / 2;
+    let commit_frame = log.len() - (GOLDEN_WAL_COMMIT_FRAME.len() + GOLDEN_WAL_MARKER.len()) / 2;
+    check_corruptions(LOG, &log, (0..header + 24).chain(commit_frame..log.len()));
+    let log = golden_wal_v1();
+    let commit_frame = log.len() - GOLDEN_WAL_V1_COMMIT_FRAME.len() / 2;
     check_corruptions(LOG, &log, (0..24).chain(commit_frame..log.len()));
     // Every byte of both kinds of frame: the lengths, the kinds, the
     // values a shaped frame holds and the record a full one does.

@@ -31,8 +31,10 @@
 //!   probe it instead of scanning when the planner's crossover favors
 //!   probes;
 //! * `wal` (crate-private) — the write-ahead log: page-image + commit redo records,
-//!   one batch and one write per commit, fsynced before any write-back,
-//!   replayed on open, truncated at checkpoints. [`Catalog::begin`]/[`Catalog::commit`]/
+//!   one batch and one write per commit, XXH64-checksummed under the
+//!   generation's epoch, fsynced before any write-back, replayed on
+//!   open; a checkpoint recycles it in place by starting the next
+//!   generation, a close empties it. [`Catalog::begin`]/[`Catalog::commit`]/
 //!   [`Catalog::rollback`] make register/replace/create_index atomic
 //!   multi-statement units on top of it;
 //! * [`failpoint`] — the fault-injection seam over the pager's and the
@@ -54,6 +56,7 @@ pub mod spill;
 pub mod stats;
 pub mod table;
 pub(crate) mod wal;
+mod xxh64;
 
 pub use catalog::Catalog;
 pub use failpoint::{IoFailpoint, IoOp};

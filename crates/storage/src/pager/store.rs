@@ -31,8 +31,10 @@
 //! * A **checkpoint** ([`PagedStore::checkpoint`], triggered when the
 //!   WAL exceeds its threshold and on close) flushes all pages, syncs
 //!   the file, rewrites the header to the committed state, syncs again,
-//!   and only then truncates the WAL. A crash at any point leaves either
-//!   a header or a WAL (or both) describing the last committed state.
+//!   and only then starts the WAL's next generation (rewriting the log's
+//!   header in place; a close then empties the log). A crash at any
+//!   point leaves either a header or a WAL (or both) describing the last
+//!   committed state.
 //! * Pages freed by a commit (a replaced table's extent + overflow
 //!   chains, superseded index chains, and the superseded catalog chain)
 //!   are quarantined in a *pending* list and join the reusable **free
@@ -45,9 +47,11 @@
 //!   ([`Table`](crate::Table) re-registration into a fresh file).
 //! * Recovery on open scans the WAL, replays every committed
 //!   transaction's page images in order, adopts the last commit's
-//!   header state, and checkpoints. A torn or corrupt record stops the
-//!   scan at the last valid commit; what follows is discarded and
-//!   **reported** (see [`crate::wal::RecoveryReport`]), never silently
+//!   header state, and checkpoints whenever the log is not empty — and
+//!   that checkpoint truncates the log, so a reopened database never
+//!   appends under an epoch a crash may have left bytes of. A torn or
+//!   corrupt record stops the scan at the last valid commit; what
+//!   follows is discarded and **reported** (see [`crate::wal::RecoveryReport`]), never silently
 //!   dropped.
 
 use std::fs::{File, OpenOptions, TryLockError};
@@ -143,7 +147,7 @@ impl PagedFile {
 
     /// Take the file's exclusive lock, held until the file closes. One
     /// live store per file, in this process or another: a second one
-    /// would replay and truncate the log the first is appending to.
+    /// would replay and recycle the log the first is appending to.
     fn locked(file: File, path: &Path) -> Result<PagedFile> {
         match file.try_lock() {
             Ok(()) => Ok(PagedFile {
@@ -402,9 +406,7 @@ impl PagedStore {
         file.write_page(0, &meta.encode(&[]))?;
         file.sync()?;
         let mut wal = Wal::open(&Wal::path_for(path))?;
-        if wal.bytes() > 0 {
-            wal.reset()?;
-        }
+        wal.clear()?;
         let recovery = RecoveryReport::default();
         let store = PagedStore::assemble(file, pool_pages, meta, vec![], vec![], wal, recovery);
         Ok(store)
@@ -412,7 +414,8 @@ impl PagedStore {
 
     /// Open an existing database file without touching its catalog:
     /// scan the WAL, replay every committed transaction's page images,
-    /// adopt the last commit's header state, and checkpoint.
+    /// adopt the last commit's header state, and checkpoint (truncating
+    /// the log) unless it was empty.
     fn open_store(path: &Path, pool_pages: usize) -> Result<Arc<PagedStore>> {
         let file = PagedFile::open(path)?;
         let wal_path = Wal::path_for(path);
@@ -422,7 +425,8 @@ impl PagedStore {
             .read_page(0, &mut buf)
             .and_then(|()| Meta::decode(&buf));
         // The WAL's last commit is always at least as new as the header
-        // (checkpoints truncate the log only after the header is synced),
+        // (checkpoints start the log's next generation only after the
+        // header is synced),
         // so prefer it — which also recovers from a torn header write,
         // as long as at least one commit survives in the log.
         let (meta, free) = match (header, scan.txns.last()) {
@@ -447,7 +451,6 @@ impl PagedStore {
                 file.write_page(*pid, image)?;
             }
         }
-        let dirty = !scan.txns.is_empty() || scan.discarded_bytes > 0;
         let wal = Wal::open(&wal_path)?;
         let recovery = RecoveryReport {
             replayed_txns: scan.txns.len(),
@@ -455,12 +458,13 @@ impl PagedStore {
             discarded_bytes: scan.discarded_bytes,
         };
         let store = PagedStore::assemble(file, pool_pages, meta, free, pending_free, wal, recovery);
-        if dirty {
-            // Make the replay durable and truncate the log (discarding
-            // any torn tail with it). Idempotent: a crash anywhere in
-            // here just replays again on the next open.
-            store.checkpoint()?;
-        }
+        // Make the replay durable and empty the log (discarding any torn
+        // tail with it) before anything is appended — also when the scan
+        // found nothing: past the marker of a log a crash left may lie
+        // bytes of its own epoch, so it is truncated, not recycled.
+        // Idempotent: a crash anywhere in here just replays again on the
+        // next open. An empty log has nothing to checkpoint.
+        store.checkpoint()?;
         Ok(store)
     }
 
@@ -936,15 +940,16 @@ impl PagedStore {
 
     /// Checkpoint: flush all pages, sync the file, rewrite the header to
     /// the committed state (folding quarantined freed pages into the
-    /// free list), sync again, then truncate the WAL. After it, the
-    /// database file alone describes the last committed state.
+    /// free list), sync again, then start the WAL's next generation.
+    /// After it, the database file alone describes the last committed
+    /// state.
     pub fn checkpoint(&self) -> Result<()> {
         let _w = self.write_lock();
         self.checkpoint_locked()
     }
 
     fn checkpoint_locked(&self) -> Result<()> {
-        let idle = { self.wal().bytes() == 0 } && { self.state().pending_free.is_empty() };
+        let idle = { !self.wal().needs_checkpoint() } && { self.state().pending_free.is_empty() };
         if idle {
             return Ok(());
         }
@@ -1024,7 +1029,7 @@ impl PagedStore {
                 wal_fsync: histogram("tmql_wal_fsync_micros", "WAL fsync latency in microseconds"),
                 checkpoint: histogram(
                     "tmql_checkpoint_micros",
-                    "Checkpoint latency in microseconds (flush, two file syncs, WAL truncation)",
+                    "Checkpoint latency in microseconds (flush, two file syncs, WAL reset)",
                 ),
             }
         });
@@ -1064,13 +1069,18 @@ impl PagedStore {
 impl Drop for PagedStore {
     /// Best-effort clean shutdown: roll back any transaction left open
     /// (dropping a database mid-transaction aborts it), then checkpoint
-    /// so the next open needs no replay. Errors are ignored — a failed
-    /// close is exactly a crash, and recovery covers crashes.
+    /// and, only once that succeeded, empty the WAL, so the next open
+    /// needs no replay and no generation stays on disk. Errors are
+    /// ignored — a failed close is exactly a crash, and recovery covers
+    /// crashes.
     fn drop(&mut self) {
         if self.txn_open() {
             self.rollback_txn();
         }
-        let _ = self.checkpoint();
+        let _w = self.write_lock();
+        if self.checkpoint_locked().is_ok() {
+            let _ = self.wal().clear();
+        }
     }
 }
 
@@ -1091,7 +1101,7 @@ impl PagedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failpoint::IoFailpoint;
+    use crate::failpoint::{IoFailpoint, IoOp};
     use tmql_model::Value;
 
     fn scratch(name: &str) -> PathBuf {
@@ -1227,6 +1237,51 @@ mod tests {
         assert_eq!(store.recovery().replayed_txns, 1);
         let blob = store.read_catalog().unwrap().expect("catalog replayed");
         assert_eq!(blob, vec![5u8; 2 * OVF_CAPACITY]);
+        // Past the marker of a log a crash left may lie bytes of its own
+        // epoch: the recovery checkpoint truncates it, never recycles it.
+        let log = std::fs::metadata(Wal::path_for(&path)).unwrap().len();
+        assert_eq!(log, 0, "a log a crash left is truncated");
+        clean(&path);
+    }
+
+    #[test]
+    fn a_recovery_checkpoint_that_fails_leaves_the_commit_in_the_log() {
+        // The open after a crash replays the log and checkpoints. When
+        // that checkpoint fails before the header is rewritten — an I/O
+        // error, not a crash — the log alone holds the commit, and the
+        // half-opened store's close must not empty it before a checkpoint
+        // has folded it in. The commit frees no page, so only the log
+        // says that a checkpoint is due.
+        let path = scratch("failed-recovery");
+        let crash = || {
+            let store = PagedStore::create(&path, 4).unwrap();
+            store.set_checkpoint_bytes(u64::MAX);
+            store
+                .write_catalog(&vec![6u8; OVF_CAPACITY], Vec::new())
+                .unwrap();
+            let _fp = IoFailpoint::kill_at(&path, 0);
+            drop(store);
+        };
+        crash();
+        // Where the recovery checkpoint's first file sync falls.
+        let sync = {
+            let fp = IoFailpoint::count(&path);
+            drop(PagedStore::open_store(&path, 4).unwrap());
+            let log = fp.log();
+            log.iter().position(|op| *op == IoOp::FileSync).unwrap() as u64
+        };
+        clean(&path);
+        crash();
+        {
+            let fp = IoFailpoint::fail_once_at(&path, sync);
+            assert!(PagedStore::open_store(&path, 4).is_err());
+            assert!(fp.triggered());
+        }
+        let store = PagedStore::open_store(&path, 4).unwrap();
+        let blob = store.read_catalog().unwrap().expect("the commit survived");
+        assert_eq!(blob, vec![6u8; OVF_CAPACITY]);
+        drop(store);
+        assert_eq!(std::fs::metadata(Wal::path_for(&path)).unwrap().len(), 0);
         clean(&path);
     }
 

@@ -754,8 +754,9 @@ impl Database {
     }
 
     /// Force a WAL checkpoint: flush dirty pages, rewrite the header,
-    /// truncate the log, and release replaced pages for reuse. No-op on
-    /// an in-memory database; an error while a transaction is open.
+    /// start the log's next generation, and release replaced pages for
+    /// reuse. No-op on an in-memory database; an error while a
+    /// transaction is open.
     /// Checkpoints also happen automatically once the log exceeds its
     /// threshold (see [`Database::set_wal_checkpoint_bytes`]) and when
     /// the database is dropped.

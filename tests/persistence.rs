@@ -36,6 +36,9 @@ fn wal_path(path: &Path) -> PathBuf {
     PathBuf::from(w)
 }
 
+/// Bytes of the WAL's header; a generation's records follow it.
+const WAL_HEADER_BYTES: u64 = 24;
+
 /// Remove a scratch database and its WAL sidecar.
 fn clean(path: &Path) {
     let _ = std::fs::remove_file(path);
@@ -495,7 +498,8 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
     let setup = |path: &Path| {
         let mut db = Database::open_with(path, 8).unwrap();
         db.register_table(int_table("X", &["n"], &refs)).unwrap();
-        db.wal_checkpoint().unwrap(); // X is checkpoint-durable; WAL empty
+        // X is checkpoint-durable; the WAL's next generation is empty.
+        db.wal_checkpoint().unwrap();
         db
     };
 
@@ -525,10 +529,12 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
     };
     assert!(batch_len > 2 * 8192, "Y's page, the catalog's, the commit");
 
-    // Pass 2: tear that write — the first half of the batch reaches disk:
-    // a whole page record and part of the next, no commit record.
+    // Pass 2: tear that write — the first half of the batch reaches disk,
+    // over the last generation's bytes: a whole page record and part of
+    // the next, no commit record.
     clean(&path);
     let mut db = setup(&path);
+    let last_generation = std::fs::metadata(wal_path(&path)).unwrap().len();
     let fp = IoFailpoint::torn_at(&path, batch as u64);
     let err = db
         .register_table(int_table("Y", &["m"], &refs))
@@ -538,7 +544,11 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
     assert!(fp.triggered());
     drop(fp);
     let torn = std::fs::metadata(wal_path(&path)).unwrap().len();
-    assert_eq!(torn, batch_len as u64 / 2, "half the batch was written");
+    assert_eq!(
+        torn,
+        last_generation.max(WAL_HEADER_BYTES + batch_len as u64 / 2),
+        "half the batch was written after the log's header"
+    );
 
     let db = Database::open_with(&path, 8).unwrap();
     let rep = db.recovery_report().expect("disk-backed");
@@ -547,7 +557,9 @@ fn crash_mid_wal_append_discards_the_torn_transaction() {
         rep.discarded_records, 2,
         "the whole page record and the torn one are reported, not silently dropped: {rep:?}"
     );
-    assert_eq!(rep.discarded_bytes, torn, "{rep:?}");
+    // The scan stopped inside the batch: everything after the header is
+    // discarded, the last generation's stale bytes with it.
+    assert_eq!(rep.discarded_bytes, torn - WAL_HEADER_BYTES, "{rep:?}");
     assert!(db.query("SELECT x.n FROM X x").is_ok(), "X survived");
     assert!(
         db.query("SELECT y.m FROM Y y").is_err(),
@@ -650,6 +662,125 @@ fn bit_flipped_wal_record_stops_replay_at_last_valid_commit() {
     drop(db);
     let db = Database::open_with(&path, 8).unwrap();
     assert!(db.recovery_report().unwrap().is_clean());
+    clean(&path);
+}
+
+/// A log recycled in place: under a small checkpoint threshold every
+/// checkpoint starts the next generation over the last one, so while the
+/// database is open the file never empties and is exactly its largest
+/// generation plus the header and one end marker long. A close empties
+/// it, and the reopen finds nothing to do.
+#[test]
+fn a_recycled_log_stays_at_its_largest_generation_and_a_close_empties_it() {
+    let path = scratch("recycle");
+    clean(&path);
+    let wal = wal_path(&path);
+    let mut db = Database::open_with(&path, 8).unwrap();
+    db.set_wal_checkpoint_bytes(40_000);
+    let activity = |db: &Database| db.catalog().wal_activity().unwrap();
+    // The largest generation so far, in bytes of records.
+    let mut largest = 0;
+    for round in 0..24i64 {
+        let rows: Vec<Vec<i64>> = (0..100 + 150 * (round % 5))
+            .map(|i| vec![i, round])
+            .collect();
+        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let table = int_table(&format!("T{}", round % 3), &["n", "r"], &refs);
+        let before = activity(&db);
+        if round < 3 {
+            db.register_table(table).unwrap();
+        } else {
+            db.catalog_mut().replace(table).unwrap();
+        }
+        let after = activity(&db);
+        // The generation this commit ended, before any checkpoint reset it.
+        let generation =
+            before.size_bytes + after.bytes_appended_total - before.bytes_appended_total;
+        largest = largest.max(generation);
+        let len = std::fs::metadata(&wal).unwrap().len();
+        assert!(
+            len > 0,
+            "round {round}: an open database's log is never emptied"
+        );
+        assert_eq!(len, largest + WAL_HEADER_BYTES + 12, "round {round}");
+    }
+    let checkpoints = activity(&db).checkpoints_total;
+    assert!(checkpoints >= 5, "{checkpoints} checkpoints");
+    drop(db);
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        0,
+        "a close empties the log"
+    );
+    let db = Database::open_with(&path, 8).unwrap();
+    assert!(db.recovery_report().unwrap().is_clean());
+    assert_eq!(db.catalog().table_names().count(), 3);
+    drop(db);
+    clean(&path);
+}
+
+/// A log format version 1 wrote — the same frames from offset 0 under
+/// FNV-1a checksums, no header, no end marker — holding one committed
+/// transaction no checkpoint folded in: the open replays it, and its
+/// checkpoint truncates the log, so the next commit writes version 2.
+#[test]
+fn a_version_1_log_replays_and_the_open_converts_it() {
+    let path = scratch("v1-upgrade");
+    clean(&path);
+    let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i]).collect();
+    let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+    {
+        let mut db = Database::open_with(&path, 8).unwrap();
+        db.set_wal_checkpoint_bytes(u64::MAX);
+        db.register_table(int_table("X", &["n"], &refs)).unwrap();
+        // Crash the close: the commit lives only in the log.
+        let _fp = IoFailpoint::kill_at(&path, 0);
+        drop(db);
+    }
+    let wal = wal_path(&path);
+    let v2 = std::fs::read(&wal).unwrap();
+    assert_eq!(&v2[..4], b"TMQW");
+    let mut v1 = Vec::new();
+    let mut at = WAL_HEADER_BYTES as usize;
+    loop {
+        let len = u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
+        if len == 0 {
+            break; // the end marker
+        }
+        let payload = &v2[at + 12..at + 12 + len];
+        v1.extend_from_slice(&(len as u32).to_le_bytes());
+        v1.extend_from_slice(&tmql_obs::fnv1a(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        at += 12 + len;
+    }
+    std::fs::write(&wal, &v1).unwrap();
+
+    let mut db = Database::open_with(&path, 8).unwrap();
+    let rep = db.recovery_report().unwrap();
+    assert_eq!(
+        (rep.replayed_txns, rep.discarded_records),
+        (1, 0),
+        "{rep:?}"
+    );
+    assert_eq!(db.query("SELECT x.n FROM X x").unwrap().len(), 200);
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        0,
+        "truncated by the open"
+    );
+    db.set_wal_checkpoint_bytes(u64::MAX);
+    db.register_table(int_table("Y", &["m"], &refs)).unwrap();
+    let log = std::fs::read(&wal).unwrap();
+    assert_eq!(
+        &log[..8],
+        b"TMQW\x02\0\0\0",
+        "the next commit writes version 2"
+    );
+    drop(db);
+    let db = Database::open_with(&path, 8).unwrap();
+    assert!(db.recovery_report().unwrap().is_clean());
+    assert_eq!(db.query("SELECT y.m FROM Y y").unwrap().len(), 200);
+    drop(db);
     clean(&path);
 }
 
