@@ -11,7 +11,9 @@
 //! with a non-testable one at every position:
 //!
 //! * **the pre-test rejects a row only if `eval_predicate` is `Ok(false)`
-//!   on it** — on the materialized row and on its encoded bytes — and on
+//!   on it** — on the materialized row, on its encoded bytes and on its
+//!   frame against a table's columns (values alone when the columns are
+//!   the row's labels in its order, the whole record otherwise) — and on
 //!   the bytes it decides whatever it decides on the row, when the tested
 //!   fields are scalars or strings;
 //! * **the fused scan is indistinguishable from a `Filter` over an
@@ -28,7 +30,7 @@ use tmql_algebra::{eval, eval_predicate, CmpOp, Env, Plan, ScalarExpr as E};
 use tmql_exec::planner::scan_pretest;
 use tmql_exec::{execute_collect, lower, Estimator, ExecConfig, ExecContext, Metrics, PhysPlan};
 use tmql_model::{ModelError, Record, Ty, Value};
-use tmql_storage::spill::{decode_record, encode_record};
+use tmql_storage::spill::{decode_record, encode_frame, encode_record};
 use tmql_storage::{Catalog, RowTest, Table};
 
 const OPS: [CmpOp; 6] = [
@@ -168,6 +170,21 @@ fn outer_env(k: &Value) -> Env<'static> {
     env
 }
 
+/// The row's labels in the order `key` picks — one of every permutation,
+/// the row's own among them — as a table's columns; and the row framed
+/// against them.
+fn framed(row: &Record, key: u64) -> (Vec<u8>, Vec<Arc<str>>) {
+    let mut columns: Vec<Arc<str>> = row.fields().iter().map(|(l, _)| l.clone()).collect();
+    let turn = key as usize % columns.len().max(1);
+    columns.rotate_left(turn);
+    if key & (1 << 32) != 0 {
+        columns.reverse();
+    }
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, row, &columns);
+    (frame, columns)
+}
+
 /// What `ScanTableOp::open` builds: keys evaluated left to right, the
 /// first failure ending the test.
 fn row_test(pred: &E, env: &Env<'_>) -> RowTest {
@@ -191,19 +208,24 @@ proptest! {
         row in arb_row(false),
         pred in arb_pred(),
         k in arb_scalar(),
+        order in any::<u64>(),
     ) {
         let env = outer_env(&k);
         let test = row_test(&pred, &env);
         let truth = eval_on(&pred, &row, &env);
         let bytes = encode_record(&row);
-        for rejected in [test.rejects_row(&row), test.rejects_bytes(&bytes)] {
+        let (frame, columns) = framed(&row, order);
+        let on_bytes = [test.rejects_bytes(&bytes), test.rejects_frame(&frame, &columns)];
+        for rejected in [test.rejects_row(&row), on_bytes[0], on_bytes[1]] {
             if rejected {
                 REJECTED.fetch_add(1, Ordering::Relaxed);
                 prop_assert_eq!(&truth, &Ok(false), "{:?} rejected {:?}", test, row);
             }
         }
         // Bytes decide no more than the row does.
-        prop_assert!(test.rejects_row(&row) || !test.rejects_bytes(&bytes));
+        for rejected in on_bytes {
+            prop_assert!(test.rejects_row(&row) || !rejected);
+        }
     }
 }
 
@@ -226,6 +248,7 @@ proptest! {
         row in arb_row(false),
         pred in arb_pred(),
         k in arb_scalar(),
+        order in any::<u64>(),
     ) {
         let env = outer_env(&k);
         let test = row_test(&pred, &env);
@@ -233,7 +256,10 @@ proptest! {
         let tested = scan_pretest(&pred, "x");
         if tested.iter().all(|(attr, ..)| row.find(attr).is_none_or(scalar)) {
             let bytes = encode_record(&row);
-            prop_assert_eq!(test.rejects_bytes(&bytes), test.rejects_row(&row), "{:?} on {:?}", test, row);
+            let (frame, columns) = framed(&row, order);
+            let want = test.rejects_row(&row);
+            prop_assert_eq!(test.rejects_bytes(&bytes), want, "{:?} on {:?}", test, row);
+            prop_assert_eq!(test.rejects_frame(&frame, &columns), want, "{:?} on {:?} framed against {:?}", test, row, columns);
         }
     }
 }
@@ -253,6 +279,7 @@ proptest! {
         let test = row_test(&pred, &outer_env(&Value::Int(1)));
         let mut bytes = encode_record(&row);
         let _ = test.rejects_bytes(&noise);
+        let _ = test.rejects_frame(&noise, &LABELS.map(Arc::from));
         let _ = decode_record(&noise);
         // Overwrite a window, then truncate: lengths, tags and counts all
         // get hit over the cases.

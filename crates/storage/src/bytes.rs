@@ -3,8 +3,9 @@
 //! ([`crate::pager::image`]), the index blob ([`crate::index`]), the WAL's
 //! frames and commit records ([`crate::wal`]) and the database header
 //! page ([`crate::pager::store`]). All are little-endian and
-//! length-prefixed; only [`crate::pager::page`]'s fixed-offset slot
-//! accessors touch bytes without going through here.
+//! length-prefixed, with integer values as varints; only
+//! [`crate::pager::page`]'s fixed-offset slot accessors touch bytes
+//! without going through here.
 //!
 //! A [`Reader`] decides, once, how much outside bytes may claim:
 //!
@@ -128,6 +129,36 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
+    /// An unsigned LEB128 varint: seven bits a byte, low group first, at
+    /// most ten bytes. An eleventh byte, or a tenth with more than the
+    /// 64th bit in it, is malformed — no two encodings decode alike past
+    /// the last one a writer could make.
+    #[inline(always)]
+    pub(crate) fn uvarint(&mut self) -> Result<u64> {
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Ok(first as u64);
+        }
+        self.uvarint_rest(first)
+    }
+
+    /// [`Reader::uvarint`] past a first byte that has a continuation.
+    #[inline]
+    fn uvarint_rest(&mut self, first: u8) -> Result<u64> {
+        let mut v = (first & 0x7f) as u64;
+        for shift in (7..63).step_by(7) {
+            let byte = self.u8()?;
+            v |= ((byte & 0x7f) as u64) << shift;
+            if byte < 0x80 {
+                return Ok(v);
+            }
+        }
+        match self.u8()? {
+            last @ 0..=1 => Ok(v | (last as u64) << 63),
+            _ => Err(self.err("varint past 64 bits or 10 bytes")),
+        }
+    }
+
     /// A float stored as its bit pattern (NaN payloads survive).
     #[inline(always)]
     pub(crate) fn f64(&mut self) -> Result<f64> {
@@ -240,6 +271,17 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// An unsigned LEB128 varint ([`Reader::uvarint`]): 1 byte below 2⁷,
+/// 2 below 2¹⁴, …, 10 for the top bit.
+#[inline]
+pub(crate) fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 /// A float as its bit pattern.

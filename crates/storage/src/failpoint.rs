@@ -68,6 +68,8 @@ pub enum IoOp {
 struct Entry {
     prefix: PathBuf,
     mode: FailMode,
+    /// How many of a torn write's `len` bytes persist.
+    keep: fn(usize) -> usize,
     /// Operation index at which to fail; `u64::MAX` for count-only.
     fail_at: u64,
     ops: AtomicU64,
@@ -106,9 +108,19 @@ pub struct IoFailpoint {
 
 impl IoFailpoint {
     fn arm(prefix: &Path, mode: FailMode, fail_at: u64) -> IoFailpoint {
+        IoFailpoint::arm_keeping(prefix, mode, fail_at, |len| len / 2)
+    }
+
+    fn arm_keeping(
+        prefix: &Path,
+        mode: FailMode,
+        fail_at: u64,
+        keep: fn(usize) -> usize,
+    ) -> IoFailpoint {
         let entry = Arc::new(Entry {
             prefix: prefix.to_path_buf(),
             mode,
+            keep,
             fail_at,
             ops: AtomicU64::new(0),
             tripped: AtomicBool::new(false),
@@ -222,7 +234,7 @@ pub(crate) fn check_write(path: &Path, op: IoOp, len: usize) -> Result<WriteChec
     }
     if fails(&e) {
         if e.mode == FailMode::Torn {
-            return Ok(WriteCheck::Torn(len / 2));
+            return Ok(WriteCheck::Torn((e.keep)(len).min(len)));
         }
         return Err(injected());
     }
@@ -253,6 +265,16 @@ pub(crate) fn check_read(path: &Path) -> Result<()> {
         return Err(injected());
     }
     Ok(())
+}
+
+#[cfg(test)]
+impl IoFailpoint {
+    /// [`IoFailpoint::torn_at`], where the trigger write of `len` bytes
+    /// persists its first `keep(len)` (half, for `torn_at`): a tear at
+    /// a chosen boundary, such as just before a batch's end marker.
+    pub(crate) fn torn_keeping(prefix: &Path, n: u64, keep: fn(usize) -> usize) -> IoFailpoint {
+        IoFailpoint::arm_keeping(prefix, FailMode::Torn, n, keep)
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 //! in one place because they all sit on one [`Reader`]:
 //!
 //! * **the formats did not move** — the bytes of one fixed input per
-//!   format, captured at the commit before `bytes.rs` existed, are pinned
-//!   as hex literals;
+//!   format are pinned as hex literals: captured at the commit before
+//!   `bytes.rs` existed, and, for what database format version 2 changed
+//!   (integers as varints, data pages of frames, the header's version),
+//!   when it did; the older literals stay as inputs the decoders must
+//!   still read;
 //! * **no bytes panic, hang, overflow the stack or over-allocate** — every
 //!   decoder, on arbitrary bytes and on every single-site corruption of a
 //!   valid encoding (a byte replaced, a suffix cut, a length or count
@@ -26,15 +29,17 @@ use tmql_model::{ModelError, Record, Result, Ty, Value};
 use crate::bytes::{put_len, put_len_prefixed, put_str, put_u64, Reader, MAX_NESTING};
 use crate::index::{decode_index, encode_index, OrdIndex};
 use crate::pager::image::{decode_catalog, encode_catalog, CatalogImage, IndexImage, TableImage};
-use crate::pager::page::{NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
+use crate::pager::page::{self, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use crate::pager::store::{Meta, PagedStore, TableExtent};
 use crate::pretest::RowTest;
 use crate::spill::{
-    decode_record, decode_value, encode_record, encode_value, frame, RecordDecoder, SpillDir,
+    decode_record, decode_value, encode_frame, encode_record, encode_value, frame, v1,
+    RecordDecoder, SpillDir, StoredRow,
 };
 use crate::stats::{ColumnStats, Histogram, TableStats};
 use crate::wal::{CommitRecord, Wal, WalScan};
 use crate::xxh64::xxh64;
+use crate::{Catalog, Table};
 
 // ---------------------------------------------------------------------------
 // Allocation metering
@@ -223,6 +228,72 @@ fn golden_header() -> Vec<u8> {
     meta.encode(&[3, 4, 8])
 }
 
+/// The labels of [`golden_row`] in its order: the columns of a table that
+/// stores it as a frame of values.
+fn golden_labels() -> Vec<Arc<str>> {
+    golden_row()
+        .fields()
+        .iter()
+        .map(|(l, _)| l.clone())
+        .collect()
+}
+
+/// [`golden_row`] with its fields the other way round: against
+/// [`golden_labels`], a frame holding the whole record.
+fn golden_row_reversed() -> Record {
+    Record::new(golden_row().fields().iter().rev().cloned()).unwrap()
+}
+
+/// The integers whose varints [`GOLDEN_INTS`] pins: both ends of the
+/// range, and each side of the one- and two-byte boundaries.
+const GOLDEN_INT_CASES: [i64; 12] = [
+    0,
+    -1,
+    1,
+    63,
+    -63,
+    64,
+    -64,
+    -65,
+    8191,
+    -8193,
+    i64::MAX,
+    i64::MIN,
+];
+
+fn golden_ints() -> Vec<u8> {
+    let mut out = Vec::new();
+    for i in GOLDEN_INT_CASES {
+        encode_value(&mut out, &Value::Int(i));
+    }
+    out
+}
+
+/// `row` as a frame against `labels`.
+fn frame_of(row: &Record, labels: &[Arc<str>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame(&mut out, row, labels);
+    out
+}
+
+/// The first data page of a table of [`golden_row`] and
+/// [`golden_row_reversed`] over the columns [`golden_labels`], as the
+/// store writes it.
+fn golden_data_page() -> Vec<u8> {
+    let path = scratch_file("page.tmdb");
+    {
+        let store = PagedStore::create(&path, 8).unwrap();
+        let rows = [golden_row(), golden_row_reversed()];
+        let extent = store.write_table(&rows, &golden_labels()).unwrap();
+        assert_eq!(extent.page_ids().collect::<Vec<_>>(), [1]);
+        store.save_catalog(&CatalogImage::default()).unwrap();
+    }
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_file(Wal::path_for(&path));
+    file[PAGE_SIZE..2 * PAGE_SIZE].to_vec()
+}
+
 /// A commit record's payload, as the log frames it.
 fn commit_bytes(commit: &CommitRecord) -> Vec<u8> {
     let mut out = Vec::new();
@@ -336,9 +407,57 @@ const GOLDEN_WAL_COMMIT_FRAME: &str = concat!(
 /// The end marker: a zero length and the XXH64 of nothing, seeded with
 /// the epoch.
 const GOLDEN_WAL_MARKER: &str = "000000004bbea33613baafd5";
-/// The header page up to the end of its free list; zeros follow.
+/// The header page up to the end of its free list; zeros follow. Version
+/// 1: read, never written now.
 const GOLDEN_HEADER_HEAD: &str = concat!(
     "544d514201000020000009000000070000009210000000000000030000000300",
+    "00000400000008000000",
+);
+
+// Captured when the database format became version 2: an `Int` is tag
+// 10 and a zigzag varint, a data page's second byte is its row form, and
+// form 1 slots hold frames. [`GOLDEN_RECORD`] (as
+// [`golden_record_now`] cuts it), [`GOLDEN_INDEX`] and
+// [`GOLDEN_HEADER_HEAD`] are what version 1 wrote for the same inputs.
+/// [`golden_row`]: its integers are `0a 0d` (−7) and `0a 02` (1).
+const GOLDEN_RECORD_V2: &str = concat!(
+    "080000000200000069640a0d0100000078040000000000000080030000006e61",
+    "6e04efbe00000000f87f0100000073050600000068c3a96c6c6f020000006f6b",
+    "02020000006e6f01030000006e696c000100000074060200000001000000610a",
+    "02010000006207020000000a020a04",
+);
+/// [`golden_index`]: the key `1` is `0a 02`.
+const GOLDEN_INDEX_V2: &str = concat!(
+    "03000000020000000a0202000000000000000000000005000000000000000900",
+    "000004000000000000f83f010000000200000000000000060000000501000000",
+    "7a0200000003000000000000000400000000000000",
+);
+/// The values of [`GOLDEN_INT_CASES`], one after another.
+const GOLDEN_INTS: &str = concat!(
+    "0a000a010a020a7e0a7d0a80010a7f0a81010afe7f0a8180010afeffffffffff",
+    "ffffff010affffffffffffffffff01",
+);
+/// [`golden_row`] as a frame against its own labels: the kind, then its
+/// values alone.
+const GOLDEN_FRAME_SHAPED: &str = concat!(
+    "000a0d04000000000000008004efbe00000000f87f050600000068c3a96c6c6f",
+    "020100060200000001000000610a02010000006207020000000a020a04",
+);
+/// [`golden_row_reversed`] as a frame against [`golden_labels`]: the
+/// kind, then the whole record.
+const GOLDEN_FRAME_FULL: &str = concat!(
+    "01080000000100000074060200000001000000610a0201000000620702000000",
+    "0a020a04030000006e696c00020000006e6f01020000006f6b02010000007305",
+    "0600000068c3a96c6c6f030000006e616e04efbe00000000f87f010000007804",
+    "00000000000000800200000069640a0d",
+);
+/// [`golden_data_page`]'s header (kind 1, row form 1, two slots, the free
+/// offset) and slot directory; zeros follow up to the two frames, which
+/// end the page, the first slot's last.
+const GOLDEN_DATA_PAGE_HEAD: &str = "01010200531fc31f3d00531f7000";
+/// [`GOLDEN_HEADER_HEAD`] as version 2 writes it.
+const GOLDEN_HEADER_V2_HEAD: &str = concat!(
+    "544d514202000020000009000000070000009210000000000000030000000300",
     "00000400000008000000",
 );
 
@@ -371,12 +490,12 @@ fn golden_record_now() -> String {
 
 #[test]
 fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
-    assert_eq!(hex(&encode_record(&golden_row())), golden_record_now());
+    // What version 2 did not change: the catalog image, the commit record
+    // and the log.
     assert_eq!(
         hex(&encode_catalog(&golden_catalog())),
         hex(&golden_catalog_now())
     );
-    assert_eq!(hex(&encode_index(&golden_index())), GOLDEN_INDEX);
     assert_eq!(hex(&commit_bytes(&golden_commit())), GOLDEN_COMMIT);
 
     let wal = golden_wal();
@@ -399,12 +518,40 @@ fn encoded_bytes_are_what_they_were_before_the_shared_writer() {
         unsummed(GOLDEN_WAL_COMMIT_FRAME),
         unsummed(GOLDEN_WAL_V1_COMMIT_FRAME)
     );
+}
+
+#[test]
+fn the_bytes_of_format_version_2_are_pinned() {
+    assert_eq!(hex(&encode_record(&golden_row())), GOLDEN_RECORD_V2);
+    assert_eq!(hex(&encode_index(&golden_index())), GOLDEN_INDEX_V2);
+    assert_eq!(hex(&golden_ints()), GOLDEN_INTS);
+    let (shaped, full) = (
+        frame_of(&golden_row(), &golden_labels()),
+        frame_of(&golden_row_reversed(), &golden_labels()),
+    );
+    assert_eq!(hex(&shaped), GOLDEN_FRAME_SHAPED);
+    assert_eq!(hex(&full), GOLDEN_FRAME_FULL);
+    // A frame of values is the record without its count and its labels;
+    // a whole one is the record behind the kind.
+    assert_eq!(full[1..], encode_record(&golden_row_reversed())[..]);
+    assert!(shaped.len() < encode_record(&golden_row()).len());
+
+    let page = golden_data_page();
+    let (head, rest) = page.split_at(GOLDEN_DATA_PAGE_HEAD.len() / 2);
+    assert_eq!(hex(head), GOLDEN_DATA_PAGE_HEAD);
+    let (zeros, payloads) = rest.split_at(rest.len() - shaped.len() - full.len());
+    assert!(zeros.iter().all(|&b| b == 0));
+    assert_eq!(payloads, [&full[..], &shaped[..]].concat());
 
     let header = golden_header();
-    let (head, padding) = header.split_at(GOLDEN_HEADER_HEAD.len() / 2);
-    assert_eq!(hex(head), GOLDEN_HEADER_HEAD);
+    let (head, padding) = header.split_at(GOLDEN_HEADER_V2_HEAD.len() / 2);
+    assert_eq!(hex(head), GOLDEN_HEADER_V2_HEAD);
     assert_eq!(header.len(), PAGE_SIZE);
     assert!(padding.iter().all(|&b| b == 0));
+    // Version 2 changed only the version of the header.
+    assert_eq!(GOLDEN_HEADER_V2_HEAD[..8], GOLDEN_HEADER_HEAD[..8]);
+    assert_eq!(&GOLDEN_HEADER_V2_HEAD[8..12], "0200");
+    assert_eq!(GOLDEN_HEADER_V2_HEAD[12..], GOLDEN_HEADER_HEAD[12..]);
 }
 
 #[test]
@@ -432,10 +579,52 @@ fn the_pinned_bytes_decode_to_their_inputs() {
         decode_commit(&unhex(GOLDEN_COMMIT)).unwrap(),
         golden_commit()
     );
-    let (meta, free) = Meta::decode(&golden_header()).unwrap();
+    for (head, version) in [(GOLDEN_HEADER_HEAD, 1), (GOLDEN_HEADER_V2_HEAD, 2)] {
+        let mut header = unhex(head);
+        header.resize(PAGE_SIZE, 0);
+        let (meta, free, read) = Meta::decode(&header).unwrap();
+        assert_eq!(
+            (
+                meta.next_page,
+                meta.catalog_first,
+                meta.catalog_len,
+                free,
+                read
+            ),
+            (9, 7, 4242, vec![3, 4, 8], version)
+        );
+    }
+    // Version 2's integers, frames and page.
     assert_eq!(
-        (meta.next_page, meta.catalog_first, meta.catalog_len, free),
-        (9, 7, 4242, vec![3, 4, 8])
+        decode_record(&unhex(GOLDEN_RECORD_V2)).unwrap(),
+        golden_row()
+    );
+    assert_eq!(
+        decode_index("k", &unhex(GOLDEN_INDEX_V2)).unwrap(),
+        golden_index()
+    );
+    let ints = unhex(GOLDEN_INTS);
+    let mut at = 0;
+    for i in GOLDEN_INT_CASES {
+        let (v, used) = decode_value(&ints[at..]).unwrap();
+        assert_eq!(v, Value::Int(i));
+        at += used;
+    }
+    assert_eq!(at, ints.len());
+    let mut decoder = RecordDecoder::default();
+    for (frame, row) in [
+        (GOLDEN_FRAME_SHAPED, golden_row()),
+        (GOLDEN_FRAME_FULL, golden_row_reversed()),
+    ] {
+        let back = decoder
+            .decode_frame(&unhex(frame), &golden_labels())
+            .unwrap();
+        assert_eq!(back, row);
+        assert!(back.labels().eq(row.labels()), "its field order too");
+    }
+    assert_eq!(
+        decode_page(&golden_data_page()).unwrap(),
+        [golden_row(), golden_row_reversed()]
     );
     let scan = scan_bytes(&golden_wal());
     assert_eq!((scan.txns.len(), scan.discarded_records), (1, 0));
@@ -591,6 +780,195 @@ fn committed_log(log: &[u8]) -> Vec<u8> {
     bytes
 }
 
+#[test]
+fn an_overlong_or_overflowing_varint_is_an_io_error() {
+    let int = |varint: &[u8]| decode_value(&[&[10u8][..], varint].concat());
+    let refused = |varint: &[u8]| match int(varint) {
+        Err(ModelError::Io(msg)) => assert!(msg.contains("varint"), "{msg}"),
+        other => panic!("{varint:02x?} decoded to {other:?}"),
+    };
+    // Ten bytes carry 64 bits; the tenth holds only the top one.
+    let max = [[0xff; 9].as_slice(), &[0x01]].concat();
+    assert_eq!(int(&max).unwrap(), (Value::Int(i64::MIN), 11));
+    refused(&[[0xff; 9].as_slice(), &[0x02]].concat());
+    refused(&[[0xff; 9].as_slice(), &[0x81, 0x00]].concat());
+    refused(&[[0x80; 10].as_slice(), &[0x00]].concat());
+    // Cut short at every byte.
+    for cut in 0..max.len() {
+        assert!(matches!(int(&max[..cut]), Err(ModelError::Io(_))));
+    }
+    // A longer spelling than the writer's of a value that fits is read as
+    // that value: the bytes are not malformed, only not canonical.
+    assert_eq!(int(&[0x80, 0x00]).unwrap(), (Value::Int(0), 3));
+    // The skip-scan refuses what the decoder refuses: the field behind an
+    // overlong integer is undecided, and the row is admitted.
+    let mut row = Vec::new();
+    put_len(&mut row, 2);
+    put_str(&mut row, "i");
+    row.push(10);
+    row.extend([0xff; 10]);
+    row.push(0x01);
+    put_str(&mut row, "n");
+    row.extend([10, 10]);
+    let n_is_negative = RowTest::new(vec![(Arc::from("n"), tmql_model::CmpOp::Lt, Value::Int(0))]);
+    assert!(!n_is_negative.rejects_bytes(&row));
+    assert!(matches!(decode_record(&row), Err(ModelError::Io(_))));
+}
+
+/// Decode a data page's slots as the store's read path does, its frames
+/// against [`golden_labels`]; an overflow reference, which needs the rest
+/// of the file, is refused.
+fn decode_page(image: &[u8]) -> Result<Vec<Record>> {
+    if image.len() != PAGE_SIZE || page::kind(image) != page::KIND_DATA {
+        return Err(ModelError::Io("not a data page".into()));
+    }
+    let frames = page::holds_frames(image)?;
+    let (labels, mut decoder) = (golden_labels(), RecordDecoder::default());
+    (0..page::slot_count(image))
+        .map(|i| match page::slot(image, i)? {
+            page::SlotRef::Inline(bytes) if frames => {
+                decoder.decode_stored(StoredRow::Frame(bytes), &labels)
+            }
+            page::SlotRef::Inline(bytes) => {
+                decoder.decode_stored(StoredRow::Record(bytes), &labels)
+            }
+            page::SlotRef::Overflow { .. } => Err(ModelError::Io("an overflow slot".into())),
+        })
+        .collect()
+}
+
+/// A data page of `rows` framed against [`golden_labels`], as many as fit.
+fn encode_page(rows: &[Record]) -> Vec<u8> {
+    let mut image = vec![0u8; PAGE_SIZE];
+    page::init_data(&mut image, page::FORM_FRAME);
+    let labels = golden_labels();
+    for row in rows {
+        let frame = frame_of(row, &labels);
+        if !page::fits_inline(&image, frame.len()) {
+            break;
+        }
+        page::push_inline(&mut image, &frame);
+    }
+    image
+}
+
+/// `T(n, b, s)`: integers of every varint length and both signs, one row
+/// in five with its fields the other way round, and one string too long
+/// for a page slot.
+fn mixed_table(name: &str, rows: i64) -> Table {
+    let columns = vec![
+        ("n".to_string(), Ty::Int),
+        ("b".to_string(), Ty::Int),
+        ("s".to_string(), Ty::Any),
+    ];
+    let mut t = Table::new(name, columns);
+    for i in 0..rows {
+        let (n, b) = (i * 1_000_003 - 7_000_000, i % 41 - 20);
+        let s = match i {
+            7 => Value::str("x".repeat(2 * PAGE_SIZE)),
+            _ if i % 3 == 0 => Value::set([Value::Int(i), Value::Int(-i)]),
+            _ => Value::str(format!("s{i}")),
+        };
+        if i % 5 == 0 {
+            let reversed = [("s", s), ("b", Value::Int(b)), ("n", Value::Int(n))];
+            t.insert(Record::new(reversed).unwrap()).unwrap();
+        } else {
+            t.insert_values([Value::Int(n), Value::Int(b), s]).unwrap();
+        }
+    }
+    t
+}
+
+/// The version of the database header in the file at `path`.
+fn header_version(path: &std::path::Path) -> u16 {
+    let file = std::fs::read(path).unwrap();
+    u16::from_le_bytes([file[4], file[5]])
+}
+
+/// What the scan, the probe and the pre-tested scan of `T.b` answer.
+fn reads(cat: &Catalog, name: &str) -> (Vec<Record>, Vec<Record>, Vec<Record>) {
+    let t = cat.table(name).unwrap();
+    let rows = t.rows_vec().unwrap();
+    let hits = cat.index_on(name, "b").unwrap().probe_eq(&Value::Int(3));
+    let probed = t.fetch_rows(&hits).unwrap();
+    let test = RowTest::new(vec![(
+        Arc::from("b"),
+        tmql_model::CmpOp::Lt,
+        Value::Int(-15),
+    )]);
+    let (kept, visited) = t.batch_where(0, t.len(), &test).unwrap();
+    assert_eq!(visited, t.len());
+    (rows, probed, kept)
+}
+
+#[test]
+fn a_version_1_file_reads_as_before_and_its_first_commit_makes_it_version_2() {
+    let path = scratch_file("v1.tmdb");
+    let (old, new) = (mixed_table("OLD", 3000), mixed_table("NEW", 2000));
+    let (mut want_old, mut want_new) = (Catalog::new(), Catalog::new());
+    want_old.register(old.clone()).unwrap();
+    want_old.create_index("OLD", "b").unwrap();
+    want_new.register(new.clone()).unwrap();
+    want_new.create_index("NEW", "b").unwrap();
+    // The file an older build left: `Int`s under tag 3 in pages of whole
+    // records, in the index too, behind a version 1 header — which is a
+    // version 2 header with its version 1 (the goldens pin that).
+    v1::write(|| {
+        let mut cat = Catalog::open(&path, 16).unwrap();
+        cat.register(old).unwrap();
+        cat.create_index("OLD", "b").unwrap();
+    });
+    let mut file = std::fs::read(&path).unwrap();
+    file[4] = 1;
+    std::fs::write(&path, &file).unwrap();
+    assert_eq!(header_version(&path), 1);
+    assert_eq!(
+        file[PAGE_SIZE..PAGE_SIZE + 2],
+        [page::KIND_DATA, page::FORM_RECORD]
+    );
+    // The first row ends the page: its last field, `n = −7 000 000`.
+    let n = [&[3u8][..], &(-7_000_000i64).to_le_bytes()].concat();
+    assert_eq!(file[2 * PAGE_SIZE - 9..2 * PAGE_SIZE], n);
+
+    // Read as the parent read it, through a pool far smaller than it.
+    let mut cat = Catalog::open(&path, 4).unwrap();
+    let want = reads(&want_old, "OLD");
+    assert_eq!(reads(&cat, "OLD"), want);
+    assert_eq!(want.1.len(), 73, "the probe finds rows");
+    assert!(
+        !want.2.is_empty() && want.2.len() < 3000,
+        "the pre-test rejects"
+    );
+    assert_eq!(header_version(&path), 1, "reading rewrites nothing");
+
+    // The first commit rewrites the header before it logs anything.
+    cat.register(new).unwrap();
+    cat.create_index("NEW", "b").unwrap();
+    assert_eq!(header_version(&path), 2);
+    let side_by_side = |cat: &Catalog| {
+        assert_eq!(reads(cat, "OLD"), want);
+        assert_eq!(reads(cat, "NEW"), reads(&want_new, "NEW"));
+    };
+    side_by_side(&cat);
+    drop(cat);
+    side_by_side(&Catalog::open(&path, 4).unwrap());
+    // An older build refuses a version 2 file, as this one refuses a
+    // version it does not know.
+    let mut header = std::fs::read(&path).unwrap()[..PAGE_SIZE].to_vec();
+    header[4] = 3;
+    match Meta::decode(&header) {
+        Err(ModelError::Io(msg)) => {
+            assert!(
+                msg.contains("unsupported database format version 3"),
+                "{msg}"
+            )
+        }
+        other => panic!("version 3 read as {other:?}"),
+    }
+    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_file(Wal::path_for(&path));
+}
+
 // ---------------------------------------------------------------------------
 // No bytes panic, hang or over-allocate
 // ---------------------------------------------------------------------------
@@ -614,16 +992,28 @@ const CATALOG: Decoder = ("catalog", |b| decode_catalog(b).map(|c| encode_catalo
 const INDEX: Decoder = ("index", |b| decode_index("k", b).map(|i| encode_index(&i)));
 const COMMIT: Decoder = ("commit", |b| decode_commit(b).map(|c| commit_bytes(&c)));
 const HEADER: Decoder = ("header", |b| {
-    Meta::decode(b).map(|(meta, free)| meta.encode(&free))
+    Meta::decode(b).map(|(meta, free, _)| meta.encode(&free))
 });
 const LOG: Decoder = ("wal scan", |b| Ok(committed_log(b)));
+// A frame written against [`golden_labels`]; canonically a frame of values
+// whenever the row has those labels in that order.
+const FRAME: Decoder = ("frame", |b| {
+    let labels = golden_labels();
+    let row = RecordDecoder::default().decode_frame(b, &labels)?;
+    Ok(frame_of(&row, &labels))
+});
+const PAGE: Decoder = ("data page", |b| {
+    decode_page(b).map(|rows| encode_page(&rows))
+});
 // One extent of a spill run that remembers `RUN_ROWS` rows and the labels
 // `RUN_LABELS`; canonically every frame is a full one, which reads back
 // the same whatever the run's labels.
 const RUN: Decoder = ("spill run", |b| {
     Ok(read_run(b)?.iter().flat_map(full_frame).collect())
 });
-const DECODERS: [Decoder; 8] = [RECORD, VALUE, CATALOG, INDEX, COMMIT, HEADER, LOG, RUN];
+const DECODERS: [Decoder; 9] = [
+    RECORD, VALUE, CATALOG, INDEX, COMMIT, HEADER, LOG, RUN, FRAME,
+];
 
 const RUN_LABELS: [&str; 2] = ["k", "s"];
 const RUN_ROWS: u64 = 3;
@@ -759,6 +1149,27 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     // values a shaped frame holds and the record a full one does.
     let (run, _) = golden_run();
     check_corruptions(RUN, &run, everywhere(&run));
+    // The same two kinds as page slots, and the integers on their own.
+    for row in [golden_row(), golden_row_reversed()] {
+        let frame = frame_of(&row, &golden_labels());
+        check_corruptions(FRAME, &frame, everywhere(&frame));
+    }
+    let ints = unhex(GOLDEN_INTS);
+    check_corruptions(VALUE, &ints, everywhere(&ints));
+    // A data page: its header (kind, row form, count, free offset), its
+    // slot directory and both slots' bytes; the free space between is
+    // never read.
+    let image = golden_data_page();
+    let head = GOLDEN_DATA_PAGE_HEAD.len() / 2;
+    let payloads = PAGE_SIZE - GOLDEN_FRAME_SHAPED.len() / 2 - GOLDEN_FRAME_FULL.len() / 2;
+    check_corruptions(PAGE, &image, (0..head).chain(payloads..PAGE_SIZE));
+    // A page as version 1 wrote it: whole records.
+    let mut legacy = vec![0u8; PAGE_SIZE];
+    page::init_data(&mut legacy, page::FORM_RECORD);
+    let record = unhex(&golden_record_now());
+    page::push_inline(&mut legacy, &record);
+    let at = PAGE_SIZE - record.len();
+    check_corruptions(PAGE, &legacy, (0..head - 4).chain(at..PAGE_SIZE));
 }
 
 #[test]
@@ -866,13 +1277,18 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// The scalar universe of `crates/exec/tests/scan_pretest.rs`: every pair
-/// a comparison treats specially, plus arbitrary float bit patterns.
+/// a comparison treats specially, plus arbitrary float bit patterns — and
+/// integers at every length of their varint.
 fn arb_scalar() -> BoxedStrategy<Value> {
     let nan = |bits: u64| Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
+    let varint_edge = (0..GOLDEN_INT_CASES.len()).prop_map(|i| Value::Int(GOLDEN_INT_CASES[i]));
     prop_oneof![
         Just(Value::Null),
         any::<bool>().prop_map(Value::Bool),
         (-3i64..4).prop_map(Value::Int),
+        varint_edge,
+        (0u32..64).prop_map(|bits| Value::Int(-1i64 << bits)),
+        any::<i64>().prop_map(Value::Int),
         Just(Value::Int((1 << 53) + 1)),
         Just(Value::Int(i64::MAX)),
         Just(Value::Int(i64::MIN)),
@@ -928,6 +1344,16 @@ proptest! {
             // `==` merges NaN payloads and zero signs; the bytes say those
             // and the label order survived too.
             prop_assert_eq!(encode_record(&back), bytes);
+            // As a frame of values against its own labels, and against
+            // the three columns, which it has in that order only by chance.
+            let own: Vec<Arc<str>> = row.fields().iter().map(|(l, _)| l.clone()).collect();
+            let abc = ["a", "b", "c"].map(Arc::from);
+            for labels in [&own[..], &abc] {
+                let frame = frame_of(row, labels);
+                let back = decoder.decode_frame(&frame, labels).unwrap();
+                prop_assert_eq!(encode_record(&back), encode_record(row));
+                prop_assert_eq!(frame_of(&back, labels), frame);
+            }
             for (_, v) in row.iter() {
                 let mut bytes = Vec::new();
                 encode_value(&mut bytes, v);
@@ -978,7 +1404,7 @@ fn nested_row(kind: u8, depth: usize) -> Vec<u8> {
     }
     out.push(0); // NULL
     put_str(&mut out, "n");
-    out.extend([3, 5, 0, 0, 0, 0, 0, 0, 0]); // Int(5)
+    out.extend([10, 10]); // Int(5): tag 10, zigzag varint 10
     out
 }
 

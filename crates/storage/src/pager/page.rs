@@ -2,12 +2,17 @@
 //!
 //! Two page kinds share the [`PAGE_SIZE`] frame:
 //!
-//! * **Data pages** hold records in the classic slotted layout: a small
-//!   header, a slot directory growing forward from the header, and record
+//! * **Data pages** hold rows in the classic slotted layout: a small
+//!   header, a slot directory growing forward from the header, and row
 //!   payloads growing backward from the end of the page. Each slot is
-//!   either *inline* (offset + length of an encoded record within this
-//!   page) or an *overflow reference* (first overflow page id + total
-//!   byte length) for records too large to inline.
+//!   either *inline* (offset + length of a stored row within this page)
+//!   or an *overflow reference* (first overflow page id + total byte
+//!   length) for rows too large to inline. The header's second byte is
+//!   the page's **row form**, what every row of it is: form 0, a whole
+//!   encoded record (labels and all), which only version 1 wrote; form 1,
+//!   a frame's payload as a spill run frames a row, against the table's
+//!   column labels (`crate::spill::encode_frame`), which is what is
+//!   written now. Any other form is a corrupted page.
 //! * **Overflow pages** hold one chunk of an oversized record's bytes
 //!   plus the id of the next page in the chain (`NO_PAGE` terminates).
 //!
@@ -35,7 +40,13 @@ pub(crate) const KIND_DATA: u8 = 1;
 /// Page-kind tag of an overflow (record continuation) page.
 pub(crate) const KIND_OVERFLOW: u8 = 2;
 
-/// Data-page header: kind (1) + pad (1) + slot count (2) + free offset (2).
+/// Data-page row form 0: every slot holds a whole encoded record.
+pub(crate) const FORM_RECORD: u8 = 0;
+/// Data-page row form 1: every slot holds a frame's payload.
+pub(crate) const FORM_FRAME: u8 = 1;
+
+/// Data-page header: kind (1) + row form (1) + slot count (2) + free
+/// offset (2).
 const DATA_HDR: usize = 6;
 /// One slot directory entry: payload offset (2) + flags/length (2).
 const SLOT_BYTES: usize = 4;
@@ -85,11 +96,22 @@ pub fn kind(buf: &[u8]) -> u8 {
 // Data pages
 // ---------------------------------------------------------------------------
 
-/// Initialize `buf` as an empty data page.
-pub(crate) fn init_data(buf: &mut [u8]) {
+/// Initialize `buf` as an empty data page of row form `form`.
+pub(crate) fn init_data(buf: &mut [u8], form: u8) {
     buf[..DATA_HDR].fill(0);
     buf[0] = KIND_DATA;
+    buf[1] = form;
     put_u16(buf, 4, PAGE_SIZE as u16); // free offset: payloads grow down
+}
+
+/// Whether a data page's slots hold frames (row form 1) rather than whole
+/// records (form 0).
+pub(crate) fn holds_frames(buf: &[u8]) -> Result<bool> {
+    match buf[1] {
+        FORM_RECORD => Ok(false),
+        FORM_FRAME => Ok(true),
+        other => Err(corrupt(&format!("unknown row form {other}"))),
+    }
 }
 
 /// Number of slots in a data page.
@@ -234,7 +256,7 @@ mod tests {
     #[test]
     fn inline_slots_round_trip() {
         let mut buf = vec![0u8; PAGE_SIZE];
-        init_data(&mut buf);
+        init_data(&mut buf, FORM_FRAME);
         assert_eq!(slot_count(&buf), 0);
         push_inline(&mut buf, b"hello");
         push_inline(&mut buf, b"world!");
@@ -247,7 +269,7 @@ mod tests {
     #[test]
     fn page_fills_up_and_reports_it() {
         let mut buf = vec![0u8; PAGE_SIZE];
-        init_data(&mut buf);
+        init_data(&mut buf, FORM_FRAME);
         let payload = vec![7u8; 1000];
         let mut pushed = 0;
         while fits_inline(&buf, payload.len()) {
@@ -262,7 +284,7 @@ mod tests {
     #[test]
     fn overflow_refs_round_trip() {
         let mut buf = vec![0u8; PAGE_SIZE];
-        init_data(&mut buf);
+        init_data(&mut buf, FORM_FRAME);
         push_overflow_ref(&mut buf, 42, 100_000);
         assert_eq!(
             slot(&buf, 0).unwrap(),
@@ -282,13 +304,25 @@ mod tests {
     }
 
     #[test]
+    fn the_row_form_is_the_second_byte_and_only_two_exist() {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        init_data(&mut buf, FORM_RECORD);
+        assert!(!holds_frames(&buf).unwrap());
+        init_data(&mut buf, FORM_FRAME);
+        assert_eq!(buf[..2], [KIND_DATA, 1]);
+        assert!(holds_frames(&buf).unwrap());
+        buf[1] = 2;
+        assert!(matches!(holds_frames(&buf), Err(ModelError::Io(m)) if m.contains("row form 2")));
+    }
+
+    #[test]
     fn corrupted_pages_error_not_panic() {
         let zeroed = vec![0u8; PAGE_SIZE];
         assert!(slot(&zeroed, 0).is_err(), "kind 0 is not a data page");
         assert!(ovf_next(&zeroed).is_err());
 
         let mut buf = vec![0u8; PAGE_SIZE];
-        init_data(&mut buf);
+        init_data(&mut buf, FORM_FRAME);
         push_inline(&mut buf, b"ok");
         // Scribble the slot offset out of bounds.
         put_u16(&mut buf, 6, 0xFFFF);

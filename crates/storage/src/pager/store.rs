@@ -1,9 +1,14 @@
 //! The paged database file and the store façade over it.
 //!
-//! One database is one file. Page 0 is the header (magic, page size, the
-//! allocation watermark, the free list, and a pointer to the current
-//! catalog chain); every other page is a [data or overflow](super::page)
-//! page reached through the [`BufferPool`]. Tables occupy *extents* —
+//! One database is one file. Page 0 is the header (magic, format version,
+//! page size, the allocation watermark, the free list, and a pointer to
+//! the current catalog chain); every other page is a [data or
+//! overflow](super::page) page reached through the [`BufferPool`]. Format
+//! version 2 writes data pages of frames and integers as varints;
+//! version 1 files, of whole records and 8-byte integers, are read, and
+//! their first commit rewrites the header as version 2 before it logs
+//! anything, so a build that knows only version 1 refuses the file
+//! instead of misreading its new pages. Tables occupy *extents* —
 //! ordered lists of data pages, each knowing how many rows it holds — so a
 //! scan cursor can map a row offset to a page without touching earlier
 //! pages. A sidecar write-ahead log (`<db>.wal`, [`crate::wal`]) makes
@@ -66,10 +71,10 @@ use tmql_obs::{Histogram, MetricsRegistry};
 
 use super::image::{decode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
-use super::pool::{BufferPool, PoolStats};
+use super::pool::{BufferPool, PageRead, PoolStats};
 use crate::bytes::{put_len, put_u16, put_u32, put_u64, Reader};
 use crate::failpoint::{self, IoOp, WriteCheck};
-use crate::spill::{encode_record_into, RecordDecoder};
+use crate::spill::{encode_frame, encode_record, writing_v1, RecordDecoder, StoredRow};
 use crate::wal::{CommitRecord, RecoveryReport, Wal, WalActivity};
 
 /// Default buffer-pool capacity in pages (2 MiB at the 8 KiB page size).
@@ -83,7 +88,10 @@ pub const DEFAULT_POOL_PAGES: usize = 256;
 pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 
 const MAGIC: [u8; 4] = *b"TMQB";
-const VERSION: u16 = 1;
+/// The header's format version: 2 since data pages hold frames and
+/// integers are varints. A version 1 file is read, and its first commit
+/// rewrites its header as version 2 (see [`MetaState::v1_header`]).
+const VERSION: u16 = 2;
 
 /// Fixed header bytes before the free list (magic, version, page size,
 /// watermark, catalog pointer + length).
@@ -217,8 +225,8 @@ pub(crate) struct Meta {
 impl Meta {
     /// Encode the header page: fixed fields, then the free list
     /// (count + ids), zero-padded to a page. Files written before the
-    /// free list existed decode with a count of 0, so the format version
-    /// is unchanged.
+    /// free list existed decode with a count of 0, so the free list moved
+    /// no format version.
     pub(crate) fn encode(&self, free: &[PageId]) -> Vec<u8> {
         debug_assert!(free.len() <= FREE_LIST_CAP);
         let mut buf = Vec::with_capacity(PAGE_SIZE);
@@ -236,7 +244,9 @@ impl Meta {
         buf
     }
 
-    pub(crate) fn decode(buf: &[u8]) -> Result<(Meta, Vec<PageId>)> {
+    /// Decode a header page of version 1 or 2: the header state, the
+    /// free list and the version.
+    pub(crate) fn decode(buf: &[u8]) -> Result<(Meta, Vec<PageId>, u16)> {
         let mut r = Reader::new("header", buf);
         if r.take(MAGIC.len())? != MAGIC {
             return Err(ModelError::Io(
@@ -244,9 +254,9 @@ impl Meta {
             ));
         }
         let version = r.u16()?;
-        if version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(ModelError::Io(format!(
-                "unsupported database format version {version} (this build reads {VERSION})"
+                "unsupported database format version {version} (this build reads 1 to {VERSION})"
             )));
         }
         let page_size = r.u32()?;
@@ -262,7 +272,7 @@ impl Meta {
         };
         // At most `FREE_LIST_CAP` ids fit the rest of the page, and a
         // header that claims more is refused.
-        Ok((meta, r.counted(4, Reader::u32)?))
+        Ok((meta, r.counted(4, Reader::u32)?, version))
     }
 }
 
@@ -290,6 +300,11 @@ struct MetaState {
     txn_pages: Vec<PageId>,
     /// Present while an explicit transaction is open.
     snapshot: Option<TxnSnapshot>,
+    /// The file's header is version 1: an older build may still open the
+    /// file, and would misread the frames this build writes. The next
+    /// commit therefore checkpoints before it logs anything, which
+    /// rewrites the header as version 2.
+    v1_header: bool,
 }
 
 impl MetaState {
@@ -337,11 +352,13 @@ impl TableExtent {
 /// In-progress table write: sealed pages plus the page being filled
 /// (built in a local buffer, installed into the pool when sealed).
 #[derive(Debug, Default)]
-struct TableBuild {
+struct TableBuild<'l> {
+    /// The table's column labels, which its rows are framed against.
+    labels: &'l [Arc<str>],
     pages: Vec<(PageId, u16)>,
     /// The id of the page being filled, if one is open; its bytes are
     /// `buf`, which every page of the build reuses, as every row does
-    /// `row` for its encoding.
+    /// `row` for its frame.
     cur: Option<PageId>,
     buf: Vec<u8>,
     row: Vec<u8>,
@@ -429,6 +446,9 @@ impl PagedStore {
         // header is synced),
         // so prefer it — which also recovers from a torn header write,
         // as long as at least one commit survives in the log.
+        // A version 1 header is rewritten by the first checkpoint, below
+        // when the log is not empty; a torn one is rewritten there too.
+        let v1_header = matches!(header, Ok((_, _, 1)));
         let (meta, free) = match (header, scan.txns.last()) {
             (_, Some(last)) => (
                 Meta {
@@ -438,7 +458,7 @@ impl PagedStore {
                 },
                 last.commit.free.clone(),
             ),
-            (Ok((meta, free)), None) => (meta, free),
+            (Ok((meta, free, _)), None) => (meta, free),
             (Err(e), None) => return Err(e),
         };
         let pending_free: Vec<PageId> = scan
@@ -458,6 +478,7 @@ impl PagedStore {
             discarded_bytes: scan.discarded_bytes,
         };
         let store = PagedStore::assemble(file, pool_pages, meta, free, pending_free, wal, recovery);
+        store.state().v1_header = v1_header;
         // Make the replay durable and empty the log (discarding any torn
         // tail with it) before anything is appended — also when the scan
         // found nothing: past the marker of a log a crash left may lie
@@ -489,6 +510,7 @@ impl PagedStore {
                 pending_free,
                 txn_pages: Vec::new(),
                 snapshot: None,
+                v1_header: false,
             }),
             write_lock: Mutex::new(()),
             wal: Mutex::new(wal),
@@ -579,7 +601,11 @@ impl PagedStore {
         self.seal_data_page(build)?;
         build.buf.clear();
         build.buf.resize(PAGE_SIZE, 0);
-        page::init_data(&mut build.buf);
+        let form = match writing_v1() {
+            true => page::FORM_RECORD,
+            false => page::FORM_FRAME,
+        };
+        page::init_data(&mut build.buf, form);
         build.cur = Some(self.alloc());
         Ok(())
     }
@@ -593,9 +619,14 @@ impl PagedStore {
         Ok(())
     }
 
-    /// Append one encoded record to an in-progress table build.
+    /// Append one row, framed against the table's labels, to an
+    /// in-progress table build.
     fn append_row(&self, build: &mut TableBuild, rec: &Record) -> Result<()> {
-        encode_record_into(&mut build.row, rec);
+        build.row.clear();
+        match writing_v1() {
+            true => build.row.extend(encode_record(rec)),
+            false => encode_frame(&mut build.row, rec, build.labels),
+        }
         let len = build.row.len();
         if len <= page::MAX_INLINE {
             if build.cur.is_none() || !page::fits_inline(&build.buf, len) {
@@ -622,10 +653,14 @@ impl PagedStore {
         Ok(())
     }
 
-    /// Write a whole table and return its extent.
-    pub fn write_table(&self, rows: &[Record]) -> Result<TableExtent> {
+    /// Write a whole table, its rows framed against its column `labels`
+    /// (which reading it back takes again), and return its extent.
+    pub fn write_table(&self, rows: &[Record], labels: &[Arc<str>]) -> Result<TableExtent> {
         let _w = self.write_lock();
-        let mut build = TableBuild::default();
+        let mut build = TableBuild {
+            labels,
+            ..TableBuild::default()
+        };
         for rec in rows {
             self.append_row(&mut build, rec)?;
         }
@@ -708,50 +743,63 @@ impl PagedStore {
         self.walk_chain(first, total, |pid, _| out.push(pid))
     }
 
-    /// Read up to `n` decoded rows starting at row offset `start`.
-    /// Fully concurrent: statements on other threads may read the same
-    /// extent at the same time.
+    /// Read up to `n` decoded rows starting at row offset `start` of a
+    /// table with column `labels`. Fully concurrent: statements on other
+    /// threads may read the same extent at the same time.
     pub(crate) fn read_rows(
         &self,
         extent: &TableExtent,
+        labels: &[Arc<str>],
         start: usize,
         n: usize,
     ) -> Result<Vec<Record>> {
         let cap = n.min(extent.rows as usize);
-        Ok(self.read_runs(extent, [(start, n)], cap, |_| true)?.0)
+        Ok(self
+            .read_runs(extent, labels, [(start, n)], cap, |_| true)?
+            .0)
     }
 
     /// The one page-read path: visit every row in `runs` — ascending,
     /// disjoint `(first row, length)` ranges — and decode those whose
-    /// encoded bytes `admit` lets through. Returns the decoded rows (in a
+    /// stored bytes `admit` lets through. Returns the decoded rows (in a
     /// vector of capacity `cap`) and how many rows were visited (fewer
     /// than asked when a run passes the end of the extent). One cursor
     /// walks the extent's pages across all runs, so an index probe's
-    /// far-apart positions cost one pass.
+    /// far-apart positions cost one pass, and the runs that fall in one
+    /// page share one latch of it.
     ///
-    /// An inline row is visited **in place**, as a slice of its latched
-    /// page: nothing is copied out, and a row `admit` turns down is never
-    /// allocated. An overflow-chained row is visited as its assembled
-    /// chain, read with the data page's latch released (a chain faults
-    /// other pages, and a thread holds one pin at a time).
+    /// A row is a whole record or a frame as its page's row form says; a
+    /// frame is decoded against `labels`, the table's columns, whose `Arc`s
+    /// the rows then share. An inline row is visited **in place**, as a
+    /// slice of its latched page: nothing is copied out, and a row `admit`
+    /// turns down is never allocated. An overflow-chained row is visited
+    /// as its assembled chain, read with the data page's latch released (a
+    /// chain faults other pages, and a thread holds one pin at a time).
     pub(crate) fn read_runs(
         &self,
         extent: &TableExtent,
+        labels: &[Arc<str>],
         runs: impl IntoIterator<Item = (usize, usize)>,
         cap: usize,
-        mut admit: impl FnMut(&[u8]) -> bool,
+        mut admit: impl FnMut(StoredRow<'_>) -> bool,
     ) -> Result<(Vec<Record>, usize)> {
         let mut out = Vec::with_capacity(cap);
         let mut decoder = RecordDecoder::default();
-        let mut visit = |bytes: &[u8]| -> Result<()> {
-            if admit(bytes) {
-                out.push(decoder.decode(bytes)?);
+        let mut visit = |frames: bool, bytes: &[u8]| -> Result<()> {
+            let row = match frames {
+                true => StoredRow::Frame(bytes),
+                false => StoredRow::Record(bytes),
+            };
+            if admit(row) {
+                out.push(decoder.decode_stored(row, labels)?);
             }
             Ok(())
         };
         let mut pages = extent.pages.iter();
-        // The page under the cursor and the row offset of its first row.
+        // The page under the cursor and the row offset of its first row;
+        // its latch, once taken, with whether its slots are frames.
         let (mut page, mut base) = (pages.next(), 0usize);
+        let mut latched = None;
         let mut visited = 0;
         for (start, len) in runs {
             let (mut row, end) = (start, start.saturating_add(len));
@@ -761,7 +809,7 @@ impl PagedStore {
                 };
                 let next = base + rows_in_page as usize;
                 if row >= next {
-                    (page, base) = (pages.next(), next);
+                    (page, base, latched) = (pages.next(), next, None);
                     continue;
                 }
                 if row < base {
@@ -770,36 +818,36 @@ impl PagedStore {
                 let stop = end.min(next);
                 visited += stop - row;
                 while row < stop {
-                    let chain = {
-                        let g = self.pool.read(pid, &self.file)?;
-                        if page::kind(&g) != page::KIND_DATA
-                            || page::slot_count(&g) != rows_in_page as usize
-                        {
-                            return Err(ModelError::Io(format!(
-                                "corrupted page: data page {pid} does not match the catalog extent"
-                            )));
-                        }
-                        loop {
-                            if row == stop {
-                                break None;
-                            }
-                            match page::slot(&g, row - base)? {
-                                page::SlotRef::Inline(bytes) => visit(bytes)?,
-                                page::SlotRef::Overflow { first, total } => {
-                                    break Some((first, total))
-                                }
-                            }
-                            row += 1;
-                        }
+                    let (g, frames) = match &latched {
+                        Some(latch) => latch,
+                        None => latched.insert(self.latch_data(pid, rows_in_page)?),
                     };
-                    if let Some((first, total)) = chain {
-                        visit(&self.read_chain(first, total.into())?)?;
-                        row += 1;
+                    match page::slot(g, row - base)? {
+                        page::SlotRef::Inline(bytes) => visit(*frames, bytes)?,
+                        page::SlotRef::Overflow { first, total } => {
+                            let frames = *frames;
+                            latched = None;
+                            visit(frames, &self.read_chain(first, total.into())?)?;
+                        }
                     }
+                    row += 1;
                 }
             }
         }
         Ok((out, visited))
+    }
+
+    /// Latch data page `pid` of an extent that says it holds `rows` rows,
+    /// and read its row form: whether its slots are frames.
+    fn latch_data(&self, pid: PageId, rows: u16) -> Result<(PageRead<'_>, bool)> {
+        let g = self.pool.read(pid, &self.file)?;
+        if page::kind(&g) != page::KIND_DATA || page::slot_count(&g) != rows as usize {
+            return Err(ModelError::Io(format!(
+                "corrupted page: data page {pid} does not match the catalog extent"
+            )));
+        }
+        let frames = page::holds_frames(&g)?;
+        Ok((g, frames))
     }
 
     /// Every page an extent owns: its data pages plus all overflow chains
@@ -858,9 +906,19 @@ impl PagedStore {
     /// state; the WAL fsync is the durability point. `freed` pages —
     /// plus the superseded catalog chain — are quarantined until the
     /// next checkpoint (see the module's durability rules).
+    ///
+    /// Two states make a commit checkpoint before it logs anything, and
+    /// fail if that checkpoint does: a log whose last write or sync failed
+    /// takes no more batches in its generation ([`Wal::broken`]), and a
+    /// version 1 header must not stay in front of the frames this build
+    /// writes ([`MetaState::v1_header`]).
     pub(crate) fn write_catalog(&self, blob: &[u8], mut freed: Vec<PageId>) -> Result<()> {
         let _w = self.write_lock();
         let started = Instant::now();
+        let broken = self.wal().broken();
+        if broken || self.state().v1_header {
+            self.checkpoint_now()?;
+        }
         // The chain being superseded is freed by this commit too.
         let (old_first, old_len) = {
             let st = self.state();
@@ -953,6 +1011,12 @@ impl PagedStore {
         if idle {
             return Ok(());
         }
+        self.checkpoint_now()
+    }
+
+    /// [`PagedStore::checkpoint`] whether or not anything is due; the
+    /// header it writes is this build's version.
+    fn checkpoint_now(&self) -> Result<()> {
         let started = Instant::now();
         self.pool.flush(&self.file)?;
         self.file.sync()?;
@@ -968,6 +1032,7 @@ impl PagedStore {
                 st.free.truncate(FREE_LIST_CAP);
             }
             self.file.write_page(0, &st.meta.encode(&st.free))?;
+            st.v1_header = false;
         }
         self.file.sync()?;
         self.wal().reset()?;
@@ -1119,6 +1184,23 @@ mod tests {
         let _ = std::fs::remove_file(Wal::path_for(path));
     }
 
+    /// The labels of [`int_rows`], as a table's columns.
+    fn ab() -> Vec<Arc<str>> {
+        vec![Arc::from("a"), Arc::from("b")]
+    }
+
+    /// How many of an extent's rows live in overflow chains.
+    fn chained(store: &PagedStore, extent: &TableExtent) -> usize {
+        let mut n = 0;
+        for pid in extent.page_ids() {
+            let g = store.pool.read(pid, &store.file).unwrap();
+            for i in 0..page::slot_count(&g) {
+                n += matches!(page::slot(&g, i), Ok(page::SlotRef::Overflow { .. })) as usize;
+            }
+        }
+        n
+    }
+
     fn int_rows(n: i64) -> Vec<Record> {
         (0..n)
             .map(|i| {
@@ -1136,14 +1218,14 @@ mod tests {
         let path = scratch("rw");
         let store = PagedStore::create(&path, 4).unwrap();
         let rows = int_rows(2000);
-        let extent = store.write_table(&rows).unwrap();
+        let extent = store.write_table(&rows, &ab()).unwrap();
         assert_eq!(extent.rows, 2000);
         assert!(extent.page_count() > 1, "2000 rows span multiple pages");
         // Sequential cursor reads reassemble the exact row sequence.
         let mut got = Vec::new();
         let mut pos = 0;
         loop {
-            let batch = store.read_rows(&extent, pos, 300).unwrap();
+            let batch = store.read_rows(&extent, &ab(), pos, 300).unwrap();
             if batch.is_empty() {
                 break;
             }
@@ -1152,7 +1234,10 @@ mod tests {
         }
         assert_eq!(got, rows);
         // Random-access batch in the middle.
-        assert_eq!(store.read_rows(&extent, 1500, 5).unwrap(), rows[1500..1505]);
+        assert_eq!(
+            store.read_rows(&extent, &ab(), 1500, 5).unwrap(),
+            rows[1500..1505]
+        );
         clean(&path);
     }
 
@@ -1165,9 +1250,10 @@ mod tests {
         let big = Value::Str(std::sync::Arc::from("x".repeat(2 * PAGE_SIZE)));
         rows[501] =
             Record::new([("a".to_string(), big), ("b".to_string(), Value::Int(0))]).unwrap();
-        let extent = store.write_table(&rows).unwrap();
+        let extent = store.write_table(&rows, &ab()).unwrap();
+        assert_eq!(chained(&store, &extent), 1, "row 501 is chained");
         let read = |runs: &[(usize, usize)]| {
-            store.read_runs(&extent, runs.iter().copied(), runs.len(), |_| true)
+            store.read_runs(&extent, &ab(), runs.iter().copied(), runs.len(), |_| true)
         };
         // Two runs in one page, one spanning pages and a chain, one that
         // runs off the end of the extent, one wholly past it.
@@ -1186,6 +1272,32 @@ mod tests {
     }
 
     #[test]
+    fn the_benchmarks_keyed_table_takes_94_pages() {
+        // `disk_cold`'s `X(n, b)` at seed 42: 65 536 rows of two integers,
+        // `b` cycling through 256 keys. A row is a frame of two varints
+        // (8 bytes at most) and its slot (4); as whole records with 8-byte
+        // integers, it took 289 pages.
+        let path = scratch("density");
+        let store = PagedStore::create(&path, 8).unwrap();
+        let labels = vec![Arc::from("n"), Arc::from("b")];
+        let rows: Vec<Record> = (0..65_536i64)
+            .map(|n| {
+                let values = [Value::Int(n), Value::Int((n + 42) % 256)];
+                Record::new(labels.iter().cloned().zip(values)).unwrap()
+            })
+            .collect();
+        let extent = store.write_table(&rows, &labels).unwrap();
+        assert_eq!(extent.rows, 65_536);
+        assert_eq!(extent.page_count(), 94);
+        assert_eq!(
+            store.read_rows(&extent, &labels, 65_000, 536).unwrap(),
+            rows[65_000..]
+        );
+        drop(store);
+        clean(&path);
+    }
+
+    #[test]
     fn oversized_records_take_overflow_chains() {
         let path = scratch("ovf");
         let store = PagedStore::create(&path, 4).unwrap();
@@ -1197,8 +1309,10 @@ mod tests {
         .unwrap();
         let small = Record::new([("s".to_string(), Value::str("tiny"))]).unwrap();
         let rows = vec![small.clone(), big.clone(), small.clone()];
-        let extent = store.write_table(&rows).unwrap();
-        assert_eq!(store.read_rows(&extent, 0, 10).unwrap(), rows);
+        let s = [Arc::from("s")];
+        let extent = store.write_table(&rows, &s).unwrap();
+        assert_eq!(chained(&store, &extent), 1);
+        assert_eq!(store.read_rows(&extent, &s, 0, 10).unwrap(), rows);
         clean(&path);
     }
 
@@ -1286,6 +1400,57 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_batch_ends_its_generation_and_its_commit_never_replays() {
+        // Commit A; commit B, torn just before its end marker, is reported
+        // failed; commit C, one page shorter than B, is torn where B's
+        // second frame began. Written where B was and under B's epoch, C's
+        // first frame would lead a replay into B's second frame and B's
+        // commit record: B, reported failed, would come back. C must
+        // checkpoint first, and write into the next generation.
+        const PAGE_FRAME: usize = 12 + 1 + 4 + PAGE_SIZE;
+        let path = scratch("broken-batch");
+        // The sequence up to C's commit, which `fp` watches; then a crash.
+        let run = |arm: &dyn Fn() -> IoFailpoint| {
+            clean(&path);
+            let store = PagedStore::create(&path, 64).unwrap();
+            store.set_checkpoint_bytes(u64::MAX);
+            store.write_catalog(b"A", Vec::new()).unwrap();
+            // B: a data page and its catalog page.
+            store.write_table(&int_rows(10), &ab()).unwrap();
+            {
+                let _tear = IoFailpoint::torn_keeping(&path, 0, |len| len - 12);
+                assert!(store.write_catalog(b"B", Vec::new()).is_err());
+            }
+            store.rollback_txn();
+            assert!(store.wal().broken());
+            let fp = arm();
+            let c = store.write_catalog(b"C", Vec::new());
+            drop(store); // with `fp` armed: a crash, if it fired
+            (c, fp.log())
+        };
+        // Where C's log write falls: after a whole checkpoint.
+        let (c, log) = run(&|| IoFailpoint::count(&path));
+        assert!(c.is_ok());
+        let write = log.iter().position(|op| matches!(op, IoOp::WalWrite(_)));
+        let write = write.unwrap();
+        let ahead = &log[..write];
+        assert!(ahead.contains(&IoOp::PageWrite(0)) && ahead.contains(&IoOp::WalReset));
+        // Torn there, C fails too; the reopened database is A's.
+        let (c, _) = run(&|| IoFailpoint::torn_keeping(&path, write as u64, |_| PAGE_FRAME));
+        assert!(c.is_err());
+        let store = PagedStore::open_store(&path, 4).unwrap();
+        assert_eq!(store.read_catalog().unwrap().as_deref(), Some(&b"A"[..]));
+        assert_eq!(store.recovery().replayed_txns, 0);
+        drop(store);
+
+        // Until the checkpoint succeeds, commits fail, and none is logged.
+        let (c, log) = run(&|| IoFailpoint::fail_once_at(&path, 0));
+        assert!(c.is_err());
+        assert!(!log.iter().any(|op| matches!(op, IoOp::WalWrite(_))));
+        clean(&path);
+    }
+
+    #[test]
     fn rollback_restores_watermark_and_free_list() {
         let path = scratch("rollback");
         let store = PagedStore::create(&path, 4).unwrap();
@@ -1294,7 +1459,7 @@ mod tests {
             (st.meta.next_page, st.free.clone())
         };
         store.begin_txn();
-        let _ = store.write_table(&int_rows(500)).unwrap();
+        let _ = store.write_table(&int_rows(500), &ab()).unwrap();
         assert!(store.state().meta.next_page > before.0);
         store.rollback_txn();
         let after = {
@@ -1347,7 +1512,7 @@ mod tests {
         let extent;
         {
             let store = PagedStore::create(&path, 4).unwrap();
-            extent = store.write_table(&int_rows(1000)).unwrap();
+            extent = store.write_table(&int_rows(1000), &ab()).unwrap();
             store.write_catalog(b"x", Vec::new()).unwrap();
         } // close-time checkpoint flushes + syncs everything
           // Chop the file after the header: every data page is gone.
@@ -1355,7 +1520,7 @@ mod tests {
         f.set_len(PAGE_SIZE as u64).unwrap();
         drop(f);
         let store2 = PagedStore::open_store(&path, 4).unwrap();
-        let err = store2.read_rows(&extent, 0, 10).unwrap_err();
+        let err = store2.read_rows(&extent, &ab(), 0, 10).unwrap_err();
         assert!(matches!(err, ModelError::Io(_)), "{err}");
         clean(&path);
     }
@@ -1364,9 +1529,9 @@ mod tests {
     fn pool_stats_reflect_scan_temperature() {
         let path = scratch("temp");
         let store = PagedStore::create(&path, 64).unwrap();
-        let extent = store.write_table(&int_rows(2000)).unwrap();
+        let extent = store.write_table(&int_rows(2000), &ab()).unwrap();
         let before = store.pool_stats();
-        let _ = store.read_rows(&extent, 0, 2000).unwrap();
+        let _ = store.read_rows(&extent, &ab(), 0, 2000).unwrap();
         let warm = store.pool_stats();
         assert_eq!(
             warm.misses, before.misses,
@@ -1384,7 +1549,7 @@ mod tests {
         let path = scratch("freelist-hdr");
         {
             let store = PagedStore::create(&path, 4).unwrap();
-            let extent = store.write_table(&int_rows(500)).unwrap();
+            let extent = store.write_table(&int_rows(500), &ab()).unwrap();
             let freed = store.extent_pages(&extent).unwrap();
             assert!(!freed.is_empty());
             store.write_catalog(b"v2", freed.clone()).unwrap();
@@ -1419,14 +1584,14 @@ mod tests {
             )])
             .unwrap(),
         );
-        let mut extent = store.write_table(&rows).unwrap();
+        let mut extent = store.write_table(&rows, &ab()).unwrap();
         store.write_catalog(b"c0", Vec::new()).unwrap();
         store.checkpoint().unwrap();
         let size = |p: &PathBuf| std::fs::metadata(p).unwrap().len();
         let mut settled = 0;
         for i in 0..10 {
             let freed = store.extent_pages(&extent).unwrap();
-            extent = store.write_table(&rows).unwrap();
+            extent = store.write_table(&rows, &ab()).unwrap();
             store.write_catalog(b"cx", freed).unwrap();
             store.checkpoint().unwrap();
             if i == 2 {

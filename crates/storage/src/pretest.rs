@@ -21,21 +21,27 @@
 //!
 //! # On page bytes
 //!
-//! A tested field is found by one skip-scan of the encoded fields before
-//! it, which steps over NULLs, booleans, integers and floats inline. An
-//! `Int` field against an `Int` key is one `i64` comparison, read through
-//! the operator's table ([`CmpOp::holds`]); a string is compared where it
-//! lies, in byte order against a string key and by rank against any other
-//! ([`str_cmp`]). Both are what [`CmpOp::test`] answers on the decoded
-//! value, and neither allocates. The in-memory path takes the same
-//! `Int`/`Int` shortcut.
+//! A row is stored as a whole record or, as pages are written now, as a
+//! frame against the table's column labels. In a record, and in a frame
+//! that holds one (a row whose labels differ from the columns), a tested
+//! field is found by label, in one skip-scan of the encoded fields before
+//! it. In a frame that holds only values, it is the value at the label's
+//! column position, which [`Table::batch_where`](crate::Table::batch_where)
+//! resolves once per call, not per row, and is stepped to over the values
+//! before it. Either skip-scan steps over NULLs, booleans, integers and
+//! floats inline. An `Int` field against an `Int` key is one `i64`
+//! comparison, read through the operator's table ([`CmpOp::holds`]); a
+//! string is compared where it lies, in byte order against a string key
+//! and by rank against any other ([`str_cmp`]). Both are what
+//! [`CmpOp::test`] answers on the decoded value, and neither allocates.
+//! The in-memory path takes the same `Int`/`Int` shortcut.
 
 use std::sync::Arc;
 
 use tmql_model::value::str_cmp;
-use tmql_model::{CmpOp, Record, Value};
+use tmql_model::{name, CmpOp, Record, Value};
 
-use crate::spill::{stored_field, Stored};
+use crate::spill::{stored_field, stored_frame_field, Stored, StoredRow};
 
 /// Leading `label ⟨cmp⟩ key` conjuncts of a selection over one stored
 /// table (see the [module docs](self)). The empty test rejects nothing.
@@ -55,12 +61,13 @@ impl RowTest {
         self.conjuncts.is_empty()
     }
 
-    /// True iff some conjunct is decided false by `holds` — `None` when it
-    /// cannot decide — every conjunct before it having been decided true.
+    /// True iff some conjunct is decided false by `holds` — given the
+    /// conjunct's position, `None` when it cannot decide — every conjunct
+    /// before it having been decided true.
     #[inline]
-    fn rejects(&self, mut holds: impl FnMut(&str, CmpOp, &Value) -> Option<bool>) -> bool {
-        for (label, op, key) in &self.conjuncts {
-            match holds(label, *op, key) {
+    fn rejects(&self, mut holds: impl FnMut(usize, &str, CmpOp, &Value) -> Option<bool>) -> bool {
+        for (at, (label, op, key)) in self.conjuncts.iter().enumerate() {
+            match holds(at, label, *op, key) {
                 Some(true) => {}
                 Some(false) => return true,
                 None => return false,
@@ -72,7 +79,7 @@ impl RowTest {
     /// Does the test reject this materialized row? (Comparisons of any
     /// field kind are decided: the value is at hand.)
     pub fn rejects_row(&self, row: &Record) -> bool {
-        self.rejects(|label, op, key| {
+        self.rejects(|_, label, op, key| {
             Some(match (row.find(label)?, key) {
                 (Value::Int(i), Value::Int(k)) => op.holds(i.cmp(k)),
                 (v, key) => op.test(v, key),
@@ -85,14 +92,49 @@ impl RowTest {
     /// [module docs](self)). Never panics, never allocates and never
     /// reads out of bounds, whatever the bytes.
     pub fn rejects_bytes(&self, payload: &[u8]) -> bool {
-        self.rejects(|label, op, key| {
-            Some(match (stored_field(payload, label)?, key) {
-                (Stored::Int(i), Value::Int(k)) => op.holds(i.cmp(k)),
-                (Stored::Int(i), key) => op.test(&Value::Int(i), key),
-                (Stored::Str(s), key) => !key.is_null() && op.holds(str_cmp(s, key)),
-                (Stored::Scalar(v), key) => op.test(&v, key),
-            })
-        })
+        self.rejects(|_, label, op, key| Some(holds(stored_field(payload, label)?, op, key)))
+    }
+
+    /// [`RowTest::rejects_bytes`] on a frame's payload written against a
+    /// table's column `labels` (`tmql_storage::spill::encode_frame`).
+    pub fn rejects_frame(&self, payload: &[u8], labels: &[Arc<str>]) -> bool {
+        self.rejects_stored(StoredRow::Frame(payload), &self.columns(labels))
+    }
+
+    /// Where each conjunct's label is among a table's column `labels`:
+    /// the position at which a frame of values holds the field (`None`:
+    /// no column has it).
+    pub(crate) fn columns(&self, labels: &[Arc<str>]) -> Vec<Option<usize>> {
+        let at = |label: &str| labels.iter().position(|l| name::same(l, label));
+        self.conjuncts.iter().map(|(label, ..)| at(label)).collect()
+    }
+
+    /// Does the test reject this stored row — a frame's fields found at
+    /// [`RowTest::columns`]?
+    #[inline]
+    pub(crate) fn rejects_stored(&self, row: StoredRow<'_>, columns: &[Option<usize>]) -> bool {
+        match row {
+            StoredRow::Record(payload) => self.rejects_bytes(payload),
+            StoredRow::Frame(payload) => self.rejects(|at, label, op, key| {
+                Some(holds(
+                    stored_frame_field(payload, label, *columns.get(at)?)?,
+                    op,
+                    key,
+                ))
+            }),
+        }
+    }
+}
+
+/// `field ⟨op⟩ key` on a field read where it lies: what [`CmpOp::test`]
+/// answers on the decoded value.
+#[inline(always)]
+fn holds(field: Stored<'_>, op: CmpOp, key: &Value) -> bool {
+    match (field, key) {
+        (Stored::Int(i), Value::Int(k)) => op.holds(i.cmp(k)),
+        (Stored::Int(i), key) => op.test(&Value::Int(i), key),
+        (Stored::Str(s), key) => !key.is_null() && op.holds(str_cmp(s, key)),
+        (Stored::Scalar(v), key) => op.test(&v, key),
     }
 }
 

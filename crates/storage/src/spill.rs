@@ -1,6 +1,6 @@
 //! The spill tier: runs of records in a query's scratch file, for
-//! larger-than-memory execution — and the record/value codec they share
-//! with the pager's pages.
+//! larger-than-memory execution — and the record/value codec and the
+//! frames they share with the pager's pages.
 //!
 //! The streaming executor's pipeline breakers (hash-join build sides,
 //! grouping state, sort buffers, dedup sets) are the only places resident
@@ -42,6 +42,10 @@
 //! * `1`, **full** — any other row (a permuted stored row, the other
 //!   operand of a set operation): a whole encoded [`Record`] follows.
 //!
+//! [`encode_frame`] makes that choice, for a run against its first row's
+//! labels and for a data page slot against its table's columns: a page
+//! slot holds a frame's payload, its length in the slot.
+//!
 //! The labels of the first row stay in the run's handle, in memory, with
 //! the extent list and the row count. A shaped row read back therefore
 //! carries the **same** `Arc<str>` labels as the row that was written —
@@ -53,12 +57,16 @@
 //!
 //! # The codec
 //!
-//! Values are encoded with a one-byte kind tag followed by the payload
-//! (integers and float bits little-endian, strings and labels as `u32`
-//! length + UTF-8, containers as `u32` element count + elements). The
-//! codec covers the full [`Value`] universe — nested tuples and sets
-//! round-trip exactly, including `NaN` floats (bit-pattern preserved via
-//! `to_bits`).
+//! Values are encoded with a one-byte kind tag followed by the payload:
+//! an integer as a zigzag LEB128 varint under tag 10 (1 byte for −64 to
+//! 63, 10 for the ends of the range), float bits little-endian, strings
+//! and labels as `u32` length + UTF-8, containers as a `u32` element
+//! count and the elements. Tag 3, an integer in 8 little-endian bytes,
+//! is what database format version 1 wrote — pages, index blobs and the
+//! catalog statistics of older files hold it — and is read, never
+//! written. The codec covers the full [`Value`] universe — nested tuples
+//! and sets round-trip exactly, including `NaN` floats (bit-pattern
+//! preserved via `to_bits`).
 //!
 //! A `RecordDecoder` reads a stream of rows — a page batch, a spill run
 //! — at about what the rows' bytes cost. A record's fields are decoded
@@ -75,8 +83,9 @@
 //! payload exactly what a fresh one would.
 //!
 //! The scan pre-test ([`crate::pretest`]) reads no row at all: it finds a
-//! field with `stored_field`, one skip-scan that steps over fixed-width
-//! values inline, and compares it where it lies.
+//! field with `stored_field` (by label) or `stored_frame_field` (in a
+//! frame of values, by column position), one skip-scan that steps over
+//! scalar values inline, and compares it where it lies.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -87,8 +96,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tmql_model::{name, ModelError, Record, Result, SetValue, Value};
 
 use crate::bytes::{
-    put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, too_deep_to_store, Reader,
-    MAX_NESTING,
+    put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, put_uvarint, too_deep_to_store,
+    Reader, MAX_NESTING,
 };
 use crate::failpoint::{self, IoOp, WriteCheck};
 
@@ -100,13 +109,35 @@ mod tag {
     pub const NULL: u8 = 0;
     pub const FALSE: u8 = 1;
     pub const TRUE: u8 = 2;
-    pub const INT: u8 = 3;
+    /// An integer in 8 bytes: what version 1 wrote, and still read.
+    pub const INT_FIXED: u8 = 3;
     pub(crate) const FLOAT: u8 = 4;
     pub(crate) const STR: u8 = 5;
     pub(crate) const TUPLE: u8 = 6;
     pub(crate) const SET: u8 = 7;
     // 8 and 9 were lists and variants, which older files may hold: they
     // decode as an unknown tag, and must never be reused.
+    /// An integer as a zigzag varint, 1 to 10 bytes.
+    pub const INT: u8 = 10;
+}
+
+/// Whether this thread writes the formats of version 1 (see `v1`): never,
+/// outside this crate's tests.
+#[cfg(not(test))]
+#[inline(always)]
+pub(crate) const fn writing_v1() -> bool {
+    false
+}
+/// Zigzag: small magnitudes of either sign to small unsigned numbers
+/// (0, −1, 1, −2, … to 0, 1, 2, 3, …), so a varint keeps them short.
+#[inline(always)]
+fn zigzag(i: i64) -> u64 {
+    ((i << 1) ^ (i >> 63)) as u64
+}
+
+#[inline(always)]
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
 }
 
 /// Append the encoding of one value to `out`.
@@ -115,9 +146,13 @@ pub(crate) fn encode_value(out: &mut Vec<u8>, v: &Value) {
         Value::Null => put_u8(out, tag::NULL),
         Value::Bool(false) => put_u8(out, tag::FALSE),
         Value::Bool(true) => put_u8(out, tag::TRUE),
+        Value::Int(i) if writing_v1() => {
+            put_u8(out, tag::INT_FIXED);
+            put_u64(out, *i as u64);
+        }
         Value::Int(i) => {
             put_u8(out, tag::INT);
-            put_u64(out, *i as u64);
+            put_uvarint(out, zigzag(*i));
         }
         Value::Float(x) => {
             put_u8(out, tag::FLOAT);
@@ -157,10 +192,42 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
     out
 }
 
-/// [`encode_record`] into a buffer the caller reuses from row to row.
-pub(crate) fn encode_record_into(out: &mut Vec<u8>, rec: &Record) {
-    out.clear();
-    encode_fields(out, rec);
+/// The first byte of a frame.
+pub mod frame {
+    /// A row with the run's (or the table's) labels in that order: its
+    /// values.
+    pub const SHAPED: u8 = 0;
+    /// Any other row: a whole encoded record.
+    pub const FULL: u8 = 1;
+}
+
+/// Append `rec` as a frame's payload against `labels`, the labels of the
+/// run or the table it is stored in: a [`frame::SHAPED`] kind and the
+/// values alone when the row has exactly those labels in that order, else
+/// a [`frame::FULL`] kind and the whole record. The frame's length is its
+/// container's to keep: a run writes it in front, a page slot holds it.
+pub fn encode_frame(out: &mut Vec<u8>, rec: &Record, labels: &[Arc<str>]) {
+    let shaped = rec.len() == labels.len()
+        && std::iter::zip(rec.fields(), labels)
+            .all(|((l, _), m)| Arc::ptr_eq(l, m) || name::same(l, m));
+    if shaped {
+        put_u8(out, frame::SHAPED);
+        rec.values().for_each(|v| encode_value(out, v));
+    } else {
+        put_u8(out, frame::FULL);
+        encode_fields(out, rec);
+    }
+}
+
+/// A stored row's bytes, in one of the two forms a data page's slots
+/// take (see [`crate::pager::page`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StoredRow<'a> {
+    /// A whole encoded record ([`encode_record`]): a form 0 slot.
+    Record(&'a [u8]),
+    /// A frame's payload ([`encode_frame`]) against the table's labels:
+    /// a form 1 slot.
+    Frame(&'a [u8]),
 }
 
 /// Refuse a row whose values nest more container levels than the decoder
@@ -221,11 +288,13 @@ impl RecordDecoder {
         Ok(rec)
     }
 
-    /// Decode the payload of one frame of a run whose first row had
-    /// `labels`: a [`frame::SHAPED`] one holds exactly their values, a
-    /// [`frame::FULL`] one a record as [`RecordDecoder::decode`] reads it.
-    fn decode_frame(&mut self, payload: &[u8], labels: &[Arc<str>]) -> Result<Record> {
-        let mut c = Cursor::new(RUN_FORMAT, payload, self);
+    /// Decode the payload of one frame written against `labels` (a run's
+    /// first row's, a table's columns): a [`frame::SHAPED`] one holds
+    /// exactly their values, and the row is spelled with those `Arc`s; a
+    /// [`frame::FULL`] one holds a record as [`RecordDecoder::decode`]
+    /// reads it.
+    pub(crate) fn decode_frame(&mut self, payload: &[u8], labels: &[Arc<str>]) -> Result<Record> {
+        let mut c = Cursor::new(FRAME_FORMAT, payload, self);
         let rec = match c.r.u8()? {
             frame::SHAPED => c.fields(labels.iter().map(Some), false)?,
             frame::FULL => c.record(true)?,
@@ -233,6 +302,18 @@ impl RecordDecoder {
         };
         c.r.finish()?;
         Ok(rec)
+    }
+
+    /// Decode a stored row of either form; a frame against `labels`.
+    pub(crate) fn decode_stored(
+        &mut self,
+        row: StoredRow<'_>,
+        labels: &[Arc<str>],
+    ) -> Result<Record> {
+        match row {
+            StoredRow::Record(bytes) => self.decode(bytes),
+            StoredRow::Frame(bytes) => self.decode_frame(bytes, labels),
+        }
     }
 
     fn intern(&mut self, label: &str) -> Arc<str> {
@@ -252,8 +333,9 @@ impl RecordDecoder {
     }
 }
 
-/// What the [`Reader`]'s errors call this codec.
+/// What the [`Reader`]'s errors call this codec, and its frames.
 const FORMAT: &str = "record";
+const FRAME_FORMAT: &str = "frame";
 
 /// Fewest bytes one encoded value takes (its tag), and one encoded field
 /// (an empty label's length prefix, then a value).
@@ -266,14 +348,15 @@ fn skip_value(r: &mut Reader<'_>) -> Result<()> {
     skip_tagged(r, tag)
 }
 
-/// [`skip_value`] past the tag: the fixed-width kinds inline, the rest
-/// out of line — on a copy of the reader, so that the caller's never has
-/// its address taken and can stay in registers.
+/// [`skip_value`] past the tag: the scalar kinds inline, the rest out of
+/// line — on a copy of the reader, so that the caller's never has its
+/// address taken and can stay in registers.
 #[inline(always)]
 fn skip_tagged(r: &mut Reader<'_>, tag: u8) -> Result<()> {
     match tag {
         tag::NULL | tag::FALSE | tag::TRUE => Ok(()),
-        tag::INT | tag::FLOAT => r.take(8).map(drop),
+        tag::INT => r.uvarint().map(drop),
+        tag::INT_FIXED | tag::FLOAT => r.take(8).map(drop),
         tag => {
             let mut rest = r.clone();
             skip_variable(&mut rest, tag)?;
@@ -330,7 +413,8 @@ impl<'a> Cursor<'a> {
             tag::NULL => Value::Null,
             tag::FALSE => Value::Bool(false),
             tag::TRUE => Value::Bool(true),
-            tag::INT => Value::Int(self.r.u64()? as i64),
+            tag::INT => Value::Int(unzigzag(self.r.uvarint()?)),
+            tag::INT_FIXED => Value::Int(self.r.u64()? as i64),
             tag::FLOAT => Value::Float(self.r.f64()?),
             tag::STR => Value::Str(Arc::from(self.r.str()?)),
             tag => self.container(tag)?,
@@ -469,7 +553,7 @@ pub(crate) enum Stored<'a> {
 }
 
 /// Skip-scan an encoded record for its top-level field `label`: the
-/// fixed-width values before it are stepped over inline, strings and
+/// scalar values before it are stepped over inline, strings and
 /// containers out of line. `None` — the caller cannot decide on
 /// these bytes — when the label is absent, the field is a container or a
 /// string that is not UTF-8, or the payload is malformed or nested too
@@ -482,18 +566,52 @@ pub(crate) fn stored_field<'a>(payload: &'a [u8], label: &str) -> Option<Stored<
         let hit = name::same_bytes(label.as_bytes(), r.bytes().ok()?);
         let tag = r.u8().ok()?;
         if hit {
-            return match tag {
-                tag::INT => Some(Stored::Int(r.u64().ok()? as i64)),
-                tag::STR => std::str::from_utf8(r.bytes().ok()?).ok().map(Stored::Str),
-                tag::FLOAT => Some(Stored::Scalar(Value::Float(r.f64().ok()?))),
-                tag::NULL => Some(Stored::Scalar(Value::Null)),
-                tag::FALSE | tag::TRUE => Some(Stored::Scalar(Value::Bool(tag == tag::TRUE))),
-                _ => None,
-            };
+            return stored_value(&mut r, tag);
         }
         skip_tagged(&mut r, tag).ok()?;
     }
     None
+}
+
+/// [`stored_field`] on a frame's payload written against the table's
+/// labels: in a [`frame::SHAPED`] frame the field is the value at
+/// `column`, the label's position among those labels (`None`: not one of
+/// them, so absent), stepped to over the values before it; in a
+/// [`frame::FULL`] frame it is found by label in the record.
+#[inline]
+pub(crate) fn stored_frame_field<'a>(
+    payload: &'a [u8],
+    label: &str,
+    column: Option<usize>,
+) -> Option<Stored<'a>> {
+    let (&kind, rest) = payload.split_first()?;
+    match kind {
+        frame::SHAPED => {
+            let mut r = Reader::new(FRAME_FORMAT, rest);
+            for _ in 0..column? {
+                skip_value(&mut r).ok()?;
+            }
+            let tag = r.u8().ok()?;
+            stored_value(&mut r, tag)
+        }
+        frame::FULL => stored_field(rest, label),
+        _ => None,
+    }
+}
+
+/// The scalar or string under `tag` at the reader, where it lies; `None`
+/// for a container, a string that is not UTF-8, or malformed bytes.
+#[inline(always)]
+fn stored_value<'a>(r: &mut Reader<'a>, tag: u8) -> Option<Stored<'a>> {
+    match tag {
+        tag::INT => Some(Stored::Int(unzigzag(r.uvarint().ok()?))),
+        tag::INT_FIXED => Some(Stored::Int(r.u64().ok()? as i64)),
+        tag::STR => std::str::from_utf8(r.bytes().ok()?).ok().map(Stored::Str),
+        tag::FLOAT => Some(Stored::Scalar(Value::Float(r.f64().ok()?))),
+        tag::NULL => Some(Stored::Scalar(Value::Null)),
+        tag::FALSE | tag::TRUE => Some(Stored::Scalar(Value::Bool(tag == tag::TRUE))),
+        _ => None,
+    }
 }
 
 /// Decode one standalone record (`RecordDecoder::decode` with nothing
@@ -676,14 +794,6 @@ fn run_err(what: impl std::fmt::Display) -> ModelError {
 /// Bytes of framing before each frame's kind: its `u32` length.
 const FRAME_LEN_BYTES: usize = 4;
 
-/// The first byte of a frame.
-pub(crate) mod frame {
-    /// A row with the run's labels in the run's order: its values.
-    pub(crate) const SHAPED: u8 = 0;
-    /// Any other row: a whole encoded record.
-    pub(crate) const FULL: u8 = 1;
-}
-
 /// What a run is besides its bytes: where they are, and what they leave
 /// out. Dropping it gives the blocks back.
 #[derive(Debug)]
@@ -717,20 +827,9 @@ impl RunWriter {
             self.run.labels = rec.fields().iter().map(|(l, _)| l.clone()).collect();
             self.buf.reserve(BLOCK);
         }
-        let labels = &self.run.labels;
-        let shaped = rec.len() == labels.len()
-            && std::iter::zip(rec.fields(), labels)
-                .all(|((l, _), m)| Arc::ptr_eq(l, m) || name::same(l, m));
         let start = self.buf.len();
-        put_len_prefixed(&mut self.buf, |out| {
-            if shaped {
-                put_u8(out, frame::SHAPED);
-                rec.values().for_each(|v| encode_value(out, v));
-            } else {
-                put_u8(out, frame::FULL);
-                encode_fields(out, rec);
-            }
-        });
+        let labels = &self.run.labels;
+        put_len_prefixed(&mut self.buf, |out| encode_frame(out, rec, labels));
         // One frame is capped at u32::MAX bytes. This also guards every
         // inner length the codec wrote: an overflowing string or container
         // length implies an overflowing payload.
@@ -869,6 +968,38 @@ impl RunReader {
             }
             out.extend(batch);
         }
+    }
+}
+
+#[cfg(test)]
+pub(crate) use v1::writing as writing_v1;
+
+/// Version 1's writers, for the tests that build a file as an older build
+/// left it: an `Int` under tag 3 and data pages of whole records (form 0).
+/// Per thread.
+#[cfg(test)]
+pub(crate) mod v1 {
+    use std::cell::Cell;
+
+    thread_local! {
+        static WRITING: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn writing() -> bool {
+        WRITING.with(Cell::get)
+    }
+
+    /// Run `f` with this thread writing version 1.
+    pub(crate) fn write<T>(f: impl FnOnce() -> T) -> T {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                WRITING.with(|w| w.set(false));
+            }
+        }
+        WRITING.with(|w| w.set(true));
+        let _reset = Reset;
+        f()
     }
 }
 
@@ -1083,7 +1214,7 @@ mod tests {
         w.finish().unwrap()
     }
 
-    /// `(a = i, b = {i, i + 1}, c = "…")`, about 60 bytes a frame.
+    /// `(a = i, b = {i, i + 1}, c = "…")`, about 27 bytes a frame.
     fn wide_row(i: i64) -> Record {
         let b = Value::set([Value::Int(i), Value::Int(i + 1)]);
         Record::new([("a", Value::Int(i)), ("b", b), ("c", Value::str("pad"))]).unwrap()
@@ -1235,7 +1366,7 @@ mod tests {
     #[test]
     fn dropped_runs_give_their_blocks_to_later_runs() {
         let dir = SpillDir::create().unwrap();
-        let rows: Vec<Record> = (0..2000).map(wide_row).collect();
+        let rows: Vec<Record> = (0..4000).map(wide_row).collect();
         let one_run = {
             let file = write_run(&dir, &rows);
             assert!(file.run.extents.len() > 8, "several blocks a run");

@@ -253,7 +253,9 @@ impl Table {
     pub fn rows_vec(&self) -> Result<Vec<Record>> {
         match &self.backing {
             Backing::Mem { rows } => Ok(rows.as_slice().to_vec()),
-            Backing::Disk { store, extent, .. } => store.read_rows(extent, 0, extent.rows as usize),
+            Backing::Disk { store, extent, .. } => {
+                store.read_rows(extent, &self.labels, 0, extent.rows as usize)
+            }
         }
     }
 
@@ -298,7 +300,8 @@ impl Table {
     /// what advances a scan cursor. A rejected row costs no allocation on
     /// either backing: an in-memory row is tested by reference before its
     /// handle is cloned, a disk row on the bytes of its latched page
-    /// before anything is decoded.
+    /// before anything is decoded. The test's labels are resolved to
+    /// column positions once per call, for the rows stored as frames.
     pub fn batch_where(
         &self,
         start: usize,
@@ -321,8 +324,9 @@ impl Table {
             }
             Backing::Disk { store, extent, .. } => {
                 let cap = n.min(extent.rows as usize);
-                store.read_runs(extent, [(start, n)], cap, |bytes| {
-                    !test.rejects_bytes(bytes)
+                let columns = test.columns(&self.labels);
+                store.read_runs(extent, &self.labels, [(start, n)], cap, |row| {
+                    !test.rejects_stored(row, &columns)
                 })
             }
         }
@@ -349,7 +353,10 @@ impl Table {
                     rest = &rest[len..];
                     Some((start, len))
                 });
-                store.read_runs(extent, runs, positions.len(), |_| true)?.0
+                let cap = positions.len();
+                store
+                    .read_runs(extent, &self.labels, runs, cap, |_| true)?
+                    .0
             }
         };
         if out.len() != positions.len() {

@@ -37,6 +37,11 @@
 //! bytes it might have written: a reset moves to the next one, and a log
 //! the store did not write since it opened — whatever a crash left,
 //! version 1 and damaged logs among it — is truncated, never extended.
+//! Nor is a generation extended past a batch whose write or sync failed
+//! ([`Wal::broken`]): part of it may have landed, up to a commit record
+//! reported as failed, and the next batch, written where it was and
+//! torn, could expose it. Only a reset, after a checkpoint, makes the log
+//! take batches again; the store checkpoints before its next commit.
 //!
 //! A transaction is durable exactly when its commit record is fsynced;
 //! page images without a following commit are an in-flight transaction
@@ -272,6 +277,12 @@ pub(crate) struct Wal {
     epoch: u64,
     /// Where the generation's end marker lies: the next batch goes there.
     end: u64,
+    /// A batch's write, or the sync after it, failed: what it left past
+    /// the marker is unknown — it may hold this epoch's frames, up to a
+    /// commit record reported as failed, which a later batch written at
+    /// the same place and torn could expose. So the generation takes no
+    /// more batches; a reset starts the next one.
+    broken: bool,
     /// Room for the header, then the frames of the batch being built;
     /// kept for its capacity.
     batch: Vec<u8>,
@@ -316,6 +327,11 @@ impl Batch<'_> {
     /// first, into a log without one); the transaction becomes durable
     /// at the next [`Wal::sync`].
     pub fn commit(mut self, rec: &CommitRecord) -> Result<()> {
+        if self.wal.broken {
+            return Err(io_err(
+                "wal append: a failed write left this generation; checkpoint first",
+            ));
+        }
         self.frame(|out| rec.encode_into(out));
         let Batch { wal, records } = self;
         let appended = (wal.batch.len() - HEADER_BYTES) as u64;
@@ -327,15 +343,23 @@ impl Batch<'_> {
             (&wal.batch[..], 0)
         };
         let len = bytes.len();
-        let allowed = match failpoint::check_write(&wal.path, IoOp::WalWrite(len), len)? {
-            WriteCheck::Full => len,
-            WriteCheck::Torn(n) => n,
-        };
-        wal.file
-            .write_all_at(&bytes[..allowed], at)
-            .map_err(|e| io_err(format!("wal append: {e}")))?;
-        if allowed < len {
-            return Err(io_err("injected crash (torn wal append)"));
+        let written =
+            failpoint::check_write(&wal.path, IoOp::WalWrite(len), len).and_then(|check| {
+                let allowed = match check {
+                    WriteCheck::Full => len,
+                    WriteCheck::Torn(n) => n,
+                };
+                wal.file
+                    .write_all_at(&bytes[..allowed], at)
+                    .map_err(|e| io_err(format!("wal append: {e}")))?;
+                match allowed < len {
+                    true => Err(io_err("injected crash (torn wal append)")),
+                    false => Ok(()),
+                }
+            });
+        if let Err(e) = written {
+            wal.break_generation();
+            return Err(e);
         }
         wal.head = Head::Current;
         wal.end += appended;
@@ -382,6 +406,7 @@ impl Wal {
             head: if len == 0 { Head::Empty } else { Head::Stale },
             epoch: 1,
             end: HEADER_BYTES as u64,
+            broken: false,
             batch: Vec::new(),
             counters: WalCounters::default(),
         })
@@ -396,9 +421,27 @@ impl Wal {
     /// Whether the file holds what only a checkpoint can settle: this
     /// generation's records, or bytes the log cannot extend — a log a
     /// crash left, whose records no checkpoint has yet folded into the
-    /// database file, or a reset that failed.
+    /// database file, a reset that failed, or a generation a failed
+    /// write [broke](Wal::broken).
     pub fn needs_checkpoint(&self) -> bool {
-        self.bytes() > 0 || self.head == Head::Stale
+        self.bytes() > 0 || self.head == Head::Stale || self.broken
+    }
+
+    /// Whether a failed write or sync left the generation unable to take
+    /// another batch: only a checkpoint, whose reset starts the next
+    /// generation, makes the log writable again.
+    pub fn broken(&self) -> bool {
+        self.broken
+    }
+
+    /// Refuse further batches into this generation. A write into an
+    /// empty file may have landed its header, so the file is no longer
+    /// known to be empty either.
+    fn break_generation(&mut self) {
+        self.broken = true;
+        if self.head == Head::Empty {
+            self.head = Head::Stale;
+        }
     }
 
     /// Snapshot of this log's activity counters.
@@ -429,12 +472,19 @@ impl Wal {
         }
     }
 
-    /// Fsync the log — the durability point for everything appended.
-    pub fn sync(&self) -> Result<()> {
-        failpoint::check_sync(&self.path, IoOp::WalSync)?;
-        self.file
-            .sync_all()
-            .map_err(|e| io_err(format!("wal sync: {e}")))?;
+    /// Fsync the log — the durability point for everything appended. A
+    /// failed sync [breaks](Wal::broken) the generation, as a failed write
+    /// does: what reached the disk is unknown.
+    pub fn sync(&mut self) -> Result<()> {
+        let synced = failpoint::check_sync(&self.path, IoOp::WalSync).and_then(|()| {
+            self.file
+                .sync_all()
+                .map_err(|e| io_err(format!("wal sync: {e}")))
+        });
+        if let Err(e) = synced {
+            self.break_generation();
+            return Err(e);
+        }
         self.counters.syncs_total.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -443,6 +493,22 @@ impl Wal {
     /// its checkpoint is done, and what a database being created starts
     /// from. The file is synced.
     pub fn clear(&mut self) -> Result<()> {
+        let done = self.truncate();
+        self.settle(done)
+    }
+
+    /// Whether a generation starts from a reset or a clear: one that did
+    /// takes batches again, and one that failed takes none until the next
+    /// succeeds, since what the file holds is unknown.
+    fn settle(&mut self, done: Result<()>) -> Result<()> {
+        match &done {
+            Ok(()) => self.broken = false,
+            Err(_) => self.break_generation(),
+        }
+        done
+    }
+
+    fn truncate(&mut self) -> Result<()> {
         if self.head == Head::Empty {
             return Ok(());
         }
@@ -467,6 +533,11 @@ impl Wal {
         if self.head != Head::Current {
             return self.clear();
         }
+        let done = self.rewrite_header();
+        self.settle(done)
+    }
+
+    fn rewrite_header(&mut self) -> Result<()> {
         failpoint::check_sync(&self.path, IoOp::WalReset)?;
         self.restart();
         let mut start = [0; HEADER_BYTES + FRAME_BYTES];
