@@ -267,31 +267,48 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Arbitrary bytes and mutated encodings go through the skip-scan and
-    /// then the decoder: admit, reject or `Err` — never a panic.
+    /// Arbitrary bytes and mutated encodings — records, and frames against
+    /// the columns — go through the skip-scan, the frame walk and then the
+    /// decoder: admit, reject or `Err` — never a panic.
     #[test]
     fn hostile_payloads_never_panic(
         row in arb_row(false),
         noise in prop::collection::vec(any::<u8>(), 0..48),
         at in any::<usize>(),
         pred in arb_pred(),
+        order in any::<u64>(),
     ) {
         let test = row_test(&pred, &outer_env(&Value::Int(1)));
-        let mut bytes = encode_record(&row);
+        let columns = LABELS.map(Arc::from);
         let _ = test.rejects_bytes(&noise);
-        let _ = test.rejects_frame(&noise, &LABELS.map(Arc::from));
+        let _ = test.rejects_frame(&noise, &columns);
         let _ = decode_record(&noise);
         // Overwrite a window, then truncate: lengths, tags and counts all
-        // get hit over the cases.
-        for (i, b) in noise.iter().enumerate() {
-            let n = bytes.len();
-            bytes[(at.wrapping_add(i)) % n] = *b;
+        // get hit over the cases. A frame is read against the columns it
+        // was written for, and against `a, b, c`.
+        let (frame, framed_on) = framed(&row, order);
+        for (mut bytes, frame_columns) in [
+            (encode_record(&row), None),
+            (frame, Some(framed_on)),
+        ] {
+            let hit = |bytes: &[u8]| match &frame_columns {
+                None => {
+                    let _ = test.rejects_bytes(bytes);
+                    let _ = decode_record(bytes);
+                }
+                Some(on) => {
+                    let _ = test.rejects_frame(bytes, on);
+                    let _ = test.rejects_frame(bytes, &columns);
+                }
+            };
+            for (i, b) in noise.iter().enumerate() {
+                let n = bytes.len();
+                bytes[(at.wrapping_add(i)) % n] = *b;
+            }
+            hit(&bytes);
+            bytes.truncate(at % (bytes.len() + 1));
+            hit(&bytes);
         }
-        let _ = test.rejects_bytes(&bytes);
-        let _ = decode_record(&bytes);
-        bytes.truncate(at % (bytes.len() + 1));
-        let _ = test.rejects_bytes(&bytes);
-        let _ = decode_record(&bytes);
     }
 }
 

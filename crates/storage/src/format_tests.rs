@@ -815,22 +815,16 @@ fn an_overlong_or_overflowing_varint_is_an_io_error() {
     assert!(matches!(decode_record(&row), Err(ModelError::Io(_))));
 }
 
-/// Decode a data page's slots as the store's read path does, its frames
-/// against [`golden_labels`]; an overflow reference, which needs the rest
-/// of the file, is refused.
+/// Decode a data page's slots as the store's read path does — through
+/// the view its latch checks once, its frames against [`golden_labels`];
+/// an overflow reference, which needs the rest of the file, is refused.
 fn decode_page(image: &[u8]) -> Result<Vec<Record>> {
-    if image.len() != PAGE_SIZE || page::kind(image) != page::KIND_DATA {
-        return Err(ModelError::Io("not a data page".into()));
-    }
-    let frames = page::holds_frames(image)?;
+    let page = page::DataPage::check(image)?;
     let (labels, mut decoder) = (golden_labels(), RecordDecoder::default());
-    (0..page::slot_count(image))
-        .map(|i| match page::slot(image, i)? {
-            page::SlotRef::Inline(bytes) if frames => {
-                decoder.decode_stored(StoredRow::Frame(bytes), &labels)
-            }
+    (0..page.slots())
+        .map(|i| match page.slot(i)? {
             page::SlotRef::Inline(bytes) => {
-                decoder.decode_stored(StoredRow::Record(bytes), &labels)
+                decoder.decode_stored(StoredRow::of(page.holds_frames(), bytes), &labels)
             }
             page::SlotRef::Overflow { .. } => Err(ModelError::Io("an overflow slot".into())),
         })
@@ -1163,6 +1157,17 @@ fn no_corruption_of_a_valid_encoding_panics_or_over_allocates() {
     let head = GOLDEN_DATA_PAGE_HEAD.len() / 2;
     let payloads = PAGE_SIZE - GOLDEN_FRAME_SHAPED.len() / 2 - GOLDEN_FRAME_FULL.len() / 2;
     check_corruptions(PAGE, &image, (0..head).chain(payloads..PAGE_SIZE));
+    // Among those: a count whose directory runs into the payloads, and a
+    // free offset past the page, both refused before any slot is read.
+    for (at, byte) in [(3, 0x08), (5, 0xff)] {
+        let mut bad = image.clone();
+        bad[at] = byte;
+        let refused = decode_page(&bad);
+        assert!(
+            matches!(&refused, Err(ModelError::Io(m)) if m.contains("slot directory")),
+            "byte {at} = {byte:#x}: {refused:?}"
+        );
+    }
     // A page as version 1 wrote it: whole records.
     let mut legacy = vec![0u8; PAGE_SIZE];
     page::init_data(&mut legacy, page::FORM_RECORD);

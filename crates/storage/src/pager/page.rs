@@ -16,9 +16,15 @@
 //! * **Overflow pages** hold one chunk of an oversized record's bytes
 //!   plus the id of the next page in the chain (`NO_PAGE` terminates).
 //!
-//! All accessors validate offsets against the buffer and return
-//! [`ModelError::Io`] on malformed bytes — a corrupted or truncated page
-//! surfaces as an error, never a panic or out-of-bounds read.
+//! A data page is read through a [`DataPage`], a view checked once when
+//! it is made — the kind, the row form, and a slot directory that fits
+//! before the payloads — so resolving a slot checks only where its entry
+//! points. The store makes one per latch ([`super::store`]'s
+//! `latch_data`, which also holds the slot count to the catalog's
+//! extent). Every accessor validates what it reads against the buffer and
+//! returns [`ModelError::Io`] on malformed bytes — a corrupted or
+//! truncated page surfaces as an error, never a panic or out-of-bounds
+//! read.
 
 use tmql_model::{ModelError, Result};
 
@@ -83,6 +89,8 @@ fn put_u32(buf: &mut [u8], at: usize, v: u32) {
     buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
+#[cold]
+#[inline(never)]
 fn corrupt(what: &str) -> ModelError {
     ModelError::Io(format!("corrupted page: {what}"))
 }
@@ -186,33 +194,72 @@ pub(crate) enum SlotRef<'a> {
     },
 }
 
-/// Resolve slot `i` of a data page, validating every offset.
-pub fn slot(buf: &[u8], i: usize) -> Result<SlotRef<'_>> {
-    if kind(buf) != KIND_DATA {
-        return Err(corrupt("expected a data page"));
+/// A data page whose header was checked once, when the view was made:
+/// the page is a whole [`PAGE_SIZE`] frame of the data kind, its row form
+/// is one of the two, and its slot directory fits before its payloads
+/// (`DATA_HDR + SLOT_BYTES × count ≤ free offset ≤ PAGE_SIZE`). Every
+/// slot below the count therefore has its directory entry inside the
+/// page, and [`DataPage::slot`] checks only where the entry points.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DataPage<'a> {
+    buf: &'a [u8],
+    slots: usize,
+    frames: bool,
+}
+
+impl<'a> DataPage<'a> {
+    /// Check `buf` as a data page (see the [type docs](DataPage)).
+    pub(crate) fn check(buf: &'a [u8]) -> Result<DataPage<'a>> {
+        if buf.len() != PAGE_SIZE || kind(buf) != KIND_DATA {
+            return Err(corrupt("expected a data page"));
+        }
+        let frames = holds_frames(buf)?;
+        let slots = slot_count(buf);
+        let free = free_off(buf);
+        if DATA_HDR + SLOT_BYTES * slots > free || free > PAGE_SIZE {
+            return Err(corrupt("slot directory overruns the payloads"));
+        }
+        Ok(DataPage { buf, slots, frames })
     }
-    if i >= slot_count(buf) {
-        return Err(corrupt("slot index out of range"));
+
+    /// Number of slots.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
     }
-    let off = get_u16(buf, DATA_HDR + SLOT_BYTES * i) as usize;
-    let lenflags = get_u16(buf, DATA_HDR + SLOT_BYTES * i + 2);
-    let len = (lenflags & !OVERFLOW_FLAG) as usize;
-    // Payloads live past the slot directory: an offset inside it would
-    // alias directory entries as record bytes.
-    if off + len > PAGE_SIZE || off < DATA_HDR + SLOT_BYTES * slot_count(buf) {
-        return Err(corrupt("slot payload out of bounds"));
+
+    /// Whether the slots hold frames (row form 1) rather than whole
+    /// records (form 0).
+    pub(crate) fn holds_frames(&self) -> bool {
+        self.frames
     }
-    let payload = &buf[off..off + len];
-    if lenflags & OVERFLOW_FLAG == 0 {
-        return Ok(SlotRef::Inline(payload));
+
+    /// Resolve slot `i`, which must be below [`DataPage::slots`]: only its
+    /// payload's bounds are checked — past the slot directory, inside the
+    /// page — and an overflow reference's length.
+    #[inline(always)]
+    pub(crate) fn slot(&self, i: usize) -> Result<SlotRef<'a>> {
+        debug_assert!(i < self.slots, "slot {i} of {}", self.slots);
+        let at = DATA_HDR + SLOT_BYTES * i;
+        let off = get_u16(self.buf, at) as usize;
+        let lenflags = get_u16(self.buf, at + 2);
+        let len = (lenflags & !OVERFLOW_FLAG) as usize;
+        // Payloads live past the slot directory: an offset inside it would
+        // alias directory entries as record bytes.
+        if off + len > PAGE_SIZE || off < DATA_HDR + SLOT_BYTES * self.slots {
+            return Err(corrupt("slot payload out of bounds"));
+        }
+        let payload = &self.buf[off..off + len];
+        if lenflags & OVERFLOW_FLAG == 0 {
+            return Ok(SlotRef::Inline(payload));
+        }
+        if len != OVF_REF_BYTES {
+            return Err(corrupt("malformed overflow reference"));
+        }
+        Ok(SlotRef::Overflow {
+            first: get_u32(payload, 0),
+            total: get_u32(payload, 4),
+        })
     }
-    if len != OVF_REF_BYTES {
-        return Err(corrupt("malformed overflow reference"));
-    }
-    Ok(SlotRef::Overflow {
-        first: get_u32(payload, 0),
-        total: get_u32(payload, 4),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -260,10 +307,10 @@ mod tests {
         assert_eq!(slot_count(&buf), 0);
         push_inline(&mut buf, b"hello");
         push_inline(&mut buf, b"world!");
-        assert_eq!(slot_count(&buf), 2);
-        assert_eq!(slot(&buf, 0).unwrap(), SlotRef::Inline(b"hello"));
-        assert_eq!(slot(&buf, 1).unwrap(), SlotRef::Inline(b"world!"));
-        assert!(slot(&buf, 2).is_err(), "out-of-range slot is an error");
+        let page = DataPage::check(&buf).unwrap();
+        assert_eq!((page.slots(), page.holds_frames()), (2, true));
+        assert_eq!(page.slot(0).unwrap(), SlotRef::Inline(b"hello"));
+        assert_eq!(page.slot(1).unwrap(), SlotRef::Inline(b"world!"));
     }
 
     #[test]
@@ -287,7 +334,7 @@ mod tests {
         init_data(&mut buf, FORM_FRAME);
         push_overflow_ref(&mut buf, 42, 100_000);
         assert_eq!(
-            slot(&buf, 0).unwrap(),
+            DataPage::check(&buf).unwrap().slot(0).unwrap(),
             SlotRef::Overflow {
                 first: 42,
                 total: 100_000
@@ -318,17 +365,54 @@ mod tests {
     #[test]
     fn corrupted_pages_error_not_panic() {
         let zeroed = vec![0u8; PAGE_SIZE];
-        assert!(slot(&zeroed, 0).is_err(), "kind 0 is not a data page");
+        assert!(
+            DataPage::check(&zeroed).is_err(),
+            "kind 0 is not a data page"
+        );
         assert!(ovf_next(&zeroed).is_err());
 
         let mut buf = vec![0u8; PAGE_SIZE];
         init_data(&mut buf, FORM_FRAME);
         push_inline(&mut buf, b"ok");
+        assert!(
+            DataPage::check(&buf[..PAGE_SIZE - 1]).is_err(),
+            "a short frame"
+        );
         // Scribble the slot offset out of bounds.
         put_u16(&mut buf, 6, 0xFFFF);
-        assert!(matches!(slot(&buf, 0), Err(ModelError::Io(_))));
+        let refused = |buf: &[u8]| DataPage::check(buf).unwrap().slot(0).is_err();
+        assert!(refused(&buf));
         // ... and into the slot directory itself.
         put_u16(&mut buf, 6, DATA_HDR as u16);
-        assert!(matches!(slot(&buf, 0), Err(ModelError::Io(_))));
+        assert!(refused(&buf));
+    }
+
+    #[test]
+    fn a_slot_directory_that_overruns_the_payloads_is_refused_once() {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        init_data(&mut buf, FORM_FRAME);
+        let payload = [7u8; 1000];
+        while fits_inline(&buf, payload.len()) {
+            push_inline(&mut buf, &payload);
+        }
+        assert!(DataPage::check(&buf).is_ok(), "a full page fits");
+        let overrun = |buf: &[u8]| matches!(DataPage::check(buf), Err(ModelError::Io(m)) if m.contains("slot directory"));
+        // A count whose directory reaches past the free offset, a free
+        // offset inside the directory, and one past the page.
+        let (count, free) = (slot_count(&buf), free_off(&buf));
+        for (at, v) in [
+            (2, ((free - DATA_HDR) / SLOT_BYTES + 1) as u16),
+            (2, u16::MAX),
+            (4, (DATA_HDR + SLOT_BYTES * count - 1) as u16),
+            (4, PAGE_SIZE as u16 + 1),
+        ] {
+            let mut bad = buf.clone();
+            put_u16(&mut bad, at, v);
+            assert!(overrun(&bad), "{at} = {v}");
+        }
+        // The boundaries themselves are a directory that fits.
+        let mut edge = buf.clone();
+        put_u16(&mut edge, 4, (DATA_HDR + SLOT_BYTES * count) as u16);
+        assert!(DataPage::check(&edge).is_ok());
     }
 }

@@ -71,7 +71,7 @@ use tmql_obs::{Histogram, MetricsRegistry};
 
 use super::image::{decode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
-use super::pool::{BufferPool, PageRead, PoolStats};
+use super::pool::{BufferPool, PoolStats};
 use crate::bytes::{put_len, put_u16, put_u32, put_u64, Reader};
 use crate::failpoint::{self, IoOp, WriteCheck};
 use crate::spill::{encode_frame, encode_record, writing_v1, RecordDecoder, StoredRow};
@@ -770,11 +770,15 @@ impl PagedStore {
     ///
     /// A row is a whole record or a frame as its page's row form says; a
     /// frame is decoded against `labels`, the table's columns, whose `Arc`s
-    /// the rows then share. An inline row is visited **in place**, as a
-    /// slice of its latched page: nothing is copied out, and a row `admit`
-    /// turns down is never allocated. An overflow-chained row is visited
-    /// as its assembled chain, read with the data page's latch released (a
-    /// chain faults other pages, and a thread holds one pin at a time).
+    /// the rows then share. A latched page is checked once
+    /// ([`PagedStore::latch_data`]) and its rows are then walked in one
+    /// loop over its checked view. An inline row is visited **in place**,
+    /// as a slice of its latched page: nothing is copied out, and a row
+    /// `admit` turns down is never allocated; decoding one it lets through
+    /// is the call out of the loop. An overflow-chained row is visited as
+    /// its assembled chain, read with the data page's latch released (a
+    /// chain faults other pages, and a thread holds one pin at a time);
+    /// the page is latched again for the rows after it.
     pub(crate) fn read_runs(
         &self,
         extent: &TableExtent,
@@ -785,88 +789,103 @@ impl PagedStore {
     ) -> Result<(Vec<Record>, usize)> {
         let mut out = Vec::with_capacity(cap);
         let mut decoder = RecordDecoder::default();
-        let mut visit = |frames: bool, bytes: &[u8]| -> Result<()> {
-            let row = match frames {
-                true => StoredRow::Frame(bytes),
-                false => StoredRow::Record(bytes),
-            };
-            if admit(row) {
-                out.push(decoder.decode_stored(row, labels)?);
-            }
-            Ok(())
-        };
-        let mut pages = extent.pages.iter();
-        // The page under the cursor and the row offset of its first row;
-        // its latch, once taken, with whether its slots are frames.
-        let (mut page, mut base) = (pages.next(), 0usize);
-        let mut latched = None;
-        let mut visited = 0;
-        for (start, len) in runs {
-            let (mut row, end) = (start, start.saturating_add(len));
-            while row < end {
-                let Some(&(pid, rows_in_page)) = page else {
-                    return Ok((out, visited));
-                };
-                let next = base + rows_in_page as usize;
-                if row >= next {
-                    (page, base, latched) = (pages.next(), next, None);
-                    continue;
-                }
-                if row < base {
-                    return Err(ModelError::Io("row positions must ascend".into()));
-                }
-                let stop = end.min(next);
-                visited += stop - row;
-                while row < stop {
-                    let (g, frames) = match &latched {
-                        Some(latch) => latch,
-                        None => latched.insert(self.latch_data(pid, rows_in_page)?),
-                    };
-                    match page::slot(g, row - base)? {
-                        page::SlotRef::Inline(bytes) => visit(*frames, bytes)?,
-                        page::SlotRef::Overflow { first, total } => {
-                            let frames = *frames;
-                            latched = None;
-                            visit(frames, &self.read_chain(first, total.into())?)?;
+        let mut runs = (runs.into_iter())
+            .filter(|&(_, len)| len > 0)
+            .map(|(start, len)| (start, start.saturating_add(len)));
+        // What is left of the run under the cursor: `(next row, end)`.
+        let mut pending = runs.next();
+        let (mut base, mut visited) = (0usize, 0usize);
+        for &(pid, rows_in_page) in &extent.pages {
+            let next = base + rows_in_page as usize;
+            while pending.is_some_and(|(row, _)| row < next) {
+                let chained = self.latch_data(pid, rows_in_page, |page| {
+                    let frames = page.holds_frames();
+                    while let Some((row, end)) = pending.filter(|&(row, _)| row < next) {
+                        if row < base {
+                            return Err(ModelError::Io("row positions must ascend".into()));
+                        }
+                        let stop = end.min(next);
+                        // Past the last row walked, and the chain it ends at.
+                        let (mut walked, mut chain) = (stop, None);
+                        for at in row..stop {
+                            match page.slot(at - base)? {
+                                page::SlotRef::Inline(bytes) => {
+                                    let stored = StoredRow::of(frames, bytes);
+                                    if admit(stored) {
+                                        out.push(decoder.decode_stored(stored, labels)?);
+                                    }
+                                }
+                                page::SlotRef::Overflow { first, total } => {
+                                    (walked, chain) = (at + 1, Some((frames, first, total)));
+                                    break;
+                                }
+                            }
+                        }
+                        visited += walked - row;
+                        pending = match walked < end {
+                            true => Some((walked, end)),
+                            false => runs.next(),
+                        };
+                        if chain.is_some() {
+                            return Ok(chain);
                         }
                     }
-                    row += 1;
+                    Ok(None)
+                })?;
+                if let Some((frames, first, total)) = chained {
+                    let chain = self.read_chain(first, total.into())?;
+                    let stored = StoredRow::of(frames, &chain);
+                    if admit(stored) {
+                        out.push(decoder.decode_stored(stored, labels)?);
+                    }
                 }
             }
+            base = next;
         }
         Ok((out, visited))
     }
 
     /// Latch data page `pid` of an extent that says it holds `rows` rows,
-    /// and read its row form: whether its slots are frames.
-    fn latch_data(&self, pid: PageId, rows: u16) -> Result<(PageRead<'_>, bool)> {
+    /// check it once — its kind, row form and slot directory
+    /// ([`page::DataPage::check`]) and its slot count against the extent —
+    /// and show `walk` the checked view. The latch is held until `walk`
+    /// returns.
+    fn latch_data<R>(
+        &self,
+        pid: PageId,
+        rows: u16,
+        walk: impl FnOnce(page::DataPage<'_>) -> Result<R>,
+    ) -> Result<R> {
         let g = self.pool.read(pid, &self.file)?;
-        if page::kind(&g) != page::KIND_DATA || page::slot_count(&g) != rows as usize {
+        let page = page::DataPage::check(&g)?;
+        if page.slots() != rows as usize {
             return Err(ModelError::Io(format!(
                 "corrupted page: data page {pid} does not match the catalog extent"
             )));
         }
-        let frames = page::holds_frames(&g)?;
-        Ok((g, frames))
+        walk(page)
     }
 
     /// Every page an extent owns: its data pages plus all overflow chains
-    /// hanging off their slots. This is what a replace frees.
+    /// hanging off their slots. This is what a replace frees. Each data
+    /// page is read as a scan reads it ([`PagedStore::latch_data`]), so a
+    /// page that disagrees with the extent fails the enumeration instead
+    /// of freeing what its bytes claim.
     pub(crate) fn extent_pages(&self, extent: &TableExtent) -> Result<Vec<PageId>> {
         let mut out: Vec<PageId> = extent.page_ids().collect();
-        for &(pid, _) in &extent.pages {
-            let mut chains = Vec::new();
-            {
-                let g = self.pool.read(pid, &self.file)?;
-                for i in 0..page::slot_count(&g) {
-                    if let page::SlotRef::Overflow { first, total } = page::slot(&g, i)? {
+        let mut chains = Vec::new();
+        for &(pid, rows) in &extent.pages {
+            self.latch_data(pid, rows, |page| {
+                for i in 0..page.slots() {
+                    if let page::SlotRef::Overflow { first, total } = page.slot(i)? {
                         chains.push((first, total));
                     }
                 }
-            }
-            for (first, total) in chains {
-                self.chain_pages(first, total.into(), &mut out)?;
-            }
+                Ok(())
+            })?;
+        }
+        for (first, total) in chains {
+            self.chain_pages(first, total.into(), &mut out)?;
         }
         Ok(out)
     }
@@ -1192,11 +1211,15 @@ mod tests {
     /// How many of an extent's rows live in overflow chains.
     fn chained(store: &PagedStore, extent: &TableExtent) -> usize {
         let mut n = 0;
-        for pid in extent.page_ids() {
-            let g = store.pool.read(pid, &store.file).unwrap();
-            for i in 0..page::slot_count(&g) {
-                n += matches!(page::slot(&g, i), Ok(page::SlotRef::Overflow { .. })) as usize;
-            }
+        for &(pid, rows) in &extent.pages {
+            store
+                .latch_data(pid, rows, |page| {
+                    for i in 0..page.slots() {
+                        n += matches!(page.slot(i), Ok(page::SlotRef::Overflow { .. })) as usize;
+                    }
+                    Ok(())
+                })
+                .unwrap();
         }
         n
     }
@@ -1313,6 +1336,47 @@ mod tests {
         let extent = store.write_table(&rows, &s).unwrap();
         assert_eq!(chained(&store, &extent), 1);
         assert_eq!(store.read_rows(&extent, &s, 0, 10).unwrap(), rows);
+        clean(&path);
+    }
+
+    #[test]
+    fn a_replace_frees_nothing_from_a_page_that_disagrees_with_its_extent() {
+        let path = scratch("extent-check");
+        let table = |rows: &[&str]| {
+            let mut t = crate::Table::new("R", vec![("s".into(), tmql_model::Ty::Str)]);
+            for s in rows {
+                t.insert_values([Value::str(s)]).unwrap();
+            }
+            t
+        };
+        let big = "x".repeat(3 * PAGE_SIZE);
+        let mut cat = crate::Catalog::open(&path, 16).unwrap();
+        cat.register(table(&["tiny", &big])).unwrap();
+        let (store, extent) = cat.table("R").unwrap().disk_parts().unwrap();
+        let (store, extent) = (Arc::clone(store), Arc::clone(extent));
+        assert_eq!((extent.page_count(), chained(&store, &extent)), (1, 1));
+        let freed = store.extent_pages(&extent).unwrap().len();
+        assert_eq!(
+            freed,
+            1 + big.len().div_ceil(OVF_CAPACITY),
+            "the page and its chain"
+        );
+        // The page now counts one slot fewer than the extent: its bytes no
+        // longer show the chain hanging off the last slot.
+        let (pid, rows) = extent.pages[0];
+        let mut image = store.pool.read(pid, &store.file).unwrap().to_vec();
+        image[2..4].copy_from_slice(&(rows - 1).to_le_bytes());
+        store.pool.install(pid, &image, &store.file).unwrap();
+        let before = cat.free_list_len();
+        let refused = cat.replace(table(&["new"]));
+        assert!(
+            matches!(&refused, Err(ModelError::Io(m)) if m.contains("does not match the catalog extent")),
+            "{refused:?}"
+        );
+        assert_eq!(cat.free_list_len(), before, "nothing freed");
+        let kept = cat.table("R").unwrap().disk_parts().unwrap().1;
+        assert!(Arc::ptr_eq(kept, &extent), "the old table stays");
+        drop(cat);
         clean(&path);
     }
 

@@ -82,10 +82,15 @@
 //! spill frames share `Cursor::fields`, and a decoder returns for every
 //! payload exactly what a fresh one would.
 //!
-//! The scan pre-test ([`crate::pretest`]) reads no row at all: it finds a
-//! field with `stored_field` (by label) or `stored_frame_field` (in a
-//! frame of values, by column position), one skip-scan that steps over
-//! scalar values inline, and compares it where it lies.
+//! The scan pre-test ([`crate::pretest`]) reads no row at all. In a
+//! shaped frame it reads the field at its column with `shaped_field`, a
+//! walk over the slice that steps over the values before it (scalars and
+//! strings inline, an integer's varint read where it lies, a container
+//! through the codec's checked skip) and answers `None` for anything it
+//! cannot decide, without building an error; in a whole record, and in a
+//! full frame, it finds the field by label with `stored_field`, a
+//! skip-scan of the encoded fields. Either compares the field where it
+//! lies.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -230,6 +235,18 @@ pub(crate) enum StoredRow<'a> {
     Frame(&'a [u8]),
 }
 
+impl<'a> StoredRow<'a> {
+    /// A slot's bytes as its page's row form says: a frame when the page
+    /// `frames`, else a whole record.
+    #[inline(always)]
+    pub(crate) fn of(frames: bool, bytes: &'a [u8]) -> StoredRow<'a> {
+        match frames {
+            true => StoredRow::Frame(bytes),
+            false => StoredRow::Record(bytes),
+        }
+    }
+}
+
 /// Refuse a row whose values nest more container levels than the decoder
 /// will follow ([`MAX_NESTING`]). The language cannot build one, the Rust
 /// API can, and the encoder is infallible: unchecked, the row is written
@@ -304,7 +321,10 @@ impl RecordDecoder {
         Ok(rec)
     }
 
-    /// Decode a stored row of either form; a frame against `labels`.
+    /// Decode a stored row of either form; a frame against `labels`. Out
+    /// of line: it is the call a page's row loop makes for a row its
+    /// pre-test admits, and the loop stays small without it.
+    #[inline(never)]
     pub(crate) fn decode_stored(
         &mut self,
         row: StoredRow<'_>,
@@ -541,8 +561,8 @@ pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value> {
     }
 }
 
-/// A top-level field of an encoded record, read where it lies: nothing of
-/// it is on the heap.
+/// A top-level field of a stored row, read where it lies: nothing of it
+/// is on the heap.
 pub(crate) enum Stored<'a> {
     /// An integer.
     Int(i64),
@@ -566,52 +586,100 @@ pub(crate) fn stored_field<'a>(payload: &'a [u8], label: &str) -> Option<Stored<
         let hit = name::same_bytes(label.as_bytes(), r.bytes().ok()?);
         let tag = r.u8().ok()?;
         if hit {
-            return stored_value(&mut r, tag);
+            let rest = r.take(r.remaining()).ok()?;
+            return stored_value(rest, &mut 0, tag);
         }
         skip_tagged(&mut r, tag).ok()?;
     }
     None
 }
 
-/// [`stored_field`] on a frame's payload written against the table's
-/// labels: in a [`frame::SHAPED`] frame the field is the value at
-/// `column`, the label's position among those labels (`None`: not one of
-/// them, so absent), stepped to over the values before it; in a
-/// [`frame::FULL`] frame it is found by label in the record.
-#[inline]
-pub(crate) fn stored_frame_field<'a>(
-    payload: &'a [u8],
-    label: &str,
-    column: Option<usize>,
-) -> Option<Stored<'a>> {
-    let (&kind, rest) = payload.split_first()?;
-    match kind {
-        frame::SHAPED => {
-            let mut r = Reader::new(FRAME_FORMAT, rest);
-            for _ in 0..column? {
-                skip_value(&mut r).ok()?;
+/// The value at `column` of a [`frame::SHAPED`] frame, given its `values`
+/// (the payload past the kind byte): a walk over the slice that steps over
+/// the values before it — NULLs, booleans, integers and floats inline, an
+/// integer's varint read where it lies, a string by its length — and
+/// reads the field as [`stored_field`] reads one. `None` when these bytes
+/// cannot decide: the frame holds fewer values, the field is a container
+/// or a string that is not UTF-8, or the bytes are malformed on the way.
+/// Only a container before the column leaves the loop (for the checked
+/// skip of the codec), and nothing builds an error.
+#[inline(always)]
+pub(crate) fn shaped_field(values: &[u8], column: usize) -> Option<Stored<'_>> {
+    let mut at = 0;
+    for _ in 0..column {
+        let tag = *values.get(at)?;
+        at += 1;
+        match tag {
+            tag::NULL | tag::FALSE | tag::TRUE => {}
+            tag::INT => {
+                varint(values, &mut at)?;
             }
-            let tag = r.u8().ok()?;
-            stored_value(&mut r, tag)
+            tag::INT_FIXED | tag::FLOAT => at += 8,
+            tag::STR => at += 4 + u32::from_le_bytes(array(values, at)?) as usize,
+            tag::TUPLE | tag::SET => at = skip_container(values, at, tag)?,
+            _ => return None,
         }
-        frame::FULL => stored_field(rest, label),
-        _ => None,
     }
+    let tag = *values.get(at)?;
+    at += 1;
+    stored_value(values, &mut at, tag)
 }
 
-/// The scalar or string under `tag` at the reader, where it lies; `None`
-/// for a container, a string that is not UTF-8, or malformed bytes.
+/// The scalar or string under `tag` at `bytes[*at..]`, where it lies;
+/// `None` for a container, a string that is not UTF-8, or bytes that end
+/// too soon.
 #[inline(always)]
-fn stored_value<'a>(r: &mut Reader<'a>, tag: u8) -> Option<Stored<'a>> {
-    match tag {
-        tag::INT => Some(Stored::Int(unzigzag(r.uvarint().ok()?))),
-        tag::INT_FIXED => Some(Stored::Int(r.u64().ok()? as i64)),
-        tag::STR => std::str::from_utf8(r.bytes().ok()?).ok().map(Stored::Str),
-        tag::FLOAT => Some(Stored::Scalar(Value::Float(r.f64().ok()?))),
-        tag::NULL => Some(Stored::Scalar(Value::Null)),
-        tag::FALSE | tag::TRUE => Some(Stored::Scalar(Value::Bool(tag == tag::TRUE))),
-        _ => None,
+fn stored_value<'a>(bytes: &'a [u8], at: &mut usize, tag: u8) -> Option<Stored<'a>> {
+    Some(match tag {
+        tag::INT => Stored::Int(unzigzag(varint(bytes, at)?)),
+        tag::INT_FIXED => Stored::Int(u64::from_le_bytes(array(bytes, *at)?) as i64),
+        tag::STR => {
+            let len = u32::from_le_bytes(array(bytes, *at)?) as usize;
+            let s = bytes.get(*at + 4..*at + 4 + len)?;
+            Stored::Str(std::str::from_utf8(s).ok()?)
+        }
+        tag::FLOAT => Stored::Scalar(Value::Float(f64::from_bits(u64::from_le_bytes(array(
+            bytes, *at,
+        )?)))),
+        tag::NULL => Stored::Scalar(Value::Null),
+        tag::FALSE | tag::TRUE => Stored::Scalar(Value::Bool(tag == tag::TRUE)),
+        _ => return None,
+    })
+}
+
+/// The `N` bytes at `bytes[at..]`, if there are that many.
+#[inline(always)]
+fn array<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
+/// [`Reader::uvarint`] on a slice, read where it lies from `bytes[*at..]`,
+/// which it advances past the varint: the same values from the same
+/// bytes, overlong and non-canonical spellings alike, and `None` where
+/// the reader fails.
+#[inline(always)]
+fn varint(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..63).step_by(7) {
+        let byte = *bytes.get(*at)?;
+        *at += 1;
+        v |= ((byte & 0x7f) as u64) << shift;
+        if byte < 0x80 {
+            return Some(v);
+        }
     }
+    let last = *bytes.get(*at)?;
+    *at += 1;
+    (last <= 1).then_some(v | (last as u64) << 63)
+}
+
+/// [`shaped_field`]'s step over a tuple or a set at `values[at..]`, past
+/// its tag: the codec's checked skip, out of line. Where it ends.
+#[inline(never)]
+fn skip_container(values: &[u8], at: usize, tag: u8) -> Option<usize> {
+    let mut r = Reader::new(FRAME_FORMAT, values.get(at..)?);
+    skip_variable(&mut r, tag).ok()?;
+    Some(values.len() - r.remaining())
 }
 
 /// Decode one standalone record (`RecordDecoder::decode` with nothing
@@ -967,6 +1035,63 @@ impl RunReader {
                 return Ok(out);
             }
             out.extend(batch);
+        }
+    }
+}
+
+/// The field readers the pre-test had before [`shaped_field`]: a checked
+/// [`Reader`] over the row, its values skipped by [`skip_value`] and the
+/// field read through the reader. Kept as the reference the walker, and
+/// [`stored_field`]'s reading of the field, are tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// The top-level field `label` of an encoded record.
+    pub(crate) fn stored_field<'a>(payload: &'a [u8], label: &str) -> Option<Stored<'a>> {
+        let mut r = Reader::new(FORMAT, payload);
+        for _ in 0..r.u32().ok()? {
+            let hit = name::same_bytes(label.as_bytes(), r.bytes().ok()?);
+            let tag = r.u8().ok()?;
+            if hit {
+                return stored_value(&mut r, tag);
+            }
+            skip_tagged(&mut r, tag).ok()?;
+        }
+        None
+    }
+
+    /// The field `label`, at `column` among the labels a frame was
+    /// written against, of a frame's whole `payload`.
+    pub(crate) fn stored_frame_field<'a>(
+        payload: &'a [u8],
+        label: &str,
+        column: Option<usize>,
+    ) -> Option<Stored<'a>> {
+        let (&kind, rest) = payload.split_first()?;
+        match kind {
+            frame::SHAPED => {
+                let mut r = Reader::new(FRAME_FORMAT, rest);
+                for _ in 0..column? {
+                    skip_value(&mut r).ok()?;
+                }
+                let tag = r.u8().ok()?;
+                stored_value(&mut r, tag)
+            }
+            frame::FULL => stored_field(rest, label),
+            _ => None,
+        }
+    }
+
+    fn stored_value<'a>(r: &mut Reader<'a>, tag: u8) -> Option<Stored<'a>> {
+        match tag {
+            tag::INT => Some(Stored::Int(unzigzag(r.uvarint().ok()?))),
+            tag::INT_FIXED => Some(Stored::Int(r.u64().ok()? as i64)),
+            tag::STR => std::str::from_utf8(r.bytes().ok()?).ok().map(Stored::Str),
+            tag::FLOAT => Some(Stored::Scalar(Value::Float(r.f64().ok()?))),
+            tag::NULL => Some(Stored::Scalar(Value::Null)),
+            tag::FALSE | tag::TRUE => Some(Stored::Scalar(Value::Bool(tag == tag::TRUE))),
+            _ => None,
         }
     }
 }

@@ -163,12 +163,17 @@ fn field<'a>(row: &'a Record, i: usize, name: &str) -> Option<&'a Value> {
 /// the histogram's numerics are taken as the values go by; then the
 /// values are sorted, which makes every distinct value one run: the
 /// distinct count is the number of runs. The sort borrows, so no value is
-/// cloned.
+/// cloned; a column of nothing but `Int`s sorts as `i64`s, which is the
+/// same order and the same runs.
 fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, usize) {
+    let column = || rows.iter().filter_map(|row| field(row, i, name));
+    if column().all(|v| matches!(v, Value::Int(_))) {
+        return int_column_pass(rows.len(), column());
+    }
     let mut values: Vec<&Value> = Vec::with_capacity(rows.len());
     let mut numerics = Vec::new();
     let (mut nulls, mut sets, mut set_elems) = (0usize, 0usize, 0usize);
-    for v in rows.iter().filter_map(|row| field(row, i, name)) {
+    for v in column() {
         match v {
             Value::Null => nulls += 1,
             Value::Set(s) => {
@@ -182,16 +187,7 @@ fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, us
         values.push(v);
     }
     values.sort();
-    let (mut distinct, mut once, mut twice, mut run_start) = (0usize, 0usize, 0usize, 0usize);
-    for end in 1..=values.len() {
-        if end < values.len() && values[end] == values[run_start] {
-            continue;
-        }
-        distinct += 1;
-        once += usize::from(end - run_start == 1);
-        twice += usize::from(end - run_start == 2);
-        run_start = end;
-    }
+    let (distinct, once, twice) = runs(&values);
     let n = rows.len().max(1) as f64;
     let stats = ColumnStats {
         distinct,
@@ -205,6 +201,46 @@ fn column_pass(rows: &[Record], i: usize, name: &str) -> (ColumnStats, usize, us
         histogram: Histogram::build(&numerics),
     };
     (stats, once, twice)
+}
+
+/// [`column_pass`] over a column of `Int`s alone, of a table of `rows`
+/// rows: no NULLs and no sets.
+fn int_column_pass<'a>(
+    rows: usize,
+    column: impl Iterator<Item = &'a Value>,
+) -> (ColumnStats, usize, usize) {
+    let mut ints: Vec<i64> = Vec::with_capacity(rows);
+    ints.extend(column.filter_map(|v| match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    }));
+    let numerics: Vec<f64> = ints.iter().map(|&i| i as f64).collect();
+    ints.sort_unstable();
+    let (distinct, once, twice) = runs(&ints);
+    let stats = ColumnStats {
+        distinct,
+        null_fraction: 0.0,
+        set_valued_fraction: 0.0,
+        avg_set_card: 0.0,
+        histogram: Histogram::build(&numerics),
+    };
+    (stats, once, twice)
+}
+
+/// The runs of equal values in `sorted`: how many there are, and how many
+/// are one and two long.
+fn runs<T: PartialEq>(sorted: &[T]) -> (usize, usize, usize) {
+    let (mut distinct, mut once, mut twice, mut run_start) = (0usize, 0usize, 0usize, 0usize);
+    for end in 1..=sorted.len() {
+        if end < sorted.len() && sorted[end] == sorted[run_start] {
+            continue;
+        }
+        distinct += 1;
+        once += usize::from(end - run_start == 1);
+        twice += usize::from(end - run_start == 2);
+        run_start = end;
+    }
+    (distinct, once, twice)
 }
 
 /// Estimate a column's distinct count from a uniform sample of
@@ -594,8 +630,7 @@ mod tests {
     /// A row over the declared columns `a`, `b`, `c`: as declared, in
     /// another order, lacking one or two of them, or with a stranger among
     /// them that shifts the positions.
-    fn arb_row() -> impl Strategy<Value = Record> {
-        let value = crate::format_tests::arb_value;
+    fn arb_row(value: fn() -> BoxedStrategy<Value>) -> impl Strategy<Value = Record> {
         (value(), value(), value(), 0usize..5).prop_map(|(a, b, c, shape)| {
             let fields = match shape {
                 0 => vec![("a", a), ("b", b), ("c", c)],
@@ -608,12 +643,49 @@ mod tests {
         })
     }
 
+    /// Integers that repeat, and a few far apart.
+    fn arb_int() -> BoxedStrategy<Value> {
+        prop_oneof![
+            (-4i64..5).prop_map(Value::Int),
+            any::<i64>().prop_map(Value::Int),
+            Just(Value::Int(i64::MIN)),
+            Just(Value::Int(i64::MAX)),
+        ]
+        .boxed()
+    }
+
+    /// Numbers as `Int`s and as `Float`s, the same number often both ways
+    /// (one value to the statistics), and ±0.0, NaN and halves.
+    fn arb_number() -> BoxedStrategy<Value> {
+        prop_oneof![
+            arb_int(),
+            (-4i64..5).prop_map(|i| Value::Float(i as f64)),
+            (-8i64..9).prop_map(|i| Value::Float(i as f64 / 2.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Int(1 << 53)),
+            Just(Value::Float((1u64 << 53) as f64)),
+        ]
+        .boxed()
+    }
+
+    /// Rows whose values are drawn from anything, from `Int`s alone, or
+    /// from `Int`s and `Float`s.
+    fn arb_pool() -> impl Strategy<Value = Vec<Record>> {
+        let rows = |value| prop::collection::vec(arb_row(value), 1..24);
+        prop_oneof![
+            rows(crate::format_tests::arb_value),
+            rows(arb_int),
+            rows(arb_number),
+        ]
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(36))]
 
         #[test]
         fn sorted_columns_give_the_statistics_the_ordered_sets_gave(
-            pool in prop::collection::vec(arb_row(), 1..24),
+            pool in arb_pool(),
         ) {
             let names = ["a", "b", "c"];
             let columns: Vec<(String, Ty)> =

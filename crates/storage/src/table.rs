@@ -300,8 +300,9 @@ impl Table {
     /// what advances a scan cursor. A rejected row costs no allocation on
     /// either backing: an in-memory row is tested by reference before its
     /// handle is cloned, a disk row on the bytes of its latched page
-    /// before anything is decoded. The test's labels are resolved to
-    /// column positions once per call, for the rows stored as frames.
+    /// before anything is decoded. The test is resolved against the
+    /// columns once per call — each label to its position, each `Int` key
+    /// to an `i64` — not once per row.
     pub fn batch_where(
         &self,
         start: usize,
@@ -324,9 +325,9 @@ impl Table {
             }
             Backing::Disk { store, extent, .. } => {
                 let cap = n.min(extent.rows as usize);
-                let columns = test.columns(&self.labels);
+                let test = test.resolve(&self.labels);
                 store.read_runs(extent, &self.labels, [(start, n)], cap, |row| {
-                    !test.rejects_stored(row, &columns)
+                    !test.rejects(row)
                 })
             }
         }
