@@ -1,11 +1,10 @@
 //! Evaluation of scalar expressions against variable environments.
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use std::cell::Cell;
-
 use tmql_model::name::same;
-use tmql_model::{setops, CmpOp, ModelError, Record, Result, Value};
+use tmql_model::{setops, CmpOp, ModelError, Record, Result, Shape, Value};
 
 use crate::scalar::{AggFn, ArithOp, Quantifier, ScalarExpr, SetBinOp, SetCmpOp};
 
@@ -86,7 +85,10 @@ impl<'a> Env<'a> {
                 let mut out = outer.detach();
                 match frame {
                     Frame::Var(l, v) => out.push(l, v.clone()),
-                    Frame::Row(row) => out.owned.extend(row.fields().iter().cloned()),
+                    Frame::Row(row) => {
+                        let fields = row.fields().map(|(l, v)| (l.clone(), v.clone()));
+                        out.owned.extend(fields)
+                    }
                     Frame::Tuple(l, row) => out.push(l, Value::Tuple(row.clone())),
                 }
                 out
@@ -155,13 +157,15 @@ impl<'a> Env<'a> {
 /// for by name, as `Env::get` searches.
 ///
 /// Each label a slot reads in a record (`var.label`, or the variable
-/// itself in a record of bindings) keeps the position it was last found
-/// at, learned from the first row that has it. Every row checks the
-/// position before it trusts it, by [`same`]; on a miss the row is
-/// searched for the label and the new position learned, so rows with
-/// permuted labels read what a search of each row reads. A slot's frame
-/// is checked the same way: a frame that does not bind the variable it
-/// was compiled for falls back to the search.
+/// itself in a record of bindings) keeps the [`Shape`] it was last found
+/// in and its position there, learned from the first row that has it.
+/// Every row's shape is checked to be that one, by address, before the
+/// position is trusted; on a miss the row's shape is searched for the
+/// label and the new shape and position learned, so rows with permuted
+/// labels read what a search of each row reads. The learned shape is
+/// held, so no later shape can take its address. A slot's frame is
+/// checked too: a frame that does not bind the variable it was compiled
+/// for falls back to the search.
 ///
 /// A compiled expression borrows its names and literals from the
 /// expression it was compiled from, so compiling one allocates only its
@@ -184,7 +188,9 @@ enum Node<'e> {
     SetBin(SetBinOp, Box<Node<'e>>, Box<Node<'e>>),
     SetCmp(SetCmpOp, Box<Node<'e>>, Box<Node<'e>>),
     Agg(AggFn, Box<Node<'e>>),
-    Tuple(Vec<(&'e Arc<str>, Node<'e>)>),
+    /// A tuple constructor: its shape, made once (or why there is none),
+    /// and its fields' expressions in that order.
+    Tuple(Result<Arc<Shape>>, Vec<Node<'e>>),
     SetLit(Vec<Node<'e>>),
     Quant {
         q: Quantifier,
@@ -205,40 +211,53 @@ struct Slot<'e> {
     label: Label<'e>,
 }
 
-/// A label to read out of a record, and the position it was last found
-/// at (a copy learns on its own; a stale position only costs a search).
+/// A label to read out of a record, and the shape it was last found in
+/// with its position there (a copy learns on its own; a row of another
+/// shape only costs a search).
 #[derive(Debug, Clone)]
 struct Label<'e> {
     name: &'e str,
-    at: Cell<usize>,
+    /// The address of the learned shape (0 before the first row) and the
+    /// position there: what every row is checked against.
+    learned: Cell<(usize, usize)>,
+    /// The learned shape, held so that no other shape can take its
+    /// address while it is the one rows are checked against.
+    shape: RefCell<Option<Arc<Shape>>>,
+}
+
+/// The address of a row's shape, as a guard compares it.
+#[inline(always)]
+fn address(shape: &Arc<Shape>) -> usize {
+    Arc::as_ptr(shape) as usize
 }
 
 impl<'e> Label<'e> {
     fn new(name: &'e str) -> Label<'e> {
         Label {
             name,
-            at: Cell::new(0),
+            learned: Cell::new((0, 0)),
+            shape: RefCell::new(None),
         }
     }
 
     /// The field `name` of `row`, if it has one: at the learned position
-    /// when the label there spells `name`, else searched for, and its
-    /// position learned.
+    /// when the row has the learned shape, else searched for, and the
+    /// row's shape and the position learned.
     #[inline(always)]
     fn find<'r>(&self, row: &'r Record) -> Option<&'r Value> {
-        match row.fields().get(self.at.get()) {
-            Some((l, v)) if same(l, self.name) => Some(v),
+        match self.learned.get() {
+            (shape, at) if shape == address(row.shape()) => row.values().get(at),
             _ => self.search(row),
         }
     }
 
-    /// [`Label::find`] past a position that holds another label.
+    /// [`Label::find`] in a row of another shape than the learned one.
     #[cold]
     fn search<'r>(&self, row: &'r Record) -> Option<&'r Value> {
-        let fields = row.fields();
-        let pos = fields.iter().position(|(l, _)| same(l, self.name))?;
-        self.at.set(pos);
-        Some(&fields[pos].1)
+        let pos = row.shape().position(self.name)?;
+        *self.shape.borrow_mut() = Some(row.shape().clone());
+        self.learned.set((address(row.shape()), pos));
+        row.values().get(pos)
     }
 
     /// [`Label::find`], or the error [`Record::get`] reports.
@@ -346,9 +365,10 @@ fn compile<'e>(expr: &'e ScalarExpr, scope: &Scope<'_>) -> Node<'e> {
         ScalarExpr::SetBin(op, a, b) => Node::SetBin(*op, go(a), go(b)),
         ScalarExpr::SetCmp(op, a, b) => Node::SetCmp(*op, go(a), go(b)),
         ScalarExpr::Agg(f, e) => Node::Agg(*f, go(e)),
-        ScalarExpr::Tuple(fields) => {
-            Node::Tuple(fields.iter().map(|(l, e)| (l, compile(e, scope))).collect())
-        }
+        ScalarExpr::Tuple(fields) => Node::Tuple(
+            Shape::new(fields.iter().map(|(l, _)| l.clone())),
+            fields.iter().map(|(_, e)| compile(e, scope)).collect(),
+        ),
         ScalarExpr::SetLit(items) => {
             Node::SetLit(items.iter().map(|e| compile(e, scope)).collect())
         }
@@ -473,10 +493,14 @@ impl Node<'_> {
                 Ok(Value::Bool(eval_set_cmp(*op, va, vb)?))
             }),
             Node::Agg(f, e) => e.with_value(env, |v| eval_agg(*f, v)),
-            Node::Tuple(fields) => {
-                // Straight into the exact-size body: no field buffer.
-                let fields = fields.iter().map(|(l, e)| Ok(((*l).clone(), e.eval(env)?)));
-                Ok(Value::Tuple(Record::try_new(fields)?))
+            Node::Tuple(shape, fields) => {
+                // Straight into the body of a row of the constructor's shape.
+                let values = fields.iter().map(|e| e.eval(env));
+                match shape {
+                    Ok(shape) => Ok(Value::Tuple(Record::try_shaped(shape.clone(), values)?)),
+                    // A field that fails wins, as building the row would.
+                    Err(e) => values.collect::<Result<Vec<_>>>().and(Err(e.clone())),
+                }
             }
             Node::SetLit(items) => {
                 let mut out = Vec::with_capacity(items.len());

@@ -365,8 +365,8 @@ impl Plan {
     /// rows unwrap to the bound value; multi-variable rows stay a tuple of
     /// bindings.
     pub fn row_output_value(row: &Record) -> Value {
-        match row.fields() {
-            [(_, only)] => only.clone(),
+        match row.values() {
+            [only] => only.clone(),
             _ => Value::Tuple(row.clone()),
         }
     }

@@ -35,7 +35,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tmql_algebra::{Compiled, Env, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::exec::sort_distinct;
-use tmql_exec::op::{hash, Emit, JoinKeys, JoinKind, Shape};
+use tmql_exec::op::{hash, Emit, JoinKeys, JoinKind, RowVar};
 use tmql_exec::planner::EquiSplit;
 use tmql_exec::Metrics;
 use tmql_model::hash::ValueHasher;
@@ -79,7 +79,10 @@ fn bench_values(c: &mut Criterion) {
         // (n, b, a): same rows, label order to be sorted on every compare.
         let permuted: Vec<Record> = x
             .iter()
-            .map(|r| Record::new(r.fields().iter().rev().cloned()).expect("distinct labels"))
+            .map(|r| {
+                let fields = r.fields().rev().map(|(l, v)| (l.clone(), v.clone()));
+                Record::new(fields.collect::<Vec<_>>()).expect("distinct labels")
+            })
             .collect();
         for (name, side) in [
             ("record_cmp/same_schema", &x),
@@ -156,7 +159,7 @@ fn bench_values(c: &mut Criterion) {
         };
         let (xv, yv) = (["x".to_string()], ["y".to_string()]);
         let keys = JoinKeys::new(&split, (&xv, &yv));
-        let bound = Shape::BOUND;
+        let bound = RowVar::BOUND;
         let build = |m: &mut Metrics| {
             hash::build(y_bound.clone(), &bound, &keys, &Env::new(), m).expect("build")
         };

@@ -110,8 +110,12 @@ fn bench_scanfilter(c: &mut Criterion) {
                 );
             }
         }
-        let _ = std::fs::remove_file(&cold_path);
-        let _ = std::fs::remove_file(&warm_path);
+        for path in [cold_path, warm_path] {
+            let _ = std::fs::remove_file(&path);
+            let mut wal = path.into_os_string();
+            wal.push(".wal");
+            let _ = std::fs::remove_file(wal);
+        }
     }
     g.finish();
 }

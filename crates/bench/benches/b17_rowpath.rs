@@ -34,6 +34,15 @@
 //! output), and a literal, the floor of an evaluation — and of `x.b`
 //! compiled for no frames (`x.b/search`: the variable searched for by
 //! name, as every variable was before expressions were compiled).
+//!
+//! The `build` group prices a row's own allocation: ns to build and drop
+//! a row of 2, 3 and 12 integer fields through a shape held once
+//! (`shaped`, what a table, a spill run or an operator does per row) and
+//! through [`Record::new`] (`new`, the checked path, which makes a fresh
+//! shape per row); and `decode_run`, the time to read back a spill run of
+//! `gen_xy`'s 2 048 `X` rows (divide by 2 048 for ns/row).
+
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tmql::{Database, Record, Table, Ty, Value};
@@ -41,6 +50,9 @@ use tmql_algebra::{Compiled, Env, JoinKind, ScalarExpr as E};
 use tmql_bench::{criterion, ladder};
 use tmql_exec::planner::EquiSplit;
 use tmql_exec::{execute, execute_values, ExecConfig, ExecContext, JoinPath, PhysPlan};
+use tmql_model::Shape;
+use tmql_storage::SpillDir;
+use tmql_workload::gen::{gen_xy, GenConfig};
 
 const WARM_POOL: usize = 4096;
 const KEYS: i64 = 64;
@@ -198,9 +210,45 @@ fn bench_lookup(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("b17_rowpath/build");
+    for width in [2usize, 3, 12] {
+        let labels: Vec<Arc<str>> = (0..width).map(|i| Arc::from(format!("f{i}"))).collect();
+        let shape = Shape::new(labels.iter().cloned()).expect("distinct labels");
+        let values = || (0..width as i64).map(Value::Int);
+        g.bench_with_input(BenchmarkId::new("shaped", width), &width, |b, _| {
+            b.iter(|| black_box(Record::shaped(shape.clone(), values())))
+        });
+        g.bench_with_input(BenchmarkId::new("new", width), &width, |b, _| {
+            b.iter(|| black_box(Record::new(labels.iter().cloned().zip(values()))))
+        });
+    }
+    let x = gen_xy(&GenConfig::sized(2048))
+        .table("X")
+        .expect("X")
+        .rows_vec();
+    let rows = x.expect("in memory");
+    let dir = SpillDir::create().expect("scratch file");
+    let mut run = dir.create_run().expect("run");
+    rows.iter().for_each(|r| run.write(r).expect("written"));
+    let run = run.finish().expect("sealed");
+    g.bench_with_input(
+        BenchmarkId::new("decode_run", rows.len()),
+        &rows,
+        |b, rows| {
+            b.iter(|| {
+                let back = run.reader().and_then(|mut r| r.read_all()).expect("read");
+                assert_eq!(back.len(), rows.len());
+                black_box(back)
+            })
+        },
+    );
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = criterion();
-    targets = bench_rowpath, bench_lookup
+    targets = bench_rowpath, bench_lookup, bench_build
 }
 criterion_main!(benches);

@@ -598,8 +598,9 @@ impl<'a> Estimator<'a> {
             }
             Node::Join(kind, &Sides { l, r, .. }, sel, (path_work, path_resident)) => {
                 let matches = l.rows * r.rows * sel;
-                // Expected matches per left row → P(left row has ≥ 1 match).
-                let match_frac = (r.rows * sel).min(1.0);
+                // P(a left row has ≥ 1 match) when each of the `r.rows`
+                // right rows matches it with probability `sel`.
+                let match_frac = 1.0 - (1.0 - sel.clamp(0.0, 1.0)).powf(r.rows.max(0.0));
                 let rows = match kind {
                     JoinKind::Inner => matches,
                     JoinKind::Semi => l.rows * match_frac,

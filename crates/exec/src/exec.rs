@@ -8,7 +8,6 @@
 //! into its record, for callers that consume row vectors.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 use tmql_algebra::{Compiled, Env, ScalarExpr};
@@ -19,7 +18,7 @@ use tmql_storage::{Catalog, SpillDir};
 use crate::config::ExecConfig;
 use crate::metrics::Metrics;
 use crate::op::operator::{self, OpProfile, OpStats};
-use crate::op::{self, Shape};
+use crate::op::{self, RowVar};
 use crate::physical::PhysPlan;
 
 /// Execution context: the catalog, accumulated metrics, and the streaming
@@ -150,7 +149,7 @@ pub fn execute(
 /// [`execute_values`] with each value put back into its record, for
 /// callers that consume rows: under a root `Map` the one-binding row
 /// `(var = value)`, under any other root the record of bindings the row
-/// was (a bare row wrapped as [`Shape::wrap`] wraps it). The rows are
+/// was (a bare row wrapped as [`RowVar::wrap`] wraps it). The rows are
 /// distinct and ascending, and only the distinct results are wrapped.
 ///
 /// `est` supplies estimated output rows per operator in executed-tree
@@ -165,11 +164,11 @@ pub fn execute_collect(
 ) -> Result<(Vec<Record>, Vec<OpProfile>)> {
     // Any other root's rows go into the result set whole, so each comes
     // back out as the record it was.
-    let whole = |shape: &Shape, row: &Record| Value::Tuple(shape.wrap(row.clone()));
+    let whole = |shape: &RowVar, row: &Record| Value::Tuple(shape.wrap(row.clone()));
     let (values, profile) = exit(plan, ctx, env, est, whole)?;
     let rows = match plan {
         PhysPlan::Map { var, .. } => {
-            let var = Arc::from(var.as_str());
+            let var = op::var_shape(var);
             values.into_iter().map(|v| op::bind_row(&var, v)).collect()
         }
         _ => values
@@ -217,7 +216,7 @@ fn exit(
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
     est: Option<&[f64]>,
-    row_value: impl Fn(&Shape, &Record) -> Value,
+    row_value: impl Fn(&RowVar, &Record) -> Value,
 ) -> Result<(Vec<Value>, Vec<OpProfile>)> {
     let (mut results, batch) = (Collector::default(), ctx.batch_size());
     // The root `Map` evaluated here, or the one the join evaluates.
@@ -237,7 +236,7 @@ fn exit(
     let span = (mapped && ctx.collect_timing()).then(Instant::now);
     let drained = root.open_timed(ctx).and_then(|()| {
         while let Some(b) = root.pull(ctx)? {
-            let shape = root.shape();
+            let shape = root.row_var();
             for row in b.rows {
                 results.values.push(match (&map, fused) {
                     (Some(map), _) => map.eval(&op::bind(env, shape, &row))?,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use tmql_algebra::{Compiled, Env};
 use tmql_model::hash::ValueMap;
-use tmql_model::{Result, SetValue, Value};
+use tmql_model::{Result, SetValue, ShapeMemo, Value};
 
 use crate::exec::ExecContext;
 use crate::op;
@@ -106,6 +106,8 @@ pub(crate) struct ApplyOp<'p> {
     child: BoxedOperator<'p>,
     subquery: &'p PhysPlan,
     label: Arc<str>,
+    /// The shape of `row ++ (label = set)`, per outer row shape.
+    shapes: ShapeMemo,
     /// The cache key's expressions; empty for an invariant subquery
     /// (single cached execution), over an outer row.
     bindings: Vec<Compiled<'p>>,
@@ -130,6 +132,7 @@ impl<'p> ApplyOp<'p> {
             child,
             subquery,
             label: Arc::from(label),
+            shapes: ShapeMemo::default(),
             bindings,
             inner: None,
             memo: Memo::default(),
@@ -156,7 +159,7 @@ impl<'p> ApplyOp<'p> {
         inner.open_timed(ctx)?;
         let res = drain(inner, ctx);
         inner.close_timed(ctx);
-        let shape = inner.shape();
+        let shape = inner.row_var();
         Ok(res?.iter().map(|r| op::output_value(shape, r)).collect())
     }
 }
@@ -185,7 +188,7 @@ impl Operator for ApplyOp<'_> {
             return Ok(None);
         };
         let mut out = Vec::with_capacity(b.len());
-        let shape = self.child.shape().clone();
+        let shape = self.child.row_var().clone();
         let (inner, subquery) = (&mut self.inner, self.subquery);
         for row in b.rows {
             // The outer row's scope; the inner tree detaches it on rebind.
@@ -211,7 +214,8 @@ impl Operator for ApplyOp<'_> {
                     }
                 }
             };
-            out.push(op::extend(&shape, &row, &self.label, Value::Set(set))?);
+            let set = Value::Set(set);
+            out.push(op::extend(&self.shapes, (&shape, &row), &self.label, set)?);
         }
         Ok(Some(Batch::new(out)))
     }

@@ -11,7 +11,7 @@ use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, OpStats, Operator};
 use crate::op::spill::{self, total_rows, Drained, PartFn, Partitions, Side};
-use crate::op::{Rows, Shape};
+use crate::op::{RowVar, Rows};
 
 /// The whole-input kernel of a breaker over `N` inputs, each a slice of rows
 /// and the shape its operator emits them in, counting into the metrics and
@@ -97,7 +97,7 @@ impl<'p, const N: usize> Breaker<'p, N> {
         // when their sum overflows.
         let fits = !ctx.over_budget(self.held);
         if let (Ok(mem), true) = (<[&[Record]; N]>::try_from(mem), fits) {
-            let rows = std::array::from_fn(|i| (mem[i], self.inputs[i].shape()));
+            let rows = std::array::from_fn(|i| (mem[i], self.inputs[i].row_var()));
             let out = (self.kernel)(rows, env, &mut ctx.metrics, stats)?;
             ctx.resident_acquire(out.len());
             self.out = out.into();
@@ -161,7 +161,7 @@ impl<const N: usize> Operator for Breaker<'_, N> {
                 return Ok(None);
             };
             let kernel = &self.kernel;
-            let shapes: [&Shape; N] = std::array::from_fn(|i| self.inputs[i].shape());
+            let shapes: [&RowVar; N] = std::array::from_fn(|i| self.inputs[i].row_var());
             self.out.extend(spill::run_partition(ctx, part, |files, m| {
                 let mut inputs = Vec::with_capacity(N);
                 for f in &files {

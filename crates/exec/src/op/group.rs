@@ -5,12 +5,13 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use tmql_algebra::{AggFn, Compiled, Env, SetOpKind};
-use tmql_model::record::Field;
-use tmql_model::{Record, Result, Value};
+use tmql_model::{Record, Result, Shape, ShapeMemo, Value};
 
 use crate::metrics::Metrics;
 
-use super::{bind, bind_row, fields, no_such_var, output_value, project, Rows};
+use super::{
+    bind, bind_row, no_such_var, output_value, project, shape_of, values, var_shape, Rows,
+};
 
 /// The nest operator ν (and ν*): group rows by the values of `keys`,
 /// collapsing each group to `keys ++ (label = {value(row) | row ∈ group})`.
@@ -31,10 +32,13 @@ pub fn nest(
     // The groups in first-seen order, and where each key's group is.
     let mut groups: Vec<(Record, Vec<Value>)> = Vec::new();
     let mut slots: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
-    let keys: Vec<Arc<str>> = keys.iter().map(|k| Arc::from(k.as_str())).collect();
+    if rows.is_empty() {
+        return Ok(Vec::new());
+    }
+    let keys = Shape::new(keys.iter().map(String::as_str))?;
     for row in rows {
         let key_rec = project(shape, row, &keys)?;
-        let keyvals: Vec<Value> = key_rec.values().cloned().collect();
+        let keyvals: Vec<Value> = key_rec.values().to_vec();
         let payload = value.eval(&bind(env, shape, row))?;
         m.comparisons += 1;
         let slot = *slots.entry(keyvals).or_insert_with(|| {
@@ -48,11 +52,12 @@ pub fn nest(
         }
         groups[slot].1.push(payload);
     }
-    let label: Arc<str> = Arc::from(label);
-    groups
-        .into_iter()
-        .map(|(rec, items)| rec.extend_field(label.clone(), Value::set(items)))
-        .collect()
+    let nested = keys.extend([&Arc::from(label)])?;
+    let row = |(rec, items): (Record, _)| {
+        let values = rec.values().iter().cloned().chain([Value::set(items)]);
+        Record::shaped(nested.clone(), values)
+    };
+    Ok(groups.into_iter().map(row).collect())
 }
 
 /// The unnest operator μ: for each row, bind every element of the set
@@ -68,25 +73,30 @@ pub fn unnest(
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
     let elem_var: Arc<str> = Arc::from(elem_var);
-    // The variables a row keeps, gathered once per row.
-    let mut kept: Vec<Field> = Vec::new();
+    let dropped = |l: &Arc<str>| drop_vars.iter().any(|d| **d == **l);
+    // The shape of a row's output rows, per the row's shape.
+    let shapes = ShapeMemo::default();
+    // The values a row keeps, gathered once per row.
+    let mut kept: Vec<Value> = Vec::new();
     for row in rows {
         let set = expr.eval(&bind(env, shape, row))?.into_set()?;
-        let mut dropped = 0;
-        kept.clear();
-        kept.extend(fields(shape, row).filter(|(l, _)| {
-            let drop = drop_vars.iter().any(|d| **d == **l);
-            dropped += usize::from(drop);
-            !drop
-        }));
-        if dropped != drop_vars.len() {
-            let bound = |d: &&String| fields(shape, row).any(|(l, _)| ***d == *l);
-            let missing = drop_vars.iter().find(|d| !bound(d));
+        let labels = shape_of(shape, row).labels();
+        if labels.iter().filter(|l| dropped(l)).count() != drop_vars.len() {
+            let missing = drop_vars
+                .iter()
+                .find(|d| !labels.iter().any(|l| ***d == **l));
             return Err(no_such_var(shape, row, missing.map_or("", |d| d)));
         }
+        let out_shape = shapes.get(shape_of(shape, row), None, || {
+            let kept = labels.iter().filter(|l| !dropped(l));
+            Shape::new(kept.chain([&elem_var]).cloned())
+        })?;
+        kept.clear();
+        let mut keep = labels.iter().map(|l| !dropped(l));
+        kept.extend(values(shape, row).filter(|_| keep.next() == Some(true)));
         for item in &set {
-            let elem = [(elem_var.clone(), item.clone())];
-            out.push(Record::new(kept.iter().cloned().chain(elem))?);
+            let values = kept.iter().cloned().chain([item.clone()]);
+            out.push(Record::shaped(out_shape.clone(), values));
         }
     }
     Ok(out)
@@ -127,16 +137,22 @@ pub(crate) fn group_agg(
         }
     }
     let mut out = Vec::with_capacity(groups.len());
-    let var: Arc<str> = Arc::from(var);
+    if groups.is_empty() {
+        return Ok(out);
+    }
+    let var = var_shape(var);
+    let labels = keys
+        .iter()
+        .map(|(l, _)| l)
+        .chain(aggs.iter().map(|(l, _, _)| l));
+    let tuple = Shape::new(labels.map(String::as_str))?;
     for (key, arglists) in groups {
-        let mut fields = Vec::with_capacity(keys.len() + aggs.len());
-        for ((label, _), v) in keys.iter().zip(key) {
-            fields.push((label.as_str(), v));
-        }
-        for ((label, f, _), args) in aggs.iter().zip(arglists) {
-            fields.push((label.as_str(), fold_agg(*f, &args)?));
-        }
-        out.push(bind_row(&var, Value::Tuple(Record::new(fields)?)));
+        let aggs = aggs
+            .iter()
+            .zip(arglists)
+            .map(|((_, f, _), args)| fold_agg(*f, &args));
+        let row = Record::try_shaped(tuple.clone(), key.into_iter().map(Ok).chain(aggs))?;
+        out.push(bind_row(&var, Value::Tuple(row)));
     }
     Ok(out)
 }
@@ -183,7 +199,7 @@ pub fn set_op(
         SetOpKind::Intersect => lvals.intersection(&rvals).cloned().collect(),
         SetOpKind::Except => lvals.difference(&rvals).cloned().collect(),
     };
-    let var: Arc<str> = Arc::from(var);
+    let var = var_shape(var);
     Ok(vals.into_iter().map(|v| bind_row(&var, v)).collect())
 }
 

@@ -19,7 +19,7 @@ use tmql_model::{Record, Result};
 
 use crate::metrics::Metrics;
 
-use super::{bind, Emit, JoinKeys, RowMatch, Rows, Shape};
+use super::{bind, Emit, JoinKeys, RowMatch, RowVar, Rows};
 
 /// A built hash table over the right (build) operand: the owned build
 /// rows, the hash of each row's key values, and one [`ChainIndex`] over
@@ -28,7 +28,7 @@ use super::{bind, Emit, JoinKeys, RowMatch, Rows, Shape};
 #[derive(Debug)]
 pub struct HashTable {
     rows: Vec<Record>,
-    shape: Shape,
+    shape: RowVar,
     hashes: Vec<u64>,
     index: ChainIndex,
 }
@@ -71,7 +71,7 @@ pub(super) fn hash_keys(
 /// equi-joins, consistent with SQL semantics in the relational baselines.
 pub fn build(
     right: Vec<Record>,
-    shape: &Shape,
+    shape: &RowVar,
     keys: &JoinKeys<'_>,
     env: &Env<'_>,
     m: &mut Metrics,
@@ -295,7 +295,7 @@ mod tests {
         let env = Env::new();
         let mut m = Metrics::new();
         let keys = keys(&lk, &rk, None);
-        let table = build(y.clone(), &Shape::BOUND, &keys, &env, &mut m).unwrap();
+        let table = build(y.clone(), &RowVar::BOUND, &keys, &env, &mut m).unwrap();
         let whole = probe(
             bound(&x),
             &table,

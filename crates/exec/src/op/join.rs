@@ -17,7 +17,7 @@ use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, OpStats, Operator};
 use crate::op::spill::{self, Drained, KeyFilter, PartFn, Partitions, Side};
-use crate::op::{self, hash, nl, Emit, JoinKeys, RowMatch, Shape};
+use crate::op::{self, hash, nl, Emit, JoinKeys, RowMatch, RowVar};
 
 /// How a [`JoinOp`] finds a left row's candidates.
 pub(super) enum Algo<'p> {
@@ -89,7 +89,7 @@ pub(super) struct JoinOp<'p> {
     right: Option<BoxedOperator<'p>>,
     /// The shape of the inner rows: the right operand's, or (index join)
     /// the fetched tuples bound to the path's `var`.
-    rs: Shape,
+    rs: RowVar,
     emit: Emit<'p>,
     algo: Algo<'p>,
     inner: Inner,
@@ -103,7 +103,7 @@ impl<'p> JoinOp<'p> {
         base: OpBase<'p>,
         left: BoxedOperator<'p>,
         right: Option<BoxedOperator<'p>>,
-        rs: Shape,
+        rs: RowVar,
         emit: Emit<'p>,
         algo: Algo<'p>,
     ) -> Self {
@@ -136,7 +136,7 @@ impl<'p> JoinOp<'p> {
 fn drain<'p>(
     algo: &Algo<'p>,
     right: &mut BoxedOperator<'p>,
-    rs: &Shape,
+    rs: &RowVar,
     ctx: &mut ExecContext<'_>,
     env: &Env<'_>,
     stats: &mut OpStats,
@@ -227,7 +227,7 @@ impl Operator for JoinOp<'_> {
             carry,
             done,
         } = self;
-        let (env, emit, ls) = (&*env, &*emit, left.shape().clone());
+        let (env, emit, ls) = (&*env, &*emit, left.row_var().clone());
         if let (Inner::Pending, Some(right)) = (&*inner, right) {
             *inner = drain(algo, right, rs, ctx, env, stats)?;
         }

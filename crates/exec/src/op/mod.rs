@@ -18,12 +18,13 @@
 //! driver they share in [`spill`].
 //!
 //! This module itself holds what all of them share: what a row between
-//! two operators *is* ([`Shape`] — a record of bindings, or the stored
+//! two operators *is* ([`RowVar`] — a record of bindings, or the stored
 //! tuple itself when `PhysPlan::row_var` names the variable it is bound
-//! to) and the only two ways an operator or kernel touches one: [`bind`]
-//! (evaluate over it) and [`fields`] (build a wider row from it, through
-//! [`concat()`], [`extend`], `null_extend`, [`project`], `output_value`).
-//! A kernel takes its inputs as [`Rows`]: a slice and its shape.
+//! to) and the only ways an operator or kernel touches one: [`bind`]
+//! (evaluate over it), and [`shape_of`] and [`values`] (build a wider row
+//! from it, through [`concat()`], [`extend`], `null_extend`, [`project`],
+//! `output_value`). A kernel takes its inputs as [`Rows`]: a slice and
+//! how its rows are bound.
 
 pub(crate) mod apply;
 mod breaker;
@@ -41,8 +42,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use tmql_algebra::{Compiled, Env, Plan, ScalarExpr};
-use tmql_model::record::Field;
-use tmql_model::{ModelError, Record, Result, SetValue, Value};
+use tmql_model::{ModelError, Record, Result, SetValue, Shape, ShapeMemo, Value};
 
 use crate::metrics::Metrics;
 use crate::physical::PhysPlan;
@@ -53,27 +53,40 @@ use crate::planner::EquiSplit;
 /// what joins, maps and groupings build), or, when
 /// `PhysPlan::row_var` says so, the **stored tuple itself**, bound to
 /// that one variable by the plan alone: a scan hands out the handles
-/// storage gave it and allocates nothing.
+/// storage gave it and allocates nothing. The variable is held as the
+/// one-label [`Shape`] `(var)` — the shape of the binding a bare row
+/// contributes to a wider row.
 ///
-/// Operators never look inside a `Shape`. They go through [`bind`] to
-/// evaluate over a row and through [`fields`] (or the builders on top of
-/// it) to make a wider row out of it; only the executor's exits
-/// ([`Shape::wrap`]) turn a bare row into the record its callers expect.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Shape(Option<Arc<str>>);
+/// Operators never look inside a `RowVar`. They go through [`bind`] to
+/// evaluate over a row and through [`shape_of`] and [`values`] (or the
+/// builders on top of them) to make a wider row out of it; only the
+/// executor's exits ([`RowVar::wrap`]) turn a bare row into the record
+/// its callers expect.
+#[derive(Debug, Clone, Default)]
+pub struct RowVar(Option<Arc<Shape>>);
 
-impl Shape {
+impl PartialEq for RowVar {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Shape::same(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl RowVar {
     /// Records of bindings.
-    pub const BOUND: Shape = Shape(None);
+    pub const BOUND: RowVar = RowVar(None);
 
     /// Bare tuples, each bound to `var`.
-    pub fn bare(var: &str) -> Shape {
-        Shape(Some(Arc::from(var)))
+    pub fn bare(var: &str) -> RowVar {
+        RowVar(Some(var_shape(var)))
     }
 
-    /// The shape of `plan`'s output rows.
-    pub fn of(plan: &PhysPlan) -> Shape {
-        Shape(plan.row_var().map(Arc::from))
+    /// How `plan`'s output rows are bound.
+    pub fn of(plan: &PhysPlan) -> RowVar {
+        RowVar(plan.row_var().map(var_shape))
     }
 
     /// A row leaving the executor, as a record of bindings.
@@ -85,80 +98,116 @@ impl Shape {
     }
 }
 
-/// A slice of rows and the shape they all have: one kernel input.
-pub type Rows<'a> = (&'a [Record], &'a Shape);
+/// A slice of rows and how they are all bound: one kernel input.
+pub type Rows<'a> = (&'a [Record], &'a RowVar);
+
+/// The one-label shape `(var)` of the rows an operator binding `var`
+/// builds: made once per operator.
+pub fn var_shape(var: &str) -> Arc<Shape> {
+    Shape::single(Arc::from(var))
+}
 
 /// The one-binding row `(var = value)` that computing operators (map, set
-/// expression scan, grouping, set operations) emit. Operators intern `var`
-/// once when they are built, so binding a row allocates the row body and
-/// nothing else.
-pub fn bind_row(var: &Arc<str>, value: Value) -> Record {
-    Record::single(var.clone(), value)
+/// expression scan, grouping, set operations) emit. Operators make the
+/// shape `(var)` once when they are built ([`var_shape`]), so binding a
+/// row allocates the row body and nothing else.
+pub fn bind_row(var: &Arc<Shape>, value: Value) -> Record {
+    Record::shaped(var.clone(), [value])
 }
 
 /// `env` with `row`'s variables bound in front, for as long as the result
 /// lives: the one way operators evaluate over a row.
-pub fn bind<'e>(env: &'e Env<'e>, shape: &'e Shape, row: &'e Record) -> Env<'e> {
-    match &shape.0 {
+pub fn bind<'e>(env: &'e Env<'e>, rv: &'e RowVar, row: &'e Record) -> Env<'e> {
+    match &rv.0 {
         None => env.bind_row(row),
-        Some(var) => env.bind_tuple(var, row),
+        Some(var) => env.bind_tuple(&var.labels()[0], row),
     }
 }
 
-/// The `(label, value)` pairs of [`fields`]; its length is exact, so a
-/// record collected from it (or from chains of it) is one allocation.
-pub type Fields<'r> =
-    std::iter::Chain<std::iter::Cloned<std::slice::Iter<'r, Field>>, std::option::IntoIter<Field>>;
+/// The shape of the bindings `row` contributes when a wider row is built
+/// from it.
+pub fn shape_of<'r>(rv: &'r RowVar, row: &'r Record) -> &'r Arc<Shape> {
+    match &rv.0 {
+        None => row.shape(),
+        Some(var) => var,
+    }
+}
 
-/// The `(variable, value)` pairs `row` contributes when a wider row is
-/// built from it.
-pub fn fields<'r>(shape: &Shape, row: &'r Record) -> Fields<'r> {
-    let (bound, bare): (&[Field], _) = match &shape.0 {
-        None => (row.fields(), None),
-        Some(var) => (&[], Some((var.clone(), Value::Tuple(row.clone())))),
+/// The values of [`values`], in [`shape_of`]'s order; its length is exact.
+pub type Values<'r> =
+    std::iter::Chain<std::iter::Cloned<std::slice::Iter<'r, Value>>, std::option::IntoIter<Value>>;
+
+/// The values of the bindings `row` contributes when a wider row is built
+/// from it.
+pub fn values<'r>(rv: &RowVar, row: &'r Record) -> Values<'r> {
+    let (bound, bare): (&[Value], _) = match &rv.0 {
+        None => (row.values(), None),
+        Some(_) => (&[], Some(Value::Tuple(row.clone()))),
     };
     bound.iter().cloned().chain(bare)
 }
 
-/// Tuple concatenation `l ++ r` of two rows (Section 6).
-pub fn concat(ls: &Shape, l: &Record, rs: &Shape, r: &Record) -> Result<Record> {
-    Record::new(fields(ls, l).chain(fields(rs, r)))
+/// Tuple concatenation `l ++ r` of two rows (Section 6), under the shape
+/// `shapes` derives for their shapes.
+pub fn concat(
+    shapes: &ShapeMemo,
+    (ls, l): (&RowVar, &Record),
+    (rs, r): (&RowVar, &Record),
+) -> Result<Record> {
+    let (a, b) = (shape_of(ls, l), shape_of(rs, r));
+    let shape = shapes.get(a, Some(b), || a.concat(b))?;
+    Ok(Record::shaped(shape, values(ls, l).chain(values(rs, r))))
 }
 
-/// The paper's `x ++ (label = value)`.
-pub fn extend(shape: &Shape, row: &Record, label: &Arc<str>, value: Value) -> Result<Record> {
-    Record::new(fields(shape, row).chain([(label.clone(), value)]))
+/// The paper's `x ++ (label = value)`, under the shape `shapes` derives
+/// for the row's.
+pub fn extend(
+    shapes: &ShapeMemo,
+    (rv, row): (&RowVar, &Record),
+    label: &Arc<str>,
+    value: Value,
+) -> Result<Record> {
+    let a = shape_of(rv, row);
+    let shape = shapes.get(a, None, || a.extend([label]))?;
+    Ok(Record::shaped(shape, values(rv, row).chain([value])))
 }
 
 /// NULL-extend a row with the given variables (outerjoin dangling side).
-pub(crate) fn null_extend(shape: &Shape, row: &Record, vars: &[Arc<str>]) -> Result<Record> {
-    let nulls = vars.iter().map(|v| (v.clone(), Value::Null));
-    Record::new(fields(shape, row).chain(nulls))
+pub(crate) fn null_extend(
+    shapes: &ShapeMemo,
+    (rv, row): (&RowVar, &Record),
+    vars: &[Arc<str>],
+) -> Result<Record> {
+    let a = shape_of(rv, row);
+    let shape = shapes.get(a, None, || a.extend(vars))?;
+    let nulls = vars.iter().map(|_| Value::Null);
+    Ok(Record::shaped(shape, values(rv, row).chain(nulls)))
 }
 
-/// Projection of a row onto `vars` (in the order given).
-pub fn project(shape: &Shape, row: &Record, vars: &[Arc<str>]) -> Result<Record> {
+/// Projection of a row onto the variables of `vars`, in its order.
+pub fn project(rv: &RowVar, row: &Record, vars: &Arc<Shape>) -> Result<Record> {
     let root = Env::new();
-    let env = bind(&root, shape, row);
-    let get = |v: &Arc<str>| match env.get(v) {
-        Ok(value) => Ok((v.clone(), value)),
-        Err(_) => Err(no_such_var(shape, row, v)),
-    };
-    Record::try_new(vars.iter().map(get))
+    let env = bind(&root, rv, row);
+    let get = |v: &Arc<str>| env.get(v).map_err(|_| no_such_var(rv, row, v));
+    Record::try_shaped(vars.clone(), vars.labels().iter().map(get))
 }
 
 /// The error for a variable a row does not bind.
-pub(crate) fn no_such_var(shape: &Shape, row: &Record, var: &str) -> ModelError {
+pub(crate) fn no_such_var(rv: &RowVar, row: &Record, var: &str) -> ModelError {
     ModelError::NoSuchField {
         field: var.to_string(),
-        available: fields(shape, row).map(|(l, _)| l.to_string()).collect(),
+        available: shape_of(rv, row)
+            .labels()
+            .iter()
+            .map(|l| l.to_string())
+            .collect(),
     }
 }
 
 /// A row's output value (the convention of [`Plan::row_output_value`]): a
 /// bare row is its one binding's value.
-pub(crate) fn output_value(shape: &Shape, row: &Record) -> Value {
-    match &shape.0 {
+pub(crate) fn output_value(rv: &RowVar, row: &Record) -> Value {
+    match &rv.0 {
         None => Plan::row_output_value(row),
         Some(_) => Value::Tuple(row.clone()),
     }
@@ -302,6 +351,8 @@ pub struct Emit<'p> {
     /// Rows the selection rejected that the operator has not yet counted
     /// in its `rows_skipped`.
     skipped: Cell<u64>,
+    /// The shape of the rows the kind builds, per input shape.
+    shapes: ShapeMemo,
 }
 
 impl<'p> From<JoinKind<'p>> for Emit<'p> {
@@ -365,6 +416,7 @@ impl<'p> Emit<'p> {
             map,
             clash,
             skipped: Cell::new(0),
+            shapes: ShapeMemo::default(),
         }
     }
 
@@ -437,8 +489,8 @@ impl RowMatch {
     pub(crate) fn hit(
         &mut self,
         emit: &Emit<'_>,
-        (ls, l): (&Shape, &Record),
-        (rs, r): (&Shape, &Record),
+        (ls, l): (&RowVar, &Record),
+        (rs, r): (&RowVar, &Record),
         pair: &Env<'_>,
         m: &mut Metrics,
         out: &mut Vec<Record>,
@@ -446,7 +498,7 @@ impl RowMatch {
         self.matched = true;
         match &emit.kind {
             JoinKind::Inner | JoinKind::LeftOuter { .. } => {
-                emit.push(pair, m, out, || concat(ls, l, rs, r))?
+                emit.push(pair, m, out, || concat(&emit.shapes, (ls, l), (rs, r)))?
             }
             JoinKind::Semi | JoinKind::Anti => {}
             JoinKind::Nest { func, .. } => self.nested.push(func.eval(pair)?),
@@ -468,7 +520,7 @@ impl RowMatch {
     pub(crate) fn finish(
         &mut self,
         emit: &Emit<'_>,
-        (ls, l): (&Shape, &Record),
+        (ls, l): (&RowVar, &Record),
         env: &Env<'_>,
         m: &mut Metrics,
         out: &mut Vec<Record>,
@@ -486,7 +538,8 @@ impl RowMatch {
             JoinKind::LeftOuter { right_vars } => {
                 if !matched {
                     let dangling = left.bind_row(&emit.nulls);
-                    emit.push(&dangling, m, out, || null_extend(ls, l, right_vars))?;
+                    let null_extended = || null_extend(&emit.shapes, (ls, l), right_vars);
+                    emit.push(&dangling, m, out, null_extended)?;
                 }
             }
             JoinKind::Nest { label, .. } => {
@@ -495,7 +548,7 @@ impl RowMatch {
                 if emit.admits(&row, m)? {
                     out.push(match &emit.map {
                         Some(map) => mapped(map, &row)?,
-                        None => extend(ls, l, label, set)?,
+                        None => extend(&emit.shapes, (ls, l), label, set)?,
                     });
                 }
             }
@@ -507,7 +560,7 @@ impl RowMatch {
 /// Test inputs built by hand are records of bindings.
 #[cfg(test)]
 pub(crate) fn bound(rows: &[Record]) -> Rows<'_> {
-    static BOUND: Shape = Shape::BOUND;
+    static BOUND: RowVar = RowVar::BOUND;
     (rows, &BOUND)
 }
 
@@ -558,7 +611,7 @@ mod tests {
         let mut env = Env::new();
         env.push("a", Value::Int(0));
         let row = stored();
-        for shape in [Shape::BOUND, Shape::bare("a")] {
+        for shape in [RowVar::BOUND, RowVar::bare("a")] {
             let inner = bind(&env, &shape, &row);
             assert_ne!(inner.get("a").unwrap(), Value::Int(0), "{shape:?}");
         }
@@ -568,7 +621,8 @@ mod tests {
     #[test]
     fn null_extend_binds_nulls() {
         let row = Record::new([("x".to_string(), Value::Int(1))]).unwrap();
-        let out = null_extend(&Shape::BOUND, &row, &["y".into(), "z".into()]).unwrap();
+        let memo = ShapeMemo::default();
+        let out = null_extend(&memo, (&RowVar::BOUND, &row), &["y".into(), "z".into()]).unwrap();
         assert!(out.get("y").unwrap().is_null());
         assert!(out.get("z").unwrap().is_null());
     }
@@ -576,39 +630,50 @@ mod tests {
     #[test]
     fn a_bare_row_builds_what_its_envelope_built() {
         let row = stored();
-        let (bare, bound) = (Shape::bare("x"), Shape::BOUND);
+        let (bare, bound) = (RowVar::bare("x"), RowVar::BOUND);
         let envelope = bare.wrap(row.clone());
-        assert_eq!(envelope, bind_row(&"x".into(), Value::Tuple(row.clone())));
+        assert_eq!(
+            envelope,
+            bind_row(&var_shape("x"), Value::Tuple(row.clone()))
+        );
         assert_eq!(bound.wrap(envelope.clone()), envelope);
         let other = Record::new([("y", Value::Int(9))]).unwrap();
         let label: Arc<str> = "s".into();
-        let vars: Vec<Arc<str>> = vec!["x".into()];
+        let vars = Shape::new(["x"]).unwrap();
+        // A memo per builder, as an operator holds one: a bare row and its
+        // envelope have one shape of bindings, so the second call reuses
+        // the first one's output shape.
+        let m = || ShapeMemo::default();
+        let (concat_a, concat_b, ext, nulls) = (m(), m(), m(), m());
         assert_eq!(
-            concat(&bare, &row, &bound, &other).unwrap(),
-            concat(&bound, &envelope, &bound, &other).unwrap()
+            concat(&concat_a, (&bare, &row), (&bound, &other)).unwrap(),
+            concat(&concat_a, (&bound, &envelope), (&bound, &other)).unwrap()
         );
         assert_eq!(
-            concat(&bound, &other, &bare, &row).unwrap(),
-            concat(&bound, &other, &bound, &envelope).unwrap()
+            concat(&concat_b, (&bound, &other), (&bare, &row)).unwrap(),
+            concat(&concat_b, (&bound, &other), (&bound, &envelope)).unwrap()
         );
         assert_eq!(
-            extend(&bare, &row, &label, Value::empty_set()).unwrap(),
-            extend(&bound, &envelope, &label, Value::empty_set()).unwrap()
+            extend(&ext, (&bare, &row), &label, Value::empty_set()).unwrap(),
+            extend(&ext, (&bound, &envelope), &label, Value::empty_set()).unwrap()
         );
         assert_eq!(
-            null_extend(&bare, &row, &["y".into()]).unwrap(),
-            null_extend(&bound, &envelope, &["y".into()]).unwrap()
+            null_extend(&nulls, (&bare, &row), &["y".into()]).unwrap(),
+            null_extend(&nulls, (&bound, &envelope), &["y".into()]).unwrap()
         );
         assert_eq!(project(&bare, &row, &vars).unwrap(), envelope);
         assert_eq!(project(&bound, &envelope, &vars).unwrap(), envelope);
-        assert_eq!(project(&bare, &row, &[]).unwrap(), Record::empty());
+        assert_eq!(
+            project(&bare, &row, Shape::empty()).unwrap(),
+            Record::empty()
+        );
         assert_eq!(output_value(&bare, &row), Value::Tuple(row.clone()));
         assert_eq!(output_value(&bound, &envelope), Value::Tuple(row.clone()));
         assert_eq!(output_value(&bound, &row), Value::Tuple(row.clone()));
         // Clashing and missing variables are the errors they were.
-        assert!(extend(&bare, &row, &"x".into(), Value::Null).is_err());
-        assert!(concat(&bare, &row, &bare, &row).is_err());
-        let missing: Vec<Arc<str>> = vec!["a".into()];
+        assert!(extend(&m(), (&bare, &row), &"x".into(), Value::Null).is_err());
+        assert!(concat(&m(), (&bare, &row), (&bare, &row)).is_err());
+        let missing = Shape::new(["a"]).unwrap();
         assert_eq!(
             project(&bare, &row, &missing).unwrap_err(),
             envelope.project(&["a"]).unwrap_err()
@@ -628,7 +693,7 @@ mod tests {
         // The second row's `e` is no tuple: `x.e.z` fails once it matches.
         let dirty = vec![clean[0].clone(), x(2, Value::Int(7))];
         let right = vec![y(1), y(2), y(1)];
-        let (xs, ys) = (Shape::bare("x"), Shape::bare("y"));
+        let (xs, ys) = (RowVar::bare("x"), RowVar::bare("y"));
         let (lk, rk) = ([E::path("x", &["d"])], [E::path("y", &["b"])]);
         let pred = E::eq(lk[0].clone(), rk[0].clone());
         let kind = JoinKind::Nest {
@@ -654,7 +719,8 @@ mod tests {
             Value::tuple(fields.map(|(l, v)| (l, Value::Int(v))))
         };
         let nested = Value::set([item(10)]);
-        let want = vec![extend(&xs, &clean[0], &"s".into(), nested).unwrap()];
+        let memo = ShapeMemo::default();
+        let want = vec![extend(&memo, (&xs, &clean[0]), &"s".into(), nested).unwrap()];
         for (name, kernel) in [("hash", hash), ("nl", nl), ("merge", merge)] {
             let err = kernel(&dirty, &env).unwrap_err();
             assert!(

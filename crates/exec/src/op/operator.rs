@@ -28,10 +28,10 @@
 //! one partition driver in [`crate::op::spill`] decides what happens to
 //! each spilled partition for all of them.
 //!
-//! Rows arrive in the [`Shape`] their producer reports
-//! ([`Operator::shape`], decided by `PhysPlan::row_var`): a scan's rows
+//! Rows arrive in the [`RowVar`] their producer reports
+//! ([`Operator::row_var`], decided by `PhysPlan::row_var`): a scan's rows
 //! are the stored tuples themselves, and every consumer reads them through
-//! [`op::bind`] and [`op::fields`] only.
+//! [`op::bind`], [`op::shape_of`] and [`op::values`] only.
 //!
 //! The operator tree borrows the [`PhysPlan`] it was built from (no
 //! expression cloning) and owns only its correlation [`Env`]; a row is
@@ -54,7 +54,7 @@ use crate::op::join::{Algo, JoinOp};
 use crate::op::scan::{IndexScanOp, ScanExprOp, ScanTableOp};
 use crate::op::spill::{self, keys_part, value_part};
 use crate::op::stream::{ExtendOp, FilterOp, MapOp, ProjectOp, UnnestOp};
-use crate::op::{self, group, merge, Emit, JoinKeys, Shape};
+use crate::op::{self, group, merge, Emit, JoinKeys, RowVar};
 use crate::physical::{JoinPath, PhysPlan};
 
 /// A unit of streamed data: up to `batch_size` rows.
@@ -121,8 +121,8 @@ pub trait Operator {
     /// Display label: the plan node's `PhysPlan::op_label`.
     fn label(&self) -> String;
 
-    /// The layout of the rows this operator emits.
-    fn shape(&self) -> &Shape;
+    /// How the rows this operator emits are bound.
+    fn row_var(&self) -> &RowVar;
 
     /// Reset to the start of the stream and open children.
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()>;
@@ -355,14 +355,15 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
 }
 
 /// What an operator knows per plan node rather than per row: the node it
-/// was built from (whose [`PhysPlan::op_label`] is its label), the shape
-/// of the rows it emits, its correlation environment and its output
-/// counters. Every operator holds one as `base` and gets `label`, `shape`,
+/// was built from (whose [`PhysPlan::op_label`] is its label), how the
+/// rows it emits are bound ([`RowVar`]), its correlation environment and
+/// its output counters. Every operator holds one as `base` and gets
+/// `label`, `row_var`,
 /// `stats`, `stats_mut`, `children` and the default `rebind` from
 /// [`op_base!`](op_base).
 pub(crate) struct OpBase<'p> {
     pub(super) plan: &'p PhysPlan,
-    pub(super) shape: Shape,
+    pub(super) row_var: RowVar,
     pub(super) env: Env<'static>,
     pub(super) stats: OpStats,
 }
@@ -370,10 +371,10 @@ pub(crate) struct OpBase<'p> {
 impl OpBase<'_> {
     /// For an operator that may hand its first input's rows on unchanged:
     /// when the plan says this node does ([`PhysPlan::row_var`]), its rows
-    /// have whatever shape that input's really have.
+    /// are bound as that input's really are.
     pub(super) fn over(mut self, first: &BoxedOperator<'_>) -> Self {
-        if self.shape != Shape::BOUND {
-            self.shape = first.shape().clone();
+        if self.row_var != RowVar::BOUND {
+            self.row_var = first.row_var().clone();
         }
         self
     }
@@ -389,8 +390,8 @@ macro_rules! op_base {
             self.base.plan.op_label()
         }
 
-        fn shape(&self) -> &$crate::op::Shape {
-            &self.base.shape
+        fn row_var(&self) -> &$crate::op::RowVar {
+            &self.base.row_var
         }
 
         fn stats(&self) -> $crate::op::operator::OpStats {
@@ -488,7 +489,7 @@ fn node<'p>(
     let over = |input: &PhysPlan, e: &'p ScalarExpr| Compiled::new(e, &[&input.output_vars()]);
     let base = OpBase {
         plan,
-        shape: Shape::of(plan),
+        row_var: RowVar::of(plan),
         env: env.detach(),
         stats: OpStats::default(),
     };
@@ -564,14 +565,14 @@ fn node<'p>(
                         key: Compiled::new(key, &[&lv]),
                         pred: Compiled::new(pred, pair),
                     };
-                    let rs = Shape::bare(var);
+                    let rs = RowVar::bare(var);
                     return Box::new(JoinOp::new(base, left, None, rs, emit, algo));
                 }
                 JoinPath::Hash { right, keys } => {
                     let (right, keys) = (sub(right), JoinKeys::new(keys, vars));
                     let algo = Algo::Hash {
-                        build_part: keys_part(keys.right.clone(), right.shape()),
-                        probe_part: keys_part(keys.left.clone(), left.shape()),
+                        build_part: keys_part(keys.right.clone(), right.row_var()),
+                        probe_part: keys_part(keys.left.clone(), left.row_var()),
                         keys,
                     };
                     (right, algo)
@@ -579,8 +580,8 @@ fn node<'p>(
                 JoinPath::SortMerge { right, keys } => {
                     let (right, keys) = (sub(right), JoinKeys::new(keys, vars));
                     let parts = [
-                        keys_part(keys.left.clone(), left.shape()),
-                        keys_part(keys.right.clone(), right.shape()),
+                        keys_part(keys.left.clone(), left.row_var()),
+                        keys_part(keys.right.clone(), right.row_var()),
                     ];
                     return Box::new(Breaker::new(
                         base.over(&left),
@@ -594,7 +595,7 @@ fn node<'p>(
                     ));
                 }
             };
-            let rs = right.shape().clone();
+            let rs = right.row_var().clone();
             Box::new(JoinOp::new(base, left, Some(right), rs, emit, algo))
         }
         PhysPlan::Nest {
@@ -606,7 +607,7 @@ fn node<'p>(
         } => {
             let value = over(input, value);
             let input = sub(input);
-            let shape = input.shape().clone();
+            let shape = input.row_var().clone();
             Box::new(Breaker::new(
                 base,
                 // Groups co-partition by the hash of the grouping fields.
@@ -637,7 +638,7 @@ fn node<'p>(
                 .map(|(l, f, e)| (l.clone(), *f, over(e)))
                 .collect();
             let input = sub(input);
-            let shape = input.shape().clone();
+            let shape = input.row_var().clone();
             let part_keys: Vec<Compiled> = keys.iter().map(|(_, k)| k.clone()).collect();
             Box::new(Breaker::new(
                 base,
@@ -666,7 +667,7 @@ fn node<'p>(
                 base,
                 // Equal output values co-partition, so per-partition
                 // union/intersect/except concatenate to the global result.
-                [value_part(left.shape()), value_part(right.shape())],
+                [value_part(left.row_var()), value_part(right.row_var())],
                 [left, right],
                 Box::new(move |[l, r], _env, m, _| group::set_op(*kind, l, r, var, m)),
             ))

@@ -5,7 +5,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use tmql_algebra::{eval, CmpOp, Compiled, ScalarExpr};
-use tmql_model::{ModelError, Record, Result, Value};
+use tmql_model::{ModelError, Record, Result, Shape, Value};
 use tmql_storage::spill::RunReader;
 use tmql_storage::RowTest;
 
@@ -110,9 +110,9 @@ impl Operator for ScanTableOp<'_> {
                 ctx.metrics.comparisons += visited as u64;
                 ctx.metrics.rows_emitted += visited as u64;
                 self.base.stats.rows_skipped += (visited - rows.len()) as u64;
-                let OpBase { env, shape, .. } = &self.base;
+                let OpBase { env, row_var, .. } = &self.base;
                 for row in rows {
-                    if pred.test(&op::bind(env, shape, &row))? {
+                    if pred.test(&op::bind(env, row_var, &row))? {
                         ctx.resident_acquire(1);
                         self.carry.push_back(row);
                     }
@@ -224,10 +224,10 @@ impl Operator for IndexScanOp<'_> {
         let mut rows = Vec::with_capacity(n.min(positions.len().saturating_sub(self.cursor)));
         while rows.is_empty() && self.cursor < positions.len() {
             let end = (self.cursor + n).min(positions.len());
-            let OpBase { env, shape, .. } = &self.base;
+            let OpBase { env, row_var, .. } = &self.base;
             for row in t.fetch_rows(&positions[self.cursor..end])? {
                 ctx.metrics.comparisons += 1;
-                if self.pred.test(&op::bind(env, shape, &row))? {
+                if self.pred.test(&op::bind(env, row_var, &row))? {
                     rows.push(row);
                 }
             }
@@ -253,7 +253,8 @@ pub(super) struct ScanExprOp<'p> {
     base: OpBase<'p>,
     /// Over the correlation environment alone.
     expr: Compiled<'p>,
-    var: Arc<str>,
+    /// The shape `(var)` of the rows it emits.
+    var: Arc<Shape>,
     items: Option<VecDeque<Value>>,
     /// The spilled tail, being read back.
     overflow: Option<RunReader>,
@@ -264,7 +265,7 @@ impl<'p> ScanExprOp<'p> {
         ScanExprOp {
             base,
             expr: Compiled::new(expr, &[]),
-            var: Arc::from(var),
+            var: op::var_shape(var),
             items: None,
             overflow: None,
         }

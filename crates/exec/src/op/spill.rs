@@ -47,7 +47,7 @@ use tmql_storage::spill::{RunWriter, SpillFile};
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::operator::{pop_carry, Batch, BoxedOperator, OpStats};
-use crate::op::{self, Shape};
+use crate::op::{self, RowVar};
 
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
@@ -97,7 +97,7 @@ pub(crate) fn hash_record(rec: &Record, seed: u64) -> u64 {
 /// Partition-key function over equi-join keys of rows of `shape`: the
 /// seeded hash of the key values, taken by reference out of the row (no
 /// key is evaluated into a value of its own), `None` for NULL keys.
-pub fn keys_part<'p>(keys: Vec<Compiled<'p>>, shape: &Shape) -> PartFn<'p> {
+pub fn keys_part<'p>(keys: Vec<Compiled<'p>>, shape: &RowVar) -> PartFn<'p> {
     let shape = shape.clone();
     Box::new(move |r, env, seed| {
         op::hash::hash_keys(&keys, &op::bind(env, &shape, r), seed_hasher(seed))
@@ -106,7 +106,7 @@ pub fn keys_part<'p>(keys: Vec<Compiled<'p>>, shape: &Shape) -> PartFn<'p> {
 
 /// Partition-key function over a row's output value (set operations
 /// compare whole output values, so equal values must co-partition).
-pub(crate) fn value_part(shape: &Shape) -> PartFn<'static> {
+pub(crate) fn value_part(shape: &RowVar) -> PartFn<'static> {
     let shape = shape.clone();
     Box::new(move |r, _env, seed| {
         let mut h = seed_hasher(seed);
@@ -747,7 +747,7 @@ mod tests {
         // `hash % 8` — would share an eighth of their table's buckets.
         let exprs = [ScalarExpr::path("x", &["k"])];
         let keys = op::compile_all(&exprs, &[&["x".into()]]);
-        let shape = Shape::bare("x");
+        let shape = RowVar::bare("x");
         let part = keys_part(keys.clone(), &shape);
         let rows: Vec<Record> = (0..8192)
             .map(|k| Record::single("k".into(), Value::Int(k)))

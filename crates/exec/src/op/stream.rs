@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tmql_algebra::Compiled;
-use tmql_model::{Record, Result};
+use tmql_model::{Record, Result, Shape, ShapeMemo};
 
 use crate::exec::ExecContext;
 use crate::op::operator::{op_base, pop_carry, Batch, BoxedOperator, OpBase, Operator};
@@ -42,7 +42,7 @@ impl Operator for FilterOp<'_> {
             let mut out = Vec::new();
             for row in b.rows {
                 ctx.metrics.comparisons += 1;
-                let env = op::bind(&self.base.env, self.child.shape(), &row);
+                let env = op::bind(&self.base.env, self.child.row_var(), &row);
                 if self.pred.test(&env)? {
                     out.push(row);
                 }
@@ -69,7 +69,8 @@ pub(super) struct MapOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
     expr: Compiled<'p>,
-    var: Arc<str>,
+    /// The shape `(var)` of the rows it emits.
+    var: Arc<Shape>,
     dedup: SpillDedup,
 }
 
@@ -84,7 +85,7 @@ impl<'p> MapOp<'p> {
             base,
             child,
             expr,
-            var: Arc::from(var),
+            var: op::var_shape(var),
             dedup: SpillDedup::new(),
         }
     }
@@ -100,7 +101,7 @@ impl Operator for MapOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let OpBase { env, stats, .. } = &mut self.base;
-        let (shape, expr) = (self.child.shape().clone(), &self.expr);
+        let (shape, expr) = (self.child.row_var().clone(), &self.expr);
         self.dedup.next_batch(&mut self.child, ctx, stats, |row| {
             let v = expr.eval(&op::bind(env, &shape, &row))?;
             Ok(op::bind_row(&self.var, v))
@@ -119,6 +120,8 @@ pub(super) struct ExtendOp<'p> {
     child: BoxedOperator<'p>,
     expr: Compiled<'p>,
     var: Arc<str>,
+    /// The shape of `row ++ (var = value)`, per input row shape.
+    shapes: ShapeMemo,
 }
 
 impl<'p> ExtendOp<'p> {
@@ -133,6 +136,7 @@ impl<'p> ExtendOp<'p> {
             child,
             expr,
             var: Arc::from(var),
+            shapes: ShapeMemo::default(),
         }
     }
 }
@@ -149,10 +153,10 @@ impl Operator for ExtendOp<'_> {
             return Ok(None);
         };
         let mut out = Vec::with_capacity(b.len());
-        let shape = self.child.shape();
+        let shape = self.child.row_var();
         for row in b.rows {
             let v = self.expr.eval(&op::bind(&self.base.env, shape, &row))?;
-            out.push(op::extend(shape, &row, &self.var, v)?);
+            out.push(op::extend(&self.shapes, (shape, &row), &self.var, v)?);
         }
         Ok(Some(Batch::new(out)))
     }
@@ -167,7 +171,9 @@ impl Operator for ExtendOp<'_> {
 pub(super) struct ProjectOp<'p> {
     base: OpBase<'p>,
     child: BoxedOperator<'p>,
-    vars: Vec<Arc<str>>,
+    /// The variables kept, as the shape of the rows it emits (or why
+    /// they make none).
+    vars: Result<Arc<Shape>>,
     dedup: SpillDedup,
 }
 
@@ -176,7 +182,7 @@ impl<'p> ProjectOp<'p> {
         ProjectOp {
             base,
             child,
-            vars: vars.iter().map(|v| Arc::from(v.as_str())).collect(),
+            vars: Shape::new(vars.iter().map(String::as_str)),
             dedup: SpillDedup::new(),
         }
     }
@@ -192,9 +198,9 @@ impl Operator for ProjectOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let stats = &mut self.base.stats;
-        let shape = self.child.shape().clone();
+        let shape = self.child.row_var().clone();
         self.dedup.next_batch(&mut self.child, ctx, stats, |row| {
-            op::project(&shape, &row, &self.vars)
+            op::project(&shape, &row, self.vars.as_ref().map_err(Clone::clone)?)
         })
     }
 
@@ -256,7 +262,7 @@ impl Operator for UnnestOp<'_> {
                 None => self.done = true,
                 Some(b) => {
                     let expanded = group::unnest(
-                        (&b.rows, self.child.shape()),
+                        (&b.rows, self.child.row_var()),
                         &self.expr,
                         self.elem_var,
                         self.drop_vars,

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 use tmql_algebra::{AggFn, CmpOp, Env, JoinKind, Plan, ScalarExpr as E};
 use tmql_exec::op::operator::{build, build_with, drain, Batch, BoxedOperator, OpStats};
-use tmql_exec::op::Shape;
+use tmql_exec::op::RowVar;
 use tmql_exec::planner::EquiSplit;
 use tmql_exec::{
     execute, lower, run, run_values, ExecConfig, ExecContext, JoinAlgo, JoinPath, Operator,
@@ -397,8 +397,8 @@ impl Operator for Envelope<'_> {
     fn label(&self) -> String {
         self.leaf.label()
     }
-    fn shape(&self) -> &Shape {
-        &Shape::BOUND
+    fn row_var(&self) -> &RowVar {
+        &RowVar::BOUND
     }
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> tmql_model::Result<()> {
         self.leaf.open(ctx)
@@ -410,7 +410,7 @@ impl Operator for Envelope<'_> {
         self.leaf.next_batch(ctx)
     }
     fn pull(&mut self, ctx: &mut ExecContext<'_>) -> tmql_model::Result<Option<Batch>> {
-        let shape = self.leaf.shape().clone();
+        let shape = self.leaf.row_var().clone();
         let wrap = |b: Batch| Batch::new(b.rows.into_iter().map(|r| shape.wrap(r)).collect());
         Ok(self.leaf.pull(ctx)?.map(wrap))
     }
@@ -797,7 +797,7 @@ fn run_shaped(plan: &PhysPlan, cat: &Catalog, config: &ExecConfig, enveloped: bo
     let env = Env::new();
     let mut root = match enveloped {
         false => build(plan, &env),
-        true => build_with(plan, &env, &|leaf| match *leaf.shape() == Shape::BOUND {
+        true => build_with(plan, &env, &|leaf| match *leaf.row_var() == RowVar::BOUND {
             true => leaf,
             false => Box::new(Envelope { leaf }),
         }),
@@ -806,7 +806,7 @@ fn run_shaped(plan: &PhysPlan, cat: &Catalog, config: &ExecConfig, enveloped: bo
     let rows = drain(&mut root, &mut ctx).unwrap();
     root.close_timed(&mut ctx);
     assert_eq!(ctx.resident_rows(), 0, "close released everything");
-    let mut rows: Vec<Record> = rows.into_iter().map(|r| root.shape().wrap(r)).collect();
+    let mut rows: Vec<Record> = rows.into_iter().map(|r| root.row_var().wrap(r)).collect();
     rows.sort();
     let m = &ctx.metrics;
     let counters = [

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use tmql_algebra::{eval, eval_predicate, CmpOp, Env, Plan, ScalarExpr as E};
 use tmql_exec::planner::scan_pretest;
 use tmql_exec::{execute_collect, lower, Estimator, ExecConfig, ExecContext, Metrics, PhysPlan};
-use tmql_model::{ModelError, Record, Ty, Value};
+use tmql_model::{ModelError, Record, Shape, Ty, Value};
 use tmql_storage::spill::{decode_record, encode_frame, encode_record};
 use tmql_storage::{Catalog, RowTest, Table};
 
@@ -174,14 +174,18 @@ fn outer_env(k: &Value) -> Env<'static> {
 /// the row's own among them — as a table's columns; and the row framed
 /// against them.
 fn framed(row: &Record, key: u64) -> (Vec<u8>, Vec<Arc<str>>) {
-    let mut columns: Vec<Arc<str>> = row.fields().iter().map(|(l, _)| l.clone()).collect();
+    let mut columns: Vec<Arc<str>> = row.shape().labels().to_vec();
     let turn = key as usize % columns.len().max(1);
     columns.rotate_left(turn);
     if key & (1 << 32) != 0 {
         columns.reverse();
     }
     let mut frame = Vec::new();
-    encode_frame(&mut frame, row, &columns);
+    encode_frame(
+        &mut frame,
+        row,
+        &Shape::new(columns.iter().cloned()).unwrap(),
+    );
     (frame, columns)
 }
 
@@ -386,7 +390,7 @@ proptest! {
         // it lives in an overflow chain.
         let mut rows = rows;
         if let Some(at) = long.filter(|at| *at < rows.len()) {
-            let mut fields: Vec<(Arc<str>, Value)> = rows[at].fields().to_vec();
+            let mut fields: Vec<(Arc<str>, Value)> = rows[at].fields().map(|(l, v)| (l.clone(), v.clone())).collect();
             fields[0].1 = Value::str("s".repeat(9000));
             rows[at] = Record::new(fields).expect("labels unchanged");
         }

@@ -29,6 +29,9 @@ pub enum ModelError {
     /// (the paper requires the nest join label "not occurring on the top
     /// level of X", Section 6).
     DuplicateField(String),
+    /// A tuple of more fields than the widest row
+    /// ([`crate::record::MAX_WIDTH`]).
+    TooWide(usize),
     /// A table, index, or extension name was redefined or missing, or a
     /// catalog request was refused.
     SchemaError(String),
@@ -55,6 +58,11 @@ impl fmt::Display for ModelError {
             }
             ModelError::TypeMismatch { context } => write!(f, "type mismatch: {context}"),
             ModelError::DuplicateField(l) => write!(f, "duplicate top-level label `{l}`"),
+            ModelError::TooWide(n) => write!(
+                f,
+                "a tuple of {n} fields is wider than the widest row ({})",
+                crate::record::MAX_WIDTH
+            ),
             ModelError::SchemaError(m) => write!(f, "schema error: {m}"),
             ModelError::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
             ModelError::Io(m) => write!(f, "i/o error: {m}"),

@@ -33,7 +33,7 @@ pub mod value;
 
 pub use error::ModelError;
 pub use hash::RecordSet;
-pub use record::Record;
+pub use record::{Record, Shape, ShapeMemo};
 pub use set::SetValue;
 pub use types::Ty;
 pub use value::{CmpOp, Value};

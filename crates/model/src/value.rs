@@ -407,12 +407,12 @@ impl Value {
         let mut key = Prefix::default();
         match (self, schema) {
             (Value::Tuple(row), Some(schema)) => {
-                if !row.same_canonical_labels(schema) {
+                if !row.keyed_like(schema) {
                     return None;
                 }
                 let _ = key
                     .put((rank(self) + 1).into(), 1)
-                    .and_then(|()| (row.fields().iter()).try_for_each(|(_, v)| key.value(v)));
+                    .and_then(|()| row.values().iter().try_for_each(|v| key.value(v)));
             }
             _ => {
                 let _ = key.value(self);

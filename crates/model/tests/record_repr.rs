@@ -149,18 +149,14 @@ fn permuted(r: &Record, seed: u64) -> Record {
     fn deep(v: &Value) -> Value {
         match v {
             Value::Tuple(r) => {
-                let fields = r.fields().iter().rev().map(|(l, v)| (l.clone(), deep(v)));
+                let fields = r.fields().rev().map(|(l, v)| (l.clone(), deep(v)));
                 Value::Tuple(Record::new(fields).unwrap())
             }
             Value::Set(s) => Value::set(s.iter().map(deep)),
             other => other.clone(),
         }
     }
-    let mut fields: Vec<_> = r
-        .fields()
-        .iter()
-        .map(|(l, v)| (l.clone(), deep(v)))
-        .collect();
+    let mut fields: Vec<_> = r.fields().map(|(l, v)| (l.clone(), deep(v))).collect();
     let mut state = seed | 1;
     for i in (1..fields.len()).rev() {
         state = state
@@ -269,13 +265,12 @@ proptest! {
         let victim = seed as usize % a.len();
         let changed = Record::new(
             a.fields()
-                .iter()
                 .enumerate()
                 .map(|(i, (l, old))| (l.clone(), if i == victim { v.clone() } else { old.clone() })),
         )
         .unwrap();
         let p = permuted(&changed, seed);
-        let expected = ref_cmp(&a.fields()[victim].1, &v);
+        let expected = ref_cmp(&a.values()[victim], &v);
         prop_assert_eq!(a == p, expected == Ordering::Equal);
         prop_assert_eq!(a.cmp(&p), ref_cmp_record(&a, &p));
     }
@@ -337,7 +332,7 @@ fn sample() -> Record {
 }
 
 fn shares_body(a: &Record, b: &Record) -> bool {
-    std::ptr::eq(a.fields().as_ptr(), b.fields().as_ptr())
+    std::ptr::eq(a.values().as_ptr(), b.values().as_ptr())
 }
 
 #[test]
@@ -394,12 +389,12 @@ fn derived_records_share_label_allocations_with_their_source() {
     let extended = a.extend_field("s", Value::Null).unwrap();
     let projected = a.project(&["c"]).unwrap();
     assert!(std::sync::Arc::ptr_eq(
-        &a.fields()[0].0,
-        &extended.fields()[0].0
+        &a.shape().labels()[0],
+        &extended.shape().labels()[0]
     ));
     assert!(std::sync::Arc::ptr_eq(
-        &a.fields()[2].0,
-        &projected.fields()[0].0
+        &a.shape().labels()[2],
+        &projected.shape().labels()[0]
     ));
 }
 

@@ -518,7 +518,7 @@ impl Catalog {
             .try_for_each(|(_, ty)| check_ty(ty))?;
         rows.iter().try_for_each(check_nesting)?;
         let stats = Arc::new(TableStats::of_rows(table.columns(), rows));
-        let extent = Arc::new(store.write_table(rows, table.labels())?);
+        let extent = Arc::new(store.write_table(rows, table.shape())?);
         let table = Table::disk(table.name(), table.columns().to_vec(), store, extent);
         Ok(Stored { table, stats })
     }

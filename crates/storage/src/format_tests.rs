@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tmql_model::{ModelError, Record, Result, Ty, Value};
+use tmql_model::{ModelError, Record, Result, Shape, Ty, Value};
 
 use crate::bytes::{put_len, put_len_prefixed, put_str, put_u64, Reader, MAX_NESTING};
 use crate::index::{decode_index, encode_index, OrdIndex};
@@ -228,20 +228,21 @@ fn golden_header() -> Vec<u8> {
     meta.encode(&[3, 4, 8])
 }
 
-/// The labels of [`golden_row`] in its order: the columns of a table that
-/// stores it as a frame of values.
-fn golden_labels() -> Vec<Arc<str>> {
-    golden_row()
-        .fields()
-        .iter()
-        .map(|(l, _)| l.clone())
-        .collect()
+/// The labels of [`golden_row`] in its order, as a shape: the columns of
+/// a table that stores it as a frame of values.
+fn golden_labels() -> Arc<Shape> {
+    golden_row().shape().clone()
 }
 
 /// [`golden_row`] with its fields the other way round: against
 /// [`golden_labels`], a frame holding the whole record.
 fn golden_row_reversed() -> Record {
-    Record::new(golden_row().fields().iter().rev().cloned()).unwrap()
+    let fields = golden_row()
+        .fields()
+        .rev()
+        .map(|(l, v)| (l.clone(), v.clone()))
+        .collect::<Vec<_>>();
+    Record::new(fields).unwrap()
 }
 
 /// The integers whose varints [`GOLDEN_INTS`] pins: both ends of the
@@ -269,8 +270,8 @@ fn golden_ints() -> Vec<u8> {
     out
 }
 
-/// `row` as a frame against `labels`.
-fn frame_of(row: &Record, labels: &[Arc<str>]) -> Vec<u8> {
+/// `row` as a frame against the shape `labels`.
+fn frame_of(row: &Record, labels: &Arc<Shape>) -> Vec<u8> {
     let mut out = Vec::new();
     encode_frame(&mut out, row, labels);
     out
@@ -1351,9 +1352,9 @@ proptest! {
             prop_assert_eq!(encode_record(&back), bytes);
             // As a frame of values against its own labels, and against
             // the three columns, which it has in that order only by chance.
-            let own: Vec<Arc<str>> = row.fields().iter().map(|(l, _)| l.clone()).collect();
-            let abc = ["a", "b", "c"].map(Arc::from);
-            for labels in [&own[..], &abc] {
+            let own = row.shape().clone();
+            let abc = Shape::new(["a", "b", "c"]).unwrap();
+            for labels in [&own, &abc] {
                 let frame = frame_of(row, labels);
                 let back = decoder.decode_frame(&frame, labels).unwrap();
                 prop_assert_eq!(encode_record(&back), encode_record(row));

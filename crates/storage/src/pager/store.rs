@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use tmql_model::{ModelError, Record, Result};
+use tmql_model::{ModelError, Record, Result, Shape};
 use tmql_obs::{Histogram, MetricsRegistry};
 
 use super::image::{decode_catalog, CatalogImage};
@@ -351,10 +351,10 @@ impl TableExtent {
 
 /// In-progress table write: sealed pages plus the page being filled
 /// (built in a local buffer, installed into the pool when sealed).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TableBuild<'l> {
-    /// The table's column labels, which its rows are framed against.
-    labels: &'l [Arc<str>],
+    /// The table's shape, which its rows are framed against.
+    shape: &'l Arc<Shape>,
     pages: Vec<(PageId, u16)>,
     /// The id of the page being filled, if one is open; its bytes are
     /// `buf`, which every page of the build reuses, as every row does
@@ -625,7 +625,7 @@ impl PagedStore {
         build.row.clear();
         match writing_v1() {
             true => build.row.extend(encode_record(rec)),
-            false => encode_frame(&mut build.row, rec, build.labels),
+            false => encode_frame(&mut build.row, rec, build.shape),
         }
         let len = build.row.len();
         if len <= page::MAX_INLINE {
@@ -653,13 +653,18 @@ impl PagedStore {
         Ok(())
     }
 
-    /// Write a whole table, its rows framed against its column `labels`
-    /// (which reading it back takes again), and return its extent.
-    pub fn write_table(&self, rows: &[Record], labels: &[Arc<str>]) -> Result<TableExtent> {
+    /// Write a whole table, its rows framed against its `shape` (which
+    /// reading it back takes again), and return its extent.
+    pub fn write_table(&self, rows: &[Record], shape: &Arc<Shape>) -> Result<TableExtent> {
         let _w = self.write_lock();
         let mut build = TableBuild {
-            labels,
-            ..TableBuild::default()
+            shape,
+            pages: Vec::new(),
+            cur: None,
+            buf: Vec::new(),
+            row: Vec::new(),
+            rows_in_cur: 0,
+            rows: 0,
         };
         for rec in rows {
             self.append_row(&mut build, rec)?;
@@ -744,18 +749,18 @@ impl PagedStore {
     }
 
     /// Read up to `n` decoded rows starting at row offset `start` of a
-    /// table with column `labels`. Fully concurrent: statements on other
+    /// table of `shape`. Fully concurrent: statements on other
     /// threads may read the same extent at the same time.
     pub(crate) fn read_rows(
         &self,
         extent: &TableExtent,
-        labels: &[Arc<str>],
+        shape: &Arc<Shape>,
         start: usize,
         n: usize,
     ) -> Result<Vec<Record>> {
         let cap = n.min(extent.rows as usize);
         Ok(self
-            .read_runs(extent, labels, [(start, n)], cap, |_| true)?
+            .read_runs(extent, shape, [(start, n)], cap, |_| true)?
             .0)
     }
 
@@ -769,8 +774,8 @@ impl PagedStore {
     /// page share one latch of it.
     ///
     /// A row is a whole record or a frame as its page's row form says; a
-    /// frame is decoded against `labels`, the table's columns, whose `Arc`s
-    /// the rows then share. A latched page is checked once
+    /// frame is decoded against `shape`, the table's, which the rows then
+    /// share. A latched page is checked once
     /// ([`PagedStore::latch_data`]) and its rows are then walked in one
     /// loop over its checked view. An inline row is visited **in place**,
     /// as a slice of its latched page: nothing is copied out, and a row
@@ -782,7 +787,7 @@ impl PagedStore {
     pub(crate) fn read_runs(
         &self,
         extent: &TableExtent,
-        labels: &[Arc<str>],
+        shape: &Arc<Shape>,
         runs: impl IntoIterator<Item = (usize, usize)>,
         cap: usize,
         mut admit: impl FnMut(StoredRow<'_>) -> bool,
@@ -812,7 +817,7 @@ impl PagedStore {
                                 page::SlotRef::Inline(bytes) => {
                                     let stored = StoredRow::of(frames, bytes);
                                     if admit(stored) {
-                                        out.push(decoder.decode_stored(stored, labels)?);
+                                        out.push(decoder.decode_stored(stored, shape)?);
                                     }
                                 }
                                 page::SlotRef::Overflow { first, total } => {
@@ -836,7 +841,7 @@ impl PagedStore {
                     let chain = self.read_chain(first, total.into())?;
                     let stored = StoredRow::of(frames, &chain);
                     if admit(stored) {
-                        out.push(decoder.decode_stored(stored, labels)?);
+                        out.push(decoder.decode_stored(stored, shape)?);
                     }
                 }
             }
@@ -1204,8 +1209,8 @@ mod tests {
     }
 
     /// The labels of [`int_rows`], as a table's columns.
-    fn ab() -> Vec<Arc<str>> {
-        vec![Arc::from("a"), Arc::from("b")]
+    fn ab() -> Arc<Shape> {
+        Shape::new(["a", "b"]).unwrap()
     }
 
     /// How many of an extent's rows live in overflow chains.
@@ -1302,11 +1307,11 @@ mod tests {
         // integers, it took 289 pages.
         let path = scratch("density");
         let store = PagedStore::create(&path, 8).unwrap();
-        let labels = vec![Arc::from("n"), Arc::from("b")];
+        let labels = Shape::new(["n", "b"]).unwrap();
         let rows: Vec<Record> = (0..65_536i64)
             .map(|n| {
                 let values = [Value::Int(n), Value::Int((n + 42) % 256)];
-                Record::new(labels.iter().cloned().zip(values)).unwrap()
+                Record::shaped(labels.clone(), values)
             })
             .collect();
         let extent = store.write_table(&rows, &labels).unwrap();
@@ -1332,7 +1337,7 @@ mod tests {
         .unwrap();
         let small = Record::new([("s".to_string(), Value::str("tiny"))]).unwrap();
         let rows = vec![small.clone(), big.clone(), small.clone()];
-        let s = [Arc::from("s")];
+        let s = Shape::new(["s"]).unwrap();
         let extent = store.write_table(&rows, &s).unwrap();
         assert_eq!(chained(&store, &extent), 1);
         assert_eq!(store.read_rows(&extent, &s, 0, 10).unwrap(), rows);

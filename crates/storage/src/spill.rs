@@ -37,20 +37,20 @@
 //! An extent is a sequence of frames, each a `u32` little-endian payload
 //! length and the payload: a kind byte, then
 //!
-//! * `0`, **shaped** — the row has the labels of the run's first row, in
-//!   that order: only its values follow;
+//! * `0`, **shaped** — the row has the shape of the run's first row (its
+//!   labels, in that order): only its values follow;
 //! * `1`, **full** — any other row (a permuted stored row, the other
 //!   operand of a set operation): a whole encoded [`Record`] follows.
 //!
 //! [`encode_frame`] makes that choice, for a run against its first row's
-//! labels and for a data page slot against its table's columns: a page
-//! slot holds a frame's payload, its length in the slot.
+//! shape and for a data page slot against its table's: a page slot holds
+//! a frame's payload, its length in the slot.
 //!
-//! The labels of the first row stay in the run's handle, in memory, with
-//! the extent list and the row count. A shaped row read back therefore
-//! carries the **same** `Arc<str>` labels as the row that was written —
-//! comparisons keep their pointer fast path across a spill — and a frame
-//! with one value too few or too many for those labels is an error.
+//! The shape of the first row stays in the run's handle, in memory, with
+//! the extent list and the row count. A shaped row read back is therefore
+//! built under the **same** [`Shape`] as the row that was written,
+//! unchecked — comparisons keep their one-shape fast path across a spill —
+//! and a frame with one value too few or too many for it is an error.
 //! Frames are parsed out of the extent where it was read, through the
 //! same checked `bytes::Reader` as everything else: a damaged length is a
 //! bounds error, not an allocation.
@@ -69,14 +69,18 @@
 //! preserved via `to_bits`).
 //!
 //! A `RecordDecoder` reads a stream of rows — a page batch, a spill run
-//! — at about what the rows' bytes cost. A record's fields are decoded
-//! straight into its body: a scalar where its tag is read, a container
-//! out of line, a set's elements through an accumulator the decoder
-//! reuses. A top-level label is compared, as bytes, with the last row's
-//! label at the same position; only when they differ is it checked as
-//! UTF-8 and interned (nested tuples' labels are always interned), so
-//! rows of one schema share their label `Arc`s and validate none after
-//! the first. Every label comparison of the codec is the model's
+//! — at about what the rows' bytes cost. A shaped frame's values are
+//! decoded straight into the body of a row of the frame's shape: a
+//! scalar where its tag is read, a container out of line, a set's
+//! elements through an accumulator the decoder reuses. A whole record,
+//! and a tuple nested in any row, is read against the shape last decoded
+//! at its **nesting position** (field `i` of the record above, directly
+//! or as an element of a set there): its labels are compared with that
+//! shape's as bytes, and a record that has them is built under it, so
+//! rows of one schema share their shapes and validate no label after the
+//! first. Only a record whose labels differ checks them as UTF-8, interns
+//! them and makes a shape, which its position then remembers. Every
+//! label comparison of the codec is the model's
 //! in-place one ([`tmql_model::name`]): a label is a few bytes, and a
 //! call to `memcmp` costs more than comparing them. Page slots and
 //! spill frames share `Cursor::fields`, and a decoder returns for every
@@ -98,7 +102,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tmql_model::{name, ModelError, Record, Result, SetValue, Value};
+use tmql_model::{name, ModelError, Record, Result, SetValue, Shape, Value};
 
 use crate::bytes::{
     put_f64, put_len, put_len_prefixed, put_str, put_u64, put_u8, put_uvarint, too_deep_to_store,
@@ -206,18 +210,15 @@ pub mod frame {
     pub const FULL: u8 = 1;
 }
 
-/// Append `rec` as a frame's payload against `labels`, the labels of the
+/// Append `rec` as a frame's payload against `shape`, the shape of the
 /// run or the table it is stored in: a [`frame::SHAPED`] kind and the
-/// values alone when the row has exactly those labels in that order, else
-/// a [`frame::FULL`] kind and the whole record. The frame's length is its
+/// values alone when the row has that shape ([`Shape::same`]), else a
+/// [`frame::FULL`] kind and the whole record. The frame's length is its
 /// container's to keep: a run writes it in front, a page slot holds it.
-pub fn encode_frame(out: &mut Vec<u8>, rec: &Record, labels: &[Arc<str>]) {
-    let shaped = rec.len() == labels.len()
-        && std::iter::zip(rec.fields(), labels)
-            .all(|((l, _), m)| Arc::ptr_eq(l, m) || name::same(l, m));
-    if shaped {
+pub fn encode_frame(out: &mut Vec<u8>, rec: &Record, shape: &Arc<Shape>) {
+    if Shape::same(rec.shape(), shape) {
         put_u8(out, frame::SHAPED);
-        rec.values().for_each(|v| encode_value(out, v));
+        rec.values().iter().for_each(|v| encode_value(out, v));
     } else {
         put_u8(out, frame::FULL);
         encode_fields(out, rec);
@@ -266,31 +267,75 @@ pub(crate) fn check_nesting(rec: &Record) -> Result<()> {
 }
 
 /// Decoder for a stream of records (one spill run, one page batch) that
-/// hands every row the label `Arc`s of the rows before it: rows of one
-/// schema repeat their labels, so after the first row a top-level label
-/// is one byte comparison against the last row's label at its position
-/// and a reference-count bump — no UTF-8 check, no search, no allocation.
-/// Only a label that differs from the last row's is validated and
-/// interned.
+/// hands every row the shapes of the rows before it: rows of one schema
+/// repeat their labels, so after the first row a record's labels are
+/// byte comparisons against the shape last decoded at its nesting
+/// position and a reference-count bump — no UTF-8 check, no search, no
+/// allocation. Only a record whose labels differ from that shape's is
+/// validated, and makes (and remembers) a shape of its own.
 #[derive(Debug, Default)]
 pub(crate) struct RecordDecoder {
-    /// The last row's top-level labels by position (the first
-    /// [`MAX_LABELS`] of them).
-    row: Vec<Arc<str>>,
-    /// Every label interned so far, top-level or nested.
+    names: Names,
+    /// The shapes of a whole record's nesting positions: a full frame, a
+    /// page's or an index blob's record.
+    full: Position,
+    /// The shapes of the tuples nested in a shaped frame's values.
+    shaped: Position,
+}
+
+/// What a decoder keeps for every payload it reads besides the shapes.
+#[derive(Debug)]
+struct Names {
+    /// Every label interned so far.
     labels: Vec<Arc<str>>,
     /// Where the last hit was: labels recur in a cycle, so the search
     /// starts just past it and usually ends at once.
     next: usize,
-    /// Emptied element accumulators, one per depth of set nesting met so
-    /// far: a set takes one while its elements decode and hands it back,
-    /// so a stream of rows allocates each set's body and nothing else.
+    /// Emptied value accumulators, one per depth of nesting met so far: a
+    /// set or a whole record takes one while its values decode and hands
+    /// it back, so a stream of rows allocates each body and nothing else.
     accumulators: Vec<Vec<Value>>,
+    /// Nesting positions the decoder may still remember.
+    positions: usize,
 }
 
 /// Labels remembered per decoder; more distinct ones than this (not a
 /// schema, but bytes can claim anything) are allocated per occurrence.
 const MAX_LABELS: usize = 64;
+
+/// Nesting positions remembered per decoder, past the two roots; a tuple
+/// at any other makes its shape afresh.
+const MAX_POSITIONS: usize = 256;
+
+/// A nesting position: where a tuple sits in a row — field `i` of the
+/// record at the position above, whether directly or as an element of a
+/// set there — and the shape last decoded at it.
+#[derive(Debug, Default)]
+struct Position {
+    shape: Option<Arc<Shape>>,
+    fields: Vec<Position>,
+}
+
+impl Position {
+    /// The position of field `i`'s tuples, made on first use while the
+    /// decoder may remember more.
+    fn field(&mut self, i: usize, budget: &mut usize) -> Option<&mut Position> {
+        if i >= self.fields.len() {
+            let grow = i + 1 - self.fields.len();
+            if i >= MAX_LABELS || grow > *budget {
+                return None;
+            }
+            *budget -= grow;
+            self.fields.resize_with(i + 1, Position::default);
+        }
+        self.fields.get_mut(i)
+    }
+}
+
+/// Where a value being decoded sits: its position's parent and its field
+/// there, or (a set's element) the position itself; `None` when the
+/// decoder remembers nothing there.
+type At<'p> = Option<(&'p mut Position, Option<usize>)>;
 
 impl RecordDecoder {
     /// Decode one record from an encoded payload (the inverse of
@@ -299,43 +344,45 @@ impl RecordDecoder {
     /// every decoder of this crate spends, so that no bytes can exhaust
     /// the stack).
     pub fn decode(&mut self, payload: &[u8]) -> Result<Record> {
-        let mut c = Cursor::new(FORMAT, payload, self);
-        let rec = c.record(true)?;
+        let mut c = Cursor::new(FORMAT, payload, &mut self.names);
+        let rec = c.record(Some(&mut self.full))?;
         c.r.finish()?;
         Ok(rec)
     }
 
-    /// Decode the payload of one frame written against `labels` (a run's
+    /// Decode the payload of one frame written against `shape` (a run's
     /// first row's, a table's columns): a [`frame::SHAPED`] one holds
-    /// exactly their values, and the row is spelled with those `Arc`s; a
-    /// [`frame::FULL`] one holds a record as [`RecordDecoder::decode`]
-    /// reads it.
-    pub(crate) fn decode_frame(&mut self, payload: &[u8], labels: &[Arc<str>]) -> Result<Record> {
-        let mut c = Cursor::new(FRAME_FORMAT, payload, self);
+    /// exactly its values, and the row is built under that shape,
+    /// unchecked; a [`frame::FULL`] one holds a record as
+    /// [`RecordDecoder::decode`] reads it.
+    pub(crate) fn decode_frame(&mut self, payload: &[u8], shape: &Arc<Shape>) -> Result<Record> {
+        let mut c = Cursor::new(FRAME_FORMAT, payload, &mut self.names);
         let rec = match c.r.u8()? {
-            frame::SHAPED => c.fields(labels.iter().map(Some), false)?,
-            frame::FULL => c.record(true)?,
+            frame::SHAPED => c.shaped(shape, &mut self.shaped)?,
+            frame::FULL => c.record(Some(&mut self.full))?,
             other => return Err(c.r.err(format_args!("unknown frame kind {other}"))),
         };
         c.r.finish()?;
         Ok(rec)
     }
 
-    /// Decode a stored row of either form; a frame against `labels`. Out
+    /// Decode a stored row of either form; a frame against `shape`. Out
     /// of line: it is the call a page's row loop makes for a row its
     /// pre-test admits, and the loop stays small without it.
     #[inline(never)]
     pub(crate) fn decode_stored(
         &mut self,
         row: StoredRow<'_>,
-        labels: &[Arc<str>],
+        shape: &Arc<Shape>,
     ) -> Result<Record> {
         match row {
             StoredRow::Record(bytes) => self.decode(bytes),
-            StoredRow::Frame(bytes) => self.decode_frame(bytes, labels),
+            StoredRow::Frame(bytes) => self.decode_frame(bytes, shape),
         }
     }
+}
 
+impl Names {
     fn intern(&mut self, label: &str) -> Arc<str> {
         let n = self.labels.len();
         for i in (self.next..n).chain(0..self.next) {
@@ -350,6 +397,17 @@ impl RecordDecoder {
             self.next = 0;
         }
         label
+    }
+}
+
+impl Default for Names {
+    fn default() -> Names {
+        Names {
+            labels: Vec::new(),
+            next: 0,
+            accumulators: Vec::new(),
+            positions: MAX_POSITIONS,
+        }
     }
 }
 
@@ -411,15 +469,15 @@ fn skip_variable(r: &mut Reader<'_>, tag: u8) -> Result<()> {
     Ok(())
 }
 
-/// The value-level decoder: a [`Reader`] over one payload plus the label
-/// interner of the stream it belongs to.
+/// The value-level decoder: a [`Reader`] over one payload plus what the
+/// stream it belongs to keeps.
 struct Cursor<'a> {
     r: Reader<'a>,
-    names: &'a mut RecordDecoder,
+    names: &'a mut Names,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(format: &'static str, payload: &'a [u8], names: &'a mut RecordDecoder) -> Cursor<'a> {
+    fn new(format: &'static str, payload: &'a [u8], names: &'a mut Names) -> Cursor<'a> {
         Cursor {
             r: Reader::new(format, payload),
             names,
@@ -428,7 +486,7 @@ impl<'a> Cursor<'a> {
 
     /// One value: a scalar decoded in place, a container out of line.
     #[inline]
-    fn value(&mut self) -> Result<Value> {
+    fn value(&mut self, at: At<'_>) -> Result<Value> {
         Ok(match self.r.u8()? {
             tag::NULL => Value::Null,
             tag::FALSE => Value::Bool(false),
@@ -437,106 +495,110 @@ impl<'a> Cursor<'a> {
             tag::INT_FIXED => Value::Int(self.r.u64()? as i64),
             tag::FLOAT => Value::Float(self.r.f64()?),
             tag::STR => Value::Str(Arc::from(self.r.str()?)),
-            tag => self.container(tag)?,
+            tag => self.container(tag, at)?,
         })
     }
 
-    fn container(&mut self, tag: u8) -> Result<Value> {
+    fn container(&mut self, tag: u8, at: At<'_>) -> Result<Value> {
+        let budget = &mut self.names.positions;
+        let position = at.and_then(|(p, field)| match field {
+            Some(i) => p.field(i, budget),
+            None => Some(p),
+        });
         self.r.descend()?;
         let v = match tag {
-            tag::TUPLE => Value::Tuple(self.record(false)?),
-            tag::SET => Value::Set(self.set()?),
+            tag::TUPLE => Value::Tuple(self.record(position)?),
+            tag::SET => Value::Set(self.set(position)?),
             other => return Err(self.r.err(format_args!("unknown value tag {other}"))),
         };
         self.r.ascend();
         Ok(v)
     }
 
-    /// A count-prefixed set. An encoder writes the elements in order;
-    /// [`SetValue::drain_from`] sorts again (one pass over sorted input)
-    /// so no payload can yield a set that is out of order or holds
-    /// duplicates.
-    fn set(&mut self) -> Result<SetValue> {
+    /// A count-prefixed set whose tuples sit at `position`. An encoder
+    /// writes the elements in order; [`SetValue::drain_from`] sorts again
+    /// (one pass over sorted input) so no payload can yield a set that is
+    /// out of order or holds duplicates.
+    fn set(&mut self, mut position: Option<&mut Position>) -> Result<SetValue> {
         let n = self.r.count(MIN_VALUE_BYTES)?;
         let mut items = self.names.accumulators.pop().unwrap_or_default();
         items.reserve(n);
         let set = (0..n)
-            .try_for_each(|_| self.value().map(|v| items.push(v)))
+            .try_for_each(|_| {
+                let at = position.as_deref_mut().map(|p| (p, None));
+                self.value(at).map(|v| items.push(v))
+            })
             .map(|()| SetValue::drain_from(&mut items));
         items.clear();
         self.names.accumulators.push(items);
         set
     }
 
-    fn label(&mut self) -> Result<Arc<str>> {
-        let label = self.r.str()?;
-        Ok(self.names.intern(label))
+    /// The values of a shaped frame, straight into the body of a row of
+    /// `shape`; its tuples sit at the positions under `root`.
+    fn shaped(&mut self, shape: &Arc<Shape>, root: &mut Position) -> Result<Record> {
+        let mut i = 0;
+        let values = std::iter::from_fn(|| {
+            let at = Some((&mut *root, Some(i)));
+            i += 1;
+            Some(self.value(at))
+        });
+        Record::try_shaped(shape.clone(), values)
     }
 
-    /// The label of a top-level field at position `at`: the last row's
-    /// there when the bytes are the same, else validated, interned and
-    /// remembered for the next row.
-    #[inline]
-    fn top_label(&mut self, at: usize) -> Result<Arc<str>> {
-        let bytes = self.r.bytes()?;
-        match self.names.row.get(at) {
-            Some(last) if name::same_bytes(last.as_bytes(), bytes) => Ok(last.clone()),
-            _ => self.new_top_label(at, bytes),
+    /// A count-prefixed record at `position`: the one a payload holds, or
+    /// a tuple nested in it. Its labels are compared, as bytes, with the
+    /// shape last decoded there, and a record that has them is built
+    /// under it; any other validates and interns its labels and makes a
+    /// shape, which the position remembers.
+    fn record(&mut self, mut position: Option<&mut Position>) -> Result<Record> {
+        let n = self.r.count(MIN_FIELD_BYTES)?;
+        if n == 0 {
+            return Ok(Record::empty());
         }
+        let last = position.as_ref().and_then(|p| p.shape.as_ref());
+        let last = last.filter(|s| s.len() == n).cloned();
+        let mut on_last = last.is_some();
+        let mut labels = Vec::new();
+        let mut values = self.names.accumulators.pop().unwrap_or_default();
+        let read = (0..n).try_for_each(|i| {
+            let bytes = self.r.bytes()?;
+            if let Some(s) = last.as_ref().filter(|_| on_last) {
+                if !name::same_bytes(s.labels()[i].as_bytes(), bytes) {
+                    on_last = false;
+                    labels.extend(s.labels()[..i].iter().cloned());
+                }
+            }
+            if !on_last {
+                labels.push(self.new_label(bytes)?);
+            }
+            let at = position.as_deref_mut().map(|p| (p, Some(i)));
+            values.push(self.value(at)?);
+            Ok(())
+        });
+        let shape = read.and_then(|()| match last.filter(|_| on_last) {
+            Some(s) => Ok(s),
+            None => {
+                // A repeated label is malformed bytes, like any other.
+                let shape = Shape::new(labels).map_err(|e| self.r.err(e))?;
+                if let Some(p) = position {
+                    p.shape = Some(shape.clone());
+                }
+                Ok(shape)
+            }
+        });
+        let rec = shape.map(|s| Record::shaped(s, values.drain(..)));
+        values.clear();
+        self.names.accumulators.push(values);
+        rec
     }
 
-    /// [`Cursor::top_label`] when the bytes are not the last row's label.
+    /// A label met off the remembered shape: checked as UTF-8, interned.
     #[cold]
-    fn new_top_label(&mut self, at: usize, bytes: &[u8]) -> Result<Arc<str>> {
+    fn new_label(&mut self, bytes: &[u8]) -> Result<Arc<str>> {
         let label = std::str::from_utf8(bytes)
             .map_err(|e| self.r.err(format_args!("invalid UTF-8: {e}")))?;
-        let label = self.names.intern(label);
-        let row = &mut self.names.row;
-        if at < row.len() {
-            row[at] = label.clone();
-        } else if at == row.len() && at < MAX_LABELS {
-            row.push(label.clone());
-        }
-        Ok(label)
-    }
-
-    /// A count-prefixed record: the one a payload holds (`top`), or a
-    /// tuple nested in it.
-    fn record(&mut self, top: bool) -> Result<Record> {
-        let n = self.r.count(MIN_FIELD_BYTES)?;
-        self.fields((0..n).map(|_| None), top)
-    }
-
-    /// The record of one field per item of `labels` — the label given, or
-    /// read from the bytes ahead of its value — built in place in the
-    /// record's body. The labels of a `top` record are read by
-    /// [`Cursor::top_label`].
-    fn fields<'l>(
-        &mut self,
-        labels: impl ExactSizeIterator<Item = Option<&'l Arc<str>>>,
-        top: bool,
-    ) -> Result<Record> {
-        // `try_new` drives the iterator to its end; past the first error
-        // nothing more is read, and the placeholders are dropped unseen.
-        let mut intact = true;
-        let built = Record::try_new(labels.enumerate().map(|(at, given)| {
-            if !intact {
-                return Err(ModelError::Io(String::new()));
-            }
-            let field = match given {
-                Some(label) => Ok(label.clone()),
-                None if top => self.top_label(at),
-                None => self.label(),
-            }
-            .and_then(|label| Ok((label, self.value()?)));
-            intact = field.is_ok();
-            field
-        }));
-        // A repeated label is malformed bytes, like any other.
-        built.map_err(|e| match e {
-            ModelError::DuplicateField(_) => self.r.err(e),
-            e => e,
-        })
+        Ok(self.names.intern(label))
     }
 }
 
@@ -544,9 +606,9 @@ impl<'a> Cursor<'a> {
 /// [`encode_value`]), returning the value and the number of bytes
 /// consumed.
 pub(crate) fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
-    let mut names = RecordDecoder::default();
+    let mut names = Names::default();
     let mut c = Cursor::new(FORMAT, payload, &mut names);
-    let v = c.value()?;
+    let v = c.value(None)?;
     Ok((v, payload.len() - c.r.remaining()))
 }
 
@@ -839,7 +901,7 @@ impl SpillDir {
             run: Run {
                 scratch: Arc::clone(&self.scratch),
                 extents: Vec::new(),
-                labels: Vec::new(),
+                shape: Shape::empty().clone(),
                 rows: 0,
             },
             buf: Vec::new(),
@@ -868,8 +930,8 @@ const FRAME_LEN_BYTES: usize = 4;
 struct Run {
     scratch: Arc<Scratch>,
     extents: Vec<Extent>,
-    /// The labels of the run's first row, in its order.
-    labels: Vec<Arc<str>>,
+    /// The shape of the run's first row.
+    shape: Arc<Shape>,
     rows: u64,
 }
 
@@ -892,12 +954,12 @@ impl RunWriter {
     /// Append one record as one frame.
     pub fn write(&mut self, rec: &Record) -> Result<()> {
         if self.run.rows == 0 {
-            self.run.labels = rec.fields().iter().map(|(l, _)| l.clone()).collect();
+            self.run.shape = rec.shape().clone();
             self.buf.reserve(BLOCK);
         }
         let start = self.buf.len();
-        let labels = &self.run.labels;
-        put_len_prefixed(&mut self.buf, |out| encode_frame(out, rec, labels));
+        let shape = &self.run.shape;
+        put_len_prefixed(&mut self.buf, |out| encode_frame(out, rec, shape));
         // One frame is capped at u32::MAX bytes. This also guards every
         // inner length the codec wrote: an overflowing string or container
         // length implies an overflowing payload.
@@ -1014,7 +1076,7 @@ impl RunReader {
             let mut frames = Reader::new(RUN_FORMAT, &self.buf[self.pos..]);
             while out.len() < k && frames.remaining() > 0 {
                 let payload = frames.bytes()?;
-                out.push(self.decoder.decode_frame(payload, &self.run.labels)?);
+                out.push(self.decoder.decode_frame(payload, &self.run.shape)?);
             }
             self.pos = self.buf.len() - frames.remaining();
         }
@@ -1136,7 +1198,7 @@ impl SpillDir {
     pub(crate) fn run_of_bytes(&self, bytes: &[u8], labels: &[&str], rows: u64) -> SpillFile {
         let mut w = self.create_run().unwrap();
         w.buf.extend_from_slice(bytes);
-        w.run.labels = labels.iter().map(|l| Arc::from(*l)).collect();
+        w.run.shape = Shape::new(labels.iter().copied()).unwrap();
         w.run.rows = rows;
         w.finish().unwrap()
     }
@@ -1294,21 +1356,18 @@ mod tests {
             Some(Value::Tuple(t)) => t.clone(),
             other => panic!("expected a tuple, got {other:?}"),
         };
+        // One shape per nesting position, and so one label allocation.
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(*r, row(i as i64));
-            for (f, (label, _)) in r.fields().iter().enumerate() {
-                assert!(
-                    Arc::ptr_eq(label, &rows[0].fields()[f].0),
-                    "row {i} `{label}`"
-                );
-            }
-            for (f, (label, _)) in nested(r).fields().iter().enumerate() {
-                assert!(Arc::ptr_eq(label, &nested(&rows[0]).fields()[f].0));
-            }
+            assert!(Arc::ptr_eq(r.shape(), rows[0].shape()), "row {i}");
+            assert!(Arc::ptr_eq(nested(r).shape(), nested(&rows[0]).shape()));
         }
         // A standalone decode has nothing to share with.
         let alone = decode_record(&encode_record(&rows[0])).unwrap();
-        assert!(!Arc::ptr_eq(&alone.fields()[0].0, &rows[0].fields()[0].0));
+        assert!(!Arc::ptr_eq(
+            &alone.shape().labels()[0],
+            &rows[0].shape().labels()[0]
+        ));
     }
 
     #[test]
@@ -1322,8 +1381,18 @@ mod tests {
             decoder.decode(&bytes).unwrap(),
         );
         assert_eq!(first, second);
-        assert_eq!(decoder.labels.len(), MAX_LABELS);
-        let shared = |i: usize| Arc::ptr_eq(&first.fields()[i].0, &second.fields()[i].0);
+        assert!(Arc::ptr_eq(first.shape(), second.shape()), "one shape");
+        assert_eq!(decoder.names.labels.len(), MAX_LABELS);
+        // The same labels the other way round are another shape, whose
+        // labels are interned only up to the cap.
+        let fields = first
+            .fields()
+            .rev()
+            .map(|(l, v)| (l.to_string(), v.clone()));
+        let reversed = Record::new(fields.collect::<Vec<_>>()).unwrap();
+        let third = decoder.decode(&encode_record(&reversed)).unwrap();
+        let label = |r: &Record, i: usize| r.shape().labels()[i].clone();
+        let shared = |i: usize| Arc::ptr_eq(&label(&first, i), &label(&third, first.len() - 1 - i));
         assert!(shared(0) && shared(MAX_LABELS - 1));
         assert!(!shared(MAX_LABELS), "past the cap labels are per-row");
     }
@@ -1384,12 +1453,7 @@ mod tests {
         let back = write_run(&dir, &rows).reader().unwrap().read_all().unwrap();
         assert_eq!(back, rows);
         for (i, r) in back.iter().enumerate() {
-            for (f, (label, _)) in r.fields().iter().enumerate() {
-                assert!(
-                    Arc::ptr_eq(label, &first.fields()[f].0),
-                    "row {i} `{label}`"
-                );
-            }
+            assert!(Arc::ptr_eq(r.shape(), first.shape()), "row {i}");
         }
     }
 

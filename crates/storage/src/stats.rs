@@ -152,8 +152,8 @@ impl ColumnStats {
 /// name in any other row (`None` when the row lacks the field).
 #[inline]
 fn field<'a>(row: &'a Record, i: usize, name: &str) -> Option<&'a Value> {
-    match row.fields().get(i) {
-        Some((label, v)) if **label == *name => Some(v),
+    match row.shape().labels().get(i) {
+        Some(label) if **label == *name => row.values().get(i),
         _ => row.find(name),
     }
 }

@@ -25,7 +25,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use tmql_model::{ModelError, Record, RecordSet, Result, Ty, Value};
+use tmql_model::{ModelError, Record, RecordSet, Result, Shape, Ty, Value};
 
 use crate::pager::{PageId, PagedStore, TableExtent};
 use crate::pretest::RowTest;
@@ -39,9 +39,11 @@ use crate::pretest::RowTest;
 pub struct Table {
     name: String,
     columns: Vec<(String, Ty)>,
-    /// One label per column, in column order: every stored row spells
-    /// its top-level labels with these `Arc`s.
-    labels: Vec<Arc<str>>,
+    /// The columns' shape: every stored row whose labels are the columns,
+    /// in column order, has this one. A table whose column names repeat
+    /// (no row can have them all) has the empty shape, against which every
+    /// row is framed whole.
+    shape: Arc<Shape>,
     backing: Backing,
 }
 
@@ -70,11 +72,12 @@ impl Table {
     }
 
     fn with_backing(name: String, columns: Vec<(String, Ty)>, backing: Backing) -> Table {
-        let labels = columns.iter().map(|(l, _)| Arc::from(l.as_str())).collect();
+        let labels = columns.iter().map(|(l, _)| l.as_str());
+        let shape = Shape::new(labels).unwrap_or_else(|_| Shape::empty().clone());
         Table {
             name,
             columns,
-            labels,
+            shape,
             backing,
         }
     }
@@ -123,10 +126,10 @@ impl Table {
         &self.columns
     }
 
-    /// The column labels in column order: every row [`Table::insert`]
-    /// stores spells its top-level labels with these `Arc`s.
-    pub fn labels(&self) -> &[Arc<str>] {
-        &self.labels
+    /// The columns' shape: every row [`Table::insert`] stores in column
+    /// order has it, and so does every row a disk table's scan decodes.
+    pub fn shape(&self) -> &Arc<Shape> {
+        &self.shape
     }
 
     /// The tuple type of one row.
@@ -184,13 +187,13 @@ impl Table {
     /// `Ok(false)` if it was a duplicate (set semantics: silently absorbed),
     /// and an error if it does not match the schema — or if the table is
     /// disk-backed (disk tables are immutable; build in memory and
-    /// re-register). The stored row spells its labels with the table's
-    /// [`Table::labels`] (`Record::share_labels`), in the row's own field
-    /// order.
+    /// re-register). A row in column order is stored under the table's
+    /// [`Table::shape`] (`Record::with_shape`); a permuted one keeps its
+    /// own field order and shape.
     pub fn insert(&mut self, row: Record) -> Result<bool> {
         self.validate(&row)?;
         match &mut self.backing {
-            Backing::Mem { rows } => Ok(rows.insert(row.share_labels(&self.labels))),
+            Backing::Mem { rows } => Ok(rows.insert(row.with_shape(&self.shape))),
             Backing::Disk { .. } => Err(ModelError::SchemaError(format!(
                 "table `{}` is disk-backed and immutable; build a new table and re-register",
                 self.name
@@ -198,18 +201,29 @@ impl Table {
         }
     }
 
-    /// Insert one row given as its values in column order, labelled with
-    /// the table's own [`Table::labels`]: [`Table::insert`] of that
-    /// record. A value count other than the column count, or a table
-    /// whose column names repeat, is a typed error.
+    /// Insert one row given as its values in column order, under the
+    /// table's own [`Table::shape`]: [`Table::insert`] of that record. A
+    /// value count other than the column count, or a table whose column
+    /// names repeat, is a typed error.
     pub fn insert_values(&mut self, values: impl IntoIterator<Item = Value>) -> Result<bool> {
-        let mut values = values.into_iter();
-        let row = Record::new(self.labels.iter().cloned().zip(values.by_ref()))?;
-        if values.next().is_some() {
+        let n = self.columns.len();
+        if self.shape.len() != n {
+            Shape::new(self.columns.iter().map(|(l, _)| l.as_str()))?;
+        }
+        let (mut values, mut given) = (values.into_iter(), 0);
+        let row = Record::shaped(
+            self.shape.clone(),
+            values.by_ref().take(n).inspect(|_| given += 1),
+        );
+        if given < n || values.next().is_some() {
+            let more = if given < n {
+                given.to_string()
+            } else {
+                "more".into()
+            };
             return Err(ModelError::SchemaError(format!(
-                "table `{}` expects {} columns, row has more",
+                "table `{}` expects {n} columns, row has {more}",
                 self.name,
-                self.columns.len()
             )));
         }
         self.insert(row)
@@ -218,6 +232,19 @@ impl Table {
     /// Validate a record against the column schema: same label set,
     /// admissible values.
     pub(crate) fn validate(&self, row: &Record) -> Result<()> {
+        let mistyped = |(label, ty): &(String, Ty), v: &Value| {
+            ModelError::SchemaError(format!(
+                "column `{}` of table `{}` has type {}, got {}",
+                label, self.name, ty, v
+            ))
+        };
+        if Arc::ptr_eq(row.shape(), &self.shape) {
+            let mut columns = self.columns.iter().zip(row.values());
+            return match columns.find(|((_, ty), v)| !ty.admits(v)) {
+                Some((column, v)) => Err(mistyped(column, v)),
+                None => Ok(()),
+            };
+        }
         if row.len() != self.columns.len() {
             return Err(ModelError::SchemaError(format!(
                 "table `{}` expects {} columns, row has {}",
@@ -226,13 +253,10 @@ impl Table {
                 row.len()
             )));
         }
-        for (label, ty) in &self.columns {
-            let v = row.get(label)?;
-            if !ty.admits(v) {
-                return Err(ModelError::SchemaError(format!(
-                    "column `{}` of table `{}` has type {}, got {}",
-                    label, self.name, ty, v
-                )));
+        for column in &self.columns {
+            let v = row.get(&column.0)?;
+            if !column.1.admits(v) {
+                return Err(mistyped(column, v));
             }
         }
         Ok(())
@@ -254,7 +278,7 @@ impl Table {
         match &self.backing {
             Backing::Mem { rows } => Ok(rows.as_slice().to_vec()),
             Backing::Disk { store, extent, .. } => {
-                store.read_rows(extent, &self.labels, 0, extent.rows as usize)
+                store.read_rows(extent, &self.shape, 0, extent.rows as usize)
             }
         }
     }
@@ -325,8 +349,8 @@ impl Table {
             }
             Backing::Disk { store, extent, .. } => {
                 let cap = n.min(extent.rows as usize);
-                let test = test.resolve(&self.labels);
-                store.read_runs(extent, &self.labels, [(start, n)], cap, |row| {
+                let test = test.resolve(self.shape.labels());
+                store.read_runs(extent, &self.shape, [(start, n)], cap, |row| {
                     !test.rejects(row)
                 })
             }
@@ -355,9 +379,7 @@ impl Table {
                     Some((start, len))
                 });
                 let cap = positions.len();
-                store
-                    .read_runs(extent, &self.labels, runs, cap, |_| true)?
-                    .0
+                store.read_runs(extent, &self.shape, runs, cap, |_| true)?.0
             }
         };
         if out.len() != positions.len() {
@@ -485,16 +507,16 @@ mod tests {
     #[test]
     fn memory_table_holds_one_copy_and_scans_hand_out_handles() {
         let mut t = Table::new("T", vec![("a".into(), Ty::Int), ("b".into(), Ty::Int)]);
-        // A row that already spells its labels with the table's is stored
-        // as it is: the table's copy is the caller's body.
+        // A row that already has the table's shape is stored as it is: the
+        // table's copy is the caller's body.
         let values = [Value::Int(1), Value::Int(2)];
-        let row = Record::new(t.labels().iter().cloned().zip(values)).unwrap();
+        let row = Record::shaped(t.shape().clone(), values);
         assert!(t.insert(row.clone()).unwrap());
         // The same mapping in another field order is the same row.
         let permuted = Record::new([("b", Value::Int(2)), ("a", Value::Int(1))]).unwrap();
         assert!(!t.insert(permuted.clone()).unwrap());
         assert!(t.contains(&permuted).unwrap());
-        let body = |r: &Record| r.fields().as_ptr();
+        let body = |r: &Record| r.values().as_ptr();
         assert_eq!(t.mem_rows().map(<[Record]>::len), Some(1));
         for scanned in [t.batch(0, 8).unwrap(), t.rows_vec().unwrap()] {
             assert_eq!(body(&scanned[0]), body(&row));
@@ -507,7 +529,7 @@ mod tests {
         let fresh = |fields: [(&str, i64); 2]| {
             Record::new(fields.map(|(l, v)| (l.to_string(), Value::Int(v)))).unwrap()
         };
-        // Kept by the caller (a shared body, copied once) or not (relabelled
+        // Kept by the caller (a shared body, copied once) or not (reshaped
         // in place); in column order or permuted.
         let given = [fresh([("a", 1), ("b", 2)]), fresh([("b", 4), ("a", 3)])];
         for row in &given {
@@ -522,11 +544,15 @@ mod tests {
             assert_eq!(row.cmp(given), std::cmp::Ordering::Equal);
             assert_eq!(row.structural_hash(), given.structural_hash());
             assert!(row.labels().eq(given.labels()), "field order is kept");
-            for (label, _) in row.fields() {
-                let column = t.labels().iter().find(|c| **c == *label).unwrap();
-                assert!(Arc::ptr_eq(label, column), "`{label}` is not the table's");
-            }
+            // A row in column order has the table's shape, and so its
+            // labels; a permuted one keeps a shape of its own.
+            let in_order = row.labels().eq(t.columns().iter().map(|(c, _)| c.as_str()));
+            assert_eq!(Arc::ptr_eq(row.shape(), t.shape()), in_order, "{row}");
         }
+        assert!(
+            Arc::ptr_eq(stored[1].shape(), given[1].shape()),
+            "not copied"
+        );
         // Second copies are still absorbed, however they are labelled.
         let again = stored[1].clone();
         assert!(!t.insert(fresh([("a", 1), ("b", 2)])).unwrap());

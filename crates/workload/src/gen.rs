@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tmql_model::{Ty, Value};
+use tmql_model::{Record, Shape, Ty, Value};
 use tmql_storage::{Catalog, Table};
 
 use crate::zipf::Zipf;
@@ -250,12 +250,11 @@ pub fn gen_company(cfg: &GenConfig) -> Catalog {
         ("nr".into(), Ty::Str),
         ("city".into(), Ty::Str),
     ]);
+    // Every address is a row of one shape.
+    let addr = Shape::new(["street", "nr", "city"]).expect("distinct labels");
     let mk_addr = |street: String, nr: i64, city: String| {
-        Value::tuple([
-            ("street", Value::str(street)),
-            ("nr", Value::str(nr.to_string())),
-            ("city", Value::str(city)),
-        ])
+        let values = [street, nr.to_string(), city].map(Value::str);
+        Value::Tuple(Record::shaped(addr.clone(), values))
     };
 
     let mut emp = Table::new(

@@ -1,6 +1,6 @@
 //! Every table the workload builds stores one label per column: each
-//! top-level label of each row is the table's own `Arc` for that column,
-//! so a stored row pays for its values and not for its names.
+//! row has the table's own shape, so its top-level labels are the table's
+//! `Arc`s and a stored row pays for its values and not for its names.
 
 use std::sync::Arc;
 
@@ -13,8 +13,13 @@ fn assert_shared(table: &Table) {
     let rows = table.mem_rows().expect("generated tables are in memory");
     assert!(!rows.is_empty(), "table `{}` is empty", table.name());
     for row in rows {
+        assert!(
+            Arc::ptr_eq(row.shape(), table.shape()),
+            "a row of `{}` is not of the table's shape",
+            table.name()
+        );
         for (label, _) in row.fields() {
-            let column = table.labels().iter().find(|c| **c == *label);
+            let column = table.shape().labels().iter().find(|c| **c == *label);
             let shared = column.is_some_and(|c| Arc::ptr_eq(c, label));
             assert!(
                 shared,

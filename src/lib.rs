@@ -150,6 +150,7 @@ fn error_class(e: &TmqlError) -> &'static str {
             M::KindMismatch { .. } => "Model.KindMismatch",
             M::TypeMismatch { .. } => "Model.TypeMismatch",
             M::DuplicateField(_) => "Model.DuplicateField",
+            M::TooWide(_) => "Model.TooWide",
             M::SchemaError(_) => "Model.SchemaError",
             M::Arithmetic(_) => "Model.Arithmetic",
             M::Io(_) => "Model.Io",
